@@ -47,7 +47,8 @@ fn write_restart_json(out: &mut String, res: &fig::FigRestartResult) {
              \"restart_dollars\": {:.9}, \"warm_remote_bytes\": {}, \"restart_remote_bytes\": {}, \
              \"recovered_segments\": {}, \"recovered_bytes\": {}, \"recovery_wall_s\": {:.6}, \
              \"restart_disk_hit_ratio\": {:.6}, \"manifest_records\": {}, \
-             \"manifest_live_puts\": {}, \"manifest_live_layouts\": {}, \"manifest_bytes\": {}}}",
+             \"manifest_live_puts\": {}, \"manifest_live_layouts\": {}, \"manifest_bytes\": {}, \
+             \"fsyncs\": {}, \"commits\": {}, \"compactions\": {}, \"persisted_bytes\": {}}}",
             if i == 0 { "" } else { "," },
             r.mem_budget,
             r.disk_budget,
@@ -63,6 +64,10 @@ fn write_restart_json(out: &mut String, res: &fig::FigRestartResult) {
             m.live_puts,
             m.live_layouts,
             m.manifest_bytes,
+            r.persisted(|c| c.fsyncs),
+            r.persisted(|c| c.commits),
+            r.persisted(|c| c.compactions),
+            r.persisted(|c| c.persisted_bytes),
         );
     }
     out.push_str("\n  ]");
@@ -163,6 +168,7 @@ fn main() {
             "recovery s",
             "disk hit%",
             "manifest",
+            "fsyncs/commits",
         ],
         &restart
             .rows
@@ -178,6 +184,11 @@ fn main() {
                     format!("{:.3}", r.recovery_wall_s),
                     format!("{:.0}%", r.restart_disk_hit_ratio() * 100.0),
                     format!("{}/{} live", m.live_puts + m.live_layouts, m.records),
+                    format!(
+                        "{}/{}",
+                        r.persisted(|c| c.fsyncs),
+                        r.persisted(|c| c.commits)
+                    ),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -287,5 +298,23 @@ fn main() {
             m.records, live
         );
         std::process::exit(1);
+    }
+
+    // Gate 5 (ISSUE 14): group commit. Every fsync of either incarnation
+    // belongs to a commit, a compaction or an invalidation, each at most
+    // two barriers — however many segments the stream persisted.
+    for r in &restart.rows {
+        if !r.fsyncs_within_commit_bound() {
+            eprintln!(
+                "ERROR: group-commit bound violated at (mem {}, disk {}): {} fsyncs for {} commits \
+                 + {} compactions",
+                r.mem_budget,
+                r.disk_budget,
+                r.persisted(|c| c.fsyncs),
+                r.persisted(|c| c.commits),
+                r.persisted(|c| c.compactions),
+            );
+            std::process::exit(1);
+        }
     }
 }

@@ -188,6 +188,9 @@ pub struct FigRestartRow {
     pub recovery_wall_s: f64,
     /// Manifest shape after the whole leg (compaction bound evidence).
     pub manifest: Option<ManifestStats>,
+    /// Cache counters of the first incarnation at shutdown (its final
+    /// drop-commit, at most two more barriers, is not in them).
+    pub warm_cache: CacheStats,
     /// Cache counters at the end of the post-recovery pass.
     pub restart_cache: CacheStats,
 }
@@ -201,6 +204,18 @@ impl FigRestartRow {
         } else {
             self.restart_cache.disk_hit_bytes as f64 / total as f64
         }
+    }
+
+    /// A durability counter summed over both incarnations of the leg.
+    pub fn persisted(&self, counter: fn(&CacheStats) -> u64) -> u64 {
+        counter(&self.warm_cache) + counter(&self.restart_cache)
+    }
+
+    /// The group-commit bound: every barrier belongs to a commit, a
+    /// compaction or an invalidation, each worth at most two.
+    pub fn fsyncs_within_commit_bound(&self) -> bool {
+        let events = |c: &CacheStats| c.commits + c.compactions + c.invalidations;
+        self.persisted(|c| c.fsyncs) <= 2 * self.persisted(events)
     }
 }
 
@@ -253,6 +268,7 @@ pub fn run_restart(
         run_stream(&ctx, &tables, &spec, &stream)?; // cold fills
         let warm = run_stream(&ctx, &tables, &spec, &stream)?;
         let warm_remote = remote_bytes(&warm.sum_billed);
+        let warm_cache = ctx.cache().map(|c| c.stats()).unwrap_or_default();
         // Clean shutdown: every handle to the cache goes away; only the
         // directory survives.
         ctx.store.set_cache(None);
@@ -281,6 +297,7 @@ pub fn run_restart(
             recovered_bytes: recovered.recovered_bytes,
             recovery_wall_s,
             manifest: cache.manifest_stats(),
+            warm_cache,
             restart_cache: cache.stats(),
         });
     }

@@ -349,6 +349,11 @@ pub struct CacheStats {
     pub persisted_bytes: u64,
     /// Fsync barriers the durability protocol issued.
     pub fsyncs: u64,
+    /// Group commits that issued at least one barrier (scan-end, drop
+    /// and invalidation commits alike; at most two barriers each).
+    pub commits: u64,
+    /// Manifest compactions (two barriers each).
+    pub compactions: u64,
 }
 
 /// What a partial-hit read of one object would serve from each tier
@@ -470,9 +475,9 @@ impl SegmentCache {
     }
 
     /// A persistent tiered cache rooted at `dir`: the disk tier's bytes
-    /// live in per-shard segment files guarded by an epoch manifest (see
-    /// the [`store`] module docs for the layout and the fsync ordering
-    /// rule), and whatever a previous incarnation left durable is
+    /// live in a segment log guarded by an epoch manifest (see the
+    /// [`store`] module docs for the layout and the group-commit
+    /// protocol), and whatever a previous incarnation left durable is
     /// recovered — mem tier cold, disk tier warm. Equivalent to
     /// [`SegmentCache::recover_with`] with default admission, no crash
     /// injection, and no catalog check.
@@ -511,9 +516,11 @@ impl SegmentCache {
     /// * compacts the manifest when dead records outnumber live state.
     ///
     /// `kill` arms the deterministic crash hook: the store dies at the
-    /// Nth fsync (seeded torn write included), after which durability is
-    /// frozen while the in-RAM cache keeps serving — exactly what a
-    /// crashed process leaves on disk for the next recovery to replay.
+    /// Nth fsync — or, if that never comes, when the last handle drops —
+    /// losing a seeded torn suffix of everything not yet committed.
+    /// After a mid-run kill durability is frozen while the in-RAM cache
+    /// keeps serving — exactly what a crashed process leaves on disk for
+    /// the next recovery to replay.
     pub fn recover_with(
         dir: impl AsRef<Path>,
         mem_budget_bytes: u64,
@@ -647,14 +654,30 @@ impl SegmentCache {
     }
 
     /// `(bytes appended, fsyncs issued)` by the durability protocol so
-    /// far. The store's read-through paths snapshot this around cache
-    /// operations to charge `disk_write_bw` / `fsync_latency` on the
-    /// virtual clock; always `(0, 0)` for non-persistent caches.
+    /// far: a monotonic total of every appended byte and every barrier,
+    /// whoever was charged for them. Always `(0, 0)` for non-persistent
+    /// caches.
     pub fn persist_counters(&self) -> (u64, u64) {
         self.inner
             .disk_store
             .as_ref()
             .map(|d| d.persist_counters())
+            .unwrap_or((0, 0))
+    }
+
+    /// The persistent tier's commit point: make everything appended
+    /// since the last commit durable with at most two fsync barriers
+    /// (segment log, then manifest) and return the receipt `(bytes,
+    /// fsyncs)` of what no earlier receipt reported, for the caller to
+    /// charge at `disk_write_bw` / `fsync_latency`. Concurrent callers
+    /// split the work without double-counting: Σ receipts equals the
+    /// [`SegmentCache::persist_counters`] delta. Dropping the last
+    /// handle commits too. `(0, 0)` for non-persistent caches.
+    pub fn commit(&self) -> (u64, u64) {
+        self.inner
+            .disk_store
+            .as_ref()
+            .map(|d| d.commit())
             .unwrap_or((0, 0))
     }
 
@@ -1003,8 +1026,9 @@ impl SegmentCache {
                     }
                 }
             }
-            // Straight-to-disk fills persist before the entry goes live;
-            // a failed persist (I/O error or post-crash) falls back to a
+            // Straight-to-disk fills reach the segment log before the
+            // entry goes live (durable at the next commit); a failed
+            // persist (I/O error or post-crash) falls back to a
             // RAM-resident disk entry, so the cache keeps working with
             // durability degraded rather than dropping the fill.
             let entry = match (target, self.inner.disk_store.as_ref()) {
@@ -1079,9 +1103,9 @@ impl SegmentCache {
                             // Demote under the same shard lock: keeps
                             // the hit count, takes a fresh seq. With a
                             // persistent store the bytes move into the
-                            // segment file (fsync-ordered ahead of the
-                            // manifest record); a failed persist keeps
-                            // them in RAM with durability degraded.
+                            // segment log (durable at the next commit);
+                            // a failed persist keeps them in RAM with
+                            // durability degraded.
                             e.seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
                             if let (Payload::Ram(data), Some(ds)) =
                                 (&e.payload, self.inner.disk_store.as_ref())
@@ -1154,9 +1178,10 @@ impl SegmentCache {
                     .fetch_sub(freed, Ordering::Relaxed);
             }
         }
-        // Make the bump durable (one Epoch record) so a recovery can
-        // never resurrect the dropped segments; logged while the shard
-        // lock pins out concurrent fills of the old epoch.
+        // Make the bump durable (one Epoch record, committed before
+        // this returns) so a recovery can never resurrect the dropped
+        // segments; logged while the shard lock pins out concurrent
+        // fills of the old epoch.
         if let Some(ds) = self.inner.disk_store.as_ref() {
             ds.bump_epoch(bucket, key, epoch);
         }
@@ -1169,6 +1194,13 @@ impl SegmentCache {
     /// Point-in-time statistics.
     pub fn stats(&self) -> CacheStats {
         let c = &self.inner.counters;
+        let (persisted_bytes, fsyncs) = self.persist_counters();
+        let (commits, compactions) = self
+            .inner
+            .disk_store
+            .as_ref()
+            .map(|d| d.commit_counters())
+            .unwrap_or((0, 0));
         let (mut segments, mut disk_segments) = (0u64, 0u64);
         for s in self.inner.shards.iter() {
             let s = s.lock();
@@ -1198,8 +1230,10 @@ impl SegmentCache {
             disk_segments,
             recovered_segments: c.recovered_segments.load(Ordering::Relaxed),
             recovered_bytes: c.recovered_bytes.load(Ordering::Relaxed),
-            persisted_bytes: self.persist_counters().0,
-            fsyncs: self.persist_counters().1,
+            persisted_bytes,
+            fsyncs,
+            commits,
+            compactions,
         }
     }
 }

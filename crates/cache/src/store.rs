@@ -6,45 +6,56 @@
 //!
 //! ```text
 //! <dir>/
-//!   MANIFEST            record log: which segment lives where, at
-//!                       which object epoch, with which checksum
-//!   seg-00-g0.dat …     one append-only segment file per cache shard
-//!   seg-15-g0.dat       (generation suffix bumps on compaction)
+//!   MANIFEST      record log: which segment lives where, at which
+//!                 object epoch, with which checksum
+//!   seg-g0.dat    the segment log: one append-only file of segment
+//!                 bytes (generation suffix bumps on compaction)
 //! ```
 //!
-//! **Durability protocol.** Persisting a segment appends its bytes to
-//! the shard's segment file, fsyncs *that file first*, then appends a
-//! `Put` record to the manifest and fsyncs the manifest. The record
-//! carries the segment's object epoch and an fnv1a checksum of the
-//! bytes, so the ordering rule plus the checksum make torn states
-//! detectable: a `Put` is only durable once the bytes it points at are,
-//! and a record whose bytes fail the checksum (or whose epoch no longer
-//! matches the newest durable `Epoch` record) is discarded at recovery
-//! instead of resurrecting stale data. Evictions append `Del`,
-//! invalidations `Epoch`, and learned chunk layouts `Layout` records —
-//! manifest-only appends with a single fsync each.
+//! **Durability protocol: write-behind with group commit.** Persisting
+//! a segment appends its bytes to the segment log and a `Put` record to
+//! the manifest; evictions append `Del`, learned chunk layouts `Layout`
+//! records. Appends go straight to the files (`write_all`, no user-space
+//! buffer), so the same handles read them back at once, but nothing is
+//! fsynced until a **commit**: one `sync_data` on the segment log, *then*
+//! one on the manifest, covering everything appended since the last
+//! commit — at most two barriers however many segments, dels and
+//! layouts are pending. Commit points are fixed by the code: the end of
+//! each cached scan ([`crate::SegmentCache::commit`]), an invalidation
+//! (its `Epoch` record is durable before the call returns), compaction,
+//! and the drop of the store (a clean shutdown loses nothing). The
+//! barrier order plus the per-record epoch and fnv1a checksum make every
+//! crash state recoverable: a `Put` is only *committed* once the bytes
+//! it points at are durable, and a record that reached the disk ahead of
+//! its bytes fails the checksum (or, from a superseded epoch, the epoch
+//! filter) at recovery instead of resurrecting torn or stale data.
 //!
 //! **Recovery** (`DiskStore::open`) replays the manifest, tolerating a
 //! torn tail (parsing stops at the first bad frame and the file is
 //! truncated there), folds records newest-wins, verifies every
-//! surviving `Put` against the segment file bytes, and deletes stray
-//! segment files a crashed compaction may have left. The
-//! [`crate::SegmentCache`] layer on top then applies its own catalog
-//! check and budget trim.
+//! surviving `Put` against the segment log bytes, and deletes stray
+//! files: older generations, a crashed compaction's output, and the
+//! per-shard `seg-NN-gN.dat` files of the version-1 layout (whose
+//! manifest is discarded, not migrated). The [`crate::SegmentCache`]
+//! layer on top then applies its own catalog check and budget trim.
 //!
 //! **Compaction.** Dead records (superseded puts, dels, stale epochs)
 //! accumulate; once they outnumber live state `COMPACT_FACTOR`-fold
-//! (past a fixed floor), the store rewrites live bytes into
-//! next-generation segment files and replaces the manifest via
-//! write-to-temp + atomic rename. A crash mid-compaction leaves the old
-//! manifest as the commit point.
+//! (past a fixed floor), the store rewrites live bytes into the
+//! next-generation segment log and replaces the manifest via
+//! write-to-temp + atomic rename — two barriers, and itself a commit. A
+//! crash mid-compaction leaves the old manifest as the commit point.
 //!
 //! **Crash injection.** A [`KillPlan`] kills the store at the Nth fsync
-//! with the same `splitmix64` discipline as the fault plan: the killing
-//! fsync keeps a seeded torn prefix of its pending bytes, every file is
-//! frozen, and all later mutations become no-ops (the in-RAM cache above
-//! keeps serving; only durability stops, exactly like a crashed process
-//! whose page cache evaporated). Recovery after a kill is deterministic
+//! with the same `splitmix64` discipline as the fault plan. A crash
+//! loses what no barrier covered, in *both* files: each keeps its
+//! durable length plus a seeded torn prefix of its un-synced bytes,
+//! every file is frozen, and all later mutations become no-ops (the
+//! in-RAM cache above keeps serving, and file-resident entries whose
+//! bytes vanished degrade to misses; only durability stops, exactly like
+//! a crashed process whose page cache evaporated). A plan still armed
+//! when the store drops makes the drop itself the crash: the process
+//! dies without its final commit. Recovery after a kill is deterministic
 //! per seed.
 
 use crate::SegmentKey;
@@ -58,12 +69,11 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shard count — mirrors the cache's lock sharding so one segment file
-/// never sees interleaved appends from two shards.
-const SHARDS: usize = crate::SHARDS;
-
 const MAGIC: &[u8; 4] = b"PDBM";
-const VERSION: u32 = 1;
+/// Version 2: one segment log per generation (version 1 sharded it).
+const VERSION: u32 = 2;
+/// Manifest header: magic + version.
+const HEADER_LEN: usize = 8;
 
 /// Record tags in the manifest payload.
 const TAG_PUT: u8 = 1;
@@ -77,9 +87,12 @@ const COMPACT_MIN_RECORDS: u64 = 64;
 const COMPACT_FACTOR: u64 = 4;
 
 /// Deterministic crash injection: the store dies at the `kill_at`-th
-/// fsync (1-based), keeping a `splitmix64(seed ^ ordinal)`-sized torn
-/// prefix of the bytes that fsync was flushing. Same discipline as
-/// `FaultPlan` — one seed replays one crash exactly.
+/// fsync (1-based), each file keeping a `splitmix64(seed, ordinal,
+/// file)`-sized torn prefix of its un-synced bytes. A plan whose fsync
+/// never comes fires when the store drops instead (the process dies
+/// without its final commit; `kill_at = u64::MAX` asks for exactly
+/// that). Same discipline as `FaultPlan` — one seed replays one crash
+/// exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillPlan {
     pub seed: u64,
@@ -101,9 +114,9 @@ impl KillPlan {
         }
     }
 
-    /// How many of `pending` un-synced bytes survive the killing fsync.
-    fn torn_len(&self, ordinal: u64, pending: u64) -> u64 {
-        splitmix64(self.seed ^ ordinal.rotate_left(17)) % (pending + 1)
+    /// How many of `file`'s `pending` un-synced bytes survive the crash.
+    fn torn_len(&self, ordinal: u64, file: u64, pending: u64) -> u64 {
+        splitmix64(self.seed ^ ordinal.rotate_left(17) ^ file.rotate_left(41)) % (pending + 1)
     }
 }
 
@@ -125,9 +138,8 @@ pub struct ManifestStats {
 type LayoutRec = (String, String, u64, Vec<(u64, u64)>);
 
 /// One live `Put` record, as folded from the manifest.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct PutRec {
-    shard: usize,
     gen: u32,
     offset: u64,
     len: u64,
@@ -161,18 +173,53 @@ pub(crate) struct Recovery {
     pub dropped: u64,
 }
 
-struct SegFile {
+/// One append-only file and how much of it a barrier has covered.
+struct Log {
     file: File,
-    gen: u32,
     len: u64,
-    durable_len: u64,
+    durable: u64,
+}
+
+impl Log {
+    fn open(path: &Path, truncate: bool) -> std::io::Result<Log> {
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(truncate)
+            .open(path)?;
+        let len = file.metadata()?.len();
+        Ok(Log {
+            file,
+            len,
+            durable: len,
+        })
+    }
+
+    /// Append at the logical end (a failed earlier append may have left
+    /// bytes past it), returning the offset written at. No fsync.
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<u64> {
+        self.file.seek(SeekFrom::Start(self.len))?;
+        self.file.write_all(bytes)?;
+        let offset = self.len;
+        self.len += bytes.len() as u64;
+        Ok(offset)
+    }
+
+    /// A segment's bytes, if they are all there and match its checksum.
+    fn read_checked(&mut self, rec: &PutRec) -> Option<Vec<u8>> {
+        self.file.seek(SeekFrom::Start(rec.offset)).ok()?;
+        let mut buf = vec![0u8; usize::try_from(rec.len).ok()?];
+        self.file.read_exact(&mut buf).ok()?;
+        (fnv1a(buf.iter().copied()) == rec.crc).then_some(buf)
+    }
 }
 
 struct DiskInner {
-    manifest: File,
-    manifest_len: u64,
-    manifest_durable: u64,
-    segs: Vec<SegFile>,
+    manifest: Log,
+    /// The current generation's segment log.
+    data: Log,
+    gen: u32,
     live: HashMap<SegmentKey, PutRec>,
     /// Object-hash → newest durable epoch.
     epochs: HashMap<u64, u64>,
@@ -188,6 +235,12 @@ struct DiskInner {
     kill: Option<KillPlan>,
     fsync_ordinal: u64,
     crashed: bool,
+    /// `(bytes appended, fsyncs issued)` no commit receipt has reported
+    /// yet — what the next [`DiskStore::commit`] caller is charged.
+    unbilled: (u64, u64),
+    /// Commits that issued at least one barrier, and compactions.
+    commits: u64,
+    compactions: u64,
 }
 
 /// The file-backed store one persistent [`crate::SegmentCache`] owns.
@@ -196,10 +249,9 @@ struct DiskInner {
 pub(crate) struct DiskStore {
     dir: PathBuf,
     inner: Mutex<DiskInner>,
-    /// Bytes appended (segments + manifest records), for the perf
-    /// model's `disk_write_bw` charge.
+    /// Every byte appended (segments + manifest records), ever.
     persisted_bytes: AtomicU64,
-    /// Fsync barriers issued, for the `fsync_latency` charge.
+    /// Every fsync barrier issued, ever.
     fsyncs: AtomicU64,
     /// Persists that failed (I/O error or post-crash) and fell back to
     /// RAM-only residency.
@@ -287,7 +339,6 @@ enum Record {
 fn encode_put(key: &SegmentKey, rec: &PutRec) -> Vec<u8> {
     let mut p = Vec::with_capacity(64 + key.bucket.len() + key.key.len());
     p.push(TAG_PUT);
-    p.push(rec.shard as u8);
     put_u32(&mut p, rec.gen);
     put_u64(&mut p, rec.offset);
     put_u64(&mut p, rec.len);
@@ -340,7 +391,6 @@ fn decode_record(payload: &[u8], order: u64) -> Option<Record> {
     };
     match c.u8()? {
         TAG_PUT => {
-            let shard = c.u8()? as usize;
             let gen = c.u32()?;
             let offset = c.u64()?;
             let len = c.u64()?;
@@ -349,10 +399,9 @@ fn decode_record(payload: &[u8], order: u64) -> Option<Record> {
             let range = (c.u64()?, c.u64()?);
             let bucket = c.str()?;
             let key = c.str()?;
-            (shard < SHARDS).then_some(Record::Put {
+            Some(Record::Put {
                 key: SegmentKey::chunk(&bucket, &key, range),
                 rec: PutRec {
-                    shard,
                     gen,
                     offset,
                     len,
@@ -405,8 +454,8 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     f
 }
 
-fn seg_file_name(shard: usize, gen: u32) -> String {
-    format!("seg-{shard:02}-g{gen}.dat")
+fn seg_file_name(gen: u32) -> String {
+    format!("seg-g{gen}.dat")
 }
 
 fn io_err(what: &str, path: &Path, e: std::io::Error) -> Error {
@@ -426,169 +475,114 @@ impl DiskStore {
         let mut live: HashMap<SegmentKey, PutRec> = HashMap::new();
         let mut epochs: HashMap<u64, u64> = HashMap::new();
         let mut layouts: HashMap<u64, LayoutRec> = HashMap::new();
-        let mut max_gen = [0u32; SHARDS];
+        let mut gen = 0u32;
         let mut records = 0u64;
         let mut next_order = 0u64;
 
         // Phase 1: replay the manifest, stopping at the first torn frame.
-        let mut valid_len = (MAGIC.len() + 4) as u64;
-        let existing = std::fs::read(&mpath).ok();
-        match &existing {
-            Some(raw) if raw.len() >= 8 && &raw[..4] == MAGIC => {
-                let mut pos = 8usize; // magic + version
-                while let Some(hdr) = raw.get(pos..pos + 12) {
-                    let plen = u32::from_le_bytes(hdr[..4].try_into().unwrap()) as usize;
-                    let crc = u64::from_le_bytes(hdr[4..12].try_into().unwrap());
-                    let Some(payload) = raw.get(pos + 12..pos + 12 + plen) else {
-                        break; // torn tail
-                    };
-                    if fnv1a(payload.iter().copied()) != crc {
-                        break; // torn or corrupt frame — stop replay here
-                    }
-                    let order = next_order;
-                    next_order += 1;
-                    match decode_record(payload, order) {
-                        Some(Record::Put { key, rec }) => {
-                            max_gen[rec.shard] = max_gen[rec.shard].max(rec.gen);
-                            live.insert(key, rec);
-                        }
-                        Some(Record::Del { key }) => {
-                            live.remove(&key);
-                        }
-                        Some(Record::Epoch { bucket, key, epoch }) => {
-                            let h = crate::object_hash(&bucket, &key);
-                            epochs.insert(h, epoch);
-                        }
-                        Some(Record::Layout {
-                            bucket,
-                            key,
-                            epoch,
-                            chunks,
-                        }) => {
-                            let h = crate::object_hash(&bucket, &key);
-                            layouts.insert(h, (bucket, key, epoch, chunks));
-                        }
-                        None => {
-                            // Structurally valid frame, unknown contents:
-                            // count it dropped but keep replaying.
-                            recovery.dropped += 1;
-                        }
-                    }
-                    records += 1;
-                    pos += 12 + plen;
-                    valid_len = pos as u64;
+        // A missing, foreign or other-version manifest starts fresh.
+        let mut valid_len = HEADER_LEN as u64;
+        let raw = std::fs::read(&mpath).unwrap_or_default();
+        let fresh = raw.len() < HEADER_LEN
+            || &raw[..4] != MAGIC
+            || raw[4..HEADER_LEN] != VERSION.to_le_bytes();
+        if !fresh {
+            let mut pos = HEADER_LEN;
+            while let Some(hdr) = raw.get(pos..pos + 12) {
+                let plen = u32::from_le_bytes(hdr[..4].try_into().unwrap()) as usize;
+                let crc = u64::from_le_bytes(hdr[4..12].try_into().unwrap());
+                let Some(payload) = raw.get(pos + 12..pos + 12 + plen) else {
+                    break; // torn tail
+                };
+                if fnv1a(payload.iter().copied()) != crc {
+                    break; // torn or corrupt frame — stop replay here
                 }
-            }
-            _ => {}
-        }
-
-        // Phase 2: epoch filter — a Put from a superseded epoch is stale.
-        let mut ordered: Vec<(SegmentKey, PutRec)> = live.drain().collect();
-        ordered.sort_by_key(|(_, r)| r.order);
-        let mut kept: Vec<(SegmentKey, PutRec)> = Vec::with_capacity(ordered.len());
-        for (key, rec) in ordered {
-            let h = crate::object_hash(&key.bucket, &key.key);
-            if rec.epoch == *epochs.get(&h).unwrap_or(&0) {
-                kept.push((key, rec));
-            } else {
-                recovery.dropped += 1;
-            }
-        }
-
-        // Phase 3: verify each surviving Put against the segment file
-        // bytes — the fsync ordering makes a durable Put imply durable
-        // bytes, so a mismatch means a torn write and the record dies.
-        let mut verified: Vec<(SegmentKey, PutRec)> = Vec::with_capacity(kept.len());
-        for (key, rec) in kept {
-            let spath = dir.join(seg_file_name(rec.shard, rec.gen));
-            let ok = File::open(&spath)
-                .ok()
-                .and_then(|mut f| {
-                    f.seek(SeekFrom::Start(rec.offset)).ok()?;
-                    let mut buf = vec![0u8; rec.len as usize];
-                    f.read_exact(&mut buf).ok()?;
-                    Some(fnv1a(buf.iter().copied()) == rec.crc)
-                })
-                .unwrap_or(false);
-            if ok {
-                verified.push((key, rec));
-            } else {
-                recovery.dropped += 1;
+                let order = next_order;
+                next_order += 1;
+                match decode_record(payload, order) {
+                    Some(Record::Put { key, rec }) => {
+                        gen = gen.max(rec.gen);
+                        live.insert(key, rec);
+                    }
+                    Some(Record::Del { key }) => {
+                        live.remove(&key);
+                    }
+                    Some(Record::Epoch { bucket, key, epoch }) => {
+                        let h = crate::object_hash(&bucket, &key);
+                        epochs.insert(h, epoch);
+                    }
+                    Some(Record::Layout {
+                        bucket,
+                        key,
+                        epoch,
+                        chunks,
+                    }) => {
+                        let h = crate::object_hash(&bucket, &key);
+                        layouts.insert(h, (bucket, key, epoch, chunks));
+                    }
+                    None => {
+                        // Structurally valid frame, unknown contents:
+                        // count it dropped but keep replaying.
+                        recovery.dropped += 1;
+                    }
+                }
+                records += 1;
+                pos += 12 + plen;
+                valid_len = pos as u64;
             }
         }
 
-        // Only epochs that still guard something durable need keeping.
-        let logged: HashSet<u64> = verified
-            .iter()
-            .map(|(k, _)| crate::object_hash(&k.bucket, &k.key))
-            .chain(layouts.keys().copied())
-            .collect();
-
-        // Phase 4: truncate the torn manifest tail (or write a fresh
+        // Phase 2: truncate the torn manifest tail (or write a fresh
         // header) so future appends extend a well-formed log.
-        let mut manifest = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&mpath)
-            .map_err(|e| io_err("open", &mpath, e))?;
-        let fresh = existing
-            .map(|r| r.len() < 8 || &r[..4] != MAGIC)
-            .unwrap_or(true);
+        let mut manifest = Log::open(&mpath, false).map_err(|e| io_err("open", &mpath, e))?;
         if fresh {
             manifest
+                .file
                 .set_len(0)
-                .and_then(|()| manifest.write_all(MAGIC))
-                .and_then(|()| manifest.write_all(&VERSION.to_le_bytes()))
-                .and_then(|()| manifest.sync_data())
+                .and_then(|()| manifest.file.write_all(MAGIC))
+                .and_then(|()| manifest.file.write_all(&VERSION.to_le_bytes()))
+                .and_then(|()| manifest.file.sync_data())
                 .map_err(|e| io_err("init", &mpath, e))?;
-            valid_len = (MAGIC.len() + 4) as u64;
-            records = 0;
         } else {
             manifest
+                .file
                 .set_len(valid_len)
                 .map_err(|e| io_err("truncate", &mpath, e))?;
         }
+        (manifest.len, manifest.durable) = (valid_len, valid_len);
 
-        // Phase 5: open current-generation segment files, deleting stray
-        // files (older generations, or a crashed compaction's output).
-        let mut segs = Vec::with_capacity(SHARDS);
-        for (shard, &gen) in max_gen.iter().enumerate() {
-            let spath = dir.join(seg_file_name(shard, gen));
-            let file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(&spath)
-                .map_err(|e| io_err("open", &spath, e))?;
-            let len = file
-                .metadata()
-                .map_err(|e| io_err("stat", &spath, e))?
-                .len();
-            segs.push(SegFile {
-                file,
-                gen,
-                len,
-                durable_len: len,
-            });
-        }
-        if let Ok(rd) = std::fs::read_dir(dir) {
-            for entry in rd.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if !name.starts_with("seg-") || !name.ends_with(".dat") {
-                    continue;
-                }
-                let current = (0..SHARDS).any(|s| name == seg_file_name(s, max_gen[s]));
-                if !current {
-                    let _ = std::fs::remove_file(entry.path());
-                }
+        // Phase 3: open the current generation's segment log, deleting
+        // stray files (older generations, a crashed compaction's output,
+        // the version-1 per-shard files).
+        let current = seg_file_name(gen);
+        let spath = dir.join(&current);
+        let mut data = Log::open(&spath, false).map_err(|e| io_err("open", &spath, e))?;
+        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            let name = entry.file_name().to_string_lossy().into_owned();
+            let stray_seg = name.starts_with("seg-") && name.ends_with(".dat") && name != current;
+            if stray_seg || name == "MANIFEST.tmp" {
+                let _ = std::fs::remove_file(entry.path());
             }
         }
 
+        // Phase 4: keep the Puts whose epoch is still current and whose
+        // bytes are all in the log and match the checksum. A committed
+        // Put implies durable bytes (barrier order); a record that got to
+        // disk ahead of its bytes, or of a superseded epoch, dies here.
+        let mut ordered: Vec<(SegmentKey, PutRec)> = live.drain().collect();
+        ordered.sort_by_key(|(_, r)| r.order);
+        let before = ordered.len() as u64;
+        ordered.retain(|(key, rec)| {
+            let h = crate::object_hash(&key.bucket, &key.key);
+            rec.epoch == *epochs.get(&h).unwrap_or(&0)
+                && rec.gen == gen
+                && data.read_checked(rec).is_some()
+        });
+        recovery.dropped += before - ordered.len() as u64;
+        layouts.retain(|h, (_, _, e, _)| *e == *epochs.get(h).unwrap_or(&0));
+
         recovery.epochs = epochs.clone();
-        recovery.segments = verified
+        recovery.segments = ordered
             .iter()
             .map(|(key, rec)| RecoveredSegment {
                 key: key.clone(),
@@ -597,55 +591,43 @@ impl DiskStore {
                 crc: rec.crc,
             })
             .collect();
-        recovery.layouts = layouts
-            .values()
-            .filter(|(b, k, epoch, _)| {
-                *epoch == *epochs.get(&crate::object_hash(b, k)).unwrap_or(&0)
-            })
-            .map(|(b, k, e, c)| (b.clone(), k.clone(), *e, c.clone()))
-            .collect();
+        recovery.layouts = layouts.values().cloned().collect();
         recovery.layouts.sort();
 
-        let live_map: HashMap<SegmentKey, PutRec> = verified.into_iter().collect();
-        let layouts_map: HashMap<u64, LayoutRec> = layouts
-            .into_iter()
-            .filter(|(h, (_, _, e, _))| *e == *epochs.get(h).unwrap_or(&0))
+        // Only epochs that still guard something durable need keeping in
+        // the in-memory view (the others occupy manifest records until
+        // the next compaction).
+        let logged: HashSet<u64> = ordered
+            .iter()
+            .map(|(k, _)| crate::object_hash(&k.bucket, &k.key))
+            .chain(layouts.keys().copied())
             .collect();
-        // Epochs without anything durable to guard are dropped from the
-        // in-memory view (they still occupy manifest records until the
-        // next compaction).
-        let epochs_map: HashMap<u64, u64> = epochs
-            .into_iter()
-            .filter(|(h, _)| logged.contains(h))
-            .collect();
+        epochs.retain(|h, _| logged.contains(h));
 
         let store = DiskStore {
             dir: dir.to_path_buf(),
             inner: Mutex::new(DiskInner {
                 manifest,
-                manifest_len: valid_len,
-                manifest_durable: valid_len,
-                segs,
-                live: live_map,
-                epochs: epochs_map,
-                layouts: layouts_map,
+                data,
+                gen,
+                live: ordered.into_iter().collect(),
+                epochs,
+                layouts,
                 logged,
                 records,
                 next_order,
                 kill,
                 fsync_ordinal: 0,
                 crashed: false,
+                unbilled: (0, 0),
+                commits: 0,
+                compactions: 0,
             }),
             persisted_bytes: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             persist_errors: AtomicU64::new(0),
         };
-        {
-            let mut inner = store.inner.lock();
-            if store.should_compact(&inner) {
-                store.compact_locked(&mut inner);
-            }
-        }
+        store.maybe_compact(&mut store.inner.lock());
         Ok((store, recovery))
     }
 
@@ -653,14 +635,19 @@ impl DiskStore {
         &self.dir
     }
 
-    /// `(bytes appended, fsyncs issued)` so far — the read-through paths
-    /// snapshot this around cache operations to charge `disk_write_bw`
-    /// and `fsync_latency` on the virtual clock.
+    /// `(bytes appended, fsyncs issued)` since the store opened: a
+    /// monotonic total of every appended byte and every barrier.
     pub(crate) fn persist_counters(&self) -> (u64, u64) {
         (
             self.persisted_bytes.load(Ordering::Relaxed),
             self.fsyncs.load(Ordering::Relaxed),
         )
+    }
+
+    /// `(commits that issued a barrier, compactions)` so far.
+    pub(crate) fn commit_counters(&self) -> (u64, u64) {
+        let inner = self.inner.lock();
+        (inner.commits, inner.compactions)
     }
 
     /// Whether the crash hook has fired (durability is frozen).
@@ -674,7 +661,7 @@ impl DiskStore {
             records: inner.records,
             live_puts: inner.live.len() as u64,
             live_layouts: inner.layouts.len() as u64,
-            manifest_bytes: inner.manifest_len,
+            manifest_bytes: inner.manifest.len,
         }
     }
 
@@ -684,48 +671,68 @@ impl DiskStore {
         self.inner.lock().live.get(key).map(|r| r.crc)
     }
 
-    /// One fsync barrier on `file`, honoring the kill plan. On the
-    /// killing fsync the file keeps only `durable + torn` bytes and the
-    /// store is frozen. Returns whether the fsync completed.
-    fn sync_file(&self, inner: &mut DiskInner, which: Target) -> bool {
+    fn persist_error(&self) -> bool {
+        self.persist_errors.fetch_add(1, Ordering::Relaxed);
+        false
+    }
+
+    fn note_appended(&self, inner: &mut DiskInner, bytes: u64) {
+        self.persisted_bytes.fetch_add(bytes, Ordering::Relaxed);
+        inner.unbilled.0 += bytes;
+    }
+
+    /// Account one fsync barrier and fire the kill plan if it is the
+    /// killing one. Returns whether the caller may go on to sync.
+    fn begin_barrier(&self, inner: &mut DiskInner) -> bool {
         if inner.crashed {
             return false;
         }
         inner.fsync_ordinal += 1;
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        let ordinal = inner.fsync_ordinal;
-        if let Some(kill) = inner.kill {
-            if ordinal == kill.kill_at {
-                let (file, len, durable) = inner.target_mut(which);
-                let pending = len.saturating_sub(durable);
-                let keep = durable + kill.torn_len(ordinal, pending);
-                let _ = file.set_len(keep);
-                let _ = file.sync_data();
-                inner.crashed = true;
-                return false;
-            }
+        inner.unbilled.1 += 1;
+        if inner.kill.is_some_and(|k| k.kill_at == inner.fsync_ordinal) {
+            inner.crash();
         }
-        let (file, len, durable_slot) = match which {
-            Target::Manifest => (
-                &inner.manifest,
-                inner.manifest_len,
-                &mut inner.manifest_durable,
-            ),
-            Target::Seg(s) => {
-                let seg = &mut inner.segs[s];
-                (&seg.file, seg.len, &mut seg.durable_len)
-            }
-        };
-        match file.sync_data() {
+        !inner.crashed
+    }
+
+    /// One barrier on a log with un-synced bytes (none: nothing to do).
+    fn sync_log(&self, inner: &mut DiskInner, log: fn(&mut DiskInner) -> &mut Log) -> bool {
+        if log(inner).len == log(inner).durable {
+            return true;
+        }
+        if !self.begin_barrier(inner) {
+            return false;
+        }
+        let log = log(inner);
+        match log.file.sync_data() {
             Ok(()) => {
-                *durable_slot = len;
+                log.durable = log.len;
                 true
             }
-            Err(_) => {
-                self.persist_errors.fetch_add(1, Ordering::Relaxed);
-                false
-            }
+            Err(_) => self.persist_error(),
         }
+    }
+
+    /// The group commit: segment log first, then the manifest whose
+    /// records reference it — at most two barriers for everything
+    /// pending. Returns whether all of it is now durable.
+    fn commit_locked(&self, inner: &mut DiskInner) -> bool {
+        let before = inner.fsync_ordinal;
+        let ok = self.sync_log(inner, |i| &mut i.data) && self.sync_log(inner, |i| &mut i.manifest);
+        inner.commits += u64::from(inner.fsync_ordinal > before);
+        ok
+    }
+
+    /// Commit everything appended since the last commit and return the
+    /// receipt `(bytes, fsyncs)`: every appended byte and issued barrier
+    /// no earlier receipt reported (those of invalidations and
+    /// compactions since then included), so concurrent committers charge
+    /// each byte and barrier exactly once between them.
+    pub(crate) fn commit(&self) -> (u64, u64) {
+        let mut inner = self.inner.lock();
+        self.commit_locked(&mut inner);
+        std::mem::take(&mut inner.unbilled)
     }
 
     fn append_manifest(&self, inner: &mut DiskInner, payload: &[u8]) -> bool {
@@ -733,58 +740,29 @@ impl DiskStore {
             return false;
         }
         let framed = frame(payload);
-        let len = inner.manifest_len;
-        if inner
-            .manifest
-            .seek(SeekFrom::Start(len))
-            .and_then(|_| inner.manifest.write_all(&framed))
-            .is_err()
-        {
-            self.persist_errors.fetch_add(1, Ordering::Relaxed);
-            return false;
+        if inner.manifest.append(&framed).is_err() {
+            return self.persist_error();
         }
-        inner.manifest_len += framed.len() as u64;
         inner.records += 1;
-        self.persisted_bytes
-            .fetch_add(framed.len() as u64, Ordering::Relaxed);
-        self.sync_file(inner, Target::Manifest)
+        self.note_appended(inner, framed.len() as u64);
+        true
     }
 
-    /// Persist one segment's bytes: append to the shard's segment file,
-    /// fsync it, then append + fsync the manifest `Put`. Returns whether
-    /// the segment is durable (callers fall back to RAM-only residency
-    /// when it is not).
+    /// Persist one segment: append its bytes to the segment log and its
+    /// `Put` to the manifest, both durable at the next commit. Returns
+    /// whether the store now holds the segment (callers fall back to
+    /// RAM-only residency when it does not).
     pub(crate) fn put(&self, key: &SegmentKey, data: &Bytes, epoch: u64) -> bool {
-        let shard = crate::object_hash(&key.bucket, &key.key) as usize % SHARDS;
         let mut inner = self.inner.lock();
         if inner.crashed {
-            self.persist_errors.fetch_add(1, Ordering::Relaxed);
-            return false;
+            return self.persist_error();
         }
-        let (gen, offset) = {
-            let seg = &mut inner.segs[shard];
-            let offset = seg.len;
-            if seg
-                .file
-                .seek(SeekFrom::Start(offset))
-                .and_then(|_| seg.file.write_all(data))
-                .is_err()
-            {
-                self.persist_errors.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            seg.len += data.len() as u64;
-            (seg.gen, offset)
+        let Ok(offset) = inner.data.append(data) else {
+            return self.persist_error();
         };
-        self.persisted_bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        if !self.sync_file(&mut inner, Target::Seg(shard)) {
-            self.persist_errors.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
+        self.note_appended(&mut inner, data.len() as u64);
         let rec = PutRec {
-            shard,
-            gen,
+            gen: inner.gen,
             offset,
             len: data.len() as u64,
             crc: fnv1a(data.iter().copied()),
@@ -793,9 +771,8 @@ impl DiskStore {
         };
         inner.next_order += 1;
         if !self.append_manifest(&mut inner, &encode_put(key, &rec)) {
-            // Bytes are durable but unreferenced — harmless garbage the
-            // next compaction reclaims.
-            self.persist_errors.fetch_add(1, Ordering::Relaxed);
+            // Bytes are in the log but unreferenced — harmless garbage
+            // the next compaction reclaims.
             return false;
         }
         inner
@@ -806,28 +783,19 @@ impl DiskStore {
         true
     }
 
-    /// Read a live segment's bytes back, verifying the checksum.
+    /// Read a live segment's bytes back (committed or not), verifying
+    /// the checksum.
     pub(crate) fn read(&self, key: &SegmentKey) -> Option<Bytes> {
         let mut inner = self.inner.lock();
-        let rec = inner.live.get(key)?.clone();
-        let seg = &mut inner.segs[rec.shard];
-        if seg.gen != rec.gen {
-            return None;
-        }
-        seg.file.seek(SeekFrom::Start(rec.offset)).ok()?;
-        let mut buf = vec![0u8; rec.len as usize];
-        seg.file.read_exact(&mut buf).ok()?;
-        (fnv1a(buf.iter().copied()) == rec.crc).then(|| Bytes::from(buf))
+        let rec = *inner.live.get(key)?;
+        inner.data.read_checked(&rec).map(Bytes::from)
     }
 
     /// The segment left the disk tier (eviction or promotion): append a
     /// `Del` record so recovery does not resurrect it.
     pub(crate) fn del(&self, key: &SegmentKey) {
         let mut inner = self.inner.lock();
-        if inner.crashed || !inner.live.contains_key(key) {
-            return;
-        }
-        if self.append_manifest(&mut inner, &encode_del(key)) {
+        if inner.live.contains_key(key) && self.append_manifest(&mut inner, &encode_del(key)) {
             inner.live.remove(key);
             self.maybe_compact(&mut inner);
         }
@@ -836,19 +804,20 @@ impl DiskStore {
     /// The object was invalidated: drop its durable segments and
     /// layouts, and log the new epoch (only when the manifest holds
     /// records the bump must kill — otherwise there is nothing a
-    /// recovery could resurrect).
+    /// recovery could resurrect). Synchronous: the `Epoch` record, and
+    /// with it everything pending, is committed before this returns.
     pub(crate) fn bump_epoch(&self, bucket: &str, key: &str, epoch: u64) {
         let h = crate::object_hash(bucket, key);
         let mut inner = self.inner.lock();
-        if inner.crashed || !inner.logged.contains(&h) {
-            return;
-        }
-        if self.append_manifest(&mut inner, &encode_epoch(bucket, key, epoch)) {
+        if inner.logged.contains(&h)
+            && self.append_manifest(&mut inner, &encode_epoch(bucket, key, epoch))
+        {
             inner.epochs.insert(h, epoch);
             inner
                 .live
                 .retain(|k, _| !(k.bucket == bucket && k.key == key));
             inner.layouts.remove(&h);
+            self.commit_locked(&mut inner);
             self.maybe_compact(&mut inner);
         }
     }
@@ -859,9 +828,6 @@ impl DiskStore {
     pub(crate) fn log_layout(&self, bucket: &str, key: &str, epoch: u64, chunks: &[(u64, u64)]) {
         let h = crate::object_hash(bucket, key);
         let mut inner = self.inner.lock();
-        if inner.crashed {
-            return;
-        }
         if self.append_manifest(&mut inner, &encode_layout(bucket, key, epoch, chunks)) {
             inner.logged.insert(h);
             inner.layouts.insert(
@@ -872,247 +838,128 @@ impl DiskStore {
         }
     }
 
-    fn should_compact(&self, inner: &DiskInner) -> bool {
-        let live = inner.live.len() as u64 + inner.layouts.len() as u64 + inner.epochs.len() as u64;
-        inner.records > COMPACT_MIN_RECORDS && inner.records > COMPACT_FACTOR * live.max(1)
-    }
-
     fn maybe_compact(&self, inner: &mut DiskInner) {
-        if self.should_compact(inner) {
-            self.compact_locked(inner);
+        let live = inner.live.len() as u64 + inner.layouts.len() as u64 + inner.epochs.len() as u64;
+        if inner.records > COMPACT_MIN_RECORDS
+            && inner.records > COMPACT_FACTOR * live.max(1)
+            && !inner.crashed
+            && self.compact_locked(inner).is_err()
+        {
+            self.persist_error();
         }
     }
 
-    /// Rewrite live segment bytes into next-generation files and replace
-    /// the manifest with exactly the live records, committing via
-    /// write-to-temp + atomic rename. A crash at any point leaves the
-    /// old manifest (and the files it references) intact.
-    fn compact_locked(&self, inner: &mut DiskInner) {
-        if inner.crashed {
-            return;
-        }
-        let next_gen: Vec<u32> = inner.segs.iter().map(|s| s.gen + 1).collect();
-        // Live entries per shard, replay order preserved within a shard.
-        let mut by_shard: Vec<Vec<(SegmentKey, PutRec)>> =
-            (0..SHARDS).map(|_| Vec::new()).collect();
-        for (k, r) in inner.live.iter() {
-            by_shard[r.shard].push((k.clone(), r.clone()));
-        }
-        for list in by_shard.iter_mut() {
-            list.sort_by_key(|(_, r)| r.order);
-        }
-        let mut new_live: HashMap<SegmentKey, PutRec> = HashMap::new();
-        let mut new_segs: Vec<SegFile> = Vec::with_capacity(SHARDS);
-        for (shard, list) in by_shard.iter().enumerate() {
-            let spath = self.dir.join(seg_file_name(shard, next_gen[shard]));
-            let file = match OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&spath)
-            {
-                Ok(f) => f,
-                Err(_) => {
-                    self.persist_errors.fetch_add(1, Ordering::Relaxed);
-                    return;
+    /// Rewrite live segment bytes into the next-generation log and
+    /// replace the manifest with exactly the live records, committing
+    /// via write-to-temp + atomic rename. A crash or I/O error at any
+    /// point leaves the old manifest (and the log it references) intact.
+    fn compact_locked(&self, inner: &mut DiskInner) -> std::io::Result<()> {
+        let gen = inner.gen + 1;
+        let mut data = Log::open(&self.dir.join(seg_file_name(gen)), true)?;
+        let mut live: Vec<(SegmentKey, PutRec)> =
+            inner.live.iter().map(|(k, r)| (k.clone(), *r)).collect();
+        live.sort_by_key(|(_, r)| r.order);
+        // An unreadable segment is dropped, not carried over: the cache
+        // above degrades it to a miss on its next read.
+        live.retain_mut(|(_, rec)| {
+            let copied = inner.data.read_checked(rec).map(|buf| data.append(&buf));
+            match copied {
+                Some(Ok(offset)) => {
+                    (rec.gen, rec.offset) = (gen, offset);
+                    self.note_appended(inner, rec.len);
+                    true
                 }
-            };
-            let mut out = SegFile {
-                file,
-                gen: next_gen[shard],
-                len: 0,
-                durable_len: 0,
-            };
-            for (key, rec) in list {
-                // Copy the live bytes from the old generation.
-                let old = &mut inner.segs[rec.shard];
-                let mut buf = vec![0u8; rec.len as usize];
-                if old
-                    .file
-                    .seek(SeekFrom::Start(rec.offset))
-                    .and_then(|_| old.file.read_exact(&mut buf))
-                    .is_err()
-                {
-                    self.persist_errors.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let offset = out.len;
-                if out.file.write_all(&buf).is_err() {
-                    self.persist_errors.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                out.len += rec.len;
-                self.persisted_bytes.fetch_add(rec.len, Ordering::Relaxed);
-                new_live.insert(
-                    key.clone(),
-                    PutRec {
-                        shard,
-                        gen: next_gen[shard],
-                        offset,
-                        ..rec.clone()
-                    },
-                );
+                _ => self.persist_error(),
             }
-            new_segs.push(out);
-        }
-        // Fsync the rewritten segment files before the manifest that
-        // references them (same ordering rule as the steady state).
-        for seg in new_segs.iter_mut() {
-            inner.fsync_ordinal += 1;
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            let ordinal = inner.fsync_ordinal;
-            if let Some(kill) = inner.kill {
-                if ordinal == kill.kill_at {
-                    let keep = kill.torn_len(ordinal, seg.len);
-                    let _ = seg.file.set_len(keep);
-                    inner.crashed = true;
-                    return;
-                }
-            }
-            if seg.file.sync_data().is_err() {
-                self.persist_errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            seg.durable_len = seg.len;
-        }
+        });
         // Rebuild the manifest: epoch records first (so replay filters
         // puts and layouts against them regardless of order), then live
         // layouts, then live puts in replay order. The bucket/key for an
         // epoch record comes from whichever live record still names the
         // object; epochs guarding nothing durable are garbage-collected.
-        let mut buf: Vec<u8> = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        let mut records = 0u64;
-        let mut names: HashMap<u64, (String, String)> = new_live
-            .keys()
-            .map(|k| {
-                (
-                    crate::object_hash(&k.bucket, &k.key),
-                    (k.bucket.clone(), k.key.clone()),
-                )
-            })
+        let mut names: HashMap<u64, (&str, &str)> = live
+            .iter()
+            .map(|(k, _)| (crate::object_hash(&k.bucket, &k.key), (&*k.bucket, &*k.key)))
             .collect();
         for (h, (b, k, _, _)) in inner.layouts.iter() {
-            names.entry(*h).or_insert_with(|| (b.clone(), k.clone()));
+            names.entry(*h).or_insert((b, k));
         }
-        let mut epoch_rows: Vec<(u64, u64)> = inner
+        let mut epochs: Vec<(u64, u64)> = inner
             .epochs
             .iter()
             .filter(|(h, _)| names.contains_key(h))
             .map(|(h, e)| (*h, *e))
             .collect();
-        epoch_rows.sort_unstable();
-        for (h, e) in epoch_rows {
-            let (b, k) = &names[&h];
-            buf.extend_from_slice(&frame(&encode_epoch(b, k, e)));
-            records += 1;
+        epochs.sort_unstable();
+        let mut layouts: Vec<(&u64, &LayoutRec)> = inner.layouts.iter().collect();
+        layouts.sort_by_key(|(h, _)| **h);
+        let mut buf: Vec<u8> = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        for (h, e) in &epochs {
+            let (b, k) = names[h];
+            buf.extend_from_slice(&frame(&encode_epoch(b, k, *e)));
         }
-        let mut layout_rows: Vec<(u64, LayoutRec)> =
-            inner.layouts.iter().map(|(h, l)| (*h, l.clone())).collect();
-        layout_rows.sort_by_key(|(h, _)| *h);
-        let kept_layouts: HashMap<u64, LayoutRec> =
-            layout_rows.iter().map(|(h, l)| (*h, l.clone())).collect();
-        for (_, (b, k, epoch, chunks)) in layout_rows {
-            buf.extend_from_slice(&frame(&encode_layout(&b, &k, epoch, &chunks)));
-            records += 1;
+        for (_, (b, k, epoch, chunks)) in &layouts {
+            buf.extend_from_slice(&frame(&encode_layout(b, k, *epoch, chunks)));
         }
-        let mut ordered_live: Vec<(SegmentKey, PutRec)> = new_live
-            .iter()
-            .map(|(k, r)| (k.clone(), r.clone()))
-            .collect();
-        ordered_live.sort_by_key(|(_, r)| r.order);
-        for (key, rec) in ordered_live.iter() {
+        for (key, rec) in live.iter() {
             buf.extend_from_slice(&frame(&encode_put(key, rec)));
-            records += 1;
         }
-        let tmp = self.dir.join("MANIFEST.tmp");
-        let mpath = self.dir.join("MANIFEST");
-        let write_ok = (|| -> std::io::Result<File> {
-            let mut f = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)?;
-            f.write_all(&buf)?;
-            Ok(f)
-        })();
-        let tmp_file = match write_ok {
-            Ok(f) => f,
-            Err(_) => {
-                self.persist_errors.fetch_add(1, Ordering::Relaxed);
-                return;
+        let records = (epochs.len() + layouts.len() + live.len()) as u64;
+        let logged: HashSet<u64> = names.into_keys().collect();
+        let (tmp, mpath) = (self.dir.join("MANIFEST.tmp"), self.dir.join("MANIFEST"));
+        let mut manifest = Log::open(&tmp, true)?;
+        manifest.append(&buf)?;
+        self.note_appended(inner, buf.len() as u64);
+        // Same barrier order as the steady state: the rewritten log
+        // before the manifest that references it. A kill at either
+        // leaves the old files, cut like any other crash, as the truth.
+        for log in [&mut data, &mut manifest] {
+            if !self.begin_barrier(inner) {
+                return Ok(());
             }
-        };
-        self.persisted_bytes
-            .fetch_add(buf.len() as u64, Ordering::Relaxed);
-        inner.fsync_ordinal += 1;
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        let ordinal = inner.fsync_ordinal;
-        if let Some(kill) = inner.kill {
-            if ordinal == kill.kill_at {
-                let keep = kill.torn_len(ordinal, buf.len() as u64);
-                let _ = tmp_file.set_len(keep);
-                inner.crashed = true;
-                return; // old MANIFEST remains the durable truth
-            }
+            log.file.sync_data()?;
+            log.durable = log.len;
         }
-        if tmp_file.sync_data().is_err() {
-            self.persist_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        // Commit point.
-        if std::fs::rename(&tmp, &mpath).is_err() {
-            self.persist_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let manifest = match OpenOptions::new().read(true).write(true).open(&mpath) {
-            Ok(f) => f,
-            Err(_) => {
-                self.persist_errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        };
-        // Swap in the new state and delete the old generation's files.
-        let old_gens: Vec<u32> = inner.segs.iter().map(|s| s.gen).collect();
-        inner.manifest = manifest;
-        inner.manifest_len = buf.len() as u64;
-        inner.manifest_durable = buf.len() as u64;
-        inner.segs = new_segs;
-        inner.live = new_live;
-        inner.layouts = kept_layouts;
+        std::fs::rename(&tmp, &mpath)?; // commit point
+        let _ = std::fs::remove_file(self.dir.join(seg_file_name(inner.gen)));
+        inner.logged = logged;
+        inner.live = live.into_iter().collect();
+        inner.epochs = epochs.into_iter().collect();
+        (inner.manifest, inner.data, inner.gen) = (manifest, data, gen);
         inner.records = records;
-        let live_hashes: HashSet<u64> = inner
-            .live
-            .keys()
-            .map(|k| crate::object_hash(&k.bucket, &k.key))
-            .chain(inner.layouts.keys().copied())
-            .collect();
-        inner.epochs.retain(|h, _| live_hashes.contains(h));
-        inner.logged = live_hashes;
-        for (shard, gen) in old_gens.iter().enumerate() {
-            let _ = std::fs::remove_file(self.dir.join(seg_file_name(shard, *gen)));
-        }
+        inner.compactions += 1;
+        Ok(())
     }
 }
 
-#[derive(Clone, Copy)]
-enum Target {
-    Manifest,
-    Seg(usize),
+impl DiskInner {
+    /// The process "dies" here: each file keeps its durable prefix plus
+    /// a seeded torn prefix of whatever no barrier had covered yet — the
+    /// file being synced and the other one alike — and durability
+    /// freezes.
+    fn crash(&mut self) {
+        let Some(kill) = self.kill else { return };
+        for (tag, log) in [(0, &self.manifest), (1, &self.data)] {
+            let torn = kill.torn_len(self.fsync_ordinal, tag, log.len - log.durable);
+            let _ = log.file.set_len(log.durable + torn);
+        }
+        self.crashed = true;
+    }
 }
 
-impl DiskInner {
-    fn target_mut(&mut self, which: Target) -> (&File, u64, u64) {
-        match which {
-            Target::Manifest => (&self.manifest, self.manifest_len, self.manifest_durable),
-            Target::Seg(s) => {
-                let seg = &self.segs[s];
-                (&seg.file, seg.len, seg.durable_len)
-            }
+impl Drop for DiskStore {
+    /// A clean shutdown loses nothing: the drop is a commit. Under a
+    /// kill plan that has not fired it is the crash instead — the
+    /// process dies without its final commit.
+    fn drop(&mut self) {
+        let mut inner = self.inner.lock();
+        if inner.kill.is_some() && !inner.crashed {
+            inner.fsync_ordinal += 1;
+            inner.crash();
         }
+        self.commit_locked(&mut inner);
     }
 }
 
@@ -1194,12 +1041,10 @@ mod tests {
     #[test]
     fn torn_segment_bytes_fail_checksum_and_are_dropped() {
         let tmp = TempDir::new("store-crc");
-        let spath;
+        let spath = tmp.path().join(seg_file_name(0));
         {
             let (store, _) = DiskStore::open(tmp.path(), None).unwrap();
             assert!(store.put(&k("a"), &bytes(64, 6), 0));
-            let shard = crate::object_hash("b", "a") as usize % SHARDS;
-            spath = tmp.path().join(seg_file_name(shard, 0));
         }
         // Corrupt one byte of the segment payload.
         let mut raw = std::fs::read(&spath).unwrap();
@@ -1229,11 +1074,199 @@ mod tests {
         assert_eq!(*rec.epochs.get(&crate::object_hash("b", "x")).unwrap(), 3);
     }
 
+    fn names(rec: &Recovery) -> Vec<String> {
+        let mut names: Vec<String> = rec
+            .segments
+            .iter()
+            .map(|s| format!("{}:{}:{}", s.key.key, s.len, s.crc))
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_commit_is_at_most_two_barriers_however_much_is_pending() {
+        let tmp = TempDir::new("store-group");
+        let (store, _) = DiskStore::open(tmp.path(), None).unwrap();
+        for i in 0..6u8 {
+            assert!(store.put(&k(&format!("o{i}")), &bytes(50, i), 0));
+        }
+        store.del(&k("o1"));
+        store.del(&k("o4"));
+        store.log_layout("b", "o0", 0, &[(0, 25), (25, 50)]);
+        let (appended, fsyncs) = store.persist_counters();
+        assert!(appended > 6 * 50);
+        assert_eq!(fsyncs, 0, "write-behind: appends issue no barrier");
+        assert_eq!(store.commit(), (appended, 2), "segment log, then manifest");
+        assert_eq!(store.persist_counters(), (appended, 2));
+        // Nothing pending: no barrier, empty receipt.
+        assert_eq!(store.commit(), (0, 0));
+        assert_eq!(store.persist_counters(), (appended, 2));
+        // Manifest-only work (a del) needs the manifest barrier alone.
+        store.del(&k("o2"));
+        assert_eq!(store.commit().1, 1);
+        assert_eq!(store.commit_counters(), (2, 0));
+    }
+
+    #[test]
+    fn uncommitted_segments_read_back_checksum_verified() {
+        let tmp = TempDir::new("store-pending");
+        let (store, _) = DiskStore::open(tmp.path(), None).unwrap();
+        assert!(store.put(&k("a"), &bytes(64, 6), 0));
+        assert!(store.put(&k("b"), &bytes(32, 7), 0));
+        assert_eq!(store.persist_counters().1, 0, "nothing committed yet");
+        assert_eq!(store.read(&k("a")).unwrap(), bytes(64, 6));
+        assert_eq!(store.read(&k("b")).unwrap(), bytes(32, 7));
+        // Flip one byte of `a` behind the store's back: the read must
+        // notice, committed or not.
+        let spath = tmp.path().join(seg_file_name(0));
+        let mut raw = std::fs::read(&spath).unwrap();
+        raw[10] ^= 0xFF;
+        std::fs::write(&spath, &raw).unwrap();
+        assert!(store.read(&k("a")).is_none());
+        assert_eq!(store.read(&k("b")).unwrap(), bytes(32, 7));
+    }
+
+    #[test]
+    fn the_killing_fsync_tears_every_file_with_unsynced_bytes() {
+        let tmp = TempDir::new("store-tear");
+        let kill = KillPlan::after(3, 0xBEEF);
+        let (store, _) = DiskStore::open(tmp.path(), Some(kill)).unwrap();
+        assert!(store.put(&k("a"), &bytes(100, 1), 0));
+        store.commit(); // barriers 1 and 2
+        let file_len = |name: &str| std::fs::metadata(tmp.path().join(name)).unwrap().len();
+        let (manifest0, data0) = (file_len("MANIFEST"), file_len(&seg_file_name(0)));
+        assert!(store.put(&k("b"), &bytes(200, 2), 0));
+        store.del(&k("a"));
+        let (manifest1, data1) = (file_len("MANIFEST"), file_len(&seg_file_name(0)));
+        // Barrier 3 syncs the segment log, yet the crash also costs the
+        // manifest its pending records: each file keeps its own seeded
+        // torn prefix of what no barrier had covered.
+        store.commit();
+        assert!(store.crashed());
+        let manifest_torn = kill.torn_len(3, 0, manifest1 - manifest0);
+        let data_torn = kill.torn_len(3, 1, data1 - data0);
+        assert!(manifest_torn < manifest1 - manifest0 && data_torn < 200);
+        assert_eq!(file_len("MANIFEST"), manifest0 + manifest_torn);
+        assert_eq!(file_len(&seg_file_name(0)), data0 + data_torn);
+        // Frozen: later mutations are refused, and a live entry whose
+        // bytes vanished no longer reads.
+        assert!(!store.put(&k("c"), &bytes(10, 3), 0));
+        assert!(store.read(&k("b")).is_none());
+        drop(store);
+        let (_, rec) = DiskStore::open(tmp.path(), None).unwrap();
+        assert_eq!(rec.segments.len(), 1, "the previous commit's residency");
+        assert_eq!(rec.segments[0].key, k("a"));
+    }
+
+    /// Commit `o0..o3`, then leave a tail un-committed — put `n0`, del
+    /// `o1`, put `n1`, put `n2` — and die at drop under `seed`.
+    fn crash_with_uncommitted_tail(dir: &Path, seed: u64) -> Vec<String> {
+        let (store, _) = DiskStore::open(dir, Some(KillPlan::after(u64::MAX, seed))).unwrap();
+        for i in 0..4u8 {
+            assert!(store.put(&k(&format!("o{i}")), &bytes(40 + i as usize, i), 0));
+        }
+        assert_eq!(store.commit().1, 2);
+        assert!(store.put(&k("n0"), &bytes(300, 0x10), 0));
+        store.del(&k("o1"));
+        assert!(store.put(&k("n1"), &bytes(300, 0x11), 0));
+        assert!(store.put(&k("n2"), &bytes(300, 0x12), 0));
+        assert!(!store.crashed());
+        drop(store); // the kill is still armed: no drop-commit runs
+        let (store, rec) = DiskStore::open(dir, None).unwrap();
+        for seg in &rec.segments {
+            assert!(store.read(&seg.key).is_some(), "recovered ⇒ readable");
+        }
+        names(&rec)
+    }
+
+    #[test]
+    fn a_crash_before_commit_recovers_the_previous_commit() {
+        let committed = {
+            let tmp = TempDir::new("store-clean");
+            let (store, _) = DiskStore::open(tmp.path(), None).unwrap();
+            for i in 0..4u8 {
+                assert!(store.put(&k(&format!("o{i}")), &bytes(40 + i as usize, i), 0));
+            }
+            drop(store);
+            names(&DiskStore::open(tmp.path(), None).unwrap().1)
+        };
+        let mut exact = 0;
+        for seed in 0..16u64 {
+            let (a, b) = (TempDir::new("store-c-a"), TempDir::new("store-c-b"));
+            let got = crash_with_uncommitted_tail(a.path(), seed);
+            assert_eq!(
+                got,
+                crash_with_uncommitted_tail(b.path(), seed),
+                "seed {seed} not deterministic"
+            );
+            // The previous commit survives whole, except that a torn
+            // prefix of the tail may have reached the disk: records
+            // replay in order, so `o1` can only be gone if `n0`'s record
+            // (appended before the del) made it too, and the tail's puts
+            // survive as a prefix of their append order.
+            let tail: Vec<&String> = got.iter().filter(|n| n.starts_with('n')).collect();
+            let rest: Vec<String> = got.iter().filter(|n| n.starts_with('o')).cloned().collect();
+            let without_o1: Vec<String> = committed
+                .iter()
+                .filter(|n| !n.starts_with("o1:"))
+                .cloned()
+                .collect();
+            assert!(
+                rest == committed || rest == without_o1,
+                "seed {seed}: {got:?}"
+            );
+            for (i, n) in tail.iter().enumerate() {
+                assert!(n.starts_with(&format!("n{i}:300:")), "seed {seed}: {got:?}");
+            }
+            exact += usize::from(got == committed);
+        }
+        assert!(
+            (1..16).contains(&exact),
+            "{exact}/16 crashes lost the whole tail"
+        );
+    }
+
+    #[test]
+    fn a_put_record_ahead_of_its_bytes_is_dropped_by_the_checksum() {
+        let tmp = TempDir::new("store-ahead");
+        let spath = tmp.path().join(seg_file_name(0));
+        {
+            let (store, _) = DiskStore::open(tmp.path(), None).unwrap();
+            assert!(store.put(&k("a"), &bytes(100, 1), 0));
+            assert!(store.put(&k("b"), &bytes(100, 2), 0));
+        }
+        // The manifest's `Put b` is durable; cut the log mid-`b`, as a
+        // crash that wrote the manifest back first would.
+        let f = OpenOptions::new().write(true).open(&spath).unwrap();
+        f.set_len(130).unwrap();
+        drop(f);
+        {
+            let (store, rec) = DiskStore::open(tmp.path(), None).unwrap();
+            assert_eq!(names(&rec).len(), 1);
+            assert_eq!(rec.segments[0].key, k("a"));
+            assert_eq!(rec.dropped, 1);
+            assert!(store.read(&k("b")).is_none());
+            // This incarnation appends different bytes over `b`'s range.
+            assert!(store.put(&k("c"), &bytes(100, 3), 0));
+        }
+        // `Put b` is still in the manifest and its range is whole again,
+        // but holds `c`'s bytes: the checksum keeps dropping it.
+        assert_eq!(std::fs::metadata(&spath).unwrap().len(), 230);
+        let (store, rec) = DiskStore::open(tmp.path(), None).unwrap();
+        assert_eq!(rec.dropped, 1);
+        let keys: Vec<&str> = rec.segments.iter().map(|s| &*s.key.key).collect();
+        assert_eq!(keys, ["a", "c"]);
+        assert!(store.read(&k("b")).is_none());
+        assert_eq!(store.read(&k("c")).unwrap(), bytes(100, 3));
+    }
+
     #[test]
     fn kill_plan_freezes_durability_deterministically() {
-        // Sweep every kill point of a fixed op sequence twice: the
-        // recovered segment set must be identical run to run.
-        for kill_at in 1..=12u64 {
+        // Sweep every kill point of a fixed op sequence twice (its four
+        // barriers, then death at drop): the recovered segment set must
+        // be identical run to run.
+        for kill_at in 1..=5u64 {
             let mut digests = Vec::new();
             for _ in 0..2 {
                 let tmp = TempDir::new("store-kill");
@@ -1245,21 +1278,38 @@ mod tests {
                 }
                 store.bump_epoch("b", "o1", 1);
                 store.del(&k("o2"));
+                store.commit();
+                assert_eq!(store.crashed(), kill_at <= 3);
                 drop(store);
                 let (_, rec) = DiskStore::open(tmp.path(), None).unwrap();
-                let mut names: Vec<String> = rec
-                    .segments
-                    .iter()
-                    .map(|s| format!("{}:{}:{}", s.key.key, s.len, s.crc))
-                    .collect();
-                names.sort();
-                digests.push(names.join(","));
+                digests.push(names(&rec).join(","));
             }
             assert_eq!(
                 digests[0], digests[1],
                 "kill_at={kill_at} not deterministic"
             );
         }
+    }
+
+    #[test]
+    fn strays_of_the_sharded_layout_are_deleted_and_its_manifest_discarded() {
+        let tmp = TempDir::new("store-v1");
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&frame(&encode_del(&k("x"))));
+        std::fs::write(tmp.path().join("MANIFEST"), &v1).unwrap();
+        std::fs::write(tmp.path().join("seg-03-g0.dat"), b"old shard bytes").unwrap();
+        std::fs::write(tmp.path().join("seg-g7.dat"), b"old generation").unwrap();
+        std::fs::write(tmp.path().join("MANIFEST.tmp"), b"crashed compaction").unwrap();
+        let (store, rec) = DiskStore::open(tmp.path(), None).unwrap();
+        assert!(rec.segments.is_empty());
+        assert_eq!(store.manifest_stats().records, 0);
+        let mut left: Vec<String> = std::fs::read_dir(tmp.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["MANIFEST", "seg-g0.dat"]);
     }
 
     #[test]

@@ -25,12 +25,14 @@
 //! (e.g. the Bloom join's build and probe, paper §V-A2) or in parallel
 //! (e.g. a filtered join loading both tables at once).
 //!
-//! Every parameter is documented on [`PerfParams`]; `DESIGN.md` §5 derives
-//! the calibration from the paper's figures, and the tests at the bottom of
-//! this file pin the calibration targets.
+//! Every parameter is documented on [`PerfParams`]; the README's
+//! "Performance model calibration" section derives the calibration from
+//! the paper's figures, and the tests at the bottom of this file pin the
+//! calibration targets.
 
 /// Model parameters. Defaults are calibrated against the paper (see below
-/// and `DESIGN.md` §5); experiments can perturb them for ablations.
+/// and the README's "Performance model calibration"); experiments can
+/// perturb them for ablations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfParams {
     /// S3 → compute-node network bandwidth, bytes/s. The paper's testbed
@@ -92,9 +94,10 @@ pub struct PerfParams {
     /// [`PerfParams::disk_read_bw`]: 0.8 × 500e6 = 400e6.
     pub disk_write_bw: f64,
     /// Seconds one fsync barrier costs. The durability protocol issues
-    /// two per persisted segment (segment bytes, then the manifest record
-    /// that references them) and one per manifest-only record (eviction,
-    /// epoch bump, layout). 500 µs is a mid-range SSD flush; NVMe with a
+    /// at most two per commit (the segment log, then the manifest whose
+    /// records reference it), however many segments, evictions and
+    /// layouts the commit covers; a cached scan commits once, at its
+    /// end. 500 µs is a mid-range SSD flush; NVMe with a
     /// capacitor-backed cache would be ~10×, disks ~20× the other way.
     pub fsync_latency: f64,
     /// Node-to-node bandwidth inside the scatter-gather cluster, bytes/s

@@ -461,7 +461,8 @@ fn account_chunked(
 /// a request, the bytes once) like any plain GET. Decoding and batch
 /// delivery are identical to [`plain_scan_streamed`], so results are
 /// byte-for-byte the same with the cache hot, partially warm, cold, or
-/// absent.
+/// absent. A persistent disk tier is committed once, when the last
+/// partition is done ([`pushdown_s3::S3Store::commit_cache`]).
 pub fn cached_scan_streamed(
     ctx: &QueryContext,
     table: &Table,
@@ -492,7 +493,12 @@ pub fn cached_scan_streamed(
             Ok(part)
         },
         &mut on_batch,
-    )?;
+    );
+    // The scan is the cache's commit point, failed or not: whatever
+    // its fills, demotions and promotions appended becomes durable (and
+    // is charged to this scope's clock) in one group commit.
+    ctx.store.commit_cache();
+    let stats = stats?;
     Ok(CachedScanSummary {
         schema: table.schema.clone(),
         stats,
@@ -584,7 +590,10 @@ pub fn cached_scan_columnar_streamed(
             Ok(part)
         },
         &mut on_batch,
-    )?;
+    );
+    // Commit point, failed or not, as in `cached_scan_streamed`.
+    ctx.store.commit_cache();
+    let stats = stats?;
     Ok(CachedScanSummary {
         schema: table.schema.clone(),
         stats,

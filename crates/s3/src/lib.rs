@@ -135,17 +135,6 @@ pub struct Retried<T> {
     pub attempts: u32,
 }
 
-/// Result of a read through the segment cache
-/// ([`S3Store::get_object_cached_with`]).
-#[derive(Debug, Clone)]
-pub struct CachedFetch {
-    pub data: Bytes,
-    /// GET attempts billed for a fill (0 on a cache hit).
-    pub attempts: u32,
-    /// Whether the bytes came from the local cache.
-    pub hit: bool,
-}
-
 /// Result of a chunk-granular read through the two-tier segment cache
 /// ([`S3Store::get_object_chunked_cached_with`]): the reassembled object
 /// plus how much of it each tier served and what the gaps billed.
@@ -317,7 +306,7 @@ struct Inner {
     /// Seeded fault/latency policy (None = no faults, zero latency).
     fault_plan: RwLock<Option<FaultPlan>>,
     /// Optional local segment cache behind the read-through path
-    /// ([`S3Store::get_object_cached_with`]); `put_object` and
+    /// ([`S3Store::get_object_chunked_cached_with`]); `put_object` and
     /// `delete_object` invalidate overlapping segments.
     cache: RwLock<Option<SegmentCache>>,
 }
@@ -421,7 +410,7 @@ impl S3Store {
     }
 
     /// Install (or remove) the local segment cache behind
-    /// [`S3Store::get_object_cached_with`]. Store-wide: every scope
+    /// [`S3Store::get_object_chunked_cached_with`]. Store-wide: every scope
     /// shares it, exactly like the objects themselves.
     pub fn set_cache(&self, cache: Option<SegmentCache>) {
         *self.inner.cache.write() = cache;
@@ -699,70 +688,6 @@ impl S3Store {
         self.with_retry(policy, || self.get_object_ranges(bucket, key, ranges))
     }
 
-    /// Whole-object GET **through the segment cache** under the uniform
-    /// retry policy — the read path of the hybrid caching tier.
-    ///
-    /// * **Hit** — the bytes come from the local cache: zero requests
-    ///   and zero bytes billed, no fault-plan ordinal consumed; the
-    ///   scope's virtual clock advances by the local scan time
-    ///   (`len / cache_read_bw` under the installed plan's latency
-    ///   model).
-    /// * **Miss** — a read-through fill: one retried GET under `policy`,
-    ///   billed exactly like [`S3Store::get_object_with`] (every attempt
-    ///   a request, the bytes once), then admitted into the cache unless
-    ///   a concurrent `put_object`/`delete_object` moved the object's
-    ///   epoch mid-flight.
-    /// * **No cache installed** — plain [`S3Store::get_object_with`].
-    pub fn get_object_cached_with(
-        &self,
-        bucket: &str,
-        key: &str,
-        policy: &RetryPolicy,
-    ) -> Result<CachedFetch> {
-        let Some(cache) = self.cache() else {
-            let fetched = self.get_object_with(bucket, key, policy)?;
-            return Ok(CachedFetch {
-                data: fetched.value,
-                attempts: fetched.attempts,
-                hit: false,
-            });
-        };
-        let persist0 = cache.persist_counters();
-        let out = self.get_object_cached_inner(&cache, bucket, key, policy);
-        self.charge_persist(&cache, persist0);
-        out
-    }
-
-    fn get_object_cached_inner(
-        &self,
-        cache: &SegmentCache,
-        bucket: &str,
-        key: &str,
-        policy: &RetryPolicy,
-    ) -> Result<CachedFetch> {
-        let skey = SegmentKey::whole(bucket, key);
-        if let Some((data, tier)) = cache.get_tiered(&skey) {
-            let len = data.len() as u64;
-            match tier {
-                CacheTier::Mem => self.advance_local_read(len, 0),
-                CacheTier::Disk => self.advance_local_read(0, len),
-            }
-            return Ok(CachedFetch {
-                data,
-                attempts: 0,
-                hit: true,
-            });
-        }
-        let epoch = cache.begin_fill(&skey);
-        let fetched = self.get_object_with(bucket, key, policy)?;
-        cache.insert(skey, fetched.value.clone(), epoch);
-        Ok(CachedFetch {
-            data: fetched.value,
-            attempts: fetched.attempts,
-            hit: false,
-        })
-    }
-
     /// Chunk-granular read **through the two-tier segment cache** under
     /// the uniform retry policy — the partial-hit read path of the
     /// tiered caching layer.
@@ -786,6 +711,11 @@ impl S3Store {
     ///   not cached) restores snapshot consistency: callers always see
     ///   bytes a cache-less scan could have seen.
     /// * **No cache installed** — plain [`S3Store::get_object_with`].
+    ///
+    /// What a persistent disk tier appends along the way (fills,
+    /// demotions, promotions, the learned layout) is write-behind: it
+    /// becomes durable, and is charged to a virtual clock, at
+    /// [`S3Store::commit_cache`].
     pub fn get_object_chunked_cached_with(
         &self,
         bucket: &str,
@@ -806,20 +736,6 @@ impl S3Store {
                 hit: false,
             });
         };
-        let persist0 = cache.persist_counters();
-        let out = self.get_object_chunked_cached_inner(&cache, bucket, key, policy, layout_of);
-        self.charge_persist(&cache, persist0);
-        out
-    }
-
-    fn get_object_chunked_cached_inner(
-        &self,
-        cache: &SegmentCache,
-        bucket: &str,
-        key: &str,
-        policy: &RetryPolicy,
-        layout_of: impl Fn(&Bytes) -> Vec<(u64, u64)>,
-    ) -> Result<ChunkedFetch> {
         let whole = SegmentKey::whole(bucket, key);
         let epoch = cache.begin_fill(&whole);
         // A whole-object segment left by the coarse read-through path
@@ -988,32 +904,24 @@ impl S3Store {
         }
     }
 
-    /// Advance the virtual clock by the durability cost of cache
-    /// persistence: appended segment/manifest bytes at `disk_write_bw`
-    /// plus `fsync_latency` per fsync (only under an installed fault
-    /// plan, like every other clock charge). RAM-only caches report zero
-    /// persist counters, so this never fires for them.
-    fn advance_local_write(&self, bytes: u64, fsyncs: u64) {
-        if bytes == 0 && fsyncs == 0 {
-            return;
-        }
+    /// The cache's commit point, called once at the end of every cached
+    /// scan: make whatever the persistent disk tier appended durable (at
+    /// most two fsync barriers, see [`SegmentCache::commit`]) and charge
+    /// this scope's virtual clock for the commit's receipt — appended
+    /// bytes at `disk_write_bw` plus `fsync_latency` per barrier (only
+    /// under an installed fault plan, like every other clock charge).
+    /// The receipt reports each byte and barrier to exactly one caller,
+    /// so concurrent scans never charge the same work twice. A no-op
+    /// without a cache or with a RAM-only one.
+    pub fn commit_cache(&self) {
+        let Some(cache) = self.cache() else { return };
+        let (bytes, fsyncs) = cache.commit();
         if let Some(plan) = self.fault_plan() {
             self.scope.advance(
                 bytes as f64 / plan.latency.disk_write_bw
                     + fsyncs as f64 * plan.latency.fsync_latency,
             );
         }
-    }
-
-    /// Charge the virtual clock for whatever the persistent disk tier
-    /// wrote during a cached read, measured as the delta of the cache's
-    /// monotonic persist counters since `before`.
-    fn charge_persist(&self, cache: &SegmentCache, before: (u64, u64)) {
-        let (bytes, fsyncs) = cache.persist_counters();
-        self.advance_local_write(
-            bytes.saturating_sub(before.0),
-            fsyncs.saturating_sub(before.1),
-        );
     }
 
     /// Object size without transferring it (HEAD; not billed as a GET).
@@ -1391,130 +1299,6 @@ mod tests {
         s.set_fault_plan(None);
     }
 
-    #[test]
-    fn cached_get_hits_bill_nothing_and_fills_bill_once() {
-        let s = store_with("obj", "0123456789");
-        s.set_cache(Some(SegmentCache::new(
-            1 << 20,
-            pushdown_common::pricing::Pricing::us_east(),
-        )));
-        let policy = RetryPolicy::default();
-        let scope = s.scoped();
-        // Miss: a read-through fill, billed like a plain GET.
-        let fill = scope
-            .get_object_cached_with("tpch", "obj", &policy)
-            .unwrap();
-        assert!(!fill.hit);
-        assert_eq!(fill.attempts, 1);
-        assert_eq!(&fill.data[..], b"0123456789");
-        let after_fill = scope.ledger().snapshot();
-        assert_eq!(after_fill.requests, 1);
-        assert_eq!(after_fill.plain_bytes, 10);
-        // Hit: zero requests, zero bytes.
-        let hit = scope
-            .get_object_cached_with("tpch", "obj", &policy)
-            .unwrap();
-        assert!(hit.hit);
-        assert_eq!(hit.attempts, 0);
-        assert_eq!(&hit.data[..], b"0123456789");
-        assert_eq!(scope.ledger().snapshot(), after_fill, "hits bill nothing");
-        // Without a cache installed, the call degrades to a plain GET.
-        s.set_cache(None);
-        let plain = scope
-            .get_object_cached_with("tpch", "obj", &policy)
-            .unwrap();
-        assert!(!plain.hit);
-        assert_eq!(scope.ledger().snapshot().requests, 2);
-    }
-
-    #[test]
-    fn cached_hits_advance_the_virtual_clock_by_local_scan_time() {
-        let s = store_with("obj", &"x".repeat(1000));
-        s.set_cache(Some(SegmentCache::new(
-            1 << 20,
-            pushdown_common::pricing::Pricing::us_east(),
-        )));
-        let plan = FaultPlan::new(0, 0.0);
-        s.set_fault_plan(Some(plan));
-        let policy = RetryPolicy::default();
-        let warm = s.scoped();
-        warm.get_object_cached_with("tpch", "obj", &policy).unwrap();
-        let fill_time = warm.virtual_time_s();
-        assert!(fill_time > 0.0);
-        let scope = s.scoped();
-        scope
-            .get_object_cached_with("tpch", "obj", &policy)
-            .unwrap();
-        let expect = 1000.0 / plan.latency.cache_read_bw;
-        assert!(
-            (scope.virtual_time_s() - expect).abs() < 1e-12,
-            "hit clock {} vs local-scan {expect}",
-            scope.virtual_time_s()
-        );
-        assert!(scope.virtual_time_s() < fill_time, "local beats remote");
-        s.set_fault_plan(None);
-    }
-
-    #[test]
-    fn writes_invalidate_cached_segments() {
-        let s = store_with("obj", "old-bytes");
-        s.set_cache(Some(SegmentCache::new(
-            1 << 20,
-            pushdown_common::pricing::Pricing::us_east(),
-        )));
-        let policy = RetryPolicy::default();
-        s.get_object_cached_with("tpch", "obj", &policy).unwrap();
-        assert!(s
-            .cache()
-            .unwrap()
-            .peek(&SegmentKey::whole("tpch", "obj"))
-            .is_some());
-        // Overwrite: the cache must never serve the old bytes again.
-        s.put_object("tpch", "obj", "new!");
-        assert!(s
-            .cache()
-            .unwrap()
-            .peek(&SegmentKey::whole("tpch", "obj"))
-            .is_none());
-        let got = s.get_object_cached_with("tpch", "obj", &policy).unwrap();
-        assert!(!got.hit);
-        assert_eq!(&got.data[..], b"new!");
-        // Delete invalidates too.
-        s.delete_object("tpch", "obj");
-        assert!(s
-            .cache()
-            .unwrap()
-            .peek(&SegmentKey::whole("tpch", "obj"))
-            .is_none());
-        assert!(s.get_object_cached_with("tpch", "obj", &policy).is_err());
-    }
-
-    #[test]
-    fn cached_fills_retry_under_chaos_and_bill_bytes_once() {
-        let s = store_with("obj", "payload");
-        s.set_cache(Some(SegmentCache::new(
-            1 << 20,
-            pushdown_common::pricing::Pricing::us_east(),
-        )));
-        s.set_fault_plan(Some(FaultPlan::new(9, 0.4)));
-        let scope = s.scoped();
-        let got = scope
-            .get_object_cached_with("tpch", "obj", &RetryPolicy::with_attempts(16))
-            .unwrap();
-        assert!(!got.hit);
-        assert_eq!(&got.data[..], b"payload");
-        let u = scope.ledger().snapshot();
-        assert_eq!(u.requests, u64::from(got.attempts), "every attempt billed");
-        assert_eq!(u.plain_bytes, 7, "bytes billed once across retries");
-        // The hit after a chaotic fill is still free.
-        let hit = scope
-            .get_object_cached_with("tpch", "obj", &RetryPolicy::with_attempts(16))
-            .unwrap();
-        assert!(hit.hit);
-        assert_eq!(scope.ledger().snapshot().requests, u.requests);
-        s.set_fault_plan(None);
-    }
-
     /// Fixed 4-byte blocks — the chunk layout the chunked-path tests use.
     fn blocks4(data: &Bytes) -> Vec<(u64, u64)> {
         let len = data.len() as u64;
@@ -1556,6 +1340,32 @@ mod tests {
         assert_eq!((warm.attempts, warm.gap_bytes), (0, 0));
         assert_eq!(warm.mem_bytes, 10);
         assert_eq!(scope.ledger().snapshot(), u, "warm read bills nothing");
+    }
+
+    #[test]
+    fn writes_invalidate_cached_chunks_and_their_layout() {
+        let s = store_with("obj", "0123456789");
+        let cache = SegmentCache::new(1 << 20, pushdown_common::pricing::Pricing::us_east());
+        s.set_cache(Some(cache.clone()));
+        let policy = RetryPolicy::default();
+        s.get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
+            .unwrap();
+        assert_eq!(cache.stats().segments, 3);
+        // Overwrite: the cache must never serve the old bytes again.
+        s.put_object("tpch", "obj", "new!");
+        assert_eq!(cache.stats().segments, 0, "every chunk dropped");
+        assert!(cache.layout("tpch", "obj").is_none());
+        let got = s
+            .get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
+            .unwrap();
+        assert!(!got.hit);
+        assert_eq!(&got.data[..], b"new!");
+        // Delete invalidates too.
+        s.delete_object("tpch", "obj");
+        assert_eq!(cache.stats().segments, 0);
+        assert!(s
+            .get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
+            .is_err());
     }
 
     #[test]
@@ -1603,8 +1413,8 @@ mod tests {
         let plan = FaultPlan::new(0, 0.0);
         s.set_fault_plan(Some(plan));
         let policy = RetryPolicy::default();
-        s.scoped()
-            .get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
+        let cold = s.scoped();
+        cold.get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
             .unwrap();
         assert_eq!(cache.stats().demotions, 2);
         let scope = s.scoped();
@@ -1622,6 +1432,10 @@ mod tests {
             scope.virtual_time_s()
         );
         assert_eq!(scope.ledger().snapshot().requests, 0, "hits bill nothing");
+        assert!(
+            scope.virtual_time_s() < cold.virtual_time_s(),
+            "local beats remote"
+        );
         s.set_fault_plan(None);
     }
 
@@ -1660,6 +1474,12 @@ mod tests {
         let u = scope.ledger().snapshot();
         assert_eq!(u.requests, u64::from(got.attempts), "every attempt billed");
         assert_eq!(u.plain_bytes, 8, "gap bytes billed once across retries");
+        // The hit after a chaotic fill is free: no request, no ordinal.
+        let hit = scope
+            .get_object_chunked_cached_with("tpch", "obj", &RetryPolicy::with_attempts(16), blocks4)
+            .unwrap();
+        assert!(hit.hit);
+        assert_eq!(scope.ledger().snapshot(), u);
         s.set_fault_plan(None);
     }
 
@@ -1694,6 +1514,46 @@ mod tests {
             .scoped()
             .get_object_chunked_cached_with("tpch", "obj", &RetryPolicy::default(), blocks4)
             .is_err());
+    }
+
+    #[test]
+    fn commit_cache_charges_the_receipt_once() {
+        let tmp = pushdown_common::TempDir::new("s3-commit");
+        let s = store_with("obj", &"x".repeat(12));
+        let cache = SegmentCache::recover(
+            tmp.path(),
+            0,
+            64,
+            pushdown_common::pricing::Pricing::us_east(),
+        )
+        .unwrap();
+        s.set_cache(Some(cache.clone()));
+        let plan = FaultPlan::new(0, 0.0);
+        s.set_fault_plan(Some(plan));
+        let scope = s.scoped();
+        scope
+            .get_object_chunked_cached_with("tpch", "obj", &RetryPolicy::default(), blocks4)
+            .unwrap();
+        // Three chunk fills and a layout are appended, none synced yet,
+        // and the read itself charged only the GET.
+        let (bytes, fsyncs) = cache.persist_counters();
+        assert!(bytes > 12);
+        assert_eq!(fsyncs, 0, "write-behind: no barrier before the commit");
+        let read_s = scope.virtual_time_s();
+        assert!((read_s - plan.request_seconds(0, 12)).abs() < 1e-9);
+        scope.commit_cache();
+        assert_eq!(cache.persist_counters(), (bytes, 2), "one group commit");
+        let expect = bytes as f64 / plan.latency.disk_write_bw + 2.0 * plan.latency.fsync_latency;
+        assert!((scope.virtual_time_s() - read_s - expect).abs() < 1e-9);
+        // Nothing pending: a second commit is free, on any scope.
+        let other = s.scoped();
+        other.commit_cache();
+        scope.commit_cache();
+        assert_eq!(cache.persist_counters(), (bytes, 2));
+        assert_eq!(other.virtual_time_s(), 0.0);
+        assert!((scope.virtual_time_s() - read_s - expect).abs() < 1e-9);
+        s.set_fault_plan(None);
+        s.set_cache(None);
     }
 
     #[test]

@@ -171,16 +171,18 @@
 //!
 //! [`core::QueryContext::with_cache_dir`] composes with the tier
 //! budgets above to back the disk tier with a **file-backed segment
-//! store** (per-shard segment files guarded by a checksummed, epoch-
-//! tagged manifest; segment bytes fsync *before* the manifest record
-//! that references them — see the `store` module of `pushdown-cache`).
+//! store** (a segment log guarded by a checksummed, epoch-tagged
+//! manifest; appends are write-behind and each cached scan ends in one
+//! group commit — segment log fsynced, *then* the manifest — see the
+//! `store` module of `pushdown-cache`).
 //! A fresh context pointed at the same directory recovers whatever the
 //! previous process left durable: manifest replayed, every segment
 //! checksum-verified against the live store, disk tier warm, mem tier
 //! cold — so segments disk-resident at shutdown bill **zero** remote
 //! bytes again. [`cache::SegmentCache::recover_with`] additionally
 //! takes a seeded [`cache::KillPlan`] for deterministic
-//! crash-injection at the Nth fsync.
+//! crash-injection at the Nth fsync (or at drop, without the final
+//! commit).
 //!
 //! ```no_run
 //! use pushdowndb::core::{execute_sql, QueryContext, Strategy};

@@ -9,12 +9,17 @@
 //!   reuse-distance ghost table for every recovered-resident segment,
 //!   so a warm disk tier is not churned by read-around declines after
 //!   restart; a brand-new first-touch key still goes read-around.
-//! * **Crash recovery** (proptest) — a random workload prefix with a
-//!   seeded kill at the Nth fsync, then recovery with the store-content
+//! * **Crash recovery** (proptest) — a random workload prefix, each
+//!   read committed like a scan, with a seeded kill at the Nth fsync
+//!   (or, when the workload issues fewer barriers, death at drop
+//!   without the final commit), then recovery with the store-content
 //!   catalog probe: no stale-epoch chunk is ever served (differential
 //!   vs the tracked ground truth), `served-locally + billed == bytes
 //!   scanned` stays exact before and after the crash, and the same seed
 //!   reproduces the same surviving residency byte-for-byte.
+//! * **Group commit** — file-resident entries a crash tore degrade to
+//!   misses, and concurrent committers charge every persisted byte and
+//!   barrier exactly once between them.
 //! * **Hygiene** — every test routes its files through a self-cleaning
 //!   [`TempDir`] and asserts nothing is left behind on drop.
 
@@ -24,7 +29,8 @@ use pushdowndb::cache::{CacheAdmission, KillPlan, SegmentCache, SegmentKey};
 use pushdowndb::common::pricing::Pricing;
 use pushdowndb::common::{DataType, RetryPolicy, Row, Schema, TempDir, Value};
 use pushdowndb::core::{execute_sql, upload_csv_table, QueryContext, Strategy};
-use pushdowndb::s3::S3Store;
+use pushdowndb::s3::{FaultPlan, S3Store};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 fn rows(n: usize) -> Vec<Row> {
     (0..n as i64)
@@ -204,11 +210,166 @@ fn recovery_rebuilds_reuse_distance_ghosts() {
     );
 }
 
+/// A crash loses whatever no commit covered, including the bytes of
+/// entries the cache already counts file-resident: the kill fires at the
+/// first barrier of the commit, the segment log is cut to a torn prefix,
+/// and the next lookup of each vanished segment degrades to a miss (the
+/// entry leaves the tier) instead of serving short or corrupt bytes. A
+/// refill then lands RAM-resident, durability being frozen.
+#[test]
+fn file_entries_whose_bytes_a_crash_tore_degrade_to_misses() {
+    let tmp = TempDir::new("persist-torn");
+    let cache = SegmentCache::recover_with(
+        tmp.path(),
+        0,
+        1 << 20,
+        Pricing::default(),
+        CacheAdmission::AdmitAll,
+        Some(KillPlan::after(1, 0xC0FFEE)),
+        None,
+    )
+    .unwrap();
+    let skey = |i: usize| SegmentKey::whole("b", &format!("k{i}"));
+    let body = |i: usize| Bytes::from(vec![i as u8 + 1; 500]);
+    for i in 0..4 {
+        let epoch = cache.begin_fill(&skey(i));
+        assert!(cache.insert(skey(i), body(i), epoch));
+    }
+    // Un-committed yet served from the file, checksum-verified.
+    assert_eq!(cache.persist_counters().1, 0);
+    assert_eq!(cache.get(&skey(3)), Some(body(3)));
+    assert_eq!(cache.stats().disk_used_bytes, 2000);
+    cache.commit();
+    assert!(cache.crashed(), "the commit's first barrier was the kill");
+    let served: Vec<bool> = (0..4).map(|i| cache.get(&skey(i)).is_some()).collect();
+    let lost = served.iter().filter(|hit| !**hit).count();
+    assert!(
+        lost > 0,
+        "seed 0xC0FFEE tears the log inside the four fills"
+    );
+    assert!(
+        served.windows(2).all(|w| w[0] || !w[1]),
+        "a torn log keeps a prefix: {served:?}"
+    );
+    let stats = cache.stats();
+    assert_eq!(stats.misses, lost as u64, "each vanished entry is one miss");
+    assert_eq!(stats.disk_used_bytes, 2000 - 500 * lost as u64);
+    for (i, &hit) in served.iter().enumerate() {
+        if hit {
+            assert_eq!(cache.get(&skey(i)), Some(body(i)));
+        } else {
+            assert!(cache.peek(&skey(i)).is_none(), "k{i} left the tier");
+            let epoch = cache.begin_fill(&skey(i));
+            assert!(cache.insert(skey(i), body(i), epoch));
+            assert_eq!(cache.get(&skey(i)), Some(body(i)), "served from RAM");
+        }
+    }
+    drop(cache);
+    // Recovery sees at most what the torn prefix kept whole.
+    let recovered = SegmentCache::recover(tmp.path(), 0, 1 << 20, Pricing::default()).unwrap();
+    assert!(recovered.stats().recovered_segments <= (4 - lost) as u64);
+    drop(recovered);
+}
+
+/// Pinned regression: `S3Store` used to charge persistence from the
+/// delta of the cache's *global* counters around each read, so two
+/// threads reading at once each charged the other's appends too. Two
+/// scans now fill and commit concurrently (a barrier lines the commits
+/// up) and every persisted byte and fsync is charged exactly once: the
+/// commit receipts, and the virtual seconds charged beyond the GETs, sum
+/// to the `persist_counters` delta.
+#[test]
+fn concurrent_committers_charge_each_byte_and_fsync_once() {
+    let tmp = TempDir::new("persist-receipts");
+    let store = S3Store::new();
+    for t in 0..2 {
+        for i in 0..8 {
+            store.put_object("b", &format!("t{t}-{i}"), vec![(t * 8 + i) as u8; 1000]);
+        }
+    }
+    let cache = SegmentCache::recover(tmp.path(), 0, 1 << 20, Pricing::default()).unwrap();
+    store.set_cache(Some(cache.clone()));
+    let plan = FaultPlan::new(0, 0.0);
+    store.set_fault_plan(Some(plan));
+    let policy = RetryPolicy::with_attempts(1);
+    let layout_of = |data: &Bytes| {
+        vec![
+            (0, data.len() as u64 / 2),
+            (data.len() as u64 / 2, data.len() as u64),
+        ]
+    };
+    let gate = std::sync::Barrier::new(2);
+    let persist_s: f64 = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2)
+            .map(|t| {
+                let (store, gate) = (store.scoped(), &gate);
+                s.spawn(move || {
+                    for i in 0..8 {
+                        store
+                            .get_object_chunked_cached_with(
+                                "b",
+                                &format!("t{t}-{i}"),
+                                &policy,
+                                layout_of,
+                            )
+                            .unwrap();
+                    }
+                    let read_s = store.virtual_time_s();
+                    assert!((read_s - 8.0 * plan.request_seconds(0, 1000)).abs() < 1e-6);
+                    gate.wait();
+                    store.commit_cache();
+                    store.virtual_time_s() - read_s
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+    let (bytes, fsyncs) = cache.persist_counters();
+    assert!(
+        bytes > 16_000,
+        "32 chunk fills and 16 layouts were appended"
+    );
+    assert_eq!(fsyncs, 2, "the two commits share one pair of barriers");
+    let expect = bytes as f64 / plan.latency.disk_write_bw + 2.0 * plan.latency.fsync_latency;
+    assert!(
+        (persist_s - expect).abs() < 1e-6,
+        "charged {persist_s} s for {expect} s of persistence"
+    );
+    // Receipts at the cache level: two racing fill+commit loops.
+    let receipts: Vec<(u64, u64)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2u8)
+            .map(|t| {
+                let cache = &cache;
+                s.spawn(move || {
+                    let mut sum = (0, 0);
+                    for i in 0..50u8 {
+                        let skey = SegmentKey::whole("r", &format!("{t}-{i}"));
+                        let epoch = cache.begin_fill(&skey);
+                        assert!(cache.insert(skey, Bytes::from(vec![i; 64]), epoch));
+                        let (b, f) = cache.commit();
+                        sum = (sum.0 + b, sum.1 + f);
+                    }
+                    sum
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let (bytes1, fsyncs1) = cache.persist_counters();
+    assert_eq!(receipts[0].0 + receipts[1].0, bytes1 - bytes);
+    assert_eq!(receipts[0].1 + receipts[1].1, fsyncs1 - fsyncs);
+    assert!(fsyncs1 - fsyncs <= 200, "at most two barriers per commit");
+    store.set_fault_plan(None);
+    store.set_cache(None);
+    drop(cache);
+}
+
 /// One deterministic crash scenario: seed objects, run a workload of
 /// chunked cached reads and rewrites through a persistent cache armed
 /// with a seeded kill point, then "restart" by recovering from the
 /// directory with the store-content catalog probe. Returns the
-/// recovered cache's residency digest.
+/// recovered cache's residency digest and whether the kill fired at a
+/// barrier mid-workload (otherwise the store died at drop).
 ///
 /// Checks along the way: every read (before the crash, after the crash
 /// while durability is frozen, and after recovery) returns exactly the
@@ -220,7 +381,7 @@ fn crash_scenario(
     obj_len: usize,
     kill_seed: u64,
     steps: &[u8],
-) -> Result<u64, TestCaseError> {
+) -> Result<(u64, bool), TestCaseError> {
     const CHUNK: usize = 256;
     let content = |oi: usize, version: u64| -> Vec<u8> {
         (0..obj_len)
@@ -253,7 +414,7 @@ fn crash_scenario(
         64 << 20,
         Pricing::default(),
         CacheAdmission::AdmitAll,
-        Some(KillPlan::seeded(kill_seed, 24)),
+        Some(KillPlan::seeded(kill_seed, KILL_HORIZON)),
         None,
     )
     .map_err(|e| TestCaseError::fail(format!("open: {e}")))?;
@@ -264,6 +425,8 @@ fn crash_scenario(
         let out = store
             .get_object_chunked_cached_with("b", &key(oi), &policy, layout_of)
             .map_err(|e| TestCaseError::fail(format!("read o{oi}: {e}")))?;
+        // Every read is committed the way a scan commits its own.
+        store.commit_cache();
         let after = store.global_ledger().snapshot();
         prop_assert_eq!(
             &out.data[..],
@@ -301,6 +464,8 @@ fn crash_scenario(
     // Restart: recover against the live store content. Rewrites that
     // raced the crash (or happened while the cache was down) are vetted
     // by the catalog probe's checksum, not trusted from the manifest.
+    // Dropping the armed cache is itself the crash if no barrier was.
+    let fired = store.cache().is_some_and(|c| c.crashed());
     store.set_cache(None);
     let probe = {
         let store = store.clone();
@@ -321,16 +486,24 @@ fn crash_scenario(
     for oi in 0..n_objects {
         check_read(oi, &mirror)?;
     }
-    Ok(digest)
+    Ok((digest, fired))
 }
 
+/// Kill horizon of the crash proptest: about the barriers a mid-length
+/// workload issues now that a read or a rewrite costs at most two.
+const KILL_HORIZON: u64 = 8;
+const CRASH_CASES: u32 = 6;
+static CRASH_CASES_RUN: AtomicU32 = AtomicU32::new(0);
+static CRASH_KILLS_FIRED: AtomicU32 = AtomicU32::new(0);
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(CRASH_CASES))]
 
     /// Crash-recovery proptest: random workload prefix, seeded kill at
     /// a random fsync, recover, and (a) no stale-epoch chunk is served,
     /// (b) conservation and billing stay exact, (c) the same seed
-    /// leaves the same surviving residency byte-for-byte.
+    /// leaves the same surviving residency byte-for-byte. The horizon
+    /// must keep mid-workload kills common: at least half the cases.
     #[test]
     fn seeded_crashes_recover_soundly_and_deterministically(
         n_objects in 2usize..5,
@@ -340,9 +513,18 @@ proptest! {
     ) {
         let a = TempDir::new("persist-crash-a");
         let b = TempDir::new("persist-crash-b");
-        let da = crash_scenario(a.path(), n_objects, obj_len, kill_seed, &steps)?;
-        let db = crash_scenario(b.path(), n_objects, obj_len, kill_seed, &steps)?;
+        let (da, fired) = crash_scenario(a.path(), n_objects, obj_len, kill_seed, &steps)?;
+        let (db, _) = crash_scenario(b.path(), n_objects, obj_len, kill_seed, &steps)?;
         prop_assert_eq!(da, db, "same seed must leave the same surviving residency");
+        let fired = CRASH_KILLS_FIRED.fetch_add(u32::from(fired), Ordering::Relaxed) + u32::from(fired);
+        if CRASH_CASES_RUN.fetch_add(1, Ordering::Relaxed) + 1 == CRASH_CASES {
+            prop_assert!(
+                2 * fired >= CRASH_CASES,
+                "the kill fired mid-workload in only {}/{} cases",
+                fired,
+                CRASH_CASES
+            );
+        }
         let (pa, pb) = (a.path().to_path_buf(), b.path().to_path_buf());
         drop(a);
         drop(b);
