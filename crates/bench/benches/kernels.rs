@@ -1,21 +1,30 @@
 //! Row-vs-columnar kernel benchmarks. These are the measurements behind
 //! the vectorized execution path's acceptance bar (columnar filter and
-//! aggregate kernels ≥2× their row twins) and behind the calibration of
-//! `PerfParams::parse_cl_bw` (the `decode/columnar_to_batches`
-//! throughput: bytes of ColumnarLite input per second of decode work).
+//! aggregate kernels ≥2× their row twins). `PerfParams::parse_cl_bw` was
+//! calibrated once from the `decode` group (PR 6, against the CSV reader
+//! of the time) and is frozen — see its doc comment before reading a
+//! new constant off these numbers.
+//!
+//!
+//! The run ends with a gate on the Bloom probe (see [`bloom_probe_gate`]):
+//! two time *ratios* measured within this one run, never a raw time.
 //!
 //! Run with `cargo bench --bench kernels -p pushdown-bench`.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, BatchSize, Criterion, Throughput};
+use pushdown_bloom::BloomFilter;
 use pushdown_common::columnar::ColumnarBatch;
 use pushdown_common::{DataType, Row, Schema, Value};
 use pushdown_core::ops;
 use pushdown_format::columnar::{encode_columnar, ColumnarReader, WriterOptions};
 use pushdown_format::csv::{decode_csv, encode_csv};
+use pushdown_s3::S3Store;
+use pushdown_select::{InputFormat, S3SelectEngine};
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::bind::Binder;
 use pushdown_sql::parse_expr;
 use std::hint::black_box;
+use std::time::Instant;
 
 const N: usize = 20_000;
 
@@ -62,8 +71,7 @@ fn batch() -> ColumnarBatch {
 }
 
 /// ColumnarLite decode: straight-to-columns vs materializing rows, with
-/// CSV row decode alongside for the `parse_plain_bw` baseline. The
-/// bytes/sec of `columnar_to_batches` is what `parse_cl_bw` models.
+/// CSV row decode and encode alongside.
 fn bench_decode(c: &mut Criterion) {
     let schema = sample_schema();
     let rows = sample_rows(N);
@@ -100,7 +108,109 @@ fn bench_decode(c: &mut Criterion) {
     g.bench_function("csv_to_rows", |b| {
         b.iter(|| black_box(decode_csv(&csv, &schema).unwrap()))
     });
+    g.bench_function("csv_encode", |b| {
+        b.iter(|| black_box(encode_csv(&schema, &rows)))
+    });
     g.finish();
+}
+
+/// The Bloom-join probe of paper Listing 1 as S3 Select runs it: one
+/// Select request over the 20k-row CSV object whose `WHERE` is
+/// `SUBSTRING('<bits>', h(k), 1) = '1'` per hash function. The same rows
+/// are probed with a 2 Ki-bit and a 32 Ki-bit literal, both at the
+/// engine's default 1 % geometry (seven hash functions, ten bits per key,
+/// so both are half full and a row runs through as many conjuncts in
+/// either), beside a plain `k < literal` scan of the same selectivity.
+struct BloomProbe {
+    engine: S3SelectEngine,
+    schema: Schema,
+    plain: String,
+    bloom_2k: String,
+    bloom_32k: String,
+}
+
+impl BloomProbe {
+    /// Keys are multiples of this; about 200 of them are below `N`.
+    const KEY_STRIDE: i64 = 97;
+
+    fn new() -> Self {
+        let schema = sample_schema();
+        let store = S3Store::new();
+        store.put_object("b", "t.csv", encode_csv(&schema, &sample_rows(N)));
+        let sql = |bits: u64| {
+            let mut f = BloomFilter::with_geometry(bits, 7, 42);
+            for key in 0..bits as i64 / 10 {
+                f.insert(key * Self::KEY_STRIDE);
+            }
+            format!("SELECT k FROM S3Object WHERE {}", f.sql_predicate("k"))
+        };
+        BloomProbe {
+            engine: S3SelectEngine::new(store),
+            schema,
+            plain: format!(
+                "SELECT k FROM S3Object WHERE k < {}",
+                N as i64 / Self::KEY_STRIDE
+            ),
+            bloom_2k: sql(2 * 1024),
+            bloom_32k: sql(32 * 1024),
+        }
+    }
+
+    fn run(&self, sql: &str) -> u64 {
+        let resp = self
+            .engine
+            .select("b", "t.csv", sql, &self.schema, InputFormat::Csv)
+            .unwrap();
+        resp.stats.records_returned
+    }
+}
+
+fn bench_bloom_probe(c: &mut Criterion) {
+    let probe = BloomProbe::new();
+    let mut g = c.benchmark_group("select/bloom_probe");
+    g.throughput(Throughput::Elements(N as u64));
+    g.bench_function("plain_lt_20k", |b| b.iter(|| probe.run(&probe.plain)));
+    g.bench_function("bloom_2ki_20k", |b| b.iter(|| probe.run(&probe.bloom_2k)));
+    g.bench_function("bloom_32ki_20k", |b| b.iter(|| probe.run(&probe.bloom_32k)));
+    g.finish();
+}
+
+/// Fails the run unless probing costs the same per row whatever the
+/// filter's size (32 Ki-bit time < 2× the 2 Ki-bit time) and a Bloom scan
+/// keeps at least a fifth of a plain scan's rows/s. The three scans are
+/// timed in interleaved rounds and compared by their fastest round, so a
+/// host that slows down mid-run slows all three alike.
+fn bloom_probe_gate() -> Result<(), String> {
+    const ROUNDS: usize = 9;
+    let probe = BloomProbe::new();
+    let sqls = [&probe.plain, &probe.bloom_2k, &probe.bloom_32k];
+    let mut best = [f64::MAX; 3];
+    for _ in 0..ROUNDS {
+        for (slot, sql) in best.iter_mut().zip(sqls) {
+            let start = Instant::now();
+            black_box(probe.run(sql));
+            *slot = slot.min(start.elapsed().as_secs_f64());
+        }
+    }
+    let [plain, small, large] = best;
+    let size_ratio = large / small;
+    let bloom_vs_plain = plain / large;
+    println!(
+        "select/bloom_probe gate: 32Ki/2Ki time ratio {size_ratio:.2} (must be < 2), \
+         Bloom rows/s at {bloom_vs_plain:.2} of the plain scan's (must be >= 0.2)"
+    );
+    if size_ratio >= 2.0 {
+        return Err(format!(
+            "a 32 Ki-bit Bloom literal scans {size_ratio:.2}x slower than a 2 Ki-bit one: \
+             probing does per-row work proportional to the literal's length"
+        ));
+    }
+    if bloom_vs_plain < 0.2 {
+        return Err(format!(
+            "the Bloom scan runs at {bloom_vs_plain:.2} of the plain scan's rows/s"
+        ));
+    }
+    Ok(())
 }
 
 /// Predicate filter over 20k rows: vectorized selection-vector kernel vs
@@ -230,9 +340,17 @@ fn bench_topk(c: &mut Criterion) {
 criterion_group!(
     kernels,
     bench_decode,
+    bench_bloom_probe,
     bench_filter,
     bench_aggregate,
     bench_groupby,
     bench_topk
 );
-criterion_main!(kernels);
+
+fn main() {
+    kernels();
+    if let Err(why) = bloom_probe_gate() {
+        eprintln!("kernels: {why}");
+        std::process::exit(1);
+    }
+}

@@ -102,8 +102,37 @@ pub fn parse_date(s: &str) -> Option<i32> {
 
 /// Format days-since-epoch as `YYYY-MM-DD`.
 pub fn format_date(days: i32) -> String {
+    let mut out = String::with_capacity(10);
+    write_date(&mut out, days);
+    out
+}
+
+/// Append the [`format_date`] text to `out`.
+pub fn write_date(out: &mut String, days: i32) {
+    use std::fmt::Write as _;
     let c = civil_from_days(days);
-    format!("{:04}-{:02}-{:02}", c.year, c.month, c.day)
+    if (0..=9999).contains(&c.year) {
+        // Four-digit years (all of TPC-H) skip the formatter.
+        let (y, m, d) = (c.year as u32, c.month, c.day);
+        let digit = |v: u32| (b'0' + (v % 10) as u8) as char;
+        for ch in [
+            digit(y / 1000),
+            digit(y / 100),
+            digit(y / 10),
+            digit(y),
+            '-',
+            digit(m / 10),
+            digit(m),
+            '-',
+            digit(d / 10),
+            digit(d),
+        ] {
+            out.push(ch);
+        }
+    } else {
+        write!(out, "{:04}-{:02}-{:02}", c.year, c.month, c.day)
+            .expect("writing to a String cannot fail");
+    }
 }
 
 /// Convenience: days since epoch for a (year, month, day) literal.

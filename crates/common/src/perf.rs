@@ -50,13 +50,17 @@ pub struct PerfParams {
     /// Server-side ingest rate for *ColumnarLite* partition bytes, bytes/s.
     /// Typed column chunks decode straight into column vectors — no field
     /// splitting, no text-to-value conversion — so they ingest far faster
-    /// than CSV. Calibrated from the `kernels` criterion bench
-    /// (`cargo bench --bench kernels`, decode group): straight-to-batch
-    /// decode measured 217–242 MiB/s vs 59–65 MiB/s for CSV row parsing,
-    /// a 3.7× ratio. The absolute rates are dev-container numbers, so the
-    /// model keeps [`PerfParams::parse_plain_bw`] anchored to the paper
-    /// testbed and scales by the measured ratio: 3.7 × 160e6 ≈ 590e6.
-    /// See README "Performance model calibration" for how to re-derive.
+    /// than CSV. Calibrated once, in PR 6, from the `kernels` criterion
+    /// bench (`cargo bench --bench kernels`, decode group): straight-to-batch
+    /// decode measured 217–242 MiB/s vs 59–65 MiB/s for the CSV row reader
+    /// of the time, a 3.7× ratio. The absolute rates are dev-container
+    /// numbers, so the model keeps [`PerfParams::parse_plain_bw`] anchored
+    /// to the paper testbed and scales by that ratio: 3.7 × 160e6 ≈ 590e6.
+    /// 590e6 is a frozen model constant: the CSV reader has since become
+    /// ~2.6× faster (the same bench now gives ~1.5×), which says nothing
+    /// about the modeled testbed, so the ratio is *not* to be re-taken by
+    /// hand. README "Performance model calibration" has the history;
+    /// re-deriving constants by script is the last step of ROADMAP item A.
     pub parse_cl_bw: f64,
     /// Aggregate storage-side scan rate of S3 Select across all partitions
     /// of a table, bytes/s, for a trivial expression.

@@ -204,3 +204,81 @@ fn arb_value() -> impl Strategy<Value = Value> {
         any::<i32>().prop_map(Value::Date),
     ]
 }
+
+/// The CSV writer as it was before fields were rendered in place: one
+/// `String` per field through the formatter, one per row. Kept as the
+/// oracle the in-place writer must match byte for byte.
+fn to_csv_line_oracle(row: &Row) -> String {
+    let mut out = String::new();
+    for (i, v) in row.values().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let field = match v {
+            Value::Null => String::new(),
+            Value::Bool(b) => if *b { "true" } else { "false" }.to_string(),
+            Value::Int(i) => i.to_string(),
+            Value::Float(f) if f.is_nan() => "NaN".to_string(),
+            Value::Float(f) if f.is_infinite() => if *f > 0.0 { "inf" } else { "-inf" }.to_string(),
+            Value::Float(f) if *f == f.trunc() && f.abs() < 1e15 => format!("{f:.1}"),
+            Value::Float(f) => format!("{f}"),
+            Value::Str(s) => s.clone(),
+            Value::Date(d) => {
+                let c = date::civil_from_days(*d);
+                format!("{:04}-{:02}-{:02}", c.year, c.month, c.day)
+            }
+        };
+        if field.contains(',')
+            || field.contains('"')
+            || field.contains('\n')
+            || field.contains('\r')
+        {
+            out.push('"');
+            out.push_str(&field.replace('"', "\"\""));
+            out.push('"');
+        } else {
+            out.push_str(&field);
+        }
+    }
+    out
+}
+
+/// Values that stress the renderers: float specials, integral floats on
+/// both sides of the `.1` cutoff, dates outside four-digit years, NULL
+/// beside the empty string, and strings that need quoting.
+fn arb_csv_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        Just(Value::Str(String::new())),
+        any::<bool>().prop_map(Value::Bool),
+        any::<i64>().prop_map(Value::Int),
+        any::<f64>().prop_map(Value::Float),
+        (-1e16f64..1e16).prop_map(|f| Value::Float(f.trunc())),
+        (-1e4f64..1e4).prop_map(|f| Value::Float((f * 100.0).round() / 100.0)),
+        "[ -~\n\r\"é☃,]{0,12}".prop_map(Value::Str),
+        (-4_000_000i32..4_000_000).prop_map(Value::Date),
+        (8000i32..11000).prop_map(Value::Date),
+    ]
+}
+
+proptest! {
+    /// Rendering into the caller's buffer writes exactly the bytes the
+    /// formatter-and-`String`-per-field writer wrote, after whatever the
+    /// buffer already held.
+    #[test]
+    fn in_place_csv_writer_is_byte_identical(
+        rows in proptest::collection::vec(proptest::collection::vec(arb_csv_value(), 0..8), 0..20)
+    ) {
+        let mut buf = String::from("header\n");
+        let mut want = buf.clone();
+        for values in rows {
+            let row = Row::new(values);
+            row.write_csv_line(&mut buf);
+            buf.push('\n');
+            want.push_str(&to_csv_line_oracle(&row));
+            want.push('\n');
+            prop_assert_eq!(row.to_csv_line(), to_csv_line_oracle(&row));
+        }
+        prop_assert_eq!(buf, want);
+    }
+}

@@ -53,24 +53,29 @@ impl Row {
     /// contain separators or quotes are quoted.
     pub fn to_csv_line(&self) -> String {
         let mut out = String::new();
+        self.write_csv_line(&mut out);
+        out
+    }
+
+    /// Append the [`Row::to_csv_line`] text to `out`: every field is
+    /// rendered straight into the caller's buffer.
+    pub fn write_csv_line(&self, out: &mut String) {
         for (i, v) in self.0.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let field = v.to_csv_field();
-            if field.contains(',')
-                || field.contains('"')
-                || field.contains('\n')
-                || field.contains('\r')
-            {
+            let start = out.len();
+            v.write_csv_field(out);
+            let needs_quotes = out.as_bytes()[start..]
+                .iter()
+                .any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r'));
+            if needs_quotes {
+                let field = out.split_off(start);
                 out.push('"');
                 out.push_str(&field.replace('"', "\"\""));
                 out.push('"');
-            } else {
-                out.push_str(&field);
             }
         }
-        out
     }
 }
 

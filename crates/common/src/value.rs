@@ -8,7 +8,7 @@
 use crate::date;
 use crate::error::{Error, Result};
 use std::cmp::Ordering;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Logical column types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -187,13 +187,22 @@ impl Value {
     /// Render in the CSV dialect used across the system (and by the
     /// simulated S3 Select service, which always returns CSV).
     pub fn to_csv_field(&self) -> String {
+        let mut out = String::new();
+        self.write_csv_field(&mut out);
+        out
+    }
+
+    /// Append the [`Value::to_csv_field`] text to `out` — the CSV writers'
+    /// form: no intermediate `String` per field. The text is raw; quoting
+    /// is the row writer's job ([`crate::Row::write_csv_line`]).
+    pub fn write_csv_field(&self, out: &mut String) {
         match self {
-            Value::Null => String::new(),
-            Value::Bool(b) => if *b { "true" } else { "false" }.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(f) => format_float(*f),
-            Value::Str(s) => s.clone(),
-            Value::Date(d) => date::format_date(*d),
+            Value::Null => {}
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Int(i) => write_int(out, *i),
+            Value::Float(f) => write_float(out, *f),
+            Value::Str(s) => out.push_str(s),
+            Value::Date(d) => date::write_date(out, *d),
         }
     }
 
@@ -311,18 +320,50 @@ impl fmt::Display for Value {
 /// representation that round-trips, with a trailing `.0` for integral values
 /// so the type remains recognizable.
 pub fn format_float(f: f64) -> String {
+    let mut out = String::new();
+    write_float(&mut out, f);
+    out
+}
+
+/// Append the [`format_float`] text to `out`.
+pub fn write_float(out: &mut String, f: f64) {
     if f.is_nan() {
-        return "NaN".to_string();
-    }
-    if f.is_infinite() {
-        return if f > 0.0 { "inf" } else { "-inf" }.to_string();
-    }
-    if f == f.trunc() && f.abs() < 1e15 {
-        format!("{f:.1}")
+        out.push_str("NaN");
+    } else if f.is_infinite() {
+        out.push_str(if f > 0.0 { "inf" } else { "-inf" });
+    } else if f == f.trunc() && f.abs() < 1e15 {
+        // What `{f:.1}` prints, without the formatter: an integer that
+        // fits u64, then `.0`.
+        if f.is_sign_negative() {
+            out.push('-');
+        }
+        write_u64(out, f.abs() as u64);
+        out.push_str(".0");
     } else {
-        let s = format!("{f}");
-        s
+        write!(out, "{f}").expect("writing to a String cannot fail");
     }
+}
+
+/// Append `i` in decimal (what `{i}` prints, without the formatter).
+pub fn write_int(out: &mut String, i: i64) {
+    if i < 0 {
+        out.push('-');
+    }
+    write_u64(out, i.unsigned_abs());
+}
+
+fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 #[cfg(test)]
@@ -437,6 +478,25 @@ mod tests {
             let s = format_float(f);
             assert_eq!(s.parse::<f64>().unwrap(), f);
         }
+    }
+
+    #[test]
+    fn in_place_renderers_match_the_formatter() {
+        for i in [0, 1, -1, 9, 10, 99, 100, -4096, i64::MAX, i64::MIN] {
+            let mut out = String::from("x");
+            write_int(&mut out, i);
+            assert_eq!(out, format!("x{i}"));
+        }
+        let floats: [f64; 7] = [0.0, -0.0, 1.0, -2.0, 17.0, 1e14, -999_999_999_999_999.0];
+        for f in floats {
+            assert!(f == f.trunc() && f.abs() < 1e15);
+            assert_eq!(format_float(f), format!("{f:.1}"), "{f:?}");
+        }
+        for f in [0.25_f64, -1e-9, 1e15, -1e15, 1e300, 2.0_f64.powi(53) + 2.0] {
+            assert_eq!(format_float(f), format!("{f}"), "{f:?}");
+        }
+        assert_eq!(format_float(f64::NAN), "NaN");
+        assert_eq!(format_float(f64::NEG_INFINITY), "-inf");
     }
 
     #[test]

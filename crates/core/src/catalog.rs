@@ -66,44 +66,22 @@ impl TableStats {
 
     /// Statistics from a sample, leaving `row_count` at the sample size;
     /// callers that know the true row count fix it up (see [`probe_stats`]).
+    /// One pass over the rows; nothing is rendered or cloned per value.
     fn from_sample(schema: &Schema, rows: &[Row]) -> TableStats {
         let n = rows.len() as u64;
-        let columns = (0..schema.len())
-            .map(|c| {
-                let mut min = Value::Null;
-                let mut max = Value::Null;
-                let mut nulls = 0u64;
-                let mut width = 0usize;
-                let mut distinct: HashSet<String> = HashSet::new();
-                for r in rows {
-                    let v = &r[c];
-                    let field = v.to_csv_field();
-                    width += field.len();
-                    if v.is_null() {
-                        nulls += 1;
-                        continue;
-                    }
-                    distinct.insert(field);
-                    if min.is_null() || v.total_cmp(&min) == std::cmp::Ordering::Less {
-                        min = v.clone();
-                    }
-                    if max.is_null() || v.total_cmp(&max) == std::cmp::Ordering::Greater {
-                        max = v.clone();
-                    }
-                }
-                ColumnStats {
-                    min,
-                    max,
-                    ndv: distinct.len() as u64,
-                    null_fraction: if n == 0 { 0.0 } else { nulls as f64 / n as f64 },
-                    avg_width: if n == 0 { 0.0 } else { width as f64 / n as f64 },
-                }
-            })
+        let mut columns: Vec<ColumnAccumulator> = (0..schema.len())
+            .map(|_| ColumnAccumulator::default())
             .collect();
+        let mut field = String::new();
+        for r in rows {
+            for (acc, v) in columns.iter_mut().zip(r.values()) {
+                acc.add(v, &mut field);
+            }
+        }
         TableStats {
             row_count: n,
             sample_rows: n,
-            columns,
+            columns: columns.into_iter().map(|acc| acc.finish(n)).collect(),
         }
     }
 
@@ -117,6 +95,106 @@ impl TableStats {
     /// Statistics for column `i`, if tracked.
     pub fn column(&self, i: usize) -> Option<&ColumnStats> {
         self.columns.get(i)
+    }
+}
+
+/// Running statistics of one column (see [`TableStats::from_sample`]).
+/// Distinct values are counted per type, so no value is rendered to text
+/// to be counted.
+#[derive(Default)]
+struct ColumnAccumulator<'a> {
+    min: Option<&'a Value>,
+    max: Option<&'a Value>,
+    nulls: u64,
+    width: usize,
+    bools: HashSet<bool>,
+    ints: HashSet<i64>,
+    floats: HashSet<u64>,
+    strs: HashSet<&'a str>,
+    dates: HashSet<i32>,
+}
+
+impl<'a> ColumnAccumulator<'a> {
+    /// `field` is scratch space for measuring the CSV width of `v`.
+    fn add(&mut self, v: &'a Value, field: &mut String) {
+        field.clear();
+        v.write_csv_field(field);
+        self.width += field.len();
+        match v {
+            Value::Null => {
+                self.nulls += 1;
+                return;
+            }
+            Value::Bool(b) => {
+                self.bools.insert(*b);
+            }
+            Value::Int(i) => {
+                self.ints.insert(*i);
+            }
+            // Every NaN renders as `NaN`: one distinct value.
+            Value::Float(f) if f.is_nan() => {
+                self.floats.insert(f64::NAN.to_bits());
+            }
+            Value::Float(f) => {
+                self.floats.insert(f.to_bits());
+            }
+            Value::Str(s) => {
+                self.strs.insert(s);
+            }
+            Value::Date(d) => {
+                self.dates.insert(*d);
+            }
+        }
+        if self
+            .min
+            .is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Less)
+        {
+            self.min = Some(v);
+        }
+        if self
+            .max
+            .is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Greater)
+        {
+            self.max = Some(v);
+        }
+    }
+
+    /// Distinct CSV renderings. Within one type distinct values render
+    /// distinctly; across types they can collide (`Int(1)` and
+    /// `Str("1")`), so a column that mixes types is settled on the
+    /// rendered text of its distinct values.
+    fn ndv(&self) -> u64 {
+        let per_type = [
+            self.bools.len(),
+            self.ints.len(),
+            self.floats.len(),
+            self.strs.len(),
+            self.dates.len(),
+        ];
+        if per_type.iter().filter(|&&n| n > 0).count() <= 1 {
+            return per_type.iter().sum::<usize>() as u64;
+        }
+        let mut texts: HashSet<String> = self.strs.iter().map(|s| s.to_string()).collect();
+        texts.extend(self.bools.iter().map(|&b| Value::Bool(b).to_csv_field()));
+        texts.extend(self.ints.iter().map(|&i| Value::Int(i).to_csv_field()));
+        texts.extend(
+            self.floats
+                .iter()
+                .map(|&bits| Value::Float(f64::from_bits(bits)).to_csv_field()),
+        );
+        texts.extend(self.dates.iter().map(|&d| Value::Date(d).to_csv_field()));
+        texts.len() as u64
+    }
+
+    fn finish(self, n: u64) -> ColumnStats {
+        let fraction = |part: f64| if n == 0 { 0.0 } else { part / n as f64 };
+        ColumnStats {
+            ndv: self.ndv(),
+            min: self.min.cloned().unwrap_or(Value::Null),
+            max: self.max.cloned().unwrap_or(Value::Null),
+            null_fraction: fraction(self.nulls as f64),
+            avg_width: fraction(self.width as f64),
+        }
     }
 }
 

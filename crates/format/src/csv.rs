@@ -10,68 +10,159 @@
 //! index tables of paper §IV-A store `first_byte_offset`/`last_byte_offset`
 //! per row and fetch rows back with ranged GETs, so offsets must be exact.
 
-use pushdown_common::{Error, Result, Row, Schema, Value};
+use pushdown_common::{DataType, Error, Result, Row, Schema, Value};
+use std::borrow::Cow;
+
+/// Where one field's text sits inside its record, as byte offsets from
+/// the record start. For a quoted field the span is what lies between
+/// the quotes.
+#[derive(Debug, Clone, Copy)]
+struct FieldSpan {
+    start: usize,
+    end: usize,
+    /// The quoted text holds `""` escapes, so it cannot be borrowed as is.
+    escaped: bool,
+}
+
+impl FieldSpan {
+    fn new(start: usize, end: usize, escaped: bool) -> Self {
+        FieldSpan {
+            start,
+            end,
+            escaped,
+        }
+    }
+
+    /// The field's text: a slice of the record unless it must be unescaped.
+    fn text<'a>(&self, line: &'a str) -> Cow<'a, str> {
+        let raw = &line[self.start..self.end];
+        if self.escaped {
+            Cow::Owned(raw.replace("\"\"", "\""))
+        } else {
+            Cow::Borrowed(raw)
+        }
+    }
+}
+
+/// A quoting error found while splitting, reported once the record is
+/// known to be UTF-8 (the order the checks have always run in).
+#[derive(Debug, Clone, Copy)]
+enum Malformed {
+    Unterminated,
+    /// Byte offset of whatever follows a closing quote in place of `,`.
+    AfterQuote(usize),
+}
+
+impl Malformed {
+    fn into_error(self, line: &str) -> Error {
+        match self {
+            Malformed::Unterminated => Error::Corrupt("unterminated quoted CSV field".into()),
+            Malformed::AfterQuote(at) => Error::Corrupt(format!(
+                "expected `,` after quoted field, found `{}`",
+                line[at..].chars().next().unwrap_or('\u{FFFD}')
+            )),
+        }
+    }
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum SplitState {
+    /// In an unquoted field, or at the start of any field.
+    Plain,
+    Quoted,
+    /// Just read a `"` inside a quoted field: an escape or the close.
+    QuoteSeen,
+    /// A quoting error was recorded; no further fields are split.
+    Broken,
+}
+
+/// What [`scan_record`] found at the head of its input.
+struct Scanned {
+    /// Record length without the terminator and without one trailing `\r`.
+    len: usize,
+    /// Bytes up to the start of the next record.
+    consumed: usize,
+    malformed: Option<Malformed>,
+}
+
+/// One pass over the bytes of the record at the head of `rest`, leaving
+/// its field boundaries in `spans`. With `whole` the input is exactly one
+/// record's text; otherwise the record ends at the first newline preceded
+/// by an even number of quotes (the writer quotes fields containing
+/// newlines), and one `\r` before that newline, or before the end of the
+/// input, belongs to the terminator.
+///
+/// Separators and quotes are ASCII and a UTF-8 continuation byte never
+/// equals one, so splitting bytes gives the boundaries splitting chars
+/// would.
+fn scan_record(rest: &[u8], whole: bool, spans: &mut Vec<FieldSpan>) -> Scanned {
+    use SplitState::*;
+    spans.clear();
+    let mut state = Plain;
+    // Start of the current field; `escaped` is about that field.
+    let (mut start, mut escaped) = (0, false);
+    let mut in_quotes = false;
+    let mut malformed = None;
+    let (mut len, mut consumed) = (rest.len(), rest.len() + 1);
+    for (i, &c) in rest.iter().enumerate() {
+        match (c, state) {
+            // Every byte that matters is `,` or below it; the rest is
+            // field text, which only `QuoteSeen` minds.
+            (b'-'.., Plain | Quoted | Broken) => {}
+            (b'"', _) => {
+                in_quotes = !in_quotes;
+                match state {
+                    Plain if i == start => (state, start) = (Quoted, i + 1),
+                    Plain | Broken => {}
+                    Quoted => state = QuoteSeen,
+                    QuoteSeen => (state, escaped) = (Quoted, true),
+                }
+            }
+            (b'\n', _) if !whole && !in_quotes => {
+                (len, consumed) = (i, i + 1);
+                break;
+            }
+            (b'\r', _) if !whole && !in_quotes && matches!(rest.get(i + 1), None | Some(b'\n')) => {
+                (len, consumed) = (i, i + 2);
+                break;
+            }
+            (b',', Plain) => {
+                spans.push(FieldSpan::new(start, i, false));
+                start = i + 1;
+            }
+            (b',', QuoteSeen) => {
+                spans.push(FieldSpan::new(start, i - 1, escaped));
+                (state, start, escaped) = (Plain, i + 1, false);
+            }
+            (_, QuoteSeen) => {
+                malformed = Some(Malformed::AfterQuote(i));
+                state = Broken;
+            }
+            (_, Plain | Quoted | Broken) => {}
+        }
+    }
+    // Close the open field; a trailing comma leaves an empty one.
+    match state {
+        Plain => spans.push(FieldSpan::new(start, len, false)),
+        Quoted => malformed = Some(Malformed::Unterminated),
+        QuoteSeen => spans.push(FieldSpan::new(start, len - 1, escaped)),
+        Broken => {}
+    }
+    Scanned {
+        len,
+        consumed,
+        malformed,
+    }
+}
 
 /// Split one CSV record (without terminator) into raw string fields.
 /// Handles quoting; returns an error for malformed quoting. UTF-8 safe.
 pub fn split_line(line: &str) -> Result<Vec<String>> {
-    let mut fields = Vec::new();
-    let chars: Vec<char> = line.chars().collect();
-    let mut i = 0;
-    loop {
-        if i >= chars.len() {
-            // Trailing empty field (line ends with a comma) or empty line.
-            fields.push(String::new());
-            break;
-        }
-        if chars[i] == '"' {
-            // Quoted field.
-            let mut s = String::new();
-            i += 1;
-            loop {
-                if i >= chars.len() {
-                    return Err(Error::Corrupt("unterminated quoted CSV field".into()));
-                }
-                if chars[i] == '"' {
-                    if i + 1 < chars.len() && chars[i + 1] == '"' {
-                        s.push('"');
-                        i += 2;
-                    } else {
-                        i += 1;
-                        break;
-                    }
-                } else {
-                    s.push(chars[i]);
-                    i += 1;
-                }
-            }
-            fields.push(s);
-            if i < chars.len() {
-                if chars[i] != ',' {
-                    return Err(Error::Corrupt(format!(
-                        "expected `,` after quoted field, found `{}`",
-                        chars[i]
-                    )));
-                }
-                i += 1;
-                continue;
-            }
-            break;
-        }
-        // Unquoted field.
-        let mut s = String::new();
-        while i < chars.len() && chars[i] != ',' {
-            s.push(chars[i]);
-            i += 1;
-        }
-        fields.push(s);
-        if i < chars.len() {
-            i += 1; // skip comma
-            continue;
-        }
-        break;
+    let mut spans = Vec::new();
+    if let Some(m) = scan_record(line.as_bytes(), true, &mut spans).malformed {
+        return Err(m.into_error(line));
     }
-    Ok(fields)
+    Ok(spans.iter().map(|s| s.text(line).into_owned()).collect())
 }
 
 /// A decoded CSV record: typed values plus the byte range (inclusive
@@ -92,6 +183,8 @@ pub struct CsvReader<'a> {
     /// Whether the first record is a header to skip.
     header: bool,
     started: bool,
+    /// Field spans of the record being decoded, reused across records.
+    spans: Vec<FieldSpan>,
 }
 
 impl<'a> CsvReader<'a> {
@@ -104,17 +197,15 @@ impl<'a> CsvReader<'a> {
             pos: 0,
             header: true,
             started: false,
+            spans: Vec::new(),
         }
     }
 
     /// Reader for headerless data (S3 Select responses).
     pub fn without_header(data: &'a [u8], schema: Schema) -> Self {
         CsvReader {
-            data,
-            schema,
-            pos: 0,
             header: false,
-            started: false,
+            ..CsvReader::with_header(data, schema)
         }
     }
 
@@ -127,40 +218,51 @@ impl<'a> CsvReader<'a> {
         split_line(line.trim_end_matches('\r'))
     }
 
-    /// Find the end of the record starting at `from`: the first newline
-    /// *outside* quotes (the writer quotes fields containing newlines).
-    fn record_end(rest: &[u8]) -> usize {
-        let mut in_quotes = false;
-        for (i, &c) in rest.iter().enumerate() {
-            match c {
-                b'"' => in_quotes = !in_quotes,
-                b'\n' if !in_quotes => return i,
-                _ => {}
-            }
-        }
-        rest.len()
-    }
-
-    fn next_line(&mut self) -> Option<(usize, &'a str)> {
+    /// Scan the next non-blank record ([`scan_record`]), leaving its field
+    /// boundaries in `self.spans`. Returns where it starts and the scan.
+    fn next_record(&mut self) -> Option<(usize, Scanned)> {
         while self.pos < self.data.len() {
             let start = self.pos;
-            let rest = &self.data[start..];
-            let end_rel = Self::record_end(rest);
-            self.pos = start + end_rel + 1; // past the newline (or EOF)
-            let mut line_bytes = &rest[..end_rel];
-            if line_bytes.ends_with(b"\r") {
-                line_bytes = &line_bytes[..line_bytes.len() - 1];
-            }
-            if line_bytes.is_empty() {
-                continue; // skip blank lines
-            }
-            let line = match std::str::from_utf8(line_bytes) {
-                Ok(l) => l,
-                Err(_) => return Some((start, "\u{FFFD}")), // surfaced as Corrupt below
-            };
-            return Some((start, line));
+            let scanned = scan_record(&self.data[start..], false, &mut self.spans);
+            self.pos = start + scanned.consumed;
+            if scanned.len > 0 {
+                return Some((start, scanned));
+            } // else a blank line: skip it
         }
         None
+    }
+
+    /// Type the fields of a scanned record. One UTF-8 check covers the
+    /// whole record; every field is then parsed straight off its slice.
+    fn decode(&self, start: usize, rec: Scanned) -> Result<CsvRecord> {
+        let line = std::str::from_utf8(&self.data[start..start + rec.len])
+            .map_err(|_| Error::Corrupt("non-UTF8 CSV record".into()))?;
+        if let Some(m) = rec.malformed {
+            return Err(m.into_error(line));
+        }
+        if self.spans.len() != self.schema.len() {
+            return Err(Error::Corrupt(format!(
+                "CSV record has {} fields, schema expects {} (record starts at byte {})",
+                self.spans.len(),
+                self.schema.len(),
+                start
+            )));
+        }
+        let mut values = Vec::with_capacity(self.spans.len());
+        for (i, span) in self.spans.iter().enumerate() {
+            let dtype = self.schema.dtype_of(i);
+            values.push(match span.text(line) {
+                Cow::Borrowed(text) => Value::parse_typed(text, dtype)?,
+                // An unescaped string is already owned: keep it.
+                Cow::Owned(text) if dtype == DataType::Str => Value::Str(text),
+                Cow::Owned(text) => Value::parse_typed(&text, dtype)?,
+            });
+        }
+        Ok(CsvRecord {
+            row: Row::new(values),
+            first_byte: start as u64,
+            last_byte: (start + rec.len - 1) as u64,
+        })
     }
 }
 
@@ -171,36 +273,11 @@ impl<'a> Iterator for CsvReader<'a> {
         if !self.started {
             self.started = true;
             if self.header {
-                self.next_line()?;
+                self.next_record()?;
             }
         }
-        let (start, line) = self.next_line()?;
-        if line == "\u{FFFD}" {
-            return Some(Err(Error::Corrupt("non-UTF8 CSV record".into())));
-        }
-        let fields = match split_line(line) {
-            Ok(f) => f,
-            Err(e) => return Some(Err(e)),
-        };
-        if fields.len() != self.schema.len() {
-            return Some(Err(Error::Corrupt(format!(
-                "CSV record has {} fields, schema expects {} (record starts at byte {start})",
-                fields.len(),
-                self.schema.len()
-            ))));
-        }
-        let mut values = Vec::with_capacity(fields.len());
-        for (i, f) in fields.iter().enumerate() {
-            match Value::parse_typed(f, self.schema.dtype_of(i)) {
-                Ok(v) => values.push(v),
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        Some(Ok(CsvRecord {
-            row: Row::new(values),
-            first_byte: start as u64,
-            last_byte: (start + line.len()).saturating_sub(1) as u64,
-        }))
+        let (start, rec) = self.next_record()?;
+        Some(self.decode(start, rec))
     }
 }
 
@@ -233,8 +310,7 @@ impl CsvWriter {
     /// these.
     pub fn write_row(&mut self, row: &Row) -> (u64, u64) {
         let first = self.buf.len() as u64;
-        let line = row.to_csv_line();
-        self.buf.push_str(&line);
+        row.write_csv_line(&mut self.buf);
         let last = (self.buf.len() as u64).saturating_sub(1);
         self.buf.push('\n');
         (first, last)
@@ -267,6 +343,137 @@ pub fn decode_csv(data: &[u8], schema: &Schema) -> Result<Vec<Row>> {
     CsvReader::with_header(data, schema.clone())
         .map(|r| r.map(|rec| rec.row))
         .collect()
+}
+
+/// The reader as it was before it split bytes in place: every record
+/// collected into a `Vec<char>`, every field pushed into a fresh `String`
+/// one char at a time. Kept as the oracle the byte-level reader must
+/// agree with on every input, well-formed or not.
+#[cfg(test)]
+mod oracle {
+    use super::CsvRecord;
+    use pushdown_common::{Error, Result, Row, Schema, Value};
+
+    pub fn split_line(line: &str) -> Result<Vec<String>> {
+        let mut fields = Vec::new();
+        let chars: Vec<char> = line.chars().collect();
+        let mut i = 0;
+        loop {
+            if i >= chars.len() {
+                // Trailing empty field (line ends with a comma) or empty line.
+                fields.push(String::new());
+                break;
+            }
+            if chars[i] == '"' {
+                // Quoted field.
+                let mut s = String::new();
+                i += 1;
+                loop {
+                    if i >= chars.len() {
+                        return Err(Error::Corrupt("unterminated quoted CSV field".into()));
+                    }
+                    if chars[i] == '"' {
+                        if i + 1 < chars.len() && chars[i + 1] == '"' {
+                            s.push('"');
+                            i += 2;
+                        } else {
+                            i += 1;
+                            break;
+                        }
+                    } else {
+                        s.push(chars[i]);
+                        i += 1;
+                    }
+                }
+                fields.push(s);
+                if i < chars.len() {
+                    if chars[i] != ',' {
+                        return Err(Error::Corrupt(format!(
+                            "expected `,` after quoted field, found `{}`",
+                            chars[i]
+                        )));
+                    }
+                    i += 1;
+                    continue;
+                }
+                break;
+            }
+            // Unquoted field.
+            let mut s = String::new();
+            while i < chars.len() && chars[i] != ',' {
+                s.push(chars[i]);
+                i += 1;
+            }
+            fields.push(s);
+            if i < chars.len() {
+                i += 1; // skip comma
+                continue;
+            }
+            break;
+        }
+        Ok(fields)
+    }
+
+    /// The first newline outside quotes.
+    fn record_end(rest: &[u8]) -> usize {
+        let mut in_quotes = false;
+        for (i, &c) in rest.iter().enumerate() {
+            match c {
+                b'"' => in_quotes = !in_quotes,
+                b'\n' if !in_quotes => return i,
+                _ => {}
+            }
+        }
+        rest.len()
+    }
+
+    /// Every record of `data`, errors included, the way the iterator
+    /// yields them.
+    pub fn read(data: &[u8], schema: &Schema, header: bool) -> Vec<Result<CsvRecord>> {
+        let mut out = Vec::new();
+        let mut skip = header;
+        let mut pos = 0;
+        while pos < data.len() {
+            let start = pos;
+            let rest = &data[start..];
+            let end_rel = record_end(rest);
+            pos = start + end_rel + 1; // past the newline (or EOF)
+            let mut line_bytes = &rest[..end_rel];
+            if line_bytes.ends_with(b"\r") {
+                line_bytes = &line_bytes[..line_bytes.len() - 1];
+            }
+            if line_bytes.is_empty() {
+                continue; // skip blank lines
+            }
+            if std::mem::take(&mut skip) {
+                continue;
+            }
+            out.push(decode(start, line_bytes, schema));
+        }
+        out
+    }
+
+    fn decode(start: usize, line_bytes: &[u8], schema: &Schema) -> Result<CsvRecord> {
+        let line = std::str::from_utf8(line_bytes)
+            .map_err(|_| Error::Corrupt("non-UTF8 CSV record".into()))?;
+        let fields = split_line(line)?;
+        if fields.len() != schema.len() {
+            return Err(Error::Corrupt(format!(
+                "CSV record has {} fields, schema expects {} (record starts at byte {start})",
+                fields.len(),
+                schema.len()
+            )));
+        }
+        let mut values = Vec::with_capacity(fields.len());
+        for (i, f) in fields.iter().enumerate() {
+            values.push(Value::parse_typed(f, schema.dtype_of(i))?);
+        }
+        Ok(CsvRecord {
+            row: Row::new(values),
+            first_byte: start as u64,
+            last_byte: (start + line.len()).saturating_sub(1) as u64,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -401,6 +608,43 @@ mod tests {
     }
 
     #[test]
+    fn replacement_character_is_an_ordinary_value() {
+        // U+FFFD is valid UTF-8; it used to double as the reader's
+        // in-band "this record was not UTF-8" marker.
+        let schema = Schema::from_pairs(&[("s", DataType::Str)]);
+        let rows = vec![Row::new(vec![Value::Str("\u{FFFD}".into())])];
+        let bytes = encode_csv(&schema, &rows);
+        assert_eq!(decode_csv(&bytes, &schema).unwrap(), rows);
+    }
+
+    #[test]
+    fn invalid_utf8_is_corrupt() {
+        let schema = Schema::from_pairs(&[("s", DataType::Str)]);
+        let err = decode_csv(b"s\nab\xFFcd\n", &schema).unwrap_err();
+        assert_eq!(err.code(), "Corrupt");
+        assert!(err.to_string().contains("non-UTF8"), "{err}");
+        // Only that record is bad: the reader carries on behind it.
+        let mut reader = CsvReader::without_header(b"ok\n\xC3\nfine\n", schema);
+        assert!(reader.next().unwrap().is_ok());
+        assert!(reader.next().unwrap().is_err());
+        assert!(reader.next().unwrap().is_ok());
+        assert!(reader.next().is_none());
+    }
+
+    #[test]
+    fn fields_borrow_unless_escaped() {
+        let mut spans = Vec::new();
+        let line = "plain,\"quoted, text\",\"say \"\"hi\"\"\",é";
+        assert!(scan_record(line.as_bytes(), true, &mut spans)
+            .malformed
+            .is_none());
+        let texts: Vec<Cow<str>> = spans.iter().map(|s| s.text(line)).collect();
+        assert_eq!(texts, ["plain", "quoted, text", "say \"hi\"", "é"]);
+        let owned: Vec<bool> = texts.iter().map(|t| matches!(t, Cow::Owned(_))).collect();
+        assert_eq!(owned, [false, false, true, false]);
+    }
+
+    #[test]
     fn split_line_edge_cases() {
         assert_eq!(split_line("").unwrap(), vec![""]);
         assert_eq!(split_line("a,").unwrap(), vec!["a", ""]);
@@ -439,7 +683,111 @@ mod proptests {
         }
     }
 
+    /// The schemas the differential test reads with: all strings (any
+    /// text decodes) and a typed mix (most random text does not).
+    fn differential_schema(pick: usize) -> Schema {
+        match pick {
+            0 => Schema::from_pairs(&[("a", DataType::Str)]),
+            1 => Schema::from_pairs(&[("a", DataType::Str), ("b", DataType::Str)]),
+            2 => Schema::from_pairs(&[
+                ("a", DataType::Str),
+                ("b", DataType::Str),
+                ("c", DataType::Str),
+            ]),
+            _ => Schema::from_pairs(&[
+                ("a", DataType::Int),
+                ("b", DataType::Str),
+                ("c", DataType::Float),
+            ]),
+        }
+    }
+
+    /// What a reader yields, errors by variant and message.
+    fn outcome(records: Vec<Result<CsvRecord>>) -> Vec<std::result::Result<CsvRecord, String>> {
+        records
+            .into_iter()
+            .map(|r| r.map_err(|e| format!("{}: {e}", e.code())))
+            .collect()
+    }
+
+    fn assert_same_as_oracle(data: &[u8], schema: &Schema, header: bool) {
+        let reader = if header {
+            CsvReader::with_header(data, schema.clone())
+        } else {
+            CsvReader::without_header(data, schema.clone())
+        };
+        assert_eq!(
+            outcome(reader.collect()),
+            outcome(oracle::read(data, schema, header)),
+            "input {:?}",
+            String::from_utf8_lossy(data)
+        );
+    }
+
     proptest! {
+        /// Differential: on raw text drawn from the characters the
+        /// dialect gives meaning to — mostly malformed — the byte-level
+        /// reader yields what the char-based one did: the same rows, the
+        /// same byte ranges, the same error for the same record.
+        #[test]
+        fn reader_matches_char_oracle_on_raw_text(
+            text in "[ab1,,\"\"\n\n\ré☃.]{0,40}",
+            pick in 0usize..4,
+            header in any::<bool>(),
+        ) {
+            let schema = differential_schema(pick);
+            assert_same_as_oracle(text.as_bytes(), &schema, header);
+            // `split_line` sees the text as one record, newlines and all.
+            prop_assert_eq!(
+                split_line(&text).map_err(|e| e.to_string()),
+                oracle::split_line(&text).map_err(|e| e.to_string())
+            );
+        }
+
+        /// The same on documents the writer produced — quoted fields,
+        /// `""` escapes, embedded `\n` and `\r\n`, multi-byte text, empty
+        /// trailing fields — with blank lines and `\r\n` terminators
+        /// spliced in, and with one byte of the result damaged.
+        #[test]
+        fn reader_matches_char_oracle_on_written_documents(
+            rows in proptest::collection::vec(
+                ("[a,\"\n\ré☃ ]{0,6}", "[a,\"\n\ré☃ ]{0,6}", "[a,\"\n\ré☃ ]{0,6}"),
+                0..8,
+            ),
+            crlf in any::<bool>(),
+            header in any::<bool>(),
+            damage_at in any::<usize>(),
+            damage in any::<u8>(),
+        ) {
+            let schema = differential_schema(2);
+            let mut doc = if header {
+                CsvWriter::with_header(&schema)
+            } else {
+                CsvWriter::headerless()
+            };
+            let mut ends = Vec::new();
+            for (a, b, c) in rows {
+                doc.write_row(&Row::new(vec![Value::Str(a), Value::Str(b), Value::Str(c)]));
+                ends.push(doc.len());
+            }
+            let mut bytes = doc.finish();
+            // Terminators become `\r\n` or gain a blank line behind them,
+            // back to front so the recorded offsets stay valid.
+            for (i, end) in ends.into_iter().enumerate().rev() {
+                if crlf {
+                    bytes.insert(end - 1, b'\r');
+                } else if i % 2 == 0 {
+                    bytes.insert(end, b'\n');
+                }
+            }
+            assert_same_as_oracle(&bytes, &schema, header);
+            if !bytes.is_empty() {
+                let at = damage_at % bytes.len();
+                bytes[at] = damage;
+                assert_same_as_oracle(&bytes, &schema, header);
+            }
+        }
+
         #[test]
         fn csv_round_trips_arbitrary_tables(
             rows in proptest::collection::vec(

@@ -375,7 +375,7 @@ impl S3SelectEngine {
                 (rows, raw.len() as u64)
             }
             InputFormat::Columnar => {
-                let reader = ColumnarReader::open(Bytes::copy_from_slice(&raw))?;
+                let reader = ColumnarReader::open(raw.clone())?;
                 (reader.read_all()?, raw.len() as u64)
             }
         };
@@ -644,11 +644,11 @@ impl S3SelectEngine {
     /// groups are pruned through chunk min/max statistics.
     fn scan_columnar(
         &self,
-        raw: &[u8],
+        raw: &Bytes,
         schema: &Schema,
         bound: &BoundSelect,
     ) -> Result<(Vec<Row>, u64)> {
-        let reader = ColumnarReader::open(Bytes::copy_from_slice(raw))?;
+        let reader = ColumnarReader::open(raw.clone())?;
         if reader.schema() != schema {
             return Err(Error::SelectRejected(format!(
                 "registered schema {schema} does not match object schema {}",
@@ -681,6 +681,7 @@ impl S3SelectEngine {
             .unwrap_or_default();
 
         let mut exec = Executor::new(bound);
+        let mut scratch = Row::new(vec![Value::Null; schema.len()]);
         let mut scanned: u64 = 0;
         'groups: for g in 0..reader.num_row_groups() {
             // Row-group pruning: skip groups the statistics rule out.
@@ -694,20 +695,19 @@ impl S3SelectEngine {
             for &c in &needed {
                 scanned += reader.chunk_stored_len(g, c);
             }
-            let columns: Vec<Vec<Value>> = needed
+            let mut columns: Vec<Vec<Value>> = needed
                 .iter()
                 .map(|&c| reader.read_column(g, c))
                 .collect::<Result<_>>()?;
             let nrows = reader.row_group(g).row_count as usize;
-            let width = schema.len();
             for i in 0..nrows {
-                // Assemble a sparse row: untouched columns stay NULL; the
-                // executor only dereferences referenced indices.
-                let mut vals = vec![Value::Null; width];
-                for (&c, col) in needed.iter().zip(&columns) {
-                    vals[c] = col[i].clone();
+                // Assemble a sparse row in the one scratch row: untouched
+                // columns stay NULL; the executor only dereferences
+                // referenced indices.
+                for (&c, col) in needed.iter().zip(&mut columns) {
+                    scratch.0[c] = std::mem::replace(&mut col[i], Value::Null);
                 }
-                if exec.feed(&Row::new(vals))? {
+                if exec.feed(&scratch)? {
                     break 'groups;
                 }
             }

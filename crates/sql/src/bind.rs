@@ -52,6 +52,11 @@ pub enum BoundExpr {
     Call {
         func: Func,
         args: Vec<BoundExpr>,
+        /// `SUBSTRING` over a pure-ASCII string literal, where character
+        /// positions are byte positions. Checked once here so that
+        /// probing a Bloom bit string (paper Listing 1) costs the same
+        /// per row whatever the literal's length.
+        ascii_text: bool,
     },
 }
 
@@ -232,12 +237,15 @@ impl<'a> Binder<'a> {
                         func.name()
                     )));
                 }
+                let ascii_text = *func == Func::Substring
+                    && matches!(&args[0], Expr::Literal(Value::Str(s)) if s.is_ascii());
                 BoundExpr::Call {
                     func: *func,
                     args: args
                         .iter()
                         .map(|e| self.bind_expr(e))
                         .collect::<Result<_>>()?,
+                    ascii_text,
                 }
             }
         })

@@ -12,11 +12,14 @@ use std::cmp::Ordering;
 
 /// Evaluate a bound expression against one row.
 pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
+    // Operands are evaluated by reference (see `eval_ref`); a `slot` is
+    // where a computed operand lives while its node looks at it.
     match expr {
         BoundExpr::Literal(v) => Ok(v.clone()),
         BoundExpr::Column(idx, _) => Ok(row[*idx].clone()),
         BoundExpr::Unary { op, expr } => {
-            let v = eval(expr, row)?;
+            let mut slot = Value::Null;
+            let v = eval_ref(expr, row, &mut slot)?;
             match op {
                 UnOp::Neg => match v {
                     Value::Null => Ok(Value::Null),
@@ -41,11 +44,12 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
             high,
             negated,
         } => {
-            let v = eval(expr, row)?;
-            let lo = eval(low, row)?;
-            let hi = eval(high, row)?;
-            let ge_low = compare(&v, &lo).map(|o| o != Ordering::Less);
-            let le_high = compare(&v, &hi).map(|o| o != Ordering::Greater);
+            let (mut slot, mut lo_slot, mut hi_slot) = (Value::Null, Value::Null, Value::Null);
+            let v = eval_ref(expr, row, &mut slot)?;
+            let lo = eval_ref(low, row, &mut lo_slot)?;
+            let hi = eval_ref(high, row, &mut hi_slot)?;
+            let ge_low = compare(v, lo).map(|o| o != Ordering::Less);
+            let le_high = compare(v, hi).map(|o| o != Ordering::Greater);
             let result = kleene_and(ge_low, le_high);
             Ok(maybe_negate(result, *negated))
         }
@@ -54,12 +58,13 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
             list,
             negated,
         } => {
-            let v = eval(expr, row)?;
+            let (mut slot, mut item_slot) = (Value::Null, Value::Null);
+            let v = eval_ref(expr, row, &mut slot)?;
             let mut saw_null = false;
             let mut found = false;
             for item in list {
-                let iv = eval(item, row)?;
-                match v.sql_eq(&iv) {
+                let iv = eval_ref(item, row, &mut item_slot)?;
+                match v.sql_eq(iv) {
                     Some(true) => {
                         found = true;
                         break;
@@ -78,7 +83,8 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
             Ok(maybe_negate(result, *negated))
         }
         BoundExpr::IsNull { expr, negated } => {
-            let v = eval(expr, row)?;
+            let mut slot = Value::Null;
+            let v = eval_ref(expr, row, &mut slot)?;
             Ok(Value::Bool(v.is_null() != *negated))
         }
         BoundExpr::Like {
@@ -86,8 +92,9 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
             pattern,
             negated,
         } => {
-            let v = eval(expr, row)?;
-            let p = eval(pattern, row)?;
+            let (mut slot, mut pattern_slot) = (Value::Null, Value::Null);
+            let v = eval_ref(expr, row, &mut slot)?;
+            let p = eval_ref(pattern, row, &mut pattern_slot)?;
             if v.is_null() || p.is_null() {
                 return Ok(Value::Null);
             }
@@ -98,8 +105,9 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
             branches,
             else_expr,
         } => {
+            let mut slot = Value::Null;
             for (cond, val) in branches {
-                if eval(cond, row)?.as_bool()? == Some(true) {
+                if eval_ref(cond, row, &mut slot)?.as_bool()? == Some(true) {
                     return eval(val, row);
                 }
             }
@@ -108,43 +116,67 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
                 None => Ok(Value::Null),
             }
         }
-        BoundExpr::Cast { expr, dtype } => eval(expr, row)?.cast(*dtype),
-        BoundExpr::Call { func, args } => eval_call(*func, args, row),
+        BoundExpr::Cast { expr, dtype } => {
+            let mut slot = Value::Null;
+            eval_ref(expr, row, &mut slot)?.cast(*dtype)
+        }
+        BoundExpr::Call {
+            func,
+            args,
+            ascii_text,
+        } => eval_call(*func, args, *ascii_text, row),
     }
 }
 
 /// Evaluate a predicate expression to a plain pass/fail decision
 /// (`NULL` ⇒ the row does not pass, as in SQL `WHERE`).
 pub fn eval_predicate(expr: &BoundExpr, row: &Row) -> Result<bool> {
-    Ok(eval(expr, row)?.as_bool()? == Some(true))
+    let mut slot = Value::Null;
+    Ok(eval_ref(expr, row, &mut slot)?.as_bool()? == Some(true))
+}
+
+/// Evaluate `expr` as an operand: a literal or a column reference is
+/// handed back by reference — a predicate over a multi-KB Bloom literal
+/// or a string column copies neither — and anything computed is put in
+/// the caller's `slot`.
+fn eval_ref<'a>(expr: &'a BoundExpr, row: &'a Row, slot: &'a mut Value) -> Result<&'a Value> {
+    match expr {
+        BoundExpr::Literal(v) => Ok(v),
+        BoundExpr::Column(idx, _) => Ok(&row[*idx]),
+        computed => {
+            *slot = eval(computed, row)?;
+            Ok(slot)
+        }
+    }
 }
 
 fn eval_binary(left: &BoundExpr, op: BinOp, right: &BoundExpr, row: &Row) -> Result<Value> {
+    let (mut lslot, mut rslot) = (Value::Null, Value::Null);
     // AND/OR need Kleene short-circuit semantics, handled first.
     match op {
         BinOp::And => {
-            let l = eval(left, row)?.as_bool()?;
+            let l = eval_ref(left, row, &mut lslot)?.as_bool()?;
             if l == Some(false) {
                 return Ok(Value::Bool(false));
             }
-            let r = eval(right, row)?.as_bool()?;
+            let r = eval_ref(right, row, &mut rslot)?.as_bool()?;
             return Ok(tristate(kleene_and(l, r)));
         }
         BinOp::Or => {
-            let l = eval(left, row)?.as_bool()?;
+            let l = eval_ref(left, row, &mut lslot)?.as_bool()?;
             if l == Some(true) {
                 return Ok(Value::Bool(true));
             }
-            let r = eval(right, row)?.as_bool()?;
+            let r = eval_ref(right, row, &mut rslot)?.as_bool()?;
             return Ok(tristate(kleene_or(l, r)));
         }
         _ => {}
     }
 
-    let l = eval(left, row)?;
-    let r = eval(right, row)?;
+    let l = eval_ref(left, row, &mut lslot)?;
+    let r = eval_ref(right, row, &mut rslot)?;
     if op.is_comparison() {
-        let result = compare(&l, &r).map(|ord| match op {
+        let result = compare(l, r).map(|ord| match op {
             BinOp::Eq => ord == Ordering::Equal,
             BinOp::NotEq => ord != Ordering::Equal,
             BinOp::Lt => ord == Ordering::Less,
@@ -160,7 +192,7 @@ fn eval_binary(left: &BoundExpr, op: BinOp, right: &BoundExpr, row: &Row) -> Res
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
-    arith(&l, op, &r)
+    arith(l, op, r)
 }
 
 /// SQL comparison. Returns `None` if either side is NULL. Incomparable
@@ -219,9 +251,15 @@ fn arith(l: &Value, op: BinOp, r: &Value) -> Result<Value> {
     Ok(Value::Float(out))
 }
 
-fn eval_call(func: Func, args: &[BoundExpr], row: &Row) -> Result<Value> {
-    let vals: Vec<Value> = args.iter().map(|a| eval(a, row)).collect::<Result<_>>()?;
-    if vals.iter().any(Value::is_null) {
+fn eval_call(func: Func, args: &[BoundExpr], ascii_text: bool, row: &Row) -> Result<Value> {
+    // The binder caps every function at three arguments.
+    let mut slots = [Value::Null, Value::Null, Value::Null];
+    let mut vals = [&Value::Null; 3];
+    for ((val, slot), arg) in vals.iter_mut().zip(&mut slots).zip(args) {
+        *val = eval_ref(arg, row, slot)?;
+    }
+    let vals = &vals[..args.len()];
+    if vals.iter().any(|v| v.is_null()) {
         return Ok(Value::Null);
     }
     match func {
@@ -237,7 +275,7 @@ fn eval_call(func: Func, args: &[BoundExpr], row: &Row) -> Result<Value> {
             } else {
                 None
             };
-            Ok(Value::Str(substring(s, start, len)))
+            Ok(Value::Str(substring(s, start, len, ascii_text).to_string()))
         }
         Func::BitAt => {
             let hex = vals[0].as_str()?;
@@ -262,7 +300,7 @@ fn eval_call(func: Func, args: &[BoundExpr], row: &Row) -> Result<Value> {
         Func::Upper => Ok(Value::Str(vals[0].as_str()?.to_uppercase())),
         Func::Trim => Ok(Value::Str(vals[0].as_str()?.trim().to_string())),
         Func::CharLength => Ok(Value::Int(vals[0].as_str()?.chars().count() as i64)),
-        Func::Abs => match &vals[0] {
+        Func::Abs => match vals[0] {
             Value::Int(i) => {
                 Ok(Value::Int(i.checked_abs().ok_or_else(|| {
                     Error::Eval("integer overflow in ABS".into())
@@ -274,49 +312,70 @@ fn eval_call(func: Func, args: &[BoundExpr], row: &Row) -> Result<Value> {
     }
 }
 
-/// SQL `SUBSTRING(s, start [, len])` with 1-based indexing. A start before
-/// position 1 consumes length before the string begins (standard SQL).
-fn substring(s: &str, start: i64, len: Option<i64>) -> String {
-    let chars: Vec<char> = s.chars().collect();
-    let n = chars.len() as i64;
-    let (from, to) = match len {
-        Some(l) => (start, start.saturating_add(l)),
-        None => (start, n + 1),
-    };
-    let from = from.max(1);
-    let to = to.clamp(1, n + 1);
-    if from >= to {
-        return String::new();
+/// SQL `SUBSTRING(s, start [, len])` with 1-based **character** indexing.
+/// A start before position 1 consumes length before the string begins
+/// (standard SQL). `ascii` promises `s` is pure ASCII, where character
+/// positions are byte positions and no walk over `s` is needed.
+fn substring(s: &str, start: i64, len: Option<i64>, ascii: bool) -> &str {
+    // Half-open range of 0-based character indices; either end may lie
+    // past the string.
+    let index = |pos: i64| usize::try_from(pos.max(1) - 1).unwrap_or(usize::MAX);
+    let from = index(start);
+    let to = len.map(|l| index(start.saturating_add(l)));
+    if to.is_some_and(|to| from >= to) {
+        return "";
     }
-    chars[(from - 1) as usize..(to - 1) as usize]
-        .iter()
-        .collect()
+    if ascii {
+        let from = from.min(s.len());
+        return &s[from..to.map_or(s.len(), |to| to.min(s.len()))];
+    }
+    let mut chars = s.char_indices();
+    let byte_at = |chars: &mut std::str::CharIndices<'_>, skip: usize| {
+        chars.nth(skip).map_or(s.len(), |(i, _)| i)
+    };
+    let from_byte = byte_at(&mut chars, from);
+    // `nth` consumed the char at `from`, so `to` is `to - from - 1` ahead.
+    let to_byte = to.map_or(s.len(), |to| byte_at(&mut chars, to - from - 1));
+    &s[from_byte..to_byte]
 }
 
 /// SQL LIKE: `%` matches any run (including empty), `_` matches exactly one
-/// character. Implemented with the classic two-pointer glob algorithm.
+/// character. The classic two-pointer glob algorithm, run over the UTF-8
+/// bytes: `%` and `_` are ASCII, equal characters have equal bytes, and
+/// `_` and the backtrack step advance by one whole character, so the
+/// outcome is the character-wise one without decoding either string.
 pub fn like_match(text: &str, pattern: &str) -> bool {
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
+    let (t, p) = (text.as_bytes(), pattern.as_bytes());
+    // Index of the character after the one starting at `i`.
+    let next_char = |i: usize| {
+        let mut j = i + 1;
+        while j < t.len() && t[j] & 0xC0 == 0x80 {
+            j += 1;
+        }
+        j
+    };
     let (mut ti, mut pi) = (0usize, 0usize);
     let (mut star_p, mut star_t) = (usize::MAX, 0usize);
     while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
+        if pi < p.len() && p[pi] == b'_' {
+            ti = next_char(ti);
+            pi += 1;
+        } else if pi < p.len() && p[pi] == t[ti] {
             ti += 1;
             pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
+        } else if pi < p.len() && p[pi] == b'%' {
             star_p = pi;
             star_t = ti;
             pi += 1;
         } else if star_p != usize::MAX {
             pi = star_p + 1;
-            star_t += 1;
+            star_t = next_char(star_t);
             ti = star_t;
         } else {
             return false;
         }
     }
-    while pi < p.len() && p[pi] == '%' {
+    while pi < p.len() && p[pi] == b'%' {
         pi += 1;
     }
     pi == p.len()
@@ -489,6 +548,50 @@ mod tests {
     }
 
     #[test]
+    fn string_functions_count_characters_not_bytes() {
+        // é is two bytes, ☃ three: byte and character positions differ.
+        assert_eq!(
+            run("SUBSTRING('héllo☃', 2, 3)").unwrap(),
+            Value::Str("éll".into())
+        );
+        assert_eq!(
+            run("SUBSTRING('héllo☃', 6)").unwrap(),
+            Value::Str("☃".into())
+        );
+        assert_eq!(
+            run("SUBSTRING('héllo☃', 0, 3)").unwrap(),
+            Value::Str("hé".into())
+        );
+        assert_eq!(
+            run("SUBSTRING('héllo☃', -1, 4)").unwrap(),
+            Value::Str("hé".into())
+        );
+        assert_eq!(run("SUBSTRING('☃', 2, 1)").unwrap(), Value::Str("".into()));
+        assert_eq!(run("CHAR_LENGTH('héllo☃')").unwrap(), Value::Int(6));
+        assert_eq!(run("'héllo☃' LIKE 'h_llo_'").unwrap(), Value::Bool(true));
+        assert_eq!(run("'héllo☃' LIKE '%é%☃'").unwrap(), Value::Bool(true));
+        assert!(like_match("é", "_"));
+        assert!(!like_match("é", "__"));
+        assert!(!like_match("é", "è")); // same lead byte, other tail
+        assert!(like_match("aéb", "%éb"));
+        assert!(!like_match("a☃", "%é"));
+    }
+
+    #[test]
+    fn ascii_literals_are_flagged_at_bind_time() {
+        let s = schema();
+        let bind = |src: &str| Binder::new(&s).bind_expr(&parse_expr(src).unwrap());
+        let flag = |src: &str| match bind(src).unwrap() {
+            BoundExpr::Call { ascii_text, .. } => ascii_text,
+            other => panic!("not a call: {other:?}"),
+        };
+        assert!(flag("SUBSTRING('10010110', i, 1)"));
+        assert!(!flag("SUBSTRING('1001é110', i, 1)"));
+        assert!(!flag("SUBSTRING(s, i, 1)")); // a column's text is not known
+        assert!(!flag("UPPER('abc')"));
+    }
+
+    #[test]
     fn bloom_probe_expression_shape() {
         // The exact shape from paper Listing 1, small scale: bit array of
         // length 8, hash ((3*x + 1) % 11) % 8 + 1.
@@ -533,5 +636,91 @@ mod tests {
     fn overflow_errors() {
         assert!(run(&format!("{} + 1", i64::MAX)).is_err());
         assert!(run(&format!("{} * 2", i64::MAX)).is_err());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// `SUBSTRING` as it was: the string collected into a `Vec<char>`.
+    fn substring_oracle(s: &str, start: i64, len: Option<i64>) -> String {
+        let chars: Vec<char> = s.chars().collect();
+        let n = chars.len() as i64;
+        let (from, to) = match len {
+            Some(l) => (start, start.saturating_add(l)),
+            None => (start, n + 1),
+        };
+        let from = from.max(1);
+        let to = to.clamp(1, n + 1);
+        if from >= to {
+            return String::new();
+        }
+        chars[(from - 1) as usize..(to - 1) as usize]
+            .iter()
+            .collect()
+    }
+
+    /// `LIKE` as it was: both strings collected into `Vec<char>`s.
+    fn like_oracle(text: &str, pattern: &str) -> bool {
+        let t: Vec<char> = text.chars().collect();
+        let p: Vec<char> = pattern.chars().collect();
+        let (mut ti, mut pi) = (0usize, 0usize);
+        let (mut star_p, mut star_t) = (usize::MAX, 0usize);
+        while ti < t.len() {
+            if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
+                ti += 1;
+                pi += 1;
+            } else if pi < p.len() && p[pi] == '%' {
+                star_p = pi;
+                star_t = ti;
+                pi += 1;
+            } else if star_p != usize::MAX {
+                pi = star_p + 1;
+                star_t += 1;
+                ti = star_t;
+            } else {
+                return false;
+            }
+        }
+        while pi < p.len() && p[pi] == '%' {
+            pi += 1;
+        }
+        pi == p.len()
+    }
+
+    fn arb_len() -> impl Strategy<Value = Option<i64>> {
+        prop_oneof![Just(None), (0i64..12).prop_map(Some), Just(Some(i64::MAX)),]
+    }
+
+    proptest! {
+        /// Slicing by walked character offsets — or by byte offsets when
+        /// the text is ASCII — gives what indexing a `Vec<char>` gave.
+        #[test]
+        fn substring_matches_char_vector_oracle(
+            s in "[abé☃𝄞]{0,10}",
+            start in prop_oneof![-4i64..14, Just(i64::MIN), Just(i64::MAX)],
+            len in arb_len(),
+        ) {
+            prop_assert_eq!(substring(&s, start, len, false), substring_oracle(&s, start, len));
+            let ascii: String = s.chars().filter(char::is_ascii).collect();
+            for flag in [false, true] {
+                prop_assert_eq!(
+                    substring(&ascii, start, len, flag),
+                    substring_oracle(&ascii, start, len)
+                );
+            }
+        }
+
+        /// Matching UTF-8 bytes gives what matching chars gave, wildcards
+        /// next to multi-byte characters included.
+        #[test]
+        fn like_matches_char_vector_oracle(
+            text in "[abé☃è%_]{0,8}",
+            pattern in "[abé☃è%%__]{0,6}",
+        ) {
+            prop_assert_eq!(like_match(&text, &pattern), like_oracle(&text, &pattern));
+        }
     }
 }

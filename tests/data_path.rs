@@ -1,0 +1,266 @@
+//! The CSV and Select data path against its references: damaged CSV
+//! objects never panic the reader, the Bloom probe SQL run by the Select
+//! engine agrees with the filter it was rendered from, and load-time
+//! table statistics equal the ones the rendering-based pass computed.
+
+use proptest::prelude::*;
+use pushdowndb::bloom::BloomFilter;
+use pushdowndb::common::{DataType, Row, Schema, Value};
+use pushdowndb::core::catalog::{ColumnStats, TableStats};
+use pushdowndb::format::csv::{decode_csv, encode_csv};
+use pushdowndb::s3::S3Store;
+use pushdowndb::select::{EngineExtensions, InputFormat, S3SelectEngine};
+use pushdowndb::tpch::TpchGen;
+use std::collections::HashSet;
+use std::sync::OnceLock;
+
+/// `customer`, `orders` and `lineitem` at a scale where a partition of
+/// 150 rows is a few KB to ~20 KB of CSV. Generated once for all cases.
+fn tpch_tables() -> &'static [(Schema, Vec<Row>)] {
+    static TABLES: OnceLock<Vec<(Schema, Vec<Row>)>> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let g = TpchGen::new(0.001);
+        let orders = g.orders();
+        let lineitems = g.lineitems(&orders.1);
+        vec![g.customers(), orders, lineitems]
+    })
+}
+
+/// Every value is NULL or of its column's declared type.
+fn well_typed(schema: &Schema, row: &Row) -> bool {
+    row.len() == schema.len()
+        && row
+            .values()
+            .iter()
+            .enumerate()
+            .all(|(i, v)| v.is_null() || v.data_type() == Some(schema.dtype_of(i)))
+}
+
+/// Index of the record (header = record 0) that holds byte `at`. TPC-H
+/// text has no quoted newlines, so records are lines.
+fn record_of(bytes: &[u8], at: usize) -> usize {
+    bytes[..at].iter().filter(|&&b| b == b'\n').count()
+}
+
+/// CSV carries no checksum, so damage can yield other, valid-looking
+/// values. What must hold: no panic; an error or rows that are well typed;
+/// and the records wholly before the damage decode to what they were.
+fn check_damaged(schema: &Schema, original: &[Row], damaged: &[u8], intact_records: usize) {
+    let Ok(rows) = decode_csv(damaged, schema) else {
+        return;
+    };
+    assert!(rows.iter().all(|r| well_typed(schema, r)));
+    // Record 0 is the header: `intact_records - 1` data rows precede it.
+    let intact_rows = intact_records.saturating_sub(1).min(original.len());
+    assert!(rows.len() >= intact_rows);
+    assert_eq!(&rows[..intact_rows], &original[..intact_rows]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// ROADMAP E-1 for CSV: byte flips, truncations and splices of encoded
+    /// TPC-H partitions give `Err` or sane rows, never a panic.
+    #[test]
+    fn damaged_tpch_partitions_never_panic(
+        table in 0usize..3,
+        partition in 0usize..4,
+        at in any::<usize>(),
+        flip in 1u8..=255,
+        splice_from in any::<usize>(),
+    ) {
+        let (schema, rows) = &tpch_tables()[table];
+        let chunks: Vec<&[Row]> = rows.chunks(150).collect();
+        let original = chunks[partition % chunks.len()];
+        let bytes = encode_csv(schema, original);
+        prop_assert_eq!(&decode_csv(&bytes, schema).unwrap(), original);
+        let at = at % bytes.len();
+
+        let mut flipped = bytes.clone();
+        flipped[at] ^= flip;
+        check_damaged(schema, original, &flipped, record_of(&bytes, at));
+
+        check_damaged(schema, original, &bytes[..at], record_of(&bytes, at));
+
+        // The head of this partition glued to the tail of another one.
+        let other = encode_csv(schema, chunks[(partition + 1) % chunks.len()]);
+        let mut spliced = bytes[..at].to_vec();
+        spliced.extend_from_slice(&other[splice_from % other.len()..]);
+        check_damaged(schema, original, &spliced, record_of(&bytes, at));
+    }
+
+    /// The probe predicate of paper Listing 1 (`SUBSTRING` over the
+    /// `'0'/'1'` string) and its `BIT_AT` variant, rendered to SQL text and
+    /// run by the Select engine, keep exactly the keys
+    /// `BloomFilter::contains` keeps — keys that were never inserted
+    /// (true negatives and false positives alike) included.
+    #[test]
+    fn bloom_sql_through_select_agrees_with_contains(
+        build in proptest::collection::vec(0i64..100_000, 1..120),
+        probe in proptest::collection::vec(0i64..100_000, 0..200),
+        fpr in prop_oneof![Just(0.3), Just(0.05), Just(0.01)],
+        seed in any::<u64>(),
+    ) {
+        let mut filter = BloomFilter::with_rate(build.len(), fpr, seed);
+        for &key in &build {
+            filter.insert(key);
+        }
+        // Probe every build key too, so both outcomes occur.
+        let keys: Vec<i64> = probe.iter().chain(&build).copied().collect();
+        let want: Vec<Row> = keys
+            .iter()
+            .filter(|&&k| filter.contains(k))
+            .map(|&k| Row::new(vec![Value::Int(k)]))
+            .collect();
+        prop_assert!(want.len() >= build.len(), "no false negatives");
+
+        let schema = Schema::from_pairs(&[("k", DataType::Int)]);
+        let rows: Vec<Row> = keys.iter().map(|&k| Row::new(vec![Value::Int(k)])).collect();
+        let store = S3Store::new();
+        store.put_object("b", "keys.csv", encode_csv(&schema, &rows));
+        let engine = S3SelectEngine::new(store).with_extensions(EngineExtensions {
+            bitwise: true,
+            ..Default::default()
+        });
+        for pred in [filter.sql_predicate("k"), filter.sql_predicate_binary("k")] {
+            let sql = format!("SELECT k FROM S3Object WHERE {pred}");
+            let got = engine
+                .select("b", "keys.csv", &sql, &schema, InputFormat::Csv)
+                .unwrap()
+                .rows()
+                .unwrap();
+            prop_assert_eq!(&got, &want);
+        }
+    }
+}
+
+/// `TableStats::from_rows` as it was: every value of every column rendered
+/// with `to_csv_field`, distinct values counted as distinct strings.
+fn table_stats_oracle(schema: &Schema, rows: &[Row]) -> TableStats {
+    let n = rows.len() as u64;
+    let columns = (0..schema.len())
+        .map(|c| {
+            let mut min = Value::Null;
+            let mut max = Value::Null;
+            let mut nulls = 0u64;
+            let mut width = 0usize;
+            let mut distinct: HashSet<String> = HashSet::new();
+            for r in rows {
+                let v = &r[c];
+                let field = v.to_csv_field();
+                width += field.len();
+                if v.is_null() {
+                    nulls += 1;
+                    continue;
+                }
+                distinct.insert(field);
+                if min.is_null() || v.total_cmp(&min) == std::cmp::Ordering::Less {
+                    min = v.clone();
+                }
+                if max.is_null() || v.total_cmp(&max) == std::cmp::Ordering::Greater {
+                    max = v.clone();
+                }
+            }
+            ColumnStats {
+                min,
+                max,
+                ndv: distinct.len() as u64,
+                null_fraction: if n == 0 { 0.0 } else { nulls as f64 / n as f64 },
+                avg_width: if n == 0 { 0.0 } else { width as f64 / n as f64 },
+            }
+        })
+        .collect();
+    TableStats {
+        row_count: n,
+        sample_rows: n,
+        columns,
+    }
+}
+
+/// Exact equality, floats by bit pattern and min/max by variant (the
+/// derived `PartialEq` would let `Int(1)` pass for `Float(1.0)`).
+fn assert_stats_identical(got: &TableStats, want: &TableStats) {
+    assert_eq!(got.row_count, want.row_count);
+    assert_eq!(got.sample_rows, want.sample_rows);
+    assert_eq!(got.columns.len(), want.columns.len());
+    for (i, (g, w)) in got.columns.iter().zip(&want.columns).enumerate() {
+        assert_eq!(g.ndv, w.ndv, "column {i} ndv");
+        assert_eq!(format!("{:?}", g.min), format!("{:?}", w.min), "column {i}");
+        assert_eq!(format!("{:?}", g.max), format!("{:?}", w.max), "column {i}");
+        assert_eq!(g.null_fraction.to_bits(), w.null_fraction.to_bits());
+        assert_eq!(g.avg_width.to_bits(), w.avg_width.to_bits());
+    }
+}
+
+#[test]
+fn table_stats_equal_the_rendering_oracle_on_every_tpch_table() {
+    let g = TpchGen::new(0.002);
+    let orders = g.orders();
+    let lineitems = g.lineitems(&orders.1);
+    let tables = [
+        g.customers(),
+        orders,
+        lineitems,
+        g.parts(),
+        g.suppliers(),
+        g.partsupps(),
+        g.nations(),
+        g.regions(),
+    ];
+    for (schema, rows) in &tables {
+        assert!(!rows.is_empty());
+        assert_stats_identical(
+            &TableStats::from_rows(schema, rows),
+            &table_stats_oracle(schema, rows),
+        );
+    }
+}
+
+/// A value for a column of any declared type: NULL-heavy, and with
+/// entries of the wrong type whose CSV text can collide with a rightly
+/// typed one (`Int(7)` / `Str("7")` / `Float(7.0)` vs `Str("7.0")`, a
+/// date and its ISO text, `true` and `"true"`).
+fn arb_mixed_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        4 => Just(Value::Null),
+        2 => (0i64..12).prop_map(Value::Int),
+        2 => (0i64..12).prop_map(|i| Value::Str(i.to_string())),
+        2 => (0i64..12).prop_map(|i| Value::Float(i as f64)),
+        1 => (0i64..12).prop_map(|i| Value::Str(format!("{i}.0"))),
+        1 => (0i64..12).prop_map(|i| Value::Float(i as f64 / 4.0)),
+        1 => prop_oneof![Just(f64::NAN), Just(-f64::NAN), Just(-0.0), Just(1e15), Just(f64::INFINITY)]
+            .prop_map(Value::Float),
+        1 => Just(Value::Int(1_000_000_000_000_000)),
+        1 => (8000i32..8004).prop_map(Value::Date),
+        1 => (8000i32..8004).prop_map(|d| Value::Str(Value::Date(d).to_csv_field())),
+        1 => any::<bool>().prop_map(Value::Bool),
+        1 => any::<bool>().prop_map(|b| Value::Str(b.to_string())),
+        1 => "[a-b]{0,2}".prop_map(Value::Str),
+    ]
+}
+
+proptest! {
+    /// Typed distinct sets count what distinct rendered strings counted,
+    /// on NULL-heavy columns that mix types.
+    #[test]
+    fn table_stats_equal_the_rendering_oracle_on_mixed_columns(
+        rows in proptest::collection::vec(
+            (arb_mixed_value(), arb_mixed_value(), arb_mixed_value()),
+            0..60,
+        ),
+    ) {
+        let schema = Schema::from_pairs(&[
+            ("a", DataType::Int),
+            ("b", DataType::Str),
+            ("c", DataType::Float),
+        ]);
+        let rows: Vec<Row> = rows
+            .into_iter()
+            .map(|(a, b, c)| Row::new(vec![a, b, c]))
+            .collect();
+        assert_stats_identical(
+            &TableStats::from_rows(&schema, &rows),
+            &table_stats_oracle(&schema, &rows),
+        );
+    }
+}
