@@ -6,8 +6,10 @@
 //! new constant off these numbers.
 //!
 //!
-//! The run ends with a gate on the Bloom probe (see [`bloom_probe_gate`]):
-//! two time *ratios* measured within this one run, never a raw time.
+//! The run ends with two gates, each on time *ratios* measured within
+//! this one run, never on a raw time: the Bloom probe (see
+//! [`bloom_probe_gate`]) and the local scan's hand-off cost (see
+//! [`filter_discard_gate`]).
 //!
 //! Run with `cargo bench --bench kernels -p pushdown-bench`.
 
@@ -15,14 +17,16 @@ use criterion::{criterion_group, BatchSize, Criterion, Throughput};
 use pushdown_bloom::BloomFilter;
 use pushdown_common::columnar::ColumnarBatch;
 use pushdown_common::{DataType, Row, Schema, Value};
-use pushdown_core::ops;
+use pushdown_core::scan::{scan, ScanFragment, ScanSource};
+use pushdown_core::{ops, upload_csv_table, QueryContext, Table};
 use pushdown_format::columnar::{encode_columnar, ColumnarReader, WriterOptions};
 use pushdown_format::csv::{decode_csv, encode_csv};
 use pushdown_s3::S3Store;
 use pushdown_select::{InputFormat, S3SelectEngine};
 use pushdown_sql::agg::AggFunc;
-use pushdown_sql::bind::Binder;
+use pushdown_sql::bind::{Binder, BoundExpr};
 use pushdown_sql::parse_expr;
+use pushdown_tpch::TpchGen;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -213,6 +217,108 @@ fn bloom_probe_gate() -> Result<(), String> {
     Ok(())
 }
 
+/// The local scan under a selective filter — `lineitem` as CSV (TPC-H
+/// SF 0.01, 1 500 rows per partition), `l_shipdate < 1993-01-01` keeping
+/// about one row in nine — two ways: a single-threaded *replay* (GET,
+/// `decode_csv`, `filter_rows`, one partition after the other; no pool,
+/// no queues) and the fused [`scan`], whose workers run the same filter
+/// on the rows they decode and ship only survivors.
+struct FilterDiscard {
+    ctx: QueryContext,
+    table: Table,
+    pred: BoundExpr,
+    rows: u64,
+}
+
+impl FilterDiscard {
+    fn new() -> Self {
+        let gen = TpchGen::new(0.01);
+        let orders = gen.orders();
+        let (schema, rows) = gen.lineitems(&orders.1);
+        let store = S3Store::new();
+        let table = upload_csv_table(&store, "b", "lineitem", &schema, &rows, 1500).unwrap();
+        let pred = Binder::new(&schema)
+            .bind_expr(&parse_expr("l_shipdate < DATE '1993-01-01'").unwrap())
+            .unwrap();
+        FilterDiscard {
+            ctx: QueryContext::new(store),
+            table,
+            pred,
+            rows: rows.len() as u64,
+        }
+    }
+
+    fn replay(&self) -> usize {
+        let store = self.ctx.store.scoped();
+        let mut stats = Default::default();
+        let mut kept = 0;
+        for key in self.table.partitions(&store) {
+            let data = store.get_object(&self.table.bucket, &key).unwrap();
+            let rows = decode_csv(&data, &self.table.schema).unwrap();
+            kept += ops::filter_rows(rows, &self.pred, &mut stats)
+                .unwrap()
+                .len();
+        }
+        kept
+    }
+
+    fn fused(&self, scan_threads: usize) -> usize {
+        let mut ctx = self.ctx.scoped();
+        ctx.scan_threads = scan_threads;
+        let fragment = ScanFragment::new(&self.table, Some(self.pred.clone()), None);
+        let mut kept = 0;
+        scan(&ctx, &self.table, ScanSource::Plain, &fragment, |batch| {
+            kept += batch.len();
+            Ok(())
+        })
+        .unwrap();
+        kept
+    }
+}
+
+fn bench_filter_discard(c: &mut Criterion) {
+    let probe = FilterDiscard::new();
+    assert_eq!(probe.replay(), probe.fused(2));
+    let mut g = c.benchmark_group("scan/filter_discard");
+    g.throughput(Throughput::Elements(probe.rows));
+    g.bench_function("replay_1_thread", |b| b.iter(|| probe.replay()));
+    g.bench_function("fused_scan_1_thread", |b| b.iter(|| probe.fused(1)));
+    g.bench_function("fused_scan_2_threads", |b| b.iter(|| probe.fused(2)));
+    g.finish();
+}
+
+/// Fails the run unless the fused scan on one worker thread takes at
+/// most 2× the single-threaded replay of the same bytes: what the pool
+/// and the partition queues add must stay small beside decode + filter.
+/// (With the filter on the consumer side of the queues the ratio was
+/// ~7.) Interleaved rounds, fastest round of each, as in
+/// [`bloom_probe_gate`].
+fn filter_discard_gate() -> Result<(), String> {
+    const ROUNDS: usize = 7;
+    let probe = FilterDiscard::new();
+    let mut best = [f64::MAX; 2];
+    for _ in 0..ROUNDS {
+        let start = Instant::now();
+        black_box(probe.replay());
+        best[0] = best[0].min(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        black_box(probe.fused(1));
+        best[1] = best[1].min(start.elapsed().as_secs_f64());
+    }
+    let ratio = best[1] / best[0];
+    println!(
+        "scan/filter_discard gate: fused scan on one thread takes {ratio:.2}x the \
+         single-threaded replay (must be <= 2)"
+    );
+    if ratio > 2.0 {
+        return Err(format!(
+            "the fused scan on one thread takes {ratio:.2}x a plain decode + filter of the \
+             same partitions: the scan pipeline's hand-off is costing more than the work"
+        ));
+    }
+    Ok(())
+}
+
 /// Predicate filter over 20k rows: vectorized selection-vector kernel vs
 /// the row evaluator. Both charge identical CPU units; only wall-clock
 /// differs.
@@ -341,6 +447,7 @@ criterion_group!(
     kernels,
     bench_decode,
     bench_bloom_probe,
+    bench_filter_discard,
     bench_filter,
     bench_aggregate,
     bench_groupby,
@@ -349,8 +456,10 @@ criterion_group!(
 
 fn main() {
     kernels();
-    if let Err(why) = bloom_probe_gate() {
-        eprintln!("kernels: {why}");
-        std::process::exit(1);
+    for gate in [bloom_probe_gate, filter_discard_gate] {
+        if let Err(why) = gate() {
+            eprintln!("kernels: {why}");
+            std::process::exit(1);
+        }
     }
 }

@@ -23,7 +23,7 @@
 
 use pushdown_common::mix::{fnv1a, splitmix64};
 use pushdown_common::pricing::Usage;
-use pushdown_common::Result;
+use pushdown_common::{Error, Result};
 use pushdown_core::planner::{execute_sql, Strategy};
 use pushdown_core::{NodeSnapshot, QueryContext, QueryOutput};
 use pushdown_tpch::{planner_suite, PlannerQuery, TpchTables};
@@ -365,10 +365,11 @@ pub fn run_stream(
     let wall_s = started.elapsed().as_secs_f64();
     let per_query: Vec<QueryReport> = slots
         .into_inner()
-        .unwrap()
+        .map_err(|_| Error::Other("a client thread panicked while recording its report".into()))?
         .into_iter()
-        .map(|r| r.expect("every stream slot filled"))
-        .collect();
+        .enumerate()
+        .map(|(i, r)| r.ok_or_else(|| Error::Other(format!("stream slot {i} was never filled"))))
+        .collect::<Result<_>>()?;
     let mut sum_billed = Usage::default();
     let mut total_dollars = 0.0;
     let mut failed = 0;

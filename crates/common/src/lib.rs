@@ -25,7 +25,8 @@
 //! * [`perf`] — the deterministic analytical performance model that maps
 //!   ledger quantities to simulated elapsed seconds (the paper's testbed —
 //!   an r4.8xlarge behind a 10 GigE link — is not available, so elapsed
-//!   time is modeled rather than measured; see `DESIGN.md` §5).
+//!   time is modeled rather than measured; see the README's
+//!   "Performance model calibration" section).
 //! * [`error`] — the shared error type.
 //! * [`tmp`] — self-cleaning temp directories for the persistent-cache
 //!   test and bench suites (no `tempfile` crate offline).

@@ -78,7 +78,7 @@ pub struct Usage {
 impl Usage {
     /// Scale all byte/request quantities by a factor — used to project
     /// results measured at a small TPC-H scale factor to the paper's SF 10
-    /// (every quantity is linear in table size; see DESIGN.md §2).
+    /// (every quantity is linear in table size).
     ///
     /// Each field is rounded to integer units exactly **once**, so scaling
     /// is *not* distributive over addition: `scaled(a) + scaled(b)` may

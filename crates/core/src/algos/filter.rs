@@ -16,7 +16,7 @@ use crate::index::IndexTable;
 use crate::metrics::QueryMetrics;
 use crate::ops;
 use crate::output::QueryOutput;
-use crate::scan::{plain_scan_columnar_streamed, plain_scan_streamed, select_scan};
+use crate::scan::{scan_rows, select_scan, ScanFragment, ScanSource};
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Row, Schema};
 use pushdown_format::csv::split_line;
@@ -64,66 +64,30 @@ impl FilterQuery {
     }
 }
 
-/// Server-side filter: full load, local predicate — streamed. Each scan
-/// batch is filtered (and projected) as it arrives, so only the matches
-/// are ever resident.
+/// Server-side filter: full load, local predicate — streamed. The scan
+/// workers filter (and project) each batch as they decode it, so only
+/// the matches are ever resident.
 pub fn server_side(ctx: &QueryContext, q: &FilterQuery) -> Result<QueryOutput> {
     let ctx = &ctx.scoped();
     let pred = Binder::new(&q.table.schema).bind_expr(&q.predicate)?;
-    let proj_idx = match &q.projection {
-        None => None,
+    let fragment = match &q.projection {
+        None => ScanFragment::new(&q.table, Some(pred), None),
         Some(cols) => {
             let idx: Result<Vec<usize>> = cols.iter().map(|c| q.table.schema.resolve(c)).collect();
-            Some(idx?)
+            ScanFragment::columns(&q.table, Some(pred), &idx?)
         }
     };
-    let mut op_stats = PhaseStats::default();
-    let mut rows = Vec::new();
-    let summary = if ctx.columnar_exec && q.table.format == pushdown_select::InputFormat::Columnar {
-        let compiled = ops::compile_predicate(&pred);
-        plain_scan_columnar_streamed(ctx, &q.table, |batch| {
-            let sel = match &compiled {
-                Some(p) => ops::filter_columnar(&batch, p, &mut op_stats),
-                None => ops::filter_columnar_fallback(&batch, &pred, &mut op_stats)?,
-            };
-            match &proj_idx {
-                // Late materialization straight into the projected shape:
-                // only the selected rows of the projected columns are
-                // ever built. Charged like `project_rows` on the kept set.
-                Some(idx) => {
-                    op_stats.server_cpu_units += sel.len() as u64;
-                    rows.extend(sel.iter().map(|&i| {
-                        Row::new(
-                            idx.iter()
-                                .map(|&c| batch.column(c).value_at(i as usize))
-                                .collect(),
-                        )
-                    }));
-                }
-                None => rows.extend(batch.gather(&sel)),
-            }
-            Ok(())
-        })?
-    } else {
-        plain_scan_streamed(ctx, &q.table, |batch| {
-            let kept = ops::filter_rows(batch.rows, &pred, &mut op_stats)?;
-            match &proj_idx {
-                Some(idx) => rows.extend(ops::project_rows(kept, idx, &mut op_stats)),
-                None => rows.extend(kept),
-            }
-            Ok(())
-        })?
-    };
-    let schema = match &proj_idx {
-        None => q.table.schema.clone(),
-        Some(idx) => q.table.schema.project(idx),
-    };
+    let (rows, summary) = scan_rows(ctx, &q.table, ScanSource::Plain, &fragment)?;
     let mut stats = summary.stats;
-    stats.merge(&op_stats);
+    stats.merge(&summary.op_stats);
+    if q.projection.is_some() {
+        // The projection is charged like `ops::project_rows` on the kept set.
+        stats.server_cpu_units += rows.len() as u64;
+    }
     let mut metrics = QueryMetrics::new();
     metrics.push_serial("server-side filter", stats);
     Ok(QueryOutput {
-        schema,
+        schema: summary.schema,
         rows,
         metrics,
         billed: ctx.billed(),

@@ -19,9 +19,7 @@ use crate::context::QueryContext;
 use crate::metrics::QueryMetrics;
 use crate::ops;
 use crate::output::QueryOutput;
-use crate::scan::{
-    plain_scan_columnar_streamed, plain_scan_streamed, select_scan, select_scan_streamed,
-};
+use crate::scan::{scan, select_scan, select_scan_streamed, ScanFragment, ScanSource};
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{DataType, Error, Field, Result, Row, Schema, Value};
 use pushdown_sql::agg::AggFunc;
@@ -117,37 +115,29 @@ fn streamed_group_aggregate(
 }
 
 /// Server-side group-by: full table load, everything local — streamed.
-/// Scan batches are filtered and folded into the group accumulators as
-/// they arrive; only the groups themselves are ever resident.
+/// The scan workers filter each batch and keep only the grouping and
+/// aggregate columns; the survivors fold into the group accumulators in
+/// table order, and only the groups themselves are ever resident.
 pub fn server_side(ctx: &QueryContext, q: &GroupByQuery) -> Result<QueryOutput> {
     let ctx = &ctx.scoped();
     let bound = match &q.predicate {
         Some(p) => Some(Binder::new(&q.table.schema).bind_expr(p)?),
         None => None,
     };
-    let mut acc = group_accumulator(q, &q.table.schema)?;
+    let cols: Result<Vec<usize>> = q
+        .needed_cols()
+        .iter()
+        .map(|c| q.table.schema.resolve(c))
+        .collect();
+    let fragment = ScanFragment::columns(&q.table, bound, &cols?);
+    let mut acc = group_accumulator(q, fragment.schema())?;
     let mut op_stats = PhaseStats::default();
-    let summary = if ctx.columnar_exec && q.table.format == pushdown_select::InputFormat::Columnar {
-        let compiled = bound.as_ref().and_then(ops::compile_predicate);
-        plain_scan_columnar_streamed(ctx, &q.table, |batch| {
-            let sel = match (&bound, &compiled) {
-                (None, _) => ops::full_selection(batch.len()),
-                (Some(_), Some(p)) => ops::filter_columnar(&batch, p, &mut op_stats),
-                (Some(p), None) => ops::filter_columnar_fallback(&batch, p, &mut op_stats)?,
-            };
-            acc.update_columnar(&batch, &sel, &mut op_stats)
-        })?
-    } else {
-        plain_scan_streamed(ctx, &q.table, |batch| {
-            let rows = match &bound {
-                Some(pred) => ops::filter_rows(batch.rows, pred, &mut op_stats)?,
-                None => batch.rows,
-            };
-            acc.update_batch(&rows, &mut op_stats)
-        })?
-    };
+    let summary = scan(ctx, &q.table, ScanSource::Plain, &fragment, |batch| {
+        acc.update_batch(&batch.rows, &mut op_stats)
+    })?;
     let out = acc.finish(&mut op_stats);
     let mut stats = summary.stats;
+    stats.merge(&summary.op_stats);
     stats.merge(&op_stats);
     let mut metrics = QueryMetrics::new();
     metrics.push_serial("server-side group-by", stats);

@@ -21,7 +21,7 @@ use crate::context::QueryContext;
 use crate::metrics::QueryMetrics;
 use crate::ops;
 use crate::output::QueryOutput;
-use crate::scan::{plain_scan_streamed, select_scan, ScanResult};
+use crate::scan::{scan_rows, select_scan, ScanFragment, ScanResult, ScanSource};
 use pushdown_bloom::BloomPlan;
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Error, Result, Row, Schema, Value};
@@ -128,10 +128,10 @@ impl JoinFinisher<'_> {
     }
 }
 
-/// Stream one side's plain scan, applying its local predicate to every
-/// batch as it arrives so only passing rows are ever resident. Returns
-/// the filtered scan plus the filter's CPU footprint (accounted to the
-/// local-join phase, as when filtering ran after the load).
+/// Stream one side's plain scan, its local predicate applied by the scan
+/// workers so only passing rows are ever resident. Returns the filtered
+/// scan plus the filter's CPU footprint (accounted to the local-join
+/// phase, as when filtering ran after the load).
 fn plain_scan_filtered(
     ctx: &QueryContext,
     table: &Table,
@@ -141,22 +141,15 @@ fn plain_scan_filtered(
         Some(p) => Some(Binder::new(&table.schema).bind_expr(p)?),
         None => None,
     };
-    let mut filter_stats = PhaseStats::default();
-    let mut rows = Vec::new();
-    let summary = plain_scan_streamed(ctx, table, |batch| {
-        match &bound {
-            Some(b) => rows.extend(ops::filter_rows(batch.rows, b, &mut filter_stats)?),
-            None => rows.extend(batch.rows),
-        }
-        Ok(())
-    })?;
+    let fragment = ScanFragment::new(table, bound, None);
+    let (rows, summary) = scan_rows(ctx, table, ScanSource::Plain, &fragment)?;
     Ok((
         ScanResult {
             schema: summary.schema,
             rows,
             stats: summary.stats,
         },
-        filter_stats,
+        summary.op_stats,
     ))
 }
 

@@ -27,8 +27,7 @@ use crate::metrics::QueryMetrics;
 use crate::ops;
 use crate::output::QueryOutput;
 use crate::scan::{
-    plain_scan_columnar_streamed, plain_scan_streamed, select_scan_streamed,
-    select_scan_striped_limit,
+    scan, select_scan_streamed, select_scan_striped_limit, ScanFragment, ScanSource,
 };
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Value};
@@ -52,28 +51,22 @@ pub fn optimal_sample_size(k: usize, n: u64, alpha: f64) -> usize {
     s.max(lo).min(n as f64).ceil() as usize
 }
 
-/// Server-side top-K: full load plus a local heap — streamed. Scan
-/// batches feed the K-heap directly, so at most K rows plus one batch
-/// are resident at any moment.
+/// Server-side top-K: full load plus a local heap — streamed. The scan
+/// workers keep only each partition's K best rows, so at most K rows per
+/// partition reach the query's own K-heap.
 pub fn server_side(ctx: &QueryContext, q: &TopKQuery) -> Result<QueryOutput> {
     let ctx = &ctx.scoped();
     let col = q.table.schema.resolve(&q.order_col)?;
-    let mut op_stats = PhaseStats::default();
+    let fragment = ScanFragment::new(&q.table, None, None).top_k(col, q.k, q.asc);
     let mut heap = ops::TopKAccumulator::new(col, q.k, q.asc);
-    let summary = if ctx.columnar_exec && q.table.format == pushdown_select::InputFormat::Columnar {
-        plain_scan_columnar_streamed(ctx, &q.table, |batch| {
-            heap.push_columnar(&batch, &ops::full_selection(batch.len()), &mut op_stats);
-            Ok(())
-        })?
-    } else {
-        plain_scan_streamed(ctx, &q.table, |batch| {
-            heap.push_batch(&batch.rows, &mut op_stats);
-            Ok(())
-        })?
-    };
-    let rows = heap.finish(&mut op_stats);
+    let summary = scan(ctx, &q.table, ScanSource::Plain, &fragment, |batch| {
+        // The workers charged every row of the table as a candidate.
+        heap.absorb(batch.rows);
+        Ok(())
+    })?;
     let mut stats = summary.stats;
-    stats.merge(&op_stats);
+    stats.merge(&summary.op_stats);
+    let rows = heap.finish(&mut stats);
     let mut metrics = QueryMetrics::new();
     metrics.push_serial("server-side top-k", stats);
     Ok(QueryOutput {
@@ -158,7 +151,7 @@ pub fn sampling(
     let mut op_stats = PhaseStats::default();
     let mut heap = ops::TopKAccumulator::new(col, q.k, q.asc);
     let summary = select_scan_streamed(ctx, &q.table, &scan_stmt, |batch| {
-        heap.push_batch(&batch.rows, &mut op_stats);
+        heap.push_rows(batch.rows, &mut op_stats);
         Ok(())
     })?;
     let rows = heap.finish(&mut op_stats);

@@ -376,20 +376,12 @@ fn probe_sample_from_cache(
                     crate::scan::chunk_layout(table, ctx.cache_chunk_bytes, data)
                 })?;
         let mut part_rows = Vec::with_capacity(share);
-        crate::scan::decode_partition_batches(
-            fetched.data,
-            &table.schema,
-            table.format,
-            share,
-            |batch| {
-                for row in batch.rows {
-                    if part_rows.len() < share {
-                        part_rows.push(row);
-                    }
-                }
-                Ok(())
-            },
-        )?;
+        let identity = crate::scan::ScanFragment::new(table, None, None);
+        crate::scan::decode_partition(fetched.data, table, ctx, &identity, |batch| {
+            let room = share - part_rows.len();
+            part_rows.extend(batch.rows.into_iter().take(room));
+            Ok(())
+        })?;
         rows.extend(part_rows);
     }
     Ok(Some(rows))

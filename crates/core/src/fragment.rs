@@ -1,0 +1,237 @@
+//! Scan fragments: what a leaf operator needs evaluated on every decoded
+//! batch, packaged so the scan ([`crate::scan::scan`]) can run it
+//! **inside the partition worker that decoded the batch** instead of
+//! handing whole batches to a consumer-side closure. A rejected row dies
+//! on the thread that allocated it; only survivors, already projected,
+//! cross the partition queue; ColumnarLite partitions decode only the
+//! columns the fragment references.
+//!
+//! A fragment charges exactly what the consumer-side operators it
+//! replaces charge — the predicate like [`ops::filter_rows`] /
+//! [`ops::filter_columnar`], the reducer like
+//! [`ops::TopKAccumulator::push_batch`] — and charges nothing for its
+//! output expressions (a projecting operator accounts for those itself).
+
+use crate::catalog::Table;
+use crate::ops;
+use pushdown_common::columnar::ColumnarBatch;
+use pushdown_common::perf::PhaseStats;
+use pushdown_common::row::{BatchBuilder, RowBatch};
+use pushdown_common::{Field, Result, Row, Schema};
+use pushdown_select::InputFormat;
+use pushdown_sql::bind::BoundExpr;
+use pushdown_sql::eval::{eval, eval_predicate};
+
+/// One leaf operator's per-batch work: an optional bound predicate,
+/// optional output expressions (`None` = the whole row), and optionally
+/// a per-batch top-K reducer.
+#[derive(Debug, Clone)]
+pub struct ScanFragment {
+    predicate: Option<BoundExpr>,
+    /// Vectorized form of `predicate`, when it compiles.
+    compiled: Option<ops::ColumnarPred>,
+    outputs: Option<Vec<BoundExpr>>,
+    /// `(output column, k, ascending)`.
+    top_k: Option<(usize, usize, bool)>,
+    /// The table columns a ColumnarLite partition decodes, ascending. The
+    /// expressions above address this projection, not the table schema;
+    /// CSV always decodes whole rows, so there it is every column.
+    needed: Vec<usize>,
+    schema: Schema,
+}
+
+impl ScanFragment {
+    /// `predicate` and `outputs` are bound against `table.schema`. With
+    /// `outputs` given, a ColumnarLite table decodes only the columns the
+    /// two reference.
+    pub fn new(
+        table: &Table,
+        mut predicate: Option<BoundExpr>,
+        mut outputs: Option<Vec<BoundExpr>>,
+    ) -> Self {
+        let schema = match &outputs {
+            None => table.schema.clone(),
+            Some(exprs) => Schema::new(
+                exprs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, e)| match e {
+                        BoundExpr::Column(c, _) => table.schema.field(*c).clone(),
+                        e => Field::new(format!("_{}", i + 1), e.infer_type()),
+                    })
+                    .collect(),
+            ),
+        };
+        let mut needed: Vec<usize> = (0..table.schema.len()).collect();
+        if let (InputFormat::Columnar, Some(exprs)) = (table.format, &mut outputs) {
+            let mut exprs: Vec<&mut BoundExpr> = predicate.iter_mut().chain(exprs).collect();
+            let mut used = vec![false; needed.len()];
+            for e in &mut exprs {
+                e.map_columns(&mut |c| {
+                    used[c] = true;
+                    c
+                });
+            }
+            needed.retain(|&c| used[c]);
+            for e in &mut exprs {
+                e.map_columns(&mut |c| needed.binary_search(&c).expect("column marked used"));
+            }
+        }
+        ScanFragment {
+            compiled: predicate.as_ref().and_then(ops::compile_predicate),
+            predicate,
+            outputs,
+            top_k: None,
+            needed,
+            schema,
+        }
+    }
+
+    /// [`ScanFragment::new`] projecting plain table columns.
+    pub fn columns(table: &Table, predicate: Option<BoundExpr>, cols: &[usize]) -> Self {
+        let outputs = cols
+            .iter()
+            .map(|&c| BoundExpr::Column(c, table.schema.dtype_of(c)))
+            .collect();
+        Self::new(table, predicate, Some(outputs))
+    }
+
+    /// Reduce every partition's survivors to their `k` best rows by
+    /// output column `col` ([`ops::TopKAccumulator`]'s order; the `k`
+    /// best of a multiset do not depend on the order they are offered
+    /// in, so the candidates arrive unordered). Charges what the
+    /// accumulator charges for every row offered, so the query's own
+    /// accumulator must take the candidates uncharged
+    /// ([`ops::TopKAccumulator::absorb`]).
+    pub fn top_k(mut self, col: usize, k: usize, asc: bool) -> Self {
+        self.top_k = Some((col, k, asc));
+        self
+    }
+
+    /// Schema of the batches this fragment emits.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The table columns a ColumnarLite partition must decode for this
+    /// fragment, ascending; its expressions address that projection.
+    pub(crate) fn needed(&self) -> &[usize] {
+        &self.needed
+    }
+
+    /// The per-partition evaluator: decoded rows go in, survivors leave
+    /// through `emit` in batches of at most `capacity` rows.
+    pub(crate) fn outbox<E: FnMut(RowBatch) -> Result<()>>(
+        &self,
+        capacity: usize,
+        emit: E,
+    ) -> Outbox<'_, E> {
+        let capacity = capacity.max(1);
+        Outbox {
+            fragment: self,
+            pending: match self.top_k {
+                Some((col, k, asc)) => Pending::Best(ops::TopKAccumulator::new(col, k, asc)),
+                None => Pending::Batch(BatchBuilder::new(self.schema.clone(), capacity)),
+            },
+            capacity,
+            charged: PhaseStats::default(),
+            emit,
+        }
+    }
+}
+
+/// Survivors a worker has not emitted yet.
+enum Pending {
+    /// Fewer than a batch of them, in storage order.
+    Batch(BatchBuilder),
+    /// The partition's K best so far, when the fragment reduces.
+    Best(ops::TopKAccumulator),
+}
+
+/// One partition's survivors on their way out of a worker.
+pub(crate) struct Outbox<'a, E> {
+    fragment: &'a ScanFragment,
+    pending: Pending,
+    capacity: usize,
+    charged: PhaseStats,
+    emit: E,
+}
+
+impl<E: FnMut(RowBatch) -> Result<()>> Outbox<'_, E> {
+    /// Evaluate the fragment on one decoded row. Charges like
+    /// [`ops::filter_rows`]: one unit per row the predicate sees.
+    pub(crate) fn offer(&mut self, row: Row) -> Result<()> {
+        if let Some(pred) = &self.fragment.predicate {
+            self.charged.server_cpu_units += 1;
+            if !eval_predicate(pred, &row)? {
+                return Ok(());
+            }
+        }
+        let row = match &self.fragment.outputs {
+            None => row,
+            Some(exprs) => Row::new(exprs.iter().map(|e| eval(e, &row)).collect::<Result<_>>()?),
+        };
+        self.push(row)
+    }
+
+    /// [`Outbox::offer`] for a whole row group: the predicate runs on
+    /// column vectors and charges like [`ops::filter_columnar`].
+    pub(crate) fn offer_columnar(&mut self, group: &ColumnarBatch) -> Result<()> {
+        let fragment = self.fragment;
+        let sel = match (&fragment.predicate, &fragment.compiled) {
+            (None, _) => ops::full_selection(group.len()),
+            (Some(_), Some(p)) => ops::filter_columnar(group, p, &mut self.charged),
+            (Some(p), None) => ops::filter_columnar_fallback(group, p, &mut self.charged)?,
+        };
+        if let (Pending::Best(heap), None) = (&mut self.pending, &fragment.outputs) {
+            // Whole-row top-K: only rows entering the heap materialize.
+            heap.push_columnar(group, &sel, &mut self.charged);
+            return Ok(());
+        }
+        for &i in &sel {
+            let i = i as usize;
+            let row = match &fragment.outputs {
+                None => group.row_at(i),
+                Some(exprs) => {
+                    // Computed outputs evaluate on the (pruned) row,
+                    // materialized at most once.
+                    let mut full = None;
+                    let values = exprs.iter().map(|e| match e {
+                        BoundExpr::Column(c, _) => Ok(group.column(*c).value_at(i)),
+                        e => eval(e, full.get_or_insert_with(|| group.row_at(i))),
+                    });
+                    Row::new(values.collect::<Result<_>>()?)
+                }
+            };
+            self.push(row)?;
+        }
+        Ok(())
+    }
+
+    fn push(&mut self, row: Row) -> Result<()> {
+        match &mut self.pending {
+            Pending::Best(heap) => heap.push_row(row, &mut self.charged),
+            Pending::Batch(batch) => {
+                if let Some(full) = batch.push(row) {
+                    (self.emit)(full)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Emit what is left — the partial last batch, or the heap's rows —
+    /// and return the CPU units the fragment charged on this partition.
+    pub(crate) fn finish(mut self) -> Result<u64> {
+        let rest = match self.pending {
+            Pending::Batch(batch) => batch.finish().into_iter().collect(),
+            Pending::Best(heap) => {
+                RowBatch::chunks(&self.fragment.schema, heap.into_rows(), self.capacity)
+            }
+        };
+        for batch in rest {
+            (self.emit)(batch)?;
+        }
+        Ok(self.charged.server_cpu_units)
+    }
+}

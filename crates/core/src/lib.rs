@@ -14,6 +14,8 @@
 //!   cache-aware scans reading through the store's segment cache;
 //! * [`ops`] — compute-node operators (filter/project/hash join/hash
 //!   aggregation/heap top-K) with CPU metering;
+//! * [`fragment`] — the predicate / projection / top-K reducer a leaf
+//!   operator hands to a local scan, evaluated inside the scan workers;
 //! * [`index`] — the §IV-A byte-range index tables;
 //! * [`algos`] — the paper's algorithms (filter/join/group-by/top-K in
 //!   all their variants);
@@ -37,6 +39,7 @@ pub mod catalog;
 pub mod cluster;
 pub mod context;
 pub mod cost;
+pub mod fragment;
 pub mod index;
 mod joinplan;
 pub mod metrics;

@@ -150,7 +150,7 @@ impl QueryMetrics {
     }
 
     /// Project all extensive quantities by `factor` (measurement at small
-    /// scale factor → paper's SF 10; see DESIGN.md §2).
+    /// scale factor → paper's SF 10).
     pub fn scaled(&self, factor: f64) -> QueryMetrics {
         QueryMetrics {
             groups: self

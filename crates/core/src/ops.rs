@@ -251,24 +251,29 @@ struct HeapEntry {
     asc: bool,
 }
 
+/// Top-K order of two rows: by `col`, ties by the whole row, reversed
+/// for a descending query. Equal means identical, so the K best rows of
+/// a multiset are one multiset whatever order they are offered in.
+fn cmp_keyed(a: &Row, b: &Row, col: usize, asc: bool) -> Ordering {
+    let o = a[col].total_cmp(&b[col]).then_with(|| {
+        for (x, y) in a.values().iter().zip(b.values()) {
+            let c = x.total_cmp(y);
+            if c != Ordering::Equal {
+                return c;
+            }
+        }
+        Ordering::Equal
+    });
+    if asc {
+        o
+    } else {
+        o.reverse()
+    }
+}
+
 impl HeapEntry {
     fn cmp_inner(&self, other: &Self) -> Ordering {
-        let o = self.row[self.col]
-            .total_cmp(&other.row[self.col])
-            .then_with(|| {
-                for (a, b) in self.row.values().iter().zip(other.row.values()) {
-                    let c = a.total_cmp(b);
-                    if c != Ordering::Equal {
-                        return c;
-                    }
-                }
-                Ordering::Equal
-            });
-        if self.asc {
-            o
-        } else {
-            o.reverse()
-        }
+        cmp_keyed(&self.row, &other.row, self.col, self.asc)
     }
 }
 
@@ -313,28 +318,74 @@ impl TopKAccumulator {
         }
     }
 
-    /// Offer one batch of rows to the heap.
-    pub fn push_batch(&mut self, rows: &[Row], stats: &mut PhaseStats) {
-        if self.k == 0 {
-            return;
+    /// Whether `row` (non-NULL key) belongs to the K best seen so far.
+    fn admits(&self, row: &Row) -> bool {
+        self.heap.len() < self.k
+            || self.heap.peek().is_some_and(|top| {
+                cmp_keyed(row, &top.row, self.order_col, self.asc) == Ordering::Less
+            })
+    }
+
+    fn admit(&mut self, row: Row) {
+        if self.heap.len() >= self.k {
+            self.heap.pop();
         }
+        self.heap.push(HeapEntry {
+            row,
+            col: self.order_col,
+            asc: self.asc,
+        });
+    }
+
+    /// Charge `row` as a candidate (NULL keys are skipped, uncharged) and
+    /// say whether it enters the heap.
+    fn wants(&self, row: &Row, stats: &mut PhaseStats) -> bool {
+        if self.k == 0 || row[self.order_col].is_null() {
+            return false;
+        }
+        stats.server_cpu_units += self.log_k;
+        self.admits(row)
+    }
+
+    /// Offer one batch of rows to the heap; only rows that enter it are
+    /// cloned.
+    pub fn push_batch(&mut self, rows: &[Row], stats: &mut PhaseStats) {
         for row in rows {
-            if row[self.order_col].is_null() {
-                continue;
+            if self.wants(row, stats) {
+                self.admit(row.clone());
             }
-            stats.server_cpu_units += self.log_k;
-            let e = HeapEntry {
-                row: row.clone(),
-                col: self.order_col,
-                asc: self.asc,
-            };
-            if self.heap.len() < self.k {
-                self.heap.push(e);
-            } else if let Some(top) = self.heap.peek() {
-                if e.cmp_inner(top) == Ordering::Less {
-                    self.heap.pop();
-                    self.heap.push(e);
-                }
+        }
+    }
+
+    /// [`TopKAccumulator::push_batch`] for one owned row: it moves into
+    /// the heap or drops here. Same charge.
+    pub fn push_row(&mut self, row: Row, stats: &mut PhaseStats) {
+        if self.wants(&row, stats) {
+            self.admit(row);
+        }
+    }
+
+    /// [`TopKAccumulator::push_row`] over a batch of owned rows.
+    pub fn push_rows(&mut self, rows: Vec<Row>, stats: &mut PhaseStats) {
+        for row in rows {
+            self.push_row(row, stats);
+        }
+    }
+
+    /// The retained rows, unordered and uncharged — the per-partition
+    /// candidates a scan fragment hands to the query's own accumulator
+    /// ([`TopKAccumulator::absorb`]).
+    pub fn into_rows(self) -> Vec<Row> {
+        self.heap.into_iter().map(|e| e.row).collect()
+    }
+
+    /// Merge candidates another accumulator already charged for (a
+    /// `top_k` scan fragment's per-partition best): same admission as
+    /// [`TopKAccumulator::push_rows`], no charge.
+    pub fn absorb(&mut self, rows: Vec<Row>) {
+        for row in rows {
+            if self.k > 0 && !row[self.order_col].is_null() && self.admits(&row) {
+                self.admit(row);
             }
         }
     }
@@ -414,8 +465,11 @@ pub fn sort_rows_by_keys(
 // The kernels below are the column-at-a-time twins of the row operators
 // above. They consume `ColumnarBatch`es (typed vectors + validity bitmaps,
 // dictionary-coded strings kept coded) and produce selection vectors, so
-// rows materialize only at operator boundaries that still need them
-// (joins, SQL expression fallback, output) — late materialization.
+// rows materialize for survivors only — late materialization. The scan
+// workers run the filter and top-K kernels on the ColumnarLite row groups
+// they decode (`crate::scan`); the accumulator and group-by kernels are
+// for callers that hold column vectors themselves (the scan hands its
+// consumer rows, so the engine's own aggregations fold those).
 //
 // Every kernel charges *exactly* what its row twin charges, so ledger and
 // performance-model accounting are identical whichever path executes, and
@@ -1051,41 +1105,21 @@ impl TopKAccumulator {
                 continue;
             }
             stats.server_cpu_units += self.log_k;
-            if self.heap.len() < self.k {
-                self.heap.push(HeapEntry {
-                    row: batch.row_at(i),
-                    col: self.order_col,
-                    asc: self.asc,
-                });
-                continue;
-            }
-            let Some(top) = self.heap.peek() else {
-                continue;
-            };
             // Key-only comparison first: it decides unless exactly equal,
             // in which case the full-row tiebreak needs a materialized row.
-            let kv = key_col.value_at(i);
-            let o = kv.total_cmp(&top.row[self.order_col]);
-            let o = if self.asc { o } else { o.reverse() };
-            let replace = match o {
-                Ordering::Less => true,
-                Ordering::Greater => false,
-                Ordering::Equal => {
-                    let e = HeapEntry {
-                        row: batch.row_at(i),
-                        col: self.order_col,
-                        asc: self.asc,
-                    };
-                    e.cmp_inner(top) == Ordering::Less
+            let enters = match self.heap.peek().filter(|_| self.heap.len() >= self.k) {
+                None => true,
+                Some(top) => {
+                    let o = key_col.value_at(i).total_cmp(&top.row[self.order_col]);
+                    match if self.asc { o } else { o.reverse() } {
+                        Ordering::Less => true,
+                        Ordering::Greater => false,
+                        Ordering::Equal => self.admits(&batch.row_at(i)),
+                    }
                 }
             };
-            if replace {
-                self.heap.pop();
-                self.heap.push(HeapEntry {
-                    row: batch.row_at(i),
-                    col: self.order_col,
-                    asc: self.asc,
-                });
+            if enters {
+                self.admit(batch.row_at(i));
             }
         }
     }

@@ -25,15 +25,11 @@ use crate::context::QueryContext;
 use crate::metrics::QueryMetrics;
 use crate::ops;
 use crate::output::QueryOutput;
-use crate::scan::{
-    cached_scan_columnar_streamed, cached_scan_streamed, plain_scan_columnar_streamed,
-    plain_scan_streamed, select_scan,
-};
-use pushdown_common::columnar::ColumnarBatch;
+use crate::scan::{scan, scan_rows, select_scan, ScanFragment, ScanSource};
 use pushdown_common::perf::{PerfModel, PhaseStats};
 use pushdown_common::{Error, Result, Row, Schema, Value};
 use pushdown_sql::agg::AggFunc;
-use pushdown_sql::bind::{Binder, BoundExpr};
+use pushdown_sql::bind::Binder;
 use pushdown_sql::{Expr, SelectItem, SelectStmt};
 
 /// One node of a physical plan: an operator, its inputs, and the output
@@ -379,110 +375,40 @@ pub fn annotate(report: &mut OpReport, predicted: &crate::cost::PredNode) {
     }
 }
 
-/// Whether a leaf scan of `table` should take the vectorized columnar
-/// path. Only ColumnarLite tables qualify — CSV always row-decodes — and
-/// [`QueryContext::columnar_exec`] is the escape hatch.
-fn use_columnar(ctx: &QueryContext, table: &Table) -> bool {
-    ctx.columnar_exec && table.format == pushdown_select::InputFormat::Columnar
-}
-
-/// Filtering batch sink shared by the columnar leaf scans: compile the
-/// bound predicate to a vectorized [`ops::ColumnarPred`] once, evaluate
-/// it per batch on column vectors, and gather (late-materialize) only
-/// the surviving rows. Charges the same CPU units as the row twin.
-fn columnar_filter_sink<'a>(
-    bound: &'a Option<BoundExpr>,
-    rows: &'a mut Vec<Row>,
-    op_stats: &'a mut PhaseStats,
-) -> impl FnMut(ColumnarBatch) -> Result<()> + 'a {
-    let compiled = bound.as_ref().and_then(ops::compile_predicate);
-    move |batch| {
-        match bound {
-            None => rows.extend(batch.to_rows()),
-            Some(b) => {
-                let sel = match &compiled {
-                    Some(p) => ops::filter_columnar(&batch, p, op_stats),
-                    None => ops::filter_columnar_fallback(&batch, b, op_stats)?,
-                };
-                rows.extend(batch.gather(&sel));
-            }
-        }
-        Ok(())
-    }
-}
-
 /// Execute a physical plan against the context's store. Every operator
 /// reports its own [`PhaseStats`]; billable traffic comes only from the
 /// scan leaves, so the summed metrics agree exactly with the scope's
 /// cost ledger.
 pub fn execute(ctx: &QueryContext, node: &PlanNode) -> Result<Executed> {
     match &node.op {
-        PlanOp::LocalScan { table, predicate } => {
+        PlanOp::LocalScan { table, predicate } | PlanOp::CachedScan { table, predicate } => {
+            let cached = matches!(node.op, PlanOp::CachedScan { .. });
             let bound = match predicate {
                 Some(p) => Some(Binder::new(&table.schema).bind_expr(p)?),
                 None => None,
             };
-            let mut op_stats = PhaseStats::default();
-            let mut rows = Vec::new();
-            let summary = if use_columnar(ctx, table) {
-                plain_scan_columnar_streamed(
-                    ctx,
-                    table,
-                    columnar_filter_sink(&bound, &mut rows, &mut op_stats),
-                )?
+            let source = if cached {
+                ScanSource::Cached
             } else {
-                plain_scan_streamed(ctx, table, |batch| {
-                    match &bound {
-                        Some(b) => rows.extend(ops::filter_rows(batch.rows, b, &mut op_stats)?),
-                        None => rows.extend(batch.rows),
-                    }
-                    Ok(())
-                })?
+                ScanSource::Plain
             };
+            let fragment = ScanFragment::new(table, bound, None);
+            let (rows, summary) = scan_rows(ctx, table, source, &fragment)?;
             let mut stats = summary.stats;
-            stats.merge(&op_stats);
+            stats.merge(&summary.op_stats);
             let mut metrics = QueryMetrics::new();
-            metrics.push_serial(format!("load {}", table.name), stats);
-            Ok(Executed {
-                schema: summary.schema,
-                rows,
-                metrics,
-                report: OpReport::leaf(node.label(), stats),
-            })
-        }
-        PlanOp::CachedScan { table, predicate } => {
-            let bound = match predicate {
-                Some(p) => Some(Binder::new(&table.schema).bind_expr(p)?),
-                None => None,
-            };
-            let mut op_stats = PhaseStats::default();
-            let mut rows = Vec::new();
-            let summary = if use_columnar(ctx, table) {
-                cached_scan_columnar_streamed(
-                    ctx,
-                    table,
-                    columnar_filter_sink(&bound, &mut rows, &mut op_stats),
-                )?
+            let mut label = node.label();
+            if cached {
+                metrics.push_serial(format!("cached load {}", table.name), stats);
+                // The EXPLAIN tree reports the hit/miss/fill split per node.
+                label = format!(
+                    "{label} ({}/{} partitions hit)",
+                    summary.hit_parts,
+                    summary.hit_parts + summary.fill_parts,
+                );
             } else {
-                cached_scan_streamed(ctx, table, |batch| {
-                    match &bound {
-                        Some(b) => rows.extend(ops::filter_rows(batch.rows, b, &mut op_stats)?),
-                        None => rows.extend(batch.rows),
-                    }
-                    Ok(())
-                })?
-            };
-            let mut stats = summary.stats;
-            stats.merge(&op_stats);
-            let mut metrics = QueryMetrics::new();
-            metrics.push_serial(format!("cached load {}", table.name), stats);
-            // The EXPLAIN tree reports the hit/miss/fill split per node.
-            let label = format!(
-                "{} ({}/{} partitions hit)",
-                node.label(),
-                summary.hit_parts,
-                summary.hit_parts + summary.fill_parts,
-            );
+                metrics.push_serial(format!("load {}", table.name), stats);
+            }
             Ok(Executed {
                 schema: summary.schema,
                 rows,
@@ -1208,17 +1134,21 @@ fn finish_join(
 }
 
 /// Baseline scalar aggregation: full load, evaluate aggregate items
-/// locally — streamed. Scan batches fold straight into the accumulators;
-/// only the accumulators are resident. (Billing is the caller's query
-/// scope's job — the executor fills `QueryOutput::billed` once, at the
-/// top.)
+/// locally — streamed. The scan workers filter each batch and evaluate
+/// the aggregate arguments; the consumer folds those values into the
+/// accumulators in table order, so only the accumulators are resident.
+/// (Billing is the caller's query scope's job — the executor fills
+/// `QueryOutput::billed` once, at the top.)
 fn local_aggregate(ctx: &QueryContext, table: &Table, stmt: &SelectStmt) -> Result<QueryOutput> {
     let binder = Binder::new(&table.schema);
     let pred = match &stmt.where_clause {
         Some(w) => Some(binder.bind_expr(w)?),
         None => None,
     };
+    // Each accumulator with the position of its argument in the rows the
+    // scan delivers (`None` = `COUNT(*)`, which takes no argument).
     let mut accs = Vec::new();
+    let mut args = Vec::new();
     let mut fields = Vec::new();
     for (i, item) in stmt.items.iter().enumerate() {
         let SelectItem::Agg { func, arg, alias } = item else {
@@ -1242,63 +1172,29 @@ fn local_aggregate(ctx: &QueryContext, table: &Table, stmt: &SelectStmt) -> Resu
             alias.clone().unwrap_or_else(|| format!("_{}", i + 1)),
             dtype,
         ));
-        accs.push((func.accumulator(), bound));
+        let slot = bound.map(|e| {
+            args.push(e);
+            args.len() - 1
+        });
+        accs.push((func.accumulator(), slot));
     }
+    let fragment = ScanFragment::new(table, pred, Some(args));
     let mut op_stats = PhaseStats::default();
-    let summary = if use_columnar(ctx, table) {
-        let compiled = pred.as_ref().and_then(ops::compile_predicate);
-        plain_scan_columnar_streamed(ctx, table, |batch| {
-            let sel = match (&pred, &compiled) {
-                (None, _) => ops::full_selection(batch.len()),
-                (Some(_), Some(p)) => ops::filter_columnar(&batch, p, &mut op_stats),
-                (Some(p), None) => ops::filter_columnar_fallback(&batch, p, &mut op_stats)?,
-            };
-            op_stats.server_cpu_units += sel.len() as u64 * accs.len() as u64;
-            for (acc, arg) in accs.iter_mut() {
-                match arg {
-                    // Column arguments feed the accumulator a whole
-                    // vector at a time.
-                    Some(BoundExpr::Column(idx, _)) => {
-                        ops::update_accumulator_columnar(acc, batch.column(*idx), &sel)?
-                    }
-                    Some(e) => {
-                        for &i in &sel {
-                            acc.update(&pushdown_sql::eval::eval(e, &batch.row_at(i as usize))?)?;
-                        }
-                    }
-                    None => match acc {
-                        // COUNT(*) over k selected rows is just +k.
-                        pushdown_sql::agg::Accumulator::Count(n) => *n += sel.len() as u64,
-                        _ => {
-                            for _ in &sel {
-                                acc.update(&Value::Bool(true))?;
-                            }
-                        }
-                    },
+    let summary = scan(ctx, table, ScanSource::Plain, &fragment, |batch| {
+        op_stats.server_cpu_units += batch.len() as u64 * accs.len() as u64;
+        for r in &batch.rows {
+            for (acc, slot) in accs.iter_mut() {
+                match slot {
+                    Some(s) => acc.update(&r[*s])?,
+                    None => acc.update(&Value::Bool(true))?,
                 }
             }
-            Ok(())
-        })?
-    } else {
-        plain_scan_streamed(ctx, table, |batch| {
-            let rows = match &pred {
-                Some(p) => ops::filter_rows(batch.rows, p, &mut op_stats)?,
-                None => batch.rows,
-            };
-            op_stats.server_cpu_units += rows.len() as u64 * accs.len() as u64;
-            for r in &rows {
-                for (acc, arg) in accs.iter_mut() {
-                    match arg {
-                        Some(e) => acc.update(&pushdown_sql::eval::eval(e, r)?)?,
-                        None => acc.update(&Value::Bool(true))?,
-                    }
-                }
-            }
-            Ok(())
-        })?
-    };
+        }
+        Ok(())
+    })?;
     let row = Row::new(accs.iter().map(|(a, _)| a.finish()).collect());
     let mut stats = summary.stats;
+    stats.merge(&summary.op_stats);
     stats.merge(&op_stats);
     let mut metrics = QueryMetrics::new();
     metrics.push_serial("server-side aggregation", stats);

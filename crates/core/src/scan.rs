@@ -1,9 +1,9 @@
 //! Table scans: the two ways PushdownDB gets bytes out of S3.
 //!
-//! * [`plain_scan`] / [`plain_scan_streamed`] — GET every partition and
-//!   deserialize on the compute node (the *baseline* path: all bytes
-//!   cross the wire; billed as plain transfer, which is free in-region,
-//!   plus compute time to parse).
+//! * [`scan`] — GET every partition, plainly or through the segment
+//!   cache ([`ScanSource`]), and deserialize on the compute node (the
+//!   *baseline* path: all bytes cross the wire; billed as plain transfer,
+//!   which is free in-region, plus compute time to parse).
 //! * [`select_scan`] / [`select_scan_streamed`] — ship a `SELECT`
 //!   statement to the storage engine for every partition (the *pushdown*
 //!   path: bytes scanned and returned are billed; the response parses
@@ -20,10 +20,31 @@
 //! `O(scan_threads × queue depth × batch_rows)` regardless of table
 //! size. Select scans decode each partition's *response* before
 //! batching, so their bound is `O(scan_threads × response rows)` — the
-//! billed returned subset, not the table. The `*_streamed` entry points
-//! expose the batch stream directly; [`plain_scan`] / [`select_scan`]
-//! are thin collecting wrappers for callers that genuinely need the
-//! full result.
+//! billed returned subset, not the table.
+//!
+//! # Worker-side fragments
+//!
+//! A local scan takes a [`ScanFragment`] — the leaf operator's bound
+//! predicate, its output expressions, optionally a K-bounded reducer —
+//! and evaluates it **inside the worker that decoded the rows**: a
+//! rejected row is dropped by the thread that allocated it, ColumnarLite
+//! partitions decode only the columns the fragment references, and only
+//! survivors, already projected, cross the partition queue. What the
+//! fragment charges is summed per worker ([`ScanSummary::op_stats`]);
+//! all counts are `u64`, so the total is the one a consumer-side
+//! operator would have charged. **Ordering guarantee:** the consumer
+//! drains partitions in index order and a worker emits a partition's
+//! survivors in storage order, so the sink sees exactly the subsequence
+//! of the table a consumer-side filter would have kept, whatever
+//! `scan_threads` and `batch_rows` are — float sums, group first-seen
+//! order and ties stay put. (The top-K reducer emits each partition's
+//! best K unordered; the K best of a multiset do not depend on order.)
+//!
+//! The older closure-taking entry points ([`plain_scan_streamed`],
+//! [`cached_scan_streamed`], their `_columnar` twins, [`plain_scan`])
+//! are forwarding shims over [`scan`] with an identity fragment, kept
+//! for callers that want every row and as the oracle the fragment tests
+//! compare against.
 //!
 //! Aggregate statements are re-written per partition and merged on the
 //! compute node — `AVG` is decomposed into `SUM`+`COUNT` because
@@ -31,18 +52,19 @@
 
 use crate::catalog::Table;
 use crate::context::QueryContext;
+pub use crate::fragment::ScanFragment;
 use pushdown_common::columnar::ColumnarBatch;
 use pushdown_common::perf::PhaseStats;
-use pushdown_common::row::{BatchBuilder, RowBatch};
+use pushdown_common::row::RowBatch;
 use pushdown_common::{Error, Result, Row, Schema, Value};
 use pushdown_format::columnar::ColumnarReader;
 use pushdown_format::csv::CsvReader;
 use pushdown_select::InputFormat;
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::ast::{SelectItem, SelectStmt};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Result of a fully materialized scan: rows, their schema, and the
 /// phase footprint.
@@ -54,27 +76,42 @@ pub struct ScanResult {
 }
 
 /// What a streamed scan reports once every batch has been consumed.
+///
+/// On a cache-aware scan mem-tier hit bytes land in `stats.cache_bytes`,
+/// disk-tier hit bytes in `stats.disk_bytes`, and gap-fill bytes in
+/// `stats.plain_bytes` (a fill *is* a billed plain GET — on a partial
+/// hit, exactly the gap ranges are billed).
 #[derive(Debug, Clone)]
 pub struct ScanSummary {
+    /// Schema of the delivered batches.
     pub schema: Schema,
+    /// Fetch and decode footprint.
     pub stats: PhaseStats,
-}
-
-/// [`ScanSummary`] of a cache-aware scan, with per-partition hit/fill
-/// counts for the EXPLAIN surface. Mem-tier hit bytes land in
-/// `stats.cache_bytes`, disk-tier hit bytes in `stats.disk_bytes`, and
-/// gap-fill bytes in `stats.plain_bytes` (a fill *is* a billed plain
-/// GET — on a partial hit, exactly the gap ranges are billed).
-#[derive(Debug, Clone)]
-pub struct CachedScanSummary {
-    pub schema: Schema,
-    pub stats: PhaseStats,
+    /// CPU units the [`ScanFragment`] charged inside the workers (its
+    /// predicate and reducer); zero for Select scans.
+    pub op_stats: PhaseStats,
     /// Partitions served entirely from the local segment cache (either
     /// tier, no remote bytes).
     pub hit_parts: u64,
     /// Partitions that fetched at least one gap range from the store
     /// (billed fills; a partial hit counts here, not in `hit_parts`).
     pub fill_parts: u64,
+}
+
+/// The summary of a cache-aware scan, with the hit/fill counts the
+/// EXPLAIN surface shows.
+pub type CachedScanSummary = ScanSummary;
+
+impl ScanSummary {
+    fn new(schema: Schema, stats: PhaseStats) -> Self {
+        ScanSummary {
+            schema,
+            stats,
+            op_stats: PhaseStats::default(),
+            hit_parts: 0,
+            fill_parts: 0,
+        }
+    }
 }
 
 /// Full batches buffered per in-flight partition before its worker
@@ -115,7 +152,10 @@ impl<T> Emitter<'_, T> {
 /// Workers claim partitions in index order and push into one bounded
 /// queue per partition; the consumer drains queues in index order, so
 /// output order is deterministic while decode work overlaps across
-/// partitions. A consumer error cancels outstanding producers.
+/// partitions. A consumer error cancels outstanding producers; so does
+/// a producer error, which the consumer reports when it reaches that
+/// partition: indices are claimed in order and a claimed index is never
+/// abandoned, so every earlier partition runs to its `Done`.
 fn stream_partitions<T, P, C>(
     ctx: &QueryContext,
     keys: &[String],
@@ -128,13 +168,13 @@ where
     C: FnMut(T) -> Result<()>,
 {
     let threads = ctx.scan_threads.clamp(1, keys.len().max(1));
-    let mut senders = Vec::with_capacity(keys.len());
-    let mut receivers = Vec::with_capacity(keys.len());
-    for _ in keys {
-        let (tx, rx) = sync_channel(PARTITION_QUEUE_DEPTH);
-        senders.push(tx);
-        receivers.push(rx);
-    }
+    let (senders, mut receivers): (Vec<_>, Vec<_>) = keys
+        .iter()
+        .map(|_| {
+            let (tx, rx) = sync_channel(PARTITION_QUEUE_DEPTH);
+            (Mutex::new(Some(tx)), rx)
+        })
+        .unzip();
     let next = AtomicUsize::new(0);
     let cancelled = AtomicBool::new(false);
     let mut outcome: Result<PhaseStats> = Ok(PhaseStats::default());
@@ -142,17 +182,30 @@ where
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= keys.len() || cancelled.load(Ordering::Relaxed) {
+                // Cancellation is checked *before* claiming: a claimed
+                // index always runs and ends its queue with `Done`, so the
+                // consumer never waits on a partition nobody produces.
+                if cancelled.load(Ordering::Relaxed) {
                     break;
                 }
-                let emitter = Emitter { tx: &senders[i] };
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= keys.len() {
+                    break;
+                }
+                // The worker owns its partition's sender, so a worker that
+                // dies disconnects the queue instead of leaving the
+                // consumer waiting on it. (The lock only guards this
+                // `take`, so a poisoned one still holds a valid slot.)
+                let slot = senders[i].lock().unwrap_or_else(|e| e.into_inner()).take();
+                let Some(tx) = slot else { break };
+                let emitter = Emitter { tx: &tx };
                 let result = produce(&keys[i], &emitter);
                 let failed = result.is_err();
                 // Best-effort: if the consumer aborted, this queue's
                 // receiver is gone and the send simply errors.
                 let _ = emitter.send(PartMsg::Done(result));
                 if failed {
+                    cancelled.store(true, Ordering::Relaxed);
                     break;
                 }
             });
@@ -243,161 +296,73 @@ fn partition_keys(ctx: &QueryContext, table: &Table) -> Result<Vec<String>> {
     Ok(keys)
 }
 
-/// Decode one partition's bytes incrementally, pushing full batches out
-/// through `sink`. Returns the number of rows decoded.
-pub(crate) fn decode_partition_batches(
+/// Where [`scan`] reads partition bytes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanSource {
+    /// One whole-object GET per partition — unless the context has
+    /// `cache_reads` set **and** the store carries a
+    /// [`pushdown_cache::SegmentCache`], in which case the scan reads
+    /// through the cache like [`ScanSource::Cached`]. This is how
+    /// `cached-local` plan candidates reuse every server-side algorithm
+    /// unchanged.
+    Plain,
+    /// Read every partition **through** the store's tiered segment cache
+    /// at chunk granularity. Resident chunks are served locally (nothing
+    /// billed, the virtual clock advances at each tier's read bandwidth);
+    /// only the gaps are fetched, adjacent gaps coalesced into single
+    /// range GETs under the uniform [`pushdown_common::RetryPolicy`],
+    /// billed exactly once (every attempt a request, the bytes once) like
+    /// any plain GET. A persistent disk tier is committed once, when the
+    /// last partition is done ([`pushdown_s3::S3Store::commit_cache`]).
+    Cached,
+}
+
+/// Decode one partition's bytes incrementally — CSV record by record,
+/// ColumnarLite row group by row group, only the columns `fragment`
+/// needs — and evaluate `fragment` on them in the calling thread,
+/// pushing survivors to `emit` in batches of at most `ctx.batch_rows`.
+/// Returns the number of rows decoded and the CPU units the fragment
+/// charged.
+pub(crate) fn decode_partition(
     data: bytes::Bytes,
-    schema: &Schema,
-    format: InputFormat,
-    batch_rows: usize,
-    mut sink: impl FnMut(RowBatch) -> Result<()>,
-) -> Result<u64> {
-    let mut builder = BatchBuilder::new(schema.clone(), batch_rows);
-    let mut count = 0u64;
-    match format {
+    table: &Table,
+    ctx: &QueryContext,
+    fragment: &ScanFragment,
+    emit: impl FnMut(RowBatch) -> Result<()>,
+) -> Result<(u64, u64)> {
+    let mut out = fragment.outbox(ctx.batch_rows, emit);
+    let mut decoded = 0u64;
+    match table.format {
         InputFormat::Csv | InputFormat::CsvNoHeader => {
-            let reader = if format == InputFormat::Csv {
-                CsvReader::with_header(&data, schema.clone())
+            let reader = if table.format == InputFormat::Csv {
+                CsvReader::with_header(&data, table.schema.clone())
             } else {
-                CsvReader::without_header(&data, schema.clone())
+                CsvReader::without_header(&data, table.schema.clone())
             };
             for record in reader {
-                count += 1;
-                if let Some(full) = builder.push(record?.row) {
-                    sink(full)?;
-                }
+                decoded += 1;
+                out.offer(record?.row)?;
             }
         }
         InputFormat::Columnar => {
             let reader = ColumnarReader::open(data)?;
-            let all_cols: Vec<usize> = (0..schema.len()).collect();
             for g in 0..reader.num_row_groups() {
-                for row in reader.read_rows_projected(g, &all_cols)? {
-                    count += 1;
-                    if let Some(full) = builder.push(row) {
-                        sink(full)?;
+                if ctx.columnar_exec {
+                    // Straight into typed column vectors; rows are
+                    // materialized for survivors only.
+                    let group = reader.read_group_batch_projected(g, fragment.needed())?;
+                    decoded += group.len() as u64;
+                    out.offer_columnar(&group)?;
+                } else {
+                    for row in reader.read_rows_projected(g, fragment.needed())? {
+                        decoded += 1;
+                        out.offer(row)?;
                     }
                 }
             }
         }
     }
-    if let Some(tail) = builder.finish() {
-        sink(tail)?;
-    }
-    Ok(count)
-}
-
-/// Columnar twin of [`decode_partition_batches`]: push
-/// [`ColumnarBatch`]es of at most `batch_rows` rows. ColumnarLite
-/// partitions decode group-at-a-time straight into typed column vectors
-/// (no row materialization); CSV falls back to row decode and pivots each
-/// batch into columns. Returns the number of rows decoded.
-fn decode_partition_columnar(
-    data: bytes::Bytes,
-    schema: &Schema,
-    format: InputFormat,
-    batch_rows: usize,
-    mut sink: impl FnMut(ColumnarBatch) -> Result<()>,
-) -> Result<u64> {
-    let mut count = 0u64;
-    match format {
-        InputFormat::Csv | InputFormat::CsvNoHeader => {
-            let mut builder = BatchBuilder::new(schema.clone(), batch_rows);
-            let reader = if format == InputFormat::Csv {
-                CsvReader::with_header(&data, schema.clone())
-            } else {
-                CsvReader::without_header(&data, schema.clone())
-            };
-            for record in reader {
-                count += 1;
-                if let Some(full) = builder.push(record?.row) {
-                    sink(ColumnarBatch::from_row_batch(&full))?;
-                }
-            }
-            if let Some(tail) = builder.finish() {
-                sink(ColumnarBatch::from_row_batch(&tail))?;
-            }
-        }
-        InputFormat::Columnar => {
-            let reader = ColumnarReader::open(data)?;
-            for g in 0..reader.num_row_groups() {
-                let group = reader.read_group_batch(g)?;
-                count += group.len() as u64;
-                for batch in group.chunks(batch_rows) {
-                    sink(batch)?;
-                }
-            }
-        }
-    }
-    Ok(count)
-}
-
-/// Baseline path, streaming: GET each partition, decode it batch-at-a-
-/// time, and hand batches to `on_batch` in partition order. Peak
-/// resident rows are bounded by the worker pool, not the table.
-///
-/// When the context has `cache_reads` set **and** the store carries a
-/// [`pushdown_cache::SegmentCache`], partitions are read *through* the
-/// cache instead ([`cached_scan_streamed`]): hits bill nothing, misses
-/// fill. This is how `cached-local` plan candidates reuse every
-/// server-side algorithm unchanged.
-pub fn plain_scan_streamed(
-    ctx: &QueryContext,
-    table: &Table,
-    mut on_batch: impl FnMut(RowBatch) -> Result<()>,
-) -> Result<ScanSummary> {
-    if ctx.cache_reads && ctx.store.cache().is_some() {
-        let cached = cached_scan_streamed(ctx, table, on_batch)?;
-        return Ok(ScanSummary {
-            schema: cached.schema,
-            stats: cached.stats,
-        });
-    }
-    let keys = partition_keys(ctx, table)?;
-    let stats = stream_partitions(
-        ctx,
-        &keys,
-        |key, emitter| {
-            let fetched = ctx.store.get_object_with(&table.bucket, key, &ctx.retry)?;
-            let data = fetched.value;
-            let mut part = PhaseStats {
-                // Every retried attempt billed a request; meter them all so
-                // metrics agree with the ledger even under injected faults.
-                requests: u64::from(fetched.attempts),
-                plain_bytes: data.len() as u64,
-                // ColumnarLite bytes ingest at their own parse rate. Keyed
-                // on the table format (not the execution path), so row and
-                // columnar execution report identical stats.
-                cl_parse_bytes: cl_bytes(table, data.len()),
-                ..Default::default()
-            };
-            let rows = decode_partition_batches(
-                data,
-                &table.schema,
-                table.format,
-                ctx.batch_rows,
-                |batch| emitter.emit(batch),
-            )?;
-            part.server_cpu_units += rows;
-            Ok(part)
-        },
-        &mut on_batch,
-    )?;
-    Ok(ScanSummary {
-        schema: table.schema.clone(),
-        stats,
-    })
-}
-
-/// The portion of a fetched partition that parses at
-/// [`pushdown_common::perf::PerfParams::parse_cl_bw`]: all of it for
-/// ColumnarLite tables, none for CSV.
-fn cl_bytes(table: &Table, len: usize) -> u64 {
-    if table.format == InputFormat::Columnar {
-        len as u64
-    } else {
-        0
-    }
+    Ok((decoded, out.finish()?))
 }
 
 /// Chunk layout used to cache one partition's bytes: ColumnarLite files
@@ -426,190 +391,152 @@ pub(crate) fn chunk_layout(
     }
 }
 
-/// Fold one partition's [`pushdown_s3::ChunkedFetch`] into its
-/// [`PhaseStats`] and the hit/fill partition counters.
-fn account_chunked(
-    fetched: &pushdown_s3::ChunkedFetch,
-    table: &Table,
-    hit_parts: &std::sync::atomic::AtomicU64,
-    fill_parts: &std::sync::atomic::AtomicU64,
-) -> PhaseStats {
-    if fetched.hit {
-        hit_parts.fetch_add(1, Ordering::Relaxed);
-    } else {
-        fill_parts.fetch_add(1, Ordering::Relaxed);
-    }
-    PhaseStats {
-        // Every retried gap-GET attempt billed a request; meter them all
-        // so metrics agree with the ledger even under injected faults.
-        requests: u64::from(fetched.attempts),
-        plain_bytes: fetched.gap_bytes,
-        cache_bytes: fetched.mem_bytes,
-        disk_bytes: fetched.disk_bytes,
-        cl_parse_bytes: cl_bytes(table, fetched.data.len()),
-        ..Default::default()
-    }
-}
-
-/// Cache-aware baseline scan: read every partition **through** the
-/// store's tiered segment cache at chunk granularity. Resident chunks
-/// are served locally (mem-tier bytes in `stats.cache_bytes`, disk-tier
-/// bytes in `stats.disk_bytes` — nothing billed, the virtual clock
-/// advances at each tier's read bandwidth); only the gaps are fetched,
-/// adjacent gaps coalesced into single range GETs under the uniform
-/// [`pushdown_common::RetryPolicy`], billed exactly once (every attempt
-/// a request, the bytes once) like any plain GET. Decoding and batch
-/// delivery are identical to [`plain_scan_streamed`], so results are
-/// byte-for-byte the same with the cache hot, partially warm, cold, or
-/// absent. A persistent disk tier is committed once, when the last
-/// partition is done ([`pushdown_s3::S3Store::commit_cache`]).
-pub fn cached_scan_streamed(
+/// The local scan: fetch every partition of `table` from `source`,
+/// decode it incrementally and run `fragment` on the rows **inside the
+/// worker that decoded them**; `sink` receives the surviving, already
+/// projected rows in table order (see the module docs for the ordering
+/// guarantee). Peak resident rows are bounded by the worker pool, not
+/// the table. Results are byte-for-byte the same with the cache hot,
+/// partially warm, cold, or absent.
+pub fn scan(
     ctx: &QueryContext,
     table: &Table,
-    mut on_batch: impl FnMut(RowBatch) -> Result<()>,
-) -> Result<CachedScanSummary> {
+    source: ScanSource,
+    fragment: &ScanFragment,
+    mut sink: impl FnMut(RowBatch) -> Result<()>,
+) -> Result<ScanSummary> {
     let keys = partition_keys(ctx, table)?;
-    let hit_parts = std::sync::atomic::AtomicU64::new(0);
-    let fill_parts = std::sync::atomic::AtomicU64::new(0);
+    let cached = source == ScanSource::Cached || (ctx.cache_reads && ctx.store.cache().is_some());
+    let hit_parts = AtomicU64::new(0);
+    let fill_parts = AtomicU64::new(0);
+    let op_units = AtomicU64::new(0);
     let stats = stream_partitions(
         ctx,
         &keys,
         |key, emitter| {
-            let fetched = ctx.store.get_object_chunked_cached_with(
-                &table.bucket,
-                key,
-                &ctx.retry,
-                |data| chunk_layout(table, ctx.cache_chunk_bytes, data),
-            )?;
-            let mut part = account_chunked(&fetched, table, &hit_parts, &fill_parts);
-            let rows = decode_partition_batches(
-                fetched.data,
-                &table.schema,
-                table.format,
-                ctx.batch_rows,
-                |batch| emitter.emit(batch),
-            )?;
+            // Every retried attempt billed a request; meter them all so
+            // metrics agree with the ledger even under injected faults.
+            let (data, mut part) = if cached {
+                let fetched = ctx.store.get_object_chunked_cached_with(
+                    &table.bucket,
+                    key,
+                    &ctx.retry,
+                    |data| chunk_layout(table, ctx.cache_chunk_bytes, data),
+                )?;
+                let counter = if fetched.hit { &hit_parts } else { &fill_parts };
+                counter.fetch_add(1, Ordering::Relaxed);
+                let part = PhaseStats {
+                    requests: u64::from(fetched.attempts),
+                    plain_bytes: fetched.gap_bytes,
+                    cache_bytes: fetched.mem_bytes,
+                    disk_bytes: fetched.disk_bytes,
+                    ..Default::default()
+                };
+                (fetched.data, part)
+            } else {
+                let fetched = ctx.store.get_object_with(&table.bucket, key, &ctx.retry)?;
+                let part = PhaseStats {
+                    requests: u64::from(fetched.attempts),
+                    plain_bytes: fetched.value.len() as u64,
+                    ..Default::default()
+                };
+                (fetched.value, part)
+            };
+            // ColumnarLite bytes ingest at their own parse rate
+            // ([`pushdown_common::perf::PerfParams::parse_cl_bw`]). Keyed
+            // on the table format, not on the execution path or on what
+            // the fragment decodes, so every mode reports identical stats.
+            if table.format == InputFormat::Columnar {
+                part.cl_parse_bytes = data.len() as u64;
+            }
+            let (rows, charged) =
+                decode_partition(data, table, ctx, fragment, |batch| emitter.emit(batch))?;
             part.server_cpu_units += rows;
+            op_units.fetch_add(charged, Ordering::Relaxed);
             Ok(part)
         },
-        &mut on_batch,
+        &mut sink,
     );
-    // The scan is the cache's commit point, failed or not: whatever
+    // A cached scan is the cache's commit point, failed or not: whatever
     // its fills, demotions and promotions appended becomes durable (and
     // is charged to this scope's clock) in one group commit.
-    ctx.store.commit_cache();
-    let stats = stats?;
-    Ok(CachedScanSummary {
-        schema: table.schema.clone(),
-        stats,
+    if cached {
+        ctx.store.commit_cache();
+    }
+    Ok(ScanSummary {
+        schema: fragment.schema().clone(),
+        stats: stats?,
+        op_stats: PhaseStats {
+            server_cpu_units: op_units.into_inner(),
+            ..Default::default()
+        },
         hit_parts: hit_parts.into_inner(),
         fill_parts: fill_parts.into_inner(),
     })
 }
 
-/// Vectorized twin of [`plain_scan_streamed`]: partitions decode into
-/// [`ColumnarBatch`]es (typed column vectors, dictionary strings kept
-/// coded) instead of row batches. Billing, retries, redirect-to-cache
-/// behaviour and CPU accounting are identical to the row path — only the
-/// in-memory representation handed to `on_batch` differs, so downstream
-/// kernels can filter/aggregate column-at-a-time and materialize rows
-/// late.
+/// Every row of `table` as batches, in partition order: [`scan`] with
+/// the identity fragment.
+pub fn plain_scan_streamed(
+    ctx: &QueryContext,
+    table: &Table,
+    on_batch: impl FnMut(RowBatch) -> Result<()>,
+) -> Result<ScanSummary> {
+    let identity = ScanFragment::new(table, None, None);
+    scan(ctx, table, ScanSource::Plain, &identity, on_batch)
+}
+
+/// [`plain_scan_streamed`] through the segment cache
+/// ([`ScanSource::Cached`]).
+pub fn cached_scan_streamed(
+    ctx: &QueryContext,
+    table: &Table,
+    on_batch: impl FnMut(RowBatch) -> Result<()>,
+) -> Result<CachedScanSummary> {
+    let identity = ScanFragment::new(table, None, None);
+    scan(ctx, table, ScanSource::Cached, &identity, on_batch)
+}
+
+/// [`plain_scan_streamed`] with every batch pivoted into a
+/// [`ColumnarBatch`].
 pub fn plain_scan_columnar_streamed(
     ctx: &QueryContext,
     table: &Table,
     mut on_batch: impl FnMut(ColumnarBatch) -> Result<()>,
 ) -> Result<ScanSummary> {
-    if ctx.cache_reads && ctx.store.cache().is_some() {
-        let cached = cached_scan_columnar_streamed(ctx, table, on_batch)?;
-        return Ok(ScanSummary {
-            schema: cached.schema,
-            stats: cached.stats,
-        });
-    }
-    let keys = partition_keys(ctx, table)?;
-    let stats = stream_partitions(
-        ctx,
-        &keys,
-        |key, emitter| {
-            let fetched = ctx.store.get_object_with(&table.bucket, key, &ctx.retry)?;
-            let data = fetched.value;
-            let mut part = PhaseStats {
-                requests: u64::from(fetched.attempts),
-                plain_bytes: data.len() as u64,
-                cl_parse_bytes: cl_bytes(table, data.len()),
-                ..Default::default()
-            };
-            let rows = decode_partition_columnar(
-                data,
-                &table.schema,
-                table.format,
-                ctx.batch_rows,
-                |batch| emitter.emit(batch),
-            )?;
-            part.server_cpu_units += rows;
-            Ok(part)
-        },
-        &mut on_batch,
-    )?;
-    Ok(ScanSummary {
-        schema: table.schema.clone(),
-        stats,
-    })
+    plain_scan_streamed(ctx, table, |b| on_batch(ColumnarBatch::from_row_batch(&b)))
 }
 
-/// Vectorized twin of [`cached_scan_streamed`]: read every partition
-/// through the segment cache, decoding into [`ColumnarBatch`]es. Hit and
-/// fill accounting match the row path exactly.
+/// [`cached_scan_streamed`] with every batch pivoted into a
+/// [`ColumnarBatch`].
 pub fn cached_scan_columnar_streamed(
     ctx: &QueryContext,
     table: &Table,
     mut on_batch: impl FnMut(ColumnarBatch) -> Result<()>,
 ) -> Result<CachedScanSummary> {
-    let keys = partition_keys(ctx, table)?;
-    let hit_parts = std::sync::atomic::AtomicU64::new(0);
-    let fill_parts = std::sync::atomic::AtomicU64::new(0);
-    let stats = stream_partitions(
-        ctx,
-        &keys,
-        |key, emitter| {
-            let fetched = ctx.store.get_object_chunked_cached_with(
-                &table.bucket,
-                key,
-                &ctx.retry,
-                |data| chunk_layout(table, ctx.cache_chunk_bytes, data),
-            )?;
-            let mut part = account_chunked(&fetched, table, &hit_parts, &fill_parts);
-            let rows = decode_partition_columnar(
-                fetched.data,
-                &table.schema,
-                table.format,
-                ctx.batch_rows,
-                |batch| emitter.emit(batch),
-            )?;
-            part.server_cpu_units += rows;
-            Ok(part)
-        },
-        &mut on_batch,
-    );
-    // Commit point, failed or not, as in `cached_scan_streamed`.
-    ctx.store.commit_cache();
-    let stats = stats?;
-    Ok(CachedScanSummary {
-        schema: table.schema.clone(),
-        stats,
-        hit_parts: hit_parts.into_inner(),
-        fill_parts: fill_parts.into_inner(),
-    })
+    cached_scan_streamed(ctx, table, |b| on_batch(ColumnarBatch::from_row_batch(&b)))
 }
 
-/// Baseline path: load whole partitions over the wire and parse locally.
-/// Collecting wrapper over [`plain_scan_streamed`].
-pub fn plain_scan(ctx: &QueryContext, table: &Table) -> Result<ScanResult> {
+/// [`scan`] collecting the survivors.
+pub fn scan_rows(
+    ctx: &QueryContext,
+    table: &Table,
+    source: ScanSource,
+    fragment: &ScanFragment,
+) -> Result<(Vec<Row>, ScanSummary)> {
     let mut rows = Vec::new();
-    let summary = plain_scan_streamed(ctx, table, |batch| {
+    let summary = scan(ctx, table, source, fragment, |batch| {
         rows.extend(batch.rows);
         Ok(())
     })?;
+    Ok((rows, summary))
+}
+
+/// Baseline path: load whole partitions over the wire and parse locally.
+/// Every row, collected: [`scan_rows`] with the identity fragment.
+pub fn plain_scan(ctx: &QueryContext, table: &Table) -> Result<ScanResult> {
+    let identity = ScanFragment::new(table, None, None);
+    let (rows, summary) = scan_rows(ctx, table, ScanSource::Plain, &identity)?;
     Ok(ScanResult {
         schema: summary.schema,
         rows,
@@ -664,10 +591,7 @@ pub fn select_scan_streamed(
         for batch in RowBatch::chunks(&scan.schema, scan.rows, ctx.batch_rows) {
             on_batch(batch)?;
         }
-        return Ok(ScanSummary {
-            schema: scan.schema,
-            stats: scan.stats,
-        });
+        return Ok(ScanSummary::new(scan.schema, scan.stats));
     }
 
     let keys = partition_keys(ctx, table)?;
@@ -693,7 +617,7 @@ pub fn select_scan_streamed(
     let schema = schema_slot
         .into_inner()
         .expect("at least one partition responded");
-    Ok(ScanSummary { schema, stats })
+    Ok(ScanSummary::new(schema, stats))
 }
 
 /// Pushdown path: run `stmt` against every partition via S3 Select and
@@ -1078,6 +1002,58 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err.to_string(), Error::Other("stop".into()).to_string());
+    }
+
+    #[test]
+    fn a_panicking_worker_disconnects_its_queue_instead_of_hanging_the_consumer() {
+        let (mut ctx, t) = ctx_with_table(500, 100);
+        ctx.scan_threads = 2;
+        let keys = partition_keys(&ctx, &t).unwrap();
+        // The consumer sees partition 2's queue disconnect and bails out;
+        // the scope then re-raises the worker's panic. Before workers
+        // owned their senders the consumer waited on that queue forever.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stream_partitions::<(), _, _>(
+                &ctx,
+                &keys,
+                |key, _| {
+                    assert!(!key.ends_with("00002.csv"), "worker bug");
+                    Ok(PhaseStats::default())
+                },
+                |_| Ok(()),
+            )
+        }));
+        assert!(outcome.is_err());
+    }
+
+    #[test]
+    fn partitions_failing_on_every_worker_never_strand_the_consumer() {
+        // Every partition fails at once on 8 workers, over and over. A
+        // worker that claimed an index and then backed out on seeing the
+        // cancel flag left that queue's sender alive, and the consumer
+        // waited on it forever (one scan in a few ten thousand). A claimed
+        // index must always end its queue.
+        let (mut ctx, t) = ctx_with_table(64, 1);
+        ctx.scan_threads = 8;
+        let keys = partition_keys(&ctx, &t).unwrap();
+        assert_eq!(keys.len(), 64);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                let err = stream_partitions::<(), _, _>(
+                    &ctx,
+                    &keys,
+                    |_, _| Err(Error::Eval("division by zero".into())),
+                    |_| Ok(()),
+                )
+                .unwrap_err();
+                assert_eq!(err.code(), "EvalError");
+            }
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a failing scan hung (or panicked) instead of returning its error");
     }
 
     #[test]

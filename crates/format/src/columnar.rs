@@ -561,6 +561,7 @@ pub struct ColumnarWriter {
     out: Vec<u8>,
     groups: Vec<RowGroupMeta>,
     pending: Vec<Row>,
+    compressor: compress::Compressor,
 }
 
 impl ColumnarWriter {
@@ -573,6 +574,7 @@ impl ColumnarWriter {
             out,
             groups: Vec::new(),
             pending: Vec::new(),
+            compressor: compress::Compressor::default(),
         }
     }
 
@@ -593,20 +595,18 @@ impl ColumnarWriter {
         for (c, field) in self.schema.fields().iter().enumerate() {
             let col: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
             let (raw, encoding, stats) = encode_chunk(&col, field.dtype);
-            let (stored, compressed) = if self.options.compress {
-                let z = compress::compress(&raw);
-                if z.len() < raw.len() {
-                    (z, true)
-                } else {
-                    (raw.clone(), false)
-                }
-            } else {
-                (raw.clone(), false)
-            };
+            let raw_len = raw.len() as u64;
+            let z = self
+                .options
+                .compress
+                .then(|| self.compressor.compress(&raw))
+                .filter(|z| z.len() < raw.len());
+            let compressed = z.is_some();
+            let stored = z.unwrap_or(raw);
             chunks.push(ChunkMeta {
                 offset: self.out.len() as u64,
                 stored_len: stored.len() as u64,
-                raw_len: raw.len() as u64,
+                raw_len,
                 encoding,
                 compressed,
                 stats,

@@ -28,59 +28,89 @@ fn hash4(b: &[u8]) -> usize {
     (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
 }
 
-/// Compress `input`. The output always round-trips through [`decompress`];
-/// it may be larger than the input for incompressible data (callers store
-/// whichever is smaller, see the columnar writer).
-pub fn compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
-    let mut i = 0;
-    let mut literal_start = 0;
+/// Match-finder state reused across [`Compressor::compress`] calls: the
+/// 128 KB position table is allocated once per writer instead of once
+/// per column chunk. Output bytes do not depend on reuse — the table is
+/// reset at the start of every call.
+pub struct Compressor {
+    /// Last input position seen for each 4-byte hash (`u32::MAX` = none).
+    table: Vec<u32>,
+}
 
-    let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize, input: &[u8]| {
-        let mut start = from;
-        while start < to {
-            let run = (to - start).min(128);
-            out.push((run - 1) as u8);
-            out.extend_from_slice(&input[start..start + run]);
-            start += run;
-        }
-    };
-
-    while i + MIN_MATCH <= input.len() {
-        let h = hash4(&input[i..]);
-        let candidate = table[h];
-        table[h] = i;
-        let found = candidate != usize::MAX
-            && i - candidate <= MAX_DISTANCE
-            && input[candidate..candidate + MIN_MATCH] == input[i..i + MIN_MATCH];
-        if found {
-            // Extend the match.
-            let mut len = MIN_MATCH;
-            let max_len = (input.len() - i).min(MAX_MATCH);
-            while len < max_len && input[candidate + len] == input[i + len] {
-                len += 1;
-            }
-            flush_literals(&mut out, literal_start, i, input);
-            out.push(0x80 | (len - MIN_MATCH) as u8);
-            let dist = (i - candidate) as u16;
-            out.extend_from_slice(&dist.to_le_bytes());
-            // Seed the hash table inside the match so later data can refer
-            // back into it (sparsely, for speed).
-            let end = i + len;
-            let mut j = i + 1;
-            while j + MIN_MATCH <= input.len() && j < end {
-                table[hash4(&input[j..])] = j;
-                j += 2;
-            }
-            i = end;
-            literal_start = i;
-        } else {
-            i += 1;
+impl Default for Compressor {
+    fn default() -> Self {
+        Compressor {
+            table: vec![u32::MAX; 1 << HASH_BITS],
         }
     }
-    flush_literals(&mut out, literal_start, input.len(), input);
-    out
+}
+
+impl Compressor {
+    /// Compress `input`. The output always round-trips through
+    /// [`decompress`]; it may be larger than the input for incompressible
+    /// data (callers store whichever is smaller, see the columnar writer).
+    pub fn compress(&mut self, input: &[u8]) -> Vec<u8> {
+        // Positions are kept as `u32`; `u32::MAX` marks an empty slot.
+        assert!(
+            input.len() < u32::MAX as usize,
+            "compress block must be under 4 GiB"
+        );
+        let table = &mut self.table;
+        table.fill(u32::MAX);
+        let mut out = Vec::with_capacity(input.len() / 2 + 16);
+        let mut i = 0;
+        let mut literal_start = 0;
+
+        let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize, input: &[u8]| {
+            let mut start = from;
+            while start < to {
+                let run = (to - start).min(128);
+                out.push((run - 1) as u8);
+                out.extend_from_slice(&input[start..start + run]);
+                start += run;
+            }
+        };
+
+        while i + MIN_MATCH <= input.len() {
+            let h = hash4(&input[i..]);
+            let candidate = table[h] as usize;
+            table[h] = i as u32;
+            let found = candidate != u32::MAX as usize
+                && i - candidate <= MAX_DISTANCE
+                && input[candidate..candidate + MIN_MATCH] == input[i..i + MIN_MATCH];
+            if found {
+                // Extend the match.
+                let mut len = MIN_MATCH;
+                let max_len = (input.len() - i).min(MAX_MATCH);
+                while len < max_len && input[candidate + len] == input[i + len] {
+                    len += 1;
+                }
+                flush_literals(&mut out, literal_start, i, input);
+                out.push(0x80 | (len - MIN_MATCH) as u8);
+                let dist = (i - candidate) as u16;
+                out.extend_from_slice(&dist.to_le_bytes());
+                // Seed the hash table inside the match so later data can
+                // refer back into it (sparsely, for speed).
+                let end = i + len;
+                let mut j = i + 1;
+                while j + MIN_MATCH <= input.len() && j < end {
+                    table[hash4(&input[j..])] = j as u32;
+                    j += 2;
+                }
+                i = end;
+                literal_start = i;
+            } else {
+                i += 1;
+            }
+        }
+        flush_literals(&mut out, literal_start, input.len(), input);
+        out
+    }
+}
+
+/// One-shot [`Compressor::compress`] with a fresh table.
+pub fn compress(input: &[u8]) -> Vec<u8> {
+    Compressor::default().compress(input)
 }
 
 /// Decompress a block produced by [`compress`]. `expected_len` guards
@@ -111,11 +141,17 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, String> 
                     out.len()
                 ));
             }
-            // Byte-at-a-time copy: matches may overlap themselves (RLE).
+            // A match may overlap itself (RLE, `dist < len`): the output
+            // from `start` on repeats with period `dist`, so each pass
+            // re-copies everything that exists of it, doubling the run.
+            // `copied` is a multiple of `dist` before every pass, which
+            // is what lets each pass restart at `start`.
             let start = out.len() - dist;
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
+            let mut copied = 0;
+            while copied < len {
+                let n = (len - copied).min(dist + copied);
+                out.extend_from_within(start..start + n);
+                copied += n;
             }
         }
         if out.len() > expected_len {

@@ -4,7 +4,7 @@
 //!
 //! The paper's experiments run against AWS S3; this crate substitutes an
 //! in-process, thread-safe object store exposing the same *narrow* API the
-//! DBMS actually uses (DESIGN.md §2):
+//! DBMS actually uses:
 //!
 //! * whole-object `GET` ([`S3Store::get_object`]),
 //! * byte-range `GET` ([`S3Store::get_object_range`]) — one range per

@@ -61,6 +61,51 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
+    /// Rewrite every column index through `f`, depth first — how a scan
+    /// re-addresses an expression onto the columns it actually decodes
+    /// (an `f` that returns its argument merely visits them).
+    pub fn map_columns(&mut self, f: &mut impl FnMut(usize) -> usize) {
+        match self {
+            BoundExpr::Literal(_) => {}
+            BoundExpr::Column(idx, _) => *idx = f(*idx),
+            BoundExpr::Unary { expr, .. }
+            | BoundExpr::IsNull { expr, .. }
+            | BoundExpr::Cast { expr, .. } => expr.map_columns(f),
+            BoundExpr::Binary { left, right, .. } => {
+                left.map_columns(f);
+                right.map_columns(f);
+            }
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => {
+                expr.map_columns(f);
+                low.map_columns(f);
+                high.map_columns(f);
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                expr.map_columns(f);
+                list.iter_mut().for_each(|e| e.map_columns(f));
+            }
+            BoundExpr::Like { expr, pattern, .. } => {
+                expr.map_columns(f);
+                pattern.map_columns(f);
+            }
+            BoundExpr::Case {
+                branches,
+                else_expr,
+            } => {
+                for (cond, value) in branches {
+                    cond.map_columns(f);
+                    value.map_columns(f);
+                }
+                if let Some(e) = else_expr {
+                    e.map_columns(f);
+                }
+            }
+            BoundExpr::Call { args, .. } => args.iter_mut().for_each(|e| e.map_columns(f)),
+        }
+    }
+
     /// Best-effort output type (used to construct output schemas; the
     /// engine is dynamically typed so this is advisory, defaulting to
     /// `Str` when unknown).
@@ -378,6 +423,28 @@ mod tests {
     fn unknown_columns_error() {
         let err = bind("no_such_col + 1").unwrap_err();
         assert_eq!(err.code(), "BindError");
+    }
+
+    #[test]
+    fn map_columns_visits_and_rewrites_every_reference() {
+        let mut e = bind(
+            "CASE WHEN c_custkey BETWEEN 1 AND c_acctbal THEN LOWER(c_name) \
+             ELSE CAST(c_date AS STRING) END LIKE c_name \
+             OR c_custkey IN (c_acctbal, 2) OR -c_acctbal IS NULL",
+        )
+        .unwrap();
+        let mut seen = Vec::new();
+        e.map_columns(&mut |c| {
+            seen.push(c);
+            c + 10
+        });
+        assert_eq!(seen, vec![0, 2, 1, 3, 1, 0, 2, 2]);
+        let mut after = Vec::new();
+        e.map_columns(&mut |c| {
+            after.push(c);
+            c
+        });
+        assert_eq!(after, vec![10, 12, 11, 13, 11, 10, 12, 12]);
     }
 
     #[test]

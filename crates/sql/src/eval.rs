@@ -357,15 +357,17 @@ pub fn like_match(text: &str, pattern: &str) -> bool {
     let (mut ti, mut pi) = (0usize, 0usize);
     let (mut star_p, mut star_t) = (usize::MAX, 0usize);
     while ti < t.len() {
-        if pi < p.len() && p[pi] == b'_' {
+        // Wildcards first: a `%` or `_` in the pattern is never a literal,
+        // even when the text holds the same byte at this position.
+        if pi < p.len() && p[pi] == b'%' {
+            star_p = pi;
+            star_t = ti;
+            pi += 1;
+        } else if pi < p.len() && p[pi] == b'_' {
             ti = next_char(ti);
             pi += 1;
         } else if pi < p.len() && p[pi] == t[ti] {
             ti += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == b'%' {
-            star_p = pi;
-            star_t = ti;
             pi += 1;
         } else if star_p != usize::MAX {
             pi = star_p + 1;
@@ -662,32 +664,20 @@ mod proptests {
             .collect()
     }
 
-    /// `LIKE` as it was: both strings collected into `Vec<char>`s.
+    /// `LIKE` by its definition, over chars: `%` matches any run of
+    /// characters, `_` exactly one, anything else itself.
     fn like_oracle(text: &str, pattern: &str) -> bool {
-        let t: Vec<char> = text.chars().collect();
-        let p: Vec<char> = pattern.chars().collect();
-        let (mut ti, mut pi) = (0usize, 0usize);
-        let (mut star_p, mut star_t) = (usize::MAX, 0usize);
-        while ti < t.len() {
-            if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-                ti += 1;
-                pi += 1;
-            } else if pi < p.len() && p[pi] == '%' {
-                star_p = pi;
-                star_t = ti;
-                pi += 1;
-            } else if star_p != usize::MAX {
-                pi = star_p + 1;
-                star_t += 1;
-                ti = star_t;
-            } else {
-                return false;
+        fn go(t: &[char], p: &[char]) -> bool {
+            match p.split_first() {
+                None => t.is_empty(),
+                Some(('%', rest)) => (0..=t.len()).any(|skip| go(&t[skip..], rest)),
+                Some(('_', rest)) => !t.is_empty() && go(&t[1..], rest),
+                Some((c, rest)) => t.first() == Some(c) && go(&t[1..], rest),
             }
         }
-        while pi < p.len() && p[pi] == '%' {
-            pi += 1;
-        }
-        pi == p.len()
+        let t: Vec<char> = text.chars().collect();
+        let p: Vec<char> = pattern.chars().collect();
+        go(&t, &p)
     }
 
     fn arb_len() -> impl Strategy<Value = Option<i64>> {
@@ -713,14 +703,38 @@ mod proptests {
             }
         }
 
-        /// Matching UTF-8 bytes gives what matching chars gave, wildcards
-        /// next to multi-byte characters included.
+        /// Matching UTF-8 bytes gives what the definition gives, wildcards
+        /// next to multi-byte characters and literal `%`/`_` in the text
+        /// included.
         #[test]
-        fn like_matches_char_vector_oracle(
+        fn like_matches_recursive_oracle(
             text in "[abé☃è%_]{0,8}",
             pattern in "[abé☃è%%__]{0,6}",
         ) {
             prop_assert_eq!(like_match(&text, &pattern), like_oracle(&text, &pattern));
+        }
+    }
+
+    /// Text that itself holds `%` or `_` where the pattern has a wildcard.
+    #[test]
+    fn like_wildcards_are_never_literals() {
+        for (text, pattern, want) in [
+            ("100%", "%", true),
+            ("%x", "%", true),
+            ("100%", "100%", true),
+            ("a_b", "a_b", true),
+            ("axb", "a_b", true),
+            ("%", "%%", true),
+            ("%", "_", true),
+            ("%%", "_", false),
+            ("_a", "_", false),
+        ] {
+            assert_eq!(like_match(text, pattern), want, "{text:?} LIKE {pattern:?}");
+            assert_eq!(
+                like_oracle(text, pattern),
+                want,
+                "oracle: {text:?} LIKE {pattern:?}"
+            );
         }
     }
 }
