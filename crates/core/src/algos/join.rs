@@ -128,20 +128,26 @@ impl JoinFinisher<'_> {
     }
 }
 
-/// Stream one side's plain scan, its local predicate applied by the scan
-/// workers so only passing rows are ever resident. Returns the filtered
-/// scan plus the filter's CPU footprint (accounted to the local-join
-/// phase, as when filtering ran after the load).
+/// Stream one side's plain scan, its local predicate and the projection
+/// onto `cols` applied by the scan workers, so only the needed columns of
+/// passing rows are ever resident. Returns the filtered scan plus the
+/// filter's CPU footprint (accounted to the local-join phase, as when
+/// filtering ran after the load).
 fn plain_scan_filtered(
     ctx: &QueryContext,
     table: &Table,
     pred: Option<&Expr>,
+    cols: &[String],
 ) -> Result<(ScanResult, PhaseStats)> {
     let bound = match pred {
         Some(p) => Some(Binder::new(&table.schema).bind_expr(p)?),
         None => None,
     };
-    let fragment = ScanFragment::new(table, bound, None);
+    let indices = cols
+        .iter()
+        .map(|c| table.schema.resolve(c))
+        .collect::<Result<Vec<_>>>()?;
+    let fragment = ScanFragment::columns(table, bound, &indices);
     let (rows, summary) = scan_rows(ctx, table, ScanSource::Plain, &fragment)?;
     Ok((
         ScanResult {
@@ -154,12 +160,15 @@ fn plain_scan_filtered(
 }
 
 /// Baseline join: full plain loads of both tables, all work local. The
-/// two loads stream concurrently, filtering batch-at-a-time.
+/// two loads stream concurrently, filtering and projecting in the scan
+/// workers.
 pub fn baseline(ctx: &QueryContext, q: &JoinQuery) -> Result<QueryOutput> {
     let ctx = &ctx.scoped();
+    let left_cols = JoinQuery::needed(&q.left_proj, &q.left_key);
+    let right_cols = JoinQuery::needed(&q.right_proj, &q.right_key);
     let ((left, left_filter), (right, right_filter)) = parallel_scans(
-        || plain_scan_filtered(ctx, &q.left, q.left_pred.as_ref()),
-        || plain_scan_filtered(ctx, &q.right, q.right_pred.as_ref()),
+        || plain_scan_filtered(ctx, &q.left, q.left_pred.as_ref(), &left_cols),
+        || plain_scan_filtered(ctx, &q.right, q.right_pred.as_ref(), &right_cols),
     )?;
     let mut local = left_filter;
     local.merge(&right_filter);

@@ -391,6 +391,17 @@ fn partition_key(prefix: &str, i: usize, ext: &str) -> String {
     format!("{prefix}/part-{i:05}.{ext}")
 }
 
+/// Run a loader's encode loop while a second thread gathers the
+/// load-time statistics of the same rows (the pass costs about as much
+/// as encoding them).
+fn encode_beside_stats(schema: &Schema, rows: &[Row], encode: impl FnOnce()) -> Arc<TableStats> {
+    std::thread::scope(|s| {
+        let stats = s.spawn(|| TableStats::from_rows(schema, rows));
+        encode();
+        Arc::new(stats.join().expect("statistics thread panicked"))
+    })
+}
+
 /// Write rows as a partitioned CSV table (with header rows) and register
 /// it. Not metered: loading happens outside query execution (§II-B).
 pub fn upload_csv_table(
@@ -403,21 +414,21 @@ pub fn upload_csv_table(
 ) -> Result<Table> {
     store.create_bucket(bucket);
     let per = rows_per_partition.max(1);
-    let mut i = 0;
-    for (p, chunk) in rows.chunks(per).enumerate() {
-        let mut w = CsvWriter::with_header(schema);
-        for r in chunk {
-            w.write_row(r);
+    let stats = encode_beside_stats(schema, rows, || {
+        for (p, chunk) in rows.chunks(per).enumerate() {
+            let mut w = CsvWriter::with_header(schema);
+            for r in chunk {
+                w.write_row(r);
+            }
+            store.put_object(bucket, &partition_key(name, p, "csv"), w.finish());
         }
-        store.put_object(bucket, &partition_key(name, p, "csv"), w.finish());
-        i = p + 1;
-    }
-    if i == 0 {
-        // Empty tables still get one (header-only) partition so scans see
-        // a well-formed object.
-        let w = CsvWriter::with_header(schema);
-        store.put_object(bucket, &partition_key(name, 0, "csv"), w.finish());
-    }
+        if rows.is_empty() {
+            // Empty tables still get one (header-only) partition so scans
+            // see a well-formed object.
+            let w = CsvWriter::with_header(schema);
+            store.put_object(bucket, &partition_key(name, 0, "csv"), w.finish());
+        }
+    });
     Ok(Table {
         name: name.to_string(),
         bucket: bucket.to_string(),
@@ -425,7 +436,7 @@ pub fn upload_csv_table(
         schema: schema.clone(),
         format: InputFormat::Csv,
         row_count: rows.len() as u64,
-        stats: Some(Arc::new(TableStats::from_rows(schema, rows))),
+        stats: Some(stats),
     })
 }
 
@@ -441,16 +452,16 @@ pub fn upload_columnar_table(
 ) -> Result<Table> {
     store.create_bucket(bucket);
     let per = rows_per_partition.max(1);
-    let mut wrote = false;
-    for (p, chunk) in rows.chunks(per).enumerate() {
-        let bytes = encode_columnar(schema, chunk, options);
-        store.put_object(bucket, &partition_key(name, p, "clt"), bytes);
-        wrote = true;
-    }
-    if !wrote {
-        let bytes = encode_columnar(schema, &[], options);
-        store.put_object(bucket, &partition_key(name, 0, "clt"), bytes);
-    }
+    let stats = encode_beside_stats(schema, rows, || {
+        for (p, chunk) in rows.chunks(per).enumerate() {
+            let bytes = encode_columnar(schema, chunk, options);
+            store.put_object(bucket, &partition_key(name, p, "clt"), bytes);
+        }
+        if rows.is_empty() {
+            let bytes = encode_columnar(schema, &[], options);
+            store.put_object(bucket, &partition_key(name, 0, "clt"), bytes);
+        }
+    });
     Ok(Table {
         name: name.to_string(),
         bucket: bucket.to_string(),
@@ -458,7 +469,7 @@ pub fn upload_columnar_table(
         schema: schema.clone(),
         format: InputFormat::Columnar,
         row_count: rows.len() as u64,
-        stats: Some(Arc::new(TableStats::from_rows(schema, rows))),
+        stats: Some(stats),
     })
 }
 

@@ -152,6 +152,15 @@ impl<'a> Estimator<'a> {
         widths + cols.len().saturating_sub(1) as f64 + 1.0
     }
 
+    /// Mean CSV width of the rows a local or cached scan leaf emits:
+    /// priced like a pushed projection's, the whole row for `*`.
+    fn leaf_row_bytes(&self, projection: &Option<Vec<String>>) -> f64 {
+        match projection {
+            Some(cols) => self.out_row_bytes(cols),
+            None => self.row_bytes,
+        }
+    }
+
     /// Distinct-value estimate for one column.
     fn ndv(&self, name: &str) -> f64 {
         let idx = match self.table.schema.resolve(name) {
@@ -888,7 +897,11 @@ fn predict_node(
             )
         };
     match &node.op {
-        PlanOp::LocalScan { table, predicate } => {
+        PlanOp::LocalScan {
+            table,
+            predicate,
+            projection,
+        } => {
             let est = Estimator::new(ctx, table);
             let sel = est.selectivity(predicate.as_ref());
             let extra = if predicate.is_some() { est.rows } else { 0.0 };
@@ -897,7 +910,7 @@ fn predict_node(
                 "load",
                 Card {
                     rows: sel * est.rows,
-                    row_bytes: est.row_bytes,
+                    row_bytes: est.leaf_row_bytes(projection),
                 },
             )
         }
@@ -909,7 +922,11 @@ fn predict_node(
             let (stats, card) = predict_pushdown_scan(ctx, table, predicate, projection, 1.0, 0);
             leaf(stats, "select", card)
         }
-        PlanOp::CachedScan { table, predicate } => {
+        PlanOp::CachedScan {
+            table,
+            predicate,
+            projection,
+        } => {
             let est = Estimator::new(ctx, table);
             let sel = est.selectivity(predicate.as_ref());
             let extra = if predicate.is_some() { est.rows } else { 0.0 };
@@ -929,7 +946,7 @@ fn predict_node(
                 "cached load",
                 Card {
                     rows: sel * est.rows,
-                    row_bytes: est.row_bytes,
+                    row_bytes: est.leaf_row_bytes(projection),
                 },
             )
         }
@@ -1170,14 +1187,23 @@ fn predict_gather(
     let total_bytes: u64 = sized.iter().map(|(_, _, s)| s).sum();
     // Leaf-total footprint and output card, by leaf kind.
     let (full, card) = match &leaf_node.op {
-        PlanOp::LocalScan { predicate, .. } | PlanOp::CachedScan { predicate, .. } => {
+        PlanOp::LocalScan {
+            predicate,
+            projection,
+            ..
+        }
+        | PlanOp::CachedScan {
+            predicate,
+            projection,
+            ..
+        } => {
             let sel = est.selectivity(predicate.as_ref());
             let extra = if predicate.is_some() { est.rows } else { 0.0 };
             (
                 est.plain_load(extra),
                 Card {
                     rows: sel * est.rows,
-                    row_bytes: est.row_bytes,
+                    row_bytes: est.leaf_row_bytes(projection),
                 },
             )
         }

@@ -58,7 +58,7 @@ enum ScanMode {
 /// planner weighs cached-local vs pushdown vs remote **per scan**,
 /// jointly with the join strategy. The `baseline` and `filtered`
 /// candidates always exist.
-pub(crate) fn lower_join_candidates(
+pub fn lower_join_candidates(
     ctx: &QueryContext,
     primary: &Table,
     spec: &QuerySpec,
@@ -305,39 +305,32 @@ fn scan_node(
     needed: &[String],
     mode: ScanMode,
 ) -> PlanNode {
-    match mode {
-        ScanMode::Pushed => {
-            let indices: Vec<usize> = needed
-                .iter()
-                .map(|c| table.schema.index_of(c).expect("needed column resolved"))
-                .collect();
-            PlanNode::new(
-                PlanOp::PushdownScan {
-                    table: table.clone(),
-                    predicate,
-                    projection: Some(needed.to_vec()),
-                },
-                Vec::new(),
-                table.schema.project(&indices),
-            )
-        }
-        ScanMode::Local => PlanNode::new(
-            PlanOp::LocalScan {
-                table: table.clone(),
-                predicate,
-            },
-            Vec::new(),
-            table.schema.clone(),
-        ),
-        ScanMode::Cached => PlanNode::new(
-            PlanOp::CachedScan {
-                table: table.clone(),
-                predicate,
-            },
-            Vec::new(),
-            table.schema.clone(),
-        ),
-    }
+    // Every mode delivers the needed columns only: Select projects them
+    // storage-side, a local or cached scan in the worker that decodes.
+    let indices: Vec<usize> = needed
+        .iter()
+        .map(|c| table.schema.index_of(c).expect("needed column resolved"))
+        .collect();
+    let schema = table.schema.project(&indices);
+    let (table, projection) = (table.clone(), Some(needed.to_vec()));
+    let op = match mode {
+        ScanMode::Pushed => PlanOp::PushdownScan {
+            table,
+            predicate,
+            projection,
+        },
+        ScanMode::Local => PlanOp::LocalScan {
+            table,
+            predicate,
+            projection,
+        },
+        ScanMode::Cached => PlanOp::CachedScan {
+            table,
+            predicate,
+            projection,
+        },
+    };
+    PlanNode::new(op, Vec::new(), schema)
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -22,8 +22,10 @@
 //! * [`plan`] — the physical-plan IR: scan leaves (pushdown, local, and
 //!   `CachedScan` through the hybrid caching tier), joins, group-by,
 //!   sort/top-K, project/limit as one operator DAG, driven by a single
-//!   executor, with the [`algos`] families participating as leaf
-//!   operators;
+//!   push-based executor, with the [`algos`] families participating as
+//!   leaf operators;
+//! * [`joinplan`] — lowering of multi-table statements to the candidate
+//!   plans the planner prices;
 //! * [`cost`] — the analytical cost estimator behind
 //!   [`planner::Strategy::Adaptive`]: predicts every candidate
 //!   algorithm's footprint from catalog statistics — and prices whole
@@ -41,7 +43,7 @@ pub mod context;
 pub mod cost;
 pub mod fragment;
 pub mod index;
-mod joinplan;
+pub mod joinplan;
 pub mod metrics;
 pub mod ops;
 pub mod output;

@@ -16,9 +16,16 @@
 //! `server_cpu_units` so the performance model can charge compute time
 //! (one unit ≈ one row visited by one non-trivial operator; heap pushes
 //! charge `log2(K)`). The wrappers charge exactly what the equivalent
-//! batch-wise run charges: accounting is independent of batching.
+//! batch-wise run charges: accounting is independent of batching. The
+//! plan executor ([`crate::plan`]) leans on that contract: it feeds the
+//! state machines whatever batches its scans deliver and reports the
+//! footprint the whole-input wrappers would have.
+//!
+//! Join keys follow the evaluator's `=` (`Value::sql_eq`), not `Value`'s
+//! hash-table equality: see [`HashJoinBuild`].
 
 use pushdown_common::columnar::{Column, ColumnData, ColumnarBatch, SelVec};
+use pushdown_common::mix::{fnv1a, splitmix64};
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{date, DataType, Error, Result, Row, Value};
 use pushdown_sql::agg::{Accumulator, AggFunc};
@@ -58,18 +65,94 @@ pub fn map_rows(rows: &[Row], exprs: &[BoundExpr], stats: &mut PhaseStats) -> Re
         .collect()
 }
 
-/// The build side of a hash inner join, fed batch-at-a-time. NULL keys
-/// never enter the table (SQL semantics).
+/// End of a chain / vacant slot in [`HashJoinBuild`].
+const NONE: u32 = u32::MAX;
+
+/// Where a join key hashes: two keys the evaluator calls equal
+/// (`Value::sql_eq` is `Some(true)`) have the same image, so equal keys
+/// always meet in one chain; the converse is checked per candidate.
+/// Numerics hash through their `f64` image — what `sql_cmp` compares
+/// INT with FLOAT by — with `-0.0` folded onto `0.0`. `None` for a key
+/// that equals nothing, itself included: NULL and NaN.
+fn key_image(v: &Value) -> Option<u64> {
+    let num = |f: f64| (!f.is_nan()).then(|| (f + 0.0).to_bits());
+    match v {
+        Value::Null => None,
+        Value::Bool(b) => Some(u64::from(*b)),
+        Value::Int(i) => num(*i as f64),
+        Value::Float(f) => num(*f),
+        Value::Date(d) => num(f64::from(*d)),
+        Value::Str(s) => Some(fnv1a(s.bytes())),
+    }
+}
+
+/// One key image's chain through the row arena.
+#[derive(Clone, Copy)]
+struct Slot {
+    image: u64,
+    /// First and last row of the chain; `head == NONE` marks a vacancy.
+    head: u32,
+    tail: u32,
+}
+
+const VACANT: Slot = Slot {
+    image: 0,
+    head: NONE,
+    tail: NONE,
+};
+
+/// The build side of a hash inner join, fed batch-at-a-time: one arena
+/// of build rows in insertion order, rows of one key image chained
+/// through `next`, and an open-addressed table from image to chain.
+///
+/// Keys join exactly when the evaluator's `=` holds for them
+/// (`Value::sql_eq` is `Some(true)`): `0.0` meets `-0.0` and `Int 1`
+/// meets `Float 1.0`; NULL and NaN keys never enter the table and never
+/// match. The one exception is `DATE = STRING`, which the evaluator
+/// compares as text: the two have no common hash image, so such a pair
+/// never hash-joins.
 pub struct HashJoinBuild {
     key: usize,
-    table: HashMap<Value, Vec<Row>>,
+    rows: Vec<Row>,
+    /// `next[i]`: the row after `rows[i]` in its chain, or `NONE`.
+    next: Vec<u32>,
+    /// Linear probing over a power-of-two capacity, at most half full.
+    slots: Vec<Slot>,
+    occupied: usize,
+    /// Keys come from table data: a per-table salt keeps the fixed
+    /// mixer from being steered into one probe run.
+    salt: u64,
 }
 
 impl HashJoinBuild {
     pub fn new(key: usize) -> Self {
+        use std::hash::BuildHasher;
         HashJoinBuild {
             key,
-            table: HashMap::new(),
+            rows: Vec::new(),
+            next: Vec::new(),
+            slots: vec![VACANT; 16],
+            occupied: 0,
+            salt: std::collections::hash_map::RandomState::new().hash_one(0u64),
+        }
+    }
+
+    /// Index of the slot holding `image`, or of the vacancy it would take.
+    fn slot_of(&self, image: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = splitmix64(image ^ self.salt) as usize & mask;
+        while self.slots[at].head != NONE && self.slots[at].image != image {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    fn grow(&mut self) {
+        let doubled = vec![VACANT; self.slots.len() * 2];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        for slot in old.into_iter().filter(|s| s.head != NONE) {
+            let at = self.slot_of(slot.image);
+            self.slots[at] = slot;
         }
     }
 
@@ -77,29 +160,53 @@ impl HashJoinBuild {
     pub fn add_batch(&mut self, rows: Vec<Row>, stats: &mut PhaseStats) {
         stats.server_cpu_units += rows.len() as u64;
         for row in rows {
-            let k = &row[self.key];
-            if k.is_null() {
+            let Some(image) = key_image(&row[self.key]) else {
                 continue;
+            };
+            let id = u32::try_from(self.rows.len())
+                .ok()
+                .filter(|&id| id != NONE)
+                .expect("hash join build side holds fewer than 2^32 - 1 rows");
+            self.rows.push(row);
+            self.next.push(NONE);
+            let at = self.slot_of(image);
+            let slot = &mut self.slots[at];
+            if slot.head == NONE {
+                *slot = Slot {
+                    image,
+                    head: id,
+                    tail: id,
+                };
+                self.occupied += 1;
+                if self.occupied * 2 > self.slots.len() {
+                    self.grow();
+                }
+            } else {
+                self.next[slot.tail as usize] = id;
+                slot.tail = id;
             }
-            self.table.entry(k.clone()).or_default().push(row);
         }
     }
 
     /// Probe one batch of rows against the finished build table; output
-    /// rows are `build ++ probe`. NULL probe keys never match.
+    /// rows are `build ++ probe`, a probe row's matches in the order the
+    /// build rows were inserted.
     pub fn probe_batch(&self, rows: &[Row], probe_key: usize, stats: &mut PhaseStats) -> Vec<Row> {
         stats.server_cpu_units += rows.len() as u64;
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(rows.len());
         for r in rows {
             let k = &r[probe_key];
-            if k.is_null() {
+            let Some(image) = key_image(k) else {
                 continue;
-            }
-            if let Some(matches) = self.table.get(k) {
-                stats.server_cpu_units += matches.len() as u64;
-                for l in matches {
+            };
+            let mut at = self.slots[self.slot_of(image)].head;
+            while at != NONE {
+                let l = &self.rows[at as usize];
+                if l[self.key].sql_eq(k) == Some(true) {
+                    stats.server_cpu_units += 1;
                     out.push(l.concat(r));
                 }
+                at = self.next[at as usize];
             }
         }
         out
@@ -1178,6 +1285,64 @@ mod tests {
         let right = vec![Row::new(vec![Value::Null, Value::Int(2)])];
         let mut stats = PhaseStats::default();
         assert!(hash_join(left, 0, right, 0, &mut stats).is_empty());
+    }
+
+    #[test]
+    fn join_keys_match_exactly_when_sql_equality_holds() {
+        let keys = [
+            Value::Null,
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Float(1.5),
+            Value::Date(1),
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Str("1".into()),
+            Value::Str("a".into()),
+            // Distinct integers with one `f64` image: they share a chain
+            // and must still not join each other.
+            Value::Int(1 << 53),
+            Value::Int((1 << 53) + 1),
+            Value::Float((1u64 << 53) as f64),
+        ];
+        let side = |tag: i64| -> Vec<Row> {
+            keys.iter()
+                .enumerate()
+                .map(|(i, k)| Row::new(vec![k.clone(), Value::Int(tag + i as i64)]))
+                .collect()
+        };
+        let (left, right) = (side(0), side(100));
+        let mut stats = PhaseStats::default();
+        let got = hash_join(left.clone(), 0, right.clone(), 0, &mut stats);
+        // The nested loop the evaluator's `=` defines, probe-major with
+        // build rows in insertion order: the hash join's emission order.
+        let mut want = Vec::new();
+        for r in &right {
+            for l in &left {
+                if l[0].sql_eq(&r[0]) == Some(true) {
+                    want.push(l.concat(r));
+                }
+            }
+        }
+        // `Row` equality is `Value`'s total order, which tells `0.0` from
+        // `-0.0`; the payload columns name the pair exactly.
+        let pairs = |rows: &[Row]| -> Vec<(i64, i64)> {
+            rows.iter()
+                .map(|r| (r[1].as_i64().unwrap(), r[3].as_i64().unwrap()))
+                .collect()
+        };
+        assert_eq!(pairs(&got), pairs(&want));
+        assert!(pairs(&got).contains(&(2, 103)), "0.0 joins -0.0");
+        assert!(pairs(&got).contains(&(1, 103)), "Int 0 joins Float -0.0");
+        assert!(!pairs(&got).contains(&(4, 104)), "NaN joins nothing");
+        assert_eq!(
+            stats.server_cpu_units,
+            (left.len() + right.len() + want.len()) as u64
+        );
     }
 
     #[test]

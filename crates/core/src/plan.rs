@@ -4,7 +4,10 @@
 //!
 //! Leaves are per-table scans — [`PlanOp::PushdownScan`] ships the
 //! predicate and projection to the storage engine, [`PlanOp::LocalScan`]
-//! GETs whole partitions and filters on the compute node. Interior operators
+//! GETs whole partitions and [`PlanOp::CachedScan`] reads them through
+//! the segment cache; both filter and project inside the worker that
+//! decoded the rows, so a leaf delivers the columns the plan needs and
+//! no others, whichever way its bytes arrive. Interior operators
 //! compose them into multi-table queries: hash equi-joins (with an
 //! optional Bloom runtime filter injected into the probe scan, paper
 //! §V-A2), residual filters, projections, hash aggregation, multi-key
@@ -14,10 +17,39 @@
 //! fast path or composed TPC-H Q3 shape — runs through the same
 //! executor.
 //!
+//! # Execution
+//!
+//! The executor is **push-based**: an operator runs its child with a
+//! sink, and the child pushes [`RowBatch`]es into it as it produces
+//! them. A scan leaf hands that sink to the scan itself, so rows travel
+//! from the partition workers through filter, projection and the probe
+//! side of a join into the first operator that has to hold state,
+//! without a `Vec<Row>` in between. What **breaks the pipeline**, and
+//! what it keeps:
+//!
+//! * a join — the build child is drained into the join table before the
+//!   probe child starts (the build rows stay; the joined rows never
+//!   do). The two children run one after the other, each scan filling
+//!   the worker pool by itself; the *model* still composes their
+//!   footprints as concurrent (`merge_concurrent`), which is what the
+//!   planner priced;
+//! * group-by and scalar aggregation — accumulators only;
+//! * sort — every input row (ORDER BY has to see them all);
+//! * `Gather`, `Repartition` under a group-by and the algorithm-family
+//!   leaves — their results, which they hand on in batches.
+//!
+//! `Limit` passes rows until it is full and then **keeps draining** its
+//! child: a scan that stopped at the limit would fetch, and bill, less
+//! than the plan the optimizer priced and the serial engine ran, so the
+//! rows past the limit are dropped on arrival instead.
+//!
 //! Execution reports per-operator [`PhaseStats`] in an [`OpReport`]
 //! tree; [`crate::cost::predict_plan`] produces the same tree shape from
 //! catalog statistics, and the planner zips the two so `EXPLAIN` can
-//! show predicted-vs-actual per node.
+//! show predicted-vs-actual per node. Every operator charges what
+//! [`crate::ops`] charges for the same rows however they are batched,
+//! so rows, reports, metrics and bills do not depend on `batch_rows` or
+//! `scan_threads`.
 
 use crate::algos::{filter, groupby, topk, whatif};
 use crate::catalog::Table;
@@ -25,8 +57,9 @@ use crate::context::QueryContext;
 use crate::metrics::QueryMetrics;
 use crate::ops;
 use crate::output::QueryOutput;
-use crate::scan::{scan, scan_rows, select_scan, ScanFragment, ScanSource};
+use crate::scan::{scan, select_scan, select_scan_streamed, ScanFragment, ScanSource};
 use pushdown_common::perf::{PerfModel, PhaseStats};
+use pushdown_common::row::RowBatch;
 use pushdown_common::{Error, Result, Row, Schema, Value};
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::bind::Binder;
@@ -45,12 +78,15 @@ pub struct PlanNode {
 /// The operator vocabulary of the plan IR.
 #[derive(Debug, Clone)]
 pub enum PlanOp {
-    /// Leaf: GET every partition of `table`, decode locally, apply
-    /// `predicate` batch-by-batch (baseline side — all bytes cross the
-    /// wire as free plain transfer).
+    /// Leaf: GET every partition of `table`, decode locally and apply
+    /// `predicate` + `projection` (`None` = `*`) inside the worker that
+    /// decoded the rows (baseline side — all bytes cross the wire as
+    /// free plain transfer, but only the projected columns of the
+    /// survivors leave the scan, and ColumnarLite decodes no others).
     LocalScan {
         table: Table,
         predicate: Option<Expr>,
+        projection: Option<Vec<String>>,
     },
     /// Leaf: `predicate` + `projection` pushed into S3 Select
     /// (`None` projection = `*`).
@@ -62,13 +98,16 @@ pub enum PlanOp {
     /// Leaf: read every partition **through the local segment cache**
     /// (hybrid tier): hits bill zero bytes/requests and pay local scan +
     /// parse time; misses are read-through fills billed exactly once.
-    /// `predicate` is applied locally, like [`PlanOp::LocalScan`].
+    /// `predicate` and `projection` are applied locally, like
+    /// [`PlanOp::LocalScan`].
     CachedScan {
         table: Table,
         predicate: Option<Expr>,
+        projection: Option<Vec<String>>,
     },
     /// Hash inner equi-join: children `[build, probe]`, output rows are
-    /// `build ++ probe`. Independent subtrees scan concurrently.
+    /// `build ++ probe`. The build child is drained into the join table,
+    /// then the probe child streams through it.
     HashJoin {
         build_key: String,
         probe_key: String,
@@ -375,25 +414,109 @@ pub fn annotate(report: &mut OpReport, predicted: &crate::cost::PredNode) {
     }
 }
 
-/// Execute a physical plan against the context's store. Every operator
-/// reports its own [`PhaseStats`]; billable traffic comes only from the
-/// scan leaves, so the summed metrics agree exactly with the scope's
-/// cost ledger.
+/// Execute a physical plan against the context's store and collect its
+/// rows: the executor (`run`) with a collecting sink. Every operator reports its own
+/// [`PhaseStats`]; billable traffic comes only from the scan leaves, so
+/// the summed metrics agree exactly with the scope's cost ledger.
 pub fn execute(ctx: &QueryContext, node: &PlanNode) -> Result<Executed> {
+    let mut rows = Vec::new();
+    let ran = run(ctx, node, &mut |batch| {
+        rows.extend(batch.rows);
+        Ok(())
+    })?;
+    Ok(Executed {
+        schema: ran.schema,
+        rows,
+        metrics: ran.metrics,
+        report: ran.report,
+    })
+}
+
+/// Where an operator pushes its output batches.
+type Sink<'a> = &'a mut dyn FnMut(RowBatch) -> Result<()>;
+
+/// What [`run`] reports once a subtree has pushed its last batch.
+struct Ran {
+    schema: Schema,
+    metrics: QueryMetrics,
+    report: OpReport,
+}
+
+impl Ran {
+    /// Make `node` the root of the report, over this (its child's) tree.
+    fn under(self, node: &PlanNode, actual: PhaseStats) -> Ran {
+        Ran {
+            report: OpReport {
+                label: node.label(),
+                predicted: None,
+                actual,
+                children: vec![self.report],
+            },
+            ..self
+        }
+    }
+
+    /// Stack a unary operator over this (its child's) outcome: its own
+    /// footprint `local` becomes the report root and one more serial
+    /// phase. The schema stays the child's.
+    fn stacked(mut self, node: &PlanNode, phase: &str, local: PhaseStats) -> Ran {
+        self.metrics.push_serial(phase, local);
+        self.under(node, local)
+    }
+
+    /// [`Ran::stacked`] for an operator that emits `node.schema`.
+    fn reshaped(self, node: &PlanNode, phase: &str, local: PhaseStats) -> Ran {
+        Ran {
+            schema: node.schema.clone(),
+            ..self.stacked(node, phase, local)
+        }
+    }
+}
+
+/// Push `rows` into `sink` in batches of at most `ctx.batch_rows`.
+fn emit(ctx: &QueryContext, schema: &Schema, rows: Vec<Row>, sink: Sink<'_>) -> Result<()> {
+    RowBatch::chunks(schema, rows, ctx.batch_rows)
+        .into_iter()
+        .try_for_each(sink)
+}
+
+/// The executor (see the module docs): run `node`, pushing its output
+/// into `sink` batch by batch, in order. Operators bind against their
+/// children's lowering-time schemas, so a pipeline is wired before its
+/// first row arrives.
+fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
     match &node.op {
-        PlanOp::LocalScan { table, predicate } | PlanOp::CachedScan { table, predicate } => {
+        PlanOp::LocalScan {
+            table,
+            predicate,
+            projection,
+        }
+        | PlanOp::CachedScan {
+            table,
+            predicate,
+            projection,
+        } => {
             let cached = matches!(node.op, PlanOp::CachedScan { .. });
             let bound = match predicate {
                 Some(p) => Some(Binder::new(&table.schema).bind_expr(p)?),
                 None => None,
+            };
+            let fragment = match projection {
+                None => ScanFragment::new(table, bound, None),
+                Some(cols) => {
+                    let indices = cols
+                        .iter()
+                        .map(|c| table.schema.resolve(c))
+                        .collect::<Result<Vec<_>>>()?;
+                    ScanFragment::columns(table, bound, &indices)
+                }
             };
             let source = if cached {
                 ScanSource::Cached
             } else {
                 ScanSource::Plain
             };
-            let fragment = ScanFragment::new(table, bound, None);
-            let (rows, summary) = scan_rows(ctx, table, source, &fragment)?;
+            let summary = scan(ctx, table, source, &fragment, sink)?;
             let mut stats = summary.stats;
             stats.merge(&summary.op_stats);
             let mut metrics = QueryMetrics::new();
@@ -409,9 +532,8 @@ pub fn execute(ctx: &QueryContext, node: &PlanNode) -> Result<Executed> {
             } else {
                 metrics.push_serial(format!("load {}", table.name), stats);
             }
-            Ok(Executed {
+            Ok(Ran {
                 schema: summary.schema,
-                rows,
                 metrics,
                 report: OpReport::leaf(label, stats),
             })
@@ -420,54 +542,41 @@ pub fn execute(ctx: &QueryContext, node: &PlanNode) -> Result<Executed> {
             table,
             predicate,
             projection,
-        } => {
-            let scan = select_scan(ctx, table, &scan_stmt(projection, predicate))?;
-            let mut metrics = QueryMetrics::new();
-            metrics.push_serial(format!("select {}", table.name), scan.stats);
-            Ok(Executed {
-                schema: scan.schema,
-                rows: scan.rows,
-                metrics,
-                report: OpReport::leaf(node.label(), scan.stats),
-            })
-        }
+        } => select_leaf(
+            ctx,
+            node,
+            table,
+            &scan_stmt(projection, predicate),
+            "select",
+            sink,
+        ),
         PlanOp::HashJoin {
             build_key,
             probe_key,
         } => {
-            let (build, probe) = execute_pair(ctx, &node.children[0], &node.children[1])?;
-            let metrics = merge_concurrent(build.metrics.clone(), probe.metrics.clone());
-            finish_join(
-                node,
-                build,
-                probe,
-                metrics,
-                build_key,
-                probe_key,
-                "hash join",
-            )
+            let (build_node, probe_node) = (&node.children[0], &node.children[1]);
+            let mut join = Join::new(node, build_key, probe_key)?;
+            let build = run(ctx, build_node, &mut |batch| join.build(batch))?;
+            // Build, then probe: each scan fills the worker pool by
+            // itself. The model still prices the two subtrees as
+            // concurrent, as it did when they ran side by side.
+            let probe = run(ctx, probe_node, &mut |batch| join.probe(batch, sink))?;
+            Ok(join.finish(node, build, probe, merge_concurrent, "hash join"))
         }
         PlanOp::BloomJoin {
             build_key,
             probe_key,
             fpr,
         } => {
-            let build = execute(ctx, &node.children[0])?;
-            let bk = build.schema.resolve(build_key)?;
-            if build.schema.dtype_of(bk) != pushdown_common::DataType::Int {
+            let (build_node, probe_node) = (&node.children[0], &node.children[1]);
+            let mut join = Join::new(node, build_key, probe_key)?;
+            let bk = join.build_key;
+            if build_node.schema.dtype_of(bk) != pushdown_common::DataType::Int {
                 return Err(Error::Bind(format!(
                     "Bloom join requires an integer join key, `{build_key}` is {}",
-                    build.schema.dtype_of(bk)
+                    build_node.schema.dtype_of(bk)
                 )));
             }
-            let mut keys = Vec::with_capacity(build.rows.len());
-            for r in &build.rows {
-                match &r[bk] {
-                    Value::Null => {}
-                    v => keys.push(v.as_i64()?),
-                }
-            }
-            let probe_node = &node.children[1];
             let PlanOp::PushdownScan {
                 table,
                 predicate,
@@ -478,6 +587,16 @@ pub fn execute(ctx: &QueryContext, node: &PlanNode) -> Result<Executed> {
                     "BloomJoin probe child must be a PushdownScan".into(),
                 ));
             };
+            let mut keys = Vec::new();
+            let build = run(ctx, build_node, &mut |batch| {
+                for r in &batch.rows {
+                    match &r[bk] {
+                        Value::Null => {}
+                        v => keys.push(v.as_i64()?),
+                    }
+                }
+                join.build(batch)
+            })?;
             // §V-B1: degrade or fall back when the filter cannot fit the
             // SQL size limit; either way the build side already loaded,
             // so the two scans stay serial.
@@ -495,154 +614,97 @@ pub fn execute(ctx: &QueryContext, node: &PlanNode) -> Result<Executed> {
                     "fallback probe (no bloom)",
                 ),
             };
-            let scan = select_scan(ctx, table, &stmt)?;
-            let mut probe_metrics = QueryMetrics::new();
-            probe_metrics.push_serial(format!("{probe_label} {}", table.name), scan.stats);
-            let probe = Executed {
-                schema: scan.schema,
-                rows: scan.rows,
-                metrics: probe_metrics,
-                report: OpReport::leaf(probe_node.label(), scan.stats),
+            let probe = select_leaf(ctx, probe_node, table, &stmt, probe_label, &mut |batch| {
+                join.probe(batch, sink)
+            })?;
+            let serial = |mut build: QueryMetrics, probe: QueryMetrics| {
+                build.extend(&probe);
+                build
             };
-            let mut metrics = build.metrics.clone();
-            metrics.extend(&probe.metrics);
-            finish_join(
-                node,
-                build,
-                probe,
-                metrics,
-                build_key,
-                probe_key,
-                "hash join (bloom)",
-            )
+            Ok(join.finish(node, build, probe, serial, "hash join (bloom)"))
         }
         PlanOp::LocalFilter { predicate } => {
-            let child = execute(ctx, &node.children[0])?;
+            let child = &node.children[0];
             let bound = Binder::new(&child.schema).bind_expr(predicate)?;
             let mut local = PhaseStats::default();
-            let rows = ops::filter_rows(child.rows, &bound, &mut local)?;
-            let mut metrics = child.metrics;
-            metrics.push_serial("residual filter", local);
-            Ok(Executed {
-                schema: child.schema,
-                rows,
-                metrics,
-                report: OpReport {
-                    label: node.label(),
-                    predicted: None,
-                    actual: local,
-                    children: vec![child.report],
-                },
-            })
+            let ran = run(ctx, child, &mut |mut batch| {
+                batch.rows = ops::filter_rows(batch.rows, &bound, &mut local)?;
+                forward(batch, sink)
+            })?;
+            Ok(ran.stacked(node, "residual filter", local))
         }
         PlanOp::Project { exprs } => {
-            let child = execute(ctx, &node.children[0])?;
+            let child = &node.children[0];
             let binder = Binder::new(&child.schema);
             let bound: Vec<_> = exprs
                 .iter()
                 .map(|e| binder.bind_expr(e))
                 .collect::<Result<_>>()?;
             let mut local = PhaseStats::default();
-            let rows = ops::map_rows(&child.rows, &bound, &mut local)?;
-            let mut metrics = child.metrics;
-            metrics.push_serial("project", local);
-            Ok(Executed {
-                schema: node.schema.clone(),
-                rows,
-                metrics,
-                report: OpReport {
-                    label: node.label(),
-                    predicted: None,
-                    actual: local,
-                    children: vec![child.report],
-                },
-            })
+            let ran = run(ctx, child, &mut |batch| {
+                let rows = ops::map_rows(&batch.rows, &bound, &mut local)?;
+                forward(RowBatch::new(node.schema.clone(), rows), sink)
+            })?;
+            Ok(ran.reshaped(node, "project", local))
         }
         PlanOp::GroupBy { group_width, aggs } => {
             // A Repartition child switches to scattered execution:
             // per-node partial group-bys over key-hashed buckets.
             if let PlanOp::Repartition { nodes, .. } = &node.children[0].op {
-                return execute_partitioned_group_by(ctx, node, *group_width, aggs, *nodes);
+                return run_partitioned_group_by(ctx, node, *group_width, aggs, *nodes, sink);
             }
-            let child = execute(ctx, &node.children[0])?;
-            let group_cols: Vec<usize> = (0..*group_width).collect();
+            let mut acc = ops::GroupByAccumulator::new((0..*group_width).collect(), aggs.clone());
             let mut local = PhaseStats::default();
-            let rows = ops::hash_group_by(&child.rows, &group_cols, aggs, &mut local)?;
-            let mut metrics = child.metrics;
-            metrics.push_serial("group-by", local);
-            Ok(Executed {
-                schema: node.schema.clone(),
-                rows,
-                metrics,
-                report: OpReport {
-                    label: node.label(),
-                    predicted: None,
-                    actual: local,
-                    children: vec![child.report],
-                },
-            })
+            let ran = run(ctx, &node.children[0], &mut |batch| {
+                acc.update_batch(&batch.rows, &mut local)
+            })?;
+            emit(ctx, &node.schema, acc.finish(&mut local), sink)?;
+            Ok(ran.reshaped(node, "group-by", local))
         }
         PlanOp::Aggregate { aggs } => {
-            let child = execute(ctx, &node.children[0])?;
-            let mut local = PhaseStats::default();
-            local.server_cpu_units += child.rows.len() as u64 * aggs.len().max(1) as u64;
             let mut accs: Vec<_> = aggs.iter().map(|(f, c)| (f.accumulator(), *c)).collect();
-            for r in &child.rows {
-                for (acc, col) in accs.iter_mut() {
-                    match col {
-                        Some(c) => acc.update(&r[*c])?,
-                        None => acc.update(&Value::Bool(true))?,
+            let mut local = PhaseStats::default();
+            let ran = run(ctx, &node.children[0], &mut |batch| {
+                local.server_cpu_units += batch.len() as u64 * aggs.len().max(1) as u64;
+                for r in &batch.rows {
+                    for (acc, col) in accs.iter_mut() {
+                        match col {
+                            Some(c) => acc.update(&r[*c])?,
+                            None => acc.update(&Value::Bool(true))?,
+                        }
                     }
                 }
-            }
-            let rows = vec![Row::new(accs.iter().map(|(a, _)| a.finish()).collect())];
-            let mut metrics = child.metrics;
-            metrics.push_serial("aggregate", local);
-            Ok(Executed {
-                schema: node.schema.clone(),
-                rows,
-                metrics,
-                report: OpReport {
-                    label: node.label(),
-                    predicted: None,
-                    actual: local,
-                    children: vec![child.report],
-                },
-            })
+                Ok(())
+            })?;
+            let row = Row::new(accs.iter().map(|(a, _)| a.finish()).collect());
+            emit(ctx, &node.schema, vec![row], sink)?;
+            Ok(ran.reshaped(node, "aggregate", local))
         }
         PlanOp::Sort { keys, limit } => {
-            let child = execute(ctx, &node.children[0])?;
+            let mut rows = Vec::new();
+            let ran = run(ctx, &node.children[0], &mut |batch| {
+                rows.extend(batch.rows);
+                Ok(())
+            })?;
             let mut local = PhaseStats::default();
-            let mut rows = ops::sort_rows_by_keys(child.rows, keys, &mut local);
+            let mut rows = ops::sort_rows_by_keys(rows, keys, &mut local);
             if let Some(k) = limit {
                 rows.truncate(*k);
             }
-            let mut metrics = child.metrics;
-            metrics.push_serial("sort", local);
-            Ok(Executed {
-                schema: child.schema,
-                rows,
-                metrics,
-                report: OpReport {
-                    label: node.label(),
-                    predicted: None,
-                    actual: local,
-                    children: vec![child.report],
-                },
-            })
+            emit(ctx, &ran.schema, rows, sink)?;
+            Ok(ran.stacked(node, "sort", local))
         }
         PlanOp::Limit { n } => {
-            let mut child = execute(ctx, &node.children[0])?;
-            child.rows.truncate(*n);
-            Ok(Executed {
-                report: OpReport {
-                    label: node.label(),
-                    predicted: None,
-                    actual: PhaseStats::default(),
-                    children: vec![child.report],
-                },
-                ..child
-            })
+            // The child runs to its end — a scan that stopped at the
+            // limit would bill less than the plan was priced at — and the
+            // rows past the limit are dropped here.
+            let mut room = *n;
+            let ran = run(ctx, &node.children[0], &mut |mut batch| {
+                batch.rows.truncate(room);
+                room -= batch.len();
+                forward(batch, sink)
+            })?;
+            Ok(ran.under(node, PhaseStats::default()))
         }
         PlanOp::Algo(algo) => {
             // `cached-local` variants are the server-side algorithms with
@@ -688,42 +750,121 @@ pub fn execute(ctx: &QueryContext, node: &PlanNode) -> Result<Executed> {
                 },
             };
             let actual = merged_stats(&out.metrics);
-            Ok(Executed {
+            emit(ctx, &out.schema, out.rows, sink)?;
+            Ok(Ran {
                 schema: out.schema,
-                rows: out.rows,
                 metrics: out.metrics,
                 report: OpReport::leaf(node.label(), actual),
             })
         }
-        PlanOp::Gather { nodes } => execute_gather(ctx, node, *nodes),
+        PlanOp::Gather { .. } => run_gather(ctx, node, sink),
         // A bare Exchange (no Gather parent driving it) degenerates to
         // its child on the current scope.
-        PlanOp::Exchange { .. } => execute(ctx, &node.children[0]),
+        PlanOp::Exchange { .. } => run(ctx, &node.children[0], sink),
         PlanOp::Repartition { nodes, .. } => {
             // Standalone repartition (no group-by parent consuming the
             // buckets): rows pass through untouched — partitioning only
             // assigns ownership — but the modeled all-to-all shuffle
             // volume is metered.
-            let child = execute(ctx, &node.children[0])?;
-            let n = (*nodes).max(1) as u64;
-            let total: u64 = child.rows.iter().map(row_exchange_bytes).sum();
+            let mut total = 0u64;
+            let ran = run(ctx, &node.children[0], &mut |batch| {
+                total += batch.rows.iter().map(row_exchange_bytes).sum::<u64>();
+                sink(batch)
+            })?;
             let local = PhaseStats {
-                exchange_bytes: total - total / n,
+                exchange_bytes: total - total / (*nodes).max(1) as u64,
                 ..Default::default()
             };
-            let mut metrics = child.metrics;
-            metrics.push_serial("repartition", local);
-            Ok(Executed {
-                schema: child.schema,
-                rows: child.rows,
-                metrics,
-                report: OpReport {
-                    label: node.label(),
-                    predicted: None,
-                    actual: local,
-                    children: vec![child.report],
-                },
-            })
+            Ok(ran.stacked(node, "repartition", local))
+        }
+    }
+}
+
+/// Pass a transformed batch on, unless the operator emptied it.
+fn forward(batch: RowBatch, sink: Sink<'_>) -> Result<()> {
+    if batch.is_empty() {
+        Ok(())
+    } else {
+        sink(batch)
+    }
+}
+
+/// A pushdown scan leaf: ship `stmt` to every partition of `table` and
+/// push the response rows into `sink`.
+fn select_leaf(
+    ctx: &QueryContext,
+    node: &PlanNode,
+    table: &Table,
+    stmt: &SelectStmt,
+    phase: &str,
+    sink: Sink<'_>,
+) -> Result<Ran> {
+    let summary = select_scan_streamed(ctx, table, stmt, sink)?;
+    let mut metrics = QueryMetrics::new();
+    metrics.push_serial(format!("{phase} {}", table.name), summary.stats);
+    Ok(Ran {
+        schema: summary.schema,
+        metrics,
+        report: OpReport::leaf(node.label(), summary.stats),
+    })
+}
+
+/// The state of one hash join while its children run: the build table,
+/// the resolved keys and the join's own CPU footprint.
+struct Join {
+    table: ops::HashJoinBuild,
+    build_key: usize,
+    probe_key: usize,
+    schema: Schema,
+    local: PhaseStats,
+}
+
+impl Join {
+    fn new(node: &PlanNode, build_key: &str, probe_key: &str) -> Result<Join> {
+        let (build, probe) = (&node.children[0].schema, &node.children[1].schema);
+        let build_key = build.resolve(build_key)?;
+        Ok(Join {
+            table: ops::HashJoinBuild::new(build_key),
+            build_key,
+            probe_key: probe.resolve(probe_key)?,
+            schema: build.join(probe),
+            local: PhaseStats::default(),
+        })
+    }
+
+    fn build(&mut self, batch: RowBatch) -> Result<()> {
+        self.table.add_batch(batch.rows, &mut self.local);
+        Ok(())
+    }
+
+    fn probe(&mut self, batch: RowBatch, sink: Sink<'_>) -> Result<()> {
+        let rows = self
+            .table
+            .probe_batch(&batch.rows, self.probe_key, &mut self.local);
+        forward(RowBatch::new(self.schema.clone(), rows), sink)
+    }
+
+    /// `compose` puts the two children's metrics together: side by side
+    /// or one after the other.
+    fn finish(
+        self,
+        node: &PlanNode,
+        build: Ran,
+        probe: Ran,
+        compose: impl FnOnce(QueryMetrics, QueryMetrics) -> QueryMetrics,
+        phase: &str,
+    ) -> Ran {
+        let mut metrics = compose(build.metrics, probe.metrics);
+        metrics.push_serial(phase, self.local);
+        Ran {
+            schema: build.schema.join(&probe.schema),
+            metrics,
+            report: OpReport {
+                label: node.label(),
+                predicted: None,
+                actual: self.local,
+                children: vec![build.report, probe.report],
+            },
         }
     }
 }
@@ -774,7 +915,7 @@ struct NodeRun {
 /// serial scan at any node count. Per-node footprints enter the metrics
 /// as one parallel group (wall time = slowest node), and each node's
 /// shipped bytes are metered as exchange volume.
-fn execute_gather(ctx: &QueryContext, node: &PlanNode, _nodes: usize) -> Result<Executed> {
+fn run_gather(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
     let Some(cluster) = ctx.cluster.clone() else {
         return Err(Error::Other(
             "Gather requires a cluster context (QueryContext::with_nodes)".into(),
@@ -873,9 +1014,9 @@ fn execute_gather(ctx: &QueryContext, node: &PlanNode, _nodes: usize) -> Result<
             )
         })
         .collect();
-    Ok(Executed {
+    emit(ctx, &schema, rows, sink)?;
+    Ok(Ran {
         schema,
-        rows,
         metrics,
         report: OpReport {
             label: node.label(),
@@ -894,24 +1035,27 @@ fn execute_gather(ctx: &QueryContext, node: &PlanNode, _nodes: usize) -> Result<
 /// wholly in one bucket with its rows in original order, so aggregate
 /// values and the final sorted output are bit-identical to the serial
 /// operator.
-fn execute_partitioned_group_by(
+fn run_partitioned_group_by(
     ctx: &QueryContext,
     node: &PlanNode,
     group_width: usize,
     aggs: &[(AggFunc, Option<usize>)],
     nodes: usize,
-) -> Result<Executed> {
+    sink: Sink<'_>,
+) -> Result<Ran> {
     let rep = &node.children[0];
-    let child = execute(ctx, &rep.children[0])?;
     let n = nodes.max(1);
     let group_cols: Vec<usize> = (0..group_width).collect();
     let mut buckets: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
     let mut bucket_bytes = vec![0u64; n];
-    for row in child.rows {
-        let t = route_row(&row, &group_cols, n);
-        bucket_bytes[t] += row_exchange_bytes(&row);
-        buckets[t].push(row);
-    }
+    let child = run(ctx, &rep.children[0], &mut |batch| {
+        for row in batch.rows {
+            let t = route_row(&row, &group_cols, n);
+            bucket_bytes[t] += row_exchange_bytes(&row);
+            buckets[t].push(row);
+        }
+        Ok(())
+    })?;
     let total_bytes: u64 = bucket_bytes.iter().sum();
     let results: Vec<Result<(Vec<Row>, PhaseStats)>> = std::thread::scope(|s| {
         let handles: Vec<_> = buckets
@@ -968,9 +1112,9 @@ fn execute_partitioned_group_by(
     metrics.push_serial("group-by merge", merge_stats);
     let mut gb_actual = gb_stats;
     gb_actual.merge(&merge_stats);
-    Ok(Executed {
+    emit(ctx, &node.schema, rows, sink)?;
+    Ok(Ran {
         schema: node.schema.clone(),
-        rows,
         metrics,
         report: OpReport {
             label: node.label(),
@@ -1089,48 +1233,6 @@ fn scatter_node(
             (out, scattered)
         }
     }
-}
-
-/// Execute two independent subtrees concurrently (their scans are
-/// independent I/O, exactly like the §V filtered join's two sides).
-fn execute_pair(ctx: &QueryContext, a: &PlanNode, b: &PlanNode) -> Result<(Executed, Executed)> {
-    let mut left = None;
-    let mut right = None;
-    std::thread::scope(|s| {
-        let handle = s.spawn(|| execute(ctx, a));
-        right = Some(execute(ctx, b));
-        left = Some(handle.join().expect("build subtree panicked"));
-    });
-    Ok((left.unwrap()?, right.unwrap()?))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish_join(
-    node: &PlanNode,
-    build: Executed,
-    probe: Executed,
-    mut metrics: QueryMetrics,
-    build_key: &str,
-    probe_key: &str,
-    phase_label: &str,
-) -> Result<Executed> {
-    let bk = build.schema.resolve(build_key)?;
-    let pk = probe.schema.resolve(probe_key)?;
-    let mut local = PhaseStats::default();
-    let rows = ops::hash_join(build.rows, bk, probe.rows, pk, &mut local);
-    let schema = build.schema.join(&probe.schema);
-    metrics.push_serial(phase_label, local);
-    Ok(Executed {
-        schema,
-        rows,
-        metrics,
-        report: OpReport {
-            label: node.label(),
-            predicted: None,
-            actual: local,
-            children: vec![build.report, probe.report],
-        },
-    })
 }
 
 /// Baseline scalar aggregation: full load, evaluate aggregate items

@@ -215,20 +215,21 @@ fn coerce_to_dtype(v: &Value, dtype: DataType) -> Value {
 
 /// Encode one column of one row group (raw, pre-compression):
 /// validity bitmap, then the value stream per the chosen encoding.
-fn encode_chunk(values: &[Value], dtype: DataType) -> (Vec<u8>, Encoding, Option<(Value, Value)>) {
+fn encode_chunk(values: &[&Value], dtype: DataType) -> (Vec<u8>, Encoding, Option<(Value, Value)>) {
     // Coerce wrong-typed entries to the declared type *first*: the byte
     // stream below stores the coerced value, so the min/max statistics
     // must be computed over the coerced data too — stats over the
     // original values would not bound what a reader decodes, and
     // row-group pruning could skip a group whose stored values still
     // match a predicate. Well-typed chunks (the common case) borrow the
-    // original slice; only chunks with a mismatch pay the clone.
-    let coerced: Vec<Value>;
-    let values: &[Value] = if values.iter().all(|v| matches_dtype(v, dtype)) {
+    // caller's values; only chunks with a mismatch pay the clone.
+    let (coerced, coerced_refs): (Vec<Value>, Vec<&Value>);
+    let values: &[&Value] = if values.iter().all(|v| matches_dtype(v, dtype)) {
         values
     } else {
         coerced = values.iter().map(|v| coerce_to_dtype(v, dtype)).collect();
-        &coerced
+        coerced_refs = coerced.iter().collect();
+        &coerced_refs
     };
     let n = values.len();
     let mut buf = Vec::new();
@@ -242,20 +243,21 @@ fn encode_chunk(values: &[Value], dtype: DataType) -> (Vec<u8>, Encoding, Option
     buf.extend_from_slice(&bitmap);
 
     // Stats over non-null values (SQL comparison order).
-    let mut stats: Option<(Value, Value)> = None;
-    for v in values.iter().filter(|v| !v.is_null()) {
+    let mut stats: Option<(&Value, &Value)> = None;
+    for &v in values.iter().filter(|v| !v.is_null()) {
         match &mut stats {
-            None => stats = Some((v.clone(), v.clone())),
+            None => stats = Some((v, v)),
             Some((lo, hi)) => {
                 if v.total_cmp(lo) == std::cmp::Ordering::Less {
-                    *lo = v.clone();
+                    *lo = v;
                 }
                 if v.total_cmp(hi) == std::cmp::Ordering::Greater {
-                    *hi = v.clone();
+                    *hi = v;
                 }
             }
         }
     }
+    let stats = stats.map(|(lo, hi)| (lo.clone(), hi.clone()));
 
     let mut enc = Enc(&mut buf);
     let encoding = match dtype {
@@ -587,13 +589,19 @@ impl ColumnarWriter {
     }
 
     fn flush_group(&mut self) {
-        if self.pending.is_empty() {
+        let rows = std::mem::take(&mut self.pending);
+        self.write_group(&rows);
+    }
+
+    /// Append `rows` as one row group (nothing for no rows), encoding
+    /// every column chunk straight from the borrowed values.
+    fn write_group(&mut self, rows: &[Row]) {
+        if rows.is_empty() {
             return;
         }
-        let rows = std::mem::take(&mut self.pending);
         let mut chunks = Vec::with_capacity(self.schema.len());
         for (c, field) in self.schema.fields().iter().enumerate() {
-            let col: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
+            let col: Vec<&Value> = rows.iter().map(|r| &r[c]).collect();
             let (raw, encoding, stats) = encode_chunk(&col, field.dtype);
             let raw_len = raw.len() as u64;
             let z = self
@@ -664,11 +672,13 @@ impl ColumnarWriter {
     }
 }
 
-/// Convenience: encode a whole table in one call.
+/// Convenience: encode a whole table in one call. The file
+/// [`ColumnarWriter::write_row`] would produce row by row, without
+/// cloning the rows into the writer.
 pub fn encode_columnar(schema: &Schema, rows: &[Row], options: WriterOptions) -> Vec<u8> {
     let mut w = ColumnarWriter::new(schema.clone(), options);
-    for r in rows {
-        w.write_row(r.clone());
+    for group in rows.chunks(options.rows_per_group.max(1)) {
+        w.write_group(group);
     }
     w.finish()
 }

@@ -77,10 +77,13 @@
 //! ## Multi-table SQL & the physical-plan IR
 //!
 //! Every query lowers to a physical plan ([`core::plan`]) — scan leaves
-//! per table (`PushdownScan`/`LocalScan`), hash/Bloom joins, residual
+//! per table (`PushdownScan`/`LocalScan`/`CachedScan`, each delivering
+//! only the columns the plan needs), hash/Bloom joins, residual
 //! filter, project, group-by, multi-key sort and limit — driven by one
-//! executor, with the paper's single-table algorithm families
-//! participating as leaf operators. The client dialect
+//! push-based executor (batches stream from the scans through the probe
+//! side of a join; only a join's build side, aggregation state and a
+//! sort's input are held), with the paper's single-table algorithm
+//! families participating as leaf operators. The client dialect
 //! ([`sql::parse_query`]) accepts equi-`JOIN ... ON` chains, multi-key
 //! `ORDER BY`, and ordering GROUP BY results by an aggregate's alias.
 //! The primary table is still passed explicitly (`execute_sql*`
