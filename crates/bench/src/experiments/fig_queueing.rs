@@ -24,7 +24,7 @@
 use crate::admission::{run_open_loop, AdmissionController, OpenLoopReport, TenantSpec};
 use crate::arrivals::{poisson_arrivals, OpenLoopSpec};
 use crate::workload::{generate_zipf, run_stream, WorkloadSpec};
-use pushdown_cache::{CacheAdmission, CacheStats};
+use pushdown_cache::{CacheAdmission, CacheConfig, CacheStats};
 use pushdown_common::Result;
 use pushdown_core::planner::Strategy;
 use pushdown_core::QueryContext;
@@ -89,12 +89,13 @@ fn fresh_context(scale_factor: f64) -> Result<(QueryContext, TpchTables)> {
         .map(|t| t.total_bytes(&ctx.store))
         .sum::<u64>();
     let budget = (dataset_bytes as f64 * CACHE_FRACTION) as u64;
-    let ctx = ctx.with_cache_admission(
-        budget,
-        CacheAdmission::ReuseDistance {
+    let ctx = ctx.with_cache_config(CacheConfig {
+        mem_bytes: budget,
+        admission: CacheAdmission::ReuseDistance {
             window: REUSE_WINDOW,
         },
-    );
+        ..CacheConfig::default()
+    })?;
     Ok((ctx, tables))
 }
 

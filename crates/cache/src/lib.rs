@@ -1,12 +1,31 @@
 //! # pushdown-cache
 //!
 //! The local caching tier of the hybrid execution model (FlexPushdownDB,
-//! VLDB'21, adapted to this engine): a concurrency-safe, **sharded**,
-//! **two-tier** segment cache that the planner prices *with the same
-//! cost model* as pushdown and remote scans, so "serve the hot segments
-//! locally for $0 and push down only the cold tail" falls out of the
-//! ordinary argmin-dollar plan choice instead of being a bolt-on memo
-//! table.
+//! VLDB'21, adapted to this engine): a concurrency-safe, **two-tier**
+//! segment cache that the planner prices *with the same cost model* as
+//! pushdown and remote scans, so "serve the hot segments locally for $0
+//! and push down only the cold tail" falls out of the ordinary
+//! argmin-dollar plan choice instead of being a bolt-on memo table.
+//!
+//! # One table, one lock
+//!
+//! Residency is one `HashMap<SegmentKey, Entry>` beside the object
+//! epochs, the chunk layouts, the admission ghosts, the per-tier byte
+//! totals and the counters, all plain fields behind **one mutex**. The
+//! tier is an attribute of the entry, and so is where its bytes live:
+//! `Entry.bytes` is `Some` for bytes held in RAM and `None` for bytes in
+//! the segment log of a file-backed cache ([`CacheConfig::dir`]). Every
+//! public operation is one critical section: a lookup is one probe, a
+//! promotion or demotion flips `tier` (and `bytes`) in place, and an
+//! insert, the evictions it forces, the demotions those cause and the
+//! disk evictions *those* cause all happen before the lock is released —
+//! no thread ever observes a tier over budget, a segment in two tiers,
+//! or a counter that disagrees with the table. The segment log has its
+//! own mutex, always taken second. One lock is enough: the busiest
+//! cached benchmark workload makes ~6 000 tier moves a second over ~200
+//! resident segments, three orders of magnitude under what an
+//! uncontended mutex serves, and the file-backed tier was serialized by
+//! the log's mutex all along.
 //!
 //! # Segments and chunk layouts
 //!
@@ -19,8 +38,7 @@
 //! scan serves the chunks it holds locally and fetches only the gaps —
 //! [`SegmentCache::occupancy`] reports exactly that split (including how
 //! many coalesced range GETs the gaps would cost), which is what the
-//! cost estimator prices. Whole-object callers still use
-//! [`FULL_OBJECT`] / [`SegmentKey::whole`]; both granularities coexist.
+//! cost estimator prices.
 //!
 //! # Two tiers
 //!
@@ -43,9 +61,12 @@
 //! * Fills land in mem; a fill larger than the whole mem budget is
 //!   admitted straight to disk when it fits there.
 //!
-//! Both tiers run the same dollars-saved-per-byte eviction and share the
-//! object epochs, so invalidation clears a key from *both* tiers at
-//! once.
+//! Both tiers run the same dollars-saved-per-byte eviction, and the two
+//! backings of the disk tier are one behaviour: a file-backed cache
+//! makes every decision a RAM-backed one makes (`tests/cache_model.rs`
+//! drives both against one reference model), it only keeps disk-tier
+//! bytes in the log — falling back to RAM when a persist fails or after
+//! a crash, so the cache keeps working with durability degraded.
 //!
 //! # Cost-aware eviction
 //!
@@ -61,23 +82,22 @@
 //! — small, frequently re-scanned segments outrank big rarely-touched
 //! ones, and raising the Select scan price makes *every* cached byte
 //! proportionally more precious. Ties evict the oldest insertion (a
-//! demotion counts as a fresh insertion into the disk tier), so eviction
+//! tier move counts as a fresh insertion into that tier), so eviction
 //! order is deterministic in each tier.
 //!
 //! # Invalidation & epochs
 //!
-//! Writers (the store crate's `put_object`/`delete_object`) call
-//! [`SegmentCache::invalidate`], which removes every segment of the
-//! object from both tiers, drops its recorded layout, *and* bumps the
-//! object's **epoch**. Fills are epoch-tagged: a read-through fill
-//! records the epoch *before* issuing its GET
-//! ([`SegmentCache::begin_fill`]) and the insert is discarded if the
-//! epoch moved in between — an in-flight query racing a writer can never
-//! publish stale bytes into the cache, while the bytes it already holds
-//! stay consistent for the remainder of its own scan (exactly the
+//! Writers (the store crate's `put_object`/`delete_object`, which reach
+//! every cache attached to the store) call [`SegmentCache::invalidate`],
+//! which removes every segment of the object from both tiers, drops its
+//! recorded layout, *and* bumps the object's **epoch**. Fills are
+//! epoch-tagged: a read-through fill records the epoch *before* issuing
+//! its GET ([`SegmentCache::begin_fill`]) and the insert is discarded if
+//! the epoch moved in between — an in-flight query racing a writer can
+//! never publish stale bytes into the cache, while the bytes it already
+//! holds stay consistent for the remainder of its own scan (exactly the
 //! snapshot a cache-less scan would have seen). Tier movement needs no
-//! epoch check: promotions and demotions happen under the segment's
-//! shard lock, the same lock invalidation takes.
+//! epoch check: it happens under the lock invalidation takes.
 //!
 //! # Workload-driven admission
 //!
@@ -85,10 +105,10 @@
 //! whether a fill deserves to displace it. Under
 //! [`CacheAdmission::ReuseDistance`] the cache tracks an approximate
 //! per-**segment** reuse distance (fill-attempt ticks between successive
-//! fill attempts of the same segment, kept in a small per-shard *ghost*
-//! table that remembers segments no longer resident): a fill that would
-//! force eviction is admitted only if the segment was last attempted
-//! within the policy's window — a one-off table scan streams through
+//! fill attempts of the same segment, kept in a small *ghost* table that
+//! remembers segments no longer resident): a fill that would force
+//! eviction is admitted only if the segment was last attempted within
+//! the policy's window — a one-off table scan streams through
 //! **read-around** (the caller still gets the bytes; they just are not
 //! cached) instead of churning the hot tail, while anything touched
 //! twice under open-loop traffic is admitted on its second appearance.
@@ -104,10 +124,10 @@ use parking_lot::Mutex;
 use pushdown_common::mix::fnv1a;
 use pushdown_common::pricing::Pricing;
 use pushdown_common::Result;
+use std::collections::hash_map::Entry as Slot;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 pub mod store;
 
@@ -123,19 +143,14 @@ pub type CatalogProbe<'a> = &'a dyn Fn(&str, &str, (u64, u64)) -> Option<(u64, u
 
 const GB: f64 = 1_000_000_000.0;
 
-/// Shard count. A power of two; small enough that whole-cache scans
-/// (eviction, statistics) stay cheap, large enough that concurrent
-/// queries filling different tables rarely contend on one lock.
-const SHARDS: usize = 16;
-
-/// The byte range standing for "the whole object" on the coarse
-/// read-through path.
+/// The byte range standing for "the whole object".
 pub const FULL_OBJECT: (u64, u64) = (0, u64::MAX);
 
-/// Ghost entries per shard before stale ones (outside every plausible
-/// reuse window) are pruned. Bounds the admission metadata regardless of
-/// how many distinct segments stream through.
-const GHOSTS_PER_SHARD: usize = 1024;
+/// Ghost entries before stale ones (outside the reuse window) are
+/// pruned. Bounds the admission metadata regardless of how many distinct
+/// segments stream through; pruning only ever drops ghosts that could no
+/// longer prove reuse, so the threshold does not change behaviour.
+const GHOST_LIMIT: usize = 16 * 1024;
 
 /// Fill-admission policy (see the module docs' *Workload-driven
 /// admission* section).
@@ -150,9 +165,24 @@ pub enum CacheAdmission {
     /// (approximate reuse distance). First touches of a full cache go
     /// read-around; fills that fit without eviction always admit.
     ReuseDistance {
-        /// Maximum reuse distance, in store-wide fill-attempt ticks.
+        /// Maximum reuse distance, in cache-wide fill-attempt ticks.
         window: u64,
     },
+}
+
+/// Everything that configures a cache ([`SegmentCache::open`]).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct CacheConfig {
+    /// Mem-tier budget. Zero admits nothing into mem.
+    pub mem_bytes: u64,
+    /// Disk-tier budget. Zero means mem evictions drop instead of
+    /// demoting.
+    pub disk_bytes: u64,
+    pub admission: CacheAdmission,
+    /// `Some`: the disk tier's bytes live in a segment log under this
+    /// directory and survive restarts (see the [`store`] module docs).
+    /// `None`: the disk tier is simulated in RAM and persists nothing.
+    pub dir: Option<PathBuf>,
 }
 
 /// Identity of one cached segment: a contiguous byte range of an object.
@@ -166,11 +196,7 @@ pub struct SegmentKey {
 
 impl SegmentKey {
     pub fn whole(bucket: &str, key: &str) -> SegmentKey {
-        SegmentKey {
-            bucket: bucket.to_string(),
-            key: key.to_string(),
-            range: FULL_OBJECT,
-        }
+        SegmentKey::chunk(bucket, key, FULL_OBJECT)
     }
 
     /// One chunk of an object, `[first, last)`.
@@ -192,39 +218,24 @@ pub enum CacheTier {
     Disk,
 }
 
-/// Where an entry's bytes actually live. Mem-tier entries are always
-/// `Ram`; disk-tier entries are `File` when the cache owns a persistent
-/// [`store::DiskStore`] (the segment file holds the bytes and serving a
-/// hit reads them back) and `Ram` otherwise — including the post-crash
-/// fallback, where durability is frozen but the cache keeps working.
-enum Payload {
-    Ram(Bytes),
-    File,
-}
-
 struct Entry {
-    payload: Payload,
-    /// Segment length in bytes (cached here so `File` entries never
-    /// touch the disk store for occupancy/eviction accounting).
+    tier: CacheTier,
+    /// The segment's bytes, or `None` when they live in the segment log
+    /// (serving a hit reads them back). Only disk-tier entries of a
+    /// file-backed cache are `None`, and only while persisting works: a
+    /// failed persist, or any persist after a crash, leaves the bytes
+    /// here, so the cache keeps working with durability degraded.
+    bytes: Option<Bytes>,
     len: u64,
     /// Accesses since insertion (the fill counts as the first). Survives
-    /// demotion — dollars-saved value moves down with the bytes.
+    /// tier moves — dollars-saved value moves with the bytes.
     hits: u64,
-    /// Insertion order, for deterministic eviction tie-breaks. Demotion
-    /// assigns a fresh seq (it is an insertion into the disk tier).
+    /// Insertion order, for deterministic eviction tie-breaks. A tier
+    /// move assigns a fresh seq (it is an insertion into that tier).
     seq: u64,
 }
 
 impl Entry {
-    fn ram(data: Bytes, hits: u64, seq: u64) -> Entry {
-        Entry {
-            len: data.len() as u64,
-            payload: Payload::Ram(data),
-            hits,
-            seq,
-        }
-    }
-
     /// Dollars a future access saves per cached byte: the avoided Select
     /// scan of these bytes plus the avoided GET request, normalized by
     /// segment size, times how often the segment is actually hit.
@@ -235,38 +246,10 @@ impl Entry {
     }
 }
 
-#[derive(Default)]
-struct Shard {
-    mem: HashMap<SegmentKey, Entry>,
-    disk: HashMap<SegmentKey, Entry>,
-    /// Object-hash → epoch; bumped by every invalidation of the object.
-    epochs: HashMap<u64, u64>,
-    /// Segment → fill-attempt tick of its last fill attempt. The
-    /// admission policy's reuse-distance memory; survives the segment's
-    /// eviction (that is the point — a ghost is how a *non-resident*
-    /// segment proves it is hot enough to admit). Keyed per segment, so
-    /// sibling chunks of one object earn admission independently.
-    ghosts: HashMap<SegmentKey, u64>,
-    /// Object-hash → recorded chunk layout: sorted `[first, last)`
-    /// ranges covering the object. Dropped on invalidation alongside the
-    /// segments.
-    layouts: HashMap<u64, Arc<[(u64, u64)]>>,
-}
-
-impl Shard {
-    fn tier(&self, t: CacheTier) -> &HashMap<SegmentKey, Entry> {
-        match t {
-            CacheTier::Mem => &self.mem,
-            CacheTier::Disk => &self.disk,
-        }
-    }
-
-    fn tier_mut(&mut self, t: CacheTier) -> &mut HashMap<SegmentKey, Entry> {
-        match t {
-            CacheTier::Mem => &mut self.mem,
-            CacheTier::Disk => &mut self.disk,
-        }
-    }
+/// Take the next value of a counter (`seq`, the fill tick).
+fn bump(counter: &mut u64) -> u64 {
+    *counter += 1;
+    *counter - 1
 }
 
 fn object_hash(bucket: &str, key: &str) -> u64 {
@@ -276,26 +259,6 @@ fn object_hash(bucket: &str, key: &str) -> u64 {
             .chain(std::iter::once(b'\0'))
             .chain(key.bytes()),
     )
-}
-
-#[derive(Default)]
-struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    hit_bytes: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_hit_bytes: AtomicU64,
-    fills: AtomicU64,
-    fill_bytes: AtomicU64,
-    evictions: AtomicU64,
-    demotions: AtomicU64,
-    promotions: AtomicU64,
-    disk_evictions: AtomicU64,
-    invalidations: AtomicU64,
-    stale_fills: AtomicU64,
-    read_arounds: AtomicU64,
-    recovered_segments: AtomicU64,
-    recovered_bytes: AtomicU64,
 }
 
 /// Point-in-time cache observability (EXPLAIN's cache line, the
@@ -339,8 +302,8 @@ pub struct CacheStats {
     pub disk_used_bytes: u64,
     pub disk_budget_bytes: u64,
     pub disk_segments: u64,
-    /// Disk-tier segments rebuilt from the manifest at
-    /// [`SegmentCache::recover`] (zero for non-persistent caches).
+    /// Disk-tier segments rebuilt from the manifest when the cache was
+    /// opened (zero for caches without a directory).
     pub recovered_segments: u64,
     /// Bytes those recovered segments serve without re-billing.
     pub recovered_bytes: u64,
@@ -375,41 +338,199 @@ pub struct ObjectOccupancy {
     pub layout_known: bool,
 }
 
-struct TierState {
-    budget: u64,
-    used: AtomicU64,
+/// Everything the cache knows, behind [`Inner::state`]'s one lock.
+#[derive(Default)]
+struct State {
+    /// The residency table: every cached segment, whichever tier.
+    entries: HashMap<SegmentKey, Entry>,
+    /// Object-hash → epoch; bumped by every invalidation of the object.
+    epochs: HashMap<u64, u64>,
+    /// Object-hash → recorded chunk layout: sorted `[first, last)`
+    /// ranges covering the object. Dropped on invalidation alongside the
+    /// segments.
+    layouts: HashMap<u64, Arc<[(u64, u64)]>>,
+    /// Segment → fill-attempt tick of its last fill attempt. The
+    /// admission policy's reuse-distance memory; survives the segment's
+    /// eviction (that is the point — a ghost is how a *non-resident*
+    /// segment proves it is hot enough to admit). Keyed per segment, so
+    /// sibling chunks of one object earn admission independently.
+    ghosts: HashMap<SegmentKey, u64>,
+    /// Resident bytes per tier, indexed by `CacheTier as usize`.
+    used: [u64; 2],
+    seq: u64,
+    /// Fill-attempt tick — the reuse-distance policy's unit of "time".
+    fill_ticks: u64,
+    /// The event counters; [`SegmentCache::stats`] fills in the rest.
+    stats: CacheStats,
 }
 
-impl TierState {
-    fn new(budget: u64) -> TierState {
-        TierState {
-            budget,
-            used: AtomicU64::new(0),
+impl State {
+    fn epoch(&self, bucket: &str, key: &str) -> u64 {
+        *self.epochs.get(&object_hash(bucket, key)).unwrap_or(&0)
+    }
+
+    /// Rebuild residency from what the store replayed: disk tier warm
+    /// (hits reset to 1, seqs in replay order), mem tier cold, epochs and
+    /// layouts seeded from the manifest so later fills and invalidations
+    /// stay consistent with what is durable.
+    fn restore(
+        &mut self,
+        recovery: store::Recovery,
+        ds: &DiskStore,
+        config: &CacheConfig,
+        catalog: Option<CatalogProbe<'_>>,
+    ) {
+        // Catalog check: byte-equality with the live object, not just
+        // epoch bookkeeping — rewrites that happened while the cache was
+        // down never logged an epoch bump, so content is the arbiter.
+        let mut kept = recovery.segments;
+        kept.retain(|seg| {
+            let current = catalog.is_none_or(|probe| {
+                probe(&seg.key.bucket, &seg.key.key, seg.key.range)
+                    .is_some_and(|(_, digest)| digest == seg.crc)
+            });
+            if !current {
+                ds.del(&seg.key);
+            }
+            current
+        });
+        // Budget: keep the newest recovered segments that fit.
+        let mut total: u64 = kept.iter().map(|s| s.len).sum();
+        let mut start = 0;
+        while total > config.disk_bytes && start < kept.len() {
+            total -= kept[start].len;
+            ds.del(&kept[start].key);
+            start += 1;
+        }
+        for (bucket, key, _, chunks) in recovery.layouts {
+            let current = catalog.is_none_or(|probe| {
+                probe(&bucket, &key, FULL_OBJECT)
+                    .is_some_and(|(len, _)| chunks.last().map(|c| c.1) == Some(len))
+            });
+            if current {
+                self.layouts
+                    .insert(object_hash(&bucket, &key), chunks.into());
+            }
+        }
+        self.epochs = recovery.epochs;
+        for seg in kept.drain(start..) {
+            // The store's replay already filtered stale epochs.
+            debug_assert_eq!(seg.epoch, self.epoch(&seg.key.bucket, &seg.key.key));
+            if matches!(config.admission, CacheAdmission::ReuseDistance { .. }) {
+                // Recovered residents earned admission in a past life;
+                // seed their ghosts at tick 0 so an invalidate + refill
+                // is not declined as a first touch.
+                self.ghosts.insert(seg.key.clone(), 0);
+            }
+            self.used[CacheTier::Disk as usize] += seg.len;
+            self.stats.recovered_segments += 1;
+            self.stats.recovered_bytes += seg.len;
+            let entry = Entry {
+                tier: CacheTier::Disk,
+                bytes: None,
+                len: seg.len,
+                hits: 1,
+                seq: bump(&mut self.seq),
+            };
+            self.entries.insert(seg.key, entry);
         }
     }
 }
 
 struct Inner {
-    shards: Vec<Mutex<Shard>>,
-    mem: TierState,
-    disk: TierState,
+    config: CacheConfig,
     pricing: Pricing,
-    admission: CacheAdmission,
-    seq: AtomicU64,
-    /// Store-wide fill-attempt tick — the reuse-distance policy's unit
-    /// of "time".
-    fill_ticks: AtomicU64,
-    counters: Counters,
-    /// File-backed byte store behind the disk tier; `None` keeps the
-    /// pre-persistence in-RAM simulation (and zero persist cost).
+    state: Mutex<State>,
+    /// The segment log behind the disk tier when `config.dir` is set.
+    /// Lock order: `state`, then the store's own mutex.
     disk_store: Option<DiskStore>,
 }
 
 impl Inner {
-    fn tier(&self, t: CacheTier) -> &TierState {
-        match t {
-            CacheTier::Mem => &self.mem,
-            CacheTier::Disk => &self.disk,
+    fn budget(&self, tier: CacheTier) -> u64 {
+        match tier {
+            CacheTier::Mem => self.config.mem_bytes,
+            CacheTier::Disk => self.config.disk_bytes,
+        }
+    }
+
+    /// The segment log no longer holds `key`'s live bytes (no-op for a
+    /// cache without one).
+    fn forget(&self, key: &SegmentKey) {
+        if let Some(ds) = &self.disk_store {
+            ds.del(key);
+        }
+    }
+
+    /// Evict minimum-weight (dollars-saved-per-byte × hits) segments
+    /// from one tier until its usage fits its budget. Deterministic:
+    /// ties break toward the oldest insertion. Mem evictions **demote**
+    /// the segment into the disk tier (when it fits that budget at all)
+    /// instead of dropping it — and then trim the disk tier in turn;
+    /// disk evictions drop for real. Runs inside the caller's critical
+    /// section, so no other thread ever sees a tier over budget.
+    fn evict_to_budget(&self, st: &mut State, tier: CacheTier) {
+        let overshoot = st.used[tier as usize].saturating_sub(self.budget(tier));
+        if overshoot == 0 {
+            return;
+        }
+        let mut order: Vec<(f64, u64, u64, &SegmentKey)> = st
+            .entries
+            .iter()
+            .filter(|(_, e)| e.tier == tier)
+            .map(|(k, e)| (e.weight(&self.pricing), e.seq, e.len, k))
+            .collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut freed = 0;
+        let victims: Vec<SegmentKey> = order
+            .into_iter()
+            .take_while(|&(_, _, len, _)| {
+                let more = freed < overshoot;
+                freed += len;
+                more
+            })
+            .map(|(_, _, _, k)| k.clone())
+            .collect();
+        let mut demoted = false;
+        for key in victims {
+            let epoch = st.epoch(&key.bucket, &key.key);
+            let Slot::Occupied(mut slot) = st.entries.entry(key) else {
+                unreachable!("victims were listed under this lock");
+            };
+            let (len, in_log) = (slot.get().len, slot.get().bytes.is_none());
+            st.used[tier as usize] -= len;
+            if tier == CacheTier::Disk {
+                st.stats.disk_evictions += 1;
+                if in_log {
+                    self.forget(slot.key());
+                }
+                slot.remove();
+                continue;
+            }
+            st.stats.evictions += 1;
+            if len > self.config.disk_bytes {
+                slot.remove();
+                continue;
+            }
+            // Demote in place: keeps the hit count, takes a fresh seq.
+            // With a segment log the bytes move into it (durable at the
+            // next commit); a failed persist keeps them in RAM.
+            let persisted = match (&self.disk_store, &slot.get().bytes) {
+                (Some(ds), Some(data)) => ds.put(slot.key(), data, epoch),
+                _ => false,
+            };
+            let e = slot.get_mut();
+            if persisted {
+                e.bytes = None;
+            }
+            e.tier = CacheTier::Disk;
+            e.seq = bump(&mut st.seq);
+            st.used[CacheTier::Disk as usize] += len;
+            st.stats.demotions += 1;
+            demoted = true;
+        }
+        if demoted {
+            self.evict_to_budget(st, CacheTier::Disk);
         }
     }
 }
@@ -421,64 +542,96 @@ pub struct SegmentCache {
     inner: Arc<Inner>,
 }
 
+/// A handle that does not keep the cache alive
+/// ([`SegmentCache::downgrade`]): how a store remembers every cache that
+/// reads its objects without outliving a dropped cluster's slices. Two
+/// handles are equal when they name the same cache.
+#[derive(Clone)]
+pub struct WeakSegmentCache(Weak<Inner>);
+
+impl WeakSegmentCache {
+    /// The cache, unless every [`SegmentCache`] handle is gone.
+    pub fn upgrade(&self) -> Option<SegmentCache> {
+        self.0.upgrade().map(|inner| SegmentCache { inner })
+    }
+}
+
+impl PartialEq for WeakSegmentCache {
+    fn eq(&self, other: &Self) -> bool {
+        Weak::ptr_eq(&self.0, &other.0)
+    }
+}
+
 impl SegmentCache {
-    /// A mem-only cache holding at most `budget_bytes` of segment data,
-    /// weighting eviction by dollars-saved-per-byte under `pricing`. A
-    /// zero budget admits nothing (a convenient "disabled"
-    /// configuration). Equivalent to [`SegmentCache::tiered`] with a
-    /// zero disk budget: mem evictions drop instead of demoting.
-    pub fn new(budget_bytes: u64, pricing: Pricing) -> SegmentCache {
-        Self::tiered_with_admission(budget_bytes, 0, pricing, CacheAdmission::AdmitAll)
-    }
-
-    /// [`SegmentCache::new`] with an explicit fill-admission policy.
-    pub fn with_admission(
-        budget_bytes: u64,
+    /// Open a cache: the one construction path. Without `config.dir`
+    /// this cannot fail and the cache starts empty. With it, the disk
+    /// tier's bytes live in a segment log guarded by an epoch manifest
+    /// (see the [`store`] module docs for the layout and the
+    /// group-commit protocol), and whatever a previous incarnation left
+    /// durable is recovered — mem tier cold, disk tier warm.
+    ///
+    /// Recovery replays the manifest (tolerating a torn tail), drops
+    /// records whose checksum or object epoch no longer holds, then:
+    ///
+    /// * applies `catalog` when given — a segment survives only if the
+    ///   probe reports the *current* object content at its range hashing
+    ///   to the recorded checksum, so bytes rewritten while the cache
+    ///   was down can never be served (recorded layouts likewise must
+    ///   match the current object length);
+    /// * enforces `config.disk_bytes` deterministically, dropping the
+    ///   oldest recovered segments first;
+    /// * rebuilds reuse-distance ghosts for every recovered-resident
+    ///   segment, so a warm disk tier is not churned by read-around
+    ///   declines after restart;
+    /// * compacts the manifest when dead records outnumber live state.
+    ///
+    /// `kill` arms the deterministic crash hook: the store dies at the
+    /// Nth fsync — or, if that never comes, when the last handle drops —
+    /// losing a seeded torn suffix of everything not yet committed.
+    /// After a mid-run kill durability is frozen while the in-RAM cache
+    /// keeps serving — exactly what a crashed process leaves on disk for
+    /// the next recovery to replay.
+    pub fn open(
+        config: &CacheConfig,
         pricing: Pricing,
-        admission: CacheAdmission,
-    ) -> SegmentCache {
-        Self::tiered_with_admission(budget_bytes, 0, pricing, admission)
-    }
-
-    /// A two-tier cache: `mem_budget_bytes` of fast segments in front of
-    /// `disk_budget_bytes` of simulated instance storage (see the module
-    /// docs' *Two tiers* section).
-    pub fn tiered(mem_budget_bytes: u64, disk_budget_bytes: u64, pricing: Pricing) -> SegmentCache {
-        Self::tiered_with_admission(
-            mem_budget_bytes,
-            disk_budget_bytes,
-            pricing,
-            CacheAdmission::AdmitAll,
-        )
-    }
-
-    /// [`SegmentCache::tiered`] with an explicit fill-admission policy.
-    pub fn tiered_with_admission(
-        mem_budget_bytes: u64,
-        disk_budget_bytes: u64,
-        pricing: Pricing,
-        admission: CacheAdmission,
-    ) -> SegmentCache {
-        SegmentCache {
+        kill: Option<KillPlan>,
+        catalog: Option<CatalogProbe<'_>>,
+    ) -> Result<SegmentCache> {
+        let mut state = State::default();
+        let disk_store = match &config.dir {
+            Some(dir) => {
+                let (ds, recovery) = DiskStore::open(dir, kill)?;
+                state.restore(recovery, &ds, config, catalog);
+                Some(ds)
+            }
+            None => None,
+        };
+        Ok(SegmentCache {
             inner: Arc::new(Inner {
-                shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-                mem: TierState::new(mem_budget_bytes),
-                disk: TierState::new(disk_budget_bytes),
+                config: config.clone(),
                 pricing,
-                admission,
-                seq: AtomicU64::new(0),
-                fill_ticks: AtomicU64::new(0),
-                counters: Counters::default(),
-                disk_store: None,
+                state: Mutex::new(state),
+                disk_store,
             }),
-        }
+        })
     }
 
-    /// A persistent tiered cache rooted at `dir`: the disk tier's bytes
-    /// live in a segment log guarded by an epoch manifest (see the
-    /// [`store`] module docs for the layout and the group-commit
-    /// protocol), and whatever a previous incarnation left durable is
-    /// recovered — mem tier cold, disk tier warm. Equivalent to
+    /// A mem-only cache holding at most `budget_bytes` of segment data:
+    /// [`SegmentCache::tiered`] with a zero disk budget.
+    pub fn new(budget_bytes: u64, pricing: Pricing) -> SegmentCache {
+        Self::tiered(budget_bytes, 0, pricing)
+    }
+
+    /// A two-tier cache with default admission and no directory.
+    pub fn tiered(mem_budget_bytes: u64, disk_budget_bytes: u64, pricing: Pricing) -> SegmentCache {
+        let config = CacheConfig {
+            mem_bytes: mem_budget_bytes,
+            disk_bytes: disk_budget_bytes,
+            ..CacheConfig::default()
+        };
+        Self::open(&config, pricing, None, None).expect("a cache without a directory opens no file")
+    }
+
     /// [`SegmentCache::recover_with`] with default admission, no crash
     /// injection, and no catalog check.
     pub fn recover(
@@ -498,29 +651,8 @@ impl SegmentCache {
         )
     }
 
-    /// [`SegmentCache::recover`] with every knob exposed.
-    ///
-    /// Recovery replays the manifest (tolerating a torn tail), drops
-    /// records whose checksum or object epoch no longer holds, then:
-    ///
-    /// * applies `catalog` when given — a segment survives only if the
-    ///   probe reports the *current* object content at its range hashing
-    ///   to the recorded checksum, so bytes rewritten while the cache
-    ///   was down can never be served (recorded layouts likewise must
-    ///   match the current object length);
-    /// * enforces `disk_budget_bytes` deterministically, dropping the
-    ///   oldest recovered segments first;
-    /// * rebuilds reuse-distance ghosts for every recovered-resident
-    ///   segment, so a warm disk tier is not churned by read-around
-    ///   declines after restart;
-    /// * compacts the manifest when dead records outnumber live state.
-    ///
-    /// `kill` arms the deterministic crash hook: the store dies at the
-    /// Nth fsync — or, if that never comes, when the last handle drops —
-    /// losing a seeded torn suffix of everything not yet committed.
-    /// After a mid-run kill durability is frozen while the in-RAM cache
-    /// keeps serving — exactly what a crashed process leaves on disk for
-    /// the next recovery to replay.
+    /// [`SegmentCache::open`] on a cache rooted at `dir`, argument by
+    /// argument.
     pub fn recover_with(
         dir: impl AsRef<Path>,
         mem_budget_bytes: u64,
@@ -530,139 +662,39 @@ impl SegmentCache {
         kill: Option<KillPlan>,
         catalog: Option<CatalogProbe<'_>>,
     ) -> Result<SegmentCache> {
-        let (disk_store, recovery) = DiskStore::open(dir.as_ref(), kill)?;
-        let cache = SegmentCache {
-            inner: Arc::new(Inner {
-                shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-                mem: TierState::new(mem_budget_bytes),
-                disk: TierState::new(disk_budget_bytes),
-                pricing,
-                admission,
-                seq: AtomicU64::new(0),
-                fill_ticks: AtomicU64::new(0),
-                counters: Counters::default(),
-                disk_store: Some(disk_store),
-            }),
+        let config = CacheConfig {
+            mem_bytes: mem_budget_bytes,
+            disk_bytes: disk_budget_bytes,
+            admission,
+            dir: Some(dir.as_ref().to_path_buf()),
         };
-        let ds = cache.inner.disk_store.as_ref().expect("just installed");
-
-        // Catalog check: byte-equality with the live object, not just
-        // epoch bookkeeping — rewrites that happened while the cache was
-        // down never logged an epoch bump, so content is the arbiter.
-        let mut kept: Vec<store::RecoveredSegment> = Vec::with_capacity(recovery.segments.len());
-        for seg in recovery.segments {
-            let ok = match catalog {
-                Some(probe) => probe(&seg.key.bucket, &seg.key.key, seg.key.range)
-                    .map(|(_, digest)| digest == seg.crc)
-                    .unwrap_or(false),
-                None => true,
-            };
-            if ok {
-                kept.push(seg);
-            } else {
-                ds.del(&seg.key);
-            }
-        }
-
-        // Budget: keep the newest recovered segments that fit.
-        let mut total: u64 = kept.iter().map(|s| s.len).sum();
-        let mut start = 0usize;
-        while total > disk_budget_bytes && start < kept.len() {
-            total -= kept[start].len;
-            ds.del(&kept[start].key);
-            start += 1;
-        }
-        let kept = &kept[start..];
-
-        // Rebuild residency: disk tier warm (hits reset to 1, seqs in
-        // replay order), mem tier cold, epochs and layouts seeded from
-        // the manifest so post-restart fills and invalidations stay
-        // consistent with what is durable.
-        for (h, epoch) in recovery.epochs.iter() {
-            let shard = &cache.inner.shards[*h as usize % SHARDS];
-            shard.lock().epochs.insert(*h, *epoch);
-        }
-        for (bucket, key, _, chunks) in recovery.layouts.iter() {
-            let ok = match catalog {
-                Some(probe) => probe(bucket, key, FULL_OBJECT)
-                    .map(|(len, _)| chunks.last().map(|c| c.1) == Some(len))
-                    .unwrap_or(false),
-                None => true,
-            };
-            if ok {
-                let h = object_hash(bucket, key);
-                let mut shard = cache.shard_of(bucket, key).lock();
-                shard.layouts.insert(h, chunks.clone().into());
-            }
-        }
-        let c = &cache.inner.counters;
-        for seg in kept {
-            // The store's replay already filtered stale epochs; a kept
-            // segment's epoch always matches the recovered epoch table.
-            debug_assert_eq!(
-                seg.epoch,
-                *recovery
-                    .epochs
-                    .get(&object_hash(&seg.key.bucket, &seg.key.key))
-                    .unwrap_or(&0)
-            );
-            let seq = cache.inner.seq.fetch_add(1, Ordering::Relaxed);
-            let mut shard = cache.shard_of(&seg.key.bucket, &seg.key.key).lock();
-            shard.disk.insert(
-                seg.key.clone(),
-                Entry {
-                    payload: Payload::File,
-                    len: seg.len,
-                    hits: 1,
-                    seq,
-                },
-            );
-            if matches!(cache.inner.admission, CacheAdmission::ReuseDistance { .. }) {
-                // Recovered residents earned admission in a past life;
-                // seed their ghosts at tick 0 so an invalidate + refill
-                // is not declined as a first touch.
-                shard.ghosts.insert(seg.key.clone(), 0);
-            }
-            cache.inner.disk.used.fetch_add(seg.len, Ordering::Relaxed);
-            c.recovered_segments.fetch_add(1, Ordering::Relaxed);
-            c.recovered_bytes.fetch_add(seg.len, Ordering::Relaxed);
-        }
-        Ok(cache)
+        Self::open(&config, pricing, kill, catalog)
     }
 
-    /// The directory backing the disk tier, for persistent caches. The
-    /// cluster uses it to derive per-node subdirectories.
-    pub fn persist_dir(&self) -> Option<PathBuf> {
-        self.inner
-            .disk_store
-            .as_ref()
-            .map(|d| d.dir().to_path_buf())
+    /// What the cache was opened with.
+    pub fn config(&self) -> &CacheConfig {
+        &self.inner.config
     }
 
-    /// Whether the disk tier is file-backed.
-    pub fn is_persistent(&self) -> bool {
-        self.inner.disk_store.is_some()
+    /// A handle that does not keep the cache alive.
+    pub fn downgrade(&self) -> WeakSegmentCache {
+        WeakSegmentCache(Arc::downgrade(&self.inner))
     }
 
     /// Whether the crash-injection hook has fired (durability frozen).
     pub fn crashed(&self) -> bool {
-        self.inner
-            .disk_store
-            .as_ref()
-            .map(|d| d.crashed())
-            .unwrap_or(false)
+        self.inner.disk_store.as_ref().is_some_and(|d| d.crashed())
     }
 
     /// `(bytes appended, fsyncs issued)` by the durability protocol so
     /// far: a monotonic total of every appended byte and every barrier,
-    /// whoever was charged for them. Always `(0, 0)` for non-persistent
-    /// caches.
+    /// whoever was charged for them. Always `(0, 0)` without a
+    /// directory.
     pub fn persist_counters(&self) -> (u64, u64) {
         self.inner
             .disk_store
             .as_ref()
-            .map(|d| d.persist_counters())
-            .unwrap_or((0, 0))
+            .map_or((0, 0), |d| d.persist_counters())
     }
 
     /// The persistent tier's commit point: make everything appended
@@ -672,13 +704,12 @@ impl SegmentCache {
     /// charge at `disk_write_bw` / `fsync_latency`. Concurrent callers
     /// split the work without double-counting: Σ receipts equals the
     /// [`SegmentCache::persist_counters`] delta. Dropping the last
-    /// handle commits too. `(0, 0)` for non-persistent caches.
+    /// handle commits too. `(0, 0)` without a directory.
     pub fn commit(&self) -> (u64, u64) {
         self.inner
             .disk_store
             .as_ref()
-            .map(|d| d.commit())
-            .unwrap_or((0, 0))
+            .map_or((0, 0), |d| d.commit())
     }
 
     /// Manifest size accounting for persistent caches — the CI gate
@@ -692,59 +723,23 @@ impl SegmentCache {
     /// with fnv1a. Two caches with byte-identical residency digest
     /// equal — the crash-recovery determinism tests compare this.
     pub fn residency_digest(&self) -> u64 {
-        let mut rows: Vec<String> = Vec::new();
-        for shard in self.inner.shards.iter() {
-            let shard = shard.lock();
-            for (tier_tag, map) in [(0u8, &shard.mem), (1u8, &shard.disk)] {
-                for (k, e) in map.iter() {
-                    let crc = match &e.payload {
-                        Payload::Ram(b) => fnv1a(b.iter().copied()),
-                        Payload::File => self
-                            .inner
-                            .disk_store
-                            .as_ref()
-                            .and_then(|d| d.crc_of(k))
-                            .unwrap_or(0),
-                    };
-                    rows.push(format!(
-                        "{}\0{}\0{}..{}\0{}\0{}\0{}",
-                        k.bucket, k.key, k.range.0, k.range.1, tier_tag, e.len, crc
-                    ));
-                }
-            }
-        }
+        let st = self.inner.state.lock();
+        let mut rows: Vec<String> = st
+            .entries
+            .iter()
+            .map(|(k, e)| {
+                let crc = match (&e.bytes, &self.inner.disk_store) {
+                    (Some(b), _) => fnv1a(b.iter().copied()),
+                    (None, ds) => ds.as_ref().and_then(|d| d.crc_of(k)).unwrap_or(0),
+                };
+                format!(
+                    "{}\0{}\0{}..{}\0{}\0{}\0{}",
+                    k.bucket, k.key, k.range.0, k.range.1, e.tier as u8, e.len, crc
+                )
+            })
+            .collect();
         rows.sort();
         fnv1a(rows.join("\n").into_bytes())
-    }
-
-    /// The fill-admission policy this cache runs under.
-    pub fn admission(&self) -> CacheAdmission {
-        self.inner.admission
-    }
-
-    /// Mem-tier budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.inner.mem.budget
-    }
-
-    /// Disk-tier budget (zero for a mem-only cache).
-    pub fn disk_budget_bytes(&self) -> u64 {
-        self.inner.disk.budget
-    }
-
-    /// Mem-tier occupancy.
-    pub fn used_bytes(&self) -> u64 {
-        self.inner.mem.used.load(Ordering::Relaxed)
-    }
-
-    /// Disk-tier occupancy.
-    pub fn disk_used_bytes(&self) -> u64 {
-        self.inner.disk.used.load(Ordering::Relaxed)
-    }
-
-    fn shard_of(&self, bucket: &str, key: &str) -> &Mutex<Shard> {
-        let h = object_hash(bucket, key) as usize;
-        &self.inner.shards[h % SHARDS]
     }
 
     /// Look up one segment — any byte range, whole-object callers pass
@@ -758,80 +753,53 @@ impl SegmentCache {
     /// Look up one segment, reporting which tier served it so the caller
     /// can charge `cache_read_bw` vs `disk_read_bw`. A disk hit promotes
     /// the segment back into the mem tier (unless it is bigger than the
-    /// whole mem budget), which may demote colder mem segments down.
+    /// whole mem budget), which may demote colder mem segments down —
+    /// all inside this one critical section.
     pub fn get_tiered(&self, skey: &SegmentKey) -> Option<(Bytes, CacheTier)> {
-        let c = &self.inner.counters;
-        let promoted;
-        {
-            let mut shard = self.shard_of(&skey.bucket, &skey.key).lock();
-            if let Some(e) = shard.mem.get_mut(skey) {
-                e.hits += 1;
-                let Payload::Ram(data) = &e.payload else {
-                    unreachable!("mem-tier entries always hold their bytes");
-                };
-                c.hits.fetch_add(1, Ordering::Relaxed);
-                c.hit_bytes.fetch_add(e.len, Ordering::Relaxed);
-                return Some((data.clone(), CacheTier::Mem));
-            }
-            if !shard.disk.contains_key(skey) {
-                c.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            // Materialize the disk entry's bytes: RAM copies clone, file
-            // copies read the segment file back (checksum-verified). A
-            // failed read means the durable copy is gone — degrade to a
-            // miss rather than serve corrupt bytes.
-            let data = {
-                let e = shard.disk.get(skey).expect("probed above");
-                match &e.payload {
-                    Payload::Ram(b) => b.clone(),
-                    Payload::File => {
-                        match self.inner.disk_store.as_ref().and_then(|d| d.read(skey)) {
-                            Some(b) => b,
-                            None => {
-                                let e = shard.disk.remove(skey).expect("probed above");
-                                self.inner.disk.used.fetch_sub(e.len, Ordering::Relaxed);
-                                if let Some(ds) = self.inner.disk_store.as_ref() {
-                                    ds.del(skey);
-                                }
-                                c.misses.fetch_add(1, Ordering::Relaxed);
-                                return None;
-                            }
-                        }
-                    }
+        let inner = &*self.inner;
+        let mut guard = inner.state.lock();
+        let st = &mut *guard;
+        let Some(e) = st.entries.get_mut(skey) else {
+            st.stats.misses += 1;
+            return None;
+        };
+        // Bytes in the segment log are read back checksum-verified. A
+        // failed read means the durable copy is gone — degrade to a miss
+        // rather than serve corrupt bytes.
+        let stored = match &e.bytes {
+            Some(data) => Some(data.clone()),
+            None => inner.disk_store.as_ref().and_then(|d| d.read(skey)),
+        };
+        let Some(data) = stored else {
+            st.used[e.tier as usize] -= e.len;
+            st.entries.remove(skey);
+            inner.forget(skey);
+            st.stats.misses += 1;
+            return None;
+        };
+        e.hits += 1;
+        let (len, tier) = (e.len, e.tier);
+        st.stats.hits += 1;
+        st.stats.hit_bytes += len;
+        if tier == CacheTier::Disk {
+            st.stats.disk_hits += 1;
+            st.stats.disk_hit_bytes += len;
+            // Too big to ever live in mem: served in place.
+            if len <= inner.config.mem_bytes {
+                // Promote in place: the bytes move up to RAM and the
+                // durable copy is released.
+                if e.bytes.replace(data.clone()).is_none() {
+                    inner.forget(skey);
                 }
-            };
-            let e = shard.disk.get_mut(skey).expect("probed above");
-            e.hits += 1;
-            let len = e.len;
-            c.hits.fetch_add(1, Ordering::Relaxed);
-            c.hit_bytes.fetch_add(len, Ordering::Relaxed);
-            c.disk_hits.fetch_add(1, Ordering::Relaxed);
-            c.disk_hit_bytes.fetch_add(len, Ordering::Relaxed);
-            if len > self.inner.mem.budget {
-                // Too big to ever live in mem — serve in place.
-                return Some((data, CacheTier::Disk));
+                e.tier = CacheTier::Mem;
+                e.seq = bump(&mut st.seq);
+                st.used[CacheTier::Disk as usize] -= len;
+                st.used[CacheTier::Mem as usize] += len;
+                st.stats.promotions += 1;
+                inner.evict_to_budget(st, CacheTier::Mem);
             }
-            // Promote under the same shard lock invalidation takes, so
-            // the moved entry can never be a stale resurrection. The
-            // bytes move up to RAM; the durable copy is released.
-            let mut entry = shard.disk.remove(skey).expect("probed above");
-            self.inner.disk.used.fetch_sub(len, Ordering::Relaxed);
-            if matches!(entry.payload, Payload::File) {
-                if let Some(ds) = self.inner.disk_store.as_ref() {
-                    ds.del(skey);
-                }
-            }
-            entry.payload = Payload::Ram(data.clone());
-            entry.seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-            shard.mem.insert(skey.clone(), entry);
-            self.inner.mem.used.fetch_add(len, Ordering::Relaxed);
-            c.promotions.fetch_add(1, Ordering::Relaxed);
-            promoted = data;
         }
-        // Lock released: trim mem, demoting colder segments back down.
-        self.evict_tier_to_budget(CacheTier::Mem);
-        Some((promoted, CacheTier::Disk))
+        Some((data, tier))
     }
 
     /// Non-mutating occupancy probe for the cost estimator: the cached
@@ -843,11 +811,8 @@ impl SegmentCache {
 
     /// [`SegmentCache::peek`] plus which tier holds the segment.
     pub fn peek_tier(&self, skey: &SegmentKey) -> Option<(u64, CacheTier)> {
-        let shard = self.shard_of(&skey.bucket, &skey.key).lock();
-        if let Some(e) = shard.mem.get(skey) {
-            return Some((e.len, CacheTier::Mem));
-        }
-        shard.disk.get(skey).map(|e| (e.len, CacheTier::Disk))
+        let st = self.inner.state.lock();
+        st.entries.get(skey).map(|e| (e.len, e.tier))
     }
 
     /// The segment's object epoch — call *before* issuing the fill GET
@@ -855,13 +820,7 @@ impl SegmentCache {
     /// the fill if a writer invalidated the object in between. Epochs
     /// are per *object*: every range of `bucket/key` shares one.
     pub fn begin_fill(&self, skey: &SegmentKey) -> u64 {
-        let h = object_hash(&skey.bucket, &skey.key);
-        *self
-            .shard_of(&skey.bucket, &skey.key)
-            .lock()
-            .epochs
-            .get(&h)
-            .unwrap_or(&0)
+        self.inner.state.lock().epoch(&skey.bucket, &skey.key)
     }
 
     /// Record the chunk layout of `bucket/key` as observed at `epoch`:
@@ -879,62 +838,37 @@ impl SegmentCache {
         chunks: Vec<(u64, u64)>,
     ) -> bool {
         let h = object_hash(bucket, key);
-        let mut shard = self.shard_of(bucket, key).lock();
-        if *shard.epochs.get(&h).unwrap_or(&0) != epoch {
+        let mut st = self.inner.state.lock();
+        if st.epoch(bucket, key) != epoch {
             return false;
         }
         // Persist the layout (once per distinct value) so a restart
         // keeps partial-hit scans chunk-granular instead of reloading
         // whole objects.
-        let changed = shard
-            .layouts
-            .get(&h)
-            .map(|prev| prev.as_ref() != chunks.as_slice())
-            .unwrap_or(true);
-        if changed {
-            if let Some(ds) = self.inner.disk_store.as_ref() {
-                ds.log_layout(bucket, key, epoch, &chunks);
-            }
+        let known = st.layouts.get(&h).is_some_and(|prev| **prev == *chunks);
+        if let (false, Some(ds)) = (known, &self.inner.disk_store) {
+            ds.log_layout(bucket, key, epoch, &chunks);
         }
-        shard.layouts.insert(h, chunks.into());
+        st.layouts.insert(h, chunks.into());
         true
     }
 
     /// The recorded chunk layout of `bucket/key`, if a cold read has
     /// learned it (and no writer has invalidated it since).
     pub fn layout(&self, bucket: &str, key: &str) -> Option<Arc<[(u64, u64)]>> {
-        let h = object_hash(bucket, key);
-        self.shard_of(bucket, key).lock().layouts.get(&h).cloned()
+        let st = self.inner.state.lock();
+        st.layouts.get(&object_hash(bucket, key)).cloned()
     }
 
     /// What a partial-hit read of `bucket/key` (whose current size is
     /// `object_len`) would serve from each tier right now, and what the
     /// gaps would bill. Non-perturbing, like [`SegmentCache::peek`].
     pub fn occupancy(&self, bucket: &str, key: &str, object_len: u64) -> ObjectOccupancy {
-        let h = object_hash(bucket, key);
-        let shard = self.shard_of(bucket, key).lock();
-        // A whole-object segment (the coarse read-through path) serves
-        // everything from its tier, layout or not.
-        let whole = SegmentKey::whole(bucket, key);
-        if let Some(e) = shard.mem.get(&whole) {
-            return ObjectOccupancy {
-                mem_bytes: e.len,
-                layout_known: true,
-                ..Default::default()
-            };
-        }
-        if let Some(e) = shard.disk.get(&whole) {
-            return ObjectOccupancy {
-                disk_bytes: e.len,
-                layout_known: true,
-                ..Default::default()
-            };
-        }
-        let Some(layout) = shard.layouts.get(&h) else {
+        let st = self.inner.state.lock();
+        let Some(layout) = st.layouts.get(&object_hash(bucket, key)) else {
             return ObjectOccupancy {
                 gap_bytes: object_len,
                 gap_requests: 1,
-                layout_known: false,
                 ..Default::default()
             };
         };
@@ -943,22 +877,20 @@ impl SegmentCache {
             ..Default::default()
         };
         let mut in_gap = false;
+        let mut skey = SegmentKey::chunk(bucket, key, FULL_OBJECT);
         for &range in layout.iter() {
+            skey.range = range;
             let len = range.1 - range.0;
-            let skey = SegmentKey::chunk(bucket, key, range);
-            if shard.mem.contains_key(&skey) {
-                occ.mem_bytes += len;
-                in_gap = false;
-            } else if shard.disk.contains_key(&skey) {
-                occ.disk_bytes += len;
-                in_gap = false;
-            } else {
-                occ.gap_bytes += len;
-                if !in_gap {
-                    occ.gap_requests += 1;
+            let tier = st.entries.get(&skey).map(|e| e.tier);
+            match tier {
+                Some(CacheTier::Mem) => occ.mem_bytes += len,
+                Some(CacheTier::Disk) => occ.disk_bytes += len,
+                None => {
+                    occ.gap_bytes += len;
+                    occ.gap_requests += u64::from(!in_gap);
                 }
-                in_gap = true;
             }
+            in_gap = tier.is_none();
         }
         occ
     }
@@ -968,182 +900,75 @@ impl SegmentCache {
     /// admission, or larger than both tier budgets). Fills land in the
     /// mem tier — or straight in the disk tier when they are bigger than
     /// the whole mem budget — and evict minimum-weight segments (mem
-    /// evictions demoting downward) until the fill fits.
+    /// evictions demoting downward) until the fill fits, before the
+    /// lock is released.
     pub fn insert(&self, skey: SegmentKey, data: Bytes, epoch: u64) -> bool {
+        let inner = &*self.inner;
         let len = data.len() as u64;
-        let c = &self.inner.counters;
-        let target = if len <= self.inner.mem.budget {
+        let target = if len <= inner.config.mem_bytes {
             CacheTier::Mem
-        } else if len <= self.inner.disk.budget {
+        } else if len <= inner.config.disk_bytes {
             CacheTier::Disk
         } else {
             return false;
         };
-        {
-            let h = object_hash(&skey.bucket, &skey.key);
-            let mut shard = self.shard_of(&skey.bucket, &skey.key).lock();
-            if *shard.epochs.get(&h).unwrap_or(&0) != epoch {
-                c.stale_fills.fetch_add(1, Ordering::Relaxed);
+        let mut guard = inner.state.lock();
+        let st = &mut *guard;
+        if st.epoch(&skey.bucket, &skey.key) != epoch {
+            st.stats.stale_fills += 1;
+            return false;
+        }
+        let old = st
+            .entries
+            .get(&skey)
+            .map(|e| (e.tier, e.len, e.bytes.is_none()));
+        if let CacheAdmission::ReuseDistance { window } = inner.config.admission {
+            let tick = bump(&mut st.fill_ticks);
+            let reused = st
+                .ghosts
+                .insert(skey.clone(), tick)
+                .is_some_and(|last| tick - last <= window);
+            if st.ghosts.len() > GHOST_LIMIT {
+                st.ghosts.retain(|_, &mut last| tick - last <= window);
+            }
+            // Replacements and fills that fit spare budget always
+            // admit; only eviction-forcing first touches go around.
+            let replaced = match old {
+                Some((tier, old_len, _)) if tier == target => old_len,
+                _ => 0,
+            };
+            if st.used[target as usize] - replaced + len > inner.budget(target) && !reused {
+                st.stats.read_arounds += 1;
                 return false;
             }
-            if let CacheAdmission::ReuseDistance { window } = self.inner.admission {
-                let tick = self.inner.fill_ticks.fetch_add(1, Ordering::Relaxed);
-                let reused = shard
-                    .ghosts
-                    .get(&skey)
-                    .is_some_and(|&last| tick.saturating_sub(last) <= window);
-                shard.ghosts.insert(skey.clone(), tick);
-                if shard.ghosts.len() > GHOSTS_PER_SHARD {
-                    shard
-                        .ghosts
-                        .retain(|_, &mut last| tick.saturating_sub(last) <= window);
-                }
-                // Replacements and fills that fit spare budget always
-                // admit; only eviction-forcing first touches go around.
-                let resident = shard.tier(target).get(&skey).map(|e| e.len).unwrap_or(0);
-                let tier = self.inner.tier(target);
-                let would_evict = tier.used.load(Ordering::Relaxed) - resident + len > tier.budget;
-                if would_evict && !reused {
-                    c.read_arounds.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-            }
-            let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-            // One key never holds bytes in both tiers: drop any copy
-            // left in the other tier by a concurrent fill + demotion.
-            let other = match target {
-                CacheTier::Mem => CacheTier::Disk,
-                CacheTier::Disk => CacheTier::Mem,
-            };
-            if let Some(old) = shard.tier_mut(other).remove(&skey) {
-                self.inner
-                    .tier(other)
-                    .used
-                    .fetch_sub(old.len, Ordering::Relaxed);
-                if matches!((other, &old.payload), (CacheTier::Disk, Payload::File)) {
-                    if let Some(ds) = self.inner.disk_store.as_ref() {
-                        ds.del(&skey);
-                    }
-                }
-            }
-            // Straight-to-disk fills reach the segment log before the
-            // entry goes live (durable at the next commit); a failed
-            // persist (I/O error or post-crash) falls back to a
-            // RAM-resident disk entry, so the cache keeps working with
-            // durability degraded rather than dropping the fill.
-            let entry = match (target, self.inner.disk_store.as_ref()) {
-                (CacheTier::Disk, Some(ds)) if ds.put(&skey, &data, epoch) => Entry {
-                    payload: Payload::File,
-                    len,
-                    hits: 1,
-                    seq,
-                },
-                _ => Entry::ram(data, 1, seq),
-            };
-            let old = shard.tier_mut(target).insert(skey, entry);
-            let old_len = old.map(|e| e.len).unwrap_or(0);
-            let tier = self.inner.tier(target);
-            tier.used.fetch_add(len, Ordering::Relaxed);
-            tier.used.fetch_sub(old_len, Ordering::Relaxed);
-            c.fills.fetch_add(1, Ordering::Relaxed);
-            c.fill_bytes.fetch_add(len, Ordering::Relaxed);
         }
-        self.evict_tier_to_budget(target);
+        // Straight-to-disk fills reach the segment log before the entry
+        // goes live (durable at the next commit).
+        let bytes = match (target, &inner.disk_store) {
+            (CacheTier::Disk, Some(ds)) if ds.put(&skey, &data, epoch) => None,
+            _ => Some(data),
+        };
+        if let Some((tier, old_len, was_in_log)) = old {
+            // A refill replaces the segment wherever it was; the log
+            // keeps a copy only if this fill just put one there.
+            st.used[tier as usize] -= old_len;
+            if was_in_log && bytes.is_some() {
+                inner.forget(&skey);
+            }
+        }
+        let entry = Entry {
+            tier: target,
+            bytes,
+            len,
+            hits: 1,
+            seq: bump(&mut st.seq),
+        };
+        st.entries.insert(skey, entry);
+        st.used[target as usize] += len;
+        st.stats.fills += 1;
+        st.stats.fill_bytes += len;
+        inner.evict_to_budget(st, target);
         true
-    }
-
-    /// Evict minimum-weight (dollars-saved-per-byte × hits) segments
-    /// from one tier until its usage fits its budget. Deterministic:
-    /// ties break toward the oldest insertion. Mem evictions **demote**
-    /// the segment into the disk tier (when it fits that budget) instead
-    /// of dropping it; disk evictions drop for real. One pass collects
-    /// candidates in ascending weight order and evicts enough of them to
-    /// cover the overshoot, so a large over-budget insert costs one
-    /// cache traversal, not one per evicted segment; the outer loop only
-    /// re-runs if concurrent inserts pushed usage back over the budget
-    /// mid-eviction.
-    fn evict_tier_to_budget(&self, tier: CacheTier) {
-        let st = self.inner.tier(tier);
-        let c = &self.inner.counters;
-        let mut demoted_any = false;
-        while st.used.load(Ordering::Relaxed) > st.budget {
-            let overshoot = st.used.load(Ordering::Relaxed) - st.budget;
-            // Candidates in one pass, one shard lock at a time.
-            let mut candidates: Vec<(f64, u64, usize, SegmentKey)> = Vec::new();
-            for (i, shard) in self.inner.shards.iter().enumerate() {
-                let shard = shard.lock();
-                for (k, e) in shard.tier(tier).iter() {
-                    candidates.push((e.weight(&self.inner.pricing), e.seq, i, k.clone()));
-                }
-            }
-            if candidates.is_empty() {
-                break; // nothing left to evict
-            }
-            candidates.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.1.cmp(&b.1))
-            });
-            let mut freed = 0u64;
-            for (_, _, i, key) in candidates {
-                if freed >= overshoot {
-                    break;
-                }
-                let mut shard = self.inner.shards[i].lock();
-                let Some(mut e) = shard.tier_mut(tier).remove(&key) else {
-                    continue; // vanished concurrently
-                };
-                let len = e.len;
-                freed += len;
-                st.used.fetch_sub(len, Ordering::Relaxed);
-                match tier {
-                    CacheTier::Mem => {
-                        c.evictions.fetch_add(1, Ordering::Relaxed);
-                        if len <= self.inner.disk.budget {
-                            // Demote under the same shard lock: keeps
-                            // the hit count, takes a fresh seq. With a
-                            // persistent store the bytes move into the
-                            // segment log (durable at the next commit);
-                            // a failed persist keeps them in RAM with
-                            // durability degraded.
-                            e.seq = self.inner.seq.fetch_add(1, Ordering::Relaxed);
-                            if let (Payload::Ram(data), Some(ds)) =
-                                (&e.payload, self.inner.disk_store.as_ref())
-                            {
-                                let epoch = *shard
-                                    .epochs
-                                    .get(&object_hash(&key.bucket, &key.key))
-                                    .unwrap_or(&0);
-                                if ds.put(&key, data, epoch) {
-                                    e.payload = Payload::File;
-                                }
-                            }
-                            if let Some(old) = shard.disk.insert(key, e) {
-                                self.inner.disk.used.fetch_sub(old.len, Ordering::Relaxed);
-                            }
-                            self.inner.disk.used.fetch_add(len, Ordering::Relaxed);
-                            c.demotions.fetch_add(1, Ordering::Relaxed);
-                            demoted_any = true;
-                        }
-                    }
-                    CacheTier::Disk => {
-                        c.disk_evictions.fetch_add(1, Ordering::Relaxed);
-                        if matches!(e.payload, Payload::File) {
-                            if let Some(ds) = self.inner.disk_store.as_ref() {
-                                ds.del(&key);
-                            }
-                        }
-                    }
-                }
-            }
-            if freed == 0 {
-                break; // every candidate vanished concurrently
-            }
-        }
-        // Demotions may have pushed the disk tier over its own budget.
-        if demoted_any {
-            self.evict_tier_to_budget(CacheTier::Disk);
-        }
     }
 
     /// Drop every segment of `bucket/key` from both tiers, forget its
@@ -1151,89 +976,54 @@ impl SegmentCache {
     /// bytes are discarded on arrival.
     pub fn invalidate(&self, bucket: &str, key: &str) {
         let h = object_hash(bucket, key);
-        let mut shard = self.shard_of(bucket, key).lock();
-        let epoch = {
-            let e = shard.epochs.entry(h).or_insert(0);
-            *e += 1;
-            *e
-        };
-        shard.layouts.remove(&h);
-        for tier in [CacheTier::Mem, CacheTier::Disk] {
-            let doomed: Vec<SegmentKey> = shard
-                .tier(tier)
-                .keys()
-                .filter(|k| k.bucket == bucket && k.key == key)
-                .cloned()
-                .collect();
-            let mut freed = 0u64;
-            for k in doomed {
-                if let Some(e) = shard.tier_mut(tier).remove(&k) {
-                    freed += e.len;
-                }
+        let mut guard = self.inner.state.lock();
+        let st = &mut *guard;
+        let epoch = st.epochs.entry(h).or_insert(0);
+        *epoch += 1;
+        st.layouts.remove(&h);
+        st.entries.retain(|k, e| {
+            let doomed = k.bucket == bucket && k.key == key;
+            if doomed {
+                st.used[e.tier as usize] -= e.len;
             }
-            if freed > 0 {
-                self.inner
-                    .tier(tier)
-                    .used
-                    .fetch_sub(freed, Ordering::Relaxed);
-            }
-        }
+            !doomed
+        });
         // Make the bump durable (one Epoch record, committed before
         // this returns) so a recovery can never resurrect the dropped
-        // segments; logged while the shard lock pins out concurrent
-        // fills of the old epoch.
-        if let Some(ds) = self.inner.disk_store.as_ref() {
-            ds.bump_epoch(bucket, key, epoch);
+        // segments; logged while the lock pins out concurrent fills of
+        // the old epoch.
+        if let Some(ds) = &self.inner.disk_store {
+            ds.bump_epoch(bucket, key, *epoch);
         }
-        self.inner
-            .counters
-            .invalidations
-            .fetch_add(1, Ordering::Relaxed);
+        st.stats.invalidations += 1;
     }
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> CacheStats {
-        let c = &self.inner.counters;
+        let inner = &*self.inner;
         let (persisted_bytes, fsyncs) = self.persist_counters();
-        let (commits, compactions) = self
-            .inner
+        let (commits, compactions) = inner
             .disk_store
             .as_ref()
-            .map(|d| d.commit_counters())
-            .unwrap_or((0, 0));
-        let (mut segments, mut disk_segments) = (0u64, 0u64);
-        for s in self.inner.shards.iter() {
-            let s = s.lock();
-            segments += s.mem.len() as u64;
-            disk_segments += s.disk.len() as u64;
-        }
+            .map_or((0, 0), |d| d.commit_counters());
+        let st = inner.state.lock();
+        let disk_segments = st
+            .entries
+            .values()
+            .filter(|e| e.tier == CacheTier::Disk)
+            .count() as u64;
         CacheStats {
-            hits: c.hits.load(Ordering::Relaxed),
-            misses: c.misses.load(Ordering::Relaxed),
-            hit_bytes: c.hit_bytes.load(Ordering::Relaxed),
-            disk_hits: c.disk_hits.load(Ordering::Relaxed),
-            disk_hit_bytes: c.disk_hit_bytes.load(Ordering::Relaxed),
-            fills: c.fills.load(Ordering::Relaxed),
-            fill_bytes: c.fill_bytes.load(Ordering::Relaxed),
-            evictions: c.evictions.load(Ordering::Relaxed),
-            demotions: c.demotions.load(Ordering::Relaxed),
-            promotions: c.promotions.load(Ordering::Relaxed),
-            disk_evictions: c.disk_evictions.load(Ordering::Relaxed),
-            invalidations: c.invalidations.load(Ordering::Relaxed),
-            stale_fills: c.stale_fills.load(Ordering::Relaxed),
-            read_arounds: c.read_arounds.load(Ordering::Relaxed),
-            used_bytes: self.used_bytes(),
-            budget_bytes: self.inner.mem.budget,
-            segments,
-            disk_used_bytes: self.disk_used_bytes(),
-            disk_budget_bytes: self.inner.disk.budget,
+            used_bytes: st.used[CacheTier::Mem as usize],
+            budget_bytes: inner.config.mem_bytes,
+            segments: st.entries.len() as u64 - disk_segments,
+            disk_used_bytes: st.used[CacheTier::Disk as usize],
+            disk_budget_bytes: inner.config.disk_bytes,
             disk_segments,
-            recovered_segments: c.recovered_segments.load(Ordering::Relaxed),
-            recovered_bytes: c.recovered_bytes.load(Ordering::Relaxed),
             persisted_bytes,
             fsyncs,
             commits,
             compactions,
+            ..st.stats
         }
     }
 }
@@ -1305,7 +1095,7 @@ mod tests {
         assert_eq!(c.stats().segments, 0);
         let off = cache(0);
         assert!(!fill(&off, "k", 1));
-        assert_eq!(off.used_bytes(), 0);
+        assert_eq!(off.stats().used_bytes, 0);
     }
 
     #[test]
@@ -1324,7 +1114,7 @@ mod tests {
         assert!(c.peek(&whole("cold")).is_none(), "cold evicted");
         assert!(c.peek(&whole("new")).is_some());
         assert_eq!(c.stats().evictions, 1);
-        assert!(c.used_bytes() <= 250);
+        assert!(c.stats().used_bytes <= 250);
     }
 
     #[test]
@@ -1379,7 +1169,7 @@ mod tests {
         let c = cache(1000);
         fill(&c, "k", 400);
         fill(&c, "k", 300); // same key, new bytes
-        assert_eq!(c.used_bytes(), 300);
+        assert_eq!(c.stats().used_bytes, 300);
         assert_eq!(c.stats().segments, 1);
     }
 
@@ -1408,11 +1198,12 @@ mod tests {
     }
 
     fn reuse_cache(budget: u64, window: u64) -> SegmentCache {
-        SegmentCache::with_admission(
-            budget,
-            Pricing::us_east(),
-            CacheAdmission::ReuseDistance { window },
-        )
+        let config = CacheConfig {
+            mem_bytes: budget,
+            admission: CacheAdmission::ReuseDistance { window },
+            ..CacheConfig::default()
+        };
+        SegmentCache::open(&config, Pricing::us_east(), None, None).unwrap()
     }
 
     #[test]
@@ -1474,15 +1265,15 @@ mod tests {
         fill(&c, "k", 100);
         assert!(fill(&c, "k", 100), "replacement admits");
         assert_eq!(c.stats().read_arounds, 0);
-        assert_eq!(c.used_bytes(), 100);
+        assert_eq!(c.stats().used_bytes, 100);
     }
 
     #[test]
     fn admit_all_remains_the_default() {
         let c = cache(1000);
-        assert_eq!(c.admission(), CacheAdmission::AdmitAll);
+        assert_eq!(c.config().admission, CacheAdmission::AdmitAll);
         assert_eq!(
-            reuse_cache(10, 3).admission(),
+            reuse_cache(10, 3).config().admission,
             CacheAdmission::ReuseDistance { window: 3 }
         );
     }
@@ -1493,7 +1284,13 @@ mod tests {
             scan_per_gb: 0.2,
             ..Pricing::us_east()
         };
-        let e = Entry::ram(Bytes::from(vec![0u8; 1000]), 3, 0);
+        let e = Entry {
+            tier: CacheTier::Mem,
+            bytes: None,
+            len: 1000,
+            hits: 3,
+            seq: 0,
+        };
         assert!(e.weight(&pricey) > e.weight(&Pricing::us_east()));
     }
 
@@ -1561,8 +1358,8 @@ mod tests {
         let c = tiered(100, 1000);
         assert!(fill(&c, "big", 500));
         assert_eq!(c.peek_tier(&whole("big")), Some((500, CacheTier::Disk)));
-        assert_eq!(c.used_bytes(), 0);
-        assert_eq!(c.disk_used_bytes(), 500);
+        assert_eq!(c.stats().used_bytes, 0);
+        assert_eq!(c.stats().disk_used_bytes, 500);
         // Served in place — never promoted into a tier it cannot fit.
         let (_, tier) = c.get_tiered(&whole("big")).unwrap();
         assert_eq!(tier, CacheTier::Disk);
@@ -1581,7 +1378,7 @@ mod tests {
         c.invalidate("b", "a");
         assert!(c.peek(&whole("a")).is_none());
         assert!(c.layout("b", "a").is_none());
-        assert_eq!(c.disk_used_bytes(), 0);
+        assert_eq!(c.stats().disk_used_bytes, 0);
         assert_eq!(c.peek_tier(&whole("b")), Some((100, CacheTier::Mem)));
     }
 
@@ -1630,25 +1427,10 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_counts_a_whole_object_segment_as_fully_resident() {
-        let c = tiered(1000, 0);
-        fill(&c, "k", 400);
-        let occ = c.occupancy("b", "k", 400);
-        assert_eq!(occ.mem_bytes, 400);
-        assert_eq!((occ.gap_bytes, occ.gap_requests), (0, 0));
-        assert!(occ.layout_known);
-    }
-
-    #[test]
     fn reuse_ghosts_key_per_segment_not_per_object() {
         // Satellite regression: one hot chunk of an object must not
         // vouch admission for its never-reused sibling chunks.
-        let c = SegmentCache::tiered_with_admission(
-            200,
-            0,
-            Pricing::us_east(),
-            CacheAdmission::ReuseDistance { window: 16 },
-        );
+        let c = reuse_cache(200, 16);
         // Fill the budget with two other segments, so admitting one
         // chunk evicts exactly one of them and the cache stays full.
         assert!(fill(&c, "r1", 100));

@@ -631,10 +631,6 @@ impl DiskStore {
         Ok((store, recovery))
     }
 
-    pub(crate) fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// `(bytes appended, fsyncs issued)` since the store opened: a
     /// monotonic total of every appended byte and every barrier.
     pub(crate) fn persist_counters(&self) -> (u64, u64) {
@@ -748,13 +744,31 @@ impl DiskStore {
         true
     }
 
+    /// Bring the manifest's epoch for `bucket/key` up to `epoch` ahead of
+    /// a record that carries it. The cache's epoch runs ahead of the
+    /// manifest's whenever an invalidation found nothing durable to kill
+    /// (no `Epoch` record is logged then) or a compaction collected an
+    /// epoch that guarded nothing; without this record recovery would
+    /// take the newer `Put` or `Layout` for a stale one and drop it.
+    fn catch_up_epoch(&self, inner: &mut DiskInner, bucket: &str, key: &str, epoch: u64) -> bool {
+        let h = crate::object_hash(bucket, key);
+        if inner.epochs.get(&h).copied().unwrap_or(0) >= epoch {
+            return true;
+        }
+        let logged = self.append_manifest(inner, &encode_epoch(bucket, key, epoch));
+        if logged {
+            inner.epochs.insert(h, epoch);
+        }
+        logged
+    }
+
     /// Persist one segment: append its bytes to the segment log and its
     /// `Put` to the manifest, both durable at the next commit. Returns
     /// whether the store now holds the segment (callers fall back to
     /// RAM-only residency when it does not).
     pub(crate) fn put(&self, key: &SegmentKey, data: &Bytes, epoch: u64) -> bool {
         let mut inner = self.inner.lock();
-        if inner.crashed {
+        if inner.crashed || !self.catch_up_epoch(&mut inner, &key.bucket, &key.key, epoch) {
             return self.persist_error();
         }
         let Ok(offset) = inner.data.append(data) else {
@@ -828,7 +842,9 @@ impl DiskStore {
     pub(crate) fn log_layout(&self, bucket: &str, key: &str, epoch: u64, chunks: &[(u64, u64)]) {
         let h = crate::object_hash(bucket, key);
         let mut inner = self.inner.lock();
-        if self.append_manifest(&mut inner, &encode_layout(bucket, key, epoch, chunks)) {
+        if self.catch_up_epoch(&mut inner, bucket, key, epoch)
+            && self.append_manifest(&mut inner, &encode_layout(bucket, key, epoch, chunks))
+        {
             inner.logged.insert(h);
             inner.layouts.insert(
                 h,
@@ -1009,6 +1025,28 @@ mod tests {
         assert_eq!(rec.segments.len(), 1);
         assert_eq!(rec.segments[0].epoch, 1);
         assert_eq!(store.read(&k("a")).unwrap(), bytes(10, 9));
+    }
+
+    /// Pinned regression: an invalidation that finds nothing durable
+    /// logs no `Epoch` record, so the next fill carries an epoch the
+    /// manifest has not seen; recovery used to drop it as stale.
+    #[test]
+    fn records_ahead_of_the_manifest_epoch_survive_recovery() {
+        let tmp = TempDir::new("store-ahead");
+        {
+            let (store, _) = DiskStore::open(tmp.path(), None).unwrap();
+            store.bump_epoch("b", "a", 1); // nothing logged: a no-op
+            assert!(store.put(&k("a"), &bytes(10, 9), 1));
+            store.log_layout("b", "c", 2, &[(0, 10)]);
+        }
+        let (store, rec) = DiskStore::open(tmp.path(), None).unwrap();
+        assert_eq!(rec.segments.len(), 1);
+        assert_eq!(rec.segments[0].epoch, 1);
+        assert_eq!(store.read(&k("a")).unwrap(), bytes(10, 9));
+        assert_eq!(
+            rec.layouts,
+            vec![("b".into(), "c".into(), 2, vec![(0, 10)])]
+        );
     }
 
     #[test]

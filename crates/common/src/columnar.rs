@@ -115,6 +115,29 @@ impl Column {
         }
     }
 
+    /// Materialize every slot as a [`Value`], moving plain strings out
+    /// instead of cloning them.
+    pub fn into_values(self) -> Vec<Value> {
+        fn render<T>(validity: &[u8], v: Vec<T>, wrap: impl Fn(T) -> Value) -> Vec<Value> {
+            let valid = |i: usize| validity[i / 8] & (1 << (i % 8)) != 0;
+            v.into_iter()
+                .enumerate()
+                .map(|(i, x)| if valid(i) { wrap(x) } else { Value::Null })
+                .collect()
+        }
+        let validity = &self.validity;
+        match self.data {
+            ColumnData::Int(v) => render(validity, v, Value::Int),
+            ColumnData::Float(v) => render(validity, v, Value::Float),
+            ColumnData::Bool(v) => render(validity, v, Value::Bool),
+            ColumnData::Date(v) => render(validity, v, Value::Date),
+            ColumnData::Str(v) => render(validity, v, Value::Str),
+            ColumnData::DictStr { codes, dict } => {
+                render(validity, codes, |c| Value::Str(dict[c as usize].clone()))
+            }
+        }
+    }
+
     /// Sub-column `[start, start+len)`, rebuilding the validity bitmap.
     /// Dictionary columns share the dictionary `Arc`.
     pub fn slice(&self, start: usize, len: usize) -> Column {

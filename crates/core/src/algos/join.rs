@@ -321,23 +321,6 @@ pub fn bloom_with_outcome(
     ))
 }
 
-/// Cost-based join: predict every applicable variant's footprint
-/// ([`crate::cost::join_candidates`]) and execute the cheapest by
-/// predicted dollars. Returns the output plus the chosen algorithm name
-/// (`"baseline"`, `"filtered"`, `"bloom"`, `"bloom-binary"`).
-pub fn adaptive(ctx: &QueryContext, q: &JoinQuery) -> Result<(QueryOutput, &'static str)> {
-    let candidates = crate::cost::join_candidates(ctx, q);
-    let chosen = &candidates[crate::cost::cheapest(&candidates, ctx)];
-    let algorithm = chosen.algorithm;
-    let out = match algorithm {
-        "filtered" => filtered(ctx, q)?,
-        "bloom" => bloom(ctx, q, 0.01)?,
-        "bloom-binary" => crate::algos::whatif::bloom_binary(ctx, q, 0.01)?,
-        _ => baseline(ctx, q)?,
-    };
-    Ok((out, algorithm))
-}
-
 /// Run two scans concurrently (they are independent I/O).
 fn parallel_scans<L, R, A, B>(l: L, r: R) -> Result<(A, B)>
 where
@@ -517,25 +500,36 @@ mod tests {
         );
     }
 
+    /// The SQL planner's adaptive pick agrees with, and never measurably
+    /// loses to, the three fixed variants here. Compared net of startup
+    /// latencies: the plan IR reports one serial phase per stacked
+    /// operator (join, project, aggregate) where these executors report
+    /// one merged "local join", so gross runtimes differ by
+    /// `phase_startup` per extra phase whatever plan is picked.
     #[test]
     fn adaptive_join_agrees_and_never_measurably_loses() {
+        use crate::planner::{execute_sql, Strategy};
         let (ctx, q) = setup();
-        let (out, algorithm) = adaptive(&ctx, &q).unwrap();
-        assert!(
-            ["baseline", "filtered", "bloom"].contains(&algorithm),
-            "{algorithm}"
-        );
+        let ctx = ctx.with_tables([q.right.clone()]);
+        let sql = "SELECT SUM(o_totalprice) FROM customer \
+                   JOIN orders ON c_custkey = o_custkey WHERE c_acctbal <= -800";
+        let out = execute_sql(&ctx, &q.left, sql, Strategy::Adaptive).unwrap();
         let others = [
             baseline(&ctx, &q).unwrap(),
             filtered(&ctx, &q).unwrap(),
             bloom(&ctx, &q, 0.01).unwrap(),
         ];
         assert!((total(&out) - total(&others[0])).abs() < 1e-6);
-        let cost = |o: &QueryOutput| o.metrics.cost(&ctx.model, &ctx.pricing).total();
+        let net = pushdown_common::perf::PerfModel::new(pushdown_common::perf::PerfParams {
+            phase_startup: 0.0,
+            query_startup: 0.0,
+            ..ctx.model.params
+        });
+        let cost = |o: &QueryOutput| o.metrics.cost(&net, &ctx.pricing).total();
         let min = others.iter().map(cost).fold(f64::INFINITY, f64::min);
         assert!(
             cost(&out) <= min * 1.10,
-            "adaptive {algorithm} ${:.6} vs min ${min:.6}",
+            "adaptive ${:.6} vs min ${min:.6}",
             cost(&out)
         );
     }

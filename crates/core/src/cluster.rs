@@ -24,7 +24,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pushdown_cache::SegmentCache;
+use pushdown_cache::{CacheConfig, SegmentCache};
 use pushdown_common::mix::{fnv1a, splitmix64};
 use pushdown_common::pricing::{Pricing, Usage};
 use pushdown_s3::{S3Store, VirtualClock};
@@ -46,8 +46,8 @@ pub struct ClusterNode {
     pub ledger: pushdown_common::ledger::CostLedger,
     /// The node's own virtual clock: advanced only by work this node runs.
     pub clock: VirtualClock,
-    /// Per-node cache slice (`mem / n` + `disk / n` of the store-wide
-    /// tier budgets at [`Cluster::new`] time, same admission policy), or
+    /// Per-node cache slice (the store-wide cache's config at
+    /// [`Cluster::new`] time with both tier budgets divided by `n`), or
     /// `None` when no cache is installed.
     pub cache: Option<SegmentCache>,
     /// Bytes this node shipped to the coordinator or across a
@@ -87,58 +87,51 @@ pub struct Cluster {
 
 impl Cluster {
     /// Build an `n`-node cluster over `store`. If the store has a segment
-    /// cache installed, each node gets a private slice of **both tier
-    /// budgets** — `mem / n` and `disk / n` bytes, under the store
-    /// cache's admission policy (install the cache *before* calling
-    /// this); otherwise nodes run cacheless and reads fall through to
-    /// the store. If the store cache is **persistent**, each node's
-    /// slice is rooted at its own `<dir>/nodes/node-<id>` subdirectory
-    /// and recovers whatever a previous incarnation of that node left
-    /// there (checksum-verified against the live store); a node whose
-    /// directory cannot be opened falls back to a RAM-only slice rather
-    /// than failing the whole cluster.
+    /// cache installed, each node gets a private slice opened from that
+    /// cache's [`CacheConfig`] with **both tier budgets** divided by `n`
+    /// (install the cache *before* calling this); otherwise nodes run
+    /// cacheless and reads fall through to the store. If the store cache
+    /// is **persistent**, each node's slice is rooted at its own
+    /// `<dir>/nodes/node-<id>` subdirectory and recovers whatever a
+    /// previous incarnation of that node left there (checksum-verified
+    /// against the live store); a node whose directory cannot be opened
+    /// falls back to a RAM-only slice rather than failing the whole
+    /// cluster. Every slice is attached to the store on the spot, so a
+    /// writer invalidates it from then on.
     pub fn new(store: &S3Store, n: usize, pricing: Pricing) -> Cluster {
         let n = n.max(1);
-        let store_cache = store.cache();
-        let node_slice = store_cache
-            .as_ref()
-            .map(|c| {
-                (
-                    c.budget_bytes() / n as u64,
-                    c.disk_budget_bytes() / n as u64,
-                    c.admission(),
-                )
+        let slice = store
+            .cache()
+            .map(|c| CacheConfig {
+                mem_bytes: c.config().mem_bytes / n as u64,
+                disk_bytes: c.config().disk_bytes / n as u64,
+                ..c.config().clone()
             })
-            .filter(|&(mem, disk, _)| mem + disk > 0);
-        let persist_dir = store_cache.as_ref().and_then(|c| c.persist_dir());
-        let probe = {
-            let store = store.clone();
-            move |b: &str, k: &str, r: (u64, u64)| store.object_range_digest(b, k, r)
+            .filter(|c| c.mem_bytes + c.disk_bytes > 0);
+        let probe = |b: &str, k: &str, r: (u64, u64)| store.object_range_digest(b, k, r);
+        let open = |config: &CacheConfig| SegmentCache::open(config, pricing, None, Some(&probe));
+        let node_cache = |id: usize| {
+            let mut config = slice.clone()?;
+            config.dir = config
+                .dir
+                .map(|dir| dir.join("nodes").join(format!("node-{id}")));
+            let cache = open(&config)
+                .or_else(|_| {
+                    config.dir = None;
+                    open(&config)
+                })
+                .expect("a cache without a directory opens no file");
+            // Attach now, not at the node's first query: a recovered
+            // slice must hear of writes that come before it.
+            store.with_cache_override(Some(cache.clone()));
+            Some(cache)
         };
         let nodes: Vec<ClusterNode> = (0..n)
             .map(|id| ClusterNode {
                 id,
                 ledger: store.global_ledger().child(),
                 clock: VirtualClock::new(),
-                cache: node_slice.map(|(mem, disk, admission)| {
-                    persist_dir
-                        .as_ref()
-                        .and_then(|dir| {
-                            SegmentCache::recover_with(
-                                dir.join("nodes").join(format!("node-{id}")),
-                                mem,
-                                disk,
-                                pricing,
-                                admission,
-                                None,
-                                Some(&probe),
-                            )
-                            .ok()
-                        })
-                        .unwrap_or_else(|| {
-                            SegmentCache::tiered_with_admission(mem, disk, pricing, admission)
-                        })
-                }),
+                cache: node_cache(id),
                 exchange_bytes: Arc::new(AtomicU64::new(0)),
             })
             .collect();
@@ -306,27 +299,30 @@ mod tests {
     #[test]
     fn per_node_cache_slices_split_both_tiers_and_keep_admission() {
         let s = store();
-        s.set_cache(Some(SegmentCache::tiered_with_admission(
-            1 << 20,
-            1 << 22,
-            pricing(),
-            pushdown_cache::CacheAdmission::ReuseDistance { window: 8 },
-        )));
+        let config = CacheConfig {
+            mem_bytes: 1 << 20,
+            disk_bytes: 1 << 22,
+            admission: pushdown_cache::CacheAdmission::ReuseDistance { window: 8 },
+            dir: None,
+        };
+        s.set_cache(Some(
+            SegmentCache::open(&config, pricing(), None, None).unwrap(),
+        ));
         let c = Cluster::new(&s, 4, pricing());
         for id in 0..4 {
             let cache = c.node(id).cache.as_ref().expect("node cache");
-            assert_eq!(cache.budget_bytes(), (1 << 20) / 4);
-            assert_eq!(cache.disk_budget_bytes(), (1 << 22) / 4);
-            assert_eq!(
-                cache.admission(),
-                pushdown_cache::CacheAdmission::ReuseDistance { window: 8 }
-            );
+            let slice = CacheConfig {
+                mem_bytes: (1 << 20) / 4,
+                disk_bytes: (1 << 22) / 4,
+                ..config.clone()
+            };
+            assert_eq!(cache.config(), &slice);
         }
         // A disk-only store cache still yields per-node slices.
         s.set_cache(Some(SegmentCache::tiered(0, 1 << 21, pricing())));
         let c = Cluster::new(&s, 2, pricing());
         let cache = c.node(1).cache.as_ref().expect("node cache");
-        assert_eq!(cache.budget_bytes(), 0);
-        assert_eq!(cache.disk_budget_bytes(), (1 << 21) / 2);
+        assert_eq!(cache.config().mem_bytes, 0);
+        assert_eq!(cache.config().disk_bytes, (1 << 21) / 2);
     }
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use crate::catalog::{Catalog, Table};
 use crate::cluster::Cluster;
 use pushdown_bloom::BloomBuilder;
-use pushdown_cache::{CacheAdmission, SegmentCache};
+use pushdown_cache::{CacheConfig, SegmentCache};
 use pushdown_common::perf::{PerfModel, PerfParams};
 use pushdown_common::pricing::{Pricing, Usage};
 use pushdown_common::{CostLedger, Error, Result, RetryPolicy};
@@ -282,9 +282,17 @@ impl QueryContext {
         self
     }
 
-    /// Install a cost-aware segment cache of `budget_bytes` on the store
-    /// (the caching tier's budget knob), weighted by this context's
-    /// current [`Pricing`].
+    /// Install a segment cache opened from `config` on the store,
+    /// weighted by this context's current [`Pricing`] — the one body
+    /// behind every `with_cache*` installer. With `config.dir` set the
+    /// disk tier is a **persistent file store**: the on-disk manifest is
+    /// replayed, every surviving segment is checksum-verified against
+    /// the live store (so a chunk persisted before a crash is never
+    /// served after its object was rewritten, even if the rewrite
+    /// happened while the cache was down), recovered segments land
+    /// disk-resident (memory starts cold, disk starts warm), and ghost
+    /// reuse-distance state is rebuilt for the recovered residents. An
+    /// empty or absent directory simply starts a fresh persistent cache.
     ///
     /// **Store-wide, not per-copy**: like
     /// [`QueryContext::with_tables`] and the shared [`Catalog`], this
@@ -293,77 +301,43 @@ impl QueryContext {
     /// cache immediately, and dropping the returned context does not
     /// uninstall it (`ctx.store.set_cache(None)` does). The adaptive
     /// planner starts weighing `cached-local` candidates against
-    /// pushdown and remote scans as soon as a cache is present. A
-    /// budget of 0 effectively disables admission.
-    pub fn with_cache(self, budget_bytes: u64) -> Self {
-        self.store
-            .set_cache(Some(SegmentCache::new(budget_bytes, self.pricing)));
-        self
-    }
-
-    /// [`QueryContext::with_cache`] with an explicit fill-admission
-    /// policy — e.g. [`CacheAdmission::ReuseDistance`] so one-off scans
-    /// go read-around instead of churning the hot tail under open-loop
-    /// traffic. Store-wide, like [`QueryContext::with_cache`].
-    pub fn with_cache_admission(self, budget_bytes: u64, admission: CacheAdmission) -> Self {
-        self.store.set_cache(Some(SegmentCache::with_admission(
-            budget_bytes,
-            self.pricing,
-            admission,
-        )));
-        self
-    }
-
-    /// Install a **two-tier** segment cache: `mem_budget_bytes` of
-    /// memory (read back at `cache_read_bw`) over `disk_budget_bytes`
-    /// of simulated instance storage (read back at the slower
-    /// `disk_read_bw`). Segments evicted from memory demote to disk;
-    /// disk hits promote back. A disk budget of 0 reproduces
-    /// [`QueryContext::with_cache`] exactly. Store-wide, like
-    /// [`QueryContext::with_cache`].
-    pub fn with_cache_tiers(self, mem_budget_bytes: u64, disk_budget_bytes: u64) -> Self {
-        self.store.set_cache(Some(SegmentCache::tiered(
-            mem_budget_bytes,
-            disk_budget_bytes,
-            self.pricing,
-        )));
-        self
-    }
-
-    /// [`QueryContext::with_cache_tiers`] with an explicit fill-admission
-    /// policy. Store-wide, like [`QueryContext::with_cache`].
-    pub fn with_cache_tiers_admission(
-        self,
-        mem_budget_bytes: u64,
-        disk_budget_bytes: u64,
-        admission: CacheAdmission,
-    ) -> Self {
-        self.store
-            .set_cache(Some(SegmentCache::tiered_with_admission(
-                mem_budget_bytes,
-                disk_budget_bytes,
-                self.pricing,
-                admission,
-            )));
-        self
-    }
-
-    /// Back the installed segment cache's disk tier with a **persistent
-    /// file store** rooted at `dir` — and recover whatever a previous
-    /// process left there.
+    /// pushdown and remote scans as soon as a cache is present.
     ///
-    /// Composes with [`QueryContext::with_cache_tiers`]: call that (or
-    /// any cache installer) first to set the tier budgets and admission
-    /// policy, then this to make the disk tier durable. The current
-    /// cache is replaced by one recovered from `dir` — the on-disk
-    /// manifest is replayed, every surviving segment is checksum-verified
-    /// against the live store (so a chunk persisted before a crash is
-    /// never served after its object was rewritten, even if the rewrite
-    /// happened while the cache was down), recovered segments land
-    /// disk-resident (memory starts cold, disk starts warm), and ghost
-    /// reuse-distance state is rebuilt for the recovered residents. An
-    /// empty or absent `dir` simply starts a fresh persistent cache.
-    /// Store-wide, like [`QueryContext::with_cache`].
+    /// # Errors
+    ///
+    /// Only when `config.dir` cannot be created or opened.
+    pub fn with_cache_config(self, config: CacheConfig) -> Result<Self> {
+        let store = self.store.clone();
+        let probe = move |b: &str, k: &str, r: (u64, u64)| store.object_range_digest(b, k, r);
+        let cache = SegmentCache::open(&config, self.pricing, None, Some(&probe))?;
+        self.store.set_cache(Some(cache));
+        Ok(self)
+    }
+
+    /// [`QueryContext::with_cache_config`] for a mem-only cache of
+    /// `budget_bytes` (the caching tier's budget knob). A budget of 0
+    /// effectively disables admission.
+    pub fn with_cache(self, budget_bytes: u64) -> Self {
+        self.with_cache_tiers(budget_bytes, 0)
+    }
+
+    /// [`QueryContext::with_cache_config`] for a **two-tier** cache:
+    /// `mem_budget_bytes` of memory (read back at `cache_read_bw`) over
+    /// `disk_budget_bytes` of simulated instance storage (read back at
+    /// the slower `disk_read_bw`). Segments evicted from memory demote
+    /// to disk; disk hits promote back.
+    pub fn with_cache_tiers(self, mem_budget_bytes: u64, disk_budget_bytes: u64) -> Self {
+        self.with_cache_config(CacheConfig {
+            mem_bytes: mem_budget_bytes,
+            disk_bytes: disk_budget_bytes,
+            ..CacheConfig::default()
+        })
+        .expect("a cache without a directory opens no file")
+    }
+
+    /// Re-open the installed cache — same budgets, same admission —
+    /// with its disk tier rooted at `dir`, recovering whatever a previous
+    /// process left there ([`QueryContext::with_cache_config`]).
     ///
     /// # Errors
     ///
@@ -375,33 +349,16 @@ impl QueryContext {
                 "with_cache_dir requires a cache: call with_cache_tiers(...) first".into(),
             ));
         };
-        let store = self.store.clone();
-        let probe = move |b: &str, k: &str, r: (u64, u64)| store.object_range_digest(b, k, r);
-        let cache = SegmentCache::recover_with(
-            dir,
-            cur.budget_bytes(),
-            cur.disk_budget_bytes(),
-            self.pricing,
-            cur.admission(),
-            None,
-            Some(&probe),
-        )?;
-        self.store.set_cache(Some(cache));
-        Ok(self)
+        self.with_cache_config(CacheConfig {
+            dir: Some(dir.as_ref().to_path_buf()),
+            ..cur.config().clone()
+        })
     }
 
     /// Override the CSV cache-segment size (see
     /// [`QueryContext::cache_chunk_bytes`]; clamped to ≥ 1).
     pub fn with_cache_chunk_bytes(mut self, chunk_bytes: u64) -> Self {
         self.cache_chunk_bytes = chunk_bytes.max(1);
-        self
-    }
-
-    /// Install a pre-built [`SegmentCache`] (for custom pricing or for
-    /// observing one cache handle from outside). Store-wide, like
-    /// [`QueryContext::with_cache`].
-    pub fn with_segment_cache(self, cache: SegmentCache) -> Self {
-        self.store.set_cache(Some(cache));
         self
     }
 

@@ -20,7 +20,6 @@
 
 use crate::algos::filter::FilterQuery;
 use crate::algos::groupby::{GroupByQuery, HybridOptions};
-use crate::algos::join::JoinQuery;
 use crate::algos::topk::{optimal_sample_size, TopKQuery};
 use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
@@ -584,149 +583,6 @@ impl<'a> Estimator<'a> {
 
         Ok(out)
     }
-}
-
-/// Candidates for a two-table equi-join (§V): baseline plain loads,
-/// filtered pushdown, and the Bloom join (plus the §X Suggestion-3
-/// binary Bloom variant when the engine's `bitwise` extension is on).
-pub fn join_candidates(ctx: &QueryContext, q: &JoinQuery) -> Vec<PlanEstimate> {
-    let left = Estimator::new(ctx, &q.left);
-    let right = Estimator::new(ctx, &q.right);
-    let lsel = left.selectivity(q.left_pred.as_ref());
-    let rsel = right.selectivity(q.right_pred.as_ref());
-    let lcols = needed_cols(&q.left_proj, &q.left_key);
-    let rcols = needed_cols(&q.right_proj, &q.right_key);
-    let l_out = lsel * left.rows;
-    let join_cpu = l_out + rsel * right.rows;
-
-    let mut out = Vec::new();
-
-    let mut baseline = QueryMetrics::new();
-    baseline.push_parallel(vec![
-        (
-            "load build side".into(),
-            left.plain_load(if q.left_pred.is_some() {
-                left.rows
-            } else {
-                0.0
-            }),
-        ),
-        (
-            "load probe side".into(),
-            right.plain_load(if q.right_pred.is_some() {
-                right.rows
-            } else {
-                0.0
-            }),
-        ),
-    ]);
-    baseline.push_serial(
-        "local join",
-        PhaseStats {
-            server_cpu_units: join_cpu as u64,
-            ..Default::default()
-        },
-    );
-    out.push(PlanEstimate {
-        algorithm: "baseline",
-        predicted: baseline,
-    });
-
-    let lterms = q.left_pred.as_ref().map(Expr::term_count).unwrap_or(0);
-    let rterms = q.right_pred.as_ref().map(Expr::term_count).unwrap_or(0);
-    let mut filtered = QueryMetrics::new();
-    filtered.push_parallel(vec![
-        (
-            "select build side".into(),
-            left.select_full_scan(l_out, left.out_row_bytes(&lcols), lterms),
-        ),
-        (
-            "select probe side".into(),
-            right.select_full_scan(rsel * right.rows, right.out_row_bytes(&rcols), rterms),
-        ),
-    ]);
-    filtered.push_serial(
-        "local join",
-        PhaseStats {
-            server_cpu_units: join_cpu as u64,
-            ..Default::default()
-        },
-    );
-    out.push(PlanEstimate {
-        algorithm: "filtered",
-        predicted: filtered,
-    });
-
-    // Bloom join: serial build → filtered probe. Only applicable when
-    // *both* join keys are integers (§V-A2): the build side feeds the
-    // filter, and the probe predicate CASTs the right key to INT.
-    // Containment assumption: the probe retains right rows whose key
-    // joins a build-side key, plus the false-positive share.
-    let is_int = |table: &Table, key: &str| {
-        table
-            .schema
-            .resolve(key)
-            .map(|i| table.schema.dtype_of(i) == pushdown_common::DataType::Int)
-            .unwrap_or(false)
-    };
-    let int_keys = is_int(&q.left, &q.left_key) && is_int(&q.right, &q.right_key);
-    if !int_keys {
-        return out;
-    }
-    let fpr = 0.01;
-    let build_keys = l_out.min(left.ndv(&q.left_key));
-    let match_frac = (build_keys / right.ndv(&q.right_key).max(1.0)).min(1.0);
-    let keep = (match_frac + fpr * (1.0 - match_frac)).min(1.0);
-    let hashes = (1.0 / fpr).log2().ceil().max(1.0) as u32;
-    let mut bloom = QueryMetrics::new();
-    bloom.push_serial(
-        "build: select",
-        left.select_full_scan(l_out, left.out_row_bytes(&lcols), lterms),
-    );
-    bloom.push_serial(
-        "bloom probe",
-        right.select_full_scan(
-            rsel * keep * right.rows,
-            right.out_row_bytes(&rcols),
-            rterms + hashes,
-        ),
-    );
-    bloom.push_serial(
-        "local join",
-        PhaseStats {
-            server_cpu_units: (l_out + rsel * keep * right.rows) as u64,
-            ..Default::default()
-        },
-    );
-    out.push(PlanEstimate {
-        algorithm: "bloom",
-        predicted: bloom.clone(),
-    });
-
-    if ctx.engine.extensions().bitwise {
-        // Suggestion 3: identical traffic shape, but the binary encoding
-        // packs 4 bits per character — a quarter of the expression terms
-        // reach the scanner for the same filter.
-        let mut binary = bloom.clone();
-        if let Some(phase) = binary.groups.get_mut(1).and_then(|g| g.phases.get_mut(0)) {
-            phase.stats.expr_terms = rterms + hashes.div_ceil(4);
-            phase.label = "bloom probe (binary)".into();
-        }
-        out.push(PlanEstimate {
-            algorithm: "bloom-binary",
-            predicted: binary,
-        });
-    }
-
-    out
-}
-
-fn needed_cols(proj: &[String], key: &str) -> Vec<String> {
-    let mut cols: Vec<String> = proj.to_vec();
-    if !cols.iter().any(|c| c.eq_ignore_ascii_case(key)) {
-        cols.push(key.to_string());
-    }
-    cols
 }
 
 // ---------------------------------------------------------------------
@@ -1649,46 +1505,29 @@ mod tests {
     #[test]
     fn join_candidates_gate_bloom_on_integer_keys() {
         let (ctx, t) = setup(500);
-        let q = JoinQuery {
-            left: t.clone(),
-            right: t.clone(),
-            left_key: "k".into(),
-            right_key: "k".into(),
-            left_pred: Some(parse_expr("v < 10").unwrap()),
-            right_pred: None,
-            left_proj: vec!["k".into()],
-            right_proj: vec!["v".into()],
-            sum_column: None,
+        let schema = Schema::from_pairs(&[("k2", DataType::Int), ("s2", DataType::Str)]);
+        let rows: Vec<Row> = (0..50)
+            .map(|i| Row::new(vec![Value::Int(i), Value::Str(format!("tag-{}", i % 4))]))
+            .collect();
+        let u = upload_csv_table(&ctx.store, "b", "u", &schema, &rows, 25).unwrap();
+        let ctx = ctx.with_tables([u]);
+        let names = |on: &str| -> Vec<&'static str> {
+            let sql = format!("SELECT k, s2 FROM t JOIN u ON {on} WHERE v < 10");
+            let spec = pushdown_sql::parse_query(&sql).unwrap();
+            let lowered = crate::joinplan::lower_join_candidates(&ctx, &t, &spec).unwrap();
+            lowered.into_iter().map(|(name, _)| name).collect()
         };
-        let names: Vec<&str> = join_candidates(&ctx, &q)
-            .iter()
-            .map(|c| c.algorithm)
-            .collect();
-        assert_eq!(names, vec!["baseline", "filtered", "bloom"]);
-        let mut sq = q.clone();
-        sq.left_key = "s".into();
-        sq.right_key = "s".into();
-        let names: Vec<&str> = join_candidates(&ctx, &sq)
-            .iter()
-            .map(|c| c.algorithm)
-            .collect();
-        assert_eq!(
-            names,
-            vec!["baseline", "filtered"],
-            "no bloom over string keys"
-        );
-        // Mixed keys: the probe predicate CASTs the *right* key to INT,
+        let unfiltered = vec!["baseline", "filtered", "build-push", "probe-push"];
+        let mut with_bloom = unfiltered.clone();
+        with_bloom.push("bloom");
+        assert_eq!(names("k = k2"), with_bloom);
+        assert_eq!(names("s = s2"), unfiltered, "no bloom over string keys");
+        // Mixed keys: the probe predicate CASTs the *probe* key to INT,
         // so an integer build side is not enough.
-        let mut mq = q.clone();
-        mq.right_key = "s".into();
-        let names: Vec<&str> = join_candidates(&ctx, &mq)
-            .iter()
-            .map(|c| c.algorithm)
-            .collect();
         assert_eq!(
-            names,
-            vec!["baseline", "filtered"],
-            "no bloom when only the left key is an integer"
+            names("k = s2"),
+            unfiltered,
+            "no bloom when only the build key is an integer"
         );
     }
 

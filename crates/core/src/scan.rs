@@ -53,7 +53,6 @@
 use crate::catalog::Table;
 use crate::context::QueryContext;
 pub use crate::fragment::ScanFragment;
-use pushdown_common::columnar::ColumnarBatch;
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::row::RowBatch;
 use pushdown_common::{Error, Result, Row, Schema, Value};
@@ -97,10 +96,6 @@ pub struct ScanSummary {
     /// (billed fills; a partial hit counts here, not in `hit_parts`).
     pub fill_parts: u64,
 }
-
-/// The summary of a cache-aware scan, with the hit/fill counts the
-/// EXPLAIN surface shows.
-pub type CachedScanSummary = ScanSummary;
 
 impl ScanSummary {
     fn new(schema: Schema, stats: PhaseStats) -> Self {
@@ -492,29 +487,9 @@ pub fn cached_scan_streamed(
     ctx: &QueryContext,
     table: &Table,
     on_batch: impl FnMut(RowBatch) -> Result<()>,
-) -> Result<CachedScanSummary> {
+) -> Result<ScanSummary> {
     let identity = ScanFragment::new(table, None, None);
     scan(ctx, table, ScanSource::Cached, &identity, on_batch)
-}
-
-/// [`plain_scan_streamed`] with every batch pivoted into a
-/// [`ColumnarBatch`].
-pub fn plain_scan_columnar_streamed(
-    ctx: &QueryContext,
-    table: &Table,
-    mut on_batch: impl FnMut(ColumnarBatch) -> Result<()>,
-) -> Result<ScanSummary> {
-    plain_scan_streamed(ctx, table, |b| on_batch(ColumnarBatch::from_row_batch(&b)))
-}
-
-/// [`cached_scan_streamed`] with every batch pivoted into a
-/// [`ColumnarBatch`].
-pub fn cached_scan_columnar_streamed(
-    ctx: &QueryContext,
-    table: &Table,
-    mut on_batch: impl FnMut(ColumnarBatch) -> Result<()>,
-) -> Result<CachedScanSummary> {
-    cached_scan_streamed(ctx, table, |b| on_batch(ColumnarBatch::from_row_batch(&b)))
 }
 
 /// [`scan`] collecting the survivors.
@@ -1082,133 +1057,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(seen, rows(600));
-    }
-
-    fn columnar_table(store: &S3Store, n: usize, per_part: usize) -> Table {
-        upload_columnar_table(
-            store,
-            "b",
-            "t",
-            &schema(),
-            &rows(n),
-            per_part,
-            WriterOptions {
-                rows_per_group: 47,
-                compress: true,
-            },
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn columnar_scan_matches_row_scan_rows_and_stats() {
-        let store = S3Store::new();
-        let t = columnar_table(&store, 600, 150);
-        let mut ctx = QueryContext::new(store);
-        ctx.batch_rows = 33;
-        let mut row_rows = Vec::new();
-        let row_summary = plain_scan_streamed(&ctx, &t, |b| {
-            row_rows.extend(b.rows);
-            Ok(())
-        })
-        .unwrap();
-        let mut col_rows = Vec::new();
-        let col_summary = plain_scan_columnar_streamed(&ctx, &t, |b| {
-            assert!(b.len() <= 33);
-            col_rows.extend(b.to_rows());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(col_rows, row_rows);
-        // Billing and parse accounting are representation-invariant: the
-        // ColumnarLite bytes parsed are keyed on the table format, so the
-        // row path reports them too.
-        assert_eq!(col_summary.stats, row_summary.stats);
-        assert!(col_summary.stats.cl_parse_bytes > 0);
-        assert_eq!(
-            col_summary.stats.cl_parse_bytes,
-            col_summary.stats.plain_bytes
-        );
-    }
-
-    #[test]
-    fn columnar_scan_over_csv_falls_back_to_row_decode() {
-        let (mut ctx, t) = ctx_with_table(400, 90);
-        ctx.batch_rows = 64;
-        let want = plain_scan(&ctx, &t).unwrap();
-        let mut got = Vec::new();
-        let summary = plain_scan_columnar_streamed(&ctx, &t, |b| {
-            assert!(b.len() <= 64);
-            got.extend(b.to_rows());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(got, want.rows);
-        assert_eq!(summary.stats, want.stats);
-        // CSV bytes are not ColumnarLite-encoded.
-        assert_eq!(summary.stats.cl_parse_bytes, 0);
-    }
-
-    #[test]
-    fn columnar_scan_invariant_across_batch_sizes_and_threads() {
-        let store = S3Store::new();
-        let t = columnar_table(&store, 700, 160);
-        let ctx = QueryContext::new(store);
-        let mut want_rows = Vec::new();
-        let want = plain_scan_columnar_streamed(&ctx, &t, |b| {
-            want_rows.extend(b.to_rows());
-            Ok(())
-        })
-        .unwrap();
-        for (batch_rows, threads) in [(1, 1), (7, 2), (256, 8), (100_000, 3)] {
-            let mut ctx2 = ctx.clone();
-            ctx2.batch_rows = batch_rows;
-            ctx2.scan_threads = threads;
-            let mut got_rows = Vec::new();
-            let got = plain_scan_columnar_streamed(&ctx2, &t, |b| {
-                got_rows.extend(b.to_rows());
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(got_rows, want_rows, "batch {batch_rows} threads {threads}");
-            assert_eq!(got.stats, want.stats);
-        }
-    }
-
-    #[test]
-    fn cached_columnar_scan_accounting_matches_row_path() {
-        let store = S3Store::new();
-        store.set_cache(Some(pushdown_cache::SegmentCache::new(
-            1 << 30,
-            pushdown_common::Pricing::us_east(),
-        )));
-        let t = columnar_table(&store, 500, 120);
-        let ctx = QueryContext::new(store).with_cache_reads(true);
-
-        // Cold pass fills the cache through the row path.
-        let mut cold_rows = Vec::new();
-        let cold = cached_scan_streamed(&ctx, &t, |b| {
-            cold_rows.extend(b.rows);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(cold.fill_parts, cold.hit_parts + cold.fill_parts);
-
-        // Warm columnar pass: every partition hits, nothing billed.
-        let mut warm_rows = Vec::new();
-        let warm = cached_scan_columnar_streamed(&ctx, &t, |b| {
-            warm_rows.extend(b.to_rows());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(warm_rows, cold_rows);
-        assert_eq!(warm.hit_parts, cold.fill_parts);
-        assert_eq!(warm.fill_parts, 0);
-        assert_eq!(warm.stats.requests, 0);
-        assert_eq!(warm.stats.plain_bytes, 0);
-        assert_eq!(warm.stats.cache_bytes, cold.stats.plain_bytes);
-        assert_eq!(warm.stats.cl_parse_bytes, cold.stats.cl_parse_bytes);
-        assert_eq!(warm.stats.server_cpu_units, cold.stats.server_cpu_units);
     }
 
     #[test]

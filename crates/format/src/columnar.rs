@@ -341,105 +341,9 @@ fn encode_chunk(values: &[&Value], dtype: DataType) -> (Vec<u8>, Encoding, Optio
     (buf, encoding, stats)
 }
 
-fn decode_chunk(
-    raw: &[u8],
-    dtype: DataType,
-    encoding: Encoding,
-    row_count: usize,
-) -> Result<Vec<Value>> {
-    let mut dec = Dec { data: raw, pos: 0 };
-    let bitmap = dec.raw(row_count.div_ceil(8))?.to_vec();
-    let is_valid = |i: usize| bitmap[i / 8] & (1 << (i % 8)) != 0;
-    let mut out = Vec::with_capacity(row_count);
-    match (dtype, encoding) {
-        (DataType::Int, Encoding::Plain) => {
-            for i in 0..row_count {
-                let x = i64::from_le_bytes(dec.raw(8)?.try_into().unwrap());
-                out.push(if is_valid(i) {
-                    Value::Int(x)
-                } else {
-                    Value::Null
-                });
-            }
-        }
-        (DataType::Float, Encoding::Plain) => {
-            for i in 0..row_count {
-                let x = f64::from_le_bytes(dec.raw(8)?.try_into().unwrap());
-                out.push(if is_valid(i) {
-                    Value::Float(x)
-                } else {
-                    Value::Null
-                });
-            }
-        }
-        (DataType::Date, Encoding::Plain) => {
-            for i in 0..row_count {
-                let x = i32::from_le_bytes(dec.raw(4)?.try_into().unwrap());
-                out.push(if is_valid(i) {
-                    Value::Date(x)
-                } else {
-                    Value::Null
-                });
-            }
-        }
-        (DataType::Bool, Encoding::Plain) => {
-            for i in 0..row_count {
-                let x = dec.u8()? != 0;
-                out.push(if is_valid(i) {
-                    Value::Bool(x)
-                } else {
-                    Value::Null
-                });
-            }
-        }
-        (DataType::Str, Encoding::Plain) => {
-            for i in 0..row_count {
-                let b = dec.bytes()?;
-                if is_valid(i) {
-                    let s = std::str::from_utf8(b)
-                        .map_err(|_| Error::Corrupt("non-UTF8 string value".into()))?;
-                    out.push(Value::Str(s.to_string()));
-                } else {
-                    out.push(Value::Null);
-                }
-            }
-        }
-        (DataType::Str, Encoding::Dict) => {
-            let dict_len = dec.u32()? as usize;
-            let mut dict = Vec::with_capacity(dict_len);
-            for _ in 0..dict_len {
-                let b = dec.bytes()?;
-                dict.push(
-                    std::str::from_utf8(b)
-                        .map_err(|_| Error::Corrupt("non-UTF8 dictionary entry".into()))?
-                        .to_string(),
-                );
-            }
-            for i in 0..row_count {
-                let code = dec.u32()? as usize;
-                if !is_valid(i) {
-                    out.push(Value::Null);
-                } else {
-                    let s = dict.get(code).ok_or_else(|| {
-                        Error::Corrupt(format!("dictionary code {code} out of range"))
-                    })?;
-                    out.push(Value::Str(s.clone()));
-                }
-            }
-        }
-        (dt, enc) => {
-            return Err(Error::Corrupt(format!(
-                "encoding {enc:?} is invalid for {dt}"
-            )))
-        }
-    }
-    Ok(out)
-}
-
-/// Decode a chunk straight into a typed [`Column`] — no per-row [`Value`]
+/// Decode a chunk into a typed [`Column`] — no per-row [`Value`]
 /// boxing, and dictionary chunks keep their codes + dictionary instead of
-/// cloning a string per row. This is the vectorized twin of
-/// [`decode_chunk`]; both read the identical wire layout.
+/// cloning a string per row. The one reader of the chunk wire layout.
 fn decode_chunk_column(
     raw: &[u8],
     dtype: DataType,
@@ -825,24 +729,9 @@ impl ColumnarReader {
         self.groups[g].chunks[col].stored_len
     }
 
-    /// Decode one column of one row group.
+    /// Decode one column of one row group into [`Value`]s.
     pub fn read_column(&self, g: usize, col: usize) -> Result<Vec<Value>> {
-        let group = &self.groups[g];
-        let meta = &group.chunks[col];
-        let stored = &self.data[meta.offset as usize..(meta.offset + meta.stored_len) as usize];
-        let raw;
-        let raw_slice: &[u8] = if meta.compressed {
-            raw = compress::decompress(stored, meta.raw_len as usize).map_err(Error::Corrupt)?;
-            &raw
-        } else {
-            stored
-        };
-        decode_chunk(
-            raw_slice,
-            self.schema.dtype_of(col),
-            meta.encoding,
-            group.row_count as usize,
-        )
+        Ok(self.read_column_vector(g, col)?.into_values())
     }
 
     /// Decode one column of one row group straight into a typed
@@ -887,16 +776,7 @@ impl ColumnarReader {
     /// Decode selected columns of one row group into rows (projected
     /// schema order = `cols` order).
     pub fn read_rows_projected(&self, g: usize, cols: &[usize]) -> Result<Vec<Row>> {
-        let columns: Vec<Vec<Value>> = cols
-            .iter()
-            .map(|&c| self.read_column(g, c))
-            .collect::<Result<_>>()?;
-        let n = self.groups[g].row_count as usize;
-        let mut rows = Vec::with_capacity(n);
-        for i in 0..n {
-            rows.push(Row::new(columns.iter().map(|c| c[i].clone()).collect()));
-        }
-        Ok(rows)
+        Ok(self.read_group_batch_projected(g, cols)?.to_rows())
     }
 
     /// Decode all columns of all groups (testing convenience).

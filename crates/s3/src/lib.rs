@@ -50,7 +50,7 @@
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use pushdown_cache::{CacheTier, SegmentCache, SegmentKey};
+use pushdown_cache::{CacheTier, SegmentCache, SegmentKey, WeakSegmentCache};
 use pushdown_common::mix::{fnv1a, splitmix64};
 use pushdown_common::perf::PerfParams;
 use pushdown_common::{CostLedger, Error, Result, RetryPolicy};
@@ -306,9 +306,13 @@ struct Inner {
     /// Seeded fault/latency policy (None = no faults, zero latency).
     fault_plan: RwLock<Option<FaultPlan>>,
     /// Optional local segment cache behind the read-through path
-    /// ([`S3Store::get_object_chunked_cached_with`]); `put_object` and
-    /// `delete_object` invalidate overlapping segments.
+    /// ([`S3Store::get_object_chunked_cached_with`]).
     cache: RwLock<Option<SegmentCache>>,
+    /// Every cache that has read this store's objects — the store-wide
+    /// one and each per-handle override, once each — for `put_object`
+    /// and `delete_object` to invalidate. Weak, so a dropped cluster's
+    /// slices are not kept alive.
+    attached: Mutex<Vec<WeakSegmentCache>>,
 }
 
 impl Default for S3Store {
@@ -320,6 +324,7 @@ impl Default for S3Store {
                 ledger: ledger.clone(),
                 fault_plan: RwLock::new(None),
                 cache: RwLock::new(None),
+                attached: Mutex::new(Vec::new()),
             }),
             scope: Arc::new(Scope::root(ledger, 0)),
             cache_override: None,
@@ -385,8 +390,10 @@ impl S3Store {
     /// This handle with a per-handle segment cache overriding the
     /// store-wide one (`None` clears a previous override). Cluster nodes
     /// use it to own disjoint caches over the same objects; the accounting
-    /// scope is shared with `self`, only the cache differs.
+    /// scope is shared with `self`, only the cache differs. Writers
+    /// through any handle of this store invalidate the override too.
     pub fn with_cache_override(&self, cache: Option<SegmentCache>) -> S3Store {
+        self.attach(cache.as_ref());
         S3Store {
             inner: Arc::clone(&self.inner),
             scope: Arc::clone(&self.scope),
@@ -413,7 +420,21 @@ impl S3Store {
     /// [`S3Store::get_object_chunked_cached_with`]. Store-wide: every scope
     /// shares it, exactly like the objects themselves.
     pub fn set_cache(&self, cache: Option<SegmentCache>) {
+        self.attach(cache.as_ref());
         *self.inner.cache.write() = cache;
+    }
+
+    /// Remember `cache` for invalidation. Attaching the same cache again
+    /// (every cluster query re-attaches its node slices) changes nothing.
+    fn attach(&self, cache: Option<&SegmentCache>) {
+        let Some(weak) = cache.map(SegmentCache::downgrade) else {
+            return;
+        };
+        let mut attached = self.inner.attached.lock();
+        if !attached.contains(&weak) {
+            attached.retain(|w| w.upgrade().is_some());
+            attached.push(weak);
+        }
     }
 
     /// A handle to the segment cache this handle reads through, if any
@@ -555,13 +576,16 @@ impl S3Store {
         existed
     }
 
-    /// Invalidate an object in every cache this handle can see: the
-    /// store-wide cache and the per-handle override, if set.
+    /// Invalidate an object in every cache that reads this store: the
+    /// store-wide cache and every override handed to any handle (a
+    /// cluster's node slices), whichever handle the writer used. The
+    /// list lock is released first — an invalidation may fsync.
     fn invalidate_caches(&self, bucket: &str, key: &str) {
-        if let Some(cache) = self.inner.cache.read().as_ref() {
-            cache.invalidate(bucket, key);
-        }
-        if let Some(cache) = &self.cache_override {
+        let caches: Vec<SegmentCache> = {
+            let attached = self.inner.attached.lock();
+            attached.iter().filter_map(|w| w.upgrade()).collect()
+        };
+        for cache in caches {
             cache.invalidate(bucket, key);
         }
     }
@@ -738,26 +762,6 @@ impl S3Store {
         };
         let whole = SegmentKey::whole(bucket, key);
         let epoch = cache.begin_fill(&whole);
-        // A whole-object segment left by the coarse read-through path
-        // serves the entire read from its tier.
-        if cache.peek(&whole).is_some() {
-            if let Some((data, tier)) = cache.get_tiered(&whole) {
-                let (mem_bytes, disk_bytes) = match tier {
-                    CacheTier::Mem => (data.len() as u64, 0),
-                    CacheTier::Disk => (0, data.len() as u64),
-                };
-                self.advance_local_read(mem_bytes, disk_bytes);
-                return Ok(ChunkedFetch {
-                    data,
-                    attempts: 0,
-                    mem_bytes,
-                    disk_bytes,
-                    gap_bytes: 0,
-                    gap_gets: 0,
-                    hit: true,
-                });
-            }
-        }
         let Some(layout) = cache.layout(bucket, key) else {
             // Cold read: learn the layout from one whole-object GET and
             // admit every chunk as its own segment.

@@ -112,13 +112,19 @@
 //! ## The hybrid caching tier
 //!
 //! Repeated queries stop re-billing S3 for the same bytes: a
-//! cost-aware **segment cache** ([`cache::SegmentCache`], installed
-//! with [`core::QueryContext::with_cache`]) sits between the engine and
-//! the store. Hits bill zero requests/bytes (they appear as
-//! `PhaseStats::cache_bytes`, local scan + parse time only); misses
+//! cost-aware **segment cache** ([`cache::SegmentCache`], described by
+//! one [`cache::CacheConfig`] — two tier budgets, an admission policy,
+//! an optional directory — and installed with
+//! [`core::QueryContext::with_cache_config`] or its shorthands
+//! `with_cache` / `with_cache_tiers` / `with_cache_dir`) sits between
+//! the engine and the store. Hits bill zero requests/bytes (they appear
+//! as `PhaseStats::cache_bytes`, local scan + parse time only); misses
 //! fill through the uniform retry policy and bill exactly once;
 //! `put_object`/`delete_object` invalidate overlapping segments with an
-//! epoch tag so in-flight fills can never publish stale bytes. Eviction
+//! epoch tag **in every cache that reads the store** — the store-wide
+//! one and each cluster node's slice, whichever handle wrote — so
+//! in-flight fills can never publish stale bytes and no slice serves
+//! them. Eviction
 //! is weighted LFU by **dollars saved per byte** under the current
 //! [`common::pricing::Pricing`]. The adaptive planner prices
 //! cached-local vs pushdown vs remote-full **per scan** (the
@@ -175,8 +181,9 @@
 //!
 //! ### Persistence: the disk tier survives restarts
 //!
-//! [`core::QueryContext::with_cache_dir`] composes with the tier
-//! budgets above to back the disk tier with a **file-backed segment
+//! Setting [`cache::CacheConfig::dir`]
+//! ([`core::QueryContext::with_cache_dir`] does it for the installed
+//! cache) backs the disk tier with a **file-backed segment
 //! store** (a segment log guarded by a checksummed, epoch-tagged
 //! manifest; appends are write-behind and each cached scan ends in one
 //! group commit — segment log fsynced, *then* the manifest — see the
@@ -185,25 +192,29 @@
 //! previous process left durable: manifest replayed, every segment
 //! checksum-verified against the live store, disk tier warm, mem tier
 //! cold — so segments disk-resident at shutdown bill **zero** remote
-//! bytes again. [`cache::SegmentCache::recover_with`] additionally
+//! bytes again. [`cache::SegmentCache::open`] additionally
 //! takes a seeded [`cache::KillPlan`] for deterministic
 //! crash-injection at the Nth fsync (or at drop, without the final
 //! commit).
 //!
 //! ```no_run
+//! use pushdowndb::cache::CacheConfig;
 //! use pushdowndb::core::{execute_sql, QueryContext, Strategy};
 //! # fn demo(ctx: pushdowndb::core::QueryContext, table: &pushdowndb::core::Table)
 //! # -> pushdowndb::common::Result<()> {
-//! // Budgets first, then the directory: the two compose.
-//! let ctx = ctx
-//!     .with_cache_tiers(256 << 20, 4u64 << 30)
-//!     .with_cache_dir("/var/tmp/pushdowndb-cache")?;
+//! // Budgets, admission and directory are one value.
+//! let ctx = ctx.with_cache_config(CacheConfig {
+//!     mem_bytes: 256 << 20,
+//!     disk_bytes: 4u64 << 30,
+//!     dir: Some("/var/tmp/pushdowndb-cache".into()),
+//!     ..CacheConfig::default()
+//! })?;
 //! let sql = "SELECT g, SUM(v) FROM t GROUP BY g";
 //! let _ = execute_sql(&ctx, table, sql, Strategy::Adaptive)?; // warms + persists
 //! let store = ctx.store.clone();
 //! drop(ctx); // "process exit"
 //! let ctx = QueryContext::new(store)
-//!     .with_cache_tiers(256 << 20, 4u64 << 30)
+//!     .with_cache_tiers(256 << 20, 4u64 << 30) // the same, in two steps
 //!     .with_cache_dir("/var/tmp/pushdowndb-cache")?; // recovers the warm tier
 //! assert!(ctx.cache().unwrap().stats().recovered_segments > 0);
 //! # Ok(()) }
@@ -214,7 +225,9 @@
 //! [`core::QueryContext::with_nodes`] attaches an N-node cluster
 //! ([`core::Cluster`]): partitions are consistent-hashed across the
 //! nodes, each with its own child ledger, virtual clock and cache slice
-//! (install the cache *first* to split the budget). The plan IR gains
+//! (install the cache *first*: a slice is the store cache's
+//! [`cache::CacheConfig`] with both budgets divided by N, attached to
+//! the store so writers invalidate it). The plan IR gains
 //! `Exchange`/`Gather`/`Repartition` operators; scan leaves scatter to
 //! their owning nodes and partial aggregate states repartition by
 //! group-key hash, so rows stay **bit-identical to the serial run at

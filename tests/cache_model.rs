@@ -1,0 +1,671 @@
+//! Model check of the segment cache (ROADMAP E-4, the part that needs
+//! no crash injection).
+//!
+//! * **Sequential** — seeded random sequences (splitmix64, the
+//!   `FaultPlan` discipline: one seed replays one sequence) of
+//!   `begin_fill` / `insert` / `get_tiered` / `peek_tier` / `invalidate`
+//!   / `record_layout` / `occupancy` / `commit` over 12 segments of 3
+//!   objects, budgets drawn from {0, tight, roomy} per tier, both
+//!   admission policies, against [`Model`] — a single-threaded
+//!   restatement of the documented policy (weighted LFU by dollars
+//!   saved per byte, oldest-`seq` tie-break, demote-on-evict,
+//!   promote-on-hit, straight-to-disk for fills larger than mem,
+//!   reuse-distance admission). After every operation the returned
+//!   value, every non-persist field of `stats()` and the per-tier
+//!   resident key set agree, and `used ≤ budget` holds for both tiers.
+//! * **One behaviour, two backings** — every sequence drives a
+//!   RAM-backed and a file-backed cache side by side; both must match
+//!   the model step for step, Σ `commit()` receipts must equal
+//!   `persist_counters()`, and after a clean drop + `recover` the disk
+//!   tier equals the model's disk tier with mem cold.
+//! * **Concurrent** — 8 threads drive the public API for a fixed
+//!   operation count; the end state keeps the budgets, `used` == Σ
+//!   resident lengths, no key in two tiers, hits + misses == lookups,
+//!   and no lookup was ever served bytes older than the epoch it read
+//!   first.
+
+use bytes::Bytes;
+use pushdowndb::cache::{
+    CacheAdmission, CacheConfig, CacheStats, CacheTier, ObjectOccupancy, SegmentCache, SegmentKey,
+};
+use pushdowndb::common::mix::splitmix64;
+use pushdowndb::common::pricing::Pricing;
+use pushdowndb::common::TempDir;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
+
+const BUCKET: &str = "b";
+const OBJECTS: usize = 3;
+/// Chunk lengths of every object. The last one is larger than the tight
+/// mem budget (straight-to-disk) and fits the tight disk budget.
+const CHUNK_LENS: [u64; 4] = [40, 100, 160, 350];
+/// {0, tight, roomy}: tight holds a few chunks, roomy the whole universe
+/// (3 × 650 bytes).
+const MEM_BUDGETS: [u64; 3] = [0, 300, 4096];
+const DISK_BUDGETS: [u64; 3] = [0, 500, 4096];
+const SEEDS_PER_CONFIG: u64 = 8;
+const OPS_PER_SEQUENCE: usize = 300;
+
+fn pricing() -> Pricing {
+    Pricing::us_east()
+}
+
+fn open(config: &CacheConfig) -> SegmentCache {
+    SegmentCache::open(config, pricing(), None, None).expect("cache opens")
+}
+
+fn object(o: usize) -> String {
+    format!("o{o}")
+}
+
+/// The chunk layout every object shares: contiguous `[first, last)`.
+fn layout() -> Vec<(u64, u64)> {
+    let mut first = 0;
+    CHUNK_LENS
+        .iter()
+        .map(|len| {
+            first += len;
+            (first - len, first)
+        })
+        .collect()
+}
+
+fn universe() -> Vec<SegmentKey> {
+    (0..OBJECTS)
+        .flat_map(|o| {
+            layout()
+                .into_iter()
+                .map(move |range| SegmentKey::chunk(BUCKET, &object(o), range))
+        })
+        .collect()
+}
+
+/// A segment's bytes as read at `epoch`: the epoch (so a served hit
+/// names the object version it came from), then a key-derived fill.
+fn body(key: &SegmentKey, epoch: u64) -> Bytes {
+    let len = (key.range.1 - key.range.0) as usize;
+    let mut data = vec![(splitmix64(key.range.0) ^ key.key.len() as u64) as u8; len];
+    data[..8].copy_from_slice(&epoch.to_le_bytes());
+    Bytes::from(data)
+}
+
+fn epoch_of(data: &Bytes) -> u64 {
+    u64::from_le_bytes(data[..8].try_into().expect("bodies carry their epoch"))
+}
+
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = splitmix64(self.0);
+        self.0
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// Skewed toward low indexes, so some segments run hot.
+    fn skewed(&mut self, n: usize) -> usize {
+        self.below(n).min(self.below(n))
+    }
+}
+
+// ---------------------------------------------------------------------
+// The reference model.
+// ---------------------------------------------------------------------
+
+struct Resident {
+    tier: CacheTier,
+    data: Bytes,
+    hits: u64,
+    seq: u64,
+}
+
+/// The documented cache policy, single-threaded and as plain as it
+/// gets: one map, sums instead of running totals, a sort per eviction.
+#[derive(Default)]
+struct Model {
+    config: CacheConfig,
+    resident: HashMap<SegmentKey, Resident>,
+    epochs: HashMap<String, u64>,
+    layouts: HashMap<String, Vec<(u64, u64)>>,
+    ghosts: HashMap<SegmentKey, u64>,
+    seq: u64,
+    ticks: u64,
+    /// The event counters; occupancy fields are filled in by `stats`.
+    counters: CacheStats,
+}
+
+impl Model {
+    fn new(config: &CacheConfig) -> Model {
+        Model {
+            config: config.clone(),
+            ..Model::default()
+        }
+    }
+
+    fn budget(&self, tier: CacheTier) -> u64 {
+        match tier {
+            CacheTier::Mem => self.config.mem_bytes,
+            CacheTier::Disk => self.config.disk_bytes,
+        }
+    }
+
+    fn in_tier(&self, tier: CacheTier) -> impl Iterator<Item = (&SegmentKey, &Resident)> {
+        self.resident.iter().filter(move |(_, r)| r.tier == tier)
+    }
+
+    fn used(&self, tier: CacheTier) -> u64 {
+        self.in_tier(tier).map(|(_, r)| r.data.len() as u64).sum()
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    fn begin_fill(&self, object: &str) -> u64 {
+        *self.epochs.get(object).unwrap_or(&0)
+    }
+
+    /// Dollars a future access saves per cached byte, times the hits.
+    fn weight(r: &Resident) -> f64 {
+        let p = pricing();
+        let len = (r.data.len() as f64).max(1.0);
+        r.hits as f64 * (p.scan_per_gb / 1_000_000_000.0 + p.per_1k_requests / 1000.0 / len)
+    }
+
+    /// Evict minimum-weight segments (oldest first on ties) until `tier`
+    /// fits: mem victims demote when they fit the disk budget at all,
+    /// disk victims leave the cache.
+    fn evict(&mut self, tier: CacheTier) {
+        let overshoot = self.used(tier).saturating_sub(self.budget(tier));
+        let mut order: Vec<(f64, u64, SegmentKey)> = self
+            .in_tier(tier)
+            .map(|(k, r)| (Self::weight(r), r.seq, k.clone()))
+            .collect();
+        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let (mut freed, mut demoted) = (0, false);
+        for (_, _, key) in order {
+            if freed >= overshoot {
+                break;
+            }
+            let len = self.resident[&key].data.len() as u64;
+            freed += len;
+            if tier == CacheTier::Disk {
+                self.counters.disk_evictions += 1;
+                self.resident.remove(&key);
+                continue;
+            }
+            self.counters.evictions += 1;
+            if len <= self.config.disk_bytes {
+                let seq = self.next_seq();
+                let r = self.resident.get_mut(&key).expect("listed above");
+                (r.tier, r.seq) = (CacheTier::Disk, seq);
+                self.counters.demotions += 1;
+                demoted = true;
+            } else {
+                self.resident.remove(&key);
+            }
+        }
+        if demoted {
+            self.evict(CacheTier::Disk);
+        }
+    }
+
+    fn insert(&mut self, key: &SegmentKey, data: Bytes, epoch: u64) -> bool {
+        let len = data.len() as u64;
+        let target = if len <= self.config.mem_bytes {
+            CacheTier::Mem
+        } else if len <= self.config.disk_bytes {
+            CacheTier::Disk
+        } else {
+            return false;
+        };
+        if self.begin_fill(&key.key) != epoch {
+            self.counters.stale_fills += 1;
+            return false;
+        }
+        if let CacheAdmission::ReuseDistance { window } = self.config.admission {
+            let tick = self.ticks;
+            self.ticks += 1;
+            let reused = self
+                .ghosts
+                .insert(key.clone(), tick)
+                .is_some_and(|last| tick - last <= window);
+            // A same-tier replacement displaces only itself.
+            let replaced = match self.resident.get(key) {
+                Some(r) if r.tier == target => r.data.len() as u64,
+                _ => 0,
+            };
+            if self.used(target) - replaced + len > self.budget(target) && !reused {
+                self.counters.read_arounds += 1;
+                return false;
+            }
+        }
+        let seq = self.next_seq();
+        let fill = Resident {
+            tier: target,
+            data,
+            hits: 1,
+            seq,
+        };
+        self.resident.insert(key.clone(), fill);
+        self.counters.fills += 1;
+        self.counters.fill_bytes += len;
+        self.evict(target);
+        true
+    }
+
+    fn get_tiered(&mut self, key: &SegmentKey) -> Option<(Bytes, CacheTier)> {
+        let mem_budget = self.config.mem_bytes;
+        let Some(r) = self.resident.get_mut(key) else {
+            self.counters.misses += 1;
+            return None;
+        };
+        r.hits += 1;
+        let (data, tier) = (r.data.clone(), r.tier);
+        let len = data.len() as u64;
+        self.counters.hits += 1;
+        self.counters.hit_bytes += len;
+        if tier == CacheTier::Disk {
+            self.counters.disk_hits += 1;
+            self.counters.disk_hit_bytes += len;
+            if len <= mem_budget {
+                r.tier = CacheTier::Mem;
+                r.seq = self.seq;
+                self.seq += 1;
+                self.counters.promotions += 1;
+                self.evict(CacheTier::Mem);
+            }
+        }
+        Some((data, tier))
+    }
+
+    fn peek_tier(&self, key: &SegmentKey) -> Option<(u64, CacheTier)> {
+        self.resident
+            .get(key)
+            .map(|r| (r.data.len() as u64, r.tier))
+    }
+
+    fn invalidate(&mut self, object: &str) {
+        *self.epochs.entry(object.to_string()).or_insert(0) += 1;
+        self.layouts.remove(object);
+        self.resident.retain(|k, _| k.key != object);
+        self.counters.invalidations += 1;
+    }
+
+    fn record_layout(&mut self, object: &str, epoch: u64, chunks: Vec<(u64, u64)>) -> bool {
+        let current = self.begin_fill(object) == epoch;
+        if current {
+            self.layouts.insert(object.to_string(), chunks);
+        }
+        current
+    }
+
+    fn occupancy(&self, object: &str, object_len: u64) -> ObjectOccupancy {
+        let Some(chunks) = self.layouts.get(object) else {
+            return ObjectOccupancy {
+                gap_bytes: object_len,
+                gap_requests: 1,
+                ..Default::default()
+            };
+        };
+        let mut occ = ObjectOccupancy {
+            layout_known: true,
+            ..Default::default()
+        };
+        let mut in_gap = false;
+        for &range in chunks {
+            let len = range.1 - range.0;
+            let tier = self
+                .peek_tier(&SegmentKey::chunk(BUCKET, object, range))
+                .map(|(_, tier)| tier);
+            match tier {
+                Some(CacheTier::Mem) => occ.mem_bytes += len,
+                Some(CacheTier::Disk) => occ.disk_bytes += len,
+                None => {
+                    occ.gap_bytes += len;
+                    // Adjacent missing chunks coalesce into one GET.
+                    occ.gap_requests += u64::from(!in_gap);
+                }
+            }
+            in_gap = tier.is_none();
+        }
+        occ
+    }
+
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            used_bytes: self.used(CacheTier::Mem),
+            budget_bytes: self.config.mem_bytes,
+            segments: self.in_tier(CacheTier::Mem).count() as u64,
+            disk_used_bytes: self.used(CacheTier::Disk),
+            disk_budget_bytes: self.config.disk_bytes,
+            disk_segments: self.in_tier(CacheTier::Disk).count() as u64,
+            ..self.counters
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Driving the model and the caches with the same steps.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum Step {
+    BeginFill(SegmentKey),
+    Insert(SegmentKey, Bytes, u64),
+    Get(SegmentKey),
+    Peek(SegmentKey),
+    Invalidate(String),
+    RecordLayout(String, u64),
+    Occupancy(String),
+    Commit,
+}
+
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Epoch(u64),
+    Admitted(bool),
+    Served(Option<(Bytes, CacheTier)>),
+    Peeked(Option<(u64, CacheTier)>),
+    Recorded(bool, Option<Vec<(u64, u64)>>),
+    Occupancy(ObjectOccupancy),
+    Done,
+}
+
+fn object_len() -> u64 {
+    CHUNK_LENS.iter().sum()
+}
+
+fn apply_model(m: &mut Model, step: &Step) -> Outcome {
+    match step {
+        Step::BeginFill(k) => Outcome::Epoch(m.begin_fill(&k.key)),
+        Step::Insert(k, data, epoch) => Outcome::Admitted(m.insert(k, data.clone(), *epoch)),
+        Step::Get(k) => Outcome::Served(m.get_tiered(k)),
+        Step::Peek(k) => Outcome::Peeked(m.peek_tier(k)),
+        Step::Invalidate(o) => {
+            m.invalidate(o);
+            Outcome::Done
+        }
+        Step::RecordLayout(o, epoch) => {
+            let recorded = m.record_layout(o, *epoch, layout());
+            Outcome::Recorded(recorded, m.layouts.get(o).cloned())
+        }
+        Step::Occupancy(o) => Outcome::Occupancy(m.occupancy(o, object_len())),
+        Step::Commit => Outcome::Done,
+    }
+}
+
+/// Apply one step through the public API, adding a commit's receipt to
+/// `receipts`.
+fn apply_cache(c: &SegmentCache, step: &Step, receipts: &mut (u64, u64)) -> Outcome {
+    match step {
+        Step::BeginFill(k) => Outcome::Epoch(c.begin_fill(k)),
+        Step::Insert(k, data, epoch) => {
+            Outcome::Admitted(c.insert(k.clone(), data.clone(), *epoch))
+        }
+        Step::Get(k) => Outcome::Served(c.get_tiered(k)),
+        Step::Peek(k) => Outcome::Peeked(c.peek_tier(k)),
+        Step::Invalidate(o) => {
+            c.invalidate(BUCKET, o);
+            Outcome::Done
+        }
+        Step::RecordLayout(o, epoch) => {
+            let recorded = c.record_layout(BUCKET, o, *epoch, layout());
+            Outcome::Recorded(recorded, c.layout(BUCKET, o).map(|l| l.to_vec()))
+        }
+        Step::Occupancy(o) => Outcome::Occupancy(c.occupancy(BUCKET, o, object_len())),
+        Step::Commit => {
+            let (bytes, fsyncs) = c.commit();
+            receipts.0 += bytes;
+            receipts.1 += fsyncs;
+            Outcome::Done
+        }
+    }
+}
+
+/// Draw the next step. `pending[i]` is the epoch an earlier `BeginFill`
+/// of segment `i` returned and no `Insert` has used yet — with
+/// invalidations in between, that is how stale fills arise.
+fn draw(rng: &mut Rng, keys: &[SegmentKey], pending: &[Option<u64>], m: &Model) -> Step {
+    let i = rng.skewed(keys.len());
+    let key = keys[i].clone();
+    let epoch = pending[i].unwrap_or_else(|| m.begin_fill(&key.key));
+    match rng.below(100) {
+        0..=7 => Step::BeginFill(key),
+        8..=39 => Step::Insert(key.clone(), body(&key, epoch), epoch),
+        40..=69 => Step::Get(key),
+        70..=75 => Step::Peek(key),
+        76..=80 => Step::Invalidate(key.key),
+        81..=86 => Step::RecordLayout(key.key, epoch),
+        87..=93 => Step::Occupancy(key.key),
+        _ => Step::Commit,
+    }
+}
+
+/// Every non-persist field of `stats()`, the per-tier resident key set
+/// and the budgets agree with the model.
+fn assert_same_state(c: &SegmentCache, m: &Model, keys: &[SegmentKey], context: &str) {
+    let stats = CacheStats {
+        persisted_bytes: 0,
+        fsyncs: 0,
+        commits: 0,
+        compactions: 0,
+        ..c.stats()
+    };
+    assert_eq!(stats, m.stats(), "{context}: stats");
+    assert!(stats.used_bytes <= stats.budget_bytes, "{context}: mem");
+    assert!(
+        stats.disk_used_bytes <= stats.disk_budget_bytes,
+        "{context}: disk"
+    );
+    for k in keys {
+        assert_eq!(
+            c.peek_tier(k),
+            m.peek_tier(k),
+            "{context}: residency of {k:?}"
+        );
+    }
+}
+
+fn run_sequence(config: &CacheConfig, seed: u64) {
+    let keys = universe();
+    let tmp = TempDir::new("cache-model");
+    let file_config = CacheConfig {
+        dir: Some(tmp.path().to_path_buf()),
+        ..config.clone()
+    };
+    let mut model = Model::new(config);
+    // The two backings are one behaviour: both follow the model.
+    let mut subjects = [
+        ("ram", open(config), (0, 0)),
+        ("file", open(&file_config), (0, 0)),
+    ];
+    let mut rng = Rng(seed);
+    let mut pending: Vec<Option<u64>> = vec![None; keys.len()];
+    for n in 0..OPS_PER_SEQUENCE {
+        let step = draw(&mut rng, &keys, &pending, &model);
+        let want = apply_model(&mut model, &step);
+        for (backing, cache, receipts) in subjects.iter_mut() {
+            let context = format!("{config:?} seed {seed} op {n} {step:?} ({backing})");
+            assert_eq!(apply_cache(cache, &step, receipts), want, "{context}");
+            assert_same_state(cache, &model, &keys, &context);
+        }
+        match (&step, &want) {
+            (Step::BeginFill(k), Outcome::Epoch(e)) => {
+                pending[keys.iter().position(|x| x == k).expect("drawn from keys")] = Some(*e)
+            }
+            (Step::Insert(k, ..), _) => {
+                pending[keys.iter().position(|x| x == k).expect("drawn from keys")] = None
+            }
+            _ => {}
+        }
+    }
+
+    let [(_, ram, ram_receipts), (_, file, mut file_receipts)] = subjects;
+    assert_eq!(ram_receipts, (0, 0), "a RAM-backed cache persists nothing");
+    assert_eq!(ram.persist_counters(), (0, 0));
+    // Every appended byte and every barrier is on exactly one receipt.
+    apply_cache(&file, &Step::Commit, &mut file_receipts);
+    assert_eq!(
+        file_receipts,
+        file.persist_counters(),
+        "{config:?} seed {seed}: Σ receipts"
+    );
+
+    // A clean shutdown loses nothing: the disk tier comes back, mem cold.
+    drop(file);
+    let recovered = open(&file_config);
+    let mut disk_segments = 0;
+    for k in &keys {
+        match model.resident.get(k).filter(|r| r.tier == CacheTier::Disk) {
+            Some(r) => {
+                disk_segments += 1;
+                let want = Some((r.data.len() as u64, CacheTier::Disk));
+                assert_eq!(
+                    recovered.peek_tier(k),
+                    want,
+                    "{config:?} seed {seed}: {k:?}"
+                );
+                assert_eq!(recovered.get(k).as_ref(), Some(&r.data));
+            }
+            None => assert_eq!(
+                recovered.peek_tier(k),
+                None,
+                "{config:?} seed {seed}: {k:?}"
+            ),
+        }
+    }
+    assert_eq!(recovered.stats().recovered_segments, disk_segments);
+}
+
+#[test]
+fn random_sequences_match_the_reference_model_on_both_backings() {
+    let admissions = [
+        CacheAdmission::AdmitAll,
+        CacheAdmission::ReuseDistance { window: 6 },
+    ];
+    let mut case = 0;
+    for mem_bytes in MEM_BUDGETS {
+        for disk_bytes in DISK_BUDGETS {
+            for admission in admissions {
+                let config = CacheConfig {
+                    mem_bytes,
+                    disk_bytes,
+                    admission,
+                    dir: None,
+                };
+                for _ in 0..SEEDS_PER_CONFIG {
+                    case += 1;
+                    run_sequence(&config, splitmix64(case));
+                }
+            }
+        }
+    }
+}
+
+/// 8 threads, a fixed operation count each, arbitrary interleavings:
+/// the end state keeps every invariant a single thread sees, and no
+/// lookup is served bytes older than the epoch it read beforehand.
+fn run_concurrent(config: &CacheConfig) {
+    const THREADS: u64 = 8;
+    const OPS_PER_THREAD: usize = 600;
+    let keys = universe();
+    let cache = open(config);
+    let start = Barrier::new(THREADS as usize);
+    let (lookups, served_bytes, admitted) =
+        (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (cache, keys, start) = (&cache, &keys, &start);
+            let (lookups, served_bytes, admitted) = (&lookups, &served_bytes, &admitted);
+            s.spawn(move || {
+                let mut rng = Rng(splitmix64(0xC0FFEE ^ t));
+                start.wait();
+                for _ in 0..OPS_PER_THREAD {
+                    let key = &keys[rng.skewed(keys.len())];
+                    match rng.below(100) {
+                        0..=39 => {
+                            let epoch = cache.begin_fill(key);
+                            let stored = cache.insert(key.clone(), body(key, epoch), epoch);
+                            admitted.fetch_add(u64::from(stored), Ordering::Relaxed);
+                        }
+                        40..=84 => {
+                            let floor = cache.begin_fill(key);
+                            lookups.fetch_add(1, Ordering::Relaxed);
+                            if let Some((data, _)) = cache.get_tiered(key) {
+                                assert_eq!(data.len() as u64, key.range.1 - key.range.0);
+                                assert!(epoch_of(&data) >= floor, "stale bytes served");
+                                served_bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
+                            }
+                        }
+                        85..=89 => cache.invalidate(BUCKET, &key.key),
+                        90..=94 => {
+                            let epoch = cache.begin_fill(key);
+                            cache.record_layout(BUCKET, &key.key, epoch, layout());
+                        }
+                        95..=97 => {
+                            let occ = cache.occupancy(BUCKET, &key.key, object_len());
+                            assert_eq!(
+                                occ.mem_bytes + occ.disk_bytes + occ.gap_bytes,
+                                object_len()
+                            );
+                        }
+                        _ => {
+                            cache.commit();
+                        }
+                    }
+                }
+            });
+        }
+    });
+
+    let stats = cache.stats();
+    assert!(stats.used_bytes <= stats.budget_bytes, "{stats:?}");
+    assert!(
+        stats.disk_used_bytes <= stats.disk_budget_bytes,
+        "{stats:?}"
+    );
+    // `used` == Σ resident lengths, tier by tier; the segment counts
+    // matching too means no key is counted in both tiers.
+    let mut resident = [(0, 0); 2];
+    for (len, tier) in keys.iter().filter_map(|k| cache.peek_tier(k)) {
+        resident[tier as usize].0 += len;
+        resident[tier as usize].1 += 1;
+    }
+    assert_eq!(resident[0], (stats.used_bytes, stats.segments), "{stats:?}");
+    assert_eq!(
+        resident[1],
+        (stats.disk_used_bytes, stats.disk_segments),
+        "{stats:?}"
+    );
+    assert_eq!(stats.hits + stats.misses, lookups.into_inner(), "{stats:?}");
+    assert_eq!(stats.hit_bytes, served_bytes.into_inner(), "{stats:?}");
+    assert_eq!(stats.fills, admitted.into_inner(), "{stats:?}");
+}
+
+#[test]
+fn eight_threads_leave_every_invariant_standing() {
+    let tmp = TempDir::new("cache-model-threads");
+    let admissions = [
+        CacheAdmission::AdmitAll,
+        CacheAdmission::ReuseDistance { window: 6 },
+    ];
+    for (i, admission) in admissions.into_iter().enumerate() {
+        let config = CacheConfig {
+            mem_bytes: MEM_BUDGETS[1],
+            disk_bytes: DISK_BUDGETS[1],
+            admission,
+            dir: None,
+        };
+        run_concurrent(&config);
+        run_concurrent(&CacheConfig {
+            dir: Some(tmp.path().join(format!("policy-{i}"))),
+            ..config
+        });
+    }
+}

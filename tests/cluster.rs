@@ -16,12 +16,18 @@
 //! * **Chaos**: under seeded node-failure fault plans, successes are
 //!   row-identical with every byte billed exactly once (retries are
 //!   extra requests only), with pinned always-retrying seeds.
+//! * **Writers** (pinned regression): a `put_object` / `delete_object`
+//!   through any handle invalidates every node's cache slice, so a
+//!   scattered cached re-run never serves a rewritten table's old rows.
 
 use pushdowndb::common::pricing::Usage;
-use pushdowndb::common::RetryPolicy;
+use pushdowndb::common::{DataType, RetryPolicy, Row, Schema, Value};
 use pushdowndb::core::planner::execute_sql_verbose;
-use pushdowndb::core::{execute_sql, QueryContext, Strategy};
-use pushdowndb::s3::FaultPlan;
+use pushdowndb::core::{
+    execute_sql, upload_columnar_table, upload_csv_table, QueryContext, Strategy, Table,
+};
+use pushdowndb::format::columnar::WriterOptions;
+use pushdowndb::s3::{FaultPlan, S3Store};
 use pushdowndb::tpch::{planner_suite, tpch_context, PlannerQuery, TpchTables};
 
 fn join_suite() -> Vec<PlannerQuery> {
@@ -248,6 +254,95 @@ fn per_node_cache_slices_serve_warm_scattered_runs_for_free() {
         .filter(|ns| ns.cache_used_bytes.unwrap_or(0) > 0)
         .count();
     assert!(warmed >= 2, "expected >= 2 warmed slices, got {warmed}");
+}
+
+/// Pinned regression: `put_object` / `delete_object` used to invalidate
+/// the store-wide cache and the writing handle's own override only, so a
+/// cluster's node slices kept serving a rewritten table's old bytes (the
+/// in-place rewrite below returned 1560, the old sum, for 2340). Every
+/// cache that reads the store is invalidated now: after an in-place
+/// rewrite, and after a delete + re-upload with another row count, a
+/// warm scattered cached run returns a cache-less context's rows, keeps
+/// `usage == billed`, and bills the rewritten partitions as fills again.
+#[test]
+fn writers_invalidate_every_node_slice() {
+    let schema = Schema::from_pairs(&[("fk", DataType::Int), ("v", DataType::Int)]);
+    let fact_rows = |n: i64, scale: i64| -> Vec<Row> {
+        (0..n)
+            .map(|i| Row::new(vec![Value::Int(i % 8), Value::Int(scale * i)]))
+            .collect()
+    };
+    let dim_schema = Schema::from_pairs(&[("k", DataType::Int)]);
+    let dim_rows: Vec<Row> = (0..8).map(|k| Row::new(vec![Value::Int(k)])).collect();
+    let sql = "SELECT SUM(v) FROM fact JOIN dim ON fk = k";
+    for columnar in [false, true] {
+        let upload = |store: &S3Store, name: &str, schema: &Schema, rows: &[Row]| -> Table {
+            if columnar {
+                let options = WriterOptions::default();
+                upload_columnar_table(store, "b", name, schema, rows, 10, options).unwrap()
+            } else {
+                upload_csv_table(store, "b", name, schema, rows, 10).unwrap()
+            }
+        };
+        for n in [2usize, 4] {
+            let store = S3Store::new();
+            let fact = upload(&store, "fact", &schema, &fact_rows(40, 2));
+            let dim = upload(&store, "dim", &dim_schema, &dim_rows);
+            let plain = QueryContext::new(store.clone()).with_tables([dim.clone()]);
+            let cctx = plain
+                .clone()
+                .with_cache(1 << 20)
+                .with_nodes(n)
+                .with_cache_reads(true);
+            let run = |ctx: &QueryContext, fact: &Table| {
+                let out = execute_sql(ctx, fact, sql, Strategy::Baseline).unwrap();
+                assert_eq!(
+                    out.metrics.usage(),
+                    out.billed,
+                    "{n} nodes: usage == billed"
+                );
+                out
+            };
+            let context = format!("{n} nodes, columnar {columnar}");
+            run(&cctx, &fact);
+            assert_eq!(run(&cctx, &fact).billed.plain_bytes, 0, "{context}: warm");
+
+            // Rewrite `fact` in place through a handle that holds no
+            // override: same keys, same sizes class, new values.
+            let fact = upload(&store, "fact", &schema, &fact_rows(40, 3));
+            let rerun = run(&cctx, &fact);
+            assert_eq!(rerun.rows, run(&plain, &fact).rows, "{context}: rewrite");
+            assert_eq!(rerun.rows[0][0], Value::Int(3 * 780), "{context}: rewrite");
+            assert_eq!(
+                rerun.billed.plain_bytes,
+                fact.total_bytes(&store),
+                "{context}: only the rewritten partitions fill again"
+            );
+
+            // Delete + re-upload with another row (and partition) count.
+            for key in fact.partitions(&store) {
+                assert!(store.delete_object("b", &key));
+            }
+            let fact = upload(&store, "fact", &schema, &fact_rows(30, 5));
+            let rerun = run(&cctx, &fact);
+            assert_eq!(rerun.rows, run(&plain, &fact).rows, "{context}: re-upload");
+            assert_eq!(
+                rerun.rows[0][0],
+                Value::Int(5 * 435),
+                "{context}: re-upload"
+            );
+            assert_eq!(
+                rerun.billed.plain_bytes,
+                fact.total_bytes(&store),
+                "{context}"
+            );
+            assert_eq!(
+                run(&cctx, &fact).billed.plain_bytes,
+                0,
+                "{context}: warm again"
+            );
+        }
+    }
 }
 
 /// Chaos outcome of one scattered run against its fault-free reference.
