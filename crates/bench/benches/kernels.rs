@@ -6,11 +6,12 @@
 //! new constant off these numbers.
 //!
 //!
-//! The run ends with three gates, each on time *ratios* measured within
-//! this one run, never on a raw time: the Bloom probe (see
-//! [`bloom_probe_gate`]), the local scan's hand-off cost (see
-//! [`filter_discard_gate`]) and the planned join against its
-//! materializing replay (see [`join_q12_gate`]).
+//! The run ends with four gates, each on time *ratios* measured within
+//! this one run, never on a raw time: the projected CSV decode (see
+//! [`csv_projected_gate`]), the Bloom probe (see [`bloom_probe_gate`]),
+//! the local scan's hand-off cost (see [`filter_discard_gate`]) and the
+//! planned join against its materializing replay (see
+//! [`join_q12_gate`]).
 //!
 //! Run with `cargo bench --bench kernels -p pushdown-bench`.
 
@@ -23,7 +24,7 @@ use pushdown_core::{
     execute_sql, ops, upload_columnar_table, upload_csv_table, QueryContext, Strategy, Table,
 };
 use pushdown_format::columnar::{encode_columnar, ColumnarReader, WriterOptions};
-use pushdown_format::csv::{decode_csv, encode_csv};
+use pushdown_format::csv::{decode_csv, encode_csv, CsvReader};
 use pushdown_s3::S3Store;
 use pushdown_select::{InputFormat, S3SelectEngine};
 use pushdown_sql::agg::AggFunc;
@@ -121,6 +122,139 @@ fn bench_decode(c: &mut Criterion) {
     g.finish();
 }
 
+/// `f` with its result thrown away where the optimizer cannot see: a run
+/// for [`fastest_rounds`].
+fn discarding<T>(f: impl Fn() -> T) -> impl Fn() {
+    move || {
+        black_box(f());
+    }
+}
+
+/// The fastest of `rounds` timings of each of `runs`, taken in
+/// interleaved rounds, so a host that slows down mid-run slows all of
+/// them alike: what every gate below compares.
+fn fastest_rounds<const N: usize>(rounds: usize, runs: [&dyn Fn(); N]) -> [f64; N] {
+    let mut best = [f64::MAX; N];
+    for _ in 0..rounds {
+        for (slot, run) in best.iter_mut().zip(runs) {
+            let start = Instant::now();
+            run();
+            *slot = slot.min(start.elapsed().as_secs_f64());
+        }
+    }
+    best
+}
+
+/// `lineitem` as CSV partitions (TPC-H SF 0.01, 1 500 rows each) decoded
+/// three ways: every column into rows (what `decode_csv`, `SELECT *` and
+/// the identity scans pay), and the three columns `filter-selective`
+/// references — `l_orderkey`, `l_extendedprice`, `l_shipdate` — into a
+/// reused sparse row (the Select engine's scan) and into column vectors
+/// (the local scan's).
+struct CsvProjected {
+    schema: Schema,
+    parts: Vec<Vec<u8>>,
+    needed: Vec<usize>,
+    bytes: u64,
+}
+
+impl CsvProjected {
+    fn new() -> Self {
+        let gen = TpchGen::new(0.01);
+        let orders = gen.orders();
+        let (schema, rows) = gen.lineitems(&orders.1);
+        let parts: Vec<Vec<u8>> = rows.chunks(1500).map(|c| encode_csv(&schema, c)).collect();
+        let mut needed: Vec<usize> = ["l_orderkey", "l_extendedprice", "l_shipdate"]
+            .iter()
+            .map(|c| schema.resolve(c).unwrap())
+            .collect();
+        needed.sort_unstable();
+        let probe = CsvProjected {
+            bytes: parts.iter().map(|p| p.len() as u64).sum(),
+            schema,
+            parts,
+            needed,
+        };
+        assert_eq!(probe.full_rows(), rows.len());
+        assert_eq!(probe.sparse_rows(), rows.len());
+        assert_eq!(probe.column_vectors(), rows.len());
+        probe
+    }
+
+    fn reader<'a>(&self, part: &'a [u8]) -> CsvReader<'a> {
+        CsvReader::with_header(part, self.schema.clone()).project(&self.needed)
+    }
+
+    fn full_rows(&self) -> usize {
+        let rows = |part: &Vec<u8>| decode_csv(part, &self.schema).unwrap().len();
+        self.parts.iter().map(rows).sum()
+    }
+
+    fn sparse_rows(&self) -> usize {
+        let mut row = Row::new(vec![Value::Null; self.schema.len()]);
+        let mut rows = 0;
+        for part in &self.parts {
+            let mut reader = self.reader(part);
+            while let Some(read) = reader.read_into(&mut row) {
+                read.unwrap();
+                rows += 1;
+            }
+        }
+        rows
+    }
+
+    fn column_vectors(&self) -> usize {
+        let mut rows = 0;
+        for part in &self.parts {
+            let mut reader = self.reader(part);
+            while let Some(batch) = reader.read_columns(1024) {
+                rows += black_box(batch.unwrap()).len();
+            }
+        }
+        rows
+    }
+}
+
+fn bench_csv_projected(c: &mut Criterion) {
+    let probe = CsvProjected::new();
+    let mut g = c.benchmark_group("decode/csv_projected");
+    g.throughput(Throughput::Bytes(probe.bytes));
+    g.bench_function("full_rows", |b| b.iter(|| probe.full_rows()));
+    g.bench_function("sparse_rows_3_of_16", |b| b.iter(|| probe.sparse_rows()));
+    g.bench_function("column_vectors_3_of_16", |b| {
+        b.iter(|| probe.column_vectors())
+    });
+    g.finish();
+}
+
+/// Fails the run unless decoding three of `lineitem`'s sixteen columns
+/// into column vectors takes at most 0.65× decoding all of them into rows
+/// (sized at 0.32–0.36): what a projecting scan skips — thirteen fields'
+/// parsing and `String`s, the row `Vec` — must stay skipped. Interleaved
+/// rounds, fastest round of each, as in [`bloom_probe_gate`].
+fn csv_projected_gate() -> Result<(), String> {
+    let probe = CsvProjected::new();
+    let [full, vectors] = fastest_rounds(
+        9,
+        [
+            &discarding(|| probe.full_rows()),
+            &discarding(|| probe.column_vectors()),
+        ],
+    );
+    let ratio = vectors / full;
+    println!(
+        "decode/csv_projected gate: 3 of 16 columns into vectors take {ratio:.2}x the full \
+         decode into rows (must be <= 0.65)"
+    );
+    if ratio > 0.65 {
+        return Err(format!(
+            "decoding 3 of lineitem's 16 CSV columns into column vectors takes {ratio:.2}x \
+             decoding all 16 into rows: the projected decode is paying for fields it skips"
+        ));
+    }
+    Ok(())
+}
+
 /// The Bloom-join probe of paper Listing 1 as S3 Select runs it: one
 /// Select request over the 20k-row CSV object whose `WHERE` is
 /// `SUBSTRING('<bits>', h(k), 1) = '1'` per hash function. The same rows
@@ -188,18 +322,15 @@ fn bench_bloom_probe(c: &mut Criterion) {
 /// timed in interleaved rounds and compared by their fastest round, so a
 /// host that slows down mid-run slows all three alike.
 fn bloom_probe_gate() -> Result<(), String> {
-    const ROUNDS: usize = 9;
     let probe = BloomProbe::new();
-    let sqls = [&probe.plain, &probe.bloom_2k, &probe.bloom_32k];
-    let mut best = [f64::MAX; 3];
-    for _ in 0..ROUNDS {
-        for (slot, sql) in best.iter_mut().zip(sqls) {
-            let start = Instant::now();
-            black_box(probe.run(sql));
-            *slot = slot.min(start.elapsed().as_secs_f64());
-        }
-    }
-    let [plain, small, large] = best;
+    let [plain, small, large] = fastest_rounds(
+        9,
+        [
+            &discarding(|| probe.run(&probe.plain)),
+            &discarding(|| probe.run(&probe.bloom_2k)),
+            &discarding(|| probe.run(&probe.bloom_32k)),
+        ],
+    );
     let size_ratio = large / small;
     let bloom_vs_plain = plain / large;
     println!(
@@ -297,18 +428,15 @@ fn bench_filter_discard(c: &mut Criterion) {
 /// ~7.) Interleaved rounds, fastest round of each, as in
 /// [`bloom_probe_gate`].
 fn filter_discard_gate() -> Result<(), String> {
-    const ROUNDS: usize = 7;
     let probe = FilterDiscard::new();
-    let mut best = [f64::MAX; 2];
-    for _ in 0..ROUNDS {
-        let start = Instant::now();
-        black_box(probe.replay());
-        best[0] = best[0].min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        black_box(probe.fused(1));
-        best[1] = best[1].min(start.elapsed().as_secs_f64());
-    }
-    let ratio = best[1] / best[0];
+    let [replay, fused] = fastest_rounds(
+        7,
+        [
+            &discarding(|| probe.replay()),
+            &discarding(|| probe.fused(1)),
+        ],
+    );
+    let ratio = fused / replay;
     println!(
         "scan/filter_discard gate: fused scan on one thread takes {ratio:.2}x the \
          single-threaded replay (must be <= 2)"
@@ -435,18 +563,15 @@ fn bench_join_q12(c: &mut Criterion) {
 /// Interleaved rounds, fastest round of each, as in
 /// [`bloom_probe_gate`].
 fn join_q12_gate() -> Result<(), String> {
-    const ROUNDS: usize = 7;
     let probe = JoinQ12::new(InputFormat::Columnar);
-    let mut best = [f64::MAX; 2];
-    for _ in 0..ROUNDS {
-        let start = Instant::now();
-        black_box(probe.replay());
-        best[0] = best[0].min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        black_box(probe.planned());
-        best[1] = best[1].min(start.elapsed().as_secs_f64());
-    }
-    let ratio = best[1] / best[0];
+    let [replay, planned] = fastest_rounds(
+        7,
+        [
+            &discarding(|| probe.replay()),
+            &discarding(|| probe.planned()),
+        ],
+    );
+    let ratio = planned / replay;
     println!(
         "join/q12_shape gate: the planned join on ColumnarLite takes {ratio:.2}x its \
          materializing replay (must be <= 0.5)"
@@ -588,6 +713,7 @@ fn bench_topk(c: &mut Criterion) {
 criterion_group!(
     kernels,
     bench_decode,
+    bench_csv_projected,
     bench_bloom_probe,
     bench_filter_discard,
     bench_join_q12,
@@ -599,7 +725,12 @@ criterion_group!(
 
 fn main() {
     kernels();
-    for gate in [bloom_probe_gate, filter_discard_gate, join_q12_gate] {
+    for gate in [
+        csv_projected_gate,
+        bloom_probe_gate,
+        filter_discard_gate,
+        join_q12_gate,
+    ] {
         if let Err(why) = gate() {
             eprintln!("kernels: {why}");
             std::process::exit(1);

@@ -162,18 +162,19 @@ impl Column {
     }
 }
 
-/// Builds one typed column from a stream of [`Value`]s, coercing
-/// wrong-typed values exactly like the ColumnarLite writer does
-/// (Int→0, Float→0.0, Date→0, Bool→false, Str→"").
-struct ColumnBuilder {
-    dtype: DataType,
+/// Builds one typed column from a stream of [`Value`]s — the one column
+/// builder: the row pivot ([`ColumnarBatch::from_rows`]) and the CSV
+/// reader's column-vector front both push into it. Wrong-typed values
+/// coerce exactly like the ColumnarLite writer does (Int→0, Float→0.0,
+/// Date→0, Bool→false, Str→"").
+pub struct ColumnBuilder {
     data: ColumnData,
     validity: Vec<u8>,
     n: usize,
 }
 
 impl ColumnBuilder {
-    fn new(dtype: DataType, capacity: usize) -> Self {
+    pub fn new(dtype: DataType, capacity: usize) -> Self {
         let data = match dtype {
             DataType::Int => ColumnData::Int(Vec::with_capacity(capacity)),
             DataType::Float => ColumnData::Float(Vec::with_capacity(capacity)),
@@ -182,49 +183,47 @@ impl ColumnBuilder {
             DataType::Str => ColumnData::Str(Vec::with_capacity(capacity)),
         };
         ColumnBuilder {
-            dtype,
             data,
             validity: Vec::with_capacity(capacity.div_ceil(8)),
             n: 0,
         }
     }
 
-    fn push(&mut self, v: &Value) {
-        let valid = !v.is_null();
+    /// Append one slot; a string moves in without a copy.
+    pub fn push(&mut self, v: Value) {
         if self.n.is_multiple_of(8) {
             self.validity.push(0);
         }
-        if valid {
-            let byte = self.n / 8;
-            self.validity[byte] |= 1 << (self.n % 8);
+        if !v.is_null() {
+            self.validity[self.n / 8] |= 1 << (self.n % 8);
         }
         self.n += 1;
-        match (&mut self.data, self.dtype) {
-            (ColumnData::Int(out), _) => out.push(match v {
-                Value::Int(i) => *i,
+        match &mut self.data {
+            ColumnData::Int(out) => out.push(match v {
+                Value::Int(i) => i,
                 _ => 0,
             }),
-            (ColumnData::Float(out), _) => out.push(match v {
-                Value::Float(f) => *f,
+            ColumnData::Float(out) => out.push(match v {
+                Value::Float(f) => f,
                 _ => 0.0,
             }),
-            (ColumnData::Bool(out), _) => out.push(match v {
-                Value::Bool(b) => *b,
+            ColumnData::Bool(out) => out.push(match v {
+                Value::Bool(b) => b,
                 _ => false,
             }),
-            (ColumnData::Date(out), _) => out.push(match v {
-                Value::Date(d) => *d,
+            ColumnData::Date(out) => out.push(match v {
+                Value::Date(d) => d,
                 _ => 0,
             }),
-            (ColumnData::Str(out), _) => out.push(match v {
-                Value::Str(s) => s.clone(),
+            ColumnData::Str(out) => out.push(match v {
+                Value::Str(s) => s,
                 _ => String::new(),
             }),
-            (ColumnData::DictStr { .. }, _) => unreachable!("builder never produces dict"),
+            ColumnData::DictStr { .. } => unreachable!("builder never produces dict"),
         }
     }
 
-    fn finish(self) -> Column {
+    pub fn finish(self) -> Column {
         Column {
             data: self.data,
             validity: self.validity,
@@ -286,7 +285,7 @@ impl ColumnarBatch {
             .collect();
         for row in rows {
             for (c, b) in builders.iter_mut().enumerate() {
-                b.push(row.get(c));
+                b.push(row.get(c).clone());
             }
         }
         ColumnarBatch {

@@ -26,9 +26,82 @@ pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
+/// A [`std::hash::Hasher`] over [`splitmix64`]: one finalizer round per
+/// eight bytes written. Unkeyed and deterministic, so it is for tables
+/// keyed by values the program itself holds (the load-time statistics
+/// pass counts distinct values with it) — not for keys an adversary
+/// picks, which keep the standard library's keyed default.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct MixHasher(u64);
+
+/// `HashSet<T, MixBuildHasher>` / `HashMap<K, V, MixBuildHasher>`.
+pub type MixBuildHasher = std::hash::BuildHasherDefault<MixHasher>;
+
+impl std::hash::Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut tail = [0u8; 8];
+            tail[..rest.len()].copy_from_slice(rest);
+            self.write_u64(u64::from_le_bytes(tail));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = splitmix64(self.0 ^ x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mix_hasher_spreads_small_keys_and_reads_every_byte() {
+        use std::hash::{BuildHasher, Hash};
+        let hash = |v: &dyn Fn(&mut MixHasher)| {
+            let mut h = MixBuildHasher::default().build_hasher();
+            v(&mut h);
+            std::hash::Hasher::finish(&h)
+        };
+        // Consecutive integers land far apart (a table indexes by the
+        // low bits and tags by the high ones).
+        let d = (hash(&|h| 41i64.hash(h)) ^ hash(&|h| 42i64.hash(h))).count_ones();
+        assert!(d > 16, "avalanche too weak: {d} bits");
+        // A difference in any byte — the unaligned tail included — and
+        // in the order of two writes changes the hash.
+        let base = hash(&|h| "0123456789abc".hash(h));
+        assert_ne!(base, hash(&|h| "0123456789abd".hash(h)));
+        assert_ne!(base, hash(&|h| "1123456789abc".hash(h)));
+        assert_ne!(base, hash(&|h| "0123456789ab".hash(h)));
+        assert_ne!(
+            hash(&|h| (1u32, 2u32).hash(h)),
+            hash(&|h| (2u32, 1u32).hash(h))
+        );
+        let set: std::collections::HashSet<&str, MixBuildHasher> =
+            ["a", "b", "a", ""].into_iter().collect();
+        assert_eq!(set.len(), 3);
+    }
 
     #[test]
     fn splitmix_is_deterministic_and_spreads() {

@@ -21,13 +21,14 @@
 //! *is* metered like any other query traffic.
 
 use crate::context::QueryContext;
+use pushdown_common::mix::MixBuildHasher;
 use pushdown_common::{Result, Row, Schema, Value};
 use pushdown_format::columnar::{encode_columnar, WriterOptions};
 use pushdown_format::csv::CsvWriter;
 use pushdown_s3::S3Store;
 use pushdown_select::InputFormat;
 use pushdown_sql::{Expr, SelectItem, SelectStmt};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Per-column statistics: the inputs to selectivity and width estimation.
@@ -98,6 +99,14 @@ impl TableStats {
     }
 }
 
+/// A distinct-value set of the statistics pass: the values are the
+/// loader's own rows, so the cheap unkeyed hasher will do.
+type Distinct<T> = HashSet<T, MixBuildHasher>;
+
+/// Distinct values of a type whose CSV width takes rendering to know,
+/// each with that width: a value is rendered the first time it is seen.
+type DistinctRendered<T> = HashMap<T, usize, MixBuildHasher>;
+
 /// Running statistics of one column (see [`TableStats::from_sample`]).
 /// Distinct values are counted per type, so no value is rendered to text
 /// to be counted.
@@ -107,44 +116,51 @@ struct ColumnAccumulator<'a> {
     max: Option<&'a Value>,
     nulls: u64,
     width: usize,
-    bools: HashSet<bool>,
-    ints: HashSet<i64>,
-    floats: HashSet<u64>,
-    strs: HashSet<&'a str>,
-    dates: HashSet<i32>,
+    bools: Distinct<bool>,
+    ints: Distinct<i64>,
+    floats: DistinctRendered<u64>,
+    strs: Distinct<&'a str>,
+    dates: DistinctRendered<i32>,
 }
 
 impl<'a> ColumnAccumulator<'a> {
-    /// `field` is scratch space for measuring the CSV width of `v`.
+    /// `field` is scratch space for rendering a value.
     fn add(&mut self, v: &'a Value, field: &mut String) {
-        field.clear();
-        v.write_csv_field(field);
-        self.width += field.len();
-        match v {
+        let rendered_width = || {
+            field.clear();
+            v.write_csv_field(field);
+            field.len()
+        };
+        self.width += match v {
             Value::Null => {
                 self.nulls += 1;
                 return;
             }
             Value::Bool(b) => {
                 self.bools.insert(*b);
+                if *b {
+                    "true".len()
+                } else {
+                    "false".len()
+                }
             }
             Value::Int(i) => {
                 self.ints.insert(*i);
-            }
-            // Every NaN renders as `NaN`: one distinct value.
-            Value::Float(f) if f.is_nan() => {
-                self.floats.insert(f64::NAN.to_bits());
+                // Decimal digits, and the sign.
+                let digits = i.unsigned_abs().checked_ilog10().map_or(1, |d| d + 1);
+                usize::from(*i < 0) + digits as usize
             }
             Value::Float(f) => {
-                self.floats.insert(f.to_bits());
+                // Every NaN renders as `NaN`: one distinct value.
+                let bits = if f.is_nan() { f64::NAN } else { *f }.to_bits();
+                *self.floats.entry(bits).or_insert_with(rendered_width)
             }
             Value::Str(s) => {
                 self.strs.insert(s);
+                s.len()
             }
-            Value::Date(d) => {
-                self.dates.insert(*d);
-            }
-        }
+            Value::Date(d) => *self.dates.entry(*d).or_insert_with(rendered_width),
+        };
         if self
             .min
             .is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Less)
@@ -179,10 +195,10 @@ impl<'a> ColumnAccumulator<'a> {
         texts.extend(self.ints.iter().map(|&i| Value::Int(i).to_csv_field()));
         texts.extend(
             self.floats
-                .iter()
+                .keys()
                 .map(|&bits| Value::Float(f64::from_bits(bits)).to_csv_field()),
         );
-        texts.extend(self.dates.iter().map(|&d| Value::Date(d).to_csv_field()));
+        texts.extend(self.dates.keys().map(|&d| Value::Date(d).to_csv_field()));
         texts.len() as u64
     }
 

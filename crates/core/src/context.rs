@@ -59,13 +59,13 @@ pub struct QueryContext {
     /// row-group extents instead and ignore this knob). Smaller blocks
     /// mean finer partial hits at more segments; 64 KiB by default.
     pub cache_chunk_bytes: u64,
-    /// Execute local scans of ColumnarLite tables through the vectorized
-    /// columnar path (typed column vectors + selection-vector kernels,
-    /// rows materialized late). On by default; results, metrics and
-    /// billing are bit-identical to the row path — the flag exists for
-    /// differential testing and as an escape hatch
-    /// ([`QueryContext::with_columnar`]). CSV tables always take the row
-    /// decode path regardless of this flag.
+    /// Evaluate local scans on typed column vectors (selection-vector
+    /// kernels, rows materialized late): ColumnarLite chunks are read into
+    /// them and the referenced fields of a CSV partition are typed into
+    /// them. On by default; results, metrics and billing are
+    /// bit-identical to the row path — the flag exists for differential
+    /// testing and as an escape hatch ([`QueryContext::with_columnar`]).
+    /// A CSV scan that wants whole rows decodes rows whatever the flag.
     pub columnar_exec: bool,
     /// The scatter-gather cluster this context executes on, if any
     /// ([`QueryContext::with_nodes`]). `None` — the default — is the
@@ -376,8 +376,8 @@ impl QueryContext {
         self
     }
 
-    /// Enable or disable the vectorized columnar execution path for
-    /// ColumnarLite tables (see [`QueryContext::columnar_exec`]). Useful
+    /// Enable or disable the vectorized columnar execution path of local
+    /// scans (see [`QueryContext::columnar_exec`]). Useful
     /// for differential testing: the two paths must produce identical
     /// rows, metrics and bills.
     pub fn with_columnar(mut self, columnar_exec: bool) -> Self {

@@ -3,8 +3,8 @@
 //! **inside the partition worker that decoded the batch** instead of
 //! handing whole batches to a consumer-side closure. A rejected row dies
 //! on the thread that allocated it; only survivors, already projected,
-//! cross the partition queue; ColumnarLite partitions decode only the
-//! columns the fragment references.
+//! cross the partition queue; a projecting fragment decodes — CSV fields
+//! and ColumnarLite chunks alike — only the columns it references.
 //!
 //! A fragment charges exactly what the consumer-side operators it
 //! replaces charge — the predicate like [`ops::filter_rows`] /
@@ -18,7 +18,6 @@ use pushdown_common::columnar::ColumnarBatch;
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::row::{BatchBuilder, RowBatch};
 use pushdown_common::{Field, Result, Row, Schema};
-use pushdown_select::InputFormat;
 use pushdown_sql::bind::BoundExpr;
 use pushdown_sql::eval::{eval, eval_predicate};
 
@@ -33,17 +32,17 @@ pub struct ScanFragment {
     outputs: Option<Vec<BoundExpr>>,
     /// `(output column, k, ascending)`.
     top_k: Option<(usize, usize, bool)>,
-    /// The table columns a ColumnarLite partition decodes, ascending. The
-    /// expressions above address this projection, not the table schema;
-    /// CSV always decodes whole rows, so there it is every column.
+    /// The table columns a partition decodes, ascending: every column
+    /// for a whole-row fragment, else the referenced ones. The
+    /// expressions above address this projection, not the table schema.
     needed: Vec<usize>,
     schema: Schema,
 }
 
 impl ScanFragment {
     /// `predicate` and `outputs` are bound against `table.schema`. With
-    /// `outputs` given, a ColumnarLite table decodes only the columns the
-    /// two reference.
+    /// `outputs` given, the scan decodes only the columns the two
+    /// reference.
     pub fn new(
         table: &Table,
         mut predicate: Option<BoundExpr>,
@@ -63,7 +62,7 @@ impl ScanFragment {
             ),
         };
         let mut needed: Vec<usize> = (0..table.schema.len()).collect();
-        if let (InputFormat::Columnar, Some(exprs)) = (table.format, &mut outputs) {
+        if let Some(exprs) = &mut outputs {
             let mut exprs: Vec<&mut BoundExpr> = predicate.iter_mut().chain(exprs).collect();
             let mut used = vec![false; needed.len()];
             for e in &mut exprs {
@@ -113,10 +112,16 @@ impl ScanFragment {
         &self.schema
     }
 
-    /// The table columns a ColumnarLite partition must decode for this
-    /// fragment, ascending; its expressions address that projection.
+    /// The table columns a partition must decode for this fragment,
+    /// ascending; its expressions address that projection.
     pub(crate) fn needed(&self) -> &[usize] {
         &self.needed
+    }
+
+    /// Whether the fragment computes its own output row (`false` = it
+    /// passes the decoded row through whole).
+    pub(crate) fn projects(&self) -> bool {
+        self.outputs.is_some()
     }
 
     /// The per-partition evaluator: decoded rows go in, survivors leave

@@ -15,10 +15,10 @@
 //! deliver rows downstream as fixed-capacity [`RowBatch`]es **in
 //! partition order**, so results stay deterministic. Each in-flight
 //! partition feeds a small bounded queue; workers block once their queue
-//! fills. Plain scans decode incrementally (CSV record-by-record,
-//! columnar row-group-by-row-group), capping their peak resident rows at
-//! `O(scan_threads × queue depth × batch_rows)` regardless of table
-//! size. Select scans decode each partition's *response* before
+//! fills. Plain scans decode incrementally (CSV `batch_rows` records at
+//! a time, columnar row-group-by-row-group), capping their peak resident
+//! rows at `O(scan_threads × queue depth × batch_rows)` regardless of
+//! table size. Select scans decode each partition's *response* before
 //! batching, so their bound is `O(scan_threads × response rows)` — the
 //! billed returned subset, not the table.
 //!
@@ -27,9 +27,11 @@
 //! A local scan takes a [`ScanFragment`] — the leaf operator's bound
 //! predicate, its output expressions, optionally a K-bounded reducer —
 //! and evaluates it **inside the worker that decoded the rows**: a
-//! rejected row is dropped by the thread that allocated it, ColumnarLite
-//! partitions decode only the columns the fragment references, and only
-//! survivors, already projected, cross the partition queue. What the
+//! rejected row is dropped by the thread that allocated it, a projecting
+//! fragment decodes only the columns it references (CSV fields are typed
+//! straight into column vectors, ColumnarLite chunks are read into them,
+//! and both run the same compiled predicate), and only survivors,
+//! already projected, cross the partition queue. What the
 //! fragment charges is summed per worker ([`ScanSummary::op_stats`]);
 //! all counts are `u64`, so the total is the one a consumer-side
 //! operator would have charged. **Ordering guarantee:** the consumer
@@ -312,10 +314,11 @@ pub enum ScanSource {
     Cached,
 }
 
-/// Decode one partition's bytes incrementally — CSV record by record,
-/// ColumnarLite row group by row group, only the columns `fragment`
-/// needs — and evaluate `fragment` on them in the calling thread,
-/// pushing survivors to `emit` in batches of at most `ctx.batch_rows`.
+/// Decode one partition's bytes incrementally — CSV a batch of records
+/// at a time, ColumnarLite row group by row group, only the columns
+/// `fragment` needs — and evaluate `fragment` on them in the calling
+/// thread, pushing survivors to `emit` in batches of at most
+/// `ctx.batch_rows`.
 /// Returns the number of rows decoded and the CPU units the fragment
 /// charged.
 pub(crate) fn decode_partition(
@@ -334,9 +337,21 @@ pub(crate) fn decode_partition(
             } else {
                 CsvReader::without_header(&data, table.schema.clone())
             };
-            for record in reader {
-                decoded += 1;
-                out.offer(record?.row)?;
+            let mut reader = reader.project(fragment.needed());
+            if ctx.columnar_exec && fragment.projects() {
+                // The referenced fields go straight into typed column
+                // vectors, the evaluator ColumnarLite row groups get.
+                while let Some(batch) = reader.read_columns(ctx.batch_rows) {
+                    let batch = batch?;
+                    decoded += batch.len() as u64;
+                    out.offer_columnar(&batch)?;
+                }
+            } else {
+                // A whole-row fragment ships the decoded row itself.
+                for record in reader {
+                    decoded += 1;
+                    out.offer(record?.row)?;
+                }
             }
         }
         InputFormat::Columnar => {

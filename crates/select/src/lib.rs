@@ -612,8 +612,9 @@ impl S3SelectEngine {
         })
     }
 
-    /// Row-oriented scan: CSV must be read in full (every byte is scanned)
-    /// unless LIMIT stops it early.
+    /// Row-oriented scan: CSV must be read in full (every byte is scanned,
+    /// every record split and checked) unless LIMIT stops it early; only
+    /// the columns the statement references are typed.
     fn scan_csv(
         &self,
         raw: &[u8],
@@ -626,18 +627,22 @@ impl S3SelectEngine {
         } else {
             CsvReader::without_header(raw, schema.clone())
         };
+        let mut reader = reader.project(&referenced_columns(bound));
         let mut exec = Executor::new(bound);
-        let mut scanned: u64 = raw.len() as u64;
-        for rec in reader {
-            let rec = rec?;
-            if exec.feed(&rec.row)? {
-                // LIMIT satisfied: the engine stops scanning here; bill
-                // only the bytes consumed so far (through this record).
-                scanned = rec.last_byte + 2; // include the terminator
-                break;
+        // One sparse row for the whole scan: unreferenced slots stay
+        // NULL; the executor only dereferences referenced indices.
+        let mut scratch = Row::new(vec![Value::Null; schema.len()]);
+        while let Some(rec) = reader.read_into(&mut scratch) {
+            rec?;
+            if exec.feed(&scratch)? {
+                break; // LIMIT satisfied: the engine stops scanning here
             }
         }
-        Ok((exec.finish()?, scanned.min(raw.len() as u64)))
+        // Bill the bytes consumed: the whole object, or, when LIMIT
+        // stopped the scan, everything up to where the next record
+        // starts — the last record read and its terminator, `\n` or
+        // `\r\n`, included.
+        Ok((exec.finish()?, reader.consumed() as u64))
     }
 
     /// Columnar scan: only referenced column chunks are read, and row
@@ -655,24 +660,7 @@ impl S3SelectEngine {
                 reader.schema()
             )));
         }
-        // Which columns does the query touch?
-        let mut needed: Vec<usize> = Vec::new();
-        let mut mark = |e: &BoundExpr| collect_columns(e, &mut needed);
-        for item in &bound.items {
-            match item {
-                BoundItem::Expr { expr, .. } => mark(expr),
-                BoundItem::Agg { arg, .. } => {
-                    if let Some(a) = arg {
-                        mark(a)
-                    }
-                }
-            }
-        }
-        if let Some(w) = &bound.where_clause {
-            mark(w);
-        }
-        needed.sort_unstable();
-        needed.dedup();
+        let needed = referenced_columns(bound);
 
         let prunable = bound
             .where_clause
@@ -747,6 +735,26 @@ fn stmt_uses_bitat(stmt: &SelectStmt) -> bool {
         pushdown_sql::SelectItem::Agg { arg, .. } => arg.as_ref().is_some_and(walk),
     };
     stmt.items.iter().any(item_uses) || stmt.where_clause.as_ref().is_some_and(walk)
+}
+
+/// The schema columns a bound statement reads — projection items,
+/// aggregate arguments and the `WHERE` clause — ascending, each once:
+/// what a scan has to decode.
+fn referenced_columns(bound: &BoundSelect) -> Vec<usize> {
+    let mut needed: Vec<usize> = Vec::new();
+    for item in &bound.items {
+        match item {
+            BoundItem::Expr { expr, .. } => collect_columns(expr, &mut needed),
+            BoundItem::Agg { arg: Some(a), .. } => collect_columns(a, &mut needed),
+            BoundItem::Agg { arg: None, .. } => {}
+        }
+    }
+    if let Some(w) = &bound.where_clause {
+        collect_columns(w, &mut needed);
+    }
+    needed.sort_unstable();
+    needed.dedup();
+    needed
 }
 
 /// Collect column indices referenced by a bound expression.
@@ -1087,6 +1095,32 @@ mod tests {
             limited.stats.bytes_scanned,
             full.stats.bytes_scanned
         );
+    }
+
+    #[test]
+    fn limit_bills_through_the_terminator_of_the_last_record_read() {
+        // LIMIT stops the scan where the next record starts: behind the
+        // `\r\n` (not just the `\r`) of the last record returned, and in
+        // front of the blank line that follows it.
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("s", DataType::Str)]);
+        let scanned_by = |object: &str, limit: u64| {
+            let store = S3Store::new();
+            store.put_object("b", "t.csv", object.as_bytes().to_vec());
+            let sql = format!("SELECT k FROM S3Object LIMIT {limit}");
+            let resp = S3SelectEngine::new(store)
+                .select("b", "t.csv", &sql, &schema, InputFormat::Csv)
+                .unwrap();
+            assert_eq!(resp.stats.records_returned, limit);
+            resp.stats.bytes_scanned
+        };
+        let crlf = "k,s\r\n1,a\r\n2,bb\r\n\r\n3,c\r\n";
+        assert_eq!(scanned_by(crlf, 1), "k,s\r\n1,a\r\n".len() as u64);
+        assert_eq!(scanned_by(crlf, 2), "k,s\r\n1,a\r\n2,bb\r\n".len() as u64);
+        assert_eq!(scanned_by(crlf, 3), crlf.len() as u64);
+        let lf = "k,s\n1,a\n2,bb\n\n3,c";
+        assert_eq!(scanned_by(lf, 2), "k,s\n1,a\n2,bb\n".len() as u64);
+        // No terminator behind the last record: the object's length.
+        assert_eq!(scanned_by(lf, 3), lf.len() as u64);
     }
 
     #[test]

@@ -113,6 +113,14 @@ impl BinOp {
             BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq
         )
     }
+
+    /// True for operators that compute a number.
+    pub fn is_arithmetic(&self) -> bool {
+        matches!(
+            self,
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
+        )
+    }
 }
 
 /// Unary operators.

@@ -7,7 +7,7 @@
 
 use crate::ast::{BinOp, Func, UnOp};
 use crate::bind::BoundExpr;
-use pushdown_common::{Error, Result, Row, Value};
+use pushdown_common::{DataType, Error, Result, Row, Value};
 use std::cmp::Ordering;
 
 /// Evaluate a bound expression against one row.
@@ -131,8 +131,7 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
 /// Evaluate a predicate expression to a plain pass/fail decision
 /// (`NULL` ⇒ the row does not pass, as in SQL `WHERE`).
 pub fn eval_predicate(expr: &BoundExpr, row: &Row) -> Result<bool> {
-    let mut slot = Value::Null;
-    Ok(eval_ref(expr, row, &mut slot)?.as_bool()? == Some(true))
+    Ok(eval_truth(expr, row)? == Some(true))
 }
 
 /// Evaluate `expr` as an operand: a literal or a column reference is
@@ -151,48 +150,202 @@ fn eval_ref<'a>(expr: &'a BoundExpr, row: &'a Row, slot: &'a mut Value) -> Resul
 }
 
 fn eval_binary(left: &BoundExpr, op: BinOp, right: &BoundExpr, row: &Row) -> Result<Value> {
-    let (mut lslot, mut rslot) = (Value::Null, Value::Null);
-    // AND/OR need Kleene short-circuit semantics, handled first.
-    match op {
-        BinOp::And => {
-            let l = eval_ref(left, row, &mut lslot)?.as_bool()?;
-            if l == Some(false) {
-                return Ok(Value::Bool(false));
-            }
-            let r = eval_ref(right, row, &mut rslot)?.as_bool()?;
-            return Ok(tristate(kleene_and(l, r)));
-        }
-        BinOp::Or => {
-            let l = eval_ref(left, row, &mut lslot)?.as_bool()?;
-            if l == Some(true) {
-                return Ok(Value::Bool(true));
-            }
-            let r = eval_ref(right, row, &mut rslot)?.as_bool()?;
-            return Ok(tristate(kleene_or(l, r)));
-        }
-        _ => {}
+    if !op.is_arithmetic() {
+        return Ok(tristate(eval_logic(left, op, right, row)?));
     }
-
+    match eval_int_binary(left, op, right, row)? {
+        IntOperand::Int(i) => return Ok(Value::Int(i)),
+        IntOperand::Null => return Ok(Value::Null),
+        IntOperand::Other => {}
+    }
+    let (mut lslot, mut rslot) = (Value::Null, Value::Null);
     let l = eval_ref(left, row, &mut lslot)?;
     let r = eval_ref(right, row, &mut rslot)?;
-    if op.is_comparison() {
-        let result = compare(l, r).map(|ord| match op {
-            BinOp::Eq => ord == Ordering::Equal,
-            BinOp::NotEq => ord != Ordering::Equal,
-            BinOp::Lt => ord == Ordering::Less,
-            BinOp::LtEq => ord != Ordering::Greater,
-            BinOp::Gt => ord == Ordering::Greater,
-            BinOp::GtEq => ord != Ordering::Less,
-            _ => unreachable!(),
-        });
-        return Ok(tristate(result));
-    }
-
-    // Arithmetic: NULL propagates.
+    // NULL propagates.
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
     arith(l, op, r)
+}
+
+/// Evaluate `expr` as a truth value (`None` = NULL). A connective or a
+/// comparison answers without a `Value` in between, so a chain of `AND`s
+/// costs a call a level.
+fn eval_truth(expr: &BoundExpr, row: &Row) -> Result<Option<bool>> {
+    match expr {
+        BoundExpr::Binary { left, op, right } if !op.is_arithmetic() => {
+            eval_logic(left, *op, right, row)
+        }
+        other => {
+            let mut slot = Value::Null;
+            eval_ref(other, row, &mut slot)?.as_bool()
+        }
+    }
+}
+
+/// `left <op> right` for a connective or a comparison, three-valued.
+fn eval_logic(left: &BoundExpr, op: BinOp, right: &BoundExpr, row: &Row) -> Result<Option<bool>> {
+    // AND/OR need Kleene short-circuit semantics, handled first.
+    match op {
+        BinOp::And => {
+            let l = eval_truth(left, row)?;
+            if l == Some(false) {
+                return Ok(Some(false));
+            }
+            return Ok(kleene_and(l, eval_truth(right, row)?));
+        }
+        BinOp::Or => {
+            let l = eval_truth(left, row)?;
+            if l == Some(true) {
+                return Ok(Some(true));
+            }
+            return Ok(kleene_or(l, eval_truth(right, row)?));
+        }
+        _ => {}
+    }
+
+    let holds = |ord: Ordering| match op {
+        BinOp::Eq => ord == Ordering::Equal,
+        BinOp::NotEq => ord != Ordering::Equal,
+        BinOp::Lt => ord == Ordering::Less,
+        BinOp::LtEq => ord != Ordering::Greater,
+        BinOp::Gt => ord == Ordering::Greater,
+        BinOp::GtEq => ord != Ordering::Less,
+        _ => unreachable!(),
+    };
+    if let Some(probed) = probe_literal_char(left, right, row)? {
+        return Ok(probed.map(holds));
+    }
+    let (mut lslot, mut rslot) = (Value::Null, Value::Null);
+    let l = eval_ref(left, row, &mut lslot)?;
+    let r = eval_ref(right, row, &mut rslot)?;
+    Ok(compare(l, r).map(holds))
+}
+
+/// `SUBSTRING('<ASCII literal>', <integer arithmetic>, 1)` against a
+/// one-character literal — the Bloom probe of paper Listing 1, seven
+/// conjuncts a row — ordered by looking at the one byte where it lies:
+/// no substring is copied out, so the per-row work is the hash
+/// arithmetic and a byte test. `Some(None)` is a NULL position; `None`
+/// means this is no such comparison (or its position is no integer
+/// arithmetic in this row) and the general evaluation applies.
+fn probe_literal_char(
+    left: &BoundExpr,
+    right: &BoundExpr,
+    row: &Row,
+) -> Result<Option<Option<Ordering>>> {
+    let (
+        BoundExpr::Call {
+            func: Func::Substring,
+            args,
+            ascii_text: true,
+        },
+        BoundExpr::Literal(Value::Str(want)),
+    ) = (left, right)
+    else {
+        return Ok(None);
+    };
+    let [BoundExpr::Literal(Value::Str(text)), position, BoundExpr::Literal(Value::Int(1))] =
+        args.as_slice()
+    else {
+        return Ok(None);
+    };
+    let &[want] = want.as_bytes() else {
+        return Ok(None);
+    };
+    Ok(match eval_int(position, row)? {
+        IntOperand::Other => None,
+        IntOperand::Null => Some(None),
+        // A position off either end selects the empty string, which
+        // sorts before any character.
+        IntOperand::Int(at) => Some(Some(
+            match usize::try_from(at)
+                .ok()
+                .and_then(|at| text.as_bytes().get(at.checked_sub(1)?))
+            {
+                Some(got) => got.cmp(&want),
+                None => Ordering::Less,
+            },
+        )),
+    })
+}
+
+/// What [`eval_int`] makes of a subtree.
+enum IntOperand {
+    Int(i64),
+    Null,
+    /// Not integer arithmetic (or not over integers in this row).
+    Other,
+}
+
+/// Integer arithmetic — `+ - * / %` over INT literals, columns holding
+/// an INT or NULL in this row, and `CAST(.. AS INT)` of those — worked
+/// out in registers, no `Value` per node: the hash of a Bloom probe
+/// (paper Listing 1) is five such nodes per conjunct. Operands are
+/// visited in the evaluator's order and the first thing that is no
+/// integer arithmetic ends the walk with [`IntOperand::Other`], so a
+/// caller that then evaluates the general way meets the same values and
+/// the same first error.
+fn eval_int(expr: &BoundExpr, row: &Row) -> Result<IntOperand> {
+    Ok(match expr {
+        BoundExpr::Literal(Value::Int(i)) => IntOperand::Int(*i),
+        BoundExpr::Literal(Value::Null) => IntOperand::Null,
+        BoundExpr::Column(idx, _) => match &row[*idx] {
+            Value::Int(i) => IntOperand::Int(*i),
+            Value::Null => IntOperand::Null,
+            _ => IntOperand::Other,
+        },
+        // Casting an INT (or NULL) to INT is the identity.
+        BoundExpr::Cast {
+            expr,
+            dtype: DataType::Int,
+        } => eval_int(expr, row)?,
+        BoundExpr::Binary { left, op, right } if op.is_arithmetic() => {
+            eval_int_binary(left, *op, right, row)?
+        }
+        _ => IntOperand::Other,
+    })
+}
+
+/// [`eval_int`] of `left <op> right`, `op` arithmetic.
+fn eval_int_binary(
+    left: &BoundExpr,
+    op: BinOp,
+    right: &BoundExpr,
+    row: &Row,
+) -> Result<IntOperand> {
+    let l = match eval_int(left, row)? {
+        IntOperand::Other => return Ok(IntOperand::Other),
+        l => l,
+    };
+    Ok(match (l, eval_int(right, row)?) {
+        (_, IntOperand::Other) => IntOperand::Other,
+        (IntOperand::Int(a), IntOperand::Int(b)) => IntOperand::Int(int_arith(a, op, b)?),
+        _ => IntOperand::Null,
+    })
+}
+
+/// Integer × integer stays integral (SQL semantics: `/` truncates).
+fn int_arith(a: i64, op: BinOp, b: i64) -> Result<i64> {
+    let out = match op {
+        BinOp::Add => a.checked_add(b),
+        BinOp::Sub => a.checked_sub(b),
+        BinOp::Mul => a.checked_mul(b),
+        BinOp::Div => {
+            if b == 0 {
+                return Err(Error::Eval("division by zero".into()));
+            }
+            a.checked_div(b)
+        }
+        BinOp::Mod => {
+            if b == 0 {
+                return Err(Error::Eval("modulo by zero".into()));
+            }
+            a.checked_rem(b)
+        }
+        _ => unreachable!(),
+    };
+    out.ok_or_else(|| Error::Eval("integer overflow".into()))
 }
 
 /// SQL comparison. Returns `None` if either side is NULL. Incomparable
@@ -203,30 +356,8 @@ fn compare(l: &Value, r: &Value) -> Option<Ordering> {
 }
 
 fn arith(l: &Value, op: BinOp, r: &Value) -> Result<Value> {
-    // Integer × integer stays integral (SQL semantics: `/` truncates).
     if let (Value::Int(a), Value::Int(b)) = (l, r) {
-        let (a, b) = (*a, *b);
-        let out = match op {
-            BinOp::Add => a.checked_add(b),
-            BinOp::Sub => a.checked_sub(b),
-            BinOp::Mul => a.checked_mul(b),
-            BinOp::Div => {
-                if b == 0 {
-                    return Err(Error::Eval("division by zero".into()));
-                }
-                a.checked_div(b)
-            }
-            BinOp::Mod => {
-                if b == 0 {
-                    return Err(Error::Eval("modulo by zero".into()));
-                }
-                a.checked_rem(b)
-            }
-            _ => unreachable!(),
-        };
-        return out
-            .map(Value::Int)
-            .ok_or_else(|| Error::Eval("integer overflow".into()));
+        return int_arith(*a, op, *b).map(Value::Int);
     }
     let a = l.as_f64()?;
     let b = r.as_f64()?;
@@ -600,6 +731,81 @@ mod tests {
         let src = "SUBSTRING('10010110', ((3 * CAST(i AS INT) + 1) % 11) % 8 + 1, 1) = '1'";
         // i = 7 -> ((21+1)%11)%8 = 0 -> position 1 -> '1'.
         assert_eq!(run(src).unwrap(), Value::Bool(true));
+    }
+
+    #[test]
+    fn probing_a_literal_in_place_agrees_with_the_copied_substring() {
+        // `SUBSTRING('<literal>', <int arithmetic>, 1) <cmp> '<c>'` looks
+        // at the byte where it lies; with the sides swapped — or any part
+        // of the shape missing — the substring is copied into a `Value`
+        // first. Both give the same answer: positions off either end,
+        // NULL and overflowing positions, every comparison.
+        let operands = [
+            ("SUBSTRING('10010110', i % 8 + 1, 1)", "'1'"),
+            ("SUBSTRING('10010110', i - 7, 1)", "'1'"),
+            ("SUBSTRING('10010110', i - 8, 1)", "'1'"),
+            ("SUBSTRING('10010110', i + 1, 1)", "'0'"),
+            ("SUBSTRING('10010110', i + 2, 1)", "'0'"),
+            ("SUBSTRING('10010110', CAST(i AS INT) * 1, 1)", "'0'"),
+            ("SUBSTRING('10010110', n + 1, 1)", "'1'"),
+            ("SUBSTRING('10010110', i / 2, 1)", "'2'"),
+            ("SUBSTRING('', i, 1)", "'1'"),
+            (
+                "SUBSTRING('10010110', 0 - 9223372036854775807 - 1, 1)",
+                "'1'",
+            ),
+            // Not the probe's shape: evaluated the general way.
+            ("SUBSTRING('10010110', f * 2, 1)", "'1'"),
+            ("SUBSTRING('10010110', i, 1)", "'10'"),
+            ("SUBSTRING('10010110', i, 2)", "'1'"),
+            ("SUBSTRING('1001é110', i, 1)", "'1'"),
+        ];
+        let ops = [
+            ("=", "="),
+            ("<>", "<>"),
+            ("<", ">"),
+            ("<=", ">="),
+            (">", "<"),
+            (">=", "<="),
+        ];
+        for (probe, other) in operands {
+            for (op, mirrored) in ops {
+                let in_place = run(&format!("{probe} {op} {other}")).unwrap();
+                let copied = run(&format!("{other} {mirrored} {probe}")).unwrap();
+                assert_eq!(in_place, copied, "{probe} {op} {other}");
+            }
+        }
+        let answer = |src: &str| run(src).unwrap();
+        assert_eq!(
+            answer("SUBSTRING('10010110', i - 6, 1) = '1'"),
+            Value::Bool(true)
+        );
+        assert_eq!(
+            answer("SUBSTRING('10010110', i + 1, 1) = '1'"),
+            Value::Bool(false)
+        );
+        assert_eq!(
+            answer("SUBSTRING('10010110', i + 2, 1) = '0'"),
+            Value::Bool(false)
+        );
+        assert_eq!(
+            answer("SUBSTRING('10010110', i + 2, 1) < '0'"),
+            Value::Bool(true)
+        );
+        assert_eq!(
+            answer("SUBSTRING('10010110', i - 7, 1) < '0'"),
+            Value::Bool(true)
+        );
+        assert_eq!(answer("SUBSTRING('10010110', n + 1, 1) = '1'"), Value::Null);
+        // The position's errors surface through the probe as they do
+        // through the call.
+        for position in ["i / 0", "i % (i - 7)", "i * 9223372036854775807"] {
+            let probe = format!("SUBSTRING('10010110', {position}, 1)");
+            assert_eq!(
+                run(&format!("{probe} = '1'")).unwrap_err().to_string(),
+                run(&format!("'1' = {probe}")).unwrap_err().to_string()
+            );
+        }
     }
 
     #[test]

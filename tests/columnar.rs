@@ -3,15 +3,17 @@
 //! *indistinguishable* from the row path — identical rows, identical
 //! per-phase metrics (including CPU charges), identical bills, and
 //! identical EXPLAIN trees — over dictionary-encoded, NULL-heavy and
-//! mixed-chunk ColumnarLite tables, at any batch size.
+//! mixed-chunk ColumnarLite tables and over the same rows stored as CSV
+//! (whose referenced fields decode straight into column vectors), at any
+//! batch size.
 
 use proptest::prelude::*;
 use pushdowndb::common::perf::PhaseStats;
 use pushdowndb::common::{DataType, Row, Schema, Value};
 use pushdowndb::core::algos::{filter, groupby, topk};
 use pushdowndb::core::{
-    execute_sql_verbose, upload_columnar_table, OpReport, QueryContext, QueryMetrics, Strategy,
-    Table,
+    execute_sql_verbose, upload_columnar_table, upload_csv_table, OpReport, QueryContext,
+    QueryMetrics, Strategy, Table,
 };
 use pushdowndb::format::columnar::WriterOptions;
 use pushdowndb::s3::S3Store;
@@ -70,22 +72,39 @@ fn rows(n: usize) -> Vec<Row> {
         .collect()
 }
 
-/// Upload as ColumnarLite with small row groups, so partitions hold
-/// several chunks and dictionary encoding kicks in.
-fn columnar_ctx(n: usize, per_part: usize, rows_per_group: usize) -> (QueryContext, Table) {
+#[derive(Debug, Clone, Copy)]
+enum Format {
+    Columnar,
+    Csv,
+}
+
+const FORMATS: [Format; 2] = [Format::Columnar, Format::Csv];
+
+/// The same rows in either storage format. ColumnarLite gets small row
+/// groups (`rows_per_group`), so partitions hold several chunks and
+/// dictionary encoding kicks in.
+fn table_ctx(
+    format: Format,
+    n: usize,
+    per_part: usize,
+    rows_per_group: usize,
+) -> (QueryContext, Table) {
     let store = S3Store::new();
-    let t = upload_columnar_table(
-        &store,
-        "b",
-        "t",
-        &schema(),
-        &rows(n),
-        per_part,
-        WriterOptions {
-            rows_per_group,
-            compress: true,
-        },
-    )
+    let t = match format {
+        Format::Columnar => upload_columnar_table(
+            &store,
+            "b",
+            "t",
+            &schema(),
+            &rows(n),
+            per_part,
+            WriterOptions {
+                rows_per_group,
+                compress: true,
+            },
+        ),
+        Format::Csv => upload_csv_table(&store, "b", "t", &schema(), &rows(n), per_part),
+    }
     .unwrap();
     (QueryContext::new(store), t)
 }
@@ -163,10 +182,12 @@ const QUERIES: &[&str] = &[
 /// dict-encoded, NULL-heavy, multi-chunk table.
 #[test]
 fn columnar_execution_is_indistinguishable_from_row_execution() {
-    let (ctx, t) = columnar_ctx(900, 170, 47);
-    for sql in QUERIES {
-        for strategy in [Strategy::Baseline, Strategy::Adaptive] {
-            assert_modes_agree(&ctx, &t, sql, strategy);
+    for format in FORMATS {
+        let (ctx, t) = table_ctx(format, 900, 170, 47);
+        for sql in QUERIES {
+            for strategy in [Strategy::Baseline, Strategy::Adaptive] {
+                assert_modes_agree(&ctx, &t, sql, strategy);
+            }
         }
     }
 }
@@ -177,8 +198,8 @@ fn columnar_execution_is_indistinguishable_from_row_execution() {
 /// progression rather than the row pass pre-warming the columnar one.
 #[test]
 fn columnar_cached_execution_matches_row_execution() {
-    let run = |columnar: bool, sql: &str| {
-        let (ctx, t) = columnar_ctx(600, 140, 31);
+    let run = |format: Format, columnar: bool, sql: &str| {
+        let (ctx, t) = table_ctx(format, 600, 140, 31);
         let ctx = ctx
             .with_cache(1 << 30)
             .with_cache_reads(true)
@@ -195,19 +216,22 @@ fn columnar_cached_execution_matches_row_execution() {
         "SELECT * FROM t WHERE k < 100",
         "SELECT name, COUNT(*) FROM t GROUP BY name",
     ] {
-        let (cold_row, warm_row) = run(false, sql);
-        let (cold_col, warm_col) = run(true, sql);
-        for ((a, b), phase) in [
-            ((&cold_row, &cold_col), "cold"),
-            ((&warm_row, &warm_col), "warm"),
-        ] {
-            assert_eq!(a.rows, b.rows, "{sql} [{phase}]: rows");
-            assert_metrics_equal(&a.metrics, &b.metrics, &format!("{sql} [{phase}]"));
-            assert_eq!(a.billed, b.billed, "{sql} [{phase}]: bill");
+        for format in FORMATS {
+            let (cold_row, warm_row) = run(format, false, sql);
+            let (cold_col, warm_col) = run(format, true, sql);
+            for ((a, b), phase) in [
+                ((&cold_row, &cold_col), "cold"),
+                ((&warm_row, &warm_col), "warm"),
+            ] {
+                let what = format!("{sql} on {format:?} [{phase}]");
+                assert_eq!(a.rows, b.rows, "{what}: rows");
+                assert_metrics_equal(&a.metrics, &b.metrics, &what);
+                assert_eq!(a.billed, b.billed, "{what}: bill");
+            }
+            // Warm passes actually hit the cache: no billable re-reads.
+            assert_eq!(warm_col.billed.requests, 0, "{sql}: warm requests");
+            assert_eq!(warm_col.billed.plain_bytes, 0, "{sql}: warm plain bytes");
         }
-        // Warm passes actually hit the cache: no billable re-reads.
-        assert_eq!(warm_col.billed.requests, 0, "{sql}: warm requests");
-        assert_eq!(warm_col.billed.plain_bytes, 0, "{sql}: warm plain bytes");
     }
 }
 
@@ -215,28 +239,30 @@ fn columnar_cached_execution_matches_row_execution() {
 /// columnar path are invariant to it (and stay equal to the row path).
 #[test]
 fn columnar_path_is_batch_size_invariant() {
-    let (ctx, t) = columnar_ctx(700, 160, 53);
-    let sql = "SELECT name, SUM(bal), COUNT(*) FROM t WHERE k < 500 GROUP BY name";
-    let reference = execute_sql_verbose(
-        &ctx.clone().with_columnar(true),
-        &t,
-        sql,
-        Strategy::Baseline,
-    )
-    .unwrap()
-    .0;
-    for batch_rows in [1usize, 17, 64, 100_000] {
-        let ctx2 = ctx.clone().with_batch_rows(batch_rows);
-        assert_modes_agree(&ctx2, &t, sql, Strategy::Baseline);
-        let got = execute_sql_verbose(&ctx2.with_columnar(true), &t, sql, Strategy::Baseline)
-            .unwrap()
-            .0;
-        assert_eq!(got.rows, reference.rows, "batch_rows={batch_rows}");
-        assert_metrics_equal(
-            &got.metrics,
-            &reference.metrics,
-            &format!("batch_rows={batch_rows}"),
-        );
+    for format in FORMATS {
+        let (ctx, t) = table_ctx(format, 700, 160, 53);
+        let sql = "SELECT name, SUM(bal), COUNT(*) FROM t WHERE k < 500 GROUP BY name";
+        let reference = execute_sql_verbose(
+            &ctx.clone().with_columnar(true),
+            &t,
+            sql,
+            Strategy::Baseline,
+        )
+        .unwrap()
+        .0;
+        for batch_rows in [1usize, 17, 64, 100_000] {
+            let ctx2 = ctx.clone().with_batch_rows(batch_rows);
+            assert_modes_agree(&ctx2, &t, sql, Strategy::Baseline);
+            let got = execute_sql_verbose(&ctx2.with_columnar(true), &t, sql, Strategy::Baseline)
+                .unwrap()
+                .0;
+            assert_eq!(got.rows, reference.rows, "batch_rows={batch_rows}");
+            assert_metrics_equal(
+                &got.metrics,
+                &reference.metrics,
+                &format!("{format:?}, batch_rows={batch_rows}"),
+            );
+        }
     }
 }
 
@@ -244,7 +270,13 @@ fn columnar_path_is_batch_size_invariant() {
 /// between the row and columnar kernels, driven directly.
 #[test]
 fn algo_server_side_paths_agree_exactly() {
-    let (ctx, t) = columnar_ctx(800, 190, 37);
+    for format in FORMATS {
+        algo_server_side_paths_agree_on(format);
+    }
+}
+
+fn algo_server_side_paths_agree_on(format: Format) {
+    let (ctx, t) = table_ctx(format, 800, 190, 37);
     let row_ctx = ctx.clone().with_columnar(false);
     let col_ctx = ctx.clone().with_columnar(true);
 
@@ -296,7 +328,7 @@ fn algo_server_side_paths_agree_exactly() {
 /// by BOTH paths (they are a property of the stored format).
 #[test]
 fn scan_stats_report_columnar_parse_bytes_in_both_modes() {
-    let (ctx, t) = columnar_ctx(500, 120, 29);
+    let (ctx, t) = table_ctx(Format::Columnar, 500, 120, 29);
     let sql = "SELECT * FROM t WHERE k < 50";
     for columnar in [false, true] {
         let out = execute_sql_verbose(
@@ -327,8 +359,9 @@ fn scan_stats_report_columnar_parse_bytes_in_both_modes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Arbitrary dict/NULL-heavy tables and layouts: columnar ≡ row for
-    /// a predicate sweep covering vectorized and fallback shapes.
+    /// Arbitrary dict/NULL-heavy tables and layouts, as ColumnarLite and
+    /// as CSV: columnar ≡ row for a predicate sweep covering vectorized
+    /// and fallback shapes.
     #[test]
     fn columnar_differential_holds_on_arbitrary_tables(
         vals in proptest::collection::vec((0i64..50, any::<bool>(), 0u8..4), 1..250),
@@ -355,26 +388,34 @@ proptest! {
                 ])
             })
             .collect();
-        let store = S3Store::new();
-        let t = upload_columnar_table(
-            &store, "p", "t", &schema, &table_rows, per_part,
-            WriterOptions { rows_per_group, compress },
-        ).unwrap();
-        let ctx = QueryContext::new(store);
-        for sql in [
-            "SELECT * FROM t WHERE v >= 25",
-            "SELECT * FROM t WHERE s = 'tag-2' OR s IS NULL",
-            "SELECT * FROM t WHERE v % 2 = 1",
-            "SELECT g, COUNT(*), SUM(v), MAX(s) FROM t GROUP BY g",
-            "SELECT * FROM t ORDER BY v LIMIT 9",
-        ] {
-            let (a, _) = execute_sql_verbose(
-                &ctx.clone().with_columnar(false), &t, sql, Strategy::Baseline).unwrap();
-            let (b, _) = execute_sql_verbose(
-                &ctx.clone().with_columnar(true), &t, sql, Strategy::Baseline).unwrap();
-            prop_assert_eq!(&a.rows, &b.rows, "{}", sql);
-            assert_metrics_equal(&a.metrics, &b.metrics, sql);
-            prop_assert_eq!(a.billed, b.billed, "{}", sql);
+        let upload = |csv: bool| {
+            let store = S3Store::new();
+            let t = if csv {
+                upload_csv_table(&store, "p", "t", &schema, &table_rows, per_part)
+            } else {
+                upload_columnar_table(
+                    &store, "p", "t", &schema, &table_rows, per_part,
+                    WriterOptions { rows_per_group, compress },
+                )
+            };
+            (QueryContext::new(store), t.unwrap())
+        };
+        for (ctx, t) in [upload(false), upload(true)] {
+            for sql in [
+                "SELECT * FROM t WHERE v >= 25",
+                "SELECT * FROM t WHERE s = 'tag-2' OR s IS NULL",
+                "SELECT * FROM t WHERE v % 2 = 1",
+                "SELECT g, COUNT(*), SUM(v), MAX(s) FROM t GROUP BY g",
+                "SELECT * FROM t ORDER BY v LIMIT 9",
+            ] {
+                let (a, _) = execute_sql_verbose(
+                    &ctx.clone().with_columnar(false), &t, sql, Strategy::Baseline).unwrap();
+                let (b, _) = execute_sql_verbose(
+                    &ctx.clone().with_columnar(true), &t, sql, Strategy::Baseline).unwrap();
+                prop_assert_eq!(&a.rows, &b.rows, "{}", sql);
+                assert_metrics_equal(&a.metrics, &b.metrics, sql);
+                prop_assert_eq!(a.billed, b.billed, "{}", sql);
+            }
         }
     }
 }

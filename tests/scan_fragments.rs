@@ -382,13 +382,9 @@ fn fused(
     }
 }
 
-/// Every case × source × pool width × batch size (× execution mode on
-/// ColumnarLite) for one storage format.
+/// Every case × source × pool width × batch size × execution mode
+/// (column vectors or rows out of the decoder) for one storage format.
 fn check_fragments_match_oracle(format: Format) {
-    let modes: &[bool] = match format {
-        Format::Csv => &[true],
-        Format::Columnar => &[true, false],
-    };
     for source in SOURCES {
         for case in cases() {
             // The oracle is invariant to pool width and batch size (the
@@ -397,7 +393,7 @@ fn check_fragments_match_oracle(format: Format) {
             if case.name == "identity" {
                 assert_eq!(want.rows, rows());
             }
-            for &columnar_exec in modes {
+            for columnar_exec in [true, false] {
                 for threads in [1, 2, 8] {
                     for batch_rows in [1, 7, 1024] {
                         let got = fused(&case, format, source, threads, batch_rows, columnar_exec);
@@ -529,8 +525,9 @@ fn consumer_and_worker_errors_cancel_the_scan_cleanly() {
 
 /// The accumulator edge cases the columnar aggregate kernels pin
 /// (`ops.rs` unit tests), through the engine's own aggregate and
-/// group-by plans: a ColumnarLite table, vectorized or not, answers —
-/// or fails — exactly like the row fold over the same rows.
+/// group-by plans: a ColumnarLite table, vectorized or not, and a CSV
+/// table decoded into column vectors answer — or fail — exactly like the
+/// row fold over the same rows.
 #[test]
 fn aggregates_over_columnar_lite_match_the_row_fold_on_edge_values() {
     let schema = Schema::from_pairs(&[
@@ -598,6 +595,11 @@ fn aggregates_over_columnar_lite_match_the_row_fold_on_edge_values() {
         if expect.starts_with("error: ") {
             assert!(expect.contains("integer overflow in SUM"), "{expect}");
         }
+        assert_eq!(
+            run(false, true, sql),
+            expect,
+            "{sql}, CSV into column vectors"
+        );
         for exec in [true, false] {
             assert_eq!(run(true, exec, sql), expect, "{sql}, columnar_exec {exec}");
         }
