@@ -160,7 +160,9 @@ pub fn run_groupby_ablation(n_rows: usize) -> Result<Vec<GroupByAblationRow>> {
         let q = groupby::GroupByQuery {
             table: table.clone(),
             group_cols: vec![format!("g{i}")],
-            aggs: (0..4).map(|v| (AggFunc::Sum, format!("v{v}"))).collect(),
+            aggs: (0..4)
+                .map(|v| (AggFunc::Sum, Some(format!("v{v}"))))
+                .collect(),
             predicate: None,
         };
         let case_when = groupby::s3_side(&ctx, &q)?;

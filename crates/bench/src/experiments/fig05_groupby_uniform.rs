@@ -47,7 +47,9 @@ fn query(table: &Table, group_col: &str) -> GroupByQuery {
     GroupByQuery {
         table: table.clone(),
         group_cols: vec![group_col.to_string()],
-        aggs: (0..4).map(|i| (AggFunc::Sum, format!("v{i}"))).collect(),
+        aggs: (0..4)
+            .map(|i| (AggFunc::Sum, Some(format!("v{i}"))))
+            .collect(),
         predicate: None,
     }
 }

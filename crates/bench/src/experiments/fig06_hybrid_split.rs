@@ -43,7 +43,9 @@ pub fn query(table: &Table) -> GroupByQuery {
     GroupByQuery {
         table: table.clone(),
         group_cols: vec!["g0".into()],
-        aggs: (0..4).map(|i| (AggFunc::Sum, format!("v{i}"))).collect(),
+        aggs: (0..4)
+            .map(|i| (AggFunc::Sum, Some(format!("v{i}"))))
+            .collect(),
         predicate: None,
     }
 }

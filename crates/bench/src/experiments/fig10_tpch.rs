@@ -65,8 +65,8 @@ fn micro_queries(
         table: t.orders.clone(),
         group_cols: vec!["o_orderpriority".into()],
         aggs: vec![
-            (AggFunc::Sum, "o_totalprice".into()),
-            (AggFunc::Count, "o_orderkey".into()),
+            (AggFunc::Sum, Some("o_totalprice".into())),
+            (AggFunc::Count, Some("o_orderkey".into())),
         ],
         predicate: None,
     };

@@ -33,8 +33,9 @@ use std::collections::HashMap;
 pub struct GroupByQuery {
     pub table: Table,
     pub group_cols: Vec<String>,
-    /// Aggregates as (function, input column).
-    pub aggs: Vec<(AggFunc, String)>,
+    /// Aggregates as (function, input column); `None` is `COUNT(*)`,
+    /// which counts rows and has no input (the plan IR's convention).
+    pub aggs: Vec<(AggFunc, Option<String>)>,
     pub predicate: Option<Expr>,
 }
 
@@ -47,6 +48,11 @@ impl GroupByQuery {
             fields.push(self.table.schema.field(i).clone());
         }
         for (f, c) in &self.aggs {
+            // `COUNT(*)` is named after the first grouping column.
+            let c = c
+                .as_ref()
+                .or(self.group_cols.first())
+                .ok_or_else(|| Error::Bind("a group-by query needs a grouping column".into()))?;
             let i = self.table.schema.resolve(c)?;
             let dtype = match f {
                 AggFunc::Count => DataType::Int,
@@ -62,14 +68,25 @@ impl GroupByQuery {
     }
 
     /// Columns the query touches: groups ∪ agg inputs.
-    fn needed_cols(&self) -> Vec<String> {
+    pub(crate) fn needed_cols(&self) -> Vec<String> {
         let mut cols: Vec<String> = self.group_cols.clone();
-        for (_, c) in &self.aggs {
+        for c in self.aggs.iter().filter_map(|(_, c)| c.as_ref()) {
             if !cols.iter().any(|x| x.eq_ignore_ascii_case(c)) {
                 cols.push(c.clone());
             }
         }
         cols
+    }
+
+    /// Whether a row can have a NULL in grouping column `col`: yes,
+    /// unless the table's statistics looked at every row and saw none.
+    fn may_be_null(&self, col: &str) -> bool {
+        let stats = self.table.stats.as_deref();
+        let exact = stats.filter(|s| s.sample_rows == s.row_count);
+        let seen = exact
+            .zip(self.table.schema.resolve(col).ok())
+            .and_then(|(s, i)| s.column(i));
+        seen.is_none_or(|c| c.null_fraction > 0.0)
     }
 }
 
@@ -80,7 +97,7 @@ fn group_accumulator(q: &GroupByQuery, schema: &Schema) -> Result<ops::GroupByAc
     let aggs: Result<Vec<(AggFunc, Option<usize>)>> = q
         .aggs
         .iter()
-        .map(|(f, c)| Ok((*f, Some(schema.resolve(c)?))))
+        .map(|(f, c)| Ok((*f, c.as_ref().map(|c| schema.resolve(c)).transpose()?)))
         .collect();
     Ok(ops::GroupByAccumulator::new(gidx?, aggs?))
 }
@@ -178,12 +195,20 @@ pub fn filtered(ctx: &QueryContext, q: &GroupByQuery) -> Result<QueryOutput> {
     })
 }
 
-/// Equality predicate for a (possibly multi-column) group value.
+/// Predicate selecting the rows of one (possibly multi-column) group:
+/// equality per key part, `IS NULL` for a NULL part (`c = NULL` is never
+/// true).
 fn group_eq(group_cols: &[String], key: &[Value]) -> Expr {
     let conj: Vec<Expr> = group_cols
         .iter()
         .zip(key)
-        .map(|(c, v)| Expr::eq(Expr::col(c.clone()), Expr::Literal(v.clone())))
+        .map(|(c, v)| match v {
+            Value::Null => Expr::IsNull {
+                expr: Box::new(Expr::col(c.clone())),
+                negated: false,
+            },
+            v => Expr::eq(Expr::col(c.clone()), Expr::Literal(v.clone())),
+        })
         .collect();
     Expr::conjunction(conj).expect("non-empty group columns")
 }
@@ -216,16 +241,11 @@ fn case_when_aggregate(
             let eq = group_eq(&q.group_cols, key);
             for (f, c) in &q.aggs {
                 // CASE WHEN g = v THEN x END — the ELSE-less NULL arm is
-                // skipped by every aggregate, including COUNT(expr).
+                // skipped by every aggregate, and so is a NULL `x`:
+                // COUNT(x) counts what it counts server-side. Only
+                // COUNT(*) counts the group's rows, as `THEN 1`.
                 let arg = Expr::Case {
-                    branches: vec![(
-                        eq.clone(),
-                        if *f == AggFunc::Count {
-                            Expr::int(1)
-                        } else {
-                            Expr::col(c.clone())
-                        },
-                    )],
+                    branches: vec![(eq.clone(), c.clone().map_or(Expr::int(1), Expr::col))],
                     else_expr: None,
                 };
                 items.push(SelectItem::Agg {
@@ -379,8 +399,9 @@ pub fn hybrid(ctx: &QueryContext, q: &GroupByQuery, opts: HybridOptions) -> Resu
     let sample = select_scan(ctx, &q.table, &stmt)?;
     let mut phase1 = sample.stats;
     phase1.server_cpu_units += sample.rows.len() as u64;
+    // NULL keys are never "populous": their rows stay in the tail.
     let mut freq: HashMap<Value, u64> = HashMap::new();
-    for r in &sample.rows {
+    for r in sample.rows.iter().filter(|r| !r[0].is_null()) {
         *freq.entry(r[0].clone()).or_insert(0) += 1;
     }
     let mut by_freq: Vec<(Value, u64)> = freq.into_iter().collect();
@@ -418,15 +439,28 @@ pub fn hybrid(ctx: &QueryContext, q: &GroupByQuery, opts: HybridOptions) -> Resu
     let s3_rows = case_when_aggregate(ctx, q, &big_keys, &mut s3_stats)?;
 
     // Q2: ship the long-tail rows (group NOT IN big) and aggregate locally.
+    // `g NOT IN (…)` is never true for a NULL `g`, so the NULL-key rows —
+    // a tail group like any other — are asked for by name wherever the
+    // column can hold one.
     let tail_pred = {
+        let gcol = || Box::new(Expr::col(gcol.clone()));
         let not_in = Expr::InList {
-            expr: Box::new(Expr::col(gcol.clone())),
+            expr: gcol(),
             list: big.iter().map(|v| Expr::Literal(v.clone())).collect(),
             negated: true,
         };
+        let tail = if q.may_be_null(&q.group_cols[0]) {
+            let is_null = Expr::IsNull {
+                expr: gcol(),
+                negated: false,
+            };
+            Expr::or(not_in, is_null)
+        } else {
+            not_in
+        };
         match &q.predicate {
-            Some(p) => Expr::and(p.clone(), not_in),
-            None => not_in,
+            Some(p) => Expr::and(p.clone(), tail),
+            None => tail,
         }
     };
     let cols = q.needed_cols();
@@ -504,11 +538,11 @@ mod tests {
             table: t,
             group_cols: vec!["g".into()],
             aggs: vec![
-                (AggFunc::Sum, "v".into()),
-                (AggFunc::Count, "w".into()),
-                (AggFunc::Min, "w".into()),
-                (AggFunc::Max, "v".into()),
-                (AggFunc::Avg, "v".into()),
+                (AggFunc::Sum, Some("v".into())),
+                (AggFunc::Count, Some("w".into())),
+                (AggFunc::Min, Some("w".into())),
+                (AggFunc::Max, Some("v".into())),
+                (AggFunc::Avg, Some("v".into())),
             ],
             predicate: None,
         };

@@ -389,16 +389,17 @@ pub fn s3_native_groupby(ctx: &QueryContext, q: &GroupByQuery) -> Result<QueryOu
     let mut merge_plan: Vec<(AggFunc, usize)> = Vec::new(); // (orig func, first col)
     let mut col = q.group_cols.len();
     for (f, c) in &q.aggs {
+        let arg = c.clone().map(Expr::col);
         match f {
             AggFunc::Avg => {
                 items.push(SelectItem::Agg {
                     func: AggFunc::Sum,
-                    arg: Some(Expr::col(c.clone())),
+                    arg: arg.clone(),
                     alias: None,
                 });
                 items.push(SelectItem::Agg {
                     func: AggFunc::Count,
-                    arg: Some(Expr::col(c.clone())),
+                    arg: arg.clone(),
                     alias: None,
                 });
                 merge_plan.push((AggFunc::Avg, col));
@@ -407,7 +408,7 @@ pub fn s3_native_groupby(ctx: &QueryContext, q: &GroupByQuery) -> Result<QueryOu
             other => {
                 items.push(SelectItem::Agg {
                     func: *other,
-                    arg: Some(Expr::col(c.clone())),
+                    arg,
                     alias: None,
                 });
                 merge_plan.push((*other, col));
@@ -644,10 +645,10 @@ mod tests {
             table: t,
             group_cols: vec!["g".into()],
             aggs: vec![
-                (AggFunc::Sum, "v".into()),
-                (AggFunc::Count, "v".into()),
-                (AggFunc::Avg, "v".into()),
-                (AggFunc::Min, "v".into()),
+                (AggFunc::Sum, Some("v".into())),
+                (AggFunc::Count, Some("v".into())),
+                (AggFunc::Avg, Some("v".into())),
+                (AggFunc::Min, Some("v".into())),
             ],
             predicate: Some(parse_expr("v > 10").unwrap()),
         };

@@ -4,9 +4,13 @@
 //! determining which optimization to use is orthogonal to and beyond the
 //! scope of this paper" (§VIII) — yet every figure shows the winner
 //! flipping with selectivity, group count and K. This module closes that
-//! loop: [`Estimator`] predicts, for every algorithm family applicable
-//! to a query, the [`PhaseStats`] footprint each phase would charge,
-//! straight from catalog statistics ([`crate::catalog::TableStats`]).
+//! loop with **one walker**: [`predict_plan`] prices every node of a
+//! candidate plan — scan leaves, joins, local operators, the cluster's
+//! gather / exchange fan-outs, and the §IV–§VII algorithm-family leaves
+//! ([`AlgoOp`]), whose per-variant arithmetic is the family's own
+//! footprint, phase for phase — straight from catalog statistics
+//! ([`crate::catalog::TableStats`]). The planner calls it once per
+//! candidate and once for the plan it runs; nothing else prices.
 //!
 //! Predictions are expressed as a [`QueryMetrics`] — the *same* structure
 //! measurements use — so predicted runtime and dollars come from the
@@ -14,9 +18,14 @@
 //! [`Pricing`](pushdown_common::pricing::Pricing) that score real
 //! executions. A prediction and a measurement can disagree only because
 //! the *footprint* was estimated imperfectly, never because they were
-//! priced by different models. The planner's `Strategy::Adaptive`
-//! executes the argmin-dollar candidate and reports predicted-vs-actual
-//! per phase through its EXPLAIN surface.
+//! priced by different models.
+//!
+//! What the walks of one query share is an [`Estimators`]: one
+//! [`Estimator`] per distinct table — the partition listing, the stored
+//! byte total and the row width taken once, under the store's read lock
+//! — handed to every candidate's walk and to the walk of the scattered
+//! plan. Cache occupancy is *not* part of the snapshot: a cached leaf is
+//! priced from the live segment cache each time it is walked.
 
 use crate::algos::filter::FilterQuery;
 use crate::algos::groupby::{GroupByQuery, HybridOptions};
@@ -24,8 +33,8 @@ use crate::algos::topk::{optimal_sample_size, TopKQuery};
 use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
 use crate::metrics::QueryMetrics;
+use crate::plan::{unknown_variant, AlgoOp, PlanNode, PlanOp};
 use pushdown_common::perf::PhaseStats;
-use pushdown_common::pricing::Usage;
 use pushdown_common::{Result, Schema, Value};
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::ast::BinOp;
@@ -39,53 +48,15 @@ const DEFAULT_SELECTIVITY: f64 = 0.33;
 /// renders as a float of roughly this many characters plus separator).
 const AGG_VALUE_WIDTH: f64 = 11.0;
 
-/// One candidate plan with its predicted phase-structured footprint.
-#[derive(Debug, Clone)]
-pub struct PlanEstimate {
-    /// Algorithm name, matching the planner's `PlanKind` vocabulary
-    /// (`"server-side"`, `"s3-side"`, `"filtered"`, `"hybrid"`,
-    /// `"sampling"`, ...).
-    pub algorithm: &'static str,
-    /// Predicted footprint, phase for phase, of the plan.
-    pub predicted: QueryMetrics,
+/// A one-phase prediction.
+fn serial(label: &str, stats: PhaseStats) -> QueryMetrics {
+    let mut m = QueryMetrics::new();
+    m.push_serial(label, stats);
+    m
 }
 
-impl PlanEstimate {
-    /// Predicted billable usage (single aggregation over phases).
-    pub fn usage(&self) -> Usage {
-        self.predicted.usage()
-    }
-
-    /// Predicted runtime under the context's performance model.
-    pub fn runtime(&self, ctx: &QueryContext) -> f64 {
-        self.predicted.runtime(&ctx.model)
-    }
-
-    /// Predicted total dollar cost (compute + request + scan + transfer)
-    /// — the objective `Strategy::Adaptive` minimizes. The compute
-    /// component is the modeled runtime, so minimizing dollars balances
-    /// time against billed bytes exactly as the paper's cost bars do.
-    pub fn dollars(&self, ctx: &QueryContext) -> f64 {
-        self.predicted.cost(&ctx.model, &ctx.pricing).total()
-    }
-}
-
-/// Index of the cheapest candidate by predicted dollars (ties broken by
-/// predicted runtime). Panics on an empty slice.
-pub fn cheapest(candidates: &[PlanEstimate], ctx: &QueryContext) -> usize {
-    assert!(!candidates.is_empty(), "no candidate plans");
-    let mut best = 0;
-    for i in 1..candidates.len() {
-        let (d, r) = (candidates[i].dollars(ctx), candidates[i].runtime(ctx));
-        let (bd, br) = (candidates[best].dollars(ctx), candidates[best].runtime(ctx));
-        if d < bd || (d == bd && r < br) {
-            best = i;
-        }
-    }
-    best
-}
-
-/// Cost estimator over one table (joins build one per side).
+/// Cost estimator over one table: its catalog snapshot, and the
+/// footprint arithmetic of everything that scans it.
 pub struct Estimator<'a> {
     ctx: &'a QueryContext,
     table: &'a Table,
@@ -146,9 +117,18 @@ impl<'a> Estimator<'a> {
 
     /// Mean CSV width of an output row over the given columns (fields +
     /// separators + newline) — what one returned record bills.
-    fn out_row_bytes(&self, cols: &[String]) -> f64 {
-        let widths: f64 = cols.iter().map(|c| self.col_width(c)).sum();
+    fn out_row_bytes<S: AsRef<str>>(&self, cols: &[S]) -> f64 {
+        let widths: f64 = cols.iter().map(|c| self.col_width(c.as_ref())).sum();
         widths + cols.len().saturating_sub(1) as f64 + 1.0
+    }
+
+    /// Mean CSV width of the rows a scan leaf emits: the projected
+    /// columns', every column's for `*`.
+    fn projected_row_bytes(&self, projection: &Option<Vec<String>>) -> f64 {
+        match projection {
+            Some(cols) => self.out_row_bytes(cols),
+            None => self.out_row_bytes(&self.table.schema.names()),
+        }
     }
 
     /// Mean CSV width of the rows a local or cached scan leaf emits:
@@ -210,14 +190,14 @@ impl<'a> Estimator<'a> {
     /// gaps bill, as one coalesced range GET per gap run. A fully cold
     /// partition (no recorded layout) is one whole-object fill — exactly
     /// the [`Estimator::plain_load`] price, so Adaptive's tie-break
-    /// still warms the cache. `Ok(None)` when the store has no cache
-    /// installed, so the candidate only exists on cache-enabled
-    /// contexts. A partition in the estimator's snapshot whose object
-    /// has vanished is an error — pricing it as zero bytes would make
-    /// the cached plan look arbitrarily cheap.
-    fn cached_load(&self, extra_cpu: f64) -> Result<Option<PhaseStats>> {
+    /// still warms the cache — and so is every partition when the store
+    /// has no cache installed (a cached read then *is* a plain load). A
+    /// partition in the estimator's snapshot whose object has vanished
+    /// is an error — pricing it as zero bytes would make the cached plan
+    /// look arbitrarily cheap.
+    fn cached_load(&self, extra_cpu: f64) -> Result<PhaseStats> {
         let Some(cache) = self.ctx.store.cache() else {
-            return Ok(None);
+            return Ok(self.plain_load(extra_cpu));
         };
         let mut stats = PhaseStats::default();
         for key in &self.partition_keys {
@@ -231,21 +211,7 @@ impl<'a> Estimator<'a> {
         stats.cl_parse_bytes =
             self.cl_bytes(stats.plain_bytes + stats.cache_bytes + stats.disk_bytes);
         stats.server_cpu_units = (self.rows + extra_cpu) as u64;
-        Ok(Some(stats))
-    }
-
-    /// Wrap a cached-local load phase into a one-phase candidate, when a
-    /// cache is installed.
-    fn cached_candidate(&self, label: &str, extra_cpu: f64) -> Result<Option<PlanEstimate>> {
-        let Some(phase) = self.cached_load(extra_cpu)? else {
-            return Ok(None);
-        };
-        let mut m = QueryMetrics::new();
-        m.push_serial(label, phase);
-        Ok(Some(PlanEstimate {
-            algorithm: "cached-local",
-            predicted: m,
-        }))
+        Ok(stats)
     }
 
     /// Select phase scanning the whole table and returning `ret_rows`
@@ -262,99 +228,95 @@ impl<'a> Estimator<'a> {
         }
     }
 
+    /// Footprint of one algorithm-family leaf — the variant the leaf
+    /// names, phase for phase as its executor reports them — and the
+    /// cardinality it hands the operators stacked on it. `cached-local`
+    /// is the server-side variant behind [`Estimator::cached_load`]: the
+    /// two share one CPU estimate, because the cold-cache tie with
+    /// server-side (which the warm-the-cache tie-break relies on)
+    /// requires the cached and plain loads to price *identically*.
+    fn algo(&self, op: &AlgoOp) -> Result<(QueryMetrics, Card)> {
+        match op {
+            AlgoOp::Filter(q, variant) => self.filter(q, variant),
+            AlgoOp::Aggregate(_, stmt, variant) => self.aggregate(stmt, variant),
+            AlgoOp::GroupBy(q, variant) => self.groupby(q, variant),
+            AlgoOp::TopK(q, variant) => self.topk(q, variant),
+        }
+    }
+
+    /// The load phase of a server-side variant, plain or through the
+    /// cache, under the family's label.
+    fn local_load(&self, variant: &str, family: &str, extra: f64) -> Result<QueryMetrics> {
+        Ok(match variant {
+            "cached-local" => serial(&format!("cached-local {family}"), self.cached_load(extra)?),
+            _ => serial(&format!("server-side {family}"), self.plain_load(extra)),
+        })
+    }
+
     // ---- Filter (§IV) --------------------------------------------------
 
-    /// Candidates for a filter query: server-side vs S3-side.
-    pub fn filter(&self, q: &FilterQuery) -> Result<Vec<PlanEstimate>> {
+    /// A filter query, server-side (plain or cached) or S3-side.
+    fn filter(&self, q: &FilterQuery, variant: &str) -> Result<(QueryMetrics, Card)> {
         let sel = self.selectivity(Some(&q.predicate));
-        let out_cols: Vec<String> = match &q.projection {
-            Some(cols) => cols.clone(),
-            None => self
-                .table
-                .schema
-                .fields()
-                .iter()
-                .map(|f| f.name.clone())
-                .collect(),
-        };
         let matches = sel * self.rows;
-
-        // Server-side: full plain load, local filter (+ projection).
-        let extra = self.rows + if q.projection.is_some() { matches } else { 0.0 };
-        let mut server = QueryMetrics::new();
-        server.push_serial("server-side filter", self.plain_load(extra));
-
-        // S3-side: predicate + projection pushed.
-        let mut s3 = QueryMetrics::new();
-        s3.push_serial(
-            "s3-side filter",
-            self.select_full_scan(
-                matches,
-                self.out_row_bytes(&out_cols),
-                q.predicate.term_count(),
+        let width = self.projected_row_bytes(&q.projection);
+        let metrics = match variant {
+            // Full load, local filter (+ projection).
+            "cached-local" | "server-side" => {
+                let extra = self.rows + if q.projection.is_some() { matches } else { 0.0 };
+                self.local_load(variant, "filter", extra)?
+            }
+            // Predicate + projection pushed.
+            "s3-side" => serial(
+                "s3-side filter",
+                self.select_full_scan(matches, width, q.predicate.term_count()),
             ),
-        );
-
-        // Cached-local first: a cold fill costs exactly what the remote
-        // load costs, so ties must break toward warming the cache (the
-        // argmin keeps the earliest minimum).
-        let mut out = Vec::new();
-        out.extend(self.cached_candidate("cached-local filter", extra)?);
-        out.push(PlanEstimate {
-            algorithm: "server-side",
-            predicted: server,
-        });
-        out.push(PlanEstimate {
-            algorithm: "s3-side",
-            predicted: s3,
-        });
-        Ok(out)
+            other => return Err(unknown_variant("filter", other)),
+        };
+        let card = Card {
+            rows: matches,
+            row_bytes: width,
+        };
+        Ok((metrics, card))
     }
 
     // ---- Scalar aggregation (§VIII Q6 shape) ---------------------------
 
-    /// Candidates for aggregates without GROUP BY: local vs S3-side.
-    pub fn aggregate(&self, stmt: &SelectStmt) -> Result<Vec<PlanEstimate>> {
+    /// Aggregates without GROUP BY, local (plain or cached) or S3-side.
+    fn aggregate(&self, stmt: &SelectStmt, variant: &str) -> Result<(QueryMetrics, Card)> {
         let sel = self.selectivity(stmt.where_clause.as_ref());
         let n_aggs = stmt.items.len() as f64;
-        // AVG decomposes into SUM+COUNT per partition on the pushed path.
-        let pushed_vals: f64 = stmt
-            .items
-            .iter()
-            .map(|i| match i {
-                SelectItem::Agg {
-                    func: AggFunc::Avg, ..
-                } => 2.0,
-                _ => 1.0,
-            })
-            .sum();
-
-        // One shared CPU estimate: the cold-cache tie with server-side
-        // (which the warm-the-cache tie-break relies on) requires the
-        // cached and plain loads to price *identically*.
-        let extra = self.rows + sel * self.rows * n_aggs;
-        let mut server = QueryMetrics::new();
-        server.push_serial("server-side aggregation", self.plain_load(extra));
-
-        let mut s3 = QueryMetrics::new();
-        let mut phase = self.select_full_scan(0.0, 0.0, stmt.term_count());
-        // One partial row per partition: `pushed_vals` values wide.
-        phase.select_returned_bytes =
-            (self.parts as f64 * (pushed_vals * AGG_VALUE_WIDTH + 1.0)) as u64;
-        phase.server_cpu_units = self.parts;
-        s3.push_serial("s3-side aggregation", phase);
-
-        let mut out = Vec::new();
-        out.extend(self.cached_candidate("cached-local aggregation", extra)?);
-        out.push(PlanEstimate {
-            algorithm: "server-side",
-            predicted: server,
-        });
-        out.push(PlanEstimate {
-            algorithm: "s3-side",
-            predicted: s3,
-        });
-        Ok(out)
+        let metrics = match variant {
+            "cached-local" | "server-side" => {
+                let extra = self.rows + sel * self.rows * n_aggs;
+                self.local_load(variant, "aggregation", extra)?
+            }
+            "s3-side" => {
+                // AVG decomposes into SUM+COUNT per partition on the pushed path.
+                let pushed_vals: f64 = stmt
+                    .items
+                    .iter()
+                    .map(|i| match i {
+                        SelectItem::Agg {
+                            func: AggFunc::Avg, ..
+                        } => 2.0,
+                        _ => 1.0,
+                    })
+                    .sum();
+                let mut phase = self.select_full_scan(0.0, 0.0, stmt.term_count());
+                // One partial row per partition: `pushed_vals` values wide.
+                phase.select_returned_bytes =
+                    (self.parts as f64 * (pushed_vals * AGG_VALUE_WIDTH + 1.0)) as u64;
+                phase.server_cpu_units = self.parts;
+                serial("s3-side aggregation", phase)
+            }
+            other => return Err(unknown_variant("aggregate", other)),
+        };
+        let card = Card {
+            rows: 1.0,
+            row_bytes: n_aggs * AGG_VALUE_WIDTH,
+        };
+        Ok((metrics, card))
     }
 
     // ---- Group-by (§VI) ------------------------------------------------
@@ -396,192 +358,194 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// Candidates for a GROUP BY query: server-side, filtered, S3-side
-    /// and (single grouping column only) hybrid. When the engine's
-    /// `native_group_by` extension is enabled, the §X Suggestion-4
-    /// variant joins the lineup.
-    pub fn groupby(&self, q: &GroupByQuery) -> Result<Vec<PlanEstimate>> {
+    /// A GROUP BY query under one of the §VI algorithms, or §X
+    /// Suggestion 4's native storage-side GROUP BY.
+    fn groupby(&self, q: &GroupByQuery, variant: &str) -> Result<(QueryMetrics, Card)> {
         let sel = self.selectivity(q.predicate.as_ref());
         let groups = self.group_count(q);
         let matches = sel * self.rows;
-        let needed: Vec<String> = {
-            let mut cols = q.group_cols.clone();
-            for (_, c) in &q.aggs {
-                if !cols.iter().any(|x| x.eq_ignore_ascii_case(c)) {
-                    cols.push(c.clone());
-                }
-            }
-            cols
-        };
+        let needed = q.needed_cols();
         let pred_terms = q.predicate.as_ref().map(Expr::term_count).unwrap_or(0);
-
-        let mut out = Vec::new();
-
-        // Server-side: full load + local hash aggregation — preceded by
-        // its cached-local twin so cold ties warm the cache.
-        let mut server = QueryMetrics::new();
-        let filter_cpu = if q.predicate.is_some() {
-            self.rows
-        } else {
-            0.0
+        // Projection (+ predicate) pushed, aggregation local.
+        let filtered = || {
+            let mut phase = self.select_full_scan(matches, self.out_row_bytes(&needed), pred_terms);
+            phase.server_cpu_units += (matches + groups) as u64;
+            phase
         };
-        // Shared so the cold-cache candidate ties the server-side load
-        // exactly (the warm-the-cache tie-break depends on it).
-        let extra = filter_cpu + matches + groups;
-        out.extend(self.cached_candidate("cached-local group-by", extra)?);
-        server.push_serial("server-side group-by", self.plain_load(extra));
-        out.push(PlanEstimate {
-            algorithm: "server-side",
-            predicted: server,
-        });
-
-        // Filtered: projection (+ predicate) pushed, aggregation local.
-        let mut filtered = QueryMetrics::new();
-        let mut phase = self.select_full_scan(matches, self.out_row_bytes(&needed), pred_terms);
-        phase.server_cpu_units += (matches + groups) as u64;
-        filtered.push_serial("filtered group-by", phase);
-        out.push(PlanEstimate {
-            algorithm: "filtered",
-            predicted: filtered,
-        });
-
-        // S3-side: distinct phase + CASE-WHEN aggregation phase.
-        let mut s3 = QueryMetrics::new();
-        let mut distinct =
-            self.select_full_scan(matches, self.out_row_bytes(&q.group_cols), pred_terms);
-        distinct.server_cpu_units += matches as u64;
-        s3.push_serial("s3-side group-by: distinct", distinct);
-        s3.push_serial(
-            "s3-side group-by: aggregate",
-            self.case_when_phase(q, groups),
-        );
-        out.push(PlanEstimate {
-            algorithm: "s3-side",
-            predicted: s3,
-        });
-
-        // Hybrid (single-column grouping, §VI-B): sample, then push the
-        // populous groups while the long tail ships for local aggregation.
-        if q.group_cols.len() == 1 {
-            let opts = HybridOptions::default();
-            let sample_rows = (self.rows * opts.sample_fraction).ceil().max(64.0);
-            let rows_per_part = (self.rows / self.parts as f64).max(1.0);
-            // The sequential LIMIT scan touches partitions until the
-            // sample fills; with a predicate it reads sample/sel rows.
-            let scanned_rows = (sample_rows / sel.max(1e-6)).min(self.rows);
-            let sample_phase = PhaseStats {
-                requests: (scanned_rows / rows_per_part).ceil().max(1.0) as u64,
-                s3_scanned_bytes: (scanned_rows * self.row_bytes).min(self.bytes) as u64,
-                select_returned_bytes: (sample_rows * (self.col_width(&q.group_cols[0]) + 1.0))
-                    as u64,
-                server_cpu_units: sample_rows as u64,
-                expr_terms: pred_terms,
-                ..Default::default()
-            };
-            let mut hybrid = QueryMetrics::new();
-            hybrid.push_serial("hybrid: sample", sample_phase);
-            // Uniform-share assumption: every group holds ~1/G of the
-            // sample, so either all of the top `max_s3_groups` qualify or
-            // none does.
-            let n_big = if 1.0 / groups >= opts.min_share {
-                groups.min(opts.max_s3_groups as f64)
-            } else {
-                0.0
-            };
-            if n_big == 0.0 {
-                let mut phase =
-                    self.select_full_scan(matches, self.out_row_bytes(&needed), pred_terms);
-                phase.server_cpu_units += (matches + groups) as u64;
-                hybrid.push_serial("filtered group-by", phase);
-            } else {
-                let tail_frac = (1.0 - n_big / groups).max(0.0);
-                let tail_rows = matches * tail_frac;
-                let mut tail = self.select_full_scan(
-                    tail_rows,
-                    self.out_row_bytes(&needed),
-                    pred_terms + n_big as u32 + 1,
-                );
-                tail.server_cpu_units += (tail_rows + groups) as u64;
-                hybrid.push_parallel(vec![
-                    (
-                        "hybrid: s3-side aggregation".into(),
-                        self.case_when_phase(q, n_big),
-                    ),
-                    ("hybrid: server-side aggregation".into(), tail),
-                ]);
+        let metrics = match variant {
+            // Full load + local hash aggregation.
+            "cached-local" | "server-side" => {
+                let filter_cpu = if q.predicate.is_some() {
+                    self.rows
+                } else {
+                    0.0
+                };
+                self.local_load(variant, "group-by", filter_cpu + matches + groups)?
             }
-            out.push(PlanEstimate {
-                algorithm: "hybrid",
-                predicted: hybrid,
-            });
-        }
-
-        // What-if (§X Suggestion 4): native storage-side GROUP BY, when
-        // the extended engine is enabled.
-        if self.ctx.engine.extensions().native_group_by {
-            let mut native = QueryMetrics::new();
-            let mut phase = self.select_full_scan(
-                (self.parts as f64 * groups).min(self.rows),
-                self.out_row_bytes(&needed),
-                pred_terms + q.group_cols.len() as u32,
-            );
-            phase.server_cpu_units += (self.parts as f64 * groups) as u64;
-            native.push_serial("s3-native group-by (suggestion 4)", phase);
-            out.push(PlanEstimate {
-                algorithm: "s3-native",
-                predicted: native,
-            });
-        }
-
-        Ok(out)
+            "filtered" => serial("filtered group-by", filtered()),
+            // Distinct phase + CASE-WHEN aggregation phase.
+            "s3-side" => {
+                let mut distinct =
+                    self.select_full_scan(matches, self.out_row_bytes(&q.group_cols), pred_terms);
+                distinct.server_cpu_units += matches as u64;
+                let mut s3 = serial("s3-side group-by: distinct", distinct);
+                s3.push_serial(
+                    "s3-side group-by: aggregate",
+                    self.case_when_phase(q, groups),
+                );
+                s3
+            }
+            // §VI-B: sample, then push the populous groups while the
+            // long tail ships for local aggregation.
+            "hybrid" => {
+                let opts = HybridOptions::default();
+                let sample_rows = (self.rows * opts.sample_fraction).ceil().max(64.0);
+                let rows_per_part = (self.rows / self.parts as f64).max(1.0);
+                // The sequential LIMIT scan touches partitions until the
+                // sample fills; with a predicate it reads sample/sel rows.
+                let scanned_rows = (sample_rows / sel.max(1e-6)).min(self.rows);
+                let sample_phase = PhaseStats {
+                    requests: (scanned_rows / rows_per_part).ceil().max(1.0) as u64,
+                    s3_scanned_bytes: (scanned_rows * self.row_bytes).min(self.bytes) as u64,
+                    select_returned_bytes: (sample_rows * (self.col_width(&q.group_cols[0]) + 1.0))
+                        as u64,
+                    server_cpu_units: sample_rows as u64,
+                    expr_terms: pred_terms,
+                    ..Default::default()
+                };
+                let mut hybrid = serial("hybrid: sample", sample_phase);
+                // Uniform-share assumption: every group holds ~1/G of the
+                // sample, so either all of the top `max_s3_groups` qualify or
+                // none does.
+                let n_big = if 1.0 / groups >= opts.min_share {
+                    groups.min(opts.max_s3_groups as f64)
+                } else {
+                    0.0
+                };
+                if n_big == 0.0 {
+                    hybrid.push_serial("filtered group-by", filtered());
+                } else {
+                    let tail_frac = (1.0 - n_big / groups).max(0.0);
+                    let tail_rows = matches * tail_frac;
+                    let mut tail = self.select_full_scan(
+                        tail_rows,
+                        self.out_row_bytes(&needed),
+                        pred_terms + n_big as u32 + 1,
+                    );
+                    tail.server_cpu_units += (tail_rows + groups) as u64;
+                    hybrid.push_parallel(vec![
+                        (
+                            "hybrid: s3-side aggregation".into(),
+                            self.case_when_phase(q, n_big),
+                        ),
+                        ("hybrid: server-side aggregation".into(), tail),
+                    ]);
+                }
+                hybrid
+            }
+            "s3-native" => {
+                let mut phase = self.select_full_scan(
+                    (self.parts as f64 * groups).min(self.rows),
+                    self.out_row_bytes(&needed),
+                    pred_terms + q.group_cols.len() as u32,
+                );
+                phase.server_cpu_units += (self.parts as f64 * groups) as u64;
+                serial("s3-native group-by (suggestion 4)", phase)
+            }
+            other => return Err(unknown_variant("group-by", other)),
+        };
+        let card = Card {
+            rows: groups,
+            row_bytes: self.out_row_bytes(&q.group_cols) + q.aggs.len() as f64 * AGG_VALUE_WIDTH,
+        };
+        Ok((metrics, card))
     }
 
     // ---- Top-K (§VII) --------------------------------------------------
 
-    /// Candidates for `ORDER BY col LIMIT k`: server-side heap vs the
-    /// two-phase sampling algorithm at the §VII-B optimal sample size.
-    pub fn topk(&self, q: &TopKQuery) -> Result<Vec<PlanEstimate>> {
+    /// `ORDER BY col LIMIT k`: a server-side heap (plain or cached) or
+    /// the two-phase sampling algorithm at the §VII-B optimal sample size.
+    fn topk(&self, q: &TopKQuery, variant: &str) -> Result<(QueryMetrics, Card)> {
         let k = q.k as f64;
         let log_k = (q.k.max(2) as f64).log2().ceil();
-
-        // Shared so the cold-cache candidate ties the server-side load
-        // exactly (the warm-the-cache tie-break depends on it).
-        let extra = self.rows * log_k + k;
-        let mut server = QueryMetrics::new();
-        server.push_serial("server-side top-k", self.plain_load(extra));
-        let mut out = Vec::new();
-        out.extend(self.cached_candidate("cached-local top-k", extra)?);
-        out.push(PlanEstimate {
-            algorithm: "server-side",
-            predicted: server,
-        });
-
-        // Sampling: mirror `topk::sampling`'s default sample size.
-        let alpha = 1.0 / self.table.schema.len().max(1) as f64;
-        let s = optimal_sample_size(q.k, self.table.row_count, alpha).max(q.k) as f64;
-        let order_width = self.col_width(&q.order_col) + 1.0;
-        let phase1 = PhaseStats {
-            // Striped: every partition serves its share.
-            requests: self.parts.min(s as u64),
-            s3_scanned_bytes: (s * self.row_bytes).min(self.bytes) as u64,
-            select_returned_bytes: (s * order_width) as u64,
-            server_cpu_units: s as u64,
-            ..Default::default()
+        let metrics = match variant {
+            "cached-local" | "server-side" => {
+                self.local_load(variant, "top-k", self.rows * log_k + k)?
+            }
+            "sampling" => {
+                // Mirror `topk::sampling`'s default sample size.
+                let alpha = 1.0 / self.table.schema.len().max(1) as f64;
+                let s = optimal_sample_size(q.k, self.table.row_count, alpha).max(q.k) as f64;
+                let order_width = self.col_width(&q.order_col) + 1.0;
+                let phase1 = PhaseStats {
+                    // Striped: every partition serves its share.
+                    requests: self.parts.min(s as u64),
+                    s3_scanned_bytes: (s * self.row_bytes).min(self.bytes) as u64,
+                    select_returned_bytes: (s * order_width) as u64,
+                    server_cpu_units: s as u64,
+                    ..Default::default()
+                };
+                // Threshold = K-th order statistic of the sample ⇒ phase 2
+                // matches ≈ K/(S+1) of the table (plus the K survivors' heap).
+                let phase2_rows = (self.rows * k / (s + 1.0) + k).min(self.rows);
+                let mut phase2 = self.select_full_scan(phase2_rows, self.row_bytes, 1);
+                phase2.server_cpu_units = (phase2_rows * (1.0 + log_k)) as u64;
+                let mut sampling = serial("sampling phase", phase1);
+                sampling.push_serial("scanning phase", phase2);
+                sampling
+            }
+            other => return Err(unknown_variant("top-k", other)),
         };
-        // Threshold = K-th order statistic of the sample ⇒ phase 2
-        // matches ≈ K/(S+1) of the table (plus the K survivors' heap).
-        let phase2_rows = (self.rows * k / (s + 1.0) + k).min(self.rows);
-        let mut phase2 = self.select_full_scan(phase2_rows, self.row_bytes, 1);
-        phase2.server_cpu_units = (phase2_rows * (1.0 + log_k)) as u64;
-        let mut sampling = QueryMetrics::new();
-        sampling.push_serial("sampling phase", phase1);
-        sampling.push_serial("scanning phase", phase2);
-        out.push(PlanEstimate {
-            algorithm: "sampling",
-            predicted: sampling,
-        });
+        let card = Card {
+            rows: k.min(self.rows),
+            row_bytes: self.row_bytes,
+        };
+        Ok((metrics, card))
+    }
+}
 
-        Ok(out)
+/// The estimators one query's pricing walks share: one [`Estimator`] per
+/// distinct table under its candidate plans, built once.
+pub struct Estimators<'a> {
+    ctx: &'a QueryContext,
+    tables: Vec<Estimator<'a>>,
+}
+
+impl<'a> Estimators<'a> {
+    /// Snapshot every table a leaf of `plans` reads.
+    pub fn new(ctx: &'a QueryContext, plans: impl IntoIterator<Item = &'a PlanNode>) -> Self {
+        fn collect<'a>(ests: &mut Estimators<'a>, node: &'a PlanNode) {
+            let table = match &node.op {
+                PlanOp::Algo(algo) => Some(algo.table()),
+                _ => node.scan_table(),
+            };
+            if let Some(table) = table.filter(|t| ests.find(t).is_none()) {
+                ests.tables.push(Estimator::new(ests.ctx, table));
+            }
+            for c in &node.children {
+                collect(ests, c);
+            }
+        }
+        let mut ests = Estimators {
+            ctx,
+            tables: Vec::new(),
+        };
+        for plan in plans {
+            collect(&mut ests, plan);
+        }
+        ests
+    }
+
+    fn find(&self, table: &Table) -> Option<&Estimator<'a>> {
+        self.tables
+            .iter()
+            .find(|e| e.table.bucket == table.bucket && e.table.prefix == table.prefix)
+    }
+
+    /// The estimator of a table some leaf of the snapshotted plans reads.
+    fn of(&self, table: &Table) -> &Estimator<'a> {
+        self.find(table)
+            .expect("every leaf's table was snapshotted with the query's plans")
     }
 }
 
@@ -616,66 +580,48 @@ struct Card {
 }
 
 /// Price a whole physical plan by summing per-operator [`PhaseStats`]:
-/// scan leaves from per-table statistics, joins by key-containment,
-/// group-bys by NDV products, local operators by their CPU charge.
-pub fn predict_plan(ctx: &QueryContext, node: &crate::plan::PlanNode) -> PlanPrediction {
-    let mut tables = Vec::new();
-    collect_tables(node, &mut tables);
-    let (root, metrics, _) = predict_node(ctx, node, &tables);
-    PlanPrediction { metrics, root }
+/// scan leaves from per-table statistics, algorithm-family leaves by
+/// their variant's own phases, joins by key-containment, group-bys by
+/// NDV products, local operators by their CPU charge. `ests` must hold
+/// the plan's tables ([`Estimators::new`] over the query's candidates).
+///
+/// # Errors
+///
+/// A partition listed in a table's snapshot has vanished from under a
+/// cached algorithm-family leaf, or such a leaf names a variant its
+/// family does not have.
+pub fn predict_plan(ests: &Estimators<'_>, node: &PlanNode) -> Result<PlanPrediction> {
+    let (root, metrics, _) = predict_node(ests, node)?;
+    Ok(PlanPrediction { metrics, root })
 }
 
-fn collect_tables(node: &crate::plan::PlanNode, out: &mut Vec<Table>) {
-    use crate::plan::PlanOp;
-    match &node.op {
-        PlanOp::LocalScan { table, .. }
-        | PlanOp::PushdownScan { table, .. }
-        | PlanOp::CachedScan { table, .. } => out.push(table.clone()),
-        _ => {}
-    }
-    for c in &node.children {
-        collect_tables(c, out);
-    }
+/// The estimator of whichever snapshotted table carries column `name`.
+fn owner<'e, 'a>(ests: &'e Estimators<'a>, name: &str) -> Option<&'e Estimator<'a>> {
+    ests.tables
+        .iter()
+        .find(|e| e.table.schema.index_of(name).is_some())
 }
 
 /// NDV of `name` in whichever leaf table carries it (row count when no
 /// statistics are attached; 1 when the column is unknown).
-fn col_ndv(tables: &[Table], name: &str) -> f64 {
-    for t in tables {
-        if let Some(idx) = t.schema.index_of(name) {
-            return t
-                .stats
-                .as_ref()
-                .and_then(|s| s.column(idx))
-                .map(|c| (c.ndv as f64).max(1.0))
-                .unwrap_or((t.row_count.max(1)) as f64);
-        }
-    }
-    1.0
+fn col_ndv(ests: &Estimators<'_>, name: &str) -> f64 {
+    owner(ests, name).map_or(1.0, |e| e.ndv(name))
 }
 
 /// Mean CSV width of `name` in its leaf table (a generic value width for
 /// computed expressions).
-fn col_width_in(tables: &[Table], name: &str) -> f64 {
-    for t in tables {
-        if let Some(idx) = t.schema.index_of(name) {
-            return t
-                .stats
-                .as_ref()
-                .and_then(|s| s.column(idx))
-                .map(|c| c.avg_width)
-                .unwrap_or(AGG_VALUE_WIDTH);
-        }
-    }
-    AGG_VALUE_WIDTH
+fn col_width_in(ests: &Estimators<'_>, name: &str) -> f64 {
+    owner(ests, name)
+        .and_then(|e| e.stats()?.column(e.table.schema.index_of(name)?))
+        .map_or(AGG_VALUE_WIDTH, |c| c.avg_width)
 }
 
 /// Join output cardinality under key containment: `|L ⋈ R| ≈
 /// |L|·|R| / max(ndv(lk), ndv(rk))`, with each NDV capped by its side's
 /// row estimate.
-fn join_out_rows(tables: &[Table], l_rows: f64, r_rows: f64, lk: &str, rk: &str) -> f64 {
-    let nl = col_ndv(tables, lk).min(l_rows.max(1.0));
-    let nr = col_ndv(tables, rk).min(r_rows.max(1.0));
+fn join_out_rows(ests: &Estimators<'_>, l_rows: f64, r_rows: f64, lk: &str, rk: &str) -> f64 {
+    let nl = col_ndv(ests, lk).min(l_rows.max(1.0));
+    let nr = col_ndv(ests, rk).min(r_rows.max(1.0));
     (l_rows * r_rows / nl.max(nr).max(1.0)).max(0.0)
 }
 
@@ -686,96 +632,88 @@ fn cpu_phase(units: f64) -> PhaseStats {
     }
 }
 
-/// Predicted footprint of one pushdown scan leaf: full storage-side
-/// scan, `keep × selectivity` of the rows returned at the projection's
-/// width, `extra_terms` added to the shipped predicate's term count
-/// (the Bloom probe's hash terms). `keep = 1` for a plain scan.
-fn predict_pushdown_scan(
-    ctx: &QueryContext,
-    table: &Table,
-    predicate: &Option<Expr>,
-    projection: &Option<Vec<String>>,
-    keep: f64,
-    extra_terms: u32,
-) -> (PhaseStats, Card) {
-    let est = Estimator::new(ctx, table);
-    let sel = est.selectivity(predicate.as_ref());
-    let cols: Vec<String> = match projection {
-        Some(cols) => cols.clone(),
-        None => table
-            .schema
-            .fields()
-            .iter()
-            .map(|f| f.name.clone())
-            .collect(),
-    };
-    let width = est.out_row_bytes(&cols);
-    let terms = predicate.as_ref().map(Expr::term_count).unwrap_or(0) + extra_terms;
-    let rows = sel * keep * est.rows;
-    (
-        est.select_full_scan(rows, width, terms),
-        Card {
-            rows,
-            row_bytes: width,
-        },
-    )
+impl Estimator<'_> {
+    /// Predicted footprint of one pushdown scan leaf: full storage-side
+    /// scan, `keep × selectivity` of the rows returned at the projection's
+    /// width, `extra_terms` added to the shipped predicate's term count
+    /// (the Bloom probe's hash terms). `keep = 1` for a plain scan.
+    fn pushdown_scan(
+        &self,
+        predicate: &Option<Expr>,
+        projection: &Option<Vec<String>>,
+        keep: f64,
+        extra_terms: u32,
+    ) -> (PhaseStats, Card) {
+        let sel = self.selectivity(predicate.as_ref());
+        let width = self.projected_row_bytes(projection);
+        let terms = predicate.as_ref().map(Expr::term_count).unwrap_or(0) + extra_terms;
+        let rows = sel * keep * self.rows;
+        (
+            self.select_full_scan(rows, width, terms),
+            Card {
+                rows,
+                row_bytes: width,
+            },
+        )
+    }
+
+    /// Predicted footprint of one local scan leaf — a plain load, with
+    /// the predicate evaluated on every row — and what it emits.
+    fn local_scan(
+        &self,
+        predicate: &Option<Expr>,
+        projection: &Option<Vec<String>>,
+    ) -> (PhaseStats, f64, Card) {
+        let sel = self.selectivity(predicate.as_ref());
+        let extra = if predicate.is_some() { self.rows } else { 0.0 };
+        let card = Card {
+            rows: sel * self.rows,
+            row_bytes: self.leaf_row_bytes(projection),
+        };
+        (self.plain_load(extra), extra, card)
+    }
 }
 
-fn predict_node(
-    ctx: &QueryContext,
-    node: &crate::plan::PlanNode,
-    tables: &[Table],
-) -> (PredNode, QueryMetrics, Card) {
-    use crate::plan::PlanOp;
+type Predicted = (PredNode, QueryMetrics, Card);
+
+fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
     let leaf = |stats: PhaseStats, label: &str, card: Card| {
-        let mut m = QueryMetrics::new();
-        m.push_serial(label, stats);
         (
             PredNode {
                 stats,
                 children: Vec::new(),
             },
-            m,
+            serial(label, stats),
             card,
         )
     };
-    let stacked =
-        |stats: PhaseStats, label: &str, child: (PredNode, QueryMetrics, Card), card: Card| {
-            let (cn, mut cm, _) = child;
-            cm.push_serial(label, stats);
-            (
-                PredNode {
-                    stats,
-                    children: vec![cn],
-                },
-                cm,
-                card,
-            )
-        };
-    match &node.op {
+    let stacked = |stats: PhaseStats, label: &str, child: Predicted, card: Card| {
+        let (cn, mut cm, _) = child;
+        cm.push_serial(label, stats);
+        (
+            PredNode {
+                stats,
+                children: vec![cn],
+            },
+            cm,
+            card,
+        )
+    };
+    Ok(match &node.op {
         PlanOp::LocalScan {
             table,
             predicate,
             projection,
         } => {
-            let est = Estimator::new(ctx, table);
-            let sel = est.selectivity(predicate.as_ref());
-            let extra = if predicate.is_some() { est.rows } else { 0.0 };
-            leaf(
-                est.plain_load(extra),
-                "load",
-                Card {
-                    rows: sel * est.rows,
-                    row_bytes: est.leaf_row_bytes(projection),
-                },
-            )
+            let (stats, _, card) = ests.of(table).local_scan(predicate, projection);
+            leaf(stats, "load", card)
         }
         PlanOp::PushdownScan {
             table,
             predicate,
             projection,
         } => {
-            let (stats, card) = predict_pushdown_scan(ctx, table, predicate, projection, 1.0, 0);
+            let (stats, card) = ests.of(table).pushdown_scan(predicate, projection, 1.0, 0);
             leaf(stats, "select", card)
         }
         PlanOp::CachedScan {
@@ -783,36 +721,22 @@ fn predict_node(
             predicate,
             projection,
         } => {
-            let est = Estimator::new(ctx, table);
-            let sel = est.selectivity(predicate.as_ref());
-            let extra = if predicate.is_some() { est.rows } else { 0.0 };
+            let est = ests.of(table);
             // Per-segment occupancy pricing: cached partitions are free,
-            // the cold tail bills as read-through fills. Falls back to a
-            // full plain load if no cache is installed (a CachedScan
-            // then degrades to exactly a LocalScan) or if the snapshot
-            // went stale mid-prediction — the full-load price is the
-            // conservative upper bound, never the zero the old
-            // `unwrap_or(0)` produced.
-            let stats = match est.cached_load(extra) {
-                Ok(Some(s)) => s,
-                _ => est.plain_load(extra),
-            };
-            leaf(
-                stats,
-                "cached load",
-                Card {
-                    rows: sel * est.rows,
-                    row_bytes: est.leaf_row_bytes(projection),
-                },
-            )
+            // the cold tail bills as read-through fills; with no cache
+            // installed a CachedScan degrades to exactly a LocalScan. If
+            // the snapshot went stale mid-prediction the full-load price
+            // is the conservative upper bound, never zero.
+            let (plain, extra, card) = est.local_scan(predicate, projection);
+            leaf(est.cached_load(extra).unwrap_or(plain), "cached load", card)
         }
         PlanOp::HashJoin {
             build_key,
             probe_key,
         } => {
-            let (bn, bm, bc) = predict_node(ctx, &node.children[0], tables);
-            let (pn, pm, pc) = predict_node(ctx, &node.children[1], tables);
-            let out = join_out_rows(tables, bc.rows, pc.rows, build_key, probe_key);
+            let (bn, bm, bc) = predict_node(ests, &node.children[0])?;
+            let (pn, pm, pc) = predict_node(ests, &node.children[1])?;
+            let out = join_out_rows(ests, bc.rows, pc.rows, build_key, probe_key);
             let stats = cpu_phase(bc.rows + pc.rows + out);
             let mut metrics = crate::plan::merge_concurrent(bm, pm);
             metrics.push_serial("hash join", stats);
@@ -833,7 +757,7 @@ fn predict_node(
             probe_key,
             fpr,
         } => {
-            let (bn, bm, bc) = predict_node(ctx, &node.children[0], tables);
+            let (bn, bm, bc) = predict_node(ests, &node.children[0])?;
             // The probe is a PushdownScan whose predicate gains the Bloom
             // filter: containment says a `keep` fraction of otherwise
             // matching rows survives the storage-side filter.
@@ -843,27 +767,19 @@ fn predict_node(
                     predicate,
                     projection,
                 } => {
-                    let build_keys = bc.rows.min(col_ndv(tables, build_key));
-                    let probe_ndv = col_ndv(tables, probe_key);
+                    let build_keys = bc.rows.min(col_ndv(ests, build_key));
+                    let probe_ndv = col_ndv(ests, probe_key);
                     let match_frac = (build_keys / probe_ndv.max(1.0)).min(1.0);
                     let keep = (match_frac + fpr * (1.0 - match_frac)).min(1.0);
                     let hashes = (1.0 / fpr).log2().ceil().max(1.0) as u32;
-                    let (stats, card) =
-                        predict_pushdown_scan(ctx, table, predicate, projection, keep, hashes);
-                    let mut m = QueryMetrics::new();
-                    m.push_serial("bloom probe", stats);
-                    (
-                        PredNode {
-                            stats,
-                            children: Vec::new(),
-                        },
-                        m,
-                        card,
-                    )
+                    let (stats, card) = ests
+                        .of(table)
+                        .pushdown_scan(predicate, projection, keep, hashes);
+                    leaf(stats, "bloom probe", card)
                 }
-                _ => predict_node(ctx, &node.children[1], tables),
+                _ => predict_node(ests, &node.children[1])?,
             };
-            let out = join_out_rows(tables, bc.rows, pc.rows, build_key, probe_key);
+            let out = join_out_rows(ests, bc.rows, pc.rows, build_key, probe_key);
             let stats = cpu_phase(bc.rows + pc.rows + out);
             let mut metrics = bm;
             metrics.extend(&pm);
@@ -881,7 +797,7 @@ fn predict_node(
             )
         }
         PlanOp::LocalFilter { predicate } => {
-            let child = predict_node(ctx, &node.children[0], tables);
+            let child = predict_node(ests, &node.children[0])?;
             let sel = selectivity(predicate, &node.children[0].schema, None);
             let card = Card {
                 rows: sel * child.2.rows,
@@ -891,11 +807,11 @@ fn predict_node(
             stacked(stats, "residual filter", child, card)
         }
         PlanOp::Project { exprs } => {
-            let child = predict_node(ctx, &node.children[0], tables);
+            let child = predict_node(ests, &node.children[0])?;
             let width: f64 = exprs
                 .iter()
                 .map(|e| match e {
-                    Expr::Column(name) => col_width_in(tables, name),
+                    Expr::Column(name) => col_width_in(ests, name),
                     _ => AGG_VALUE_WIDTH,
                 })
                 .sum::<f64>()
@@ -908,14 +824,14 @@ fn predict_node(
             stacked(stats, "project", child, card)
         }
         PlanOp::GroupBy { group_width, aggs } => {
-            let child = predict_node(ctx, &node.children[0], tables);
+            let child = predict_node(ests, &node.children[0])?;
             // Group count: NDV product over the grouped input expressions
             // (readable through the Project the planner places below).
             let groups = match &node.children[0].op {
                 PlanOp::Project { exprs } => exprs[..*group_width]
                     .iter()
                     .map(|e| match e {
-                        Expr::Column(name) => col_ndv(tables, name),
+                        Expr::Column(name) => col_ndv(ests, name),
                         _ => child.2.rows.sqrt().max(1.0),
                     })
                     .product::<f64>(),
@@ -931,7 +847,7 @@ fn predict_node(
             stacked(stats, "group-by", child, card)
         }
         PlanOp::Aggregate { aggs } => {
-            let child = predict_node(ctx, &node.children[0], tables);
+            let child = predict_node(ests, &node.children[0])?;
             let stats = cpu_phase(child.2.rows * aggs.len().max(1) as f64);
             let card = Card {
                 rows: 1.0,
@@ -940,7 +856,7 @@ fn predict_node(
             stacked(stats, "aggregate", child, card)
         }
         PlanOp::Sort { limit, .. } => {
-            let child = predict_node(ctx, &node.children[0], tables);
+            let child = predict_node(ests, &node.children[0])?;
             let n = child.2.rows.max(1.0);
             let stats = cpu_phase(n * n.log2().max(1.0));
             let card = Card {
@@ -950,7 +866,7 @@ fn predict_node(
             stacked(stats, "sort", child, card)
         }
         PlanOp::Limit { n } => {
-            let (cn, cm, cc) = predict_node(ctx, &node.children[0], tables);
+            let (cn, cm, cc) = predict_node(ests, &node.children[0])?;
             let card = Card {
                 rows: cc.rows.min(*n as f64),
                 row_bytes: cc.row_bytes,
@@ -964,33 +880,29 @@ fn predict_node(
                 card,
             )
         }
-        // Algorithm-family leaves are predicted by the Estimator's
-        // per-family candidates, not this walker; the planner attaches
-        // those predictions directly.
-        PlanOp::Algo(_) => leaf(
-            PhaseStats::default(),
-            "algo",
-            Card {
-                rows: 1.0,
-                row_bytes: AGG_VALUE_WIDTH,
-            },
-        ),
-        PlanOp::Gather { .. } => {
-            let first = node.children.first().and_then(|c| c.children.first());
-            let Some((cluster, leaf_node)) = ctx.cluster.as_ref().zip(first) else {
-                // No cluster (or malformed fan-out): predict the first
-                // child serially — the executor degenerates the same way.
-                return predict_node(ctx, &node.children[0], tables);
+        // An algorithm-family leaf reports one merged footprint and the
+        // phases of its own variant, as its executor does.
+        PlanOp::Algo(algo) => {
+            let (metrics, card) = ests.of(algo.table()).algo(algo)?;
+            let node = PredNode {
+                stats: crate::plan::merged_stats(&metrics),
+                children: Vec::new(),
             };
-            match predict_gather(ctx, cluster, node, leaf_node) {
+            (node, metrics, card)
+        }
+        PlanOp::Gather { .. } => {
+            // No cluster, or a fan-out over something that is not a scan
+            // leaf: predict the first child serially — the executor
+            // degenerates the same way.
+            match predict_gather(ests, node) {
                 Some(out) => out,
-                None => predict_node(ctx, &node.children[0], tables),
+                None => predict_node(ests, &node.children[0])?,
             }
         }
         // A bare Exchange predicts (and executes) as its child.
-        PlanOp::Exchange { .. } => predict_node(ctx, &node.children[0], tables),
+        PlanOp::Exchange { .. } => predict_node(ests, &node.children[0])?,
         PlanOp::Repartition { nodes, .. } => {
-            let (cn, cm, cc) = predict_node(ctx, &node.children[0], tables);
+            let (cn, cm, cc) = predict_node(ests, &node.children[0])?;
             let n = (*nodes).max(1) as f64;
             // Modeled all-to-all shuffle: the expected cross-node share
             // of the serialized child volume. No extra metrics phase —
@@ -1009,77 +921,64 @@ fn predict_node(
                 cc,
             )
         }
-    }
+    })
 }
 
 /// Predict a Gather fan-out: split the leaf scan's footprint across the
 /// Exchange children by each node's owned-partition byte share, pricing
 /// `CachedScan` leaves against *the owning node's* cache slice (per-node
 /// occupancy), and metering each node's result share as exchange volume.
-/// Returns `None` when the first child's child is not a scan leaf.
-fn predict_gather(
-    ctx: &QueryContext,
-    cluster: &crate::cluster::Cluster,
-    node: &crate::plan::PlanNode,
-    leaf_node: &crate::plan::PlanNode,
-) -> Option<(PredNode, QueryMetrics, Card)> {
-    use crate::plan::PlanOp;
-    let table = match &leaf_node.op {
-        PlanOp::LocalScan { table, .. }
-        | PlanOp::CachedScan { table, .. }
-        | PlanOp::PushdownScan { table, .. } => table,
+/// Returns `None` without a cluster, or when the first child's child is
+/// not a scan leaf.
+fn predict_gather(ests: &Estimators<'_>, node: &PlanNode) -> Option<Predicted> {
+    let ctx = ests.ctx;
+    let cluster = ctx.cluster.as_ref()?;
+    let leaf_node = node.children.first()?.children.first()?;
+    // Leaf-total footprint and output card, by leaf kind.
+    let (est, full, card) = match &leaf_node.op {
+        PlanOp::LocalScan {
+            table,
+            predicate,
+            projection,
+        }
+        | PlanOp::CachedScan {
+            table,
+            predicate,
+            projection,
+        } => {
+            let est = ests.of(table);
+            let (full, _, card) = est.local_scan(predicate, projection);
+            (est, full, card)
+        }
+        PlanOp::PushdownScan {
+            table,
+            predicate,
+            projection,
+        } => {
+            let est = ests.of(table);
+            let (full, card) = est.pushdown_scan(predicate, projection, 1.0, 0);
+            (est, full, card)
+        }
         _ => return None,
     };
-    let est = Estimator::new(ctx, table);
-    let keys = table.partitions(&ctx.store);
-    let sized: Vec<(usize, String, u64)> = keys
-        .into_iter()
+    let table = est.table;
+    let sized: Vec<(usize, &String, u64)> = est
+        .partition_keys
+        .iter()
         .map(|k| {
-            let owner = cluster.assign(&table.bucket, &k);
-            let size = ctx.store.object_size(&table.bucket, &k).unwrap_or(0);
+            let owner = cluster.assign(&table.bucket, k);
+            let size = ctx.store.object_size(&table.bucket, k).unwrap_or(0);
             (owner, k, size)
         })
         .collect();
     let total_bytes: u64 = sized.iter().map(|(_, _, s)| s).sum();
-    // Leaf-total footprint and output card, by leaf kind.
-    let (full, card) = match &leaf_node.op {
-        PlanOp::LocalScan {
-            predicate,
-            projection,
-            ..
-        }
-        | PlanOp::CachedScan {
-            predicate,
-            projection,
-            ..
-        } => {
-            let sel = est.selectivity(predicate.as_ref());
-            let extra = if predicate.is_some() { est.rows } else { 0.0 };
-            (
-                est.plain_load(extra),
-                Card {
-                    rows: sel * est.rows,
-                    row_bytes: est.leaf_row_bytes(projection),
-                },
-            )
-        }
-        PlanOp::PushdownScan {
-            predicate,
-            projection,
-            ..
-        } => {
-            let (stats, card) = predict_pushdown_scan(ctx, table, predicate, projection, 1.0, 0);
-            (stats, card)
-        }
-        _ => return None,
-    };
     let mut children = Vec::with_capacity(node.children.len());
     let mut phases = Vec::with_capacity(node.children.len());
     for child in &node.children {
         let PlanOp::Exchange { node: k, .. } = child.op else {
             return None;
         };
-        let owned: Vec<&(usize, String, u64)> =
+        let owned: Vec<&(usize, &String, u64)> =
             sized.iter().filter(|(owner, ..)| *owner == k).collect();
         let owned_bytes: u64 = owned.iter().map(|(_, _, s)| s).sum();
         let frac = if total_bytes > 0 {
@@ -1141,10 +1040,11 @@ fn predict_gather(
 /// the parallel phase groups). The planner scatters only when this
 /// beats the serial prediction's dollars: per-node cache hits must shave
 /// more billable bytes than the reserved-compute premium costs.
-pub fn scatter_dollars(ctx: &QueryContext, pred: &PlanPrediction, nodes: usize) -> f64 {
+pub fn scatter_dollars(ctx: &QueryContext, pred: &PlanPrediction) -> f64 {
+    let nodes = ctx.cluster.as_ref().map_or(1, |c| c.n());
     let runtime = pred.metrics.runtime(&ctx.model);
     ctx.pricing
-        .cost(&pred.metrics.usage(), runtime * nodes.max(1) as f64)
+        .cost(&pred.metrics.usage(), runtime * nodes as f64)
         .total()
 }
 
@@ -1408,48 +1308,60 @@ mod tests {
         assert_eq!(sel(&t, "k = 5"), 0.05);
     }
 
+    /// Lower `sql` the way the planner does and price every candidate
+    /// with the one walker, over one snapshot.
+    fn priced(ctx: &QueryContext, t: &Table, sql: &str) -> Vec<(&'static str, PlanPrediction)> {
+        let spec = pushdown_sql::parse_query(sql).unwrap();
+        let (_, candidates) = crate::planner::lower(ctx, t, &spec).unwrap();
+        let ests = Estimators::new(ctx, candidates.iter().map(|(_, plan)| plan));
+        candidates
+            .iter()
+            .map(|(name, plan)| (*name, predict_plan(&ests, plan).unwrap()))
+            .collect()
+    }
+
+    fn names(cands: &[(&'static str, PlanPrediction)]) -> Vec<&'static str> {
+        cands.iter().map(|(name, _)| *name).collect()
+    }
+
     #[test]
     fn filter_candidates_have_the_right_shapes() {
         let (ctx, t) = setup(1000);
-        let est = Estimator::new(&ctx, &t);
-        let q = FilterQuery {
-            table: t.clone(),
-            predicate: parse_expr("k < 10").unwrap(),
-            projection: Some(vec!["k".into()]),
-        };
-        let cands = est.filter(&q).unwrap();
+        let cands = priced(&ctx, &t, "SELECT k FROM t WHERE k < 10");
         assert_eq!(cands.len(), 2);
-        let server = cands.iter().find(|c| c.algorithm == "server-side").unwrap();
-        let s3 = cands.iter().find(|c| c.algorithm == "s3-side").unwrap();
+        let usage = |name: &str| {
+            let (_, p) = cands.iter().find(|(n, _)| *n == name).unwrap();
+            p.metrics.usage()
+        };
+        let (server, s3) = (usage("server-side"), usage("s3-side"));
         let bytes = t.total_bytes(&ctx.store);
         // Server loads everything as plain bytes; S3 scans everything and
         // returns only the matches.
-        assert_eq!(server.usage().plain_bytes, bytes);
-        assert_eq!(server.usage().select_scanned_bytes, 0);
-        assert_eq!(s3.usage().select_scanned_bytes, bytes);
-        assert!(s3.usage().select_returned_bytes < bytes / 20);
+        assert_eq!(server.plain_bytes, bytes);
+        assert_eq!(server.select_scanned_bytes, 0);
+        assert_eq!(s3.select_scanned_bytes, bytes);
+        assert!(s3.select_returned_bytes < bytes / 20);
     }
 
     #[test]
     fn stale_partition_snapshot_errors_instead_of_pricing_zero() {
         let (ctx, t) = setup(1000);
         let ctx = ctx.with_cache(1 << 30);
-        let est = Estimator::new(&ctx, &t);
-        let q = FilterQuery {
-            table: t.clone(),
-            predicate: parse_expr("k < 10").unwrap(),
-            projection: None,
-        };
-        // Sanity: with the snapshot intact the cached candidate exists.
-        let cands = est.filter(&q).unwrap();
-        assert!(cands.iter().any(|c| c.algorithm == "cached-local"));
+        let spec = pushdown_sql::parse_query("SELECT * FROM t WHERE k < 10").unwrap();
+        let (_, candidates) = crate::planner::lower(&ctx, &t, &spec).unwrap();
+        let ests = Estimators::new(&ctx, candidates.iter().map(|(_, plan)| plan));
+        // Sanity: with the snapshot intact the cached candidate exists
+        // and prices.
+        let (name, cached) = &candidates[0];
+        assert_eq!(*name, "cached-local");
+        predict_plan(&ests, cached).unwrap();
 
         // Delete a partition out from under the estimator's snapshot.
         // Pricing must fail loudly — the old path priced the vanished
         // object as 0 bytes, making cached-local look arbitrarily cheap.
         let victim = t.partitions(&ctx.store)[0].clone();
         assert!(ctx.store.delete_object(&t.bucket, &victim));
-        let err = est.filter(&q).unwrap_err();
+        let err = predict_plan(&ests, cached).unwrap_err();
         assert!(
             err.to_string().contains(&victim),
             "error should name the missing partition: {err}"
@@ -1459,29 +1371,19 @@ mod tests {
     #[test]
     fn groupby_candidates_respect_applicability() {
         let (ctx, t) = setup(1000);
-        let est = Estimator::new(&ctx, &t);
-        let mut q = GroupByQuery {
-            table: t.clone(),
-            group_cols: vec!["s".into()],
-            aggs: vec![(AggFunc::Sum, "v".into())],
-            predicate: None,
-        };
-        let names: Vec<&str> = est
-            .groupby(&q)
-            .unwrap()
-            .iter()
-            .map(|c| c.algorithm)
-            .collect();
-        assert_eq!(names, vec!["server-side", "filtered", "s3-side", "hybrid"]);
+        let one = "SELECT s, SUM(v) FROM t GROUP BY s";
+        assert_eq!(
+            names(&priced(&ctx, &t, one)),
+            vec!["server-side", "filtered", "s3-side", "hybrid"]
+        );
         // Multi-column grouping: hybrid is not applicable.
-        q.group_cols.push("v".into());
-        let names: Vec<&str> = est
-            .groupby(&q)
-            .unwrap()
-            .iter()
-            .map(|c| c.algorithm)
-            .collect();
-        assert!(!names.contains(&"hybrid"));
+        let two = "SELECT s, maybe, SUM(v) FROM t GROUP BY s, maybe";
+        assert!(!names(&priced(&ctx, &t, two)).contains(&"hybrid"));
+        // No aggregate, no CASE-WHEN statement to push.
+        assert_eq!(
+            names(&priced(&ctx, &t, "SELECT s FROM t GROUP BY s")),
+            vec!["server-side", "filtered"]
+        );
         // The §X native variant joins only under the extended engine.
         let mut ext = ctx.clone();
         ext.engine = ext
@@ -1491,15 +1393,7 @@ mod tests {
                 native_group_by: true,
                 ..Default::default()
             });
-        let est_ext = Estimator::new(&ext, &t);
-        q.group_cols.pop();
-        let names: Vec<&str> = est_ext
-            .groupby(&q)
-            .unwrap()
-            .iter()
-            .map(|c| c.algorithm)
-            .collect();
-        assert!(names.contains(&"s3-native"));
+        assert!(names(&priced(&ext, &t, one)).contains(&"s3-native"));
     }
 
     #[test]
@@ -1533,39 +1427,33 @@ mod tests {
 
     #[test]
     fn cheapest_is_the_argmin_by_dollars() {
+        use crate::planner::{execute_sql_verbose, Strategy};
         let (ctx, t) = setup(1000);
-        let est = Estimator::new(&ctx, &t);
-        let q = FilterQuery {
-            table: t.clone(),
-            predicate: parse_expr("k < 10").unwrap(),
-            projection: None,
-        };
-        let cands = est.filter(&q).unwrap();
-        let i = cheapest(&cands, &ctx);
-        for (j, c) in cands.iter().enumerate() {
-            assert!(
-                cands[i].dollars(&ctx) <= c.dollars(&ctx),
-                "candidate {j} beats the chosen one"
+        let sql = "SELECT * FROM t WHERE k < 10";
+        let (_, explain) = execute_sql_verbose(&ctx, &t, sql, Strategy::Adaptive).unwrap();
+        let priced = priced(&ctx, &t, sql);
+        assert_eq!(explain.candidates.len(), priced.len());
+        let chosen = explain.candidates.iter().find(|c| c.chosen).unwrap();
+        for (c, (name, p)) in explain.candidates.iter().zip(&priced) {
+            assert_eq!(c.algorithm, *name);
+            assert_eq!(
+                c.dollars,
+                p.metrics.cost(&ctx.model, &ctx.pricing).total(),
+                "the planner weighs what the walker priced"
             );
+            assert!(chosen.dollars <= c.dollars, "{name} beats the chosen one");
         }
     }
 
     #[test]
     fn topk_candidates_price_both_phases() {
         let (ctx, t) = setup(2000);
-        let est = Estimator::new(&ctx, &t);
-        let q = TopKQuery {
-            table: t.clone(),
-            order_col: "v".into(),
-            k: 10,
-            asc: true,
-        };
-        let cands = est.topk(&q).unwrap();
+        let cands = priced(&ctx, &t, "SELECT * FROM t ORDER BY v LIMIT 10");
         assert_eq!(cands.len(), 2);
-        let sampling = cands.iter().find(|c| c.algorithm == "sampling").unwrap();
-        assert_eq!(sampling.predicted.groups.len(), 2, "sample + scan phases");
+        let (_, sampling) = cands.iter().find(|(n, _)| *n == "sampling").unwrap();
+        assert_eq!(sampling.metrics.groups.len(), 2, "sample + scan phases");
         // The scanning phase scans the table but returns only ~K/S of it.
-        let u = sampling.usage();
+        let u = sampling.metrics.usage();
         assert!(u.select_returned_bytes < t.total_bytes(&ctx.store) / 4);
     }
 }

@@ -1,4 +1,6 @@
-//! Lowering multi-table [`QuerySpec`]s into physical-plan candidates.
+//! Lowering multi-table [`QuerySpec`]s into physical-plan candidates
+//! (single-table ones lower in [`crate::planner`], to the same shape,
+//! under the same ORDER BY / LIMIT stack: `order_limit_stack`).
 //!
 //! A joined query (`FROM a JOIN b ON ... [JOIN c ON ...]`) lowers to a
 //! left-deep tree of hash joins over per-table scan leaves, topped by
@@ -431,34 +433,52 @@ fn select_stack(mut node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
         let schema = Schema::new(fields);
         node = PlanNode::new(PlanOp::Project { exprs }, vec![node], schema);
     }
-    // ORDER BY resolves against the stacked output schema — aggregate
-    // aliases included, unknown keys are bind errors.
-    if !spec.order_by.is_empty() {
+    // The stacked output schema carries the aggregate and column aliases
+    // as its names, so ORDER BY needs no alias table of its own.
+    order_limit_stack(node, spec, &[])
+}
+
+/// Stack the query's ORDER BY / LIMIT over `node`, the one place either
+/// lowering does: `Sort { keys, limit }` when there are sort keys, a
+/// plain `Limit` (which pushes no phase) for a bare LIMIT, `node` itself
+/// otherwise. A key names an entry of `aliases` (alias → output
+/// position), else a column of `node`'s schema; anything else is a bind
+/// error.
+pub(crate) fn order_limit_stack(
+    node: PlanNode,
+    spec: &QuerySpec,
+    aliases: &[(String, usize)],
+) -> Result<PlanNode> {
+    let limit = spec.select.limit.map(|l| l as usize);
+    let op = if !spec.order_by.is_empty() {
         let mut keys = Vec::new();
         for o in &spec.order_by {
-            let idx = node.schema.index_of(&o.column).ok_or_else(|| {
-                Error::Bind(format!(
-                    "unknown ORDER BY key `{}` (output columns: {})",
-                    o.column,
-                    node.schema.names().join(", ")
-                ))
-            })?;
+            let idx = aliases
+                .iter()
+                .find(|(a, _)| a.eq_ignore_ascii_case(&o.column))
+                .map(|(_, i)| *i)
+                .or_else(|| node.schema.index_of(&o.column));
+            let Some(idx) = idx else {
+                let mut known = node.schema.names().join(", ");
+                if !aliases.is_empty() {
+                    let names: Vec<&str> = aliases.iter().map(|(a, _)| a.as_str()).collect();
+                    known = format!("{known}; aliases: {}", names.join(", "));
+                }
+                return Err(Error::Bind(format!(
+                    "unknown ORDER BY key `{}` (output columns: {known})",
+                    o.column
+                )));
+            };
             keys.push((idx, o.asc));
         }
-        let schema = node.schema.clone();
-        node = PlanNode::new(
-            PlanOp::Sort {
-                keys,
-                limit: spec.select.limit.map(|l| l as usize),
-            },
-            vec![node],
-            schema,
-        );
-    } else if let Some(l) = spec.select.limit {
-        let schema = node.schema.clone();
-        node = PlanNode::new(PlanOp::Limit { n: l as usize }, vec![node], schema);
-    }
-    Ok(node)
+        PlanOp::Sort { keys, limit }
+    } else if let Some(n) = limit {
+        PlanOp::Limit { n }
+    } else {
+        return Ok(node);
+    };
+    let schema = node.schema.clone();
+    Ok(PlanNode::new(op, vec![node], schema))
 }
 
 fn group_by_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {

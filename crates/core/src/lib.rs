@@ -23,14 +23,21 @@
 //!   `CachedScan` through the hybrid caching tier), joins, group-by,
 //!   sort/top-K, project/limit as one operator DAG, driven by a single
 //!   push-based executor, with the [`algos`] families participating as
-//!   leaf operators;
+//!   leaf operators (an `AlgoOp` is an executor kind; its planning is
+//!   the planner's);
 //! * [`joinplan`] — lowering of multi-table statements to the candidate
-//!   plans the planner prices;
-//! * [`cost`] — the analytical cost estimator behind
-//!   [`planner::Strategy::Adaptive`]: predicts every candidate
-//!   algorithm's footprint from catalog statistics — and prices whole
-//!   plan DAGs operator-by-operator — using the same models that score
+//!   plans the planner prices, and the ORDER BY / LIMIT stack both
+//!   lowerings share;
+//! * [`cost`] — the analytical cost estimator: one walker
+//!   (`predict_plan`) prices every node of a candidate plan — scan
+//!   leaves, joins, operators, cluster fan-outs and the algorithm-family
+//!   leaves, variant by variant — from catalog statistics, over one
+//!   snapshot per table per query, using the same models that score
 //!   measurements;
+//! * [`planner`] — the one front-end: every query lowers to named
+//!   candidate plans, and one function prices, picks (a preference list
+//!   for the fixed strategies, the argmin-dollar plan for
+//!   [`planner::Strategy::Adaptive`]), scatters, runs and explains them;
 //! * [`metrics`] / [`output`] — phase-structured accounting that the
 //!   analytical performance model turns into seconds and dollars;
 //! * [`context`] — wiring (store, Select engine, models, the
@@ -56,7 +63,7 @@ pub use catalog::{
 };
 pub use cluster::{Cluster, NodeSnapshot};
 pub use context::QueryContext;
-pub use cost::{Estimator, PlanEstimate, PlanPrediction};
+pub use cost::{Estimator, Estimators, PlanPrediction};
 pub use index::{build_index, IndexTable};
 pub use metrics::QueryMetrics;
 pub use output::QueryOutput;

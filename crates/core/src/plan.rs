@@ -15,7 +15,10 @@
 //! filter, §VI group-by, §VII top-K, scalar aggregation) participate as
 //! leaf operators ([`PlanOp::Algo`]), so *every* query — single-table
 //! fast path or composed TPC-H Q3 shape — runs through the same
-//! executor.
+//! executor. An [`AlgoOp`] is a leaf **executor** kind and nothing more:
+//! which variants a query admits, which one a strategy prefers and what
+//! each costs is planning, and lives with the other candidates
+//! ([`crate::planner`] lowers them, [`crate::cost`] prices them).
 //!
 //! # Execution
 //!
@@ -168,18 +171,27 @@ pub enum PlanOp {
     Repartition { keys: Vec<usize>, nodes: usize },
 }
 
-/// A single-table algorithm family with its chosen variant.
+/// A single-table algorithm family with the variant to run. Every
+/// family has `"server-side"` and its twin `"cached-local"` — the same
+/// algorithm with its plain partition GETs routed through the segment
+/// cache; a name the family does not have is an error, at pricing and
+/// at execution alike.
 #[derive(Debug, Clone)]
 pub enum AlgoOp {
-    /// §IV filter: `"server-side"` or `"s3-side"`.
+    /// §IV filter: also `"s3-side"`.
     Filter(filter::FilterQuery, &'static str),
-    /// Scalar aggregation (§VIII Q6 shape): `"server-side"`/`"s3-side"`.
+    /// Scalar aggregation (§VIII Q6 shape): also `"s3-side"`.
     Aggregate(Table, SelectStmt, &'static str),
-    /// §VI group-by: `"server-side"`/`"filtered"`/`"s3-side"`/`"hybrid"`
-    /// /`"s3-native"`.
+    /// §VI group-by: also `"filtered"`, `"s3-side"`, `"hybrid"` (one
+    /// grouping column) and §X's `"s3-native"`.
     GroupBy(groupby::GroupByQuery, &'static str),
-    /// §VII top-K: `"server-side"` or `"sampling"`.
+    /// §VII top-K: also `"sampling"`.
     TopK(topk::TopKQuery, &'static str),
+}
+
+/// The error for a variant name `family` does not have.
+pub(crate) fn unknown_variant(family: &str, variant: &str) -> Error {
+    Error::Bind(format!("the {family} family has no `{variant}` variant"))
 }
 
 impl AlgoOp {
@@ -191,6 +203,16 @@ impl AlgoOp {
             AlgoOp::Aggregate(_, _, a) => a,
             AlgoOp::GroupBy(_, a) => a,
             AlgoOp::TopK(_, a) => a,
+        }
+    }
+
+    /// The table the family scans.
+    pub fn table(&self) -> &Table {
+        match self {
+            AlgoOp::Filter(q, _) => &q.table,
+            AlgoOp::Aggregate(t, _, _) => t,
+            AlgoOp::GroupBy(q, _) => &q.table,
+            AlgoOp::TopK(q, _) => &q.table,
         }
     }
 }
@@ -248,6 +270,16 @@ impl PlanNode {
             PlanOp::Repartition { keys, nodes } => {
                 format!("Repartition[{} keys, {nodes} nodes]", keys.len())
             }
+        }
+    }
+
+    /// The table this node scans, if it is a scan leaf.
+    pub(crate) fn scan_table(&self) -> Option<&Table> {
+        match &self.op {
+            PlanOp::LocalScan { table, .. }
+            | PlanOp::CachedScan { table, .. }
+            | PlanOp::PushdownScan { table, .. } => Some(table),
+            _ => None,
         }
     }
 
@@ -707,23 +739,19 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             Ok(ran.under(node, PhaseStats::default()))
         }
         PlanOp::Algo(algo) => {
-            // `cached-local` variants are the server-side algorithms with
-            // plain partition GETs routed through the segment cache — the
-            // match arms below fall through to their server-side branch
-            // under a cache-reading context.
-            let cached_ctx;
-            let ctx = if algo.algorithm() == "cached-local" {
-                cached_ctx = ctx.clone().with_cache_reads(true);
-                &cached_ctx
-            } else {
-                ctx
-            };
+            // `cached-local` is the server-side algorithm under a context
+            // that routes its plain partition GETs through the cache.
+            let cached = || ctx.clone().with_cache_reads(true);
             let out = match algo {
-                AlgoOp::Filter(q, algorithm) => match *algorithm {
+                AlgoOp::Filter(q, variant) => match *variant {
+                    "server-side" => filter::server_side(ctx, q)?,
+                    "cached-local" => filter::server_side(&cached(), q)?,
                     "s3-side" => filter::s3_side(ctx, q)?,
-                    _ => filter::server_side(ctx, q)?,
+                    other => return Err(unknown_variant("filter", other)),
                 },
-                AlgoOp::Aggregate(table, stmt, algorithm) => match *algorithm {
+                AlgoOp::Aggregate(table, stmt, variant) => match *variant {
+                    "server-side" => local_aggregate(ctx, table, stmt)?,
+                    "cached-local" => local_aggregate(&cached(), table, stmt)?,
                     "s3-side" => {
                         let scan = select_scan(ctx, table, stmt)?;
                         let mut metrics = QueryMetrics::new();
@@ -735,18 +763,22 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                             billed: Default::default(),
                         }
                     }
-                    _ => local_aggregate(ctx, table, stmt)?,
+                    other => return Err(unknown_variant("aggregate", other)),
                 },
-                AlgoOp::GroupBy(q, algorithm) => match *algorithm {
+                AlgoOp::GroupBy(q, variant) => match *variant {
+                    "server-side" => groupby::server_side(ctx, q)?,
+                    "cached-local" => groupby::server_side(&cached(), q)?,
                     "filtered" => groupby::filtered(ctx, q)?,
                     "s3-side" => groupby::s3_side(ctx, q)?,
                     "hybrid" => groupby::hybrid(ctx, q, groupby::HybridOptions::default())?,
                     "s3-native" => whatif::s3_native_groupby(ctx, q)?,
-                    _ => groupby::server_side(ctx, q)?,
+                    other => return Err(unknown_variant("group-by", other)),
                 },
-                AlgoOp::TopK(q, algorithm) => match *algorithm {
+                AlgoOp::TopK(q, variant) => match *variant {
+                    "server-side" => topk::server_side(ctx, q)?,
+                    "cached-local" => topk::server_side(&cached(), q)?,
                     "sampling" => topk::sampling(ctx, q, None)?,
-                    _ => topk::server_side(ctx, q)?,
+                    other => return Err(unknown_variant("top-k", other)),
                 },
             };
             let actual = merged_stats(&out.metrics);
@@ -890,16 +922,6 @@ fn route_row(row: &Row, keys: &[usize], n: usize) -> usize {
         as usize
 }
 
-/// The scan table under an Exchange wrapper, if its child is a scan leaf.
-fn exchange_leaf_table(child: &PlanNode) -> Option<&Table> {
-    match &child.op {
-        PlanOp::LocalScan { table, .. }
-        | PlanOp::CachedScan { table, .. }
-        | PlanOp::PushdownScan { table, .. } => Some(table),
-        _ => None,
-    }
-}
-
 struct NodeRun {
     node: usize,
     schema: Option<Schema>,
@@ -926,7 +948,8 @@ fn run_gather(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran
         .first()
         .and_then(|c| c.children.first())
         .ok_or_else(|| Error::Other("Gather has no Exchange children".into()))?;
-    let table = exchange_leaf_table(first_leaf)
+    let table = first_leaf
+        .scan_table()
         .ok_or_else(|| Error::Other("Exchange child must be a scan leaf".into()))?;
     // Global partition listing: the merge order, and (via the cluster's
     // consistent-hash ring) the per-node ownership map.
@@ -1135,17 +1158,14 @@ fn run_partitioned_group_by(
 /// [`PlanOp::Exchange`] wrappers (one per node owning at least one
 /// partition), and every group-by above a scattered subtree gains a
 /// [`PlanOp::Repartition`] on its group key so nodes aggregate partial
-/// state in parallel. Returns the plan unchanged when no cluster is
-/// attached or it has a single node — the serial path *is* the N=1
-/// cluster.
-pub fn scatter(ctx: &QueryContext, node: &PlanNode) -> PlanNode {
-    let Some(cluster) = ctx.cluster.clone() else {
-        return node.clone();
-    };
-    if cluster.n() < 2 {
-        return node.clone();
-    }
-    scatter_node(ctx, &cluster, node).0
+/// state in parallel. `None` when there is nothing to scatter: no
+/// cluster is attached or it has a single node — the serial path *is*
+/// the N=1 cluster — or the plan has no scan leaf to rewrite (an
+/// algorithm-family leaf manages its own scans on the coordinator).
+pub fn scatter(ctx: &QueryContext, node: &PlanNode) -> Option<PlanNode> {
+    let cluster = ctx.cluster.as_ref().filter(|c| c.n() > 1)?;
+    let (plan, scattered) = scatter_node(ctx, cluster, node);
+    scattered.then_some(plan)
 }
 
 fn scatter_node(
@@ -1306,4 +1326,89 @@ fn local_aggregate(ctx: &QueryContext, table: &Table, stmt: &SelectStmt) -> Resu
         metrics,
         billed: Default::default(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::upload_csv_table;
+    use crate::cost::{predict_plan, Estimators};
+    use pushdown_common::DataType;
+    use pushdown_s3::S3Store;
+
+    /// A variant name a family does not have is an error where the leaf
+    /// is priced and where it is run — it used to run as `server-side`.
+    #[test]
+    fn unknown_variants_are_errors_not_server_side() {
+        let store = S3Store::new();
+        let schema = Schema::from_pairs(&[("g", DataType::Int), ("v", DataType::Float)]);
+        let rows: Vec<Row> = (0..50)
+            .map(|i| Row::new(vec![Value::Int(i % 5), Value::Float(i as f64)]))
+            .collect();
+        let t = upload_csv_table(&store, "b", "t", &schema, &rows, 20).unwrap();
+        let ctx = QueryContext::new(store).with_cache(1 << 20);
+        let filter = filter::FilterQuery {
+            table: t.clone(),
+            predicate: pushdown_sql::parse_expr("v < 10").unwrap(),
+            projection: None,
+        };
+        let aggregate = pushdown_sql::parse_select("SELECT SUM(v) FROM S3Object").unwrap();
+        let group_by = groupby::GroupByQuery {
+            table: t.clone(),
+            group_cols: vec!["g".into()],
+            aggs: vec![(AggFunc::Sum, Some("v".into()))],
+            predicate: None,
+        };
+        let top_k = topk::TopKQuery {
+            table: t.clone(),
+            order_col: "v".into(),
+            k: 3,
+            asc: true,
+        };
+        let family = |variant: &'static str| {
+            [
+                AlgoOp::Filter(filter.clone(), variant),
+                AlgoOp::Aggregate(t.clone(), aggregate.clone(), variant),
+                AlgoOp::GroupBy(group_by.clone(), variant),
+                AlgoOp::TopK(top_k.clone(), variant),
+            ]
+        };
+        let run = |op: AlgoOp| {
+            let node = PlanNode::new(PlanOp::Algo(op), Vec::new(), t.schema.clone());
+            let priced = predict_plan(&Estimators::new(&ctx, [&node]), &node).map(|_| ());
+            let ran = execute(&ctx.scoped(), &node).map(|_| ());
+            assert_eq!(priced.is_ok(), ran.is_ok(), "{}", node.label());
+            ran
+        };
+        // Every family has the two local variants…
+        for variant in ["server-side", "cached-local"] {
+            for op in family(variant) {
+                run(op).unwrap();
+            }
+        }
+        // …and none has these: a name no family knows, and each family's
+        // own names offered to the others.
+        for variant in ["bogus", "", "baseline"] {
+            for op in family(variant) {
+                let err = run(op).unwrap_err();
+                assert_eq!(err.code(), "BindError", "{variant}: {err}");
+                assert!(err.to_string().contains(variant), "{err}");
+            }
+        }
+        let [f, a, g, k] = family("sampling");
+        for op in [f, a, g] {
+            assert!(run(op).is_err());
+        }
+        run(k).unwrap();
+        let [f, a, g, k] = family("hybrid");
+        for op in [f, a, k] {
+            assert!(run(op).is_err());
+        }
+        run(g).unwrap();
+        let [f, a, g, k] = family("s3-side");
+        for op in [f, a, g] {
+            run(op).unwrap();
+        }
+        assert!(run(k).is_err());
+    }
 }

@@ -1,44 +1,55 @@
 //! The optimizer (paper §III, grown a cost-based mode).
 //!
-//! PushdownDB's testbed exposes a single-table SQL front-end and decides
-//! *which algorithm family* evaluates each query. The paper takes that
-//! choice as an explicit input — "dynamically determining which
-//! optimization to use is orthogonal to and beyond the scope of this
-//! paper" (§VIII): [`Strategy::Baseline`] never pushes computation,
-//! [`Strategy::Pushdown`] always uses the paper's pushdown variant of
-//! the matching operator. [`Strategy::Adaptive`] goes beyond the paper:
-//! it enumerates *every* applicable algorithm family, predicts each
-//! candidate's [`Usage`] and runtime analytically from catalog
-//! statistics ([`crate::cost`]), and executes the cheapest by predicted
-//! dollars. [`execute_sql_verbose`] returns the [`Explain`] surface —
-//! the candidates considered, the prediction for the chosen plan, and a
-//! predicted-vs-actual report per phase.
+//! PushdownDB's testbed exposes a SQL front-end and decides *which
+//! algorithm* evaluates each query. The paper takes that choice as an
+//! explicit input — "dynamically determining which optimization to use
+//! is orthogonal to and beyond the scope of this paper" (§VIII):
+//! [`Strategy::Baseline`] never pushes computation, [`Strategy::Pushdown`]
+//! always uses the paper's pushdown variant of the matching operator.
+//! [`Strategy::Adaptive`] goes beyond the paper: it predicts *every*
+//! applicable candidate's [`Usage`] and runtime analytically from
+//! catalog statistics and executes the cheapest by predicted dollars.
 //!
-//! Every query lowers to a **physical plan** ([`crate::plan`]) run by
-//! one executor. Shapes handled:
+//! Every query, single-table or joined, takes **one pipeline**:
 //!
-//! * plain filter/projection → §IV filter strategies;
-//! * aggregates without GROUP BY → local vs S3-side aggregation (§VIII Q6);
-//! * GROUP BY → §VI group-by algorithms (adaptive additionally considers
-//!   the filtered variant, and §X's native group-by when the extended
-//!   engine is enabled);
-//! * `ORDER BY col LIMIT k` over `*` → §VII top-K algorithms; every
-//!   other ordered shape (multi-key ORDER BY, ordering over GROUP BY
-//!   results or projections) stacks a Sort operator on the matching
-//!   choice;
-//! * multi-table `JOIN ... ON` → a left-deep join DAG (the `joinplan`
-//!   lowering) whose join strategy and per-scan pushdown modes are
-//!   chosen **jointly**, priced whole-plan by [`cost::predict_plan`].
+//! 1. **lower** — the statement becomes named candidate plans
+//!    ([`crate::plan`]), one per applicable variant of its family:
+//!    * plain filter/projection → the §IV filter strategies;
+//!    * aggregates without GROUP BY → local vs S3-side aggregation
+//!      (§VIII Q6);
+//!    * GROUP BY → the §VI group-by algorithms, plus the filtered variant
+//!      and — under the extended engine — §X's native group-by;
+//!    * `ORDER BY col LIMIT k` over `*` → the §VII top-K algorithms;
+//!    * multi-table `JOIN ... ON` → a left-deep join DAG whose join
+//!      strategy and per-scan pushdown modes vary **jointly**
+//!      ([`crate::joinplan`]).
+//!
+//!    A single-table candidate is one algorithm-family leaf
+//!    ([`AlgoOp`]); every other ORDER BY / LIMIT is stacked over the
+//!    candidates of either kind by the same function;
+//! 2. **price** — [`cost::predict_plan`] walks a candidate whole, over
+//!    one [`cost::Estimators`] snapshot per query;
+//! 3. **pick** — a fixed strategy takes the first name of its family's
+//!    preference list that is a candidate; Adaptive prices them all and
+//!    takes the argmin of (dollars, then runtime);
+//! 4. **scatter** — on a cluster, the pick's scan leaves fan out across
+//!    the nodes ([`plan::scatter`]), where there are any to fan out;
+//! 5. **run** — one executor ([`plan::execute`]);
+//! 6. **explain** — the report tree is annotated node by node with the
+//!    prediction of the plan that ran, and [`execute_sql_verbose`]
+//!    returns the [`Explain`] surface: the candidates considered, the
+//!    prediction, and predicted-vs-actual per phase and per operator.
 
 use crate::algos::{filter, groupby, topk};
 use crate::catalog::Table;
 use crate::context::QueryContext;
-use crate::cost::{self, Estimator, PlanEstimate};
+use crate::cost;
+use crate::joinplan::{lower_join_candidates, order_limit_stack};
 use crate::metrics::QueryMetrics;
 use crate::output::QueryOutput;
 use crate::plan::{self, AlgoOp, OpReport, PlanNode, PlanOp};
 use pushdown_common::pricing::Usage;
-use pushdown_common::{Error, Result};
+use pushdown_common::{Error, Result, Schema};
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::ast::QuerySpec;
 use pushdown_sql::parser::parse_query;
@@ -133,11 +144,11 @@ pub struct Explain {
     /// Candidates considered, cheapest marked (empty for the fixed
     /// strategies, which consider nothing).
     pub candidates: Vec<CandidateCost>,
-    /// Predicted metrics of the executed plan (Adaptive only).
+    /// Predicted metrics of the executed plan (Adaptive, and any
+    /// strategy's scattered plan).
     pub predicted: Option<QueryMetrics>,
     /// The executed physical-plan tree, one entry per operator, with
-    /// each node's measured footprint and — where the planner had one —
-    /// its prediction.
+    /// each node's measured footprint and its prediction.
     pub operators: Option<OpReport>,
 }
 
@@ -264,69 +275,49 @@ impl Explain {
     }
 }
 
-/// How one operator family resolved: which algorithm runs, and (under
-/// Adaptive) the full candidate list backing the decision.
-struct Choice {
-    algorithm: &'static str,
-    candidates: Vec<PlanEstimate>,
-    chosen: Option<usize>,
+/// Which lowering a query took: the §IV–§VII algorithm families of a
+/// single-table statement, or a join DAG. The family holds what planning
+/// knows about its variants *by name* — which ones a fixed strategy
+/// prefers and the [`PlanKind`] a chosen one reports; which ones a query
+/// admits is decided where it is lowered ([`lower`]), what each costs is
+/// [`cost::predict_plan`]'s business.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Family {
+    Filter,
+    Aggregate,
+    GroupBy,
+    TopK,
+    Join,
 }
 
-impl Choice {
-    /// A fixed strategy: no candidates were weighed.
-    fn fixed(algorithm: &'static str) -> Choice {
-        Choice {
-            algorithm,
-            candidates: Vec::new(),
-            chosen: None,
+impl Family {
+    /// What a fixed strategy runs: the first of these names that is a
+    /// candidate of the query. Pushdown is the paper's line-up — hybrid
+    /// group-by where it applies (one grouping column), the Bloom join
+    /// where its keys are integers.
+    fn preferred(self, pushdown: bool) -> &'static [&'static str] {
+        match (self, pushdown) {
+            (Family::Join, false) => &["baseline"],
+            (_, false) => &["server-side"],
+            (Family::Filter | Family::Aggregate, true) => &["s3-side"],
+            (Family::GroupBy, true) => &["hybrid", "s3-side", "filtered"],
+            (Family::TopK, true) => &["sampling"],
+            (Family::Join, true) => &["bloom", "filtered"],
         }
     }
 
-    /// Adaptive: pick the cheapest predicted candidate.
-    fn adaptive(ctx: &QueryContext, candidates: Vec<PlanEstimate>) -> Choice {
-        let i = cost::cheapest(&candidates, ctx);
-        Choice {
-            algorithm: candidates[i].algorithm,
-            candidates,
-            chosen: Some(i),
+    fn kind(self, algorithm: &'static str) -> PlanKind {
+        let pushdown = algorithm == "s3-side";
+        match self {
+            Family::Filter => PlanKind::Filter { pushdown },
+            Family::Aggregate => PlanKind::Aggregate { pushdown },
+            Family::GroupBy => PlanKind::GroupBy { algorithm },
+            Family::TopK => PlanKind::TopK {
+                sampling: algorithm == "sampling",
+            },
+            Family::Join => PlanKind::Join { algorithm },
         }
     }
-
-    fn explain(&self, ctx: &QueryContext, kind: PlanKind, strategy: Strategy) -> Explain {
-        Explain {
-            kind,
-            strategy,
-            candidates: self
-                .candidates
-                .iter()
-                .enumerate()
-                .map(|(i, c)| CandidateCost {
-                    algorithm: c.algorithm,
-                    usage: c.usage(),
-                    runtime: c.runtime(ctx),
-                    dollars: c.dollars(ctx),
-                    chosen: Some(i) == self.chosen,
-                })
-                .collect(),
-            predicted: self.chosen.map(|i| self.candidates[i].predicted.clone()),
-            operators: None,
-        }
-    }
-
-    /// The chosen candidate's predicted footprint, folded to one
-    /// [`pushdown_common::perf::PhaseStats`] (attached to algorithm-family
-    /// leaf operators in the report tree).
-    fn leaf_prediction(&self) -> Option<pushdown_common::perf::PhaseStats> {
-        self.chosen
-            .map(|i| plan::merged_stats(&self.candidates[i].predicted))
-    }
-}
-
-/// Execute a plan and split the result into output + report tree.
-fn run_plan(ctx: &QueryContext, node: &PlanNode) -> Result<(QueryOutput, OpReport)> {
-    let executed = plan::execute(ctx, node)?;
-    let report = executed.report.clone();
-    Ok((executed.into_output(), report))
 }
 
 /// Parse and execute a client-dialect SQL query against one table.
@@ -361,348 +352,193 @@ pub fn execute_sql_verbose(
     strategy: Strategy,
 ) -> Result<(QueryOutput, Explain)> {
     let spec = parse_query(sql)?;
-    plan_and_run(ctx, table, &spec, strategy)
-}
-
-fn plan_and_run(
-    ctx: &QueryContext,
-    table: &Table,
-    spec: &QuerySpec,
-    strategy: Strategy,
-) -> Result<(QueryOutput, Explain)> {
-    // One scope per query: everything below — estimator probes, the
-    // chosen algorithm, planner-level scans — bills a child ledger that
-    // rolls up into the store-global one, so `QueryOutput::billed` is
-    // exact even when many queries share this context concurrently.
+    // One scope per query: everything below — the chosen algorithm,
+    // planner-level scans — bills a child ledger that rolls up into the
+    // store-global one, so `QueryOutput::billed` is exact even when many
+    // queries share this context concurrently.
     let ctx = &ctx.scoped();
-    let (mut out, explain) = plan_and_run_scoped(ctx, table, spec, strategy)?;
+    let (family, candidates) = lower(ctx, table, &spec)?;
+    let (mut out, explain) = choose_and_run(ctx, family, &candidates, strategy)?;
     out.billed = ctx.billed();
     Ok((out, explain))
 }
 
-fn plan_and_run_scoped(
+/// Candidate plans of one query, by name, in the order ties are broken
+/// (the argmin keeps the earliest minimum).
+pub(crate) type Candidates = Vec<(&'static str, PlanNode)>;
+
+/// Lower a statement to its family and candidate plans. A joined
+/// statement lowers in [`crate::joinplan`]; a single-table one to one
+/// algorithm-family leaf per variant that *applies* to it, under the
+/// ORDER BY / LIMIT stack the leaf does not absorb itself:
+///
+/// * `cached-local` leads wherever a segment cache is installed — a cold
+///   fill costs exactly what the remote load costs, so ties must break
+///   toward warming the cache;
+/// * the CASE-WHEN group-bys (`s3-side`, `hybrid`) need an aggregate to
+///   push, and `hybrid` a single grouping column;
+/// * `s3-native` exists under the engine's §X extension only.
+pub(crate) fn lower(
     ctx: &QueryContext,
     table: &Table,
     spec: &QuerySpec,
-    strategy: Strategy,
-) -> Result<(QueryOutput, Explain)> {
-    // ---- Multi-table FROM → join DAG over the plan IR.
+) -> Result<(Family, Candidates)> {
     if !spec.joins.is_empty() {
-        return joined_plan_and_run(ctx, table, spec, strategy);
+        return Ok((Family::Join, lower_join_candidates(ctx, table, spec)?));
     }
-
-    if !spec.order_by.is_empty() {
-        // ---- `ORDER BY col LIMIT k` over `*` → top-K (§VII), exactly
-        // the paper's shape. Every other ordered shape stacks a Sort
-        // operator over the matching scan/aggregation choice.
-        let topk_shape = spec.group_by.is_empty()
-            && spec.order_by.len() == 1
-            && spec.select.limit.is_some()
-            && spec.select.where_clause.is_none()
-            && matches!(spec.select.items.as_slice(), [SelectItem::Wildcard]);
-        if topk_shape {
-            let order = &spec.order_by[0];
-            let q = topk::TopKQuery {
-                table: table.clone(),
-                order_col: order.column.clone(),
-                k: spec.select.limit.expect("top-K shape has a LIMIT") as usize,
-                asc: order.asc,
-            };
-            // Unknown order columns are bind errors, not runtime errors.
-            q.table.schema.resolve(&q.order_col)?;
-            let choice = match strategy {
-                Strategy::Baseline => Choice::fixed("server-side"),
-                Strategy::Pushdown => Choice::fixed("sampling"),
-                Strategy::Adaptive => Choice::adaptive(ctx, Estimator::new(ctx, table).topk(&q)?),
-            };
-            let node = PlanNode::new(
-                PlanOp::Algo(AlgoOp::TopK(q.clone(), choice.algorithm)),
-                Vec::new(),
-                q.table.schema.clone(),
-            );
-            let (out, mut report) = run_plan(ctx, &node)?;
-            report.predicted = choice.leaf_prediction();
-            let kind = PlanKind::TopK {
-                sampling: choice.algorithm == "sampling",
-            };
-            let mut explain = choice.explain(ctx, kind, strategy);
-            explain.operators = Some(report);
-            return Ok((out, explain));
-        }
-        return sorted_plan_and_run(ctx, table, spec, strategy);
+    let mut variants: Vec<&'static str> = Vec::new();
+    if ctx.store.cache().is_some() {
+        variants.push("cached-local");
     }
-
-    // ---- GROUP BY → §VI.
-    if !spec.group_by.is_empty() {
-        let q = groupby_query(table, spec)?;
-        let choice = groupby_choice(ctx, table, &q, strategy)?;
-        let node = PlanNode::new(
-            PlanOp::Algo(AlgoOp::GroupBy(q.clone(), choice.algorithm)),
-            Vec::new(),
-            q.output_schema()?,
-        );
-        let (out, mut report) = run_plan(ctx, &node)?;
-        report.predicted = choice.leaf_prediction();
-        let kind = PlanKind::GroupBy {
-            algorithm: choice.algorithm,
+    variants.push("server-side");
+    // ---- `ORDER BY col LIMIT k` over `*` → top-K (§VII), exactly the
+    // paper's shape: the leaf orders and limits by itself.
+    if let ([order], Some(k), None, [], [SelectItem::Wildcard]) = (
+        spec.order_by.as_slice(),
+        spec.select.limit,
+        &spec.select.where_clause,
+        spec.group_by.as_slice(),
+        spec.select.items.as_slice(),
+    ) {
+        let q = topk::TopKQuery {
+            table: table.clone(),
+            order_col: order.column.clone(),
+            k: k as usize,
+            asc: order.asc,
         };
-        let mut explain = choice.explain(ctx, kind, strategy);
-        explain.operators = Some(report);
-        return Ok((apply_limit(out, spec.select.limit), explain));
+        // Unknown order columns are bind errors, not runtime errors.
+        table.schema.resolve(&q.order_col)?;
+        variants.push("sampling");
+        let leaf = |v| AlgoOp::TopK(q.clone(), v);
+        return Ok((Family::TopK, leaves(&variants, &table.schema, leaf)));
     }
-
-    // ---- Aggregates without GROUP BY.
-    if spec.select.is_aggregate() {
-        let choice = match strategy {
-            Strategy::Baseline => Choice::fixed("server-side"),
-            Strategy::Pushdown => Choice::fixed("s3-side"),
-            Strategy::Adaptive => {
-                Choice::adaptive(ctx, Estimator::new(ctx, table).aggregate(&spec.select)?)
-            }
-        };
-        let node = PlanNode::new(
-            PlanOp::Algo(AlgoOp::Aggregate(
-                table.clone(),
-                spec.select.clone(),
-                choice.algorithm,
-            )),
-            Vec::new(),
-            table.schema.clone(),
-        );
-        let (out, mut report) = run_plan(ctx, &node)?;
-        report.predicted = choice.leaf_prediction();
-        let kind = PlanKind::Aggregate {
-            pushdown: choice.algorithm == "s3-side",
-        };
-        let mut explain = choice.explain(ctx, kind, strategy);
-        explain.operators = Some(report);
-        return Ok((out, explain));
-    }
-
-    // ---- Plain filter/projection → §IV.
-    let (q, choice) = filter_choice(ctx, table, spec, strategy)?;
-    let node = PlanNode::new(
-        PlanOp::Algo(AlgoOp::Filter(q.clone(), choice.algorithm)),
-        Vec::new(),
-        q.output_schema()?,
-    );
-    let (out, mut report) = run_plan(ctx, &node)?;
-    report.predicted = choice.leaf_prediction();
-    let kind = PlanKind::Filter {
-        pushdown: choice.algorithm == "s3-side",
-    };
-    let mut explain = choice.explain(ctx, kind, strategy);
-    explain.operators = Some(report);
-    Ok((apply_limit(out, spec.select.limit), explain))
-}
-
-fn groupby_choice(
-    ctx: &QueryContext,
-    table: &Table,
-    q: &groupby::GroupByQuery,
-    strategy: Strategy,
-) -> Result<Choice> {
-    Ok(match strategy {
-        Strategy::Baseline => Choice::fixed("server-side"),
-        Strategy::Pushdown => {
-            if q.group_cols.len() == 1 {
-                Choice::fixed("hybrid")
-            } else {
-                Choice::fixed("s3-side")
-            }
-        }
-        Strategy::Adaptive => Choice::adaptive(ctx, Estimator::new(ctx, table).groupby(q)?),
-    })
-}
-
-fn filter_choice(
-    ctx: &QueryContext,
-    table: &Table,
-    spec: &QuerySpec,
-    strategy: Strategy,
-) -> Result<(filter::FilterQuery, Choice)> {
-    let projection = projection_columns(&spec.select)?;
-    let q = filter::FilterQuery {
-        table: table.clone(),
-        predicate: spec
-            .select
-            .where_clause
-            .clone()
-            .unwrap_or_else(|| Expr::lit(pushdown_common::Value::Bool(true))),
-        projection,
-    };
-    let choice = match strategy {
-        Strategy::Baseline => Choice::fixed("server-side"),
-        Strategy::Pushdown => Choice::fixed("s3-side"),
-        Strategy::Adaptive => Choice::adaptive(ctx, Estimator::new(ctx, table).filter(&q)?),
-    };
-    Ok((q, choice))
-}
-
-/// Ordered shapes beyond the §VII fast path: GROUP BY + ORDER BY (keys
-/// may name grouping columns, aggregate output aliases, or default
-/// aggregate names) and multi-key / filtered / projected ORDER BY —
-/// lowered to a Sort operator over the matching algorithm-family leaf.
-fn sorted_plan_and_run(
-    ctx: &QueryContext,
-    table: &Table,
-    spec: &QuerySpec,
-    strategy: Strategy,
-) -> Result<(QueryOutput, Explain)> {
-    if spec.select.is_aggregate() && spec.group_by.is_empty() {
-        return Err(Error::Bind(
-            "ORDER BY over a scalar aggregate is not supported".into(),
-        ));
-    }
-    let limit = spec.select.limit.map(|l| l as usize);
-
-    // Alias → output position (aggregate aliases over GROUP BY results,
-    // column aliases over projections).
+    // Alias → output position, for ORDER BY: aggregate aliases over GROUP
+    // BY results, column aliases over projections.
     let mut aliases: Vec<(String, usize)> = Vec::new();
-    let (leaf, choice, kind, sort_schema) = if !spec.group_by.is_empty() {
+    let (family, candidates) = if !spec.group_by.is_empty() {
+        // ---- GROUP BY → §VI.
         let q = groupby_query(table, spec)?;
-        let choice = groupby_choice(ctx, table, &q, strategy)?;
-        let schema = q.output_schema()?;
-        let mut agg_idx = 0;
-        for item in &spec.select.items {
-            if let SelectItem::Agg { alias, .. } = item {
-                if let Some(a) = alias {
-                    aliases.push((a.clone(), q.group_cols.len() + agg_idx));
-                }
-                agg_idx += 1;
+        let named = spec.select.items.iter().filter_map(|i| match i {
+            SelectItem::Agg { alias, .. } => Some(alias),
+            _ => None,
+        });
+        for (k, alias) in named.enumerate() {
+            aliases.extend(alias.clone().map(|a| (a, q.group_cols.len() + k)));
+        }
+        variants.push("filtered");
+        if !q.aggs.is_empty() {
+            variants.push("s3-side");
+            if q.group_cols.len() == 1 {
+                variants.push("hybrid");
             }
         }
-        let kind = PlanKind::GroupBy {
-            algorithm: choice.algorithm,
-        };
-        let node = PlanNode::new(
-            PlanOp::Algo(AlgoOp::GroupBy(q, choice.algorithm)),
-            Vec::new(),
-            schema.clone(),
-        );
-        (node, choice, kind, schema)
+        if ctx.engine.extensions().native_group_by {
+            variants.push("s3-native");
+        }
+        let leaf = |v| AlgoOp::GroupBy(q.clone(), v);
+        (
+            Family::GroupBy,
+            leaves(&variants, &q.output_schema()?, leaf),
+        )
+    } else if spec.select.is_aggregate() {
+        // ---- Aggregates without GROUP BY.
+        if !spec.order_by.is_empty() {
+            return Err(Error::Bind(
+                "ORDER BY over a scalar aggregate is not supported".into(),
+            ));
+        }
+        variants.push("s3-side");
+        let leaf = |v| AlgoOp::Aggregate(table.clone(), spec.select.clone(), v);
+        (Family::Aggregate, leaves(&variants, &table.schema, leaf))
     } else {
-        let (q, choice) = filter_choice(ctx, table, spec, strategy)?;
-        let schema = q.output_schema()?;
+        // ---- Plain filter/projection → §IV.
+        let q = filter::FilterQuery {
+            table: table.clone(),
+            predicate: spec
+                .select
+                .where_clause
+                .clone()
+                .unwrap_or_else(|| Expr::lit(pushdown_common::Value::Bool(true))),
+            projection: projection_columns(&spec.select)?,
+        };
         for (i, item) in spec.select.items.iter().enumerate() {
             if let SelectItem::Expr { alias: Some(a), .. } = item {
                 aliases.push((a.clone(), i));
             }
         }
-        let kind = PlanKind::Filter {
-            pushdown: choice.algorithm == "s3-side",
-        };
-        let node = PlanNode::new(
-            PlanOp::Algo(AlgoOp::Filter(q, choice.algorithm)),
-            Vec::new(),
-            schema.clone(),
-        );
-        (node, choice, kind, schema)
+        variants.push("s3-side");
+        let leaf = |v| AlgoOp::Filter(q.clone(), v);
+        (Family::Filter, leaves(&variants, &q.output_schema()?, leaf))
     };
-
-    let mut keys = Vec::new();
-    for o in &spec.order_by {
-        let idx = aliases
-            .iter()
-            .find(|(a, _)| a.eq_ignore_ascii_case(&o.column))
-            .map(|(_, i)| *i)
-            .or_else(|| sort_schema.index_of(&o.column));
-        let Some(idx) = idx else {
-            return Err(Error::Bind(format!(
-                "unknown ORDER BY key `{}` (output columns: {}{})",
-                o.column,
-                sort_schema.names().join(", "),
-                if aliases.is_empty() {
-                    String::new()
-                } else {
-                    format!(
-                        "; aliases: {}",
-                        aliases
-                            .iter()
-                            .map(|(a, _)| a.as_str())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    )
-                }
-            )));
-        };
-        keys.push((idx, o.asc));
-    }
-
-    let plan = PlanNode::new(PlanOp::Sort { keys, limit }, vec![leaf], sort_schema);
-    let (out, mut report) = run_plan(ctx, &plan)?;
-    report.children[0].predicted = choice.leaf_prediction();
-    let mut explain = choice.explain(ctx, kind, strategy);
-    explain.operators = Some(report);
-    Ok((out, explain))
+    let stacked = candidates
+        .into_iter()
+        .map(|(v, leaf)| Ok((v, order_limit_stack(leaf, spec, &aliases)?)))
+        .collect::<Result<_>>()?;
+    Ok((family, stacked))
 }
 
-/// Multi-table queries: lower to candidate plans (join strategy ×
-/// per-scan pushdown chosen jointly), price each whole plan with
-/// [`cost::predict_plan`], execute the pick, and report the operator
-/// tree with per-node predicted-vs-actual.
-fn joined_plan_and_run(
+/// One algorithm-family leaf per variant, each a candidate by its name.
+fn leaves(
+    variants: &[&'static str],
+    schema: &Schema,
+    leaf: impl Fn(&'static str) -> AlgoOp,
+) -> Candidates {
+    let node = |v| PlanNode::new(PlanOp::Algo(leaf(v)), Vec::new(), schema.clone());
+    variants.iter().map(|&v| (v, node(v))).collect()
+}
+
+/// Index of the cheapest candidate: by predicted dollars, ties broken by
+/// predicted runtime, then by position (the earliest minimum stays).
+fn argmin(costs: &[CandidateCost]) -> usize {
+    let mut best = 0;
+    for (i, c) in costs.iter().enumerate().skip(1) {
+        let b = &costs[best];
+        if c.dollars < b.dollars || (c.dollars == b.dollars && c.runtime < b.runtime) {
+            best = i;
+        }
+    }
+    best
+}
+
+/// The pipeline behind every query once it is lowered (see the module
+/// docs): price, pick, scatter, run, explain.
+fn choose_and_run(
     ctx: &QueryContext,
-    table: &Table,
-    spec: &QuerySpec,
+    family: Family,
+    candidates: &Candidates,
     strategy: Strategy,
 ) -> Result<(QueryOutput, Explain)> {
-    let candidates = crate::joinplan::lower_join_candidates(ctx, table, spec)?;
-    let position = |name: &str| candidates.iter().position(|(n, _)| *n == name);
+    let ests = cost::Estimators::new(ctx, candidates.iter().map(|(_, plan)| plan));
+    let adaptive = strategy == Strategy::Adaptive;
     // Fixed strategies pick by name and only price the plan they run;
-    // Adaptive prices every candidate tree and takes the argmin.
-    let (pick, mut predictions) = match strategy {
-        Strategy::Baseline => (
-            position("baseline").expect("baseline candidate always exists"),
-            Vec::new(),
-        ),
-        Strategy::Pushdown => (
-            position("bloom")
-                .or_else(|| position("filtered"))
-                .expect("filtered candidate always exists"),
-            Vec::new(),
-        ),
-        Strategy::Adaptive => {
-            let predictions: Vec<cost::PlanPrediction> = candidates
-                .iter()
-                .map(|(_, plan)| cost::predict_plan(ctx, plan))
-                .collect();
-            let estimates: Vec<PlanEstimate> = candidates
-                .iter()
-                .zip(&predictions)
-                .map(|((name, _), p)| PlanEstimate {
-                    algorithm: name,
-                    predicted: p.metrics.clone(),
-                })
-                .collect();
-            (cost::cheapest(&estimates, ctx), predictions)
+    // Adaptive prices every candidate whole and takes the argmin.
+    let mut costs: Vec<CandidateCost> = Vec::new();
+    let (pick, mut prediction) = if adaptive {
+        let mut predictions = Vec::with_capacity(candidates.len());
+        for (name, plan) in candidates {
+            let p = cost::predict_plan(&ests, plan)?;
+            costs.push(CandidateCost {
+                algorithm: name,
+                usage: p.metrics.usage(),
+                runtime: p.metrics.runtime(&ctx.model),
+                dollars: p.metrics.cost(&ctx.model, &ctx.pricing).total(),
+                chosen: false,
+            });
+            predictions.push(p);
         }
+        let pick = argmin(&costs);
+        costs[pick].chosen = true;
+        (pick, predictions.swap_remove(pick))
+    } else {
+        let preferred = family.preferred(strategy == Strategy::Pushdown);
+        let position = |name: &&str| candidates.iter().position(|(n, _)| n == name);
+        let pick = preferred
+            .iter()
+            .find_map(position)
+            .expect("every lowering emits its family's fallback variant");
+        (pick, cost::predict_plan(&ests, &candidates[pick].1)?)
     };
     let (algorithm, plan) = &candidates[pick];
-    let adaptive = !predictions.is_empty();
-    let mut candidate_costs: Vec<CandidateCost> = candidates
-        .iter()
-        .zip(&predictions)
-        .enumerate()
-        .map(|(i, ((name, _), p))| {
-            let est = PlanEstimate {
-                algorithm: name,
-                predicted: p.metrics.clone(),
-            };
-            CandidateCost {
-                algorithm: name,
-                usage: est.usage(),
-                runtime: est.runtime(ctx),
-                dollars: est.dollars(ctx),
-                chosen: i == pick,
-            }
-        })
-        .collect();
-    let mut prediction = if adaptive {
-        predictions.swap_remove(pick)
-    } else {
-        cost::predict_plan(ctx, plan)
-    };
     // Cluster lowering: rewrite the picked plan's scan leaves into
     // Gather/Exchange fan-outs across the nodes owning their partitions.
     // Fixed strategies always use the cluster they were given; Adaptive
@@ -710,52 +546,37 @@ fn joined_plan_and_run(
     // (compute on every node for the query's wall time, scans against
     // each node's own cache slice) and scatters only when that beats
     // the serial pick in dollars.
-    let mut scattered: Option<PlanNode> = None;
-    if let Some(cluster) = ctx.cluster.as_ref().filter(|c| c.n() > 1) {
-        let cand = plan::scatter(ctx, plan);
-        let scat_pred = cost::predict_plan(ctx, &cand);
-        let scat_dollars = cost::scatter_dollars(ctx, &scat_pred, cluster.n());
-        let use_scatter = match strategy {
-            Strategy::Baseline | Strategy::Pushdown => true,
-            Strategy::Adaptive => {
-                let serial = PlanEstimate {
-                    algorithm,
-                    predicted: prediction.metrics.clone(),
-                }
-                .dollars(ctx);
-                scat_dollars < serial
-            }
-        };
+    let mut scattered = plan::scatter(ctx, plan);
+    if let Some(cand) = &scattered {
+        let scat_pred = cost::predict_plan(&ests, cand)?;
+        let dollars = cost::scatter_dollars(ctx, &scat_pred);
+        let use_scatter = !adaptive || dollars < costs[pick].dollars;
         if adaptive {
-            if use_scatter {
-                for c in candidate_costs.iter_mut() {
-                    c.chosen = false;
-                }
-            }
-            candidate_costs.push(CandidateCost {
+            costs[pick].chosen = !use_scatter;
+            costs.push(CandidateCost {
                 algorithm: "scattered",
                 usage: scat_pred.metrics.usage(),
                 runtime: scat_pred.metrics.runtime(&ctx.model),
-                dollars: scat_dollars,
+                dollars,
                 chosen: use_scatter,
             });
         }
         if use_scatter {
             prediction = scat_pred;
-            scattered = Some(cand);
+        } else {
+            scattered = None;
         }
     }
-    let plan = scattered.as_ref().unwrap_or(plan);
-    let executed = plan::execute(ctx, plan)?;
+    let executed = plan::execute(ctx, scattered.as_ref().unwrap_or(plan))?;
     let mut report = executed.report.clone();
     plan::annotate(&mut report, &prediction.root);
     let explain = Explain {
-        kind: PlanKind::Join { algorithm },
+        kind: family.kind(algorithm),
         strategy,
-        candidates: candidate_costs,
+        candidates: costs,
         // Scattered runs always carry the prediction (whatever the
         // strategy) so cluster calibration can compare it to the ledger.
-        predicted: (adaptive || scattered.is_some()).then(|| prediction.metrics.clone()),
+        predicted: (adaptive || scattered.is_some()).then_some(prediction.metrics),
         operators: Some(report),
     };
     Ok((executed.into_output(), explain))
@@ -787,7 +608,7 @@ fn projection_columns(stmt: &SelectStmt) -> Result<Option<Vec<String>>> {
 /// must be the grouping columns; aggregate arguments must be plain
 /// columns.
 fn groupby_query(table: &Table, spec: &QuerySpec) -> Result<groupby::GroupByQuery> {
-    let mut aggs: Vec<(AggFunc, String)> = Vec::new();
+    let mut aggs: Vec<(AggFunc, Option<String>)> = Vec::new();
     for item in &spec.select.items {
         match item {
             SelectItem::Expr {
@@ -801,12 +622,8 @@ fn groupby_query(table: &Table, spec: &QuerySpec) -> Result<groupby::GroupByQuer
                 }
             }
             SelectItem::Agg { func, arg, .. } => match arg {
-                Some(Expr::Column(c)) => aggs.push((*func, c.clone())),
-                None if *func == AggFunc::Count => {
-                    // COUNT(*) counts any non-null column; the grouping
-                    // column itself works (groups have non-null keys here).
-                    aggs.push((AggFunc::Count, spec.group_by[0].clone()));
-                }
+                Some(Expr::Column(c)) => aggs.push((*func, Some(c.clone()))),
+                None if *func == AggFunc::Count => aggs.push((AggFunc::Count, None)),
                 other => {
                     return Err(Error::Bind(format!(
                         "aggregate arguments must be plain columns, found {other:?}"
@@ -827,13 +644,6 @@ fn groupby_query(table: &Table, spec: &QuerySpec) -> Result<groupby::GroupByQuer
         aggs,
         predicate: spec.select.where_clause.clone(),
     })
-}
-
-fn apply_limit(mut out: QueryOutput, limit: Option<u64>) -> QueryOutput {
-    if let Some(l) = limit {
-        out.rows.truncate(l as usize);
-    }
-    out
 }
 
 #[cfg(test)]

@@ -271,6 +271,8 @@ pub struct CsvReader<'a> {
     /// Whether the first record is a header to skip.
     header: bool,
     started: bool,
+    /// Whether a blank line is a record ([`CsvReader::blank_records`]).
+    blank_records: bool,
     /// Field spans of the record being decoded, reused across records.
     spans: Vec<FieldSpan>,
 }
@@ -288,6 +290,7 @@ impl<'a> CsvReader<'a> {
             pos: 0,
             header: true,
             started: false,
+            blank_records: false,
             spans: Vec::new(),
         }
     }
@@ -298,6 +301,16 @@ impl<'a> CsvReader<'a> {
             header: false,
             ..CsvReader::with_header(data, schema)
         }
+    }
+
+    /// Read a blank line as a record instead of skipping it. For data
+    /// whose writer emits no stray blank lines and whose schema has one
+    /// column, where a blank line is what a NULL value looks like (a
+    /// one-column S3 Select response); under a wider schema it fails the
+    /// field-count check like any other short record.
+    pub fn blank_records(mut self) -> Self {
+        self.blank_records = true;
+        self
     }
 
     /// Type only the columns `needed` (schema positions, strictly
@@ -338,7 +351,7 @@ impl<'a> CsvReader<'a> {
             let start = self.pos;
             let scanned = scan_record(&self.data[start..], false, &mut self.spans);
             self.pos = start + scanned.consumed;
-            if scanned.len > 0 {
+            if scanned.len > 0 || self.blank_records {
                 return Some((start, scanned));
             } // else a blank line: skip it
         }
@@ -448,7 +461,8 @@ impl<'a> Iterator for CsvReader<'a> {
                 .map(|()| CsvRecord {
                     row: Row::new(values),
                     first_byte: start as u64,
-                    last_byte: (start + rec.len - 1) as u64,
+                    // (A blank record has no last byte of its own.)
+                    last_byte: (start + rec.len).saturating_sub(1) as u64,
                 }),
         )
     }
@@ -759,6 +773,23 @@ mod tests {
         let rows = decode_csv(bytes, &schema()).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1][0], Value::Int(2));
+    }
+
+    #[test]
+    fn blank_lines_are_null_records_when_asked_for() {
+        let schema = Schema::from_pairs(&[("k", DataType::Int)]);
+        let read = |reader: CsvReader| -> Vec<Value> {
+            reader.map(|r| r.unwrap().row[0].clone()).collect()
+        };
+        let data = b"1\n\n2\n\n";
+        assert_eq!(
+            read(CsvReader::without_header(data, schema.clone())),
+            vec![Value::Int(1), Value::Int(2)]
+        );
+        assert_eq!(
+            read(CsvReader::without_header(data, schema).blank_records()),
+            vec![Value::Int(1), Value::Null, Value::Int(2), Value::Null]
+        );
     }
 
     #[test]

@@ -23,7 +23,10 @@ fn main() -> pushdowndb::common::Result<()> {
     let q = GroupByQuery {
         table,
         group_cols: vec!["g0".into()],
-        aggs: vec![(AggFunc::Sum, "v0".into()), (AggFunc::Count, "v0".into())],
+        aggs: vec![
+            (AggFunc::Sum, Some("v0".into())),
+            (AggFunc::Count, Some("v0".into())),
+        ],
         predicate: None,
     };
 

@@ -295,10 +295,10 @@ fn algo_server_side_paths_agree_on(format: Format) {
         table: t.clone(),
         group_cols: vec!["name".into()],
         aggs: vec![
-            (AggFunc::Sum, "bal".into()),
-            (AggFunc::Count, "k".into()),
-            (AggFunc::Min, "d".into()),
-            (AggFunc::Max, "name".into()),
+            (AggFunc::Sum, Some("bal".into())),
+            (AggFunc::Count, Some("k".into())),
+            (AggFunc::Min, Some("d".into())),
+            (AggFunc::Max, Some("name".into())),
         ],
         predicate: Some(pushdowndb::sql::parse_expr("k < 600").unwrap()),
     };

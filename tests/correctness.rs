@@ -118,7 +118,10 @@ fn groupby_agrees_with_tiny_sql_limit_chunking() {
     let q = groupby::GroupByQuery {
         table,
         group_cols: vec!["g".into()],
-        aggs: vec![(AggFunc::Sum, "v".into()), (AggFunc::Avg, "v".into())],
+        aggs: vec![
+            (AggFunc::Sum, Some("v".into())),
+            (AggFunc::Avg, Some("v".into())),
+        ],
         predicate: None,
     };
     let server = groupby::server_side(&ctx, &q).unwrap();
@@ -245,7 +248,10 @@ fn streamed_operators_survive_faults_mid_scan() {
     let gq = groupby::GroupByQuery {
         table: table.clone(),
         group_cols: vec!["g".into()],
-        aggs: vec![(AggFunc::Sum, "v".into()), (AggFunc::Count, "v".into())],
+        aggs: vec![
+            (AggFunc::Sum, Some("v".into())),
+            (AggFunc::Count, Some("v".into())),
+        ],
         predicate: None,
     };
     let want_groups = groupby::server_side(&ctx, &gq).unwrap();

@@ -1,0 +1,250 @@
+//! Planner equivalence pins (ISSUE 20): what the planner front-end
+//! decides, prices, runs and bills, written down for every query of
+//! [`planner_suite`] × {Baseline, Pushdown, Adaptive} × {CSV,
+//! ColumnarLite} × {no cache, cold cache, warm cache} × {no cluster,
+//! `with_nodes(4)`} at SF 0.003 — 324 runs.
+//!
+//! Each run is one line of a file under
+//! `tests/golden/planner_equivalence/` (one per format × cluster): the
+//! [`PlanKind`](pushdowndb::core::planner::PlanKind), the candidate
+//! names in order with the chosen one starred and each one's predicted
+//! dollars as `f64` bits, the executed operator labels, every phase's
+//! label and [`PhaseStats`], the row count with a digest of the rows,
+//! and the ledger's bill. The files were written by this test at the
+//! commit *before* the two planners became one front-end and have to
+//! read the same afterwards: a refactor of the planning half may not
+//! move a candidate, a pick, a phase or a byte on any of these shapes.
+//! `Explain::predicted` and the per-operator predictions are not
+//! pinned — fixed strategies gained them in that change, by declaration.
+//!
+//! `PLANNER_EQUIVALENCE_BLESS=1 cargo test --test planner_equivalence`
+//! rewrites the files from the run; without it a mismatch prints the
+//! first differing lines.
+
+use pushdowndb::common::mix::fnv1a;
+use pushdowndb::common::perf::PhaseStats;
+use pushdowndb::common::{Row, Schema};
+use pushdowndb::core::planner::{execute_sql_verbose, Explain};
+use pushdowndb::core::{
+    execute_sql, upload_columnar_table, upload_csv_table, OpReport, QueryContext, QueryOutput,
+    Strategy, Table,
+};
+use pushdowndb::format::columnar::WriterOptions;
+use pushdowndb::s3::S3Store;
+use pushdowndb::tpch::{planner_suite, TpchGen};
+use std::fmt::Write;
+
+const SF: f64 = 0.003;
+const ROWS_PER_PARTITION: usize = 1_200;
+/// Holds the three tables several times over: nothing is ever evicted,
+/// so what a warm run finds does not depend on fill order.
+const CACHE_BYTES: u64 = 256 << 20;
+const GOLDEN: &str = "tests/golden/planner_equivalence";
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Format {
+    Csv,
+    Columnar,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Cache {
+    None,
+    Cold,
+    Warm,
+}
+
+struct Dataset {
+    store: S3Store,
+    tables: Vec<Table>,
+}
+
+fn dataset(format: Format) -> Dataset {
+    let gen = TpchGen::new(SF);
+    let (cs, customers) = gen.customers();
+    let (os, orders) = gen.orders();
+    let (ls, lineitems) = gen.lineitems(&orders);
+    let store = S3Store::new();
+    store.create_bucket("tpch");
+    let upload = |name: &str, schema: &Schema, rows: &[Row]| match format {
+        Format::Csv => upload_csv_table(&store, "tpch", name, schema, rows, ROWS_PER_PARTITION),
+        Format::Columnar => upload_columnar_table(
+            &store,
+            "tpch",
+            name,
+            schema,
+            rows,
+            ROWS_PER_PARTITION,
+            WriterOptions::default(),
+        ),
+    };
+    let tables = vec![
+        upload("customer", &cs, &customers).unwrap(),
+        upload("orders", &os, &orders).unwrap(),
+        upload("lineitem", &ls, &lineitems).unwrap(),
+    ];
+    Dataset { store, tables }
+}
+
+/// A context of its own for one run: a fresh cache (installing one
+/// replaces the store's) and a fresh cluster, so a cold run is cold.
+fn context(data: &Dataset, cache: Cache, nodes: Option<usize>) -> QueryContext {
+    let mut ctx = QueryContext::new(data.store.clone()).with_tables(data.tables.iter().cloned());
+    ctx.scan_threads = 2;
+    data.store.set_cache(None);
+    if cache != Cache::None {
+        ctx = ctx.with_cache(CACHE_BYTES);
+    }
+    match nodes {
+        Some(n) => ctx.with_nodes(n),
+        None => ctx,
+    }
+}
+
+fn stats_text(s: &PhaseStats) -> String {
+    let fields = [
+        ("req", s.requests),
+        ("point", s.point_requests),
+        ("scanned", s.s3_scanned_bytes),
+        ("returned", s.select_returned_bytes),
+        ("plain", s.plain_bytes),
+        ("mem", s.cache_bytes),
+        ("disk", s.disk_bytes),
+        ("exch", s.exchange_bytes),
+        ("cpu", s.server_cpu_units),
+        ("terms", u64::from(s.expr_terms)),
+        ("cl", s.cl_parse_bytes),
+    ];
+    fields
+        .iter()
+        .filter(|(_, v)| *v != 0)
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect::<Vec<_>>()
+        .join(" ")
+}
+
+fn operator_labels(op: &OpReport, out: &mut String) {
+    out.push_str(&op.label);
+    if !op.children.is_empty() {
+        out.push('(');
+        for (i, c) in op.children.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            operator_labels(c, out);
+        }
+        out.push(')');
+    }
+}
+
+fn describe(out: &QueryOutput, ex: &Explain) -> String {
+    let mut s = format!("{} | cands:", ex.kind);
+    for c in &ex.candidates {
+        let star = if c.chosen { "*" } else { "" };
+        let _ = write!(s, " {star}{}={:016x}", c.algorithm, c.dollars.to_bits());
+    }
+    s.push_str(" | ops: ");
+    operator_labels(ex.operators.as_ref().expect("every plan reports"), &mut s);
+    s.push_str(" | phases:");
+    for g in &out.metrics.groups {
+        let group: Vec<String> = g
+            .phases
+            .iter()
+            .map(|p| format!("{} [{}]", p.label, stats_text(&p.stats)))
+            .collect();
+        let _ = write!(s, " {{{}}}", group.join(" || "));
+    }
+    let rows = format!("{:?}", out.rows);
+    let b = out.billed;
+    let _ = write!(
+        s,
+        " | rows: {} #{:016x} | billed: {} req {} scanned {} returned {} plain",
+        out.rows.len(),
+        fnv1a(rows.bytes()),
+        b.requests,
+        b.select_scanned_bytes,
+        b.select_returned_bytes,
+        b.plain_bytes
+    );
+    s
+}
+
+/// Every line of one (format, cluster) quarter of the matrix.
+fn quarter(format: Format, nodes: Option<usize>) -> Vec<String> {
+    let data = dataset(format);
+    let mut lines = Vec::new();
+    for cache in [Cache::None, Cache::Cold, Cache::Warm] {
+        for q in planner_suite() {
+            let table = data
+                .tables
+                .iter()
+                .find(|t| q.sql.contains(&format!("FROM {}", t.name)))
+                .expect("suite query names its table");
+            for strategy in [Strategy::Baseline, Strategy::Pushdown, Strategy::Adaptive] {
+                let ctx = context(&data, cache, nodes);
+                if cache == Cache::Warm {
+                    // Fill the cache with what the query reads: the
+                    // baseline plan, its plain GETs routed through the
+                    // cache (scattered ones fill the owning node's slice).
+                    let warm = ctx.clone().with_cache_reads(true);
+                    execute_sql(&warm, table, q.sql, Strategy::Baseline).unwrap();
+                }
+                let (out, ex) = execute_sql_verbose(&ctx, table, q.sql, strategy).unwrap();
+                assert_eq!(out.metrics.usage(), out.billed, "{}: usage == bill", q.name);
+                lines.push(format!(
+                    "{cache:?} {} {strategy:?} | {}",
+                    q.name,
+                    describe(&out, &ex)
+                ));
+            }
+        }
+    }
+    lines
+}
+
+fn check(file: &str, format: Format, nodes: Option<usize>) {
+    let lines = quarter(format, nodes);
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join(GOLDEN)
+        .join(file);
+    if std::env::var_os("PLANNER_EQUIVALENCE_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden file present");
+    let want: Vec<&str> = golden.lines().collect();
+    assert_eq!(want.len(), lines.len(), "{file}: run count");
+    let diffs: Vec<String> = want
+        .iter()
+        .zip(&lines)
+        .filter(|(w, g)| **w != g.as_str())
+        .take(5)
+        .map(|(w, g)| format!("- {w}\n+ {g}"))
+        .collect();
+    assert!(
+        diffs.is_empty(),
+        "{file}: the planner moved on a pinned shape\n{}",
+        diffs.join("\n")
+    );
+}
+
+#[test]
+fn csv_serial() {
+    check("csv_serial.txt", Format::Csv, None);
+}
+
+#[test]
+fn csv_four_nodes() {
+    check("csv_4n.txt", Format::Csv, Some(4));
+}
+
+#[test]
+fn columnar_serial() {
+    check("columnar_serial.txt", Format::Columnar, None);
+}
+
+#[test]
+fn columnar_four_nodes() {
+    check("columnar_4n.txt", Format::Columnar, Some(4));
+}

@@ -63,10 +63,10 @@ proptest! {
             table: t,
             group_cols: vec!["g".into()],
             aggs: vec![
-                (AggFunc::Sum, "v".into()),
-                (AggFunc::Count, "v".into()),
-                (AggFunc::Min, "v".into()),
-                (AggFunc::Max, "v".into()),
+                (AggFunc::Sum, Some("v".into())),
+                (AggFunc::Count, Some("v".into())),
+                (AggFunc::Min, Some("v".into())),
+                (AggFunc::Max, Some("v".into())),
             ],
             predicate: None,
         };
