@@ -1,0 +1,98 @@
+//! The paper's join figures, pinned to the bit: one line per row of
+//! Figs 2, 3 and 4 (at the scale `tests/figure_shapes.rs` runs them) and
+//! per row of Fig 10 plus its two geo-means, under
+//! `tests/golden/paper_figures.txt`. Every column is a modeled runtime
+//! and a dollar total, each written as its `f64` bit pattern (the
+//! decimal beside it is for the reader). The figures are deterministic —
+//! seeded generators, analytic clock — so a change to the phase model,
+//! to `PerfParams` or to an operator's CPU charge shows up here as a
+//! diff *in the paper's figures*, not only as `figure_shapes` still
+//! passing. A change that means to move them re-blesses the file once
+//! and says which columns moved and why.
+//!
+//! `PAPER_FIGURES_BLESS=1 cargo test --test paper_figures` rewrites the
+//! file from the run; without it a mismatch prints the differing lines.
+
+use pushdown_bench::experiments as ex;
+use pushdown_bench::Measure;
+use std::fmt::Write;
+
+const GOLDEN: &str = "tests/golden/paper_figures.txt";
+
+fn bits(value: f64) -> String {
+    format!("{:016x} ({value:.6})", value.to_bits())
+}
+
+fn column(line: &mut String, name: &str, m: &Measure) {
+    let _ = write!(
+        line,
+        " | {name}: s={} $={}",
+        bits(m.runtime),
+        bits(m.cost.total())
+    );
+}
+
+fn lines() -> Vec<String> {
+    let mut out = Vec::new();
+    for r in ex::fig02_join_customer::run(0.004).unwrap() {
+        let mut line = format!("fig02 c_acctbal<={}", r.upper_acctbal);
+        column(&mut line, "baseline", &r.baseline);
+        column(&mut line, "filtered", &r.filtered);
+        column(&mut line, "bloom", &r.bloom);
+        out.push(line);
+    }
+    for r in ex::fig03_join_orders::run(0.004).unwrap() {
+        let mut line = format!("fig03 o_orderdate<{}", r.upper_orderdate.unwrap_or("none"));
+        column(&mut line, "baseline", &r.baseline);
+        column(&mut line, "filtered", &r.filtered);
+        column(&mut line, "bloom", &r.bloom);
+        out.push(line);
+    }
+    let fig4 = ex::fig04_join_fpr::run(0.004).unwrap();
+    let mut line = "fig04 fixed".to_string();
+    column(&mut line, "baseline", &fig4.baseline);
+    column(&mut line, "filtered", &fig4.filtered);
+    out.push(line);
+    for r in &fig4.sweep {
+        let mut line = format!("fig04 fpr={}", r.fpr);
+        column(&mut line, "bloom", &r.bloom);
+        out.push(line);
+    }
+    let fig10 = ex::fig10_tpch::run(0.003).unwrap();
+    for r in &fig10.rows {
+        let mut line = format!("fig10 {}", r.name);
+        column(&mut line, "baseline", &r.baseline);
+        column(&mut line, "optimized", &r.optimized);
+        out.push(line);
+    }
+    out.push(format!(
+        "fig10 geo-mean | speedup={} | cost-ratio={}",
+        bits(fig10.geo_mean_speedup),
+        bits(fig10.geo_mean_cost_ratio)
+    ));
+    out
+}
+
+#[test]
+fn join_figures_and_the_suite_read_as_pinned() {
+    let lines = lines();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
+    if std::env::var_os("PAPER_FIGURES_BLESS").is_some() {
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden file present");
+    let want: Vec<&str> = golden.lines().collect();
+    assert_eq!(want.len(), lines.len(), "row count");
+    let diffs: Vec<String> = want
+        .iter()
+        .zip(&lines)
+        .filter(|(w, g)| **w != g.as_str())
+        .map(|(w, g)| format!("- {w}\n+ {g}"))
+        .collect();
+    assert!(
+        diffs.is_empty(),
+        "a pinned figure moved\n{}",
+        diffs.join("\n")
+    );
+}
