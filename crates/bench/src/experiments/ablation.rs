@@ -2,13 +2,15 @@
 //! would buy, measured by running the stock algorithm and its what-if
 //! variant side by side.
 
-use crate::Measure;
+use crate::experiments::fig02_join_customer::listing2_sql;
+use crate::{run_join_candidate, Measure};
 use pushdown_common::pricing::CostBreakdown;
 use pushdown_common::{DataType, Result, Row, Schema, Value};
-use pushdown_core::algos::{filter, groupby, join, whatif};
+use pushdown_core::algos::{filter, groupby, whatif};
 use pushdown_core::metrics::QueryMetrics;
 use pushdown_core::{build_index, upload_csv_table, QueryContext};
 use pushdown_s3::S3Store;
+use pushdown_select::EngineExtensions;
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::Expr;
 use pushdown_tpch::synthetic::uniform_group_table;
@@ -112,20 +114,17 @@ pub fn run_bloom_ablation(scale_factor: f64) -> Result<BloomAblation> {
     let max_keys_string = (budget as f64 / (per_key_bits * k_hashes)) as usize;
     let max_keys_binary = max_keys_string * 4;
 
-    // End-to-end joins (paper Listing 2 defaults).
-    let q = join::JoinQuery {
-        left: t.customer.clone(),
-        right: t.orders.clone(),
-        left_key: "c_custkey".into(),
-        right_key: "o_custkey".into(),
-        left_pred: Some(Expr::lt_eq(Expr::col("c_acctbal"), Expr::int(-950))),
-        right_pred: None,
-        left_proj: vec!["c_custkey".into()],
-        right_proj: vec!["o_totalprice".into()],
-        sum_column: Some("o_totalprice".into()),
-    };
-    let string_join = join::bloom(&ctx, &q, 0.01)?;
-    let binary_join = whatif::bloom_binary(&ctx, &q, 0.01)?;
+    // End-to-end joins (paper Listing 2 defaults): the same Bloom join
+    // candidate on the stock engine and on one with the `bitwise`
+    // extension, which ships the filter in its hex / `BIT_AT` encoding.
+    let sql = listing2_sql(-950, None);
+    let mut extended = ctx.clone();
+    extended.engine = ctx.engine.clone().with_extensions(EngineExtensions {
+        bitwise: true,
+        ..Default::default()
+    });
+    let string_join = run_join_candidate(&ctx, &t.customer, &sql, "bloom", None)?;
+    let binary_join = run_join_candidate(&extended, &t.customer, &sql, "bloom", None)?;
     assert!((string_join.rows[0][0].as_f64()? - binary_join.rows[0][0].as_f64()?).abs() < 1e-6);
     Ok(BloomAblation {
         string_sql_bytes,

@@ -6,10 +6,9 @@
 //! shape: filtered ≫ baseline while the date filter is selective,
 //! converging as it loosens; Bloom flat and best (or tied) throughout.
 
-use crate::experiments::fig02_join_customer::listing2_query;
-use crate::Measure;
+use crate::experiments::fig02_join_customer::listing2_sql;
+use crate::{run_join_candidate, Measure};
 use pushdown_common::Result;
-use pushdown_core::algos::join;
 use pushdown_tpch::tpch_context;
 
 #[derive(Debug, Clone)]
@@ -36,15 +35,13 @@ pub fn run(scale_factor: f64) -> Result<Vec<Fig3Row>> {
     let factor = 10.0 / scale_factor;
     let mut out = Vec::new();
     for bound in date_bounds() {
-        let q = listing2_query(&t, -950, bound)?;
-        let a = join::baseline(&ctx, &q)?;
-        let b = join::filtered(&ctx, &q)?;
-        let c = join::bloom(&ctx, &q, 0.01)?;
+        let sql = listing2_sql(-950, bound);
+        let run = |name| run_join_candidate(&ctx, &t.customer, &sql, name, None);
         out.push(Fig3Row {
             upper_orderdate: bound,
-            baseline: Measure::of(&ctx, &a, factor),
-            filtered: Measure::of(&ctx, &b, factor),
-            bloom: Measure::of(&ctx, &c, factor),
+            baseline: Measure::of(&ctx, &run("baseline")?, factor),
+            filtered: Measure::of(&ctx, &run("filtered")?, factor),
+            bloom: Measure::of(&ctx, &run("bloom")?, factor),
         });
     }
     Ok(out)

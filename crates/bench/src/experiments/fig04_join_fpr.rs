@@ -5,10 +5,9 @@
 //! storage-side scan), a high FPR lets non-joining rows through (heavy
 //! transfer + server parse); the paper finds 0.01 the sweet spot.
 
-use crate::experiments::fig02_join_customer::listing2_query;
-use crate::Measure;
+use crate::experiments::fig02_join_customer::listing2_sql;
+use crate::{run_join_candidate, Measure};
 use pushdown_common::Result;
-use pushdown_core::algos::join;
 use pushdown_tpch::tpch_context;
 
 #[derive(Debug, Clone)]
@@ -31,12 +30,13 @@ pub fn fprs() -> Vec<f64> {
 pub fn run(scale_factor: f64) -> Result<Fig4Result> {
     let (ctx, t) = tpch_context(scale_factor, 25_000)?;
     let factor = 10.0 / scale_factor;
-    let q = listing2_query(&t, -950, None)?;
-    let baseline = Measure::of(&ctx, &join::baseline(&ctx, &q)?, factor);
-    let filtered = Measure::of(&ctx, &join::filtered(&ctx, &q)?, factor);
+    let sql = listing2_sql(-950, None);
+    let run = |name, fpr| run_join_candidate(&ctx, &t.customer, &sql, name, fpr);
+    let baseline = Measure::of(&ctx, &run("baseline", None)?, factor);
+    let filtered = Measure::of(&ctx, &run("filtered", None)?, factor);
     let mut sweep = Vec::new();
     for fpr in fprs() {
-        let out = join::bloom(&ctx, &q, fpr)?;
+        let out = run("bloom", Some(fpr))?;
         sweep.push(Fig4Row {
             fpr,
             bloom: Measure::of(&ctx, &out, factor),

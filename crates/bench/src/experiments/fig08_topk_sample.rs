@@ -12,7 +12,7 @@
 //! a linearly projected run corresponds to the paper-scale experiment
 //! with `S` *and* `K` magnified by the same factor — the two-phase
 //! trade-off, the U-shaped traffic curve and the location of the
-//! analytic optimum are all preserved (see EXPERIMENTS.md).
+//! analytic optimum are all preserved.
 
 use crate::Measure;
 use pushdown_common::Result;

@@ -4,15 +4,17 @@
 //! Headline claim reproduced here: optimized PushdownDB is on average
 //! **6.7× faster** and **30 % cheaper** than the no-pushdown baseline
 //! (we reproduce the direction and rough magnitude; exact factors depend
-//! on the substituted substrate — see EXPERIMENTS.md).
+//! on the substituted substrate: a simulated store and an analytic clock
+//! calibrated to the paper's testbed, not the testbed itself).
 
-use crate::Measure;
+use crate::experiments::fig02_join_customer::listing2_sql;
+use crate::{run_join_candidate, Measure};
 use pushdown_common::fmtutil::geo_mean;
 use pushdown_common::Result;
-use pushdown_core::algos::{filter, groupby, join, topk};
+use pushdown_core::algos::{filter, groupby, topk};
 use pushdown_core::{QueryContext, QueryOutput};
 use pushdown_sql::agg::AggFunc;
-use pushdown_sql::{parse_expr, Expr};
+use pushdown_sql::parse_expr;
 use pushdown_tpch::{all_queries, tpch_context, Mode, TpchTables};
 
 #[derive(Debug, Clone)]
@@ -90,21 +92,11 @@ fn micro_queries(
     ));
 
     // Join (§V): the paper's Listing 2 with its default parameters.
-    let jq = join::JoinQuery {
-        left: t.customer.clone(),
-        right: t.orders.clone(),
-        left_key: "c_custkey".into(),
-        right_key: "o_custkey".into(),
-        left_pred: Some(Expr::lt_eq(Expr::col("c_acctbal"), Expr::int(-950))),
-        right_pred: None,
-        left_proj: vec!["c_custkey".into()],
-        right_proj: vec!["o_totalprice".into()],
-        sum_column: Some("o_totalprice".into()),
-    };
+    let sql = listing2_sql(-950, None);
     out.push((
         "Join".to_string(),
-        join::baseline(ctx, &jq)?,
-        join::bloom(ctx, &jq, 0.01)?,
+        run_join_candidate(ctx, &t.customer, &sql, "baseline", None)?,
+        run_join_candidate(ctx, &t.customer, &sql, "bloom", None)?,
     ));
 
     Ok(out)

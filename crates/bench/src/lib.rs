@@ -16,8 +16,7 @@
 //!   quantities to the paper's scale (SF 10 TPC-H / 10 GB synthetic)
 //!   before applying the performance model — see `PhaseStats::scaled`;
 //!   the two top-K figures are reported at bench scale instead because
-//!   the sample size `S` is an absolute parameter that does not project
-//!   (documented in `EXPERIMENTS.md`);
+//!   the sample size `S` is an absolute parameter that does not project;
 //! * costs use the paper's US-East price book;
 //! * everything is deterministic (seeded generators + analytic clock).
 
@@ -28,7 +27,9 @@ pub mod table;
 pub mod workload;
 
 use pushdown_common::pricing::{CostBreakdown, Usage};
-use pushdown_core::{QueryContext, QueryOutput};
+use pushdown_common::{Error, Result};
+use pushdown_core::joinplan::lower_join_candidates;
+use pushdown_core::{plan, PlanNode, PlanOp, QueryContext, QueryOutput, Table};
 
 /// One measured configuration: modeled runtime and cost.
 #[derive(Debug, Clone, Copy)]
@@ -56,4 +57,36 @@ impl Measure {
             billed: out.billed,
         }
     }
+}
+
+/// Run the join candidate the planner lowers `sql` to under `name`
+/// (`"baseline"`, `"filtered"`, `"bloom"`, ...) on a query scope of its
+/// own: the join figures compare named algorithms, not the optimizer's
+/// pick. `fpr` overrides the false-positive rate the candidate's Bloom
+/// joins request (Fig 4's sweep).
+pub fn run_join_candidate(
+    ctx: &QueryContext,
+    primary: &Table,
+    sql: &str,
+    name: &str,
+    fpr: Option<f64>,
+) -> Result<QueryOutput> {
+    fn set_fpr(node: &mut PlanNode, rate: f64) {
+        if let PlanOp::BloomJoin { fpr, .. } = &mut node.op {
+            *fpr = rate;
+        }
+        node.children.iter_mut().for_each(|c| set_fpr(c, rate));
+    }
+    let spec = pushdown_sql::parse_query(sql)?;
+    let candidates = lower_join_candidates(ctx, primary, &spec)?;
+    let found = candidates.into_iter().find(|(n, _)| *n == name);
+    let (_, mut plan) =
+        found.ok_or_else(|| Error::Bind(format!("`{sql}` has no `{name}` join candidate")))?;
+    if let Some(rate) = fpr {
+        set_fpr(&mut plan, rate);
+    }
+    let ctx = ctx.scoped();
+    let mut out = plan::execute(&ctx, &plan)?.into_output();
+    out.billed = ctx.billed();
+    Ok(out)
 }

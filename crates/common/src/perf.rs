@@ -60,7 +60,7 @@ pub struct PerfParams {
     /// ~2.6× faster (the same bench now gives ~1.5×), which says nothing
     /// about the modeled testbed, so the ratio is *not* to be re-taken by
     /// hand. README "Performance model calibration" has the history;
-    /// re-deriving constants by script is the last step of ROADMAP item A.
+    /// re-deriving constants by script is ROADMAP item E-2.
     pub parse_cl_bw: f64,
     /// Aggregate storage-side scan rate of S3 Select across all partitions
     /// of a table, bytes/s, for a trivial expression.

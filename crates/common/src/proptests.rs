@@ -240,6 +240,10 @@ fn to_csv_line_oracle(row: &Row) -> String {
             out.push_str(&field);
         }
     }
+    // A lone empty field is quoted: a blank line is no record.
+    if row.len() == 1 && out.is_empty() {
+        out.push_str("\"\"");
+    }
     out
 }
 

@@ -50,7 +50,9 @@ impl Row {
     }
 
     /// Render the row as one CSV line (no trailing newline). Fields that
-    /// contain separators or quotes are quoted.
+    /// contain separators or quotes are quoted, and so is the empty
+    /// rendering of a row's only field (a lone NULL): an empty line is
+    /// not a record to a CSV reader.
     pub fn to_csv_line(&self) -> String {
         let mut out = String::new();
         self.write_csv_line(&mut out);
@@ -60,6 +62,7 @@ impl Row {
     /// Append the [`Row::to_csv_line`] text to `out`: every field is
     /// rendered straight into the caller's buffer.
     pub fn write_csv_line(&self, out: &mut String) {
+        let line = out.len();
         for (i, v) in self.0.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -75,6 +78,9 @@ impl Row {
                 out.push_str(&field.replace('"', "\"\""));
                 out.push('"');
             }
+        }
+        if self.0.len() == 1 && out.len() == line {
+            out.push_str("\"\"");
         }
     }
 }

@@ -7,23 +7,24 @@
 //!
 //! * [`indexed_multirange`] — Suggestion 1: multiple byte ranges per GET;
 //! * [`indexed_in_s3`] — Suggestion 2: the whole index lookup inside S3;
-//! * [`bloom_binary`] — Suggestion 3: bitwise Bloom probes (`BIT_AT` over
-//!   hex) instead of `SUBSTRING` over `'0'/'1'` strings;
 //! * [`s3_native_groupby`] — Suggestion 4: partial group-by in S3.
 //!
-//! (Suggestion 5, computation-aware *pricing*, changes no algorithm —
-//! see the `ablation_suggestions` harness in `pushdown-bench`.)
+//! Suggestion 3 — bitwise Bloom probes (`BIT_AT` over hex) instead of
+//! `SUBSTRING` over `'0'/'1'` strings — is no algorithm of its own: the
+//! plan IR's [`BloomJoin`](crate::plan::PlanOp::BloomJoin) ships the
+//! denser encoding whenever the context's engine carries the `bitwise`
+//! extension. Suggestion 5, computation-aware *pricing*, changes no
+//! algorithm either — see the `ablation_suggestions` harness in
+//! `pushdown-bench`.
 
 use crate::algos::filter::FilterQuery;
 use crate::algos::groupby::GroupByQuery;
-use crate::algos::join::JoinQuery;
 use crate::catalog::Table;
 use crate::context::QueryContext;
 use crate::index::IndexTable;
 use crate::metrics::QueryMetrics;
 use crate::ops;
 use crate::output::QueryOutput;
-use crate::scan::{select_scan, ScanResult};
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Error, Result, Row, Value};
 use pushdown_select::{EngineExtensions, S3SelectEngine};
@@ -205,171 +206,6 @@ fn apply_projection(
     }
 }
 
-/// Suggestion 3: a Bloom join whose probe predicate is the hex/`BIT_AT`
-/// encoding — 4× smaller SQL, so filters that would degrade or fall back
-/// under the 256 KB limit still fit. Mirrors
-/// [`crate::algos::join::bloom`] otherwise.
-pub fn bloom_binary(ctx: &QueryContext, q: &JoinQuery, fpr: f64) -> Result<QueryOutput> {
-    let ctx = &ctx.scoped();
-    let engine = extended_engine(ctx);
-    // Build side.
-    let left_cols = {
-        let mut cols = q.left_proj.clone();
-        if !cols.iter().any(|c| c.eq_ignore_ascii_case(&q.left_key)) {
-            cols.push(q.left_key.clone());
-        }
-        cols
-    };
-    let left_stmt = SelectStmt {
-        items: left_cols
-            .iter()
-            .map(|c| SelectItem::Expr {
-                expr: Expr::col(c.clone()),
-                alias: None,
-            })
-            .collect(),
-        alias: None,
-        where_clause: q.left_pred.clone(),
-        limit: None,
-    };
-    let left = select_scan(ctx, &q.left, &left_stmt)?;
-    let left_stats = left.stats;
-    let lk = left.schema.resolve(&q.left_key)?;
-    let mut keys = Vec::with_capacity(left.rows.len());
-    for r in &left.rows {
-        if !r[lk].is_null() {
-            keys.push(r[lk].as_i64()?);
-        }
-    }
-
-    // The binary encoding packs 4 bits per character, so the same SQL
-    // budget admits ~4x more filter bits: plan with an inflated budget.
-    let mut builder = ctx.bloom;
-    builder.max_sql_bytes = ctx.bloom.max_sql_bytes.saturating_mul(4);
-    let built = builder.build(&keys, fpr, &q.right_key);
-
-    let right_cols = {
-        let mut cols = q.right_proj.clone();
-        if !cols.iter().any(|c| c.eq_ignore_ascii_case(&q.right_key)) {
-            cols.push(q.right_key.clone());
-        }
-        cols
-    };
-    let (right, probe_label) = match built {
-        Some((filter, _plan)) => {
-            let bloom_pred = filter.sql_predicate_binary(&q.right_key);
-            let pred = match &q.right_pred {
-                Some(p) => Expr::and(p.clone(), bloom_pred),
-                None => bloom_pred,
-            };
-            let right_stmt = SelectStmt {
-                items: right_cols
-                    .iter()
-                    .map(|c| SelectItem::Expr {
-                        expr: Expr::col(c.clone()),
-                        alias: None,
-                    })
-                    .collect(),
-                alias: None,
-                where_clause: Some(pred),
-                limit: None,
-            };
-            // Scan each partition through the *extended* engine.
-            let mut stats = PhaseStats::default();
-            let mut rows = Vec::new();
-            let mut schema = None;
-            for key in q.right.partitions(&ctx.store) {
-                let resp = engine.select_stmt(
-                    &q.right.bucket,
-                    &key,
-                    &right_stmt,
-                    &q.right.schema,
-                    q.right.format,
-                )?;
-                stats.requests += u64::from(resp.stats.attempts.max(1));
-                stats.s3_scanned_bytes += resp.stats.bytes_scanned;
-                stats.select_returned_bytes += resp.stats.bytes_returned;
-                stats.server_cpu_units += resp.stats.records_returned;
-                stats.expr_terms = stats.expr_terms.max(resp.stats.expr_terms);
-                if schema.is_none() {
-                    schema = Some(resp.output_schema.clone());
-                }
-                rows.extend(resp.rows()?);
-            }
-            (
-                ScanResult {
-                    schema: schema.expect("partitions"),
-                    rows,
-                    stats,
-                },
-                "bloom probe (binary)",
-            )
-        }
-        None => {
-            let right_stmt = SelectStmt {
-                items: right_cols
-                    .iter()
-                    .map(|c| SelectItem::Expr {
-                        expr: Expr::col(c.clone()),
-                        alias: None,
-                    })
-                    .collect(),
-                alias: None,
-                where_clause: q.right_pred.clone(),
-                limit: None,
-            };
-            (select_scan(ctx, &q.right, &right_stmt)?, "fallback probe")
-        }
-    };
-    let right_stats = right.stats;
-
-    // Local join + optional SUM, mirroring the stock bloom join's tail.
-    let mut local = PhaseStats::default();
-    let rk = right.schema.resolve(&q.right_key)?;
-    let joined = ops::hash_join(left.rows, lk, right.rows, rk, &mut local);
-    let join_schema = left.schema.join(&right.schema);
-    let (schema, rows) = if let Some(sum_col) = &q.sum_column {
-        let si = join_schema.resolve(sum_col)?;
-        local.server_cpu_units += joined.len() as u64;
-        let mut acc = AggFunc::Sum.accumulator();
-        for r in &joined {
-            acc.update(&r[si])?;
-        }
-        (
-            pushdown_common::Schema::from_pairs(&[("sum", join_schema.dtype_of(si))]),
-            vec![Row::new(vec![acc.finish()])],
-        )
-    } else {
-        let mut out_idx = Vec::new();
-        let mut fields = Vec::new();
-        for c in &q.left_proj {
-            let i = left.schema.resolve(c)?;
-            out_idx.push(i);
-            fields.push(left.schema.field(i).clone());
-        }
-        for c in &q.right_proj {
-            let i = right.schema.resolve(c)?;
-            out_idx.push(left.schema.len() + i);
-            fields.push(right.schema.field(i).clone());
-        }
-        (
-            pushdown_common::Schema::new(fields),
-            ops::project_rows(joined, &out_idx, &mut local),
-        )
-    };
-
-    let mut metrics = QueryMetrics::new();
-    metrics.push_serial(format!("build: select {}", q.left.name), left_stats);
-    metrics.push_serial(probe_label, right_stats);
-    metrics.push_serial("local join", local);
-    Ok(QueryOutput {
-        schema,
-        rows,
-        metrics,
-        billed: ctx.billed(),
-    })
-}
-
 /// Suggestion 4: group-by pushed natively — a single `GROUP BY` select
 /// per partition, merged on the compute node. No distinct phase, no
 /// CASE-WHEN chains (compare with [`crate::algos::groupby::s3_side`]).
@@ -486,7 +322,7 @@ pub fn s3_native_groupby(ctx: &QueryContext, q: &GroupByQuery) -> Result<QueryOu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algos::{filter, groupby, join};
+    use crate::algos::{filter, groupby};
     use crate::catalog::upload_csv_table;
     use crate::index::build_index;
     use pushdown_common::{DataType, Schema};
@@ -549,7 +385,9 @@ mod tests {
         assert_eq!(in_s3.metrics.usage().plain_bytes, 0);
     }
 
-    fn join_setup() -> (QueryContext, JoinQuery) {
+    /// A two-table join and the Bloom candidate of its `SUM` statement:
+    /// the build side `l` is the FROM table, `r` is in the catalog.
+    fn join_setup() -> (QueryContext, Table) {
         let store = S3Store::new();
         let ls = Schema::from_pairs(&[("lk", DataType::Int), ("bal", DataType::Float)]);
         let lrows: Vec<Row> = (0..400)
@@ -561,70 +399,70 @@ mod tests {
             .collect();
         let left = upload_csv_table(&store, "b", "l", &ls, &lrows, 200).unwrap();
         let right = upload_csv_table(&store, "b", "r", &rs, &rrows, 1_000).unwrap();
-        let ctx = QueryContext::new(store);
-        let q = JoinQuery {
-            left,
-            right,
-            left_key: "lk".into(),
-            right_key: "rk".into(),
-            left_pred: Some(parse_expr("bal < -40").unwrap()),
-            right_pred: None,
-            left_proj: vec!["lk".into()],
-            right_proj: vec!["price".into()],
-            sum_column: Some("price".into()),
-        };
-        (ctx, q)
+        (QueryContext::new(store).with_tables([right]), left)
+    }
+
+    /// Run the named join candidate of the fixture's statement; returns
+    /// the `SUM` and the label of the phase the probe scan runs in.
+    fn run_join(ctx: &QueryContext, left: &Table, name: &str) -> (f64, String) {
+        let sql = "SELECT SUM(price) FROM l JOIN r ON lk = rk WHERE bal < -40";
+        let spec = pushdown_sql::parse_query(sql).unwrap();
+        let candidates = crate::joinplan::lower_join_candidates(ctx, left, &spec).unwrap();
+        let (_, plan) = candidates.iter().find(|(n, _)| *n == name).unwrap();
+        let out = crate::plan::execute(&ctx.scoped(), plan).unwrap();
+        let probe = out.metrics.groups[1].phases[0].label.clone();
+        (out.rows[0][0].as_f64().unwrap(), probe)
+    }
+
+    /// The same context, its engine carrying the `bitwise` extension.
+    fn bitwise(ctx: &QueryContext) -> QueryContext {
+        let mut extended = ctx.clone();
+        extended.engine = ctx.engine.clone().with_extensions(EngineExtensions {
+            bitwise: true,
+            ..Default::default()
+        });
+        extended
     }
 
     #[test]
     fn suggestion3_binary_bloom_matches_and_shrinks_sql() {
-        let (ctx, q) = join_setup();
-        let stock = join::bloom(&ctx, &q, 0.01).unwrap();
-        let binary = bloom_binary(&ctx, &q, 0.01).unwrap();
-        assert_eq!(stock.rows.len(), 1);
-        let a = stock.rows[0][0].as_f64().unwrap();
-        let b = binary.rows[0][0].as_f64().unwrap();
-        assert!((a - b).abs() < 1e-6);
+        let (ctx, left) = join_setup();
+        let (stock, _) = run_join(&ctx, &left, "bloom");
+        let (binary, probe) = run_join(&bitwise(&ctx), &left, "bloom");
+        assert!((stock - binary).abs() < 1e-6);
+        assert!(probe.starts_with("bloom probe r"), "{probe}");
+        // Four filter bits per SQL character instead of one.
+        let mut f = pushdown_bloom::BloomFilter::with_rate(500, 0.01, 1);
+        (0..500).for_each(|k| f.insert(k));
+        let binary_sql = f.sql_predicate_binary("rk").to_string();
+        assert!(binary_sql.len() * 3 < f.sql_predicate("rk").to_string().len());
         // The stock engine refuses BIT_AT.
-        let mut f = pushdown_bloom::BloomFilter::with_rate(10, 0.1, 1);
-        f.insert(3);
-        let sql = format!(
-            "SELECT rk FROM S3Object WHERE {}",
-            f.sql_predicate_binary("rk")
-        );
+        let right = ctx.catalog.resolve("r").unwrap();
+        let sql = format!("SELECT rk FROM S3Object WHERE {binary_sql}");
         let err = ctx
             .engine
-            .select(
-                "b",
-                "r/part-00000.csv",
-                &sql,
-                &q.right.schema,
-                q.right.format,
-            )
+            .select("b", "r/part-00000.csv", &sql, &right.schema, right.format)
             .unwrap_err();
         assert_eq!(err.code(), "SelectRejected");
     }
 
     #[test]
     fn suggestion3_binary_bloom_survives_where_string_bloom_degrades() {
-        let (mut ctx, q) = join_setup();
+        let (mut ctx, left) = join_setup();
         // A budget the string filter cannot meet at the requested rate.
         ctx.bloom.max_sql_bytes = 1_200;
-        let (_, outcome) = join::bloom_with_outcome(&ctx, &q, 0.001).unwrap();
+        let (string, probe) = run_join(&ctx, &left, "bloom");
         assert!(
-            matches!(
-                outcome,
-                join::BloomOutcome::Degraded { .. } | join::BloomOutcome::FellBack
-            ),
-            "{outcome:?}"
+            probe.starts_with("bloom probe (fpr 0.01 degraded to ")
+                || probe.starts_with("fallback probe"),
+            "{probe}"
         );
         // The 4x denser binary encoding still fits and still agrees.
-        let binary = bloom_binary(&ctx, &q, 0.001).unwrap();
-        let reference = join::baseline(&ctx, &q).unwrap();
-        assert!(
-            (binary.rows[0][0].as_f64().unwrap() - reference.rows[0][0].as_f64().unwrap()).abs()
-                < 1e-6
-        );
+        let (binary, probe) = run_join(&bitwise(&ctx), &left, "bloom");
+        assert!(probe.starts_with("bloom probe r"), "{probe}");
+        let (reference, _) = run_join(&ctx, &left, "baseline");
+        assert!((binary - reference).abs() < 1e-6);
+        assert!((string - reference).abs() < 1e-6);
     }
 
     #[test]

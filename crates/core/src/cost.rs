@@ -18,7 +18,13 @@
 //! [`Pricing`](pushdown_common::pricing::Pricing) that score real
 //! executions. A prediction and a measurement can disagree only because
 //! the *footprint* was estimated imperfectly, never because they were
-//! priced by different models.
+//! priced by different models — nor because they counted phases
+//! differently: a phase is a pipeline between breakers, and every
+//! interior node here joins the predicted phases through the same
+//! [`QueryMetrics::stack`] (and [`QueryMetrics::join_sides`]) the
+//! executor reports through, under the same labels. Only scan leaves
+//! and the algorithm-family arms, which report their variant's own
+//! phases, push a phase themselves.
 //!
 //! What the walks of one query share is an [`Estimators`]: one
 //! [`Estimator`] per distinct table — the partition listing, the stored
@@ -32,7 +38,7 @@ use crate::algos::groupby::{GroupByQuery, HybridOptions};
 use crate::algos::topk::{optimal_sample_size, TopKQuery};
 use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
-use crate::metrics::QueryMetrics;
+use crate::metrics::{Flow, QueryMetrics};
 use crate::plan::{unknown_variant, AlgoOp, PlanNode, PlanOp};
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Schema, Value};
@@ -245,12 +251,14 @@ impl<'a> Estimator<'a> {
     }
 
     /// The load phase of a server-side variant, plain or through the
-    /// cache, under the family's label.
+    /// cache, under the label the family's server-side executor reports
+    /// either way.
     fn local_load(&self, variant: &str, family: &str, extra: f64) -> Result<QueryMetrics> {
-        Ok(match variant {
-            "cached-local" => serial(&format!("cached-local {family}"), self.cached_load(extra)?),
-            _ => serial(&format!("server-side {family}"), self.plain_load(extra)),
-        })
+        let stats = match variant {
+            "cached-local" => self.cached_load(extra)?,
+            _ => self.plain_load(extra),
+        };
+        Ok(serial(&format!("server-side {family}"), stats))
     }
 
     // ---- Filter (§IV) --------------------------------------------------
@@ -677,19 +685,21 @@ impl Estimator<'_> {
 type Predicted = (PredNode, QueryMetrics, Card);
 
 fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
-    let leaf = |stats: PhaseStats, label: &str, card: Card| {
+    // A scan leaf opens a phase named like the executor's.
+    let leaf = |stats: PhaseStats, phase: &str, table: &Table, card: Card| {
         (
             PredNode {
                 stats,
                 children: Vec::new(),
             },
-            serial(label, stats),
+            serial(&format!("{phase} {}", table.name), stats),
             card,
         )
     };
-    let stacked = |stats: PhaseStats, label: &str, child: Predicted, card: Card| {
+    // An interior operator joins the phases by the phase rule.
+    let stacked = |stats: PhaseStats, label: &str, flow: Flow, child: Predicted, card: Card| {
         let (cn, mut cm, _) = child;
-        cm.push_serial(label, stats);
+        cm.stack(label, stats, flow);
         (
             PredNode {
                 stats,
@@ -699,6 +709,19 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             card,
         )
     };
+    let joined = |stats: PhaseStats, label: &str, concurrent: bool, b: Predicted, p: Predicted| {
+        let ((bn, bm, bc), (pn, pm, pc)) = (b, p);
+        let mut metrics = QueryMetrics::join_sides(bm, pm, concurrent);
+        metrics.stack(label, stats, Flow::Streaming);
+        (
+            PredNode {
+                stats,
+                children: vec![bn, pn],
+            },
+            metrics,
+            bc.row_bytes + pc.row_bytes,
+        )
+    };
     Ok(match &node.op {
         PlanOp::LocalScan {
             table,
@@ -706,7 +729,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             projection,
         } => {
             let (stats, _, card) = ests.of(table).local_scan(predicate, projection);
-            leaf(stats, "load", card)
+            leaf(stats, "load", table, card)
         }
         PlanOp::PushdownScan {
             table,
@@ -714,7 +737,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             projection,
         } => {
             let (stats, card) = ests.of(table).pushdown_scan(predicate, projection, 1.0, 0);
-            leaf(stats, "select", card)
+            leaf(stats, "select", table, card)
         }
         PlanOp::CachedScan {
             table,
@@ -728,40 +751,32 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             // the snapshot went stale mid-prediction the full-load price
             // is the conservative upper bound, never zero.
             let (plain, extra, card) = est.local_scan(predicate, projection);
-            leaf(est.cached_load(extra).unwrap_or(plain), "cached load", card)
+            let stats = est.cached_load(extra).unwrap_or(plain);
+            leaf(stats, "cached load", table, card)
         }
         PlanOp::HashJoin {
             build_key,
             probe_key,
         } => {
-            let (bn, bm, bc) = predict_node(ests, &node.children[0])?;
-            let (pn, pm, pc) = predict_node(ests, &node.children[1])?;
-            let out = join_out_rows(ests, bc.rows, pc.rows, build_key, probe_key);
-            let stats = cpu_phase(bc.rows + pc.rows + out);
-            let mut metrics = crate::plan::merge_concurrent(bm, pm);
-            metrics.push_serial("hash join", stats);
-            (
-                PredNode {
-                    stats,
-                    children: vec![bn, pn],
-                },
-                metrics,
-                Card {
-                    rows: out,
-                    row_bytes: bc.row_bytes + pc.row_bytes,
-                },
-            )
+            let build = predict_node(ests, &node.children[0])?;
+            let probe = predict_node(ests, &node.children[1])?;
+            let (b, p) = (build.2.rows, probe.2.rows);
+            let rows = join_out_rows(ests, b, p, build_key, probe_key);
+            let (root, metrics, row_bytes) =
+                joined(cpu_phase(b + p + rows), "hash join", true, build, probe);
+            (root, metrics, Card { rows, row_bytes })
         }
         PlanOp::BloomJoin {
             build_key,
             probe_key,
             fpr,
         } => {
-            let (bn, bm, bc) = predict_node(ests, &node.children[0])?;
+            let build = predict_node(ests, &node.children[0])?;
+            let bc = build.2;
             // The probe is a PushdownScan whose predicate gains the Bloom
             // filter: containment says a `keep` fraction of otherwise
             // matching rows survives the storage-side filter.
-            let (pn, pm, pc) = match &node.children[1].op {
+            let probe = match &node.children[1].op {
                 PlanOp::PushdownScan {
                     table,
                     predicate,
@@ -775,26 +790,24 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
                     let (stats, card) = ests
                         .of(table)
                         .pushdown_scan(predicate, projection, keep, hashes);
-                    leaf(stats, "bloom probe", card)
+                    // Named for what the SQL limit will make of the
+                    // requested rate (priced at the requested one).
+                    let planned = crate::plan::bloom_builder(ests.ctx).plan(
+                        (build_keys as usize).max(1),
+                        *fpr,
+                        probe_key,
+                    );
+                    let phase = crate::plan::bloom_probe_phase(&planned);
+                    leaf(stats, &phase, table, card)
                 }
                 _ => predict_node(ests, &node.children[1])?,
             };
-            let out = join_out_rows(ests, bc.rows, pc.rows, build_key, probe_key);
-            let stats = cpu_phase(bc.rows + pc.rows + out);
-            let mut metrics = bm;
-            metrics.extend(&pm);
-            metrics.push_serial("hash join (bloom)", stats);
-            (
-                PredNode {
-                    stats,
-                    children: vec![bn, pn],
-                },
-                metrics,
-                Card {
-                    rows: out,
-                    row_bytes: bc.row_bytes + pc.row_bytes,
-                },
-            )
+            let p = probe.2.rows;
+            let rows = join_out_rows(ests, bc.rows, p, build_key, probe_key);
+            let stats = cpu_phase(bc.rows + p + rows);
+            let (root, metrics, row_bytes) =
+                joined(stats, "hash join (bloom)", false, build, probe);
+            (root, metrics, Card { rows, row_bytes })
         }
         PlanOp::LocalFilter { predicate } => {
             let child = predict_node(ests, &node.children[0])?;
@@ -804,7 +817,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
                 row_bytes: child.2.row_bytes,
             };
             let stats = cpu_phase(child.2.rows);
-            stacked(stats, "residual filter", child, card)
+            stacked(stats, "residual filter", Flow::Streaming, child, card)
         }
         PlanOp::Project { exprs } => {
             let child = predict_node(ests, &node.children[0])?;
@@ -821,13 +834,18 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
                 row_bytes: width,
             };
             let stats = cpu_phase(child.2.rows);
-            stacked(stats, "project", child, card)
+            stacked(stats, "project", Flow::Streaming, child, card)
         }
         PlanOp::GroupBy { group_width, aggs } => {
             let child = predict_node(ests, &node.children[0])?;
             // Group count: NDV product over the grouped input expressions
-            // (readable through the Project the planner places below).
-            let groups = match &node.children[0].op {
+            // (readable through the Project the planner places below, and
+            // through the Repartition a scattered plan puts between).
+            let input = match &node.children[0].op {
+                PlanOp::Repartition { .. } => &node.children[0].children[0],
+                _ => &node.children[0],
+            };
+            let groups = match &input.op {
                 PlanOp::Project { exprs } => exprs[..*group_width]
                     .iter()
                     .map(|e| match e {
@@ -843,8 +861,37 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
                 rows: groups,
                 row_bytes: child.2.row_bytes + aggs.len() as f64 * AGG_VALUE_WIDTH,
             };
-            let stats = cpu_phase(child.2.rows + groups);
-            stacked(stats, "group-by", child, card)
+            let work = child.2.rows + groups;
+            let stats = cpu_phase(work);
+            let PlanOp::Repartition { nodes, .. } = &node.children[0].op else {
+                return Ok(stacked(stats, "group-by", Flow::Breaker, child, card));
+            };
+            // Scattered, as the executor runs it: every node aggregates
+            // its share of the repartitioned rows side by side, then the
+            // coordinator merges the groups back into key order.
+            let n = (*nodes).max(1);
+            let (rep, mut metrics, _) = child;
+            let share = PhaseStats {
+                exchange_bytes: rep.stats.exchange_bytes / n as u64,
+                ..cpu_phase(work / n as f64)
+            };
+            let per_node = (0..n).map(|k| (format!("group-by node {k}"), share));
+            metrics.push_parallel(per_node.collect());
+            let merge = cpu_phase(groups * groups.log2().max(1.0));
+            metrics.stack("group-by merge", merge, Flow::Breaker);
+            let mut stats = PhaseStats {
+                exchange_bytes: rep.stats.exchange_bytes,
+                ..stats
+            };
+            stats.merge(&merge);
+            (
+                PredNode {
+                    stats,
+                    children: vec![rep],
+                },
+                metrics,
+                card,
+            )
         }
         PlanOp::Aggregate { aggs } => {
             let child = predict_node(ests, &node.children[0])?;
@@ -853,7 +900,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
                 rows: 1.0,
                 row_bytes: aggs.len() as f64 * AGG_VALUE_WIDTH,
             };
-            stacked(stats, "aggregate", child, card)
+            stacked(stats, "aggregate", Flow::Breaker, child, card)
         }
         PlanOp::Sort { limit, .. } => {
             let child = predict_node(ests, &node.children[0])?;
@@ -863,7 +910,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
                 rows: limit.map_or(n, |k| n.min(k as f64)),
                 row_bytes: child.2.row_bytes,
             };
-            stacked(stats, "sort", child, card)
+            stacked(stats, "sort", Flow::Breaker, child, card)
         }
         PlanOp::Limit { n } => {
             let (cn, cm, cc) = predict_node(ests, &node.children[0])?;
@@ -883,7 +930,8 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
         // An algorithm-family leaf reports one merged footprint and the
         // phases of its own variant, as its executor does.
         PlanOp::Algo(algo) => {
-            let (metrics, card) = ests.of(algo.table()).algo(algo)?;
+            let (mut metrics, card) = ests.of(algo.table()).algo(algo)?;
+            metrics.close();
             let node = PredNode {
                 stats: crate::plan::merged_stats(&metrics),
                 children: Vec::new(),
@@ -905,9 +953,9 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             let (cn, cm, cc) = predict_node(ests, &node.children[0])?;
             let n = (*nodes).max(1) as f64;
             // Modeled all-to-all shuffle: the expected cross-node share
-            // of the serialized child volume. No extra metrics phase —
-            // the executor meters this inside the per-node group-by
-            // phases.
+            // of the serialized child volume. No metrics phase here — the
+            // group-by above meters it inside its per-node phases, as
+            // the executor does.
             let stats = PhaseStats {
                 exchange_bytes: (cc.rows * cc.row_bytes * (n - 1.0) / n) as u64,
                 ..Default::default()

@@ -17,17 +17,19 @@
 //! * [`fragment`] — the predicate / projection / top-K reducer a leaf
 //!   operator hands to a local scan, evaluated inside the scan workers;
 //! * [`index`] — the §IV-A byte-range index tables;
-//! * [`algos`] — the paper's algorithms (filter/join/group-by/top-K in
-//!   all their variants);
+//! * [`algos`] — the paper's single-table algorithms (filter / group-by
+//!   / top-K in all their variants) and the §X what-if variants;
 //! * [`plan`] — the physical-plan IR: scan leaves (pushdown, local, and
 //!   `CachedScan` through the hybrid caching tier), joins, group-by,
 //!   sort/top-K, project/limit as one operator DAG, driven by a single
 //!   push-based executor, with the [`algos`] families participating as
 //!   leaf operators (an `AlgoOp` is an executor kind; its planning is
-//!   the planner's);
+//!   the planner's). The paper's §V joins — baseline, filtered, Bloom —
+//!   are compositions of these operators and have no executor of their
+//!   own;
 //! * [`joinplan`] — lowering of multi-table statements to the candidate
-//!   plans the planner prices, and the ORDER BY / LIMIT stack both
-//!   lowerings share;
+//!   plans the planner prices (the §V joins by name among them), and the
+//!   ORDER BY / LIMIT stack both lowerings share;
 //! * [`cost`] — the analytical cost estimator: one walker
 //!   (`predict_plan`) prices every node of a candidate plan — scan
 //!   leaves, joins, operators, cluster fan-outs and the algorithm-family
@@ -39,7 +41,9 @@
 //!   for the fixed strategies, the argmin-dollar plan for
 //!   [`planner::Strategy::Adaptive`]), scatters, runs and explains them;
 //! * [`metrics`] / [`output`] — phase-structured accounting that the
-//!   analytical performance model turns into seconds and dollars;
+//!   analytical performance model turns into seconds and dollars, and
+//!   the one statement of what a phase is (a pipeline between breakers)
+//!   that the executor and the estimator both report through;
 //! * [`context`] — wiring (store, Select engine, models, the
 //!   [`catalog::Catalog`] that resolves join tables by name).
 

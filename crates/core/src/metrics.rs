@@ -7,6 +7,37 @@
 //! concurrently (e.g. a filtered join loading both tables at once), so
 //! group time is the max of its members and query time is the sum of the
 //! groups (plus fixed query startup).
+//!
+//! # What a phase is
+//!
+//! A phase is a **pipeline between breakers**, and [`QueryMetrics::stack`]
+//! is the one place that says so — the plan executor
+//! ([`crate::plan::execute`]) and the pricer
+//! ([`crate::cost::predict_plan`]) both call it once per interior
+//! operator, so executed and predicted phase lists cannot drift:
+//!
+//! * a scan leaf opens a serial phase ([`QueryMetrics::push_serial`]);
+//! * a **streaming** operator — residual filter, project, the probe side
+//!   and own CPU of a join, repartition — adds its [`PhaseStats`] to the
+//!   open serial phase below it: its rows never rest, so it pays no
+//!   `phase_startup` of its own and its CPU sits under the same `max` as
+//!   the scan that feeds it;
+//! * a **breaker** — group-by, scalar aggregate, sort, group-by merge —
+//!   adds its stats the same way and then closes the phase: it has to
+//!   see its whole input before anything above it starts. The hash build
+//!   that drains a join's build side closes that side's phase too
+//!   ([`QueryMetrics::join_sides`]); the join reports its CPU, build
+//!   included, once, streaming over the probe side;
+//! * after a closed phase or a parallel group (two concurrent loads, a
+//!   `Gather`, per-node group-bys) the next operator opens a new serial
+//!   phase;
+//! * an algorithm-family leaf reports the phases of its own variant and
+//!   ends closed ([`QueryMetrics::close`]).
+//!
+//! So a baseline join under `GROUP BY … ORDER BY` is three groups —
+//! `{load a ‖ load b} {hash join + project + group-by} {sort}` — and a
+//! Bloom join is the paper's two (§V-A2) before its sort:
+//! `{select a} {bloom probe b + hash join (bloom) + project + group-by}`.
 
 use pushdown_common::perf::{PerfModel, PhaseStats};
 use pushdown_common::pricing::{CostBreakdown, Pricing, Usage};
@@ -37,10 +68,23 @@ impl PhaseGroup {
     }
 }
 
+/// How an interior operator sits in its pipeline (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Rows pass through: the operator joins the open phase below it.
+    Streaming,
+    /// The operator holds its whole input: it joins the open phase below
+    /// it and ends it.
+    Breaker,
+}
+
 /// The full, phase-structured footprint of one query execution.
 #[derive(Debug, Clone, Default)]
 pub struct QueryMetrics {
     pub groups: Vec<PhaseGroup>,
+    /// The last group is a serial phase whose pipeline has not met a
+    /// breaker yet: operators stacked on it run inside it.
+    open: bool,
 }
 
 impl QueryMetrics {
@@ -48,7 +92,8 @@ impl QueryMetrics {
         Self::default()
     }
 
-    /// Append a phase that runs by itself.
+    /// Append a phase that runs by itself, open to the streaming
+    /// operators stacked on it.
     pub fn push_serial(&mut self, label: impl Into<String>, stats: PhaseStats) {
         self.groups.push(PhaseGroup {
             phases: vec![Phase {
@@ -56,9 +101,11 @@ impl QueryMetrics {
                 stats,
             }],
         });
+        self.open = true;
     }
 
-    /// Append a group of concurrent phases.
+    /// Append a group of concurrent phases. Nothing joins a parallel
+    /// group: the next operator opens a phase of its own.
     pub fn push_parallel(&mut self, phases: Vec<(String, PhaseStats)>) {
         self.groups.push(PhaseGroup {
             phases: phases
@@ -66,11 +113,57 @@ impl QueryMetrics {
                 .map(|(label, stats)| Phase { label, stats })
                 .collect(),
         });
+        self.open = false;
     }
 
-    /// Append all of `other`'s groups (sub-query composition).
+    /// Append all of `other`'s groups (sub-query composition); the last
+    /// phase stays as open as `other` left it.
     pub fn extend(&mut self, other: &QueryMetrics) {
         self.groups.extend(other.groups.iter().cloned());
+        self.open = other.open;
+    }
+
+    /// **The phase rule** (module docs): stack one interior operator on
+    /// what ran below it. Its footprint joins the open serial phase, or
+    /// opens a new one after a closed phase or a parallel group; a
+    /// breaker then closes the phase it is in.
+    pub fn stack(&mut self, label: &str, stats: PhaseStats, flow: Flow) {
+        match self.groups.last_mut() {
+            Some(group) if self.open => {
+                let phase = &mut group.phases[0];
+                phase.label = format!("{} + {label}", phase.label);
+                phase.stats.merge(&stats);
+            }
+            _ => self.push_serial(label, stats),
+        }
+        self.open = flow == Flow::Streaming;
+    }
+
+    /// End the pipeline of the last phase without adding to it: the hash
+    /// build that drains a join's build side, and the end of an
+    /// algorithm-family leaf.
+    pub fn close(&mut self) {
+        self.open = false;
+    }
+
+    /// Compose the two sides of a join, build first. `concurrent` sides
+    /// that are one phase each load side by side in one parallel group;
+    /// anything else runs build, then probe — the build side closed by
+    /// its hash build, the probe side as open as it was, so the join's
+    /// own work streams into the probe's phase.
+    pub fn join_sides(mut build: QueryMetrics, probe: QueryMetrics, concurrent: bool) -> Self {
+        if concurrent && build.groups.len() == 1 && probe.groups.len() == 1 {
+            let phases = build.groups.into_iter().chain(probe.groups);
+            return QueryMetrics {
+                groups: vec![PhaseGroup {
+                    phases: phases.flat_map(|g| g.phases).collect(),
+                }],
+                open: false,
+            };
+        }
+        build.close();
+        build.extend(&probe);
+        build
     }
 
     /// Modeled end-to-end runtime in seconds.
@@ -167,6 +260,7 @@ impl QueryMetrics {
                         .collect(),
                 })
                 .collect(),
+            open: self.open,
         }
     }
 }
@@ -202,6 +296,91 @@ mod tests {
         let b = model.phase_seconds(&stats(2_000_000_000));
         assert!((t_serial - (model.params.query_startup + a + b)).abs() < 1e-9);
         assert!((t_parallel - (model.params.query_startup + b)).abs() < 1e-9);
+    }
+
+    fn cpu(units: u64) -> PhaseStats {
+        PhaseStats {
+            server_cpu_units: units,
+            ..Default::default()
+        }
+    }
+
+    fn shape(m: &QueryMetrics) -> Vec<Vec<(&str, u64)>> {
+        fn phase(p: &Phase) -> (&str, u64) {
+            (p.label.as_str(), p.stats.server_cpu_units)
+        }
+        m.groups
+            .iter()
+            .map(|g| g.phases.iter().map(phase).collect())
+            .collect()
+    }
+
+    /// The phase rule, case by case.
+    #[test]
+    fn a_phase_is_a_pipeline_between_breakers() {
+        // Streaming operators join the scan's phase; a breaker joins it
+        // and ends it; the next operator opens a phase of its own.
+        let mut m = QueryMetrics::new();
+        m.push_serial("load t", cpu(10));
+        m.stack("residual filter", cpu(1), Flow::Streaming);
+        m.stack("project", cpu(2), Flow::Streaming);
+        m.stack("group-by", cpu(4), Flow::Breaker);
+        m.stack("sort", cpu(8), Flow::Breaker);
+        m.stack("project", cpu(16), Flow::Streaming);
+        assert_eq!(
+            shape(&m),
+            vec![
+                vec![("load t + residual filter + project + group-by", 17)],
+                vec![("sort", 8)],
+                vec![("project", 16)],
+            ]
+        );
+        // Work is regrouped, never added or lost.
+        assert_eq!(crate::plan::merged_stats(&m).server_cpu_units, 41);
+
+        // Two single loads run side by side, and nothing joins a
+        // parallel group.
+        let leaf = |label: &str| {
+            let mut m = QueryMetrics::new();
+            m.push_serial(label, cpu(1));
+            m
+        };
+        let mut join = QueryMetrics::join_sides(leaf("load a"), leaf("load b"), true);
+        join.stack("hash join", cpu(5), Flow::Streaming);
+        join.stack("aggregate", cpu(1), Flow::Breaker);
+        assert_eq!(
+            shape(&join),
+            vec![
+                vec![("load a", 1), ("load b", 1)],
+                vec![("hash join + aggregate", 6)]
+            ]
+        );
+
+        // Serial sides (a Bloom join; a build side that is a join
+        // itself): the hash build ends the build side's pipeline, and
+        // the join streams over the probe side's.
+        let mut bloom = QueryMetrics::join_sides(leaf("select a"), leaf("bloom probe b"), false);
+        bloom.stack("hash join (bloom)", cpu(5), Flow::Streaming);
+        assert_eq!(
+            shape(&bloom),
+            vec![
+                vec![("select a", 1)],
+                vec![("bloom probe b + hash join (bloom)", 6)]
+            ]
+        );
+        let mut deep = QueryMetrics::join_sides(join, leaf("load c"), true);
+        deep.stack("hash join", cpu(3), Flow::Streaming);
+        assert_eq!(deep.groups.len(), 3);
+        assert_eq!(shape(&deep)[2], vec![("load c + hash join", 4)]);
+
+        // A family leaf's phases are its own: closed, they take nothing.
+        let mut algo = leaf("server-side group-by");
+        algo.close();
+        algo.stack("sort", cpu(2), Flow::Breaker);
+        assert_eq!(
+            shape(&algo),
+            vec![vec![("server-side group-by", 1)], vec![("sort", 2)]]
+        );
     }
 
     #[test]

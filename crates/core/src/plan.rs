@@ -33,13 +33,24 @@
 //! * a join — the build child is drained into the join table before the
 //!   probe child starts (the build rows stay; the joined rows never
 //!   do). The two children run one after the other, each scan filling
-//!   the worker pool by itself; the *model* still composes their
-//!   footprints as concurrent (`merge_concurrent`), which is what the
-//!   planner priced;
+//!   the worker pool by itself; the *model* still composes two scan
+//!   leaves' footprints as concurrent
+//!   ([`QueryMetrics::join_sides`]), which is what the planner priced;
 //! * group-by and scalar aggregation — accumulators only;
 //! * sort — every input row (ORDER BY has to see them all);
 //! * `Gather`, `Repartition` under a group-by and the algorithm-family
 //!   leaves — their results, which they hand on in batches.
+//!
+//! The breakers are also where the **phases** of the reported
+//! [`QueryMetrics`] end: a phase is a pipeline between breakers. A
+//! streaming operator (residual filter, project, the probe side and own
+//! CPU of a join, repartition) charges the phase of the scan that feeds
+//! it, a breaker charges it and closes it, and the operator above a
+//! breaker, a join's two concurrent loads or a `Gather` opens the next
+//! one — the rule is [`QueryMetrics::stack`]'s, and every interior
+//! operator here reports through it, as every interior node of
+//! [`crate::cost::predict_plan`] does. `Limit` charges nothing and
+//! reports no phase.
 //!
 //! `Limit` passes rows until it is full and then **keeps draining** its
 //! child: a scan that stopped at the limit would fetch, and bill, less
@@ -57,10 +68,11 @@
 use crate::algos::{filter, groupby, topk, whatif};
 use crate::catalog::Table;
 use crate::context::QueryContext;
-use crate::metrics::QueryMetrics;
+use crate::metrics::{Flow, QueryMetrics};
 use crate::ops;
 use crate::output::QueryOutput;
 use crate::scan::{scan, select_scan, select_scan_streamed, ScanFragment, ScanSource};
+use pushdown_bloom::{BloomBuilder, BloomPlan};
 use pushdown_common::perf::{PerfModel, PhaseStats};
 use pushdown_common::row::RowBatch;
 use pushdown_common::{Error, Result, Row, Schema, Value};
@@ -118,9 +130,12 @@ pub enum PlanOp {
     /// Hash join whose probe child (a [`PlanOp::PushdownScan`]) is
     /// additionally filtered by a Bloom filter built from the build
     /// side's keys and shipped inside the probe's Select predicate
-    /// (paper §V-A2). Build and probe are serial by construction; falls
-    /// back to an unfiltered probe when no filter fits the SQL limit
-    /// (§V-B1).
+    /// (paper §V-A2). Build and probe are serial by construction; the
+    /// false-positive rate degrades, and then the probe falls back to an
+    /// unfiltered one, when no filter fits the SQL limit (§V-B1) — the
+    /// probe phase's label says which. Under the engine's §X `bitwise`
+    /// extension the filter ships in its hex / `BIT_AT` encoding, four
+    /// filter bits per SQL character instead of one.
     BloomJoin {
         build_key: String,
         probe_key: String,
@@ -406,24 +421,28 @@ pub(crate) fn scan_stmt(projection: &Option<Vec<String>>, predicate: &Option<Exp
     }
 }
 
-/// Compose two concurrently-executed children's metrics: two single
-/// groups merge into one parallel group (group time = max); anything
-/// deeper concatenates serially (conservative).
-pub(crate) fn merge_concurrent(a: QueryMetrics, b: QueryMetrics) -> QueryMetrics {
-    let mut out = QueryMetrics::new();
-    if a.groups.len() == 1 && b.groups.len() == 1 {
-        let mut phases = Vec::new();
-        for g in a.groups.into_iter().chain(b.groups) {
-            for p in g.phases {
-                phases.push((p.label, p.stats));
-            }
-        }
-        out.push_parallel(phases);
-    } else {
-        out.groups.extend(a.groups);
-        out.groups.extend(b.groups);
+/// The builder a Bloom join plans its filter with. §X Suggestion 3: the
+/// hex / `BIT_AT` encoding of the engine's `bitwise` extension packs four
+/// filter bits per SQL character, so the same statement budget plans a
+/// filter four times the size.
+pub(crate) fn bloom_builder(ctx: &QueryContext) -> BloomBuilder {
+    let mut builder = ctx.bloom;
+    if ctx.engine.extensions().bitwise {
+        builder.max_sql_bytes = builder.max_sql_bytes.saturating_mul(4);
     }
-    out
+    builder
+}
+
+/// Phase label of a Bloom join's probe scan: what §V-B1 made of the
+/// requested false-positive rate.
+pub(crate) fn bloom_probe_phase(planned: &BloomPlan) -> String {
+    match planned {
+        BloomPlan::AsRequested { .. } => "bloom probe".into(),
+        BloomPlan::Degraded { requested, fpr } => {
+            format!("bloom probe (fpr {requested} degraded to {fpr})")
+        }
+        BloomPlan::Fallback => "fallback probe (no bloom)".into(),
+    }
 }
 
 /// Sum every phase of `metrics` into one [`PhaseStats`] (leaf reports).
@@ -489,18 +508,18 @@ impl Ran {
     }
 
     /// Stack a unary operator over this (its child's) outcome: its own
-    /// footprint `local` becomes the report root and one more serial
-    /// phase. The schema stays the child's.
-    fn stacked(mut self, node: &PlanNode, phase: &str, local: PhaseStats) -> Ran {
-        self.metrics.push_serial(phase, local);
+    /// footprint `local` becomes the report root and joins the phases
+    /// by the phase rule. The schema stays the child's.
+    fn stacked(mut self, node: &PlanNode, phase: &str, local: PhaseStats, flow: Flow) -> Ran {
+        self.metrics.stack(phase, local, flow);
         self.under(node, local)
     }
 
     /// [`Ran::stacked`] for an operator that emits `node.schema`.
-    fn reshaped(self, node: &PlanNode, phase: &str, local: PhaseStats) -> Ran {
+    fn reshaped(self, node: &PlanNode, phase: &str, local: PhaseStats, flow: Flow) -> Ran {
         Ran {
             schema: node.schema.clone(),
-            ..self.stacked(node, phase, local)
+            ..self.stacked(node, phase, local, flow)
         }
     }
 }
@@ -593,7 +612,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             // itself. The model still prices the two subtrees as
             // concurrent, as it did when they ran side by side.
             let probe = run(ctx, probe_node, &mut |batch| join.probe(batch, sink))?;
-            Ok(join.finish(node, build, probe, merge_concurrent, "hash join"))
+            Ok(join.finish(node, build, probe, true, "hash join"))
         }
         PlanOp::BloomJoin {
             build_key,
@@ -632,28 +651,25 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             // §V-B1: degrade or fall back when the filter cannot fit the
             // SQL size limit; either way the build side already loaded,
             // so the two scans stay serial.
-            let (stmt, probe_label) = match ctx.bloom.build(&keys, *fpr, probe_key) {
-                Some((bloom_filter, _plan)) => {
-                    let bloom_pred = bloom_filter.sql_predicate(probe_key);
-                    let pred = match predicate {
-                        Some(p) => Expr::and(p.clone(), bloom_pred),
-                        None => bloom_pred,
-                    };
-                    (scan_stmt(projection, &Some(pred)), "bloom probe")
+            let built = bloom_builder(ctx).build(&keys, *fpr, probe_key);
+            let planned = built.as_ref().map_or(&BloomPlan::Fallback, |(_, p)| p);
+            let phase = bloom_probe_phase(planned);
+            let bloom_pred = built.map(|(filter, _)| {
+                if ctx.engine.extensions().bitwise {
+                    filter.sql_predicate_binary(probe_key)
+                } else {
+                    filter.sql_predicate(probe_key)
                 }
-                None => (
-                    scan_stmt(projection, predicate),
-                    "fallback probe (no bloom)",
-                ),
+            });
+            let pred = match (predicate, bloom_pred) {
+                (Some(p), Some(b)) => Some(Expr::and(p.clone(), b)),
+                (p, b) => b.or_else(|| p.clone()),
             };
-            let probe = select_leaf(ctx, probe_node, table, &stmt, probe_label, &mut |batch| {
+            let stmt = scan_stmt(projection, &pred);
+            let probe = select_leaf(ctx, probe_node, table, &stmt, &phase, &mut |batch| {
                 join.probe(batch, sink)
             })?;
-            let serial = |mut build: QueryMetrics, probe: QueryMetrics| {
-                build.extend(&probe);
-                build
-            };
-            Ok(join.finish(node, build, probe, serial, "hash join (bloom)"))
+            Ok(join.finish(node, build, probe, false, "hash join (bloom)"))
         }
         PlanOp::LocalFilter { predicate } => {
             let child = &node.children[0];
@@ -663,7 +679,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 batch.rows = ops::filter_rows(batch.rows, &bound, &mut local)?;
                 forward(batch, sink)
             })?;
-            Ok(ran.stacked(node, "residual filter", local))
+            Ok(ran.stacked(node, "residual filter", local, Flow::Streaming))
         }
         PlanOp::Project { exprs } => {
             let child = &node.children[0];
@@ -677,7 +693,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 let rows = ops::map_rows(&batch.rows, &bound, &mut local)?;
                 forward(RowBatch::new(node.schema.clone(), rows), sink)
             })?;
-            Ok(ran.reshaped(node, "project", local))
+            Ok(ran.reshaped(node, "project", local, Flow::Streaming))
         }
         PlanOp::GroupBy { group_width, aggs } => {
             // A Repartition child switches to scattered execution:
@@ -691,7 +707,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 acc.update_batch(&batch.rows, &mut local)
             })?;
             emit(ctx, &node.schema, acc.finish(&mut local), sink)?;
-            Ok(ran.reshaped(node, "group-by", local))
+            Ok(ran.reshaped(node, "group-by", local, Flow::Breaker))
         }
         PlanOp::Aggregate { aggs } => {
             let mut accs: Vec<_> = aggs.iter().map(|(f, c)| (f.accumulator(), *c)).collect();
@@ -710,7 +726,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             })?;
             let row = Row::new(accs.iter().map(|(a, _)| a.finish()).collect());
             emit(ctx, &node.schema, vec![row], sink)?;
-            Ok(ran.reshaped(node, "aggregate", local))
+            Ok(ran.reshaped(node, "aggregate", local, Flow::Breaker))
         }
         PlanOp::Sort { keys, limit } => {
             let mut rows = Vec::new();
@@ -724,7 +740,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 rows.truncate(*k);
             }
             emit(ctx, &ran.schema, rows, sink)?;
-            Ok(ran.stacked(node, "sort", local))
+            Ok(ran.stacked(node, "sort", local, Flow::Breaker))
         }
         PlanOp::Limit { n } => {
             // The child runs to its end — a scan that stopped at the
@@ -783,9 +799,12 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             };
             let actual = merged_stats(&out.metrics);
             emit(ctx, &out.schema, out.rows, sink)?;
+            // A family leaf reports its own phases, whole.
+            let mut metrics = out.metrics;
+            metrics.close();
             Ok(Ran {
                 schema: out.schema,
-                metrics: out.metrics,
+                metrics,
                 report: OpReport::leaf(node.label(), actual),
             })
         }
@@ -807,7 +826,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 exchange_bytes: total - total / (*nodes).max(1) as u64,
                 ..Default::default()
             };
-            Ok(ran.stacked(node, "repartition", local))
+            Ok(ran.stacked(node, "repartition", local, Flow::Streaming))
         }
     }
 }
@@ -876,18 +895,11 @@ impl Join {
         forward(RowBatch::new(self.schema.clone(), rows), sink)
     }
 
-    /// `compose` puts the two children's metrics together: side by side
-    /// or one after the other.
-    fn finish(
-        self,
-        node: &PlanNode,
-        build: Ran,
-        probe: Ran,
-        compose: impl FnOnce(QueryMetrics, QueryMetrics) -> QueryMetrics,
-        phase: &str,
-    ) -> Ran {
-        let mut metrics = compose(build.metrics, probe.metrics);
-        metrics.push_serial(phase, self.local);
+    /// The two children's metrics go side by side (`concurrent`) or one
+    /// after the other, and the join's own work streams over the probe.
+    fn finish(self, node: &PlanNode, build: Ran, probe: Ran, concurrent: bool, phase: &str) -> Ran {
+        let mut metrics = QueryMetrics::join_sides(build.metrics, probe.metrics, concurrent);
+        metrics.stack(phase, self.local, Flow::Streaming);
         Ran {
             schema: build.schema.join(&probe.schema),
             metrics,
@@ -1132,7 +1144,7 @@ fn run_partitioned_group_by(
     let rows = ops::sort_rows_by_keys(parts.concat(), &sort_keys, &mut merge_stats);
     let mut metrics = child.metrics;
     metrics.push_parallel(phases);
-    metrics.push_serial("group-by merge", merge_stats);
+    metrics.stack("group-by merge", merge_stats, Flow::Breaker);
     let mut gb_actual = gb_stats;
     gb_actual.merge(&merge_stats);
     emit(ctx, &node.schema, rows, sink)?;

@@ -43,8 +43,7 @@
 //! best K unordered; the K best of a multiset do not depend on order.)
 //!
 //! The older closure-taking entry points ([`plain_scan_streamed`],
-//! [`cached_scan_streamed`], their `_columnar` twins, [`plain_scan`])
-//! are forwarding shims over [`scan`] with an identity fragment, kept
+//! [`cached_scan_streamed`], [`plain_scan`]) are forwarding shims over [`scan`] with an identity fragment, kept
 //! for callers that want every row and as the oracle the fragment tests
 //! compare against.
 //!

@@ -271,8 +271,6 @@ pub struct CsvReader<'a> {
     /// Whether the first record is a header to skip.
     header: bool,
     started: bool,
-    /// Whether a blank line is a record ([`CsvReader::blank_records`]).
-    blank_records: bool,
     /// Field spans of the record being decoded, reused across records.
     spans: Vec<FieldSpan>,
 }
@@ -290,7 +288,6 @@ impl<'a> CsvReader<'a> {
             pos: 0,
             header: true,
             started: false,
-            blank_records: false,
             spans: Vec::new(),
         }
     }
@@ -301,16 +298,6 @@ impl<'a> CsvReader<'a> {
             header: false,
             ..CsvReader::with_header(data, schema)
         }
-    }
-
-    /// Read a blank line as a record instead of skipping it. For data
-    /// whose writer emits no stray blank lines and whose schema has one
-    /// column, where a blank line is what a NULL value looks like (a
-    /// one-column S3 Select response); under a wider schema it fails the
-    /// field-count check like any other short record.
-    pub fn blank_records(mut self) -> Self {
-        self.blank_records = true;
-        self
     }
 
     /// Type only the columns `needed` (schema positions, strictly
@@ -351,7 +338,7 @@ impl<'a> CsvReader<'a> {
             let start = self.pos;
             let scanned = scan_record(&self.data[start..], false, &mut self.spans);
             self.pos = start + scanned.consumed;
-            if scanned.len > 0 || self.blank_records {
+            if scanned.len > 0 {
                 return Some((start, scanned));
             } // else a blank line: skip it
         }
@@ -461,8 +448,7 @@ impl<'a> Iterator for CsvReader<'a> {
                 .map(|()| CsvRecord {
                     row: Row::new(values),
                     first_byte: start as u64,
-                    // (A blank record has no last byte of its own.)
-                    last_byte: (start + rec.len).saturating_sub(1) as u64,
+                    last_byte: (start + rec.len - 1) as u64,
                 }),
         )
     }
@@ -775,21 +761,26 @@ mod tests {
         assert_eq!(rows[1][0], Value::Int(2));
     }
 
+    /// A lone NULL is written as a quoted empty field, so it is a record
+    /// to the reader — which goes on skipping the blank lines of files
+    /// it did not write.
     #[test]
-    fn blank_lines_are_null_records_when_asked_for() {
+    fn a_lone_null_field_is_written_quoted_and_read_back() {
         let schema = Schema::from_pairs(&[("k", DataType::Int)]);
-        let read = |reader: CsvReader| -> Vec<Value> {
-            reader.map(|r| r.unwrap().row[0].clone()).collect()
-        };
-        let data = b"1\n\n2\n\n";
-        assert_eq!(
-            read(CsvReader::without_header(data, schema.clone())),
-            vec![Value::Int(1), Value::Int(2)]
-        );
-        assert_eq!(
-            read(CsvReader::without_header(data, schema).blank_records()),
-            vec![Value::Int(1), Value::Null, Value::Int(2), Value::Null]
-        );
+        let values = [
+            Value::Null,
+            Value::Int(1),
+            Value::Null,
+            Value::Int(2),
+            Value::Null,
+        ];
+        let rows: Vec<Row> = values.iter().map(|v| Row::new(vec![v.clone()])).collect();
+        let bytes = encode_csv(&schema, &rows);
+        assert_eq!(bytes, b"k\n\"\"\n1\n\"\"\n2\n\"\"\n");
+        assert_eq!(decode_csv(&bytes, &schema).unwrap(), rows);
+        let foreign = b"k\n\n1\n\n\"\"\n2\n\n";
+        let read = decode_csv(foreign, &schema).unwrap();
+        assert_eq!(read, [rows[1].clone(), rows[0].clone(), rows[3].clone()]);
     }
 
     #[test]

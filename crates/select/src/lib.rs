@@ -87,13 +87,9 @@ impl SelectResponse {
     /// Decode the CSV payload into rows (client-side convenience; the
     /// engine itself only ships bytes).
     pub fn rows(&self) -> Result<Vec<Row>> {
-        let mut reader = CsvReader::without_header(&self.data, self.output_schema.clone());
-        if self.output_schema.len() == 1 {
-            // A one-column record whose value is NULL is an empty line,
-            // and the engine writes no other: none may be skipped.
-            reader = reader.blank_records();
-        }
-        reader.map(|r| r.map(|rec| rec.row)).collect()
+        CsvReader::without_header(&self.data, self.output_schema.clone())
+            .map(|r| r.map(|rec| rec.row))
+            .collect()
     }
 }
 

@@ -7,25 +7,17 @@
 //! cargo run --release --example bloom_join
 //! ```
 
+use pushdown_bench::run_join_candidate;
 use pushdowndb::bloom::BloomFilter;
 use pushdowndb::common::fmtutil;
-use pushdowndb::core::algos::join::{self, BloomOutcome, JoinQuery};
-use pushdowndb::sql::parse_expr;
 use pushdowndb::tpch::tpch_context;
 
 fn main() -> pushdowndb::common::Result<()> {
     let (ctx, t) = tpch_context(0.005, 2_000)?;
-    let q = JoinQuery {
-        left: t.customer.clone(),
-        right: t.orders.clone(),
-        left_key: "c_custkey".into(),
-        right_key: "o_custkey".into(),
-        left_pred: Some(parse_expr("c_acctbal <= -950")?),
-        right_pred: None,
-        left_proj: vec!["c_custkey".into()],
-        right_proj: vec!["o_totalprice".into()],
-        sum_column: Some("o_totalprice".into()),
-    };
+    // The three algorithms are the candidates the planner lowers this
+    // statement to; `customer`, the FROM table, is the build side.
+    let sql = "SELECT SUM(o_totalprice) FROM customer JOIN orders ON c_custkey = o_custkey \
+               WHERE c_acctbal <= -950";
 
     // Show what a Bloom probe predicate looks like on the wire
     // (paper Listing 1).
@@ -37,9 +29,8 @@ fn main() -> pushdowndb::common::Result<()> {
     );
 
     let f = 10.0 / t.scale_factor; // project to the paper's SF 10
-    let base = join::baseline(&ctx, &q)?;
-    let filt = join::filtered(&ctx, &q)?;
-    let (bloom, outcome) = join::bloom_with_outcome(&ctx, &q, 0.01)?;
+    let run = |name| run_join_candidate(&ctx, &t.customer, sql, name, None);
+    let (base, filt, bloom) = (run("baseline")?, run("filtered")?, run("bloom")?);
 
     println!("join algorithms on SUM(o_totalprice), projected to SF 10:");
     for (name, out) in [
@@ -56,11 +47,11 @@ fn main() -> pushdowndb::common::Result<()> {
             fmtutil::bytes(m.bytes_returned()),
         );
     }
-    match outcome {
-        BloomOutcome::Applied { fpr, bits, hashes } => println!(
-            "\nbloom filter: fpr {fpr}, {bits} bits as a '0'/'1' string, {hashes} hash functions"
-        ),
-        other => println!("\nbloom outcome: {other:?}"),
+    // A build phase, then a probe phase (§V-A2); the probe's label says
+    // whether the filter applied, degraded or fell back (§V-B1).
+    println!("\nbloom join phases:");
+    for (label, seconds) in bloom.metrics.scaled(f).phase_seconds(&ctx.model) {
+        println!("  {label}: {}", fmtutil::secs(seconds));
     }
     Ok(())
 }

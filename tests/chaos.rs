@@ -18,11 +18,10 @@
 //! Pinned regression seeds cover each algo family (filter, group-by,
 //! top-K, join) with at least one actually-retried request.
 
+use pushdown_bench::run_join_candidate;
 use pushdowndb::common::{RetryPolicy, Value};
-use pushdowndb::core::algos::join;
 use pushdowndb::core::{execute_sql, QueryOutput, Strategy};
 use pushdowndb::s3::FaultPlan;
-use pushdowndb::sql::parse_expr;
 use pushdowndb::tpch::{planner_suite, tpch_context};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -314,22 +313,21 @@ fn pinned_regression_seeds_per_algo_family() {
     ctx.store.set_cache(None);
 
     // Join family: customer ⋈ orders through the Bloom join.
-    let jq = join::JoinQuery {
-        left: tables.customer.clone(),
-        right: tables.orders.clone(),
-        left_key: "c_custkey".into(),
-        right_key: "o_custkey".into(),
-        left_pred: Some(parse_expr("c_acctbal < 0").unwrap()),
-        right_pred: None,
-        left_proj: vec!["c_custkey".into()],
-        right_proj: vec!["o_totalprice".into()],
-        sum_column: Some("o_totalprice".into()),
+    let sql = "SELECT SUM(o_totalprice) FROM customer JOIN orders ON c_custkey = o_custkey \
+               WHERE c_acctbal < 0";
+    let bloom = || {
+        run_join_candidate(
+            &ctx.scoped_with_salt(3),
+            &tables.customer,
+            sql,
+            "bloom",
+            None,
+        )
     };
     ctx.store.set_fault_plan(None);
-    let clean = join::bloom(&ctx.scoped_with_salt(3), &jq, 0.01).unwrap();
+    let clean = bloom().unwrap();
     ctx.store.set_fault_plan(Some(FaultPlan::new(12, 0.45)));
-    let chaotic = join::bloom(&ctx.scoped_with_salt(3), &jq, 0.01)
-        .unwrap_or_else(|e| panic!("join seed 12: {e}"));
+    let chaotic = bloom().unwrap_or_else(|e| panic!("join seed 12: {e}"));
     assert_eq!(chaotic.rows.len(), 1);
     match (&chaotic.rows[0][0], &clean.rows[0][0]) {
         (Value::Float(a), Value::Float(b)) => {

@@ -2,9 +2,10 @@
 //! the answer its no-pushdown baseline produces, across operators and
 //! under fault injection.
 
+use pushdown_bench::run_join_candidate;
 use pushdowndb::common::RetryPolicy;
 use pushdowndb::common::{DataType, Row, Schema, Value};
-use pushdowndb::core::algos::{filter, groupby, join, topk};
+use pushdowndb::core::algos::{filter, groupby, topk};
 use pushdowndb::core::{build_index, upload_csv_table, QueryContext};
 use pushdowndb::s3::{FaultPlan, S3Store};
 use pushdowndb::sql::agg::AggFunc;
@@ -69,27 +70,19 @@ fn filter_strategies_agree_under_fault_injection() {
 #[test]
 fn join_agrees_across_fpr_extremes_and_fallback() {
     let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
-    let q = join::JoinQuery {
-        left: t.customer.clone(),
-        right: t.orders.clone(),
-        left_key: "c_custkey".into(),
-        right_key: "o_custkey".into(),
-        left_pred: Some(parse_expr("c_acctbal <= -500").unwrap()),
-        right_pred: Some(parse_expr("o_orderdate < DATE '1996-01-01'").unwrap()),
-        left_proj: vec!["c_custkey".into()],
-        right_proj: vec!["o_totalprice".into()],
-        sum_column: Some("o_totalprice".into()),
-    };
-    let reference = join::baseline(&ctx, &q).unwrap();
+    let sql = "SELECT SUM(o_totalprice) FROM customer JOIN orders ON c_custkey = o_custkey \
+               WHERE c_acctbal <= -500 AND o_orderdate < DATE '1996-01-01'";
+    let reference = run_join_candidate(&ctx, &t.customer, sql, "baseline", None).unwrap();
     for fpr in [0.0001, 0.01, 0.5] {
-        let out = join::bloom(&ctx, &q, fpr).unwrap();
+        let out = run_join_candidate(&ctx, &t.customer, sql, "bloom", Some(fpr)).unwrap();
         assert_rows_close(&reference.rows, &out.rows, &format!("bloom fpr {fpr}"));
     }
     // Forced fallback (tiny SQL limit) must still agree.
     let mut tight = ctx.clone();
     tight.bloom.max_sql_bytes = 32;
-    let (out, outcome) = join::bloom_with_outcome(&tight, &q, 0.01).unwrap();
-    assert_eq!(outcome, join::BloomOutcome::FellBack);
+    let out = run_join_candidate(&tight, &t.customer, sql, "bloom", None).unwrap();
+    let probe = &out.metrics.groups[1].phases[0].label;
+    assert!(probe.starts_with("fallback probe (no bloom)"), "{probe}");
     assert_rows_close(&reference.rows, &out.rows, "bloom fallback");
 }
 

@@ -264,3 +264,55 @@ proptest! {
         );
     }
 }
+
+/// A stored one-column table keeps its NULLs (ROADMAP F-4): the writer
+/// quotes a lone empty field, so leading, interior and trailing NULL
+/// records survive `upload_csv_table` and come back — in place — from
+/// the plain scan, from Select and from the cached scan, cold and warm.
+#[test]
+fn one_column_csv_table_round_trips_its_nulls() {
+    use pushdowndb::core::scan::{cached_scan_streamed, plain_scan, select_scan};
+    use pushdowndb::core::{upload_csv_table, QueryContext};
+    use pushdowndb::sql::parse_select;
+
+    let schema = Schema::from_pairs(&[("k", DataType::Int)]);
+    let keys = [
+        None,
+        None,
+        Some(3),
+        None,
+        Some(5),
+        Some(6),
+        None,
+        Some(8),
+        None,
+    ];
+    let rows: Vec<Row> = keys
+        .iter()
+        .map(|k| Row::new(vec![k.map_or(Value::Null, Value::Int)]))
+        .collect();
+    let store = S3Store::new();
+    // Partitions of four: NULLs lead one, end another, and fill the last.
+    let table = upload_csv_table(&store, "b", "t", &schema, &rows, 4).unwrap();
+    assert_eq!(table.row_count, rows.len() as u64);
+    let ctx = QueryContext::new(store).with_cache(1 << 20);
+
+    assert_eq!(plain_scan(&ctx, &table).unwrap().rows, rows, "plain scan");
+    let all = parse_select("SELECT k FROM S3Object").unwrap();
+    assert_eq!(
+        select_scan(&ctx, &table, &all).unwrap().rows,
+        rows,
+        "select"
+    );
+    let nulls = parse_select("SELECT k FROM S3Object WHERE k IS NULL").unwrap();
+    assert_eq!(select_scan(&ctx, &table, &nulls).unwrap().rows.len(), 5);
+    for state in ["cold", "warm"] {
+        let mut got = Vec::new();
+        cached_scan_streamed(&ctx.scoped(), &table, |batch| {
+            got.extend(batch.rows);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(got, rows, "cached scan, {state}");
+    }
+}

@@ -14,6 +14,7 @@ use pushdowndb::common::pricing::Usage;
 use pushdowndb::common::row::RowBatch;
 use pushdowndb::common::{DataType, Result, RetryPolicy, Row, Schema, Value};
 use pushdowndb::core::joinplan::lower_join_candidates;
+use pushdowndb::core::metrics::Flow::{self, Breaker, Streaming};
 use pushdowndb::core::planner::{self, execute_sql};
 use pushdowndb::core::scan::{cached_scan_streamed, plain_scan_streamed, select_scan};
 use pushdowndb::core::{
@@ -353,12 +354,12 @@ impl Reference {
         node: &PlanNode,
         schema: Schema,
         rows: Vec<Row>,
-        phase: Option<&str>,
+        phase: Option<(&str, Flow)>,
         local: PhaseStats,
     ) -> Self {
         let mut metrics = self.metrics;
-        if let Some(phase) = phase {
-            metrics.push_serial(phase, local);
+        if let Some((phase, flow)) = phase {
+            metrics.stack(phase, local, flow);
         }
         Reference {
             schema,
@@ -409,22 +410,25 @@ fn select_leaf(
     ))
 }
 
-/// Two subtrees the model prices as concurrent: two single groups merge
-/// into one parallel group, anything deeper runs serially.
-fn merge_concurrent(a: &QueryMetrics, b: &QueryMetrics) -> QueryMetrics {
+/// The two sides of a join: two single phases the model prices as
+/// concurrent merge into one parallel group; anything else runs the
+/// build side — ended by its hash build — and then the probe side.
+fn join_sides(build: &QueryMetrics, probe: &QueryMetrics, concurrent: bool) -> QueryMetrics {
     let mut out = QueryMetrics::new();
-    if a.groups.len() == 1 && b.groups.len() == 1 {
+    if concurrent && build.groups.len() == 1 && probe.groups.len() == 1 {
         out.push_parallel(
-            a.groups
+            build
+                .groups
                 .iter()
-                .chain(&b.groups)
+                .chain(&probe.groups)
                 .flat_map(|g| &g.phases)
                 .map(|p| (p.label.clone(), p.stats))
                 .collect(),
         );
     } else {
-        out.extend(a);
-        out.extend(b);
+        out.extend(build);
+        out.close();
+        out.extend(probe);
     }
     out
 }
@@ -441,7 +445,8 @@ fn join(
     let pk = probe.schema.resolve(probe_key)?;
     let mut local = PhaseStats::default();
     let rows = ops::hash_join(build.rows, bk, probe.rows, pk, &mut local);
-    metrics.push_serial(phase, local);
+    // The join's own work streams over the probe side.
+    metrics.stack(phase, local, Streaming);
     Ok(Reference {
         schema: build.schema.join(&probe.schema),
         rows,
@@ -526,7 +531,7 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
         } => {
             let build = reference(ctx, &node.children[0])?;
             let probe = reference(ctx, &node.children[1])?;
-            let metrics = merge_concurrent(&build.metrics, &probe.metrics);
+            let metrics = join_sides(&build.metrics, &probe.metrics, true);
             join(
                 node,
                 build,
@@ -576,8 +581,7 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
                 &select_stmt(projection, pred),
                 label,
             )?;
-            let mut metrics = build.metrics.clone();
-            metrics.extend(&probe.metrics);
+            let metrics = join_sides(&build.metrics, &probe.metrics, false);
             join(
                 node,
                 build,
@@ -593,7 +597,13 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
             let mut local = PhaseStats::default();
             let rows = ops::filter_rows(std::mem::take(&mut child.rows), &bound, &mut local)?;
             let schema = child.schema.clone();
-            Ok(child.stacked(node, schema, rows, Some("residual filter"), local))
+            Ok(child.stacked(
+                node,
+                schema,
+                rows,
+                Some(("residual filter", Streaming)),
+                local,
+            ))
         }
         PlanOp::Project { exprs } => {
             let child = reference(ctx, &node.children[0])?;
@@ -604,14 +614,26 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
                 .collect::<Result<Vec<_>>>()?;
             let mut local = PhaseStats::default();
             let rows = ops::map_rows(&child.rows, &bound, &mut local)?;
-            Ok(child.stacked(node, node.schema.clone(), rows, Some("project"), local))
+            Ok(child.stacked(
+                node,
+                node.schema.clone(),
+                rows,
+                Some(("project", Streaming)),
+                local,
+            ))
         }
         PlanOp::GroupBy { group_width, aggs } => {
             let child = reference(ctx, &node.children[0])?;
             let group_cols: Vec<usize> = (0..*group_width).collect();
             let mut local = PhaseStats::default();
             let rows = ops::hash_group_by(&child.rows, &group_cols, aggs, &mut local)?;
-            Ok(child.stacked(node, node.schema.clone(), rows, Some("group-by"), local))
+            Ok(child.stacked(
+                node,
+                node.schema.clone(),
+                rows,
+                Some(("group-by", Breaker)),
+                local,
+            ))
         }
         PlanOp::Aggregate { aggs } => {
             let child = reference(ctx, &node.children[0])?;
@@ -627,7 +649,13 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
                 }
             }
             let rows = vec![Row::new(accs.iter().map(|(a, _)| a.finish()).collect())];
-            Ok(child.stacked(node, node.schema.clone(), rows, Some("aggregate"), local))
+            Ok(child.stacked(
+                node,
+                node.schema.clone(),
+                rows,
+                Some(("aggregate", Breaker)),
+                local,
+            ))
         }
         PlanOp::Sort { keys, limit } => {
             let mut child = reference(ctx, &node.children[0])?;
@@ -638,7 +666,7 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
                 rows.truncate(*k);
             }
             let schema = child.schema.clone();
-            Ok(child.stacked(node, schema, rows, Some("sort"), local))
+            Ok(child.stacked(node, schema, rows, Some(("sort", Breaker)), local))
         }
         PlanOp::Limit { n } => {
             let mut child = reference(ctx, &node.children[0])?;

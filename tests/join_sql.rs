@@ -1,22 +1,26 @@
-//! Differential tests for multi-table SQL (ISSUE 4): join plans built
-//! from SQL through the physical-plan IR must return row-identical
-//! results to the programmatic `algos::join` variants, pushdown join
-//! plans must never bill more transferred bytes than Baseline (mirrors
-//! `tests/differential.rs`), and the TPC-H Q3-shaped statement must run
-//! end-to-end under every strategy with a per-operator
-//! predicted-vs-actual tree and a competitive adaptive pick.
+//! Differential tests for multi-table SQL (ISSUE 4): the paper's §V join
+//! algorithms are the *named candidates* the join lowering emits
+//! (`baseline`, `filtered`, `bloom`, ...), run one by one through the
+//! plan executor; they must agree with each other on every shape, NULL
+//! keys included, pushdown join plans must never bill more transferred
+//! bytes than Baseline (mirrors `tests/differential.rs`), and the TPC-H
+//! Q3-shaped statement must run end-to-end under every strategy with a
+//! per-operator predicted-vs-actual tree and a competitive adaptive pick.
 
-use pushdowndb::core::algos::join;
+use pushdown_bench::run_join_candidate;
+use pushdowndb::common::{DataType, Row, Schema, Value};
+use pushdowndb::core::joinplan::lower_join_candidates;
 use pushdowndb::core::planner::{execute_sql_verbose, PlanKind};
-use pushdowndb::core::{execute_sql, QueryOutput, Strategy};
-use pushdowndb::sql::parse_expr;
+use pushdowndb::core::{
+    execute_sql, plan, upload_columnar_table, upload_csv_table, PlanNode, PlanOp, QueryContext,
+    QueryOutput, Strategy, Table,
+};
+use pushdowndb::format::columnar::WriterOptions;
+use pushdowndb::s3::S3Store;
+use pushdowndb::sql::parse_query;
 use pushdowndb::tpch::{planner_suite, tpch_context};
 
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()))
-}
-
-fn sorted_rows(mut out: QueryOutput) -> Vec<pushdowndb::common::Row> {
+fn sorted_rows(mut out: QueryOutput) -> Vec<Row> {
     out.rows.sort_by(|x, y| {
         for (a, b) in x.values().iter().zip(y.values()) {
             let o = a.total_cmp(b);
@@ -29,52 +33,330 @@ fn sorted_rows(mut out: QueryOutput) -> Vec<pushdowndb::common::Row> {
     out.rows
 }
 
-/// The SQL join path returns exactly what the programmatic
-/// `algos::join` variants return — for the paper's Listing-2 SUM shape
-/// and for plain row output.
+// ---------------------------------------------------------------------
+// the §V algorithms as named candidates
+// ---------------------------------------------------------------------
+
+const THREE: [&str; 3] = ["baseline", "filtered", "bloom"];
+
+/// A miniature customer ⋈ orders setup mirroring the paper's Listing 2;
+/// `customer` is the FROM (build) table, `orders` is in the catalog.
+fn listing2_setup() -> (QueryContext, Table) {
+    let store = S3Store::new();
+    let cust_schema =
+        Schema::from_pairs(&[("c_custkey", DataType::Int), ("c_acctbal", DataType::Float)]);
+    let customers: Vec<Row> = (0..200)
+        .map(|i| {
+            Row::new(vec![
+                Value::Int(i),
+                Value::Float((i as f64 * 37.0) % 2000.0 - 1000.0),
+            ])
+        })
+        .collect();
+    let orders_schema = Schema::from_pairs(&[
+        ("o_orderkey", DataType::Int),
+        ("o_custkey", DataType::Int),
+        ("o_totalprice", DataType::Float),
+        ("o_orderdate", DataType::Date),
+    ]);
+    let orders: Vec<Row> = (0..2000)
+        .map(|i| {
+            Row::new(vec![
+                Value::Int(i),
+                Value::Int(i % 250), // some custkeys have no customer
+                Value::Float((i as f64 * 13.0) % 500.0),
+                Value::Date(8000 + (i % 1000) as i32),
+            ])
+        })
+        .collect();
+    let customer = upload_csv_table(&store, "b", "customer", &cust_schema, &customers, 64).unwrap();
+    let orders = upload_csv_table(&store, "b", "orders", &orders_schema, &orders, 256).unwrap();
+    (QueryContext::new(store).with_tables([orders]), customer)
+}
+
+const LISTING2: &str = "FROM customer JOIN orders ON c_custkey = o_custkey";
+
+fn sum_sql(predicate: &str) -> String {
+    format!("SELECT SUM(o_totalprice) {LISTING2} WHERE {predicate}")
+}
+
+fn rows_sql(predicate: &str) -> String {
+    format!("SELECT c_custkey, o_totalprice {LISTING2} WHERE {predicate}")
+}
+
+fn total(out: &QueryOutput) -> f64 {
+    assert_eq!(out.rows.len(), 1);
+    out.rows[0][0].as_f64().unwrap()
+}
+
+/// The probe side's phase of a two-table Bloom join: the second group.
+fn probe_phase(out: &QueryOutput) -> &pushdowndb::core::metrics::Phase {
+    assert_eq!(out.metrics.groups[1].phases.len(), 1);
+    &out.metrics.groups[1].phases[0]
+}
+
 #[test]
-fn sql_join_plans_match_the_programmatic_join_path() {
-    let (ctx, t) = tpch_context(0.003, 1_200).unwrap();
-    let q = join::JoinQuery {
-        left: t.customer.clone(),
-        right: t.orders.clone(),
-        left_key: "c_custkey".into(),
-        right_key: "o_custkey".into(),
-        left_pred: Some(parse_expr("c_acctbal < 0").unwrap()),
-        right_pred: None,
-        left_proj: vec!["c_custkey".into()],
-        right_proj: vec!["o_totalprice".into()],
-        sum_column: Some("o_totalprice".into()),
+fn all_three_algorithms_agree_on_the_answer() {
+    let (ctx, customer) = listing2_setup();
+    let sql = sum_sql("c_acctbal <= -800");
+    let [a, b, c] = THREE.map(|n| run_join_candidate(&ctx, &customer, &sql, n, None).unwrap());
+    assert!((total(&a) - total(&b)).abs() < 1e-6);
+    assert!((total(&a) - total(&c)).abs() < 1e-6);
+    assert!(total(&a) > 0.0);
+}
+
+#[test]
+fn row_outputs_agree_too() {
+    let (ctx, customer) = listing2_setup();
+    let sql = rows_sql("c_acctbal <= -800");
+    let run = |name, fpr| run_join_candidate(&ctx, &customer, &sql, name, fpr).unwrap();
+    let a = run("baseline", None);
+    assert_eq!(a.schema.names(), vec!["c_custkey", "o_totalprice"]);
+    let a = sorted_rows(a);
+    assert!(!a.is_empty());
+    assert_eq!(a, sorted_rows(run("filtered", None)));
+    assert_eq!(a, sorted_rows(run("bloom", Some(0.05))));
+}
+
+#[test]
+fn bloom_join_returns_fewer_probe_bytes() {
+    let (ctx, customer) = listing2_setup();
+    let sql = sum_sql("c_acctbal <= -800");
+    let returned = |name| {
+        let out = run_join_candidate(&ctx, &customer, &sql, name, None).unwrap();
+        out.metrics.usage().select_returned_bytes
     };
-    let programmatic = join::baseline(&ctx, &q).unwrap();
+    // The Bloom filter suppresses non-joining orders rows at S3, so far
+    // fewer bytes come back on the probe side.
+    let (bloom, filtered) = (returned("bloom"), returned("filtered"));
+    assert!(bloom * 3 < filtered, "bloom {bloom} vs filtered {filtered}");
+}
 
-    let sql = "SELECT SUM(o_totalprice) FROM customer \
-               JOIN orders ON c_custkey = o_custkey WHERE c_acctbal < 0";
-    for strategy in [Strategy::Baseline, Strategy::Pushdown, Strategy::Adaptive] {
-        let out = execute_sql(&ctx, &t.customer, sql, strategy).unwrap();
-        assert_eq!(out.rows.len(), 1);
-        assert!(
-            close(
-                out.rows[0][0].as_f64().unwrap(),
-                programmatic.rows[0][0].as_f64().unwrap()
-            ),
-            "{strategy:?}: SQL {:?} vs programmatic {:?}",
-            out.rows[0][0],
-            programmatic.rows[0][0]
-        );
+/// How a Bloom join ran is on its probe phase: the plain label says the
+/// filter applied at the requested rate, and the shipped predicate holds
+/// the seven hash conjuncts of `log2(1/0.01)`. The label carries no bit
+/// count — the filter's geometry is pinned by the `pushdown-bloom`
+/// crate's own `paper_sizing_formulas`.
+#[test]
+fn bloom_probe_label_reports_an_applied_filter() {
+    let (ctx, customer) = listing2_setup();
+    let sql = sum_sql("c_acctbal <= -800");
+    let out = run_join_candidate(&ctx, &customer, &sql, "bloom", None).unwrap();
+    let probe = probe_phase(&out);
+    assert!(
+        probe
+            .label
+            .starts_with("bloom probe orders + hash join (bloom)"),
+        "{}",
+        probe.label
+    );
+    assert!(probe.stats.expr_terms >= 7, "{:?}", probe.stats);
+}
+
+#[test]
+fn bloom_falls_back_when_sql_cannot_fit() {
+    let (mut ctx, customer) = listing2_setup();
+    ctx.bloom.max_sql_bytes = 64; // nothing fits
+    let sql = sum_sql("c_acctbal <= -800");
+    let out = run_join_candidate(&ctx, &customer, &sql, "bloom", None).unwrap();
+    let probe = probe_phase(&out);
+    assert!(
+        probe.label.starts_with("fallback probe (no bloom) orders"),
+        "{}",
+        probe.label
+    );
+    // Still correct.
+    let want = run_join_candidate(&ctx, &customer, &sql, "filtered", None).unwrap();
+    assert!((total(&out) - total(&want)).abs() < 1e-6);
+    assert_eq!(
+        out.metrics.usage().select_returned_bytes,
+        want.metrics.usage().select_returned_bytes
+    );
+    // And serial: the build side had loaded before the decision could be
+    // made, so build and probe are phases of their own, one after the
+    // other, while `filtered` runs its two scans in one parallel group.
+    let shape = |o: &QueryOutput| -> Vec<usize> {
+        o.metrics.groups.iter().map(|g| g.phases.len()).collect()
+    };
+    assert_eq!(shape(&out), vec![1, 1]);
+    assert_eq!(out.metrics.groups[0].phases[0].label, "select customer");
+    assert_eq!(shape(&want), vec![2, 1]);
+}
+
+/// Swap the one `HashJoin` of `node` for a Bloom join on the same keys.
+fn force_bloom(node: &mut PlanNode) {
+    if let PlanOp::HashJoin {
+        build_key,
+        probe_key,
+    } = &node.op
+    {
+        node.op = PlanOp::BloomJoin {
+            build_key: build_key.clone(),
+            probe_key: probe_key.clone(),
+            fpr: 0.01,
+        };
     }
+    node.children.iter_mut().for_each(force_bloom);
+}
 
-    // Row output: same join, projected columns, compared as sets.
-    let mut rq = q.clone();
-    rq.sum_column = None;
-    let want = sorted_rows(join::filtered(&ctx, &rq).unwrap());
-    let sql = "SELECT c_custkey, o_totalprice FROM customer \
-               JOIN orders ON c_custkey = o_custkey WHERE c_acctbal < 0";
-    for strategy in [Strategy::Baseline, Strategy::Pushdown, Strategy::Adaptive] {
-        let got = sorted_rows(execute_sql(&ctx, &t.customer, sql, strategy).unwrap());
-        assert_eq!(got, want, "{strategy:?}");
+#[test]
+fn bloom_requires_integer_keys() {
+    let (ctx, customer) = listing2_setup();
+    // Retarget the join at a pair of float columns: the lineup has no
+    // `bloom`, and a Bloom join built by hand over them is a bind error.
+    let sql = "SELECT SUM(o_totalprice) FROM customer JOIN orders ON c_acctbal = o_totalprice";
+    let spec = parse_query(sql).unwrap();
+    let candidates = lower_join_candidates(&ctx, &customer, &spec).unwrap();
+    assert!(candidates.iter().all(|(name, _)| *name != "bloom"));
+    let (_, filtered) = candidates.iter().find(|(n, _)| *n == "filtered").unwrap();
+    plan::execute(&ctx.scoped(), filtered).unwrap();
+    let mut forced = filtered.clone();
+    force_bloom(&mut forced);
+    let err = plan::execute(&ctx.scoped(), &forced).unwrap_err();
+    assert_eq!(err.code(), "BindError", "{err}");
+    assert!(err.to_string().contains("integer join key"), "{err}");
+}
+
+#[test]
+fn right_predicate_pushes_in_filtered_and_bloom() {
+    let (ctx, customer) = listing2_setup();
+    let dated = sum_sql("c_acctbal <= -800 AND o_orderdate < DATE '1992-01-01'");
+    let [a, b, c] = THREE.map(|n| run_join_candidate(&ctx, &customer, &dated, n, None).unwrap());
+    assert!((total(&a) - total(&b)).abs() < 1e-6);
+    assert!((total(&a) - total(&c)).abs() < 1e-6);
+    // Selective date predicate => filtered returns fewer probe bytes
+    // than the unfiltered variant did.
+    let undated = sum_sql("c_acctbal <= -800");
+    let unfiltered = run_join_candidate(&ctx, &customer, &undated, "filtered", None).unwrap();
+    assert!(
+        b.metrics.usage().select_returned_bytes < unfiltered.metrics.usage().select_returned_bytes
+    );
+}
+
+/// The SQL planner's adaptive pick agrees with, and never measurably
+/// loses to, the three fixed algorithms — at the default `PerfParams`:
+/// the pick and the three named candidates count phases by one rule.
+#[test]
+fn adaptive_join_agrees_and_never_measurably_loses() {
+    let (ctx, customer) = listing2_setup();
+    let sql = sum_sql("c_acctbal <= -800");
+    let out = execute_sql(&ctx, &customer, &sql, Strategy::Adaptive).unwrap();
+    let others = THREE.map(|n| run_join_candidate(&ctx, &customer, &sql, n, None).unwrap());
+    assert!((total(&out) - total(&others[0])).abs() < 1e-6);
+    let cost = |o: &QueryOutput| o.metrics.cost(&ctx.model, &ctx.pricing).total();
+    let min = others.iter().map(cost).fold(f64::INFINITY, f64::min);
+    assert!(
+        cost(&out) <= min * 1.10,
+        "adaptive ${:.6} vs min ${min:.6}",
+        cost(&out)
+    );
+}
+
+#[test]
+fn empty_build_side_yields_empty_join() {
+    let (ctx, customer) = listing2_setup();
+    let sql = rows_sql("c_acctbal < -99999");
+    for name in THREE {
+        let out = run_join_candidate(&ctx, &customer, &sql, name, None).unwrap();
+        assert!(out.rows.is_empty(), "{name}");
     }
 }
+
+// ---------------------------------------------------------------------
+// NULL join keys through every candidate
+// ---------------------------------------------------------------------
+
+/// Two tables whose keys meet every NULL case: NULL build keys, NULL
+/// probe keys, keys on one side only, duplicates on both.
+fn null_key_tables(columnar: bool) -> (QueryContext, Table) {
+    let key = |k: Option<i64>| k.map_or(Value::Null, Value::Int);
+    let dim_schema = Schema::from_pairs(&[("dk", DataType::Int), ("tag", DataType::Str)]);
+    let dim_keys = [
+        Some(1),
+        None,
+        Some(2),
+        Some(2),
+        None,
+        Some(7),
+        Some(40),
+        Some(3),
+    ];
+    let dims: Vec<Row> = dim_keys
+        .iter()
+        .enumerate()
+        .map(|(i, k)| Row::new(vec![key(*k), Value::Str(format!("d{i}"))]))
+        .collect();
+    let fact_schema = Schema::from_pairs(&[("fk", DataType::Int), ("val", DataType::Int)]);
+    let facts: Vec<Row> = (0..60)
+        .map(|i| {
+            // Every fifth probe key is NULL, the others run over 0..=9:
+            // 0, 4, 5, 6, 8 and 9 have no dim row, and 40 on the build
+            // side has no fact row.
+            let k = (i % 5 != 0).then_some(i % 7 + (i % 2) * 3);
+            Row::new(vec![key(k), Value::Int(i)])
+        })
+        .collect();
+    let store = S3Store::new();
+    let upload = |name: &str, schema: &Schema, rows: &[Row], per_partition: usize| {
+        if columnar {
+            let options = WriterOptions::default();
+            upload_columnar_table(&store, "b", name, schema, rows, per_partition, options)
+        } else {
+            upload_csv_table(&store, "b", name, schema, rows, per_partition)
+        }
+        .unwrap()
+    };
+    let dim = upload("dim", &dim_schema, &dims, 3);
+    let fact = upload("fact", &fact_schema, &facts, 16);
+    (QueryContext::new(store).with_tables([fact]), dim)
+}
+
+#[test]
+fn null_join_keys_never_match_under_any_candidate() {
+    let sql = "SELECT tag, val FROM dim JOIN fact ON dk = fk";
+    for columnar in [false, true] {
+        let (ctx, dim) = null_key_tables(columnar);
+        let ctx = ctx.with_cache(1 << 22);
+        let baseline = run_join_candidate(&ctx, &dim, sql, "baseline", None).unwrap();
+        // What the definition says: pairs with equal non-NULL keys.
+        // `dk` 1, 2 (twice), 3 and 7 each meet their fact rows; the two
+        // NULL build keys (d1, d4) meet nothing — not the twelve NULL
+        // probe keys either — and neither does 40 (d6).
+        assert!(baseline.rows.len() > 10);
+        let tags: std::collections::BTreeSet<String> =
+            baseline.rows.iter().map(|r| r[0].to_string()).collect();
+        let joined: Vec<&str> = tags.iter().map(String::as_str).collect();
+        assert_eq!(joined, ["d0", "d2", "d3", "d5", "d7"]);
+        let want = sorted_rows(baseline);
+        let spec = parse_query(sql).unwrap();
+        let names: Vec<&str> = lower_join_candidates(&ctx, &dim, &spec)
+            .unwrap()
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(
+            names,
+            vec![
+                "cached",
+                "cached-build",
+                "baseline",
+                "filtered",
+                "build-push",
+                "probe-push",
+                "bloom"
+            ]
+        );
+        for name in names {
+            let got = run_join_candidate(&ctx, &dim, sql, name, None).unwrap();
+            assert_eq!(got.metrics.usage(), got.billed, "{name}");
+            assert_eq!(sorted_rows(got), want, "`{name}`, columnar {columnar}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// the planner over joined statements
+// ---------------------------------------------------------------------
 
 /// Pushdown join plans never bill more transferred bytes than Baseline,
 /// and Adaptive returns the same rows as both — over every joined query

@@ -24,13 +24,16 @@
 use pushdowndb::common::mix::fnv1a;
 use pushdowndb::common::perf::PhaseStats;
 use pushdowndb::common::{Row, Schema};
-use pushdowndb::core::planner::{execute_sql_verbose, Explain};
+use pushdowndb::core::cost::{predict_plan, Estimators};
+use pushdowndb::core::joinplan::lower_join_candidates;
+use pushdowndb::core::planner::{execute_sql_verbose, Explain, PlanKind};
 use pushdowndb::core::{
-    execute_sql, upload_columnar_table, upload_csv_table, OpReport, QueryContext, QueryOutput,
-    Strategy, Table,
+    execute_sql, upload_columnar_table, upload_csv_table, OpReport, QueryContext, QueryMetrics,
+    QueryOutput, Strategy, Table,
 };
 use pushdowndb::format::columnar::WriterOptions;
 use pushdowndb::s3::S3Store;
+use pushdowndb::sql::parse_query;
 use pushdowndb::tpch::{planner_suite, TpchGen};
 use std::fmt::Write;
 
@@ -169,6 +172,33 @@ fn describe(out: &QueryOutput, ex: &Explain) -> String {
     s
 }
 
+fn phase_labels(metrics: &QueryMetrics) -> Vec<Vec<&str>> {
+    metrics
+        .groups
+        .iter()
+        .map(|g| g.phases.iter().map(|p| p.label.as_str()).collect())
+        .collect()
+}
+
+/// The prediction of the plan that ran. `Explain` carries it under
+/// Adaptive and for scattered plans; the joined pick of an unscattered
+/// fixed strategy is lowered and priced again here, by name.
+fn prediction(ctx: &QueryContext, table: &Table, sql: &str, ex: &Explain) -> Option<QueryMetrics> {
+    if ex.predicted.is_some() {
+        return ex.predicted.clone();
+    }
+    let PlanKind::Join { algorithm } = ex.kind else {
+        return None;
+    };
+    let candidates = lower_join_candidates(ctx, table, &parse_query(sql).unwrap()).unwrap();
+    let (_, plan) = candidates.iter().find(|(name, _)| *name == algorithm)?;
+    Some(
+        predict_plan(&Estimators::new(ctx, [plan]), plan)
+            .unwrap()
+            .metrics,
+    )
+}
+
 /// Every line of one (format, cluster) quarter of the matrix.
 fn quarter(format: Format, nodes: Option<usize>) -> Vec<String> {
     let data = dataset(format);
@@ -191,6 +221,16 @@ fn quarter(format: Format, nodes: Option<usize>) -> Vec<String> {
                 }
                 let (out, ex) = execute_sql_verbose(&ctx, table, q.sql, strategy).unwrap();
                 assert_eq!(out.metrics.usage(), out.billed, "{}: usage == bill", q.name);
+                // One phase rule for the pricer and the executor: the
+                // same groups under the same labels.
+                if let Some(predicted) = prediction(&ctx, table, q.sql, &ex) {
+                    assert_eq!(
+                        phase_labels(&predicted),
+                        phase_labels(&out.metrics),
+                        "{cache:?} {} {strategy:?}: predicted vs executed phases",
+                        q.name
+                    );
+                }
                 lines.push(format!(
                     "{cache:?} {} {strategy:?} | {}",
                     q.name,

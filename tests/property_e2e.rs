@@ -2,8 +2,9 @@
 //! pushdown decomposition must equal its straightforward baseline.
 
 use proptest::prelude::*;
+use pushdown_bench::run_join_candidate;
 use pushdowndb::common::{DataType, Row, Schema, Value};
-use pushdowndb::core::algos::{groupby, join, topk};
+use pushdowndb::core::algos::{groupby, topk};
 use pushdowndb::core::{upload_csv_table, QueryContext};
 use pushdowndb::s3::S3Store;
 use pushdowndb::sql::agg::AggFunc;
@@ -101,18 +102,8 @@ proptest! {
         let store = S3Store::new();
         let lt = upload_csv_table(&store, "prop", "l", &ls, &lrows, 30).unwrap();
         let rt = upload_csv_table(&store, "prop", "r", &rs, &rrows, 60).unwrap();
-        let ctx = QueryContext::new(store);
-        let q = join::JoinQuery {
-            left: lt,
-            right: rt,
-            left_key: "lk".into(),
-            right_key: "rk".into(),
-            left_pred: None,
-            right_pred: None,
-            left_proj: vec!["lk".into(), "lv".into()],
-            right_proj: vec!["rv".into()],
-            sum_column: None,
-        };
+        let ctx = QueryContext::new(store).with_tables([rt]);
+        let sql = "SELECT lk, lv, rv FROM l JOIN r ON lk = rk";
         let sort = |mut rows: Vec<Row>| {
             rows.sort_by(|a, b| {
                 a[0].total_cmp(&b[0])
@@ -121,8 +112,8 @@ proptest! {
             });
             rows
         };
-        let base = sort(join::baseline(&ctx, &q).unwrap().rows);
-        let bloomed = sort(join::bloom(&ctx, &q, fpr).unwrap().rows);
+        let base = sort(run_join_candidate(&ctx, &lt, sql, "baseline", None).unwrap().rows);
+        let bloomed = sort(run_join_candidate(&ctx, &lt, sql, "bloom", Some(fpr)).unwrap().rows);
         prop_assert_eq!(base, bloomed);
     }
 }
