@@ -1,6 +1,6 @@
-//! The paper's join figures, pinned to the bit: one line per row of
-//! Figs 2, 3 and 4 (at the scale `tests/figure_shapes.rs` runs them) and
-//! per row of Fig 10 plus its two geo-means, under
+//! The paper's figures, pinned to the bit: one line per row of Figs 1–5
+//! and 7 (at the scale `tests/figure_shapes.rs` runs them) and per row
+//! of Fig 10 plus its two geo-means, under
 //! `tests/golden/paper_figures.txt`. Every column is a modeled runtime
 //! and a dollar total, each written as its `f64` bit pattern (the
 //! decimal beside it is for the reader). The figures are deterministic —
@@ -34,6 +34,13 @@ fn column(line: &mut String, name: &str, m: &Measure) {
 
 fn lines() -> Vec<String> {
     let mut out = Vec::new();
+    for r in ex::fig01_filter::run(30_000).unwrap() {
+        let mut line = format!("fig01 selectivity={:e}", r.selectivity);
+        column(&mut line, "server", &r.server);
+        column(&mut line, "s3", &r.s3);
+        column(&mut line, "indexed", &r.indexed);
+        out.push(line);
+    }
     for r in ex::fig02_join_customer::run(0.004).unwrap() {
         let mut line = format!("fig02 c_acctbal<={}", r.upper_acctbal);
         column(&mut line, "baseline", &r.baseline);
@@ -56,6 +63,20 @@ fn lines() -> Vec<String> {
     for r in &fig4.sweep {
         let mut line = format!("fig04 fpr={}", r.fpr);
         column(&mut line, "bloom", &r.bloom);
+        out.push(line);
+    }
+    for r in ex::fig05_groupby_uniform::run(20_000).unwrap() {
+        let mut line = format!("fig05 groups={}", r.n_groups);
+        column(&mut line, "server", &r.server);
+        column(&mut line, "filtered", &r.filtered);
+        column(&mut line, "s3-side", &r.s3_side);
+        out.push(line);
+    }
+    for r in ex::fig07_groupby_skew::run(20_000).unwrap() {
+        let mut line = format!("fig07 theta={}", r.theta);
+        column(&mut line, "server", &r.server);
+        column(&mut line, "filtered", &r.filtered);
+        column(&mut line, "hybrid", &r.hybrid);
         out.push(line);
     }
     let fig10 = ex::fig10_tpch::run(0.003).unwrap();
