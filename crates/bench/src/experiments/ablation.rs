@@ -3,7 +3,7 @@
 //! variant side by side.
 
 use crate::experiments::fig02_join_customer::listing2_sql;
-use crate::{run_join_candidate, Measure};
+use crate::{run_candidate, Measure};
 use pushdown_common::pricing::CostBreakdown;
 use pushdown_common::{DataType, Result, Row, Schema, Value};
 use pushdown_core::algos::{filter, groupby, whatif};
@@ -123,8 +123,8 @@ pub fn run_bloom_ablation(scale_factor: f64) -> Result<BloomAblation> {
         bitwise: true,
         ..Default::default()
     });
-    let string_join = run_join_candidate(&ctx, &t.customer, &sql, "bloom", None)?;
-    let binary_join = run_join_candidate(&extended, &t.customer, &sql, "bloom", None)?;
+    let string_join = run_candidate(&ctx, &t.customer, &sql, "bloom", None)?;
+    let binary_join = run_candidate(&extended, &t.customer, &sql, "bloom", None)?;
     assert!((string_join.rows[0][0].as_f64()? - binary_join.rows[0][0].as_f64()?).abs() < 1e-6);
     Ok(BloomAblation {
         string_sql_bytes,

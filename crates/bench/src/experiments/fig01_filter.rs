@@ -6,8 +6,10 @@
 //! S3-side ≈ 10× faster than server-side at every selectivity; indexing
 //! competitive only while selective, collapsing under per-row GETs past
 //! ~1e-4; indexing cheapest at high selectivity, cost exploding at 1e-2.
+//! The first two are the planner's `server-side` / `s3-side` candidates
+//! of the statement, run by name.
 
-use crate::Measure;
+use crate::{run_candidate, Measure};
 use pushdown_common::{DataType, Result, Row, Schema, Value};
 use pushdown_core::algos::filter::{self, FilterQuery};
 use pushdown_core::{build_index, upload_csv_table, QueryContext};
@@ -79,11 +81,11 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig1Row>> {
             predicate: Expr::lt(Expr::col("k"), Expr::int(cutoff)),
             projection: None,
         };
-        let server = filter::server_side(&ctx, &q)?;
-        let s3 = filter::s3_side(&ctx, &q)?;
+        let sql = format!("SELECT * FROM filterdata WHERE k < {cutoff}");
+        let server = run_candidate(&ctx, &table, &sql, "server-side", None)?;
+        let s3 = run_candidate(&ctx, &table, &sql, "s3-side", None)?;
         let indexed = filter::indexed(&ctx, &index, &q)?;
-        assert_eq!(server.rows.len(), s3.rows.len());
-        assert_eq!(server.rows.len(), indexed.rows.len());
+        assert!(server.rows.len() == s3.rows.len() && s3.rows.len() == indexed.rows.len());
         out.push(Fig1Row {
             selectivity: s,
             server: Measure::of(&ctx, &server, factor),

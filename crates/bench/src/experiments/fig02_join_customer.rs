@@ -7,7 +7,7 @@
 //! filtered (both ship the whole orders table); Bloom join much faster
 //! while the customer predicate is selective, degrading as it loosens.
 
-use crate::{run_join_candidate, Measure};
+use crate::{run_candidate, Measure};
 use pushdown_common::Result;
 use pushdown_tpch::tpch_context;
 
@@ -41,7 +41,7 @@ pub fn run(scale_factor: f64) -> Result<Vec<Fig2Row>> {
     let mut out = Vec::new();
     for upper in upper_values() {
         let sql = listing2_sql(upper, None);
-        let run = |name| run_join_candidate(&ctx, &t.customer, &sql, name, None);
+        let run = |name| run_candidate(&ctx, &t.customer, &sql, name, None);
         out.push(Fig2Row {
             upper_acctbal: upper,
             baseline: Measure::of(&ctx, &run("baseline")?, factor),

@@ -7,7 +7,7 @@
 //! converging as it loosens; Bloom flat and best (or tied) throughout.
 
 use crate::experiments::fig02_join_customer::listing2_sql;
-use crate::{run_join_candidate, Measure};
+use crate::{run_candidate, Measure};
 use pushdown_common::Result;
 use pushdown_tpch::tpch_context;
 
@@ -36,7 +36,7 @@ pub fn run(scale_factor: f64) -> Result<Vec<Fig3Row>> {
     let mut out = Vec::new();
     for bound in date_bounds() {
         let sql = listing2_sql(-950, bound);
-        let run = |name| run_join_candidate(&ctx, &t.customer, &sql, name, None);
+        let run = |name| run_candidate(&ctx, &t.customer, &sql, name, None);
         out.push(Fig3Row {
             upper_orderdate: bound,
             baseline: Measure::of(&ctx, &run("baseline")?, factor),

@@ -6,7 +6,7 @@
 //! transfer + server parse); the paper finds 0.01 the sweet spot.
 
 use crate::experiments::fig02_join_customer::listing2_sql;
-use crate::{run_join_candidate, Measure};
+use crate::{run_candidate, Measure};
 use pushdown_common::Result;
 use pushdown_tpch::tpch_context;
 
@@ -31,7 +31,7 @@ pub fn run(scale_factor: f64) -> Result<Fig4Result> {
     let (ctx, t) = tpch_context(scale_factor, 25_000)?;
     let factor = 10.0 / scale_factor;
     let sql = listing2_sql(-950, None);
-    let run = |name, fpr| run_join_candidate(&ctx, &t.customer, &sql, name, fpr);
+    let run = |name, fpr| run_candidate(&ctx, &t.customer, &sql, name, fpr);
     let baseline = Measure::of(&ctx, &run("baseline", None)?, factor);
     let filtered = Measure::of(&ctx, &run("filtered", None)?, factor);
     let mut sweep = Vec::new();

@@ -7,13 +7,12 @@
 //! Expected shape: server-side and filtered flat in the group count,
 //! filtered ≈ 1.6× faster (projection pushdown); S3-side best at few
 //! groups, degrading past ~8–16 as the CASE-WHEN chain slows the scan.
+//! Each column is the planner's candidate of that name.
 
-use crate::Measure;
+use crate::{run_candidate, Measure};
 use pushdown_common::Result;
-use pushdown_core::algos::groupby::{self, GroupByQuery};
 use pushdown_core::{upload_csv_table, QueryContext, Table};
 use pushdown_s3::S3Store;
-use pushdown_sql::agg::AggFunc;
 use pushdown_tpch::synthetic::uniform_group_table;
 
 /// The paper's table is 10 GB; measurements project to that size.
@@ -43,17 +42,6 @@ fn upload(ctx: &QueryContext, n_rows: usize) -> Result<Table> {
     )
 }
 
-fn query(table: &Table, group_col: &str) -> GroupByQuery {
-    GroupByQuery {
-        table: table.clone(),
-        group_cols: vec![group_col.to_string()],
-        aggs: (0..4)
-            .map(|i| (AggFunc::Sum, Some(format!("v{i}"))))
-            .collect(),
-        predicate: None,
-    }
-}
-
 pub fn run(n_rows: usize) -> Result<Vec<Fig5Row>> {
     let ctx = QueryContext::new(S3Store::new());
     let table = upload(&ctx, n_rows)?;
@@ -61,10 +49,10 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig5Row>> {
     let mut out = Vec::new();
     for (i, n_groups) in group_counts().into_iter().enumerate() {
         // Column g<i> holds 2^(i+1) uniform groups.
-        let q = query(&table, &format!("g{i}"));
-        let server = groupby::server_side(&ctx, &q)?;
-        let filtered = groupby::filtered(&ctx, &q)?;
-        let s3 = groupby::s3_side(&ctx, &q)?;
+        let sql =
+            format!("SELECT g{i}, SUM(v0), SUM(v1), SUM(v2), SUM(v3) FROM uniform GROUP BY g{i}");
+        let run = |name| run_candidate(&ctx, &table, &sql, name, None);
+        let (server, filtered, s3) = (run("server-side")?, run("filtered")?, run("s3-side")?);
         assert_eq!(server.rows.len(), n_groups as usize);
         assert_eq!(s3.rows.len(), n_groups as usize);
         out.push(Fig5Row {

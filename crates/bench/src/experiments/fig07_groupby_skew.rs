@@ -4,12 +4,11 @@
 //! four of 100 groups). Expected shape: server-side and filtered flat in
 //! θ (they ship everything regardless); hybrid ≈ filtered at low skew
 //! (no populous groups worth pushing, it degenerates) and pulling ahead
-//! ~30 % at θ = 1.3.
+//! ~30 % at θ = 1.3. Each column is the planner's candidate of that
+//! name for Fig 6's query.
 
-use crate::experiments::fig06_hybrid_split::query;
-use crate::Measure;
+use crate::{run_candidate, Measure};
 use pushdown_common::Result;
-use pushdown_core::algos::groupby::{self, HybridOptions};
 use pushdown_core::{upload_csv_table, QueryContext};
 use pushdown_s3::S3Store;
 use pushdown_tpch::synthetic::zipf_group_table;
@@ -35,10 +34,9 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig7Row>> {
         let (schema, rows) = zipf_group_table(n_rows, theta, 7);
         let table = upload_csv_table(&ctx.store, "bench", "zipf", &schema, &rows, n_rows / 8 + 1)?;
         let factor = PAPER_BYTES / table.total_bytes(&ctx.store) as f64;
-        let q = query(&table);
-        let server = groupby::server_side(&ctx, &q)?;
-        let filtered = groupby::filtered(&ctx, &q)?;
-        let hybrid = groupby::hybrid(&ctx, &q, HybridOptions::default())?;
+        let sql = "SELECT g0, SUM(v0), SUM(v1), SUM(v2), SUM(v3) FROM zipf GROUP BY g0";
+        let run = |name| run_candidate(&ctx, &table, sql, name, None);
+        let (server, filtered, hybrid) = (run("server-side")?, run("filtered")?, run("hybrid")?);
         assert_eq!(server.rows.len(), hybrid.rows.len());
         out.push(Fig7Row {
             theta,

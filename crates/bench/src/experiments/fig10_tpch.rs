@@ -8,13 +8,11 @@
 //! calibrated to the paper's testbed, not the testbed itself).
 
 use crate::experiments::fig02_join_customer::listing2_sql;
-use crate::{run_join_candidate, Measure};
+use crate::{run_candidate, Measure};
 use pushdown_common::fmtutil::geo_mean;
 use pushdown_common::Result;
-use pushdown_core::algos::{filter, groupby, topk};
+use pushdown_core::algos::topk;
 use pushdown_core::{QueryContext, QueryOutput};
-use pushdown_sql::agg::AggFunc;
-use pushdown_sql::parse_expr;
 use pushdown_tpch::{all_queries, tpch_context, Mode, TpchTables};
 
 #[derive(Debug, Clone)]
@@ -51,31 +49,20 @@ fn micro_queries(
     let mut out = Vec::new();
 
     // Filter (§IV): a selective predicate over lineitem.
-    let fq = filter::FilterQuery {
-        table: t.lineitem.clone(),
-        predicate: parse_expr("l_quantity < 2")?,
-        projection: None,
-    };
+    let sql = "SELECT * FROM lineitem WHERE l_quantity < 2";
     out.push((
         "Filter".to_string(),
-        filter::server_side(ctx, &fq)?,
-        filter::s3_side(ctx, &fq)?,
+        run_candidate(ctx, &t.lineitem, sql, "server-side", None)?,
+        run_candidate(ctx, &t.lineitem, sql, "s3-side", None)?,
     ));
 
     // Group-by (§VI): order priorities (5 groups).
-    let gq = groupby::GroupByQuery {
-        table: t.orders.clone(),
-        group_cols: vec!["o_orderpriority".into()],
-        aggs: vec![
-            (AggFunc::Sum, Some("o_totalprice".into())),
-            (AggFunc::Count, Some("o_orderkey".into())),
-        ],
-        predicate: None,
-    };
+    let sql = "SELECT o_orderpriority, SUM(o_totalprice), COUNT(o_orderkey) FROM orders \
+               GROUP BY o_orderpriority";
     out.push((
         "Group-by".to_string(),
-        groupby::server_side(ctx, &gq)?,
-        groupby::s3_side(ctx, &gq)?,
+        run_candidate(ctx, &t.orders, sql, "server-side", None)?,
+        run_candidate(ctx, &t.orders, sql, "s3-side", None)?,
     ));
 
     // Top-K (§VII): the paper's Listing 6 (K = 100 by extended price).
@@ -95,8 +82,8 @@ fn micro_queries(
     let sql = listing2_sql(-950, None);
     out.push((
         "Join".to_string(),
-        run_join_candidate(ctx, &t.customer, &sql, "baseline", None)?,
-        run_join_candidate(ctx, &t.customer, &sql, "bloom", None)?,
+        run_candidate(ctx, &t.customer, &sql, "baseline", None)?,
+        run_candidate(ctx, &t.customer, &sql, "bloom", None)?,
     ));
 
     Ok(out)

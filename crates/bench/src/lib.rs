@@ -28,7 +28,7 @@ pub mod workload;
 
 use pushdown_common::pricing::{CostBreakdown, Usage};
 use pushdown_common::{Error, Result};
-use pushdown_core::joinplan::lower_join_candidates;
+use pushdown_core::planner::lower;
 use pushdown_core::{plan, PlanNode, PlanOp, QueryContext, QueryOutput, Table};
 
 /// One measured configuration: modeled runtime and cost.
@@ -59,14 +59,17 @@ impl Measure {
     }
 }
 
-/// Run the join candidate the planner lowers `sql` to under `name`
-/// (`"baseline"`, `"filtered"`, `"bloom"`, ...) on a query scope of its
-/// own: the join figures compare named algorithms, not the optimizer's
-/// pick. `fpr` overrides the false-positive rate the candidate's Bloom
-/// joins request (Fig 4's sweep).
-pub fn run_join_candidate(
+/// Run the candidate plan the planner lowers `sql` to under `name` — a
+/// composition of plan-IR operators (`"server-side"`, `"s3-side"`,
+/// `"filtered"`, `"baseline"`, `"bloom"`, ...) or a remaining
+/// algorithm-family leaf (`"hybrid"`, `"sampling"`, ...) — on a query
+/// scope of its own: figures, examples and tests compare named
+/// algorithms, not the optimizer's pick. `fpr` overrides the
+/// false-positive rate the candidate's Bloom joins request (Fig 4's
+/// sweep).
+pub fn run_candidate(
     ctx: &QueryContext,
-    primary: &Table,
+    table: &Table,
     sql: &str,
     name: &str,
     fpr: Option<f64>,
@@ -77,15 +80,14 @@ pub fn run_join_candidate(
         }
         node.children.iter_mut().for_each(|c| set_fpr(c, rate));
     }
-    let spec = pushdown_sql::parse_query(sql)?;
-    let candidates = lower_join_candidates(ctx, primary, &spec)?;
+    let ctx = ctx.scoped();
+    let (_, candidates) = lower(&ctx, table, &pushdown_sql::parse_query(sql)?)?;
     let found = candidates.into_iter().find(|(n, _)| *n == name);
     let (_, mut plan) =
-        found.ok_or_else(|| Error::Bind(format!("`{sql}` has no `{name}` join candidate")))?;
+        found.ok_or_else(|| Error::Bind(format!("`{sql}` has no `{name}` candidate")))?;
     if let Some(rate) = fpr {
         set_fpr(&mut plan, rate);
     }
-    let ctx = ctx.scoped();
     let mut out = plan::execute(&ctx, &plan)?.into_output();
     out.billed = ctx.billed();
     Ok(out)

@@ -1,10 +1,14 @@
 //! Filter strategies (paper §IV).
 //!
-//! Three ways to evaluate `SELECT cols FROM t WHERE pred`:
+//! Three ways to evaluate `SELECT cols FROM t WHERE pred`. Two are trees
+//! of plan-IR operators, lowered as named candidates by
+//! [`crate::joinplan`]: `server-side` — load the whole table, filter on
+//! the compute node (the no-pushdown baseline, a
+//! [`LocalScan`](crate::plan::PlanOp::LocalScan)) — and `s3-side` —
+//! predicate and projection pushed into S3 Select (a
+//! [`PushdownScan`](crate::plan::PlanOp::PushdownScan)). The third lives
+//! here:
 //!
-//! * [`server_side`] — load the whole table, filter on the compute node
-//!   (the no-pushdown baseline);
-//! * [`s3_side`] — push predicate and projection into S3 Select;
 //! * [`indexed`] — query an index table for qualifying byte ranges, then
 //!   fetch each row with a ranged GET (§IV-A). Wins when very selective;
 //!   collapses under per-row request overheads as selectivity grows
@@ -16,96 +20,19 @@ use crate::index::IndexTable;
 use crate::metrics::QueryMetrics;
 use crate::ops;
 use crate::output::QueryOutput;
-use crate::scan::{scan_rows, select_scan, ScanFragment, ScanSource};
 use pushdown_common::perf::PhaseStats;
-use pushdown_common::{Result, Row, Schema};
+use pushdown_common::{Result, Row};
 use pushdown_format::csv::split_line;
-use pushdown_sql::bind::Binder;
 use pushdown_sql::{Expr, SelectItem, SelectStmt};
 
-/// A filter query: predicate plus optional projection (None = `*`).
+/// The argument of [`indexed`] (and of its §X what-if variants), Fig 1's
+/// private helper: predicate plus optional projection (None = `*`). The
+/// planner's filter candidates take SQL, not this.
 #[derive(Debug, Clone)]
 pub struct FilterQuery {
     pub table: Table,
     pub predicate: Expr,
     pub projection: Option<Vec<String>>,
-}
-
-impl FilterQuery {
-    fn stmt(&self) -> SelectStmt {
-        let items = match &self.projection {
-            None => vec![SelectItem::Wildcard],
-            Some(cols) => cols
-                .iter()
-                .map(|c| SelectItem::Expr {
-                    expr: Expr::col(c.clone()),
-                    alias: None,
-                })
-                .collect(),
-        };
-        SelectStmt {
-            items,
-            alias: None,
-            where_clause: Some(self.predicate.clone()),
-            limit: None,
-        }
-    }
-
-    /// The schema every strategy's output shares.
-    pub fn output_schema(&self) -> Result<Schema> {
-        match &self.projection {
-            None => Ok(self.table.schema.clone()),
-            Some(cols) => {
-                let idx: Result<Vec<usize>> =
-                    cols.iter().map(|c| self.table.schema.resolve(c)).collect();
-                Ok(self.table.schema.project(&idx?))
-            }
-        }
-    }
-}
-
-/// Server-side filter: full load, local predicate — streamed. The scan
-/// workers filter (and project) each batch as they decode it, so only
-/// the matches are ever resident.
-pub fn server_side(ctx: &QueryContext, q: &FilterQuery) -> Result<QueryOutput> {
-    let ctx = &ctx.scoped();
-    let pred = Binder::new(&q.table.schema).bind_expr(&q.predicate)?;
-    let fragment = match &q.projection {
-        None => ScanFragment::new(&q.table, Some(pred), None),
-        Some(cols) => {
-            let idx: Result<Vec<usize>> = cols.iter().map(|c| q.table.schema.resolve(c)).collect();
-            ScanFragment::columns(&q.table, Some(pred), &idx?)
-        }
-    };
-    let (rows, summary) = scan_rows(ctx, &q.table, ScanSource::Plain, &fragment)?;
-    let mut stats = summary.stats;
-    stats.merge(&summary.op_stats);
-    if q.projection.is_some() {
-        // The projection is charged like `ops::project_rows` on the kept set.
-        stats.server_cpu_units += rows.len() as u64;
-    }
-    let mut metrics = QueryMetrics::new();
-    metrics.push_serial("server-side filter", stats);
-    Ok(QueryOutput {
-        schema: summary.schema,
-        rows,
-        metrics,
-        billed: ctx.billed(),
-    })
-}
-
-/// S3-side filter: predicate and projection pushed into S3 Select.
-pub fn s3_side(ctx: &QueryContext, q: &FilterQuery) -> Result<QueryOutput> {
-    let ctx = &ctx.scoped();
-    let scan = select_scan(ctx, &q.table, &q.stmt())?;
-    let mut metrics = QueryMetrics::new();
-    metrics.push_serial("s3-side filter", scan.stats);
-    Ok(QueryOutput {
-        schema: scan.schema,
-        rows: scan.rows,
-        metrics,
-        billed: ctx.billed(),
-    })
 }
 
 /// Indexed filter (paper §IV-A): phase 1 pushes the predicate (rewritten
@@ -307,7 +234,8 @@ mod tests {
     use super::*;
     use crate::catalog::upload_csv_table;
     use crate::index::build_index;
-    use pushdown_common::{DataType, Value};
+    use crate::planner::tests::run_candidate;
+    use pushdown_common::{DataType, Schema, Value};
     use pushdown_s3::S3Store;
     use pushdown_sql::parse_expr;
 
@@ -339,13 +267,23 @@ mod tests {
         }
     }
 
+    /// The planner's `server-side` and `s3-side` candidates of `query`.
+    fn server_and_s3(ctx: &QueryContext, query: &FilterQuery) -> (QueryOutput, QueryOutput) {
+        let cols = query
+            .projection
+            .as_ref()
+            .map_or("*".into(), |c| c.join(", "));
+        let sql = format!("SELECT {cols} FROM t WHERE {}", query.predicate);
+        let run = |name| run_candidate(ctx, &query.table, &sql, name).unwrap();
+        (run("server-side"), run("s3-side"))
+    }
+
     #[test]
     fn all_three_strategies_agree() {
         let (ctx, t) = setup(300);
         let idx = build_index(&ctx, &t, "k").unwrap();
         let query = q(&t, "k >= 120 AND k < 140", None);
-        let a = server_side(&ctx, &query).unwrap();
-        let b = s3_side(&ctx, &query).unwrap();
+        let (a, b) = server_and_s3(&ctx, &query);
         let c = indexed(&ctx, &idx, &query).unwrap();
         assert_eq!(a.rows.len(), 20);
         assert_eq!(a.rows, b.rows);
@@ -359,8 +297,7 @@ mod tests {
         let (ctx, t) = setup(100);
         let idx = build_index(&ctx, &t, "k").unwrap();
         let query = q(&t, "k = 42", Some(vec!["s", "k"]));
-        let a = server_side(&ctx, &query).unwrap();
-        let b = s3_side(&ctx, &query).unwrap();
+        let (a, b) = server_and_s3(&ctx, &query);
         let c = indexed(&ctx, &idx, &query).unwrap();
         let want = vec![Row::new(vec![Value::Str("row-42".into()), Value::Int(42)])];
         assert_eq!(a.rows, want);
@@ -374,8 +311,7 @@ mod tests {
         let (ctx, t) = setup(1000);
         let idx = build_index(&ctx, &t, "k").unwrap();
         let query = q(&t, "k = 7", None);
-        let server = server_side(&ctx, &query).unwrap();
-        let s3 = s3_side(&ctx, &query).unwrap();
+        let (server, s3) = server_and_s3(&ctx, &query);
         let ix = indexed(&ctx, &idx, &query).unwrap();
         // Server-side: all plain bytes, nothing scanned.
         let su = server.metrics.usage();
@@ -421,8 +357,9 @@ mod tests {
         let (ctx, t) = setup(50);
         let idx = build_index(&ctx, &t, "k").unwrap();
         let query = q(&t, "k > 100000", None);
-        assert!(server_side(&ctx, &query).unwrap().rows.is_empty());
-        assert!(s3_side(&ctx, &query).unwrap().rows.is_empty());
+        let (server, s3) = server_and_s3(&ctx, &query);
+        assert!(server.rows.is_empty());
+        assert!(s3.rows.is_empty());
         assert!(indexed(&ctx, &idx, &query).unwrap().rows.is_empty());
     }
 

@@ -1,10 +1,13 @@
 //! Group-by algorithms (paper §VI).
 //!
-//! S3 Select has **no group-by**, so PushdownDB decomposes:
+//! S3 Select has **no group-by**, so PushdownDB decomposes. Two of the
+//! decompositions are one scan under a local hash aggregation — trees of
+//! plan-IR operators, lowered as named candidates by
+//! [`crate::joinplan`]: `server-side` (full load) and `filtered` (S3
+//! Select projects only the grouping/aggregate columns and applies any
+//! predicate). The two whose second phase is *written from* the first
+//! phase's result live here:
 //!
-//! * [`server_side`] — full load, local hash aggregation;
-//! * [`filtered`] — S3 Select projects only the grouping/aggregate
-//!   columns (and applies any predicate); aggregation stays local;
 //! * [`s3_side`] — phase 1 projects the grouping column and finds the
 //!   distinct groups locally; phase 2 pushes one
 //!   `SUM(CASE WHEN g = v THEN x ELSE …  END)` item *per (group,
@@ -19,11 +22,10 @@ use crate::context::QueryContext;
 use crate::metrics::QueryMetrics;
 use crate::ops;
 use crate::output::QueryOutput;
-use crate::scan::{scan, select_scan, select_scan_streamed, ScanFragment, ScanSource};
+use crate::scan::{select_scan, select_scan_streamed};
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{DataType, Error, Field, Result, Row, Schema, Value};
 use pushdown_sql::agg::AggFunc;
-use pushdown_sql::bind::Binder;
 use pushdown_sql::{Expr, SelectItem, SelectStmt};
 use std::collections::HashMap;
 
@@ -40,7 +42,7 @@ pub struct GroupByQuery {
 }
 
 impl GroupByQuery {
-    /// The output schema shared by all four algorithms.
+    /// The output schema of the algorithms here.
     pub fn output_schema(&self) -> Result<Schema> {
         let mut fields = Vec::new();
         for g in &self.group_cols {
@@ -102,19 +104,34 @@ fn group_accumulator(q: &GroupByQuery, schema: &Schema) -> Result<ops::GroupByAc
     Ok(ops::GroupByAccumulator::new(gidx?, aggs?))
 }
 
-/// Stream `stmt` through S3 Select and fold every batch into local
-/// group accumulators. The accumulator resolves its columns against the
-/// response schema, so it is built lazily from the first batch; a scan
-/// that returns no rows yields an empty result. Returns the aggregated
-/// rows plus the phase footprint (scan merged with local CPU).
+/// Stream the query's columns of the rows matching `predicate` through
+/// S3 Select and fold every batch into local group accumulators ("loads
+/// only the four columns on which aggregation is performed", paper
+/// §VI-C1). The accumulator resolves its columns against the response
+/// schema, so it is built lazily from the first batch; a scan that
+/// returns no rows yields an empty result. Returns the aggregated rows
+/// plus the phase footprint (scan merged with local CPU).
 fn streamed_group_aggregate(
     ctx: &QueryContext,
     q: &GroupByQuery,
-    stmt: &SelectStmt,
+    predicate: Option<Expr>,
 ) -> Result<(Vec<Row>, PhaseStats)> {
+    let stmt = SelectStmt {
+        items: q
+            .needed_cols()
+            .iter()
+            .map(|c| SelectItem::Expr {
+                expr: Expr::col(c.clone()),
+                alias: None,
+            })
+            .collect(),
+        alias: None,
+        where_clause: predicate,
+        limit: None,
+    };
     let mut acc: Option<ops::GroupByAccumulator> = None;
     let mut op_stats = PhaseStats::default();
-    let summary = select_scan_streamed(ctx, &q.table, stmt, |batch| {
+    let summary = select_scan_streamed(ctx, &q.table, &stmt, |batch| {
         if acc.is_none() {
             acc = Some(group_accumulator(q, &batch.schema)?);
         }
@@ -129,70 +146,6 @@ fn streamed_group_aggregate(
     let mut stats = summary.stats;
     stats.merge(&op_stats);
     Ok((rows, stats))
-}
-
-/// Server-side group-by: full table load, everything local — streamed.
-/// The scan workers filter each batch and keep only the grouping and
-/// aggregate columns; the survivors fold into the group accumulators in
-/// table order, and only the groups themselves are ever resident.
-pub fn server_side(ctx: &QueryContext, q: &GroupByQuery) -> Result<QueryOutput> {
-    let ctx = &ctx.scoped();
-    let bound = match &q.predicate {
-        Some(p) => Some(Binder::new(&q.table.schema).bind_expr(p)?),
-        None => None,
-    };
-    let cols: Result<Vec<usize>> = q
-        .needed_cols()
-        .iter()
-        .map(|c| q.table.schema.resolve(c))
-        .collect();
-    let fragment = ScanFragment::columns(&q.table, bound, &cols?);
-    let mut acc = group_accumulator(q, fragment.schema())?;
-    let mut op_stats = PhaseStats::default();
-    let summary = scan(ctx, &q.table, ScanSource::Plain, &fragment, |batch| {
-        acc.update_batch(&batch.rows, &mut op_stats)
-    })?;
-    let out = acc.finish(&mut op_stats);
-    let mut stats = summary.stats;
-    stats.merge(&summary.op_stats);
-    stats.merge(&op_stats);
-    let mut metrics = QueryMetrics::new();
-    metrics.push_serial("server-side group-by", stats);
-    Ok(QueryOutput {
-        schema: q.output_schema()?,
-        rows: out,
-        metrics,
-        billed: ctx.billed(),
-    })
-}
-
-/// Filtered group-by: projection (and predicate) pushed to S3 Select,
-/// aggregation local — streamed. "Filtered group-by loads only the four
-/// columns on which aggregation is performed" (paper §VI-C1).
-pub fn filtered(ctx: &QueryContext, q: &GroupByQuery) -> Result<QueryOutput> {
-    let ctx = &ctx.scoped();
-    let cols = q.needed_cols();
-    let stmt = SelectStmt {
-        items: cols
-            .iter()
-            .map(|c| SelectItem::Expr {
-                expr: Expr::col(c.clone()),
-                alias: None,
-            })
-            .collect(),
-        alias: None,
-        where_clause: q.predicate.clone(),
-        limit: None,
-    };
-    let (out, stats) = streamed_group_aggregate(ctx, q, &stmt)?;
-    let mut metrics = QueryMetrics::new();
-    metrics.push_serial("filtered group-by", stats);
-    Ok(QueryOutput {
-        schema: q.output_schema()?,
-        rows: out,
-        metrics,
-        billed: ctx.billed(),
-    })
 }
 
 /// Predicate selecting the rows of one (possibly multi-column) group:
@@ -422,11 +375,11 @@ pub fn hybrid(ctx: &QueryContext, q: &GroupByQuery, opts: HybridOptions) -> Resu
 
     if big.is_empty() {
         // No populous groups: degenerate to a filtered group-by.
-        let rest = filtered(ctx, q)?;
-        metrics.extend(&rest.metrics);
+        let (rows, stats) = streamed_group_aggregate(ctx, q, q.predicate.clone())?;
+        metrics.push_serial("filtered group-by", stats);
         return Ok(QueryOutput {
-            schema: rest.schema,
-            rows: rest.rows,
+            schema: q.output_schema()?,
+            rows,
             metrics,
             billed: ctx.billed(),
         });
@@ -463,21 +416,8 @@ pub fn hybrid(ctx: &QueryContext, q: &GroupByQuery, opts: HybridOptions) -> Resu
             None => tail,
         }
     };
-    let cols = q.needed_cols();
-    let tail_stmt = SelectStmt {
-        items: cols
-            .iter()
-            .map(|c| SelectItem::Expr {
-                expr: Expr::col(c.clone()),
-                alias: None,
-            })
-            .collect(),
-        alias: None,
-        where_clause: Some(tail_pred),
-        limit: None,
-    };
     // The long tail streams straight into local group accumulators.
-    let (tail_rows, server_stats) = streamed_group_aggregate(ctx, q, &tail_stmt)?;
+    let (tail_rows, server_stats) = streamed_group_aggregate(ctx, q, Some(tail_pred))?;
 
     metrics.push_parallel(vec![
         ("hybrid: s3-side aggregation".into(), s3_stats),
@@ -500,8 +440,35 @@ pub fn hybrid(ctx: &QueryContext, q: &GroupByQuery, opts: HybridOptions) -> Resu
 mod tests {
     use super::*;
     use crate::catalog::upload_csv_table;
+    use crate::planner::tests::run_candidate;
     use pushdown_s3::S3Store;
     use pushdown_sql::parse_expr;
+
+    /// The planner's candidate `name` of `q`'s statement: the one-scan
+    /// group-bys are trees of IR operators, compared here with the
+    /// algorithms of this module.
+    fn candidate(ctx: &QueryContext, q: &GroupByQuery, name: &str) -> Result<QueryOutput> {
+        let aggs = q
+            .aggs
+            .iter()
+            .map(|(f, c)| format!("{}({})", f.name(), c.as_deref().unwrap_or("*")));
+        let items: Vec<String> = q.group_cols.iter().cloned().chain(aggs).collect();
+        let pred = q
+            .predicate
+            .as_ref()
+            .map_or(String::new(), |p| format!(" WHERE {p}"));
+        let keys = q.group_cols.join(", ");
+        let sql = format!("SELECT {} FROM t{pred} GROUP BY {keys}", items.join(", "));
+        run_candidate(ctx, &q.table, &sql, name)
+    }
+
+    fn server_side(ctx: &QueryContext, q: &GroupByQuery) -> Result<QueryOutput> {
+        candidate(ctx, q, "server-side")
+    }
+
+    fn filtered(ctx: &QueryContext, q: &GroupByQuery) -> Result<QueryOutput> {
+        candidate(ctx, q, "filtered")
+    }
 
     /// Synthetic table: group column with a skewed distribution plus two
     /// value columns.

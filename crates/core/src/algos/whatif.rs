@@ -407,7 +407,7 @@ mod tests {
     fn run_join(ctx: &QueryContext, left: &Table, name: &str) -> (f64, String) {
         let sql = "SELECT SUM(price) FROM l JOIN r ON lk = rk WHERE bal < -40";
         let spec = pushdown_sql::parse_query(sql).unwrap();
-        let candidates = crate::joinplan::lower_join_candidates(ctx, left, &spec).unwrap();
+        let candidates = crate::joinplan::lower_candidates(ctx, left, &spec).unwrap();
         let (_, plan) = candidates.iter().find(|(n, _)| *n == name).unwrap();
         let out = crate::plan::execute(&ctx.scoped(), plan).unwrap();
         let probe = out.metrics.groups[1].phases[0].label.clone();

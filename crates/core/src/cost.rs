@@ -6,9 +6,10 @@
 //! flipping with selectivity, group count and K. This module closes that
 //! loop with **one walker**: [`predict_plan`] prices every node of a
 //! candidate plan — scan leaves, joins, local operators, the cluster's
-//! gather / exchange fan-outs, and the §IV–§VII algorithm-family leaves
-//! ([`AlgoOp`]), whose per-variant arithmetic is the family's own
-//! footprint, phase for phase — straight from catalog statistics
+//! gather / exchange fan-outs, and the multi-phase algorithm-family
+//! leaves ([`AlgoOp`]: §VI S3-side / hybrid group-by, §VII top-K), whose
+//! per-variant arithmetic is the family's own footprint, phase for
+//! phase — straight from catalog statistics
 //! ([`crate::catalog::TableStats`]). The planner calls it once per
 //! candidate and once for the plan it runs; nothing else prices.
 //!
@@ -33,7 +34,6 @@
 //! plan. Cache occupancy is *not* part of the snapshot: a cached leaf is
 //! priced from the live segment cache each time it is walked.
 
-use crate::algos::filter::FilterQuery;
 use crate::algos::groupby::{GroupByQuery, HybridOptions};
 use crate::algos::topk::{optimal_sample_size, TopKQuery};
 use crate::catalog::{ColumnStats, Table, TableStats};
@@ -236,95 +236,12 @@ impl<'a> Estimator<'a> {
 
     /// Footprint of one algorithm-family leaf — the variant the leaf
     /// names, phase for phase as its executor reports them — and the
-    /// cardinality it hands the operators stacked on it. `cached-local`
-    /// is the server-side variant behind [`Estimator::cached_load`]: the
-    /// two share one CPU estimate, because the cold-cache tie with
-    /// server-side (which the warm-the-cache tie-break relies on)
-    /// requires the cached and plain loads to price *identically*.
+    /// cardinality it hands the operators stacked on it.
     fn algo(&self, op: &AlgoOp) -> Result<(QueryMetrics, Card)> {
         match op {
-            AlgoOp::Filter(q, variant) => self.filter(q, variant),
-            AlgoOp::Aggregate(_, stmt, variant) => self.aggregate(stmt, variant),
             AlgoOp::GroupBy(q, variant) => self.groupby(q, variant),
             AlgoOp::TopK(q, variant) => self.topk(q, variant),
         }
-    }
-
-    /// The load phase of a server-side variant, plain or through the
-    /// cache, under the label the family's server-side executor reports
-    /// either way.
-    fn local_load(&self, variant: &str, family: &str, extra: f64) -> Result<QueryMetrics> {
-        let stats = match variant {
-            "cached-local" => self.cached_load(extra)?,
-            _ => self.plain_load(extra),
-        };
-        Ok(serial(&format!("server-side {family}"), stats))
-    }
-
-    // ---- Filter (§IV) --------------------------------------------------
-
-    /// A filter query, server-side (plain or cached) or S3-side.
-    fn filter(&self, q: &FilterQuery, variant: &str) -> Result<(QueryMetrics, Card)> {
-        let sel = self.selectivity(Some(&q.predicate));
-        let matches = sel * self.rows;
-        let width = self.projected_row_bytes(&q.projection);
-        let metrics = match variant {
-            // Full load, local filter (+ projection).
-            "cached-local" | "server-side" => {
-                let extra = self.rows + if q.projection.is_some() { matches } else { 0.0 };
-                self.local_load(variant, "filter", extra)?
-            }
-            // Predicate + projection pushed.
-            "s3-side" => serial(
-                "s3-side filter",
-                self.select_full_scan(matches, width, q.predicate.term_count()),
-            ),
-            other => return Err(unknown_variant("filter", other)),
-        };
-        let card = Card {
-            rows: matches,
-            row_bytes: width,
-        };
-        Ok((metrics, card))
-    }
-
-    // ---- Scalar aggregation (§VIII Q6 shape) ---------------------------
-
-    /// Aggregates without GROUP BY, local (plain or cached) or S3-side.
-    fn aggregate(&self, stmt: &SelectStmt, variant: &str) -> Result<(QueryMetrics, Card)> {
-        let sel = self.selectivity(stmt.where_clause.as_ref());
-        let n_aggs = stmt.items.len() as f64;
-        let metrics = match variant {
-            "cached-local" | "server-side" => {
-                let extra = self.rows + sel * self.rows * n_aggs;
-                self.local_load(variant, "aggregation", extra)?
-            }
-            "s3-side" => {
-                // AVG decomposes into SUM+COUNT per partition on the pushed path.
-                let pushed_vals: f64 = stmt
-                    .items
-                    .iter()
-                    .map(|i| match i {
-                        SelectItem::Agg {
-                            func: AggFunc::Avg, ..
-                        } => 2.0,
-                        _ => 1.0,
-                    })
-                    .sum();
-                let mut phase = self.select_full_scan(0.0, 0.0, stmt.term_count());
-                // One partial row per partition: `pushed_vals` values wide.
-                phase.select_returned_bytes =
-                    (self.parts as f64 * (pushed_vals * AGG_VALUE_WIDTH + 1.0)) as u64;
-                phase.server_cpu_units = self.parts;
-                serial("s3-side aggregation", phase)
-            }
-            other => return Err(unknown_variant("aggregate", other)),
-        };
-        let card = Card {
-            rows: 1.0,
-            row_bytes: n_aggs * AGG_VALUE_WIDTH,
-        };
-        Ok((metrics, card))
     }
 
     // ---- Group-by (§VI) ------------------------------------------------
@@ -366,7 +283,7 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// A GROUP BY query under one of the §VI algorithms, or §X
+    /// A GROUP BY query under one of §VI's multi-phase algorithms, or §X
     /// Suggestion 4's native storage-side GROUP BY.
     fn groupby(&self, q: &GroupByQuery, variant: &str) -> Result<(QueryMetrics, Card)> {
         let sel = self.selectivity(q.predicate.as_ref());
@@ -374,23 +291,14 @@ impl<'a> Estimator<'a> {
         let matches = sel * self.rows;
         let needed = q.needed_cols();
         let pred_terms = q.predicate.as_ref().map(Expr::term_count).unwrap_or(0);
-        // Projection (+ predicate) pushed, aggregation local.
+        // Projection (+ predicate) pushed, aggregation local: what
+        // hybrid degenerates to without a populous group.
         let filtered = || {
             let mut phase = self.select_full_scan(matches, self.out_row_bytes(&needed), pred_terms);
             phase.server_cpu_units += (matches + groups) as u64;
             phase
         };
         let metrics = match variant {
-            // Full load + local hash aggregation.
-            "cached-local" | "server-side" => {
-                let filter_cpu = if q.predicate.is_some() {
-                    self.rows
-                } else {
-                    0.0
-                };
-                self.local_load(variant, "group-by", filter_cpu + matches + groups)?
-            }
-            "filtered" => serial("filtered group-by", filtered()),
             // Distinct phase + CASE-WHEN aggregation phase.
             "s3-side" => {
                 let mut distinct =
@@ -472,13 +380,23 @@ impl<'a> Estimator<'a> {
     // ---- Top-K (§VII) --------------------------------------------------
 
     /// `ORDER BY col LIMIT k`: a server-side heap (plain or cached) or
-    /// the two-phase sampling algorithm at the §VII-B optimal sample size.
+    /// the two-phase sampling algorithm at the §VII-B optimal sample
+    /// size. `cached-local` is the server-side variant behind
+    /// [`Estimator::cached_load`]: the two share one CPU estimate, because
+    /// the cold-cache tie with server-side (which the warm-the-cache
+    /// tie-break relies on) requires the cached and plain loads to price
+    /// *identically*.
     fn topk(&self, q: &TopKQuery, variant: &str) -> Result<(QueryMetrics, Card)> {
         let k = q.k as f64;
         let log_k = (q.k.max(2) as f64).log2().ceil();
         let metrics = match variant {
             "cached-local" | "server-side" => {
-                self.local_load(variant, "top-k", self.rows * log_k + k)?
+                let extra = self.rows * log_k + k;
+                let load = match variant {
+                    "cached-local" => self.cached_load(extra)?,
+                    _ => self.plain_load(extra),
+                };
+                serial("server-side top-k", load)
             }
             "sampling" => {
                 // Mirror `topk::sampling`'s default sample size.
@@ -596,8 +514,8 @@ struct Card {
 /// # Errors
 ///
 /// A partition listed in a table's snapshot has vanished from under a
-/// cached algorithm-family leaf, or such a leaf names a variant its
-/// family does not have.
+/// cached leaf, or an algorithm-family leaf names a variant its family
+/// does not have.
 pub fn predict_plan(ests: &Estimators<'_>, node: &PlanNode) -> Result<PlanPrediction> {
     let (root, metrics, _) = predict_node(ests, node)?;
     Ok(PlanPrediction { metrics, root })
@@ -680,6 +598,32 @@ impl Estimator<'_> {
         };
         (self.plain_load(extra), extra, card)
     }
+
+    /// Predicted footprint of a pushed scalar-aggregate leaf: a full
+    /// storage-side scan that returns one partial row per partition.
+    fn pushdown_aggregate(&self, stmt: &SelectStmt) -> (PhaseStats, Card) {
+        // AVG decomposes into SUM+COUNT per partition on the pushed path.
+        let pushed_vals: f64 = stmt
+            .items
+            .iter()
+            .map(|i| match i {
+                SelectItem::Agg {
+                    func: AggFunc::Avg, ..
+                } => 2.0,
+                _ => 1.0,
+            })
+            .sum();
+        let mut phase = self.select_full_scan(0.0, 0.0, stmt.term_count());
+        // One partial row per partition: `pushed_vals` values wide.
+        phase.select_returned_bytes =
+            (self.parts as f64 * (pushed_vals * AGG_VALUE_WIDTH + 1.0)) as u64;
+        phase.server_cpu_units = self.parts;
+        let card = Card {
+            rows: 1.0,
+            row_bytes: stmt.items.len() as f64 * AGG_VALUE_WIDTH,
+        };
+        (phase, card)
+    }
 }
 
 type Predicted = (PredNode, QueryMetrics, Card);
@@ -739,6 +683,10 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             let (stats, card) = ests.of(table).pushdown_scan(predicate, projection, 1.0, 0);
             leaf(stats, "select", table, card)
         }
+        PlanOp::PushdownAggregate { table, stmt } => {
+            let (stats, card) = ests.of(table).pushdown_aggregate(stmt);
+            leaf(stats, "select", table, card)
+        }
         PlanOp::CachedScan {
             table,
             predicate,
@@ -747,12 +695,11 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             let est = ests.of(table);
             // Per-segment occupancy pricing: cached partitions are free,
             // the cold tail bills as read-through fills; with no cache
-            // installed a CachedScan degrades to exactly a LocalScan. If
-            // the snapshot went stale mid-prediction the full-load price
-            // is the conservative upper bound, never zero.
-            let (plain, extra, card) = est.local_scan(predicate, projection);
-            let stats = est.cached_load(extra).unwrap_or(plain);
-            leaf(stats, "cached load", table, card)
+            // installed a CachedScan degrades to exactly a LocalScan. A
+            // snapshot gone stale mid-prediction is an error, never a
+            // partition priced at zero.
+            let (_, extra, card) = est.local_scan(predicate, projection);
+            leaf(est.cached_load(extra)?, "cached load", table, card)
         }
         PlanOp::HashJoin {
             build_key,
@@ -838,13 +785,17 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
         }
         PlanOp::GroupBy { group_width, aggs } => {
             let child = predict_node(ests, &node.children[0])?;
-            // Group count: NDV product over the grouped input expressions
-            // (readable through the Project the planner places below, and
-            // through the Repartition a scattered plan puts between).
-            let input = match &node.children[0].op {
-                PlanOp::Repartition { .. } => &node.children[0].children[0],
-                _ => &node.children[0],
-            };
+            // Group count: NDV product over the group keys — the
+            // expressions of the Project the planner places below, or,
+            // where the input already delivers what the group-by consumes
+            // and there is none, its leading columns — read through
+            // whatever a scattered plan puts between.
+            let mut input = &node.children[0];
+            while let PlanOp::Repartition { .. } | PlanOp::Gather { .. } | PlanOp::Exchange { .. } =
+                &input.op
+            {
+                input = &input.children[0];
+            }
             let groups = match &input.op {
                 PlanOp::Project { exprs } => exprs[..*group_width]
                     .iter()
@@ -853,7 +804,10 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
                         _ => child.2.rows.sqrt().max(1.0),
                     })
                     .product::<f64>(),
-                _ => child.2.rows,
+                _ => input.schema.names()[..*group_width]
+                    .iter()
+                    .map(|name| col_ndv(ests, name))
+                    .product(),
             }
             .min(child.2.rows)
             .max(1.0);
@@ -1456,7 +1410,7 @@ mod tests {
         let names = |on: &str| -> Vec<&'static str> {
             let sql = format!("SELECT k, s2 FROM t JOIN u ON {on} WHERE v < 10");
             let spec = pushdown_sql::parse_query(&sql).unwrap();
-            let lowered = crate::joinplan::lower_join_candidates(&ctx, &t, &spec).unwrap();
+            let lowered = crate::joinplan::lower_candidates(&ctx, &t, &spec).unwrap();
             lowered.into_iter().map(|(name, _)| name).collect()
         };
         let unfiltered = vec!["baseline", "filtered", "build-push", "probe-push"];

@@ -1,15 +1,22 @@
-//! Lowering multi-table [`QuerySpec`]s into physical-plan candidates
-//! (single-table ones lower in [`crate::planner`], to the same shape,
-//! under the same ORDER BY / LIMIT stack: `order_limit_stack`).
+//! Lowering [`QuerySpec`]s into physical-plan candidates: every
+//! statement is a join of *n ≥ 1* tables. ([`crate::planner`] appends the
+//! algorithm-family leaves that are no tree of IR operators, under the
+//! same ORDER BY / LIMIT stack: `order_limit_stack`.)
 //!
-//! A joined query (`FROM a JOIN b ON ... [JOIN c ON ...]`) lowers to a
-//! left-deep tree of hash joins over per-table scan leaves, topped by
-//! the residual filter, projection/aggregation, sort and limit
-//! operators. The planner weighs the **join strategy and each scan's
-//! pushdown strategy jointly**: every candidate fixes one scan-mode
-//! combination (plain GET vs S3 Select per table) and whether the probe
-//! scans carry a Bloom runtime filter (§V-A2), and
-//! [`crate::cost::predict_plan`] prices the whole tree.
+//! A query (`FROM a [JOIN b ON ... [JOIN c ON ...]]`) lowers to a
+//! left-deep tree of hash joins over per-table scan leaves — one bare
+//! leaf when there is one table — topped by the residual filter,
+//! projection/aggregation, sort and limit operators. The planner weighs
+//! the **join strategy and each scan's pushdown strategy jointly**:
+//! every candidate fixes one scan-mode combination (plain GET vs S3
+//! Select vs the segment cache, per table) and whether the probe scans
+//! carry a Bloom runtime filter (§V-A2), and
+//! [`crate::cost::predict_plan`] prices the whole tree. For one table
+//! that line-up *is* the paper's §IV filter, §VIII-Q6 aggregate and
+//! §VI server-side / filtered group-by: the leaf projects the columns
+//! the stack consumes, in the stack's order, so no `Project` sits
+//! between them and the pushed variant ships the family's own Select
+//! statement.
 //!
 //! Column references are resolved *across* the joined schemas: a name
 //! must belong to exactly one table (ambiguity is a bind error), which
@@ -23,7 +30,6 @@ use pushdown_sql::agg::AggFunc;
 use pushdown_sql::ast::QuerySpec;
 use pushdown_sql::bind::Binder;
 use pushdown_sql::{Expr, SelectItem};
-use std::collections::BTreeSet;
 
 /// False-positive rate the Bloom-join candidates request (the paper's
 /// default operating point; Fig 4 sweeps it).
@@ -49,18 +55,20 @@ enum ScanMode {
     Cached,
 }
 
-/// Lower a joined query to its candidate plans, named by strategy:
-/// `"baseline"` (all plain loads), `"filtered"` (all scans pushed),
-/// `"bloom"` (pushed + Bloom probe filters, when keys are integers),
-/// and — for two-table joins — the mixed `"build-push"`/`"probe-push"`
-/// combinations. When the store carries a segment cache, the lineup
-/// grows `"cached"` (every scan through the cache) and — for two-table
-/// joins — `"cached-build"` (build side cached, probe side pushed down,
-/// with a Bloom runtime filter when the keys are integers), so the
-/// planner weighs cached-local vs pushdown vs remote **per scan**,
-/// jointly with the join strategy. The `baseline` and `filtered`
-/// candidates always exist.
-pub fn lower_join_candidates(
+/// Lower a query to its candidate plans, named by strategy. One table:
+/// the three scan modes under its family's names — `"cached-local"`,
+/// `"server-side"`, and the pushed `"s3-side"` (`"filtered"` under a
+/// GROUP BY). Joins: `"baseline"` (all plain loads), `"filtered"` (all
+/// scans pushed), `"bloom"` (pushed + Bloom probe filters, when keys are
+/// integers), and — for two-table joins — the mixed
+/// `"build-push"`/`"probe-push"` combinations; with a segment cache,
+/// `"cached"` (every scan through the cache) and — for two-table joins —
+/// `"cached-build"` (build side cached, probe side pushed down, with a
+/// Bloom runtime filter when the keys are integers), so the planner
+/// weighs cached-local vs pushdown vs remote **per scan**, jointly with
+/// the join strategy. The all-local and all-pushed candidates always
+/// exist.
+pub fn lower_candidates(
     ctx: &QueryContext,
     primary: &Table,
     spec: &QuerySpec,
@@ -72,12 +80,19 @@ pub fn lower_join_candidates(
 
     let n = tables.len();
     let int_keys = edges.iter().any(|e| e.int_keys);
+    // The all-cached, all-local and all-pushed combinations, under the
+    // names the statement's family gives them.
+    let [cached, local, pushed] = match (n, spec.group_by.is_empty()) {
+        (1, true) => ["cached-local", "server-side", "s3-side"],
+        (1, false) => ["cached-local", "server-side", "filtered"],
+        _ => ["cached", "baseline", "filtered"],
+    };
     let mut combos: Vec<(&'static str, Vec<ScanMode>, bool)> = Vec::new();
     // Cached combos lead the lineup: a cold fill prices exactly like the
     // remote load it replaces, and the argmin keeps the earliest
     // minimum, so ties break toward warming the cache.
     if ctx.store.cache().is_some() {
-        combos.push(("cached", vec![ScanMode::Cached; n], false));
+        combos.push((cached, vec![ScanMode::Cached; n], false));
         if n == 2 {
             // The hybrid mixed plan: hot build side from the cache, cold
             // probe side pushed down (with the Bloom runtime filter when
@@ -89,8 +104,8 @@ pub fn lower_join_candidates(
             ));
         }
     }
-    combos.push(("baseline", vec![ScanMode::Local; n], false));
-    combos.push(("filtered", vec![ScanMode::Pushed; n], false));
+    combos.push((local, vec![ScanMode::Local; n], false));
+    combos.push((pushed, vec![ScanMode::Pushed; n], false));
     if n == 2 {
         combos.push(("build-push", vec![ScanMode::Pushed, ScanMode::Local], false));
         combos.push(("probe-push", vec![ScanMode::Local, ScanMode::Pushed], false));
@@ -211,6 +226,10 @@ fn split_predicates(
     tables: &[Table],
     spec: &QuerySpec,
 ) -> Result<(Vec<Option<Expr>>, Option<Expr>)> {
+    if tables.len() == 1 {
+        // One table takes the WHERE clause as written.
+        return Ok((vec![spec.select.where_clause.clone()], None));
+    }
     let mut per_table: Vec<Vec<Expr>> = vec![Vec::new(); tables.len()];
     let mut residual: Vec<Expr> = Vec::new();
     if let Some(w) = &spec.select.where_clause {
@@ -240,34 +259,30 @@ fn split_predicates(
     ))
 }
 
-fn add_column(tables: &[Table], needed: &mut [BTreeSet<usize>], name: &str) -> Result<()> {
-    let t = table_of_column(tables, name)?;
-    let idx = tables[t].schema.index_of(name).expect("resolved above");
-    needed[t].insert(idx);
-    Ok(())
-}
-
-/// Columns each table must deliver downstream (select items, group keys,
-/// aggregate inputs, the residual predicate, join keys). Pushed-down
+/// Columns each table must deliver downstream: group keys, select items
+/// and aggregate inputs, the residual predicate, join keys. Pushed-down
 /// per-table predicates evaluate storage-side and need no projection.
+/// One table delivers them in the order the stack above first asks for
+/// them (so the stack needs no `Project` to reorder them), and `None` —
+/// its `*` — stays the Select statement's `*`; the sides of a join
+/// deliver schema order.
 fn needed_columns(
     tables: &[Table],
     spec: &QuerySpec,
     edges: &[JoinEdge],
     residual: &Option<Expr>,
-) -> Result<Vec<Vec<String>>> {
-    let mut needed: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); tables.len()];
-    let wildcard = spec
-        .select
-        .items
-        .iter()
-        .any(|i| matches!(i, SelectItem::Wildcard));
+) -> Result<Vec<Option<Vec<String>>>> {
+    let wildcard = spec.select.items.contains(&SelectItem::Wildcard);
+    if wildcard && tables.len() == 1 {
+        return Ok(vec![None]);
+    }
+    let mut needed: Vec<Vec<usize>> = vec![Vec::new(); tables.len()];
     if wildcard {
         for (t, table) in tables.iter().enumerate() {
             needed[t].extend(0..table.schema.len());
         }
     }
-    let mut refs: Vec<String> = Vec::new();
+    let mut refs: Vec<String> = spec.group_by.clone();
     for item in &spec.select.items {
         match item {
             SelectItem::Wildcard => {}
@@ -279,7 +294,6 @@ fn needed_columns(
             }
         }
     }
-    refs.extend(spec.group_by.iter().cloned());
     if let Some(r) = residual {
         r.referenced_columns(&mut refs);
     }
@@ -288,33 +302,40 @@ fn needed_columns(
         refs.push(e.probe_key.clone());
     }
     for name in &refs {
-        add_column(tables, &mut needed, name)?;
+        let t = table_of_column(tables, name)?;
+        let idx = tables[t].schema.index_of(name).expect("resolved above");
+        if !needed[t].contains(&idx) {
+            needed[t].push(idx);
+        }
     }
-    Ok(needed
-        .into_iter()
-        .enumerate()
-        .map(|(t, idx)| {
-            idx.into_iter()
-                .map(|i| tables[t].schema.field(i).name.clone())
-                .collect()
-        })
-        .collect())
+    let names = |(t, mut idx): (usize, Vec<usize>)| {
+        if tables.len() > 1 {
+            idx.sort_unstable();
+        }
+        let name = |i| tables[t].schema.field(i).name.clone();
+        Some(idx.into_iter().map(name).collect())
+    };
+    Ok(needed.into_iter().enumerate().map(names).collect())
 }
 
 fn scan_node(
     table: &Table,
     predicate: Option<Expr>,
-    needed: &[String],
+    needed: &Option<Vec<String>>,
     mode: ScanMode,
 ) -> PlanNode {
     // Every mode delivers the needed columns only: Select projects them
     // storage-side, a local or cached scan in the worker that decodes.
-    let indices: Vec<usize> = needed
-        .iter()
-        .map(|c| table.schema.index_of(c).expect("needed column resolved"))
-        .collect();
-    let schema = table.schema.project(&indices);
-    let (table, projection) = (table.clone(), Some(needed.to_vec()));
+    let schema = match needed {
+        None => table.schema.clone(),
+        Some(cols) => {
+            let index = |c: &String| table.schema.index_of(c).expect("needed column resolved");
+            table
+                .schema
+                .project(&cols.iter().map(index).collect::<Vec<_>>())
+        }
+    };
+    let (table, projection) = (table.clone(), needed.clone());
     let op = match mode {
         ScanMode::Pushed => PlanOp::PushdownScan {
             table,
@@ -341,7 +362,7 @@ fn build_plan(
     edges: &[JoinEdge],
     per_table: &[Option<Expr>],
     residual: &Option<Expr>,
-    needed: &[Vec<String>],
+    needed: &[Option<Vec<String>>],
     modes: &[ScanMode],
     bloom: bool,
     spec: &QuerySpec,
@@ -378,37 +399,44 @@ fn build_plan(
     select_stack(node, spec)
 }
 
-/// Default output name for aggregate `k`: `sum_o_totalprice` style for
-/// plain-column arguments (matching the single-table group-by naming),
-/// positional otherwise.
-fn agg_name(func: &AggFunc, arg: &Option<Expr>, k: usize) -> String {
-    match arg {
-        Some(Expr::Column(c)) => format!("{}_{}", func.name().to_lowercase(), c.to_lowercase()),
-        _ => format!("_agg{}", k + 1),
+/// Default output name for aggregate `k` of a GROUP BY:
+/// `sum_o_totalprice` style for plain-column arguments — `COUNT(*)` is
+/// named after the first grouping column — positional otherwise.
+fn agg_name(func: &AggFunc, arg: &Option<Expr>, group_by: &[String], k: usize) -> String {
+    let col = match arg {
+        Some(Expr::Column(c)) => Some(c),
+        None => group_by.first(),
+        _ => None,
+    };
+    match col {
+        Some(c) => format!("{}_{}", func.name().to_lowercase(), c.to_lowercase()),
+        None => format!("_agg{}", k + 1),
     }
 }
 
-fn agg_dtype(func: &AggFunc, arg_dtype: Option<DataType>) -> DataType {
-    match func {
-        AggFunc::Count => DataType::Int,
-        AggFunc::Avg => DataType::Float,
-        _ => arg_dtype.unwrap_or(DataType::Float),
+/// `Project { exprs }` over `node` — or `node` itself, when the
+/// projection would hand `node`'s columns on in their order under their
+/// names: a leaf that already projects what the stack consumes pays no
+/// second pass.
+fn project_stack(node: PlanNode, exprs: Vec<Expr>, schema: Schema) -> PlanNode {
+    let kept = |(i, e): (usize, &Expr)| match e {
+        Expr::Column(c) => {
+            node.schema.index_of(c) == Some(i) && schema.field(i).name.eq_ignore_ascii_case(c)
+        }
+        _ => false,
+    };
+    if exprs.len() == node.schema.len() && exprs.iter().enumerate().all(kept) {
+        return node;
     }
+    PlanNode::new(PlanOp::Project { exprs }, vec![node], schema)
 }
 
 /// Stack projection / aggregation / sort / limit over the joined (and
 /// residual-filtered) input.
 fn select_stack(mut node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
-    let wildcard = spec
-        .select
-        .items
-        .iter()
-        .any(|i| matches!(i, SelectItem::Wildcard));
-    if !spec.group_by.is_empty() {
-        node = group_by_stack(node, spec)?;
-    } else if spec.select.is_aggregate() {
+    if !spec.group_by.is_empty() || spec.select.is_aggregate() {
         node = aggregate_stack(node, spec)?;
-    } else if !wildcard {
+    } else if !spec.select.items.contains(&SelectItem::Wildcard) {
         // Plain column projection, names from aliases.
         let binder = Binder::new(&node.schema);
         let mut exprs = Vec::new();
@@ -416,8 +444,7 @@ fn select_stack(mut node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
         for item in &spec.select.items {
             let SelectItem::Expr { expr, alias } = item else {
                 return Err(Error::Bind(format!(
-                    "select items over a join must be plain columns or aggregates, \
-                     found `{item}`"
+                    "select items must be plain columns or aggregates, found `{item}`"
                 )));
             };
             let Expr::Column(name) = expr else {
@@ -430,43 +457,28 @@ fn select_stack(mut node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
             fields.push(Field::new(out_name, bound.infer_type()));
             exprs.push(expr.clone());
         }
-        let schema = Schema::new(fields);
-        node = PlanNode::new(PlanOp::Project { exprs }, vec![node], schema);
+        node = project_stack(node, exprs, Schema::new(fields));
     }
     // The stacked output schema carries the aggregate and column aliases
     // as its names, so ORDER BY needs no alias table of its own.
-    order_limit_stack(node, spec, &[])
+    order_limit_stack(node, spec)
 }
 
-/// Stack the query's ORDER BY / LIMIT over `node`, the one place either
+/// Stack the query's ORDER BY / LIMIT over `node`, the one place any
 /// lowering does: `Sort { keys, limit }` when there are sort keys, a
 /// plain `Limit` (which pushes no phase) for a bare LIMIT, `node` itself
-/// otherwise. A key names an entry of `aliases` (alias → output
-/// position), else a column of `node`'s schema; anything else is a bind
-/// error.
-pub(crate) fn order_limit_stack(
-    node: PlanNode,
-    spec: &QuerySpec,
-    aliases: &[(String, usize)],
-) -> Result<PlanNode> {
+/// otherwise. A key names a column of `node`'s schema; anything else is
+/// a bind error.
+pub(crate) fn order_limit_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
     let limit = spec.select.limit.map(|l| l as usize);
     let op = if !spec.order_by.is_empty() {
         let mut keys = Vec::new();
         for o in &spec.order_by {
-            let idx = aliases
-                .iter()
-                .find(|(a, _)| a.eq_ignore_ascii_case(&o.column))
-                .map(|(_, i)| *i)
-                .or_else(|| node.schema.index_of(&o.column));
-            let Some(idx) = idx else {
-                let mut known = node.schema.names().join(", ");
-                if !aliases.is_empty() {
-                    let names: Vec<&str> = aliases.iter().map(|(a, _)| a.as_str()).collect();
-                    known = format!("{known}; aliases: {}", names.join(", "));
-                }
+            let Some(idx) = node.schema.index_of(&o.column) else {
                 return Err(Error::Bind(format!(
-                    "unknown ORDER BY key `{}` (output columns: {known})",
-                    o.column
+                    "unknown ORDER BY key `{}` (output columns: {})",
+                    o.column,
+                    node.schema.names().join(", ")
                 )));
             };
             keys.push((idx, o.asc));
@@ -481,37 +493,15 @@ pub(crate) fn order_limit_stack(
     Ok(PlanNode::new(op, vec![node], schema))
 }
 
-fn group_by_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
+/// GROUP BY and scalar aggregation: a `Project` of the group keys, then
+/// each distinct aggregate argument (arbitrary expressions over the
+/// input schema, e.g. the Q3 revenue term `l_extendedprice * (1 -
+/// l_discount)`), under `GroupBy` / `Aggregate`. Scalar aggregates over
+/// a bare pushed scan — one table, its WHERE clause already in the leaf —
+/// ship inside the leaf's own Select statement instead
+/// ([`PlanOp::PushdownAggregate`]).
+fn aggregate_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
     let binder = Binder::new(&node.schema);
-    // Validate scalar items and collect aggregates in select order.
-    let mut aggs_src: Vec<(AggFunc, Option<Expr>, Option<String>)> = Vec::new();
-    for item in &spec.select.items {
-        match item {
-            SelectItem::Expr {
-                expr: Expr::Column(name),
-                ..
-            } => {
-                if !spec.group_by.iter().any(|g| g.eq_ignore_ascii_case(name)) {
-                    return Err(Error::Bind(format!(
-                        "column `{name}` must appear in GROUP BY"
-                    )));
-                }
-            }
-            SelectItem::Agg { func, arg, alias } => match arg {
-                Some(e) => aggs_src.push((*func, Some(e.clone()), alias.clone())),
-                None => aggs_src.push((AggFunc::Count, None, alias.clone())),
-            },
-            other => {
-                return Err(Error::Bind(format!(
-                    "GROUP BY select items must be grouping columns or aggregates, \
-                     found `{other}`"
-                )))
-            }
-        }
-    }
-    // Project: group keys first, then each aggregate's input expression
-    // (arbitrary expressions over the joined schema, e.g. the Q3 revenue
-    // term `l_extendedprice * (1 - l_discount)`).
     let group_width = spec.group_by.len();
     let mut exprs: Vec<Expr> = Vec::new();
     let mut fields: Vec<Field> = Vec::new();
@@ -522,67 +512,72 @@ fn group_by_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
     }
     let mut aggs: Vec<(AggFunc, Option<usize>)> = Vec::new();
     let mut out_fields: Vec<Field> = fields.clone();
-    for (k, (func, arg, alias)) in aggs_src.iter().enumerate() {
-        let arg_dtype = match arg {
+    for (i, item) in spec.select.items.iter().enumerate() {
+        let (func, arg, alias) = match item {
+            SelectItem::Agg { func, arg, alias } => (func, arg, alias),
+            // Scalar items must be the grouping columns.
+            SelectItem::Expr {
+                expr: Expr::Column(name),
+                ..
+            } if group_width > 0 => {
+                if !spec.group_by.iter().any(|g| g.eq_ignore_ascii_case(name)) {
+                    return Err(Error::Bind(format!(
+                        "column `{name}` must appear in GROUP BY"
+                    )));
+                }
+                continue;
+            }
+            other if group_width > 0 => {
+                return Err(Error::Bind(format!(
+                    "GROUP BY select items must be grouping columns or aggregates, \
+                     found `{other}`"
+                )))
+            }
+            other => {
+                return Err(Error::Bind(format!(
+                    "cannot mix scalar item `{other}` with aggregates"
+                )))
+            }
+        };
+        let mut dtype = match func {
+            AggFunc::Count => Some(DataType::Int),
+            AggFunc::Avg => Some(DataType::Float),
+            _ => None,
+        };
+        let slot = match arg {
+            None => None,
             Some(e) => {
-                let bound = binder.bind_expr(e)?;
-                aggs.push((*func, Some(exprs.len())));
-                fields.push(Field::new(format!("_a{k}"), bound.infer_type()));
-                exprs.push(e.clone());
-                Some(bound.infer_type())
-            }
-            None => {
-                aggs.push((*func, None));
-                None
+                let bound = binder.bind_expr(e)?.infer_type();
+                dtype = dtype.or(Some(bound));
+                // One input column per distinct argument.
+                Some(exprs.iter().position(|x| x == e).unwrap_or_else(|| {
+                    let name = match e {
+                        Expr::Column(c) => c.clone(),
+                        _ => format!("_a{}", aggs.len()),
+                    };
+                    fields.push(Field::new(name, bound));
+                    exprs.push(e.clone());
+                    exprs.len() - 1
+                }))
             }
         };
-        out_fields.push(Field::new(
-            alias.clone().unwrap_or_else(|| agg_name(func, arg, k)),
-            agg_dtype(func, arg_dtype),
-        ));
+        let name = alias.clone().unwrap_or_else(|| match group_width {
+            0 => format!("_{}", i + 1),
+            _ => agg_name(func, arg, &spec.group_by, aggs.len()),
+        });
+        out_fields.push(Field::new(name, dtype.unwrap_or(DataType::Float)));
+        aggs.push((*func, slot));
     }
-    let project = PlanNode::new(PlanOp::Project { exprs }, vec![node], Schema::new(fields));
-    Ok(PlanNode::new(
-        PlanOp::GroupBy { group_width, aggs },
-        vec![project],
-        Schema::new(out_fields),
-    ))
-}
-
-fn aggregate_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
-    let binder = Binder::new(&node.schema);
-    let mut exprs: Vec<Expr> = Vec::new();
-    let mut fields: Vec<Field> = Vec::new();
-    let mut aggs: Vec<(AggFunc, Option<usize>)> = Vec::new();
-    let mut out_fields: Vec<Field> = Vec::new();
-    for (k, item) in spec.select.items.iter().enumerate() {
-        let SelectItem::Agg { func, arg, alias } = item else {
-            return Err(Error::Bind(format!(
-                "cannot mix scalar item `{item}` with aggregates over a join"
-            )));
-        };
-        let arg_dtype = match arg {
-            Some(e) => {
-                let bound = binder.bind_expr(e)?;
-                aggs.push((*func, Some(exprs.len())));
-                fields.push(Field::new(format!("_a{k}"), bound.infer_type()));
-                exprs.push(e.clone());
-                Some(bound.infer_type())
-            }
-            None => {
-                aggs.push((*func, None));
-                None
-            }
-        };
-        out_fields.push(Field::new(
-            alias.clone().unwrap_or_else(|| format!("_{}", k + 1)),
-            agg_dtype(func, arg_dtype),
-        ));
-    }
-    let project = PlanNode::new(PlanOp::Project { exprs }, vec![node], Schema::new(fields));
-    Ok(PlanNode::new(
-        PlanOp::Aggregate { aggs },
-        vec![project],
-        Schema::new(out_fields),
-    ))
+    let schema = Schema::new(out_fields);
+    let op = match (group_width, &node.op) {
+        (0, PlanOp::PushdownScan { table, .. }) => {
+            let (table, stmt) = (table.clone(), spec.select.clone());
+            let op = PlanOp::PushdownAggregate { table, stmt };
+            return Ok(PlanNode::new(op, Vec::new(), schema));
+        }
+        (0, _) => PlanOp::Aggregate { aggs },
+        _ => PlanOp::GroupBy { group_width, aggs },
+    };
+    let input = project_stack(node, exprs, Schema::new(fields));
+    Ok(PlanNode::new(op, vec![input], schema))
 }

@@ -13,20 +13,18 @@
 //! Every query, single-table or joined, takes **one pipeline**:
 //!
 //! 1. **lower** — the statement becomes named candidate plans
-//!    ([`crate::plan`]), one per applicable variant of its family:
-//!    * plain filter/projection → the §IV filter strategies;
-//!    * aggregates without GROUP BY → local vs S3-side aggregation
-//!      (§VIII Q6);
-//!    * GROUP BY → the §VI group-by algorithms, plus the filtered variant
-//!      and — under the extended engine — §X's native group-by;
+//!    ([`crate::plan`]). Every statement is a join of *n ≥ 1* tables
+//!    ([`crate::joinplan`]): a left-deep join DAG over per-table scan
+//!    leaves whose join strategy and per-scan modes (plain GET, S3
+//!    Select, segment cache) vary **jointly**, under one projection /
+//!    aggregation / ORDER BY / LIMIT stack. For one table that line-up
+//!    is the §IV filter strategies, local vs S3-side aggregation (§VIII
+//!    Q6) and the §VI server-side / filtered group-by. Beside those
+//!    trees stand the algorithm-family leaves ([`AlgoOp`]) — the
+//!    algorithms whose later SQL is computed from an earlier phase:
+//!    * GROUP BY → §VI's S3-side and hybrid group-by and — under the
+//!      extended engine — §X's native one;
 //!    * `ORDER BY col LIMIT k` over `*` → the §VII top-K algorithms;
-//!    * multi-table `JOIN ... ON` → a left-deep join DAG whose join
-//!      strategy and per-scan pushdown modes vary **jointly**
-//!      ([`crate::joinplan`]).
-//!
-//!    A single-table candidate is one algorithm-family leaf
-//!    ([`AlgoOp`]); every other ORDER BY / LIMIT is stacked over the
-//!    candidates of either kind by the same function;
 //! 2. **price** — [`cost::predict_plan`] walks a candidate whole, over
 //!    one [`cost::Estimators`] snapshot per query;
 //! 3. **pick** — a fixed strategy takes the first name of its family's
@@ -40,20 +38,19 @@
 //!    returns the [`Explain`] surface: the candidates considered, the
 //!    prediction, and predicted-vs-actual per phase and per operator.
 
-use crate::algos::{filter, groupby, topk};
+use crate::algos::{groupby, topk};
 use crate::catalog::Table;
 use crate::context::QueryContext;
 use crate::cost;
-use crate::joinplan::{lower_join_candidates, order_limit_stack};
+use crate::joinplan::{lower_candidates, order_limit_stack};
 use crate::metrics::QueryMetrics;
 use crate::output::QueryOutput;
 use crate::plan::{self, AlgoOp, OpReport, PlanNode, PlanOp};
 use pushdown_common::pricing::Usage;
-use pushdown_common::{Error, Result, Schema};
-use pushdown_sql::agg::AggFunc;
+use pushdown_common::{Result, Schema};
 use pushdown_sql::ast::QuerySpec;
 use pushdown_sql::parser::parse_query;
-use pushdown_sql::{Expr, SelectItem, SelectStmt};
+use pushdown_sql::{Expr, SelectItem};
 
 /// Whether the planner may push computation into S3 Select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -282,7 +279,7 @@ impl Explain {
 /// admits is decided where it is lowered ([`lower`]), what each costs is
 /// [`cost::predict_plan`]'s business.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Family {
+pub enum Family {
     Filter,
     Aggregate,
     GroupBy,
@@ -365,35 +362,25 @@ pub fn execute_sql_verbose(
 
 /// Candidate plans of one query, by name, in the order ties are broken
 /// (the argmin keeps the earliest minimum).
-pub(crate) type Candidates = Vec<(&'static str, PlanNode)>;
+pub type Candidates = Vec<(&'static str, PlanNode)>;
 
-/// Lower a statement to its family and candidate plans. A joined
-/// statement lowers in [`crate::joinplan`]; a single-table one to one
-/// algorithm-family leaf per variant that *applies* to it, under the
-/// ORDER BY / LIMIT stack the leaf does not absorb itself:
+/// Lower a statement to its family and candidate plans: the trees of
+/// [`crate::joinplan`] — a single-table statement is a join of one table
+/// — and, after them, one algorithm-family leaf per variant that
+/// *applies* to it, under the same ORDER BY / LIMIT stack:
 ///
-/// * `cached-local` leads wherever a segment cache is installed — a cold
-///   fill costs exactly what the remote load costs, so ties must break
-///   toward warming the cache;
+/// * cached candidates lead wherever a segment cache is installed — a
+///   cold fill costs exactly what the remote load costs, so ties must
+///   break toward warming the cache;
+/// * `ORDER BY col LIMIT k` over `*` is the §VII top-K family, whole: the
+///   leaf orders and limits by itself;
 /// * the CASE-WHEN group-bys (`s3-side`, `hybrid`) need an aggregate to
-///   push, and `hybrid` a single grouping column;
+///   push, over plain columns, and `hybrid` a single grouping column;
 /// * `s3-native` exists under the engine's §X extension only.
-pub(crate) fn lower(
-    ctx: &QueryContext,
-    table: &Table,
-    spec: &QuerySpec,
-) -> Result<(Family, Candidates)> {
-    if !spec.joins.is_empty() {
-        return Ok((Family::Join, lower_join_candidates(ctx, table, spec)?));
-    }
+pub fn lower(ctx: &QueryContext, table: &Table, spec: &QuerySpec) -> Result<(Family, Candidates)> {
     let mut variants: Vec<&'static str> = Vec::new();
-    if ctx.store.cache().is_some() {
-        variants.push("cached-local");
-    }
-    variants.push("server-side");
-    // ---- `ORDER BY col LIMIT k` over `*` → top-K (§VII), exactly the
-    // paper's shape: the leaf orders and limits by itself.
-    if let ([order], Some(k), None, [], [SelectItem::Wildcard]) = (
+    if let ([], [order], Some(k), None, [], [SelectItem::Wildcard]) = (
+        spec.joins.as_slice(),
         spec.order_by.as_slice(),
         spec.select.limit,
         &spec.select.where_clause,
@@ -408,24 +395,24 @@ pub(crate) fn lower(
         };
         // Unknown order columns are bind errors, not runtime errors.
         table.schema.resolve(&q.order_col)?;
-        variants.push("sampling");
+        if ctx.store.cache().is_some() {
+            variants.push("cached-local");
+        }
+        variants.extend(["server-side", "sampling"]);
         let leaf = |v| AlgoOp::TopK(q.clone(), v);
         return Ok((Family::TopK, leaves(&variants, &table.schema, leaf)));
     }
-    // Alias → output position, for ORDER BY: aggregate aliases over GROUP
-    // BY results, column aliases over projections.
-    let mut aliases: Vec<(String, usize)> = Vec::new();
-    let (family, candidates) = if !spec.group_by.is_empty() {
-        // ---- GROUP BY → §VI.
-        let q = groupby_query(table, spec)?;
-        let named = spec.select.items.iter().filter_map(|i| match i {
-            SelectItem::Agg { alias, .. } => Some(alias),
-            _ => None,
-        });
-        for (k, alias) in named.enumerate() {
-            aliases.extend(alias.clone().map(|a| (a, q.group_cols.len() + k)));
-        }
-        variants.push("filtered");
+    let mut candidates = lower_candidates(ctx, table, spec)?;
+    let family = if !spec.joins.is_empty() {
+        Family::Join
+    } else if !spec.group_by.is_empty() {
+        Family::GroupBy
+    } else if spec.select.is_aggregate() {
+        Family::Aggregate
+    } else {
+        Family::Filter
+    };
+    if let (Family::GroupBy, Some(q)) = (family, groupby_query(table, spec)) {
         if !q.aggs.is_empty() {
             variants.push("s3-side");
             if q.group_cols.len() == 1 {
@@ -435,46 +422,13 @@ pub(crate) fn lower(
         if ctx.engine.extensions().native_group_by {
             variants.push("s3-native");
         }
-        let leaf = |v| AlgoOp::GroupBy(q.clone(), v);
-        (
-            Family::GroupBy,
-            leaves(&variants, &q.output_schema()?, leaf),
-        )
-    } else if spec.select.is_aggregate() {
-        // ---- Aggregates without GROUP BY.
-        if !spec.order_by.is_empty() {
-            return Err(Error::Bind(
-                "ORDER BY over a scalar aggregate is not supported".into(),
-            ));
+        // A leaf answers in the schema the trees do (aliases included).
+        let schema = candidates[0].1.schema.clone();
+        for (v, leaf) in leaves(&variants, &schema, |v| AlgoOp::GroupBy(q.clone(), v)) {
+            candidates.push((v, order_limit_stack(leaf, spec)?));
         }
-        variants.push("s3-side");
-        let leaf = |v| AlgoOp::Aggregate(table.clone(), spec.select.clone(), v);
-        (Family::Aggregate, leaves(&variants, &table.schema, leaf))
-    } else {
-        // ---- Plain filter/projection → §IV.
-        let q = filter::FilterQuery {
-            table: table.clone(),
-            predicate: spec
-                .select
-                .where_clause
-                .clone()
-                .unwrap_or_else(|| Expr::lit(pushdown_common::Value::Bool(true))),
-            projection: projection_columns(&spec.select)?,
-        };
-        for (i, item) in spec.select.items.iter().enumerate() {
-            if let SelectItem::Expr { alias: Some(a), .. } = item {
-                aliases.push((a.clone(), i));
-            }
-        }
-        variants.push("s3-side");
-        let leaf = |v| AlgoOp::Filter(q.clone(), v);
-        (Family::Filter, leaves(&variants, &q.output_schema()?, leaf))
-    };
-    let stacked = candidates
-        .into_iter()
-        .map(|(v, leaf)| Ok((v, order_limit_stack(leaf, spec, &aliases)?)))
-        .collect::<Result<_>>()?;
-    Ok((family, stacked))
+    }
+    Ok((family, candidates))
 }
 
 /// One algorithm-family leaf per variant, each a candidate by its name.
@@ -582,63 +536,26 @@ fn choose_and_run(
     Ok((executed.into_output(), explain))
 }
 
-/// Extract a plain-column projection list (None for `*`).
-fn projection_columns(stmt: &SelectStmt) -> Result<Option<Vec<String>>> {
-    if matches!(stmt.items.as_slice(), [SelectItem::Wildcard]) {
-        return Ok(None);
-    }
-    let mut cols = Vec::new();
-    for item in &stmt.items {
-        match item {
-            SelectItem::Expr {
-                expr: Expr::Column(name),
-                ..
-            } => cols.push(name.clone()),
-            other => {
-                return Err(Error::Bind(format!(
-                    "this planner projects plain columns only, found `{other}`"
-                )))
-            }
-        }
-    }
-    Ok(Some(cols))
-}
-
-/// Convert a GROUP BY spec into a [`groupby::GroupByQuery`]: scalar items
-/// must be the grouping columns; aggregate arguments must be plain
-/// columns.
-fn groupby_query(table: &Table, spec: &QuerySpec) -> Result<groupby::GroupByQuery> {
-    let mut aggs: Vec<(AggFunc, Option<String>)> = Vec::new();
+/// The [`groupby::GroupByQuery`] of a GROUP BY statement whose aggregate
+/// arguments are all plain columns or `COUNT(*)` — what the CASE-WHEN
+/// leaves can push. (The trees validated the select list already.)
+fn groupby_query(table: &Table, spec: &QuerySpec) -> Option<groupby::GroupByQuery> {
+    let mut aggs = Vec::new();
     for item in &spec.select.items {
         match item {
-            SelectItem::Expr {
-                expr: Expr::Column(name),
+            SelectItem::Agg {
+                func, arg: None, ..
+            } => aggs.push((*func, None)),
+            SelectItem::Agg {
+                func,
+                arg: Some(Expr::Column(c)),
                 ..
-            } => {
-                if !spec.group_by.iter().any(|g| g.eq_ignore_ascii_case(name)) {
-                    return Err(Error::Bind(format!(
-                        "column `{name}` must appear in GROUP BY"
-                    )));
-                }
-            }
-            SelectItem::Agg { func, arg, .. } => match arg {
-                Some(Expr::Column(c)) => aggs.push((*func, Some(c.clone()))),
-                None if *func == AggFunc::Count => aggs.push((AggFunc::Count, None)),
-                other => {
-                    return Err(Error::Bind(format!(
-                        "aggregate arguments must be plain columns, found {other:?}"
-                    )))
-                }
-            },
-            other => {
-                return Err(Error::Bind(format!(
-                    "GROUP BY select items must be grouping columns or aggregates, \
-                     found `{other}`"
-                )))
-            }
+            } => aggs.push((*func, Some(c.clone()))),
+            SelectItem::Agg { .. } => return None,
+            _ => {}
         }
     }
-    Ok(groupby::GroupByQuery {
+    Some(groupby::GroupByQuery {
         table: table.clone(),
         group_cols: spec.group_by.clone(),
         aggs,
@@ -647,11 +564,28 @@ fn groupby_query(table: &Table, spec: &QuerySpec) -> Result<groupby::GroupByQuer
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::catalog::upload_csv_table;
-    use pushdown_common::{DataType, Row, Schema, Value};
+    use pushdown_common::{DataType, Error, Row, Schema, Value};
     use pushdown_s3::S3Store;
+
+    /// Run the candidate `sql` lowers to under `name` — a named algorithm,
+    /// not the optimizer's pick — on a query scope of its own.
+    pub(crate) fn run_candidate(
+        ctx: &QueryContext,
+        table: &Table,
+        sql: &str,
+        name: &str,
+    ) -> Result<QueryOutput> {
+        let ctx = ctx.scoped();
+        let (_, candidates) = lower(&ctx, table, &parse_query(sql)?)?;
+        let found = candidates.iter().find(|(n, _)| *n == name);
+        let (_, plan) = found.ok_or_else(|| Error::Bind(format!("no `{name}` candidate")))?;
+        let mut out = plan::execute(&ctx, plan)?.into_output();
+        out.billed = ctx.billed();
+        Ok(out)
+    }
 
     fn setup() -> (QueryContext, Table) {
         let store = S3Store::new();

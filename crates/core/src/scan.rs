@@ -298,9 +298,12 @@ pub enum ScanSource {
     /// One whole-object GET per partition — unless the context has
     /// `cache_reads` set **and** the store carries a
     /// [`pushdown_cache::SegmentCache`], in which case the scan reads
-    /// through the cache like [`ScanSource::Cached`]. This is how
-    /// `cached-local` plan candidates reuse every server-side algorithm
-    /// unchanged.
+    /// through the cache like [`ScanSource::Cached`]. This is how the
+    /// top-K leaf's `cached-local` variant reuses the server-side
+    /// algorithm unchanged (the other families' `cached-local` candidates
+    /// are [`crate::plan::PlanOp::CachedScan`] leaves), and how a caller
+    /// warms the cache with any baseline plan
+    /// ([`QueryContext::with_cache_reads`]).
     Plain,
     /// Read every partition **through** the store's tiered segment cache
     /// at chunk granularity. Resident chunks are served locally (nothing

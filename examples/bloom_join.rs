@@ -7,7 +7,7 @@
 //! cargo run --release --example bloom_join
 //! ```
 
-use pushdown_bench::run_join_candidate;
+use pushdown_bench::run_candidate;
 use pushdowndb::bloom::BloomFilter;
 use pushdowndb::common::fmtutil;
 use pushdowndb::tpch::tpch_context;
@@ -29,7 +29,7 @@ fn main() -> pushdowndb::common::Result<()> {
     );
 
     let f = 10.0 / t.scale_factor; // project to the paper's SF 10
-    let run = |name| run_join_candidate(&ctx, &t.customer, sql, name, None);
+    let run = |name| run_candidate(&ctx, &t.customer, sql, name, None);
     let (base, filt, bloom) = (run("baseline")?, run("filtered")?, run("bloom")?);
 
     println!("join algorithms on SUM(o_totalprice), projected to SF 10:");

@@ -1,17 +1,16 @@
 //! The §VI group-by experiment in miniature: a Zipf-skewed table
 //! aggregated by all four algorithms — server-side, filtered, S3-side
 //! (CASE-WHEN rewrite) and hybrid (populous groups at S3, tail at the
-//! server).
+//! server). Each is the planner's candidate of that name.
 //!
 //! ```sh
 //! cargo run --release --example hybrid_groupby
 //! ```
 
+use pushdown_bench::run_candidate;
 use pushdowndb::common::fmtutil;
-use pushdowndb::core::algos::groupby::{self, GroupByQuery, HybridOptions};
 use pushdowndb::core::{upload_csv_table, QueryContext};
 use pushdowndb::s3::S3Store;
-use pushdowndb::sql::agg::AggFunc;
 use pushdowndb::tpch::synthetic::zipf_group_table;
 
 fn main() -> pushdowndb::common::Result<()> {
@@ -20,24 +19,13 @@ fn main() -> pushdowndb::common::Result<()> {
     let table = upload_csv_table(&ctx.store, "demo", "zipf", &schema, &rows, 8_000)?;
     let factor = 10e9 / table.total_bytes(&ctx.store) as f64; // paper's 10 GB
 
-    let q = GroupByQuery {
-        table,
-        group_cols: vec!["g0".into()],
-        aggs: vec![
-            (AggFunc::Sum, Some("v0".into())),
-            (AggFunc::Count, Some("v0".into())),
-        ],
-        predicate: None,
-    };
-
+    let sql = "SELECT g0, SUM(v0), COUNT(v0) FROM zipf GROUP BY g0";
+    let run = |name| run_candidate(&ctx, &table, sql, name, None);
     let runs = [
-        ("server-side", groupby::server_side(&ctx, &q)?),
-        ("filtered   ", groupby::filtered(&ctx, &q)?),
-        ("s3-side    ", groupby::s3_side(&ctx, &q)?),
-        (
-            "hybrid     ",
-            groupby::hybrid(&ctx, &q, HybridOptions::default())?,
-        ),
+        ("server-side", run("server-side")?),
+        ("filtered   ", run("filtered")?),
+        ("s3-side    ", run("s3-side")?),
+        ("hybrid     ", run("hybrid")?),
     ];
     println!("group-by over 100 zipf(θ=1.3) groups, projected to 10 GB:");
     for (name, out) in &runs {

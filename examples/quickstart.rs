@@ -8,6 +8,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use pushdown_bench::run_candidate;
 use pushdowndb::common::{fmtutil, DataType, Row, Schema, Value};
 use pushdowndb::core::algos::filter::{self, FilterQuery};
 use pushdowndb::core::planner::execute_sql_verbose;
@@ -52,7 +53,9 @@ fn main() -> pushdowndb::common::Result<()> {
     );
 
     // 3. Run a filter query under each strategy of paper §IV and compare
-    //    modeled runtime + dollar cost.
+    //    modeled runtime + dollar cost: the planner's `server-side` and
+    //    `s3-side` candidates by name, and the §IV-A index.
+    let sql = "SELECT id, balance FROM accounts WHERE id < 40";
     let q = FilterQuery {
         table: table.clone(),
         predicate: parse_expr("id < 40")?,
@@ -62,8 +65,14 @@ fn main() -> pushdowndb::common::Result<()> {
 
     println!("\nfilter `id < 40` ({} matching rows):", 40);
     for (name, out) in [
-        ("server-side", filter::server_side(&ctx, &q)?),
-        ("s3-side    ", filter::s3_side(&ctx, &q)?),
+        (
+            "server-side",
+            run_candidate(&ctx, &table, sql, "server-side", None)?,
+        ),
+        (
+            "s3-side    ",
+            run_candidate(&ctx, &table, sql, "s3-side", None)?,
+        ),
         ("indexed    ", filter::indexed(&ctx, &index, &q)?),
     ] {
         println!(

@@ -18,7 +18,7 @@
 //! Pinned regression seeds cover each algo family (filter, group-by,
 //! top-K, join) with at least one actually-retried request.
 
-use pushdown_bench::run_join_candidate;
+use pushdown_bench::run_candidate;
 use pushdowndb::common::{RetryPolicy, Value};
 use pushdowndb::core::{execute_sql, QueryOutput, Strategy};
 use pushdowndb::s3::FaultPlan;
@@ -316,7 +316,7 @@ fn pinned_regression_seeds_per_algo_family() {
     let sql = "SELECT SUM(o_totalprice) FROM customer JOIN orders ON c_custkey = o_custkey \
                WHERE c_acctbal < 0";
     let bloom = || {
-        run_join_candidate(
+        run_candidate(
             &ctx.scoped_with_salt(3),
             &tables.customer,
             sql,

@@ -6,6 +6,11 @@
 //!   fixed strategies, and bills exactly the serial ledger — scattering
 //!   moves work between nodes, it never creates or destroys billable
 //!   bytes (exchange volume is interconnect, not S3).
+//! * **Folded families** (ISSUE 22): a single-table filter, scalar
+//!   aggregate or group-by is a tree over a scan leaf, so it scatters
+//!   like a join — same rows, same bill, more than one node busy; the
+//!   pushed aggregate (one merged row per query) and the remaining
+//!   algorithm-family leaves stay on the coordinator.
 //! * **Conservation**: over a mixed batch the store-global ledger delta
 //!   equals Σ per-query bills equals Σ per-node ledger deltas — three
 //!   decompositions of one total.
@@ -67,6 +72,60 @@ fn scattered_rows_and_bills_match_serial_at_every_node_count() {
                     "{} @ {n} nodes ({strategy:?}): metrics == ledger",
                     q.name
                 );
+            }
+        }
+    }
+}
+
+/// One 4-node case per folded family, under both fixed strategies: rows
+/// bit-identical to serial, Σ node ledgers == global delta == `billed`,
+/// and the scan-leaf plans spread over the nodes while the pushed
+/// aggregate and the hybrid group-by leaf run whole on the coordinator.
+#[test]
+fn folded_single_table_families_scatter_like_joins() {
+    let (ctx, t) = tpch_context(0.003, 1_200).unwrap();
+    let suite = planner_suite();
+    for (name, pushed_tree) in [
+        ("filter-selective", true),
+        ("aggregate", false),
+        ("groupby-filtered", false),
+    ] {
+        let q = suite.iter().find(|q| q.name == name).unwrap();
+        let table = (q.table)(&t);
+        for strategy in [Strategy::Baseline, Strategy::Pushdown] {
+            let what = format!("{name} under {strategy:?}");
+            let serial = execute_sql(&ctx, table, q.sql, strategy).unwrap();
+            // A cluster of its own: the node ledgers start at zero.
+            let cctx = ctx.clone().with_nodes(4);
+            let cluster = cctx.cluster.clone().unwrap();
+            let global_before = ctx.store.global_ledger().snapshot();
+            let (out, ex) = execute_sql_verbose(&cctx, table, q.sql, strategy).unwrap();
+            assert_eq!(out.rows, serial.rows, "{what}: rows");
+            assert_eq!(out.billed, serial.billed, "{what}: bill");
+            assert_eq!(out.metrics.usage(), out.billed, "{what}: metrics == ledger");
+            assert_eq!(cluster.total_usage(), out.billed, "{what}: Σ node ledgers");
+            assert_eq!(
+                ctx.store.global_ledger().snapshot(),
+                global_before + out.billed,
+                "{what}: global delta"
+            );
+            let busy = cluster
+                .snapshots()
+                .iter()
+                .filter(|ns| ns.usage.requests > 0)
+                .count();
+            let report = ex.report(&out, &cctx);
+            if strategy == Strategy::Baseline || pushed_tree {
+                assert!(report.contains("Gather["), "{what}:\n{report}");
+                assert!(busy > 1, "{what}: {busy} busy node(s)");
+                // Scattered plans carry the prediction of what ran.
+                assert!(ex.predicted.is_some(), "{what}");
+            } else {
+                assert!(!report.contains("Gather["), "{what}:\n{report}");
+                assert_eq!(busy, 1, "{what}: a leaf runs on the coordinator");
+            }
+            if name == "aggregate" {
+                assert_eq!(out.rows.len(), 1, "{what}: one row per query");
             }
         }
     }

@@ -8,16 +8,16 @@
 //! batch size.
 
 use proptest::prelude::*;
+use pushdown_bench::run_candidate;
 use pushdowndb::common::perf::PhaseStats;
 use pushdowndb::common::{DataType, Row, Schema, Value};
-use pushdowndb::core::algos::{filter, groupby, topk};
+use pushdowndb::core::algos::topk;
 use pushdowndb::core::{
     execute_sql_verbose, upload_columnar_table, upload_csv_table, OpReport, QueryContext,
     QueryMetrics, Strategy, Table,
 };
 use pushdowndb::format::columnar::WriterOptions;
 use pushdowndb::s3::S3Store;
-use pushdowndb::sql::agg::AggFunc;
 
 fn schema() -> Schema {
     Schema::from_pairs(&[
@@ -267,7 +267,8 @@ fn columnar_path_is_batch_size_invariant() {
 }
 
 /// The three algorithm families' server-side paths: exact stats parity
-/// between the row and columnar kernels, driven directly.
+/// between the row and columnar kernels — the filter and group-by as the
+/// planner's `server-side` candidates by name, top-K driven directly.
 #[test]
 fn algo_server_side_paths_agree_exactly() {
     for format in FORMATS {
@@ -280,30 +281,16 @@ fn algo_server_side_paths_agree_on(format: Format) {
     let row_ctx = ctx.clone().with_columnar(false);
     let col_ctx = ctx.clone().with_columnar(true);
 
-    let fq = filter::FilterQuery {
-        table: t.clone(),
-        predicate: pushdowndb::sql::parse_expr("bal > 10 AND name <> 'name-4'").unwrap(),
-        projection: Some(vec!["k".into(), "name".into()]),
-    };
-    let a = filter::server_side(&row_ctx, &fq).unwrap();
-    let b = filter::server_side(&col_ctx, &fq).unwrap();
+    let server = |ctx, sql| run_candidate(ctx, &t, sql, "server-side", None).unwrap();
+    let sql = "SELECT k, name FROM t WHERE bal > 10 AND name <> 'name-4'";
+    let (a, b) = (server(&row_ctx, sql), server(&col_ctx, sql));
     assert_eq!(a.rows, b.rows, "filter rows");
     assert_metrics_equal(&a.metrics, &b.metrics, "filter");
     assert_eq!(a.billed, b.billed, "filter bill");
 
-    let gq = groupby::GroupByQuery {
-        table: t.clone(),
-        group_cols: vec!["name".into()],
-        aggs: vec![
-            (AggFunc::Sum, Some("bal".into())),
-            (AggFunc::Count, Some("k".into())),
-            (AggFunc::Min, Some("d".into())),
-            (AggFunc::Max, Some("name".into())),
-        ],
-        predicate: Some(pushdowndb::sql::parse_expr("k < 600").unwrap()),
-    };
-    let a = groupby::server_side(&row_ctx, &gq).unwrap();
-    let b = groupby::server_side(&col_ctx, &gq).unwrap();
+    let sql = "SELECT name, SUM(bal), COUNT(k), MIN(d), MAX(name) FROM t \
+               WHERE k < 600 GROUP BY name";
+    let (a, b) = (server(&row_ctx, sql), server(&col_ctx, sql));
     assert_eq!(a.rows, b.rows, "groupby rows");
     assert_metrics_equal(&a.metrics, &b.metrics, "groupby");
     assert_eq!(a.billed, b.billed, "groupby bill");

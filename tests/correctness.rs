@@ -2,7 +2,7 @@
 //! the answer its no-pushdown baseline produces, across operators and
 //! under fault injection.
 
-use pushdown_bench::run_join_candidate;
+use pushdown_bench::run_candidate;
 use pushdowndb::common::RetryPolicy;
 use pushdowndb::common::{DataType, Row, Schema, Value};
 use pushdowndb::core::algos::{filter, groupby, topk};
@@ -59,8 +59,9 @@ fn filter_strategies_agree_under_fault_injection() {
     // Transient faults are retried transparently on every request path.
     ctx.store.set_fault_plan(Some(FaultPlan::new(17, 0.25)));
     let ctx = ctx.with_retry(RetryPolicy::with_attempts(12));
-    let server = filter::server_side(&ctx, &q).unwrap();
-    let s3 = filter::s3_side(&ctx, &q).unwrap();
+    let sql = "SELECT * FROM t WHERE k >= 100 AND k < 160";
+    let server = run_candidate(&ctx, &table, sql, "server-side", None).unwrap();
+    let s3 = run_candidate(&ctx, &table, sql, "s3-side", None).unwrap();
     let indexed = filter::indexed(&ctx, &index, &q).unwrap();
     assert_eq!(server.rows.len(), 60);
     assert_rows_close(&server.rows, &s3.rows, "filter s3");
@@ -72,15 +73,15 @@ fn join_agrees_across_fpr_extremes_and_fallback() {
     let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
     let sql = "SELECT SUM(o_totalprice) FROM customer JOIN orders ON c_custkey = o_custkey \
                WHERE c_acctbal <= -500 AND o_orderdate < DATE '1996-01-01'";
-    let reference = run_join_candidate(&ctx, &t.customer, sql, "baseline", None).unwrap();
+    let reference = run_candidate(&ctx, &t.customer, sql, "baseline", None).unwrap();
     for fpr in [0.0001, 0.01, 0.5] {
-        let out = run_join_candidate(&ctx, &t.customer, sql, "bloom", Some(fpr)).unwrap();
+        let out = run_candidate(&ctx, &t.customer, sql, "bloom", Some(fpr)).unwrap();
         assert_rows_close(&reference.rows, &out.rows, &format!("bloom fpr {fpr}"));
     }
     // Forced fallback (tiny SQL limit) must still agree.
     let mut tight = ctx.clone();
     tight.bloom.max_sql_bytes = 32;
-    let out = run_join_candidate(&tight, &t.customer, sql, "bloom", None).unwrap();
+    let out = run_candidate(&tight, &t.customer, sql, "bloom", None).unwrap();
     let probe = &out.metrics.groups[1].phases[0].label;
     assert!(probe.starts_with("fallback probe (no bloom)"), "{probe}");
     assert_rows_close(&reference.rows, &out.rows, "bloom fallback");
@@ -117,7 +118,8 @@ fn groupby_agrees_with_tiny_sql_limit_chunking() {
         ],
         predicate: None,
     };
-    let server = groupby::server_side(&ctx, &q).unwrap();
+    let sql = "SELECT g, SUM(v), AVG(v) FROM t GROUP BY g";
+    let server = run_candidate(&ctx, &q.table, sql, "server-side", None).unwrap();
     let s3 = groupby::s3_side(&ctx, &q).unwrap();
     let hybrid = groupby::hybrid(&ctx, &q, groupby::HybridOptions::default()).unwrap();
     assert_eq!(server.rows.len(), 50);
@@ -149,12 +151,8 @@ fn ledger_matches_metrics_for_select_queries() {
     // The metrics attached to an output must agree with the store's own
     // AWS-style ledger for the billable Select quantities.
     let (ctx, t) = tpch_context(0.002, 2_000).unwrap();
-    let q = filter::FilterQuery {
-        table: t.orders.clone(),
-        predicate: parse_expr("o_totalprice < 1000").unwrap(),
-        projection: Some(vec!["o_orderkey".into()]),
-    };
-    let out = filter::s3_side(&ctx, &q).unwrap();
+    let sql = "SELECT o_orderkey FROM orders WHERE o_totalprice < 1000";
+    let out = run_candidate(&ctx, &t.orders, sql, "s3-side", None).unwrap();
     // `billed` is the query's scoped child ledger — exact per-query usage.
     let usage = out.billed;
     let metered = out.metrics.usage();
@@ -192,35 +190,28 @@ fn streamed_scans_survive_faults_mid_scan_for_both_formats() {
     // keeps the success cases deterministic under any scheduling.
     ctx.retry = RetryPolicy::with_attempts(16);
 
+    let sql = "SELECT * FROM t WHERE k % 7 = 0";
     for table in [&csv, &clt] {
-        let q = filter::FilterQuery {
-            table: table.clone(),
-            predicate: parse_expr("k % 7 = 0").unwrap(),
-            projection: None,
-        };
+        let run = |name| run_candidate(&ctx, table, sql, name, None).unwrap();
         // Clean reference first.
-        let want = filter::server_side(&ctx, &q).unwrap();
+        let want = run("server-side");
         assert_eq!(want.rows.len(), 3_000 / 7 + 1);
 
         // Seeded faults across a 12-partition scan: several workers hit a
         // fault partway through and must retry transparently — on the
         // plain path and the pushdown path alike.
         ctx.store.set_fault_plan(Some(FaultPlan::new(99, 0.3)));
-        let got = filter::server_side(&ctx, &q).unwrap();
+        let got = run("server-side");
         assert_rows_close(&want.rows, &got.rows, "plain streamed under faults");
-        let s3 = filter::s3_side(&ctx, &q).unwrap();
+        let s3 = run("s3-side");
         assert_rows_close(&want.rows, &s3.rows, "select streamed under faults");
         ctx.store.set_fault_plan(None);
     }
 
     // Exhausting retries surfaces the fault instead of corrupting rows.
     ctx.store.set_fault_plan(Some(FaultPlan::new(99, 1.0)));
-    let q = filter::FilterQuery {
-        table: csv.clone(),
-        predicate: parse_expr("k >= 0").unwrap(),
-        projection: None,
-    };
-    assert!(filter::server_side(&ctx, &q).is_err());
+    let sql = "SELECT * FROM t WHERE k >= 0";
+    assert!(run_candidate(&ctx, &csv, sql, "server-side", None).is_err());
     ctx.store.set_fault_plan(None);
 }
 
@@ -238,18 +229,10 @@ fn streamed_operators_survive_faults_mid_scan() {
     ctx.batch_rows = 50;
     ctx.retry = RetryPolicy::with_attempts(16);
 
-    let gq = groupby::GroupByQuery {
-        table: table.clone(),
-        group_cols: vec!["g".into()],
-        aggs: vec![
-            (AggFunc::Sum, Some("v".into())),
-            (AggFunc::Count, Some("v".into())),
-        ],
-        predicate: None,
-    };
-    let want_groups = groupby::server_side(&ctx, &gq).unwrap();
+    let sql = "SELECT g, SUM(v), COUNT(v) FROM t GROUP BY g";
+    let want_groups = run_candidate(&ctx, &table, sql, "server-side", None).unwrap();
     ctx.store.set_fault_plan(Some(FaultPlan::new(4, 0.35)));
-    let got_groups = groupby::server_side(&ctx, &gq).unwrap();
+    let got_groups = run_candidate(&ctx, &table, sql, "server-side", None).unwrap();
     assert_rows_close(&want_groups.rows, &got_groups.rows, "group-by under faults");
 
     let tq = topk::TopKQuery {
@@ -295,13 +278,9 @@ fn csv_and_columnar_tables_give_identical_query_answers() {
     .unwrap();
     let ctx = QueryContext::new(store);
     for pred in ["k < 100", "v > 15.0 AND s = 'tag-3'", "k >= 2499"] {
-        let make = |t: &pushdowndb::core::Table| filter::FilterQuery {
-            table: t.clone(),
-            predicate: parse_expr(pred).unwrap(),
-            projection: None,
-        };
-        let a = filter::s3_side(&ctx, &make(&csv)).unwrap();
-        let b = filter::s3_side(&ctx, &make(&clt)).unwrap();
+        let sql = format!("SELECT * FROM t WHERE {pred}");
+        let a = run_candidate(&ctx, &csv, &sql, "s3-side", None).unwrap();
+        let b = run_candidate(&ctx, &clt, &sql, "s3-side", None).unwrap();
         assert_rows_close(&a.rows, &b.rows, pred);
         // Columnar scans fewer bytes for any non-trivial width.
         assert!(

@@ -71,21 +71,48 @@ fn tpch_differential_is_batch_size_invariant() {
 #[test]
 fn planner_strategies_differential() {
     let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
-    let orders = &t.orders;
-    for sql in [
-        "SELECT o_orderkey, o_totalprice FROM orders WHERE o_totalprice < 50000",
-        "SELECT * FROM orders WHERE o_custkey = 7",
-        "SELECT SUM(o_totalprice), COUNT(*), AVG(o_totalprice) FROM orders \
-         WHERE o_orderkey > 100",
-        "SELECT o_orderpriority, COUNT(*), MAX(o_totalprice) FROM orders \
-         GROUP BY o_orderpriority",
-        "SELECT * FROM orders ORDER BY o_totalprice DESC LIMIT 20",
+    let (orders, lineitem) = (&t.orders, &t.lineitem);
+    for (table, sql) in [
+        (
+            orders,
+            "SELECT o_orderkey, o_totalprice FROM orders WHERE o_totalprice < 50000",
+        ),
+        (orders, "SELECT * FROM orders WHERE o_custkey = 7"),
+        (
+            orders,
+            "SELECT SUM(o_totalprice), COUNT(*), AVG(o_totalprice) FROM orders \
+             WHERE o_orderkey > 100",
+        ),
+        (
+            orders,
+            "SELECT o_orderpriority, COUNT(*), MAX(o_totalprice) FROM orders \
+             GROUP BY o_orderpriority",
+        ),
+        (
+            orders,
+            "SELECT * FROM orders ORDER BY o_totalprice DESC LIMIT 20",
+        ),
+        // Expression arguments (TPC-H Q1's and Q6's revenue terms): legal
+        // over a join all along, over one table since the statement
+        // lowers through the same stack.
+        (
+            lineitem,
+            "SELECT l_returnflag, SUM(l_extendedprice * (1 - l_discount)) FROM lineitem \
+             GROUP BY l_returnflag",
+        ),
+        (
+            lineitem,
+            "SELECT SUM(l_extendedprice * l_discount) FROM lineitem WHERE l_quantity < 24",
+        ),
     ] {
-        let base = execute_sql(&ctx, orders, sql, Strategy::Baseline).unwrap();
-        let push = execute_sql(&ctx, orders, sql, Strategy::Pushdown).unwrap();
-        let adapt = execute_sql(&ctx, orders, sql, Strategy::Adaptive).unwrap();
+        let base = execute_sql(&ctx, table, sql, Strategy::Baseline).unwrap();
+        let push = execute_sql(&ctx, table, sql, Strategy::Pushdown).unwrap();
+        let adapt = execute_sql(&ctx, table, sql, Strategy::Adaptive).unwrap();
         assert_rows_close(&base.rows, &push.rows, sql);
         assert_rows_close(&base.rows, &adapt.rows, &format!("{sql} (adaptive)"));
+        for out in [&base, &push, &adapt] {
+            assert_eq!(out.metrics.usage(), out.billed, "{sql}: usage == billed");
+        }
         assert!(
             push.metrics.bytes_returned() <= base.metrics.bytes_returned(),
             "{sql}: pushdown must not transfer more"

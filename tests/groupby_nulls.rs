@@ -1,6 +1,8 @@
 //! NULLs and §VI group-by (ISSUE 20): every algorithm variant and every
 //! strategy returns the same rows when grouping keys and aggregate
-//! inputs hold NULLs.
+//! inputs hold NULLs — and (ISSUE 22) so does every named candidate of
+//! the filter and scalar-aggregate statements over the same table, on
+//! CSV and ColumnarLite, with the cache cold and warm.
 //!
 //! The table has 40 rows: `k` is NULL in every 4th row (10 rows per
 //! group, the NULL group included), `k2` is NULL in every 8th, `v` is
@@ -18,14 +20,15 @@
 //! rule: a `GROUP BY` without aggregates has no CASE-WHEN statement to
 //! push, so the CASE-WHEN variants are not candidates for it.
 
+use pushdown_bench::run_candidate;
 use pushdowndb::common::{DataType, Row, Schema, Value};
-use pushdowndb::core::algos::groupby::GroupByQuery;
-use pushdowndb::core::planner::{execute_sql_verbose, PlanKind};
+use pushdowndb::core::planner::{execute_sql_verbose, lower, PlanKind};
 use pushdowndb::core::{
-    execute_sql, plan, upload_csv_table, AlgoOp, PlanNode, PlanOp, QueryContext, Strategy, Table,
+    execute_sql, upload_columnar_table, upload_csv_table, QueryContext, Strategy, Table,
 };
+use pushdowndb::format::columnar::WriterOptions;
 use pushdowndb::s3::S3Store;
-use pushdowndb::sql::agg::AggFunc;
+use pushdowndb::sql::parse_query;
 
 fn null_rows() -> Vec<Row> {
     (0..40i64)
@@ -40,14 +43,17 @@ fn null_rows() -> Vec<Row> {
         .collect()
 }
 
-fn setup() -> (QueryContext, Table) {
-    let store = S3Store::new();
-    let schema = Schema::from_pairs(&[
+fn schema() -> Schema {
+    Schema::from_pairs(&[
         ("k", DataType::Int),
         ("k2", DataType::Int),
         ("v", DataType::Int),
-    ]);
-    let t = upload_csv_table(&store, "b", "t", &schema, &null_rows(), 16).unwrap();
+    ])
+}
+
+fn setup() -> (QueryContext, Table) {
+    let store = S3Store::new();
+    let t = upload_csv_table(&store, "b", "t", &schema(), &null_rows(), 16).unwrap();
     (QueryContext::new(store).with_cache(1 << 20), t)
 }
 
@@ -89,38 +95,20 @@ fn reference(group_width: usize) -> Vec<Row> {
         .collect()
 }
 
-fn query(table: &Table, group_cols: &[&str]) -> GroupByQuery {
-    GroupByQuery {
-        table: table.clone(),
-        group_cols: group_cols.iter().map(|c| c.to_string()).collect(),
-        aggs: vec![
-            (AggFunc::Count, None),
-            (AggFunc::Count, Some("v".into())),
-            (AggFunc::Sum, Some("v".into())),
-        ],
-        predicate: None,
-    }
+/// The statement `reference(group_cols.len())` answers.
+fn group_by_sql(cols: &str) -> String {
+    format!("SELECT {cols}, COUNT(*), COUNT(v), SUM(v) FROM t GROUP BY {cols}")
 }
 
-/// The one-leaf plan running `q` under the named variant.
-fn leaf(q: &GroupByQuery, variant: &'static str) -> PlanNode {
-    PlanNode::new(
-        PlanOp::Algo(AlgoOp::GroupBy(q.clone(), variant)),
-        Vec::new(),
-        q.output_schema().unwrap(),
-    )
-}
-
-fn run_variant(ctx: &QueryContext, q: &GroupByQuery, variant: &'static str) -> Vec<Row> {
-    let node = leaf(q, variant);
-    let ctx = ctx.scoped();
-    let ran = plan::execute(&ctx, &node).unwrap();
+/// Run the planner's candidate `name` of `sql`, metrics == ledger.
+fn run_variant(ctx: &QueryContext, table: &Table, sql: &str, name: &str) -> Vec<Row> {
+    let out = run_candidate(ctx, table, sql, name, None).unwrap();
     assert_eq!(
-        ran.metrics.usage(),
-        ctx.billed(),
-        "{variant}: usage == bill"
+        out.metrics.usage(),
+        out.billed,
+        "{sql} {name}: usage == bill"
     );
-    ran.rows
+    out.rows
 }
 
 #[test]
@@ -138,7 +126,6 @@ fn the_fixture_has_the_nulls_the_cases_need() {
 #[test]
 fn every_variant_agrees_on_one_grouping_column() {
     let (ctx, t) = setup();
-    let q = query(&t, &["k"]);
     let want = reference(1);
     for variant in [
         "server-side",
@@ -147,17 +134,24 @@ fn every_variant_agrees_on_one_grouping_column() {
         "s3-side",
         "hybrid",
     ] {
-        assert_eq!(run_variant(&ctx, &q, variant), want, "{variant}");
+        assert_eq!(
+            run_variant(&ctx, &t, &group_by_sql("k"), variant),
+            want,
+            "{variant}"
+        );
     }
 }
 
 #[test]
 fn every_variant_agrees_on_two_grouping_columns() {
     let (ctx, t) = setup();
-    let q = query(&t, &["k", "k2"]);
     let want = reference(2);
     for variant in ["server-side", "cached-local", "filtered", "s3-side"] {
-        assert_eq!(run_variant(&ctx, &q, variant), want, "{variant}");
+        assert_eq!(
+            run_variant(&ctx, &t, &group_by_sql("k, k2"), variant),
+            want,
+            "{variant}"
+        );
     }
 }
 
@@ -165,7 +159,7 @@ fn every_variant_agrees_on_two_grouping_columns() {
 fn every_strategy_agrees_through_sql() {
     let (ctx, t) = setup();
     for (cols, width) in [("k", 1), ("k, k2", 2)] {
-        let sql = format!("SELECT {cols}, COUNT(*), COUNT(v), SUM(v) FROM t GROUP BY {cols}");
+        let sql = group_by_sql(cols);
         let want = reference(width);
         for strategy in [Strategy::Baseline, Strategy::Pushdown, Strategy::Adaptive] {
             let out = execute_sql(&ctx, &t, &sql, strategy).unwrap();
@@ -198,13 +192,8 @@ fn hybrid_keeps_null_keys_in_the_tail_only_where_they_can_occur() {
         let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)]);
         let t = upload_csv_table(&store, "b", "t", &schema, rows, 1_000).unwrap();
         let ctx = QueryContext::new(store);
-        let q = GroupByQuery {
-            table: t,
-            group_cols: vec!["k".into()],
-            aggs: vec![(AggFunc::Sum, Some("v".into()))],
-            predicate: None,
-        };
-        let ran = plan::execute(&ctx.scoped(), &leaf(&q, "hybrid")).unwrap();
+        let sql = "SELECT k, SUM(v) FROM t GROUP BY k";
+        let ran = run_candidate(&ctx, &t, sql, "hybrid", None).unwrap();
         let tail = ran
             .metrics
             .groups
@@ -260,4 +249,108 @@ fn group_by_without_aggregates_runs_under_every_strategy() {
             );
         }
     }
+}
+
+/// Every candidate the lineup offers `sql` with a cache installed — the
+/// trees (`cached-local` cold, then warm; `server-side`; the pushed one)
+/// and the remaining algorithm-family leaves, §X's native group-by
+/// included — on CSV and on ColumnarLite: rows equal to `server-side`,
+/// metrics == ledger on each. Returns the CSV rows.
+fn every_candidate_agrees(sql: &str) -> Vec<Row> {
+    let mut answers = Vec::new();
+    for columnar in [false, true] {
+        let store = S3Store::new();
+        let t = if columnar {
+            let opts = WriterOptions::default();
+            upload_columnar_table(&store, "b", "t", &schema(), &null_rows(), 16, opts).unwrap()
+        } else {
+            upload_csv_table(&store, "b", "t", &schema(), &null_rows(), 16).unwrap()
+        };
+        let mut ctx = QueryContext::new(store).with_cache(1 << 20);
+        ctx.engine = ctx
+            .engine
+            .clone()
+            .with_extensions(pushdowndb::select::EngineExtensions {
+                native_group_by: true,
+                ..Default::default()
+            });
+        let (_, candidates) = lower(&ctx, &t, &parse_query(sql).unwrap()).unwrap();
+        let names: Vec<&str> = candidates.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names[..2], ["cached-local", "server-side"], "{sql}");
+        assert!(names.len() >= 3, "{sql}: {names:?}");
+        let want = run_variant(&ctx, &t, sql, "server-side");
+        for name in names {
+            let got = run_variant(&ctx, &t, sql, name);
+            assert_eq!(got, want, "{sql} {name} (columnar: {columnar})");
+            if name == "cached-local" {
+                let warm = run_candidate(&ctx, &t, sql, name, None).unwrap();
+                assert_eq!(warm.billed.plain_bytes, 0, "{sql}: the second run is warm");
+                assert_eq!(
+                    warm.metrics.usage(),
+                    warm.billed,
+                    "{sql}: warm usage == bill"
+                );
+                assert_eq!(warm.rows, want, "{sql} warm {name}");
+            }
+        }
+        answers.push(want);
+    }
+    assert_eq!(answers[0], answers[1], "{sql}: CSV vs ColumnarLite");
+    answers.swap_remove(0)
+}
+
+#[test]
+fn filter_candidates_agree_on_nulls() {
+    let count = |sql| every_candidate_agrees(sql).len();
+    // `v` is NULL in every 5th row; `k IS NULL` in every 4th.
+    assert_eq!(count("SELECT * FROM t WHERE v IS NULL"), 8);
+    assert_eq!(count("SELECT k, v FROM t WHERE k IS NULL"), 10);
+    // Comparisons and NOT IN are never true of a NULL.
+    assert_eq!(count("SELECT * FROM t WHERE k = 1"), 10);
+    assert_eq!(count("SELECT v FROM t WHERE k NOT IN (0, 1)"), 10);
+    // A projected column that holds NULLs, no WHERE at all.
+    let rows = every_candidate_agrees("SELECT k2, v FROM t");
+    assert_eq!(rows.len(), 40);
+    assert_eq!(rows.iter().filter(|r| r[0].is_null()).count(), 5);
+    assert_eq!(rows.iter().filter(|r| r[1].is_null()).count(), 8);
+}
+
+#[test]
+fn scalar_aggregate_candidates_agree_on_nulls() {
+    let one = |sql| {
+        let mut rows = every_candidate_agrees(sql);
+        assert_eq!(rows.len(), 1, "{sql}: one row, even over empty input");
+        rows.remove(0)
+    };
+    // A part-NULL column: NULLs are skipped, COUNT(*) counts rows.
+    let r = one("SELECT COUNT(*), COUNT(v), SUM(v), MIN(v), AVG(v) FROM t");
+    let vs: Vec<i64> = (0..40).filter(|i| i % 5 != 4).collect();
+    let sum: i64 = vs.iter().sum();
+    assert_eq!(r[0], Value::Int(40));
+    assert_eq!(r[1], Value::Int(32));
+    assert_eq!(r[2], Value::Int(sum));
+    assert_eq!(r[3], Value::Int(0));
+    assert_eq!(r[4], Value::Float(sum as f64 / 32.0));
+    // An all-NULL column: COUNT is 0, the others NULL.
+    let r = one("SELECT COUNT(*), COUNT(v), SUM(v), MIN(v), AVG(v) FROM t WHERE v IS NULL");
+    assert_eq!(r[0], Value::Int(8));
+    assert_eq!(r[1], Value::Int(0));
+    assert!(r[2].is_null() && r[3].is_null() && r[4].is_null(), "{r:?}");
+    // Empty input.
+    let r = one("SELECT COUNT(*), COUNT(v), SUM(v), MIN(v), AVG(v) FROM t WHERE k > 100");
+    assert_eq!(r[0], Value::Int(0));
+    assert_eq!(r[1], Value::Int(0));
+    assert!(r[2].is_null() && r[3].is_null() && r[4].is_null(), "{r:?}");
+}
+
+#[test]
+fn group_by_candidates_agree_on_nulls() {
+    assert_eq!(every_candidate_agrees(&group_by_sql("k")), reference(1));
+    assert_eq!(every_candidate_agrees(&group_by_sql("k, k2")), reference(2));
+    // An expression argument: the CASE-WHEN leaves are not offered, the
+    // trees carry a Project under the GroupBy.
+    let rows =
+        every_candidate_agrees("SELECT k, SUM(v * 2), MAX(k2) FROM t WHERE v > 3 GROUP BY k");
+    assert_eq!(rows.len(), 4);
+    assert!(rows[0][0].is_null(), "the NULL group sorts first");
 }

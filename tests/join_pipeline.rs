@@ -13,7 +13,7 @@ use pushdowndb::common::perf::PhaseStats;
 use pushdowndb::common::pricing::Usage;
 use pushdowndb::common::row::RowBatch;
 use pushdowndb::common::{DataType, Result, RetryPolicy, Row, Schema, Value};
-use pushdowndb::core::joinplan::lower_join_candidates;
+use pushdowndb::core::joinplan::lower_candidates;
 use pushdowndb::core::metrics::Flow::{self, Breaker, Streaming};
 use pushdowndb::core::planner::{self, execute_sql};
 use pushdowndb::core::scan::{cached_scan_streamed, plain_scan_streamed, select_scan};
@@ -692,8 +692,7 @@ fn candidates(format: Format, stmt: &Statement) -> Vec<(&'static str, PlanNode)>
     let mut out = Vec::new();
     for cache in [Cache::Absent, Cache::Cold] {
         let ctx = setup(format, cache);
-        for (name, plan) in lower_join_candidates(&ctx, table(tables, stmt.primary), &spec).unwrap()
-        {
+        for (name, plan) in lower_candidates(&ctx, table(tables, stmt.primary), &spec).unwrap() {
             if !out.iter().any(|(n, _)| *n == name) {
                 out.push((name, plan));
             }

@@ -7,9 +7,9 @@
 //! Q3-shaped statement must run end-to-end under every strategy with a
 //! per-operator predicted-vs-actual tree and a competitive adaptive pick.
 
-use pushdown_bench::run_join_candidate;
+use pushdown_bench::run_candidate;
 use pushdowndb::common::{DataType, Row, Schema, Value};
-use pushdowndb::core::joinplan::lower_join_candidates;
+use pushdowndb::core::joinplan::lower_candidates;
 use pushdowndb::core::planner::{execute_sql_verbose, PlanKind};
 use pushdowndb::core::{
     execute_sql, plan, upload_columnar_table, upload_csv_table, PlanNode, PlanOp, QueryContext,
@@ -99,7 +99,7 @@ fn probe_phase(out: &QueryOutput) -> &pushdowndb::core::metrics::Phase {
 fn all_three_algorithms_agree_on_the_answer() {
     let (ctx, customer) = listing2_setup();
     let sql = sum_sql("c_acctbal <= -800");
-    let [a, b, c] = THREE.map(|n| run_join_candidate(&ctx, &customer, &sql, n, None).unwrap());
+    let [a, b, c] = THREE.map(|n| run_candidate(&ctx, &customer, &sql, n, None).unwrap());
     assert!((total(&a) - total(&b)).abs() < 1e-6);
     assert!((total(&a) - total(&c)).abs() < 1e-6);
     assert!(total(&a) > 0.0);
@@ -109,7 +109,7 @@ fn all_three_algorithms_agree_on_the_answer() {
 fn row_outputs_agree_too() {
     let (ctx, customer) = listing2_setup();
     let sql = rows_sql("c_acctbal <= -800");
-    let run = |name, fpr| run_join_candidate(&ctx, &customer, &sql, name, fpr).unwrap();
+    let run = |name, fpr| run_candidate(&ctx, &customer, &sql, name, fpr).unwrap();
     let a = run("baseline", None);
     assert_eq!(a.schema.names(), vec!["c_custkey", "o_totalprice"]);
     let a = sorted_rows(a);
@@ -123,7 +123,7 @@ fn bloom_join_returns_fewer_probe_bytes() {
     let (ctx, customer) = listing2_setup();
     let sql = sum_sql("c_acctbal <= -800");
     let returned = |name| {
-        let out = run_join_candidate(&ctx, &customer, &sql, name, None).unwrap();
+        let out = run_candidate(&ctx, &customer, &sql, name, None).unwrap();
         out.metrics.usage().select_returned_bytes
     };
     // The Bloom filter suppresses non-joining orders rows at S3, so far
@@ -141,7 +141,7 @@ fn bloom_join_returns_fewer_probe_bytes() {
 fn bloom_probe_label_reports_an_applied_filter() {
     let (ctx, customer) = listing2_setup();
     let sql = sum_sql("c_acctbal <= -800");
-    let out = run_join_candidate(&ctx, &customer, &sql, "bloom", None).unwrap();
+    let out = run_candidate(&ctx, &customer, &sql, "bloom", None).unwrap();
     let probe = probe_phase(&out);
     assert!(
         probe
@@ -158,7 +158,7 @@ fn bloom_falls_back_when_sql_cannot_fit() {
     let (mut ctx, customer) = listing2_setup();
     ctx.bloom.max_sql_bytes = 64; // nothing fits
     let sql = sum_sql("c_acctbal <= -800");
-    let out = run_join_candidate(&ctx, &customer, &sql, "bloom", None).unwrap();
+    let out = run_candidate(&ctx, &customer, &sql, "bloom", None).unwrap();
     let probe = probe_phase(&out);
     assert!(
         probe.label.starts_with("fallback probe (no bloom) orders"),
@@ -166,7 +166,7 @@ fn bloom_falls_back_when_sql_cannot_fit() {
         probe.label
     );
     // Still correct.
-    let want = run_join_candidate(&ctx, &customer, &sql, "filtered", None).unwrap();
+    let want = run_candidate(&ctx, &customer, &sql, "filtered", None).unwrap();
     assert!((total(&out) - total(&want)).abs() < 1e-6);
     assert_eq!(
         out.metrics.usage().select_returned_bytes,
@@ -206,7 +206,7 @@ fn bloom_requires_integer_keys() {
     // `bloom`, and a Bloom join built by hand over them is a bind error.
     let sql = "SELECT SUM(o_totalprice) FROM customer JOIN orders ON c_acctbal = o_totalprice";
     let spec = parse_query(sql).unwrap();
-    let candidates = lower_join_candidates(&ctx, &customer, &spec).unwrap();
+    let candidates = lower_candidates(&ctx, &customer, &spec).unwrap();
     assert!(candidates.iter().all(|(name, _)| *name != "bloom"));
     let (_, filtered) = candidates.iter().find(|(n, _)| *n == "filtered").unwrap();
     plan::execute(&ctx.scoped(), filtered).unwrap();
@@ -221,13 +221,13 @@ fn bloom_requires_integer_keys() {
 fn right_predicate_pushes_in_filtered_and_bloom() {
     let (ctx, customer) = listing2_setup();
     let dated = sum_sql("c_acctbal <= -800 AND o_orderdate < DATE '1992-01-01'");
-    let [a, b, c] = THREE.map(|n| run_join_candidate(&ctx, &customer, &dated, n, None).unwrap());
+    let [a, b, c] = THREE.map(|n| run_candidate(&ctx, &customer, &dated, n, None).unwrap());
     assert!((total(&a) - total(&b)).abs() < 1e-6);
     assert!((total(&a) - total(&c)).abs() < 1e-6);
     // Selective date predicate => filtered returns fewer probe bytes
     // than the unfiltered variant did.
     let undated = sum_sql("c_acctbal <= -800");
-    let unfiltered = run_join_candidate(&ctx, &customer, &undated, "filtered", None).unwrap();
+    let unfiltered = run_candidate(&ctx, &customer, &undated, "filtered", None).unwrap();
     assert!(
         b.metrics.usage().select_returned_bytes < unfiltered.metrics.usage().select_returned_bytes
     );
@@ -241,7 +241,7 @@ fn adaptive_join_agrees_and_never_measurably_loses() {
     let (ctx, customer) = listing2_setup();
     let sql = sum_sql("c_acctbal <= -800");
     let out = execute_sql(&ctx, &customer, &sql, Strategy::Adaptive).unwrap();
-    let others = THREE.map(|n| run_join_candidate(&ctx, &customer, &sql, n, None).unwrap());
+    let others = THREE.map(|n| run_candidate(&ctx, &customer, &sql, n, None).unwrap());
     assert!((total(&out) - total(&others[0])).abs() < 1e-6);
     let cost = |o: &QueryOutput| o.metrics.cost(&ctx.model, &ctx.pricing).total();
     let min = others.iter().map(cost).fold(f64::INFINITY, f64::min);
@@ -257,7 +257,7 @@ fn empty_build_side_yields_empty_join() {
     let (ctx, customer) = listing2_setup();
     let sql = rows_sql("c_acctbal < -99999");
     for name in THREE {
-        let out = run_join_candidate(&ctx, &customer, &sql, name, None).unwrap();
+        let out = run_candidate(&ctx, &customer, &sql, name, None).unwrap();
         assert!(out.rows.is_empty(), "{name}");
     }
 }
@@ -317,7 +317,7 @@ fn null_join_keys_never_match_under_any_candidate() {
     for columnar in [false, true] {
         let (ctx, dim) = null_key_tables(columnar);
         let ctx = ctx.with_cache(1 << 22);
-        let baseline = run_join_candidate(&ctx, &dim, sql, "baseline", None).unwrap();
+        let baseline = run_candidate(&ctx, &dim, sql, "baseline", None).unwrap();
         // What the definition says: pairs with equal non-NULL keys.
         // `dk` 1, 2 (twice), 3 and 7 each meet their fact rows; the two
         // NULL build keys (d1, d4) meet nothing — not the twelve NULL
@@ -329,7 +329,7 @@ fn null_join_keys_never_match_under_any_candidate() {
         assert_eq!(joined, ["d0", "d2", "d3", "d5", "d7"]);
         let want = sorted_rows(baseline);
         let spec = parse_query(sql).unwrap();
-        let names: Vec<&str> = lower_join_candidates(&ctx, &dim, &spec)
+        let names: Vec<&str> = lower_candidates(&ctx, &dim, &spec)
             .unwrap()
             .into_iter()
             .map(|(name, _)| name)
@@ -347,7 +347,7 @@ fn null_join_keys_never_match_under_any_candidate() {
             ]
         );
         for name in names {
-            let got = run_join_candidate(&ctx, &dim, sql, name, None).unwrap();
+            let got = run_candidate(&ctx, &dim, sql, name, None).unwrap();
             assert_eq!(got.metrics.usage(), got.billed, "{name}");
             assert_eq!(sorted_rows(got), want, "`{name}`, columnar {columnar}");
         }

@@ -14,8 +14,14 @@
 //! commit *before* the two planners became one front-end and have to
 //! read the same afterwards: a refactor of the planning half may not
 //! move a candidate, a pick, a phase or a byte on any of these shapes.
-//! `Explain::predicted` and the per-operator predictions are not
-//! pinned — fixed strategies gained them in that change, by declaration.
+//! They were re-blessed for two declared moves: PR 21's phase rule
+//! (joined lines) and PR 22's fold of the filter, scalar-aggregate and
+//! one-scan group-by families into IR trees (their lines: operator and
+//! phase labels, one CPU pass — see CHANGES.md). In the same loop every
+//! run's predicted phases are held to the executed ones, group for
+//! group and label for label; a fixed strategy's pick is re-priced by
+//! name for it. `Explain::predicted` and the per-operator predictions
+//! are not pinned.
 //!
 //! `PLANNER_EQUIVALENCE_BLESS=1 cargo test --test planner_equivalence`
 //! rewrites the files from the run; without it a mismatch prints the
@@ -25,8 +31,7 @@ use pushdowndb::common::mix::fnv1a;
 use pushdowndb::common::perf::PhaseStats;
 use pushdowndb::common::{Row, Schema};
 use pushdowndb::core::cost::{predict_plan, Estimators};
-use pushdowndb::core::joinplan::lower_join_candidates;
-use pushdowndb::core::planner::{execute_sql_verbose, Explain, PlanKind};
+use pushdowndb::core::planner::{execute_sql_verbose, lower, Explain, PlanKind};
 use pushdowndb::core::{
     execute_sql, upload_columnar_table, upload_csv_table, OpReport, QueryContext, QueryMetrics,
     QueryOutput, Strategy, Table,
@@ -181,22 +186,25 @@ fn phase_labels(metrics: &QueryMetrics) -> Vec<Vec<&str>> {
 }
 
 /// The prediction of the plan that ran. `Explain` carries it under
-/// Adaptive and for scattered plans; the joined pick of an unscattered
-/// fixed strategy is lowered and priced again here, by name.
-fn prediction(ctx: &QueryContext, table: &Table, sql: &str, ex: &Explain) -> Option<QueryMetrics> {
-    if ex.predicted.is_some() {
-        return ex.predicted.clone();
+/// Adaptive and for scattered plans; the pick of an unscattered fixed
+/// strategy — a tree of IR operators or a remaining algorithm-family
+/// leaf alike — is lowered and priced again here, by name.
+fn prediction(ctx: &QueryContext, table: &Table, sql: &str, ex: &Explain) -> QueryMetrics {
+    if let Some(predicted) = &ex.predicted {
+        return predicted.clone();
     }
-    let PlanKind::Join { algorithm } = ex.kind else {
-        return None;
+    let pushed = |pushdown| if pushdown { "s3-side" } else { "server-side" };
+    let name = match ex.kind {
+        PlanKind::Filter { pushdown } | PlanKind::Aggregate { pushdown } => pushed(pushdown),
+        PlanKind::TopK { sampling: true } => "sampling",
+        PlanKind::TopK { sampling: false } => "server-side",
+        PlanKind::GroupBy { algorithm } | PlanKind::Join { algorithm } => algorithm,
     };
-    let candidates = lower_join_candidates(ctx, table, &parse_query(sql).unwrap()).unwrap();
-    let (_, plan) = candidates.iter().find(|(name, _)| *name == algorithm)?;
-    Some(
-        predict_plan(&Estimators::new(ctx, [plan]), plan)
-            .unwrap()
-            .metrics,
-    )
+    let (_, candidates) = lower(ctx, table, &parse_query(sql).unwrap()).unwrap();
+    let (_, plan) = candidates.iter().find(|(n, _)| *n == name).unwrap();
+    predict_plan(&Estimators::new(ctx, [plan]), plan)
+        .unwrap()
+        .metrics
 }
 
 /// Every line of one (format, cluster) quarter of the matrix.
@@ -222,15 +230,13 @@ fn quarter(format: Format, nodes: Option<usize>) -> Vec<String> {
                 let (out, ex) = execute_sql_verbose(&ctx, table, q.sql, strategy).unwrap();
                 assert_eq!(out.metrics.usage(), out.billed, "{}: usage == bill", q.name);
                 // One phase rule for the pricer and the executor: the
-                // same groups under the same labels.
-                if let Some(predicted) = prediction(&ctx, table, q.sql, &ex) {
-                    assert_eq!(
-                        phase_labels(&predicted),
-                        phase_labels(&out.metrics),
-                        "{cache:?} {} {strategy:?}: predicted vs executed phases",
-                        q.name
-                    );
-                }
+                // same groups under the same labels, on every run.
+                assert_eq!(
+                    phase_labels(&prediction(&ctx, table, q.sql, &ex)),
+                    phase_labels(&out.metrics),
+                    "{cache:?} {} {strategy:?}: predicted vs executed phases",
+                    q.name
+                );
                 lines.push(format!(
                     "{cache:?} {} {strategy:?} | {}",
                     q.name,

@@ -133,8 +133,9 @@ fn every_node_predicted(op: &OpReport) -> bool {
     op.predicted.is_some() && op.children.iter().all(every_node_predicted)
 }
 
-/// Ordered single-table plans (a `Sort` over an algorithm-family leaf)
-/// are priced whole: the prediction has the phase the run has.
+/// Ordered single-table plans (a `Sort` over a group-by, or over a bare
+/// scan leaf whose pipeline it ends) are priced whole: the prediction
+/// has the phase the run has.
 #[test]
 fn ordered_single_table_plans_are_priced_with_their_sort() {
     let (ctx, fact) = setup();
@@ -153,8 +154,8 @@ fn ordered_single_table_plans_are_priced_with_their_sort() {
         );
         let last =
             |m: &pushdowndb::core::QueryMetrics| m.groups.last().unwrap().phases[0].label.clone();
-        assert_eq!(last(predicted), "sort", "{sql}");
-        assert_eq!(last(&out.metrics), "sort", "{sql}");
+        assert!(last(predicted).ends_with("sort"), "{sql}");
+        assert_eq!(last(predicted), last(&out.metrics), "{sql}");
         let root = ex.operators.as_ref().unwrap();
         assert!(every_node_predicted(root), "{sql}: root and leaf annotated");
         // Every candidate carries the same sort addend, so the chosen one

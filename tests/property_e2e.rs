@@ -2,7 +2,7 @@
 //! pushdown decomposition must equal its straightforward baseline.
 
 use proptest::prelude::*;
-use pushdown_bench::run_join_candidate;
+use pushdown_bench::run_candidate;
 use pushdowndb::common::{DataType, Row, Schema, Value};
 use pushdowndb::core::algos::{groupby, topk};
 use pushdowndb::core::{upload_csv_table, QueryContext};
@@ -71,7 +71,8 @@ proptest! {
             ],
             predicate: None,
         };
-        let server = groupby::server_side(&ctx, &q).unwrap();
+        let sql = "SELECT g, SUM(v), COUNT(v), MIN(v), MAX(v) FROM t GROUP BY g";
+        let server = run_candidate(&ctx, &q.table, sql, "server-side", None).unwrap();
         let s3 = groupby::s3_side(&ctx, &q).unwrap();
         let hybrid = groupby::hybrid(&ctx, &q, groupby::HybridOptions::default()).unwrap();
         prop_assert_eq!(&server.rows, &s3.rows);
@@ -112,8 +113,8 @@ proptest! {
             });
             rows
         };
-        let base = sort(run_join_candidate(&ctx, &lt, sql, "baseline", None).unwrap().rows);
-        let bloomed = sort(run_join_candidate(&ctx, &lt, sql, "bloom", Some(fpr)).unwrap().rows);
+        let base = sort(run_candidate(&ctx, &lt, sql, "baseline", None).unwrap().rows);
+        let bloomed = sort(run_candidate(&ctx, &lt, sql, "bloom", Some(fpr)).unwrap().rows);
         prop_assert_eq!(base, bloomed);
     }
 }
