@@ -214,7 +214,7 @@ pub fn run_pricing_ablation(scale_factor: f64) -> Result<Vec<PricingAblationRow>
     let factor = 10.0 / scale_factor;
     let mut out = Vec::new();
     for (name, q) in pushdown_tpch::all_queries() {
-        let opt = q(&ctx, &t, pushdown_tpch::Mode::Optimized)?;
+        let opt = q(&ctx, &t, pushdown_core::Strategy::Pushdown)?;
         let scaled = opt.metrics.scaled(factor);
         out.push(PricingAblationRow {
             name: name.to_string(),

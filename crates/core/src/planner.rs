@@ -47,7 +47,7 @@ use crate::metrics::QueryMetrics;
 use crate::output::QueryOutput;
 use crate::plan::{self, AlgoOp, OpReport, PlanNode, PlanOp};
 use pushdown_common::pricing::Usage;
-use pushdown_common::{Result, Schema};
+use pushdown_common::{Error, Result, Schema};
 use pushdown_sql::ast::QuerySpec;
 use pushdown_sql::parser::parse_query;
 use pushdown_sql::{Expr, SelectItem};
@@ -348,16 +348,8 @@ pub fn execute_sql_verbose(
     sql: &str,
     strategy: Strategy,
 ) -> Result<(QueryOutput, Explain)> {
-    let spec = parse_query(sql)?;
-    // One scope per query: everything below — the chosen algorithm,
-    // planner-level scans — bills a child ledger that rolls up into the
-    // store-global one, so `QueryOutput::billed` is exact even when many
-    // queries share this context concurrently.
-    let ctx = &ctx.scoped();
-    let (family, candidates) = lower(ctx, table, &spec)?;
-    let (mut out, explain) = choose_and_run(ctx, family, &candidates, strategy)?;
-    out.billed = ctx.billed();
-    Ok((out, explain))
+    let (family, candidates) = lower(ctx, table, &parse_query(sql)?)?;
+    run_candidates(ctx, family, &candidates, strategy)
 }
 
 /// Candidate plans of one query, by name, in the order ties are broken
@@ -455,13 +447,26 @@ fn argmin(costs: &[CandidateCost]) -> usize {
 }
 
 /// The pipeline behind every query once it is lowered (see the module
-/// docs): price, pick, scatter, run, explain.
-fn choose_and_run(
+/// docs): price, pick, scatter, run, explain. [`execute_sql_verbose`] is
+/// `parse` + [`lower`] + this; a caller that composes candidates out of
+/// lowered trees (TPC-H Q14 and Q17, `pushdown_tpch::queries`) hands
+/// them to the same pipeline.
+///
+/// # Errors
+///
+/// A fixed strategy finds none of `family`'s preferred names among
+/// `candidates`, or pricing or execution fails.
+pub fn run_candidates(
     ctx: &QueryContext,
     family: Family,
     candidates: &Candidates,
     strategy: Strategy,
 ) -> Result<(QueryOutput, Explain)> {
+    // One scope per query: everything below — the chosen algorithm,
+    // planner-level scans — bills a child ledger that rolls up into the
+    // store-global one, so `QueryOutput::billed` is exact even when many
+    // queries share this context concurrently.
+    let ctx = &ctx.scoped();
     let ests = cost::Estimators::new(ctx, candidates.iter().map(|(_, plan)| plan));
     let adaptive = strategy == Strategy::Adaptive;
     // Fixed strategies pick by name and only price the plan they run;
@@ -489,7 +494,7 @@ fn choose_and_run(
         let pick = preferred
             .iter()
             .find_map(position)
-            .expect("every lowering emits its family's fallback variant");
+            .ok_or_else(|| Error::Bind(format!("no {preferred:?} candidate to run")))?;
         (pick, cost::predict_plan(&ests, &candidates[pick].1)?)
     };
     let (algorithm, plan) = &candidates[pick];
@@ -533,7 +538,9 @@ fn choose_and_run(
         predicted: (adaptive || scattered.is_some()).then_some(prediction.metrics),
         operators: Some(report),
     };
-    Ok((executed.into_output(), explain))
+    let mut out = executed.into_output();
+    out.billed = ctx.billed();
+    Ok((out, explain))
 }
 
 /// The [`groupby::GroupByQuery`] of a GROUP BY statement whose aggregate
@@ -567,7 +574,7 @@ fn groupby_query(table: &Table, spec: &QuerySpec) -> Option<groupby::GroupByQuer
 pub(crate) mod tests {
     use super::*;
     use crate::catalog::upload_csv_table;
-    use pushdown_common::{DataType, Error, Row, Schema, Value};
+    use pushdown_common::{DataType, Row, Value};
     use pushdown_s3::S3Store;
 
     /// Run the candidate `sql` lowers to under `name` — a named algorithm,

@@ -8,8 +8,10 @@
 //! * [`load`] — partitioned upload into the simulated store;
 //! * [`synthetic`] — the synthetic group-by tables of §VI-C (uniform and
 //!   Zipf-skewed group sizes) and the wide float tables of §IX;
-//! * [`queries`] — TPC-H Q1, Q3, Q6, Q14, Q17, Q19 in baseline and
-//!   optimized (pushdown) configurations, the Fig 10 suite.
+//! * [`queries`] — TPC-H Q1, Q3, Q6, Q14, Q17, Q19, the Fig 10 suite, as
+//!   statements the planner lowers and runs under any
+//!   `pushdown_core::Strategy` (Q14 and Q17 compose lowered sub-plans),
+//!   and the nine-shape planner-dialect suite.
 
 pub mod gen;
 pub mod load;
@@ -19,4 +21,4 @@ pub mod synthetic;
 
 pub use gen::TpchGen;
 pub use load::{load_tpch, tpch_context, TpchTables};
-pub use queries::{all_queries, planner_suite, Mode, PlannerQuery};
+pub use queries::{all_queries, planner_suite, PlannerQuery, TpchQuery, SUITE};

@@ -21,7 +21,8 @@
 //! * [`core`] — the PushdownDB engine: streaming scans, operators, the
 //!   paper's algorithms, and the scatter-gather cluster
 //! * [`tpch`] — TPC-H generator, synthetic workloads, and the paper's
-//!   queries
+//!   six TPC-H queries as statements the planner lowers and runs under
+//!   any [`core::Strategy`] ([`tpch::SUITE`])
 //!
 //! The external dependencies the sources use (`bytes`, `parking_lot`,
 //! `rand`, `proptest`, `criterion`) are vendored as minimal shims under

@@ -1,9 +1,12 @@
 //! `Strategy::Adaptive` acceptance and calibration (ISSUE 2):
 //!
-//! * on every TPC-H query of the planner-dialect differential suite the
-//!   adaptive strategy returns the same rows as both fixed strategies,
-//!   is never measurably worse than either, and matches the cheaper of
-//!   the two (measured dollars + modeled runtime) within 10%;
+//! * on every TPC-H query of the planner-dialect differential suite
+//!   *and on the paper's own six* (Q1, Q3, Q6, Q14, Q17, Q19 — the Fig 10
+//!   suite) the adaptive strategy returns the same rows as both fixed
+//!   strategies, is never measurably worse than either, matches the
+//!   cheaper of the two (measured dollars + modeled runtime) within 10%,
+//!   and predicted the dollars of the plan it ran within 15% — all at
+//!   the scale the planner sees, unprojected;
 //! * the cost estimator is calibrated: for the plan actually chosen, the
 //!   predicted `Usage` (requests, scanned, returned, plain bytes) lands
 //!   within 15% of the measured ledger (with a small absolute floor for
@@ -12,9 +15,25 @@
 //!   scaled projections round once at the aggregate level.
 
 use pushdowndb::common::{Row, Value};
-use pushdowndb::core::planner::execute_sql_verbose;
-use pushdowndb::core::{execute_sql, Strategy};
-use pushdowndb::tpch::{planner_suite, tpch_context};
+use pushdowndb::core::planner::{execute_sql_verbose, Explain};
+use pushdowndb::core::{QueryContext, QueryOutput, Strategy};
+use pushdowndb::tpch::{planner_suite, tpch_context, TpchTables, SUITE};
+
+/// One input of the bar: a query, as "run me under this strategy".
+type Run<'a> = Box<dyn Fn(Strategy) -> (QueryOutput, Explain) + 'a>;
+
+/// The nine planner-dialect shapes, then the paper's six.
+fn inputs<'a>(ctx: &'a QueryContext, t: &'a TpchTables) -> Vec<(&'static str, Run<'a>)> {
+    let shapes = planner_suite().into_iter().map(|q| {
+        let run = move |s| execute_sql_verbose(ctx, (q.table)(t), q.sql, s).unwrap();
+        (q.name, Box::new(run) as Run)
+    });
+    let paper = SUITE.iter().map(|q| {
+        let run = move |s| q.run(ctx, t, s).unwrap();
+        (q.name, Box::new(run) as Run)
+    });
+    shapes.chain(paper).collect()
+}
 
 fn assert_rows_close(a: &[Row], b: &[Row], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: row counts differ");
@@ -33,35 +52,42 @@ fn assert_rows_close(a: &[Row], b: &[Row], what: &str) {
 
 /// Acceptance: Adaptive is never measurably worse than *both* fixed
 /// strategies, and matches the cheaper of the two within 10% on measured
-/// dollar cost and modeled runtime — on every query of the suite.
+/// dollar cost and modeled runtime — on every input; the plan it ran is
+/// one of the candidates it listed, and its predicted dollars are within
+/// the 15% calibration of what it then cost.
 #[test]
 fn adaptive_matches_the_cheaper_fixed_strategy_within_10_percent() {
     let (ctx, t) = tpch_context(0.005, 1_500).unwrap();
-    for q in planner_suite() {
-        let table = (q.table)(&t);
-        let run = |s: Strategy| execute_sql(&ctx, table, q.sql, s).unwrap();
-        let base = run(Strategy::Baseline);
-        let push = run(Strategy::Pushdown);
-        let adapt = run(Strategy::Adaptive);
-        assert_rows_close(&base.rows, &push.rows, q.name);
-        assert_rows_close(&base.rows, &adapt.rows, &format!("{} (adaptive)", q.name));
+    for (name, run) in inputs(&ctx, &t) {
+        let (base, _) = run(Strategy::Baseline);
+        let (push, _) = run(Strategy::Pushdown);
+        let (adapt, explain) = run(Strategy::Adaptive);
+        assert_rows_close(&base.rows, &push.rows, name);
+        assert_rows_close(&base.rows, &adapt.rows, &format!("{name} (adaptive)"));
 
-        let cost =
-            |o: &pushdowndb::core::QueryOutput| o.metrics.cost(&ctx.model, &ctx.pricing).total();
-        let runtime = |o: &pushdowndb::core::QueryOutput| o.metrics.runtime(&ctx.model);
+        let cost = |o: &QueryOutput| o.metrics.cost(&ctx.model, &ctx.pricing).total();
+        let runtime = |o: &QueryOutput| o.metrics.runtime(&ctx.model);
         let min_cost = cost(&base).min(cost(&push));
         let min_runtime = runtime(&base).min(runtime(&push));
         assert!(
             cost(&adapt) <= min_cost * 1.10,
-            "{}: adaptive ${:.6} vs min(fixed) ${min_cost:.6}",
-            q.name,
+            "{name}: adaptive ${:.6} vs min(fixed) ${min_cost:.6}",
             cost(&adapt)
         );
         assert!(
             runtime(&adapt) <= min_runtime * 1.10,
-            "{}: adaptive {:.3}s vs min(fixed) {min_runtime:.3}s",
-            q.name,
+            "{name}: adaptive {:.3}s vs min(fixed) {min_runtime:.3}s",
             runtime(&adapt)
+        );
+
+        let picks: Vec<_> = explain.candidates.iter().filter(|c| c.chosen).collect();
+        assert_eq!(picks.len(), 1, "{name}: one candidate ran");
+        let predicted = picks[0].dollars;
+        assert!(
+            (predicted - cost(&adapt)).abs() <= 0.15 * cost(&adapt),
+            "{name}: `{}` predicted ${predicted:.6} vs executed ${:.6}",
+            picks[0].algorithm,
+            cost(&adapt)
         );
     }
 }
@@ -69,7 +95,11 @@ fn adaptive_matches_the_cheaper_fixed_strategy_within_10_percent() {
 /// Calibration: predicted `Usage` of the chosen plan within 15% of the
 /// measured ledger, field by field. Near-zero quantities (aggregate
 /// payloads of a few hundred bytes) get a 512-byte absolute floor so the
-/// relative bound stays meaningful.
+/// relative bound stays meaningful. (The nine shapes only. The paper's
+/// six are held to the dollar calibration above: a window on one column,
+/// `l_shipdate >= lo AND l_shipdate < hi`, is priced as two independent
+/// conjuncts, so Q14's month over-predicts its returned bytes ~20× —
+/// ROADMAP item C.)
 #[test]
 fn cost_estimator_predictions_are_calibrated_against_the_ledger() {
     let (ctx, t) = tpch_context(0.005, 1_500).unwrap();
@@ -113,19 +143,17 @@ fn cost_estimator_predictions_are_calibrated_against_the_ledger() {
 #[test]
 fn ledger_agrees_with_metrics_on_adaptive_plans() {
     let (ctx, t) = tpch_context(0.003, 1_000).unwrap();
-    for q in planner_suite() {
-        let table = (q.table)(&t);
-        let out = execute_sql(&ctx, table, q.sql, Strategy::Adaptive).unwrap();
+    for (name, run) in inputs(&ctx, &t) {
+        let (out, _) = run(Strategy::Adaptive);
         let billed = out.billed;
         let metered = out.metrics.usage();
-        assert_eq!(billed, metered, "{}: ledger vs metrics", q.name);
+        assert_eq!(billed, metered, "{name}: ledger vs metrics");
         // Multi-phase projection invariant (the Usage::scaled bugfix).
         for factor in [1.0, 2.5, 2000.0 / 3.0] {
             assert_eq!(
                 out.metrics.scaled_usage(factor),
                 out.metrics.usage().scaled(factor),
-                "{}: projection must round once at the aggregate level",
-                q.name
+                "{name}: projection must round once at the aggregate level"
             );
         }
     }

@@ -6,11 +6,11 @@ use pushdown_bench::run_candidate;
 use pushdowndb::common::RetryPolicy;
 use pushdowndb::common::{DataType, Row, Schema, Value};
 use pushdowndb::core::algos::{filter, groupby, topk};
-use pushdowndb::core::{build_index, upload_csv_table, QueryContext};
+use pushdowndb::core::{build_index, upload_csv_table, QueryContext, Strategy};
 use pushdowndb::s3::{FaultPlan, S3Store};
 use pushdowndb::sql::agg::AggFunc;
 use pushdowndb::sql::parse_expr;
-use pushdowndb::tpch::{all_queries, tpch_context, Mode};
+use pushdowndb::tpch::{all_queries, tpch_context};
 
 fn assert_rows_close(a: &[Row], b: &[Row], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: row counts differ");
@@ -31,8 +31,8 @@ fn assert_rows_close(a: &[Row], b: &[Row], what: &str) {
 fn tpch_queries_agree_and_push_less_data() {
     let (ctx, t) = tpch_context(0.003, 1_500).unwrap();
     for (name, q) in all_queries() {
-        let base = q(&ctx, &t, Mode::Baseline).unwrap();
-        let opt = q(&ctx, &t, Mode::Optimized).unwrap();
+        let base = q(&ctx, &t, Strategy::Baseline).unwrap();
+        let opt = q(&ctx, &t, Strategy::Pushdown).unwrap();
         assert_rows_close(&base.rows, &opt.rows, name);
         assert!(
             opt.metrics.bytes_returned() < base.metrics.bytes_returned(),

@@ -5,7 +5,7 @@
 
 use pushdowndb::common::{Row, Value};
 use pushdowndb::core::{execute_sql, QueryContext, Strategy};
-use pushdowndb::tpch::{all_queries, load_tpch, tpch_context, Mode};
+use pushdowndb::tpch::{all_queries, load_tpch, tpch_context};
 
 fn assert_rows_close(a: &[Row], b: &[Row], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: row counts differ");
@@ -29,8 +29,8 @@ fn assert_rows_close(a: &[Row], b: &[Row], what: &str) {
 fn tpch_baseline_vs_pushdown_differential() {
     let (ctx, t) = tpch_context(0.003, 1_500).unwrap();
     for (name, q) in all_queries() {
-        let base = q(&ctx, &t, Mode::Baseline).unwrap();
-        let push = q(&ctx, &t, Mode::Optimized).unwrap();
+        let base = q(&ctx, &t, Strategy::Baseline).unwrap();
+        let push = q(&ctx, &t, Strategy::Pushdown).unwrap();
         assert_rows_close(&base.rows, &push.rows, name);
         assert!(
             push.metrics.bytes_returned() <= base.metrics.bytes_returned(),
@@ -48,13 +48,13 @@ fn tpch_differential_is_batch_size_invariant() {
     let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
     let reference: Vec<(&str, Vec<Row>)> = all_queries()
         .into_iter()
-        .map(|(name, q)| (name, q(&ctx, &t, Mode::Optimized).unwrap().rows))
+        .map(|(name, q)| (name, q(&ctx, &t, Strategy::Pushdown).unwrap().rows))
         .collect();
     for batch_rows in [1usize, 17, 100_000] {
         let ctx2 = ctx.clone().with_batch_rows(batch_rows);
         for (i, (name, q)) in all_queries().into_iter().enumerate() {
-            let base = q(&ctx2, &t, Mode::Baseline).unwrap();
-            let push = q(&ctx2, &t, Mode::Optimized).unwrap();
+            let base = q(&ctx2, &t, Strategy::Baseline).unwrap();
+            let push = q(&ctx2, &t, Strategy::Pushdown).unwrap();
             assert_rows_close(&base.rows, &push.rows, name);
             assert_rows_close(
                 &reference[i].1,
@@ -127,7 +127,7 @@ fn planner_strategies_differential() {
 fn ledger_agrees_with_metrics_across_the_suite() {
     let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
     for (name, q) in all_queries() {
-        for mode in [Mode::Baseline, Mode::Optimized] {
+        for mode in [Strategy::Baseline, Strategy::Pushdown] {
             let out = q(&ctx, &t, mode).unwrap();
             // The query's scoped child ledger: exact per-query usage, no
             // reset needed (and correct even under concurrent queries).
@@ -164,9 +164,9 @@ fn repeated_runs_are_deterministic() {
     let tc = load_tpch(&store_c, "tpch", pushdowndb::tpch::TpchGen::new(0.002), 333).unwrap();
     let ctx_c = QueryContext::new(store_c);
     for (name, q) in all_queries() {
-        let a = q(&ctx_a, &ta, Mode::Optimized).unwrap();
-        let b = q(&ctx_b, &tb, Mode::Optimized).unwrap();
-        let c = q(&ctx_c, &tc, Mode::Optimized).unwrap();
+        let a = q(&ctx_a, &ta, Strategy::Pushdown).unwrap();
+        let b = q(&ctx_b, &tb, Strategy::Pushdown).unwrap();
+        let c = q(&ctx_c, &tc, Strategy::Pushdown).unwrap();
         assert_eq!(
             a.rows, b.rows,
             "{name}: identical setup must be bit-identical"
