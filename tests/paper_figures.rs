@@ -1,5 +1,5 @@
-//! The paper's figures, pinned to the bit: one line per row of Figs 1–5
-//! and 7 (at the scale `tests/figure_shapes.rs` runs them) and per row
+//! The paper's figures, pinned to the bit: one line per row of Figs 1–9
+//! (at the scale `tests/figure_shapes.rs` runs them) and per row
 //! of Fig 10 plus its two geo-means, under
 //! `tests/golden/paper_figures.txt`. Every column is a modeled runtime
 //! and a dollar total, each written as its `f64` bit pattern (the
@@ -72,11 +72,37 @@ fn lines() -> Vec<String> {
         column(&mut line, "s3-side", &r.s3_side);
         out.push(line);
     }
+    for r in ex::fig06_hybrid_split::run(20_000).unwrap() {
+        let mut line = format!(
+            "fig06 s3_groups={} | s3: s={} | server: s={}",
+            r.s3_groups,
+            bits(r.s3_seconds),
+            bits(r.server_seconds)
+        );
+        column(&mut line, "total", &r.total);
+        out.push(line);
+    }
     for r in ex::fig07_groupby_skew::run(20_000).unwrap() {
         let mut line = format!("fig07 theta={}", r.theta);
         column(&mut line, "server", &r.server);
         column(&mut line, "filtered", &r.filtered);
         column(&mut line, "hybrid", &r.hybrid);
+        out.push(line);
+    }
+    for r in ex::fig08_topk_sample::run(0.004, 50).unwrap().sweep {
+        let mut line = format!(
+            "fig08 sample={} | sampling: s={} | scanning: s={}",
+            r.sample_size,
+            bits(r.sampling_seconds),
+            bits(r.scanning_seconds)
+        );
+        column(&mut line, "total", &r.total);
+        out.push(line);
+    }
+    for r in ex::fig09_topk_k::run(0.004).unwrap() {
+        let mut line = format!("fig09 k={}", r.k);
+        column(&mut line, "server", &r.server);
+        column(&mut line, "sampling", &r.sampling);
         out.push(line);
     }
     let fig10 = ex::fig10_tpch::run(0.003).unwrap();
