@@ -1,6 +1,6 @@
 //! Row-vs-columnar kernel benchmarks. These are the measurements behind
-//! the vectorized execution path's acceptance bar (columnar filter and
-//! aggregate kernels ≥2× their row twins). `PerfParams::parse_cl_bw` was
+//! the vectorized execution path's acceptance bar (the columnar filter
+//! and top-K kernels the scan workers run, against their row twins). `PerfParams::parse_cl_bw` was
 //! calibrated once from the `decode` group (PR 6, against the CSV reader
 //! of the time) and is frozen — see its doc comment before reading a
 //! new constant off these numbers.
@@ -625,12 +625,11 @@ fn bench_filter(c: &mut Criterion) {
     g.finish();
 }
 
-/// SUM over a float column (NULLs skipped): typed column fold vs
-/// per-row `Accumulator::update`.
+/// SUM over a float column (NULLs skipped), per-row
+/// `Accumulator::update` — the engine's sinks fold rows; a change that
+/// folds column vectors there adds its twin here.
 fn bench_aggregate(c: &mut Criterion) {
     let rows = sample_rows(N);
-    let b20k = batch();
-    let sel = ops::full_selection(N);
 
     let mut g = c.benchmark_group("aggregate");
     g.throughput(Throughput::Elements(N as u64));
@@ -643,22 +642,13 @@ fn bench_aggregate(c: &mut Criterion) {
             black_box(acc.finish())
         })
     });
-    g.bench_function("columnar_sum_20k", |b| {
-        b.iter(|| {
-            let mut acc = AggFunc::Sum.accumulator();
-            ops::update_accumulator_columnar(&mut acc, b20k.column(2), &sel).unwrap();
-            black_box(acc.finish())
-        })
-    });
     g.finish();
 }
 
-/// Hash group-by (200 groups, SUM + COUNT): batch update vs columnar
-/// update feeding the same accumulator.
+/// Hash group-by (200 groups, SUM + COUNT), batch update of rows (see
+/// [`bench_aggregate`]).
 fn bench_groupby(c: &mut Criterion) {
     let rows = sample_rows(N);
-    let b20k = batch();
-    let sel = ops::full_selection(N);
     let aggs = vec![(AggFunc::Sum, Some(2)), (AggFunc::Count, None)];
 
     let mut g = c.benchmark_group("groupby");
@@ -671,19 +661,11 @@ fn bench_groupby(c: &mut Criterion) {
             black_box(acc.finish(&mut stats))
         })
     });
-    g.bench_function("columnar_20k", |b| {
-        b.iter(|| {
-            let mut stats = Default::default();
-            let mut acc = ops::GroupByAccumulator::new(vec![1], aggs.clone());
-            acc.update_columnar(&b20k, &sel, &mut stats).unwrap();
-            black_box(acc.finish(&mut stats))
-        })
-    });
     g.finish();
 }
 
-/// Top-100 by float key: row heap push vs columnar push (NULL keys
-/// skipped without materialization).
+/// Top-100 by float key: row heap push vs columnar push (a row
+/// materializes only when it enters the heap).
 fn bench_topk(c: &mut Criterion) {
     let rows = sample_rows(N);
     let b20k = batch();
@@ -694,7 +676,7 @@ fn bench_topk(c: &mut Criterion) {
     g.bench_function("row_100_of_20k", |b| {
         b.iter(|| {
             let mut stats = Default::default();
-            let mut heap = ops::TopKAccumulator::new(2, 100, true);
+            let mut heap = ops::TopKAccumulator::new(&[(2, true)], 100);
             heap.push_batch(&rows, &mut stats);
             black_box(heap.finish(&mut stats))
         })
@@ -702,7 +684,7 @@ fn bench_topk(c: &mut Criterion) {
     g.bench_function("columnar_100_of_20k", |b| {
         b.iter(|| {
             let mut stats = Default::default();
-            let mut heap = ops::TopKAccumulator::new(2, 100, true);
+            let mut heap = ops::TopKAccumulator::new(&[(2, true)], 100);
             heap.push_columnar(&b20k, &sel, &mut stats);
             black_box(heap.finish(&mut stats))
         })

@@ -6,12 +6,11 @@ use crate::experiments::fig02_join_customer::listing2_sql;
 use crate::{run_candidate, Measure};
 use pushdown_common::pricing::CostBreakdown;
 use pushdown_common::{DataType, Result, Row, Schema, Value};
-use pushdown_core::algos::{filter, groupby, whatif};
+use pushdown_core::algos::{filter, whatif};
 use pushdown_core::metrics::QueryMetrics;
 use pushdown_core::{build_index, upload_csv_table, QueryContext};
 use pushdown_s3::S3Store;
 use pushdown_select::EngineExtensions;
-use pushdown_sql::agg::AggFunc;
 use pushdown_sql::Expr;
 use pushdown_tpch::synthetic::uniform_group_table;
 use pushdown_tpch::tpch_context;
@@ -154,18 +153,18 @@ pub fn run_groupby_ablation(n_rows: usize) -> Result<Vec<GroupByAblationRow>> {
     let (schema, rows) = uniform_group_table(n_rows, 42);
     let table = upload_csv_table(&ctx.store, "b", "uni", &schema, &rows, n_rows / 8 + 1)?;
     let factor = 10e9 / table.total_bytes(&ctx.store) as f64;
+    // The statement's `s3-native` candidate exists on an engine with
+    // the `native_group_by` extension only.
+    let mut extended = ctx.clone();
+    extended.engine = ctx.engine.clone().with_extensions(EngineExtensions {
+        native_group_by: true,
+        ..Default::default()
+    });
     let mut out = Vec::new();
     for (i, n_groups) in [(0usize, 2u32), (2, 8), (4, 32)] {
-        let q = groupby::GroupByQuery {
-            table: table.clone(),
-            group_cols: vec![format!("g{i}")],
-            aggs: (0..4)
-                .map(|v| (AggFunc::Sum, Some(format!("v{v}"))))
-                .collect(),
-            predicate: None,
-        };
-        let case_when = groupby::s3_side(&ctx, &q)?;
-        let native = whatif::s3_native_groupby(&ctx, &q)?;
+        let sql = format!("SELECT g{i}, SUM(v0), SUM(v1), SUM(v2), SUM(v3) FROM uni GROUP BY g{i}");
+        let case_when = run_candidate(&ctx, &table, &sql, "s3-side", None)?;
+        let native = run_candidate(&extended, &table, &sql, "s3-native", None)?;
         assert_eq!(case_when.rows.len(), native.rows.len());
         out.push(GroupByAblationRow {
             n_groups,

@@ -6,7 +6,7 @@
 //! transfer + server parse); the paper finds 0.01 the sweet spot.
 
 use crate::experiments::fig02_join_customer::listing2_sql;
-use crate::{run_candidate, Measure};
+use crate::{run_candidate, Measure, Tune};
 use pushdown_common::Result;
 use pushdown_tpch::tpch_context;
 
@@ -36,7 +36,7 @@ pub fn run(scale_factor: f64) -> Result<Fig4Result> {
     let filtered = Measure::of(&ctx, &run("filtered", None)?, factor);
     let mut sweep = Vec::new();
     for fpr in fprs() {
-        let out = run("bloom", Some(fpr))?;
+        let out = run("bloom", Some(Tune::Fpr(fpr)))?;
         sweep.push(Fig4Row {
             fpr,
             bloom: Measure::of(&ctx, &out, factor),

@@ -1,19 +1,18 @@
 //! **Figure 6** — hybrid group-by: how many groups to push to S3
 //! (paper §VI-C2, Fig 6).
 //!
-//! Zipf-skewed table (100 groups, θ = 1.3); the hybrid algorithm is
-//! forced to aggregate exactly `n` groups at S3 while the server handles
-//! the tail, `n` sweeping 1 … 12. Expected shape: the S3-side bar grows
+//! Zipf-skewed table (100 groups, θ = 1.3); the statement's `hybrid`
+//! candidate is forced to aggregate exactly `n` groups at S3
+//! (`Tune::ForcedSplit`) while the server handles the tail, `n` sweeping
+//! 1 … 12. Expected shape: the S3-side bar grows
 //! with `n` (longer CASE chains), the server-side bar and the bytes
 //! returned shrink (fewer tail rows shipped); the paper finds the best
 //! total around 6–8 groups.
 
-use crate::Measure;
+use crate::{run_candidate, Measure, Tune};
 use pushdown_common::Result;
-use pushdown_core::algos::groupby::{self, GroupByQuery, HybridOptions};
 use pushdown_core::{upload_csv_table, QueryContext, Table};
 use pushdown_s3::S3Store;
-use pushdown_sql::agg::AggFunc;
 use pushdown_tpch::synthetic::zipf_group_table;
 
 pub const PAPER_BYTES: f64 = 10e9;
@@ -39,29 +38,16 @@ fn upload(ctx: &QueryContext, n_rows: usize, theta: f64) -> Result<Table> {
     upload_csv_table(&ctx.store, "bench", "zipf", &schema, &rows, n_rows / 8 + 1)
 }
 
-pub fn query(table: &Table) -> GroupByQuery {
-    GroupByQuery {
-        table: table.clone(),
-        group_cols: vec!["g0".into()],
-        aggs: (0..4)
-            .map(|i| (AggFunc::Sum, Some(format!("v{i}"))))
-            .collect(),
-        predicate: None,
-    }
-}
+/// The figure's statement (Fig 7 runs the same one).
+pub const SQL: &str = "SELECT g0, SUM(v0), SUM(v1), SUM(v2), SUM(v3) FROM zipf GROUP BY g0";
 
 pub fn run(n_rows: usize) -> Result<Vec<Fig6Row>> {
     let ctx = QueryContext::new(S3Store::new());
     let table = upload(&ctx, n_rows, 1.3)?;
     let factor = PAPER_BYTES / table.total_bytes(&ctx.store) as f64;
-    let q = query(&table);
     let mut out = Vec::new();
     for n in split_points() {
-        let opts = HybridOptions {
-            force_s3_groups: Some(n),
-            ..Default::default()
-        };
-        let res = groupby::hybrid(&ctx, &q, opts)?;
+        let res = run_candidate(&ctx, &table, SQL, "hybrid", Some(Tune::ForcedSplit(n)))?;
         let scaled = res.metrics.scaled(factor);
         out.push(Fig6Row {
             s3_groups: n,

@@ -34,7 +34,7 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig7Row>> {
         let (schema, rows) = zipf_group_table(n_rows, theta, 7);
         let table = upload_csv_table(&ctx.store, "bench", "zipf", &schema, &rows, n_rows / 8 + 1)?;
         let factor = PAPER_BYTES / table.total_bytes(&ctx.store) as f64;
-        let sql = "SELECT g0, SUM(v0), SUM(v1), SUM(v2), SUM(v3) FROM zipf GROUP BY g0";
+        let sql = crate::experiments::fig06_hybrid_split::SQL;
         let run = |name| run_candidate(&ctx, &table, sql, name, None);
         let (server, filtered, hybrid) = (run("server-side")?, run("filtered")?, run("hybrid")?);
         assert_eq!(server.rows.len(), hybrid.rows.len());

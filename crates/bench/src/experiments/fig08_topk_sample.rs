@@ -1,8 +1,8 @@
 //! **Figure 8** — sampling top-K sensitivity to the sample size
 //! (paper §VII-C1).
 //!
-//! K = 100 over the lineitem table, sample size S swept across four
-//! orders of magnitude. Expected shapes: sampling-phase time grows with
+//! K = 100 over the lineitem table, the `sampling` candidate's sample
+//! size S (`Tune::SampleSize`) swept across four orders of magnitude. Expected shapes: sampling-phase time grows with
 //! S, scanning-phase time shrinks (tighter threshold ⇒ fewer qualifying
 //! rows), total bytes returned is U-shaped, and the measured optimum
 //! sits near the paper's analytic `S* = sqrt(K·N/α)`.
@@ -14,9 +14,9 @@
 //! trade-off, the U-shaped traffic curve and the location of the
 //! analytic optimum are all preserved.
 
-use crate::Measure;
+use crate::{run_candidate, Measure, Tune};
 use pushdown_common::Result;
-use pushdown_core::algos::topk::{self, optimal_sample_size, TopKQuery};
+use pushdown_core::joinplan::optimal_sample_size;
 use pushdown_tpch::tpch_context;
 
 #[derive(Debug, Clone, Copy)]
@@ -62,15 +62,16 @@ pub fn run(scale_factor: f64, k: usize) -> Result<Fig8Result> {
     sizes.sort_unstable();
     sizes.dedup();
 
-    let q = TopKQuery {
-        table: t.lineitem.clone(),
-        order_col: "l_extendedprice".into(),
-        k,
-        asc: true,
-    };
+    let sql = format!("SELECT * FROM lineitem ORDER BY l_extendedprice LIMIT {k}");
     let mut sweep = Vec::new();
     for s in sizes {
-        let out = topk::sampling(&ctx, &q, Some(s))?;
+        let out = run_candidate(
+            &ctx,
+            &t.lineitem,
+            &sql,
+            "sampling",
+            Some(Tune::SampleSize(s)),
+        )?;
         assert_eq!(out.rows.len(), k.min(n as usize));
         let scaled = out.metrics.scaled(factor);
         sweep.push(Fig8Row {

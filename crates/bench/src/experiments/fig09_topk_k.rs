@@ -1,15 +1,15 @@
 //! **Figure 9** — top-K algorithms vs K (paper §VII-C2).
 //!
-//! K sweeps 1 … 10⁴ (the paper: 1 … 10⁵ on a 60M-row table); the
-//! sampling algorithm picks its sample size from the §VII-B model.
+//! K sweeps 1 … 10⁴ (the paper: 1 … 10⁵ on a 60M-row table) over the
+//! statement's `server-side` and `sampling` candidates; the sample size
+//! comes from the §VII-B model.
 //! Expected shape: both runtimes grow with K (bigger heap), sampling
 //! consistently faster *and* cheaper than server-side.
 //!
 //! Projected to the paper's 60 M-row table with the same caveat as Fig 8.
 
-use crate::Measure;
+use crate::{run_candidate, Measure};
 use pushdown_common::Result;
-use pushdown_core::algos::topk::{self, TopKQuery};
 use pushdown_tpch::tpch_context;
 
 #[derive(Debug, Clone, Copy)]
@@ -33,14 +33,9 @@ pub fn run(scale_factor: f64) -> Result<Vec<Fig9Row>> {
     let factor = crate::experiments::fig08_topk_sample::PAPER_ROWS / t.lineitem.row_count as f64;
     let mut out = Vec::new();
     for k in ks(t.lineitem.row_count) {
-        let q = TopKQuery {
-            table: t.lineitem.clone(),
-            order_col: "l_extendedprice".into(),
-            k,
-            asc: true,
-        };
-        let server = topk::server_side(&ctx, &q)?;
-        let sampling = topk::sampling(&ctx, &q, None)?;
+        let sql = format!("SELECT * FROM lineitem ORDER BY l_extendedprice LIMIT {k}");
+        let run = |name| run_candidate(&ctx, &t.lineitem, &sql, name, None);
+        let (server, sampling) = (run("server-side")?, run("sampling")?);
         assert_eq!(server.rows.len(), sampling.rows.len());
         out.push(Fig9Row {
             k,

@@ -27,9 +27,8 @@ pub mod table;
 pub mod workload;
 
 use pushdown_common::pricing::{CostBreakdown, Usage};
-use pushdown_common::{Error, Result};
-use pushdown_core::planner::lower;
-use pushdown_core::{plan, PlanNode, PlanOp, QueryContext, QueryOutput, Table};
+pub use pushdown_core::planner::{run_candidate, Tune};
+use pushdown_core::{QueryContext, QueryOutput};
 
 /// One measured configuration: modeled runtime and cost.
 #[derive(Debug, Clone, Copy)]
@@ -57,38 +56,4 @@ impl Measure {
             billed: out.billed,
         }
     }
-}
-
-/// Run the candidate plan the planner lowers `sql` to under `name` — a
-/// composition of plan-IR operators (`"server-side"`, `"s3-side"`,
-/// `"filtered"`, `"baseline"`, `"bloom"`, ...) or a remaining
-/// algorithm-family leaf (`"hybrid"`, `"sampling"`, ...) — on a query
-/// scope of its own: figures, examples and tests compare named
-/// algorithms, not the optimizer's pick. `fpr` overrides the
-/// false-positive rate the candidate's Bloom joins request (Fig 4's
-/// sweep).
-pub fn run_candidate(
-    ctx: &QueryContext,
-    table: &Table,
-    sql: &str,
-    name: &str,
-    fpr: Option<f64>,
-) -> Result<QueryOutput> {
-    fn set_fpr(node: &mut PlanNode, rate: f64) {
-        if let PlanOp::BloomJoin { fpr, .. } = &mut node.op {
-            *fpr = rate;
-        }
-        node.children.iter_mut().for_each(|c| set_fpr(c, rate));
-    }
-    let ctx = ctx.scoped();
-    let (_, candidates) = lower(&ctx, table, &pushdown_sql::parse_query(sql)?)?;
-    let found = candidates.into_iter().find(|(n, _)| *n == name);
-    let (_, mut plan) =
-        found.ok_or_else(|| Error::Bind(format!("`{sql}` has no `{name}` candidate")))?;
-    if let Some(rate) = fpr {
-        set_fpr(&mut plan, rate);
-    }
-    let mut out = plan::execute(&ctx, &plan)?.into_output();
-    out.billed = ctx.billed();
-    Ok(out)
 }

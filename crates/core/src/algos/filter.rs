@@ -234,7 +234,7 @@ mod tests {
     use super::*;
     use crate::catalog::upload_csv_table;
     use crate::index::build_index;
-    use crate::planner::tests::run_candidate;
+    use crate::planner::run_candidate;
     use pushdown_common::{DataType, Schema, Value};
     use pushdown_s3::S3Store;
     use pushdown_sql::parse_expr;
@@ -274,7 +274,7 @@ mod tests {
             .as_ref()
             .map_or("*".into(), |c| c.join(", "));
         let sql = format!("SELECT {cols} FROM t WHERE {}", query.predicate);
-        let run = |name| run_candidate(ctx, &query.table, &sql, name).unwrap();
+        let run = |name| run_candidate(ctx, &query.table, &sql, name, None).unwrap();
         (run("server-side"), run("s3-side"))
     }
 

@@ -1,22 +1,510 @@
-//! The paper's pushdown algorithms that are **not** trees of plan-IR
-//! operators, one module per operator family:
+//! Fig 1's private helpers: the §IV-A indexed filter ([`filter`]) and
+//! its two §X what-if variants against the extended engine ([`whatif`])
+//! — the one paper algorithm the planner cannot pick, because its later
+//! phase is not a Select statement at all: it issues one byte-range GET
+//! per index hit.
 //!
-//! * [`filter`] — the §IV-A indexed filter;
-//! * [`groupby`] — S3-side / hybrid group-by (§VI);
-//! * [`topk`] — server-side / sampling top-K (§VII);
-//! * [`whatif`] — the §X what-if variants against the extended engine.
-//!
-//! The rule ([`crate::plan::AlgoOp`]): an algorithm lives here when a
-//! later phase's SQL is computed from an earlier phase's result — the
-//! distinct groups, the sample's populous groups, the sample's K-th
-//! value, the index's byte ranges. Everything whose statements are known
-//! at lowering time is a composition of the plan IR's operators
-//! ([`crate::plan`]), lowered as named candidates by
-//! [`crate::joinplan`]: the §V joins (baseline / filtered / Bloom), the
-//! §IV server-side / S3-side filter, the §VIII-Q6 scalar aggregate and
-//! the §VI server-side / filtered group-by.
+//! Every other algorithm of the paper is a candidate plan of a SQL
+//! statement, a tree of plan-IR operators ([`crate::plan`]) lowered by
+//! name in [`crate::joinplan`]: the §V joins (baseline / filtered /
+//! Bloom), the §IV server-side / S3-side filter, the §VIII-Q6 scalar
+//! aggregate, the §VI group-bys (server-side / filtered / S3-side /
+//! hybrid, §X's native one) and the §VII top-K (server-side /
+//! sampling). The §VI and §VII families' unit tests run those
+//! candidates by name, below.
 
 pub mod filter;
-pub mod groupby;
-pub mod topk;
 pub mod whatif;
+
+/// §VI group-by, by candidate name: `server-side` and `filtered` are one
+/// scan under a local hash aggregation, `s3-side` pushes one CASE-WHEN
+/// item per (group, aggregate) over the distinct groups, `hybrid`
+/// samples, pushes the populous groups and aggregates the tail locally.
+#[cfg(test)]
+mod groupby {
+    mod tests {
+        use crate::catalog::{upload_csv_table, Table};
+        use crate::context::QueryContext;
+        use crate::output::QueryOutput;
+        use crate::planner::{run_candidate, Tune};
+        use pushdown_common::{DataType, Result, Row, Schema, Value};
+        use pushdown_s3::S3Store;
+
+        const AGGS: &str = "SUM(v), COUNT(w), MIN(w), MAX(v), AVG(v)";
+
+        /// The fixture's statement: `AGGS` per `keys`, over `WHERE pred`.
+        fn sql(keys: &str, pred: Option<&str>) -> String {
+            let pred = pred.map_or(String::new(), |p| format!(" WHERE {p}"));
+            format!("SELECT {keys}, {AGGS} FROM t{pred} GROUP BY {keys}")
+        }
+
+        fn run(ctx: &QueryContext, t: &Table, sql: &str, name: &str) -> Result<QueryOutput> {
+            run_candidate(ctx, t, sql, name, None)
+        }
+
+        /// Every §VI candidate of `sql`, `server-side` first.
+        fn all_four(ctx: &QueryContext, t: &Table, sql: &str) -> Vec<QueryOutput> {
+            ["server-side", "filtered", "s3-side", "hybrid"]
+                .iter()
+                .map(|name| run(ctx, t, sql, name).unwrap())
+                .collect()
+        }
+
+        /// Synthetic table: group column with a skewed distribution plus two
+        /// value columns.
+        fn setup(n: usize, n_groups: i64, skewed: bool) -> (QueryContext, Table) {
+            let store = S3Store::new();
+            let schema = Schema::from_pairs(&[
+                ("g", DataType::Int),
+                ("v", DataType::Float),
+                ("w", DataType::Int),
+            ]);
+            let rows: Vec<Row> = (0..n)
+                .map(|i| {
+                    let g = if skewed {
+                        // ~half the rows in group 0, quarter in 1, ...
+                        let mut x = i;
+                        let mut g = 0;
+                        while x % 2 == 1 && g < n_groups - 1 {
+                            x /= 2;
+                            g += 1;
+                        }
+                        g
+                    } else {
+                        (i as i64) % n_groups
+                    };
+                    Row::new(vec![
+                        Value::Int(g),
+                        Value::Float((i as f64 * 7.0) % 103.0),
+                        Value::Int((i as i64 * 13) % 17),
+                    ])
+                })
+                .collect();
+            let t = upload_csv_table(&store, "b", "t", &schema, &rows, 256).unwrap();
+            (QueryContext::new(store), t)
+        }
+
+        fn assert_rows_close(a: &[Row], b: &[Row]) {
+            assert_eq!(a.len(), b.len(), "row counts differ");
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(x.len(), y.len());
+                for (vx, vy) in x.values().iter().zip(y.values()) {
+                    match (vx, vy) {
+                        (Value::Float(fx), Value::Float(fy)) => {
+                            assert!((fx - fy).abs() <= 1e-6 * (1.0 + fx.abs()), "{fx} vs {fy}");
+                        }
+                        _ => assert_eq!(vx, vy),
+                    }
+                }
+            }
+        }
+
+        fn labels(out: &QueryOutput) -> Vec<String> {
+            let phases = out.metrics.groups.iter().flat_map(|g| g.phases.iter());
+            phases.map(|p| p.label.clone()).collect()
+        }
+
+        #[test]
+        fn all_four_algorithms_agree_uniform() {
+            let (ctx, t) = setup(2000, 8, false);
+            let outs = all_four(&ctx, &t, &sql("g", None));
+            assert_eq!(outs[0].rows.len(), 8);
+            for out in &outs[1..] {
+                assert_rows_close(&outs[0].rows, &out.rows);
+                assert_eq!(out.schema, outs[0].schema);
+            }
+            let names = ["g", "sum_v", "count_w", "min_w", "max_v", "avg_v"];
+            assert_eq!(outs[0].schema.names(), names);
+        }
+
+        #[test]
+        fn all_four_algorithms_agree_skewed() {
+            let (ctx, t) = setup(3000, 10, true);
+            let outs = all_four(&ctx, &t, &sql("g", None));
+            for out in &outs[1..] {
+                assert_rows_close(&outs[0].rows, &out.rows);
+            }
+        }
+
+        #[test]
+        fn predicate_applies_in_every_algorithm() {
+            let (ctx, t) = setup(2000, 5, false);
+            let outs = all_four(&ctx, &t, &sql("g", Some("w < 9")));
+            for out in &outs[1..] {
+                assert_rows_close(&outs[0].rows, &out.rows);
+            }
+        }
+
+        #[test]
+        fn filtered_returns_fewer_bytes_than_server() {
+            let (ctx, t) = setup(2000, 4, false);
+            let a = run(&ctx, &t, &sql("g", None), "server-side").unwrap();
+            let b = run(&ctx, &t, &sql("g", None), "filtered").unwrap();
+            // Server-side ships the whole table as plain bytes; filtered ships
+            // a column subset via select.
+            assert!(b.metrics.usage().select_returned_bytes < a.metrics.usage().plain_bytes);
+        }
+
+        #[test]
+        fn s3_side_charges_expression_terms() {
+            let (ctx, t) = setup(2000, 32, false);
+            let c = run(&ctx, &t, &sql("g", None), "s3-side").unwrap();
+            // 32 groups × 5 aggregates, each with a comparison + arm ≥ 2 terms.
+            let max_terms = c
+                .metrics
+                .groups
+                .iter()
+                .flat_map(|g| g.phases.iter())
+                .map(|p| p.stats.expr_terms)
+                .max()
+                .unwrap();
+            assert!(max_terms >= 64, "expr terms {max_terms}");
+        }
+
+        #[test]
+        fn s3_side_chunks_when_sql_would_exceed_limit() {
+            let (mut ctx, t) = setup(1000, 40, false);
+            // Squeeze the limit so phase 2 must split into several statements.
+            let store = ctx.store.clone();
+            ctx.engine = pushdown_select::S3SelectEngine::with_limits(
+                store,
+                pushdown_select::SelectLimits {
+                    max_sql_bytes: 4 * 1024,
+                },
+            );
+            let a = run(&ctx, &t, &sql("g", None), "server-side").unwrap();
+            let c = run(&ctx, &t, &sql("g", None), "s3-side").unwrap();
+            assert_rows_close(&a.rows, &c.rows);
+            // More than one phase-2 select per partition proves chunking.
+            let parts = t.partitions(&ctx.store).len() as u64;
+            let phase2_requests: u64 = c.metrics.groups[1]
+                .phases
+                .iter()
+                .map(|p| p.stats.requests)
+                .sum();
+            assert!(phase2_requests > parts, "{phase2_requests} vs {parts}");
+        }
+
+        #[test]
+        fn hybrid_pushes_populous_groups_only() {
+            let (ctx, t) = setup(4000, 12, true);
+            let out = run(&ctx, &t, &sql("g", None), "hybrid").unwrap();
+            // There must be both an s3-side and a server-side phase.
+            let labels = labels(&out);
+            assert!(labels.iter().any(|l| l.contains("s3-side")));
+            assert!(labels.iter().any(|l| l.contains("server-side")));
+            assert!(labels.iter().any(|l| l.contains("sample")));
+            // Sample, then the two side by side.
+            assert_eq!(out.metrics.groups.len(), 2);
+            assert_eq!(out.metrics.groups[1].phases.len(), 2);
+        }
+
+        #[test]
+        fn hybrid_uniform_degenerates_to_filtered() {
+            // 100 uniform groups: none reaches the 2% share threshold cap...
+            // each has exactly 1% share < 2% -> no big groups -> filtered path.
+            let (ctx, t) = setup(5000, 100, false);
+            let out = run(&ctx, &t, &sql("g", None), "hybrid").unwrap();
+            // After its sample, it reports the `filtered` candidate's one
+            // phase: same label, same footprint.
+            let filtered = run(&ctx, &t, &sql("g", None), "filtered").unwrap();
+            assert_eq!(out.metrics.groups.len(), 2);
+            let (got, want) = (
+                &out.metrics.groups[1].phases,
+                &filtered.metrics.groups[0].phases,
+            );
+            assert_eq!(got.len(), 1);
+            assert_eq!(got[0].label, want[0].label);
+            assert_eq!(got[0].stats, want[0].stats);
+            let a = run(&ctx, &t, &sql("g", None), "server-side").unwrap();
+            assert_rows_close(&a.rows, &out.rows);
+        }
+
+        #[test]
+        fn hybrid_force_groups_controls_split() {
+            let (ctx, t) = setup(3000, 10, true);
+            let a = run(&ctx, &t, &sql("g", None), "server-side").unwrap();
+            let mut terms = Vec::new();
+            for n in [1usize, 4, 8] {
+                let tune = Some(Tune::ForcedSplit(n));
+                let out = run_candidate(&ctx, &t, &sql("g", None), "hybrid", tune).unwrap();
+                assert_rows_close(&a.rows, &out.rows);
+                terms.push(out.metrics.groups[1].phases[0].stats.expr_terms);
+            }
+            // Exactly `n` groups' CASE-WHEN items ship, 12 terms a group —
+            // of the 7 groups the 64-row sample holds, when 8 are asked for.
+            assert_eq!(terms, vec![12, 48, 84]);
+        }
+
+        /// `hybrid` is not a candidate of a two-column GROUP BY…
+        #[test]
+        fn hybrid_rejects_multi_column_groups() {
+            let (ctx, t) = setup(100, 4, false);
+            let err = run(&ctx, &t, &sql("g, w", None), "hybrid").unwrap_err();
+            assert_eq!(err.code(), "BindError");
+            // …but s3-side supports multi-column grouping.
+            let a = run(&ctx, &t, &sql("g, w", None), "server-side").unwrap();
+            let c = run(&ctx, &t, &sql("g, w", None), "s3-side").unwrap();
+            assert_rows_close(&a.rows, &c.rows);
+        }
+
+        #[test]
+        fn empty_group_results() {
+            let (ctx, t) = setup(500, 4, false);
+            for out in all_four(&ctx, &t, &sql("g", Some("w > 100000"))) {
+                assert!(out.rows.is_empty(), "{:?}", out.rows);
+            }
+        }
+    }
+}
+
+/// §VII top-K, by candidate name: `server-side` loads the table and keeps
+/// a K-heap locally; `sampling` takes the K-th value of a striped sample
+/// of the ORDER BY column as a threshold, pushes `col <= threshold` and
+/// heaps only the survivors. The sample always contains K records at or
+/// before the threshold, so the answer is exact.
+#[cfg(test)]
+mod topk {
+    mod tests {
+        use crate::catalog::{upload_csv_table, Table};
+        use crate::context::QueryContext;
+        use crate::joinplan::optimal_sample_size;
+        use crate::output::QueryOutput;
+        use crate::planner::{run_candidate, Tune};
+        use pushdown_common::{DataType, Row, Schema, Value};
+        use pushdown_s3::S3Store;
+
+        fn setup(n: usize) -> (QueryContext, Table) {
+            let store = S3Store::new();
+            let schema = Schema::from_pairs(&[
+                ("id", DataType::Int),
+                ("price", DataType::Float),
+                ("pad", DataType::Str),
+            ]);
+            // Pseudo-random prices, deterministic; no natural ordering with id.
+            let rows: Vec<Row> = (0..n)
+                .map(|i| {
+                    let price = ((i as u64).wrapping_mul(2654435761) % 1_000_000) as f64 / 100.0;
+                    Row::new(vec![
+                        Value::Int(i as i64),
+                        Value::Float(price),
+                        Value::Str(format!("pad-{i:08}")),
+                    ])
+                })
+                .collect();
+            let t = upload_csv_table(&store, "b", "lineitem", &schema, &rows, 512).unwrap();
+            (QueryContext::new(store), t)
+        }
+
+        const TOP_25: &str = "SELECT * FROM lineitem ORDER BY price LIMIT 25";
+
+        fn server_side(ctx: &QueryContext, t: &Table, sql: &str) -> QueryOutput {
+            run_candidate(ctx, t, sql, "server-side", None).unwrap()
+        }
+
+        /// `sampling` with the §VII-B optimal sample size, or `sample` rows.
+        fn sampling(
+            ctx: &QueryContext,
+            t: &Table,
+            sql: &str,
+            sample: Option<usize>,
+        ) -> QueryOutput {
+            run_candidate(ctx, t, sql, "sampling", sample.map(Tune::SampleSize)).unwrap()
+        }
+
+        #[test]
+        fn sampling_equals_server_side() {
+            let (ctx, t) = setup(3000);
+            let a = server_side(&ctx, &t, TOP_25);
+            let b = sampling(&ctx, &t, TOP_25, None);
+            assert_eq!(a.rows.len(), 25);
+            assert_eq!(a.rows.len(), b.rows.len());
+            for (x, y) in a.rows.iter().zip(&b.rows) {
+                assert_eq!(x[1], y[1], "order keys must agree");
+            }
+        }
+
+        #[test]
+        fn descending_order_works() {
+            let (ctx, t) = setup(2000);
+            let sql = "SELECT * FROM lineitem ORDER BY price DESC LIMIT 25";
+            let a = server_side(&ctx, &t, sql);
+            let b = sampling(&ctx, &t, sql, Some(400));
+            assert_eq!(a.rows.len(), b.rows.len());
+            for (x, y) in a.rows.iter().zip(&b.rows) {
+                assert_eq!(x[1], y[1]);
+            }
+            // Top element is the max.
+            let max = (0..2000)
+                .map(|i| ((i as u64).wrapping_mul(2654435761) % 1_000_000) as f64 / 100.0)
+                .fold(f64::NEG_INFINITY, f64::max);
+            assert_eq!(a.rows[0][1], Value::Float(max));
+        }
+
+        #[test]
+        fn sampling_correct_across_sample_sizes() {
+            let (ctx, t) = setup(4000);
+            let want = server_side(&ctx, &t, TOP_25);
+            for s in [25usize, 100, 500, 4000, 100_000] {
+                let got = sampling(&ctx, &t, TOP_25, Some(s));
+                assert_eq!(got.rows.len(), want.rows.len(), "sample size {s}");
+                for (x, y) in want.rows.iter().zip(&got.rows) {
+                    assert_eq!(x[1], y[1], "sample size {s}");
+                }
+            }
+        }
+
+        #[test]
+        fn k_larger_than_table() {
+            let (ctx, t) = setup(100);
+            let sql = "SELECT * FROM lineitem ORDER BY price LIMIT 500";
+            let a = server_side(&ctx, &t, sql);
+            let b = sampling(&ctx, &t, sql, None);
+            assert_eq!(a.rows.len(), 100);
+            assert_eq!(b.rows.len(), 100);
+        }
+
+        #[test]
+        fn bigger_samples_shrink_the_scanning_phase() {
+            let (ctx, t) = setup(5000);
+            let small = sampling(&ctx, &t, TOP_25, Some(50));
+            let big = sampling(&ctx, &t, TOP_25, Some(2500));
+            let small_phase2 = small.metrics.groups[1].phases[0].stats;
+            let big_phase2 = big.metrics.groups[1].phases[0].stats;
+            assert!(
+                big_phase2.select_returned_bytes < small_phase2.select_returned_bytes,
+                "{} vs {}",
+                big_phase2.select_returned_bytes,
+                small_phase2.select_returned_bytes
+            );
+            // And the sampling phase grows.
+            let small_phase1 = small.metrics.groups[0].phases[0].stats;
+            let big_phase1 = big.metrics.groups[0].phases[0].stats;
+            assert!(big_phase1.select_returned_bytes > small_phase1.select_returned_bytes);
+        }
+
+        #[test]
+        fn sampling_transfers_less_than_server_side() {
+            let (ctx, t) = setup(5000);
+            let a = server_side(&ctx, &t, TOP_25);
+            let b = sampling(&ctx, &t, TOP_25, None);
+            assert!(
+                b.metrics.bytes_returned() < a.metrics.bytes_returned() / 2,
+                "sampling {} vs server {}",
+                b.metrics.bytes_returned(),
+                a.metrics.bytes_returned()
+            );
+        }
+
+        #[test]
+        fn optimal_sample_size_formula() {
+            // S* = sqrt(KN/alpha); K=100, N=6e7, alpha=0.1 -> ~2.45e5 (paper
+            // §VII-C1 computes 2.4e5).
+            let s = optimal_sample_size(100, 60_000_000, 0.1);
+            assert!((200_000..300_000).contains(&s), "{s}");
+            // Clamps below at 10K.
+            assert_eq!(optimal_sample_size(100, 2_000_000_000, 1.0), 447_214);
+            assert!(optimal_sample_size(10, 500, 1.0) >= 70);
+            // Never exceeds N.
+            assert!(optimal_sample_size(1000, 2000, 0.01) <= 2000);
+        }
+
+        /// Fig 8 reads its two bars by these labels: each phase is its
+        /// scan and the operator that consumes it.
+        #[test]
+        fn phase_labels_match_fig8() {
+            let (ctx, t) = setup(1000);
+            let out = sampling(&ctx, &t, TOP_25, Some(200));
+            let labels: Vec<String> = out
+                .metrics
+                .phase_seconds(&ctx.model)
+                .into_iter()
+                .map(|(l, _)| l)
+                .collect();
+            assert_eq!(
+                labels,
+                vec!["sampling phase + threshold", "scanning phase + sort"]
+            );
+        }
+
+        #[test]
+        fn striped_sampling_bounds_phase2_on_adversarial_order() {
+            // The table is sorted exactly opposite to the query order — the
+            // worst case for a prefix sample: a plain `LIMIT S` would collect
+            // the S *largest* values, the ascending threshold would be huge,
+            // and phase 2 would re-fetch nearly the whole table. Striping the
+            // sample across partitions keeps phase-2 returned bytes within a
+            // small multiple of K/N of the table.
+            let store = S3Store::new();
+            let schema = Schema::from_pairs(&[
+                ("id", DataType::Int),
+                ("price", DataType::Float),
+                ("pad", DataType::Str),
+            ]);
+            let n = 6000usize;
+            let rows: Vec<Row> = (0..n)
+                .map(|i| {
+                    Row::new(vec![
+                        Value::Int(i as i64),
+                        Value::Float((n - i) as f64), // sorted descending
+                        Value::Str(format!("pad-{i:08}")),
+                    ])
+                })
+                .collect();
+            let t = upload_csv_table(&store, "b", "sorted", &schema, &rows, 150).unwrap();
+            let total = t.total_bytes(&store) as f64;
+            let ctx = QueryContext::new(store);
+            let k = 30usize;
+            let sql = "SELECT * FROM sorted ORDER BY price LIMIT 30";
+            let want = server_side(&ctx, &t, sql);
+            let kn_bytes = total * k as f64 / n as f64; // "K/N of the table"
+            for sample_size in [None, Some(1200)] {
+                let got = sampling(&ctx, &t, sql, sample_size);
+                assert_eq!(want.rows.len(), got.rows.len());
+                for (x, y) in want.rows.iter().zip(&got.rows) {
+                    assert_eq!(x[1], y[1], "sample {sample_size:?}");
+                }
+                // Worst case for a striped sample of share s/P per partition
+                // is ~N/P + K rows (one partition's span plus the threshold
+                // overshoot) — a small multiple of K/N here, and nowhere near
+                // the ~full table the prefix sample degenerates to.
+                let phase2 = got.metrics.groups[1].phases[0].stats.select_returned_bytes as f64;
+                assert!(
+                    phase2 <= 12.0 * kn_bytes,
+                    "sample {sample_size:?}: phase 2 returned {phase2:.0} bytes, \
+                     want ≤ 12×(K/N)×table = {:.0} (table {total:.0})",
+                    12.0 * kn_bytes
+                );
+                assert!(
+                    phase2 <= total / 10.0,
+                    "phase 2 must stay far from a full re-fetch"
+                );
+            }
+        }
+
+        #[test]
+        fn duplicate_keys_at_the_threshold() {
+            // Many duplicate order keys exactly at the K-th position.
+            let store = S3Store::new();
+            let schema = Schema::from_pairs(&[("id", DataType::Int), ("v", DataType::Int)]);
+            let rows: Vec<Row> = (0..500)
+                .map(|i| Row::new(vec![Value::Int(i), Value::Int(i % 3)]))
+                .collect();
+            let t = upload_csv_table(&store, "b", "t", &schema, &rows, 128).unwrap();
+            let ctx = QueryContext::new(store);
+            let sql = "SELECT * FROM t ORDER BY v LIMIT 10";
+            let a = server_side(&ctx, &t, sql);
+            let b = sampling(&ctx, &t, sql, Some(50));
+            assert_eq!(a.rows.len(), 10);
+            assert_eq!(b.rows.len(), 10);
+            assert!(b.rows.iter().all(|r| r[1] == Value::Int(0)));
+            // Ties keep scan order: the first ten `v = 0` rows, whichever
+            // way they were found.
+            let ids: Vec<Value> = (0..10).map(|i| Value::Int(3 * i)).collect();
+            for out in [&a, &b] {
+                let got: Vec<Value> = out.rows.iter().map(|r| r[0].clone()).collect();
+                assert_eq!(got, ids);
+            }
+        }
+    }
+}

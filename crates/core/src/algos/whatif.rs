@@ -1,24 +1,27 @@
-//! What-if variants of the paper's algorithms, one per §X suggestion.
+//! What-if variants of the §IV-A indexed filter, one per §X suggestion
+//! that concerns it.
 //!
 //! Section X of the paper lists five suggestions — concrete service changes that
-//! would make pushdown more effective. Each function here implements the
-//! corresponding algorithm against the *extended* engine so the ablation
-//! harness can quantify what AWS would have bought the paper's authors:
+//! would make pushdown more effective. The two functions here run the
+//! indexed filter against the *extended* engine so the ablation harness
+//! can quantify what AWS would have bought the paper's authors:
 //!
 //! * [`indexed_multirange`] — Suggestion 1: multiple byte ranges per GET;
-//! * [`indexed_in_s3`] — Suggestion 2: the whole index lookup inside S3;
-//! * [`s3_native_groupby`] — Suggestion 4: partial group-by in S3.
+//! * [`indexed_in_s3`] — Suggestion 2: the whole index lookup inside S3.
 //!
-//! Suggestion 3 — bitwise Bloom probes (`BIT_AT` over hex) instead of
-//! `SUBSTRING` over `'0'/'1'` strings — is no algorithm of its own: the
-//! plan IR's [`BloomJoin`](crate::plan::PlanOp::BloomJoin) ships the
-//! denser encoding whenever the context's engine carries the `bitwise`
-//! extension. Suggestion 5, computation-aware *pricing*, changes no
-//! algorithm either — see the `ablation_suggestions` harness in
-//! `pushdown-bench`.
+//! The other suggestions are no algorithms of their own. Suggestion 3 —
+//! bitwise Bloom probes (`BIT_AT` over hex) instead of `SUBSTRING` over
+//! `'0'/'1'` strings: the plan IR's
+//! [`BloomJoin`](crate::plan::PlanOp::BloomJoin) ships the denser
+//! encoding whenever the context's engine carries the `bitwise`
+//! extension. Suggestion 4 — partial group-by in S3: under the
+//! `native_group_by` extension a GROUP BY statement has an `s3-native`
+//! candidate, a [`PushdownAggregate`](crate::plan::PlanOp::PushdownAggregate)
+//! leaf with a grouping list. Suggestion 5, computation-aware *pricing*,
+//! changes no algorithm either — see the `ablation_suggestions` harness
+//! in `pushdown-bench`.
 
 use crate::algos::filter::FilterQuery;
-use crate::algos::groupby::GroupByQuery;
 use crate::catalog::Table;
 use crate::context::QueryContext;
 use crate::index::IndexTable;
@@ -28,8 +31,6 @@ use crate::output::QueryOutput;
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Error, Result, Row, Value};
 use pushdown_select::{EngineExtensions, S3SelectEngine};
-use pushdown_sql::agg::AggFunc;
-use pushdown_sql::ast::ExtendedSelect;
 use pushdown_sql::{Expr, SelectItem, SelectStmt};
 
 /// How many ranges to pack into one multipart GET. HTTP has no hard
@@ -38,9 +39,8 @@ const RANGES_PER_REQUEST: usize = 256;
 
 fn extended_engine(ctx: &QueryContext) -> S3SelectEngine {
     ctx.engine.clone().with_extensions(EngineExtensions {
-        native_group_by: true,
         index_in_s3: true,
-        bitwise: true,
+        ..Default::default()
     })
 }
 
@@ -206,125 +206,13 @@ fn apply_projection(
     }
 }
 
-/// Suggestion 4: group-by pushed natively — a single `GROUP BY` select
-/// per partition, merged on the compute node. No distinct phase, no
-/// CASE-WHEN chains (compare with [`crate::algos::groupby::s3_side`]).
-pub fn s3_native_groupby(ctx: &QueryContext, q: &GroupByQuery) -> Result<QueryOutput> {
-    let ctx = &ctx.scoped();
-    let engine = extended_engine(ctx);
-    // Build the extended statement: group cols, then aggregates with AVG
-    // decomposed so partials merge.
-    let mut items: Vec<SelectItem> = q
-        .group_cols
-        .iter()
-        .map(|c| SelectItem::Expr {
-            expr: Expr::col(c.clone()),
-            alias: None,
-        })
-        .collect();
-    let mut merge_plan: Vec<(AggFunc, usize)> = Vec::new(); // (orig func, first col)
-    let mut col = q.group_cols.len();
-    for (f, c) in &q.aggs {
-        let arg = c.clone().map(Expr::col);
-        match f {
-            AggFunc::Avg => {
-                items.push(SelectItem::Agg {
-                    func: AggFunc::Sum,
-                    arg: arg.clone(),
-                    alias: None,
-                });
-                items.push(SelectItem::Agg {
-                    func: AggFunc::Count,
-                    arg: arg.clone(),
-                    alias: None,
-                });
-                merge_plan.push((AggFunc::Avg, col));
-                col += 2;
-            }
-            other => {
-                items.push(SelectItem::Agg {
-                    func: *other,
-                    arg,
-                    alias: None,
-                });
-                merge_plan.push((*other, col));
-                col += 1;
-            }
-        }
-    }
-    let ext = ExtendedSelect {
-        select: SelectStmt {
-            items,
-            alias: None,
-            where_clause: q.predicate.clone(),
-            limit: None,
-        },
-        group_by: q.group_cols.clone(),
-    };
-
-    let mut stats = PhaseStats::default();
-    let mut partials: Vec<Row> = Vec::new();
-    for key in q.table.partitions(&ctx.store) {
-        let resp =
-            engine.select_grouped(&q.table.bucket, &key, &ext, &q.table.schema, q.table.format)?;
-        stats.requests += u64::from(resp.stats.attempts.max(1));
-        stats.s3_scanned_bytes += resp.stats.bytes_scanned;
-        stats.select_returned_bytes += resp.stats.bytes_returned;
-        stats.server_cpu_units += resp.stats.records_returned;
-        stats.expr_terms = stats.expr_terms.max(resp.stats.expr_terms);
-        partials.extend(resp.rows()?);
-    }
-
-    // Merge partials per group, then finalize AVG columns.
-    let gw = q.group_cols.len();
-    let merge_funcs: Vec<AggFunc> = merge_plan
-        .iter()
-        .flat_map(|(f, _)| match f {
-            AggFunc::Avg => vec![AggFunc::Sum, AggFunc::Count],
-            other => vec![*other],
-        })
-        .collect();
-    let merged = ops::merge_group_rows(vec![partials], gw, &merge_funcs, &mut stats)?;
-    let rows: Vec<Row> = merged
-        .into_iter()
-        .map(|r| {
-            let mut vals: Vec<Value> = r.values()[..gw].to_vec();
-            for (f, c) in &merge_plan {
-                match f {
-                    AggFunc::Avg => {
-                        let sum = &r[gw + (*c - gw)];
-                        let count = &r[gw + (*c - gw) + 1];
-                        let v = match (sum.is_null(), count.as_i64().unwrap_or(0)) {
-                            (true, _) | (_, 0) => Value::Null,
-                            _ => Value::Float(
-                                sum.as_f64().unwrap_or(0.0) / count.as_i64().unwrap() as f64,
-                            ),
-                        };
-                        vals.push(v);
-                    }
-                    _ => vals.push(r[*c].clone()),
-                }
-            }
-            Row::new(vals)
-        })
-        .collect();
-
-    let mut metrics = QueryMetrics::new();
-    metrics.push_serial("s3-native group-by (suggestion 4)", stats);
-    Ok(QueryOutput {
-        schema: q.output_schema()?,
-        rows,
-        metrics,
-        billed: ctx.billed(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algos::{filter, groupby};
+    use crate::algos::filter;
     use crate::catalog::upload_csv_table;
     use crate::index::build_index;
+    use crate::planner::run_candidate;
     use pushdown_common::{DataType, Schema};
     use pushdown_s3::S3Store;
     use pushdown_sql::parse_expr;
@@ -478,20 +366,18 @@ mod tests {
             })
             .collect();
         let t = upload_csv_table(&store, "b", "t", &schema, &rows, 700).unwrap();
-        let ctx = QueryContext::new(store);
-        let q = GroupByQuery {
-            table: t,
-            group_cols: vec!["g".into()],
-            aggs: vec![
-                (AggFunc::Sum, Some("v".into())),
-                (AggFunc::Count, Some("v".into())),
-                (AggFunc::Avg, Some("v".into())),
-                (AggFunc::Min, Some("v".into())),
-            ],
-            predicate: Some(parse_expr("v > 10").unwrap()),
-        };
-        let case_when = groupby::s3_side(&ctx, &q).unwrap();
-        let native = s3_native_groupby(&ctx, &q).unwrap();
+        let mut ctx = QueryContext::new(store);
+        let sql = "SELECT g, SUM(v), COUNT(v), AVG(v), MIN(v) FROM t WHERE v > 10 GROUP BY g";
+        // The stock engine has no such candidate.
+        assert!(run_candidate(&ctx, &t, sql, "s3-native", None).is_err());
+        ctx.engine = ctx.engine.clone().with_extensions(EngineExtensions {
+            native_group_by: true,
+            ..Default::default()
+        });
+        let case_when = run_candidate(&ctx, &t, sql, "s3-side", None).unwrap();
+        let native = run_candidate(&ctx, &t, sql, "s3-native", None).unwrap();
+        assert_eq!(native.metrics.usage(), native.billed);
+        assert_eq!(native.schema, case_when.schema);
         assert_eq!(case_when.rows.len(), native.rows.len());
         for (a, b) in case_when.rows.iter().zip(&native.rows) {
             for (x, y) in a.values().iter().zip(b.values()) {

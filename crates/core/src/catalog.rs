@@ -297,6 +297,21 @@ impl Table {
 
     /// Replace the attached statistics (e.g. after a [`probe_stats`]
     /// refresh).
+    /// Whether a row can have a NULL in column `col`: yes, unless the
+    /// table's statistics looked at every row and saw none. Decides
+    /// whether a predicate written at run time (the hybrid group-by's
+    /// tail, the top-K threshold) has to ask for the NULL rows by name.
+    pub(crate) fn may_be_null(&self, col: &str) -> bool {
+        let exact = self
+            .stats
+            .as_deref()
+            .filter(|s| s.sample_rows == s.row_count);
+        let seen = exact
+            .zip(self.schema.resolve(col).ok())
+            .and_then(|(s, i)| s.column(i));
+        seen.is_none_or(|c| c.null_fraction > 0.0)
+    }
+
     pub fn with_stats(mut self, stats: TableStats) -> Table {
         self.stats = Some(Arc::new(stats));
         self
@@ -330,9 +345,13 @@ pub fn probe_stats(ctx: &QueryContext, table: &Table, probe_rows: u64) -> Result
     let (schema, rows) = match probe_sample_from_cache(ctx, table, probe_rows)? {
         Some(rows) => (table.schema.clone(), rows),
         None => {
-            let scan =
-                crate::scan::select_scan_striped_limit(ctx, table, &stmt, probe_rows as usize)?;
-            (scan.schema, scan.rows)
+            let limit = crate::scan::ScanLimit::Striped(probe_rows as usize);
+            let mut rows = Vec::new();
+            let scan = crate::scan::select_scan_streamed(ctx, table, &stmt, Some(limit), |b| {
+                rows.extend(b.rows);
+                Ok(())
+            })?;
+            (scan.schema, rows)
         }
     };
     let mut stats = TableStats::from_sample(&schema, &rows);
@@ -379,7 +398,7 @@ fn probe_sample_from_cache(
     let limit = (probe_rows as usize).max(1);
     let mut rows = Vec::new();
     for (i, key) in keys.iter().enumerate() {
-        // Same striping as `select_scan_striped_limit`: partition i
+        // Same striping as `ScanLimit::Striped`: partition i
         // contributes its share of the LIMIT, and a Select with LIMIT s
         // returns the partition's first s rows.
         let share = (i + 1) * limit / parts - i * limit / parts;

@@ -8,7 +8,7 @@
 //! [`CostLedger`] *child* that rolls up
 //! atomically into the store-global ledger, so per-query accounting is
 //! exact under any interleaving — no resets, no snapshot deltas. Every
-//! planner entry point and algorithm family scopes itself, so callers get
+//! planner entry point scopes itself, so callers get
 //! correct per-query bills ([`crate::output::QueryOutput::billed`])
 //! without doing anything.
 
@@ -50,8 +50,9 @@ pub struct QueryContext {
     /// Route plain partition GETs through the store's segment cache
     /// (when one is installed; see [`QueryContext::with_cache`]).
     /// `false` by default so the fixed strategies keep their pure
-    /// remote-scan semantics; the planner's `cached-local` candidates
-    /// and forced-cached runs flip it per execution.
+    /// remote-scan semantics (the planner's `cached-local` candidates
+    /// read through `CachedScan` leaves whatever it says); forced-cached
+    /// runs flip it per execution.
     pub cache_reads: bool,
     /// Segment size for caching CSV partitions: cached scans split CSV
     /// bytes into fixed blocks of this many bytes, each its own
@@ -368,8 +369,8 @@ impl QueryContext {
     }
 
     /// A copy of this context that routes plain partition GETs through
-    /// the segment cache — what `cached-local` plan candidates execute
-    /// under, and a way to *force* the cached-local strategy end to end
+    /// the segment cache — a way to *force* the cached-local strategy
+    /// end to end, and to warm the cache with any baseline plan
     /// (e.g. `ctx.with_cache_reads(true)` + `Strategy::Baseline`).
     pub fn with_cache_reads(mut self, cache_reads: bool) -> Self {
         self.cache_reads = cache_reads;

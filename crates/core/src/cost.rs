@@ -5,11 +5,13 @@
 //! scope of this paper" (§VIII) — yet every figure shows the winner
 //! flipping with selectivity, group count and K. This module closes that
 //! loop with **one walker**: [`predict_plan`] prices every node of a
-//! candidate plan — scan leaves, joins, local operators, the cluster's
-//! gather / exchange fan-outs, and the multi-phase algorithm-family
-//! leaves ([`AlgoOp`]: §VI S3-side / hybrid group-by, §VII top-K), whose
-//! per-variant arithmetic is the family's own footprint, phase for
-//! phase — straight from catalog statistics
+//! candidate plan — scan leaves (samples included), joins, local
+//! operators, the cluster's gather / exchange fan-outs, and the staged
+//! operators (§V-A2 Bloom join, §VII threshold, §VI CASE-WHEN and hybrid
+//! split): each of those prices its first child, then its second with
+//! the *estimated* outcome of the predicate it will write (the fraction
+//! of rows kept, the terms added) handed down to the pushed scans below
+//! — straight from catalog statistics
 //! ([`crate::catalog::TableStats`]). The planner calls it once per
 //! candidate and once for the plan it runs; nothing else prices.
 //!
@@ -24,8 +26,7 @@
 //! interior node here joins the predicted phases through the same
 //! [`QueryMetrics::stack`] (and [`QueryMetrics::join_sides`]) the
 //! executor reports through, under the same labels. Only scan leaves
-//! and the algorithm-family arms, which report their variant's own
-//! phases, push a phase themselves.
+//! push a phase themselves.
 //!
 //! What the walks of one query share is an [`Estimators`]: one
 //! [`Estimator`] per distinct table — the partition listing, the stored
@@ -34,12 +35,11 @@
 //! plan. Cache occupancy is *not* part of the snapshot: a cached leaf is
 //! priced from the live segment cache each time it is walked.
 
-use crate::algos::groupby::{GroupByQuery, HybridOptions};
-use crate::algos::topk::{optimal_sample_size, TopKQuery};
 use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
 use crate::metrics::{Flow, QueryMetrics};
-use crate::plan::{unknown_variant, AlgoOp, PlanNode, PlanOp};
+use crate::plan::{case_when_chunk, PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE};
+use crate::scan::ScanLimit;
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Schema, Value};
 use pushdown_sql::agg::AggFunc;
@@ -234,37 +234,12 @@ impl<'a> Estimator<'a> {
         }
     }
 
-    /// Footprint of one algorithm-family leaf — the variant the leaf
-    /// names, phase for phase as its executor reports them — and the
-    /// cardinality it hands the operators stacked on it.
-    fn algo(&self, op: &AlgoOp) -> Result<(QueryMetrics, Card)> {
-        match op {
-            AlgoOp::GroupBy(q, variant) => self.groupby(q, variant),
-            AlgoOp::TopK(q, variant) => self.topk(q, variant),
-        }
-    }
-
-    // ---- Group-by (§VI) ------------------------------------------------
-
-    /// Estimated group count: product of per-column NDVs, capped at the
-    /// row count.
-    fn group_count(&self, q: &GroupByQuery) -> f64 {
-        q.group_cols
-            .iter()
-            .map(|c| self.ndv(c))
-            .product::<f64>()
-            .min(self.rows)
-            .max(1.0)
-    }
-
-    /// Phase-2 CASE-WHEN footprint for `groups` pushed groups — mirrors
-    /// `groupby::case_when_aggregate` (statement chunking under the SQL
-    /// size limit included).
-    fn case_when_phase(&self, q: &GroupByQuery, groups: f64) -> PhaseStats {
-        let key_width: f64 = q.group_cols.iter().map(|c| self.col_width(c)).sum();
-        let est_per_group = q.aggs.len() as f64 * 96.0 + key_width + 24.0;
-        let budget = (self.ctx.engine.limits().max_sql_bytes.saturating_sub(256)) as f64;
-        let chunk = (budget / est_per_group).floor().max(1.0);
+    /// The pushed CASE-WHEN aggregation of `groups` groups: `aggs`
+    /// aggregates per group, in statements chunked under the SQL size
+    /// limit exactly as the executor chunks them ([`case_when_chunk`]).
+    fn case_when_statements(&self, group_cols: &[String], aggs: usize, groups: f64) -> PhaseStats {
+        let key_bytes: f64 = group_cols.iter().map(|c| self.col_width(c) + 24.0).sum();
+        let chunk = case_when_chunk(self.ctx, aggs, key_bytes) as f64;
         let statements = (groups / chunk).ceil().max(1.0);
         let per_stmt_groups = (groups / statements).ceil();
         PhaseStats {
@@ -272,161 +247,14 @@ impl<'a> Estimator<'a> {
             s3_scanned_bytes: (statements * self.bytes) as u64,
             select_returned_bytes: (statements
                 * self.parts as f64
-                * (per_stmt_groups * q.aggs.len() as f64 * AGG_VALUE_WIDTH + 1.0))
+                * (per_stmt_groups * aggs as f64 * AGG_VALUE_WIDTH + 1.0))
                 as u64,
             server_cpu_units: (statements * self.parts as f64) as u64,
             // Each (group, aggregate) item contributes a CASE arm plus the
             // group-equality comparison(s).
-            expr_terms: (per_stmt_groups * q.aggs.len() as f64 * (2.0 + q.group_cols.len() as f64))
-                as u32,
+            expr_terms: (per_stmt_groups * aggs as f64 * (2.0 + group_cols.len() as f64)) as u32,
             ..Default::default()
         }
-    }
-
-    /// A GROUP BY query under one of §VI's multi-phase algorithms, or §X
-    /// Suggestion 4's native storage-side GROUP BY.
-    fn groupby(&self, q: &GroupByQuery, variant: &str) -> Result<(QueryMetrics, Card)> {
-        let sel = self.selectivity(q.predicate.as_ref());
-        let groups = self.group_count(q);
-        let matches = sel * self.rows;
-        let needed = q.needed_cols();
-        let pred_terms = q.predicate.as_ref().map(Expr::term_count).unwrap_or(0);
-        // Projection (+ predicate) pushed, aggregation local: what
-        // hybrid degenerates to without a populous group.
-        let filtered = || {
-            let mut phase = self.select_full_scan(matches, self.out_row_bytes(&needed), pred_terms);
-            phase.server_cpu_units += (matches + groups) as u64;
-            phase
-        };
-        let metrics = match variant {
-            // Distinct phase + CASE-WHEN aggregation phase.
-            "s3-side" => {
-                let mut distinct =
-                    self.select_full_scan(matches, self.out_row_bytes(&q.group_cols), pred_terms);
-                distinct.server_cpu_units += matches as u64;
-                let mut s3 = serial("s3-side group-by: distinct", distinct);
-                s3.push_serial(
-                    "s3-side group-by: aggregate",
-                    self.case_when_phase(q, groups),
-                );
-                s3
-            }
-            // §VI-B: sample, then push the populous groups while the
-            // long tail ships for local aggregation.
-            "hybrid" => {
-                let opts = HybridOptions::default();
-                let sample_rows = (self.rows * opts.sample_fraction).ceil().max(64.0);
-                let rows_per_part = (self.rows / self.parts as f64).max(1.0);
-                // The sequential LIMIT scan touches partitions until the
-                // sample fills; with a predicate it reads sample/sel rows.
-                let scanned_rows = (sample_rows / sel.max(1e-6)).min(self.rows);
-                let sample_phase = PhaseStats {
-                    requests: (scanned_rows / rows_per_part).ceil().max(1.0) as u64,
-                    s3_scanned_bytes: (scanned_rows * self.row_bytes).min(self.bytes) as u64,
-                    select_returned_bytes: (sample_rows * (self.col_width(&q.group_cols[0]) + 1.0))
-                        as u64,
-                    server_cpu_units: sample_rows as u64,
-                    expr_terms: pred_terms,
-                    ..Default::default()
-                };
-                let mut hybrid = serial("hybrid: sample", sample_phase);
-                // Uniform-share assumption: every group holds ~1/G of the
-                // sample, so either all of the top `max_s3_groups` qualify or
-                // none does.
-                let n_big = if 1.0 / groups >= opts.min_share {
-                    groups.min(opts.max_s3_groups as f64)
-                } else {
-                    0.0
-                };
-                if n_big == 0.0 {
-                    hybrid.push_serial("filtered group-by", filtered());
-                } else {
-                    let tail_frac = (1.0 - n_big / groups).max(0.0);
-                    let tail_rows = matches * tail_frac;
-                    let mut tail = self.select_full_scan(
-                        tail_rows,
-                        self.out_row_bytes(&needed),
-                        pred_terms + n_big as u32 + 1,
-                    );
-                    tail.server_cpu_units += (tail_rows + groups) as u64;
-                    hybrid.push_parallel(vec![
-                        (
-                            "hybrid: s3-side aggregation".into(),
-                            self.case_when_phase(q, n_big),
-                        ),
-                        ("hybrid: server-side aggregation".into(), tail),
-                    ]);
-                }
-                hybrid
-            }
-            "s3-native" => {
-                let mut phase = self.select_full_scan(
-                    (self.parts as f64 * groups).min(self.rows),
-                    self.out_row_bytes(&needed),
-                    pred_terms + q.group_cols.len() as u32,
-                );
-                phase.server_cpu_units += (self.parts as f64 * groups) as u64;
-                serial("s3-native group-by (suggestion 4)", phase)
-            }
-            other => return Err(unknown_variant("group-by", other)),
-        };
-        let card = Card {
-            rows: groups,
-            row_bytes: self.out_row_bytes(&q.group_cols) + q.aggs.len() as f64 * AGG_VALUE_WIDTH,
-        };
-        Ok((metrics, card))
-    }
-
-    // ---- Top-K (§VII) --------------------------------------------------
-
-    /// `ORDER BY col LIMIT k`: a server-side heap (plain or cached) or
-    /// the two-phase sampling algorithm at the §VII-B optimal sample
-    /// size. `cached-local` is the server-side variant behind
-    /// [`Estimator::cached_load`]: the two share one CPU estimate, because
-    /// the cold-cache tie with server-side (which the warm-the-cache
-    /// tie-break relies on) requires the cached and plain loads to price
-    /// *identically*.
-    fn topk(&self, q: &TopKQuery, variant: &str) -> Result<(QueryMetrics, Card)> {
-        let k = q.k as f64;
-        let log_k = (q.k.max(2) as f64).log2().ceil();
-        let metrics = match variant {
-            "cached-local" | "server-side" => {
-                let extra = self.rows * log_k + k;
-                let load = match variant {
-                    "cached-local" => self.cached_load(extra)?,
-                    _ => self.plain_load(extra),
-                };
-                serial("server-side top-k", load)
-            }
-            "sampling" => {
-                // Mirror `topk::sampling`'s default sample size.
-                let alpha = 1.0 / self.table.schema.len().max(1) as f64;
-                let s = optimal_sample_size(q.k, self.table.row_count, alpha).max(q.k) as f64;
-                let order_width = self.col_width(&q.order_col) + 1.0;
-                let phase1 = PhaseStats {
-                    // Striped: every partition serves its share.
-                    requests: self.parts.min(s as u64),
-                    s3_scanned_bytes: (s * self.row_bytes).min(self.bytes) as u64,
-                    select_returned_bytes: (s * order_width) as u64,
-                    server_cpu_units: s as u64,
-                    ..Default::default()
-                };
-                // Threshold = K-th order statistic of the sample ⇒ phase 2
-                // matches ≈ K/(S+1) of the table (plus the K survivors' heap).
-                let phase2_rows = (self.rows * k / (s + 1.0) + k).min(self.rows);
-                let mut phase2 = self.select_full_scan(phase2_rows, self.row_bytes, 1);
-                phase2.server_cpu_units = (phase2_rows * (1.0 + log_k)) as u64;
-                let mut sampling = serial("sampling phase", phase1);
-                sampling.push_serial("scanning phase", phase2);
-                sampling
-            }
-            other => return Err(unknown_variant("top-k", other)),
-        };
-        let card = Card {
-            rows: k.min(self.rows),
-            row_bytes: self.row_bytes,
-        };
-        Ok((metrics, card))
     }
 }
 
@@ -441,11 +269,7 @@ impl<'a> Estimators<'a> {
     /// Snapshot every table a leaf of `plans` reads.
     pub fn new(ctx: &'a QueryContext, plans: impl IntoIterator<Item = &'a PlanNode>) -> Self {
         fn collect<'a>(ests: &mut Estimators<'a>, node: &'a PlanNode) {
-            let table = match &node.op {
-                PlanOp::Algo(algo) => Some(algo.table()),
-                _ => node.scan_table(),
-            };
-            if let Some(table) = table.filter(|t| ests.find(t).is_none()) {
+            if let Some(table) = node.scan_table().filter(|t| ests.find(t).is_none()) {
                 ests.tables.push(Estimator::new(ests.ctx, table));
             }
             for c in &node.children {
@@ -506,18 +330,18 @@ struct Card {
 }
 
 /// Price a whole physical plan by summing per-operator [`PhaseStats`]:
-/// scan leaves from per-table statistics, algorithm-family leaves by
-/// their variant's own phases, joins by key-containment, group-bys by
-/// NDV products, local operators by their CPU charge. `ests` must hold
+/// scan leaves from per-table statistics, joins by key-containment,
+/// group-bys by NDV products, local operators by their CPU charge,
+/// staged operators by the estimated outcome of the SQL they write. `ests` must hold
 /// the plan's tables ([`Estimators::new`] over the query's candidates).
 ///
 /// # Errors
 ///
 /// A partition listed in a table's snapshot has vanished from under a
-/// cached leaf, or an algorithm-family leaf names a variant its family
-/// does not have.
+/// cached leaf, or a staged operator has no pushed scan under its first
+/// child.
 pub fn predict_plan(ests: &Estimators<'_>, node: &PlanNode) -> Result<PlanPrediction> {
-    let (root, metrics, _) = predict_node(ests, node)?;
+    let (root, metrics, _) = predict_node(ests, node, WHOLE)?;
     Ok(PlanPrediction { metrics, root })
 }
 
@@ -599,9 +423,78 @@ impl Estimator<'_> {
         (self.plain_load(extra), extra, card)
     }
 
-    /// Predicted footprint of a pushed scalar-aggregate leaf: a full
-    /// storage-side scan that returns one partial row per partition.
-    fn pushdown_aggregate(&self, stmt: &SelectStmt) -> (PhaseStats, Card) {
+    /// Predicted footprint of a pushed scan cut short to a sample of `n`
+    /// rows: the scan reads until it has them — `n / selectivity` rows —
+    /// and stops. A prefix touches partitions one after the other until
+    /// the sample fills; a striped sample asks every partition for its
+    /// share.
+    fn sampled_scan(
+        &self,
+        predicate: &Option<Expr>,
+        projection: &Option<Vec<String>>,
+        limit: ScanLimit,
+    ) -> (PhaseStats, Card) {
+        let sel = self.selectivity(predicate.as_ref());
+        let (ScanLimit::Prefix(n) | ScanLimit::Striped(n)) = limit;
+        let scanned_rows = (n as f64 / sel.max(1e-6)).min(self.rows);
+        let requests = match limit {
+            ScanLimit::Prefix(_) => {
+                let rows_per_part = (self.rows / self.parts as f64).max(1.0);
+                (scanned_rows / rows_per_part).ceil().max(1.0) as u64
+            }
+            ScanLimit::Striped(_) => self.parts.min(n as u64),
+        };
+        let card = Card {
+            rows: n as f64,
+            row_bytes: self.projected_row_bytes(projection),
+        };
+        let stats = PhaseStats {
+            requests,
+            s3_scanned_bytes: (scanned_rows * self.row_bytes).min(self.bytes) as u64,
+            select_returned_bytes: (card.rows * card.row_bytes) as u64,
+            server_cpu_units: n as u64,
+            expr_terms: predicate.as_ref().map_or(0, Expr::term_count),
+            ..Default::default()
+        };
+        (stats, card)
+    }
+
+    /// Predicted footprint of a pushed aggregate leaf: a full
+    /// storage-side scan that returns one partial row per partition —
+    /// per group, under §X's native `GROUP BY`.
+    fn pushdown_aggregate(&self, stmt: &SelectStmt, group_by: &[String]) -> (PhaseStats, Card) {
+        let is_agg = |i: &&SelectItem| matches!(i, SelectItem::Agg { .. });
+        let aggs = stmt.items.iter().filter(is_agg).count() as f64;
+        if !group_by.is_empty() {
+            let groups = group_by.iter().map(|c| self.ndv(c)).product::<f64>();
+            let groups = groups.min(self.rows).max(1.0);
+            // Columns the statement touches: groups ∪ aggregate inputs.
+            let mut refs = group_by.to_vec();
+            for item in &stmt.items {
+                if let SelectItem::Agg { arg: Some(a), .. } = item {
+                    a.referenced_columns(&mut refs);
+                }
+            }
+            let mut needed: Vec<String> = Vec::new();
+            for c in refs {
+                if !needed.iter().any(|x| x.eq_ignore_ascii_case(&c)) {
+                    needed.push(c);
+                }
+            }
+            let partials = self.parts as f64 * groups;
+            let terms = stmt.where_clause.as_ref().map_or(0, Expr::term_count);
+            let mut phase = self.select_full_scan(
+                partials.min(self.rows),
+                self.out_row_bytes(&needed),
+                terms + group_by.len() as u32,
+            );
+            phase.server_cpu_units += partials as u64;
+            let card = Card {
+                rows: groups,
+                row_bytes: self.out_row_bytes(group_by) + aggs * AGG_VALUE_WIDTH,
+            };
+            return (phase, card);
+        }
         // AVG decomposes into SUM+COUNT per partition on the pushed path.
         let pushed_vals: f64 = stmt
             .items
@@ -626,9 +519,27 @@ impl Estimator<'_> {
     }
 }
 
+/// What the predicate a staged operator writes at run time is estimated
+/// to do to the pushed scans under its second child: the fraction of the
+/// otherwise matching rows it keeps, and the terms it adds to their
+/// Select predicates.
+#[derive(Debug, Clone, Copy)]
+struct Injected {
+    keep: f64,
+    terms: u32,
+}
+
+/// No injected predicate: the scans run as lowered.
+const WHOLE: Injected = Injected {
+    keep: 1.0,
+    terms: 0,
+};
+
 type Predicted = (PredNode, QueryMetrics, Card);
 
-fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
+/// One node of the walk. `inj` is what a staged operator above estimated
+/// of its run-time predicate; it reaches every pushed scan below.
+fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result<Predicted> {
     // A scan leaf opens a phase named like the executor's.
     let leaf = |stats: PhaseStats, phase: &str, table: &Table, card: Card| {
         (
@@ -666,6 +577,19 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             bc.row_bytes + pc.row_bytes,
         )
     };
+    // A staged operator: its first child to the end, then its second.
+    let staged = |stats: PhaseStats, first: Predicted, second: Predicted| {
+        let ((fnode, fm, _), (snode, sm, card)) = (first, second);
+        (
+            PredNode {
+                stats,
+                children: vec![fnode, snode],
+            },
+            QueryMetrics::join_sides(fm, sm, false),
+            card,
+        )
+    };
+    let walk = |i: usize, inj: Injected| predict_node(ests, &node.children[i], inj);
     Ok(match &node.op {
         PlanOp::LocalScan {
             table,
@@ -679,12 +603,21 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             table,
             predicate,
             projection,
+            limit,
         } => {
-            let (stats, card) = ests.of(table).pushdown_scan(predicate, projection, 1.0, 0);
+            let est = ests.of(table);
+            let (stats, card) = match limit {
+                None => est.pushdown_scan(predicate, projection, inj.keep, inj.terms),
+                Some(limit) => est.sampled_scan(predicate, projection, *limit),
+            };
             leaf(stats, "select", table, card)
         }
-        PlanOp::PushdownAggregate { table, stmt } => {
-            let (stats, card) = ests.of(table).pushdown_aggregate(stmt);
+        PlanOp::PushdownAggregate {
+            table,
+            stmt,
+            group_by,
+        } => {
+            let (stats, card) = ests.of(table).pushdown_aggregate(stmt, group_by);
             leaf(stats, "select", table, card)
         }
         PlanOp::CachedScan {
@@ -705,8 +638,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             build_key,
             probe_key,
         } => {
-            let build = predict_node(ests, &node.children[0])?;
-            let probe = predict_node(ests, &node.children[1])?;
+            let (build, probe) = (walk(0, inj)?, walk(1, inj)?);
             let (b, p) = (build.2.rows, probe.2.rows);
             let rows = join_out_rows(ests, b, p, build_key, probe_key);
             let (root, metrics, row_bytes) =
@@ -718,37 +650,28 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             probe_key,
             fpr,
         } => {
-            let build = predict_node(ests, &node.children[0])?;
+            let build = walk(0, inj)?;
             let bc = build.2;
-            // The probe is a PushdownScan whose predicate gains the Bloom
-            // filter: containment says a `keep` fraction of otherwise
-            // matching rows survives the storage-side filter.
-            let probe = match &node.children[1].op {
-                PlanOp::PushdownScan {
-                    table,
-                    predicate,
-                    projection,
-                } => {
-                    let build_keys = bc.rows.min(col_ndv(ests, build_key));
-                    let probe_ndv = col_ndv(ests, probe_key);
-                    let match_frac = (build_keys / probe_ndv.max(1.0)).min(1.0);
-                    let keep = (match_frac + fpr * (1.0 - match_frac)).min(1.0);
-                    let hashes = (1.0 / fpr).log2().ceil().max(1.0) as u32;
-                    let (stats, card) = ests
-                        .of(table)
-                        .pushdown_scan(predicate, projection, keep, hashes);
-                    // Named for what the SQL limit will make of the
-                    // requested rate (priced at the requested one).
-                    let planned = crate::plan::bloom_builder(ests.ctx).plan(
-                        (build_keys as usize).max(1),
-                        *fpr,
-                        probe_key,
-                    );
-                    let phase = crate::plan::bloom_probe_phase(&planned);
-                    leaf(stats, &phase, table, card)
-                }
-                _ => predict_node(ests, &node.children[1])?,
+            // The probe's pushed scans gain the Bloom filter: containment
+            // says a `keep` fraction of otherwise matching rows survives
+            // the storage-side filter.
+            let build_keys = bc.rows.min(col_ndv(ests, build_key));
+            let probe_ndv = col_ndv(ests, probe_key);
+            let match_frac = (build_keys / probe_ndv.max(1.0)).min(1.0);
+            let bloom = Injected {
+                keep: (match_frac + fpr * (1.0 - match_frac)).min(1.0),
+                terms: (1.0 / fpr).log2().ceil().max(1.0) as u32,
             };
+            let mut probe = walk(1, bloom)?;
+            // Named for what the SQL limit will make of the requested
+            // rate (priced at the requested one).
+            let planned = crate::plan::bloom_builder(ests.ctx).plan(
+                (build_keys as usize).max(1),
+                *fpr,
+                probe_key,
+            );
+            let phase = crate::plan::bloom_probe_phase(&planned);
+            probe.1.relabel("select", &phase);
             let p = probe.2.rows;
             let rows = join_out_rows(ests, bc.rows, p, build_key, probe_key);
             let stats = cpu_phase(bc.rows + p + rows);
@@ -757,7 +680,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             (root, metrics, Card { rows, row_bytes })
         }
         PlanOp::LocalFilter { predicate } => {
-            let child = predict_node(ests, &node.children[0])?;
+            let child = walk(0, inj)?;
             let sel = selectivity(predicate, &node.children[0].schema, None);
             let card = Card {
                 rows: sel * child.2.rows,
@@ -767,7 +690,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             stacked(stats, "residual filter", Flow::Streaming, child, card)
         }
         PlanOp::Project { exprs } => {
-            let child = predict_node(ests, &node.children[0])?;
+            let child = walk(0, inj)?;
             let width: f64 = exprs
                 .iter()
                 .map(|e| match e {
@@ -784,7 +707,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             stacked(stats, "project", Flow::Streaming, child, card)
         }
         PlanOp::GroupBy { group_width, aggs } => {
-            let child = predict_node(ests, &node.children[0])?;
+            let child = walk(0, inj)?;
             // Group count: NDV product over the group keys — the
             // expressions of the Project the planner places below, or,
             // where the input already delivers what the group-by consumes
@@ -848,7 +771,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             )
         }
         PlanOp::Aggregate { aggs } => {
-            let child = predict_node(ests, &node.children[0])?;
+            let child = walk(0, inj)?;
             let stats = cpu_phase(child.2.rows * aggs.len().max(1) as f64);
             let card = Card {
                 rows: 1.0,
@@ -857,17 +780,24 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
             stacked(stats, "aggregate", Flow::Breaker, child, card)
         }
         PlanOp::Sort { limit, .. } => {
-            let child = predict_node(ests, &node.children[0])?;
+            let child = walk(0, inj)?;
             let n = child.2.rows.max(1.0);
-            let stats = cpu_phase(n * n.log2().max(1.0));
+            let (work, rows) = match limit {
+                None => (n * n.log2().max(1.0), n),
+                // A K-heap: every row is a candidate, K leave sorted.
+                Some(k) => {
+                    let log_k = ((*k).max(2) as f64).log2().ceil();
+                    (child.2.rows * log_k + *k as f64, n.min(*k as f64))
+                }
+            };
             let card = Card {
-                rows: limit.map_or(n, |k| n.min(k as f64)),
+                rows,
                 row_bytes: child.2.row_bytes,
             };
-            stacked(stats, "sort", Flow::Breaker, child, card)
+            stacked(cpu_phase(work), "sort", Flow::Breaker, child, card)
         }
         PlanOp::Limit { n } => {
-            let (cn, cm, cc) = predict_node(ests, &node.children[0])?;
+            let (cn, cm, cc) = walk(0, inj)?;
             let card = Card {
                 rows: cc.rows.min(*n as f64),
                 row_bytes: cc.row_bytes,
@@ -881,30 +811,91 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
                 card,
             )
         }
-        // An algorithm-family leaf reports one merged footprint and the
-        // phases of its own variant, as its executor does.
-        PlanOp::Algo(algo) => {
-            let (mut metrics, card) = ests.of(algo.table()).algo(algo)?;
-            metrics.close();
-            let node = PredNode {
-                stats: crate::plan::merged_stats(&metrics),
-                children: Vec::new(),
+        PlanOp::Threshold { k, .. } => {
+            let (table, ..) = node.children[0].pushdown_leaf()?;
+            let mut sample = walk(0, inj)?;
+            let s = sample.2.rows;
+            let own = cpu_phase(s);
+            // Threshold = K-th order statistic of the sample ⇒ the scan
+            // matches ≈ K/(S+1) of the table (plus the K themselves).
+            let rows = ests.of(table).rows;
+            let k = *k as f64;
+            let threshold = Injected {
+                keep: ((rows * k / (s + 1.0) + k) / rows).min(1.0),
+                terms: 1,
             };
-            (node, metrics, card)
+            let mut scan = walk(1, threshold)?;
+            let select = format!("select {}", table.name);
+            sample.1.relabel(&select, "sampling phase");
+            sample.1.stack("threshold", own, Flow::Breaker);
+            scan.1.relabel(&select, "scanning phase");
+            staged(own, sample, scan)
+        }
+        PlanOp::CaseWhen { aggs } => {
+            let (table, _, group_cols) = node.children[0].pushdown_leaf()?;
+            let distinct = walk(0, inj)?;
+            let groups = distinct.2.rows;
+            let est = ests.of(table);
+            let stats = est.case_when_statements(group_cols, aggs.len(), groups);
+            let card = Card {
+                rows: groups,
+                row_bytes: est.out_row_bytes(group_cols) + aggs.len() as f64 * AGG_VALUE_WIDTH,
+            };
+            stacked(
+                stats,
+                "case-when aggregation",
+                Flow::Breaker,
+                distinct,
+                card,
+            )
+        }
+        PlanOp::HybridSplit { aggs, force } => {
+            let (table, _, group_cols) = node.children[0].pushdown_leaf()?;
+            let est = ests.of(table);
+            let mut sample = walk(0, inj)?;
+            let mut own = cpu_phase(sample.2.rows);
+            let select = format!("select {}", table.name);
+            sample.1.relabel(&select, "hybrid: sample");
+            sample.1.stack("split", own, Flow::Breaker);
+            // Uniform-share assumption: every group holds ~1/G of the
+            // sample, so either all of the top `HYBRID_MAX_S3_GROUPS`
+            // qualify or none does.
+            let groups = group_cols.iter().map(|c| est.ndv(c)).product::<f64>();
+            let groups = groups.min(est.rows).max(1.0);
+            let n_big = match force {
+                Some(n) => (*n as f64).min(groups),
+                None if 1.0 / groups >= HYBRID_MIN_SHARE => groups.min(HYBRID_MAX_S3_GROUPS as f64),
+                None => 0.0,
+            };
+            if n_big == 0.0 {
+                return Ok(staged(own, sample, walk(1, WHOLE)?));
+            }
+            let not_in = Injected {
+                keep: (1.0 - n_big / groups).max(0.0),
+                terms: n_big as u32 + 1,
+            };
+            let mut tail = walk(1, not_in)?;
+            tail.1.relabel(&select, "hybrid: server-side aggregation");
+            let s3 = est.case_when_statements(group_cols, aggs.len(), n_big);
+            tail.1 =
+                QueryMetrics::join_sides(serial("hybrid: s3-side aggregation", s3), tail.1, true);
+            tail.2.rows = groups;
+            own.merge(&s3);
+            staged(own, sample, tail)
         }
         PlanOp::Gather { .. } => {
             // No cluster, or a fan-out over something that is not a scan
             // leaf: predict the first child serially — the executor
             // degenerates the same way.
-            match predict_gather(ests, node) {
+            match predict_gather(ests, node, inj) {
                 Some(out) => out,
-                None => predict_node(ests, &node.children[0])?,
+                None => walk(0, inj)?,
             }
         }
         // A bare Exchange predicts (and executes) as its child.
-        PlanOp::Exchange { .. } => predict_node(ests, &node.children[0])?,
+        PlanOp::Exchange { .. } => walk(0, inj)?,
         PlanOp::Repartition { nodes, .. } => {
-            let (cn, cm, cc) = predict_node(ests, &node.children[0])?;
+            let (cn, cm, cc) = walk(0, inj)?;
             let n = (*nodes).max(1) as f64;
             // Modeled all-to-all shuffle: the expected cross-node share
             // of the serialized child volume. No metrics phase here — the
@@ -932,7 +923,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode) -> Result<Predicted> {
 /// occupancy), and metering each node's result share as exchange volume.
 /// Returns `None` without a cluster, or when the first child's child is
 /// not a scan leaf.
-fn predict_gather(ests: &Estimators<'_>, node: &PlanNode) -> Option<Predicted> {
+fn predict_gather(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Option<Predicted> {
     let ctx = ests.ctx;
     let cluster = ctx.cluster.as_ref()?;
     let leaf_node = node.children.first()?.children.first()?;
@@ -956,9 +947,10 @@ fn predict_gather(ests: &Estimators<'_>, node: &PlanNode) -> Option<Predicted> {
             table,
             predicate,
             projection,
+            limit: None,
         } => {
             let est = ests.of(table);
-            let (full, card) = est.pushdown_scan(predicate, projection, 1.0, 0);
+            let (full, card) = est.pushdown_scan(predicate, projection, inj.keep, inj.terms);
             (est, full, card)
         }
         _ => return None,

@@ -30,8 +30,8 @@ pub struct ScanFragment {
     /// Vectorized form of `predicate`, when it compiles.
     compiled: Option<ops::ColumnarPred>,
     outputs: Option<Vec<BoundExpr>>,
-    /// `(output column, k, ascending)`.
-    top_k: Option<(usize, usize, bool)>,
+    /// `((output column, ascending) sort keys, k)`.
+    top_k: Option<(Vec<(usize, bool)>, usize)>,
     /// The table columns a partition decodes, ascending: every column
     /// for a whole-row fragment, else the referenced ones. The
     /// expressions above address this projection, not the table schema.
@@ -95,15 +95,15 @@ impl ScanFragment {
         Self::new(table, predicate, Some(outputs))
     }
 
-    /// Reduce every partition's survivors to their `k` best rows by
-    /// output column `col` ([`ops::TopKAccumulator`]'s order; the `k`
-    /// best of a multiset do not depend on the order they are offered
-    /// in, so the candidates arrive unordered). Charges what the
-    /// accumulator charges for every row offered, so the query's own
-    /// accumulator must take the candidates uncharged
+    /// Reduce every partition's survivors to their `k` best rows by the
+    /// `(output column, ascending)` sort `keys` ([`ops::TopKAccumulator`]'s
+    /// order; a partition's candidates leave in storage order, so ties
+    /// break downstream as they would over the whole scan). Charges
+    /// what the accumulator charges for every row offered, so the
+    /// query's own accumulator must take the candidates uncharged
     /// ([`ops::TopKAccumulator::absorb`]).
-    pub fn top_k(mut self, col: usize, k: usize, asc: bool) -> Self {
-        self.top_k = Some((col, k, asc));
+    pub fn top_k(mut self, keys: &[(usize, bool)], k: usize) -> Self {
+        self.top_k = Some((keys.to_vec(), k));
         self
     }
 
@@ -134,12 +134,13 @@ impl ScanFragment {
         let capacity = capacity.max(1);
         Outbox {
             fragment: self,
-            pending: match self.top_k {
-                Some((col, k, asc)) => Pending::Best(ops::TopKAccumulator::new(col, k, asc)),
+            pending: match &self.top_k {
+                Some((keys, k)) => Pending::Best(ops::TopKAccumulator::new(keys, *k)),
                 None => Pending::Batch(BatchBuilder::new(self.schema.clone(), capacity)),
             },
             capacity,
             charged: PhaseStats::default(),
+            reduced: PhaseStats::default(),
             emit,
         }
     }
@@ -158,7 +159,9 @@ pub(crate) struct Outbox<'a, E> {
     fragment: &'a ScanFragment,
     pending: Pending,
     capacity: usize,
+    /// What the predicate charged, and what the reducer did.
     charged: PhaseStats,
+    reduced: PhaseStats,
     emit: E,
 }
 
@@ -190,7 +193,7 @@ impl<E: FnMut(RowBatch) -> Result<()>> Outbox<'_, E> {
         };
         if let (Pending::Best(heap), None) = (&mut self.pending, &fragment.outputs) {
             // Whole-row top-K: only rows entering the heap materialize.
-            heap.push_columnar(group, &sel, &mut self.charged);
+            heap.push_columnar(group, &sel, &mut self.reduced);
             return Ok(());
         }
         for &i in &sel {
@@ -215,7 +218,7 @@ impl<E: FnMut(RowBatch) -> Result<()>> Outbox<'_, E> {
 
     fn push(&mut self, row: Row) -> Result<()> {
         match &mut self.pending {
-            Pending::Best(heap) => heap.push_row(row, &mut self.charged),
+            Pending::Best(heap) => heap.push_row(row, &mut self.reduced),
             Pending::Batch(batch) => {
                 if let Some(full) = batch.push(row) {
                     (self.emit)(full)?;
@@ -226,8 +229,9 @@ impl<E: FnMut(RowBatch) -> Result<()>> Outbox<'_, E> {
     }
 
     /// Emit what is left — the partial last batch, or the heap's rows —
-    /// and return the CPU units the fragment charged on this partition.
-    pub(crate) fn finish(mut self) -> Result<u64> {
+    /// and return the CPU units the fragment charged on this partition:
+    /// its predicate's, and its reducer's.
+    pub(crate) fn finish(mut self) -> Result<(u64, u64)> {
         let rest = match self.pending {
             Pending::Batch(batch) => batch.finish().into_iter().collect(),
             Pending::Best(heap) => {
@@ -237,6 +241,6 @@ impl<E: FnMut(RowBatch) -> Result<()>> Outbox<'_, E> {
         for batch in rest {
             (self.emit)(batch)?;
         }
-        Ok(self.charged.server_cpu_units)
+        Ok((self.charged.server_cpu_units, self.reduced.server_cpu_units))
     }
 }

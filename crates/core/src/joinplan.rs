@@ -1,7 +1,5 @@
 //! Lowering [`QuerySpec`]s into physical-plan candidates: every
-//! statement is a join of *n ≥ 1* tables. ([`crate::planner`] appends the
-//! algorithm-family leaves that are no tree of IR operators, under the
-//! same ORDER BY / LIMIT stack: `order_limit_stack`.)
+//! statement is a join of *n ≥ 1* tables.
 //!
 //! A query (`FROM a [JOIN b ON ... [JOIN c ON ...]]`) lowers to a
 //! left-deep tree of hash joins over per-table scan leaves — one bare
@@ -16,7 +14,12 @@
 //! §VI server-side / filtered group-by: the leaf projects the columns
 //! the stack consumes, in the stack's order, so no `Project` sits
 //! between them and the pushed variant ships the family's own Select
-//! statement.
+//! statement. Beside those stand, for one table, the paper's *staged*
+//! algorithms — the ones whose second Select statement is written from
+//! the first one's rows ([`crate::plan`]): §VI's S3-side and hybrid
+//! group-by (and, under the extended engine, §X's native one) and §VII's
+//! sampling top-K, each a tree of scan leaves under one staged operator,
+//! under the same ORDER BY / LIMIT stack.
 //!
 //! Column references are resolved *across* the joined schemas: a name
 //! must belong to exactly one table (ambiguity is a bind error), which
@@ -25,15 +28,47 @@
 use crate::catalog::Table;
 use crate::context::QueryContext;
 use crate::plan::{PlanNode, PlanOp};
+use crate::scan::ScanLimit;
 use pushdown_common::{DataType, Error, Field, Result, Schema};
 use pushdown_sql::agg::AggFunc;
-use pushdown_sql::ast::QuerySpec;
+use pushdown_sql::ast::{OrderBy, QuerySpec};
 use pushdown_sql::bind::Binder;
 use pushdown_sql::{Expr, SelectItem};
 
 /// False-positive rate the Bloom-join candidates request (the paper's
 /// default operating point; Fig 4 sweeps it).
 const BLOOM_FPR: f64 = 0.01;
+
+/// Fraction of the table the hybrid group-by samples (paper §VI-B: "the
+/// first 1 % of data"), and the fewest rows it asks for.
+const HYBRID_SAMPLE_FRACTION: f64 = 0.01;
+const HYBRID_MIN_SAMPLE_ROWS: f64 = 64.0;
+
+/// The paper's traffic-optimal top-K sample size `S* = sqrt(K·N/α)`
+/// (§VII-B), where `α` is the fraction of each record the sampling phase
+/// must read — clamped to `[10·K, N]` so the sample always dominates K
+/// and never exceeds the table.
+pub fn optimal_sample_size(k: usize, n: u64, alpha: f64) -> usize {
+    let s = ((k as f64) * (n as f64) / alpha.clamp(0.001, 1.0)).sqrt();
+    let lo = (10 * k.max(1)) as f64;
+    s.max(lo).min(n as f64).ceil() as usize
+}
+
+/// `ORDER BY col LIMIT k` over `*` of one unfiltered table — the §VII
+/// top-K shape, whose pushed candidate is the sampling algorithm.
+pub(crate) fn top_k(spec: &QuerySpec) -> Option<(&OrderBy, usize)> {
+    match (
+        spec.joins.as_slice(),
+        spec.order_by.as_slice(),
+        spec.select.limit,
+        &spec.select.where_clause,
+        spec.group_by.as_slice(),
+        spec.select.items.as_slice(),
+    ) {
+        ([], [order], Some(k), None, [], [SelectItem::Wildcard]) => Some((order, k as usize)),
+        _ => None,
+    }
+}
 
 /// One join edge with its keys resolved: `build_key` lives in the
 /// accumulated left side, `probe_key` in the newly joined table.
@@ -51,6 +86,8 @@ enum ScanMode {
     Local,
     /// Predicate + projection pushed into S3 Select.
     Pushed,
+    /// Pushed, and cut short to a sample of the table.
+    Sampled(ScanLimit),
     /// Read through the local segment cache (hybrid tier).
     Cached,
 }
@@ -58,7 +95,9 @@ enum ScanMode {
 /// Lower a query to its candidate plans, named by strategy. One table:
 /// the three scan modes under its family's names — `"cached-local"`,
 /// `"server-side"`, and the pushed `"s3-side"` (`"filtered"` under a
-/// GROUP BY). Joins: `"baseline"` (all plain loads), `"filtered"` (all
+/// GROUP BY; `"sampling"`, with the §VII threshold between the sort and
+/// the scan, for a top-K) — and then the staged group-bys that apply
+/// (`staged_group_bys`). Joins: `"baseline"` (all plain loads), `"filtered"` (all
 /// scans pushed), `"bloom"` (pushed + Bloom probe filters, when keys are
 /// integers), and — for two-table joins — the mixed
 /// `"build-push"`/`"probe-push"` combinations; with a segment cache,
@@ -83,6 +122,7 @@ pub fn lower_candidates(
     // The all-cached, all-local and all-pushed combinations, under the
     // names the statement's family gives them.
     let [cached, local, pushed] = match (n, spec.group_by.is_empty()) {
+        (1, true) if top_k(spec).is_some() => ["cached-local", "server-side", "sampling"],
         (1, true) => ["cached-local", "server-side", "s3-side"],
         (1, false) => ["cached-local", "server-side", "filtered"],
         _ => ["cached", "baseline", "filtered"],
@@ -119,9 +159,115 @@ pub fn lower_candidates(
         let plan = build_plan(
             &tables, &edges, &per_table, &residual, &needed, &modes, bloom, spec,
         )?;
-        out.push((name, plan));
+        out.push(match (name, top_k(spec)) {
+            ("sampling", Some((order, k))) => (name, sampled(plan, &tables[0], order, k)),
+            _ => (name, plan),
+        });
+    }
+    if n == 1 && !spec.group_by.is_empty() {
+        staged_group_bys(ctx, &tables[0], &needed[0], spec, &mut out)?;
     }
     Ok(out)
+}
+
+/// §VII-A sampling top-K out of the pushed top-K tree `Sort(scan)`: a
+/// [`PlanOp::Threshold`] between the two, fed by a striped sample of the
+/// order column at the §VII-B optimal size (`α` = the order column's
+/// share of the row, approximated by column count).
+fn sampled(mut sort: PlanNode, table: &Table, order: &OrderBy, k: usize) -> PlanNode {
+    let alpha = 1.0 / table.schema.len().max(1) as f64;
+    let size = optimal_sample_size(k, table.row_count, alpha).max(k);
+    let column = Some(vec![order.column.clone()]);
+    let sample = scan_node(
+        table,
+        None,
+        &column,
+        ScanMode::Sampled(ScanLimit::Striped(size)),
+    );
+    let scan = sort.children.pop().expect("a Sort over the pushed scan");
+    let op = PlanOp::Threshold {
+        column: order.column.clone(),
+        asc: order.asc,
+        k,
+    };
+    let schema = scan.schema.clone();
+    sort.children = vec![PlanNode::new(op, vec![sample, scan], schema)];
+    sort
+}
+
+/// The staged group-by candidates of a one-table `GROUP BY` whose
+/// aggregate arguments are all plain columns or `COUNT(*)`, each under
+/// the statement's ORDER BY / LIMIT stack and answering in the trees'
+/// schema (aliases included):
+///
+/// * `"s3-side"` and `"hybrid"` need an aggregate to push as CASE-WHEN
+///   items, `"hybrid"` a single grouping column: [`PlanOp::CaseWhen`] over
+///   the distinct groups, [`PlanOp::HybridSplit`] over a prefix sample of
+///   the grouping column and the `filtered` group-by as its tail;
+/// * `"s3-native"` exists under the engine's §X extension only: the
+///   statement shipped whole, `GROUP BY` included.
+fn staged_group_bys(
+    ctx: &QueryContext,
+    table: &Table,
+    needed: &Option<Vec<String>>,
+    spec: &QuerySpec,
+    out: &mut Vec<(&'static str, PlanNode)>,
+) -> Result<()> {
+    let mut aggs = Vec::new();
+    for item in &spec.select.items {
+        match item {
+            SelectItem::Agg {
+                func, arg: None, ..
+            } => aggs.push((*func, None)),
+            SelectItem::Agg {
+                func,
+                arg: Some(Expr::Column(c)),
+                ..
+            } => aggs.push((*func, Some(c.clone()))),
+            SelectItem::Agg { .. } => return Ok(()),
+            _ => {}
+        }
+    }
+    let native = ctx.engine.extensions().native_group_by;
+    if aggs.is_empty() && !native {
+        return Ok(());
+    }
+    let predicate = &spec.select.where_clause;
+    let pushed = |needed| scan_node(table, predicate.clone(), needed, ScanMode::Pushed);
+    let tail = aggregate_stack(pushed(needed), spec)?;
+    let schema = tail.schema.clone();
+    let mut staged: Vec<(&'static str, PlanOp, Vec<PlanNode>)> = Vec::new();
+    if !aggs.is_empty() {
+        let distinct = pushed(&Some(spec.group_by.clone()));
+        let op = PlanOp::GroupBy {
+            group_width: spec.group_by.len(),
+            aggs: Vec::new(),
+        };
+        let groups = PlanNode::new(op, vec![distinct.clone()], distinct.schema);
+        let op = PlanOp::CaseWhen { aggs: aggs.clone() };
+        staged.push(("s3-side", op, vec![groups]));
+        if let [group] = spec.group_by.as_slice() {
+            let rows = (table.row_count as f64 * HYBRID_SAMPLE_FRACTION).ceil();
+            let limit = ScanLimit::Prefix(rows.max(HYBRID_MIN_SAMPLE_ROWS) as usize);
+            let column = Some(vec![group.clone()]);
+            let sample = scan_node(table, predicate.clone(), &column, ScanMode::Sampled(limit));
+            let op = PlanOp::HybridSplit { aggs, force: None };
+            staged.push(("hybrid", op, vec![sample, tail]));
+        }
+    }
+    if native {
+        let op = PlanOp::PushdownAggregate {
+            table: table.clone(),
+            stmt: spec.select.clone(),
+            group_by: spec.group_by.clone(),
+        };
+        staged.push(("s3-native", op, Vec::new()));
+    }
+    for (name, op, children) in staged {
+        let node = PlanNode::new(op, children, schema.clone());
+        out.push((name, order_limit_stack(node, spec)?));
+    }
+    Ok(())
 }
 
 fn resolve_tables(ctx: &QueryContext, primary: &Table, spec: &QuerySpec) -> Result<Vec<Table>> {
@@ -337,10 +483,14 @@ fn scan_node(
     };
     let (table, projection) = (table.clone(), needed.clone());
     let op = match mode {
-        ScanMode::Pushed => PlanOp::PushdownScan {
+        ScanMode::Pushed | ScanMode::Sampled(_) => PlanOp::PushdownScan {
             table,
             predicate,
             projection,
+            limit: match mode {
+                ScanMode::Sampled(limit) => Some(limit),
+                _ => None,
+            },
         },
         ScanMode::Local => PlanOp::LocalScan {
             table,
@@ -469,7 +619,7 @@ fn select_stack(mut node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
 /// plain `Limit` (which pushes no phase) for a bare LIMIT, `node` itself
 /// otherwise. A key names a column of `node`'s schema; anything else is
 /// a bind error.
-pub(crate) fn order_limit_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
+fn order_limit_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
     let limit = spec.select.limit.map(|l| l as usize);
     let op = if !spec.order_by.is_empty() {
         let mut keys = Vec::new();
@@ -571,8 +721,11 @@ fn aggregate_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
     let schema = Schema::new(out_fields);
     let op = match (group_width, &node.op) {
         (0, PlanOp::PushdownScan { table, .. }) => {
-            let (table, stmt) = (table.clone(), spec.select.clone());
-            let op = PlanOp::PushdownAggregate { table, stmt };
+            let op = PlanOp::PushdownAggregate {
+                table: table.clone(),
+                stmt: spec.select.clone(),
+                group_by: Vec::new(),
+            };
             return Ok(PlanNode::new(op, Vec::new(), schema));
         }
         (0, _) => PlanOp::Aggregate { aggs },

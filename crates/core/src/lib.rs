@@ -17,25 +17,23 @@
 //! * [`fragment`] — the predicate / projection / top-K reducer a leaf
 //!   operator hands to a local scan, evaluated inside the scan workers;
 //! * [`index`] — the §IV-A byte-range index tables;
-//! * [`algos`] — the paper's single-table algorithms (filter / group-by
-//!   / top-K in all their variants) and the §X what-if variants;
-//! * [`plan`] — the physical-plan IR: scan leaves (pushdown, local, and
-//!   `CachedScan` through the hybrid caching tier), joins, group-by,
-//!   sort/top-K, project/limit as one operator DAG, driven by a single
-//!   push-based executor, with the [`algos`] families participating as
-//!   leaf operators (an `AlgoOp` is an executor kind; its planning is
-//!   the planner's). The paper's §V joins — baseline, filtered, Bloom —
-//!   are compositions of these operators and have no executor of their
-//!   own;
-//! * [`joinplan`] — lowering of multi-table statements to the candidate
-//!   plans the planner prices (the §V joins by name among them), and the
-//!   ORDER BY / LIMIT stack both lowerings share;
+//! * [`algos`] — Fig 1's private helpers: the §IV-A indexed filter and
+//!   its two §X what-if variants;
+//! * [`plan`] — the physical-plan IR: scan leaves (pushdown — whole or
+//!   cut short to a sample —, local, and `CachedScan` through the hybrid
+//!   caching tier), joins, group-by, sort/top-K, project/limit and the
+//!   staged operators (Bloom join, top-K threshold, CASE-WHEN and hybrid
+//!   group-by) as one operator DAG, driven by a single push-based
+//!   executor. The paper's §IV–§VII algorithms are compositions of these
+//!   operators and have no executor of their own;
+//! * [`joinplan`] — lowering of a statement, a join of *n ≥ 1* tables,
+//!   to the named candidate plans the planner prices;
 //! * [`cost`] — the analytical cost estimator: one walker
 //!   (`predict_plan`) prices every node of a candidate plan — scan
-//!   leaves, joins, operators, cluster fan-outs and the algorithm-family
-//!   leaves, variant by variant — from catalog statistics, over one
-//!   snapshot per table per query, using the same models that score
-//!   measurements;
+//!   leaves, joins, operators, cluster fan-outs, staged operators by the
+//!   estimated outcome of the SQL they write — from catalog statistics,
+//!   over one snapshot per table per query, using the same models that
+//!   score measurements;
 //! * [`planner`] — the one front-end: every query lowers to named
 //!   candidate plans, and one function prices, picks (a preference list
 //!   for the fixed strategies, the argmin-dollar plan for
@@ -71,5 +69,5 @@ pub use cost::{Estimator, Estimators, PlanPrediction};
 pub use index::{build_index, IndexTable};
 pub use metrics::QueryMetrics;
 pub use output::QueryOutput;
-pub use plan::{AlgoOp, OpReport, PlanNode, PlanOp};
+pub use plan::{OpReport, PlanNode, PlanOp};
 pub use planner::{execute_sql, execute_sql_verbose, Explain, Strategy};

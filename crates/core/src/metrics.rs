@@ -31,8 +31,9 @@
 //! * after a closed phase or a parallel group (two concurrent loads, a
 //!   `Gather`, per-node group-bys) the next operator opens a new serial
 //!   phase;
-//! * an algorithm-family leaf reports the phases of its own variant and
-//!   ends closed ([`QueryMetrics::close`]).
+//! * a staged operator (Bloom join, top-K threshold, hybrid split) runs
+//!   its first child to the end — closed, like a join's build side — and
+//!   then its second ([`QueryMetrics::join_sides`]).
 //!
 //! So a baseline join under `GROUP BY … ORDER BY` is three groups —
 //! `{load a ‖ load b} {hash join + project + group-by} {sort}` — and a
@@ -139,9 +140,20 @@ impl QueryMetrics {
         self.open = flow == Flow::Streaming;
     }
 
+    /// Rename the scan phases a staged operator's child opened: every
+    /// label starting with `from` starts with `to` instead (`select t` →
+    /// `bloom probe t`, `sampling phase`, …).
+    pub fn relabel(&mut self, from: &str, to: &str) {
+        for phase in self.groups.iter_mut().flat_map(|g| &mut g.phases) {
+            if let Some(rest) = phase.label.strip_prefix(from) {
+                phase.label = format!("{to}{rest}");
+            }
+        }
+    }
+
     /// End the pipeline of the last phase without adding to it: the hash
-    /// build that drains a join's build side, and the end of an
-    /// algorithm-family leaf.
+    /// build that drains a join's build side, and the end of a staged
+    /// operator's first child.
     pub fn close(&mut self) {
         self.open = false;
     }
@@ -373,13 +385,14 @@ mod tests {
         assert_eq!(deep.groups.len(), 3);
         assert_eq!(shape(&deep)[2], vec![("load c + hash join", 4)]);
 
-        // A family leaf's phases are its own: closed, they take nothing.
-        let mut algo = leaf("server-side group-by");
-        algo.close();
-        algo.stack("sort", cpu(2), Flow::Breaker);
+        // A closed pipeline takes nothing: the next operator opens its
+        // own phase.
+        let mut closed = leaf("select t");
+        closed.close();
+        closed.stack("sort", cpu(2), Flow::Breaker);
         assert_eq!(
-            shape(&algo),
-            vec![vec![("server-side group-by", 1)], vec![("sort", 2)]]
+            shape(&closed),
+            vec![vec![("select t", 1)], vec![("sort", 2)]]
         );
     }
 

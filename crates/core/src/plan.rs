@@ -17,15 +17,23 @@
 //! leaf) and §VI server-side / filtered group-by are trees of these
 //! operators and nothing else.
 //!
-//! **An [`AlgoOp`] leaf is an algorithm whose later phase's SQL is
-//! computed from an earlier phase's result** (the distinct groups, the
-//! sample's populous groups, the sample's K-th value) — everything whose
-//! statements are known at lowering time is a tree of IR operators. Such
-//! a leaf is an **executor** kind and nothing more: which variants a
-//! query admits, which one a strategy prefers and what each costs is
-//! planning, and lives with the other candidates ([`crate::planner`]
-//! lowers them, [`crate::cost`] prices them). Either way *every* query
-//! runs through the same executor.
+//! **Staged operators.** The paper's §V-A2 Bloom join, §VII sampling
+//! top-K and §VI S3-side / hybrid group-by are one shape: *phase 2's
+//! Select statement is written from phase 1's rows*. The rule, stated
+//! once: **a staged operator runs its first child to the end, writes SQL
+//! from those rows into its second child, and runs that.**
+//! [`PlanOp::BloomJoin`] writes the build side's keys into a Bloom
+//! predicate, [`PlanOp::Threshold`] a sample's K-th value into `c <= t`,
+//! [`PlanOp::HybridSplit`] a sample's populous groups into `g NOT IN (…)`
+//! — all three through the one [`push_predicate`], which ANDs the
+//! expression into every [`PlanOp::PushdownScan`] under the second child,
+//! scattered or not. [`PlanOp::CaseWhen`] (and the hybrid split, for its
+//! populous groups) writes whole statements instead: the chunked
+//! `SUM(CASE WHEN g = v THEN x END)` aggregates of paper Listing 4, each
+//! run as a pushed scalar aggregate. Which of these trees a query admits,
+//! which one a strategy prefers and what each costs is planning
+//! ([`crate::joinplan`] lowers them, [`crate::cost`] prices them node by
+//! node); *every* query runs through the one executor here.
 //!
 //! # Execution
 //!
@@ -44,9 +52,10 @@
 //!   leaves' footprints as concurrent
 //!   ([`QueryMetrics::join_sides`]), which is what the planner priced;
 //! * group-by and scalar aggregation — accumulators only;
-//! * sort — every input row (ORDER BY has to see them all);
-//! * `Gather`, `Repartition` under a group-by and the algorithm-family
-//!   leaves — their results, which they hand on in batches.
+//! * sort — every input row, or with a `LIMIT k` a bounded heap of `k`
+//!   (ORDER BY has to see them all, it need not keep them all);
+//! * `Gather`, `Repartition` under a group-by and the staged group-bys
+//!   — their results, which they hand on in batches.
 //!
 //! The breakers are also where the **phases** of the reported
 //! [`QueryMetrics`] end: a phase is a pipeline between breakers. A
@@ -72,13 +81,14 @@
 //! so rows, reports, metrics and bills do not depend on `batch_rows` or
 //! `scan_threads`.
 
-use crate::algos::{groupby, topk, whatif};
 use crate::catalog::Table;
 use crate::context::QueryContext;
 use crate::metrics::{Flow, QueryMetrics};
 use crate::ops;
 use crate::output::QueryOutput;
-use crate::scan::{scan, select_scan_streamed, ScanFragment, ScanSource};
+use crate::scan::{
+    scan, select_scan_aggregate, select_scan_streamed, ScanFragment, ScanLimit, ScanSource,
+};
 use pushdown_bloom::{BloomBuilder, BloomPlan};
 use pushdown_common::perf::{PerfModel, PhaseStats};
 use pushdown_common::row::RowBatch;
@@ -86,6 +96,7 @@ use pushdown_common::{Error, Result, Row, Schema, Value};
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::bind::Binder;
 use pushdown_sql::{Expr, SelectItem, SelectStmt};
+use std::collections::HashMap;
 
 /// One node of a physical plan: an operator, its inputs, and the output
 /// schema the planner computed while lowering.
@@ -111,17 +122,25 @@ pub enum PlanOp {
         projection: Option<Vec<String>>,
     },
     /// Leaf: `predicate` + `projection` pushed into S3 Select
-    /// (`None` projection = `*`).
+    /// (`None` projection = `*`), cut short to a sample of the table when
+    /// there is a `limit` — such a leaf is a sample of the *table* and is
+    /// never scattered.
     PushdownScan {
         table: Table,
         predicate: Option<Expr>,
         projection: Option<Vec<String>>,
+        limit: Option<ScanLimit>,
     },
-    /// Leaf: a scalar-aggregate statement pushed into S3 Select whole
-    /// (§VIII Q6): every partition answers `stmt`'s aggregates and the
-    /// scan merges the partials into one row — per *query*, so the leaf
-    /// is never scattered.
-    PushdownAggregate { table: Table, stmt: SelectStmt },
+    /// Leaf: an aggregate statement pushed into S3 Select whole (§VIII
+    /// Q6): every partition answers `stmt`'s aggregates — per group of
+    /// `group_by` under the engine's §X native `GROUP BY` extension — and
+    /// the scan merges the partials, per *query*, so the leaf is never
+    /// scattered.
+    PushdownAggregate {
+        table: Table,
+        stmt: SelectStmt,
+        group_by: Vec<String>,
+    },
     /// Leaf: read every partition **through the local segment cache**
     /// (hybrid tier): hits bill zero bytes/requests and pay local scan +
     /// parse time; misses are read-through fills billed exactly once.
@@ -139,10 +158,10 @@ pub enum PlanOp {
         build_key: String,
         probe_key: String,
     },
-    /// Hash join whose probe child (a [`PlanOp::PushdownScan`]) is
+    /// Staged hash join: the pushed scans of the probe child are
     /// additionally filtered by a Bloom filter built from the build
-    /// side's keys and shipped inside the probe's Select predicate
-    /// (paper §V-A2). Build and probe are serial by construction; the
+    /// side's keys and shipped inside their Select predicate (paper
+    /// §V-A2). Build and probe are serial by construction; the
     /// false-positive rate degrades, and then the probe falls back to an
     /// unfiltered one, when no filter fits the SQL limit (§V-B1) — the
     /// probe phase's label says which. Under the engine's §X `bitwise`
@@ -167,18 +186,47 @@ pub enum PlanOp {
     },
     /// Scalar aggregation: one output row, even over empty input.
     Aggregate { aggs: Vec<(AggFunc, Option<usize>)> },
-    /// Stable multi-key sort (`(column, ascending)`, major first),
-    /// optionally truncating to `limit` rows (ORDER BY … LIMIT k).
+    /// Stable multi-key sort (`(column, ascending)`, major first;
+    /// [`Value::total_cmp`] order, so NULL keys sort first ascending and
+    /// last descending). With a `limit` (ORDER BY … LIMIT k) it is a
+    /// bounded heap ([`ops::TopKAccumulator`]) that never holds more
+    /// than `limit` rows and answers exactly what the stable sort
+    /// truncated would; directly over a local or cached scan leaf the
+    /// heap runs inside the partition workers, which hand on their
+    /// `limit` best each.
     Sort {
         keys: Vec<(usize, bool)>,
         limit: Option<usize>,
     },
     /// Plain truncation (LIMIT without ORDER BY).
     Limit { n: usize },
-    /// One of the paper's multi-phase single-table algorithms, as a leaf
-    /// operator: the planner's strategy choice picks the variant, the
-    /// executor drives it like any other operator.
-    Algo(AlgoOp),
+    /// Staged §VII sampling top-K, under a `Sort { limit: k }`: children
+    /// `[sample, scan]`. The sample's `k`-th value of `column` in query
+    /// order becomes the scan's threshold predicate — `column <= t`
+    /// ascending, with `OR column IS NULL` where the column can hold
+    /// NULLs (they sort first), `column >= t` descending — so the scan
+    /// returns a superset of the `k` best rows, in table order.
+    Threshold { column: String, asc: bool, k: usize },
+    /// §VI-A S3-side group-by: the child's rows are the distinct groups
+    /// (a `GroupBy` without aggregates over a pushed scan of the grouping
+    /// columns), and every (group, aggregate) pair becomes one
+    /// `agg(CASE WHEN g = v THEN x END)` item of pushed scalar-aggregate
+    /// statements (paper Listing 4), chunked under the SQL size limit.
+    /// `aggs` pair a function with its input column (`None` = `COUNT(*)`).
+    CaseWhen {
+        aggs: Vec<(AggFunc, Option<String>)>,
+    },
+    /// Staged §VI-B hybrid group-by: children `[sample, tail]`. The
+    /// sample's populous groups are aggregated by S3 like
+    /// [`PlanOp::CaseWhen`]'s while the tail — the query's `filtered`
+    /// group-by, with `g NOT IN (populous)` pushed into its scan —
+    /// aggregates the long tail locally, in parallel (paper Listing 5).
+    /// With no populous group the tail runs unchanged. `force` pushes
+    /// exactly that many groups, whatever their share (Fig 6's sweep).
+    HybridSplit {
+        aggs: Vec<(AggFunc, Option<String>)>,
+        force: Option<usize>,
+    },
     /// Scatter wrapper (built by [`scatter`]): execute the child scan
     /// leaf's partitions owned by cluster node `node` (of `nodes`) on
     /// that node — its ledger, virtual clock, cache slice and fault
@@ -198,44 +246,10 @@ pub enum PlanOp {
     Repartition { keys: Vec<usize>, nodes: usize },
 }
 
-/// A single-table algorithm with the variant to run — one whose later
-/// phase's SQL is computed from an earlier phase's result (see the
-/// module docs), so no tree of IR operators can state it. A name the
-/// family does not have is an error, at pricing and at execution alike.
-#[derive(Debug, Clone)]
-pub enum AlgoOp {
-    /// §VI group-by: `"s3-side"` (the distinct groups become CASE-WHEN
-    /// items), `"hybrid"` (the sample's populous groups do; one grouping
-    /// column) and §X's `"s3-native"`.
-    GroupBy(groupby::GroupByQuery, &'static str),
-    /// §VII top-K, whole: `"sampling"` (the sample's K-th value becomes
-    /// the scan's threshold), and `"server-side"` with its twin
-    /// `"cached-local"` — their heap skips NULL keys and breaks ties by
-    /// the whole row, which `Sort { limit }` does not.
-    TopK(topk::TopKQuery, &'static str),
-}
-
-/// The error for a variant name `family` does not have.
-pub(crate) fn unknown_variant(family: &str, variant: &str) -> Error {
-    Error::Bind(format!("the {family} family has no `{variant}` variant"))
-}
-
-impl AlgoOp {
-    /// The chosen variant's name (`"s3-side"`, `"sampling"`, ...).
-    pub fn algorithm(&self) -> &'static str {
-        match self {
-            AlgoOp::GroupBy(_, a) | AlgoOp::TopK(_, a) => a,
-        }
-    }
-
-    /// The table the family scans.
-    pub fn table(&self) -> &Table {
-        match self {
-            AlgoOp::GroupBy(q, _) => &q.table,
-            AlgoOp::TopK(q, _) => &q.table,
-        }
-    }
-}
+/// Minimum sampled share for the hybrid group-by to count a group as
+/// populous, and the cap on groups it pushes to S3.
+pub(crate) const HYBRID_MIN_SHARE: f64 = 0.02;
+pub(crate) const HYBRID_MAX_S3_GROUPS: usize = 8;
 
 impl PlanNode {
     pub fn new(op: PlanOp, children: Vec<PlanNode>, schema: Schema) -> PlanNode {
@@ -250,14 +264,26 @@ impl PlanNode {
     pub fn label(&self) -> String {
         match &self.op {
             PlanOp::LocalScan { table, .. } => format!("LocalScan[{}]", table.name),
-            PlanOp::PushdownScan { table, .. } => format!("PushdownScan[{}]", table.name),
+            PlanOp::PushdownScan { table, limit, .. } => match limit {
+                None => format!("PushdownScan[{}]", table.name),
+                Some(ScanLimit::Prefix(n)) => format!("PushdownScan[{}, first {n}]", table.name),
+                Some(ScanLimit::Striped(n)) => format!("PushdownScan[{}, striped {n}]", table.name),
+            },
             PlanOp::CachedScan { table, .. } => format!("CachedScan[{}]", table.name),
-            PlanOp::PushdownAggregate { table, stmt } => {
-                format!(
-                    "PushdownAggregate[{}, {} aggs]",
-                    table.name,
-                    stmt.items.len()
-                )
+            PlanOp::PushdownAggregate {
+                table,
+                stmt,
+                group_by,
+            } => {
+                let is_agg = |i: &&SelectItem| matches!(i, SelectItem::Agg { .. });
+                let aggs = stmt.items.iter().filter(is_agg).count();
+                match group_by.len() {
+                    0 => format!("PushdownAggregate[{}, {aggs} aggs]", table.name),
+                    keys => format!(
+                        "PushdownAggregate[{}, {keys} keys, {aggs} aggs]",
+                        table.name
+                    ),
+                }
             }
             PlanOp::HashJoin {
                 build_key,
@@ -286,10 +312,9 @@ impl PlanNode {
                 None => format!("Sort[{} keys]", keys.len()),
             },
             PlanOp::Limit { n } => format!("Limit[{n}]"),
-            PlanOp::Algo(a) => match a {
-                AlgoOp::GroupBy(q, algo) => format!("GroupBy[{algo}, {}]", q.table.name),
-                AlgoOp::TopK(q, algo) => format!("TopK[{algo}, {}]", q.table.name),
-            },
+            PlanOp::Threshold { column, k, .. } => format!("Threshold[{column}, {k}th]"),
+            PlanOp::CaseWhen { aggs } => format!("CaseWhen[{} aggs]", aggs.len()),
+            PlanOp::HybridSplit { aggs, .. } => format!("HybridSplit[{} aggs]", aggs.len()),
             PlanOp::Exchange { node, nodes } => format!("Exchange[node {node}/{nodes}]"),
             PlanOp::Gather { nodes } => format!("Gather[{nodes} nodes]"),
             PlanOp::Repartition { keys, nodes } => {
@@ -306,6 +331,28 @@ impl PlanNode {
             | PlanOp::PushdownScan { table, .. }
             | PlanOp::PushdownAggregate { table, .. } => Some(table),
             _ => None,
+        }
+    }
+
+    /// The pushed scan a staged operator writes its SQL against: the
+    /// [`PlanOp::PushdownScan`] at the bottom of this node's first-child
+    /// chain — its table, predicate and projected columns.
+    pub(crate) fn pushdown_leaf(&self) -> Result<(&Table, &Option<Expr>, &[String])> {
+        match (&self.op, self.children.first()) {
+            (
+                PlanOp::PushdownScan {
+                    table,
+                    predicate,
+                    projection,
+                    ..
+                },
+                _,
+            ) => Ok((table, predicate, projection.as_deref().unwrap_or_default())),
+            (_, Some(child)) => child.pushdown_leaf(),
+            (_, None) => Err(Error::Other(format!(
+                "{} is no pushed scan to write SQL against",
+                self.label()
+            ))),
         }
     }
 
@@ -432,6 +479,25 @@ pub(crate) fn scan_stmt(projection: &Option<Vec<String>>, predicate: &Option<Exp
     }
 }
 
+/// How a staged operator writes its run-time predicate into its second
+/// child: `expr` is ANDed into every [`PlanOp::PushdownScan`] under
+/// `tree` — through whatever operators, [`PlanOp::Gather`] /
+/// [`PlanOp::Exchange`] fan-outs included, sit above them.
+pub fn push_predicate(tree: &PlanNode, expr: &Expr) -> PlanNode {
+    fn push(node: &mut PlanNode, expr: &Expr) {
+        if let PlanOp::PushdownScan { predicate, .. } = &mut node.op {
+            *predicate = Some(match predicate.take() {
+                Some(p) => Expr::and(p, expr.clone()),
+                None => expr.clone(),
+            });
+        }
+        node.children.iter_mut().for_each(|c| push(c, expr));
+    }
+    let mut tree = tree.clone();
+    push(&mut tree, expr);
+    tree
+}
+
 /// The builder a Bloom join plans its filter with. §X Suggestion 3: the
 /// hex / `BIT_AT` encoding of the engine's `bitwise` extension packs four
 /// filter bits per SQL character, so the same statement budget plans a
@@ -477,9 +543,11 @@ pub fn annotate(report: &mut OpReport, predicted: &crate::cost::PredNode) {
 }
 
 /// Execute a physical plan against the context's store and collect its
-/// rows: the executor (`run`) with a collecting sink. Every operator reports its own
-/// [`PhaseStats`]; billable traffic comes only from the scan leaves, so
-/// the summed metrics agree exactly with the scope's cost ledger.
+/// rows: the executor (`run`) with a collecting sink. Every operator
+/// reports its own [`PhaseStats`]; billable traffic comes from the scan
+/// leaves and from the CASE-WHEN statements [`PlanOp::CaseWhen`] and
+/// [`PlanOp::HybridSplit`] ship themselves, all metered, so the summed
+/// metrics agree exactly with the scope's cost ledger.
 pub fn execute(ctx: &QueryContext, node: &PlanNode) -> Result<Executed> {
     let mut rows = Vec::new();
     let ran = run(ctx, node, &mut |batch| {
@@ -548,72 +616,26 @@ fn emit(ctx: &QueryContext, schema: &Schema, rows: Vec<Row>, sink: Sink<'_>) -> 
 /// first row arrives.
 fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
     match &node.op {
-        PlanOp::LocalScan {
-            table,
-            predicate,
-            projection,
-        }
-        | PlanOp::CachedScan {
-            table,
-            predicate,
-            projection,
-        } => {
-            let cached = matches!(node.op, PlanOp::CachedScan { .. });
-            let bound = match predicate {
-                Some(p) => Some(Binder::new(&table.schema).bind_expr(p)?),
-                None => None,
-            };
-            let fragment = match projection {
-                None => ScanFragment::new(table, bound, None),
-                Some(cols) => {
-                    let indices = cols
-                        .iter()
-                        .map(|c| table.schema.resolve(c))
-                        .collect::<Result<Vec<_>>>()?;
-                    ScanFragment::columns(table, bound, &indices)
-                }
-            };
-            let source = if cached {
-                ScanSource::Cached
-            } else {
-                ScanSource::Plain
-            };
-            let summary = scan(ctx, table, source, &fragment, sink)?;
-            let mut stats = summary.stats;
-            stats.merge(&summary.op_stats);
-            let mut metrics = QueryMetrics::new();
-            let mut label = node.label();
-            if cached {
-                metrics.push_serial(format!("cached load {}", table.name), stats);
-                // The EXPLAIN tree reports the hit/miss/fill split per node.
-                label = format!(
-                    "{label} ({}/{} partitions hit)",
-                    summary.hit_parts,
-                    summary.hit_parts + summary.fill_parts,
-                );
-            } else {
-                metrics.push_serial(format!("load {}", table.name), stats);
-            }
-            Ok(Ran {
-                schema: summary.schema,
-                metrics,
-                report: OpReport::leaf(label, stats),
-            })
-        }
+        PlanOp::LocalScan { .. } | PlanOp::CachedScan { .. } => local_scan(ctx, node, None, sink),
         PlanOp::PushdownScan {
             table,
             predicate,
             projection,
-        } => select_leaf(
-            ctx,
-            node,
+            limit,
+        } => {
+            let stmt = scan_stmt(projection, predicate);
+            let summary = select_scan_streamed(ctx, table, &stmt, *limit, sink)?;
+            Ok(select_leaf(node, table, summary.schema, summary.stats))
+        }
+        PlanOp::PushdownAggregate {
             table,
-            &scan_stmt(projection, predicate),
-            "select",
-            sink,
-        ),
-        PlanOp::PushdownAggregate { table, stmt } => {
-            select_leaf(ctx, node, table, stmt, "select", sink)
+            stmt,
+            group_by,
+        } => {
+            let scan = select_scan_aggregate(ctx, table, stmt, group_by)?;
+            // The lowering-time schema carries the statement's aliases.
+            emit(ctx, &node.schema, scan.rows, sink)?;
+            Ok(select_leaf(node, table, node.schema.clone(), scan.stats))
         }
         PlanOp::HashJoin {
             build_key,
@@ -642,16 +664,6 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                     build_node.schema.dtype_of(bk)
                 )));
             }
-            let PlanOp::PushdownScan {
-                table,
-                predicate,
-                projection,
-            } = &probe_node.op
-            else {
-                return Err(Error::Other(
-                    "BloomJoin probe child must be a PushdownScan".into(),
-                ));
-            };
             let mut keys = Vec::new();
             let build = run(ctx, build_node, &mut |batch| {
                 for r in &batch.rows {
@@ -675,14 +687,10 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                     filter.sql_predicate(probe_key)
                 }
             });
-            let pred = match (predicate, bloom_pred) {
-                (Some(p), Some(b)) => Some(Expr::and(p.clone(), b)),
-                (p, b) => b.or_else(|| p.clone()),
-            };
-            let stmt = scan_stmt(projection, &pred);
-            let probe = select_leaf(ctx, probe_node, table, &stmt, &phase, &mut |batch| {
+            let mut probe = run_pushed(ctx, probe_node, bloom_pred, &mut |batch| {
                 join.probe(batch, sink)
             })?;
+            probe.metrics.relabel("select", &phase);
             Ok(join.finish(node, build, probe, false, "hash join (bloom)"))
         }
         PlanOp::LocalFilter { predicate } => {
@@ -743,16 +751,42 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             Ok(ran.reshaped(node, "aggregate", local, Flow::Breaker))
         }
         PlanOp::Sort { keys, limit } => {
-            let mut rows = Vec::new();
-            let ran = run(ctx, &node.children[0], &mut |batch| {
-                rows.extend(batch.rows);
-                Ok(())
-            })?;
+            let child = &node.children[0];
             let mut local = PhaseStats::default();
-            let mut rows = ops::sort_rows_by_keys(rows, keys, &mut local);
-            if let Some(k) = limit {
-                rows.truncate(*k);
-            }
+            let (ran, rows) = match limit {
+                None => {
+                    let mut rows = Vec::new();
+                    let ran = run(ctx, child, &mut |batch| {
+                        rows.extend(batch.rows);
+                        Ok(())
+                    })?;
+                    (ran, ops::sort_rows_by_keys(rows, keys, &mut local))
+                }
+                Some(k) => {
+                    let mut heap = ops::TopKAccumulator::new(keys, *k);
+                    let ran = match child.op {
+                        // The leaf's workers reduce their partitions — this
+                        // operator's work, charged for every row offered —
+                        // and their candidates arrive in table order.
+                        PlanOp::LocalScan { .. } | PlanOp::CachedScan { .. } => {
+                            let best = Best {
+                                keys,
+                                k: *k,
+                                work: &mut local,
+                            };
+                            local_scan(ctx, child, Some(best), &mut |batch| {
+                                heap.absorb(batch.rows);
+                                Ok(())
+                            })?
+                        }
+                        _ => run(ctx, child, &mut |batch| {
+                            heap.push_rows(batch.rows, &mut local);
+                            Ok(())
+                        })?,
+                    };
+                    (ran, heap.finish(&mut local))
+                }
+            };
             emit(ctx, &ran.schema, rows, sink)?;
             Ok(ran.stacked(node, "sort", local, Flow::Breaker))
         }
@@ -768,34 +802,119 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             })?;
             Ok(ran.under(node, PhaseStats::default()))
         }
-        PlanOp::Algo(algo) => {
-            let out = match algo {
-                AlgoOp::GroupBy(q, variant) => match *variant {
-                    "s3-side" => groupby::s3_side(ctx, q)?,
-                    "hybrid" => groupby::hybrid(ctx, q, groupby::HybridOptions::default())?,
-                    "s3-native" => whatif::s3_native_groupby(ctx, q)?,
-                    other => return Err(unknown_variant("group-by", other)),
-                },
-                AlgoOp::TopK(q, variant) => match *variant {
-                    "server-side" => topk::server_side(ctx, q)?,
-                    // The same algorithm, its plain partition GETs routed
-                    // through the segment cache.
-                    "cached-local" => topk::server_side(&ctx.clone().with_cache_reads(true), q)?,
-                    "sampling" => topk::sampling(ctx, q, None)?,
-                    other => return Err(unknown_variant("top-k", other)),
-                },
+        PlanOp::Threshold { column, asc, k } => {
+            let (sample_node, scan_node) = (&node.children[0], &node.children[1]);
+            let (table, ..) = sample_node.pushdown_leaf()?;
+            let mut sampled: Vec<Value> = Vec::new();
+            let mut sample = run(ctx, sample_node, &mut |batch| {
+                sampled.extend(batch.rows.iter().map(|r| r[0].clone()));
+                Ok(())
+            })?;
+            let own = PhaseStats {
+                server_cpu_units: sampled.len() as u64,
+                ..Default::default()
             };
-            let actual = merged_stats(&out.metrics);
-            // The lowering-time schema carries the statement's aliases.
-            emit(ctx, &node.schema, out.rows, sink)?;
-            // A family leaf reports its own phases, whole.
-            let mut metrics = out.metrics;
-            metrics.close();
-            Ok(Ran {
-                schema: node.schema.clone(),
-                metrics,
-                report: OpReport::leaf(node.label(), actual),
-            })
+            sampled.sort_by(|a, b| match asc {
+                true => a.total_cmp(b),
+                false => b.total_cmp(a),
+            });
+            // The sample holds K rows at or before its K-th value, so the
+            // table does too and the answer is exact. A sample of fewer
+            // than K rows is the whole table: no threshold.
+            let kth = k.checked_sub(1).and_then(|i| sampled.get(i));
+            let pred = kth.and_then(|t| threshold_predicate(table, column, *asc, t));
+            let mut scan = run_pushed(ctx, scan_node, pred, sink)?;
+            let select = format!("select {}", table.name);
+            sample.metrics.relabel(&select, "sampling phase");
+            sample.metrics.stack("threshold", own, Flow::Breaker);
+            scan.metrics.relabel(&select, "scanning phase");
+            Ok(staged(node, own, sample, scan))
+        }
+        PlanOp::CaseWhen { aggs } => {
+            let child = &node.children[0];
+            let (table, predicate, group_cols) = child.pushdown_leaf()?;
+            // The distinct groups, sorted: only they are kept.
+            let mut groups: Vec<Vec<Value>> = Vec::new();
+            let ran = run(ctx, child, &mut |batch| {
+                groups.extend(batch.rows.iter().map(|r| r.values().to_vec()));
+                Ok(())
+            })?;
+            let (rows, stats) =
+                case_when_aggregate(ctx, table, predicate, group_cols, aggs, &groups)?;
+            emit(ctx, &node.schema, rows, sink)?;
+            Ok(ran.reshaped(node, "case-when aggregation", stats, Flow::Breaker))
+        }
+        PlanOp::HybridSplit { aggs, force } => {
+            let (sample_node, tail_node) = (&node.children[0], &node.children[1]);
+            let (table, predicate, group_cols) = sample_node.pushdown_leaf()?;
+            // Phase 1: group frequencies in the sample. NULL keys are
+            // never "populous": their rows stay in the tail.
+            let mut freq: HashMap<Value, u64> = HashMap::new();
+            let mut own = PhaseStats::default();
+            let mut sample = run(ctx, sample_node, &mut |batch| {
+                own.server_cpu_units += batch.len() as u64;
+                for r in batch.rows.iter().filter(|r| !r[0].is_null()) {
+                    *freq.entry(r[0].clone()).or_insert(0) += 1;
+                }
+                Ok(())
+            })?;
+            let mut by_freq: Vec<(Value, u64)> = freq.into_iter().collect();
+            by_freq.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.total_cmp(&b.0)));
+            let total: u64 = by_freq.iter().map(|(_, n)| n).sum();
+            let populous = |(_, n): &&(Value, u64)| match force {
+                Some(_) => true,
+                None => (*n as f64) >= HYBRID_MIN_SHARE * total.max(1) as f64,
+            };
+            let big: Vec<Value> = by_freq
+                .iter()
+                .filter(populous)
+                .take(force.unwrap_or(HYBRID_MAX_S3_GROUPS))
+                .map(|(v, _)| v.clone())
+                .collect();
+            let select = format!("select {}", table.name);
+            sample.metrics.relabel(&select, "hybrid: sample");
+            sample.metrics.stack("split", own, Flow::Breaker);
+            if big.is_empty() {
+                // No populous group: the tail is the whole query.
+                let tail = run(ctx, tail_node, sink)?;
+                return Ok(staged(node, own, sample, tail));
+            }
+            // Phase 2, two concurrent requests (paper Listing 5). Q1: the
+            // pushed CASE-WHEN aggregation of the populous groups.
+            let keys: Vec<Vec<Value>> = big.iter().map(|v| vec![v.clone()]).collect();
+            let (mut rows, s3) =
+                case_when_aggregate(ctx, table, predicate, group_cols, aggs, &keys)?;
+            // Q2: the long tail (group NOT IN populous), aggregated
+            // locally. `g NOT IN (…)` is never true for a NULL `g`, so the
+            // NULL-key rows — a tail group like any other — are asked for
+            // by name wherever the column can hold one.
+            let gcol = || Box::new(Expr::col(group_cols[0].clone()));
+            let mut tail_pred = Expr::InList {
+                expr: gcol(),
+                list: big.into_iter().map(Expr::Literal).collect(),
+                negated: true,
+            };
+            if table.may_be_null(&group_cols[0]) {
+                let is_null = Expr::IsNull {
+                    expr: gcol(),
+                    negated: false,
+                };
+                tail_pred = Expr::or(tail_pred, is_null);
+            }
+            let mut tail = run_pushed(ctx, tail_node, Some(tail_pred), &mut |batch| {
+                rows.extend(batch.rows);
+                Ok(())
+            })?;
+            // Populous and tail groups are disjoint: concatenate and sort.
+            rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
+            emit(ctx, &node.schema, rows, sink)?;
+            tail.metrics
+                .relabel(&select, "hybrid: server-side aggregation");
+            let mut pushed = QueryMetrics::new();
+            pushed.push_serial("hybrid: s3-side aggregation", s3);
+            tail.metrics = QueryMetrics::join_sides(pushed, tail.metrics, true);
+            own.merge(&s3);
+            Ok(staged(node, own, sample, tail))
         }
         PlanOp::Gather { .. } => run_gather(ctx, node, sink),
         // A bare Exchange (no Gather parent driving it) degenerates to
@@ -829,24 +948,230 @@ fn forward(batch: RowBatch, sink: Sink<'_>) -> Result<()> {
     }
 }
 
-/// A pushdown scan leaf: ship `stmt` to every partition of `table` and
-/// push the response rows into `sink`.
-fn select_leaf(
+/// The `ORDER BY keys LIMIT k` a [`PlanOp::Sort`] hands down to the local
+/// scan leaf directly below it, and where the sort reports its work.
+struct Best<'a> {
+    keys: &'a [(usize, bool)],
+    k: usize,
+    work: &'a mut PhaseStats,
+}
+
+/// A local or cached scan leaf: `predicate` + `projection` run inside the
+/// partition workers, and so does the sort above, if it handed one down
+/// (`best`): each worker hands on its partition's `k` best rows only, and
+/// what that cost is the sort's to report.
+fn local_scan(
     ctx: &QueryContext,
     node: &PlanNode,
-    table: &Table,
-    stmt: &SelectStmt,
-    phase: &str,
+    best: Option<Best<'_>>,
     sink: Sink<'_>,
 ) -> Result<Ran> {
-    let summary = select_scan_streamed(ctx, table, stmt, sink)?;
+    let (PlanOp::LocalScan {
+        table,
+        predicate,
+        projection,
+    }
+    | PlanOp::CachedScan {
+        table,
+        predicate,
+        projection,
+    }) = &node.op
+    else {
+        unreachable!("local_scan runs local and cached scan leaves")
+    };
+    let cached = matches!(node.op, PlanOp::CachedScan { .. });
+    let bound = match predicate {
+        Some(p) => Some(Binder::new(&table.schema).bind_expr(p)?),
+        None => None,
+    };
+    let mut fragment = match projection {
+        None => ScanFragment::new(table, bound, None),
+        Some(cols) => {
+            let indices = cols
+                .iter()
+                .map(|c| table.schema.resolve(c))
+                .collect::<Result<Vec<_>>>()?;
+            ScanFragment::columns(table, bound, &indices)
+        }
+    };
+    if let Some(best) = &best {
+        fragment = fragment.top_k(best.keys, best.k);
+    }
+    let source = if cached {
+        ScanSource::Cached
+    } else {
+        ScanSource::Plain
+    };
+    let summary = scan(ctx, table, source, &fragment, sink)?;
+    let mut stats = summary.stats;
+    stats.merge(&summary.op_stats);
+    if let Some(best) = best {
+        best.work.merge(&summary.reduce_stats);
+    }
     let mut metrics = QueryMetrics::new();
-    metrics.push_serial(format!("{phase} {}", table.name), summary.stats);
+    let mut label = node.label();
+    if cached {
+        metrics.push_serial(format!("cached load {}", table.name), stats);
+        // The EXPLAIN tree reports the hit/miss/fill split per node.
+        label = format!(
+            "{label} ({}/{} partitions hit)",
+            summary.hit_parts,
+            summary.hit_parts + summary.fill_parts,
+        );
+    } else {
+        metrics.push_serial(format!("load {}", table.name), stats);
+    }
     Ok(Ran {
         schema: summary.schema,
         metrics,
-        report: OpReport::leaf(node.label(), summary.stats),
+        report: OpReport::leaf(label, stats),
     })
+}
+
+/// What a pushdown scan leaf reports: one `select` phase.
+fn select_leaf(node: &PlanNode, table: &Table, schema: Schema, stats: PhaseStats) -> Ran {
+    let mut metrics = QueryMetrics::new();
+    metrics.push_serial(format!("select {}", table.name), stats);
+    Ran {
+        schema,
+        metrics,
+        report: OpReport::leaf(node.label(), stats),
+    }
+}
+
+/// Run a staged operator's second child with the predicate it wrote (if
+/// it wrote one) pushed into the scans below.
+fn run_pushed(
+    ctx: &QueryContext,
+    tree: &PlanNode,
+    predicate: Option<Expr>,
+    sink: Sink<'_>,
+) -> Result<Ran> {
+    match predicate {
+        Some(p) => run(ctx, &push_predicate(tree, &p), sink),
+        None => run(ctx, tree, sink),
+    }
+}
+
+/// What a staged operator reports: its first child ran to the end, then
+/// its second, whose rows it handed on.
+fn staged(node: &PlanNode, own: PhaseStats, first: Ran, second: Ran) -> Ran {
+    Ran {
+        schema: second.schema,
+        metrics: QueryMetrics::join_sides(first.metrics, second.metrics, false),
+        report: OpReport {
+            label: node.label(),
+            predicted: None,
+            actual: own,
+            children: vec![first.report, second.report],
+        },
+    }
+}
+
+/// The scan predicate a sample's K-th value `t` of `column` makes: the
+/// rows at or before `t` in query order. NULL keys sort first ascending
+/// and last descending ([`Value::total_cmp`]): ascending they are asked
+/// for by name wherever the column can hold one, and are all there is to
+/// ask for when `t` itself is NULL; descending a NULL `t` bounds nothing.
+fn threshold_predicate(table: &Table, column: &str, asc: bool, t: &Value) -> Option<Expr> {
+    let col = || Expr::col(column.to_string());
+    let is_null = || Expr::IsNull {
+        expr: Box::new(col()),
+        negated: false,
+    };
+    let lit = Expr::Literal(t.clone());
+    match (t.is_null(), asc) {
+        (true, true) => Some(is_null()),
+        (true, false) => None,
+        (false, true) if table.may_be_null(column) => {
+            Some(Expr::or(Expr::lt_eq(col(), lit), is_null()))
+        }
+        (false, true) => Some(Expr::lt_eq(col(), lit)),
+        (false, false) => Some(Expr::gt_eq(col(), lit)),
+    }
+}
+
+/// How many groups one CASE-WHEN statement of `aggs` aggregates per group
+/// may hold under the engine's SQL size limit, a group's key rendering to
+/// `key_bytes` — the chunking of [`case_when_aggregate`], which the pricer
+/// reads too.
+pub(crate) fn case_when_chunk(ctx: &QueryContext, aggs: usize, key_bytes: f64) -> usize {
+    let per_group = aggs as f64 * 96.0 + key_bytes;
+    let budget = ctx.engine.limits().max_sql_bytes.saturating_sub(256);
+    ((budget as f64 / per_group.max(1.0)) as usize).max(1)
+}
+
+/// Predicate selecting the rows of one (possibly multi-column) group:
+/// equality per key part, `IS NULL` for a NULL part (`c = NULL` is never
+/// true).
+fn group_eq(group_cols: &[String], key: &[Value]) -> Expr {
+    let conj: Vec<Expr> = group_cols
+        .iter()
+        .zip(key)
+        .map(|(c, v)| match v {
+            Value::Null => Expr::IsNull {
+                expr: Box::new(Expr::col(c.clone())),
+                negated: false,
+            },
+            v => Expr::eq(Expr::col(c.clone()), Expr::Literal(v.clone())),
+        })
+        .collect();
+    Expr::conjunction(conj).expect("non-empty group columns")
+}
+
+/// The pushed CASE-WHEN aggregation of `groups` (paper Listing 4): one
+/// `agg(CASE WHEN g = v THEN x END)` item per (group, aggregate), in
+/// pushed scalar-aggregate statements chunked under the SQL size limit,
+/// each statement's one merged row reshaped into `group key ++ aggregate
+/// values` rows. Returns them with the statements' summed footprint.
+fn case_when_aggregate(
+    ctx: &QueryContext,
+    table: &Table,
+    predicate: &Option<Expr>,
+    group_cols: &[String],
+    aggs: &[(AggFunc, Option<String>)],
+    groups: &[Vec<Value>],
+) -> Result<(Vec<Row>, PhaseStats)> {
+    let mut stats = PhaseStats::default();
+    let mut out = Vec::new();
+    let Some(first) = groups.first() else {
+        return Ok((out, stats));
+    };
+    let key_bytes: usize = first.iter().map(|v| v.to_csv_field().len() + 24).sum();
+    for batch in groups.chunks(case_when_chunk(ctx, aggs.len(), key_bytes as f64)) {
+        let mut items = Vec::with_capacity(batch.len() * aggs.len());
+        for key in batch {
+            let eq = group_eq(group_cols, key);
+            for (f, c) in aggs {
+                // CASE WHEN g = v THEN x END — the ELSE-less NULL arm is
+                // skipped by every aggregate, and so is a NULL `x`:
+                // COUNT(x) counts what it counts server-side. Only
+                // COUNT(*) counts the group's rows, as `THEN 1`.
+                let arg = Expr::Case {
+                    branches: vec![(eq.clone(), c.clone().map_or(Expr::int(1), Expr::col))],
+                    else_expr: None,
+                };
+                items.push(SelectItem::Agg {
+                    func: *f,
+                    arg: Some(arg),
+                    alias: None,
+                });
+            }
+        }
+        let stmt = SelectStmt {
+            items,
+            alias: None,
+            where_clause: predicate.clone(),
+            limit: None,
+        };
+        let scan = select_scan_aggregate(ctx, table, &stmt, &[])?;
+        stats.merge(&scan.stats);
+        let values = scan.rows[0].values();
+        for (key, aggregates) in batch.iter().zip(values.chunks(aggs.len())) {
+            out.push(Row::new(key.iter().chain(aggregates).cloned().collect()));
+        }
+    }
+    Ok((out, stats))
 }
 
 /// The state of one hash join while its children run: the build table,
@@ -1161,10 +1486,10 @@ fn run_partitioned_group_by(
 /// [`PlanOp::Repartition`] on its group key so nodes aggregate partial
 /// state in parallel. `None` when there is nothing to scatter: no
 /// cluster is attached or it has a single node — the serial path *is*
-/// the N=1 cluster — or the plan has no scan leaf to rewrite: an
-/// algorithm-family leaf manages its own scans on the coordinator, and
-/// a [`PlanOp::PushdownAggregate`] stays whole (its one merged row is
-/// per query, not per node).
+/// the N=1 cluster — or the plan has no scan leaf to rewrite: a
+/// [`PlanOp::PushdownAggregate`] stays whole (its merged rows are per
+/// query, not per node), and so does a limited [`PlanOp::PushdownScan`]
+/// (a sample of the table, not of a node's share).
 pub fn scatter(ctx: &QueryContext, node: &PlanNode) -> Option<PlanNode> {
     let cluster = ctx.cluster.as_ref().filter(|c| c.n() > 1)?;
     let (plan, scattered) = scatter_node(ctx, cluster, node);
@@ -1179,7 +1504,9 @@ fn scatter_node(
     match &node.op {
         PlanOp::LocalScan { table, .. }
         | PlanOp::CachedScan { table, .. }
-        | PlanOp::PushdownScan { table, .. } => {
+        | PlanOp::PushdownScan {
+            table, limit: None, ..
+        } => {
             let keys = table.partitions(&ctx.store);
             let mut populated: Vec<usize> = keys
                 .iter()
@@ -1212,15 +1539,6 @@ fn scatter_node(
                 true,
             )
         }
-        // The Bloom probe must stay a bare PushdownScan — the filter is
-        // injected into its Select predicate at run time — so only the
-        // build side scatters.
-        PlanOp::BloomJoin { .. } => {
-            let (build, scattered) = scatter_node(ctx, cluster, &node.children[0]);
-            let mut out = node.clone();
-            out.children[0] = build;
-            (out, scattered)
-        }
         PlanOp::GroupBy { group_width, .. } => {
             let (child, scattered) = scatter_node(ctx, cluster, &node.children[0]);
             if !scattered {
@@ -1238,9 +1556,11 @@ fn scatter_node(
             out.children = vec![rep];
             (out, true)
         }
-        // Anything else scatters where its children do. (A leaf without
-        // children — an algorithm family managing its own scans, a pushed
-        // aggregate — runs on the coordinator, node 0, unscattered.)
+        // Anything else scatters where its children do — a staged
+        // operator's second child included: the predicate it writes
+        // reaches the scans through the fan-out ([`push_predicate`]). (A
+        // leaf left whole — a pushed aggregate, a sample — runs on the
+        // coordinator, node 0.)
         _ => {
             let mut scattered = false;
             let mut out = node.clone();
@@ -1262,14 +1582,15 @@ fn scatter_node(
 mod tests {
     use super::*;
     use crate::catalog::upload_csv_table;
-    use crate::cost::{predict_plan, Estimators};
+    use crate::planner::run_candidate;
     use pushdown_common::DataType;
     use pushdown_s3::S3Store;
 
-    /// A variant name a family does not have is an error where the leaf
-    /// is priced and where it is run — it used to run as `server-side`.
-    /// The group-by's one-scan variants are such names now: they are
-    /// trees of IR operators, not leaves.
+    /// A name a statement does not lower to is an error — it used to run
+    /// as `server-side`. Every algorithm is a candidate tree of IR
+    /// operators, so the names a statement has are exactly its
+    /// candidates': no other family's, none for a variant that does not
+    /// apply.
     #[test]
     fn unknown_variants_are_errors_not_server_side() {
         let store = S3Store::new();
@@ -1279,53 +1600,67 @@ mod tests {
             .collect();
         let t = upload_csv_table(&store, "b", "t", &schema, &rows, 20).unwrap();
         let ctx = QueryContext::new(store).with_cache(1 << 20);
-        let group_by = groupby::GroupByQuery {
-            table: t.clone(),
-            group_cols: vec!["g".into()],
-            aggs: vec![(AggFunc::Sum, Some("v".into()))],
-            predicate: None,
-        };
-        let top_k = topk::TopKQuery {
-            table: t.clone(),
-            order_col: "v".into(),
-            k: 3,
-            asc: true,
-        };
-        let family = |variant: &'static str| {
-            [
-                AlgoOp::GroupBy(group_by.clone(), variant),
-                AlgoOp::TopK(top_k.clone(), variant),
-            ]
-        };
-        let run = |op: AlgoOp| {
-            let node = PlanNode::new(PlanOp::Algo(op), Vec::new(), t.schema.clone());
-            let priced = predict_plan(&Estimators::new(&ctx, [&node]), &node).map(|_| ());
-            let ran = execute(&ctx.scoped(), &node).map(|_| ());
-            assert_eq!(priced.is_ok(), ran.is_ok(), "{}", node.label());
-            ran
-        };
-        // Top-K has the two local variants; the group-by leaf lost them…
-        for variant in ["server-side", "cached-local"] {
-            let [g, k] = family(variant);
-            assert_eq!(run(g).unwrap_err().code(), "BindError", "{variant}");
-            run(k).unwrap();
+        let group_by = "SELECT g, SUM(v) FROM t GROUP BY g";
+        let top_k = "SELECT * FROM t ORDER BY v LIMIT 3";
+        let run = |sql: &str, name: &str| run_candidate(&ctx, &t, sql, name, None);
+        // Both families have the two local variants…
+        for name in ["server-side", "cached-local"] {
+            run(group_by, name).unwrap();
+            run(top_k, name).unwrap();
         }
-        // …and neither has these: a name no family knows, the other
-        // families' names, the name of the group-by's pushed tree.
-        for variant in ["bogus", "", "baseline", "filtered"] {
-            for op in family(variant) {
-                let err = run(op).unwrap_err();
-                assert_eq!(err.code(), "BindError", "{variant}: {err}");
-                assert!(err.to_string().contains(variant), "{err}");
+        // …and neither has these: a name no family knows, the join
+        // family's name.
+        for name in ["bogus", "", "baseline"] {
+            for sql in [group_by, top_k] {
+                let err = run(sql, name).unwrap_err();
+                assert_eq!(err.code(), "BindError", "{name}: {err}");
+                assert!(err.to_string().contains(name), "{err}");
             }
         }
-        let [g, k] = family("sampling");
-        assert!(run(g).is_err());
-        run(k).unwrap();
-        for variant in ["hybrid", "s3-side"] {
-            let [g, k] = family(variant);
-            run(g).unwrap();
-            assert!(run(k).is_err());
+        // Each family's pushed variants are its own.
+        for name in ["filtered", "hybrid", "s3-side"] {
+            run(group_by, name).unwrap();
+            assert_eq!(run(top_k, name).unwrap_err().code(), "BindError");
         }
+        run(top_k, "sampling").unwrap();
+        assert_eq!(run(group_by, "sampling").unwrap_err().code(), "BindError");
+    }
+
+    /// The one injection point: every pushed scan under the tree gets the
+    /// predicate ANDed in, through a cluster fan-out, and nothing else
+    /// changes.
+    #[test]
+    fn push_predicate_reaches_every_pushed_scan_through_the_fan_out() {
+        let store = S3Store::new();
+        let schema = Schema::from_pairs(&[("g", DataType::Int), ("v", DataType::Float)]);
+        let rows: Vec<Row> = (0..50)
+            .map(|i| Row::new(vec![Value::Int(i % 5), Value::Float(i as f64)]))
+            .collect();
+        let t = upload_csv_table(&store, "b", "t", &schema, &rows, 10).unwrap();
+        let ctx = QueryContext::new(store).with_nodes(4);
+        let spec = pushdown_sql::parse_query("SELECT g, SUM(v) FROM t WHERE v > 3 GROUP BY g");
+        let candidates = crate::joinplan::lower_candidates(&ctx, &t, &spec.unwrap()).unwrap();
+        let (_, filtered) = candidates.iter().find(|(n, _)| *n == "filtered").unwrap();
+        let scattered = scatter(&ctx, filtered).expect("a pushed scan scatters");
+        let extra = pushdown_sql::parse_expr("g <> 2").unwrap();
+        fn predicates(node: &PlanNode, out: &mut Vec<String>) {
+            if let PlanOp::PushdownScan { predicate, .. } = &node.op {
+                out.push(predicate.as_ref().map_or(String::new(), Expr::to_string));
+            }
+            node.children.iter().for_each(|c| predicates(c, out));
+        }
+        let (mut before, mut after) = (Vec::new(), Vec::new());
+        predicates(&scattered, &mut before);
+        predicates(&push_predicate(&scattered, &extra), &mut after);
+        assert!(before.len() > 1, "one leaf per populated node: {before:?}");
+        assert_eq!(after.len(), before.len());
+        for (b, a) in before.iter().zip(&after) {
+            assert_eq!(*a, format!("{b} AND {extra}"));
+        }
+        // The answer is the statement's with the predicate in its WHERE.
+        let pushed = execute(&ctx.scoped(), &push_predicate(&scattered, &extra)).unwrap();
+        let sql = "SELECT g, SUM(v) FROM t WHERE v > 3 AND g <> 2 GROUP BY g";
+        let want = run_candidate(&ctx, &t, sql, "server-side", None).unwrap();
+        assert_eq!(pushed.rows, want.rows);
     }
 }

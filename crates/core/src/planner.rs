@@ -13,44 +13,44 @@
 //! Every query, single-table or joined, takes **one pipeline**:
 //!
 //! 1. **lower** — the statement becomes named candidate plans
-//!    ([`crate::plan`]). Every statement is a join of *n ≥ 1* tables
+//!    ([`crate::plan`]), every one a tree of IR operators over scan
+//!    leaves. Every statement is a join of *n ≥ 1* tables
 //!    ([`crate::joinplan`]): a left-deep join DAG over per-table scan
 //!    leaves whose join strategy and per-scan modes (plain GET, S3
 //!    Select, segment cache) vary **jointly**, under one projection /
 //!    aggregation / ORDER BY / LIMIT stack. For one table that line-up
 //!    is the §IV filter strategies, local vs S3-side aggregation (§VIII
-//!    Q6) and the §VI server-side / filtered group-by. Beside those
-//!    trees stand the algorithm-family leaves ([`AlgoOp`]) — the
-//!    algorithms whose later SQL is computed from an earlier phase:
+//!    Q6), the §VI server-side / filtered group-by and the §VII
+//!    server-side top-K; beside them stand the staged algorithms, whose
+//!    later SQL is written from an earlier phase's rows:
 //!    * GROUP BY → §VI's S3-side and hybrid group-by and — under the
 //!      extended engine — §X's native one;
-//!    * `ORDER BY col LIMIT k` over `*` → the §VII top-K algorithms;
+//!    * `ORDER BY col LIMIT k` over `*` → §VII's sampling top-K;
 //! 2. **price** — [`cost::predict_plan`] walks a candidate whole, over
 //!    one [`cost::Estimators`] snapshot per query;
 //! 3. **pick** — a fixed strategy takes the first name of its family's
 //!    preference list that is a candidate; Adaptive prices them all and
 //!    takes the argmin of (dollars, then runtime);
 //! 4. **scatter** — on a cluster, the pick's scan leaves fan out across
-//!    the nodes ([`plan::scatter`]), where there are any to fan out;
+//!    the nodes ([`plan::scatter`]);
 //! 5. **run** — one executor ([`plan::execute`]);
 //! 6. **explain** — the report tree is annotated node by node with the
 //!    prediction of the plan that ran, and [`execute_sql_verbose`]
 //!    returns the [`Explain`] surface: the candidates considered, the
 //!    prediction, and predicted-vs-actual per phase and per operator.
 
-use crate::algos::{groupby, topk};
 use crate::catalog::Table;
 use crate::context::QueryContext;
 use crate::cost;
-use crate::joinplan::{lower_candidates, order_limit_stack};
+use crate::joinplan::{lower_candidates, top_k};
 use crate::metrics::QueryMetrics;
 use crate::output::QueryOutput;
-use crate::plan::{self, AlgoOp, OpReport, PlanNode, PlanOp};
+use crate::plan::{self, OpReport, PlanNode, PlanOp};
+use crate::scan::ScanLimit;
 use pushdown_common::pricing::Usage;
-use pushdown_common::{Error, Result, Schema};
+use pushdown_common::{Error, Result};
 use pushdown_sql::ast::QuerySpec;
 use pushdown_sql::parser::parse_query;
-use pushdown_sql::{Expr, SelectItem};
 
 /// Whether the planner may push computation into S3 Select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -356,81 +356,82 @@ pub fn execute_sql_verbose(
 /// (the argmin keeps the earliest minimum).
 pub type Candidates = Vec<(&'static str, PlanNode)>;
 
-/// Lower a statement to its family and candidate plans: the trees of
-/// [`crate::joinplan`] — a single-table statement is a join of one table
-/// — and, after them, one algorithm-family leaf per variant that
-/// *applies* to it, under the same ORDER BY / LIMIT stack:
-///
-/// * cached candidates lead wherever a segment cache is installed — a
-///   cold fill costs exactly what the remote load costs, so ties must
-///   break toward warming the cache;
-/// * `ORDER BY col LIMIT k` over `*` is the §VII top-K family, whole: the
-///   leaf orders and limits by itself;
-/// * the CASE-WHEN group-bys (`s3-side`, `hybrid`) need an aggregate to
-///   push, over plain columns, and `hybrid` a single grouping column;
-/// * `s3-native` exists under the engine's §X extension only.
+/// Lower a statement to its family and its candidate plans — the trees
+/// of [`crate::joinplan`], a single-table statement being a join of one
+/// table. Cached candidates lead wherever a segment cache is installed:
+/// a cold fill costs exactly what the remote load costs, so ties must
+/// break toward warming the cache.
 pub fn lower(ctx: &QueryContext, table: &Table, spec: &QuerySpec) -> Result<(Family, Candidates)> {
-    let mut variants: Vec<&'static str> = Vec::new();
-    if let ([], [order], Some(k), None, [], [SelectItem::Wildcard]) = (
-        spec.joins.as_slice(),
-        spec.order_by.as_slice(),
-        spec.select.limit,
-        &spec.select.where_clause,
-        spec.group_by.as_slice(),
-        spec.select.items.as_slice(),
-    ) {
-        let q = topk::TopKQuery {
-            table: table.clone(),
-            order_col: order.column.clone(),
-            k: k as usize,
-            asc: order.asc,
-        };
-        // Unknown order columns are bind errors, not runtime errors.
-        table.schema.resolve(&q.order_col)?;
-        if ctx.store.cache().is_some() {
-            variants.push("cached-local");
-        }
-        variants.extend(["server-side", "sampling"]);
-        let leaf = |v| AlgoOp::TopK(q.clone(), v);
-        return Ok((Family::TopK, leaves(&variants, &table.schema, leaf)));
-    }
-    let mut candidates = lower_candidates(ctx, table, spec)?;
     let family = if !spec.joins.is_empty() {
         Family::Join
     } else if !spec.group_by.is_empty() {
         Family::GroupBy
     } else if spec.select.is_aggregate() {
         Family::Aggregate
+    } else if top_k(spec).is_some() {
+        Family::TopK
     } else {
         Family::Filter
     };
-    if let (Family::GroupBy, Some(q)) = (family, groupby_query(table, spec)) {
-        if !q.aggs.is_empty() {
-            variants.push("s3-side");
-            if q.group_cols.len() == 1 {
-                variants.push("hybrid");
-            }
-        }
-        if ctx.engine.extensions().native_group_by {
-            variants.push("s3-native");
-        }
-        // A leaf answers in the schema the trees do (aliases included).
-        let schema = candidates[0].1.schema.clone();
-        for (v, leaf) in leaves(&variants, &schema, |v| AlgoOp::GroupBy(q.clone(), v)) {
-            candidates.push((v, order_limit_stack(leaf, spec)?));
-        }
-    }
-    Ok((family, candidates))
+    Ok((family, lower_candidates(ctx, table, spec)?))
 }
 
-/// One algorithm-family leaf per variant, each a candidate by its name.
-fn leaves(
-    variants: &[&'static str],
-    schema: &Schema,
-    leaf: impl Fn(&'static str) -> AlgoOp,
-) -> Candidates {
-    let node = |v| PlanNode::new(PlanOp::Algo(leaf(v)), Vec::new(), schema.clone());
-    variants.iter().map(|&v| (v, node(v))).collect()
+/// A number to overwrite on a lowered candidate before it runs — what a
+/// figure sweeps.
+#[derive(Debug, Clone, Copy)]
+pub enum Tune {
+    /// The false-positive rate its Bloom joins request (Fig 4).
+    Fpr(f64),
+    /// How many groups its hybrid split pushes to S3, whatever their
+    /// share of the sample (Fig 6).
+    ForcedSplit(usize),
+    /// The size of its top-K sample (Fig 8).
+    SampleSize(usize),
+}
+
+/// Run the candidate plan `sql` lowers to under `name` — a named
+/// algorithm (`"server-side"`, `"s3-side"`, `"filtered"`, `"hybrid"`,
+/// `"sampling"`, `"baseline"`, `"bloom"`, ...), not the optimizer's pick
+/// — on a query scope of its own: figures, examples and tests compare
+/// named algorithms. Join tables must be registered in `ctx.catalog`.
+///
+/// # Errors
+///
+/// `sql` does not lower, has no candidate called `name`, or the
+/// candidate fails to run.
+pub fn run_candidate(
+    ctx: &QueryContext,
+    table: &Table,
+    sql: &str,
+    name: &str,
+    tune: Option<Tune>,
+) -> Result<QueryOutput> {
+    fn apply(node: &mut PlanNode, tune: Tune) {
+        match (&mut node.op, tune) {
+            (PlanOp::BloomJoin { fpr, .. }, Tune::Fpr(rate)) => *fpr = rate,
+            (PlanOp::HybridSplit { force, .. }, Tune::ForcedSplit(n)) => *force = Some(n),
+            (
+                PlanOp::PushdownScan {
+                    limit: Some(ScanLimit::Striped(size)),
+                    ..
+                },
+                Tune::SampleSize(n),
+            ) => *size = n,
+            _ => {}
+        }
+        node.children.iter_mut().for_each(|c| apply(c, tune));
+    }
+    let ctx = ctx.scoped();
+    let (_, candidates) = lower(&ctx, table, &parse_query(sql)?)?;
+    let found = candidates.into_iter().find(|(n, _)| *n == name);
+    let (_, mut plan) =
+        found.ok_or_else(|| Error::Bind(format!("`{sql}` has no `{name}` candidate")))?;
+    if let Some(tune) = tune {
+        apply(&mut plan, tune);
+    }
+    let mut out = plan::execute(&ctx, &plan)?.into_output();
+    out.billed = ctx.billed();
+    Ok(out)
 }
 
 /// Index of the cheapest candidate: by predicted dollars, ties broken by
@@ -543,56 +544,12 @@ pub fn run_candidates(
     Ok((out, explain))
 }
 
-/// The [`groupby::GroupByQuery`] of a GROUP BY statement whose aggregate
-/// arguments are all plain columns or `COUNT(*)` — what the CASE-WHEN
-/// leaves can push. (The trees validated the select list already.)
-fn groupby_query(table: &Table, spec: &QuerySpec) -> Option<groupby::GroupByQuery> {
-    let mut aggs = Vec::new();
-    for item in &spec.select.items {
-        match item {
-            SelectItem::Agg {
-                func, arg: None, ..
-            } => aggs.push((*func, None)),
-            SelectItem::Agg {
-                func,
-                arg: Some(Expr::Column(c)),
-                ..
-            } => aggs.push((*func, Some(c.clone()))),
-            SelectItem::Agg { .. } => return None,
-            _ => {}
-        }
-    }
-    Some(groupby::GroupByQuery {
-        table: table.clone(),
-        group_cols: spec.group_by.clone(),
-        aggs,
-        predicate: spec.select.where_clause.clone(),
-    })
-}
-
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::catalog::upload_csv_table;
-    use pushdown_common::{DataType, Row, Value};
+    use pushdown_common::{DataType, Row, Schema, Value};
     use pushdown_s3::S3Store;
-
-    /// Run the candidate `sql` lowers to under `name` — a named algorithm,
-    /// not the optimizer's pick — on a query scope of its own.
-    pub(crate) fn run_candidate(
-        ctx: &QueryContext,
-        table: &Table,
-        sql: &str,
-        name: &str,
-    ) -> Result<QueryOutput> {
-        let ctx = ctx.scoped();
-        let (_, candidates) = lower(&ctx, table, &parse_query(sql)?)?;
-        let found = candidates.iter().find(|(n, _)| *n == name);
-        let (_, plan) = found.ok_or_else(|| Error::Bind(format!("no `{name}` candidate")))?;
-        let mut out = plan::execute(&ctx, plan)?.into_output();
-        out.billed = ctx.billed();
-        Ok(out)
-    }
 
     fn setup() -> (QueryContext, Table) {
         let store = S3Store::new();

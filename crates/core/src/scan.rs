@@ -7,7 +7,9 @@
 //! * [`select_scan`] / [`select_scan_streamed`] — ship a `SELECT`
 //!   statement to the storage engine for every partition (the *pushdown*
 //!   path: bytes scanned and returned are billed; the response parses
-//!   slower per byte, but there are fewer of them).
+//!   slower per byte, but there are fewer of them), whole or cut short
+//!   to a sample ([`ScanLimit`]); [`select_scan_aggregate`] merges the
+//!   partitions' aggregates instead.
 //!
 //! # Streaming execution
 //!
@@ -40,7 +42,8 @@
 //! of the table a consumer-side filter would have kept, whatever
 //! `scan_threads` and `batch_rows` are — float sums, group first-seen
 //! order and ties stay put. (The top-K reducer emits each partition's
-//! best K unordered; the K best of a multiset do not depend on order.)
+//! best K in storage order too, so `ORDER BY … LIMIT k` breaks its ties
+//! the way a stable sort of the whole table would.)
 //!
 //! The older closure-taking entry points ([`plain_scan_streamed`],
 //! [`cached_scan_streamed`], [`plain_scan`]) are forwarding shims over [`scan`] with an identity fragment, kept
@@ -48,20 +51,20 @@
 //! compare against.
 //!
 //! Aggregate statements are re-written per partition and merged on the
-//! compute node — `AVG` is decomposed into `SUM`+`COUNT` because
-//! per-partition averages do not merge.
+//! compute node ([`select_scan_aggregate`]).
 
 use crate::catalog::Table;
 use crate::context::QueryContext;
 pub use crate::fragment::ScanFragment;
+use crate::ops;
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::row::RowBatch;
-use pushdown_common::{Error, Result, Row, Schema, Value};
+use pushdown_common::{DataType, Error, Field, Result, Row, Schema, Value};
 use pushdown_format::columnar::ColumnarReader;
 use pushdown_format::csv::CsvReader;
 use pushdown_select::InputFormat;
 use pushdown_sql::agg::AggFunc;
-use pushdown_sql::ast::{SelectItem, SelectStmt};
+use pushdown_sql::ast::{ExtendedSelect, SelectItem, SelectStmt};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Mutex, OnceLock};
@@ -87,9 +90,12 @@ pub struct ScanSummary {
     pub schema: Schema,
     /// Fetch and decode footprint.
     pub stats: PhaseStats,
-    /// CPU units the [`ScanFragment`] charged inside the workers (its
-    /// predicate and reducer); zero for Select scans.
+    /// CPU units the [`ScanFragment`]'s predicate charged inside the
+    /// workers; zero for Select scans.
     pub op_stats: PhaseStats,
+    /// CPU units its top-K reducer charged there — the work of the
+    /// `ORDER BY … LIMIT` above the scan, done below it.
+    pub reduce_stats: PhaseStats,
     /// Partitions served entirely from the local segment cache (either
     /// tier, no remote bytes).
     pub hit_parts: u64,
@@ -104,6 +110,7 @@ impl ScanSummary {
             schema,
             stats,
             op_stats: PhaseStats::default(),
+            reduce_stats: PhaseStats::default(),
             hit_parts: 0,
             fill_parts: 0,
         }
@@ -298,11 +305,8 @@ pub enum ScanSource {
     /// One whole-object GET per partition — unless the context has
     /// `cache_reads` set **and** the store carries a
     /// [`pushdown_cache::SegmentCache`], in which case the scan reads
-    /// through the cache like [`ScanSource::Cached`]. This is how the
-    /// top-K leaf's `cached-local` variant reuses the server-side
-    /// algorithm unchanged (the other families' `cached-local` candidates
-    /// are [`crate::plan::PlanOp::CachedScan`] leaves), and how a caller
-    /// warms the cache with any baseline plan
+    /// through the cache like [`ScanSource::Cached`]: how a caller warms
+    /// the cache with any baseline plan
     /// ([`QueryContext::with_cache_reads`]).
     Plain,
     /// Read every partition **through** the store's tiered segment cache
@@ -321,15 +325,15 @@ pub enum ScanSource {
 /// `fragment` needs — and evaluate `fragment` on them in the calling
 /// thread, pushing survivors to `emit` in batches of at most
 /// `ctx.batch_rows`.
-/// Returns the number of rows decoded and the CPU units the fragment
-/// charged.
+/// Returns the number of rows decoded and the CPU units the fragment's
+/// predicate and reducer charged.
 pub(crate) fn decode_partition(
     data: bytes::Bytes,
     table: &Table,
     ctx: &QueryContext,
     fragment: &ScanFragment,
     emit: impl FnMut(RowBatch) -> Result<()>,
-) -> Result<(u64, u64)> {
+) -> Result<(u64, (u64, u64))> {
     let mut out = fragment.outbox(ctx.batch_rows, emit);
     let mut decoded = 0u64;
     match table.format {
@@ -421,7 +425,11 @@ pub fn scan(
     let cached = source == ScanSource::Cached || (ctx.cache_reads && ctx.store.cache().is_some());
     let hit_parts = AtomicU64::new(0);
     let fill_parts = AtomicU64::new(0);
-    let op_units = AtomicU64::new(0);
+    let cpu = |units: AtomicU64| PhaseStats {
+        server_cpu_units: units.into_inner(),
+        ..Default::default()
+    };
+    let (op_units, reduce_units) = (AtomicU64::new(0), AtomicU64::new(0));
     let stats = stream_partitions(
         ctx,
         &keys,
@@ -461,10 +469,11 @@ pub fn scan(
             if table.format == InputFormat::Columnar {
                 part.cl_parse_bytes = data.len() as u64;
             }
-            let (rows, charged) =
+            let (rows, (charged, reduced)) =
                 decode_partition(data, table, ctx, fragment, |batch| emitter.emit(batch))?;
             part.server_cpu_units += rows;
             op_units.fetch_add(charged, Ordering::Relaxed);
+            reduce_units.fetch_add(reduced, Ordering::Relaxed);
             Ok(part)
         },
         &mut sink,
@@ -478,10 +487,8 @@ pub fn scan(
     Ok(ScanSummary {
         schema: fragment.schema().clone(),
         stats: stats?,
-        op_stats: PhaseStats {
-            server_cpu_units: op_units.into_inner(),
-            ..Default::default()
-        },
+        op_stats: cpu(op_units),
+        reduce_stats: cpu(reduce_units),
         hit_parts: hit_parts.into_inner(),
         fill_parts: fill_parts.into_inner(),
     })
@@ -536,20 +543,6 @@ pub fn plain_scan(ctx: &QueryContext, table: &Table) -> Result<ScanResult> {
     })
 }
 
-/// How a per-partition aggregate column folds into the final answer.
-enum MergeKind {
-    Sum,
-    Count,
-    Min,
-    Max,
-    /// `AVG` decomposed: positions of its SUM and COUNT columns in the
-    /// per-partition result.
-    Avg {
-        sum_col: usize,
-        count_col: usize,
-    },
-}
-
 fn accumulate_response(stats: &mut PhaseStats, resp: &pushdown_select::SelectResponse) {
     // attempts ≥ 1; each billed one ledger request (retries included).
     stats.requests += u64::from(resp.stats.attempts.max(1));
@@ -559,216 +552,186 @@ fn accumulate_response(stats: &mut PhaseStats, resp: &pushdown_select::SelectRes
     stats.expr_terms = stats.expr_terms.max(resp.stats.expr_terms);
 }
 
-/// Pushdown path, streaming: run `stmt` against every partition via S3
-/// Select and deliver response rows as batches in partition order.
+/// How a pushed scan is cut short — the two sampling scans. Either way
+/// every queried partition gets a `LIMIT` of its own, so the scan, and
+/// its bill, stop with the sample.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanLimit {
+    /// The table's first `n` matching rows *in storage order*: partitions
+    /// are queried one after the other until the limit is met (§VI-B's
+    /// "first 1 % of data"). A prefix, not a sample — the most biased
+    /// subset possible on sorted input.
+    Prefix(usize),
+    /// `n` rows **striped across partitions**: partition `i` of `P` gets
+    /// the share `⌊(i+1)·n/P⌋ − ⌊i·n/P⌋` (shares telescope to exactly
+    /// `n`), so every partition contributes proportionally and the bias
+    /// is bounded by the per-partition storage order (§VII-A's sampling
+    /// phase, statistics probes). Shares run concurrently on the worker
+    /// pool.
+    Striped(usize),
+}
+
+/// Pushdown path, streaming: run the scalar statement `stmt` against
+/// every partition via S3 Select and deliver response rows as batches in
+/// partition order.
 ///
-/// * Scalar statements stream with full partition parallelism. Each
+/// * Without a `limit` the partitions stream with full parallelism. Each
 ///   worker materializes its partition's *response* rows before
 ///   batching, so peak residency follows the billed returned subset
 ///   (small under pushdown), not the table.
-/// * `LIMIT` statements query partitions *sequentially* and stop early
-///   (the sampling phases of §VI-B and §VII-A rely on the scan — and its
-///   bill — stopping with the limit), streaming each response.
-/// * Aggregate statements produce their single merged row as one batch.
+/// * A [`ScanLimit`] bounds the output, so the responses are collected
+///   and then batched.
+///
+/// Aggregate statements merge instead: [`select_scan_aggregate`].
 pub fn select_scan_streamed(
     ctx: &QueryContext,
     table: &Table,
     stmt: &SelectStmt,
+    limit: Option<ScanLimit>,
     mut on_batch: impl FnMut(RowBatch) -> Result<()>,
 ) -> Result<ScanSummary> {
-    if stmt.is_aggregate() || stmt.limit.is_some() {
-        // Both shapes produce bounded output (one row, or ≤ LIMIT rows):
-        // materialize via the dedicated paths and re-batch.
-        let scan = select_scan(ctx, table, stmt)?;
-        for batch in RowBatch::chunks(&scan.schema, scan.rows, ctx.batch_rows) {
+    let keys = partition_keys(ctx, table)?;
+    let select = |key: &str, stmt: &SelectStmt| {
+        ctx.engine
+            .select_stmt(&table.bucket, key, stmt, &table.schema, table.format)
+    };
+    let limited = |n: usize| SelectStmt {
+        limit: Some(n as u64),
+        ..stmt.clone()
+    };
+    let mut responses = Vec::new();
+    match limit {
+        None => {
+            let schema_slot: OnceLock<Schema> = OnceLock::new();
+            let stats = stream_partitions(
+                ctx,
+                &keys,
+                |key, emitter| {
+                    let resp = select(key, stmt)?;
+                    let mut part = PhaseStats::default();
+                    accumulate_response(&mut part, &resp);
+                    let _ = schema_slot.set(resp.output_schema.clone());
+                    let rows = resp.rows()?;
+                    for batch in RowBatch::chunks(&resp.output_schema, rows, ctx.batch_rows) {
+                        emitter.emit(batch)?;
+                    }
+                    Ok(part)
+                },
+                &mut on_batch,
+            )?;
+            let schema = schema_slot
+                .into_inner()
+                .expect("at least one partition responded");
+            return Ok(ScanSummary::new(schema, stats));
+        }
+        Some(ScanLimit::Prefix(n)) => {
+            let mut room = n;
+            for key in &keys {
+                if room == 0 {
+                    break;
+                }
+                let resp = select(key, &limited(room))?;
+                room = room.saturating_sub(resp.stats.records_returned as usize);
+                responses.push(resp);
+            }
+        }
+        Some(ScanLimit::Striped(n)) => {
+            let (n, parts) = (n.max(1), keys.len());
+            let share_of = |key: &str| {
+                let i = keys
+                    .iter()
+                    .position(|k| k == key)
+                    .expect("key comes from the same partition listing");
+                (i + 1) * n / parts - i * n / parts
+            };
+            let shares = for_each_partition(ctx, table, |key| match share_of(key) {
+                0 => Ok(None),
+                share => select(key, &limited(share)).map(Some),
+            })?;
+            responses.extend(shares.into_iter().flatten());
+        }
+    }
+    let mut stats = PhaseStats::default();
+    let mut schema = None;
+    for resp in responses {
+        accumulate_response(&mut stats, &resp);
+        let schema = schema.get_or_insert_with(|| resp.output_schema.clone());
+        for batch in RowBatch::chunks(schema, resp.rows()?, ctx.batch_rows) {
             on_batch(batch)?;
         }
-        return Ok(ScanSummary::new(scan.schema, scan.stats));
     }
-
-    let keys = partition_keys(ctx, table)?;
-    let schema_slot: OnceLock<Schema> = OnceLock::new();
-    let stats = stream_partitions(
-        ctx,
-        &keys,
-        |key, emitter| {
-            let resp =
-                ctx.engine
-                    .select_stmt(&table.bucket, key, stmt, &table.schema, table.format)?;
-            let mut part = PhaseStats::default();
-            accumulate_response(&mut part, &resp);
-            let _ = schema_slot.set(resp.output_schema.clone());
-            let rows = resp.rows()?;
-            for batch in RowBatch::chunks(&resp.output_schema, rows, ctx.batch_rows) {
-                emitter.emit(batch)?;
-            }
-            Ok(part)
-        },
-        &mut on_batch,
-    )?;
-    let schema = schema_slot
-        .into_inner()
-        .expect("at least one partition responded");
+    let schema =
+        schema.ok_or_else(|| Error::Other(format!("an empty sample of `{}`", table.name)))?;
     Ok(ScanSummary::new(schema, stats))
 }
 
 /// Pushdown path: run `stmt` against every partition via S3 Select and
-/// merge the responses. Collecting wrapper over the streaming scans.
+/// collect the answer — an aggregate statement's merged row
+/// ([`select_scan_aggregate`]), else the streamed rows, a statement's own
+/// `LIMIT` as a [`ScanLimit::Prefix`].
 pub fn select_scan(ctx: &QueryContext, table: &Table, stmt: &SelectStmt) -> Result<ScanResult> {
     if stmt.is_aggregate() {
-        select_scan_aggregate(ctx, table, stmt)
-    } else if stmt.limit.is_some() {
-        select_scan_limited(ctx, table, stmt)
-    } else {
-        let mut rows = Vec::new();
-        let summary = select_scan_streamed(ctx, table, stmt, |batch| {
-            rows.extend(batch.rows);
-            Ok(())
-        })?;
-        Ok(ScanResult {
-            schema: summary.schema,
-            rows,
-            stats: summary.stats,
-        })
+        return select_scan_aggregate(ctx, table, stmt, &[]);
     }
-}
-
-fn select_scan_limited(ctx: &QueryContext, table: &Table, stmt: &SelectStmt) -> Result<ScanResult> {
-    let limit = stmt.limit.expect("limited scan") as usize;
-    let mut stats = PhaseStats::default();
+    let limit = stmt.limit.map(|n| ScanLimit::Prefix(n as usize));
     let mut rows = Vec::new();
-    let mut schema = None;
-    for key in table.partitions(&ctx.store) {
-        let remaining = limit - rows.len();
-        if remaining == 0 {
-            break;
-        }
-        let mut part_stmt = stmt.clone();
-        part_stmt.limit = Some(remaining as u64);
-        let resp =
-            ctx.engine
-                .select_stmt(&table.bucket, &key, &part_stmt, &table.schema, table.format)?;
-        accumulate_response(&mut stats, &resp);
-        if schema.is_none() {
-            schema = Some(resp.output_schema.clone());
-        }
-        rows.extend(resp.rows()?);
-    }
-    let schema = schema
-        .ok_or_else(|| Error::NoSuchKey(format!("table `{}` has no partitions", table.name)))?;
-    Ok(ScanResult {
-        schema,
-        rows,
-        stats,
-    })
-}
-
-/// Run a `LIMIT`-bounded statement with the limit **striped across
-/// partitions** (per-partition shares) instead of taking a prefix of the
-/// table.
-///
-/// A plain `LIMIT n` scan ([`select_scan`]) queries partitions in order
-/// and stops early, so it returns the table's first `n` rows *in storage
-/// order* — a prefix, not a sample. Phases that treat the result as a
-/// sample (the §VII-A top-K sampling phase, statistics probes) degrade
-/// badly on sorted input: the prefix is the most biased subset possible.
-/// This scan gives partition `i` the share `⌊(i+1)·n/P⌋ − ⌊i·n/P⌋`
-/// (shares telescope to exactly `n`), so
-/// every partition contributes proportionally and the worst-case bias is
-/// bounded by the per-partition storage order. Shares run concurrently
-/// on the worker pool; rows return in partition order (deterministic).
-pub fn select_scan_striped_limit(
-    ctx: &QueryContext,
-    table: &Table,
-    stmt: &SelectStmt,
-    limit: usize,
-) -> Result<ScanResult> {
-    let keys = partition_keys(ctx, table)?;
-    let parts = keys.len();
-    let limit = limit.max(1);
-    let share_of = |key: &str| -> u64 {
-        let i = keys
-            .iter()
-            .position(|k| k == key)
-            .expect("key comes from the same partition listing");
-        ((i + 1) * limit / parts - i * limit / parts) as u64
-    };
-    let responses = for_each_partition(ctx, table, |key| {
-        let share = share_of(key);
-        if share == 0 {
-            return Ok(None);
-        }
-        let mut part_stmt = stmt.clone();
-        part_stmt.limit = Some(share);
-        ctx.engine
-            .select_stmt(&table.bucket, key, &part_stmt, &table.schema, table.format)
-            .map(Some)
+    let summary = select_scan_streamed(ctx, table, stmt, limit, |batch| {
+        rows.extend(batch.rows);
+        Ok(())
     })?;
-    let mut stats = PhaseStats::default();
-    let mut rows = Vec::new();
-    let mut schema = None;
-    for resp in responses.into_iter().flatten() {
-        accumulate_response(&mut stats, &resp);
-        if schema.is_none() {
-            schema = Some(resp.output_schema.clone());
-        }
-        rows.extend(resp.rows()?);
-    }
-    let schema = schema
-        .ok_or_else(|| Error::NoSuchKey(format!("table `{}` has no partitions", table.name)))?;
     Ok(ScanResult {
-        schema,
+        schema: summary.schema,
         rows,
-        stats,
+        stats: summary.stats,
     })
 }
 
-fn select_scan_aggregate(
+/// Pushed aggregation: every partition answers `stmt`'s aggregates — per
+/// group of `group_by`, under the engine's §X native `GROUP BY` extension,
+/// when there are grouping columns — and the per-partition partials merge
+/// on the compute node through [`ops::merge_group_rows`] (a scalar
+/// statement is the one group of zero columns). `AVG` ships as `SUM` +
+/// `COUNT`, because per-partition averages do not merge. Rows are
+/// `group values ++ one value per aggregate of stmt`, sorted by group.
+pub fn select_scan_aggregate(
     ctx: &QueryContext,
     table: &Table,
     stmt: &SelectStmt,
+    group_by: &[String],
 ) -> Result<ScanResult> {
-    // Rewrite: one partition-level item list, plus merge instructions that
-    // map partition columns back to the original items.
-    let mut part_items: Vec<SelectItem> = Vec::new();
-    let mut merges: Vec<MergeKind> = Vec::new();
-    for item in &stmt.items {
+    let width = group_by.len();
+    let mut items: Vec<SelectItem> = group_by
+        .iter()
+        .map(|c| SelectItem::Expr {
+            expr: pushdown_sql::Expr::col(c.clone()),
+            alias: None,
+        })
+        .collect();
+    // Per aggregate of `stmt`: its function, its name and the first of
+    // its partial columns; per partial column: the function it merges by.
+    let mut outputs: Vec<(AggFunc, String, usize)> = Vec::new();
+    let mut partials: Vec<AggFunc> = Vec::new();
+    for (i, item) in stmt.items.iter().enumerate() {
         match item {
-            SelectItem::Agg { func, arg, alias } => match func {
-                AggFunc::Sum => {
-                    merges.push(MergeKind::Sum);
-                    part_items.push(item.clone());
-                }
-                AggFunc::Count => {
-                    merges.push(MergeKind::Count);
-                    part_items.push(item.clone());
-                }
-                AggFunc::Min => {
-                    merges.push(MergeKind::Min);
-                    part_items.push(item.clone());
-                }
-                AggFunc::Max => {
-                    merges.push(MergeKind::Max);
-                    part_items.push(item.clone());
-                }
-                AggFunc::Avg => {
-                    let sum_col = part_items.len();
-                    part_items.push(SelectItem::Agg {
-                        func: AggFunc::Sum,
+            SelectItem::Agg { func, arg, alias } => {
+                let name = alias.clone().unwrap_or_else(|| format!("_{}", i + 1));
+                outputs.push((*func, name, width + partials.len()));
+                let shipped: &[AggFunc] = match func {
+                    AggFunc::Avg => &[AggFunc::Sum, AggFunc::Count],
+                    other => std::slice::from_ref(other),
+                };
+                for (j, f) in shipped.iter().enumerate() {
+                    items.push(SelectItem::Agg {
+                        func: *f,
                         arg: arg.clone(),
-                        alias: alias.clone(),
+                        alias: alias.clone().filter(|_| j == 0),
                     });
-                    part_items.push(SelectItem::Agg {
-                        func: AggFunc::Count,
-                        arg: arg.clone(),
-                        alias: None,
-                    });
-                    merges.push(MergeKind::Avg {
-                        sum_col,
-                        count_col: sum_col + 1,
-                    });
+                    partials.push(*f);
                 }
-            },
+            }
+            // A grouped statement's scalar items are its grouping
+            // columns, shipped above.
+            SelectItem::Expr { .. } if width > 0 => {}
             other => {
                 return Err(Error::Bind(format!(
                     "aggregate scan cannot contain scalar item `{other}`"
@@ -776,117 +739,61 @@ fn select_scan_aggregate(
             }
         }
     }
-    let part_stmt = SelectStmt {
-        items: part_items,
-        alias: stmt.alias.clone(),
-        where_clause: stmt.where_clause.clone(),
-        limit: None,
+    let grouped = ExtendedSelect {
+        select: SelectStmt {
+            items,
+            alias: stmt.alias.clone(),
+            where_clause: stmt.where_clause.clone(),
+            limit: None,
+        },
+        group_by: group_by.to_vec(),
     };
-
     let responses = for_each_partition(ctx, table, |key| {
-        ctx.engine
-            .select_stmt(&table.bucket, key, &part_stmt, &table.schema, table.format)
+        let (bucket, schema) = (&table.bucket, &table.schema);
+        if width == 0 {
+            let stmt = &grouped.select;
+            ctx.engine
+                .select_stmt(bucket, key, stmt, schema, table.format)
+        } else {
+            ctx.engine
+                .select_grouped(bucket, key, &grouped, schema, table.format)
+        }
     })?;
-
     let mut stats = PhaseStats::default();
-    let mut partials: Vec<Row> = Vec::new();
+    let mut rows: Vec<Row> = Vec::new();
     let mut part_schema = None;
     for resp in responses {
         accumulate_response(&mut stats, &resp);
-        if part_schema.is_none() {
-            part_schema = Some(resp.output_schema.clone());
-        }
-        partials.extend(resp.rows()?);
+        part_schema.get_or_insert_with(|| resp.output_schema.clone());
+        rows.extend(resp.rows()?);
     }
     let part_schema = part_schema.expect("at least one partition");
-
-    // Merge partition rows according to the merge plan.
-    let mut out: Vec<Value> = Vec::with_capacity(stmt.items.len());
-    let mut col_of_item: Vec<usize> = Vec::new();
-    {
-        let mut c = 0;
-        for m in &merges {
-            col_of_item.push(c);
-            c += match m {
-                MergeKind::Avg { .. } => 2,
-                _ => 1,
-            };
-        }
-    }
-    for (m, &col) in merges.iter().zip(&col_of_item) {
-        let column = |idx: usize| partials.iter().map(move |r| r[idx].clone());
-        let merged = match m {
-            MergeKind::Sum | MergeKind::Count => {
-                let mut acc = AggFunc::Sum.accumulator();
-                for v in column(col) {
-                    acc.update(&v)?;
-                }
-                match (m, acc.finish()) {
-                    // COUNT of zero partitions/nulls is 0, not NULL.
-                    (MergeKind::Count, Value::Null) => Value::Int(0),
-                    (_, v) => v,
-                }
-            }
-            MergeKind::Min => {
-                let mut acc = AggFunc::Min.accumulator();
-                for v in column(col) {
-                    acc.update(&v)?;
-                }
-                acc.finish()
-            }
-            MergeKind::Max => {
-                let mut acc = AggFunc::Max.accumulator();
-                for v in column(col) {
-                    acc.update(&v)?;
-                }
-                acc.finish()
-            }
-            MergeKind::Avg { sum_col, count_col } => {
-                let mut total = 0.0;
-                let mut n: i64 = 0;
-                for r in &partials {
-                    if !r[*sum_col].is_null() {
-                        total += r[*sum_col].as_f64()?;
-                    }
-                    n += r[*count_col].as_i64()?;
-                }
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(total / n as f64)
-                }
-            }
+    let merged = ops::merge_group_rows(vec![rows], width, &partials, &mut stats)?;
+    let mut fields: Vec<Field> = (0..width).map(|g| part_schema.field(g).clone()).collect();
+    for (func, name, col) in &outputs {
+        let dtype = match func {
+            AggFunc::Avg => DataType::Float,
+            _ => part_schema.dtype_of(*col),
         };
-        out.push(merged);
+        fields.push(Field::new(name.clone(), dtype));
     }
-    stats.server_cpu_units += partials.len() as u64;
-
-    // Output schema: named like the original statement's items.
-    let fields: Vec<pushdown_common::Field> = stmt
-        .items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| {
-            let SelectItem::Agg { func, alias, .. } = item else {
-                unreachable!()
-            };
-            let name = alias.clone().unwrap_or_else(|| format!("_{}", i + 1));
-            let dtype = match func {
-                AggFunc::Count => pushdown_common::DataType::Int,
-                AggFunc::Avg => pushdown_common::DataType::Float,
-                _ => {
-                    // Take the partition schema's type for the first column
-                    // of this item.
-                    part_schema.dtype_of(col_of_item[i])
-                }
-            };
-            pushdown_common::Field::new(name, dtype)
-        })
-        .collect();
-
+    let finished = |row: &Row| {
+        let mut values = row.values()[..width].to_vec();
+        for (func, _, col) in &outputs {
+            values.push(match (func, &row[*col]) {
+                (AggFunc::Avg, Value::Null) => Value::Null,
+                (AggFunc::Avg, sum) => match row[col + 1].as_i64()? {
+                    0 => Value::Null,
+                    n => Value::Float(sum.as_f64()? / n as f64),
+                },
+                (_, merged) => merged.clone(),
+            });
+        }
+        Ok(Row::new(values))
+    };
     Ok(ScanResult {
         schema: Schema::new(fields),
-        rows: vec![Row::new(out)],
+        rows: merged.iter().map(finished).collect::<Result<_>>()?,
         stats,
     })
 }
@@ -968,7 +875,7 @@ mod tests {
         ctx.batch_rows = 50;
         let stmt = parse_select("SELECT k FROM S3Object WHERE k % 3 = 0").unwrap();
         let mut streamed = Vec::new();
-        let summary = select_scan_streamed(&ctx, &t, &stmt, |batch| {
+        let summary = select_scan_streamed(&ctx, &t, &stmt, None, |batch| {
             assert!(batch.len() <= 50);
             streamed.extend(batch.rows);
             Ok(())

@@ -7,18 +7,14 @@
 //! ```
 
 use pushdowndb::common::fmtutil;
-use pushdowndb::core::algos::topk::{self, optimal_sample_size, TopKQuery};
+use pushdowndb::core::joinplan::optimal_sample_size;
+use pushdowndb::core::planner::run_candidate;
 use pushdowndb::tpch::tpch_context;
 
 fn main() -> pushdowndb::common::Result<()> {
     let (ctx, t) = tpch_context(0.005, 4_000)?;
     let k = 10;
-    let q = TopKQuery {
-        table: t.lineitem.clone(),
-        order_col: "l_extendedprice".into(),
-        k,
-        asc: true,
-    };
+    let sql = format!("SELECT * FROM lineitem ORDER BY l_extendedprice LIMIT {k}");
     let n = t.lineitem.row_count;
     let alpha = 1.0 / t.lineitem.schema.len() as f64;
     println!(
@@ -26,8 +22,9 @@ fn main() -> pushdowndb::common::Result<()> {
         optimal_sample_size(k, n, alpha)
     );
 
-    let server = topk::server_side(&ctx, &q)?;
-    let sampled = topk::sampling(&ctx, &q, None)?;
+    // The statement's two named candidates.
+    let server = run_candidate(&ctx, &t.lineitem, &sql, "server-side", None)?;
+    let sampled = run_candidate(&ctx, &t.lineitem, &sql, "sampling", None)?;
 
     println!("\ncheapest {k} lineitems by l_extendedprice (both algorithms agree):");
     for (a, b) in server.rows.iter().zip(&sampled.rows) {

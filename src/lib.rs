@@ -52,7 +52,7 @@
 //!
 //! The paper takes the algorithm choice as an explicit input (§VIII);
 //! this repo's planner can also choose for itself. `Strategy::Adaptive`
-//! ([`core::planner`]) enumerates every applicable algorithm family,
+//! ([`core::planner`]) enumerates every applicable candidate plan,
 //! predicts each candidate's billable `Usage` and runtime analytically
 //! from catalog statistics ([`core::catalog::TableStats`], gathered for
 //! free at load time and refreshable with a striped `LIMIT` Select
@@ -264,7 +264,7 @@
 //!
 //! One [`core::QueryContext`] (and its engine) is safely shared by many
 //! concurrent queries. Per-query accounting is **scoped**: every planner
-//! entry point and algorithm family runs in [`core::QueryContext::scoped`],
+//! entry point runs in [`core::QueryContext::scoped`],
 //! billing a [`common::CostLedger::child`] that rolls up atomically into
 //! the store-global ledger — [`core::QueryOutput::billed`] is the exact
 //! per-query AWS bill under any interleaving, and the store-global delta

@@ -1,16 +1,17 @@
 //! Scatter-gather cluster suite (ISSUE 7): the N-node engine is the
 //! single-node engine, decomposed.
 //!
-//! * **Differential**: every joined planner-suite query returns rows
-//!   bit-identical to the serial run at 1, 2, 4 and 8 nodes, under both
-//!   fixed strategies, and bills exactly the serial ledger — scattering
-//!   moves work between nodes, it never creates or destroys billable
-//!   bytes (exchange volume is interconnect, not S3).
-//! * **Folded families** (ISSUE 22): a single-table filter, scalar
-//!   aggregate or group-by is a tree over a scan leaf, so it scatters
-//!   like a join — same rows, same bill, more than one node busy; the
-//!   pushed aggregate (one merged row per query) and the remaining
-//!   algorithm-family leaves stay on the coordinator.
+//! * **Differential**: every planner-suite query — all nine shapes —
+//!   returns rows bit-identical to the serial run at 1, 2, 4 and 8
+//!   nodes, under both fixed strategies, and bills exactly the serial
+//!   ledger — scattering moves work between nodes, it never creates or
+//!   destroys billable bytes (exchange volume is interconnect, not S3).
+//! * **No shape runs wholly on node 0** (ISSUES 22, 24): every
+//!   candidate is a tree over scan leaves, the staged top-K and
+//!   group-bys included, so every shape scatters — same rows, same bill,
+//!   a `Gather` in its operator tree, more than one node busy — but the
+//!   pushed scalar aggregate, whose leaf is one merged row per query and
+//!   stays whole.
 //! * **Conservation**: over a mixed batch the store-global ledger delta
 //!   equals Σ per-query bills equals Σ per-node ledger deltas — three
 //!   decompositions of one total.
@@ -50,7 +51,7 @@ fn join_suite() -> Vec<PlannerQuery> {
 fn scattered_rows_and_bills_match_serial_at_every_node_count() {
     let (ctx, t) = tpch_context(0.003, 1_200).unwrap();
     for strategy in [Strategy::Pushdown, Strategy::Baseline] {
-        for q in join_suite() {
+        for q in planner_suite() {
             let table = (q.table)(&t);
             let serial = execute_sql(&ctx, table, q.sql, strategy).unwrap();
             for n in [1usize, 2, 4, 8] {
@@ -77,20 +78,17 @@ fn scattered_rows_and_bills_match_serial_at_every_node_count() {
     }
 }
 
-/// One 4-node case per folded family, under both fixed strategies: rows
+/// Every suite shape at 4 nodes, under both fixed strategies: rows
 /// bit-identical to serial, Σ node ledgers == global delta == `billed`,
-/// and the scan-leaf plans spread over the nodes while the pushed
-/// aggregate and the hybrid group-by leaf run whole on the coordinator.
+/// and the plan spreads over the nodes — a `Gather` in the operator
+/// tree, more than one node busy — the staged top-K (`sampling`) and
+/// group-by (`hybrid`) picks included. Only the pushed scalar aggregate
+/// runs whole on the coordinator.
 #[test]
 fn folded_single_table_families_scatter_like_joins() {
     let (ctx, t) = tpch_context(0.003, 1_200).unwrap();
-    let suite = planner_suite();
-    for (name, pushed_tree) in [
-        ("filter-selective", true),
-        ("aggregate", false),
-        ("groupby-filtered", false),
-    ] {
-        let q = suite.iter().find(|q| q.name == name).unwrap();
+    for q in planner_suite() {
+        let name = q.name;
         let table = (q.table)(&t);
         for strategy in [Strategy::Baseline, Strategy::Pushdown] {
             let what = format!("{name} under {strategy:?}");
@@ -114,8 +112,8 @@ fn folded_single_table_families_scatter_like_joins() {
                 .iter()
                 .filter(|ns| ns.usage.requests > 0)
                 .count();
-            let report = ex.report(&out, &cctx);
-            if strategy == Strategy::Baseline || pushed_tree {
+            let report = ex.operators.as_ref().unwrap().render(&cctx.model);
+            if strategy == Strategy::Baseline || name != "aggregate" {
                 assert!(report.contains("Gather["), "{what}:\n{report}");
                 assert!(busy > 1, "{what}: {busy} busy node(s)");
                 // Scattered plans carry the prediction of what ran.
@@ -126,6 +124,12 @@ fn folded_single_table_families_scatter_like_joins() {
             }
             if name == "aggregate" {
                 assert_eq!(out.rows.len(), 1, "{what}: one row per query");
+            }
+            if name.starts_with("join-") && strategy == Strategy::Pushdown {
+                // A Bloom join: the build side and the probe it writes
+                // its filter into both fan out.
+                assert!(report.contains("BloomJoin["), "{what}:\n{report}");
+                assert_eq!(report.matches("Gather[").count(), 2, "{what}:\n{report}");
             }
         }
     }

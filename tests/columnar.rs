@@ -11,7 +11,6 @@ use proptest::prelude::*;
 use pushdown_bench::run_candidate;
 use pushdowndb::common::perf::PhaseStats;
 use pushdowndb::common::{DataType, Row, Schema, Value};
-use pushdowndb::core::algos::topk;
 use pushdowndb::core::{
     execute_sql_verbose, upload_columnar_table, upload_csv_table, OpReport, QueryContext,
     QueryMetrics, Strategy, Table,
@@ -296,14 +295,10 @@ fn algo_server_side_paths_agree_on(format: Format) {
     assert_eq!(a.billed, b.billed, "groupby bill");
 
     for (col, asc, k) in [("bal", true, 20), ("name", false, 7), ("maybe", true, 15)] {
-        let tq = topk::TopKQuery {
-            table: t.clone(),
-            order_col: col.into(),
-            k,
-            asc,
-        };
-        let a = topk::server_side(&row_ctx, &tq).unwrap();
-        let b = topk::server_side(&col_ctx, &tq).unwrap();
+        let order = if asc { "ASC" } else { "DESC" };
+        let sql = format!("SELECT * FROM t ORDER BY {col} {order} LIMIT {k}");
+        let top = |ctx| run_candidate(ctx, &t, &sql, "server-side", None).unwrap();
+        let (a, b) = (top(&row_ctx), top(&col_ctx));
         assert_eq!(a.rows, b.rows, "topk({col}) rows");
         assert_metrics_equal(&a.metrics, &b.metrics, &format!("topk({col})"));
         assert_eq!(a.billed, b.billed, "topk({col}) bill");

@@ -2,13 +2,12 @@
 //! the answer its no-pushdown baseline produces, across operators and
 //! under fault injection.
 
-use pushdown_bench::run_candidate;
+use pushdown_bench::{run_candidate, Tune};
 use pushdowndb::common::RetryPolicy;
 use pushdowndb::common::{DataType, Row, Schema, Value};
-use pushdowndb::core::algos::{filter, groupby, topk};
+use pushdowndb::core::algos::filter;
 use pushdowndb::core::{build_index, upload_csv_table, QueryContext, Strategy};
 use pushdowndb::s3::{FaultPlan, S3Store};
-use pushdowndb::sql::agg::AggFunc;
 use pushdowndb::sql::parse_expr;
 use pushdowndb::tpch::{all_queries, tpch_context};
 
@@ -75,7 +74,7 @@ fn join_agrees_across_fpr_extremes_and_fallback() {
                WHERE c_acctbal <= -500 AND o_orderdate < DATE '1996-01-01'";
     let reference = run_candidate(&ctx, &t.customer, sql, "baseline", None).unwrap();
     for fpr in [0.0001, 0.01, 0.5] {
-        let out = run_candidate(&ctx, &t.customer, sql, "bloom", Some(fpr)).unwrap();
+        let out = run_candidate(&ctx, &t.customer, sql, "bloom", Some(Tune::Fpr(fpr))).unwrap();
         assert_rows_close(&reference.rows, &out.rows, &format!("bloom fpr {fpr}"));
     }
     // Forced fallback (tiny SQL limit) must still agree.
@@ -109,20 +108,13 @@ fn groupby_agrees_with_tiny_sql_limit_chunking() {
             max_sql_bytes: 2_048,
         },
     );
-    let q = groupby::GroupByQuery {
-        table,
-        group_cols: vec!["g".into()],
-        aggs: vec![
-            (AggFunc::Sum, Some("v".into())),
-            (AggFunc::Avg, Some("v".into())),
-        ],
-        predicate: None,
-    };
     let sql = "SELECT g, SUM(v), AVG(v) FROM t GROUP BY g";
-    let server = run_candidate(&ctx, &q.table, sql, "server-side", None).unwrap();
-    let s3 = groupby::s3_side(&ctx, &q).unwrap();
-    let hybrid = groupby::hybrid(&ctx, &q, groupby::HybridOptions::default()).unwrap();
+    let run = |name| run_candidate(&ctx, &table, sql, name, None).unwrap();
+    let (server, s3, hybrid) = (run("server-side"), run("s3-side"), run("hybrid"));
     assert_eq!(server.rows.len(), 50);
+    // Many statements per partition in the CASE-WHEN phase.
+    let parts = table.partitions(&ctx.store).len() as u64;
+    assert!(s3.metrics.groups[1].phases[0].stats.requests > 2 * parts);
     assert_rows_close(&server.rows, &s3.rows, "s3-side chunked");
     assert_rows_close(&server.rows, &hybrid.rows, "hybrid chunked");
 }
@@ -131,14 +123,10 @@ fn groupby_agrees_with_tiny_sql_limit_chunking() {
 fn topk_agrees_on_tpch_lineitem() {
     let (ctx, t) = tpch_context(0.002, 2_000).unwrap();
     for (k, asc) in [(1, true), (17, true), (100, false)] {
-        let q = topk::TopKQuery {
-            table: t.lineitem.clone(),
-            order_col: "l_extendedprice".into(),
-            k,
-            asc,
-        };
-        let server = topk::server_side(&ctx, &q).unwrap();
-        let sampled = topk::sampling(&ctx, &q, None).unwrap();
+        let order = if asc { "ASC" } else { "DESC" };
+        let sql = format!("SELECT * FROM lineitem ORDER BY l_extendedprice {order} LIMIT {k}");
+        let run = |name| run_candidate(&ctx, &t.lineitem, &sql, name, None).unwrap();
+        let (server, sampled) = (run("server-side"), run("sampling"));
         assert_eq!(server.rows.len(), sampled.rows.len());
         for (a, b) in server.rows.iter().zip(&sampled.rows) {
             assert_eq!(a[5], b[5], "k={k} asc={asc}: order keys");
@@ -235,16 +223,11 @@ fn streamed_operators_survive_faults_mid_scan() {
     let got_groups = run_candidate(&ctx, &table, sql, "server-side", None).unwrap();
     assert_rows_close(&want_groups.rows, &got_groups.rows, "group-by under faults");
 
-    let tq = topk::TopKQuery {
-        table,
-        order_col: "v".into(),
-        k: 13,
-        asc: true,
-    };
+    let sql = "SELECT * FROM t ORDER BY v LIMIT 13";
     ctx.store.set_fault_plan(None);
-    let want_topk = topk::server_side(&ctx, &tq).unwrap();
+    let want_topk = run_candidate(&ctx, &table, sql, "server-side", None).unwrap();
     ctx.store.set_fault_plan(Some(FaultPlan::new(6, 0.35)));
-    let got_topk = topk::server_side(&ctx, &tq).unwrap();
+    let got_topk = run_candidate(&ctx, &table, sql, "server-side", None).unwrap();
     assert_rows_close(&want_topk.rows, &got_topk.rows, "top-k under faults");
 }
 

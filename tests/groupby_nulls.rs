@@ -199,7 +199,7 @@ fn hybrid_keeps_null_keys_in_the_tail_only_where_they_can_occur() {
             .groups
             .iter()
             .flat_map(|g| &g.phases)
-            .find(|p| p.label == "hybrid: server-side aggregation")
+            .find(|p| p.label.starts_with("hybrid: server-side aggregation"))
             .expect("two populous groups are pushed, the rest is the tail");
         (ran.rows.len(), tail.stats.expr_terms)
     };
@@ -252,9 +252,9 @@ fn group_by_without_aggregates_runs_under_every_strategy() {
 }
 
 /// Every candidate the lineup offers `sql` with a cache installed — the
-/// trees (`cached-local` cold, then warm; `server-side`; the pushed one)
-/// and the remaining algorithm-family leaves, §X's native group-by
-/// included — on CSV and on ColumnarLite: rows equal to `server-side`,
+/// one-scan trees (`cached-local` cold, then warm; `server-side`; the
+/// pushed one) and the staged ones, §X's native group-by included — on
+/// CSV and on ColumnarLite: rows equal to `server-side`,
 /// metrics == ledger on each. Returns the CSV rows.
 fn every_candidate_agrees(sql: &str) -> Vec<Row> {
     let mut answers = Vec::new();

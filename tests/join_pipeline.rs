@@ -518,6 +518,7 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
             table,
             predicate,
             projection,
+            limit: None,
         } => select_leaf(
             ctx,
             node,
@@ -559,6 +560,7 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
                 table,
                 predicate,
                 projection,
+                limit: None,
             } = &probe_node.op
             else {
                 panic!("BloomJoin probes a PushdownScan");
@@ -660,10 +662,15 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
         PlanOp::Sort { keys, limit } => {
             let mut child = reference(ctx, &node.children[0])?;
             let mut local = PhaseStats::default();
+            let offered = child.rows.len() as u64;
             let mut rows =
                 ops::sort_rows_by_keys(std::mem::take(&mut child.rows), keys, &mut local);
             if let Some(k) = limit {
+                // The stable sort, truncated — charged as the K-heap it
+                // runs as: log2 K per row offered, one per row kept.
                 rows.truncate(*k);
+                let log_k = ((*k).max(2) as f64).log2().ceil() as u64;
+                local.server_cpu_units = offered * log_k + rows.len() as u64;
             }
             let schema = child.schema.clone();
             Ok(child.stacked(node, schema, rows, Some(("sort", Breaker)), local))

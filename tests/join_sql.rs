@@ -7,7 +7,7 @@
 //! Q3-shaped statement must run end-to-end under every strategy with a
 //! per-operator predicted-vs-actual tree and a competitive adaptive pick.
 
-use pushdown_bench::run_candidate;
+use pushdown_bench::{run_candidate, Tune};
 use pushdowndb::common::{DataType, Row, Schema, Value};
 use pushdowndb::core::joinplan::lower_candidates;
 use pushdowndb::core::planner::{execute_sql_verbose, PlanKind};
@@ -115,7 +115,7 @@ fn row_outputs_agree_too() {
     let a = sorted_rows(a);
     assert!(!a.is_empty());
     assert_eq!(a, sorted_rows(run("filtered", None)));
-    assert_eq!(a, sorted_rows(run("bloom", Some(0.05))));
+    assert_eq!(a, sorted_rows(run("bloom", Some(Tune::Fpr(0.05)))));
 }
 
 #[test]

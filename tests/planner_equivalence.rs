@@ -14,10 +14,13 @@
 //! commit *before* the two planners became one front-end and have to
 //! read the same afterwards: a refactor of the planning half may not
 //! move a candidate, a pick, a phase or a byte on any of these shapes.
-//! They were re-blessed for two declared moves: PR 21's phase rule
-//! (joined lines) and PR 22's fold of the filter, scalar-aggregate and
+//! They were re-blessed for three declared moves: PR 21's phase rule
+//! (joined lines), PR 22's fold of the filter, scalar-aggregate and
 //! one-scan group-by families into IR trees (their lines: operator and
-//! phase labels, one CPU pass — see CHANGES.md). In the same loop every
+//! phase labels, one CPU pass) and PR 24's fold of top-K and the staged
+//! group-bys (operator and phase labels, `Sort { limit }`'s heap charge,
+//! one tie rule for `topk-100`; the `_4n` files once more, staged plans
+//! scattering) — see CHANGES.md. In the same loop every
 //! run's predicted phases are held to the executed ones, group for
 //! group and label for label; a fixed strategy's pick is re-priced by
 //! name for it. `Explain::predicted` and the per-operator predictions
@@ -187,8 +190,7 @@ fn phase_labels(metrics: &QueryMetrics) -> Vec<Vec<&str>> {
 
 /// The prediction of the plan that ran. `Explain` carries it under
 /// Adaptive and for scattered plans; the pick of an unscattered fixed
-/// strategy — a tree of IR operators or a remaining algorithm-family
-/// leaf alike — is lowered and priced again here, by name.
+/// strategy is lowered and priced again here, by name.
 fn prediction(ctx: &QueryContext, table: &Table, sql: &str, ex: &Explain) -> QueryMetrics {
     if let Some(predicted) = &ex.predicted {
         return predicted.clone();

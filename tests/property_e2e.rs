@@ -2,12 +2,10 @@
 //! pushdown decomposition must equal its straightforward baseline.
 
 use proptest::prelude::*;
-use pushdown_bench::run_candidate;
+use pushdown_bench::{run_candidate, Tune};
 use pushdowndb::common::{DataType, Row, Schema, Value};
-use pushdowndb::core::algos::{groupby, topk};
 use pushdowndb::core::{upload_csv_table, QueryContext};
 use pushdowndb::s3::S3Store;
-use pushdowndb::sql::agg::AggFunc;
 
 fn ctx_with(
     name: &str,
@@ -23,11 +21,13 @@ fn ctx_with(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Sampling top-K equals the server-side heap for any data, K, order
-    /// direction, and sample size.
+    /// Sampling top-K and the server-side heap both answer `ORDER BY v
+    /// LIMIT k` — NULL keys are rows, ties keep table order — for any
+    /// data (NULL-bearing, duplicate-heavy), K, order direction, and
+    /// sample size.
     #[test]
     fn sampling_topk_is_exact(
-        vals in proptest::collection::vec((-1000i64..1000, any::<bool>()), 1..300),
+        vals in proptest::collection::vec((-20i64..20, 0u8..5), 1..300),
         k in 1usize..40,
         asc in any::<bool>(),
         sample in 1usize..500,
@@ -36,16 +36,21 @@ proptest! {
         let rows: Vec<Row> = vals
             .iter()
             .enumerate()
-            .map(|(i, (v, _))| Row::new(vec![Value::Int(i as i64), Value::Int(*v)]))
+            .map(|(i, (v, null))| {
+                let v = if *null == 0 { Value::Null } else { Value::Int(*v) };
+                Row::new(vec![Value::Int(i as i64), v])
+            })
             .collect();
         let (ctx, t) = ctx_with("t", &schema, &rows, 64);
-        let q = topk::TopKQuery { table: t, order_col: "v".into(), k, asc };
-        let server = topk::server_side(&ctx, &q).unwrap();
-        let sampled = topk::sampling(&ctx, &q, Some(sample)).unwrap();
-        prop_assert_eq!(server.rows.len(), sampled.rows.len());
-        for (a, b) in server.rows.iter().zip(&sampled.rows) {
-            prop_assert_eq!(&a[1], &b[1]);
-        }
+        let sql = format!("SELECT * FROM t ORDER BY v {} LIMIT {k}", if asc { "ASC" } else { "DESC" });
+        // The oracle: a stable sort, truncated.
+        let mut want = rows.clone();
+        want.sort_by(|a, b| if asc { a[1].total_cmp(&b[1]) } else { b[1].total_cmp(&a[1]) });
+        want.truncate(k);
+        let server = run_candidate(&ctx, &t, &sql, "server-side", None).unwrap();
+        let sampled = run_candidate(&ctx, &t, &sql, "sampling", Some(Tune::SampleSize(sample))).unwrap();
+        prop_assert_eq!(&server.rows, &want);
+        prop_assert_eq!(&sampled.rows, &want);
     }
 
     /// The S3-side CASE-WHEN group-by and the hybrid split both equal the
@@ -60,21 +65,9 @@ proptest! {
             .map(|(g, v)| Row::new(vec![Value::Int(*g), Value::Int(*v)]))
             .collect();
         let (ctx, t) = ctx_with("t", &schema, &rows, 50);
-        let q = groupby::GroupByQuery {
-            table: t,
-            group_cols: vec!["g".into()],
-            aggs: vec![
-                (AggFunc::Sum, Some("v".into())),
-                (AggFunc::Count, Some("v".into())),
-                (AggFunc::Min, Some("v".into())),
-                (AggFunc::Max, Some("v".into())),
-            ],
-            predicate: None,
-        };
         let sql = "SELECT g, SUM(v), COUNT(v), MIN(v), MAX(v) FROM t GROUP BY g";
-        let server = run_candidate(&ctx, &q.table, sql, "server-side", None).unwrap();
-        let s3 = groupby::s3_side(&ctx, &q).unwrap();
-        let hybrid = groupby::hybrid(&ctx, &q, groupby::HybridOptions::default()).unwrap();
+        let run = |name| run_candidate(&ctx, &t, sql, name, None).unwrap();
+        let (server, s3, hybrid) = (run("server-side"), run("s3-side"), run("hybrid"));
         prop_assert_eq!(&server.rows, &s3.rows);
         prop_assert_eq!(&server.rows, &hybrid.rows);
     }
@@ -114,7 +107,7 @@ proptest! {
             rows
         };
         let base = sort(run_candidate(&ctx, &lt, sql, "baseline", None).unwrap().rows);
-        let bloomed = sort(run_candidate(&ctx, &lt, sql, "bloom", Some(fpr)).unwrap().rows);
+        let bloomed = sort(run_candidate(&ctx, &lt, sql, "bloom", Some(Tune::Fpr(fpr))).unwrap().rows);
         prop_assert_eq!(base, bloomed);
     }
 }

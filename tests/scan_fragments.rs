@@ -269,7 +269,7 @@ impl Case {
             .map(|exprs| exprs.iter().map(|e| bind(e)).collect());
         let fragment = ScanFragment::new(table, self.predicate.map(bind), outputs);
         match self.top_k {
-            Some((col, k, asc)) => fragment.top_k(col, k, asc),
+            Some((col, k, asc)) => fragment.top_k(&[(col, asc)], k),
             None => fragment,
         }
     }
@@ -299,7 +299,7 @@ fn oracle(case: &Case, format: Format, source: Source) -> Outcome {
     let mut rows = Vec::new();
     let mut heap = case
         .top_k
-        .map(|(col, k, asc)| ops::TopKAccumulator::new(col, k, asc));
+        .map(|(col, k, asc)| ops::TopKAccumulator::new(&[(col, asc)], k));
     let consume = |batch: pushdowndb::common::row::RowBatch| {
         let mut kept = match &pred {
             Some(p) => ops::filter_rows(batch.rows, p, &mut ops_stats)?,
@@ -357,7 +357,7 @@ fn fused(
     let mut rows = Vec::new();
     let mut heap = case
         .top_k
-        .map(|(col, k, asc)| ops::TopKAccumulator::new(col, k, asc));
+        .map(|(col, k, asc)| ops::TopKAccumulator::new(&[(col, asc)], k));
     let summary = scan(&ctx, &table, scan_source(source), &fragment, |batch| {
         assert!(!batch.is_empty(), "empty batches never cross the queue");
         assert!(batch.len() <= batch_rows);
@@ -371,6 +371,7 @@ fn fused(
     })
     .unwrap();
     let mut ops_stats = summary.op_stats;
+    ops_stats.merge(&summary.reduce_stats);
     if let Some(heap) = heap {
         rows = heap.finish(&mut ops_stats);
     }
