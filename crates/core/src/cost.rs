@@ -38,7 +38,9 @@
 use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
 use crate::metrics::{Flow, QueryMetrics};
-use crate::plan::{case_when_chunk, PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE};
+use crate::plan::{
+    case_when_chunk, finished_by, Order, PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
+};
 use crate::scan::ScanLimit;
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Schema, Value};
@@ -382,6 +384,16 @@ fn cpu_phase(units: f64) -> PhaseStats {
     }
 }
 
+/// A grouping operator's finish, priced ([`Order::priced`]): its CPU
+/// merges into `stats`, and `card` keeps the rows the order hands on.
+fn finish_groups(order: &Option<Order>, stats: &mut PhaseStats, card: &mut Card) {
+    if let Some(order) = order {
+        let (work, rows) = order.priced(card.rows);
+        stats.merge(&cpu_phase(work));
+        card.rows = rows;
+    }
+}
+
 impl Estimator<'_> {
     /// Predicted footprint of one pushdown scan leaf: full storage-side
     /// scan, `keep × selectivity` of the rows returned at the projection's
@@ -616,8 +628,10 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             table,
             stmt,
             group_by,
+            order,
         } => {
-            let (stats, card) = ests.of(table).pushdown_aggregate(stmt, group_by);
+            let (mut stats, mut card) = ests.of(table).pushdown_aggregate(stmt, group_by);
+            finish_groups(order, &mut stats, &mut card);
             leaf(stats, "select", table, card)
         }
         PlanOp::CachedScan {
@@ -706,7 +720,11 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             let stats = cpu_phase(child.2.rows);
             stacked(stats, "project", Flow::Streaming, child, card)
         }
-        PlanOp::GroupBy { group_width, aggs } => {
+        PlanOp::GroupBy {
+            group_width,
+            aggs,
+            order,
+        } => {
             let child = walk(0, inj)?;
             // Group count: NDV product over the group keys — the
             // expressions of the Project the planner places below, or,
@@ -734,13 +752,14 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             }
             .min(child.2.rows)
             .max(1.0);
-            let card = Card {
+            let mut card = Card {
                 rows: groups,
                 row_bytes: child.2.row_bytes + aggs.len() as f64 * AGG_VALUE_WIDTH,
             };
             let work = child.2.rows + groups;
-            let stats = cpu_phase(work);
+            let mut stats = cpu_phase(work);
             let PlanOp::Repartition { nodes, .. } = &node.children[0].op else {
+                finish_groups(order, &mut stats, &mut card);
                 return Ok(stacked(stats, "group-by", Flow::Breaker, child, card));
             };
             // Scattered, as the executor runs it: every node aggregates
@@ -754,7 +773,8 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             };
             let per_node = (0..n).map(|k| (format!("group-by node {k}"), share));
             metrics.push_parallel(per_node.collect());
-            let merge = cpu_phase(groups * groups.log2().max(1.0));
+            let mut merge = cpu_phase(groups * groups.log2().max(1.0));
+            finish_groups(order, &mut merge, &mut card);
             metrics.stack("group-by merge", merge, Flow::Breaker);
             let mut stats = PhaseStats {
                 exchange_bytes: rep.stats.exchange_bytes,
@@ -779,17 +799,9 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             };
             stacked(stats, "aggregate", Flow::Breaker, child, card)
         }
-        PlanOp::Sort { limit, .. } => {
+        PlanOp::Sort(order) => {
             let child = walk(0, inj)?;
-            let n = child.2.rows.max(1.0);
-            let (work, rows) = match limit {
-                None => (n * n.log2().max(1.0), n),
-                // A K-heap: every row is a candidate, K leave sorted.
-                Some(k) => {
-                    let log_k = ((*k).max(2) as f64).log2().ceil();
-                    (child.2.rows * log_k + *k as f64, n.min(*k as f64))
-                }
-            };
+            let (work, rows) = order.priced(child.2.rows);
             let card = Card {
                 rows,
                 row_bytes: child.2.row_bytes,
@@ -831,16 +843,17 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             scan.1.relabel(&select, "scanning phase");
             staged(own, sample, scan)
         }
-        PlanOp::CaseWhen { aggs } => {
+        PlanOp::CaseWhen { aggs, order } => {
             let (table, _, group_cols) = node.children[0].pushdown_leaf()?;
             let distinct = walk(0, inj)?;
             let groups = distinct.2.rows;
             let est = ests.of(table);
-            let stats = est.case_when_statements(group_cols, aggs.len(), groups);
-            let card = Card {
+            let mut stats = est.case_when_statements(group_cols, aggs.len(), groups);
+            let mut card = Card {
                 rows: groups,
                 row_bytes: est.out_row_bytes(group_cols) + aggs.len() as f64 * AGG_VALUE_WIDTH,
             };
+            finish_groups(order, &mut stats, &mut card);
             stacked(
                 stats,
                 "case-when aggregation",
@@ -849,7 +862,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
                 card,
             )
         }
-        PlanOp::HybridSplit { aggs, force } => {
+        PlanOp::HybridSplit { aggs, force, order } => {
             let (table, _, group_cols) = node.children[0].pushdown_leaf()?;
             let est = ests.of(table);
             let mut sample = walk(0, inj)?;
@@ -868,7 +881,8 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
                 None => 0.0,
             };
             if n_big == 0.0 {
-                return Ok(staged(own, sample, walk(1, WHOLE)?));
+                let tail = finished_by(&node.children[1], order);
+                return Ok(staged(own, sample, predict_node(ests, &tail, WHOLE)?));
             }
             let not_in = Injected {
                 keep: (1.0 - n_big / groups).max(0.0),
@@ -876,10 +890,11 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             };
             let mut tail = walk(1, not_in)?;
             tail.1.relabel(&select, "hybrid: server-side aggregation");
-            let s3 = est.case_when_statements(group_cols, aggs.len(), n_big);
+            let mut s3 = est.case_when_statements(group_cols, aggs.len(), n_big);
+            tail.2.rows = groups;
+            finish_groups(order, &mut s3, &mut tail.2);
             tail.1 =
                 QueryMetrics::join_sides(serial("hybrid: s3-side aggregation", s3), tail.1, true);
-            tail.2.rows = groups;
             own.merge(&s3);
             staged(own, sample, tail)
         }
@@ -1071,7 +1086,10 @@ fn sel_inner(pred: &Expr, schema: &Schema, stats: Option<&TableStats>) -> f64 {
             left,
             op: BinOp::And,
             right,
-        } => sel_inner(left, schema, stats) * sel_inner(right, schema, stats),
+        } => match range_pairs(pred, schema, stats) {
+            Some(s) => s,
+            None => sel_inner(left, schema, stats) * sel_inner(right, schema, stats),
+        },
         Expr::Binary {
             left,
             op: BinOp::Or,
@@ -1154,6 +1172,67 @@ fn sel_inner(pred: &Expr, schema: &Schema, stats: Option<&TableStats>) -> f64 {
         }
         _ => DEFAULT_SELECTIVITY,
     }
+}
+
+/// One conjunct bounding a column with statistics from below (`true`) or
+/// above against a numeric literal, and its selectivity: a range bound
+/// [`cmp_sel`] interpolates.
+fn range_bound<'e>(
+    conjunct: &'e Expr,
+    schema: &Schema,
+    stats: Option<&TableStats>,
+) -> Option<(&'e str, bool, f64)> {
+    let Expr::Binary { left, op, right } = conjunct else {
+        return None;
+    };
+    let (col, op, lit) = match (&**left, &**right) {
+        (Expr::Column(c), Expr::Literal(v)) => (c, *op, v),
+        (Expr::Literal(v), Expr::Column(c)) => (c, flip(*op), v),
+        _ => return None,
+    };
+    let lower = match op {
+        BinOp::Gt | BinOp::GtEq => true,
+        BinOp::Lt | BinOp::LtEq => false,
+        _ => return None,
+    };
+    let cs = column_stats(col, schema, stats)?;
+    numeric(&cs.min).and(numeric(&cs.max)).and(numeric(lit))?;
+    Some((col, lower, cmp_sel(col, op, lit, schema, stats)))
+}
+
+/// Selectivity of an AND chain holding a lower and an upper bound on the
+/// same column: each such pair selects a range, priced as `BETWEEN` is —
+/// `(a + b − 1).max(0)`, not `a · b` —, every other conjunct multiplies.
+/// `None` when the chain pairs no bounds (it is priced conjunct by
+/// conjunct, as before).
+fn range_pairs(pred: &Expr, schema: &Schema, stats: Option<&TableStats>) -> Option<f64> {
+    let (mut chain, mut open) = (vec![pred], Vec::<(&str, bool, f64)>::new());
+    let (mut s, mut paired) = (1.0, false);
+    while let Some(c) = chain.pop() {
+        if let Expr::Binary {
+            left,
+            op: BinOp::And,
+            right,
+        } = c
+        {
+            chain.extend([&**right, &**left]);
+            continue;
+        }
+        let Some((col, lower, b)) = range_bound(c, schema, stats) else {
+            s *= sel_inner(c, schema, stats);
+            continue;
+        };
+        let opposite = |o: &(&str, bool, f64)| o.0.eq_ignore_ascii_case(col) && o.1 != lower;
+        let opposite = open.iter().position(opposite);
+        match opposite {
+            Some(i) => {
+                s *= (open.swap_remove(i).2 + b - 1.0).max(0.0);
+                paired = true;
+            }
+            None => open.push((col, lower, b)),
+        }
+    }
+    paired.then(|| open.iter().fold(s, |s, o| s * o.2))
 }
 
 fn flip(op: BinOp) -> BinOp {
@@ -1292,6 +1371,30 @@ mod tests {
         // Out-of-range literals clamp.
         assert_eq!(sel(&t, "k < -5"), 0.0);
         assert!((sel(&t, "k >= -5") - 1.0).abs() < 1e-9);
+    }
+
+    /// A lower and an upper bound on one column in one AND chain select a
+    /// range, as `BETWEEN` does; they used to multiply as if independent
+    /// (`k >= 100 AND k < 300` priced at 0.9 · 0.3 = 0.27).
+    #[test]
+    fn range_pairs_price_like_between() {
+        let (_, t) = setup(1000);
+        let between = sel(&t, "k BETWEEN 100 AND 299");
+        assert!((sel(&t, "k >= 100 AND k < 300") - between).abs() < 0.01);
+        assert!((sel(&t, "300 > k AND k >= 100") - between).abs() < 0.01);
+        // Other conjuncts still multiply, wherever they sit in the chain.
+        let with_v = sel(&t, "v < 50 AND k >= 100 AND s = 'tag-1' AND k < 300");
+        assert!((with_v - 0.2 * 0.5 * 0.25).abs() < 0.01, "{with_v}");
+        // Disjoint bounds select nothing; two bounds on different columns
+        // or in one direction are not a range.
+        assert_eq!(sel(&t, "k >= 600 AND k < 300"), 0.0);
+        assert!((sel(&t, "k < 500 AND v < 50") - 0.25).abs() < 0.05);
+        assert!((sel(&t, "k >= 100 AND k >= 500") - 0.45).abs() < 0.05);
+        // Without statistics nothing pairs: DEFAULT² stays DEFAULT².
+        let mut bare = t.clone();
+        bare.stats = None;
+        let d = DEFAULT_SELECTIVITY;
+        assert_eq!(sel(&bare, "k >= 100 AND k < 300"), d * d);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use crate::catalog::Table;
 use crate::context::QueryContext;
-use crate::plan::{PlanNode, PlanOp};
+use crate::plan::{Order, PlanNode, PlanOp};
 use crate::scan::ScanLimit;
 use pushdown_common::{DataType, Error, Field, Result, Schema};
 use pushdown_sql::agg::AggFunc;
@@ -242,16 +242,24 @@ fn staged_group_bys(
         let op = PlanOp::GroupBy {
             group_width: spec.group_by.len(),
             aggs: Vec::new(),
+            order: None,
         };
         let groups = PlanNode::new(op, vec![distinct.clone()], distinct.schema);
-        let op = PlanOp::CaseWhen { aggs: aggs.clone() };
+        let op = PlanOp::CaseWhen {
+            aggs: aggs.clone(),
+            order: None,
+        };
         staged.push(("s3-side", op, vec![groups]));
         if let [group] = spec.group_by.as_slice() {
             let rows = (table.row_count as f64 * HYBRID_SAMPLE_FRACTION).ceil();
             let limit = ScanLimit::Prefix(rows.max(HYBRID_MIN_SAMPLE_ROWS) as usize);
             let column = Some(vec![group.clone()]);
             let sample = scan_node(table, predicate.clone(), &column, ScanMode::Sampled(limit));
-            let op = PlanOp::HybridSplit { aggs, force: None };
+            let op = PlanOp::HybridSplit {
+                aggs,
+                force: None,
+                order: None,
+            };
             staged.push(("hybrid", op, vec![sample, tail]));
         }
     }
@@ -260,6 +268,7 @@ fn staged_group_bys(
             table: table.clone(),
             stmt: spec.select.clone(),
             group_by: spec.group_by.clone(),
+            order: None,
         };
         staged.push(("s3-native", op, Vec::new()));
     }
@@ -615,25 +624,40 @@ fn select_stack(mut node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
 }
 
 /// Stack the query's ORDER BY / LIMIT over `node`, the one place any
-/// lowering does: `Sort { keys, limit }` when there are sort keys, a
-/// plain `Limit` (which pushes no phase) for a bare LIMIT, `node` itself
-/// otherwise. A key names a column of `node`'s schema; anything else is
-/// a bind error.
-fn order_limit_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
+/// lowering does: `Sort` when there are sort keys, a plain `Limit` (which
+/// pushes no phase) for a bare LIMIT, `node` itself otherwise. A grouping
+/// operator (a GROUP BY's `node`) emits its groups in group-key order,
+/// its group columns leading its schema, so a sort by an ascending prefix
+/// of them — or by all of them, ascending, before anything else — leaves
+/// its rows where they are: only the LIMIT remains. Any other ORDER BY
+/// over it is its own finish, inside its breaker, not a phase of its
+/// own. A key names a column of `node`'s schema; anything else is a bind
+/// error.
+fn order_limit_stack(mut node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
     let limit = spec.select.limit.map(|l| l as usize);
-    let op = if !spec.order_by.is_empty() {
-        let mut keys = Vec::new();
-        for o in &spec.order_by {
-            let Some(idx) = node.schema.index_of(&o.column) else {
-                return Err(Error::Bind(format!(
-                    "unknown ORDER BY key `{}` (output columns: {})",
-                    o.column,
-                    node.schema.names().join(", ")
-                )));
-            };
-            keys.push((idx, o.asc));
+    let mut keys = Vec::new();
+    for o in &spec.order_by {
+        let Some(idx) = node.schema.index_of(&o.column) else {
+            return Err(Error::Bind(format!(
+                "unknown ORDER BY key `{}` (output columns: {})",
+                o.column,
+                node.schema.names().join(", ")
+            )));
+        };
+        keys.push((idx, o.asc));
+    }
+    let width = spec.group_by.len();
+    if let Some(slot) = node.op.order_mut().filter(|_| width > 0) {
+        let sorted = keys.iter().take(width).enumerate();
+        let sorted = sorted.take_while(|&(i, &key)| key == (i, true)).count();
+        if sorted < keys.len() && sorted < width {
+            *slot = Some(Order { keys, limit });
+            return Ok(node);
         }
-        PlanOp::Sort { keys, limit }
+        keys.clear();
+    }
+    let op = if !keys.is_empty() {
+        PlanOp::Sort(Order { keys, limit })
     } else if let Some(n) = limit {
         PlanOp::Limit { n }
     } else {
@@ -725,11 +749,16 @@ fn aggregate_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
                 table: table.clone(),
                 stmt: spec.select.clone(),
                 group_by: Vec::new(),
+                order: None,
             };
             return Ok(PlanNode::new(op, Vec::new(), schema));
         }
         (0, _) => PlanOp::Aggregate { aggs },
-        _ => PlanOp::GroupBy { group_width, aggs },
+        _ => PlanOp::GroupBy {
+            group_width,
+            aggs,
+            order: None,
+        },
     };
     let input = project_stack(node, exprs, Schema::new(fields));
     Ok(PlanNode::new(op, vec![input], schema))

@@ -35,10 +35,12 @@
 //!   its first child to the end — closed, like a join's build side — and
 //!   then its second ([`QueryMetrics::join_sides`]).
 //!
-//! So a baseline join under `GROUP BY … ORDER BY` is three groups —
-//! `{load a ‖ load b} {hash join + project + group-by} {sort}` — and a
-//! Bloom join is the paper's two (§V-A2) before its sort:
-//! `{select a} {bloom probe b + hash join (bloom) + project + group-by}`.
+//! So a baseline join under `GROUP BY … ORDER BY` is two groups —
+//! `{load a ‖ load b} {hash join + project + group-by}` — and so is a
+//! Bloom join, the paper's two (§V-A2): `{select a} {bloom probe b +
+//! hash join (bloom) + project + group-by}`. The ORDER BY is no phase:
+//! a grouping operator applies it to its finished groups inside its own
+//! breaker ([`crate::plan::Order`]).
 
 use pushdown_common::perf::{PerfModel, PhaseStats};
 use pushdown_common::pricing::{CostBreakdown, Pricing, Usage};

@@ -14,9 +14,11 @@
 //!
 //! Each operator reports its work into a [`PhaseStats`] as
 //! `server_cpu_units` so the performance model can charge compute time
-//! (one unit ≈ one row visited by one non-trivial operator; heap pushes
-//! charge `log2(K)`). The wrappers charge exactly what the equivalent
-//! batch-wise run charges: accounting is independent of batching. The
+//! (one unit ≈ one row visited by one non-trivial operator; a K-heap
+//! charges `log2(K)` for every row offered to it, whether it enters the
+//! heap or not, and one per row it hands on). The wrappers charge exactly
+//! what the equivalent batch-wise run charges: accounting is independent
+//! of batching. The
 //! plan executor ([`crate::plan`]) leans on that contract: it feeds the
 //! state machines whatever batches its scans deliver and reports the
 //! footprint the whole-input wrappers would have.
@@ -517,12 +519,9 @@ pub fn top_k(
     acc.finish(stats)
 }
 
-/// Full sort by one column (used by small final result orderings).
-pub fn sort_rows(mut rows: Vec<Row>, col: usize, asc: bool, stats: &mut PhaseStats) -> Vec<Row> {
-    let n = rows.len() as u64;
-    stats.server_cpu_units += n * (64 - n.leading_zeros() as u64).max(1);
-    rows.sort_by(|a, b| cmp_keys(a, b, &[(col, asc)]));
-    rows
+/// Full sort by one column: [`sort_rows_by_keys`] with one key.
+pub fn sort_rows(rows: Vec<Row>, col: usize, asc: bool, stats: &mut PhaseStats) -> Vec<Row> {
+    sort_rows_by_keys(rows, &[(col, asc)], stats)
 }
 
 /// Full sort by several `(column, ascending)` keys, major key first —

@@ -51,7 +51,9 @@
 //!   the worker pool by itself; the *model* still composes two scan
 //!   leaves' footprints as concurrent
 //!   ([`QueryMetrics::join_sides`]), which is what the planner priced;
-//! * group-by and scalar aggregation — accumulators only;
+//! * group-by and scalar aggregation — accumulators only; a grouping
+//!   operator's ORDER BY runs over its finished groups, inside it
+//!   ([`Order`]);
 //! * sort — every input row, or with a `LIMIT k` a bounded heap of `k`
 //!   (ORDER BY has to see them all, it need not keep them all);
 //! * `Gather`, `Repartition` under a group-by and the staged group-bys
@@ -92,7 +94,7 @@ use crate::scan::{
 use pushdown_bloom::{BloomBuilder, BloomPlan};
 use pushdown_common::perf::{PerfModel, PhaseStats};
 use pushdown_common::row::RowBatch;
-use pushdown_common::{Error, Result, Row, Schema, Value};
+use pushdown_common::{DataType, Error, Result, Row, Schema, Value};
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::bind::Binder;
 use pushdown_sql::{Expr, SelectItem, SelectStmt};
@@ -140,6 +142,9 @@ pub enum PlanOp {
         table: Table,
         stmt: SelectStmt,
         group_by: Vec<String>,
+        /// A grouped leaf's finish: the ORDER BY it applies to the
+        /// merged groups.
+        order: Option<Order>,
     },
     /// Leaf: read every partition **through the local segment cache**
     /// (hybrid tier): hits bill zero bytes/requests and pay local scan +
@@ -179,28 +184,30 @@ pub enum PlanOp {
     Project { exprs: Vec<Expr> },
     /// Hash aggregation: input columns `0..group_width` are the group
     /// key; aggregate *i* consumes input column `aggs[i].1` (`None` =
-    /// `COUNT(*)`). Output sorted by group key (deterministic).
+    /// `COUNT(*)`). Output sorted by group key (deterministic) — which is
+    /// what makes an ORDER BY on an ascending prefix of the group key
+    /// free: the lowering stacks no sort for it, a LIMIT at most. Any
+    /// other ORDER BY is the `order` the operator applies to its finished
+    /// groups, inside its own breaker ([`Order`]). So are the other
+    /// grouping operators' — [`PlanOp::CaseWhen`], [`PlanOp::HybridSplit`]
+    /// and a grouped [`PlanOp::PushdownAggregate`] —, which emit group-key
+    /// order too.
     GroupBy {
         group_width: usize,
         aggs: Vec<(AggFunc, Option<usize>)>,
+        order: Option<Order>,
     },
     /// Scalar aggregation: one output row, even over empty input.
     Aggregate { aggs: Vec<(AggFunc, Option<usize>)> },
-    /// Stable multi-key sort (`(column, ascending)`, major first;
-    /// [`Value::total_cmp`] order, so NULL keys sort first ascending and
-    /// last descending). With a `limit` (ORDER BY … LIMIT k) it is a
-    /// bounded heap ([`ops::TopKAccumulator`]) that never holds more
-    /// than `limit` rows and answers exactly what the stable sort
-    /// truncated would; directly over a local or cached scan leaf the
-    /// heap runs inside the partition workers, which hand on their
-    /// `limit` best each.
-    Sort {
-        keys: Vec<(usize, bool)>,
-        limit: Option<usize>,
-    },
+    /// `ORDER BY … [LIMIT k]` over anything but a grouping operator
+    /// ([`Order`]). With a limit it is a bounded heap fed as rows arrive,
+    /// never holding more than `limit` of them; directly over a local or
+    /// cached scan leaf the heap runs inside the partition workers, which
+    /// hand on their `limit` best each.
+    Sort(Order),
     /// Plain truncation (LIMIT without ORDER BY).
     Limit { n: usize },
-    /// Staged §VII sampling top-K, under a `Sort { limit: k }`: children
+    /// Staged §VII sampling top-K, under a `Sort` limited to `k`: children
     /// `[sample, scan]`. The sample's `k`-th value of `column` in query
     /// order becomes the scan's threshold predicate — `column <= t`
     /// ascending, with `OR column IS NULL` where the column can hold
@@ -215,17 +222,20 @@ pub enum PlanOp {
     /// `aggs` pair a function with its input column (`None` = `COUNT(*)`).
     CaseWhen {
         aggs: Vec<(AggFunc, Option<String>)>,
+        order: Option<Order>,
     },
     /// Staged §VI-B hybrid group-by: children `[sample, tail]`. The
     /// sample's populous groups are aggregated by S3 like
     /// [`PlanOp::CaseWhen`]'s while the tail — the query's `filtered`
     /// group-by, with `g NOT IN (populous)` pushed into its scan —
     /// aggregates the long tail locally, in parallel (paper Listing 5).
-    /// With no populous group the tail runs unchanged. `force` pushes
-    /// exactly that many groups, whatever their share (Fig 6's sweep).
+    /// With no populous group the tail runs unchanged, `order` as its
+    /// finish. `force` pushes exactly that many groups, whatever their
+    /// share (Fig 6's sweep).
     HybridSplit {
         aggs: Vec<(AggFunc, Option<String>)>,
         force: Option<usize>,
+        order: Option<Order>,
     },
     /// Scatter wrapper (built by [`scatter`]): execute the child scan
     /// leaf's partitions owned by cluster node `node` (of `nodes`) on
@@ -251,6 +261,98 @@ pub enum PlanOp {
 pub(crate) const HYBRID_MIN_SHARE: f64 = 0.02;
 pub(crate) const HYBRID_MAX_S3_GROUPS: usize = 8;
 
+/// `ORDER BY keys [LIMIT limit]`: `(column, ascending)` keys, major
+/// first, in [`Value::total_cmp`] order (NULL keys first ascending, last
+/// descending). Its answer is the stable sort truncated to the limit,
+/// ties in input order, whichever operator applies it — a
+/// [`PlanOp::Sort`], or a grouping operator finishing its groups.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Order {
+    pub keys: Vec<(usize, bool)>,
+    pub limit: Option<usize>,
+}
+
+impl Order {
+    /// `rows` ordered and cut to the limit, the work charged into
+    /// `work`: the stable sort, or with a limit the K-heap
+    /// ([`ops::TopKAccumulator`]).
+    pub(crate) fn apply(&self, rows: Vec<Row>, work: &mut PhaseStats) -> Vec<Row> {
+        match self.limit {
+            None => ops::sort_rows_by_keys(rows, &self.keys, work),
+            Some(k) => {
+                let mut heap = ops::TopKAccumulator::new(&self.keys, k);
+                heap.push_rows(rows, work);
+                heap.finish(work)
+            }
+        }
+    }
+
+    /// What [`Order::apply`] is priced at over an estimated `rows` input
+    /// rows: its CPU units, and the rows it hands on.
+    pub(crate) fn priced(&self, rows: f64) -> (f64, f64) {
+        let n = rows.max(1.0);
+        match self.limit {
+            None => (n * n.log2().max(1.0), n),
+            // A K-heap: every row is a candidate, K leave sorted.
+            Some(k) => {
+                let log_k = (k.max(2) as f64).log2().ceil();
+                (rows * log_k + k as f64, n.min(k as f64))
+            }
+        }
+    }
+
+    fn label(&self) -> String {
+        match self.limit {
+            Some(k) => format!("TopK[{} keys, limit {k}]", self.keys.len()),
+            None => format!("Sort[{} keys]", self.keys.len()),
+        }
+    }
+}
+
+/// A grouping operator's finished groups under its `order`, if it has
+/// one.
+fn finish_groups(order: &Option<Order>, rows: Vec<Row>, work: &mut PhaseStats) -> Vec<Row> {
+    match order {
+        Some(order) => order.apply(rows, work),
+        None => rows,
+    }
+}
+
+impl PlanOp {
+    /// The ORDER BY slot of a grouping operator (a pushed aggregate leaf is
+    /// one when it groups), `None` for any other operator.
+    pub(crate) fn order_mut(&mut self) -> Option<&mut Option<Order>> {
+        match self {
+            PlanOp::GroupBy { order, .. }
+            | PlanOp::CaseWhen { order, .. }
+            | PlanOp::HybridSplit { order, .. }
+            | PlanOp::PushdownAggregate { order, .. } => Some(order),
+            _ => None,
+        }
+    }
+
+    /// The ORDER BY a grouping operator finishes its groups with.
+    fn order(&self) -> Option<&Order> {
+        match self {
+            PlanOp::GroupBy { order, .. }
+            | PlanOp::CaseWhen { order, .. }
+            | PlanOp::HybridSplit { order, .. }
+            | PlanOp::PushdownAggregate { order, .. } => order.as_ref(),
+            _ => None,
+        }
+    }
+}
+
+/// `tree` with `order` as the finish of its root grouping operator: how
+/// a hybrid split that pushes no group runs its tail.
+pub(crate) fn finished_by(tree: &PlanNode, order: &Option<Order>) -> PlanNode {
+    let mut tree = tree.clone();
+    if let Some(slot) = tree.op.order_mut() {
+        slot.clone_from(order);
+    }
+    tree
+}
+
 impl PlanNode {
     pub fn new(op: PlanOp, children: Vec<PlanNode>, schema: Schema) -> PlanNode {
         PlanNode {
@@ -260,9 +362,10 @@ impl PlanNode {
         }
     }
 
-    /// Display label of this operator (used by `Explain::report`).
+    /// Display label of this operator (used by `Explain::report`); a
+    /// grouping operator's label names its finishing order after a `+`.
     pub fn label(&self) -> String {
-        match &self.op {
+        let base = match &self.op {
             PlanOp::LocalScan { table, .. } => format!("LocalScan[{}]", table.name),
             PlanOp::PushdownScan { table, limit, .. } => match limit {
                 None => format!("PushdownScan[{}]", table.name),
@@ -274,6 +377,7 @@ impl PlanNode {
                 table,
                 stmt,
                 group_by,
+                ..
             } => {
                 let is_agg = |i: &&SelectItem| matches!(i, SelectItem::Agg { .. });
                 let aggs = stmt.items.iter().filter(is_agg).count();
@@ -307,19 +411,20 @@ impl PlanNode {
                 group_width, aggs, ..
             } => format!("GroupBy[{group_width} keys, {} aggs]", aggs.len()),
             PlanOp::Aggregate { aggs } => format!("Aggregate[{} aggs]", aggs.len()),
-            PlanOp::Sort { keys, limit } => match limit {
-                Some(k) => format!("TopK[{} keys, limit {k}]", keys.len()),
-                None => format!("Sort[{} keys]", keys.len()),
-            },
+            PlanOp::Sort(order) => order.label(),
             PlanOp::Limit { n } => format!("Limit[{n}]"),
             PlanOp::Threshold { column, k, .. } => format!("Threshold[{column}, {k}th]"),
-            PlanOp::CaseWhen { aggs } => format!("CaseWhen[{} aggs]", aggs.len()),
+            PlanOp::CaseWhen { aggs, .. } => format!("CaseWhen[{} aggs]", aggs.len()),
             PlanOp::HybridSplit { aggs, .. } => format!("HybridSplit[{} aggs]", aggs.len()),
             PlanOp::Exchange { node, nodes } => format!("Exchange[node {node}/{nodes}]"),
             PlanOp::Gather { nodes } => format!("Gather[{nodes} nodes]"),
             PlanOp::Repartition { keys, nodes } => {
                 format!("Repartition[{} keys, {nodes} nodes]", keys.len())
             }
+        };
+        match self.op.order() {
+            Some(order) => format!("{base} + {}", order.label()),
+            None => base,
         }
     }
 
@@ -631,10 +736,12 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             table,
             stmt,
             group_by,
+            order,
         } => {
-            let scan = select_scan_aggregate(ctx, table, stmt, group_by)?;
+            let mut scan = select_scan_aggregate(ctx, table, stmt, group_by)?;
+            let rows = finish_groups(order, scan.rows, &mut scan.stats);
             // The lowering-time schema carries the statement's aliases.
-            emit(ctx, &node.schema, scan.rows, sink)?;
+            emit(ctx, &node.schema, rows, sink)?;
             Ok(select_leaf(node, table, node.schema.clone(), scan.stats))
         }
         PlanOp::HashJoin {
@@ -658,7 +765,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             let (build_node, probe_node) = (&node.children[0], &node.children[1]);
             let mut join = Join::new(node, build_key, probe_key)?;
             let bk = join.build_key;
-            if build_node.schema.dtype_of(bk) != pushdown_common::DataType::Int {
+            if build_node.schema.dtype_of(bk) != DataType::Int {
                 return Err(Error::Bind(format!(
                     "Bloom join requires an integer join key, `{build_key}` is {}",
                     build_node.schema.dtype_of(bk)
@@ -717,18 +824,32 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             })?;
             Ok(ran.reshaped(node, "project", local, Flow::Streaming))
         }
-        PlanOp::GroupBy { group_width, aggs } => {
+        PlanOp::GroupBy {
+            group_width,
+            aggs,
+            order,
+        } => {
             // A Repartition child switches to scattered execution:
             // per-node partial group-bys over key-hashed buckets.
             if let PlanOp::Repartition { nodes, .. } = &node.children[0].op {
-                return run_partitioned_group_by(ctx, node, *group_width, aggs, *nodes, sink);
+                return run_partitioned_group_by(
+                    ctx,
+                    node,
+                    *group_width,
+                    aggs,
+                    order,
+                    *nodes,
+                    sink,
+                );
             }
             let mut acc = ops::GroupByAccumulator::new((0..*group_width).collect(), aggs.clone());
             let mut local = PhaseStats::default();
             let ran = run(ctx, &node.children[0], &mut |batch| {
                 acc.update_batch(&batch.rows, &mut local)
             })?;
-            emit(ctx, &node.schema, acc.finish(&mut local), sink)?;
+            let rows = acc.finish(&mut local);
+            let rows = finish_groups(order, rows, &mut local);
+            emit(ctx, &node.schema, rows, sink)?;
             Ok(ran.reshaped(node, "group-by", local, Flow::Breaker))
         }
         PlanOp::Aggregate { aggs } => {
@@ -750,20 +871,21 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             emit(ctx, &node.schema, vec![row], sink)?;
             Ok(ran.reshaped(node, "aggregate", local, Flow::Breaker))
         }
-        PlanOp::Sort { keys, limit } => {
+        PlanOp::Sort(order) => {
             let child = &node.children[0];
+            let keys = &order.keys;
             let mut local = PhaseStats::default();
-            let (ran, rows) = match limit {
+            let (ran, rows) = match order.limit {
                 None => {
                     let mut rows = Vec::new();
                     let ran = run(ctx, child, &mut |batch| {
                         rows.extend(batch.rows);
                         Ok(())
                     })?;
-                    (ran, ops::sort_rows_by_keys(rows, keys, &mut local))
+                    (ran, order.apply(rows, &mut local))
                 }
                 Some(k) => {
-                    let mut heap = ops::TopKAccumulator::new(keys, *k);
+                    let mut heap = ops::TopKAccumulator::new(keys, k);
                     let ran = match child.op {
                         // The leaf's workers reduce their partitions — this
                         // operator's work, charged for every row offered —
@@ -771,7 +893,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                         PlanOp::LocalScan { .. } | PlanOp::CachedScan { .. } => {
                             let best = Best {
                                 keys,
-                                k: *k,
+                                k,
                                 work: &mut local,
                             };
                             local_scan(ctx, child, Some(best), &mut |batch| {
@@ -830,7 +952,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             scan.metrics.relabel(&select, "scanning phase");
             Ok(staged(node, own, sample, scan))
         }
-        PlanOp::CaseWhen { aggs } => {
+        PlanOp::CaseWhen { aggs, order } => {
             let child = &node.children[0];
             let (table, predicate, group_cols) = child.pushdown_leaf()?;
             // The distinct groups, sorted: only they are kept.
@@ -839,12 +961,13 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 groups.extend(batch.rows.iter().map(|r| r.values().to_vec()));
                 Ok(())
             })?;
-            let (rows, stats) =
+            let (rows, mut stats) =
                 case_when_aggregate(ctx, table, predicate, group_cols, aggs, &groups)?;
+            let rows = finish_groups(order, rows, &mut stats);
             emit(ctx, &node.schema, rows, sink)?;
             Ok(ran.reshaped(node, "case-when aggregation", stats, Flow::Breaker))
         }
-        PlanOp::HybridSplit { aggs, force } => {
+        PlanOp::HybridSplit { aggs, force, order } => {
             let (sample_node, tail_node) = (&node.children[0], &node.children[1]);
             let (table, predicate, group_cols) = sample_node.pushdown_leaf()?;
             // Phase 1: group frequencies in the sample. NULL keys are
@@ -875,28 +998,29 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             sample.metrics.relabel(&select, "hybrid: sample");
             sample.metrics.stack("split", own, Flow::Breaker);
             if big.is_empty() {
-                // No populous group: the tail is the whole query.
-                let tail = run(ctx, tail_node, sink)?;
+                // No populous group: the tail is the whole query, the
+                // order its finish.
+                let tail = run(ctx, &finished_by(tail_node, order), sink)?;
                 return Ok(staged(node, own, sample, tail));
             }
             // Phase 2, two concurrent requests (paper Listing 5). Q1: the
             // pushed CASE-WHEN aggregation of the populous groups.
             let keys: Vec<Vec<Value>> = big.iter().map(|v| vec![v.clone()]).collect();
-            let (mut rows, s3) =
+            let (mut rows, mut s3) =
                 case_when_aggregate(ctx, table, predicate, group_cols, aggs, &keys)?;
             // Q2: the long tail (group NOT IN populous), aggregated
             // locally. `g NOT IN (…)` is never true for a NULL `g`, so the
             // NULL-key rows — a tail group like any other — are asked for
             // by name wherever the column can hold one.
-            let gcol = || Box::new(Expr::col(group_cols[0].clone()));
+            let (operand, literal) = group_key(table, &group_cols[0]);
             let mut tail_pred = Expr::InList {
-                expr: gcol(),
-                list: big.into_iter().map(Expr::Literal).collect(),
+                expr: Box::new(operand),
+                list: big.iter().map(literal).collect(),
                 negated: true,
             };
             if table.may_be_null(&group_cols[0]) {
                 let is_null = Expr::IsNull {
-                    expr: gcol(),
+                    expr: Box::new(Expr::col(group_cols[0].clone())),
                     negated: false,
                 };
                 tail_pred = Expr::or(tail_pred, is_null);
@@ -906,8 +1030,10 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 Ok(())
             })?;
             // Populous and tail groups are disjoint: concatenate and sort.
+            // The order finishes them where the populous groups arrived,
+            // beside the tail.
             rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
-            emit(ctx, &node.schema, rows, sink)?;
+            emit(ctx, &node.schema, finish_groups(order, rows, &mut s3), sink)?;
             tail.metrics
                 .relabel(&select, "hybrid: server-side aggregation");
             let mut pushed = QueryMetrics::new();
@@ -1101,10 +1227,27 @@ pub(crate) fn case_when_chunk(ctx: &QueryContext, aggs: usize, key_bytes: f64) -
     ((budget as f64 / per_group.max(1.0)) as usize).max(1)
 }
 
+/// A group-key column of `table` as a pushed statement compares it, and
+/// how it writes one of its values: a FLOAT column by its CSV text,
+/// because SQL's `=` cannot single out the groups the total order keeps
+/// apart — NaN equals nothing, `-0.0` equals `0.0` —; any other column
+/// by value.
+fn group_key(table: &Table, column: &str) -> (Expr, fn(&Value) -> Expr) {
+    let (expr, dtype) = (Box::new(Expr::col(column.to_string())), DataType::Str);
+    match table
+        .schema
+        .resolve(column)
+        .map(|i| table.schema.dtype_of(i))
+    {
+        Ok(DataType::Float) => (Expr::Cast { expr, dtype }, |v| Expr::str(v.to_csv_field())),
+        _ => (*expr, |v| Expr::Literal(v.clone())),
+    }
+}
+
 /// Predicate selecting the rows of one (possibly multi-column) group:
-/// equality per key part, `IS NULL` for a NULL part (`c = NULL` is never
-/// true).
-fn group_eq(group_cols: &[String], key: &[Value]) -> Expr {
+/// equality per key part ([`group_key`]), `IS NULL` for a NULL part
+/// (`c = NULL` is never true).
+fn group_eq(table: &Table, group_cols: &[String], key: &[Value]) -> Expr {
     let conj: Vec<Expr> = group_cols
         .iter()
         .zip(key)
@@ -1113,7 +1256,10 @@ fn group_eq(group_cols: &[String], key: &[Value]) -> Expr {
                 expr: Box::new(Expr::col(c.clone())),
                 negated: false,
             },
-            v => Expr::eq(Expr::col(c.clone()), Expr::Literal(v.clone())),
+            v => {
+                let (operand, literal) = group_key(table, c);
+                Expr::eq(operand, literal(v))
+            }
         })
         .collect();
     Expr::conjunction(conj).expect("non-empty group columns")
@@ -1141,7 +1287,7 @@ fn case_when_aggregate(
     for batch in groups.chunks(case_when_chunk(ctx, aggs.len(), key_bytes as f64)) {
         let mut items = Vec::with_capacity(batch.len() * aggs.len());
         for key in batch {
-            let eq = group_eq(group_cols, key);
+            let eq = group_eq(table, group_cols, key);
             for (f, c) in aggs {
                 // CASE WHEN g = v THEN x END — the ELSE-less NULL arm is
                 // skipped by every aggregate, and so is a NULL `x`:
@@ -1383,12 +1529,14 @@ fn run_gather(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran
 /// parallel, and merge by re-sorting on the group key — each group lives
 /// wholly in one bucket with its rows in original order, so aggregate
 /// values and the final sorted output are bit-identical to the serial
-/// operator.
+/// operator. The merge is the operator's finish: its order, if it has
+/// one, runs there.
 fn run_partitioned_group_by(
     ctx: &QueryContext,
     node: &PlanNode,
     group_width: usize,
     aggs: &[(AggFunc, Option<usize>)],
+    order: &Option<Order>,
     nodes: usize,
     sink: Sink<'_>,
 ) -> Result<Ran> {
@@ -1456,6 +1604,7 @@ fn run_partitioned_group_by(
     let mut merge_stats = PhaseStats::default();
     let sort_keys: Vec<(usize, bool)> = (0..group_width).map(|i| (i, true)).collect();
     let rows = ops::sort_rows_by_keys(parts.concat(), &sort_keys, &mut merge_stats);
+    let rows = finish_groups(order, rows, &mut merge_stats);
     let mut metrics = child.metrics;
     metrics.push_parallel(phases);
     metrics.stack("group-by merge", merge_stats, Flow::Breaker);
@@ -1583,7 +1732,6 @@ mod tests {
     use super::*;
     use crate::catalog::upload_csv_table;
     use crate::planner::run_candidate;
-    use pushdown_common::DataType;
     use pushdown_s3::S3Store;
 
     /// A name a statement does not lower to is an error — it used to run

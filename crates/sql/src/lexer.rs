@@ -46,7 +46,7 @@ pub enum TokenKind {
 }
 
 /// All keywords of the dialect. Anything else lexes as an identifier.
-const KEYWORDS: &[&str] = &[
+pub(crate) const KEYWORDS: &[&str] = &[
     "SELECT", "FROM", "WHERE", "LIMIT", "AS", "AND", "OR", "NOT", "NULL", "TRUE", "FALSE", "IS",
     "IN", "BETWEEN", "LIKE", "CASE", "WHEN", "THEN", "ELSE", "END", "CAST", "DATE", "GROUP",
     "ORDER", "BY", "ESCAPE", "JOIN", "ON", "INNER",

@@ -255,3 +255,73 @@ proptest! {
         prop_assert_eq!(reparsed, q, "text was `{}`", text);
     }
 }
+
+/// What the token soups are stirred from beside the keywords: every
+/// operator and punctuation mark, literals well- and ill-formed
+/// (out-of-range numbers, bad dates, unterminated quotes), function and
+/// type names, a few identifiers and bytes no token starts with.
+const SOUP: &str = "ASC DESC INT FLOAT STRING SUBSTRING CHAR_LENGTH BIT_AT LOWER SUM COUNT \
+    AVG MIN MAX S3Object s a t.a \"q\" \" ' 'x' '' '1994-01-01' '1994-13-45' 0 1 -1 1.5 1e \
+    1e999 9223372036854775808 -9223372036854775808 ( ) , * + - / % = != <> < <= > >= . ! -- ; é \0";
+
+/// The soup's tokens: the dialect's keywords, then `SOUP`'s.
+fn soup_tokens() -> Vec<&'static str> {
+    let extra = SOUP.split_whitespace();
+    crate::lexer::KEYWORDS
+        .iter()
+        .copied()
+        .chain(extra)
+        .collect()
+}
+
+/// A soup of `picks` into the soup's tokens, joined by spaces or by
+/// nothing, cut to at most 256 bytes (on a token boundary).
+fn soup(picks: &[usize], spaced: bool) -> String {
+    let (tokens, sep) = (soup_tokens(), if spaced { " " } else { "" });
+    let mut text = String::new();
+    for &i in picks {
+        let token = tokens[i % tokens.len()];
+        if text.len() + sep.len() + token.len() > 256 {
+            break;
+        }
+        text.push_str(token);
+        text.push_str(sep);
+    }
+    text
+}
+
+/// Every entry point over `text` returns `Ok` or `Err` — a typed error,
+/// never a panic.
+fn never_panics(text: &str) -> Result<(), TestCaseError> {
+    let outcome = std::panic::catch_unwind(|| {
+        let _ = crate::parser::parse_query(text);
+        let _ = crate::parser::parse_select(text);
+        let _ = crate::parser::parse_select_extended(text);
+        let _ = parse_expr(text);
+    });
+    prop_assert!(outcome.is_ok(), "a parser panicked on {:?}", text);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// SQL text the engine did not write never panics: arbitrary bytes
+    /// (≤ 256, valid UTF-8 or not — an invalid sequence reaches the
+    /// parser as replacement characters), printable ASCII, and soups of
+    /// the dialect's own tokens, bare or behind a valid statement prefix.
+    #[test]
+    fn sql_text_never_panics(
+        bytes in proptest::collection::vec(any::<u8>(), 0..257),
+        ascii in "[ -~]{0,256}",
+        picks in proptest::collection::vec(0usize..1024, 0..64),
+        spaced in any::<bool>(),
+    ) {
+        never_panics(&String::from_utf8_lossy(&bytes))?;
+        never_panics(&ascii)?;
+        let soup = soup(&picks, spaced);
+        never_panics(&soup)?;
+        never_panics(&format!("SELECT * FROM t WHERE {soup}"))?;
+        never_panics(&format!("SELECT {soup} FROM S3Object"))?;
+    }
+}

@@ -15,6 +15,7 @@ use pushdowndb::common::row::RowBatch;
 use pushdowndb::common::{DataType, Result, RetryPolicy, Row, Schema, Value};
 use pushdowndb::core::joinplan::lower_candidates;
 use pushdowndb::core::metrics::Flow::{self, Breaker, Streaming};
+use pushdowndb::core::plan::Order;
 use pushdowndb::core::planner::{self, execute_sql};
 use pushdowndb::core::scan::{cached_scan_streamed, plain_scan_streamed, select_scan};
 use pushdowndb::core::{
@@ -624,11 +625,19 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
                 local,
             ))
         }
-        PlanOp::GroupBy { group_width, aggs } => {
+        PlanOp::GroupBy {
+            group_width,
+            aggs,
+            order,
+        } => {
             let child = reference(ctx, &node.children[0])?;
             let group_cols: Vec<usize> = (0..*group_width).collect();
             let mut local = PhaseStats::default();
-            let rows = ops::hash_group_by(&child.rows, &group_cols, aggs, &mut local)?;
+            let mut rows = ops::hash_group_by(&child.rows, &group_cols, aggs, &mut local)?;
+            // Its ORDER BY runs in the group-by's phase.
+            if let Some(Order { keys, limit }) = order {
+                rows = reference_order(rows, keys, *limit, &mut local);
+            }
             Ok(child.stacked(
                 node,
                 node.schema.clone(),
@@ -659,19 +668,10 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
                 local,
             ))
         }
-        PlanOp::Sort { keys, limit } => {
+        PlanOp::Sort(Order { keys, limit }) => {
             let mut child = reference(ctx, &node.children[0])?;
             let mut local = PhaseStats::default();
-            let offered = child.rows.len() as u64;
-            let mut rows =
-                ops::sort_rows_by_keys(std::mem::take(&mut child.rows), keys, &mut local);
-            if let Some(k) = limit {
-                // The stable sort, truncated — charged as the K-heap it
-                // runs as: log2 K per row offered, one per row kept.
-                rows.truncate(*k);
-                let log_k = ((*k).max(2) as f64).log2().ceil() as u64;
-                local.server_cpu_units = offered * log_k + rows.len() as u64;
-            }
+            let rows = reference_order(std::mem::take(&mut child.rows), keys, *limit, &mut local);
             let schema = child.schema.clone();
             Ok(child.stacked(node, schema, rows, Some(("sort", Breaker)), local))
         }
@@ -684,6 +684,27 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
         }
         other => panic!("the join lowering does not produce {other:?}"),
     }
+}
+
+/// `ORDER BY keys [LIMIT limit]`: the stable sort, truncated — charged
+/// as the K-heap it runs as under a limit: log2 K per row offered, one
+/// per row kept.
+fn reference_order(
+    rows: Vec<Row>,
+    keys: &[(usize, bool)],
+    limit: Option<usize>,
+    local: &mut PhaseStats,
+) -> Vec<Row> {
+    let offered = rows.len() as u64;
+    let mut work = PhaseStats::default();
+    let mut rows = ops::sort_rows_by_keys(rows, keys, &mut work);
+    if let Some(k) = limit {
+        rows.truncate(k);
+        let log_k = (k.max(2) as f64).log2().ceil() as u64;
+        work.server_cpu_units = offered * log_k + rows.len() as u64;
+    }
+    local.merge(&work);
+    rows
 }
 
 // ---------------------------------------------------------------------

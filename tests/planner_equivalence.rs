@@ -14,13 +14,16 @@
 //! commit *before* the two planners became one front-end and have to
 //! read the same afterwards: a refactor of the planning half may not
 //! move a candidate, a pick, a phase or a byte on any of these shapes.
-//! They were re-blessed for three declared moves: PR 21's phase rule
+//! They were re-blessed for four declared moves: PR 21's phase rule
 //! (joined lines), PR 22's fold of the filter, scalar-aggregate and
 //! one-scan group-by families into IR trees (their lines: operator and
-//! phase labels, one CPU pass) and PR 24's fold of top-K and the staged
-//! group-bys (operator and phase labels, `Sort { limit }`'s heap charge,
-//! one tie rule for `topk-100`; the `_4n` files once more, staged plans
-//! scattering) — see CHANGES.md. In the same loop every
+//! phase labels, one CPU pass), PR 24's fold of top-K and the staged
+//! group-bys (operator and phase labels, the limited `Sort`'s heap
+//! charge, one tie rule for `topk-100`; the `_4n` files once more,
+//! staged plans scattering) and PR 25's fold of a GROUP BY's ORDER BY
+//! into the group-by (the two joined shapes: operator labels, one phase
+//! group fewer, the fused phase's CPU, candidate dollars) — see
+//! CHANGES.md. In the same loop every
 //! run's predicted phases are held to the executed ones, group for
 //! group and label for label; a fixed strategy's pick is re-priced by
 //! name for it. `Explain::predicted` and the per-operator predictions

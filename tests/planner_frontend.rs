@@ -6,9 +6,10 @@
 //!   remembered: every shape × strategy returns the same number of rows,
 //!   `LIMIT 0` on a scalar aggregate included, and a limited plan still
 //!   bills the whole scan (`usage == billed`).
-//! * An ordered plan is priced whole — its `Sort` is a phase of the
-//!   prediction like it is of the run — and every executed plan's report
-//!   carries per-node predictions, fixed strategies included.
+//! * An ordered plan is priced whole — its `Sort`, or a group-by's
+//!   ORDER BY folded into the group-by, is in the prediction's phases
+//!   like it is in the run's — and every executed plan's report carries
+//!   per-node predictions, fixed strategies included.
 
 use pushdowndb::common::{DataType, Row, Schema, Value};
 use pushdowndb::core::planner::execute_sql_verbose;
@@ -136,9 +137,10 @@ fn every_node_predicted(op: &OpReport) -> bool {
     op.predicted.is_some() && op.children.iter().all(every_node_predicted)
 }
 
-/// Ordered single-table plans (a `Sort` over a group-by, or over a bare
-/// scan leaf whose pipeline it ends) are priced whole: the prediction
-/// has the phase the run has.
+/// Ordered single-table plans (a group-by finishing its groups in ORDER
+/// BY order — for free under its own key —, or a `Sort` over a bare scan
+/// leaf whose pipeline it ends) are priced whole: the prediction has the
+/// phases the run has, and a group-by's ORDER BY opens none.
 #[test]
 fn ordered_single_table_plans_are_priced_with_their_sort() {
     let (ctx, fact) = setup();
@@ -157,7 +159,16 @@ fn ordered_single_table_plans_are_priced_with_their_sort() {
         );
         let last =
             |m: &pushdowndb::core::QueryMetrics| m.groups.last().unwrap().phases[0].label.clone();
-        assert!(last(predicted).ends_with("sort"), "{sql}");
+        let ends = if sql.contains("GROUP BY") {
+            "group-by"
+        } else {
+            "sort"
+        };
+        assert!(
+            last(predicted).ends_with(ends),
+            "{sql}: {}",
+            last(predicted)
+        );
         assert_eq!(last(predicted), last(&out.metrics), "{sql}");
         let root = ex.operators.as_ref().unwrap();
         assert!(every_node_predicted(root), "{sql}: root and leaf annotated");
