@@ -84,6 +84,15 @@ mod groupby {
             (QueryContext::new(store), t)
         }
 
+        /// `t` with its exact statistics but no dictionaries: its hybrid
+        /// split samples.
+        fn without_dictionaries(mut t: Table) -> Table {
+            let mut stats = t.stats.as_deref().expect("loaded with statistics").clone();
+            stats.columns.iter_mut().for_each(|c| c.dictionary = None);
+            t.stats = Some(std::sync::Arc::new(stats));
+            t
+        }
+
         fn assert_rows_close(a: &[Row], b: &[Row]) {
             assert_eq!(a.len(), b.len(), "row counts differ");
             for (x, y) in a.iter().zip(b) {
@@ -188,15 +197,23 @@ mod groupby {
         #[test]
         fn hybrid_pushes_populous_groups_only() {
             let (ctx, t) = setup(4000, 12, true);
-            let out = run(&ctx, &t, &sql("g", None), "hybrid").unwrap();
+            let sampled = without_dictionaries(t.clone());
+            let out = run(&ctx, &sampled, &sql("g", None), "hybrid").unwrap();
             // There must be both an s3-side and a server-side phase.
-            let labels = labels(&out);
-            assert!(labels.iter().any(|l| l.contains("s3-side")));
-            assert!(labels.iter().any(|l| l.contains("server-side")));
-            assert!(labels.iter().any(|l| l.contains("sample")));
+            let sampled_labels = labels(&out);
+            assert!(sampled_labels.iter().any(|l| l.contains("s3-side")));
+            assert!(sampled_labels.iter().any(|l| l.contains("server-side")));
+            assert!(sampled_labels.iter().any(|l| l.contains("sample")));
             // Sample, then the two side by side.
             assert_eq!(out.metrics.groups.len(), 2);
             assert_eq!(out.metrics.groups[1].phases.len(), 2);
+            // The catalog's dictionary of `g` decides the same split with
+            // no sample: the two side by side, nothing before.
+            let listed = run(&ctx, &t, &sql("g", None), "hybrid").unwrap();
+            assert!(labels(&listed).iter().all(|l| !l.contains("sample")));
+            assert_eq!(listed.metrics.groups.len(), 1);
+            assert_eq!(listed.metrics.groups[0].phases.len(), 2);
+            assert_rows_close(&out.rows, &listed.rows);
         }
 
         #[test]
@@ -223,6 +240,7 @@ mod groupby {
         #[test]
         fn hybrid_force_groups_controls_split() {
             let (ctx, t) = setup(3000, 10, true);
+            let t = without_dictionaries(t);
             let a = run(&ctx, &t, &sql("g", None), "server-side").unwrap();
             let mut terms = Vec::new();
             for n in [1usize, 4, 8] {

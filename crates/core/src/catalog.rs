@@ -19,6 +19,21 @@
 //! registered without statistics — [`probe_stats`] refreshes them with a
 //! cheap `LIMIT`-bounded Select probe striped across partitions, which
 //! *is* metered like any other query traffic.
+//!
+//! ## Dictionaries
+//!
+//! The load-time pass counts every distinct value of every column anyway,
+//! so for a low-cardinality column it keeps the counts:
+//! [`ColumnStats::dictionary`] lists each distinct non-null value with its
+//! exact row count, for a column of one type with at most
+//! [`DICTIONARY_MAX_VALUES`] of them — a status or priority code, a flag,
+//! not a key. With it the §VI-B hybrid group-by knows before the query
+//! starts which groups are populous, which is what its sample phase would
+//! have estimated ([`crate::plan::PlanOp::HybridSplit`]). Only an exact
+//! pass keeps one: a probe sees a sample, and a value the sample missed
+//! would be missing from the list, so [`probe_stats`] never sets it. Even
+//! an exact dictionary describes the rows *at load*; what reads it must
+//! stay correct when a listed value has gone or an unlisted one appeared.
 
 use crate::context::QueryContext;
 use pushdown_common::mix::MixBuildHasher;
@@ -44,7 +59,16 @@ pub struct ColumnStats {
     pub null_fraction: f64,
     /// Mean width of the CSV-rendered field, bytes.
     pub avg_width: f64,
+    /// Every distinct non-null value with its row count, in
+    /// [`Value::total_cmp`] order — kept by exact load-time statistics
+    /// only, and only for a column whose values are of one type and at
+    /// most [`DICTIONARY_MAX_VALUES`] distinct (see the module docs).
+    pub dictionary: Option<Vec<(Value, u64)>>,
 }
+
+/// The most distinct values a column may have and keep its
+/// [`ColumnStats::dictionary`].
+pub const DICTIONARY_MAX_VALUES: usize = 32;
 
 /// Table-level statistics: row count plus one [`ColumnStats`] per column.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,17 +82,17 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Exact statistics from a full pass over `rows` (the load-time path).
+    /// Exact statistics from a full pass over `rows` (the load-time path),
+    /// dictionaries included.
     pub fn from_rows(schema: &Schema, rows: &[Row]) -> TableStats {
-        let mut stats = Self::from_sample(schema, rows);
-        stats.row_count = rows.len() as u64;
-        stats
+        Self::gather(schema, rows, true)
     }
 
-    /// Statistics from a sample, leaving `row_count` at the sample size;
-    /// callers that know the true row count fix it up (see [`probe_stats`]).
+    /// Statistics of `rows`, `row_count` their number; callers that know
+    /// the true row count of a sample fix it up (see [`probe_stats`]). An
+    /// `exact` pass — every row of the table — keeps the dictionaries.
     /// One pass over the rows; nothing is rendered or cloned per value.
-    fn from_sample(schema: &Schema, rows: &[Row]) -> TableStats {
+    fn gather(schema: &Schema, rows: &[Row], exact: bool) -> TableStats {
         let n = rows.len() as u64;
         let mut columns: Vec<ColumnAccumulator> = (0..schema.len())
             .map(|_| ColumnAccumulator::default())
@@ -82,7 +106,10 @@ impl TableStats {
         TableStats {
             row_count: n,
             sample_rows: n,
-            columns: columns.into_iter().map(|acc| acc.finish(n)).collect(),
+            columns: columns
+                .into_iter()
+                .map(|acc| acc.finish(n, exact))
+                .collect(),
         }
     }
 
@@ -99,15 +126,17 @@ impl TableStats {
     }
 }
 
-/// A distinct-value set of the statistics pass: the values are the
-/// loader's own rows, so the cheap unkeyed hasher will do.
-type Distinct<T> = HashSet<T, MixBuildHasher>;
+/// The distinct values of the statistics pass, each with its row count:
+/// the values are the loader's own rows, so the cheap unkeyed hasher will
+/// do.
+type Counted<T> = HashMap<T, u64, MixBuildHasher>;
 
 /// Distinct values of a type whose CSV width takes rendering to know,
-/// each with that width: a value is rendered the first time it is seen.
-type DistinctRendered<T> = HashMap<T, usize, MixBuildHasher>;
+/// each with that width and its row count: a value is rendered the first
+/// time it is seen.
+type CountedRendered<T> = HashMap<T, (usize, u64), MixBuildHasher>;
 
-/// Running statistics of one column (see [`TableStats::from_sample`]).
+/// Running statistics of one column (see [`TableStats::gather`]).
 /// Distinct values are counted per type, so no value is rendered to text
 /// to be counted.
 #[derive(Default)]
@@ -116,11 +145,28 @@ struct ColumnAccumulator<'a> {
     max: Option<&'a Value>,
     nulls: u64,
     width: usize,
-    bools: Distinct<bool>,
-    ints: Distinct<i64>,
-    floats: DistinctRendered<u64>,
-    strs: Distinct<&'a str>,
-    dates: DistinctRendered<i32>,
+    bools: Counted<bool>,
+    ints: Counted<i64>,
+    floats: CountedRendered<u64>,
+    strs: Counted<&'a str>,
+    dates: CountedRendered<i32>,
+}
+
+/// Count one more row of a value whose width is known.
+fn tally<T: std::hash::Hash + Eq>(counts: &mut Counted<T>, v: T) {
+    *counts.entry(v).or_insert(0) += 1;
+}
+
+/// Count one more row of a value, rendering it (`width`) when it is new;
+/// its width.
+fn tally_rendered<T: std::hash::Hash + Eq>(
+    counts: &mut CountedRendered<T>,
+    v: T,
+    width: impl FnOnce() -> usize,
+) -> usize {
+    let (w, n) = counts.entry(v).or_insert_with(|| (width(), 0));
+    *n += 1;
+    *w
 }
 
 impl<'a> ColumnAccumulator<'a> {
@@ -137,7 +183,7 @@ impl<'a> ColumnAccumulator<'a> {
                 return;
             }
             Value::Bool(b) => {
-                self.bools.insert(*b);
+                tally(&mut self.bools, *b);
                 if *b {
                     "true".len()
                 } else {
@@ -145,7 +191,7 @@ impl<'a> ColumnAccumulator<'a> {
                 }
             }
             Value::Int(i) => {
-                self.ints.insert(*i);
+                tally(&mut self.ints, *i);
                 // Decimal digits, and the sign.
                 let digits = i.unsigned_abs().checked_ilog10().map_or(1, |d| d + 1);
                 usize::from(*i < 0) + digits as usize
@@ -153,13 +199,13 @@ impl<'a> ColumnAccumulator<'a> {
             Value::Float(f) => {
                 // Every NaN renders as `NaN`: one distinct value.
                 let bits = if f.is_nan() { f64::NAN } else { *f }.to_bits();
-                *self.floats.entry(bits).or_insert_with(rendered_width)
+                tally_rendered(&mut self.floats, bits, rendered_width)
             }
             Value::Str(s) => {
-                self.strs.insert(s);
+                tally(&mut self.strs, s);
                 s.len()
             }
-            Value::Date(d) => *self.dates.entry(*d).or_insert_with(rendered_width),
+            Value::Date(d) => tally_rendered(&mut self.dates, *d, rendered_width),
         };
         if self
             .min
@@ -180,32 +226,61 @@ impl<'a> ColumnAccumulator<'a> {
     /// `Str("1")`), so a column that mixes types is settled on the
     /// rendered text of its distinct values.
     fn ndv(&self) -> u64 {
-        let per_type = [
+        if self.one_type() {
+            return self.per_type().iter().sum::<usize>() as u64;
+        }
+        let texts: HashSet<String> = self.values().map(|(v, _)| v.to_csv_field()).collect();
+        texts.len() as u64
+    }
+
+    /// Distinct values per type.
+    fn per_type(&self) -> [usize; 5] {
+        [
             self.bools.len(),
             self.ints.len(),
             self.floats.len(),
             self.strs.len(),
             self.dates.len(),
-        ];
-        if per_type.iter().filter(|&&n| n > 0).count() <= 1 {
-            return per_type.iter().sum::<usize>() as u64;
-        }
-        let mut texts: HashSet<String> = self.strs.iter().map(|s| s.to_string()).collect();
-        texts.extend(self.bools.iter().map(|&b| Value::Bool(b).to_csv_field()));
-        texts.extend(self.ints.iter().map(|&i| Value::Int(i).to_csv_field()));
-        texts.extend(
-            self.floats
-                .keys()
-                .map(|&bits| Value::Float(f64::from_bits(bits)).to_csv_field()),
-        );
-        texts.extend(self.dates.keys().map(|&d| Value::Date(d).to_csv_field()));
-        texts.len() as u64
+        ]
     }
 
-    fn finish(self, n: u64) -> ColumnStats {
+    /// Whether the non-null values seen are all of one type (or none).
+    fn one_type(&self) -> bool {
+        self.per_type().iter().filter(|&&n| n > 0).count() <= 1
+    }
+
+    /// Every distinct value with its row count, per type.
+    fn values(&self) -> impl Iterator<Item = (Value, u64)> + '_ {
+        let bools = self.bools.iter().map(|(&b, &n)| (Value::Bool(b), n));
+        let ints = self.ints.iter().map(|(&i, &n)| (Value::Int(i), n));
+        let floats = (self.floats.iter()).map(|(&f, &(_, n))| (Value::Float(f64::from_bits(f)), n));
+        let strs = self
+            .strs
+            .iter()
+            .map(|(&s, &n)| (Value::Str(s.to_string()), n));
+        let dates = (self.dates.iter()).map(|(&d, &(_, n))| (Value::Date(d), n));
+        bools.chain(ints).chain(floats).chain(strs).chain(dates)
+    }
+
+    /// [`ColumnStats::dictionary`]: the counted values in total order, for
+    /// a column of one type with few enough of them.
+    fn dictionary(&self) -> Option<Vec<(Value, u64)>> {
+        let distinct: usize = self.per_type().iter().sum();
+        if !self.one_type() || distinct > DICTIONARY_MAX_VALUES {
+            return None;
+        }
+        let mut values: Vec<(Value, u64)> = self.values().collect();
+        values.sort_by(|a, b| a.0.total_cmp(&b.0));
+        Some(values)
+    }
+
+    /// The column's statistics over `n` rows; an `exact` pass keeps the
+    /// dictionary.
+    fn finish(self, n: u64, exact: bool) -> ColumnStats {
         let fraction = |part: f64| if n == 0 { 0.0 } else { part / n as f64 };
         ColumnStats {
             ndv: self.ndv(),
+            dictionary: exact.then(|| self.dictionary()).flatten(),
             min: self.min.cloned().unwrap_or(Value::Null),
             max: self.max.cloned().unwrap_or(Value::Null),
             null_fraction: fraction(self.nulls as f64),
@@ -295,23 +370,33 @@ impl Table {
         store.total_size(&self.bucket, &format!("{}/", self.prefix))
     }
 
-    /// Replace the attached statistics (e.g. after a [`probe_stats`]
-    /// refresh).
+    /// The statistics of column `col` if they are exact: counted over
+    /// every row of the table — as many rows as it has — not over a
+    /// sample.
+    fn exact_column(&self, col: &str) -> Option<&ColumnStats> {
+        let stats = self.stats.as_deref()?;
+        if stats.sample_rows != stats.row_count || stats.row_count != self.row_count {
+            return None;
+        }
+        stats.column(self.schema.resolve(col).ok()?)
+    }
+
     /// Whether a row can have a NULL in column `col`: yes, unless the
     /// table's statistics looked at every row and saw none. Decides
     /// whether a predicate written at run time (the hybrid group-by's
     /// tail, the top-K threshold) has to ask for the NULL rows by name.
     pub(crate) fn may_be_null(&self, col: &str) -> bool {
-        let exact = self
-            .stats
-            .as_deref()
-            .filter(|s| s.sample_rows == s.row_count);
-        let seen = exact
-            .zip(self.schema.resolve(col).ok())
-            .and_then(|(s, i)| s.column(i));
-        seen.is_none_or(|c| c.null_fraction > 0.0)
+        self.exact_column(col).is_none_or(|c| c.null_fraction > 0.0)
     }
 
+    /// Column `col`'s [`ColumnStats::dictionary`], when exact statistics
+    /// kept one.
+    pub(crate) fn dictionary(&self, col: &str) -> Option<&[(Value, u64)]> {
+        self.exact_column(col)?.dictionary.as_deref()
+    }
+
+    /// Replace the attached statistics (e.g. after a [`probe_stats`]
+    /// refresh).
     pub fn with_stats(mut self, stats: TableStats) -> Table {
         self.stats = Some(Arc::new(stats));
         self
@@ -354,7 +439,7 @@ pub fn probe_stats(ctx: &QueryContext, table: &Table, probe_rows: u64) -> Result
             (scan.schema, rows)
         }
     };
-    let mut stats = TableStats::from_sample(&schema, &rows);
+    let mut stats = TableStats::gather(&schema, &rows, false);
     let sampled = stats.sample_rows.max(1);
     for col in &mut stats.columns {
         let non_null = ((sampled as f64) * (1.0 - col.null_fraction)).max(1.0);
@@ -588,6 +673,64 @@ mod tests {
         let header = 4.0; // "k,s\n" per partition ≈ noise
         let actual = t.total_bytes(&store) as f64 - 3.0 * header;
         assert!((est - actual).abs() / actual < 0.05, "{est} vs {actual}");
+    }
+
+    /// Exact statistics keep every value of a low-cardinality column with
+    /// its row count — up to `DICTIONARY_MAX_VALUES` values of one type —
+    /// and a probe's never keep one.
+    #[test]
+    fn exact_statistics_keep_small_dictionaries() {
+        let schema = Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("s", DataType::Str),
+            ("wide", DataType::Int),
+            ("mixed", DataType::Int),
+        ]);
+        let rows: Vec<Row> = (0..99i64)
+            .map(|i| {
+                let k = if i % 4 == 3 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 3)
+                };
+                let mixed = if i == 0 {
+                    Value::Str("0".into())
+                } else {
+                    Value::Int(1)
+                };
+                let s = Value::Str(format!("s{}", i % 32));
+                Row::new(vec![k, s, Value::Int(i % 33), mixed])
+            })
+            .collect();
+        let store = S3Store::new();
+        let t = upload_csv_table(&store, "b", "t", &schema, &rows, 40).unwrap();
+        let count = |col: usize, v: &Value| {
+            let of = |r: &&Row| r.values()[col] == *v && !r.values()[col].is_null();
+            rows.iter().filter(of).count() as u64
+        };
+        let k: Vec<(Value, u64)> = (0..3)
+            .map(|v| (Value::Int(v), count(0, &Value::Int(v))))
+            .collect();
+        assert_eq!(t.dictionary("k"), Some(&k[..]), "NULLs are no value");
+        assert_eq!(
+            t.dictionary("s").map(<[_]>::len),
+            Some(DICTIONARY_MAX_VALUES)
+        );
+        assert_eq!(t.dictionary("wide"), None, "33 values");
+        assert_eq!(t.dictionary("mixed"), None, "two types");
+        let ctx = crate::context::QueryContext::new(store).scoped();
+        let probed = t.clone().with_stats(probe_stats(&ctx, &t, 500).unwrap());
+        assert!(probed
+            .stats
+            .as_ref()
+            .unwrap()
+            .columns
+            .iter()
+            .all(|c| c.dictionary.is_none()));
+        assert_eq!(probed.dictionary("k"), None);
+        // Statistics of another row count are not this table's.
+        let other = TableStats::from_rows(&schema, &rows[..50]);
+        assert_eq!(t.clone().with_stats(other).dictionary("k"), None);
     }
 
     #[test]

@@ -39,9 +39,11 @@ use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
 use crate::metrics::{Flow, QueryMetrics};
 use crate::plan::{
-    case_when_chunk, finished_by, Order, PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
+    case_when_chunk, counted_aggs, finished_by, hybrid_leaf, populous, Order, PlanNode, PlanOp,
+    HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
 };
 use crate::scan::ScanLimit;
+use pushdown_bloom::BloomPlan;
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Schema, Value};
 use pushdown_sql::agg::AggFunc;
@@ -589,17 +591,15 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             bc.row_bytes + pc.row_bytes,
         )
     };
-    // A staged operator: its first child to the end, then its second.
-    let staged = |stats: PhaseStats, first: Predicted, second: Predicted| {
-        let ((fnode, fm, _), (snode, sm, card)) = (first, second);
-        (
-            PredNode {
-                stats,
-                children: vec![fnode, snode],
-            },
-            QueryMetrics::join_sides(fm, sm, false),
-            card,
-        )
+    // A staged operator: its first child to the end, if it has one, then
+    // its second.
+    let staged = |stats: PhaseStats, first: Option<Predicted>, second: Predicted| {
+        let (snode, sm, card) = second;
+        let (children, metrics) = match first {
+            Some((fnode, fm, _)) => (vec![fnode, snode], QueryMetrics::join_sides(fm, sm, false)),
+            None => (vec![snode], sm),
+        };
+        (PredNode { stats, children }, metrics, card)
     };
     let walk = |i: usize, inj: Injected| predict_node(ests, &node.children[i], inj);
     Ok(match &node.op {
@@ -666,24 +666,26 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
         } => {
             let build = walk(0, inj)?;
             let bc = build.2;
-            // The probe's pushed scans gain the Bloom filter: containment
-            // says a `keep` fraction of otherwise matching rows survives
-            // the storage-side filter.
+            // The probe's pushed scans gain the Bloom filter at the rate
+            // the SQL limit leaves it (§V-B1), or none on a fallback:
+            // containment says a `keep` fraction of otherwise matching
+            // rows survives the storage-side filter.
             let build_keys = bc.rows.min(col_ndv(ests, build_key));
             let probe_ndv = col_ndv(ests, probe_key);
             let match_frac = (build_keys / probe_ndv.max(1.0)).min(1.0);
-            let bloom = Injected {
-                keep: (match_frac + fpr * (1.0 - match_frac)).min(1.0),
-                terms: (1.0 / fpr).log2().ceil().max(1.0) as u32,
-            };
-            let mut probe = walk(1, bloom)?;
-            // Named for what the SQL limit will make of the requested
-            // rate (priced at the requested one).
             let planned = crate::plan::bloom_builder(ests.ctx).plan(
                 (build_keys as usize).max(1),
                 *fpr,
                 probe_key,
             );
+            let bloom = match planned {
+                BloomPlan::AsRequested { fpr } | BloomPlan::Degraded { fpr, .. } => Injected {
+                    keep: (match_frac + fpr * (1.0 - match_frac)).min(1.0),
+                    terms: (1.0 / fpr).log2().ceil().max(1.0) as u32,
+                },
+                BloomPlan::Fallback => WHOLE,
+            };
+            let mut probe = walk(1, bloom)?;
             let phase = crate::plan::bloom_probe_phase(&planned);
             probe.1.relabel("select", &phase);
             let p = probe.2.rows;
@@ -841,7 +843,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             sample.1.relabel(&select, "sampling phase");
             sample.1.stack("threshold", own, Flow::Breaker);
             scan.1.relabel(&select, "scanning phase");
-            staged(own, sample, scan)
+            staged(own, Some(sample), scan)
         }
         PlanOp::CaseWhen { aggs, order } => {
             let (table, _, group_cols) = node.children[0].pushdown_leaf()?;
@@ -862,35 +864,67 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
                 card,
             )
         }
-        PlanOp::HybridSplit { aggs, force, order } => {
-            let (table, _, group_cols) = node.children[0].pushdown_leaf()?;
+        PlanOp::HybridSplit {
+            aggs,
+            dictionary,
+            force,
+            order,
+        } => {
+            let (table, _, group_cols) = hybrid_leaf(node)?;
+            let tail_node = node.children.last().expect("a hybrid split has a tail");
             let est = ests.of(table);
-            let mut sample = walk(0, inj)?;
-            let mut own = cpu_phase(sample.2.rows);
             let select = format!("select {}", table.name);
-            sample.1.relabel(&select, "hybrid: sample");
-            sample.1.stack("split", own, Flow::Breaker);
-            // Uniform-share assumption: every group holds ~1/G of the
-            // sample, so either all of the top `HYBRID_MAX_S3_GROUPS`
-            // qualify or none does.
+            // The sample and the split, unless the catalog decides it.
+            let mut own = PhaseStats::default();
+            let sample = match dictionary {
+                Some(_) => None,
+                None => {
+                    let mut sample = walk(0, inj)?;
+                    own = cpu_phase(sample.2.rows);
+                    sample.1.relabel(&select, "hybrid: sample");
+                    sample.1.stack("split", own, Flow::Breaker);
+                    Some(sample)
+                }
+            };
             let groups = group_cols.iter().map(|c| est.ndv(c)).product::<f64>();
             let groups = groups.min(est.rows).max(1.0);
-            let n_big = match force {
-                Some(n) => (*n as f64).min(groups),
-                None if 1.0 / groups >= HYBRID_MIN_SHARE => groups.min(HYBRID_MAX_S3_GROUPS as f64),
-                None => 0.0,
+            // How many groups go to S3 and what share of the rows they
+            // hold: the dictionary says; a sample is priced under a
+            // uniform-share assumption — every group holds ~1/G of it, so
+            // either all of the top `HYBRID_MAX_S3_GROUPS` qualify or none
+            // does.
+            let (n_big, share) = match dictionary {
+                Some(counts) => {
+                    let big = populous(counts.clone(), *force);
+                    let rows: u64 = big.iter().map(|(_, n)| n).sum();
+                    (big.len() as f64, rows as f64 / est.rows)
+                }
+                None => {
+                    let n_big = match force {
+                        Some(n) => (*n as f64).min(groups),
+                        None if 1.0 / groups >= HYBRID_MIN_SHARE => {
+                            groups.min(HYBRID_MAX_S3_GROUPS as f64)
+                        }
+                        None => 0.0,
+                    };
+                    (n_big, n_big / groups)
+                }
             };
             if n_big == 0.0 {
-                let tail = finished_by(&node.children[1], order);
+                let tail = finished_by(tail_node, order);
                 return Ok(staged(own, sample, predict_node(ests, &tail, WHOLE)?));
             }
             let not_in = Injected {
-                keep: (1.0 - n_big / groups).max(0.0),
+                keep: (1.0 - share).max(0.0),
                 terms: n_big as u32 + 1,
             };
-            let mut tail = walk(1, not_in)?;
+            let mut tail = predict_node(ests, tail_node, not_in)?;
             tail.1.relabel(&select, "hybrid: server-side aggregation");
-            let mut s3 = est.case_when_statements(group_cols, aggs.len(), n_big);
+            // Groups listed by the catalog count their rows too.
+            let pushed = dictionary
+                .as_ref()
+                .map_or(aggs.len(), |_| counted_aggs(aggs).0.len());
+            let mut s3 = est.case_when_statements(group_cols, pushed, n_big);
             tail.2.rows = groups;
             finish_groups(order, &mut s3, &mut tail.2);
             tail.1 =
@@ -1520,6 +1554,76 @@ mod tests {
             unfiltered,
             "no bloom when only the build key is an integer"
         );
+    }
+
+    /// A Bloom probe is priced at the rate §V-B1 leaves it under the SQL
+    /// limit — degraded, or no filter at all — and named for it, as the
+    /// executor names it: 50 build keys against 500 probe rows, a tenth of
+    /// which match.
+    #[test]
+    fn bloom_probe_is_priced_at_the_rate_the_sql_limit_leaves() {
+        let (ctx, t) = setup(500);
+        let schema = Schema::from_pairs(&[("k2", DataType::Int)]);
+        let rows: Vec<Row> = (0..50).map(|i| Row::new(vec![Value::Int(i)])).collect();
+        let u = upload_csv_table(&ctx.store, "b", "u", &schema, &rows, 25).unwrap();
+        let mut ctx = ctx.with_tables([t]);
+        let sql = "SELECT k2, v FROM u JOIN t ON k2 = k";
+        // The phase whose scan — `select t`, `bloom probe … t` — reads `t`.
+        let of_t = |m: &QueryMetrics| {
+            let mut phases = m.groups.iter().flat_map(|g| &g.phases);
+            let scans_t = |p: &&crate::metrics::Phase| {
+                p.label
+                    .split(" + ")
+                    .next()
+                    .is_some_and(|scan| scan.ends_with(" t"))
+            };
+            phases.find(scans_t).expect("a phase scans t").clone()
+        };
+        let probe = |ctx: &QueryContext, name: &str| {
+            let cands = priced(ctx, &u, sql);
+            let (_, plan) = cands.iter().find(|(n, _)| *n == name).unwrap();
+            of_t(&plan.metrics)
+        };
+        let executed = |ctx: &QueryContext| {
+            let out = crate::planner::run_candidate(ctx, &u, sql, "bloom", None).unwrap();
+            of_t(&out.metrics).label
+        };
+        let keep = |p: &crate::metrics::Phase| p.stats.select_returned_bytes as f64;
+        let unfiltered = probe(&ctx, "filtered");
+        // 0.01 fits: seven hash terms, a tenth of the rows and 1 % of
+        // the rest come back.
+        let requested = probe(&ctx, "bloom");
+        assert!(
+            requested.label.starts_with("bloom probe t"),
+            "{}",
+            requested.label
+        );
+        assert_eq!(requested.stats.expr_terms, 7);
+        let ratio = keep(&requested) / keep(&unfiltered);
+        assert!((ratio - (0.1 + 0.01 * 0.9)).abs() < 0.01, "{ratio}");
+        // 0.01 does not fit, 0.04 does: five terms, 4 % of the rest.
+        ctx.bloom.max_sql_bytes = 2_500;
+        let degraded = probe(&ctx, "bloom");
+        assert!(
+            degraded.label.contains("degraded to 0.04"),
+            "{}",
+            degraded.label
+        );
+        assert_eq!(executed(&ctx), degraded.label);
+        assert_eq!(degraded.stats.expr_terms, 5);
+        let ratio = keep(&degraded) / keep(&unfiltered);
+        assert!((ratio - (0.1 + 0.04 * 0.9)).abs() < 0.01, "{ratio}");
+        // Nothing fits: the probe is the filtered join's scan.
+        ctx.bloom.max_sql_bytes = 100;
+        let fallback = probe(&ctx, "bloom");
+        assert!(
+            fallback.label.starts_with("fallback probe"),
+            "{}",
+            fallback.label
+        );
+        assert_eq!(executed(&ctx), fallback.label);
+        assert_eq!(fallback.stats.expr_terms, 0);
+        assert_eq!(keep(&fallback), keep(&unfiltered));
     }
 
     #[test]

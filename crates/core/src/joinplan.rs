@@ -202,8 +202,10 @@ fn sampled(mut sort: PlanNode, table: &Table, order: &OrderBy, k: usize) -> Plan
 ///
 /// * `"s3-side"` and `"hybrid"` need an aggregate to push as CASE-WHEN
 ///   items, `"hybrid"` a single grouping column: [`PlanOp::CaseWhen`] over
-///   the distinct groups, [`PlanOp::HybridSplit`] over a prefix sample of
-///   the grouping column and the `filtered` group-by as its tail;
+///   the distinct groups, [`PlanOp::HybridSplit`] over the `filtered`
+///   group-by as its tail — and, unless the catalog's dictionary of the
+///   grouping column decides the split, a prefix sample of the column
+///   before it;
 /// * `"s3-native"` exists under the engine's §X extension only: the
 ///   statement shipped whole, `GROUP BY` included.
 fn staged_group_bys(
@@ -251,16 +253,26 @@ fn staged_group_bys(
         };
         staged.push(("s3-side", op, vec![groups]));
         if let [group] = spec.group_by.as_slice() {
-            let rows = (table.row_count as f64 * HYBRID_SAMPLE_FRACTION).ceil();
-            let limit = ScanLimit::Prefix(rows.max(HYBRID_MIN_SAMPLE_ROWS) as usize);
-            let column = Some(vec![group.clone()]);
-            let sample = scan_node(table, predicate.clone(), &column, ScanMode::Sampled(limit));
+            // The catalog's dictionary holds every group with its row
+            // count: the split needs no sample.
+            let dictionary = table.dictionary(group).map(<[_]>::to_vec);
+            let children = match dictionary {
+                Some(_) => vec![tail],
+                None => {
+                    let rows = (table.row_count as f64 * HYBRID_SAMPLE_FRACTION).ceil();
+                    let limit = ScanLimit::Prefix(rows.max(HYBRID_MIN_SAMPLE_ROWS) as usize);
+                    let column = Some(vec![group.clone()]);
+                    let mode = ScanMode::Sampled(limit);
+                    vec![scan_node(table, predicate.clone(), &column, mode), tail]
+                }
+            };
             let op = PlanOp::HybridSplit {
                 aggs,
+                dictionary,
                 force: None,
                 order: None,
             };
-            staged.push(("hybrid", op, vec![sample, tail]));
+            staged.push(("hybrid", op, children));
         }
     }
     if native {

@@ -33,7 +33,11 @@
 //!   phase;
 //! * a staged operator (Bloom join, top-K threshold, hybrid split) runs
 //!   its first child to the end — closed, like a join's build side — and
-//!   then its second ([`QueryMetrics::join_sides`]).
+//!   then its second ([`QueryMetrics::join_sides`]). A hybrid split whose
+//!   grouping column has a catalog dictionary
+//!   ([`crate::catalog::ColumnStats::dictionary`]) has no first child: it
+//!   is its second phase alone, `{hybrid: s3-side aggregation ‖ hybrid:
+//!   server-side aggregation + group-by}`, one group.
 //!
 //! So a baseline join under `GROUP BY … ORDER BY` is two groups —
 //! `{load a ‖ load b} {hash join + project + group-by}` — and so is a

@@ -27,7 +27,9 @@
 //! [`PlanOp::HybridSplit`] a sample's populous groups into `g NOT IN (…)`
 //! — all three through the one [`push_predicate`], which ANDs the
 //! expression into every [`PlanOp::PushdownScan`] under the second child,
-//! scattered or not. [`PlanOp::CaseWhen`] (and the hybrid split, for its
+//! scattered or not. (A hybrid split whose grouping column has a catalog
+//! dictionary knows its populous groups before it runs: it has no sample
+//! child, and writes the same predicate into its one child.) [`PlanOp::CaseWhen`] (and the hybrid split, for its
 //! populous groups) writes whole statements instead: the chunked
 //! `SUM(CASE WHEN g = v THEN x END)` aggregates of paper Listing 4, each
 //! run as a pushed scalar aggregate. Which of these trees a query admits,
@@ -224,16 +226,25 @@ pub enum PlanOp {
         aggs: Vec<(AggFunc, Option<String>)>,
         order: Option<Order>,
     },
-    /// Staged §VI-B hybrid group-by: children `[sample, tail]`. The
-    /// sample's populous groups are aggregated by S3 like
-    /// [`PlanOp::CaseWhen`]'s while the tail — the query's `filtered`
-    /// group-by, with `g NOT IN (populous)` pushed into its scan —
-    /// aggregates the long tail locally, in parallel (paper Listing 5).
-    /// With no populous group the tail runs unchanged, `order` as its
-    /// finish. `force` pushes exactly that many groups, whatever their
-    /// share (Fig 6's sweep).
+    /// Staged §VI-B hybrid group-by: children `[sample, tail]`, or just
+    /// `[tail]` when the split comes from the catalog. The populous groups
+    /// — the largest by row count holding at least 2 % of the counted
+    /// rows, at most 8 — are aggregated by S3 like [`PlanOp::CaseWhen`]'s
+    /// while the tail — the query's `filtered` group-by, with `g NOT IN
+    /// (populous)` pushed into its scan — aggregates the long tail
+    /// locally, in parallel (paper Listing 5). The groups are counted in a
+    /// prefix sample of the grouping column, or read off `dictionary` —
+    /// its load-time row counts ([`crate::catalog::ColumnStats::dictionary`])
+    /// — with no sample phase at all. A listed group need not have a row
+    /// in this query (its WHERE emptied it, or it has gone since load), so
+    /// that way every pushed group also counts its rows and an empty one
+    /// yields no row; a group the list misses is in the tail. With no
+    /// populous group the tail runs unchanged, `order` as its finish.
+    /// `force` pushes exactly that many groups, the largest, whatever
+    /// their share (Fig 6's sweep).
     HybridSplit {
         aggs: Vec<(AggFunc, Option<String>)>,
+        dictionary: Option<Vec<(Value, u64)>>,
         force: Option<usize>,
         order: Option<Order>,
     },
@@ -256,10 +267,25 @@ pub enum PlanOp {
     Repartition { keys: Vec<usize>, nodes: usize },
 }
 
-/// Minimum sampled share for the hybrid group-by to count a group as
+/// Minimum counted share for the hybrid group-by to count a group as
 /// populous, and the cap on groups it pushes to S3.
 pub(crate) const HYBRID_MIN_SHARE: f64 = 0.02;
 pub(crate) const HYBRID_MAX_S3_GROUPS: usize = 8;
+
+/// The groups a hybrid split pushes to S3, with their counts, from
+/// per-group row counts — a sample's or the catalog dictionary's: largest
+/// count first, ties in [`Value::total_cmp`] order; with `force` the top
+/// `force` whatever their share, else the ones holding at least
+/// [`HYBRID_MIN_SHARE`] of the counted rows, at most
+/// [`HYBRID_MAX_S3_GROUPS`] of them.
+pub(crate) fn populous(mut counts: Vec<(Value, u64)>, force: Option<usize>) -> Vec<(Value, u64)> {
+    counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.total_cmp(&b.0)));
+    let total: u64 = counts.iter().map(|(_, n)| n).sum();
+    let least = HYBRID_MIN_SHARE * total.max(1) as f64;
+    counts.retain(|&(_, n)| force.is_some() || n as f64 >= least);
+    counts.truncate(force.unwrap_or(HYBRID_MAX_S3_GROUPS));
+    counts
+}
 
 /// `ORDER BY keys [LIMIT limit]`: `(column, ascending)` keys, major
 /// first, in [`Value::total_cmp`] order (NULL keys first ascending, last
@@ -415,7 +441,16 @@ impl PlanNode {
             PlanOp::Limit { n } => format!("Limit[{n}]"),
             PlanOp::Threshold { column, k, .. } => format!("Threshold[{column}, {k}th]"),
             PlanOp::CaseWhen { aggs, .. } => format!("CaseWhen[{} aggs]", aggs.len()),
-            PlanOp::HybridSplit { aggs, .. } => format!("HybridSplit[{} aggs]", aggs.len()),
+            PlanOp::HybridSplit {
+                aggs, dictionary, ..
+            } => match dictionary {
+                None => format!("HybridSplit[{} aggs]", aggs.len()),
+                Some(d) => format!(
+                    "HybridSplit[{} aggs, dictionary of {}]",
+                    aggs.len(),
+                    d.len()
+                ),
+            },
             PlanOp::Exchange { node, nodes } => format!("Exchange[node {node}/{nodes}]"),
             PlanOp::Gather { nodes } => format!("Gather[{nodes} nodes]"),
             PlanOp::Repartition { keys, nodes } => {
@@ -950,7 +985,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             sample.metrics.relabel(&select, "sampling phase");
             sample.metrics.stack("threshold", own, Flow::Breaker);
             scan.metrics.relabel(&select, "scanning phase");
-            Ok(staged(node, own, sample, scan))
+            Ok(staged(node, own, Some(sample), scan))
         }
         PlanOp::CaseWhen { aggs, order } => {
             let child = &node.children[0];
@@ -967,36 +1002,39 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             emit(ctx, &node.schema, rows, sink)?;
             Ok(ran.reshaped(node, "case-when aggregation", stats, Flow::Breaker))
         }
-        PlanOp::HybridSplit { aggs, force, order } => {
-            let (sample_node, tail_node) = (&node.children[0], &node.children[1]);
-            let (table, predicate, group_cols) = sample_node.pushdown_leaf()?;
-            // Phase 1: group frequencies in the sample. NULL keys are
-            // never "populous": their rows stay in the tail.
-            let mut freq: HashMap<Value, u64> = HashMap::new();
-            let mut own = PhaseStats::default();
-            let mut sample = run(ctx, sample_node, &mut |batch| {
-                own.server_cpu_units += batch.len() as u64;
-                for r in batch.rows.iter().filter(|r| !r[0].is_null()) {
-                    *freq.entry(r[0].clone()).or_insert(0) += 1;
-                }
-                Ok(())
-            })?;
-            let mut by_freq: Vec<(Value, u64)> = freq.into_iter().collect();
-            by_freq.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.total_cmp(&b.0)));
-            let total: u64 = by_freq.iter().map(|(_, n)| n).sum();
-            let populous = |(_, n): &&(Value, u64)| match force {
-                Some(_) => true,
-                None => (*n as f64) >= HYBRID_MIN_SHARE * total.max(1) as f64,
-            };
-            let big: Vec<Value> = by_freq
-                .iter()
-                .filter(populous)
-                .take(force.unwrap_or(HYBRID_MAX_S3_GROUPS))
-                .map(|(v, _)| v.clone())
-                .collect();
+        PlanOp::HybridSplit {
+            aggs,
+            dictionary,
+            force,
+            order,
+        } => {
+            let tail_node = node.children.last().expect("a hybrid split has a tail");
+            let (table, predicate, group_cols) = hybrid_leaf(node)?;
             let select = format!("select {}", table.name);
-            sample.metrics.relabel(&select, "hybrid: sample");
-            sample.metrics.stack("split", own, Flow::Breaker);
+            // Phase 1, unless the catalog counted the groups: their
+            // frequencies in the sample. NULL keys are never "populous":
+            // their rows stay in the tail.
+            let mut own = PhaseStats::default();
+            let (counts, sample) = match dictionary {
+                Some(counts) => (counts.clone(), None),
+                None => {
+                    let mut freq: HashMap<Value, u64> = HashMap::new();
+                    let mut sample = run(ctx, &node.children[0], &mut |batch| {
+                        own.server_cpu_units += batch.len() as u64;
+                        for r in batch.rows.iter().filter(|r| !r[0].is_null()) {
+                            *freq.entry(r[0].clone()).or_insert(0) += 1;
+                        }
+                        Ok(())
+                    })?;
+                    sample.metrics.relabel(&select, "hybrid: sample");
+                    sample.metrics.stack("split", own, Flow::Breaker);
+                    (freq.into_iter().collect(), Some(sample))
+                }
+            };
+            let big: Vec<Value> = populous(counts, *force)
+                .into_iter()
+                .map(|(v, _)| v)
+                .collect();
             if big.is_empty() {
                 // No populous group: the tail is the whole query, the
                 // order its finish.
@@ -1006,8 +1044,12 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             // Phase 2, two concurrent requests (paper Listing 5). Q1: the
             // pushed CASE-WHEN aggregation of the populous groups.
             let keys: Vec<Vec<Value>> = big.iter().map(|v| vec![v.clone()]).collect();
-            let (mut rows, mut s3) =
-                case_when_aggregate(ctx, table, predicate, group_cols, aggs, &keys)?;
+            let (mut rows, mut s3) = match dictionary {
+                None => case_when_aggregate(ctx, table, predicate, group_cols, aggs, &keys)?,
+                Some(_) => {
+                    listed_case_when_aggregate(ctx, table, predicate, group_cols, aggs, &keys)?
+                }
+            };
             // Q2: the long tail (group NOT IN populous), aggregated
             // locally. `g NOT IN (…)` is never true for a NULL `g`, so the
             // NULL-key rows — a tail group like any other — are asked for
@@ -1179,9 +1221,12 @@ fn run_pushed(
     }
 }
 
-/// What a staged operator reports: its first child ran to the end, then
-/// its second, whose rows it handed on.
-fn staged(node: &PlanNode, own: PhaseStats, first: Ran, second: Ran) -> Ran {
+/// What a staged operator reports: its first child, if it has one, ran to
+/// the end, then its second, whose rows it handed on.
+fn staged(node: &PlanNode, own: PhaseStats, first: Option<Ran>, second: Ran) -> Ran {
+    let Some(first) = first else {
+        return second.under(node, own);
+    };
     Ran {
         schema: second.schema,
         metrics: QueryMetrics::join_sides(first.metrics, second.metrics, false),
@@ -1318,6 +1363,56 @@ fn case_when_aggregate(
         }
     }
     Ok((out, stats))
+}
+
+/// `aggs` with a row count among them, and where it is: the statement's
+/// own `COUNT(*)` — pushed, `COUNT(CASE WHEN g = v THEN 1 END)` — or one
+/// added after the others.
+pub(crate) fn counted_aggs(
+    aggs: &[(AggFunc, Option<String>)],
+) -> (Vec<(AggFunc, Option<String>)>, usize) {
+    let star = (AggFunc::Count, None);
+    match aggs.iter().position(|a| *a == star) {
+        Some(at) => (aggs.to_vec(), at),
+        None => ([aggs, &[star]].concat(), aggs.len()),
+    }
+}
+
+/// [`case_when_aggregate`] of groups listed before the query ran — the
+/// hybrid split's catalog dictionary —, which need not have a row in it:
+/// each statement also counts its groups' rows ([`counted_aggs`]), and a
+/// group that counts none yields no row.
+fn listed_case_when_aggregate(
+    ctx: &QueryContext,
+    table: &Table,
+    predicate: &Option<Expr>,
+    group_cols: &[String],
+    aggs: &[(AggFunc, Option<String>)],
+    groups: &[Vec<Value>],
+) -> Result<(Vec<Row>, PhaseStats)> {
+    let (counted, at) = counted_aggs(aggs);
+    let (rows, stats) = case_when_aggregate(ctx, table, predicate, group_cols, &counted, groups)?;
+    let (count, width) = (group_cols.len() + at, group_cols.len() + aggs.len());
+    let rows = rows
+        .into_iter()
+        .filter(|r| r[count] != Value::Int(0))
+        .map(|mut r| {
+            r.0.truncate(width);
+            r
+        })
+        .collect();
+    Ok((rows, stats))
+}
+
+/// The table, predicate and grouping column a hybrid split writes its SQL
+/// against: its first child's pushed scan — the sample, or the tail when
+/// the catalog decides the split — delivers the grouping column first.
+pub(crate) fn hybrid_leaf(node: &PlanNode) -> Result<(&Table, &Option<Expr>, &[String])> {
+    let (table, predicate, cols) = node.children[0].pushdown_leaf()?;
+    let group = cols
+        .get(..1)
+        .ok_or_else(|| Error::Other("a hybrid split's scan projects no column".into()))?;
+    Ok((table, predicate, group))
 }
 
 /// The state of one hash join while its children run: the build table,

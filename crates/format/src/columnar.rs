@@ -121,36 +121,34 @@ struct Dec<'a> {
 }
 
 impl<'a> Dec<'a> {
+    /// Bytes left to read.
+    fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
     fn need(&self, n: usize) -> Result<()> {
-        if self.pos + n > self.data.len() {
+        if n > self.remaining() {
             Err(Error::Corrupt("truncated columnar metadata".into()))
         } else {
             Ok(())
         }
     }
+    /// The next `N` bytes, as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.raw(N)?);
+        Ok(out)
+    }
     fn u8(&mut self) -> Result<u8> {
-        self.need(1)?;
-        let v = self.data[self.pos];
-        self.pos += 1;
-        Ok(v)
+        Ok(self.array::<1>()?[0])
     }
     fn u16(&mut self) -> Result<u16> {
-        self.need(2)?;
-        let v = u16::from_le_bytes(self.data[self.pos..self.pos + 2].try_into().unwrap());
-        self.pos += 2;
-        Ok(v)
+        self.array().map(u16::from_le_bytes)
     }
     fn u32(&mut self) -> Result<u32> {
-        self.need(4)?;
-        let v = u32::from_le_bytes(self.data[self.pos..self.pos + 4].try_into().unwrap());
-        self.pos += 4;
-        Ok(v)
+        self.array().map(u32::from_le_bytes)
     }
     fn u64(&mut self) -> Result<u64> {
-        self.need(8)?;
-        let v = u64::from_le_bytes(self.data[self.pos..self.pos + 8].try_into().unwrap());
-        self.pos += 8;
-        Ok(v)
+        self.array().map(u64::from_le_bytes)
     }
     fn raw(&mut self, n: usize) -> Result<&'a [u8]> {
         self.need(n)?;
@@ -162,21 +160,38 @@ impl<'a> Dec<'a> {
         let n = self.u32()? as usize;
         self.raw(n)
     }
+    /// `count` values of `N` bytes each, decoded by `f` — the stream is
+    /// checked to hold them all before anything is allocated, so a
+    /// corrupt count fails instead of sizing an allocation.
+    fn fixed<const N: usize, T>(&mut self, count: usize, f: fn([u8; N]) -> T) -> Result<Vec<T>> {
+        let bytes = self.raw(count.checked_mul(N).ok_or_else(too_many)?)?;
+        Ok(bytes.as_chunks::<N>().0.iter().map(|&b| f(b)).collect())
+    }
+    /// Room for `count` items read from this stream, each at least `min`
+    /// bytes long: never more than the bytes left could hold.
+    fn capacity(&self, count: usize, min: usize) -> usize {
+        count.min(self.remaining() / min.max(1))
+    }
     fn value(&mut self) -> Result<Value> {
         Ok(match self.u8()? {
             0 => Value::Null,
             1 => Value::Bool(self.u8()? != 0),
-            2 => Value::Int(i64::from_le_bytes(self.raw(8)?.try_into().unwrap())),
-            3 => Value::Float(f64::from_le_bytes(self.raw(8)?.try_into().unwrap())),
+            2 => Value::Int(i64::from_le_bytes(self.array()?)),
+            3 => Value::Float(f64::from_le_bytes(self.array()?)),
             4 => Value::Str(
                 std::str::from_utf8(self.bytes()?)
                     .map_err(|_| Error::Corrupt("non-UTF8 string in metadata".into()))?
                     .to_string(),
             ),
-            5 => Value::Date(i32::from_le_bytes(self.raw(4)?.try_into().unwrap())),
+            5 => Value::Date(i32::from_le_bytes(self.array()?)),
             t => return Err(Error::Corrupt(format!("unknown value tag {t}"))),
         })
     }
+}
+
+/// A count in the metadata that no file could hold.
+fn too_many() -> Error {
+    Error::Corrupt("columnar count out of range".into())
 }
 
 // ---------------------------------------------------------------------
@@ -355,35 +370,18 @@ fn decode_chunk_column(
     let is_valid = |i: usize| validity[i / 8] & (1 << (i % 8)) != 0;
     let data = match (dtype, encoding) {
         (DataType::Int, Encoding::Plain) => {
-            let mut v = Vec::with_capacity(row_count);
-            for _ in 0..row_count {
-                v.push(i64::from_le_bytes(dec.raw(8)?.try_into().unwrap()));
-            }
-            ColumnData::Int(v)
+            ColumnData::Int(dec.fixed(row_count, i64::from_le_bytes)?)
         }
         (DataType::Float, Encoding::Plain) => {
-            let mut v = Vec::with_capacity(row_count);
-            for _ in 0..row_count {
-                v.push(f64::from_le_bytes(dec.raw(8)?.try_into().unwrap()));
-            }
-            ColumnData::Float(v)
+            ColumnData::Float(dec.fixed(row_count, f64::from_le_bytes)?)
         }
         (DataType::Date, Encoding::Plain) => {
-            let mut v = Vec::with_capacity(row_count);
-            for _ in 0..row_count {
-                v.push(i32::from_le_bytes(dec.raw(4)?.try_into().unwrap()));
-            }
-            ColumnData::Date(v)
+            ColumnData::Date(dec.fixed(row_count, i32::from_le_bytes)?)
         }
-        (DataType::Bool, Encoding::Plain) => {
-            let mut v = Vec::with_capacity(row_count);
-            for _ in 0..row_count {
-                v.push(dec.u8()? != 0);
-            }
-            ColumnData::Bool(v)
-        }
+        (DataType::Bool, Encoding::Plain) => ColumnData::Bool(dec.fixed(row_count, |[b]| b != 0)?),
         (DataType::Str, Encoding::Plain) => {
-            let mut v = Vec::with_capacity(row_count);
+            // Every value carries at least its 4-byte length.
+            let mut v = Vec::with_capacity(dec.capacity(row_count, 4));
             for i in 0..row_count {
                 let b = dec.bytes()?;
                 if is_valid(i) {
@@ -398,7 +396,7 @@ fn decode_chunk_column(
         }
         (DataType::Str, Encoding::Dict) => {
             let dict_len = dec.u32()? as usize;
-            let mut dict = Vec::with_capacity(dict_len);
+            let mut dict = Vec::with_capacity(dec.capacity(dict_len, 4));
             for _ in 0..dict_len {
                 let b = dec.bytes()?;
                 dict.push(
@@ -407,21 +405,19 @@ fn decode_chunk_column(
                         .to_string(),
                 );
             }
-            let mut codes = Vec::with_capacity(row_count);
-            for i in 0..row_count {
-                let code = dec.u32()?;
-                if is_valid(i) && code as usize >= dict.len() {
+            let mut codes = dec.fixed(row_count, u32::from_le_bytes)?;
+            for (i, code) in codes.iter_mut().enumerate() {
+                if (*code as usize) < dict.len() {
+                    continue;
+                }
+                if is_valid(i) {
                     return Err(Error::Corrupt(format!(
                         "dictionary code {code} out of range"
                     )));
                 }
                 // Codes on NULL rows may index anything; clamp so
                 // gather never panics.
-                codes.push(if (code as usize) < dict.len() {
-                    code
-                } else {
-                    0
-                });
+                *code = 0;
             }
             ColumnData::DictStr {
                 codes,
@@ -591,11 +587,16 @@ pub fn encode_columnar(schema: &Schema, rows: &[Row], options: WriterOptions) ->
 // reader
 // ---------------------------------------------------------------------
 
-/// Reader over an in-memory ColumnarLite file.
+/// Reader over an in-memory ColumnarLite file. Opening checks the footer
+/// against the file — every chunk inside the data region, every count
+/// within what the bytes could hold —, so a damaged file is an error,
+/// never a panic.
 pub struct ColumnarReader {
     data: Bytes,
     schema: Schema,
     groups: Vec<RowGroupMeta>,
+    /// Where the footer starts: the end of the data region.
+    footer_start: u64,
 }
 
 impl ColumnarReader {
@@ -604,18 +605,22 @@ impl ColumnarReader {
             return Err(Error::Corrupt("not a ColumnarLite file".into()));
         }
         let flen_pos = data.len() - 8;
-        let footer_len =
-            u32::from_le_bytes(data[flen_pos..flen_pos + 4].try_into().unwrap()) as usize;
+        let mut trailer = Dec {
+            data: &data[flen_pos..],
+            pos: 0,
+        };
+        let footer_len = trailer.u32()? as usize;
         if footer_len + 12 > data.len() {
             return Err(Error::Corrupt("footer length out of range".into()));
         }
-        let footer = &data[flen_pos - footer_len..flen_pos];
+        let footer_start = flen_pos - footer_len;
         let mut d = Dec {
-            data: footer,
+            data: &data[footer_start..flen_pos],
             pos: 0,
         };
         let n_cols = d.u16()? as usize;
-        let mut fields = Vec::with_capacity(n_cols);
+        // A field is at least its 4-byte name length and a type tag.
+        let mut fields = Vec::with_capacity(d.capacity(n_cols, 5));
         for _ in 0..n_cols {
             let name = std::str::from_utf8(d.bytes()?)
                 .map_err(|_| Error::Corrupt("non-UTF8 column name".into()))?
@@ -631,7 +636,8 @@ impl ColumnarReader {
             fields.push(Field::new(name, dtype));
         }
         let n_groups = d.u32()? as usize;
-        let mut groups = Vec::with_capacity(n_groups);
+        // A group is at least its row count and 27 bytes per chunk.
+        let mut groups = Vec::with_capacity(d.capacity(n_groups, 8 + 27 * n_cols));
         for _ in 0..n_groups {
             let row_count = d.u64()?;
             let mut chunks = Vec::with_capacity(n_cols);
@@ -650,8 +656,16 @@ impl ColumnarReader {
                 } else {
                     None
                 };
-                if offset + stored_len > (flen_pos - footer_len) as u64 {
+                let end = offset.checked_add(stored_len).ok_or_else(too_many)?;
+                if end > footer_start as u64 {
                     return Err(Error::Corrupt("chunk extends past data region".into()));
+                }
+                // A block expands at most `MAX_MATCH`-fold, and every row
+                // is at least one byte of every chunk (a BOOL, its validity
+                // bit beside it): the row count is bounded by the bytes.
+                let expands = if compressed { compress::MAX_MATCH } else { 1 };
+                if raw_len > stored_len.saturating_mul(expands as u64) || row_count > raw_len {
+                    return Err(Error::Corrupt("chunk length out of range".into()));
                 }
                 chunks.push(ChunkMeta {
                     offset,
@@ -662,12 +676,16 @@ impl ColumnarReader {
                     stats,
                 });
             }
+            if n_cols == 0 && row_count > 0 {
+                return Err(Error::Corrupt("rows without columns".into()));
+            }
             groups.push(RowGroupMeta { row_count, chunks });
         }
         Ok(ColumnarReader {
             data,
             schema: Schema::new(fields),
             groups,
+            footer_start: footer_start as u64,
         })
     }
 
@@ -685,10 +703,7 @@ impl ColumnarReader {
     /// requires.
     pub fn row_group_extents(&self) -> Vec<(u64, u64)> {
         let len = self.data.len() as u64;
-        let flen_pos = self.data.len() - 8;
-        let footer_len =
-            u32::from_le_bytes(self.data[flen_pos..flen_pos + 4].try_into().unwrap()) as u64;
-        let footer_start = flen_pos as u64 - footer_len;
+        let footer_start = self.footer_start;
         let mut cuts: Vec<u64> = self
             .groups
             .iter()
@@ -720,7 +735,8 @@ impl ColumnarReader {
     }
 
     pub fn total_rows(&self) -> u64 {
-        self.groups.iter().map(|g| g.row_count).sum()
+        // Saturating: the counts come from the footer.
+        (self.groups.iter()).fold(0, |n, g| n.saturating_add(g.row_count))
     }
 
     /// On-disk size of one column chunk — the number of bytes a
@@ -737,8 +753,11 @@ impl ColumnarReader {
     /// Decode one column of one row group straight into a typed
     /// [`Column`] — the vectorized path. Dictionary chunks stay coded.
     pub fn read_column_vector(&self, g: usize, col: usize) -> Result<Column> {
-        let group = &self.groups[g];
-        let meta = &group.chunks[col];
+        let (group, meta) = self
+            .groups
+            .get(g)
+            .and_then(|group| Some((group, group.chunks.get(col)?)))
+            .ok_or_else(|| Error::Corrupt(format!("no column {col} in row group {g}")))?;
         let stored = &self.data[meta.offset as usize..(meta.offset + meta.stored_len) as usize];
         let raw;
         let raw_slice: &[u8] = if meta.compressed {
@@ -1124,6 +1143,75 @@ mod tests {
         // Truncate the tail magic.
         bytes.pop();
         assert!(ColumnarReader::open(Bytes::from(bytes)).is_err());
+    }
+
+    /// Where the footer of an encoded file starts, and where its group
+    /// count sits (after the schema: a `u16` column count, then per column
+    /// a length-prefixed name and a type tag).
+    fn footer_layout(bytes: &[u8], schema: &Schema) -> (usize, usize) {
+        let len = bytes.len();
+        let footer_len = u32::from_le_bytes(bytes[len - 8..len - 4].try_into().unwrap());
+        let start = len - 8 - footer_len as usize;
+        let fields: usize = schema.fields().iter().map(|f| 4 + f.name.len() + 1).sum();
+        (start, start + 2 + fields)
+    }
+
+    /// Counts the footer or a chunk supplies are checked against the bytes
+    /// there are before anything is sized by them: each of these used to
+    /// ask for a multi-gigabyte allocation (an abort, not an error).
+    #[test]
+    fn corrupt_counts_are_errors_not_allocations() {
+        let opts = WriterOptions {
+            rows_per_group: 1000,
+            compress: false,
+        };
+        let bytes = encode_columnar(&schema(), &sample_rows(100), opts);
+        let (_, n_groups_at) = footer_layout(&bytes, &schema());
+        let patched = |at: usize, with: &[u8]| {
+            let mut b = bytes.clone();
+            b[at..at + with.len()].copy_from_slice(with);
+            Bytes::from(b)
+        };
+        // A group count no footer could hold.
+        let open = ColumnarReader::open(patched(n_groups_at, &u32::MAX.to_le_bytes()));
+        assert!(open.is_err());
+        // A row count no chunk could hold.
+        let huge_rows = patched(n_groups_at + 4, &(u64::MAX / 2).to_le_bytes());
+        assert!(ColumnarReader::open(huge_rows).is_err());
+        // A dictionary length no chunk could hold.
+        let r = ColumnarReader::open(Bytes::from(bytes.clone())).unwrap();
+        let names = &r.row_group(0).chunks[1];
+        assert_eq!(names.encoding, Encoding::Dict);
+        let dict_len_at = names.offset as usize + 100usize.div_ceil(8);
+        let huge_dict = ColumnarReader::open(patched(dict_len_at, &u32::MAX.to_le_bytes()));
+        assert!(huge_dict.unwrap().read_column(0, 1).is_err());
+        // Columns and groups the file does not have.
+        assert!(r.read_column(0, 99).is_err());
+        assert!(r.read_column(7, 0).is_err());
+        // A decompressed length no block could expand to — in a footer
+        // (re-encoded: the stats before it are variable-length), and
+        // handed to the codec itself.
+        let footer = |schema: Schema, groups: Vec<RowGroupMeta>, data: &[u8]| {
+            let mut w = ColumnarWriter::new(schema, WriterOptions::default());
+            w.out = data.to_vec();
+            w.groups = groups;
+            ColumnarReader::open(Bytes::from(w.finish()))
+        };
+        let bytes = encode_columnar(&schema(), &sample_rows(100), WriterOptions::default());
+        let data = &bytes[..footer_layout(&bytes, &schema()).0];
+        let r = ColumnarReader::open(Bytes::from(bytes.clone())).unwrap();
+        let chunk = r.row_group(0).chunks.iter().position(|c| c.compressed);
+        let mut groups = r.groups.clone();
+        groups[0].chunks[chunk.expect("a compressed chunk")].raw_len = u64::MAX / 2;
+        assert!(footer(schema(), groups, data).is_err());
+        assert!(compress::decompress(&[0x00, b'a'], usize::MAX).is_err());
+        // Rows without columns: nothing bounds their count.
+        let empty = Schema::from_pairs(&[]);
+        let rows = vec![RowGroupMeta {
+            row_count: u64::MAX / 2,
+            chunks: Vec::new(),
+        }];
+        assert!(footer(empty, rows, MAGIC).is_err());
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   (1-based; may overlap the output for RLE-style repeats).
 
 const MIN_MATCH: usize = 4;
-const MAX_MATCH: usize = 0x7f + MIN_MATCH; // 131
+/// The longest match (131): no input byte decompresses to more bytes
+/// than this.
+pub(crate) const MAX_MATCH: usize = 0x7f + MIN_MATCH;
 const MAX_DISTANCE: usize = u16::MAX as usize;
 const HASH_BITS: u32 = 15;
 
@@ -114,9 +116,11 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 }
 
 /// Decompress a block produced by [`compress`]. `expected_len` guards
-/// against corrupt metadata.
+/// against corrupt metadata — and sizes the output no larger than `input`
+/// could expand to (`MAX_MATCH` bytes per input byte), so a corrupt length
+/// fails instead of allocating.
 pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, String> {
-    let mut out = Vec::with_capacity(expected_len);
+    let mut out = Vec::with_capacity(expected_len.min(input.len().saturating_mul(MAX_MATCH)));
     let mut i = 0;
     while i < input.len() {
         let c = input[i];

@@ -1,17 +1,19 @@
-//! The CSV and Select data path against its references: damaged CSV
-//! objects never panic the reader, the Bloom probe SQL run by the Select
-//! engine agrees with the filter it was rendered from, and load-time
-//! table statistics equal the ones the rendering-based pass computed.
+//! The CSV, ColumnarLite and Select data path against its references:
+//! damaged CSV and ColumnarLite objects never panic their readers, the
+//! Bloom probe SQL run by the Select engine agrees with the filter it was
+//! rendered from, and load-time table statistics — dictionaries included
+//! — equal the ones the rendering-based pass computed.
 
 use proptest::prelude::*;
 use pushdowndb::bloom::BloomFilter;
 use pushdowndb::common::{DataType, Row, Schema, Value};
-use pushdowndb::core::catalog::{ColumnStats, TableStats};
+use pushdowndb::core::catalog::{ColumnStats, TableStats, DICTIONARY_MAX_VALUES};
+use pushdowndb::format::columnar::{encode_columnar, ColumnarReader, WriterOptions};
 use pushdowndb::format::csv::{decode_csv, encode_csv};
 use pushdowndb::s3::S3Store;
 use pushdowndb::select::{EngineExtensions, InputFormat, S3SelectEngine};
 use pushdowndb::tpch::TpchGen;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 /// `customer`, `orders` and `lineitem` at a scale where a partition of
@@ -134,8 +136,73 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// ROADMAP F-1 for ColumnarLite: byte flips, truncations and splices
+    /// of encoded TPC-H partitions — compressed or not, several row
+    /// groups each — through `open`, `read_all` and
+    /// `read_group_batch_projected` give `Err` or well-typed rows of the
+    /// file's own schema, never a panic nor an allocation sized by a
+    /// count the footer made up. ColumnarLite carries no checksum, so a
+    /// flip inside a value can decode to another valid value.
+    #[test]
+    fn damaged_columnar_partitions_never_panic(
+        table in 0usize..3,
+        partition in 0usize..4,
+        compress in any::<bool>(),
+        at in any::<usize>(),
+        flip in 1u8..=255,
+        splice_from in any::<usize>(),
+    ) {
+        let (schema, rows) = &tpch_tables()[table];
+        let chunks: Vec<&[Row]> = rows.chunks(150).collect();
+        let original = chunks[partition % chunks.len()];
+        let options = WriterOptions { rows_per_group: 60, compress };
+        let bytes = encode_columnar(schema, original, options);
+        let intact = ColumnarReader::open(bytes.clone().into()).unwrap();
+        prop_assert_eq!(&intact.read_all().unwrap(), original);
+        let at = at % bytes.len();
+
+        let mut flipped = bytes.clone();
+        flipped[at] ^= flip;
+        check_damaged_columnar(flipped);
+
+        check_damaged_columnar(bytes[..at].to_vec());
+
+        // The head of this partition glued to the tail of another one.
+        let other = encode_columnar(schema, chunks[(partition + 1) % chunks.len()], options);
+        let mut spliced = bytes[..at].to_vec();
+        spliced.extend_from_slice(&other[splice_from % other.len()..]);
+        check_damaged_columnar(spliced);
+    }
+}
+
+/// What a damaged ColumnarLite file may do (see
+/// `damaged_columnar_partitions_never_panic`): fail, or decode to rows
+/// that are well typed under the schema its footer declares — whole, and
+/// projected to every other column in reverse order.
+fn check_damaged_columnar(bytes: Vec<u8>) {
+    let Ok(reader) = ColumnarReader::open(bytes.into()) else {
+        return;
+    };
+    let schema = reader.schema().clone();
+    if let Ok(rows) = reader.read_all() {
+        assert!(rows.iter().all(|r| well_typed(&schema, r)));
+    }
+    let cols: Vec<usize> = (0..schema.len()).rev().step_by(2).collect();
+    let projected = schema.project(&cols);
+    for g in 0..reader.num_row_groups() {
+        if let Ok(batch) = reader.read_group_batch_projected(g, &cols) {
+            assert!(batch.to_rows().iter().all(|r| well_typed(&projected, r)));
+        }
+    }
+}
+
 /// `TableStats::from_rows` as it was: every value of every column rendered
-/// with `to_csv_field`, distinct values counted as distinct strings.
+/// with `to_csv_field`, distinct values counted as distinct strings — and
+/// the dictionary counted the same way: rows per distinct rendering, kept
+/// for a column of one type with at most `DICTIONARY_MAX_VALUES` of them.
 fn table_stats_oracle(schema: &Schema, rows: &[Row]) -> TableStats {
     let n = rows.len() as u64;
     let columns = (0..schema.len())
@@ -144,7 +211,8 @@ fn table_stats_oracle(schema: &Schema, rows: &[Row]) -> TableStats {
             let mut max = Value::Null;
             let mut nulls = 0u64;
             let mut width = 0usize;
-            let mut distinct: HashSet<String> = HashSet::new();
+            let mut distinct: HashMap<String, (Value, u64)> = HashMap::new();
+            let mut types = HashSet::new();
             for r in rows {
                 let v = &r[c];
                 let field = v.to_csv_field();
@@ -153,7 +221,13 @@ fn table_stats_oracle(schema: &Schema, rows: &[Row]) -> TableStats {
                     nulls += 1;
                     continue;
                 }
-                distinct.insert(field);
+                types.insert(v.data_type());
+                // Every NaN renders as `NaN`, and is stored as the one NaN.
+                let stored = match v {
+                    Value::Float(f) if f.is_nan() => Value::Float(f64::NAN),
+                    v => v.clone(),
+                };
+                distinct.entry(field).or_insert((stored, 0)).1 += 1;
                 if min.is_null() || v.total_cmp(&min) == std::cmp::Ordering::Less {
                     min = v.clone();
                 }
@@ -161,12 +235,20 @@ fn table_stats_oracle(schema: &Schema, rows: &[Row]) -> TableStats {
                     max = v.clone();
                 }
             }
+            let ndv = distinct.len() as u64;
+            let dictionary =
+                (types.len() <= 1 && distinct.len() <= DICTIONARY_MAX_VALUES).then(|| {
+                    let mut values: Vec<(Value, u64)> = distinct.into_values().collect();
+                    values.sort_by(|a, b| a.0.total_cmp(&b.0));
+                    values
+                });
             ColumnStats {
                 min,
                 max,
-                ndv: distinct.len() as u64,
+                ndv,
                 null_fraction: if n == 0 { 0.0 } else { nulls as f64 / n as f64 },
                 avg_width: if n == 0 { 0.0 } else { width as f64 / n as f64 },
+                dictionary,
             }
         })
         .collect();
@@ -189,6 +271,8 @@ fn assert_stats_identical(got: &TableStats, want: &TableStats) {
         assert_eq!(format!("{:?}", g.max), format!("{:?}", w.max), "column {i}");
         assert_eq!(g.null_fraction.to_bits(), w.null_fraction.to_bits());
         assert_eq!(g.avg_width.to_bits(), w.avg_width.to_bits());
+        let dictionary = |c: &ColumnStats| format!("{:?}", c.dictionary);
+        assert_eq!(dictionary(g), dictionary(w), "column {i} dictionary");
     }
 }
 
@@ -207,13 +291,19 @@ fn table_stats_equal_the_rendering_oracle_on_every_tpch_table() {
         g.nations(),
         g.regions(),
     ];
+    let mut dictionaries = 0;
     for (schema, rows) in &tables {
         assert!(!rows.is_empty());
-        assert_stats_identical(
-            &TableStats::from_rows(schema, rows),
-            &table_stats_oracle(schema, rows),
-        );
+        let stats = TableStats::from_rows(schema, rows);
+        assert_stats_identical(&stats, &table_stats_oracle(schema, rows));
+        dictionaries += stats
+            .columns
+            .iter()
+            .filter(|c| c.dictionary.is_some())
+            .count();
     }
+    // `l_returnflag`, `o_orderpriority`, `c_mktsegment`, … have one.
+    assert!(dictionaries >= 8, "{dictionaries} dictionaries");
 }
 
 /// A value for a column of any declared type: NULL-heavy, and with
