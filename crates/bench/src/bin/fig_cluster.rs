@@ -1,5 +1,5 @@
 //! Throughput / billed $ / interconnect volume vs node count for the
-//! scatter-gather cluster (beyond the paper).
+//! cluster (beyond the paper).
 //! Usage: `fig_cluster [scale_factor] [queries] [seed] [theta]`
 //! (defaults 0.002, 24, 42, 1.0; node counts 1, 2, 4).
 //!
@@ -63,7 +63,7 @@ fn main() {
         }
     }
 
-    // CI gates: scattering must move work, never rows or billable bytes.
+    // CI gates: the cluster moves work, never rows or billable bytes.
     let reference = &res.rows[0];
     let mut ok = true;
     for r in &res.rows[1..] {

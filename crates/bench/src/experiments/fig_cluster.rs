@@ -2,14 +2,14 @@
 //! billed dollars and interconnect volume vs node count under a
 //! Zipf-skewed workload.
 //!
-//! The paper's engine is single-node; the scatter-gather cluster
-//! consistent-hashes partitions across N nodes and fans scan leaves out
-//! to their owners ([`pushdown_core::Cluster`]). This experiment drives
-//! the same seeded Zipf stream of planner-suite queries at a sweep of
-//! node counts and reports, per count, the exact ledger bill, the
-//! interconnect bytes the gather shipped, and the per-node virtual busy
+//! The paper's engine is single-node; the cluster consistent-hashes
+//! partitions across N nodes and runs every partition request on its
+//! owner ([`pushdown_core::Cluster`]). This experiment drives the same
+//! seeded Zipf stream of planner-suite queries at a sweep of node
+//! counts and reports, per count, the exact ledger bill, the
+//! interconnect bytes the nodes shipped, and the per-node virtual busy
 //! time (critical path + balance). Rows are bit-identical and S3 bills
-//! exactly equal at every node count — scattering moves work, never
+//! exactly equal at every node count — the cluster moves work, never
 //! billable bytes — which the `fig_cluster` binary enforces as its CI
 //! gate.
 //!
@@ -28,9 +28,9 @@ use pushdown_tpch::tpch_context;
 pub struct FigClusterRow {
     pub nodes: usize,
     pub report: WorkloadReport,
-    /// Σ per-node interconnect bytes shipped to the coordinator.
+    /// Σ per-node interconnect bytes shipped.
     pub exchange_bytes: u64,
-    /// Busiest node's virtual busy seconds — the scatter critical path.
+    /// Busiest node's virtual busy seconds — the critical path.
     pub critical_path_s: f64,
     /// Mean per-node utilization relative to the busiest node
     /// (1.0 = perfectly balanced cluster).

@@ -141,7 +141,7 @@ pub struct QueryReport {
 }
 
 /// Per-node accounting of one driven workload, when the shared context
-/// carries a scatter-gather cluster (`QueryContext::with_nodes`). All
+/// carries a cluster (`QueryContext::with_nodes`). All
 /// numbers are run deltas (snapshots before minus after), so reports
 /// stay independent even though node ledgers accumulate across runs.
 #[derive(Debug, Clone)]
@@ -153,7 +153,7 @@ pub struct NodeUtilization {
     /// `busy_s` relative to the busiest node (1.0 = the critical path;
     /// the spread across nodes is the cluster's load balance).
     pub utilization: f64,
-    /// Interconnect bytes this node shipped to the coordinator.
+    /// Interconnect bytes this node shipped.
     pub exchange_bytes: u64,
     /// Exactly what this node's ledger billed during the run.
     pub billed: Usage,
@@ -691,7 +691,7 @@ mod tests {
             nodes += n.billed;
         }
         assert_eq!(nodes, report.sum_billed, "Σ node deltas == Σ query bills");
-        // The joined queries in the stream scattered: both nodes billed,
+        // The queries spread over the nodes: both nodes billed,
         // the interconnect carried rows, and the busiest node defines
         // utilization 1.0.
         assert!(report.node_stats.iter().all(|n| n.billed.requests > 0));

@@ -104,12 +104,11 @@ pub struct PerfParams {
     /// end. 500 µs is a mid-range SSD flush; NVMe with a
     /// capacitor-backed cache would be ~10×, disks ~20× the other way.
     pub fsync_latency: f64,
-    /// Node-to-node bandwidth inside the scatter-gather cluster, bytes/s
-    /// (each node's share of the exchange fabric). Exchanged bytes never
-    /// touch S3 — they are not billable [`crate::pricing::Usage`] — but
-    /// they take wall-clock time, which the compute price turns into
-    /// dollars; that is how the optimizer weighs scatter against
-    /// single-node plans.
+    /// Node-to-node bandwidth inside the cluster, bytes/s (each node's
+    /// share of the exchange fabric). Exchanged bytes never touch S3 —
+    /// they are not billable [`crate::pricing::Usage`] — but they take
+    /// wall-clock time, which the compute price turns into dollars; that
+    /// is how the optimizer weighs what a plan ships between nodes.
     pub exchange_bw: f64,
     /// Round-trip latency of one HTTP request, seconds.
     pub request_latency: f64,
@@ -176,9 +175,9 @@ pub struct PhaseStats {
     /// gradient the cost estimator weighs mem-hit vs disk-hit vs
     /// gap-fetch on.
     pub disk_bytes: u64,
-    /// Bytes this phase ships between cluster nodes (scatter results
-    /// travelling to the gathering coordinator, repartitioned rows
-    /// crossing the exchange fabric). Intra-cluster traffic: zero
+    /// Bytes this phase ships between cluster nodes (a node's partition
+    /// rows travelling to the operator above the scan, a group-by's
+    /// shuffled rows crossing the exchange fabric). Intra-cluster traffic: zero
     /// requests, zero S3 bytes, nothing billable — it costs time at
     /// [`PerfParams::exchange_bw`], and time costs compute dollars.
     pub exchange_bytes: u64,

@@ -1,18 +1,18 @@
-//! Scatter-gather cluster topology.
+//! Cluster topology.
 //!
 //! A [`Cluster`] models an N-node execution tier in front of the one
 //! shared object store: a consistent-hash ring assigns every table
 //! partition `(bucket, key)` to an owning node, and each node carries its
 //! own [`SegmentCache`], its own child [`CostLedger`](pushdown_common::CostLedger)
 //! hung off the store's global ledger, and its own [`VirtualClock`].
-//! Queries scatter scan
-//! leaves to the owning nodes (see `plan::scatter`) and gather the
-//! per-partition results back in global partition order, so rows are
+//! A plan is the same tree at every node count: the one partition
+//! fan-out (`crate::scan`) runs each partition request on the node that
+//! owns it and hands the rows on in global partition order, so rows are
 //! bit-identical to serial execution at any node count.
 //!
-//! Conservation extends cluster-wide: every byte a scattered query bills
-//! lands jointly on the query's own scoped ledger *and* on exactly one
-//! node ledger, so
+//! Conservation extends cluster-wide: every byte a query on the cluster
+//! bills lands jointly on the query's own scoped ledger *and* on exactly
+//! one node ledger, so
 //!
 //! ```text
 //! global ledger  ==  Σ node ledgers  ==  Σ per-query ledgers
@@ -42,7 +42,7 @@ pub struct ClusterNode {
     pub id: usize,
     /// Child of the store's global ledger — everything the node bills
     /// uplinks to the store total, and `Σ node ledgers == global` because
-    /// every scattered request bills exactly one node.
+    /// every request bills exactly one node.
     pub ledger: pushdown_common::ledger::CostLedger,
     /// The node's own virtual clock: advanced only by work this node runs.
     pub clock: VirtualClock,
@@ -50,8 +50,8 @@ pub struct ClusterNode {
     /// [`Cluster::new`] time with both tier budgets divided by `n`), or
     /// `None` when no cache is installed.
     pub cache: Option<SegmentCache>,
-    /// Bytes this node shipped to the coordinator or across a
-    /// repartition boundary.
+    /// Bytes this node shipped to the operator consuming its partitions,
+    /// or received in a group-by's shuffle.
     pub exchange_bytes: Arc<AtomicU64>,
 }
 
@@ -77,7 +77,7 @@ struct ClusterInner {
     ring: Vec<(u64, usize)>,
 }
 
-/// An N-node scatter-gather cluster over one object store. Cheap to
+/// An N-node cluster over one object store. Cheap to
 /// clone (shared interior); attach to a query with
 /// `QueryContext::with_nodes`.
 #[derive(Debug, Clone)]

@@ -12,8 +12,6 @@
 //! correct per-query bills ([`crate::output::QueryOutput::billed`])
 //! without doing anything.
 
-use std::sync::Arc;
-
 use crate::catalog::{Catalog, Table};
 use crate::cluster::Cluster;
 use pushdown_bloom::BloomBuilder;
@@ -68,7 +66,7 @@ pub struct QueryContext {
     /// testing and as an escape hatch ([`QueryContext::with_columnar`]).
     /// A CSV scan that wants whole rows decodes rows whatever the flag.
     pub columnar_exec: bool,
-    /// The scatter-gather cluster this context executes on, if any
+    /// The cluster this context executes on, if any
     /// ([`QueryContext::with_nodes`]). `None` — the default — is the
     /// plain single-node engine; a 1-node cluster behaves identically
     /// but routes through node 0's ledger, clock and cache slice.
@@ -79,11 +77,6 @@ pub struct QueryContext {
     /// of this base and one node's ledger, so Σ node ledgers and
     /// Σ query ledgers decompose the same global total.
     pub(crate) cluster_base: Option<S3Store>,
-    /// When set, scans see only these partition keys (global listing
-    /// order preserved). The Gather operator uses single-key filters to
-    /// execute scattered scans one partition at a time so results merge
-    /// back in global partition order.
-    pub(crate) partition_filter: Option<Arc<[String]>>,
 }
 
 impl QueryContext {
@@ -106,7 +99,6 @@ impl QueryContext {
             columnar_exec: true,
             cluster: None,
             cluster_base: None,
-            partition_filter: None,
         }
     }
 
@@ -198,12 +190,13 @@ impl QueryContext {
         self.rebound(store)
     }
 
-    /// A copy of this context whose scans see only the given partition
-    /// keys (global listing order preserved).
-    pub(crate) fn with_partition_filter(&self, keys: Arc<[String]>) -> QueryContext {
-        let mut ctx = self.clone();
-        ctx.partition_filter = Some(keys);
-        ctx
+    /// The cluster this context's partitions spread over: an attached
+    /// cluster of more than one node, under an active cluster scope. Each
+    /// partition of a scan then runs on the context of the node owning it
+    /// ([`QueryContext::node_exec`]); `None` runs them all here.
+    pub(crate) fn spread(&self) -> Option<&Cluster> {
+        let active = self.cluster_base.is_some();
+        self.cluster.as_ref().filter(|c| active && c.n() > 1)
     }
 
     fn rebound(&self, store: S3Store) -> QueryContext {
@@ -220,7 +213,7 @@ impl QueryContext {
     /// What this context's scope has billed so far. On a scope made by
     /// [`QueryContext::scoped`] this is exactly the per-query usage —
     /// under a cluster scope, the query's *base* ledger, which covers
-    /// the coordinator and every node the query scattered to.
+    /// the coordinator and every node the query ran partitions on.
     pub fn billed(&self) -> Usage {
         match &self.cluster_base {
             Some(base) => base.ledger().snapshot(),
@@ -239,13 +232,14 @@ impl QueryContext {
         }
     }
 
-    /// Attach an `n`-node scatter-gather [`Cluster`]: partitions get
-    /// consistent-hashed across `n` nodes, each with its own ledger,
-    /// virtual clock and cache slice (`budget / n` each — install the
-    /// cache with [`QueryContext::with_cache`] *before* this call to get
-    /// per-node slices). Plans executed under this context scatter scan
-    /// leaves to the owning nodes and gather results in global partition
-    /// order; `n = 1` reproduces single-node execution through node 0.
+    /// Attach an `n`-node [`Cluster`]: partitions get consistent-hashed
+    /// across `n` nodes, each with its own ledger, virtual clock and cache
+    /// slice (`budget / n` each — install the cache with
+    /// [`QueryContext::with_cache`] *before* this call to get per-node
+    /// slices). Plans run under this context unchanged: every partition
+    /// request of a scan runs on the node owning the partition, and the
+    /// rows arrive in global partition order; `n = 1` reproduces
+    /// single-node execution through node 0.
     pub fn with_nodes(mut self, n: usize) -> Self {
         self.cluster = Some(Cluster::new(&self.store, n, self.pricing));
         self

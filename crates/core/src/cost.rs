@@ -5,8 +5,9 @@
 //! scope of this paper" (§VIII) — yet every figure shows the winner
 //! flipping with selectivity, group count and K. This module closes that
 //! loop with **one walker**: [`predict_plan`] prices every node of a
-//! candidate plan — scan leaves (samples included), joins, local
-//! operators, the cluster's gather / exchange fan-outs, and the staged
+//! candidate plan — scan leaves (samples included, on a cluster split
+//! per node as the partition fan-out runs them), joins, local
+//! operators, and the staged
 //! operators (§V-A2 Bloom join, §VII threshold, §VI CASE-WHEN and hybrid
 //! split): each of those prices its first child, then its second with
 //! the *estimated* outcome of the predicate it will write (the fraction
@@ -31,9 +32,10 @@
 //! What the walks of one query share is an [`Estimators`]: one
 //! [`Estimator`] per distinct table — the partition listing, the stored
 //! byte total and the row width taken once, under the store's read lock
-//! — handed to every candidate's walk and to the walk of the scattered
-//! plan. Cache occupancy is *not* part of the snapshot: a cached leaf is
-//! priced from the live segment cache each time it is walked.
+//! and, on a cluster, the owner of every partition and its size — handed
+//! to every candidate's walk. Cache occupancy is *not* part of the
+//! snapshot: a cached leaf is priced from the live segment cache (the
+//! owning node's slice, on a cluster) each time it is walked.
 
 use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
@@ -42,7 +44,7 @@ use crate::plan::{
     case_when_chunk, counted_aggs, finished_by, hybrid_leaf, populous, Order, PlanNode, PlanOp,
     HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
 };
-use crate::scan::ScanLimit;
+use crate::scan::{striped_share, ScanLimit};
 use pushdown_bloom::BloomPlan;
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Schema, Value};
@@ -83,11 +85,19 @@ pub struct Estimator<'a> {
     rows: f64,
     /// Mean stored CSV row width.
     row_bytes: f64,
+    /// Per partition, the node owning it and its stored size — read once,
+    /// when the context spreads over a cluster; empty otherwise.
+    owners: Vec<(usize, u64)>,
 }
 
 impl<'a> Estimator<'a> {
     pub fn new(ctx: &'a QueryContext, table: &'a Table) -> Self {
         let partition_keys = table.partitions(&ctx.store);
+        let owners = ctx.spread().map_or_else(Vec::new, |cluster| {
+            let owner = |k: &String| cluster.assign(&table.bucket, k);
+            let size = |k: &String| ctx.store.object_size(&table.bucket, k).unwrap_or(0);
+            partition_keys.iter().map(|k| (owner(k), size(k))).collect()
+        });
         let parts = partition_keys.len().max(1) as u64;
         let bytes = table.total_bytes(&ctx.store) as f64;
         let rows = (table.row_count.max(1)) as f64;
@@ -105,6 +115,7 @@ impl<'a> Estimator<'a> {
             bytes,
             rows,
             row_bytes,
+            owners,
         }
     }
 
@@ -236,6 +247,77 @@ impl<'a> Estimator<'a> {
             expr_terms: terms,
             ..Default::default()
         }
+    }
+
+    /// `full`, the footprint of a leaf reading the partitions `asked`
+    /// picks (by index), split across the nodes owning them as the
+    /// partition fan-out runs it ([`crate::scan`]): per node its byte share
+    /// of `full` and one request per owned partition — a cached leaf's
+    /// bytes priced instead against the owning node's slice, per segment
+    /// per tier — and, for a leaf whose rows cross to the operator above
+    /// (`shipped`), that share of them as exchange. Empty when the context
+    /// runs on one node.
+    fn per_node(
+        &self,
+        full: PhaseStats,
+        shipped: Option<Card>,
+        cached: bool,
+        asked: impl Fn(usize) -> bool,
+    ) -> Vec<(usize, PhaseStats)> {
+        let Some(cluster) = self.ctx.spread() else {
+            return Vec::new();
+        };
+        let asked: Vec<(usize, &String, u64)> = (self.owners.iter().zip(&self.partition_keys))
+            .enumerate()
+            .filter(|(i, _)| asked(*i))
+            .map(|(_, (&(node, size), key))| (node, key, size))
+            .collect();
+        let total_bytes: u64 = asked.iter().map(|(_, _, size)| size).sum();
+        let mut ids: Vec<usize> = asked.iter().map(|(node, ..)| *node).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.into_iter()
+            .map(|k| {
+                let owned: Vec<_> = asked.iter().filter(|(node, ..)| *node == k).collect();
+                let owned_bytes: u64 = owned.iter().map(|(_, _, size)| size).sum();
+                let frac = if total_bytes > 0 {
+                    owned_bytes as f64 / total_bytes as f64
+                } else {
+                    0.0
+                };
+                let mut stats = full.scaled(frac);
+                stats.requests = owned.len() as u64;
+                if cached {
+                    // Chunks resident in the owning node's slice are free
+                    // local reads (per tier); only the gap runs bill, as
+                    // coalesced range GETs. A fully cold partition prices
+                    // as one whole-object fill.
+                    stats.requests = 0;
+                    stats.plain_bytes = 0;
+                    stats.cache_bytes = 0;
+                    stats.disk_bytes = 0;
+                    for (_, key, size) in &owned {
+                        match &cluster.node(k).cache {
+                            Some(c) => {
+                                let occ = c.occupancy(&self.table.bucket, key, *size);
+                                stats.requests += occ.gap_requests;
+                                stats.plain_bytes += occ.gap_bytes;
+                                stats.cache_bytes += occ.mem_bytes;
+                                stats.disk_bytes += occ.disk_bytes;
+                            }
+                            None => {
+                                stats.requests += 1;
+                                stats.plain_bytes += size;
+                            }
+                        }
+                    }
+                }
+                if let Some(card) = shipped {
+                    stats.exchange_bytes = (card.rows * frac * card.row_bytes) as u64;
+                }
+                (k, stats)
+            })
+            .collect()
     }
 
     /// The pushed CASE-WHEN aggregation of `groups` groups: `aggs`
@@ -551,17 +633,37 @@ const WHOLE: Injected = Injected {
 
 type Predicted = (PredNode, QueryMetrics, Card);
 
+/// A leaf's footprint per node it runs on ([`Estimator::per_node`]).
+type Nodes = Vec<(usize, PhaseStats)>;
+
 /// One node of the walk. `inj` is what a staged operator above estimated
 /// of its run-time predicate; it reaches every pushed scan below.
 fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result<Predicted> {
-    // A scan leaf opens a phase named like the executor's.
-    let leaf = |stats: PhaseStats, phase: &str, table: &Table, card: Card| {
+    // A scan leaf opens a phase named like the executor's — on a cluster,
+    // one per node its partitions run on, each a child of its node.
+    let leaf = |stats: PhaseStats, phase: &str, table: &Table, card: Card, nodes: Nodes| {
+        let own = |stats| PredNode {
+            stats,
+            children: Vec::new(),
+        };
+        if nodes.is_empty() {
+            let metrics = serial(&format!("{phase} {}", table.name), stats);
+            return (own(stats), metrics, card);
+        }
+        let mut metrics = QueryMetrics::new();
+        let phases = nodes
+            .iter()
+            .map(|(k, s)| (format!("exchange node {k}"), *s));
+        metrics.push_parallel(phases.collect());
+        let mut total = PhaseStats::default();
+        nodes.iter().for_each(|(_, s)| total.merge(s));
+        let children = nodes.iter().map(|(_, s)| own(*s)).collect();
         (
             PredNode {
-                stats,
-                children: Vec::new(),
+                stats: total,
+                children,
             },
-            serial(&format!("{phase} {}", table.name), stats),
+            metrics,
             card,
         )
     };
@@ -608,8 +710,10 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             predicate,
             projection,
         } => {
-            let (stats, _, card) = ests.of(table).local_scan(predicate, projection);
-            leaf(stats, "load", table, card)
+            let est = ests.of(table);
+            let (stats, _, card) = est.local_scan(predicate, projection);
+            let nodes = est.per_node(stats, Some(card), false, |_| true);
+            leaf(stats, "load", table, card, nodes)
         }
         PlanOp::PushdownScan {
             table,
@@ -618,11 +722,30 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             limit,
         } => {
             let est = ests.of(table);
-            let (stats, card) = match limit {
-                None => est.pushdown_scan(predicate, projection, inj.keep, inj.terms),
-                Some(limit) => est.sampled_scan(predicate, projection, *limit),
+            let (stats, card, nodes) = match limit {
+                None => {
+                    let (stats, card) =
+                        est.pushdown_scan(predicate, projection, inj.keep, inj.terms);
+                    (
+                        stats,
+                        card,
+                        est.per_node(stats, Some(card), false, |_| true),
+                    )
+                }
+                // A prefix is one request after the other: one phase.
+                Some(limit @ ScanLimit::Prefix(_)) => {
+                    let (stats, card) = est.sampled_scan(predicate, projection, *limit);
+                    (stats, card, Vec::new())
+                }
+                // A striped sample asks the partitions with a share.
+                Some(limit @ ScanLimit::Striped(n)) => {
+                    let (stats, card) = est.sampled_scan(predicate, projection, *limit);
+                    let parts = est.partition_keys.len();
+                    let asked = |i| striped_share(*n, parts, i) > 0;
+                    (stats, card, est.per_node(stats, None, false, asked))
+                }
             };
-            leaf(stats, "select", table, card)
+            leaf(stats, "select", table, card, nodes)
         }
         PlanOp::PushdownAggregate {
             table,
@@ -630,9 +753,11 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             group_by,
             order,
         } => {
-            let (mut stats, mut card) = ests.of(table).pushdown_aggregate(stmt, group_by);
+            let est = ests.of(table);
+            let (mut stats, mut card) = est.pushdown_aggregate(stmt, group_by);
             finish_groups(order, &mut stats, &mut card);
-            leaf(stats, "select", table, card)
+            let nodes = est.per_node(stats, None, false, |_| true);
+            leaf(stats, "select", table, card, nodes)
         }
         PlanOp::CachedScan {
             table,
@@ -644,9 +769,15 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             // the cold tail bills as read-through fills; with no cache
             // installed a CachedScan degrades to exactly a LocalScan. A
             // snapshot gone stale mid-prediction is an error, never a
-            // partition priced at zero.
-            let (_, extra, card) = est.local_scan(predicate, projection);
-            leaf(est.cached_load(extra)?, "cached load", table, card)
+            // partition priced at zero. On a cluster each node's share is
+            // priced against its own slice.
+            let (plain, extra, card) = est.local_scan(predicate, projection);
+            let nodes = est.per_node(plain, Some(card), true, |_| true);
+            let stats = match nodes.is_empty() {
+                true => est.cached_load(extra)?,
+                false => plain,
+            };
+            leaf(stats, "cached load", table, card, nodes)
         }
         PlanOp::HashJoin {
             build_key,
@@ -731,14 +862,8 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             // Group count: NDV product over the group keys — the
             // expressions of the Project the planner places below, or,
             // where the input already delivers what the group-by consumes
-            // and there is none, its leading columns — read through
-            // whatever a scattered plan puts between.
-            let mut input = &node.children[0];
-            while let PlanOp::Repartition { .. } | PlanOp::Gather { .. } | PlanOp::Exchange { .. } =
-                &input.op
-            {
-                input = &input.children[0];
-            }
+            // and there is none, its leading columns.
+            let input = &node.children[0];
             let groups = match &input.op {
                 PlanOp::Project { exprs } => exprs[..*group_width]
                     .iter()
@@ -760,33 +885,32 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             };
             let work = child.2.rows + groups;
             let mut stats = cpu_phase(work);
-            let PlanOp::Repartition { nodes, .. } = &node.children[0].op else {
+            let Some(cluster) = ests.ctx.spread() else {
                 finish_groups(order, &mut stats, &mut card);
                 return Ok(stacked(stats, "group-by", Flow::Breaker, child, card));
             };
-            // Scattered, as the executor runs it: every node aggregates
-            // its share of the repartitioned rows side by side, then the
-            // coordinator merges the groups back into key order.
-            let n = (*nodes).max(1);
-            let (rep, mut metrics, _) = child;
+            // On a cluster, as the executor runs it: the rows shuffle to
+            // their group's node — the expected cross-node share of their
+            // serialized volume — every node aggregates its share side by
+            // side, then the groups merge back into key order.
+            let n = cluster.n() as f64;
+            let (cn, mut metrics, cc) = child;
+            let shuffled = cc.rows * cc.row_bytes * (n - 1.0) / n;
             let share = PhaseStats {
-                exchange_bytes: rep.stats.exchange_bytes / n as u64,
-                ..cpu_phase(work / n as f64)
+                exchange_bytes: (shuffled / n) as u64,
+                ..cpu_phase(work / n)
             };
-            let per_node = (0..n).map(|k| (format!("group-by node {k}"), share));
+            let per_node = (0..cluster.n()).map(|k| (format!("group-by node {k}"), share));
             metrics.push_parallel(per_node.collect());
             let mut merge = cpu_phase(groups * groups.log2().max(1.0));
             finish_groups(order, &mut merge, &mut card);
             metrics.stack("group-by merge", merge, Flow::Breaker);
-            let mut stats = PhaseStats {
-                exchange_bytes: rep.stats.exchange_bytes,
-                ..stats
-            };
+            stats.exchange_bytes = shuffled as u64;
             stats.merge(&merge);
             (
                 PredNode {
                     stats,
-                    children: vec![rep],
+                    children: vec![cn],
                 },
                 metrics,
                 card,
@@ -932,163 +1056,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             own.merge(&s3);
             staged(own, sample, tail)
         }
-        PlanOp::Gather { .. } => {
-            // No cluster, or a fan-out over something that is not a scan
-            // leaf: predict the first child serially — the executor
-            // degenerates the same way.
-            match predict_gather(ests, node, inj) {
-                Some(out) => out,
-                None => walk(0, inj)?,
-            }
-        }
-        // A bare Exchange predicts (and executes) as its child.
-        PlanOp::Exchange { .. } => walk(0, inj)?,
-        PlanOp::Repartition { nodes, .. } => {
-            let (cn, cm, cc) = walk(0, inj)?;
-            let n = (*nodes).max(1) as f64;
-            // Modeled all-to-all shuffle: the expected cross-node share
-            // of the serialized child volume. No metrics phase here — the
-            // group-by above meters it inside its per-node phases, as
-            // the executor does.
-            let stats = PhaseStats {
-                exchange_bytes: (cc.rows * cc.row_bytes * (n - 1.0) / n) as u64,
-                ..Default::default()
-            };
-            (
-                PredNode {
-                    stats,
-                    children: vec![cn],
-                },
-                cm,
-                cc,
-            )
-        }
     })
-}
-
-/// Predict a Gather fan-out: split the leaf scan's footprint across the
-/// Exchange children by each node's owned-partition byte share, pricing
-/// `CachedScan` leaves against *the owning node's* cache slice (per-node
-/// occupancy), and metering each node's result share as exchange volume.
-/// Returns `None` without a cluster, or when the first child's child is
-/// not a scan leaf.
-fn predict_gather(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Option<Predicted> {
-    let ctx = ests.ctx;
-    let cluster = ctx.cluster.as_ref()?;
-    let leaf_node = node.children.first()?.children.first()?;
-    // Leaf-total footprint and output card, by leaf kind.
-    let (est, full, card) = match &leaf_node.op {
-        PlanOp::LocalScan {
-            table,
-            predicate,
-            projection,
-        }
-        | PlanOp::CachedScan {
-            table,
-            predicate,
-            projection,
-        } => {
-            let est = ests.of(table);
-            let (full, _, card) = est.local_scan(predicate, projection);
-            (est, full, card)
-        }
-        PlanOp::PushdownScan {
-            table,
-            predicate,
-            projection,
-            limit: None,
-        } => {
-            let est = ests.of(table);
-            let (full, card) = est.pushdown_scan(predicate, projection, inj.keep, inj.terms);
-            (est, full, card)
-        }
-        _ => return None,
-    };
-    let table = est.table;
-    let sized: Vec<(usize, &String, u64)> = est
-        .partition_keys
-        .iter()
-        .map(|k| {
-            let owner = cluster.assign(&table.bucket, k);
-            let size = ctx.store.object_size(&table.bucket, k).unwrap_or(0);
-            (owner, k, size)
-        })
-        .collect();
-    let total_bytes: u64 = sized.iter().map(|(_, _, s)| s).sum();
-    let mut children = Vec::with_capacity(node.children.len());
-    let mut phases = Vec::with_capacity(node.children.len());
-    for child in &node.children {
-        let PlanOp::Exchange { node: k, .. } = child.op else {
-            return None;
-        };
-        let owned: Vec<&(usize, &String, u64)> =
-            sized.iter().filter(|(owner, ..)| *owner == k).collect();
-        let owned_bytes: u64 = owned.iter().map(|(_, _, s)| s).sum();
-        let frac = if total_bytes > 0 {
-            owned_bytes as f64 / total_bytes as f64
-        } else {
-            0.0
-        };
-        let mut stats = full.scaled(frac);
-        stats.requests = owned.len() as u64;
-        if let PlanOp::CachedScan { .. } = &leaf_node.op {
-            // Per-node occupancy: chunks resident in the owning node's
-            // cache slice are free local reads (per tier); only the gap
-            // runs bill, as coalesced range GETs. A fully cold partition
-            // prices as one whole-object fill.
-            let cache = cluster.node(k).cache.clone();
-            stats.requests = 0;
-            stats.plain_bytes = 0;
-            stats.cache_bytes = 0;
-            stats.disk_bytes = 0;
-            for (_, key, size) in &owned {
-                match &cache {
-                    Some(c) => {
-                        let occ = c.occupancy(&table.bucket, key, *size);
-                        stats.requests += occ.gap_requests;
-                        stats.plain_bytes += occ.gap_bytes;
-                        stats.cache_bytes += occ.mem_bytes;
-                        stats.disk_bytes += occ.disk_bytes;
-                    }
-                    None => {
-                        stats.requests += 1;
-                        stats.plain_bytes += size;
-                    }
-                }
-            }
-        }
-        stats.exchange_bytes = (card.rows * frac * card.row_bytes) as u64;
-        phases.push((format!("exchange node {k}"), stats));
-        children.push(PredNode {
-            stats,
-            children: Vec::new(),
-        });
-    }
-    let mut metrics = QueryMetrics::new();
-    metrics.push_parallel(phases);
-    Some((
-        PredNode {
-            stats: PhaseStats::default(),
-            children,
-        },
-        metrics,
-        card,
-    ))
-}
-
-/// Price a scattered plan the way a reserved cluster bills: byte and
-/// request charges are usage-based (identical at any node count), but
-/// compute is reserved on *every* node for the query's wall time —
-/// `nodes ×` the predicted runtime (itself the slowest node's time, via
-/// the parallel phase groups). The planner scatters only when this
-/// beats the serial prediction's dollars: per-node cache hits must shave
-/// more billable bytes than the reserved-compute premium costs.
-pub fn scatter_dollars(ctx: &QueryContext, pred: &PlanPrediction) -> f64 {
-    let nodes = ctx.cluster.as_ref().map_or(1, |c| c.n());
-    let runtime = pred.metrics.runtime(&ctx.model);
-    ctx.pricing
-        .cost(&pred.metrics.usage(), runtime * nodes as f64)
-        .total()
 }
 
 // ---------------------------------------------------------------------

@@ -30,14 +30,14 @@
 //!   to the named candidate plans the planner prices;
 //! * [`cost`] — the analytical cost estimator: one walker
 //!   (`predict_plan`) prices every node of a candidate plan — scan
-//!   leaves, joins, operators, cluster fan-outs, staged operators by the
+//!   leaves (per node, on a cluster), joins, operators, staged operators by the
 //!   estimated outcome of the SQL they write — from catalog statistics,
 //!   over one snapshot per table per query, using the same models that
 //!   score measurements;
 //! * [`planner`] — the one front-end: every query lowers to named
 //!   candidate plans, and one function prices, picks (a preference list
 //!   for the fixed strategies, the argmin-dollar plan for
-//!   [`planner::Strategy::Adaptive`]), scatters, runs and explains them;
+//!   [`planner::Strategy::Adaptive`]), runs and explains them;
 //! * [`metrics`] / [`output`] — phase-structured accounting that the
 //!   analytical performance model turns into seconds and dollars, and
 //!   the one statement of what a phase is (a pipeline between breakers)

@@ -18,7 +18,7 @@
 //!
 //! * a scan leaf opens a serial phase ([`QueryMetrics::push_serial`]);
 //! * a **streaming** operator — residual filter, project, the probe side
-//!   and own CPU of a join, repartition — adds its [`PhaseStats`] to the
+//!   and own CPU of a join — adds its [`PhaseStats`] to the
 //!   open serial phase below it: its rows never rest, so it pays no
 //!   `phase_startup` of its own and its CPU sits under the same `max` as
 //!   the scan that feeds it;
@@ -29,8 +29,8 @@
 //!   ([`QueryMetrics::join_sides`]); the join reports its CPU, build
 //!   included, once, streaming over the probe side;
 //! * after a closed phase or a parallel group (two concurrent loads, a
-//!   `Gather`, per-node group-bys) the next operator opens a new serial
-//!   phase;
+//!   scan leaf's per-node phases on a cluster, per-node group-bys) the
+//!   next operator opens a new serial phase;
 //! * a staged operator (Bloom join, top-K threshold, hybrid split) runs
 //!   its first child to the end — closed, like a join's build side — and
 //!   then its second ([`QueryMetrics::join_sides`]). A hybrid split whose
@@ -354,7 +354,8 @@ mod tests {
             ]
         );
         // Work is regrouped, never added or lost.
-        assert_eq!(crate::plan::merged_stats(&m).server_cpu_units, 41);
+        let phases = m.groups.iter().flat_map(|g| &g.phases);
+        assert_eq!(phases.map(|p| p.stats.server_cpu_units).sum::<u64>(), 41);
 
         // Two single loads run side by side, and nothing joins a
         // parallel group.

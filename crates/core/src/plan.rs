@@ -26,8 +26,8 @@
 //! predicate, [`PlanOp::Threshold`] a sample's K-th value into `c <= t`,
 //! [`PlanOp::HybridSplit`] a sample's populous groups into `g NOT IN (…)`
 //! — all three through the one [`push_predicate`], which ANDs the
-//! expression into every [`PlanOp::PushdownScan`] under the second child,
-//! scattered or not. (A hybrid split whose grouping column has a catalog
+//! expression into every [`PlanOp::PushdownScan`] under the second child.
+//! (A hybrid split whose grouping column has a catalog
 //! dictionary knows its populous groups before it runs: it has no sample
 //! child, and writes the same predicate into its one child.) [`PlanOp::CaseWhen`] (and the hybrid split, for its
 //! populous groups) writes whole statements instead: the chunked
@@ -58,15 +58,15 @@
 //!   ([`Order`]);
 //! * sort — every input row, or with a `LIMIT k` a bounded heap of `k`
 //!   (ORDER BY has to see them all, it need not keep them all);
-//! * `Gather`, `Repartition` under a group-by and the staged group-bys
-//!   — their results, which they hand on in batches.
+//! * the staged group-bys — their results, which they hand on in
+//!   batches.
 //!
 //! The breakers are also where the **phases** of the reported
 //! [`QueryMetrics`] end: a phase is a pipeline between breakers. A
 //! streaming operator (residual filter, project, the probe side and own
-//! CPU of a join, repartition) charges the phase of the scan that feeds
-//! it, a breaker charges it and closes it, and the operator above a
-//! breaker, a join's two concurrent loads or a `Gather` opens the next
+//! CPU of a join) charges the phase of the scan that feeds it, a breaker
+//! charges it and closes it, and the operator above a breaker, a join's
+//! two concurrent loads or a scan leaf's per-node phases opens the next
 //! one — the rule is [`QueryMetrics::stack`]'s, and every interior
 //! operator here reports through it, as every interior node of
 //! [`crate::cost::predict_plan`] does. `Limit` charges nothing and
@@ -84,14 +84,23 @@
 //! [`crate::ops`] charges for the same rows however they are batched,
 //! so rows, reports, metrics and bills do not depend on `batch_rows` or
 //! `scan_threads`.
+//!
+//! **On a cluster** the tree is the same: the scan fan-out runs every
+//! partition on the node owning it ([`crate::scan`]), a scan leaf reports
+//! one phase per busy node in one parallel group, each node an
+//! `Exchange[…]` child of its report, and a [`PlanOp::GroupBy`] runs
+//! partitioned — its rows shuffled by group key to one partial group-by
+//! per node.
 
 use crate::catalog::Table;
+use crate::cluster::Cluster;
 use crate::context::QueryContext;
 use crate::metrics::{Flow, QueryMetrics};
 use crate::ops;
 use crate::output::QueryOutput;
 use crate::scan::{
-    scan, select_scan_aggregate, select_scan_streamed, ScanFragment, ScanLimit, ScanSource,
+    row_exchange_bytes, scan, select_scan_aggregate, select_scan_streamed, ScanFragment, ScanLimit,
+    ScanSource,
 };
 use pushdown_bloom::{BloomBuilder, BloomPlan};
 use pushdown_common::perf::{PerfModel, PhaseStats};
@@ -127,8 +136,7 @@ pub enum PlanOp {
     },
     /// Leaf: `predicate` + `projection` pushed into S3 Select
     /// (`None` projection = `*`), cut short to a sample of the table when
-    /// there is a `limit` — such a leaf is a sample of the *table* and is
-    /// never scattered.
+    /// there is a `limit`.
     PushdownScan {
         table: Table,
         predicate: Option<Expr>,
@@ -138,8 +146,7 @@ pub enum PlanOp {
     /// Leaf: an aggregate statement pushed into S3 Select whole (§VIII
     /// Q6): every partition answers `stmt`'s aggregates — per group of
     /// `group_by` under the engine's §X native `GROUP BY` extension — and
-    /// the scan merges the partials, per *query*, so the leaf is never
-    /// scattered.
+    /// the scan merges the partials.
     PushdownAggregate {
         table: Table,
         stmt: SelectStmt,
@@ -248,23 +255,6 @@ pub enum PlanOp {
         force: Option<usize>,
         order: Option<Order>,
     },
-    /// Scatter wrapper (built by [`scatter`]): execute the child scan
-    /// leaf's partitions owned by cluster node `node` (of `nodes`) on
-    /// that node — its ledger, virtual clock, cache slice and fault
-    /// stream. Normally driven by a parent [`PlanOp::Gather`]; executed
-    /// bare it degenerates to the child.
-    Exchange { node: usize, nodes: usize },
-    /// Merge the per-node partition streams of its [`PlanOp::Exchange`]
-    /// children back into global partition order. Rows are bit-identical
-    /// to executing the underlying scan serially; the shipped bytes are
-    /// metered as (non-billable) exchange volume on each node.
-    Gather { nodes: usize },
-    /// Hash-partition the child's rows on `keys` across `nodes` so a
-    /// parent [`PlanOp::GroupBy`] aggregates partial state per node.
-    /// Models an all-to-all shuffle: `(nodes-1)/nodes` of the serialized
-    /// volume is metered as exchange (the expected cross-node share
-    /// under uniformly spread producers).
-    Repartition { keys: Vec<usize>, nodes: usize },
 }
 
 /// Minimum counted share for the hybrid group-by to count a group as
@@ -451,11 +441,6 @@ impl PlanNode {
                     d.len()
                 ),
             },
-            PlanOp::Exchange { node, nodes } => format!("Exchange[node {node}/{nodes}]"),
-            PlanOp::Gather { nodes } => format!("Gather[{nodes} nodes]"),
-            PlanOp::Repartition { keys, nodes } => {
-                format!("Repartition[{} keys, {nodes} nodes]", keys.len())
-            }
         };
         match self.op.order() {
             Some(order) => format!("{base} + {}", order.label()),
@@ -621,8 +606,7 @@ pub(crate) fn scan_stmt(projection: &Option<Vec<String>>, predicate: &Option<Exp
 
 /// How a staged operator writes its run-time predicate into its second
 /// child: `expr` is ANDed into every [`PlanOp::PushdownScan`] under
-/// `tree` — through whatever operators, [`PlanOp::Gather`] /
-/// [`PlanOp::Exchange`] fan-outs included, sit above them.
+/// `tree`, through whatever operators sit above them.
 pub fn push_predicate(tree: &PlanNode, expr: &Expr) -> PlanNode {
     fn push(node: &mut PlanNode, expr: &Expr) {
         if let PlanOp::PushdownScan { predicate, .. } = &mut node.op {
@@ -660,17 +644,6 @@ pub(crate) fn bloom_probe_phase(planned: &BloomPlan) -> String {
         }
         BloomPlan::Fallback => "fallback probe (no bloom)".into(),
     }
-}
-
-/// Sum every phase of `metrics` into one [`PhaseStats`] (leaf reports).
-pub(crate) fn merged_stats(metrics: &QueryMetrics) -> PhaseStats {
-    let mut stats = PhaseStats::default();
-    for g in &metrics.groups {
-        for p in &g.phases {
-            stats.merge(&p.stats);
-        }
-    }
-    stats
 }
 
 /// Attach the prediction tree's per-node stats to the execution report.
@@ -765,7 +738,9 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
         } => {
             let stmt = scan_stmt(projection, predicate);
             let summary = select_scan_streamed(ctx, table, &stmt, *limit, sink)?;
-            Ok(select_leaf(node, table, summary.schema, summary.stats))
+            let phase = format!("select {}", table.name);
+            let report = OpReport::leaf(node.label(), summary.stats);
+            Ok(leaf(summary.schema, phase, report, &summary.nodes))
         }
         PlanOp::PushdownAggregate {
             table,
@@ -774,10 +749,18 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             order,
         } => {
             let mut scan = select_scan_aggregate(ctx, table, stmt, group_by)?;
-            let rows = finish_groups(order, scan.rows, &mut scan.stats);
+            let mut finish = PhaseStats::default();
+            let rows = finish_groups(order, scan.rows, &mut finish);
+            scan.stats.merge(&finish);
+            // The coordinator's finish joins the first node's phase.
+            if let Some((_, first)) = scan.nodes.first_mut() {
+                first.merge(&finish);
+            }
             // The lowering-time schema carries the statement's aliases.
             emit(ctx, &node.schema, rows, sink)?;
-            Ok(select_leaf(node, table, node.schema.clone(), scan.stats))
+            let phase = format!("select {}", table.name);
+            let report = OpReport::leaf(node.label(), scan.stats);
+            Ok(leaf(node.schema.clone(), phase, report, &scan.nodes))
         }
         PlanOp::HashJoin {
             build_key,
@@ -864,16 +847,16 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             aggs,
             order,
         } => {
-            // A Repartition child switches to scattered execution:
-            // per-node partial group-bys over key-hashed buckets.
-            if let PlanOp::Repartition { nodes, .. } = &node.children[0].op {
+            // On a cluster: per-node partial group-bys over key-hashed
+            // buckets.
+            if let Some(cluster) = ctx.spread() {
                 return run_partitioned_group_by(
                     ctx,
                     node,
                     *group_width,
                     aggs,
                     order,
-                    *nodes,
+                    cluster,
                     sink,
                 );
             }
@@ -1084,26 +1067,6 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             own.merge(&s3);
             Ok(staged(node, own, sample, tail))
         }
-        PlanOp::Gather { .. } => run_gather(ctx, node, sink),
-        // A bare Exchange (no Gather parent driving it) degenerates to
-        // its child on the current scope.
-        PlanOp::Exchange { .. } => run(ctx, &node.children[0], sink),
-        PlanOp::Repartition { nodes, .. } => {
-            // Standalone repartition (no group-by parent consuming the
-            // buckets): rows pass through untouched — partitioning only
-            // assigns ownership — but the modeled all-to-all shuffle
-            // volume is metered.
-            let mut total = 0u64;
-            let ran = run(ctx, &node.children[0], &mut |batch| {
-                total += batch.rows.iter().map(row_exchange_bytes).sum::<u64>();
-                sink(batch)
-            })?;
-            let local = PhaseStats {
-                exchange_bytes: total - total / (*nodes).max(1) as u64,
-                ..Default::default()
-            };
-            Ok(ran.stacked(node, "repartition", local, Flow::Streaming))
-        }
     }
 }
 
@@ -1176,34 +1139,47 @@ fn local_scan(
     if let Some(best) = best {
         best.work.merge(&summary.reduce_stats);
     }
-    let mut metrics = QueryMetrics::new();
-    let mut label = node.label();
-    if cached {
-        metrics.push_serial(format!("cached load {}", table.name), stats);
+    let (phase, label) = if cached {
         // The EXPLAIN tree reports the hit/miss/fill split per node.
-        label = format!(
-            "{label} ({}/{} partitions hit)",
-            summary.hit_parts,
-            summary.hit_parts + summary.fill_parts,
-        );
+        let hits = summary.hit_parts;
+        let parts = hits + summary.fill_parts;
+        let label = format!("{} ({hits}/{parts} partitions hit)", node.label());
+        (format!("cached load {}", table.name), label)
     } else {
-        metrics.push_serial(format!("load {}", table.name), stats);
-    }
-    Ok(Ran {
-        schema: summary.schema,
-        metrics,
-        report: OpReport::leaf(label, stats),
-    })
+        (format!("load {}", table.name), node.label())
+    };
+    let report = OpReport::leaf(label, stats);
+    Ok(leaf(summary.schema, phase, report, &summary.nodes))
 }
 
-/// What a pushdown scan leaf reports: one `select` phase.
-fn select_leaf(node: &PlanNode, table: &Table, schema: Schema, stats: PhaseStats) -> Ran {
+/// What a scan leaf reports, one phase group: `phase` over its `report`'s
+/// footprint — or, when its partitions ran on a cluster, one phase per
+/// busy node (`nodes`, by id), each also a child of the report showing
+/// what that node scanned and shipped.
+fn leaf(schema: Schema, phase: String, mut report: OpReport, nodes: &[(usize, PhaseStats)]) -> Ran {
     let mut metrics = QueryMetrics::new();
-    metrics.push_serial(format!("select {}", table.name), stats);
+    if nodes.is_empty() {
+        metrics.push_serial(phase, report.actual);
+    } else {
+        let phases = nodes
+            .iter()
+            .map(|(k, s)| (format!("exchange node {k}"), *s));
+        metrics.push_parallel(phases.collect());
+        report.children = nodes
+            .iter()
+            .map(|(k, s)| {
+                let scanned = s.plain_bytes + s.cache_bytes + s.s3_scanned_bytes;
+                let shipped = s.exchange_bytes;
+                let label =
+                    format!("Exchange[node {k}: {scanned} B scanned, {shipped} B exchanged]");
+                OpReport::leaf(label, *s)
+            })
+            .collect();
+    }
     Ran {
         schema,
         metrics,
-        report: OpReport::leaf(node.label(), stats),
+        report,
     }
 }
 
@@ -1468,15 +1444,6 @@ impl Join {
     }
 }
 
-/// Serialized size of one row on the interconnect: its CSV encoding
-/// (field texts, separators, newline) — deterministic and identical to
-/// what the row costs as returned Select bytes.
-fn row_exchange_bytes(row: &Row) -> u64 {
-    let vals = row.values();
-    let fields: u64 = vals.iter().map(|v| v.to_csv_field().len() as u64).sum();
-    fields + vals.len().saturating_sub(1) as u64 + 1
-}
-
 /// Deterministic hash route of a row to one of `n` repartition buckets,
 /// keyed on the CSV encodings of its key columns.
 fn route_row(row: &Row, keys: &[usize], n: usize) -> usize {
@@ -1489,158 +1456,28 @@ fn route_row(row: &Row, keys: &[usize], n: usize) -> usize {
         as usize
 }
 
-struct NodeRun {
-    node: usize,
-    schema: Option<Schema>,
-    parts: Vec<(usize, Vec<Row>)>,
-    stats: PhaseStats,
-}
-
-/// Execute a Gather fan-out: each Exchange child runs its node's owned
-/// partitions *one partition at a time* on that node's scope (joint
-/// query+node ledger, node clock, node cache slice, node fault salt),
-/// tagging results with the global partition index; the coordinator
-/// merges them back in global order, so rows are bit-identical to the
-/// serial scan at any node count. Per-node footprints enter the metrics
-/// as one parallel group (wall time = slowest node), and each node's
-/// shipped bytes are metered as exchange volume.
-fn run_gather(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
-    let Some(cluster) = ctx.cluster.clone() else {
-        return Err(Error::Other(
-            "Gather requires a cluster context (QueryContext::with_nodes)".into(),
-        ));
-    };
-    let first_leaf = node
-        .children
-        .first()
-        .and_then(|c| c.children.first())
-        .ok_or_else(|| Error::Other("Gather has no Exchange children".into()))?;
-    let table = first_leaf
-        .scan_table()
-        .ok_or_else(|| Error::Other("Exchange child must be a scan leaf".into()))?;
-    // Global partition listing: the merge order, and (via the cluster's
-    // consistent-hash ring) the per-node ownership map.
-    let keys = table.partitions(&ctx.store);
-    let owned: Vec<(usize, usize, String)> = keys
-        .iter()
-        .enumerate()
-        .map(|(gi, k)| (cluster.assign(&table.bucket, k), gi, k.clone()))
-        .collect();
-    let results: Vec<Result<NodeRun>> = std::thread::scope(|s| {
-        let handles: Vec<_> = node
-            .children
-            .iter()
-            .map(|child| {
-                let owned = &owned;
-                let cluster = &cluster;
-                s.spawn(move || -> Result<NodeRun> {
-                    let PlanOp::Exchange { node: k, .. } = child.op else {
-                        return Err(Error::Other(
-                            "Gather children must be Exchange operators".into(),
-                        ));
-                    };
-                    let leaf = &child.children[0];
-                    let nctx = ctx.node_exec(k);
-                    let mut run = NodeRun {
-                        node: k,
-                        schema: None,
-                        parts: Vec::new(),
-                        stats: PhaseStats::default(),
-                    };
-                    for (_, gi, key) in owned.iter().filter(|(owner, ..)| *owner == k) {
-                        let filter: std::sync::Arc<[String]> =
-                            std::sync::Arc::from(vec![key.clone()].into_boxed_slice());
-                        let pctx = nctx.with_partition_filter(filter);
-                        let ex = execute(&pctx, leaf)?;
-                        run.stats.merge(&merged_stats(&ex.metrics));
-                        run.schema.get_or_insert(ex.schema);
-                        run.parts.push((*gi, ex.rows));
-                    }
-                    let shipped: u64 = run
-                        .parts
-                        .iter()
-                        .flat_map(|(_, rows)| rows)
-                        .map(row_exchange_bytes)
-                        .sum();
-                    run.stats.exchange_bytes += shipped;
-                    cluster
-                        .node(k)
-                        .exchange_bytes
-                        .fetch_add(shipped, std::sync::atomic::Ordering::Relaxed);
-                    Ok(run)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("gather node thread panicked"))
-            .collect()
-    });
-    let mut runs = results.into_iter().collect::<Result<Vec<_>>>()?;
-    let mut tagged: Vec<(usize, Vec<Row>)> =
-        runs.iter_mut().flat_map(|r| r.parts.drain(..)).collect();
-    tagged.sort_by_key(|(gi, _)| *gi);
-    let rows: Vec<Row> = tagged.into_iter().flat_map(|(_, rows)| rows).collect();
-    let schema = runs
-        .iter()
-        .find_map(|r| r.schema.clone())
-        .unwrap_or_else(|| node.schema.clone());
-    let mut metrics = QueryMetrics::new();
-    metrics.push_parallel(
-        runs.iter()
-            .map(|r| (format!("exchange node {}", r.node), r.stats))
-            .collect(),
-    );
-    let children: Vec<OpReport> = runs
-        .iter()
-        .map(|r| {
-            let scanned = r.stats.plain_bytes + r.stats.cache_bytes + r.stats.s3_scanned_bytes;
-            OpReport::leaf(
-                format!(
-                    "Exchange[node {}: {} B scanned, {} B exchanged]",
-                    r.node, scanned, r.stats.exchange_bytes
-                ),
-                r.stats,
-            )
-        })
-        .collect();
-    emit(ctx, &schema, rows, sink)?;
-    Ok(Ran {
-        schema,
-        metrics,
-        report: OpReport {
-            label: node.label(),
-            predicted: None,
-            // The gather merge itself is a zero-cost splice: partitions
-            // arrive tagged and are concatenated in global order.
-            actual: PhaseStats::default(),
-            children,
-        },
-    })
-}
-
-/// Scattered group-by (GroupBy over Repartition): hash the child's rows
-/// on the group key into one bucket per node, aggregate each bucket in
-/// parallel, and merge by re-sorting on the group key — each group lives
-/// wholly in one bucket with its rows in original order, so aggregate
-/// values and the final sorted output are bit-identical to the serial
-/// operator. The merge is the operator's finish: its order, if it has
-/// one, runs there.
+/// A group-by on a cluster of `n` nodes: hash the child's rows on the
+/// group key into one bucket per node, aggregate each bucket in parallel,
+/// and merge by re-sorting on the group key — each group lives wholly in
+/// one bucket with its rows in original order, so aggregate values and
+/// the final sorted output are bit-identical to the serial operator. Each
+/// node meters what it receives of the all-to-all shuffle (the expected
+/// cross-node share under uniformly spread producers) as exchange. The
+/// merge is the operator's finish: its order, if it has one, runs there.
 fn run_partitioned_group_by(
     ctx: &QueryContext,
     node: &PlanNode,
     group_width: usize,
     aggs: &[(AggFunc, Option<usize>)],
     order: &Option<Order>,
-    nodes: usize,
+    cluster: &Cluster,
     sink: Sink<'_>,
 ) -> Result<Ran> {
-    let rep = &node.children[0];
-    let n = nodes.max(1);
+    let n = cluster.n();
     let group_cols: Vec<usize> = (0..group_width).collect();
     let mut buckets: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
     let mut bucket_bytes = vec![0u64; n];
-    let child = run(ctx, &rep.children[0], &mut |batch| {
+    let child = run(ctx, &node.children[0], &mut |batch| {
         for row in batch.rows {
             let t = route_row(&row, &group_cols, n);
             bucket_bytes[t] += row_exchange_bytes(&row);
@@ -1648,7 +1485,6 @@ fn run_partitioned_group_by(
         }
         Ok(())
     })?;
-    let total_bytes: u64 = bucket_bytes.iter().sum();
     let results: Vec<Result<(Vec<Row>, PhaseStats)>> = std::thread::scope(|s| {
         let handles: Vec<_> = buckets
             .iter()
@@ -1668,34 +1504,17 @@ fn run_partitioned_group_by(
     });
     let mut phases = Vec::with_capacity(n);
     let mut parts: Vec<Vec<Row>> = Vec::with_capacity(n);
+    let mut actual = PhaseStats::default();
     for (k, r) in results.into_iter().enumerate() {
         let (rows, mut st) = r?;
-        // Bytes node k receives from the other nodes (expected share
-        // under uniformly spread producers).
         let received = bucket_bytes[k] - bucket_bytes[k] / n as u64;
         st.exchange_bytes += received;
-        if let Some(cluster) = &ctx.cluster {
-            if k < cluster.n() {
-                cluster
-                    .node(k)
-                    .exchange_bytes
-                    .fetch_add(received, std::sync::atomic::Ordering::Relaxed);
-            }
-        }
+        let shipped = &cluster.node(k).exchange_bytes;
+        shipped.fetch_add(received, std::sync::atomic::Ordering::Relaxed);
+        actual.merge(&st);
         phases.push((format!("group-by node {k}"), st));
         parts.push(rows);
     }
-    let gb_stats = {
-        let mut s = PhaseStats::default();
-        for (_, st) in &phases {
-            s.merge(st);
-        }
-        s
-    };
-    let rep_stats = PhaseStats {
-        exchange_bytes: total_bytes - total_bytes / n as u64,
-        ..Default::default()
-    };
     let mut merge_stats = PhaseStats::default();
     let sort_keys: Vec<(usize, bool)> = (0..group_width).map(|i| (i, true)).collect();
     let rows = ops::sort_rows_by_keys(parts.concat(), &sort_keys, &mut merge_stats);
@@ -1703,123 +1522,23 @@ fn run_partitioned_group_by(
     let mut metrics = child.metrics;
     metrics.push_parallel(phases);
     metrics.stack("group-by merge", merge_stats, Flow::Breaker);
-    let mut gb_actual = gb_stats;
-    gb_actual.merge(&merge_stats);
+    actual.merge(&merge_stats);
     emit(ctx, &node.schema, rows, sink)?;
     Ok(Ran {
         schema: node.schema.clone(),
         metrics,
         report: OpReport {
-            label: node.label(),
+            label: partitioned_label(node, n),
             predicted: None,
-            actual: gb_actual,
-            children: vec![OpReport {
-                label: rep.label(),
-                predicted: None,
-                actual: rep_stats,
-                children: vec![child.report],
-            }],
+            actual,
+            children: vec![child.report],
         },
     })
 }
 
-/// Rewrite a plan for scattered execution on the context's cluster:
-/// every scan leaf becomes a [`PlanOp::Gather`] over per-node
-/// [`PlanOp::Exchange`] wrappers (one per node owning at least one
-/// partition), and every group-by above a scattered subtree gains a
-/// [`PlanOp::Repartition`] on its group key so nodes aggregate partial
-/// state in parallel. `None` when there is nothing to scatter: no
-/// cluster is attached or it has a single node — the serial path *is*
-/// the N=1 cluster — or the plan has no scan leaf to rewrite: a
-/// [`PlanOp::PushdownAggregate`] stays whole (its merged rows are per
-/// query, not per node), and so does a limited [`PlanOp::PushdownScan`]
-/// (a sample of the table, not of a node's share).
-pub fn scatter(ctx: &QueryContext, node: &PlanNode) -> Option<PlanNode> {
-    let cluster = ctx.cluster.as_ref().filter(|c| c.n() > 1)?;
-    let (plan, scattered) = scatter_node(ctx, cluster, node);
-    scattered.then_some(plan)
-}
-
-fn scatter_node(
-    ctx: &QueryContext,
-    cluster: &crate::cluster::Cluster,
-    node: &PlanNode,
-) -> (PlanNode, bool) {
-    match &node.op {
-        PlanOp::LocalScan { table, .. }
-        | PlanOp::CachedScan { table, .. }
-        | PlanOp::PushdownScan {
-            table, limit: None, ..
-        } => {
-            let keys = table.partitions(&ctx.store);
-            let mut populated: Vec<usize> = keys
-                .iter()
-                .map(|k| cluster.assign(&table.bucket, k))
-                .collect();
-            populated.sort_unstable();
-            populated.dedup();
-            if populated.is_empty() {
-                return (node.clone(), false);
-            }
-            let children: Vec<PlanNode> = populated
-                .into_iter()
-                .map(|k| {
-                    PlanNode::new(
-                        PlanOp::Exchange {
-                            node: k,
-                            nodes: cluster.n(),
-                        },
-                        vec![node.clone()],
-                        node.schema.clone(),
-                    )
-                })
-                .collect();
-            (
-                PlanNode::new(
-                    PlanOp::Gather { nodes: cluster.n() },
-                    children,
-                    node.schema.clone(),
-                ),
-                true,
-            )
-        }
-        PlanOp::GroupBy { group_width, .. } => {
-            let (child, scattered) = scatter_node(ctx, cluster, &node.children[0]);
-            if !scattered {
-                return (node.clone(), false);
-            }
-            let rep = PlanNode::new(
-                PlanOp::Repartition {
-                    keys: (0..*group_width).collect(),
-                    nodes: cluster.n(),
-                },
-                vec![child.clone()],
-                child.schema.clone(),
-            );
-            let mut out = node.clone();
-            out.children = vec![rep];
-            (out, true)
-        }
-        // Anything else scatters where its children do — a staged
-        // operator's second child included: the predicate it writes
-        // reaches the scans through the fan-out ([`push_predicate`]). (A
-        // leaf left whole — a pushed aggregate, a sample — runs on the
-        // coordinator, node 0.)
-        _ => {
-            let mut scattered = false;
-            let mut out = node.clone();
-            out.children = node
-                .children
-                .iter()
-                .map(|c| {
-                    let (c2, s) = scatter_node(ctx, cluster, c);
-                    scattered |= s;
-                    c2
-                })
-                .collect();
-            (out, scattered)
-        }
-    }
+/// The label of a group-by that runs partitioned across `n` nodes.
+pub(crate) fn partitioned_label(node: &PlanNode, n: usize) -> String {
+    node.label().replacen(']', &format!(", {n} nodes]"), 1)
 }
 
 #[cfg(test)]
@@ -1870,8 +1589,8 @@ mod tests {
     }
 
     /// The one injection point: every pushed scan under the tree gets the
-    /// predicate ANDed in, through a cluster fan-out, and nothing else
-    /// changes.
+    /// predicate ANDed in, and nothing else changes; the tree then runs
+    /// through the partition fan-out, every partition on its owning node.
     #[test]
     fn push_predicate_reaches_every_pushed_scan_through_the_fan_out() {
         let store = S3Store::new();
@@ -1884,7 +1603,6 @@ mod tests {
         let spec = pushdown_sql::parse_query("SELECT g, SUM(v) FROM t WHERE v > 3 GROUP BY g");
         let candidates = crate::joinplan::lower_candidates(&ctx, &t, &spec.unwrap()).unwrap();
         let (_, filtered) = candidates.iter().find(|(n, _)| *n == "filtered").unwrap();
-        let scattered = scatter(&ctx, filtered).expect("a pushed scan scatters");
         let extra = pushdown_sql::parse_expr("g <> 2").unwrap();
         fn predicates(node: &PlanNode, out: &mut Vec<String>) {
             if let PlanOp::PushdownScan { predicate, .. } = &node.op {
@@ -1893,17 +1611,25 @@ mod tests {
             node.children.iter().for_each(|c| predicates(c, out));
         }
         let (mut before, mut after) = (Vec::new(), Vec::new());
-        predicates(&scattered, &mut before);
-        predicates(&push_predicate(&scattered, &extra), &mut after);
-        assert!(before.len() > 1, "one leaf per populated node: {before:?}");
+        let pushed = push_predicate(filtered, &extra);
+        predicates(filtered, &mut before);
+        predicates(&pushed, &mut after);
+        assert!(!before.is_empty());
         assert_eq!(after.len(), before.len());
         for (b, a) in before.iter().zip(&after) {
             assert_eq!(*a, format!("{b} AND {extra}"));
         }
-        // The answer is the statement's with the predicate in its WHERE.
-        let pushed = execute(&ctx.scoped(), &push_predicate(&scattered, &extra)).unwrap();
+        // The answer is the statement's with the predicate in its WHERE,
+        // and more than one node ran its partitions.
+        let ran = execute(&ctx.scoped(), &pushed).unwrap();
+        let cluster = ctx.cluster.as_ref().unwrap();
+        let busy = cluster
+            .snapshots()
+            .into_iter()
+            .filter(|n| n.usage.requests > 0);
+        assert!(busy.count() > 1);
         let sql = "SELECT g, SUM(v) FROM t WHERE v > 3 AND g <> 2 GROUP BY g";
         let want = run_candidate(&ctx, &t, sql, "server-side", None).unwrap();
-        assert_eq!(pushed.rows, want.rows);
+        assert_eq!(ran.rows, want.rows);
     }
 }

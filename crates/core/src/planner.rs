@@ -30,11 +30,12 @@
 //!    one [`cost::Estimators`] snapshot per query;
 //! 3. **pick** — a fixed strategy takes the first name of its family's
 //!    preference list that is a candidate; Adaptive prices them all and
-//!    takes the argmin of (dollars, then runtime);
-//! 4. **scatter** — on a cluster, the pick's scan leaves fan out across
-//!    the nodes ([`plan::scatter`]);
-//! 5. **run** — one executor ([`plan::execute`]);
-//! 6. **explain** — the report tree is annotated node by node with the
+//!    takes the argmin of (dollars, then runtime) — on a cluster, each
+//!    priced as it will run there, every partition on its owning node;
+//! 4. **run** — one executor ([`plan::execute`]), the same tree at any
+//!    node count: the partition fan-out places each partition on the node
+//!    owning it ([`crate::scan`]);
+//! 5. **explain** — the report tree is annotated node by node with the
 //!    prediction of the plan that ran, and [`execute_sql_verbose`]
 //!    returns the [`Explain`] surface: the candidates considered, the
 //!    prediction, and predicted-vs-actual per phase and per operator.
@@ -141,8 +142,8 @@ pub struct Explain {
     /// Candidates considered, cheapest marked (empty for the fixed
     /// strategies, which consider nothing).
     pub candidates: Vec<CandidateCost>,
-    /// Predicted metrics of the executed plan (Adaptive, and any
-    /// strategy's scattered plan).
+    /// Predicted metrics of the executed plan (Adaptive, and any strategy
+    /// on a cluster of more than one node).
     pub predicted: Option<QueryMetrics>,
     /// The executed physical-plan tree, one entry per operator, with
     /// each node's measured footprint and its prediction.
@@ -448,7 +449,7 @@ fn argmin(costs: &[CandidateCost]) -> usize {
 }
 
 /// The pipeline behind every query once it is lowered (see the module
-/// docs): price, pick, scatter, run, explain. [`execute_sql_verbose`] is
+/// docs): price, pick, run, explain. [`execute_sql_verbose`] is
 /// `parse` + [`lower`] + this; a caller that composes candidates out of
 /// lowered trees (TPC-H Q14 and Q17, `pushdown_tpch::queries`) hands
 /// them to the same pipeline.
@@ -473,7 +474,7 @@ pub fn run_candidates(
     // Fixed strategies pick by name and only price the plan they run;
     // Adaptive prices every candidate whole and takes the argmin.
     let mut costs: Vec<CandidateCost> = Vec::new();
-    let (pick, mut prediction) = if adaptive {
+    let (pick, prediction) = if adaptive {
         let mut predictions = Vec::with_capacity(candidates.len());
         for (name, plan) in candidates {
             let p = cost::predict_plan(&ests, plan)?;
@@ -499,44 +500,16 @@ pub fn run_candidates(
         (pick, cost::predict_plan(&ests, &candidates[pick].1)?)
     };
     let (algorithm, plan) = &candidates[pick];
-    // Cluster lowering: rewrite the picked plan's scan leaves into
-    // Gather/Exchange fan-outs across the nodes owning their partitions.
-    // Fixed strategies always use the cluster they were given; Adaptive
-    // prices the scattered plan the way a reserved cluster bills
-    // (compute on every node for the query's wall time, scans against
-    // each node's own cache slice) and scatters only when that beats
-    // the serial pick in dollars.
-    let mut scattered = plan::scatter(ctx, plan);
-    if let Some(cand) = &scattered {
-        let scat_pred = cost::predict_plan(&ests, cand)?;
-        let dollars = cost::scatter_dollars(ctx, &scat_pred);
-        let use_scatter = !adaptive || dollars < costs[pick].dollars;
-        if adaptive {
-            costs[pick].chosen = !use_scatter;
-            costs.push(CandidateCost {
-                algorithm: "scattered",
-                usage: scat_pred.metrics.usage(),
-                runtime: scat_pred.metrics.runtime(&ctx.model),
-                dollars,
-                chosen: use_scatter,
-            });
-        }
-        if use_scatter {
-            prediction = scat_pred;
-        } else {
-            scattered = None;
-        }
-    }
-    let executed = plan::execute(ctx, scattered.as_ref().unwrap_or(plan))?;
+    let executed = plan::execute(ctx, plan)?;
     let mut report = executed.report.clone();
     plan::annotate(&mut report, &prediction.root);
     let explain = Explain {
         kind: family.kind(algorithm),
         strategy,
         candidates: costs,
-        // Scattered runs always carry the prediction (whatever the
-        // strategy) so cluster calibration can compare it to the ledger.
-        predicted: (adaptive || scattered.is_some()).then_some(prediction.metrics),
+        // A run spread over a cluster carries the prediction whatever the
+        // strategy, so cluster calibration can compare it to the ledger.
+        predicted: (adaptive || ctx.spread().is_some()).then_some(prediction.metrics),
         operators: Some(report),
     };
     let mut out = executed.into_output();

@@ -24,6 +24,25 @@
 //! batching, so their bound is `O(scan_threads × response rows)` — the
 //! billed returned subset, not the table.
 //!
+//! # Placement
+//!
+//! Every request a scan makes — a GET, a Select statement, an aggregate
+//! or sample share, a CASE-WHEN statement's — goes through one fan-out
+//! over the table's partitions, and that fan-out is where a cluster
+//! lives. Under an active cluster scope of more than one node (a
+//! [`QueryContext::scoped`] context with a cluster attached),
+//! partition *i* runs on the context of the
+//! node owning it ([`crate::cluster::Cluster::assign`]): that node's
+//! ledger, clock, cache slice and fault stream, one context per node per
+//! scan. Workers still claim partitions in index order and the consumer
+//! still drains them in index order, so rows are bit-identical to the
+//! serial scan at any node count; what a node's partitions emit is
+//! metered as its exchange volume, and the summary reports each node's
+//! footprint ([`ScanSummary::nodes`]). A [`ScanLimit::Prefix`] sample
+//! sends its requests one after the other, each to its partition's
+//! owner. Off a cluster, every partition runs on the scan's context and
+//! nothing is metered per node.
+//!
 //! # Worker-side fragments
 //!
 //! A local scan takes a [`ScanFragment`] — the leaf operator's bound
@@ -54,6 +73,7 @@
 //! compute node ([`select_scan_aggregate`]).
 
 use crate::catalog::Table;
+use crate::cluster::Cluster;
 use crate::context::QueryContext;
 pub use crate::fragment::ScanFragment;
 use crate::ops;
@@ -65,6 +85,7 @@ use pushdown_format::csv::CsvReader;
 use pushdown_select::InputFormat;
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::ast::{ExtendedSelect, SelectItem, SelectStmt};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Mutex, OnceLock};
@@ -76,6 +97,8 @@ pub struct ScanResult {
     pub schema: Schema,
     pub rows: Vec<Row>,
     pub stats: PhaseStats,
+    /// `stats` per node the partitions ran on ([`ScanSummary::nodes`]).
+    pub nodes: Vec<(usize, PhaseStats)>,
 }
 
 /// What a streamed scan reports once every batch has been consumed.
@@ -102,10 +125,15 @@ pub struct ScanSummary {
     /// Partitions that fetched at least one gap range from the store
     /// (billed fills; a partial hit counts here, not in `hit_parts`).
     pub fill_parts: u64,
+    /// Per node the partitions ran on, by id, what its partitions spent —
+    /// their share of `stats` and `op_stats`, and in `exchange_bytes` the
+    /// rows they shipped; empty when the scan ran on one context (no
+    /// cluster of more than one node).
+    pub nodes: Vec<(usize, PhaseStats)>,
 }
 
 impl ScanSummary {
-    fn new(schema: Schema, stats: PhaseStats) -> Self {
+    fn new(schema: Schema, stats: PhaseStats, nodes: Vec<(usize, PhaseStats)>) -> Self {
         ScanSummary {
             schema,
             stats,
@@ -113,6 +141,7 @@ impl ScanSummary {
             reduce_stats: PhaseStats::default(),
             hit_parts: 0,
             fill_parts: 0,
+            nodes,
         }
     }
 }
@@ -148,31 +177,144 @@ impl<T> Emitter<'_, T> {
     }
 }
 
-/// Run `produce` over every partition on `ctx.scan_threads` workers and
-/// feed everything it emits to `consume` **in partition order**, merging
-/// the per-partition [`PhaseStats`] the producers return.
+/// Where the partitions of one scan run: each on the context of the node
+/// owning it ([`Cluster::assign`]) when the scan's context spreads over a
+/// cluster ([`QueryContext::spread`]), else all on the scan's own context.
+/// The node contexts — the node's ledger joint with the query's, its
+/// clock, cache slice and fault stream — are built once per scan.
+pub(crate) struct Placement<'a> {
+    keys: Vec<String>,
+    /// Every node a partition runs on, by id, with its context.
+    nodes: Vec<(usize, Cow<'a, QueryContext>)>,
+    /// Per partition, its node's index in `nodes`.
+    slot: Vec<usize>,
+    /// The cluster the partitions spread over, if they do.
+    cluster: Option<&'a Cluster>,
+    threads: usize,
+}
+
+/// One partition as a worker runs it: its index in the placement, its
+/// key, the context of the node it runs on and that node's index among
+/// the placement's nodes.
+pub(crate) struct Part<'p> {
+    pub index: usize,
+    pub key: &'p str,
+    pub ctx: &'p QueryContext,
+    pub node: usize,
+}
+
+impl<'a> Placement<'a> {
+    /// Place `keys`, partitions of `table`, on their nodes.
+    pub(crate) fn new(ctx: &'a QueryContext, table: &Table, keys: Vec<String>) -> Self {
+        let threads = ctx.scan_threads;
+        let Some(cluster) = ctx.spread() else {
+            let slot = vec![0; keys.len()];
+            let nodes = vec![(0, Cow::Borrowed(ctx))];
+            return Placement {
+                keys,
+                nodes,
+                slot,
+                cluster: None,
+                threads,
+            };
+        };
+        let owners: Vec<usize> = keys
+            .iter()
+            .map(|k| cluster.assign(&table.bucket, k))
+            .collect();
+        let mut ids = owners.clone();
+        ids.sort_unstable();
+        ids.dedup();
+        let slot = owners
+            .iter()
+            .map(|o| ids.binary_search(o).expect("every owner is listed"))
+            .collect();
+        let nodes = ids
+            .into_iter()
+            .map(|k| (k, Cow::Owned(ctx.node_exec(k))))
+            .collect();
+        Placement {
+            keys,
+            nodes,
+            slot,
+            cluster: Some(cluster),
+            threads,
+        }
+    }
+
+    /// Every partition of `table`, placed.
+    pub(crate) fn of(ctx: &'a QueryContext, table: &Table) -> Result<Self> {
+        Ok(Placement::new(ctx, table, partition_keys(ctx, table)?))
+    }
+
+    fn part(&self, index: usize) -> Part<'_> {
+        let node = self.slot[index];
+        Part {
+            index,
+            key: &self.keys[index],
+            ctx: &self.nodes[node].1,
+            node,
+        }
+    }
+
+    /// Whether the partitions spread over a cluster: then what they emit
+    /// is shipped to the node consuming the scan and metered as exchange.
+    fn ships(&self) -> bool {
+        self.cluster.is_some()
+    }
+
+    /// `spent` (one footprint per node, in placement order) by node id,
+    /// each node's shipped bytes added to its cluster counter; empty when
+    /// the scan ran on one context.
+    fn per_node(&self, spent: &[PhaseStats]) -> Vec<(usize, PhaseStats)> {
+        let Some(cluster) = self.cluster else {
+            return Vec::new();
+        };
+        self.nodes
+            .iter()
+            .zip(spent)
+            .map(|((k, _), stats)| {
+                let shipped = &cluster.node(*k).exchange_bytes;
+                shipped.fetch_add(stats.exchange_bytes, Ordering::Relaxed);
+                (*k, *stats)
+            })
+            .collect()
+    }
+}
+
+/// Every footprint of `spent`, merged.
+fn total(spent: &[PhaseStats]) -> PhaseStats {
+    let mut stats = PhaseStats::default();
+    spent.iter().for_each(|s| stats.merge(s));
+    stats
+}
+
+/// Run `produce` over every partition of `place` on `scan_threads`
+/// workers, each on its node's context, and feed everything it emits to
+/// `consume` **in partition order**, merging the per-partition
+/// [`PhaseStats`] the producers return per node (in placement order).
 ///
 /// Workers claim partitions in index order and push into one bounded
 /// queue per partition; the consumer drains queues in index order, so
-/// output order is deterministic while decode work overlaps across
-/// partitions. A consumer error cancels outstanding producers; so does
-/// a producer error, which the consumer reports when it reaches that
-/// partition: indices are claimed in order and a claimed index is never
-/// abandoned, so every earlier partition runs to its `Done`.
+/// output order is deterministic — at any node count — while decode work
+/// overlaps across partitions. A consumer error cancels outstanding
+/// producers; so does a producer error, which the consumer reports when
+/// it reaches that partition: indices are claimed in order and a claimed
+/// index is never abandoned, so every earlier partition runs to its
+/// `Done`.
 fn stream_partitions<T, P, C>(
-    ctx: &QueryContext,
-    keys: &[String],
+    place: &Placement<'_>,
     produce: P,
     mut consume: C,
-) -> Result<PhaseStats>
+) -> Result<Vec<PhaseStats>>
 where
     T: Send,
-    P: Fn(&str, &Emitter<'_, T>) -> Result<PhaseStats> + Sync,
+    P: Fn(Part<'_>, &Emitter<'_, T>) -> Result<PhaseStats> + Sync,
     C: FnMut(T) -> Result<()>,
 {
-    let threads = ctx.scan_threads.clamp(1, keys.len().max(1));
-    let (senders, mut receivers): (Vec<_>, Vec<_>) = keys
-        .iter()
+    let parts = place.keys.len();
+    let threads = place.threads.clamp(1, parts.max(1));
+    let (senders, mut receivers): (Vec<_>, Vec<_>) = (0..parts)
         .map(|_| {
             let (tx, rx) = sync_channel(PARTITION_QUEUE_DEPTH);
             (Mutex::new(Some(tx)), rx)
@@ -180,7 +322,7 @@ where
         .unzip();
     let next = AtomicUsize::new(0);
     let cancelled = AtomicBool::new(false);
-    let mut outcome: Result<PhaseStats> = Ok(PhaseStats::default());
+    let mut outcome: Result<Vec<PhaseStats>> = Ok(Vec::new());
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -192,7 +334,7 @@ where
                     break;
                 }
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= keys.len() {
+                if i >= parts {
                     break;
                 }
                 // The worker owns its partition's sender, so a worker that
@@ -202,7 +344,7 @@ where
                 let slot = senders[i].lock().unwrap_or_else(|e| e.into_inner()).take();
                 let Some(tx) = slot else { break };
                 let emitter = Emitter { tx: &tx };
-                let result = produce(&keys[i], &emitter);
+                let result = produce(place.part(i), &emitter);
                 let failed = result.is_err();
                 // Best-effort: if the consumer aborted, this queue's
                 // receiver is gone and the send simply errors.
@@ -214,8 +356,8 @@ where
             });
         }
 
-        let mut stats = PhaseStats::default();
-        'partitions: for rx in &receivers {
+        let mut spent = vec![PhaseStats::default(); place.nodes.len()];
+        'partitions: for (i, rx) in receivers.iter().enumerate() {
             loop {
                 match rx.recv() {
                     Ok(PartMsg::Item(item)) => {
@@ -225,7 +367,7 @@ where
                         }
                     }
                     Ok(PartMsg::Done(Ok(part_stats))) => {
-                        stats.merge(&part_stats);
+                        spent[place.slot[i]].merge(&part_stats);
                         break;
                     }
                     Ok(PartMsg::Done(Err(e))) => {
@@ -240,7 +382,7 @@ where
             }
         }
         if outcome.is_ok() {
-            outcome = Ok(stats);
+            outcome = Ok(spent);
         } else {
             // Abort: stop workers claiming new partitions, and drop every
             // receiver so producers blocked on full queues wake with a
@@ -252,20 +394,19 @@ where
     outcome
 }
 
-/// Run `f` once per partition on the worker pool, returning results in
-/// partition order (the non-streaming fan-out used by aggregate scans).
-fn for_each_partition<T, F>(ctx: &QueryContext, table: &Table, f: F) -> Result<Vec<T>>
+/// Run `f` once per partition of `place` on the worker pool, each on its
+/// node's context, returning results in partition order (the
+/// non-streaming fan-out used by aggregate scans and striped samples).
+fn for_each_partition<T, F>(place: &Placement<'_>, f: F) -> Result<Vec<T>>
 where
     T: Send,
-    F: Fn(&str) -> Result<T> + Sync,
+    F: Fn(Part<'_>) -> Result<T> + Sync,
 {
-    let keys = partition_keys(ctx, table)?;
-    let mut out = Vec::with_capacity(keys.len());
+    let mut out = Vec::with_capacity(place.keys.len());
     stream_partitions(
-        ctx,
-        &keys,
-        |key, emitter| {
-            emitter.emit(f(key)?)?;
+        place,
+        |part, emitter| {
+            emitter.emit(f(part)?)?;
             Ok(PhaseStats::default())
         },
         |item| {
@@ -277,26 +418,23 @@ where
 }
 
 fn partition_keys(ctx: &QueryContext, table: &Table) -> Result<Vec<String>> {
-    let mut keys = table.partitions(&ctx.store);
+    let keys = table.partitions(&ctx.store);
     if keys.is_empty() {
         return Err(Error::NoSuchKey(format!(
             "table `{}` has no partitions under s3://{}/{}/",
             table.name, table.bucket, table.prefix
         )));
     }
-    // A partition filter (set by the scattered Gather path) narrows the
-    // scan to its keys, preserving global listing order. The filter keys
-    // come from the same listing, so the intersection is never empty.
-    if let Some(filter) = &ctx.partition_filter {
-        keys.retain(|k| filter.iter().any(|f| f == k));
-        if keys.is_empty() {
-            return Err(Error::NoSuchKey(format!(
-                "partition filter matches no partition of table `{}`",
-                table.name
-            )));
-        }
-    }
     Ok(keys)
+}
+
+/// Serialized size of one row on the interconnect: its CSV encoding
+/// (field texts, separators, newline) — deterministic and identical to
+/// what the row costs as returned Select bytes.
+pub(crate) fn row_exchange_bytes(row: &Row) -> u64 {
+    let vals = row.values();
+    let fields: u64 = vals.iter().map(|v| v.to_csv_field().len() as u64).sum();
+    fields + vals.len().saturating_sub(1) as u64 + 1
 }
 
 /// Where [`scan`] reads partition bytes from.
@@ -421,76 +559,98 @@ pub fn scan(
     fragment: &ScanFragment,
     mut sink: impl FnMut(RowBatch) -> Result<()>,
 ) -> Result<ScanSummary> {
-    let keys = partition_keys(ctx, table)?;
+    let place = Placement::of(ctx, table)?;
     let cached = source == ScanSource::Cached || (ctx.cache_reads && ctx.store.cache().is_some());
     let hit_parts = AtomicU64::new(0);
     let fill_parts = AtomicU64::new(0);
-    let cpu = |units: AtomicU64| PhaseStats {
-        server_cpu_units: units.into_inner(),
+    let cpu = |units: u64| PhaseStats {
+        server_cpu_units: units,
         ..Default::default()
     };
-    let (op_units, reduce_units) = (AtomicU64::new(0), AtomicU64::new(0));
-    let stats = stream_partitions(
-        ctx,
-        &keys,
-        |key, emitter| {
+    // What the fragment's predicate charged, per node; what its reducer
+    // charged, the `ORDER BY … LIMIT` above's to report.
+    let op_units: Vec<AtomicU64> = place.nodes.iter().map(|_| AtomicU64::new(0)).collect();
+    let reduce_units = AtomicU64::new(0);
+    let spent = stream_partitions(
+        &place,
+        |part, emitter| {
+            let store = &part.ctx.store;
             // Every retried attempt billed a request; meter them all so
             // metrics agree with the ledger even under injected faults.
-            let (data, mut part) = if cached {
-                let fetched = ctx.store.get_object_chunked_cached_with(
+            let (data, mut stats) = if cached {
+                let fetched = store.get_object_chunked_cached_with(
                     &table.bucket,
-                    key,
+                    part.key,
                     &ctx.retry,
                     |data| chunk_layout(table, ctx.cache_chunk_bytes, data),
                 )?;
                 let counter = if fetched.hit { &hit_parts } else { &fill_parts };
                 counter.fetch_add(1, Ordering::Relaxed);
-                let part = PhaseStats {
+                let stats = PhaseStats {
                     requests: u64::from(fetched.attempts),
                     plain_bytes: fetched.gap_bytes,
                     cache_bytes: fetched.mem_bytes,
                     disk_bytes: fetched.disk_bytes,
                     ..Default::default()
                 };
-                (fetched.data, part)
+                (fetched.data, stats)
             } else {
-                let fetched = ctx.store.get_object_with(&table.bucket, key, &ctx.retry)?;
-                let part = PhaseStats {
+                let fetched = store.get_object_with(&table.bucket, part.key, &ctx.retry)?;
+                let stats = PhaseStats {
                     requests: u64::from(fetched.attempts),
                     plain_bytes: fetched.value.len() as u64,
                     ..Default::default()
                 };
-                (fetched.value, part)
+                (fetched.value, stats)
             };
             // ColumnarLite bytes ingest at their own parse rate
             // ([`pushdown_common::perf::PerfParams::parse_cl_bw`]). Keyed
             // on the table format, not on the execution path or on what
             // the fragment decodes, so every mode reports identical stats.
             if table.format == InputFormat::Columnar {
-                part.cl_parse_bytes = data.len() as u64;
+                stats.cl_parse_bytes = data.len() as u64;
             }
             let (rows, (charged, reduced)) =
-                decode_partition(data, table, ctx, fragment, |batch| emitter.emit(batch))?;
-            part.server_cpu_units += rows;
-            op_units.fetch_add(charged, Ordering::Relaxed);
+                decode_partition(data, table, ctx, fragment, |batch| {
+                    if place.ships() {
+                        stats.exchange_bytes +=
+                            batch.rows.iter().map(row_exchange_bytes).sum::<u64>();
+                    }
+                    emitter.emit(batch)
+                })?;
+            stats.server_cpu_units += rows;
+            op_units[part.node].fetch_add(charged, Ordering::Relaxed);
             reduce_units.fetch_add(reduced, Ordering::Relaxed);
-            Ok(part)
+            Ok(stats)
         },
         &mut sink,
     );
     // A cached scan is the cache's commit point, failed or not: whatever
-    // its fills, demotions and promotions appended becomes durable (and
-    // is charged to this scope's clock) in one group commit.
+    // its fills, demotions and promotions appended to each node's slice
+    // becomes durable (and is charged to that node's clock) in one group
+    // commit.
     if cached {
-        ctx.store.commit_cache();
+        place.nodes.iter().for_each(|(_, c)| c.store.commit_cache());
     }
+    let spent = spent?;
+    let op_units: Vec<u64> = op_units.into_iter().map(AtomicU64::into_inner).collect();
+    let worked: Vec<PhaseStats> = spent
+        .iter()
+        .zip(&op_units)
+        .map(|(s, &units)| {
+            let mut s = *s;
+            s.merge(&cpu(units));
+            s
+        })
+        .collect();
     Ok(ScanSummary {
         schema: fragment.schema().clone(),
-        stats: stats?,
-        op_stats: cpu(op_units),
-        reduce_stats: cpu(reduce_units),
+        stats: total(&spent),
+        op_stats: cpu(op_units.iter().sum()),
+        reduce_stats: cpu(reduce_units.into_inner()),
         hit_parts: hit_parts.into_inner(),
         fill_parts: fill_parts.into_inner(),
+        nodes: place.per_node(&worked),
     })
 }
 
@@ -540,6 +700,7 @@ pub fn plain_scan(ctx: &QueryContext, table: &Table) -> Result<ScanResult> {
         schema: summary.schema,
         rows,
         stats: summary.stats,
+        nodes: summary.nodes,
     })
 }
 
@@ -571,6 +732,13 @@ pub enum ScanLimit {
     Striped(usize),
 }
 
+/// Partition `i`'s share of a [`ScanLimit::Striped`] sample of `n` rows
+/// over `parts` partitions.
+pub(crate) fn striped_share(n: usize, parts: usize, i: usize) -> usize {
+    let n = n.max(1);
+    (i + 1) * n / parts - i * n / parts
+}
+
 /// Pushdown path, streaming: run the scalar statement `stmt` against
 /// every partition via S3 Select and deliver response rows as batches in
 /// partition order.
@@ -590,71 +758,74 @@ pub fn select_scan_streamed(
     limit: Option<ScanLimit>,
     mut on_batch: impl FnMut(RowBatch) -> Result<()>,
 ) -> Result<ScanSummary> {
-    let keys = partition_keys(ctx, table)?;
-    let select = |key: &str, stmt: &SelectStmt| {
-        ctx.engine
-            .select_stmt(&table.bucket, key, stmt, &table.schema, table.format)
+    let mut keys = partition_keys(ctx, table)?;
+    // A striped sample asks only the partitions with a share.
+    let mut shares = Vec::new();
+    if let Some(ScanLimit::Striped(n)) = limit {
+        let parts = keys.len();
+        (keys, shares) = (keys.into_iter().enumerate())
+            .map(|(i, key)| (key, striped_share(n, parts, i)))
+            .filter(|&(_, share)| share > 0)
+            .unzip();
+    }
+    let place = Placement::new(ctx, table, keys);
+    let select = |part: &Part<'_>, stmt: &SelectStmt| {
+        part.ctx
+            .engine
+            .select_stmt(&table.bucket, part.key, stmt, &table.schema, table.format)
     };
     let limited = |n: usize| SelectStmt {
         limit: Some(n as u64),
         ..stmt.clone()
     };
-    let mut responses = Vec::new();
-    match limit {
+    let responses = match limit {
         None => {
             let schema_slot: OnceLock<Schema> = OnceLock::new();
-            let stats = stream_partitions(
-                ctx,
-                &keys,
-                |key, emitter| {
-                    let resp = select(key, stmt)?;
-                    let mut part = PhaseStats::default();
-                    accumulate_response(&mut part, &resp);
+            let spent = stream_partitions(
+                &place,
+                |part, emitter| {
+                    let resp = select(&part, stmt)?;
+                    let mut stats = PhaseStats::default();
+                    accumulate_response(&mut stats, &resp);
                     let _ = schema_slot.set(resp.output_schema.clone());
                     let rows = resp.rows()?;
+                    if place.ships() {
+                        stats.exchange_bytes = rows.iter().map(row_exchange_bytes).sum();
+                    }
                     for batch in RowBatch::chunks(&resp.output_schema, rows, ctx.batch_rows) {
                         emitter.emit(batch)?;
                     }
-                    Ok(part)
+                    Ok(stats)
                 },
                 &mut on_batch,
             )?;
             let schema = schema_slot
                 .into_inner()
                 .expect("at least one partition responded");
-            return Ok(ScanSummary::new(schema, stats));
+            let nodes = place.per_node(&spent);
+            return Ok(ScanSummary::new(schema, total(&spent), nodes));
         }
         Some(ScanLimit::Prefix(n)) => {
+            let mut responses = Vec::new();
             let mut room = n;
-            for key in &keys {
+            for i in 0..place.keys.len() {
                 if room == 0 {
                     break;
                 }
-                let resp = select(key, &limited(room))?;
+                let resp = select(&place.part(i), &limited(room))?;
                 room = room.saturating_sub(resp.stats.records_returned as usize);
                 responses.push(resp);
             }
+            responses
         }
-        Some(ScanLimit::Striped(n)) => {
-            let (n, parts) = (n.max(1), keys.len());
-            let share_of = |key: &str| {
-                let i = keys
-                    .iter()
-                    .position(|k| k == key)
-                    .expect("key comes from the same partition listing");
-                (i + 1) * n / parts - i * n / parts
-            };
-            let shares = for_each_partition(ctx, table, |key| match share_of(key) {
-                0 => Ok(None),
-                share => select(key, &limited(share)).map(Some),
-            })?;
-            responses.extend(shares.into_iter().flatten());
+        Some(ScanLimit::Striped(_)) => {
+            for_each_partition(&place, |part| select(&part, &limited(shares[part.index])))?
         }
-    }
-    let mut stats = PhaseStats::default();
+    };
+    let mut spent = vec![PhaseStats::default(); place.nodes.len()];
     let mut schema = None;
-    for resp in responses {
-        accumulate_response(&mut stats, &resp);
+    for (i, resp) in responses.into_iter().enumerate() {
+        accumulate_response(&mut spent[place.slot[i]], &resp);
         let schema = schema.get_or_insert_with(|| resp.output_schema.clone());
         for batch in RowBatch::chunks(schema, resp.rows()?, ctx.batch_rows) {
             on_batch(batch)?;
@@ -662,7 +833,13 @@ pub fn select_scan_streamed(
     }
     let schema =
         schema.ok_or_else(|| Error::Other(format!("an empty sample of `{}`", table.name)))?;
-    Ok(ScanSummary::new(schema, stats))
+    // A prefix asks one partition after the other, each on its node: a
+    // sequence, which reports as one phase wherever it ran.
+    let nodes = match limit {
+        Some(ScanLimit::Prefix(_)) => Vec::new(),
+        _ => place.per_node(&spent),
+    };
+    Ok(ScanSummary::new(schema, total(&spent), nodes))
 }
 
 /// Pushdown path: run `stmt` against every partition via S3 Select and
@@ -683,6 +860,7 @@ pub fn select_scan(ctx: &QueryContext, table: &Table, stmt: &SelectStmt) -> Resu
         schema: summary.schema,
         rows,
         stats: summary.stats,
+        nodes: summary.nodes,
     })
 }
 
@@ -748,27 +926,30 @@ pub fn select_scan_aggregate(
         },
         group_by: group_by.to_vec(),
     };
-    let responses = for_each_partition(ctx, table, |key| {
-        let (bucket, schema) = (&table.bucket, &table.schema);
+    let place = Placement::of(ctx, table)?;
+    let responses = for_each_partition(&place, |part| {
+        let (bucket, schema, engine) = (&table.bucket, &table.schema, &part.ctx.engine);
         if width == 0 {
-            let stmt = &grouped.select;
-            ctx.engine
-                .select_stmt(bucket, key, stmt, schema, table.format)
+            engine.select_stmt(bucket, part.key, &grouped.select, schema, table.format)
         } else {
-            ctx.engine
-                .select_grouped(bucket, key, &grouped, schema, table.format)
+            engine.select_grouped(bucket, part.key, &grouped, schema, table.format)
         }
     })?;
-    let mut stats = PhaseStats::default();
+    let mut spent = vec![PhaseStats::default(); place.nodes.len()];
     let mut rows: Vec<Row> = Vec::new();
     let mut part_schema = None;
-    for resp in responses {
-        accumulate_response(&mut stats, &resp);
+    for (i, resp) in responses.into_iter().enumerate() {
+        let node = &mut spent[place.slot[i]];
+        accumulate_response(node, &resp);
         part_schema.get_or_insert_with(|| resp.output_schema.clone());
-        rows.extend(resp.rows()?);
+        let partials = resp.rows()?;
+        // Merging a partial row is one unit — what `ops::merge_group_rows`
+        // charges — on the node that returned it.
+        node.server_cpu_units += partials.len() as u64;
+        rows.extend(partials);
     }
     let part_schema = part_schema.expect("at least one partition");
-    let merged = ops::merge_group_rows(vec![rows], width, &partials, &mut stats)?;
+    let merged = ops::merge_group_rows(vec![rows], width, &partials, &mut PhaseStats::default())?;
     let mut fields: Vec<Field> = (0..width).map(|g| part_schema.field(g).clone()).collect();
     for (func, name, col) in &outputs {
         let dtype = match func {
@@ -794,7 +975,8 @@ pub fn select_scan_aggregate(
     Ok(ScanResult {
         schema: Schema::new(fields),
         rows: merged.iter().map(finished).collect::<Result<_>>()?,
-        stats,
+        stats: total(&spent),
+        nodes: place.per_node(&spent),
     })
 }
 
@@ -907,16 +1089,15 @@ mod tests {
     fn a_panicking_worker_disconnects_its_queue_instead_of_hanging_the_consumer() {
         let (mut ctx, t) = ctx_with_table(500, 100);
         ctx.scan_threads = 2;
-        let keys = partition_keys(&ctx, &t).unwrap();
+        let place = Placement::of(&ctx, &t).unwrap();
         // The consumer sees partition 2's queue disconnect and bails out;
         // the scope then re-raises the worker's panic. Before workers
         // owned their senders the consumer waited on that queue forever.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             stream_partitions::<(), _, _>(
-                &ctx,
-                &keys,
-                |key, _| {
-                    assert!(!key.ends_with("00002.csv"), "worker bug");
+                &place,
+                |part, _| {
+                    assert!(!part.key.ends_with("00002.csv"), "worker bug");
                     Ok(PhaseStats::default())
                 },
                 |_| Ok(()),
@@ -934,14 +1115,13 @@ mod tests {
         // index must always end its queue.
         let (mut ctx, t) = ctx_with_table(64, 1);
         ctx.scan_threads = 8;
-        let keys = partition_keys(&ctx, &t).unwrap();
-        assert_eq!(keys.len(), 64);
+        assert_eq!(partition_keys(&ctx, &t).unwrap().len(), 64);
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
+            let place = Placement::of(&ctx, &t).unwrap();
             for _ in 0..20_000 {
                 let err = stream_partitions::<(), _, _>(
-                    &ctx,
-                    &keys,
+                    &place,
                     |_, _| Err(Error::Eval("division by zero".into())),
                     |_| Ok(()),
                 )

@@ -17,7 +17,7 @@
 //!   reads it.
 //!
 //! Either way every candidate is a tree of IR operators that
-//! [`planner::run_candidates`] prices, picks from, scatters, runs and
+//! [`planner::run_candidates`] prices, picks from, runs and
 //! explains like any other query's: [`Strategy::Baseline`] is the paper's
 //! "PushdownDB (Baseline)" (whole tables over plain GETs, everything
 //! local), [`Strategy::Pushdown`] its "PushdownDB (Optimized)" (filters

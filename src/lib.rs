@@ -221,24 +221,24 @@
 //! # Ok(()) }
 //! ```
 //!
-//! ## The scatter-gather cluster
+//! ## The cluster
 //!
 //! [`core::QueryContext::with_nodes`] attaches an N-node cluster
 //! ([`core::Cluster`]): partitions are consistent-hashed across the
 //! nodes, each with its own child ledger, virtual clock and cache slice
 //! (install the cache *first*: a slice is the store cache's
 //! [`cache::CacheConfig`] with both budgets divided by N, attached to
-//! the store so writers invalidate it). The plan IR gains
-//! `Exchange`/`Gather`/`Repartition` operators; scan leaves scatter to
-//! their owning nodes and partial aggregate states repartition by
-//! group-key hash, so rows stay **bit-identical to the serial run at
-//! any node count** while the bill decomposes exactly three ways:
-//! store-global = Σ node ledgers = Σ per-query bills. `Adaptive` prices
-//! the scattered plan on reserved-cluster dollars (every node, the
-//! query's wall time) and scatters only when that wins — typically when
-//! warm per-node cache slices shave billable bytes. Node-failure chaos
-//! is seed-replayable per node (`Cluster::node_salt`); retries bill
-//! extra requests, bytes exactly once.
+//! the store so writers invalidate it). A plan is the same tree at any
+//! node count: the partition fan-out runs every partition request — a
+//! scan's, a pushed aggregate's, a sample's, a CASE-WHEN statement's —
+//! on the node owning the partition, and a group-by repartitions its
+//! rows by group-key hash, so rows stay **bit-identical to the serial
+//! run at any node count** while the bill decomposes exactly three
+//! ways: store-global = Σ node ledgers = Σ per-query bills. `Adaptive`
+//! prices every candidate as it runs on the cluster — each node's share
+//! of a cached scan against that node's slice. Node-failure chaos is
+//! seed-replayable per node (`Cluster::node_salt`); retries bill extra
+//! requests, bytes exactly once.
 //!
 //! ```no_run
 //! use pushdowndb::core::{execute_sql, Strategy};

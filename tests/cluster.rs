@@ -1,39 +1,44 @@
-//! Scatter-gather cluster suite (ISSUE 7): the N-node engine is the
-//! single-node engine, decomposed.
+//! Cluster suite: the N-node engine is the single-node engine,
+//! decomposed. The plan is the same tree at every node count; the one
+//! partition fan-out runs each partition on the node owning it.
 //!
 //! * **Differential**: every planner-suite query — all nine shapes —
 //!   returns rows bit-identical to the serial run at 1, 2, 4 and 8
 //!   nodes, under both fixed strategies, and bills exactly the serial
-//!   ledger — scattering moves work between nodes, it never creates or
+//!   ledger — spreading moves work between nodes, it never creates or
 //!   destroys billable bytes (exchange volume is interconnect, not S3).
-//! * **No shape runs wholly on node 0** (ISSUES 22, 24): every
-//!   candidate is a tree over scan leaves, the staged top-K and
-//!   group-bys included, so every shape scatters — same rows, same bill,
-//!   a `Gather` in its operator tree, more than one node busy — but the
-//!   pushed scalar aggregate, whose leaf is one merged row per query and
-//!   stays whole.
+//! * **No shape runs wholly on one node**: whatever fans out over
+//!   partitions lands on the owning nodes — scans, the pushed aggregate,
+//!   samples, CASE-WHEN statements — so every shape has more than one
+//!   node busy and per-node `Exchange[…]` children under its leaves.
 //! * **Conservation**: over a mixed batch the store-global ledger delta
 //!   equals Σ per-query bills equals Σ per-node ledger deltas — three
 //!   decompositions of one total.
-//! * **Calibration**: the scattered plan's predicted `Usage` lands
+//! * **Calibration**: the prediction of what ran on the cluster lands
 //!   within 15% of the measured ledger (same bound as the single-node
-//!   estimator), and Adaptive prices a "scattered" candidate on
-//!   reserved-cluster dollars.
-//! * **Chaos**: under seeded node-failure fault plans, successes are
-//!   row-identical with every byte billed exactly once (retries are
-//!   extra requests only), with pinned always-retrying seeds.
+//!   estimator).
+//! * **Warm slices**: a warm cluster serves from its owners' cache
+//!   slices, and Adaptive, which prices every candidate as it runs
+//!   there, takes that.
+//! * **Chaos**: under seeded node-failure fault plans, every shape's
+//!   successes are row-identical with every byte billed exactly once
+//!   (retries are extra requests only), with pinned always-retrying
+//!   seeds.
 //! * **Writers** (pinned regression): a `put_object` / `delete_object`
 //!   through any handle invalidates every node's cache slice, so a
-//!   scattered cached re-run never serves a rewritten table's old rows.
+//!   cached re-run on the cluster never serves a rewritten table's old
+//!   rows.
 
 use pushdowndb::common::pricing::Usage;
 use pushdowndb::common::{DataType, RetryPolicy, Row, Schema, Value};
-use pushdowndb::core::planner::execute_sql_verbose;
+use pushdowndb::core::planner::{execute_sql_verbose, lower, run_candidate};
 use pushdowndb::core::{
-    execute_sql, upload_columnar_table, upload_csv_table, QueryContext, Strategy, Table,
+    execute_sql, plan, upload_columnar_table, upload_csv_table, Cluster, OpReport, PlanNode,
+    PlanOp, QueryContext, Strategy, Table,
 };
 use pushdowndb::format::columnar::WriterOptions;
 use pushdowndb::s3::{FaultPlan, S3Store};
+use pushdowndb::sql::parse_query;
 use pushdowndb::tpch::{planner_suite, tpch_context, PlannerQuery, TpchTables};
 
 fn join_suite() -> Vec<PlannerQuery> {
@@ -78,12 +83,25 @@ fn scattered_rows_and_bills_match_serial_at_every_node_count() {
     }
 }
 
+/// Nodes whose ledger billed a request.
+fn busy(cluster: &Cluster) -> usize {
+    let snapshots = cluster.snapshots();
+    snapshots.iter().filter(|ns| ns.usage.requests > 0).count()
+}
+
+/// Operators of a report whose partitions ran on more than one node
+/// (they have per-node `Exchange[…]` children).
+fn spread_leaves(op: &OpReport) -> usize {
+    let spread = op.children.iter().any(|c| c.label.starts_with("Exchange["));
+    usize::from(spread) + op.children.iter().map(spread_leaves).sum::<usize>()
+}
+
 /// Every suite shape at 4 nodes, under both fixed strategies: rows
 /// bit-identical to serial, Σ node ledgers == global delta == `billed`,
-/// and the plan spreads over the nodes — a `Gather` in the operator
-/// tree, more than one node busy — the staged top-K (`sampling`) and
-/// group-by (`hybrid`) picks included. Only the pushed scalar aggregate
-/// runs whole on the coordinator.
+/// and the plan spreads over the nodes — per-node `Exchange[…]`
+/// children under its leaves, more than one node busy — the staged
+/// top-K (`sampling`) and group-by (`hybrid`) picks and the pushed
+/// scalar aggregate included.
 #[test]
 fn folded_single_table_families_scatter_like_joins() {
     let (ctx, t) = tpch_context(0.003, 1_200).unwrap();
@@ -107,21 +125,16 @@ fn folded_single_table_families_scatter_like_joins() {
                 global_before + out.billed,
                 "{what}: global delta"
             );
-            let busy = cluster
-                .snapshots()
-                .iter()
-                .filter(|ns| ns.usage.requests > 0)
-                .count();
-            let report = ex.operators.as_ref().unwrap().render(&cctx.model);
-            if strategy == Strategy::Baseline || name != "aggregate" {
-                assert!(report.contains("Gather["), "{what}:\n{report}");
-                assert!(busy > 1, "{what}: {busy} busy node(s)");
-                // Scattered plans carry the prediction of what ran.
-                assert!(ex.predicted.is_some(), "{what}");
-            } else {
-                assert!(!report.contains("Gather["), "{what}:\n{report}");
-                assert_eq!(busy, 1, "{what}: a leaf runs on the coordinator");
-            }
+            let ops = ex.operators.as_ref().unwrap();
+            let report = ops.render(&cctx.model);
+            assert!(spread_leaves(ops) > 0, "{what}:\n{report}");
+            assert!(
+                busy(&cluster) > 1,
+                "{what}: {} busy node(s)",
+                busy(&cluster)
+            );
+            // Runs on a cluster carry the prediction of what ran.
+            assert!(ex.predicted.is_some(), "{what}");
             if name == "aggregate" {
                 assert_eq!(out.rows.len(), 1, "{what}: one row per query");
             }
@@ -129,7 +142,7 @@ fn folded_single_table_families_scatter_like_joins() {
                 // A Bloom join: the build side and the probe it writes
                 // its filter into both fan out.
                 assert!(report.contains("BloomJoin["), "{what}:\n{report}");
-                assert_eq!(report.matches("Gather[").count(), 2, "{what}:\n{report}");
+                assert_eq!(spread_leaves(ops), 2, "{what}:\n{report}");
             }
         }
     }
@@ -152,8 +165,7 @@ fn adaptive_rows_match_serial_under_a_cluster() {
     }
 }
 
-/// Cluster-wide conservation: after a mixed batch (joined queries
-/// scattered across nodes, single-table queries on the coordinator),
+/// Cluster-wide conservation: after a mixed batch of every suite shape,
 /// the store-global ledger delta, the sum of per-query bills, and the
 /// sum of per-node ledger deltas are the same `Usage`, exactly.
 #[test]
@@ -189,20 +201,15 @@ fn global_ledger_equals_sum_of_node_ledgers_equals_sum_of_query_ledgers() {
         nodes_before + sum,
         "Σ node-ledger deltas == Σ per-query bills"
     );
-    // The scattered joined queries actually moved bytes: at least two
-    // nodes billed something, and the interconnect carried rows.
-    let busy = cluster
-        .snapshots()
-        .iter()
-        .filter(|ns| ns.usage.requests > 0)
-        .count();
-    assert!(busy >= 2, "expected >= 2 busy nodes, got {busy}");
+    // The queries actually moved bytes: at least two nodes billed
+    // something, and the interconnect carried rows.
+    assert!(busy(&cluster) >= 2, "expected >= 2 busy nodes");
     assert!(cluster.total_exchange_bytes() > 0, "no exchange traffic");
 }
 
-/// EXPLAIN renders the scattered plan: Gather over per-node Exchange
-/// children annotated with scanned/exchanged bytes, plus one ledger
-/// line per node.
+/// EXPLAIN renders the spread plan: per-node Exchange children under the
+/// leaves, annotated with scanned/exchanged bytes, plus one ledger line
+/// per node.
 #[test]
 fn explain_renders_exchange_operators_and_per_node_ledgers() {
     let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
@@ -212,7 +219,6 @@ fn explain_renders_exchange_operators_and_per_node_ledgers() {
         execute_sql_verbose(&cctx, (q.table)(&t), q.sql, Strategy::Pushdown).unwrap();
     let report = explain.report(&out, &cctx);
     for needle in [
-        "Gather[",
         "Exchange[node",
         "B exchanged",
         "node 0: billed",
@@ -222,9 +228,9 @@ fn explain_renders_exchange_operators_and_per_node_ledgers() {
     }
 }
 
-/// The scattered prediction is calibrated like the single-node one:
-/// predicted `Usage` of the executed scattered plan within 15% of the
-/// measured ledger, field by field (512-byte absolute floor for
+/// The cluster prediction is calibrated like the single-node one:
+/// predicted `Usage` of the plan that ran on four nodes within 15% of
+/// the measured ledger, field by field (512-byte absolute floor for
 /// near-zero aggregate payloads).
 #[test]
 fn scattered_predictions_are_calibrated_against_the_ledger() {
@@ -237,7 +243,7 @@ fn scattered_predictions_are_calibrated_against_the_ledger() {
         let predicted = explain
             .predicted
             .as_ref()
-            .expect("scattered plans carry a prediction")
+            .expect("runs on a cluster carry a prediction")
             .usage();
         let check = |pred: u64, meas: u64, what: &str| {
             let slack = (0.15 * meas as f64).max(512.0);
@@ -263,32 +269,8 @@ fn scattered_predictions_are_calibrated_against_the_ledger() {
     }
 }
 
-/// Adaptive prices a "scattered" candidate next to the serial families,
-/// on reserved-cluster dollars (compute on every node for the query's
-/// wall time) — visible in the candidate table whether or not it wins.
-#[test]
-fn adaptive_lists_a_scattered_candidate_priced_on_cluster_dollars() {
-    let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
-    let cctx = ctx.with_nodes(4);
-    let q = join_suite()[0];
-    let (out, explain) =
-        execute_sql_verbose(&cctx, (q.table)(&t), q.sql, Strategy::Adaptive).unwrap();
-    let scattered = explain
-        .candidates
-        .iter()
-        .find(|c| c.algorithm == "scattered")
-        .expect("cluster adaptive runs list the scattered candidate");
-    assert!(scattered.dollars > 0.0);
-    assert_eq!(
-        explain.candidates.iter().filter(|c| c.chosen).count(),
-        1,
-        "exactly one candidate is chosen"
-    );
-    assert_eq!(out.metrics.usage(), out.billed);
-}
-
 /// Per-node cache slices: a cache installed *before* `with_nodes` is
-/// split across the nodes; a warm scattered re-run serves every
+/// split across the nodes; a warm re-run on the cluster serves every
 /// partition from its owning node's slice and bills zero plain bytes,
 /// with rows still bit-identical.
 #[test]
@@ -302,10 +284,10 @@ fn per_node_cache_slices_serve_warm_scattered_runs_for_free() {
     let cluster = cctx.cluster.clone().unwrap();
     let q = join_suite()[0];
     let cold = execute_sql(&cctx, (q.table)(&t), q.sql, Strategy::Baseline).unwrap();
-    assert_eq!(cold.rows, serial.rows, "cold scattered run");
+    assert_eq!(cold.rows, serial.rows, "cold run");
     assert!(cold.billed.plain_bytes > 0, "cold run fills remotely");
     let warm = execute_sql(&cctx, (q.table)(&t), q.sql, Strategy::Baseline).unwrap();
-    assert_eq!(warm.rows, serial.rows, "warm scattered run");
+    assert_eq!(warm.rows, serial.rows, "warm run");
     assert_eq!(
         warm.billed.plain_bytes, 0,
         "warm run serves every partition from node slices"
@@ -325,7 +307,7 @@ fn per_node_cache_slices_serve_warm_scattered_runs_for_free() {
 /// in-place rewrite below returned 1560, the old sum, for 2340). Every
 /// cache that reads the store is invalidated now: after an in-place
 /// rewrite, and after a delete + re-upload with another row count, a
-/// warm scattered cached run returns a cache-less context's rows, keeps
+/// warm cached run on the cluster returns a cache-less context's rows, keeps
 /// `usage == billed`, and bills the rewritten partitions as fills again.
 #[test]
 fn writers_invalidate_every_node_slice() {
@@ -408,7 +390,131 @@ fn writers_invalidate_every_node_slice() {
     }
 }
 
-/// Chaos outcome of one scattered run against its fault-free reference.
+/// A warm cluster serves from its owners' slices. A cache installed
+/// before `with_nodes(4)` and warmed by a `with_cache_reads(true)`
+/// Baseline run of the `orders` shapes holds every `orders` partition
+/// in the slice of the node owning it; `cached-local` of `filter-wide`
+/// then bills no request and no byte and reads on more than one node,
+/// and Adaptive — pricing every candidate as it runs on the cluster —
+/// bills no more than it.
+#[test]
+fn a_warm_cluster_serves_from_its_owners_slices() {
+    let (ctx, t) = tpch_context(0.003, 1_200).unwrap();
+    let cctx = ctx.with_cache(256 << 20).with_nodes(4);
+    let cluster = cctx.cluster.clone().unwrap();
+    let warm = cctx.clone().with_cache_reads(true);
+    let orders_shapes = planner_suite()
+        .into_iter()
+        .filter(|q| (q.table)(&t).name == "orders" && !q.name.starts_with("join-"));
+    for q in orders_shapes {
+        execute_sql(&warm, &t.orders, q.sql, Strategy::Baseline).unwrap();
+    }
+    let (bucket, store) = (&t.orders.bucket, &cctx.store);
+    for key in t.orders.partitions(store) {
+        let size = store.object_size(bucket, &key).unwrap();
+        let owner = cluster.node(cluster.assign(bucket, &key));
+        let slice = owner.cache.as_ref().expect("every node has a slice");
+        let occupancy = slice.occupancy(bucket, &key, size);
+        assert_eq!(
+            occupancy.gap_bytes, 0,
+            "{key} resident on node {}",
+            owner.id
+        );
+    }
+    let sql = planner_suite()
+        .iter()
+        .find(|q| q.name == "filter-wide")
+        .unwrap()
+        .sql;
+    let cached = run_candidate(&cctx, &t.orders, sql, "cached-local", None).unwrap();
+    assert_eq!(
+        (cached.billed.requests, cached.billed.plain_bytes),
+        (0, 0),
+        "a warm cached-local run bills nothing"
+    );
+    assert_eq!(cached.metrics.usage(), cached.billed);
+    let read_on = cached.metrics.groups[0].phases.len();
+    assert!(read_on > 1, "cached-local read on {read_on} node(s)");
+    let (adaptive, ex) = execute_sql_verbose(&cctx, &t.orders, sql, Strategy::Adaptive).unwrap();
+    assert_eq!(adaptive.rows, cached.rows);
+    let (a, c) = (adaptive.billed, cached.billed);
+    assert!(
+        a.requests <= c.requests
+            && a.plain_bytes <= c.plain_bytes
+            && a.select_scanned_bytes <= c.select_scanned_bytes
+            && a.select_returned_bytes <= c.select_returned_bytes,
+        "Adaptive billed {a:?} against cached-local's {c:?}: {:?}",
+        ex.candidates
+    );
+}
+
+/// The first node of `tree` that `is` picks, depth first.
+fn find<'a>(tree: &'a PlanNode, is: &dyn Fn(&PlanOp) -> bool) -> Option<&'a PlanNode> {
+    if is(&tree.op) {
+        return Some(tree);
+    }
+    tree.children.iter().find_map(|c| find(c, is))
+}
+
+/// Per-node requests of `tree` run on a fresh 4-node cluster, and its
+/// bill, held to Σ node ledgers.
+fn requests_per_node(ctx: &QueryContext, tree: &PlanNode) -> Vec<u64> {
+    let cctx = ctx.clone().with_nodes(4);
+    let cluster = cctx.cluster.clone().unwrap();
+    let qctx = cctx.scoped();
+    let out = plan::execute(&qctx, tree).unwrap();
+    assert_eq!(out.metrics.usage(), qctx.billed(), "usage == billed");
+    assert_eq!(
+        cluster.total_usage(),
+        qctx.billed(),
+        "Σ node ledgers == billed"
+    );
+    let snapshots = cluster.snapshots();
+    snapshots.iter().map(|ns| ns.usage.requests).collect()
+}
+
+/// The statements an operator issues itself run on the owning nodes
+/// too: the `s3-side` group-by's CASE-WHEN statements bill more than one
+/// node ledger (the node requests of the whole plan less those of its
+/// distinct-groups child), and so does the sampling top-K's striped
+/// sample — each with Σ node ledgers == billed.
+#[test]
+fn case_when_statements_and_samples_bill_the_owning_nodes() {
+    let (ctx, t) = tpch_context(0.003, 1_200).unwrap();
+    let candidate = |name: &str, table: &Table, sql: &str| {
+        let (_, candidates) = lower(&ctx, table, &parse_query(sql).unwrap()).unwrap();
+        let found = candidates.into_iter().find(|(n, _)| *n == name);
+        found.expect("the shape has the candidate").1
+    };
+    let sql_of = |name: &str| planner_suite().iter().find(|q| q.name == name).unwrap().sql;
+
+    let s3_side = candidate("s3-side", &t.orders, sql_of("groupby-uniform"));
+    let is_case_when = |op: &PlanOp| matches!(op, PlanOp::CaseWhen { .. });
+    let case_when = find(&s3_side, &is_case_when).expect("s3-side is a CASE-WHEN");
+    let whole = requests_per_node(&ctx, case_when);
+    let groups = requests_per_node(&ctx, &case_when.children[0]);
+    let statements: Vec<u64> = whole.iter().zip(&groups).map(|(w, g)| w - g).collect();
+    let billed = statements.iter().filter(|&&n| n > 0).count();
+    assert!(billed > 1, "CASE-WHEN statements billed {statements:?}");
+
+    let sampling = candidate("sampling", &t.lineitem, sql_of("topk-100"));
+    let is_sample = |op: &PlanOp| matches!(op, PlanOp::PushdownScan { limit: Some(_), .. });
+    let sample = find(&sampling, &is_sample).expect("sampling has a sample leaf");
+    let sampled = requests_per_node(&ctx, sample);
+    let billed = sampled.iter().filter(|&&n| n > 0).count();
+    assert!(billed > 1, "the sample billed {sampled:?}");
+}
+
+/// `CHAOS_SEED_BASE` (CI matrix) selects the seed window, as in
+/// `tests/chaos.rs`; 0 by default.
+fn seed_base() -> u64 {
+    std::env::var("CHAOS_SEED_BASE")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
+}
+
+/// Chaos outcome of one run on the cluster.
 fn chaos_run(
     cctx: &QueryContext,
     t: &TpchTables,
@@ -423,12 +529,13 @@ fn chaos_run(
     )
 }
 
-/// Node-failure chaos on scattered plans: under a seeded fault plan each
-/// node draws its own fault stream (`Cluster::node_salt`), and a
-/// successful query is row-identical to the fault-free scattered run
-/// with every byte billed exactly once — retries only ever add
-/// requests. Failures surface as retryable faults carrying their seed.
-/// The pinned seeds are regression anchors that demonstrably retry.
+/// Node-failure chaos on every suite shape spread over four nodes: under
+/// a seeded fault plan each node draws its own fault stream
+/// (`Cluster::node_salt`), and a successful query is row-identical to
+/// the fault-free run with every byte billed exactly once — retries only
+/// ever add requests. Failures surface as retryable faults carrying
+/// their seed. Six seeds from `CHAOS_SEED_BASE`; the pinned seeds are
+/// regression anchors that demonstrably retry.
 #[test]
 fn node_failure_chaos_never_double_bills_scattered_queries() {
     let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
@@ -436,55 +543,57 @@ fn node_failure_chaos_never_double_bills_scattered_queries() {
         .clone()
         .with_nodes(4)
         .with_retry(RetryPolicy::with_attempts(8));
-    let q = join_suite()[0];
-    ctx.store.set_fault_plan(None);
-    let clean = chaos_run(&cctx, &t, &q, 7).unwrap();
-
+    let base = seed_base();
     let mut retried = 0u32;
-    for seed in 0..6u64 {
-        ctx.store.set_fault_plan(Some(FaultPlan::new(seed, 0.3)));
-        match chaos_run(&cctx, &t, &q, 7) {
-            Ok(out) => {
-                assert_eq!(out.rows, clean.rows, "seed {seed}: rows");
-                assert_eq!(
-                    out.metrics.usage(),
-                    out.billed,
-                    "seed {seed}: metrics == ledger across retries"
-                );
-                assert_eq!(
-                    out.billed.select_scanned_bytes, clean.billed.select_scanned_bytes,
-                    "seed {seed}: scans bill once"
-                );
-                assert_eq!(
-                    out.billed.select_returned_bytes, clean.billed.select_returned_bytes,
-                    "seed {seed}: returns bill once"
-                );
-                assert_eq!(
-                    out.billed.plain_bytes, clean.billed.plain_bytes,
-                    "seed {seed}: plain bytes bill once"
-                );
-                assert!(
-                    out.billed.requests >= clean.billed.requests,
-                    "seed {seed}: retries are extra requests"
-                );
-                if out.billed.requests > clean.billed.requests {
-                    retried += 1;
+    for q in &planner_suite() {
+        ctx.store.set_fault_plan(None);
+        let clean = chaos_run(&cctx, &t, q, 7).unwrap();
+        for seed in base..base + 6 {
+            ctx.store.set_fault_plan(Some(FaultPlan::new(seed, 0.3)));
+            let what = format!("{} seed {seed}", q.name);
+            match chaos_run(&cctx, &t, q, 7) {
+                Ok(out) => {
+                    assert_eq!(out.rows, clean.rows, "{what}: rows");
+                    assert_eq!(
+                        out.metrics.usage(),
+                        out.billed,
+                        "{what}: metrics == ledger across retries"
+                    );
+                    assert_eq!(
+                        out.billed.select_scanned_bytes, clean.billed.select_scanned_bytes,
+                        "{what}: scans bill once"
+                    );
+                    assert_eq!(
+                        out.billed.select_returned_bytes, clean.billed.select_returned_bytes,
+                        "{what}: returns bill once"
+                    );
+                    assert_eq!(
+                        out.billed.plain_bytes, clean.billed.plain_bytes,
+                        "{what}: plain bytes bill once"
+                    );
+                    assert!(
+                        out.billed.requests >= clean.billed.requests,
+                        "{what}: retries are extra requests"
+                    );
+                    if out.billed.requests > clean.billed.requests {
+                        retried += 1;
+                    }
                 }
-            }
-            Err(e) => {
-                assert!(e.is_retryable(), "seed {seed}: {e}");
-                assert!(e.to_string().contains("seed="), "seed {seed}: {e}");
+                Err(e) => {
+                    assert!(e.is_retryable(), "{what}: {e}");
+                    assert!(e.to_string().contains("seed="), "{what}: {e}");
+                }
             }
         }
     }
-    assert!(
-        retried > 0,
-        "no seed in 0..6 caused a retried scattered run"
-    );
+    assert!(retried > 0, "no seed caused a retried run");
+    ctx.store.set_fault_plan(None);
 
     // Pinned regression seeds: each retries at least once and still
     // returns the exact fault-free rows. Replay: FaultPlan::new(seed,
     // 0.45), salt 7, 4 nodes, Pushdown.
+    let q = join_suite()[0];
+    let clean = chaos_run(&cctx, &t, &q, 7).unwrap();
     for seed in [1u64, 3] {
         ctx.store.set_fault_plan(Some(FaultPlan::new(seed, 0.45)));
         let out = chaos_run(&cctx, &t, &q, 7).unwrap_or_else(|e| panic!("pinned seed {seed}: {e}"));

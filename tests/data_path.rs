@@ -1,13 +1,18 @@
 //! The CSV, ColumnarLite and Select data path against its references:
-//! damaged CSV and ColumnarLite objects never panic their readers, the
-//! Bloom probe SQL run by the Select engine agrees with the filter it was
-//! rendered from, and load-time table statistics — dictionaries included
-//! — equal the ones the rendering-based pass computed.
+//! damaged CSV and ColumnarLite objects never panic their readers, nor
+//! do a persisted cache's damaged `MANIFEST` and segment log the cache
+//! that reopens them; the Bloom probe SQL run by the Select engine agrees
+//! with the filter it was rendered from, and load-time table statistics
+//! — dictionaries included — equal the ones the rendering-based pass
+//! computed.
 
 use proptest::prelude::*;
 use pushdowndb::bloom::BloomFilter;
-use pushdowndb::common::{DataType, Row, Schema, Value};
+use pushdowndb::cache::CacheConfig;
+use pushdowndb::common::{DataType, Row, Schema, TempDir, Value};
 use pushdowndb::core::catalog::{ColumnStats, TableStats, DICTIONARY_MAX_VALUES};
+use pushdowndb::core::Strategy::Baseline;
+use pushdowndb::core::{execute_sql, upload_csv_table, QueryContext, Table};
 use pushdowndb::format::columnar::{encode_columnar, ColumnarReader, WriterOptions};
 use pushdowndb::format::csv::{decode_csv, encode_csv};
 use pushdowndb::s3::S3Store;
@@ -175,6 +180,97 @@ proptest! {
         let mut spliced = bytes[..at].to_vec();
         spliced.extend_from_slice(&other[splice_from % other.len()..]);
         check_damaged_columnar(spliced);
+    }
+}
+
+/// `customer`'s rows as a table of three CSV partitions on a store of
+/// its own — the same bytes every time.
+fn cache_table() -> (S3Store, Table) {
+    let (schema, rows) = &tpch_tables()[0];
+    let store = S3Store::new();
+    let table = upload_csv_table(&store, "b", "customer", schema, rows, 50).unwrap();
+    (store, table)
+}
+
+/// A disk-only persistent cache at `dir` over `store`.
+fn persistent_cache(
+    store: &S3Store,
+    dir: &std::path::Path,
+) -> pushdowndb::common::Result<QueryContext> {
+    let config = CacheConfig {
+        mem_bytes: 0,
+        disk_bytes: 1 << 20,
+        dir: Some(dir.to_path_buf()),
+        ..CacheConfig::default()
+    };
+    QueryContext::new(store.clone()).with_cache_config(config)
+}
+
+/// The cache files a cached scan of [`cache_table`] leaves behind —
+/// `(MANIFEST, seg-g0.dat)` — segmented at `chunk` bytes. Two chunk
+/// sizes give two logs of the same objects to splice.
+fn persisted_cache_files(chunk: u64) -> (Vec<u8>, Vec<u8>) {
+    let tmp = TempDir::new("cache-files");
+    let (store, table) = cache_table();
+    let ctx = persistent_cache(&store, tmp.path()).unwrap();
+    let ctx = ctx.with_cache_chunk_bytes(chunk).with_cache_reads(true);
+    execute_sql(&ctx, &table, "SELECT * FROM customer", Baseline).unwrap();
+    // A clean shutdown: every handle to the cache dropped.
+    store.set_cache(None);
+    drop(ctx);
+    let read = |name: &str| std::fs::read(tmp.path().join(name)).unwrap();
+    (read("MANIFEST"), read("seg-g0.dat"))
+}
+
+fn cache_files() -> &'static [(Vec<u8>, Vec<u8>); 2] {
+    static FILES: OnceLock<[(Vec<u8>, Vec<u8>); 2]> = OnceLock::new();
+    FILES.get_or_init(|| [persisted_cache_files(512), persisted_cache_files(200)])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// ROADMAP F-1 for the cache's own files: a byte flip, a truncation or
+    /// a splice (the head of one log, the tail of another cache's) of a
+    /// persisted cache's `MANIFEST` or segment log. Reopening it through
+    /// `QueryContext::with_cache_config` returns `Ok` or `Err` and never
+    /// panics; a reopened cache serves only the store's bytes — a cached
+    /// scan returns the table's rows — and `usage == billed`.
+    #[test]
+    fn damaged_cache_files_never_panic(
+        manifest in any::<bool>(),
+        damage in 0u8..3,
+        at in any::<usize>(),
+        flip in 1u8..=255,
+        splice_from in any::<usize>(),
+    ) {
+        let [(m, seg), (other_m, other_seg)] = cache_files();
+        let (this, other) = if manifest { (m, other_m) } else { (seg, other_seg) };
+        let at = at % this.len();
+        let damaged = match damage {
+            0 => {
+                let mut flipped = this.clone();
+                flipped[at] ^= flip;
+                flipped
+            }
+            1 => this[..at].to_vec(),
+            _ => [&this[..at], &other[splice_from % other.len()..]].concat(),
+        };
+        let tmp = TempDir::new("damaged-cache");
+        let (m, seg) = if manifest { (&damaged, seg) } else { (m, &damaged) };
+        std::fs::write(tmp.path().join("MANIFEST"), m).unwrap();
+        std::fs::write(tmp.path().join("seg-g0.dat"), seg).unwrap();
+        let (store, table) = cache_table();
+        if let Ok(ctx) = persistent_cache(&store, tmp.path()) {
+            let ctx = ctx.with_cache_chunk_bytes(512).with_cache_reads(true);
+            for _ in 0..2 {
+                let sql = "SELECT * FROM customer";
+                let out = execute_sql(&ctx, &table, sql, Baseline).unwrap();
+                prop_assert_eq!(&out.rows, &tpch_tables()[0].1);
+                prop_assert_eq!(out.metrics.usage(), out.billed);
+            }
+            store.set_cache(None);
+        }
     }
 }
 

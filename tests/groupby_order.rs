@@ -5,8 +5,8 @@
 //! truncated to the LIMIT would, ties in group-key order, and reports
 //! exactly as many phase groups as the same statement without ORDER BY /
 //! LIMIT: the order runs inside the grouping operator's breaker, never
-//! in a phase of its own. On CSV and ColumnarLite, serial and scattered
-//! over four nodes; the oracle never calls the engine.
+//! in a phase of its own. On CSV and ColumnarLite, serial and on four
+//! nodes; the oracle never calls the engine.
 //!
 //! The table is `tests/topk_nulls.rs`'s — `c` NULL in every fourth row
 //! and five heavily tied values in the others — plus a float group key
@@ -228,13 +228,12 @@ struct Run {
     metrics: QueryMetrics,
 }
 
-/// Run `plan` on a query scope of its own — scattered first when the
-/// context has a cluster and the plan has leaves to fan out — and hold
-/// its metrics to the scope's bill.
+/// Run `plan` on a query scope of its own — spread over the nodes
+/// owning its partitions when the context has a cluster — and hold its
+/// metrics to the scope's bill.
 fn run(ctx: &QueryContext, plan: &PlanNode, what: &str) -> Run {
     let ctx = ctx.scoped();
-    let plan = plan::scatter(&ctx, plan).unwrap_or_else(|| plan.clone());
-    let out = plan::execute(&ctx, &plan).unwrap();
+    let out = plan::execute(&ctx, plan).unwrap();
     assert_eq!(out.metrics.usage(), ctx.billed(), "{what}: usage == bill");
     Run {
         rows: out.rows,

@@ -3,7 +3,7 @@
 //! (`ColumnStats::dictionary`), `hybrid` decides its populous groups from
 //! them and runs no sample phase. It must answer exactly what the sampled
 //! split and an oracle that never calls the engine answer — on CSV and
-//! ColumnarLite, serial and scattered over four nodes, under Fig 6's
+//! ColumnarLite, serial and on four nodes, under Fig 6's
 //! forced splits — including when a listed group has no row in the query
 //! (its WHERE emptied it, or the dictionary is stale), when keys are NULL,
 //! and when the key is a FLOAT cycling NaN / 0.0 / −0.0.
@@ -215,12 +215,12 @@ fn from_dictionary(plan: &PlanNode) -> bool {
     }
 }
 
-/// Run `plan` on a query scope of its own, scattered when the context
-/// has a cluster: its rows, its phase groups, usage == bill.
+/// Run `plan` on a query scope of its own, spread over the nodes owning
+/// its partitions when the context has a cluster: its rows, its phase
+/// groups, usage == bill.
 fn run(ctx: &QueryContext, plan: &PlanNode, what: &str) -> (Vec<Row>, usize) {
     let ctx = ctx.scoped();
-    let plan = plan::scatter(&ctx, plan).unwrap_or_else(|| plan.clone());
-    let out = plan::execute(&ctx, &plan).unwrap();
+    let out = plan::execute(&ctx, plan).unwrap();
     assert_eq!(out.metrics.usage(), ctx.billed(), "{what}: usage == bill");
     (out.rows, out.metrics.groups.len())
 }

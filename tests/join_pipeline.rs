@@ -853,9 +853,9 @@ fn local_and_cached_leaves_carry_the_needed_columns_only() {
 /// moved together when local leaves began to prune.
 #[test]
 fn scattered_baseline_leaves_exchange_the_projected_columns() {
-    /// `(actual, predicted)` exchange bytes under every `Gather`.
+    /// `(actual, predicted)` exchange bytes of every node a leaf ran on.
     fn gathered(op: &OpReport, inside: bool, out: &mut (u64, u64)) {
-        let inside = inside || op.label.starts_with("Gather[");
+        let inside = inside || op.label.starts_with("Exchange[");
         if inside {
             out.0 += op.actual.exchange_bytes;
             out.1 += op.predicted.map_or(0, |p| p.exchange_bytes);

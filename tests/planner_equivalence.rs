@@ -20,10 +20,13 @@
 //! phase labels, one CPU pass), PR 24's fold of top-K and the staged
 //! group-bys (operator and phase labels, the limited `Sort`'s heap
 //! charge, one tie rule for `topk-100`; the `_4n` files once more,
-//! staged plans scattering) and PR 25's fold of a GROUP BY's ORDER BY
+//! staged plans scattering), PR 25's fold of a GROUP BY's ORDER BY
 //! into the group-by (the two joined shapes: operator labels, one phase
-//! group fewer, the fused phase's CPU, candidate dollars) — see
-//! CHANGES.md. In the same loop every
+//! group fewer, the fused phase's CPU, candidate dollars) and, for the
+//! `_4n` files, the move of placement from a plan rewrite into the
+//! partition fan-out (operator labels, per-node phases, Adaptive's
+//! candidates priced as they run on the cluster) — see CHANGES.md. In
+//! the same loop every
 //! run's predicted phases are held to the executed ones, group for
 //! group and label for label; a fixed strategy's pick is re-priced by
 //! name for it. `Explain::predicted` and the per-operator predictions
@@ -192,8 +195,8 @@ fn phase_labels(metrics: &QueryMetrics) -> Vec<Vec<&str>> {
 }
 
 /// The prediction of the plan that ran. `Explain` carries it under
-/// Adaptive and for scattered plans; the pick of an unscattered fixed
-/// strategy is lowered and priced again here, by name.
+/// Adaptive and on a cluster; the pick of a serial fixed strategy is
+/// lowered and priced again here, by name.
 fn prediction(ctx: &QueryContext, table: &Table, sql: &str, ex: &Explain) -> QueryMetrics {
     if let Some(predicted) = &ex.predicted {
         return predicted.clone();
@@ -228,7 +231,7 @@ fn quarter(format: Format, nodes: Option<usize>) -> Vec<String> {
                 if cache == Cache::Warm {
                     // Fill the cache with what the query reads: the
                     // baseline plan, its plain GETs routed through the
-                    // cache (scattered ones fill the owning node's slice).
+                    // cache (on a cluster, the owning node's slice).
                     let warm = ctx.clone().with_cache_reads(true);
                     execute_sql(&warm, table, q.sql, Strategy::Baseline).unwrap();
                 }
