@@ -25,7 +25,7 @@ impl Field {
 ///
 /// Column lookup is case-insensitive, matching SQL identifier resolution in
 /// the S3 Select dialect.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Schema {
     fields: Arc<Vec<Field>>,
 }

@@ -4,10 +4,11 @@
 //! of plan-IR operators, lowered as named candidates by
 //! [`crate::joinplan`]: `server-side` — load the whole table, filter on
 //! the compute node (the no-pushdown baseline, a
-//! [`LocalScan`](crate::plan::PlanOp::LocalScan)) — and `s3-side` —
-//! predicate and projection pushed into S3 Select (a
-//! [`PushdownScan`](crate::plan::PlanOp::PushdownScan)). The third lives
-//! here:
+//! [`Scan`](crate::plan::PlanOp::Scan) from
+//! [`ScanSource::Plain`](crate::scan::ScanSource::Plain)) — and `s3-side`
+//! — predicate and projection pushed into S3 Select (the same leaf from
+//! [`ScanSource::Select`](crate::scan::ScanSource::Select)). The third
+//! lives here:
 //!
 //! * [`indexed`] — query an index table for qualifying byte ranges, then
 //!   fetch each row with a ranged GET (§IV-A). Wins when very selective;

@@ -49,7 +49,7 @@ pub struct QueryContext {
     /// (when one is installed; see [`QueryContext::with_cache`]).
     /// `false` by default so the fixed strategies keep their pure
     /// remote-scan semantics (the planner's `cached-local` candidates
-    /// read through `CachedScan` leaves whatever it says); forced-cached
+    /// read through cache-source scan leaves whatever it says); forced-cached
     /// runs flip it per execution.
     pub cache_reads: bool,
     /// Segment size for caching CSV partitions: cached scans split CSV

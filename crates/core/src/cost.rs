@@ -5,9 +5,9 @@
 //! scope of this paper" (§VIII) — yet every figure shows the winner
 //! flipping with selectivity, group count and K. This module closes that
 //! loop with **one walker**: [`predict_plan`] prices every node of a
-//! candidate plan — scan leaves (samples included, on a cluster split
-//! per node as the partition fan-out runs them), joins, local
-//! operators, and the staged
+//! candidate plan — scan leaves by their source, GET, cache or Select
+//! (samples included, on a cluster split per node as the partition
+//! fan-out runs them), joins, local operators, and the staged
 //! operators (§V-A2 Bloom join, §VII threshold, §VI CASE-WHEN and hybrid
 //! split): each of those prices its first child, then its second with
 //! the *estimated* outcome of the predicate it will write (the fraction
@@ -26,8 +26,9 @@
 //! differently: a phase is a pipeline between breakers, and every
 //! interior node here joins the predicted phases through the same
 //! [`QueryMetrics::stack`] (and [`QueryMetrics::join_sides`]) the
-//! executor reports through, under the same labels. Only scan leaves
-//! push a phase themselves.
+//! executor reports through, under the same labels. Only leaves push a
+//! phase themselves, and they report through the executor's own
+//! `plan::leaf`: its phase names, its per-node layout.
 //!
 //! What the walks of one query share is an [`Estimators`]: one
 //! [`Estimator`] per distinct table — the partition listing, the stored
@@ -41,10 +42,10 @@ use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
 use crate::metrics::{Flow, QueryMetrics};
 use crate::plan::{
-    case_when_chunk, counted_aggs, finished_by, hybrid_leaf, populous, Order, PlanNode, PlanOp,
-    HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
+    case_when_chunk, counted_aggs, finished_by, hybrid_leaf, populous, OpReport, Order, PlanNode,
+    PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
 };
-use crate::scan::{striped_share, ScanLimit};
+use crate::scan::{striped_share, ScanLimit, ScanSource};
 use pushdown_bloom::BloomPlan;
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Schema, Value};
@@ -59,13 +60,6 @@ const DEFAULT_SELECTIVITY: f64 = 0.33;
 /// Mean CSV width assumed for one aggregate output value (`SUM(...)`
 /// renders as a float of roughly this many characters plus separator).
 const AGG_VALUE_WIDTH: f64 = 11.0;
-
-/// A one-phase prediction.
-fn serial(label: &str, stats: PhaseStats) -> QueryMetrics {
-    let mut m = QueryMetrics::new();
-    m.push_serial(label, stats);
-    m
-}
 
 /// Cost estimator over one table: its catalog snapshot, and the
 /// footprint arithmetic of everything that scans it.
@@ -149,15 +143,6 @@ impl<'a> Estimator<'a> {
         match projection {
             Some(cols) => self.out_row_bytes(cols),
             None => self.out_row_bytes(&self.table.schema.names()),
-        }
-    }
-
-    /// Mean CSV width of the rows a local or cached scan leaf emits:
-    /// priced like a pushed projection's, the whole row for `*`.
-    fn leaf_row_bytes(&self, projection: &Option<Vec<String>>) -> f64 {
-        match projection {
-            Some(cols) => self.out_row_bytes(cols),
-            None => self.row_bytes,
         }
     }
 
@@ -479,80 +464,91 @@ fn finish_groups(order: &Option<Order>, stats: &mut PhaseStats, card: &mut Card)
 }
 
 impl Estimator<'_> {
-    /// Predicted footprint of one pushdown scan leaf: full storage-side
-    /// scan, `keep × selectivity` of the rows returned at the projection's
-    /// width, `extra_terms` added to the shipped predicate's term count
-    /// (the Bloom probe's hash terms). `keep = 1` for a plain scan.
-    fn pushdown_scan(
+    /// Predicted footprint of one scan leaf reading from `source`, what
+    /// it emits, and its footprint per node it runs on
+    /// ([`Estimator::per_node`]).
+    ///
+    /// * A GET is a plain load that evaluates the predicate on every row.
+    /// * A cache read is the same load priced per segment per tier
+    ///   ([`Estimator::cached_load`]; on a cluster, each node's share
+    ///   against its own slice): cached partitions are free, the cold
+    ///   tail bills as read-through fills, and with no cache installed it
+    ///   is exactly a GET. A snapshot gone stale mid-prediction is an
+    ///   error, never a partition priced at zero.
+    /// * A whole Select scan reads the table storage-side and returns
+    ///   `inj.keep × selectivity` of its rows at the projection's width,
+    ///   `inj.terms` added to the shipped predicate's term count (the
+    ///   Bloom probe's hash terms).
+    /// * A sample of `n` rows reads until it has them — `n / selectivity`
+    ///   rows — and stops. A prefix touches partitions one after the
+    ///   other until the sample fills, one phase; a striped sample asks
+    ///   every partition with a share for it.
+    fn scan(
         &self,
         predicate: &Option<Expr>,
         projection: &Option<Vec<String>>,
-        keep: f64,
-        extra_terms: u32,
-    ) -> (PhaseStats, Card) {
+        source: ScanSource,
+        inj: Injected,
+    ) -> Result<(PhaseStats, Card, Nodes)> {
         let sel = self.selectivity(predicate.as_ref());
+        let terms = predicate.as_ref().map_or(0, Expr::term_count);
         let width = self.projected_row_bytes(projection);
-        let terms = predicate.as_ref().map(Expr::term_count).unwrap_or(0) + extra_terms;
-        let rows = sel * keep * self.rows;
-        (
-            self.select_full_scan(rows, width, terms),
-            Card {
-                rows,
-                row_bytes: width,
-            },
-        )
-    }
-
-    /// Predicted footprint of one local scan leaf — a plain load, with
-    /// the predicate evaluated on every row — and what it emits.
-    fn local_scan(
-        &self,
-        predicate: &Option<Expr>,
-        projection: &Option<Vec<String>>,
-    ) -> (PhaseStats, f64, Card) {
-        let sel = self.selectivity(predicate.as_ref());
-        let extra = if predicate.is_some() { self.rows } else { 0.0 };
-        let card = Card {
-            rows: sel * self.rows,
-            row_bytes: self.leaf_row_bytes(projection),
+        let limit = match source {
+            ScanSource::Plain | ScanSource::Cached => {
+                let extra = if predicate.is_some() { self.rows } else { 0.0 };
+                // A local leaf's rows are priced like a pushed
+                // projection's, the whole row for `*`.
+                let row_bytes = projection.as_ref().map_or(self.row_bytes, |_| width);
+                let card = Card {
+                    rows: sel * self.rows,
+                    row_bytes,
+                };
+                let (plain, cached) = (self.plain_load(extra), source == ScanSource::Cached);
+                let nodes = self.per_node(plain, Some(card), cached, |_| true);
+                let stats = match cached && nodes.is_empty() {
+                    true => self.cached_load(extra)?,
+                    false => plain,
+                };
+                return Ok((stats, card, nodes));
+            }
+            ScanSource::Select(None) => {
+                let rows = sel * inj.keep * self.rows;
+                let stats = self.select_full_scan(rows, width, terms + inj.terms);
+                let card = Card {
+                    rows,
+                    row_bytes: width,
+                };
+                let nodes = self.per_node(stats, Some(card), false, |_| true);
+                return Ok((stats, card, nodes));
+            }
+            ScanSource::Select(Some(limit)) => limit,
         };
-        (self.plain_load(extra), extra, card)
-    }
-
-    /// Predicted footprint of a pushed scan cut short to a sample of `n`
-    /// rows: the scan reads until it has them — `n / selectivity` rows —
-    /// and stops. A prefix touches partitions one after the other until
-    /// the sample fills; a striped sample asks every partition for its
-    /// share.
-    fn sampled_scan(
-        &self,
-        predicate: &Option<Expr>,
-        projection: &Option<Vec<String>>,
-        limit: ScanLimit,
-    ) -> (PhaseStats, Card) {
-        let sel = self.selectivity(predicate.as_ref());
         let (ScanLimit::Prefix(n) | ScanLimit::Striped(n)) = limit;
         let scanned_rows = (n as f64 / sel.max(1e-6)).min(self.rows);
-        let requests = match limit {
-            ScanLimit::Prefix(_) => {
-                let rows_per_part = (self.rows / self.parts as f64).max(1.0);
-                (scanned_rows / rows_per_part).ceil().max(1.0) as u64
-            }
-            ScanLimit::Striped(_) => self.parts.min(n as u64),
-        };
         let card = Card {
             rows: n as f64,
-            row_bytes: self.projected_row_bytes(projection),
+            row_bytes: width,
         };
-        let stats = PhaseStats {
-            requests,
+        let mut stats = PhaseStats {
             s3_scanned_bytes: (scanned_rows * self.row_bytes).min(self.bytes) as u64,
             select_returned_bytes: (card.rows * card.row_bytes) as u64,
             server_cpu_units: n as u64,
-            expr_terms: predicate.as_ref().map_or(0, Expr::term_count),
+            expr_terms: terms,
             ..Default::default()
         };
-        (stats, card)
+        let nodes = match limit {
+            ScanLimit::Prefix(_) => {
+                let rows_per_part = (self.rows / self.parts as f64).max(1.0);
+                stats.requests = (scanned_rows / rows_per_part).ceil().max(1.0) as u64;
+                Vec::new()
+            }
+            ScanLimit::Striped(_) => {
+                stats.requests = self.parts.min(n as u64);
+                let parts = self.partition_keys.len();
+                self.per_node(stats, None, false, |i| striped_share(n, parts, i) > 0)
+            }
+        };
+        Ok((stats, card, nodes))
     }
 
     /// Predicted footprint of a pushed aggregate leaf: a full
@@ -636,37 +632,29 @@ type Predicted = (PredNode, QueryMetrics, Card);
 /// A leaf's footprint per node it runs on ([`Estimator::per_node`]).
 type Nodes = Vec<(usize, PhaseStats)>;
 
+/// A leaf reading `table` from `source`, reported as the executor
+/// reports it ([`crate::plan::leaf`]): one phase, or one per node its
+/// partitions run on, each a child of its node.
+fn leaf(
+    source: ScanSource,
+    table: &Table,
+    stats: PhaseStats,
+    card: Card,
+    nodes: &Nodes,
+) -> Predicted {
+    fn predicted(report: OpReport) -> PredNode {
+        PredNode {
+            stats: report.actual,
+            children: report.children.into_iter().map(predicted).collect(),
+        }
+    }
+    let (metrics, report) = crate::plan::leaf(String::new(), source, table, stats, nodes);
+    (predicted(report), metrics, card)
+}
+
 /// One node of the walk. `inj` is what a staged operator above estimated
 /// of its run-time predicate; it reaches every pushed scan below.
 fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result<Predicted> {
-    // A scan leaf opens a phase named like the executor's — on a cluster,
-    // one per node its partitions run on, each a child of its node.
-    let leaf = |stats: PhaseStats, phase: &str, table: &Table, card: Card, nodes: Nodes| {
-        let own = |stats| PredNode {
-            stats,
-            children: Vec::new(),
-        };
-        if nodes.is_empty() {
-            let metrics = serial(&format!("{phase} {}", table.name), stats);
-            return (own(stats), metrics, card);
-        }
-        let mut metrics = QueryMetrics::new();
-        let phases = nodes
-            .iter()
-            .map(|(k, s)| (format!("exchange node {k}"), *s));
-        metrics.push_parallel(phases.collect());
-        let mut total = PhaseStats::default();
-        nodes.iter().for_each(|(_, s)| total.merge(s));
-        let children = nodes.iter().map(|(_, s)| own(*s)).collect();
-        (
-            PredNode {
-                stats: total,
-                children,
-            },
-            metrics,
-            card,
-        )
-    };
     // An interior operator joins the phases by the phase rule.
     let stacked = |stats: PhaseStats, label: &str, flow: Flow, child: Predicted, card: Card| {
         let (cn, mut cm, _) = child;
@@ -705,47 +693,14 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
     };
     let walk = |i: usize, inj: Injected| predict_node(ests, &node.children[i], inj);
     Ok(match &node.op {
-        PlanOp::LocalScan {
+        PlanOp::Scan {
             table,
             predicate,
             projection,
+            source,
         } => {
-            let est = ests.of(table);
-            let (stats, _, card) = est.local_scan(predicate, projection);
-            let nodes = est.per_node(stats, Some(card), false, |_| true);
-            leaf(stats, "load", table, card, nodes)
-        }
-        PlanOp::PushdownScan {
-            table,
-            predicate,
-            projection,
-            limit,
-        } => {
-            let est = ests.of(table);
-            let (stats, card, nodes) = match limit {
-                None => {
-                    let (stats, card) =
-                        est.pushdown_scan(predicate, projection, inj.keep, inj.terms);
-                    (
-                        stats,
-                        card,
-                        est.per_node(stats, Some(card), false, |_| true),
-                    )
-                }
-                // A prefix is one request after the other: one phase.
-                Some(limit @ ScanLimit::Prefix(_)) => {
-                    let (stats, card) = est.sampled_scan(predicate, projection, *limit);
-                    (stats, card, Vec::new())
-                }
-                // A striped sample asks the partitions with a share.
-                Some(limit @ ScanLimit::Striped(n)) => {
-                    let (stats, card) = est.sampled_scan(predicate, projection, *limit);
-                    let parts = est.partition_keys.len();
-                    let asked = |i| striped_share(*n, parts, i) > 0;
-                    (stats, card, est.per_node(stats, None, false, asked))
-                }
-            };
-            leaf(stats, "select", table, card, nodes)
+            let (stats, card, nodes) = ests.of(table).scan(predicate, projection, *source, inj)?;
+            leaf(*source, table, stats, card, &nodes)
         }
         PlanOp::PushdownAggregate {
             table,
@@ -757,27 +712,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             let (mut stats, mut card) = est.pushdown_aggregate(stmt, group_by);
             finish_groups(order, &mut stats, &mut card);
             let nodes = est.per_node(stats, None, false, |_| true);
-            leaf(stats, "select", table, card, nodes)
-        }
-        PlanOp::CachedScan {
-            table,
-            predicate,
-            projection,
-        } => {
-            let est = ests.of(table);
-            // Per-segment occupancy pricing: cached partitions are free,
-            // the cold tail bills as read-through fills; with no cache
-            // installed a CachedScan degrades to exactly a LocalScan. A
-            // snapshot gone stale mid-prediction is an error, never a
-            // partition priced at zero. On a cluster each node's share is
-            // priced against its own slice.
-            let (plain, extra, card) = est.local_scan(predicate, projection);
-            let nodes = est.per_node(plain, Some(card), true, |_| true);
-            let stats = match nodes.is_empty() {
-                true => est.cached_load(extra)?,
-                false => plain,
-            };
-            leaf(stats, "cached load", table, card, nodes)
+            leaf(ScanSource::Select(None), table, stats, card, &nodes)
         }
         PlanOp::HashJoin {
             build_key,
@@ -1051,8 +986,9 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             let mut s3 = est.case_when_statements(group_cols, pushed, n_big);
             tail.2.rows = groups;
             finish_groups(order, &mut s3, &mut tail.2);
-            tail.1 =
-                QueryMetrics::join_sides(serial("hybrid: s3-side aggregation", s3), tail.1, true);
+            let mut s3_side = QueryMetrics::new();
+            s3_side.push_serial("hybrid: s3-side aggregation", s3);
+            tail.1 = QueryMetrics::join_sides(s3_side, tail.1, true);
             own.merge(&s3);
             staged(own, sample, tail)
         }

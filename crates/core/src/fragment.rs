@@ -4,7 +4,9 @@
 //! handing whole batches to a consumer-side closure. A rejected row dies
 //! on the thread that allocated it; only survivors, already projected,
 //! cross the partition queue; a projecting fragment decodes — CSV fields
-//! and ColumnarLite chunks alike — only the columns it references.
+//! and ColumnarLite chunks alike — only the columns it references. A
+//! pushed fragment ([`ScanFragment::pushed`]) carries the Select
+//! statement the storage engine evaluates instead.
 //!
 //! A fragment charges exactly what the consumer-side operators it
 //! replaces charge — the predicate like [`ops::filter_rows`] /
@@ -17,9 +19,10 @@ use crate::ops;
 use pushdown_common::columnar::ColumnarBatch;
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::row::{BatchBuilder, RowBatch};
-use pushdown_common::{Field, Result, Row, Schema};
+use pushdown_common::{Error, Field, Result, Row, Schema};
 use pushdown_sql::bind::BoundExpr;
 use pushdown_sql::eval::{eval, eval_predicate};
+use pushdown_sql::SelectStmt;
 
 /// One leaf operator's per-batch work: an optional bound predicate,
 /// optional output expressions (`None` = the whole row), and optionally
@@ -37,6 +40,10 @@ pub struct ScanFragment {
     /// expressions above address this projection, not the table schema.
     needed: Vec<usize>,
     schema: Schema,
+    /// The Select statement asking the storage engine for the same
+    /// rows, when the fragment is a pushed scan's
+    /// ([`ScanFragment::pushed`]).
+    pushed: Option<SelectStmt>,
 }
 
 impl ScanFragment {
@@ -83,7 +90,24 @@ impl ScanFragment {
             top_k: None,
             needed,
             schema,
+            pushed: None,
         }
+    }
+
+    /// The fragment of a scan from [`crate::scan::ScanSource::Select`]:
+    /// the storage engine evaluates `stmt` and returns its rows, so the
+    /// worker has nothing left to evaluate on them.
+    pub fn pushed(table: &Table, stmt: SelectStmt) -> Self {
+        ScanFragment {
+            pushed: Some(stmt),
+            ..Self::new(table, None, None)
+        }
+    }
+
+    /// The Select statement of a pushed fragment.
+    pub(crate) fn statement(&self) -> Result<&SelectStmt> {
+        let missing = || Error::Other("a Select scan takes a pushed fragment".into());
+        self.pushed.as_ref().ok_or_else(missing)
     }
 
     /// [`ScanFragment::new`] projecting plain table columns.

@@ -6,8 +6,9 @@
 //! leaf when there is one table — topped by the residual filter,
 //! projection/aggregation, sort and limit operators. The planner weighs
 //! the **join strategy and each scan's pushdown strategy jointly**:
-//! every candidate fixes one scan-mode combination (plain GET vs S3
-//! Select vs the segment cache, per table) and whether the probe scans
+//! every candidate fixes the source of each table's scan leaf (plain
+//! GET vs S3 Select vs the segment cache — [`ScanSource`], the scan
+//! layer's own vocabulary) and whether the probe scans
 //! carry a Bloom runtime filter (§V-A2), and
 //! [`crate::cost::predict_plan`] prices the whole tree. For one table
 //! that line-up *is* the paper's §IV filter, §VIII-Q6 aggregate and
@@ -28,7 +29,7 @@
 use crate::catalog::Table;
 use crate::context::QueryContext;
 use crate::plan::{Order, PlanNode, PlanOp};
-use crate::scan::ScanLimit;
+use crate::scan::{ScanLimit, ScanSource};
 use pushdown_common::{DataType, Error, Field, Result, Schema};
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::ast::{OrderBy, QuerySpec};
@@ -79,21 +80,11 @@ struct JoinEdge {
     int_keys: bool,
 }
 
-/// How one scan leaf of a join candidate fetches its table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScanMode {
-    /// Plain remote GETs, filtered locally (remote-full).
-    Local,
-    /// Predicate + projection pushed into S3 Select.
-    Pushed,
-    /// Pushed, and cut short to a sample of the table.
-    Sampled(ScanLimit),
-    /// Read through the local segment cache (hybrid tier).
-    Cached,
-}
+/// A whole pushed scan: predicate + projection shipped to S3 Select.
+const PUSHED: ScanSource = ScanSource::Select(None);
 
 /// Lower a query to its candidate plans, named by strategy. One table:
-/// the three scan modes under its family's names — `"cached-local"`,
+/// the three scan sources under its family's names — `"cached-local"`,
 /// `"server-side"`, and the pushed `"s3-side"` (`"filtered"` under a
 /// GROUP BY; `"sampling"`, with the §VII threshold between the sort and
 /// the scan, for a top-K) — and then the staged group-bys that apply
@@ -127,37 +118,34 @@ pub fn lower_candidates(
         (1, false) => ["cached-local", "server-side", "filtered"],
         _ => ["cached", "baseline", "filtered"],
     };
-    let mut combos: Vec<(&'static str, Vec<ScanMode>, bool)> = Vec::new();
+    let (plain, cache) = (ScanSource::Plain, ScanSource::Cached);
+    let mut combos: Vec<(&'static str, Vec<ScanSource>, bool)> = Vec::new();
     // Cached combos lead the lineup: a cold fill prices exactly like the
     // remote load it replaces, and the argmin keeps the earliest
     // minimum, so ties break toward warming the cache.
     if ctx.store.cache().is_some() {
-        combos.push((cached, vec![ScanMode::Cached; n], false));
+        combos.push((cached, vec![cache; n], false));
         if n == 2 {
             // The hybrid mixed plan: hot build side from the cache, cold
             // probe side pushed down (with the Bloom runtime filter when
             // the join keys admit one).
-            combos.push((
-                "cached-build",
-                vec![ScanMode::Cached, ScanMode::Pushed],
-                int_keys,
-            ));
+            combos.push(("cached-build", vec![cache, PUSHED], int_keys));
         }
     }
-    combos.push((local, vec![ScanMode::Local; n], false));
-    combos.push((pushed, vec![ScanMode::Pushed; n], false));
+    combos.push((local, vec![plain; n], false));
+    combos.push((pushed, vec![PUSHED; n], false));
     if n == 2 {
-        combos.push(("build-push", vec![ScanMode::Pushed, ScanMode::Local], false));
-        combos.push(("probe-push", vec![ScanMode::Local, ScanMode::Pushed], false));
+        combos.push(("build-push", vec![PUSHED, plain], false));
+        combos.push(("probe-push", vec![plain, PUSHED], false));
     }
     if int_keys {
-        combos.push(("bloom", vec![ScanMode::Pushed; n], true));
+        combos.push(("bloom", vec![PUSHED; n], true));
     }
 
     let mut out = Vec::new();
-    for (name, modes, bloom) in combos {
+    for (name, sources, bloom) in combos {
         let plan = build_plan(
-            &tables, &edges, &per_table, &residual, &needed, &modes, bloom, spec,
+            &tables, &edges, &per_table, &residual, &needed, &sources, bloom, spec,
         )?;
         out.push(match (name, top_k(spec)) {
             ("sampling", Some((order, k))) => (name, sampled(plan, &tables[0], order, k)),
@@ -178,12 +166,8 @@ fn sampled(mut sort: PlanNode, table: &Table, order: &OrderBy, k: usize) -> Plan
     let alpha = 1.0 / table.schema.len().max(1) as f64;
     let size = optimal_sample_size(k, table.row_count, alpha).max(k);
     let column = Some(vec![order.column.clone()]);
-    let sample = scan_node(
-        table,
-        None,
-        &column,
-        ScanMode::Sampled(ScanLimit::Striped(size)),
-    );
+    let striped = ScanSource::Select(Some(ScanLimit::Striped(size)));
+    let sample = scan_node(table, None, &column, striped);
     let scan = sort.children.pop().expect("a Sort over the pushed scan");
     let op = PlanOp::Threshold {
         column: order.column.clone(),
@@ -235,7 +219,7 @@ fn staged_group_bys(
         return Ok(());
     }
     let predicate = &spec.select.where_clause;
-    let pushed = |needed| scan_node(table, predicate.clone(), needed, ScanMode::Pushed);
+    let pushed = |needed| scan_node(table, predicate.clone(), needed, PUSHED);
     let tail = aggregate_stack(pushed(needed), spec)?;
     let schema = tail.schema.clone();
     let mut staged: Vec<(&'static str, PlanOp, Vec<PlanNode>)> = Vec::new();
@@ -262,8 +246,8 @@ fn staged_group_bys(
                     let rows = (table.row_count as f64 * HYBRID_SAMPLE_FRACTION).ceil();
                     let limit = ScanLimit::Prefix(rows.max(HYBRID_MIN_SAMPLE_ROWS) as usize);
                     let column = Some(vec![group.clone()]);
-                    let mode = ScanMode::Sampled(limit);
-                    vec![scan_node(table, predicate.clone(), &column, mode), tail]
+                    let prefix = ScanSource::Select(Some(limit));
+                    vec![scan_node(table, predicate.clone(), &column, prefix), tail]
                 }
             };
             let op = PlanOp::HybridSplit {
@@ -489,9 +473,9 @@ fn scan_node(
     table: &Table,
     predicate: Option<Expr>,
     needed: &Option<Vec<String>>,
-    mode: ScanMode,
+    source: ScanSource,
 ) -> PlanNode {
-    // Every mode delivers the needed columns only: Select projects them
+    // Every source delivers the needed columns only: Select projects them
     // storage-side, a local or cached scan in the worker that decodes.
     let schema = match needed {
         None => table.schema.clone(),
@@ -502,27 +486,11 @@ fn scan_node(
                 .project(&cols.iter().map(index).collect::<Vec<_>>())
         }
     };
-    let (table, projection) = (table.clone(), needed.clone());
-    let op = match mode {
-        ScanMode::Pushed | ScanMode::Sampled(_) => PlanOp::PushdownScan {
-            table,
-            predicate,
-            projection,
-            limit: match mode {
-                ScanMode::Sampled(limit) => Some(limit),
-                _ => None,
-            },
-        },
-        ScanMode::Local => PlanOp::LocalScan {
-            table,
-            predicate,
-            projection,
-        },
-        ScanMode::Cached => PlanOp::CachedScan {
-            table,
-            predicate,
-            projection,
-        },
+    let op = PlanOp::Scan {
+        table: table.clone(),
+        predicate,
+        projection: needed.clone(),
+        source,
     };
     PlanNode::new(op, Vec::new(), schema)
 }
@@ -534,16 +502,16 @@ fn build_plan(
     per_table: &[Option<Expr>],
     residual: &Option<Expr>,
     needed: &[Option<Vec<String>>],
-    modes: &[ScanMode],
+    sources: &[ScanSource],
     bloom: bool,
     spec: &QuerySpec,
 ) -> Result<PlanNode> {
-    let mut node = scan_node(&tables[0], per_table[0].clone(), &needed[0], modes[0]);
+    let mut node = scan_node(&tables[0], per_table[0].clone(), &needed[0], sources[0]);
     for (i, edge) in edges.iter().enumerate() {
         let t = i + 1;
-        let probe = scan_node(&tables[t], per_table[t].clone(), &needed[t], modes[t]);
+        let probe = scan_node(&tables[t], per_table[t].clone(), &needed[t], sources[t]);
         let schema = node.schema.join(&probe.schema);
-        let op = if bloom && edge.int_keys && modes[t] == ScanMode::Pushed {
+        let op = if bloom && edge.int_keys && sources[t] == PUSHED {
             PlanOp::BloomJoin {
                 build_key: edge.build_key.clone(),
                 probe_key: edge.probe_key.clone(),
@@ -756,7 +724,14 @@ fn aggregate_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
     }
     let schema = Schema::new(out_fields);
     let op = match (group_width, &node.op) {
-        (0, PlanOp::PushdownScan { table, .. }) => {
+        (
+            0,
+            PlanOp::Scan {
+                table,
+                source: ScanSource::Select(_),
+                ..
+            },
+        ) => {
             let op = PlanOp::PushdownAggregate {
                 table: table.clone(),
                 stmt: spec.select.clone(),

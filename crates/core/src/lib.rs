@@ -15,13 +15,14 @@
 //! * [`ops`] — compute-node operators (filter/project/hash join/hash
 //!   aggregation/heap top-K) with CPU metering;
 //! * [`fragment`] — the predicate / projection / top-K reducer a leaf
-//!   operator hands to a local scan, evaluated inside the scan workers;
+//!   operator hands to the scan, evaluated inside the scan workers (or,
+//!   from a Select source, the statement storage evaluates);
 //! * [`index`] — the §IV-A byte-range index tables;
 //! * [`algos`] — Fig 1's private helpers: the §IV-A indexed filter and
 //!   its two §X what-if variants;
-//! * [`plan`] — the physical-plan IR: scan leaves (pushdown — whole or
-//!   cut short to a sample —, local, and `CachedScan` through the hybrid
-//!   caching tier), joins, group-by, sort/top-K, project/limit and the
+//! * [`plan`] — the physical-plan IR: one scan leaf whose source is a
+//!   field (plain GET, the hybrid caching tier, or S3 Select — whole or
+//!   cut short to a sample), joins, group-by, sort/top-K, project/limit and the
 //!   staged operators (Bloom join, top-K threshold, CASE-WHEN and hybrid
 //!   group-by) as one operator DAG, driven by a single push-based
 //!   executor. The paper's §IV–§VII algorithms are compositions of these

@@ -2,12 +2,15 @@
 //! [`Row`]s, built by the planner ([`crate::planner`]) and driven by the
 //! one executor in this module ([`execute`]).
 //!
-//! Leaves are per-table scans — [`PlanOp::PushdownScan`] ships the
-//! predicate and projection to the storage engine, [`PlanOp::LocalScan`]
-//! GETs whole partitions and [`PlanOp::CachedScan`] reads them through
-//! the segment cache; both filter and project inside the worker that
-//! decoded the rows, so a leaf delivers the columns the plan needs and
-//! no others, whichever way its bytes arrive. Interior operators
+//! Leaves are per-table scans, one operator, [`PlanOp::Scan`], whose
+//! source ([`ScanSource`]) is a field: a Select source ships the
+//! predicate and projection to the storage engine, a GET or cache source
+//! reads whole partitions and filters and projects inside the worker
+//! that decoded the rows, so a leaf delivers the columns the plan needs
+//! and no others, whichever way its bytes arrive. One function runs a
+//! leaf ([`crate::scan::scan`], which serves every source from one
+//! partition producer), and one writes what it reports (`leaf`) for
+//! the executor and the pricer alike. Interior operators
 //! compose them into multi-table queries: hash equi-joins (with an
 //! optional Bloom runtime filter injected into the probe scan, paper
 //! §V-A2), residual filters, projections, hash aggregation, multi-key
@@ -26,11 +29,12 @@
 //! predicate, [`PlanOp::Threshold`] a sample's K-th value into `c <= t`,
 //! [`PlanOp::HybridSplit`] a sample's populous groups into `g NOT IN (…)`
 //! — all three through the one [`push_predicate`], which ANDs the
-//! expression into every [`PlanOp::PushdownScan`] under the second child.
-//! (A hybrid split whose grouping column has a catalog
-//! dictionary knows its populous groups before it runs: it has no sample
-//! child, and writes the same predicate into its one child.) [`PlanOp::CaseWhen`] (and the hybrid split, for its
-//! populous groups) writes whole statements instead: the chunked
+//! expression into every Select-source scan under the second child. (A
+//! hybrid split whose grouping column has a catalog dictionary knows its
+//! populous groups before it runs: it has no sample child, and writes the
+//! same predicate into its one child.) [`PlanOp::CaseWhen`] (and the
+//! hybrid split, for its populous groups) writes whole statements
+//! instead: the chunked
 //! `SUM(CASE WHEN g = v THEN x END)` aggregates of paper Listing 4, each
 //! run as a pushed scalar aggregate. Which of these trees a query admits,
 //! which one a strategy prefers and what each costs is planning
@@ -99,8 +103,7 @@ use crate::metrics::{Flow, QueryMetrics};
 use crate::ops;
 use crate::output::QueryOutput;
 use crate::scan::{
-    row_exchange_bytes, scan, select_scan_aggregate, select_scan_streamed, ScanFragment, ScanLimit,
-    ScanSource,
+    row_exchange_bytes, scan, select_scan_aggregate, ScanFragment, ScanLimit, ScanSource,
 };
 use pushdown_bloom::{BloomBuilder, BloomPlan};
 use pushdown_common::perf::{PerfModel, PhaseStats};
@@ -124,24 +127,22 @@ pub struct PlanNode {
 /// The operator vocabulary of the plan IR.
 #[derive(Debug, Clone)]
 pub enum PlanOp {
-    /// Leaf: GET every partition of `table`, decode locally and apply
-    /// `predicate` + `projection` (`None` = `*`) inside the worker that
-    /// decoded the rows (baseline side — all bytes cross the wire as
-    /// free plain transfer, but only the projected columns of the
-    /// survivors leave the scan, and ColumnarLite decodes no others).
-    LocalScan {
+    /// Leaf: every partition of `table` read from `source` through
+    /// `predicate` + `projection` (`None` = `*`); only the projected
+    /// columns of the survivors leave the scan, whichever way its bytes
+    /// arrive ([`ScanSource`]). A plain GET ships every byte as free
+    /// plain transfer and a cache read serves its hits locally (misses
+    /// are read-through fills billed once); both decode locally, applying
+    /// the predicate and projection inside the worker that decoded the
+    /// rows, and ColumnarLite decodes no other column. A Select source
+    /// pushes the two into the statement it ships, billed by the bytes
+    /// scanned and returned, and with a [`ScanLimit`] is cut short to a
+    /// sample of the table.
+    Scan {
         table: Table,
         predicate: Option<Expr>,
         projection: Option<Vec<String>>,
-    },
-    /// Leaf: `predicate` + `projection` pushed into S3 Select
-    /// (`None` projection = `*`), cut short to a sample of the table when
-    /// there is a `limit`.
-    PushdownScan {
-        table: Table,
-        predicate: Option<Expr>,
-        projection: Option<Vec<String>>,
-        limit: Option<ScanLimit>,
+        source: ScanSource,
     },
     /// Leaf: an aggregate statement pushed into S3 Select whole (§VIII
     /// Q6): every partition answers `stmt`'s aggregates — per group of
@@ -154,16 +155,6 @@ pub enum PlanOp {
         /// A grouped leaf's finish: the ORDER BY it applies to the
         /// merged groups.
         order: Option<Order>,
-    },
-    /// Leaf: read every partition **through the local segment cache**
-    /// (hybrid tier): hits bill zero bytes/requests and pay local scan +
-    /// parse time; misses are read-through fills billed exactly once.
-    /// `predicate` and `projection` are applied locally, like
-    /// [`PlanOp::LocalScan`].
-    CachedScan {
-        table: Table,
-        predicate: Option<Expr>,
-        projection: Option<Vec<String>>,
     },
     /// Hash inner equi-join: children `[build, probe]`, output rows are
     /// `build ++ probe`. The build child is drained into the join table,
@@ -210,9 +201,9 @@ pub enum PlanOp {
     Aggregate { aggs: Vec<(AggFunc, Option<usize>)> },
     /// `ORDER BY … [LIMIT k]` over anything but a grouping operator
     /// ([`Order`]). With a limit it is a bounded heap fed as rows arrive,
-    /// never holding more than `limit` of them; directly over a local or
-    /// cached scan leaf the heap runs inside the partition workers, which
-    /// hand on their `limit` best each.
+    /// never holding more than `limit` of them; directly over a scan leaf
+    /// from a GET or cache source the heap runs inside the partition
+    /// workers, which hand on their `limit` best each.
     Sort(Order),
     /// Plain truncation (LIMIT without ORDER BY).
     Limit { n: usize },
@@ -382,13 +373,20 @@ impl PlanNode {
     /// grouping operator's label names its finishing order after a `+`.
     pub fn label(&self) -> String {
         let base = match &self.op {
-            PlanOp::LocalScan { table, .. } => format!("LocalScan[{}]", table.name),
-            PlanOp::PushdownScan { table, limit, .. } => match limit {
-                None => format!("PushdownScan[{}]", table.name),
-                Some(ScanLimit::Prefix(n)) => format!("PushdownScan[{}, first {n}]", table.name),
-                Some(ScanLimit::Striped(n)) => format!("PushdownScan[{}, striped {n}]", table.name),
-            },
-            PlanOp::CachedScan { table, .. } => format!("CachedScan[{}]", table.name),
+            PlanOp::Scan { table, source, .. } => {
+                let t = &table.name;
+                match source {
+                    ScanSource::Plain => format!("LocalScan[{t}]"),
+                    ScanSource::Cached => format!("CachedScan[{t}]"),
+                    ScanSource::Select(None) => format!("PushdownScan[{t}]"),
+                    ScanSource::Select(Some(ScanLimit::Prefix(n))) => {
+                        format!("PushdownScan[{t}, first {n}]")
+                    }
+                    ScanSource::Select(Some(ScanLimit::Striped(n))) => {
+                        format!("PushdownScan[{t}, striped {n}]")
+                    }
+                }
+            }
             PlanOp::PushdownAggregate {
                 table,
                 stmt,
@@ -451,25 +449,22 @@ impl PlanNode {
     /// The table this node scans, if it is a scan leaf.
     pub(crate) fn scan_table(&self) -> Option<&Table> {
         match &self.op {
-            PlanOp::LocalScan { table, .. }
-            | PlanOp::CachedScan { table, .. }
-            | PlanOp::PushdownScan { table, .. }
-            | PlanOp::PushdownAggregate { table, .. } => Some(table),
+            PlanOp::Scan { table, .. } | PlanOp::PushdownAggregate { table, .. } => Some(table),
             _ => None,
         }
     }
 
     /// The pushed scan a staged operator writes its SQL against: the
-    /// [`PlanOp::PushdownScan`] at the bottom of this node's first-child
-    /// chain — its table, predicate and projected columns.
+    /// Select-source [`PlanOp::Scan`] at the bottom of this node's
+    /// first-child chain — its table, predicate and projected columns.
     pub(crate) fn pushdown_leaf(&self) -> Result<(&Table, &Option<Expr>, &[String])> {
         match (&self.op, self.children.first()) {
             (
-                PlanOp::PushdownScan {
+                PlanOp::Scan {
                     table,
                     predicate,
                     projection,
-                    ..
+                    source: ScanSource::Select(_),
                 },
                 _,
             ) => Ok((table, predicate, projection.as_deref().unwrap_or_default())),
@@ -485,8 +480,8 @@ impl PlanNode {
     /// into S3 Select.
     fn scans_pushed(&self) -> bool {
         match &self.op {
-            PlanOp::LocalScan { .. } | PlanOp::CachedScan { .. } => false,
-            PlanOp::PushdownScan { .. } | PlanOp::PushdownAggregate { .. } => true,
+            PlanOp::Scan { source, .. } => matches!(source, ScanSource::Select(_)),
+            PlanOp::PushdownAggregate { .. } => true,
             _ => self.children.iter().all(PlanNode::scans_pushed),
         }
     }
@@ -585,7 +580,7 @@ impl Executed {
 
 /// Build the Select statement a scan leaf ships: projection columns (or
 /// `*`) plus the pushed predicate.
-pub(crate) fn scan_stmt(projection: &Option<Vec<String>>, predicate: &Option<Expr>) -> SelectStmt {
+fn scan_stmt(projection: &Option<Vec<String>>, predicate: &Option<Expr>) -> SelectStmt {
     let items = match projection {
         None => vec![SelectItem::Wildcard],
         Some(cols) => cols
@@ -605,11 +600,16 @@ pub(crate) fn scan_stmt(projection: &Option<Vec<String>>, predicate: &Option<Exp
 }
 
 /// How a staged operator writes its run-time predicate into its second
-/// child: `expr` is ANDed into every [`PlanOp::PushdownScan`] under
-/// `tree`, through whatever operators sit above them.
+/// child: `expr` is ANDed into every Select-source [`PlanOp::Scan`]
+/// under `tree`, through whatever operators sit above them.
 pub fn push_predicate(tree: &PlanNode, expr: &Expr) -> PlanNode {
     fn push(node: &mut PlanNode, expr: &Expr) {
-        if let PlanOp::PushdownScan { predicate, .. } = &mut node.op {
+        if let PlanOp::Scan {
+            predicate,
+            source: ScanSource::Select(_),
+            ..
+        } = &mut node.op
+        {
             *predicate = Some(match predicate.take() {
                 Some(p) => Expr::and(p, expr.clone()),
                 None => expr.clone(),
@@ -729,19 +729,7 @@ fn emit(ctx: &QueryContext, schema: &Schema, rows: Vec<Row>, sink: Sink<'_>) -> 
 /// first row arrives.
 fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
     match &node.op {
-        PlanOp::LocalScan { .. } | PlanOp::CachedScan { .. } => local_scan(ctx, node, None, sink),
-        PlanOp::PushdownScan {
-            table,
-            predicate,
-            projection,
-            limit,
-        } => {
-            let stmt = scan_stmt(projection, predicate);
-            let summary = select_scan_streamed(ctx, table, &stmt, *limit, sink)?;
-            let phase = format!("select {}", table.name);
-            let report = OpReport::leaf(node.label(), summary.stats);
-            Ok(leaf(summary.schema, phase, report, &summary.nodes))
-        }
+        PlanOp::Scan { .. } => scan_leaf(ctx, node, None, sink),
         PlanOp::PushdownAggregate {
             table,
             stmt,
@@ -758,9 +746,13 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             }
             // The lowering-time schema carries the statement's aliases.
             emit(ctx, &node.schema, rows, sink)?;
-            let phase = format!("select {}", table.name);
-            let report = OpReport::leaf(node.label(), scan.stats);
-            Ok(leaf(node.schema.clone(), phase, report, &scan.nodes))
+            let select = ScanSource::Select(None);
+            let (metrics, report) = leaf(node.label(), select, table, scan.stats, &scan.nodes);
+            Ok(Ran {
+                schema: node.schema.clone(),
+                metrics,
+                report,
+            })
         }
         PlanOp::HashJoin {
             build_key,
@@ -905,16 +897,20 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 Some(k) => {
                     let mut heap = ops::TopKAccumulator::new(keys, k);
                     let ran = match child.op {
-                        // The leaf's workers reduce their partitions — this
-                        // operator's work, charged for every row offered —
-                        // and their candidates arrive in table order.
-                        PlanOp::LocalScan { .. } | PlanOp::CachedScan { .. } => {
+                        // A decoding leaf's workers reduce their partitions
+                        // — this operator's work, charged for every row
+                        // offered — and their candidates arrive in table
+                        // order.
+                        PlanOp::Scan {
+                            source: ScanSource::Plain | ScanSource::Cached,
+                            ..
+                        } => {
                             let best = Best {
                                 keys,
                                 k,
                                 work: &mut local,
                             };
-                            local_scan(ctx, child, Some(best), &mut |batch| {
+                            scan_leaf(ctx, child, Some(best), &mut |batch| {
                                 heap.absorb(batch.rows);
                                 Ok(())
                             })?
@@ -1079,108 +1075,118 @@ fn forward(batch: RowBatch, sink: Sink<'_>) -> Result<()> {
     }
 }
 
-/// The `ORDER BY keys LIMIT k` a [`PlanOp::Sort`] hands down to the local
-/// scan leaf directly below it, and where the sort reports its work.
+/// The `ORDER BY keys LIMIT k` a [`PlanOp::Sort`] hands down to the GET
+/// or cache scan leaf directly below it, and where the sort reports its
+/// work.
 struct Best<'a> {
     keys: &'a [(usize, bool)],
     k: usize,
     work: &'a mut PhaseStats,
 }
 
-/// A local or cached scan leaf: `predicate` + `projection` run inside the
-/// partition workers, and so does the sort above, if it handed one down
-/// (`best`): each worker hands on its partition's `k` best rows only, and
-/// what that cost is the sort's to report.
-fn local_scan(
+/// A scan leaf, from whichever source: `predicate` + `projection` ship
+/// in the Select statement of a Select source, or run inside the
+/// partition workers that decode a GET or cache read — and so does the
+/// sort above, if it handed one down (`best`): each worker hands on its
+/// partition's `k` best rows only, and what that cost is the sort's to
+/// report.
+fn scan_leaf(
     ctx: &QueryContext,
     node: &PlanNode,
     best: Option<Best<'_>>,
     sink: Sink<'_>,
 ) -> Result<Ran> {
-    let (PlanOp::LocalScan {
+    let PlanOp::Scan {
         table,
         predicate,
         projection,
-    }
-    | PlanOp::CachedScan {
-        table,
-        predicate,
-        projection,
-    }) = &node.op
+        source,
+    } = &node.op
     else {
-        unreachable!("local_scan runs local and cached scan leaves")
+        return Err(Error::Other(format!("{} is no scan leaf", node.label())));
     };
-    let cached = matches!(node.op, PlanOp::CachedScan { .. });
-    let bound = match predicate {
-        Some(p) => Some(Binder::new(&table.schema).bind_expr(p)?),
-        None => None,
-    };
-    let mut fragment = match projection {
-        None => ScanFragment::new(table, bound, None),
-        Some(cols) => {
-            let indices = cols
-                .iter()
-                .map(|c| table.schema.resolve(c))
-                .collect::<Result<Vec<_>>>()?;
-            ScanFragment::columns(table, bound, &indices)
+    let fragment = match source {
+        ScanSource::Select(_) => ScanFragment::pushed(table, scan_stmt(projection, predicate)),
+        ScanSource::Plain | ScanSource::Cached => {
+            let bound = match predicate {
+                Some(p) => Some(Binder::new(&table.schema).bind_expr(p)?),
+                None => None,
+            };
+            let fragment = match projection {
+                None => ScanFragment::new(table, bound, None),
+                Some(cols) => {
+                    let resolve = |c: &String| table.schema.resolve(c);
+                    let indices = cols.iter().map(resolve).collect::<Result<Vec<_>>>()?;
+                    ScanFragment::columns(table, bound, &indices)
+                }
+            };
+            match &best {
+                Some(best) => fragment.top_k(best.keys, best.k),
+                None => fragment,
+            }
         }
     };
-    if let Some(best) = &best {
-        fragment = fragment.top_k(best.keys, best.k);
-    }
-    let source = if cached {
-        ScanSource::Cached
-    } else {
-        ScanSource::Plain
-    };
-    let summary = scan(ctx, table, source, &fragment, sink)?;
+    let summary = scan(ctx, table, *source, &fragment, sink)?;
     let mut stats = summary.stats;
     stats.merge(&summary.op_stats);
     if let Some(best) = best {
         best.work.merge(&summary.reduce_stats);
     }
-    let (phase, label) = if cached {
-        // The EXPLAIN tree reports the hit/miss/fill split per node.
-        let hits = summary.hit_parts;
-        let parts = hits + summary.fill_parts;
-        let label = format!("{} ({hits}/{parts} partitions hit)", node.label());
-        (format!("cached load {}", table.name), label)
-    } else {
-        (format!("load {}", table.name), node.label())
+    // The EXPLAIN tree reports a cached leaf's hit/miss/fill split.
+    let label = match source {
+        ScanSource::Cached => {
+            let hits = summary.hit_parts;
+            let parts = hits + summary.fill_parts;
+            format!("{} ({hits}/{parts} partitions hit)", node.label())
+        }
+        _ => node.label(),
     };
-    let report = OpReport::leaf(label, stats);
-    Ok(leaf(summary.schema, phase, report, &summary.nodes))
-}
-
-/// What a scan leaf reports, one phase group: `phase` over its `report`'s
-/// footprint — or, when its partitions ran on a cluster, one phase per
-/// busy node (`nodes`, by id), each also a child of the report showing
-/// what that node scanned and shipped.
-fn leaf(schema: Schema, phase: String, mut report: OpReport, nodes: &[(usize, PhaseStats)]) -> Ran {
-    let mut metrics = QueryMetrics::new();
-    if nodes.is_empty() {
-        metrics.push_serial(phase, report.actual);
-    } else {
-        let phases = nodes
-            .iter()
-            .map(|(k, s)| (format!("exchange node {k}"), *s));
-        metrics.push_parallel(phases.collect());
-        report.children = nodes
-            .iter()
-            .map(|(k, s)| {
-                let scanned = s.plain_bytes + s.cache_bytes + s.s3_scanned_bytes;
-                let shipped = s.exchange_bytes;
-                let label =
-                    format!("Exchange[node {k}: {scanned} B scanned, {shipped} B exchanged]");
-                OpReport::leaf(label, *s)
-            })
-            .collect();
-    }
-    Ran {
-        schema,
+    let (metrics, report) = leaf(label, *source, table, stats, &summary.nodes);
+    Ok(Ran {
+        schema: summary.schema,
         metrics,
         report,
+    })
+}
+
+/// What a leaf reading `table` from `source` reports, the executor and
+/// the pricer ([`crate::cost::predict_plan`]) alike: one phase group,
+/// named for what the source does (`load`, `cached load`, `select`) over
+/// its footprint `stats` — or, when its partitions ran on a cluster, one
+/// phase per busy node (`nodes`, by id), each also a child of the
+/// operator's report (`label`) showing what that node scanned and
+/// shipped, and the footprint their sum.
+pub(crate) fn leaf(
+    label: String,
+    source: ScanSource,
+    table: &Table,
+    stats: PhaseStats,
+    nodes: &[(usize, PhaseStats)],
+) -> (QueryMetrics, OpReport) {
+    let mut metrics = QueryMetrics::new();
+    let mut report = OpReport::leaf(label, stats);
+    if nodes.is_empty() {
+        let verb = match source {
+            ScanSource::Plain => "load",
+            ScanSource::Cached => "cached load",
+            ScanSource::Select(_) => "select",
+        };
+        metrics.push_serial(format!("{verb} {}", table.name), stats);
+        return (metrics, report);
     }
+    let phases = nodes
+        .iter()
+        .map(|(k, s)| (format!("exchange node {k}"), *s));
+    metrics.push_parallel(phases.collect());
+    report.actual = PhaseStats::default();
+    for (k, s) in nodes {
+        report.actual.merge(s);
+        let scanned = s.plain_bytes + s.cache_bytes + s.disk_bytes + s.s3_scanned_bytes;
+        let shipped = s.exchange_bytes;
+        let label = format!("Exchange[node {k}: {scanned} B scanned, {shipped} B exchanged]");
+        report.children.push(OpReport::leaf(label, *s));
+    }
+    (metrics, report)
 }
 
 /// Run a staged operator's second child with the predicate it wrote (if
@@ -1605,7 +1611,12 @@ mod tests {
         let (_, filtered) = candidates.iter().find(|(n, _)| *n == "filtered").unwrap();
         let extra = pushdown_sql::parse_expr("g <> 2").unwrap();
         fn predicates(node: &PlanNode, out: &mut Vec<String>) {
-            if let PlanOp::PushdownScan { predicate, .. } = &node.op {
+            if let PlanOp::Scan {
+                predicate,
+                source: ScanSource::Select(_),
+                ..
+            } = &node.op
+            {
                 out.push(predicate.as_ref().map_or(String::new(), Expr::to_string));
             }
             node.children.iter().for_each(|c| predicates(c, out));

@@ -47,7 +47,7 @@ use crate::joinplan::{lower_candidates, top_k};
 use crate::metrics::QueryMetrics;
 use crate::output::QueryOutput;
 use crate::plan::{self, OpReport, PlanNode, PlanOp};
-use crate::scan::ScanLimit;
+use crate::scan::{ScanLimit, ScanSource};
 use pushdown_common::pricing::Usage;
 use pushdown_common::{Error, Result};
 use pushdown_sql::ast::QuerySpec;
@@ -412,8 +412,8 @@ pub fn run_candidate(
             (PlanOp::BloomJoin { fpr, .. }, Tune::Fpr(rate)) => *fpr = rate,
             (PlanOp::HybridSplit { force, .. }, Tune::ForcedSplit(n)) => *force = Some(n),
             (
-                PlanOp::PushdownScan {
-                    limit: Some(ScanLimit::Striped(size)),
+                PlanOp::Scan {
+                    source: ScanSource::Select(Some(ScanLimit::Striped(size))),
                     ..
                 },
                 Tune::SampleSize(n),

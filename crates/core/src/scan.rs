@@ -1,28 +1,34 @@
-//! Table scans: the two ways PushdownDB gets bytes out of S3.
+//! Table scans: one scan, [`scan`], with three sources ([`ScanSource`])
+//! for the bytes of each partition — the paper's two ways of getting
+//! them out of S3, and FlexPushdownDB's third, the local cache:
 //!
-//! * [`scan`] — GET every partition, plainly or through the segment
-//!   cache ([`ScanSource`]), and deserialize on the compute node (the
-//!   *baseline* path: all bytes cross the wire; billed as plain transfer,
-//!   which is free in-region, plus compute time to parse).
-//! * [`select_scan`] / [`select_scan_streamed`] — ship a `SELECT`
-//!   statement to the storage engine for every partition (the *pushdown*
-//!   path: bytes scanned and returned are billed; the response parses
-//!   slower per byte, but there are fewer of them), whole or cut short
-//!   to a sample ([`ScanLimit`]); [`select_scan_aggregate`] merges the
-//!   partitions' aggregates instead.
+//! * **GET** — the whole partition crosses the wire (the *baseline*
+//!   path: billed as plain transfer, which is free in-region, plus
+//!   compute time to parse) and is deserialized on the compute node;
+//! * **cache** — the same bytes read through the segment cache, hits
+//!   served locally and only the gaps fetched;
+//! * **Select** — a `SELECT` statement shipped to the storage engine for
+//!   the partition (the *pushdown* path: bytes scanned and returned are
+//!   billed; the response parses slower per byte, but there are fewer of
+//!   them), whole or cut short to a sample ([`ScanLimit`]).
+//!
+//! [`select_scan_streamed`] and [`select_scan`] take a statement rather
+//! than a fragment and run its samples; [`select_scan_aggregate`] merges
+//! the partitions' aggregates instead of streaming rows.
 //!
 //! # Streaming execution
 //!
-//! Both scans run partitions concurrently on a bounded worker pool and
-//! deliver rows downstream as fixed-capacity [`RowBatch`]es **in
-//! partition order**, so results stay deterministic. Each in-flight
-//! partition feeds a small bounded queue; workers block once their queue
-//! fills. Plain scans decode incrementally (CSV `batch_rows` records at
-//! a time, columnar row-group-by-row-group), capping their peak resident
-//! rows at `O(scan_threads × queue depth × batch_rows)` regardless of
-//! table size. Select scans decode each partition's *response* before
-//! batching, so their bound is `O(scan_threads × response rows)` — the
-//! billed returned subset, not the table.
+//! One producer runs each partition on a bounded worker pool, whatever
+//! its source, and the scan delivers rows downstream as fixed-capacity
+//! [`RowBatch`]es **in partition order**, so results stay deterministic.
+//! Each in-flight partition feeds a small bounded queue; workers block
+//! once their queue fills. GET and cache reads decode incrementally (CSV
+//! `batch_rows` records at a time, columnar row-group-by-row-group),
+//! capping their peak resident rows at `O(scan_threads × queue depth ×
+//! batch_rows)` regardless of table size. A Select source decodes each
+//! partition's *response* before batching, so its bound is
+//! `O(scan_threads × response rows)` — the billed returned subset, not
+//! the table.
 //!
 //! # Placement
 //!
@@ -45,9 +51,11 @@
 //!
 //! # Worker-side fragments
 //!
-//! A local scan takes a [`ScanFragment`] — the leaf operator's bound
-//! predicate, its output expressions, optionally a K-bounded reducer —
-//! and evaluates it **inside the worker that decoded the rows**: a
+//! The scan takes a [`ScanFragment`] — the leaf operator's bound
+//! predicate, its output expressions, optionally a K-bounded reducer;
+//! from a Select source, the statement that asks storage for the same
+//! rows ([`ScanFragment::pushed`]) — and a GET or cache read evaluates
+//! it **inside the worker that decoded the rows**: a
 //! rejected row is dropped by the thread that allocated it, a projecting
 //! fragment decodes only the columns it references (CSV fields are typed
 //! straight into column vectors, ColumnarLite chunks are read into them,
@@ -65,12 +73,9 @@
 //! the way a stable sort of the whole table would.)
 //!
 //! The older closure-taking entry points ([`plain_scan_streamed`],
-//! [`cached_scan_streamed`], [`plain_scan`]) are forwarding shims over [`scan`] with an identity fragment, kept
-//! for callers that want every row and as the oracle the fragment tests
-//! compare against.
-//!
-//! Aggregate statements are re-written per partition and merged on the
-//! compute node ([`select_scan_aggregate`]).
+//! [`cached_scan_streamed`], [`plain_scan`]) are forwarding shims over
+//! [`scan`] with an identity fragment, kept for callers that want every
+//! row and as the oracle the fragment tests compare against.
 
 use crate::catalog::Table;
 use crate::cluster::Cluster;
@@ -107,7 +112,7 @@ pub struct ScanResult {
 /// disk-tier hit bytes in `stats.disk_bytes`, and gap-fill bytes in
 /// `stats.plain_bytes` (a fill *is* a billed plain GET — on a partial
 /// hit, exactly the gap ranges are billed).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScanSummary {
     /// Schema of the delivered batches.
     pub schema: Schema,
@@ -130,20 +135,6 @@ pub struct ScanSummary {
     /// rows they shipped; empty when the scan ran on one context (no
     /// cluster of more than one node).
     pub nodes: Vec<(usize, PhaseStats)>,
-}
-
-impl ScanSummary {
-    fn new(schema: Schema, stats: PhaseStats, nodes: Vec<(usize, PhaseStats)>) -> Self {
-        ScanSummary {
-            schema,
-            stats,
-            op_stats: PhaseStats::default(),
-            reduce_stats: PhaseStats::default(),
-            hit_parts: 0,
-            fill_parts: 0,
-            nodes,
-        }
-    }
 }
 
 /// Full batches buffered per in-flight partition before its worker
@@ -437,7 +428,7 @@ pub(crate) fn row_exchange_bytes(row: &Row) -> u64 {
     fields + vals.len().saturating_sub(1) as u64 + 1
 }
 
-/// Where [`scan`] reads partition bytes from.
+/// Where [`scan`] reads each partition's rows from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanSource {
     /// One whole-object GET per partition — unless the context has
@@ -456,6 +447,12 @@ pub enum ScanSource {
     /// any plain GET. A persistent disk tier is committed once, when the
     /// last partition is done ([`pushdown_s3::S3Store::commit_cache`]).
     Cached,
+    /// Ship the fragment's Select statement ([`ScanFragment::pushed`]) to
+    /// the storage engine for every partition: the bytes scanned and
+    /// returned are billed, and the response rows are the partition's
+    /// survivors, already projected — whole, or cut short to a sample
+    /// ([`ScanLimit`]).
+    Select(Option<ScanLimit>),
 }
 
 /// Decode one partition's bytes incrementally — CSV a batch of records
@@ -545,13 +542,18 @@ pub(crate) fn chunk_layout(
     }
 }
 
-/// The local scan: fetch every partition of `table` from `source`,
-/// decode it incrementally and run `fragment` on the rows **inside the
-/// worker that decoded them**; `sink` receives the surviving, already
-/// projected rows in table order (see the module docs for the ordering
-/// guarantee). Peak resident rows are bounded by the worker pool, not
-/// the table. Results are byte-for-byte the same with the cache hot,
-/// partially warm, cold, or absent.
+/// The scan: read every partition of `table` from `source` and hand
+/// `sink` the surviving, already projected rows in table order (see the
+/// module docs for the ordering guarantee). One producer serves every
+/// source: a GET or cache read decodes the partition incrementally and
+/// runs `fragment` on the rows **inside the worker that decoded them**; a
+/// Select source asks the storage engine for the partition's survivors
+/// instead, and a sampled one ([`ScanSource::Select`] with a limit) runs
+/// as [`select_scan_streamed`]. Either way the rows leave the worker in
+/// batches, metered as the exchange volume of the node they ran on. Peak
+/// resident rows are bounded by the worker pool, not the table. Results
+/// are byte-for-byte the same with the cache hot, partially warm, cold,
+/// or absent.
 pub fn scan(
     ctx: &QueryContext,
     table: &Table,
@@ -559,8 +561,19 @@ pub fn scan(
     fragment: &ScanFragment,
     mut sink: impl FnMut(RowBatch) -> Result<()>,
 ) -> Result<ScanSummary> {
+    let stmt = match source {
+        ScanSource::Select(Some(limit)) => {
+            return select_scan_streamed(ctx, table, fragment.statement()?, Some(limit), sink)
+        }
+        ScanSource::Select(None) => Some(fragment.statement()?),
+        ScanSource::Plain | ScanSource::Cached => None,
+    };
     let place = Placement::of(ctx, table)?;
-    let cached = source == ScanSource::Cached || (ctx.cache_reads && ctx.store.cache().is_some());
+    let cached = source == ScanSource::Cached
+        || (source == ScanSource::Plain && ctx.cache_reads && ctx.store.cache().is_some());
+    // Rows from a Select source have the schema its responses declare;
+    // decoded rows, the fragment's.
+    let responded: OnceLock<Schema> = OnceLock::new();
     let hit_parts = AtomicU64::new(0);
     let fill_parts = AtomicU64::new(0);
     let cpu = |units: u64| PhaseStats {
@@ -574,6 +587,27 @@ pub fn scan(
     let spent = stream_partitions(
         &place,
         |part, emitter| {
+            // What the partition's rows weigh on the interconnect, when
+            // they ship off their node.
+            let mut shipped = 0;
+            let mut emit = |batch: RowBatch| {
+                if place.ships() {
+                    shipped += batch.rows.iter().map(row_exchange_bytes).sum::<u64>();
+                }
+                emitter.emit(batch)
+            };
+            if let Some(stmt) = stmt {
+                let (bucket, schema) = (&table.bucket, &table.schema);
+                let engine = &part.ctx.engine;
+                let resp = engine.select_stmt(bucket, part.key, stmt, schema, table.format)?;
+                let _ = responded.set(resp.output_schema.clone());
+                let batches = RowBatch::chunks(&resp.output_schema, resp.rows()?, ctx.batch_rows);
+                batches.into_iter().try_for_each(&mut emit)?;
+                let mut stats = PhaseStats::default();
+                accumulate_response(&mut stats, &resp);
+                stats.exchange_bytes = shipped;
+                return Ok(stats);
+            }
             let store = &part.ctx.store;
             // Every retried attempt billed a request; meter them all so
             // metrics agree with the ledger even under injected faults.
@@ -611,13 +645,8 @@ pub fn scan(
                 stats.cl_parse_bytes = data.len() as u64;
             }
             let (rows, (charged, reduced)) =
-                decode_partition(data, table, ctx, fragment, |batch| {
-                    if place.ships() {
-                        stats.exchange_bytes +=
-                            batch.rows.iter().map(row_exchange_bytes).sum::<u64>();
-                    }
-                    emitter.emit(batch)
-                })?;
+                decode_partition(data, table, ctx, fragment, &mut emit)?;
+            stats.exchange_bytes = shipped;
             stats.server_cpu_units += rows;
             op_units[part.node].fetch_add(charged, Ordering::Relaxed);
             reduce_units.fetch_add(reduced, Ordering::Relaxed);
@@ -644,7 +673,9 @@ pub fn scan(
         })
         .collect();
     Ok(ScanSummary {
-        schema: fragment.schema().clone(),
+        schema: responded
+            .into_inner()
+            .unwrap_or_else(|| fragment.schema().clone()),
         stats: total(&spent),
         op_stats: cpu(op_units.iter().sum()),
         reduce_stats: cpu(reduce_units.into_inner()),
@@ -743,12 +774,13 @@ pub(crate) fn striped_share(n: usize, parts: usize, i: usize) -> usize {
 /// every partition via S3 Select and deliver response rows as batches in
 /// partition order.
 ///
-/// * Without a `limit` the partitions stream with full parallelism. Each
-///   worker materializes its partition's *response* rows before
-///   batching, so peak residency follows the billed returned subset
-///   (small under pushdown), not the table.
-/// * A [`ScanLimit`] bounds the output, so the responses are collected
-///   and then batched.
+/// * Without a `limit` this is [`scan`] from [`ScanSource::Select`]: the
+///   partitions stream with full parallelism, each worker materializing
+///   its partition's *response* rows before batching, so peak residency
+///   follows the billed returned subset (small under pushdown), not the
+///   table.
+/// * A [`ScanLimit`] bounds the output, so the sample's responses are
+///   collected and then batched.
 ///
 /// Aggregate statements merge instead: [`select_scan_aggregate`].
 pub fn select_scan_streamed(
@@ -758,10 +790,14 @@ pub fn select_scan_streamed(
     limit: Option<ScanLimit>,
     mut on_batch: impl FnMut(RowBatch) -> Result<()>,
 ) -> Result<ScanSummary> {
+    let Some(limit) = limit else {
+        let pushed = ScanFragment::pushed(table, stmt.clone());
+        return scan(ctx, table, ScanSource::Select(None), &pushed, on_batch);
+    };
     let mut keys = partition_keys(ctx, table)?;
     // A striped sample asks only the partitions with a share.
     let mut shares = Vec::new();
-    if let Some(ScanLimit::Striped(n)) = limit {
+    if let ScanLimit::Striped(n) = limit {
         let parts = keys.len();
         (keys, shares) = (keys.into_iter().enumerate())
             .map(|(i, key)| (key, striped_share(n, parts, i)))
@@ -769,57 +805,30 @@ pub fn select_scan_streamed(
             .unzip();
     }
     let place = Placement::new(ctx, table, keys);
-    let select = |part: &Part<'_>, stmt: &SelectStmt| {
-        part.ctx
-            .engine
-            .select_stmt(&table.bucket, part.key, stmt, &table.schema, table.format)
-    };
-    let limited = |n: usize| SelectStmt {
-        limit: Some(n as u64),
-        ..stmt.clone()
+    let select = |part: &Part<'_>, n: usize| {
+        let limited = SelectStmt {
+            limit: Some(n as u64),
+            ..stmt.clone()
+        };
+        let (bucket, schema) = (&table.bucket, &table.schema);
+        (part.ctx.engine).select_stmt(bucket, part.key, &limited, schema, table.format)
     };
     let responses = match limit {
-        None => {
-            let schema_slot: OnceLock<Schema> = OnceLock::new();
-            let spent = stream_partitions(
-                &place,
-                |part, emitter| {
-                    let resp = select(&part, stmt)?;
-                    let mut stats = PhaseStats::default();
-                    accumulate_response(&mut stats, &resp);
-                    let _ = schema_slot.set(resp.output_schema.clone());
-                    let rows = resp.rows()?;
-                    if place.ships() {
-                        stats.exchange_bytes = rows.iter().map(row_exchange_bytes).sum();
-                    }
-                    for batch in RowBatch::chunks(&resp.output_schema, rows, ctx.batch_rows) {
-                        emitter.emit(batch)?;
-                    }
-                    Ok(stats)
-                },
-                &mut on_batch,
-            )?;
-            let schema = schema_slot
-                .into_inner()
-                .expect("at least one partition responded");
-            let nodes = place.per_node(&spent);
-            return Ok(ScanSummary::new(schema, total(&spent), nodes));
-        }
-        Some(ScanLimit::Prefix(n)) => {
+        ScanLimit::Prefix(n) => {
             let mut responses = Vec::new();
             let mut room = n;
             for i in 0..place.keys.len() {
                 if room == 0 {
                     break;
                 }
-                let resp = select(&place.part(i), &limited(room))?;
+                let resp = select(&place.part(i), room)?;
                 room = room.saturating_sub(resp.stats.records_returned as usize);
                 responses.push(resp);
             }
             responses
         }
-        Some(ScanLimit::Striped(_)) => {
-            for_each_partition(&place, |part| select(&part, &limited(shares[part.index])))?
+        ScanLimit::Striped(_) => {
+            for_each_partition(&place, |part| select(&part, shares[part.index]))?
         }
     };
     let mut spent = vec![PhaseStats::default(); place.nodes.len()];
@@ -836,10 +845,15 @@ pub fn select_scan_streamed(
     // A prefix asks one partition after the other, each on its node: a
     // sequence, which reports as one phase wherever it ran.
     let nodes = match limit {
-        Some(ScanLimit::Prefix(_)) => Vec::new(),
-        _ => place.per_node(&spent),
+        ScanLimit::Prefix(_) => Vec::new(),
+        ScanLimit::Striped(_) => place.per_node(&spent),
     };
-    Ok(ScanSummary::new(schema, total(&spent), nodes))
+    Ok(ScanSummary {
+        schema,
+        stats: total(&spent),
+        nodes,
+        ..Default::default()
+    })
 }
 
 /// Pushdown path: run `stmt` against every partition via S3 Select and

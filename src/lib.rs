@@ -19,7 +19,8 @@
 //! * [`select`] — the S3 Select engine
 //! * [`bloom`] — Bloom filters with SQL predicate generation
 //! * [`core`] — the PushdownDB engine: streaming scans, operators, the
-//!   paper's algorithms, and the scatter-gather cluster
+//!   paper's algorithms as plan trees, and the cluster (each partition
+//!   runs on the node owning it)
 //! * [`tpch`] — TPC-H generator, synthetic workloads, and the paper's
 //!   six TPC-H queries as statements the planner lowers and runs under
 //!   any [`core::Strategy`] ([`tpch::SUITE`])
@@ -78,9 +79,10 @@
 //! ## Multi-table SQL & the physical-plan IR
 //!
 //! Every query lowers to a physical plan ([`core::plan`]) — scan leaves
-//! per table (`PushdownScan`/`LocalScan`/`CachedScan`, each delivering
-//! only the columns the plan needs), hash/Bloom joins, residual
-//! filter, project, group-by, multi-key sort and limit — driven by one
+//! per table (one `Scan` operator whose source is Select, a plain GET or
+//! the cache, each delivering only the columns the plan needs),
+//! hash/Bloom joins, residual filter, project, group-by, multi-key sort
+//! and limit — driven by one
 //! push-based executor (batches stream from the scans through the probe
 //! side of a join; only a join's build side, aggregation state and a
 //! sort's input are held), with the paper's single-table algorithm
@@ -128,9 +130,9 @@
 //! them. Eviction
 //! is weighted LFU by **dollars saved per byte** under the current
 //! [`common::pricing::Pricing`]. The adaptive planner prices
-//! cached-local vs pushdown vs remote-full **per scan** (the
-//! [`core::plan`] IR gains a `CachedScan` leaf; joined queries add the
-//! all-`cached` and mixed `cached-build` candidates), and
+//! cached-local vs pushdown vs remote-full **per scan** (a
+//! [`core::plan`] scan leaf can read from the cache; joined queries add
+//! the all-`cached` and mixed `cached-build` candidates), and
 //! `Explain::report` shows a `cache:` hit/fill line plus per-node
 //! splits in the operator tree.
 //!

@@ -32,6 +32,7 @@
 use pushdowndb::common::pricing::Usage;
 use pushdowndb::common::{DataType, RetryPolicy, Row, Schema, Value};
 use pushdowndb::core::planner::{execute_sql_verbose, lower, run_candidate};
+use pushdowndb::core::scan::ScanSource;
 use pushdowndb::core::{
     execute_sql, plan, upload_columnar_table, upload_csv_table, Cluster, OpReport, PlanNode,
     PlanOp, QueryContext, Strategy, Table,
@@ -448,6 +449,68 @@ fn a_warm_cluster_serves_from_its_owners_slices() {
     );
 }
 
+/// A node's "B scanned" counts what it read from every tier. A cache of
+/// no memory over a disk tier, installed before `with_nodes(4)`, takes
+/// every fill on disk; once `with_cache_reads(true)` Baseline passes
+/// leave every `orders` partition disk-resident in its owner's slice, the
+/// `Exchange[node k: X B scanned, …]` children of a `cached-local` leaf
+/// add up to the leaf's mem + disk + plain bytes — the disk hits among
+/// them.
+#[test]
+fn exchange_labels_count_disk_tier_hits() {
+    let (ctx, t) = tpch_context(0.003, 1_200).unwrap();
+    let cctx = ctx.with_cache_tiers(0, 256 << 20).with_nodes(4);
+    let cluster = cctx.cluster.clone().unwrap();
+    let (bucket, store) = (&t.orders.bucket, &cctx.store);
+    let on_disk = || {
+        t.orders.partitions(store).iter().all(|key| {
+            let size = store.object_size(bucket, key).unwrap();
+            let owner = cluster.node(cluster.assign(bucket, key));
+            let slice = owner.cache.as_ref().expect("every node has a slice");
+            let occupancy = slice.occupancy(bucket, key, size);
+            (occupancy.gap_bytes, occupancy.disk_bytes) == (0, size)
+        })
+    };
+    let sql = planner_suite()
+        .iter()
+        .find(|q| q.name == "filter-wide")
+        .unwrap()
+        .sql;
+    let warm = cctx.clone().with_cache_reads(true);
+    for _ in 0..3 {
+        if on_disk() {
+            break;
+        }
+        execute_sql(&warm, &t.orders, sql, Strategy::Baseline).unwrap();
+    }
+    assert!(on_disk(), "every orders partition disk-resident");
+
+    let (_, candidates) = lower(&cctx, &t.orders, &parse_query(sql).unwrap()).unwrap();
+    let (_, cached) = candidates
+        .into_iter()
+        .find(|(n, _)| *n == "cached-local")
+        .unwrap();
+    let ran = plan::execute(&cctx.scoped(), &cached).unwrap();
+    fn leaf(op: &OpReport) -> Option<&OpReport> {
+        match op.label.starts_with("CachedScan[") {
+            true => Some(op),
+            false => op.children.iter().find_map(leaf),
+        }
+    }
+    let leaf = leaf(&ran.report).expect("cached-local has a cached leaf");
+    let s = leaf.actual;
+    assert!(s.disk_bytes > 0, "the leaf hit the disk tier: {s:?}");
+    let scanned: u64 = (leaf.children.iter())
+        .map(|node| {
+            let (_, rest) = node.label.split_once(": ").expect("an Exchange label");
+            let (bytes, _) = rest.split_once(" B scanned").expect("an Exchange label");
+            bytes.parse::<u64>().unwrap()
+        })
+        .sum();
+    assert!(leaf.children.len() > 1, "{:?}", leaf.children);
+    assert_eq!(scanned, s.cache_bytes + s.disk_bytes + s.plain_bytes);
+}
+
 /// The first node of `tree` that `is` picks, depth first.
 fn find<'a>(tree: &'a PlanNode, is: &dyn Fn(&PlanOp) -> bool) -> Option<&'a PlanNode> {
     if is(&tree.op) {
@@ -498,7 +561,15 @@ fn case_when_statements_and_samples_bill_the_owning_nodes() {
     assert!(billed > 1, "CASE-WHEN statements billed {statements:?}");
 
     let sampling = candidate("sampling", &t.lineitem, sql_of("topk-100"));
-    let is_sample = |op: &PlanOp| matches!(op, PlanOp::PushdownScan { limit: Some(_), .. });
+    let is_sample = |op: &PlanOp| {
+        matches!(
+            op,
+            PlanOp::Scan {
+                source: ScanSource::Select(Some(_)),
+                ..
+            }
+        )
+    };
     let sample = find(&sampling, &is_sample).expect("sampling has a sample leaf");
     let sampled = requests_per_node(&ctx, sample);
     let billed = sampled.iter().filter(|&&n| n > 0).count();

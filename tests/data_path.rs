@@ -1,6 +1,7 @@
 //! The CSV, ColumnarLite and Select data path against its references:
-//! damaged CSV and ColumnarLite objects never panic their readers, nor
-//! do a persisted cache's damaged `MANIFEST` and segment log the cache
+//! damaged CSV and ColumnarLite objects never panic their readers nor
+//! the Select engine that queries them, nor do a persisted cache's
+//! damaged `MANIFEST` and segment log the cache
 //! that reopens them; the Bloom probe SQL run by the Select engine agrees
 //! with the filter it was rendered from, and load-time table statistics
 //! — dictionaries included — equal the ones the rendering-based pass
@@ -17,6 +18,7 @@ use pushdowndb::format::columnar::{encode_columnar, ColumnarReader, WriterOption
 use pushdowndb::format::csv::{decode_csv, encode_csv};
 use pushdowndb::s3::S3Store;
 use pushdowndb::select::{EngineExtensions, InputFormat, S3SelectEngine};
+use pushdowndb::sql::parse_select_extended;
 use pushdowndb::tpch::TpchGen;
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
@@ -180,6 +182,122 @@ proptest! {
         let mut spliced = bytes[..at].to_vec();
         spliced.extend_from_slice(&other[splice_from % other.len()..]);
         check_damaged_columnar(spliced);
+    }
+
+    /// ROADMAP F-1 for the Select engine: a byte flip, a truncation or a
+    /// splice (this partition's head, another's tail) of an encoded TPC-H
+    /// partition, CSV or ColumnarLite (compressed or not), stored and
+    /// queried through `S3SelectEngine::select` — a filter with a
+    /// projection and a scalar aggregate — and `select_grouped`, each
+    /// response decoded by `SelectResponse::rows`: `Err` or rows well
+    /// typed under the response's schema, never a panic.
+    #[test]
+    fn damaged_partitions_never_panic_the_select_engine(
+        table in 0usize..3,
+        partition in 0usize..4,
+        columnar in any::<bool>(),
+        compress in any::<bool>(),
+        damage in 0u8..3,
+        at in any::<usize>(),
+        flip in 1u8..=255,
+        splice_from in any::<usize>(),
+    ) {
+        let (schema, rows) = &tpch_tables()[table];
+        let chunks: Vec<&[Row]> = rows.chunks(150).collect();
+        let encode = |i: usize| {
+            let rows = chunks[i % chunks.len()];
+            match columnar {
+                true => encode_columnar(schema, rows, WriterOptions { rows_per_group: 60, compress }),
+                false => encode_csv(schema, rows),
+            }
+        };
+        let bytes = encode(partition);
+        let format = if columnar { InputFormat::Columnar } else { InputFormat::Csv };
+        // Intact, every statement answers.
+        for answer in run_selects(schema, format, bytes.clone(), &DAMAGED_SELECTS[table]) {
+            prop_assert!(!answer.unwrap().1.is_empty());
+        }
+        let at = at % bytes.len();
+        let damaged = match damage {
+            0 => {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= flip;
+                flipped
+            }
+            1 => bytes[..at].to_vec(),
+            _ => {
+                let other = encode(partition + 1);
+                [&bytes[..at], &other[splice_from % other.len()..]].concat()
+            }
+        };
+        check_damaged_select(schema, format, damaged, &DAMAGED_SELECTS[table]);
+    }
+}
+
+/// Per TPC-H table of [`tpch_tables`], what the Select engine is asked
+/// of a damaged partition: a filter with a projection, a scalar
+/// aggregate, a grouped aggregate.
+const DAMAGED_SELECTS: [[&str; 3]; 3] = [
+    [
+        "SELECT c_custkey, c_name, c_acctbal FROM S3Object \
+         WHERE c_acctbal > 0 AND c_mktsegment <> 'MACHINERY'",
+        "SELECT COUNT(*), SUM(c_acctbal), MIN(c_name), MAX(c_nationkey), AVG(c_acctbal) \
+         FROM S3Object WHERE c_custkey > 3",
+        "SELECT c_mktsegment, COUNT(*), SUM(c_acctbal) FROM S3Object \
+         WHERE c_acctbal > 0 GROUP BY c_mktsegment",
+    ],
+    [
+        "SELECT o_orderkey, o_orderdate, o_totalprice FROM S3Object \
+         WHERE o_orderdate < DATE '1995-03-15' AND o_totalprice > 1000",
+        "SELECT COUNT(*), SUM(o_totalprice), MIN(o_orderdate), MAX(o_clerk) FROM S3Object",
+        "SELECT o_orderstatus, o_orderpriority, COUNT(*), AVG(o_totalprice) FROM S3Object \
+         GROUP BY o_orderstatus, o_orderpriority",
+    ],
+    [
+        "SELECT l_orderkey, l_extendedprice, l_shipmode FROM S3Object \
+         WHERE l_shipdate <= DATE '1998-09-02' AND l_quantity BETWEEN 5 AND 40",
+        "SELECT SUM(l_extendedprice * (1 - l_discount)), COUNT(*), MAX(l_shipdate) \
+         FROM S3Object WHERE l_discount > 0.02",
+        "SELECT l_returnflag, l_linestatus, SUM(l_quantity), COUNT(*) FROM S3Object \
+         WHERE l_shipdate <= DATE '1998-09-02' GROUP BY l_returnflag, l_linestatus",
+    ],
+];
+
+/// The three statements of `sql` run by the Select engine over `object`
+/// stored as a `format` partition of `schema`: each response's rows,
+/// decoded, with the schema they decode under.
+fn run_selects(
+    schema: &Schema,
+    format: InputFormat,
+    object: Vec<u8>,
+    sql: &[&str; 3],
+) -> Vec<pushdowndb::common::Result<(Schema, Vec<Row>)>> {
+    let store = S3Store::new();
+    store.put_object("b", "part", object);
+    let engine = S3SelectEngine::new(store).with_extensions(EngineExtensions {
+        native_group_by: true,
+        ..Default::default()
+    });
+    let grouped = parse_select_extended(sql[2]).unwrap();
+    let responses = [
+        engine.select("b", "part", sql[0], schema, format),
+        engine.select("b", "part", sql[1], schema, format),
+        engine.select_grouped("b", "part", &grouped, schema, format),
+    ];
+    let decoded =
+        |resp: pushdowndb::select::SelectResponse| Ok((resp.output_schema.clone(), resp.rows()?));
+    responses.into_iter().map(|r| r.and_then(decoded)).collect()
+}
+
+/// What a damaged partition may do under the Select engine (see
+/// `damaged_partitions_never_panic_the_select_engine`): fail, or answer
+/// rows well typed under the response's schema.
+fn check_damaged_select(schema: &Schema, format: InputFormat, object: Vec<u8>, sql: &[&str; 3]) {
+    for (out, rows) in run_selects(schema, format, object, sql)
+        .into_iter()
+        .flatten()
+    {
+        assert!(rows.iter().all(|r| well_typed(&out, r)));
     }
 }
 

@@ -17,7 +17,7 @@ use pushdowndb::core::joinplan::lower_candidates;
 use pushdowndb::core::metrics::Flow::{self, Breaker, Streaming};
 use pushdowndb::core::plan::Order;
 use pushdowndb::core::planner::{self, execute_sql};
-use pushdowndb::core::scan::{cached_scan_streamed, plain_scan_streamed, select_scan};
+use pushdowndb::core::scan::{cached_scan_streamed, plain_scan_streamed, select_scan, ScanSource};
 use pushdowndb::core::{
     ops, plan, upload_columnar_table, upload_csv_table, OpReport, PlanNode, PlanOp, QueryContext,
     QueryMetrics, Table,
@@ -465,17 +465,13 @@ fn join(
 /// output and returns its own.
 fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
     match &node.op {
-        PlanOp::LocalScan {
+        PlanOp::Scan {
             table,
             predicate,
             projection,
-        }
-        | PlanOp::CachedScan {
-            table,
-            predicate,
-            projection,
+            source: source @ (ScanSource::Plain | ScanSource::Cached),
         } => {
-            let cached = matches!(node.op, PlanOp::CachedScan { .. });
+            let cached = *source == ScanSource::Cached;
             let mut rows = Vec::new();
             let collect = |batch: RowBatch| {
                 rows.extend(batch.rows);
@@ -515,11 +511,11 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
             };
             Ok(Reference::leaf(schema, rows, label, phase, stats))
         }
-        PlanOp::PushdownScan {
+        PlanOp::Scan {
             table,
             predicate,
             projection,
-            limit: None,
+            source: ScanSource::Select(None),
         } => select_leaf(
             ctx,
             node,
@@ -557,11 +553,11 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
                 .map(|r| r[bk].as_i64())
                 .collect::<Result<_>>()?;
             let probe_node = &node.children[1];
-            let PlanOp::PushdownScan {
+            let PlanOp::Scan {
                 table,
                 predicate,
                 projection,
-                limit: None,
+                source: ScanSource::Select(None),
             } = &probe_node.op
             else {
                 panic!("BloomJoin probes a PushdownScan");
@@ -835,10 +831,7 @@ fn local_and_cached_leaves_carry_the_needed_columns_only() {
             let got: Vec<Vec<&str>> = found.iter().map(|l| l.schema.names()).collect();
             assert_eq!(got, want, "{} as `{name}`", stmt.name);
             for leaf in found {
-                let (PlanOp::LocalScan { projection, .. }
-                | PlanOp::CachedScan { projection, .. }
-                | PlanOp::PushdownScan { projection, .. }) = &leaf.op
-                else {
+                let PlanOp::Scan { projection, .. } = &leaf.op else {
                     panic!("leaf {:?}", leaf.op);
                 };
                 let cols: Vec<&str> = projection.iter().flatten().map(String::as_str).collect();

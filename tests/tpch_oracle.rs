@@ -14,7 +14,7 @@
 
 use pushdowndb::common::date::parse_date;
 use pushdowndb::common::{Row, Value};
-use pushdowndb::core::{upload_columnar_table, QueryContext, Strategy};
+use pushdowndb::core::{upload_columnar_table, QueryContext, QueryMetrics, Strategy};
 use pushdowndb::format::WriterOptions;
 use pushdowndb::s3::S3Store;
 use pushdowndb::tpch::{tpch_context, TpchGen, TpchTables, SUITE};
@@ -303,6 +303,50 @@ fn hold_to_oracle(ctx: &QueryContext, t: &TpchTables, what: &str) {
     // Non-NULL and positive where every smaller scale returns NULL.
     for answer in [&want[4], &want[5]] {
         assert!(answer[0][0].as_f64().unwrap() > 0.0, "{answer:?}");
+    }
+    hold_to_predictions(ctx, t, what);
+}
+
+/// Each phase group's labels, in order.
+fn phase_labels(metrics: &QueryMetrics) -> Vec<Vec<&str>> {
+    metrics
+        .groups
+        .iter()
+        .map(|g| g.phases.iter().map(|p| p.label.as_str()).collect())
+        .collect()
+}
+
+/// One phase rule for the pricer and the executor on the paper's own six
+/// queries, the composed Q14 and Q17 included: wherever a run carries the
+/// prediction of the plan it ran — under Adaptive, and on a cluster of
+/// four nodes under every strategy — its predicted phases are the
+/// executed ones, group for group and label for label (and the cluster's
+/// answers are the oracle's).
+fn hold_to_predictions(ctx: &QueryContext, t: &TpchTables, what: &str) {
+    let want = oracle(&TpchGen::new(SF));
+    let cluster = ctx.clone().with_nodes(4);
+    let runs = [
+        (ctx, Strategy::Adaptive),
+        (&cluster, Strategy::Baseline),
+        (&cluster, Strategy::Pushdown),
+        (&cluster, Strategy::Adaptive),
+    ];
+    for (q, want) in SUITE.iter().zip(&want) {
+        for (ctx, strategy) in runs {
+            let nodes = if ctx.cluster.is_some() { 4 } else { 1 };
+            let what = format!("{} {strategy:?} on {what}, {nodes} node(s)", q.name);
+            let (out, explain) = q.run(ctx, t, strategy).unwrap();
+            assert_rows_close(&out.rows, want, &what);
+            let predicted = explain
+                .predicted
+                .as_ref()
+                .expect("the run carries its prediction");
+            assert_eq!(
+                phase_labels(predicted),
+                phase_labels(&out.metrics),
+                "{what}: predicted vs executed phases"
+            );
+        }
     }
 }
 
