@@ -1,5 +1,6 @@
 //! The paper's figures, pinned to the bit: one line per row of Figs 1–9
-//! (at the scale `tests/figure_shapes.rs` runs them) and per row
+//! and of the §X ablations of Suggestions 1–4 (at the scale
+//! `tests/figure_shapes.rs` runs them) and per row
 //! of Fig 10 plus its two geo-means, under
 //! `tests/golden/paper_figures.txt`. Every column is a modeled runtime
 //! and a dollar total, each written as its `f64` bit pattern (the
@@ -117,6 +118,24 @@ fn lines() -> Vec<String> {
         bits(fig10.geo_mean_speedup),
         bits(fig10.geo_mean_cost_ratio)
     ));
+    for r in ex::ablation::run_index_ablation(20_000).unwrap() {
+        let mut line = format!("ablation-index selectivity={:e}", r.selectivity);
+        column(&mut line, "single-range", &r.single_range);
+        column(&mut line, "multi-range", &r.multi_range);
+        column(&mut line, "in-s3", &r.in_s3);
+        out.push(line);
+    }
+    let bloom = ex::ablation::run_bloom_ablation(0.004).unwrap();
+    let mut line = "ablation-bloom".to_string();
+    column(&mut line, "string", &bloom.string_join);
+    column(&mut line, "binary", &bloom.binary_join);
+    out.push(line);
+    for r in ex::ablation::run_groupby_ablation(10_000).unwrap() {
+        let mut line = format!("ablation-groupby groups={}", r.n_groups);
+        column(&mut line, "case-when", &r.case_when);
+        column(&mut line, "native", &r.native);
+        out.push(line);
+    }
     out
 }
 
