@@ -479,14 +479,12 @@ fn probe_sample_from_cache(
             return Ok(None);
         }
     }
-    let parts = keys.len();
-    let limit = (probe_rows as usize).max(1);
     let mut rows = Vec::new();
     for (i, key) in keys.iter().enumerate() {
         // Same striping as `ScanLimit::Striped`: partition i
         // contributes its share of the LIMIT, and a Select with LIMIT s
         // returns the partition's first s rows.
-        let share = (i + 1) * limit / parts - i * limit / parts;
+        let share = crate::scan::striped_share(probe_rows as usize, keys.len(), i);
         if share == 0 {
             continue;
         }

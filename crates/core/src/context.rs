@@ -122,18 +122,7 @@ impl QueryContext {
     /// fault stream matches the single-node engine request for request).
     /// Nested scopes inside algorithms then compose plainly underneath.
     pub fn scoped_with_salt(&self, salt: u64) -> QueryContext {
-        if let (Some(cluster), None) = (&self.cluster, &self.cluster_base) {
-            let base = self.store.scoped_with_salt(salt);
-            let n0 = cluster.node(0);
-            let exec = base
-                .scoped_with_peer(salt, &n0.ledger, &n0.clock)
-                .with_cache_override(n0.cache.clone());
-            let mut ctx = self.rebound(exec);
-            ctx.cluster_base = Some(base);
-            return ctx;
-        }
-        let store = self.store.scoped_with_salt(salt);
-        self.rebound(store)
+        self.scoped_on(salt, self.store.scoped_with_salt(salt))
     }
 
     /// [`QueryContext::scoped_with_salt`] on behalf of a **tenant**: the
@@ -155,22 +144,31 @@ impl QueryContext {
         tenant_ledger: &CostLedger,
         tenant_clock: &VirtualClock,
     ) -> QueryContext {
-        if let (Some(cluster), None) = (&self.cluster, &self.cluster_base) {
-            let base = self
-                .store
-                .scoped_with_peer(salt, tenant_ledger, tenant_clock);
-            let n0 = cluster.node(0);
-            let exec = base
-                .scoped_with_peer(salt, &n0.ledger, &n0.clock)
-                .with_cache_override(n0.cache.clone());
-            let mut ctx = self.rebound(exec);
-            ctx.cluster_base = Some(base);
-            return ctx;
-        }
-        let store = self
+        let base = self
             .store
             .scoped_with_peer(salt, tenant_ledger, tenant_clock);
-        self.rebound(store)
+        self.scoped_on(salt, base)
+    }
+
+    /// A query context over `base`, the query's own store scope: `base`
+    /// itself, or — when a cluster is attached and no cluster scope is
+    /// active yet — the coordinator's execution scope, billing jointly to
+    /// `base` and node 0 with `base` kept as the cluster base.
+    fn scoped_on(&self, salt: u64, base: S3Store) -> QueryContext {
+        let Some(cluster) = self
+            .cluster
+            .as_ref()
+            .filter(|_| self.cluster_base.is_none())
+        else {
+            return self.rebound(base);
+        };
+        let n0 = cluster.node(0);
+        let exec = base
+            .scoped_with_peer(salt, &n0.ledger, &n0.clock)
+            .with_cache_override(n0.cache.clone());
+        let mut ctx = self.rebound(exec);
+        ctx.cluster_base = Some(base);
+        ctx
     }
 
     /// An execution context for cluster node `node`: bills jointly to the

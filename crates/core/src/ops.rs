@@ -12,6 +12,11 @@
 //!   [`hash_join`]) over those state machines for callers that already
 //!   hold materialized rows.
 //!
+//! Both hash aggregations here — [`GroupByAccumulator`] and the merge of
+//! pushed partials, [`merge_group_rows`] — run on the one group table the
+//! Select engine runs too, [`pushdown_sql::agg::GroupTable`]; what they
+//! add is the CPU charge.
+//!
 //! Each operator reports its work into a [`PhaseStats`] as
 //! `server_cpu_units` so the performance model can charge compute time
 //! (one unit ≈ one row visited by one non-trivial operator; a K-heap
@@ -30,12 +35,11 @@ use pushdown_common::columnar::{Column, ColumnData, ColumnarBatch, SelVec};
 use pushdown_common::mix::{fnv1a, splitmix64};
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{date, DataType, Result, Row, Value};
-use pushdown_sql::agg::{Accumulator, AggFunc};
+use pushdown_sql::agg::{AggFunc, GroupTable};
 use pushdown_sql::ast::{BinOp, UnOp};
 use pushdown_sql::bind::BoundExpr;
 use pushdown_sql::eval::{eval, eval_predicate};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Keep rows passing the predicate. Call once per batch on the streaming
@@ -230,20 +234,22 @@ pub fn hash_join(
     build.probe_batch(&right, right_key, stats)
 }
 
-/// Hash aggregation state, fed batch-at-a-time. `aggs` pairs an aggregate
-/// function with the input column it consumes (`None` = COUNT(*)).
+/// Hash aggregation state, fed batch-at-a-time: one [`GroupTable`].
+/// `aggs` pairs an aggregate function with the input column it consumes
+/// (`None` = COUNT(*)).
 pub struct GroupByAccumulator {
     group_cols: Vec<usize>,
-    aggs: Vec<(AggFunc, Option<usize>)>,
-    groups: HashMap<Vec<Value>, Vec<Accumulator>>,
+    args: Vec<Option<usize>>,
+    table: GroupTable,
 }
 
 impl GroupByAccumulator {
     pub fn new(group_cols: Vec<usize>, aggs: Vec<(AggFunc, Option<usize>)>) -> Self {
+        let (funcs, args) = aggs.into_iter().unzip();
         GroupByAccumulator {
             group_cols,
-            aggs,
-            groups: HashMap::new(),
+            args,
+            table: GroupTable::new(funcs),
         }
     }
 
@@ -251,12 +257,8 @@ impl GroupByAccumulator {
     pub fn update_batch(&mut self, rows: &[Row], stats: &mut PhaseStats) -> Result<()> {
         stats.server_cpu_units += rows.len() as u64;
         for r in rows {
-            let key: Vec<Value> = self.group_cols.iter().map(|&c| r[c].clone()).collect();
-            let accs = self
-                .groups
-                .entry(key)
-                .or_insert_with(|| self.aggs.iter().map(|(f, _)| f.accumulator()).collect());
-            for (acc, (_, col)) in accs.iter_mut().zip(&self.aggs) {
+            let key = self.group_cols.iter().map(|&c| r[c].clone()).collect();
+            for (acc, col) in self.table.group(key).iter_mut().zip(&self.args) {
                 match col {
                     Some(c) => acc.update(&r[*c])?,
                     None => acc.update(&Value::Bool(true))?,
@@ -269,17 +271,7 @@ impl GroupByAccumulator {
     /// Emit `group values ++ aggregate values`, sorted by group for
     /// determinism.
     pub fn finish(self, stats: &mut PhaseStats) -> Vec<Row> {
-        let group_width = self.group_cols.len();
-        let mut out: Vec<Row> = self
-            .groups
-            .into_iter()
-            .map(|(key, accs)| {
-                let mut vals = key;
-                vals.extend(accs.iter().map(Accumulator::finish));
-                Row::new(vals)
-            })
-            .collect();
-        out.sort_by(|a, b| cmp_rows(a, b, group_width));
+        let out = self.table.finish();
         stats.server_cpu_units += out.len() as u64;
         out
     }
@@ -298,59 +290,33 @@ pub fn hash_group_by(
     Ok(acc.finish(stats))
 }
 
-fn cmp_rows(a: &Row, b: &Row, prefix: usize) -> Ordering {
-    for i in 0..prefix {
-        let o = a[i].total_cmp(&b[i]);
-        if o != Ordering::Equal {
-            return o;
-        }
-    }
-    Ordering::Equal
-}
-
 /// Merge pre-aggregated partials (e.g. one per group per source) whose
 /// rows are `group values ++ accumulator outputs` from `SUM`-mergeable
-/// functions. Used when hybrid group-by combines the S3-side and
-/// server-side halves.
+/// functions, on one [`GroupTable`]: partial COUNTs merge by summing,
+/// partial SUM/MIN/MAX by the same function. (AVG must be decomposed by
+/// the caller before partials are formed.) Used when pushed partial
+/// aggregates meet on the compute node.
 pub fn merge_group_rows(
     parts: Vec<Vec<Row>>,
     group_width: usize,
     aggs: &[AggFunc],
     stats: &mut PhaseStats,
 ) -> Result<Vec<Row>> {
-    let mut merged: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
+    let merging = aggs.iter().map(|f| match f {
+        AggFunc::Count => AggFunc::Sum,
+        other => *other,
+    });
+    let mut table = GroupTable::new(merging.collect());
     for part in parts {
         stats.server_cpu_units += part.len() as u64;
         for row in part {
-            let key: Vec<Value> = row.values()[..group_width].to_vec();
-            let accs = merged
-                .entry(key)
-                .or_insert_with(|| aggs.iter().map(|f| merge_accumulator(*f)).collect());
-            for (i, acc) in accs.iter_mut().enumerate() {
-                acc.update(&row[group_width + i])?;
+            let (key, partials) = row.values().split_at(group_width);
+            for (acc, v) in table.group(key.to_vec()).iter_mut().zip(partials) {
+                acc.update(v)?;
             }
         }
     }
-    let mut out: Vec<Row> = merged
-        .into_iter()
-        .map(|(key, accs)| {
-            let mut vals = key;
-            vals.extend(accs.iter().map(Accumulator::finish));
-            Row::new(vals)
-        })
-        .collect();
-    out.sort_by(|a, b| cmp_rows(a, b, group_width));
-    Ok(out)
-}
-
-/// The accumulator that *merges* partial results of `f`: partial COUNTs
-/// merge by summing, partial SUM/MIN/MAX by the same function. (AVG must
-/// be decomposed by the caller before partials are formed.)
-fn merge_accumulator(f: AggFunc) -> Accumulator {
-    match f {
-        AggFunc::Count => AggFunc::Sum.accumulator(),
-        other => other.accumulator(),
-    }
+    Ok(table.finish())
 }
 
 /// `ORDER BY` order of two rows: `(column, ascending)` keys, major first,

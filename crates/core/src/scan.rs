@@ -942,12 +942,13 @@ pub fn select_scan_aggregate(
     };
     let place = Placement::of(ctx, table)?;
     let responses = for_each_partition(&place, |part| {
-        let (bucket, schema, engine) = (&table.bucket, &table.schema, &part.ctx.engine);
-        if width == 0 {
-            engine.select_stmt(bucket, part.key, &grouped.select, schema, table.format)
-        } else {
-            engine.select_grouped(bucket, part.key, &grouped, schema, table.format)
-        }
+        part.ctx.engine.select_grouped(
+            &table.bucket,
+            part.key,
+            &grouped,
+            &table.schema,
+            table.format,
+        )
     })?;
     let mut spent = vec![PhaseStats::default(); place.nodes.len()];
     let mut rows: Vec<Row> = Vec::new();

@@ -7,7 +7,10 @@
 //! Faithfully implemented behaviours (paper §II-A, §IX, §X):
 //!
 //! * only **selection, projection, and aggregation without group-by** over
-//!   a single object (`GROUP BY`/`ORDER BY` are rejected at parse time);
+//!   a single object (`ORDER BY` is rejected at parse time, `GROUP BY`
+//!   unless §X Suggestion 4's [`EngineExtensions::native_group_by`] is
+//!   on — and then a grouped statement runs through the same binder,
+//!   scan and executor as every other, one group table per request);
 //! * input formats: CSV and a Parquet-like columnar format
 //!   ([`InputFormat::Columnar`]); for columnar inputs only the referenced
 //!   column chunks are scanned, and row groups are pruned via chunk
@@ -42,9 +45,11 @@ use pushdown_common::{Error, Result, RetryPolicy, Row, Schema, Value};
 use pushdown_format::columnar::{ColumnarReader, PruneOp};
 use pushdown_format::csv::{CsvReader, CsvWriter};
 use pushdown_s3::S3Store;
+use pushdown_sql::agg::{AggFunc, GroupTable};
+use pushdown_sql::ast::ExtendedSelect;
 use pushdown_sql::bind::{Binder, BoundExpr, BoundItem, BoundSelect};
 use pushdown_sql::eval::{eval, eval_predicate};
-use pushdown_sql::{parse_select, BinOp, SelectStmt};
+use pushdown_sql::{parse_select_extended, BinOp, SelectStmt};
 
 /// Storage format of the object being queried.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,8 +119,10 @@ impl Default for SelectLimits {
 /// buy.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineExtensions {
-    /// Suggestion 4: execute `GROUP BY` storage-side
-    /// ([`S3SelectEngine::select_grouped`]).
+    /// Suggestion 4: accept `GROUP BY` ([`S3SelectEngine::select`] on the
+    /// text, or [`S3SelectEngine::select_grouped`] on the AST) and run it
+    /// storage-side through the engine's one executor: projected decode,
+    /// row-group pruning, `LIMIT` and billing as for any statement.
     pub native_group_by: bool,
     /// Suggestion 2: evaluate index-table lookups storage-side
     /// ([`S3SelectEngine::select_indexed`]).
@@ -218,8 +225,8 @@ impl S3SelectEngine {
                     self.limits.max_sql_bytes
                 )));
             }
-            let stmt = parse_select(sql)?;
-            if !self.extensions.bitwise && stmt_uses_bitat(&stmt) {
+            let ext = parse_select_extended(sql)?;
+            if !self.extensions.bitwise && stmt_uses_bitat(&ext.select) {
                 return Err(Error::SelectRejected(
                     "S3 Select does not support bitwise operators or binary data \
                      (paper §V-A2); enable the bitwise extension to model §X \
@@ -227,7 +234,14 @@ impl S3SelectEngine {
                         .into(),
                 ));
             }
-            self.execute(bucket, key, &stmt, schema, format)
+            if !self.extensions.native_group_by && !ext.group_by.is_empty() {
+                return Err(Error::SelectRejected(
+                    "GROUP BY is not supported by S3 Select (enable the \
+                     native_group_by extension to model paper §X Suggestion 4)"
+                        .into(),
+                ));
+            }
+            self.execute(bucket, key, &ext, schema, format)
         })?;
         let mut resp = retried.value;
         resp.stats.attempts = retried.attempts;
@@ -250,215 +264,21 @@ impl S3SelectEngine {
     }
 
     /// **Extension (paper §X, Suggestion 4):** a `SELECT … GROUP BY`
-    /// executed entirely storage-side. Rejected unless
+    /// executed entirely storage-side: the statement rendered to text and
+    /// run by [`S3SelectEngine::select`], which rejects it unless
     /// [`EngineExtensions::native_group_by`] is on. Scalar projection
-    /// items must be exactly the grouping columns; everything else must
-    /// be an aggregate. Returns one CSV record per group, sorted by the
-    /// group key for determinism.
+    /// items must be grouping columns; everything else must be an
+    /// aggregate. Returns one CSV record per group, sorted by the group
+    /// key for determinism.
     pub fn select_grouped(
         &self,
         bucket: &str,
         key: &str,
-        ext: &pushdown_sql::ast::ExtendedSelect,
+        ext: &ExtendedSelect,
         schema: &Schema,
         format: InputFormat,
     ) -> Result<SelectResponse> {
-        let retried = self.store.with_retry(&self.retry, || {
-            self.store.begin_request(bucket, key)?;
-            self.select_grouped_attempt(bucket, key, ext, schema, format)
-        })?;
-        let mut resp = retried.value;
-        resp.stats.attempts = retried.attempts;
-        Ok(resp)
-    }
-
-    fn select_grouped_attempt(
-        &self,
-        bucket: &str,
-        key: &str,
-        ext: &pushdown_sql::ast::ExtendedSelect,
-        schema: &Schema,
-        format: InputFormat,
-    ) -> Result<SelectResponse> {
-        if !self.extensions.native_group_by {
-            return Err(Error::SelectRejected(
-                "GROUP BY is not supported by S3 Select (enable the \
-                 native_group_by extension to model paper §X Suggestion 4)"
-                    .into(),
-            ));
-        }
-        let text = ext.to_string();
-        if text.len() > self.limits.max_sql_bytes {
-            return Err(Error::SelectRejected(format!(
-                "SQL expression is {} bytes; the limit is {}",
-                text.len(),
-                self.limits.max_sql_bytes
-            )));
-        }
-        // Bind: group columns, then the projection plan.
-        let binder = Binder::new(schema);
-        let group_idx: Vec<usize> = ext
-            .group_by
-            .iter()
-            .map(|g| schema.resolve(g))
-            .collect::<Result<_>>()?;
-        #[allow(clippy::large_enum_variant)]
-        enum Item {
-            Group(usize),
-            Agg(pushdown_sql::agg::AggFunc, Option<BoundExpr>),
-        }
-        let mut plan = Vec::new();
-        let mut fields = Vec::new();
-        for (i, item) in ext.select.items.iter().enumerate() {
-            match item {
-                pushdown_sql::SelectItem::Expr { expr, alias } => {
-                    let pushdown_sql::Expr::Column(name) = expr else {
-                        return Err(Error::Bind(format!(
-                            "grouped select items must be grouping columns or \
-                             aggregates, found `{expr}`"
-                        )));
-                    };
-                    let idx = schema.resolve(name)?;
-                    if !group_idx.contains(&idx) {
-                        return Err(Error::Bind(format!(
-                            "column `{name}` is not in the GROUP BY list"
-                        )));
-                    }
-                    fields.push(pushdown_common::Field::new(
-                        alias.clone().unwrap_or_else(|| name.clone()),
-                        schema.dtype_of(idx),
-                    ));
-                    plan.push(Item::Group(idx));
-                }
-                pushdown_sql::SelectItem::Agg { func, arg, alias } => {
-                    let bound = match arg {
-                        Some(e) => Some(binder.bind_expr(e)?),
-                        None => None,
-                    };
-                    let dtype = match func {
-                        pushdown_sql::agg::AggFunc::Count => pushdown_common::DataType::Int,
-                        pushdown_sql::agg::AggFunc::Avg => pushdown_common::DataType::Float,
-                        _ => bound
-                            .as_ref()
-                            .map(|e| e.infer_type())
-                            .unwrap_or(pushdown_common::DataType::Float),
-                    };
-                    fields.push(pushdown_common::Field::new(
-                        alias.clone().unwrap_or_else(|| format!("_{}", i + 1)),
-                        dtype,
-                    ));
-                    plan.push(Item::Agg(*func, bound));
-                }
-                pushdown_sql::SelectItem::Wildcard => {
-                    return Err(Error::Bind("`*` is invalid with GROUP BY".into()))
-                }
-            }
-        }
-        let where_clause = match &ext.select.where_clause {
-            Some(w) => Some(binder.bind_expr(w)?),
-            None => None,
-        };
-
-        // Scan rows (full scan; CSV and columnar alike).
-        let raw = self.store.raw_object(bucket, key)?;
-        let (rows, bytes_scanned): (Vec<Row>, u64) = match format {
-            InputFormat::Csv => {
-                let rows = CsvReader::with_header(&raw, schema.clone())
-                    .map(|r| r.map(|rec| rec.row))
-                    .collect::<Result<_>>()?;
-                (rows, raw.len() as u64)
-            }
-            InputFormat::CsvNoHeader => {
-                let rows = CsvReader::without_header(&raw, schema.clone())
-                    .map(|r| r.map(|rec| rec.row))
-                    .collect::<Result<_>>()?;
-                (rows, raw.len() as u64)
-            }
-            InputFormat::Columnar => {
-                let reader = ColumnarReader::open(raw.clone())?;
-                (reader.read_all()?, raw.len() as u64)
-            }
-        };
-
-        // Group + aggregate.
-        let mut groups: std::collections::HashMap<Vec<Value>, Vec<pushdown_sql::Accumulator>> =
-            std::collections::HashMap::new();
-        for row in &rows {
-            if let Some(w) = &where_clause {
-                if !eval_predicate(w, row)? {
-                    continue;
-                }
-            }
-            let key: Vec<Value> = group_idx.iter().map(|&i| row[i].clone()).collect();
-            let accs = groups.entry(key).or_insert_with(|| {
-                plan.iter()
-                    .filter_map(|it| match it {
-                        Item::Agg(f, _) => Some(f.accumulator()),
-                        Item::Group(_) => None,
-                    })
-                    .collect()
-            });
-            let mut ai = 0;
-            for it in &plan {
-                if let Item::Agg(_, arg) = it {
-                    match arg {
-                        Some(e) => accs[ai].update(&eval(e, row)?)?,
-                        None => accs[ai].update(&Value::Bool(true))?,
-                    }
-                    ai += 1;
-                }
-            }
-        }
-        let mut out_rows: Vec<Row> = groups
-            .into_iter()
-            .map(|(key, accs)| {
-                let mut ai = 0;
-                let vals: Vec<Value> = plan
-                    .iter()
-                    .map(|it| match it {
-                        Item::Group(idx) => {
-                            let pos = group_idx.iter().position(|g| g == idx).unwrap();
-                            key[pos].clone()
-                        }
-                        Item::Agg(_, _) => {
-                            let v = accs[ai].finish();
-                            ai += 1;
-                            v
-                        }
-                    })
-                    .collect();
-                Row::new(vals)
-            })
-            .collect();
-        out_rows.sort_by(|a, b| {
-            for (x, y) in a.values().iter().zip(b.values()) {
-                let o = x.total_cmp(y);
-                if o != std::cmp::Ordering::Equal {
-                    return o;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-
-        let mut w = CsvWriter::headerless();
-        for r in &out_rows {
-            w.write_row(r);
-        }
-        let payload = w.finish();
-        let stats = SelectStats {
-            bytes_scanned,
-            bytes_returned: payload.len() as u64,
-            records_returned: out_rows.len() as u64,
-            expr_terms: ext.select.term_count() + ext.group_by.len() as u32,
-            attempts: 1,
-        };
-        self.store
-            .bill_select(stats.bytes_scanned, stats.bytes_returned);
-        Ok(SelectResponse {
-            data: Bytes::from(payload),
-            output_schema: Schema::new(fields),
-            stats,
-        })
+        self.select(bucket, key, &ext.to_string(), schema, format)
     }
 
     /// **Extension (paper §X, Suggestion 2):** an index lookup evaluated
@@ -575,12 +395,12 @@ impl S3SelectEngine {
         &self,
         bucket: &str,
         key: &str,
-        stmt: &SelectStmt,
+        ext: &ExtendedSelect,
         schema: &Schema,
         format: InputFormat,
     ) -> Result<SelectResponse> {
-        let bound = Binder::new(schema).bind_select(stmt)?;
-        let expr_terms = stmt.term_count();
+        let bound = Binder::new(schema).bind_grouped(&ext.select, &ext.group_by)?;
+        let expr_terms = ext.select.term_count() + ext.group_by.len() as u32;
         let raw = self.store.raw_object(bucket, key)?;
 
         let (rows, bytes_scanned) = match format {
@@ -642,7 +462,7 @@ impl S3SelectEngine {
         // stopped the scan, everything up to where the next record
         // starts — the last record read and its terminator, `\n` or
         // `\r\n`, included.
-        Ok((exec.finish()?, reader.consumed() as u64))
+        Ok((exec.finish(), reader.consumed() as u64))
     }
 
     /// Columnar scan: only referenced column chunks are read, and row
@@ -700,7 +520,7 @@ impl S3SelectEngine {
                 }
             }
         }
-        Ok((exec.finish()?, scanned))
+        Ok((exec.finish(), scanned))
     }
 }
 
@@ -738,10 +558,10 @@ fn stmt_uses_bitat(stmt: &SelectStmt) -> bool {
 }
 
 /// The schema columns a bound statement reads — projection items,
-/// aggregate arguments and the `WHERE` clause — ascending, each once:
-/// what a scan has to decode.
+/// aggregate arguments, grouping columns and the `WHERE` clause —
+/// ascending, each once: what a scan has to decode.
 fn referenced_columns(bound: &BoundSelect) -> Vec<usize> {
-    let mut needed: Vec<usize> = Vec::new();
+    let mut needed = bound.group_by.clone();
     for item in &bound.items {
         match item {
             BoundItem::Expr { expr, .. } => collect_columns(expr, &mut needed),
@@ -852,33 +672,32 @@ fn extract_prune_conditions(e: &BoundExpr) -> Vec<(usize, PruneOp, Value)> {
     out
 }
 
-/// Shared row-at-a-time executor for both storage formats.
+/// Shared row-at-a-time executor for both storage formats. A projection
+/// streams its rows and stops the scan at `LIMIT`; an aggregate or
+/// grouped statement folds every row into one [`GroupTable`] — a scalar
+/// aggregate is the one group of no columns — and `LIMIT` cuts its
+/// finished groups.
 struct Executor<'a> {
     bound: &'a BoundSelect,
-    accs: Vec<pushdown_sql::Accumulator>,
+    groups: Option<GroupTable>,
     rows: Vec<Row>,
-    emitted: u64,
 }
 
 impl<'a> Executor<'a> {
     fn new(bound: &'a BoundSelect) -> Self {
-        let accs = if bound.is_aggregate {
-            bound
-                .items
-                .iter()
-                .map(|item| match item {
-                    BoundItem::Agg { func, .. } => func.accumulator(),
-                    BoundItem::Expr { .. } => unreachable!("binder rejects mixed selects"),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let grouping = bound.is_aggregate || !bound.group_by.is_empty();
+        let groups = grouping.then(|| {
+            let mut table = GroupTable::new(aggregates(bound).map(|(func, _)| func).collect());
+            if bound.group_by.is_empty() {
+                // Seeded, so that empty input still answers one row.
+                table.group(Vec::new());
+            }
+            table
+        });
         Executor {
             bound,
-            accs,
+            groups,
             rows: Vec::new(),
-            emitted: 0,
         }
     }
 
@@ -889,40 +708,73 @@ impl<'a> Executor<'a> {
                 return Ok(false);
             }
         }
-        if self.bound.is_aggregate {
-            for (acc, item) in self.accs.iter_mut().zip(&self.bound.items) {
-                let BoundItem::Agg { arg, .. } = item else {
-                    unreachable!()
-                };
+        if let Some(table) = &mut self.groups {
+            let key = self
+                .bound
+                .group_by
+                .iter()
+                .map(|&c| row[c].clone())
+                .collect();
+            for (acc, (_, arg)) in table.group(key).iter_mut().zip(aggregates(self.bound)) {
                 match arg {
                     Some(e) => acc.update(&eval(e, row)?)?,
                     None => acc.update(&Value::Bool(true))?, // COUNT(*)
                 }
             }
-            return Ok(false); // aggregates always consume the full input
+            return Ok(false); // groups always consume the full input
         }
-        let mut out = Vec::with_capacity(self.bound.items.len());
-        for item in &self.bound.items {
-            let BoundItem::Expr { expr, .. } = item else {
-                unreachable!()
-            };
-            out.push(eval(expr, row)?);
-        }
+        let out = self
+            .bound
+            .items
+            .iter()
+            .map(|item| match item {
+                BoundItem::Expr { expr, .. } => eval(expr, row),
+                BoundItem::Agg { .. } => unreachable!("binder rejects mixed selects"),
+            })
+            .collect::<Result<_>>()?;
         self.rows.push(Row::new(out));
-        self.emitted += 1;
-        Ok(matches!(self.bound.limit, Some(l) if self.emitted >= l))
+        Ok(matches!(self.bound.limit, Some(l) if self.rows.len() as u64 >= l))
     }
 
-    fn finish(mut self) -> Result<Vec<Row>> {
-        if self.bound.is_aggregate {
-            let row = Row::new(self.accs.iter().map(|a| a.finish()).collect());
-            self.rows.push(row);
-            if matches!(self.bound.limit, Some(0)) {
-                self.rows.clear();
-            }
-        }
-        Ok(self.rows)
+    fn finish(self) -> Vec<Row> {
+        let Some(table) = self.groups else {
+            return self.rows;
+        };
+        // Where each output item sits in a finished `key ++ values` row:
+        // a scalar item is a grouping column, the binder checked.
+        let group_by = &self.bound.group_by;
+        let mut next_agg = group_by.len();
+        let take: Vec<usize> = self
+            .bound
+            .items
+            .iter()
+            .map(|item| match item {
+                BoundItem::Expr { expr, .. } => group_by
+                    .iter()
+                    .position(|&g| matches!(expr, BoundExpr::Column(c, _) if *c == g))
+                    .expect("a grouped scalar item is a grouping column"),
+                BoundItem::Agg { .. } => {
+                    next_agg += 1;
+                    next_agg - 1
+                }
+            })
+            .collect();
+        let limit = self.bound.limit.map_or(usize::MAX, |l| l as usize);
+        table
+            .finish()
+            .iter()
+            .take(limit)
+            .map(|r| r.project(&take))
+            .collect()
     }
+}
+
+/// A bound statement's aggregates, in item order.
+fn aggregates(bound: &BoundSelect) -> impl Iterator<Item = (AggFunc, Option<&BoundExpr>)> {
+    bound.items.iter().filter_map(|item| match item {
+        BoundItem::Agg { func, arg, .. } => Some((*func, arg.as_ref())),
+        BoundItem::Expr { .. } => None,
+    })
 }
 
 #[cfg(test)]
@@ -1407,6 +1259,84 @@ mod tests {
             .is_err());
     }
 
+    fn grouped(e: &S3SelectEngine, key: &str, sql: &str) -> Result<SelectResponse> {
+        let format = match key {
+            "customer.clt" => InputFormat::Columnar,
+            _ => InputFormat::Csv,
+        };
+        let ext = pushdown_sql::parser::parse_select_extended(sql)?;
+        e.select_grouped("tpch", key, &ext, &customer_schema(), format)
+    }
+
+    fn native(e: S3SelectEngine) -> S3SelectEngine {
+        e.with_extensions(EngineExtensions {
+            native_group_by: true,
+            ..Default::default()
+        })
+    }
+
+    #[test]
+    fn grouped_limit_cuts_the_sorted_groups() {
+        let e = native(engine_with_csv(&customer_rows(100)));
+        let sql = "SELECT c_nationkey, COUNT(*) FROM S3Object GROUP BY c_nationkey LIMIT 2";
+        let resp = grouped(&e, "customer.csv", sql).unwrap();
+        let want = vec![
+            Row::new(vec![Value::Int(0), Value::Int(4)]),
+            Row::new(vec![Value::Int(1), Value::Int(4)]),
+        ];
+        assert_eq!(resp.rows().unwrap(), want);
+        assert_eq!(resp.stats.records_returned, 2);
+    }
+
+    #[test]
+    fn grouped_bit_at_requires_the_bitwise_extension() {
+        let e = native(engine_with_csv(&customer_rows(20)));
+        let sql = "SELECT c_nationkey, COUNT(*) FROM S3Object \
+                   WHERE BIT_AT('f0000000', c_nationkey + 1) = 1 GROUP BY c_nationkey";
+        let err = grouped(&e, "customer.csv", sql).unwrap_err();
+        assert_eq!(err.code(), "SelectRejected");
+        let both = e.clone().with_extensions(EngineExtensions {
+            native_group_by: true,
+            bitwise: true,
+            ..Default::default()
+        });
+        let keys: Vec<Value> = grouped(&both, "customer.csv", sql)
+            .unwrap()
+            .rows()
+            .unwrap()
+            .iter()
+            .map(|r| r[0].clone())
+            .collect();
+        assert_eq!(keys, (0..4).map(Value::Int).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn grouped_columnar_scans_fewer_bytes_than_select_star() {
+        let e = native(engine_with_columnar(&customer_rows(2000)));
+        let narrow = grouped(
+            &e,
+            "customer.clt",
+            "SELECT c_nationkey, COUNT(*) FROM S3Object GROUP BY c_nationkey",
+        )
+        .unwrap();
+        let wide = e
+            .select(
+                "tpch",
+                "customer.clt",
+                "SELECT * FROM S3Object",
+                &customer_schema(),
+                InputFormat::Columnar,
+            )
+            .unwrap();
+        assert_eq!(narrow.stats.records_returned, 25);
+        assert!(
+            narrow.stats.bytes_scanned * 2 < wide.stats.bytes_scanned,
+            "narrow {} vs wide {}",
+            narrow.stats.bytes_scanned,
+            wide.stats.bytes_scanned
+        );
+    }
+
     #[test]
     fn indexed_select_requires_the_extension_and_works() {
         // Build a small data + index object pair by hand.
@@ -1644,6 +1574,148 @@ mod proptests {
             Just("a IS NOT NULL".to_string()),
         ];
         proptest::collection::vec(atom, 1..4).prop_map(|atoms| atoms.join(" AND "))
+    }
+
+    fn grouped_schema() -> Schema {
+        Schema::from_pairs(&[
+            ("g", DataType::Int),
+            ("s", DataType::Str),
+            ("v", DataType::Float),
+            ("w", DataType::Int),
+        ])
+    }
+
+    /// NULL-bearing rows over few distinct group values.
+    fn arb_grouped_rows() -> impl Strategy<Value = Vec<Row>> {
+        let g = prop_oneof![3 => (0i64..4).prop_map(Value::Int), 1 => Just(Value::Null)];
+        let s = prop_oneof![3 => "[a-c]{1,2}".prop_map(Value::Str), 1 => Just(Value::Null)];
+        let v = prop_oneof![3 => (-50.0f64..50.0).prop_map(Value::Float), 1 => Just(Value::Null)];
+        let w = prop_oneof![3 => (0i64..100).prop_map(Value::Int), 1 => Just(Value::Null)];
+        proptest::collection::vec(
+            (g, s, v, w).prop_map(|(g, s, v, w)| Row::new(vec![g, s, v, w])),
+            0..120,
+        )
+    }
+
+    fn arb_grouping() -> impl Strategy<Value = Vec<&'static str>> {
+        prop_oneof![
+            Just(vec!["g"]),
+            Just(vec!["s"]),
+            Just(vec!["g", "s"]),
+            Just(vec!["s", "g"]),
+        ]
+    }
+
+    fn arb_grouped_where() -> impl Strategy<Value = Option<String>> {
+        prop_oneof![
+            2 => Just(None),
+            2 => (0i64..100).prop_map(|k| Some(format!("w >= {k}"))),
+            1 => Just(Some("v IS NOT NULL".to_string())),
+        ]
+    }
+
+    /// Reference group-by: rows folded in row order, groups sorted by key.
+    fn reference_group_by(rows: &[Row], cols: &[usize], pred: Option<&BoundExpr>) -> Vec<Row> {
+        use pushdown_sql::Accumulator;
+        let funcs = [
+            AggFunc::Sum,
+            AggFunc::Count,
+            AggFunc::Count,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Avg,
+        ];
+        let mut groups: Vec<(Vec<Value>, Vec<Accumulator>)> = Vec::new();
+        for r in rows {
+            if pred.is_some_and(|p| !eval_predicate(p, r).unwrap()) {
+                continue;
+            }
+            let key: Vec<Value> = cols.iter().map(|&c| r[c].clone()).collect();
+            let at = match groups.iter().position(|(k, _)| *k == key) {
+                Some(at) => at,
+                None => {
+                    groups.push((key, funcs.iter().map(AggFunc::accumulator).collect()));
+                    groups.len() - 1
+                }
+            };
+            let args = [&r[2], &Value::Bool(true), &r[2], &r[3], &r[1], &r[2]];
+            for (acc, v) in groups[at].1.iter_mut().zip(args) {
+                acc.update(v).unwrap();
+            }
+        }
+        groups.sort_by(|(a, _), (b, _)| {
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| x.total_cmp(y))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        groups
+            .into_iter()
+            .map(|(mut key, accs)| {
+                key.extend(accs.iter().map(Accumulator::finish));
+                Row::new(key)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// §X's native GROUP BY through the engine's one executor answers
+        /// a reference group-by over the same rows — floats bit-equal,
+        /// since both fold in row order — on CSV and on ColumnarLite,
+        /// whose bill never exceeds the object.
+        #[test]
+        fn native_group_by_matches_a_reference_group_by(
+            rows in arb_grouped_rows(),
+            grouping in arb_grouping(),
+            pred in arb_grouped_where(),
+            limit in prop_oneof![3 => Just(None), 1 => (0u64..4).prop_map(Some)],
+            columnar in any::<bool>(),
+        ) {
+            let schema = grouped_schema();
+            let store = S3Store::new();
+            let format = if columnar {
+                let opts = WriterOptions { rows_per_group: 16, compress: true };
+                store.put_object("b", "t", encode_columnar(&schema, &rows, opts));
+                InputFormat::Columnar
+            } else {
+                store.put_object("b", "t", encode_csv(&schema, &rows));
+                InputFormat::Csv
+            };
+            let engine = S3SelectEngine::new(store.clone()).with_extensions(EngineExtensions {
+                native_group_by: true,
+                ..Default::default()
+            });
+            let groups = grouping.join(", ");
+            let sql = format!(
+                "SELECT {groups}, SUM(v), COUNT(*), COUNT(v), MIN(w), MAX(s), AVG(v) \
+                 FROM S3Object{} GROUP BY {groups}{}",
+                pred.as_ref().map_or(String::new(), |p| format!(" WHERE {p}")),
+                limit.map_or(String::new(), |l| format!(" LIMIT {l}")),
+            );
+            let ext = parse_select_extended(&sql).unwrap();
+            let resp = engine.select_grouped("b", "t", &ext, &schema, format).unwrap();
+
+            let cols: Vec<usize> = grouping.iter().map(|g| schema.resolve(g).unwrap()).collect();
+            let bound = pred
+                .as_ref()
+                .map(|p| Binder::new(&schema).bind_expr(&parse_expr(p).unwrap()).unwrap());
+            let mut want = reference_group_by(&rows, &cols, bound.as_ref());
+            want.truncate(limit.map_or(usize::MAX, |l| l as usize));
+            // `Debug` tells `Int 3` from `Float 3.0` and every float bit.
+            let debug = |rows: &[Row]| -> Vec<Vec<String>> {
+                rows.iter()
+                    .map(|r| r.values().iter().map(|v| format!("{v:?}")).collect())
+                    .collect()
+            };
+            prop_assert_eq!(debug(&resp.rows().unwrap()), debug(&want));
+            prop_assert_eq!(resp.stats.records_returned, want.len() as u64);
+            if columnar {
+                prop_assert!(resp.stats.bytes_scanned <= store.total_size("b", "t"));
+            }
+        }
     }
 
     proptest! {

@@ -1,11 +1,15 @@
-//! Aggregate functions and their accumulators.
+//! Aggregate functions, their accumulators, and the one group table.
 //!
 //! S3 Select supports aggregation *without* group-by (paper §II-A): a
-//! query is either all-scalar or all-aggregate. The same accumulators are
-//! reused by PushdownDB's server-side group-by operators, which maintain
-//! one accumulator row per group.
+//! query is either all-scalar or all-aggregate. Every hash aggregation in
+//! the system — the Select engine's aggregate statements (a scalar one is
+//! the group of no columns), §X's native `GROUP BY`, the compute node's
+//! group-by operator and the merge of pushed partials — is one
+//! [`GroupTable`]: group key → one accumulator per aggregate.
 
-use pushdown_common::{Error, Result, Value};
+use pushdown_common::{Error, Result, Row, Value};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// The aggregate functions of the dialect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -131,58 +135,6 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Merge another accumulator of the same function (partition merge).
-    pub fn merge(&mut self, other: &Accumulator) -> Result<()> {
-        match (self, other) {
-            (
-                Accumulator::Sum {
-                    int,
-                    float,
-                    saw_float,
-                    count,
-                },
-                Accumulator::Sum {
-                    int: i2,
-                    float: f2,
-                    saw_float: s2,
-                    count: c2,
-                },
-            ) => {
-                *int = int
-                    .checked_add(*i2)
-                    .ok_or_else(|| Error::Eval("integer overflow in SUM".into()))?;
-                *float += f2;
-                *saw_float |= s2;
-                *count += c2;
-            }
-            (Accumulator::Count(n), Accumulator::Count(m)) => *n += m,
-            (Accumulator::Min(a), Accumulator::Min(b)) => {
-                if let Some(bv) = b {
-                    let mut tmp = Accumulator::Min(a.take());
-                    tmp.update(bv)?;
-                    if let Accumulator::Min(v) = tmp {
-                        *a = v;
-                    }
-                }
-            }
-            (Accumulator::Max(a), Accumulator::Max(b)) => {
-                if let Some(bv) = b {
-                    let mut tmp = Accumulator::Max(a.take());
-                    tmp.update(bv)?;
-                    if let Accumulator::Max(v) = tmp {
-                        *a = v;
-                    }
-                }
-            }
-            (Accumulator::Avg { sum, count }, Accumulator::Avg { sum: s2, count: c2 }) => {
-                *sum += s2;
-                *count += c2;
-            }
-            _ => return Err(Error::Eval("mismatched accumulators in merge".into())),
-        }
-        Ok(())
-    }
-
     /// Final result.
     pub fn finish(&self) -> Value {
         match self {
@@ -210,6 +162,53 @@ impl Accumulator {
                 }
             }
         }
+    }
+}
+
+/// A hash table from group key to one accumulator per aggregate function.
+/// Keys are equal when [`Value::total_cmp`] calls them equal, so `Int 1`
+/// and `Float 1.0` are one group and NULL is a group of its own.
+#[derive(Debug)]
+pub struct GroupTable {
+    funcs: Vec<AggFunc>,
+    groups: HashMap<Vec<Value>, Vec<Accumulator>>,
+}
+
+impl GroupTable {
+    pub fn new(funcs: Vec<AggFunc>) -> Self {
+        GroupTable {
+            funcs,
+            groups: HashMap::new(),
+        }
+    }
+
+    /// The accumulators of group `key`, in `funcs` order, opened on first
+    /// sight.
+    pub fn group(&mut self, key: Vec<Value>) -> &mut [Accumulator] {
+        let funcs = &self.funcs;
+        self.groups
+            .entry(key)
+            .or_insert_with(|| funcs.iter().map(AggFunc::accumulator).collect())
+    }
+
+    /// One row per group, `key ++ finished values`, sorted by key in
+    /// [`Value::total_cmp`] order.
+    pub fn finish(self) -> Vec<Row> {
+        let mut groups: Vec<_> = self.groups.into_iter().collect();
+        groups.sort_unstable_by(|(a, _), (b, _)| {
+            a.iter()
+                .zip(b)
+                .map(|(x, y)| x.total_cmp(y))
+                .find(|o| *o != Ordering::Equal)
+                .unwrap_or(Ordering::Equal)
+        });
+        groups
+            .into_iter()
+            .map(|(mut key, accs)| {
+                key.extend(accs.iter().map(Accumulator::finish));
+                Row::new(key)
+            })
+            .collect()
     }
 }
 
@@ -290,33 +289,6 @@ mod tests {
             run(AggFunc::Avg, &[Value::Int(1), Value::Int(2), Value::Int(6)]),
             Value::Float(3.0)
         );
-    }
-
-    #[test]
-    fn merge_equals_single_pass() {
-        for func in [
-            AggFunc::Sum,
-            AggFunc::Count,
-            AggFunc::Min,
-            AggFunc::Max,
-            AggFunc::Avg,
-        ] {
-            let vals: Vec<Value> = (0..10).map(|i| Value::Int(i * 7 % 13)).collect();
-            let mut whole = func.accumulator();
-            for v in &vals {
-                whole.update(v).unwrap();
-            }
-            let mut left = func.accumulator();
-            let mut right = func.accumulator();
-            for v in &vals[..4] {
-                left.update(v).unwrap();
-            }
-            for v in &vals[4..] {
-                right.update(v).unwrap();
-            }
-            left.merge(&right).unwrap();
-            assert_eq!(left.finish(), whole.finish(), "{func:?}");
-        }
     }
 
     #[test]

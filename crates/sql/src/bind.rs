@@ -170,8 +170,12 @@ pub struct BoundSelect {
     pub limit: Option<u64>,
     /// Schema of the result rows.
     pub output_schema: Schema,
-    /// True if the query aggregates (then it returns exactly one row).
+    /// True if the query has aggregates (then it returns one row per
+    /// group; without a grouping list, exactly one row).
     pub is_aggregate: bool,
+    /// The grouping columns (§X Suggestion 4), as schema indices; empty
+    /// in the stock dialect.
+    pub group_by: Vec<usize>,
 }
 
 /// Binds expressions against a schema.
@@ -300,6 +304,17 @@ impl<'a> Binder<'a> {
     /// aggregate rules (all-or-nothing projection, no group-by), and
     /// produces the output schema.
     pub fn bind_select(&self, stmt: &SelectStmt) -> Result<BoundSelect> {
+        self.bind_grouped(stmt, &[])
+    }
+
+    /// [`Binder::bind_select`] with a grouping list (§X Suggestion 4's
+    /// partial group-by): a grouped statement's scalar items must be
+    /// grouping columns, everything else an aggregate, and `*` is invalid.
+    pub fn bind_grouped(&self, stmt: &SelectStmt, group_by: &[String]) -> Result<BoundSelect> {
+        let group_by: Vec<usize> = group_by
+            .iter()
+            .map(|g| Ok(self.resolve_column(g)?.0))
+            .collect::<Result<_>>()?;
         let has_agg = stmt.is_aggregate();
         let has_wildcard = stmt.items.iter().any(|i| matches!(i, SelectItem::Wildcard));
         if has_wildcard && stmt.items.len() > 1 {
@@ -316,6 +331,9 @@ impl<'a> Binder<'a> {
 
         for (i, item) in stmt.items.iter().enumerate() {
             match item {
+                SelectItem::Wildcard if !group_by.is_empty() => {
+                    return Err(Error::Bind("`*` is invalid with GROUP BY".into()))
+                }
                 SelectItem::Wildcard => {
                     for (idx, f) in self.schema.fields().iter().enumerate() {
                         items.push(BoundItem::Expr {
@@ -326,7 +344,19 @@ impl<'a> Binder<'a> {
                     }
                 }
                 SelectItem::Expr { expr, alias } => {
-                    if has_agg {
+                    if !group_by.is_empty() {
+                        let Expr::Column(name) = expr else {
+                            return Err(Error::Bind(format!(
+                                "grouped select items must be grouping columns or \
+                                 aggregates, found `{expr}`"
+                            )));
+                        };
+                        if !group_by.contains(&self.resolve_column(name)?.0) {
+                            return Err(Error::Bind(format!(
+                                "column `{name}` is not in the GROUP BY list"
+                            )));
+                        }
+                    } else if has_agg {
                         return Err(Error::Bind(format!(
                             "cannot mix scalar expression `{expr}` with aggregates \
                              (S3 Select has no GROUP BY)"
@@ -375,6 +405,7 @@ impl<'a> Binder<'a> {
             limit: stmt.limit,
             output_schema: Schema::new(fields),
             is_aggregate: has_agg,
+            group_by,
         })
     }
 }

@@ -21,7 +21,8 @@
 //!   and expression-complexity metering for the performance model;
 //! * [`eval`](mod@eval) — a three-valued-logic interpreter for bound
 //!   expressions;
-//! * [`agg`] — the aggregate accumulators (`SUM`/`COUNT`/`MIN`/`MAX`/`AVG`).
+//! * [`agg`] — the aggregate accumulators (`SUM`/`COUNT`/`MIN`/`MAX`/`AVG`)
+//!   and the one group table every hash aggregation runs on.
 
 pub mod agg;
 pub mod ast;
@@ -32,7 +33,7 @@ pub mod parser;
 #[cfg(test)]
 mod proptests;
 
-pub use agg::{Accumulator, AggFunc};
+pub use agg::{Accumulator, AggFunc, GroupTable};
 pub use ast::{BinOp, Expr, SelectItem, SelectStmt, UnOp};
 pub use bind::{Binder, BoundExpr, BoundSelect};
 pub use eval::eval;
