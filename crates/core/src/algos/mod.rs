@@ -84,11 +84,11 @@ mod groupby {
             (QueryContext::new(store), t)
         }
 
-        /// `t` with its exact statistics but no dictionaries: its hybrid
-        /// split samples.
+        /// `t` with its exact statistics but no tails, so no dictionaries:
+        /// its hybrid split samples.
         fn without_dictionaries(mut t: Table) -> Table {
             let mut stats = t.stats.as_deref().expect("loaded with statistics").clone();
-            stats.columns.iter_mut().for_each(|c| c.dictionary = None);
+            stats.columns.iter_mut().for_each(|c| c.tails = None);
             t.stats = Some(std::sync::Arc::new(stats));
             t
         }
@@ -278,9 +278,10 @@ mod groupby {
 
 /// §VII top-K, by candidate name: `server-side` loads the table and keeps
 /// a K-heap locally; `sampling` takes the K-th value of a striped sample
-/// of the ORDER BY column as a threshold, pushes `col <= threshold` and
-/// heaps only the survivors. The sample always contains K records at or
-/// before the threshold, so the answer is exact.
+/// of the ORDER BY column — or the one the catalog's tails hold — as a
+/// threshold, pushes `col <= threshold` and heaps only the survivors. The
+/// sample always contains K records at or before the threshold, so the
+/// answer is exact.
 #[cfg(test)]
 mod topk {
     mod tests {
@@ -320,7 +321,7 @@ mod topk {
             run_candidate(ctx, t, sql, "server-side", None).unwrap()
         }
 
-        /// `sampling` with the §VII-B optimal sample size, or `sample` rows.
+        /// `sampling` as lowered, or with a striped sample of `sample` rows.
         fn sampling(
             ctx: &QueryContext,
             t: &Table,
@@ -476,7 +477,8 @@ mod topk {
             let sql = "SELECT * FROM sorted ORDER BY price LIMIT 30";
             let want = server_side(&ctx, &t, sql);
             let kn_bytes = total * k as f64 / n as f64; // "K/N of the table"
-            for sample_size in [None, Some(1200)] {
+            let optimal = optimal_sample_size(k, n as u64, 1.0 / 3.0);
+            for sample_size in [Some(optimal), Some(1200)] {
                 let got = sampling(&ctx, &t, sql, sample_size);
                 assert_eq!(want.rows.len(), got.rows.len());
                 for (x, y) in want.rows.iter().zip(&got.rows) {

@@ -24,25 +24,38 @@
 //!
 //! The load-time pass counts every distinct value of every column anyway,
 //! so for a low-cardinality column it keeps the counts:
-//! [`ColumnStats::dictionary`] lists each distinct non-null value with its
-//! exact row count, for a column of one type with at most
-//! [`DICTIONARY_MAX_VALUES`] of them — a status or priority code, a flag,
-//! not a key. With it the §VI-B hybrid group-by knows before the query
-//! starts which groups are populous, which is what its sample phase would
-//! have estimated ([`crate::plan::PlanOp::HybridSplit`]). Only an exact
+//! [`Table::dictionary`] lists each distinct non-null value with its
+//! exact row count — the whole low tail (see below) of a column of one
+//! type with at most [`DICTIONARY_MAX_VALUES`] values: a status or
+//! priority code, a flag, not a key. With it the §VI-B hybrid group-by
+//! knows before the query starts which groups are populous, which is what
+//! its sample phase would have estimated ([`crate::plan::PlanOp::HybridSplit`]). Only an exact
 //! pass keeps one: a probe sees a sample, and a value the sample missed
 //! would be missing from the list, so [`probe_stats`] never sets it. Even
 //! an exact dictionary describes the rows *at load*; what reads it must
 //! stay correct when a listed value has gone or an unlisted one appeared.
+//!
+//! ## Tails
+//!
+//! The same counts hold a column's order statistics at both ends:
+//! [`ColumnStats::tails`] keeps, for a column of one type, its
+//! [`TAIL_VALUES`] smallest and largest distinct non-null values with
+//! their row counts, and [`Table::kth`] reads the K-th value of an
+//! `ORDER BY c LIMIT k` off them — the threshold §VII's sampling top-K
+//! would otherwise estimate from a sample
+//! ([`crate::plan::PlanOp::Threshold`]). As with dictionaries, only an
+//! exact pass keeps tails, and what reads them must stay correct when the
+//! rows have changed since load.
 
 use crate::context::QueryContext;
 use pushdown_common::mix::MixBuildHasher;
-use pushdown_common::{Result, Row, Schema, Value};
+use pushdown_common::{DataType, Result, Row, Schema, Value};
 use pushdown_format::columnar::{encode_columnar, WriterOptions};
 use pushdown_format::csv::CsvWriter;
 use pushdown_s3::S3Store;
 use pushdown_select::InputFormat;
 use pushdown_sql::{Expr, SelectItem, SelectStmt};
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -59,16 +72,29 @@ pub struct ColumnStats {
     pub null_fraction: f64,
     /// Mean width of the CSV-rendered field, bytes.
     pub avg_width: f64,
-    /// Every distinct non-null value with its row count, in
-    /// [`Value::total_cmp`] order — kept by exact load-time statistics
-    /// only, and only for a column whose values are of one type and at
-    /// most [`DICTIONARY_MAX_VALUES`] distinct (see the module docs).
-    pub dictionary: Option<Vec<(Value, u64)>>,
+    /// The smallest and the largest distinct non-null values with their
+    /// row counts — kept by exact load-time statistics only, and only for
+    /// a column whose values are of one type (see the module docs).
+    pub tails: Option<Tails>,
 }
 
 /// The most distinct values a column may have and keep its
-/// [`ColumnStats::dictionary`].
+/// [`Table::dictionary`].
 pub const DICTIONARY_MAX_VALUES: usize = 32;
+
+/// The most distinct values each end of [`ColumnStats::tails`] keeps: an
+/// `ORDER BY … LIMIT k` with a larger `k` may need a value past them.
+pub const TAIL_VALUES: usize = 256;
+
+/// A column's [`TAIL_VALUES`] smallest and largest distinct non-null
+/// values (all of them, if it has fewer), each with its row count.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Tails {
+    /// Smallest first, in [`Value::total_cmp`] order.
+    pub low: Vec<(Value, u64)>,
+    /// Largest first.
+    pub high: Vec<(Value, u64)>,
+}
 
 /// Table-level statistics: row count plus one [`ColumnStats`] per column.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,14 +109,15 @@ pub struct TableStats {
 
 impl TableStats {
     /// Exact statistics from a full pass over `rows` (the load-time path),
-    /// dictionaries included.
+    /// dictionaries and tails included.
     pub fn from_rows(schema: &Schema, rows: &[Row]) -> TableStats {
         Self::gather(schema, rows, true)
     }
 
     /// Statistics of `rows`, `row_count` their number; callers that know
     /// the true row count of a sample fix it up (see [`probe_stats`]). An
-    /// `exact` pass — every row of the table — keeps the dictionaries.
+    /// `exact` pass — every row of the table — keeps the dictionaries and
+    /// the tails.
     /// One pass over the rows; nothing is rendered or cloned per value.
     fn gather(schema: &Schema, rows: &[Row], exact: bool) -> TableStats {
         let n = rows.len() as u64;
@@ -169,6 +196,32 @@ fn tally_rendered<T: std::hash::Hash + Eq>(
     *w
 }
 
+/// The [`TAIL_VALUES`] smallest and largest keys of `counts` by `cmp`,
+/// each made a [`Value`] by `value`, with its count.
+fn tails_of<K: Copy>(
+    counts: impl Iterator<Item = (K, u64)>,
+    cmp: impl Fn(&K, &K) -> Ordering,
+    value: impl Fn(K) -> Value,
+) -> Tails {
+    let mut keys: Vec<(K, u64)> = counts.collect();
+    let (n, take) = (keys.len(), keys.len().min(TAIL_VALUES));
+    let by_key = |a: &(K, u64), b: &(K, u64)| cmp(&a.0, &b.0);
+    let kept = |end: &mut [(K, u64)]| {
+        end.sort_unstable_by(by_key);
+        end.iter().map(|&(k, c)| (value(k), c)).collect::<Vec<_>>()
+    };
+    if take < n {
+        keys.select_nth_unstable_by(take, by_key);
+    }
+    let low = kept(&mut keys[..take]);
+    if take < n {
+        keys.select_nth_unstable_by(n - take - 1, by_key);
+    }
+    let mut high = kept(&mut keys[n - take..]);
+    high.reverse();
+    Tails { low, high }
+}
+
 impl<'a> ColumnAccumulator<'a> {
     /// `field` is scratch space for rendering a value.
     fn add(&mut self, v: &'a Value, field: &mut String) {
@@ -207,16 +260,10 @@ impl<'a> ColumnAccumulator<'a> {
             }
             Value::Date(d) => tally_rendered(&mut self.dates, *d, rendered_width),
         };
-        if self
-            .min
-            .is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Less)
-        {
+        if self.min.is_none_or(|m| v.total_cmp(m) == Ordering::Less) {
             self.min = Some(v);
         }
-        if self
-            .max
-            .is_none_or(|m| v.total_cmp(m) == std::cmp::Ordering::Greater)
-        {
+        if self.max.is_none_or(|m| v.total_cmp(m) == Ordering::Greater) {
             self.max = Some(v);
         }
     }
@@ -262,25 +309,35 @@ impl<'a> ColumnAccumulator<'a> {
         bools.chain(ints).chain(floats).chain(strs).chain(dates)
     }
 
-    /// [`ColumnStats::dictionary`]: the counted values in total order, for
-    /// a column of one type with few enough of them.
-    fn dictionary(&self) -> Option<Vec<(Value, u64)>> {
-        let distinct: usize = self.per_type().iter().sum();
-        if !self.one_type() || distinct > DICTIONARY_MAX_VALUES {
-            return None;
-        }
-        let mut values: Vec<(Value, u64)> = self.values().collect();
-        values.sort_by(|a, b| a.0.total_cmp(&b.0));
-        Some(values)
+    /// [`ColumnStats::tails`], for a column of one type: its keys are
+    /// ordered as their values are, and only the kept ones become
+    /// [`Value`]s.
+    fn tails(&self) -> Option<Tails> {
+        let float = |bits: &u64| f64::from_bits(*bits);
+        let by_value = |a: &u64, b: &u64| float(a).total_cmp(&float(b));
+        let bools = self.bools.iter().map(|(&b, &n)| (b, n));
+        let ints = self.ints.iter().map(|(&i, &n)| (i, n));
+        let floats = self.floats.iter().map(|(&f, &(_, n))| (f, n));
+        let strs = self.strs.iter().map(|(&s, &n)| (s, n));
+        let dates = self.dates.iter().map(|(&d, &(_, n))| (d, n));
+        // Which of [bools, ints, floats, strs, dates] the column holds.
+        Some(match self.per_type().map(|n| n > 0) {
+            _ if !self.one_type() => return None,
+            [true, ..] => tails_of(bools, Ord::cmp, Value::Bool),
+            [_, _, true, ..] => tails_of(floats, by_value, |f| Value::Float(float(&f))),
+            [.., true, _] => tails_of(strs, Ord::cmp, |s| Value::Str(s.into())),
+            [.., true] => tails_of(dates, Ord::cmp, Value::Date),
+            _ => tails_of(ints, Ord::cmp, Value::Int),
+        })
     }
 
     /// The column's statistics over `n` rows; an `exact` pass keeps the
-    /// dictionary.
+    /// tails.
     fn finish(self, n: u64, exact: bool) -> ColumnStats {
         let fraction = |part: f64| if n == 0 { 0.0 } else { part / n as f64 };
         ColumnStats {
             ndv: self.ndv(),
-            dictionary: exact.then(|| self.dictionary()).flatten(),
+            tails: exact.then(|| self.tails()).flatten(),
             min: self.min.cloned().unwrap_or(Value::Null),
             max: self.max.cloned().unwrap_or(Value::Null),
             null_fraction: fraction(self.nulls as f64),
@@ -389,10 +446,64 @@ impl Table {
         self.exact_column(col).is_none_or(|c| c.null_fraction > 0.0)
     }
 
-    /// Column `col`'s [`ColumnStats::dictionary`], when exact statistics
-    /// kept one.
-    pub(crate) fn dictionary(&self, col: &str) -> Option<&[(Value, u64)]> {
-        self.exact_column(col)?.dictionary.as_deref()
+    /// Every distinct non-null value of column `col` with its row count,
+    /// in [`Value::total_cmp`] order: the low tail of exact statistics, for
+    /// a column with at most [`DICTIONARY_MAX_VALUES`] of them (see the
+    /// module docs).
+    pub fn dictionary(&self, col: &str) -> Option<&[(Value, u64)]> {
+        let c = self.exact_column(col)?;
+        let few = c.ndv <= DICTIONARY_MAX_VALUES as u64;
+        Some(&c.tails.as_ref().filter(|_| few)?.low)
+    }
+
+    /// Whether a row can have a NaN in column `col`: a FLOAT column can,
+    /// unless exact statistics saw none — NaN sorts at an end of
+    /// [`Value::total_cmp`], so it would be the minimum or the maximum.
+    pub(crate) fn may_be_nan(&self, col: &str) -> bool {
+        let dtype = self.schema.resolve(col).map(|i| self.schema.dtype_of(i));
+        let nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
+        let seen = |c: &ColumnStats| nan(&c.min) || nan(&c.max);
+        dtype.is_ok_and(|d| d == DataType::Float) && self.exact_column(col).is_none_or(seen)
+    }
+
+    /// Column `col`'s leading values in query order — ascending or not,
+    /// by [`Value::total_cmp`], NULL first ascending and last descending —
+    /// as far as the [`ColumnStats::tails`] of exact statistics list them,
+    /// each with the number of rows at or before it.
+    fn ranked(&self, col: &str, asc: bool) -> Option<impl Iterator<Item = (&Value, u64)> + '_> {
+        let stats = self.exact_column(col)?;
+        let tails = stats.tails.as_ref()?;
+        let nulls = (stats.null_fraction * self.row_count as f64).round() as u64;
+        let tail = if asc { &tails.low } else { &tails.high };
+        let listed: u64 = tail.iter().map(|(_, n)| n).sum();
+        let lead = (asc && nulls > 0).then_some((&Value::Null, nulls));
+        // Descending, the NULLs follow the tail once it lists every value.
+        let every = listed + nulls == self.row_count;
+        let trail = (!asc && nulls > 0 && every).then_some((&Value::Null, self.row_count));
+        let mut seen = lead.map_or(0, |(_, n)| n);
+        let values = tail.iter().map(move |(v, n)| {
+            seen += n;
+            (v, seen)
+        });
+        Some(lead.into_iter().chain(values).chain(trail))
+    }
+
+    /// The `k`-th value of column `col` in `ORDER BY col [ASC | DESC]`
+    /// order ([`Value::total_cmp`]: NULLs first ascending, last
+    /// descending), read off exact statistics' [`ColumnStats::tails`]:
+    /// `None` when there are none, for `k` of 0 or beyond the table, and
+    /// when the `k`-th value lies past the tail.
+    pub fn kth(&self, col: &str, asc: bool, k: usize) -> Option<Value> {
+        let mut ranked = self.ranked(col, asc).filter(|_| k > 0)?;
+        let (v, _) = ranked.find(|&(_, seen)| seen >= k as u64)?;
+        Some(v.clone())
+    }
+
+    /// How many rows sort at or before `t` in that order, by the tails:
+    /// `None` where [`Table::kth`] could not have answered `t`.
+    pub(crate) fn rows_through(&self, col: &str, asc: bool, t: &Value) -> Option<u64> {
+        let (_, seen) = self.ranked(col, asc)?.find(|(v, _)| *v == t)?;
+        Some(seen)
     }
 
     /// Replace the attached statistics (e.g. after a [`probe_stats`]
@@ -724,11 +835,76 @@ mod tests {
             .unwrap()
             .columns
             .iter()
-            .all(|c| c.dictionary.is_none()));
+            .all(|c| c.tails.is_none()));
         assert_eq!(probed.dictionary("k"), None);
         // Statistics of another row count are not this table's.
         let other = TableStats::from_rows(&schema, &rows[..50]);
         assert_eq!(t.clone().with_stats(other).dictionary("k"), None);
+    }
+
+    /// `Table::kth` reads the K-th value in `ORDER BY` order off the
+    /// tails: NULLs first ascending and last descending, ties counted
+    /// row by row, NaN after every number, and nothing past the tails,
+    /// beyond the table or from a probe's statistics.
+    #[test]
+    fn kth_reads_the_tails_in_query_order() {
+        let schema = Schema::from_pairs(&[
+            ("wide", DataType::Int),
+            ("few", DataType::Int),
+            ("f", DataType::Float),
+        ]);
+        // `wide`: 300 values twice each, ten NULLs; `few`: 0..3 and
+        // NULLs; `f`: NaN, -0.0, 0.0 and 1.0.
+        let n = TAIL_VALUES as i64 + 44;
+        let rows: Vec<Row> = (0..2 * n + 10)
+            .map(|i| {
+                let wide = if i < 2 * n {
+                    Value::Int(i / 2)
+                } else {
+                    Value::Null
+                };
+                let few = if i % 5 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 3)
+                };
+                let f = [f64::NAN, -0.0, 0.0, 1.0][i as usize % 4];
+                Row::new(vec![wide, few, Value::Float(f)])
+            })
+            .collect();
+        let store = S3Store::new();
+        let t = upload_csv_table(&store, "b", "t", &schema, &rows, 64).unwrap();
+        let rows = rows.len();
+        let tail = 2 * TAIL_VALUES;
+        let int = |i: usize| Some(Value::Int(i as i64));
+        assert_eq!(t.kth("wide", true, 0), None);
+        assert_eq!(t.kth("wide", true, 10), Some(Value::Null));
+        assert_eq!(t.kth("wide", true, 11), int(0));
+        assert_eq!(t.kth("wide", true, 12), int(0), "a tie");
+        assert_eq!(t.kth("wide", true, 13), int(1));
+        assert_eq!(t.kth("wide", true, 10 + tail), int(TAIL_VALUES - 1));
+        assert_eq!(t.kth("wide", true, 11 + tail), None, "past the tail");
+        assert_eq!(t.kth("wide", false, 1), int(n as usize - 1));
+        assert_eq!(t.kth("wide", false, tail), int(n as usize - TAIL_VALUES));
+        assert_eq!(t.kth("wide", false, tail + 1), None, "past the tail");
+        assert_eq!(t.kth("wide", false, rows), None, "NULLs past the tail");
+        // A column the tails list whole: the NULLs trail it descending.
+        let nulls = rows.div_ceil(5);
+        assert_eq!(t.kth("few", false, rows - nulls), int(0));
+        assert_eq!(t.kth("few", false, rows - nulls + 1), Some(Value::Null));
+        assert_eq!(t.kth("few", false, rows), Some(Value::Null));
+        assert_eq!(t.kth("few", false, rows + 1), None, "beyond the table");
+        assert_eq!(t.kth("few", true, nulls), Some(Value::Null));
+        let float = |f: f64| Some(Value::Float(f));
+        // As many NaN rows as `-0.0` ones.
+        let nans = rows.div_ceil(4);
+        assert_eq!(t.kth("f", false, nans), float(f64::NAN));
+        assert_eq!(t.kth("f", false, nans + 1), float(1.0));
+        assert_eq!(t.kth("f", true, nans), float(-0.0));
+        assert_eq!(t.kth("f", true, nans + 1), float(0.0));
+        let ctx = crate::context::QueryContext::new(store).scoped();
+        let probed = t.clone().with_stats(probe_stats(&ctx, &t, 500).unwrap());
+        assert_eq!(probed.kth("few", true, 1), None, "a probe keeps no tails");
     }
 
     #[test]

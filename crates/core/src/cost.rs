@@ -42,8 +42,8 @@ use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
 use crate::metrics::{Flow, QueryMetrics};
 use crate::plan::{
-    case_when_chunk, counted_aggs, finished_by, hybrid_leaf, populous, OpReport, Order, PlanNode,
-    PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
+    case_when_chunk, counted_aggs, finished_by, hybrid_leaf, populous, threshold_predicate,
+    OpReport, Order, PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
 };
 use crate::scan::{striped_share, ScanLimit, ScanSource};
 use pushdown_bloom::BloomPlan;
@@ -884,25 +884,50 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
                 card,
             )
         }
-        PlanOp::Threshold { k, .. } => {
-            let (table, ..) = node.children[0].pushdown_leaf()?;
-            let mut sample = walk(0, inj)?;
-            let s = sample.2.rows;
-            let own = cpu_phase(s);
-            // Threshold = K-th order statistic of the sample ⇒ the scan
-            // matches ≈ K/(S+1) of the table (plus the K themselves).
+        PlanOp::Threshold {
+            column,
+            asc,
+            k,
+            catalog,
+        } => {
+            let scan_node = node.children.last().expect("a threshold has a scan");
+            let (table, ..) = scan_node.pushdown_leaf()?;
             let rows = ests.of(table).rows;
-            let k = *k as f64;
-            let threshold = Injected {
-                keep: ((rows * k / (s + 1.0) + k) / rows).min(1.0),
-                terms: 1,
-            };
-            let mut scan = walk(1, threshold)?;
             let select = format!("select {}", table.name);
-            sample.1.relabel(&select, "sampling phase");
-            sample.1.stack("threshold", own, Flow::Breaker);
+            let (mut own, mut sample) = (PhaseStats::default(), None);
+            let threshold = match catalog {
+                // The catalog's tails count the rows at or before `t`.
+                Some(t) => {
+                    let through = table.rows_through(column, *asc, t);
+                    // Written for the table without its statistics, as the
+                    // executor writes it.
+                    let mut blind = table.clone();
+                    blind.stats = None;
+                    let pred = threshold_predicate(&blind, column, *asc, t);
+                    Injected {
+                        keep: through.map_or(1.0, |n| (n as f64 / rows).min(1.0)),
+                        terms: pred.map_or(0, |p| p.term_count()),
+                    }
+                }
+                None => {
+                    let mut ran = walk(0, inj)?;
+                    let (s, k) = (ran.2.rows, *k as f64);
+                    own = cpu_phase(s);
+                    ran.1.relabel(&select, "sampling phase");
+                    ran.1.stack("threshold", own, Flow::Breaker);
+                    sample = Some(ran);
+                    // Threshold = K-th order statistic of the sample ⇒ the
+                    // scan matches ≈ K/(S+1) of the table (plus the K
+                    // themselves).
+                    Injected {
+                        keep: ((rows * k / (s + 1.0) + k) / rows).min(1.0),
+                        terms: 1,
+                    }
+                }
+            };
+            let mut scan = predict_node(ests, scan_node, threshold)?;
             scan.1.relabel(&select, "scanning phase");
-            staged(own, Some(sample), scan)
+            staged(own, sample, scan)
         }
         PlanOp::CaseWhen { aggs, order } => {
             let (table, _, group_cols) = node.children[0].pushdown_leaf()?;
@@ -1550,15 +1575,27 @@ mod tests {
         }
     }
 
+    /// A threshold the catalog's tails hold is priced as its scan alone,
+    /// returning the rows at or before it; without tails, a sample phase
+    /// and then the scan.
     #[test]
-    fn topk_candidates_price_both_phases() {
+    fn topk_candidates_price_the_threshold_where_it_comes_from() {
         let (ctx, t) = setup(2000);
-        let cands = priced(&ctx, &t, "SELECT * FROM t ORDER BY v LIMIT 10");
-        assert_eq!(cands.len(), 2);
-        let (_, sampling) = cands.iter().find(|(n, _)| *n == "sampling").unwrap();
-        assert_eq!(sampling.metrics.groups.len(), 2, "sample + scan phases");
+        let sampling = |t: &Table| {
+            let cands = priced(&ctx, t, "SELECT * FROM t ORDER BY v LIMIT 10");
+            assert_eq!(cands.len(), 2);
+            cands.into_iter().find(|(n, _)| *n == "sampling").unwrap().1
+        };
+        let bytes = t.total_bytes(&ctx.store);
+        let catalog = sampling(&t);
+        assert_eq!(catalog.metrics.groups.len(), 1, "the scan alone");
+        // `v <= 0.0` holds 1 % of the rows.
+        assert!(catalog.metrics.usage().select_returned_bytes < bytes / 50);
+        let mut stats = (**t.stats.as_ref().unwrap()).clone();
+        stats.columns.iter_mut().for_each(|c| c.tails = None);
+        let sampled = sampling(&t.clone().with_stats(stats));
+        assert_eq!(sampled.metrics.groups.len(), 2, "sample + scan phases");
         // The scanning phase scans the table but returns only ~K/S of it.
-        let u = sampling.metrics.usage();
-        assert!(u.select_returned_bytes < t.total_bytes(&ctx.store) / 4);
+        assert!(sampled.metrics.usage().select_returned_bytes < bytes / 4);
     }
 }

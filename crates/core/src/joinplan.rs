@@ -159,24 +159,50 @@ pub fn lower_candidates(
 }
 
 /// §VII-A sampling top-K out of the pushed top-K tree `Sort(scan)`: a
-/// [`PlanOp::Threshold`] between the two, fed by a striped sample of the
-/// order column at the §VII-B optimal size (`α` = the order column's
-/// share of the row, approximated by column count).
+/// [`PlanOp::Threshold`] between the two, its threshold the K-th value
+/// the catalog's tails hold ([`Table::kth`]) — or, past them, that of a
+/// striped sample of the order column ([`sample_size`]).
 fn sampled(mut sort: PlanNode, table: &Table, order: &OrderBy, k: usize) -> PlanNode {
-    let alpha = 1.0 / table.schema.len().max(1) as f64;
-    let size = optimal_sample_size(k, table.row_count, alpha).max(k);
-    let column = Some(vec![order.column.clone()]);
-    let striped = ScanSource::Select(Some(ScanLimit::Striped(size)));
-    let sample = scan_node(table, None, &column, striped);
-    let scan = sort.children.pop().expect("a Sort over the pushed scan");
+    let catalog = table.kth(&order.column, order.asc, k);
+    let sample = catalog.is_none();
     let op = PlanOp::Threshold {
         column: order.column.clone(),
         asc: order.asc,
         k,
+        catalog,
     };
-    let schema = scan.schema.clone();
-    sort.children = vec![PlanNode::new(op, vec![sample, scan], schema)];
+    let scan = sort.children.pop().expect("a Sort over the pushed scan");
+    sort.children = vec![PlanNode::new(op, vec![scan], sort.schema.clone())];
+    if sample {
+        add_sample(&mut sort.children[0]);
+    }
     sort
+}
+
+/// How many rows a sampling top-K of `k` over `table` samples: the
+/// §VII-B optimal size, `α` the order column's share of the row,
+/// approximated by column count.
+pub fn sample_size(table: &Table, k: usize) -> usize {
+    let alpha = 1.0 / table.schema.len().max(1) as f64;
+    optimal_sample_size(k, table.row_count, alpha).max(k)
+}
+
+/// Put the striped sample of the order column, [`sample_size`] rows, under
+/// every [`PlanOp::Threshold`] in `node` that runs over its scan alone,
+/// which then takes its threshold from the sample, not the catalog.
+pub(crate) fn add_sample(node: &mut PlanNode) {
+    match &mut node.op {
+        PlanOp::Threshold {
+            column, k, catalog, ..
+        } if node.children.len() == 1 => {
+            *catalog = None;
+            let table = node.children[0].scan_table().expect("a threshold scans");
+            let striped = ScanSource::Select(Some(ScanLimit::Striped(sample_size(table, *k))));
+            let sample = scan_node(table, None, &Some(vec![column.clone()]), striped);
+            node.children.insert(0, sample);
+        }
+        _ => node.children.iter_mut().for_each(add_sample),
+    }
 }
 
 /// The staged group-by candidates of a one-table `GROUP BY` whose

@@ -35,9 +35,13 @@
 //!   its first child to the end — closed, like a join's build side — and
 //!   then its second ([`QueryMetrics::join_sides`]). A hybrid split whose
 //!   grouping column has a catalog dictionary
-//!   ([`crate::catalog::ColumnStats::dictionary`]) has no first child: it
+//!   ([`crate::catalog::Table::dictionary`]) has no first child: it
 //!   is its second phase alone, `{hybrid: s3-side aggregation ‖ hybrid:
-//!   server-side aggregation + group-by}`, one group.
+//!   server-side aggregation + group-by}`, one group; so is a top-K
+//!   threshold the catalog's tails hold
+//!   ([`crate::catalog::ColumnStats::tails`]), `{scanning phase + sort}`
+//!   — unless its scan finds the rows changed since load, and runs again
+//!   as a `rescanning phase` after it.
 //!
 //! So a baseline join under `GROUP BY … ORDER BY` is two groups —
 //! `{load a ‖ load b} {hash join + project + group-by}` — and so is a

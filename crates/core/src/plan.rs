@@ -31,10 +31,11 @@
 //! — all three through the one [`push_predicate`], which ANDs the
 //! expression into every Select-source scan under the second child. (A
 //! hybrid split whose grouping column has a catalog dictionary knows its
-//! populous groups before it runs: it has no sample child, and writes the
-//! same predicate into its one child.) [`PlanOp::CaseWhen`] (and the
-//! hybrid split, for its populous groups) writes whole statements
-//! instead: the chunked
+//! populous groups before it runs, and a threshold over a column whose
+//! catalog tails hold the K-th value knows `t`: neither has a sample
+//! child, and each writes the same predicate into its one child.)
+//! [`PlanOp::CaseWhen`] (and the hybrid split, for its populous groups)
+//! writes whole statements instead: the chunked
 //! `SUM(CASE WHEN g = v THEN x END)` aggregates of paper Listing 4, each
 //! run as a pushed scalar aggregate. Which of these trees a query admits,
 //! which one a strategy prefers and what each costs is planning
@@ -63,7 +64,8 @@
 //! * sort — every input row, or with a `LIMIT k` a bounded heap of `k`
 //!   (ORDER BY has to see them all, it need not keep them all);
 //! * the staged group-bys — their results, which they hand on in
-//!   batches.
+//!   batches; the top-K threshold — its scan's rows, until it knows
+//!   there are K of them.
 //!
 //! The breakers are also where the **phases** of the reported
 //! [`QueryMetrics`] end: a phase is a pipeline between breakers. A
@@ -208,12 +210,25 @@ pub enum PlanOp {
     /// Plain truncation (LIMIT without ORDER BY).
     Limit { n: usize },
     /// Staged §VII sampling top-K, under a `Sort` limited to `k`: children
-    /// `[sample, scan]`. The sample's `k`-th value of `column` in query
-    /// order becomes the scan's threshold predicate — `column <= t`
-    /// ascending, with `OR column IS NULL` where the column can hold
-    /// NULLs (they sort first), `column >= t` descending — so the scan
-    /// returns a superset of the `k` best rows, in table order.
-    Threshold { column: String, asc: bool, k: usize },
+    /// `[sample, scan]`, or just `[scan]` when the threshold comes from
+    /// the catalog. The sample's `k`-th value of `column` in query order —
+    /// or `catalog`, the one the load-time tails hold ([`Table::kth`]) —
+    /// becomes the scan's threshold predicate: `column <= t` ascending,
+    /// with `OR column IS NULL` where the column can hold NULLs (they sort
+    /// first), `column >= t` descending, with the NaN rows named where a
+    /// FLOAT column can hold them (they sort last) — so the scan returns
+    /// a superset of the `k` best rows, in table order. A `catalog`
+    /// threshold names the NULL and NaN rows whatever the statistics say,
+    /// so every row it leaves out ranks after every row it returns even
+    /// when the rows have changed since load; if fewer than `k` come back,
+    /// they have, and the scan runs again without a threshold, a phase of
+    /// its own.
+    Threshold {
+        column: String,
+        asc: bool,
+        k: usize,
+        catalog: Option<Value>,
+    },
     /// §VI-A S3-side group-by: the child's rows are the distinct groups
     /// (a `GroupBy` without aggregates over a pushed scan of the grouping
     /// columns), and every (group, aggregate) pair becomes one
@@ -232,7 +247,7 @@ pub enum PlanOp {
     /// (populous)` pushed into its scan — aggregates the long tail
     /// locally, in parallel (paper Listing 5). The groups are counted in a
     /// prefix sample of the grouping column, or read off `dictionary` —
-    /// its load-time row counts ([`crate::catalog::ColumnStats::dictionary`])
+    /// its load-time row counts ([`crate::catalog::Table::dictionary`])
     /// — with no sample phase at all. A listed group need not have a row
     /// in this query (its WHERE emptied it, or it has gone since load), so
     /// that way every pushed group also counts its rows and an empty one
@@ -427,7 +442,11 @@ impl PlanNode {
             PlanOp::Aggregate { aggs } => format!("Aggregate[{} aggs]", aggs.len()),
             PlanOp::Sort(order) => order.label(),
             PlanOp::Limit { n } => format!("Limit[{n}]"),
-            PlanOp::Threshold { column, k, .. } => format!("Threshold[{column}, {k}th]"),
+            // Without a sample child the threshold is the catalog's.
+            PlanOp::Threshold { column, k, .. } => match self.children.len() {
+                1 => format!("Threshold[{column}, {k}th, catalog tails]"),
+                _ => format!("Threshold[{column}, {k}th]"),
+            },
             PlanOp::CaseWhen { aggs, .. } => format!("CaseWhen[{} aggs]", aggs.len()),
             PlanOp::HybridSplit {
                 aggs, dictionary, ..
@@ -938,33 +957,58 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             })?;
             Ok(ran.under(node, PhaseStats::default()))
         }
-        PlanOp::Threshold { column, asc, k } => {
-            let (sample_node, scan_node) = (&node.children[0], &node.children[1]);
-            let (table, ..) = sample_node.pushdown_leaf()?;
-            let mut sampled: Vec<Value> = Vec::new();
-            let mut sample = run(ctx, sample_node, &mut |batch| {
-                sampled.extend(batch.rows.iter().map(|r| r[0].clone()));
+        PlanOp::Threshold {
+            column,
+            asc,
+            k,
+            catalog,
+        } => {
+            let scan_node = node.children.last().expect("a threshold has a scan");
+            let (table, ..) = scan_node.pushdown_leaf()?;
+            let select = format!("select {}", table.name);
+            let (mut own, mut sample) = (PhaseStats::default(), None);
+            let kth = match catalog {
+                Some(t) => Some(t.clone()),
+                None => {
+                    let mut sampled: Vec<Value> = Vec::new();
+                    let mut ran = run(ctx, &node.children[0], &mut |batch| {
+                        sampled.extend(batch.rows.iter().map(|r| r[0].clone()));
+                        Ok(())
+                    })?;
+                    own.server_cpu_units = sampled.len() as u64;
+                    sampled.sort_by(|a, b| if *asc { a.total_cmp(b) } else { b.total_cmp(a) });
+                    ran.metrics.relabel(&select, "sampling phase");
+                    ran.metrics.stack("threshold", own, Flow::Breaker);
+                    sample = Some(ran);
+                    // A sample of fewer than K rows is the whole table: no
+                    // threshold.
+                    k.checked_sub(1).and_then(|i| sampled.into_iter().nth(i))
+                }
+            };
+            // A catalog threshold is written for the table without its
+            // statistics (see `threshold_predicate`).
+            let mut written = table.clone();
+            written.stats = written.stats.filter(|_| catalog.is_none());
+            let pred = kth.and_then(|t| threshold_predicate(&written, column, *asc, &t));
+            let bounded = pred.is_some();
+            let mut rows = Vec::new();
+            let mut scan = run_pushed(ctx, scan_node, pred, &mut |batch| {
+                rows.extend(batch.rows);
                 Ok(())
             })?;
-            let own = PhaseStats {
-                server_cpu_units: sampled.len() as u64,
-                ..Default::default()
-            };
-            sampled.sort_by(|a, b| match asc {
-                true => a.total_cmp(b),
-                false => b.total_cmp(a),
-            });
-            // The sample holds K rows at or before its K-th value, so the
-            // table does too and the answer is exact. A sample of fewer
-            // than K rows is the whole table: no threshold.
-            let kth = k.checked_sub(1).and_then(|i| sampled.get(i));
-            let pred = kth.and_then(|t| threshold_predicate(table, column, *asc, t));
-            let mut scan = run_pushed(ctx, scan_node, pred, sink)?;
-            let select = format!("select {}", table.name);
-            sample.metrics.relabel(&select, "sampling phase");
-            sample.metrics.stack("threshold", own, Flow::Breaker);
             scan.metrics.relabel(&select, "scanning phase");
-            Ok(staged(node, own, Some(sample), scan))
+            let mut ran = staged(node, own, sample, scan);
+            // A sample holds K rows at or before its K-th value, so the
+            // table does too; the catalog's count may have gone stale.
+            if bounded && rows.len() < *k {
+                let mut rescan = run(ctx, scan_node, sink)?;
+                rescan.metrics.relabel(&select, "rescanning phase");
+                ran.metrics = QueryMetrics::join_sides(ran.metrics, rescan.metrics, false);
+                ran.report.children.push(rescan.report);
+            } else {
+                emit(ctx, &node.schema, rows, sink)?;
+            }
+            Ok(ran)
         }
         PlanOp::CaseWhen { aggs, order } => {
             let child = &node.children[0];
@@ -1221,26 +1265,37 @@ fn staged(node: &PlanNode, own: PhaseStats, first: Option<Ran>, second: Ran) -> 
     }
 }
 
-/// The scan predicate a sample's K-th value `t` of `column` makes: the
-/// rows at or before `t` in query order. NULL keys sort first ascending
-/// and last descending ([`Value::total_cmp`]): ascending they are asked
-/// for by name wherever the column can hold one, and are all there is to
-/// ask for when `t` itself is NULL; descending a NULL `t` bounds nothing.
-fn threshold_predicate(table: &Table, column: &str, asc: bool, t: &Value) -> Option<Expr> {
-    let col = || Expr::col(column.to_string());
+/// The scan predicate a K-th value `t` of `column` makes: the rows at or
+/// before `t` in query order. NULL keys sort first ascending and last
+/// descending ([`Value::total_cmp`]): ascending they are asked for by
+/// name wherever the column can hold one, and are all there is to ask
+/// for when `t` itself is NULL; descending a NULL `t` bounds nothing.
+/// NaN sorts after every number, yet `<=` and `>=` hold for it nowhere:
+/// descending the NaN rows are asked for by CSV text ([`group_key`])
+/// wherever a FLOAT column can hold one, and are all there is to ask for
+/// when `t` is NaN; ascending a NaN `t` bounds nothing. Where a column
+/// can hold either, `table`'s statistics say — a threshold the catalog
+/// answered passes the table without them: the executor checks it
+/// against a row count only, which a NULL or a NaN written since load
+/// would pass unseen.
+pub(crate) fn threshold_predicate(table: &Table, col: &str, asc: bool, t: &Value) -> Option<Expr> {
+    let c = || Expr::col(col.to_string());
     let is_null = || Expr::IsNull {
-        expr: Box::new(col()),
+        expr: Box::new(c()),
         negated: false,
     };
+    let is_nan = || {
+        let (operand, literal) = group_key(table, col);
+        Expr::eq(operand, literal(&Value::Float(f64::NAN)))
+    };
     let lit = Expr::Literal(t.clone());
-    match (t.is_null(), asc) {
-        (true, true) => Some(is_null()),
-        (true, false) => None,
-        (false, true) if table.may_be_null(column) => {
-            Some(Expr::or(Expr::lt_eq(col(), lit), is_null()))
-        }
-        (false, true) => Some(Expr::lt_eq(col(), lit)),
-        (false, false) => Some(Expr::gt_eq(col(), lit)),
+    match t {
+        Value::Null => asc.then(is_null),
+        Value::Float(f) if f.is_nan() => (!asc).then(is_nan),
+        _ if asc && table.may_be_null(col) => Some(Expr::or(Expr::lt_eq(c(), lit), is_null())),
+        _ if asc => Some(Expr::lt_eq(c(), lit)),
+        _ if table.may_be_nan(col) => Some(Expr::or(Expr::gt_eq(c(), lit), is_nan())),
+        _ => Some(Expr::gt_eq(c(), lit)),
     }
 }
 

@@ -52,6 +52,7 @@ use pushdown_common::pricing::Usage;
 use pushdown_common::{Error, Result};
 use pushdown_sql::ast::QuerySpec;
 use pushdown_sql::parser::parse_query;
+use std::borrow::Cow;
 
 /// Whether the planner may push computation into S3 Select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -386,8 +387,31 @@ pub enum Tune {
     /// How many groups its hybrid split pushes to S3, whatever their
     /// share of the sample (Fig 6).
     ForcedSplit(usize),
-    /// The size of its top-K sample (Fig 8).
+    /// The size of its top-K sample (Fig 8) — a threshold the catalog
+    /// answers gets its striped sample back, so a figure runs the paper's
+    /// two phases.
     SampleSize(usize),
+}
+
+impl Tune {
+    /// Overwrite the number on every operator of `node` that has it.
+    pub fn apply(self, node: &mut PlanNode) {
+        match (&mut node.op, self) {
+            (PlanOp::BloomJoin { fpr, .. }, Tune::Fpr(rate)) => *fpr = rate,
+            (PlanOp::HybridSplit { force, .. }, Tune::ForcedSplit(n)) => *force = Some(n),
+            // A catalog threshold gets a sample, sized below.
+            (PlanOp::Threshold { .. }, Tune::SampleSize(_)) => crate::joinplan::add_sample(node),
+            (
+                PlanOp::Scan {
+                    source: ScanSource::Select(Some(ScanLimit::Striped(size))),
+                    ..
+                },
+                Tune::SampleSize(n),
+            ) => *size = n,
+            _ => {}
+        }
+        node.children.iter_mut().for_each(|c| self.apply(c));
+    }
 }
 
 /// Run the candidate plan `sql` lowers to under `name` — a named
@@ -407,28 +431,13 @@ pub fn run_candidate(
     name: &str,
     tune: Option<Tune>,
 ) -> Result<QueryOutput> {
-    fn apply(node: &mut PlanNode, tune: Tune) {
-        match (&mut node.op, tune) {
-            (PlanOp::BloomJoin { fpr, .. }, Tune::Fpr(rate)) => *fpr = rate,
-            (PlanOp::HybridSplit { force, .. }, Tune::ForcedSplit(n)) => *force = Some(n),
-            (
-                PlanOp::Scan {
-                    source: ScanSource::Select(Some(ScanLimit::Striped(size))),
-                    ..
-                },
-                Tune::SampleSize(n),
-            ) => *size = n,
-            _ => {}
-        }
-        node.children.iter_mut().for_each(|c| apply(c, tune));
-    }
     let ctx = ctx.scoped();
     let (_, candidates) = lower(&ctx, table, &parse_query(sql)?)?;
     let found = candidates.into_iter().find(|(n, _)| *n == name);
     let (_, mut plan) =
         found.ok_or_else(|| Error::Bind(format!("`{sql}` has no `{name}` candidate")))?;
     if let Some(tune) = tune {
-        apply(&mut plan, tune);
+        tune.apply(&mut plan);
     }
     let mut out = plan::execute(&ctx, &plan)?.into_output();
     out.billed = ctx.billed();
@@ -469,14 +478,24 @@ pub fn run_candidates(
     // store-global one, so `QueryOutput::billed` is exact even when many
     // queries share this context concurrently.
     let ctx = &ctx.scoped();
-    let ests = cost::Estimators::new(ctx, candidates.iter().map(|(_, plan)| plan));
     let adaptive = strategy == Strategy::Adaptive;
+    // Under a segment cache Adaptive weighs a top-K's sampled pushed plan,
+    // not the catalog's one-phase one: a cold top-K's local plan is the
+    // fill that warms the cache for the queries after it, which no price
+    // of one query sees, and the one-phase plan would outbid that fill on
+    // every cold top-K.
+    let mut candidates = Cow::Borrowed(candidates);
+    if adaptive && family == Family::TopK && ctx.store.cache().is_some() {
+        let plans = candidates.to_mut().iter_mut();
+        plans.for_each(|(_, plan)| crate::joinplan::add_sample(plan));
+    }
+    let ests = cost::Estimators::new(ctx, candidates.iter().map(|(_, plan)| plan));
     // Fixed strategies pick by name and only price the plan they run;
     // Adaptive prices every candidate whole and takes the argmin.
     let mut costs: Vec<CandidateCost> = Vec::new();
     let (pick, prediction) = if adaptive {
         let mut predictions = Vec::with_capacity(candidates.len());
-        for (name, plan) in candidates {
+        for (name, plan) in candidates.iter() {
             let p = cost::predict_plan(&ests, plan)?;
             costs.push(CandidateCost {
                 algorithm: name,

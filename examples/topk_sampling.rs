@@ -7,8 +7,8 @@
 //! ```
 
 use pushdowndb::common::fmtutil;
-use pushdowndb::core::joinplan::optimal_sample_size;
-use pushdowndb::core::planner::run_candidate;
+use pushdowndb::core::joinplan::sample_size;
+use pushdowndb::core::planner::{run_candidate, Tune};
 use pushdowndb::tpch::tpch_context;
 
 fn main() -> pushdowndb::common::Result<()> {
@@ -16,15 +16,14 @@ fn main() -> pushdowndb::common::Result<()> {
     let k = 10;
     let sql = format!("SELECT * FROM lineitem ORDER BY l_extendedprice LIMIT {k}");
     let n = t.lineitem.row_count;
-    let alpha = 1.0 / t.lineitem.schema.len() as f64;
-    println!(
-        "lineitem: {n} rows; K = {k}; analytic optimal sample size S* = {}",
-        optimal_sample_size(k, n, alpha)
-    );
+    let size = sample_size(&t.lineitem, k);
+    println!("lineitem: {n} rows; K = {k}; analytic optimal sample size S* = {size}");
 
-    // The statement's two named candidates.
+    // The statement's two named candidates; `sampling` takes its sample of
+    // S* rows even though the catalog's tails hold the threshold.
     let server = run_candidate(&ctx, &t.lineitem, &sql, "server-side", None)?;
-    let sampled = run_candidate(&ctx, &t.lineitem, &sql, "sampling", None)?;
+    let sample = Some(Tune::SampleSize(size));
+    let sampled = run_candidate(&ctx, &t.lineitem, &sql, "sampling", sample)?;
 
     println!("\ncheapest {k} lineitems by l_extendedprice (both algorithms agree):");
     for (a, b) in server.rows.iter().zip(&sampled.rows) {

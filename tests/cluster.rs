@@ -31,7 +31,8 @@
 
 use pushdowndb::common::pricing::Usage;
 use pushdowndb::common::{DataType, RetryPolicy, Row, Schema, Value};
-use pushdowndb::core::planner::{execute_sql_verbose, lower, run_candidate};
+use pushdowndb::core::joinplan::sample_size;
+use pushdowndb::core::planner::{execute_sql_verbose, lower, run_candidate, Tune};
 use pushdowndb::core::scan::ScanSource;
 use pushdowndb::core::{
     execute_sql, plan, upload_columnar_table, upload_csv_table, Cluster, OpReport, PlanNode,
@@ -540,7 +541,8 @@ fn requests_per_node(ctx: &QueryContext, tree: &PlanNode) -> Vec<u64> {
 /// too: the `s3-side` group-by's CASE-WHEN statements bill more than one
 /// node ledger (the node requests of the whole plan less those of its
 /// distinct-groups child), and so does the sampling top-K's striped
-/// sample — each with Σ node ledgers == billed.
+/// sample at the §VII-B size (taken even though the catalog's tails hold
+/// the threshold) — each with Σ node ledgers == billed.
 #[test]
 fn case_when_statements_and_samples_bill_the_owning_nodes() {
     let (ctx, t) = tpch_context(0.003, 1_200).unwrap();
@@ -560,7 +562,8 @@ fn case_when_statements_and_samples_bill_the_owning_nodes() {
     let billed = statements.iter().filter(|&&n| n > 0).count();
     assert!(billed > 1, "CASE-WHEN statements billed {statements:?}");
 
-    let sampling = candidate("sampling", &t.lineitem, sql_of("topk-100"));
+    let mut sampling = candidate("sampling", &t.lineitem, sql_of("topk-100"));
+    Tune::SampleSize(sample_size(&t.lineitem, 100)).apply(&mut sampling);
     let is_sample = |op: &PlanOp| {
         matches!(
             op,

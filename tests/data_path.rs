@@ -11,7 +11,9 @@ use proptest::prelude::*;
 use pushdowndb::bloom::BloomFilter;
 use pushdowndb::cache::CacheConfig;
 use pushdowndb::common::{DataType, Row, Schema, TempDir, Value};
-use pushdowndb::core::catalog::{ColumnStats, TableStats, DICTIONARY_MAX_VALUES};
+use pushdowndb::core::catalog::{
+    ColumnStats, TableStats, Tails, DICTIONARY_MAX_VALUES, TAIL_VALUES,
+};
 use pushdowndb::core::Strategy::Baseline;
 use pushdowndb::core::{execute_sql, upload_csv_table, QueryContext, Table};
 use pushdowndb::format::columnar::{encode_columnar, ColumnarReader, WriterOptions};
@@ -415,8 +417,8 @@ fn check_damaged_columnar(bytes: Vec<u8>) {
 
 /// `TableStats::from_rows` as it was: every value of every column rendered
 /// with `to_csv_field`, distinct values counted as distinct strings — and
-/// the dictionary counted the same way: rows per distinct rendering, kept
-/// for a column of one type with at most `DICTIONARY_MAX_VALUES` of them.
+/// the tails counted the same way: rows per distinct rendering, the first
+/// and last `TAIL_VALUES` of them, kept for a column of one type.
 fn table_stats_oracle(schema: &Schema, rows: &[Row]) -> TableStats {
     let n = rows.len() as u64;
     let columns = (0..schema.len())
@@ -450,19 +452,25 @@ fn table_stats_oracle(schema: &Schema, rows: &[Row]) -> TableStats {
                 }
             }
             let ndv = distinct.len() as u64;
-            let dictionary =
-                (types.len() <= 1 && distinct.len() <= DICTIONARY_MAX_VALUES).then(|| {
-                    let mut values: Vec<(Value, u64)> = distinct.into_values().collect();
-                    values.sort_by(|a, b| a.0.total_cmp(&b.0));
-                    values
-                });
+            let mut values: Vec<(Value, u64)> = distinct.into_values().collect();
+            values.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let one_type = types.len() <= 1;
+            let take = values.len().min(TAIL_VALUES);
+            let tails = one_type.then(|| Tails {
+                low: values[..take].to_vec(),
+                high: values[values.len() - take..]
+                    .iter()
+                    .rev()
+                    .cloned()
+                    .collect(),
+            });
             ColumnStats {
                 min,
                 max,
                 ndv,
                 null_fraction: if n == 0 { 0.0 } else { nulls as f64 / n as f64 },
                 avg_width: if n == 0 { 0.0 } else { width as f64 / n as f64 },
-                dictionary,
+                tails,
             }
         })
         .collect();
@@ -485,8 +493,8 @@ fn assert_stats_identical(got: &TableStats, want: &TableStats) {
         assert_eq!(format!("{:?}", g.max), format!("{:?}", w.max), "column {i}");
         assert_eq!(g.null_fraction.to_bits(), w.null_fraction.to_bits());
         assert_eq!(g.avg_width.to_bits(), w.avg_width.to_bits());
-        let dictionary = |c: &ColumnStats| format!("{:?}", c.dictionary);
-        assert_eq!(dictionary(g), dictionary(w), "column {i} dictionary");
+        let tails = |c: &ColumnStats| format!("{:?}", c.tails);
+        assert_eq!(tails(g), tails(w), "column {i} tails");
     }
 }
 
@@ -513,7 +521,7 @@ fn table_stats_equal_the_rendering_oracle_on_every_tpch_table() {
         dictionaries += stats
             .columns
             .iter()
-            .filter(|c| c.dictionary.is_some())
+            .filter(|c| c.tails.is_some() && c.ndv <= DICTIONARY_MAX_VALUES as u64)
             .count();
     }
     // `l_returnflag`, `o_orderpriority`, `c_mktsegment`, … have one.

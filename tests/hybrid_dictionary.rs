@@ -1,6 +1,6 @@
 //! The §VI-B hybrid group-by split from the catalog: when exact load-time
 //! statistics hold the grouping column's every value with its row count
-//! (`ColumnStats::dictionary`), `hybrid` decides its populous groups from
+//! (`Table::dictionary`), `hybrid` decides its populous groups from
 //! them and runs no sample phase. It must answer exactly what the sampled
 //! split and an oracle that never calls the engine answer — on CSV and
 //! ColumnarLite, serial and on four nodes, under Fig 6's
@@ -91,10 +91,11 @@ fn upload(store: &S3Store, columnar: bool) -> Table {
     .unwrap()
 }
 
-/// `t` with exact statistics but no dictionary: its hybrid samples.
+/// `t` with exact statistics but no tails, so no dictionary: its hybrid
+/// samples.
 fn sampled(t: &Table) -> Table {
     let mut stats = t.stats.as_deref().unwrap().clone();
-    stats.columns.iter_mut().for_each(|c| c.dictionary = None);
+    stats.columns.iter_mut().for_each(|c| c.tails = None);
     Table {
         stats: Some(Arc::new(stats)),
         ..t.clone()
@@ -228,24 +229,22 @@ fn run(ctx: &QueryContext, plan: &PlanNode, what: &str) -> (Vec<Row>, usize) {
 #[test]
 fn the_fixture_has_the_groups_the_cases_need() {
     let t = upload(&S3Store::new(), false);
-    let c = t.stats.as_ref().unwrap().column(1).unwrap();
     assert_eq!(
-        c.dictionary.as_ref().map(Vec::len),
+        t.dictionary("c").map(<[_]>::len),
         Some(5),
         "NULL is no value"
     );
-    assert!(c.null_fraction > 0.0);
-    let f = t.stats.as_ref().unwrap().column(2).unwrap();
-    let f_values: Vec<String> = f
-        .dictionary
-        .iter()
+    assert!(t.stats.as_ref().unwrap().column(1).unwrap().null_fraction > 0.0);
+    let f_values: Vec<String> = t
+        .dictionary("f")
+        .into_iter()
         .flatten()
         .map(|(v, _)| v.to_string())
         .collect();
     assert_eq!(f_values, ["-0.0", "0.0", "NaN"]);
-    for (col, want) in [(4, None), (5, Some(32))] {
-        let dictionary = &t.stats.as_ref().unwrap().column(col).unwrap().dictionary;
-        assert_eq!(dictionary.as_ref().map(Vec::len), want, "column {col}");
+    for (col, want) in [("w", None), ("x", Some(32))] {
+        let dictionary = t.dictionary(col);
+        assert_eq!(dictionary.map(<[_]>::len), want, "column {col}");
     }
     for g in ["c", "f"] {
         let col = schema().index_of(g).unwrap();
