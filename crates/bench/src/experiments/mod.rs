@@ -18,4 +18,3 @@ pub mod fig12_adaptive;
 pub mod fig13_concurrency;
 pub mod fig_cache;
 pub mod fig_cluster;
-pub mod fig_queueing;

@@ -20,8 +20,6 @@
 //! * costs use the paper's US-East price book;
 //! * everything is deterministic (seeded generators + analytic clock).
 
-pub mod admission;
-pub mod arrivals;
 pub mod experiments;
 pub mod table;
 pub mod workload;

@@ -126,7 +126,7 @@ use pushdown_common::pricing::Pricing;
 use pushdown_common::Result;
 use std::collections::hash_map::Entry as Slot;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Weak};
 
 pub mod store;
@@ -616,12 +616,6 @@ impl SegmentCache {
         })
     }
 
-    /// A mem-only cache holding at most `budget_bytes` of segment data:
-    /// [`SegmentCache::tiered`] with a zero disk budget.
-    pub fn new(budget_bytes: u64, pricing: Pricing) -> SegmentCache {
-        Self::tiered(budget_bytes, 0, pricing)
-    }
-
     /// A two-tier cache with default admission and no directory.
     pub fn tiered(mem_budget_bytes: u64, disk_budget_bytes: u64, pricing: Pricing) -> SegmentCache {
         let config = CacheConfig {
@@ -630,45 +624,6 @@ impl SegmentCache {
             ..CacheConfig::default()
         };
         Self::open(&config, pricing, None, None).expect("a cache without a directory opens no file")
-    }
-
-    /// [`SegmentCache::recover_with`] with default admission, no crash
-    /// injection, and no catalog check.
-    pub fn recover(
-        dir: impl AsRef<Path>,
-        mem_budget_bytes: u64,
-        disk_budget_bytes: u64,
-        pricing: Pricing,
-    ) -> Result<SegmentCache> {
-        Self::recover_with(
-            dir,
-            mem_budget_bytes,
-            disk_budget_bytes,
-            pricing,
-            CacheAdmission::AdmitAll,
-            None,
-            None,
-        )
-    }
-
-    /// [`SegmentCache::open`] on a cache rooted at `dir`, argument by
-    /// argument.
-    pub fn recover_with(
-        dir: impl AsRef<Path>,
-        mem_budget_bytes: u64,
-        disk_budget_bytes: u64,
-        pricing: Pricing,
-        admission: CacheAdmission,
-        kill: Option<KillPlan>,
-        catalog: Option<CatalogProbe<'_>>,
-    ) -> Result<SegmentCache> {
-        let config = CacheConfig {
-            mem_bytes: mem_budget_bytes,
-            disk_bytes: disk_budget_bytes,
-            admission,
-            dir: Some(dir.as_ref().to_path_buf()),
-        };
-        Self::open(&config, pricing, kill, catalog)
     }
 
     /// What the cache was opened with.
@@ -1049,7 +1004,7 @@ mod tests {
     use super::*;
 
     fn cache(budget: u64) -> SegmentCache {
-        SegmentCache::new(budget, Pricing::us_east())
+        SegmentCache::tiered(budget, 0, Pricing::us_east())
     }
 
     fn whole(key: &str) -> SegmentKey {

@@ -15,7 +15,7 @@
 //! snapshot-run-snapshot (`delta_since`) pattern that interleaved queries
 //! corrupt.
 
-use crate::pricing::{Pricing, Usage};
+use crate::pricing::Usage;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -82,12 +82,6 @@ impl CostLedger {
         }
     }
 
-    /// Whether this ledger rolls up into a parent (i.e. was created by
-    /// [`CostLedger::child`]).
-    pub fn is_scoped(&self) -> bool {
-        !self.uplinks.is_empty()
-    }
-
     fn add(&self, field: fn(&Counters) -> &AtomicU64, n: u64) {
         field(&self.inner).fetch_add(n, Ordering::Relaxed);
         for up in &self.uplinks {
@@ -146,99 +140,6 @@ impl CostLedger {
     }
 }
 
-/// A child [`CostLedger`] paired with a hard **dollar budget** — the
-/// admission-control primitive behind per-tenant cost caps.
-///
-/// The ledger is an ordinary child of `parent` (so everything billed
-/// against it rolls up the chain, and "tenant = Σ its queries" holds by
-/// the same joint-billing machinery the cluster uses), plus two things a
-/// bare ledger does not have:
-///
-/// * a **price book**: [`BudgetedLedger::spent_dollars`] prices the
-///   ledger's usage under the attached [`Pricing`], including modeled
-///   compute seconds recorded with [`BudgetedLedger::add_compute_seconds`]
-///   — so the budget meters exactly what `billed_cost` would report;
-/// * an **exhaustion check**: [`BudgetedLedger::exhausted`] is true once
-///   spend reaches the budget. Admission layers shed *before* executing,
-///   so a tenant can overshoot by at most the one query in flight when
-///   the check last passed — the ledger itself never blocks additions
-///   (billing is an accounting fact, not a permission).
-///
-/// Cloning shares the ledger and the compute accumulator, like every
-/// other accounting handle in this workspace.
-#[derive(Debug, Clone)]
-pub struct BudgetedLedger {
-    ledger: CostLedger,
-    pricing: Pricing,
-    budget_dollars: f64,
-    /// Modeled compute nanoseconds charged by the harness (service time
-    /// of completed queries); priced at `pricing.compute_per_hour`.
-    compute_ns: Arc<AtomicU64>,
-}
-
-impl BudgetedLedger {
-    /// A budgeted child of `parent`. `budget_dollars` may be
-    /// `f64::INFINITY` for an unlimited tenant ([`BudgetedLedger::unlimited`]).
-    pub fn new(parent: &CostLedger, pricing: Pricing, budget_dollars: f64) -> BudgetedLedger {
-        BudgetedLedger {
-            ledger: parent.child(),
-            pricing,
-            budget_dollars,
-            compute_ns: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// A budgeted child that never exhausts.
-    pub fn unlimited(parent: &CostLedger, pricing: Pricing) -> BudgetedLedger {
-        Self::new(parent, pricing, f64::INFINITY)
-    }
-
-    /// The underlying child ledger (scope it, joint-bill it, snapshot it).
-    pub fn ledger(&self) -> &CostLedger {
-        &self.ledger
-    }
-
-    pub fn budget_dollars(&self) -> f64 {
-        self.budget_dollars
-    }
-
-    /// Record modeled compute seconds consumed on this budget (e.g. a
-    /// completed query's service time). Saturates at zero for negative
-    /// inputs.
-    pub fn add_compute_seconds(&self, seconds: f64) {
-        if seconds > 0.0 {
-            self.compute_ns
-                .fetch_add((seconds * 1e9) as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Compute seconds recorded so far.
-    pub fn compute_seconds(&self) -> f64 {
-        self.compute_ns.load(Ordering::Relaxed) as f64 / 1e9
-    }
-
-    /// Dollars spent so far: the ledger's usage plus recorded compute
-    /// time, priced under the attached price book.
-    pub fn spent_dollars(&self) -> f64 {
-        self.pricing
-            .cost(&self.ledger.snapshot(), self.compute_seconds())
-            .total()
-    }
-
-    /// Dollars left before exhaustion (never negative; infinite for
-    /// unlimited budgets).
-    pub fn remaining_dollars(&self) -> f64 {
-        (self.budget_dollars - self.spent_dollars()).max(0.0)
-    }
-
-    /// Whether spend has reached the budget. Admission checks this
-    /// *before* running a query, so a tenant with any budget left gets
-    /// at least one more query through.
-    pub fn exhausted(&self) -> bool {
-        self.spent_dollars() >= self.budget_dollars
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,11 +182,9 @@ mod tests {
     #[test]
     fn children_roll_up_into_parents() {
         let root = CostLedger::new();
-        assert!(!root.is_scoped());
         let a = root.child();
         let b = root.child();
         let b_inner = b.child(); // nesting rolls up through the chain
-        assert!(a.is_scoped());
         a.add_requests(2);
         a.add_select_scanned(10);
         b.add_plain_bytes(5);
@@ -352,6 +251,35 @@ mod tests {
         }
         assert_eq!(root.snapshot(), sum);
         assert_eq!(sum.requests, 8000);
+
+        // Joint children racing: query i bills through a leaf shared with
+        // node i % 2, all under one root. The root is an ancestor of both
+        // parents and must still count every addition once.
+        let root = CostLedger::new();
+        let nodes: Vec<CostLedger> = (0..2).map(|_| root.child()).collect();
+        let queries: Vec<CostLedger> = (0..8).map(|_| root.child()).collect();
+        std::thread::scope(|s| {
+            for (i, query) in queries.iter().enumerate() {
+                let leaf = query.joint_child(&nodes[i % 2]);
+                s.spawn(move || {
+                    for _ in 0..1000 {
+                        leaf.add_request();
+                        leaf.add_select_scanned(3);
+                        leaf.add_plain_bytes(i as u64);
+                    }
+                });
+            }
+        });
+        let total = |ledgers: &[CostLedger]| {
+            let mut sum = Usage::default();
+            for l in ledgers {
+                sum += l.snapshot();
+            }
+            sum
+        };
+        assert_eq!(root.snapshot(), total(&nodes));
+        assert_eq!(root.snapshot(), total(&queries));
+        assert_eq!(root.snapshot().requests, 8000);
     }
 
     #[test]
@@ -371,49 +299,5 @@ mod tests {
         let u = l.snapshot();
         assert_eq!(u.requests, 8000);
         assert_eq!(u.select_scanned_bytes, 16_000);
-    }
-
-    #[test]
-    fn budgeted_ledger_prices_usage_and_compute() {
-        let root = CostLedger::new();
-        // Budget: exactly two 1 GB Select scans at $0.002/GB.
-        let b = BudgetedLedger::new(&root, Pricing::us_east(), 0.004);
-        assert!(!b.exhausted());
-        assert_eq!(b.remaining_dollars(), 0.004);
-        b.ledger().add_select_scanned(1_000_000_000);
-        assert!(!b.exhausted(), "one scan: half the budget left");
-        assert!((b.spent_dollars() - 0.002).abs() < 1e-12);
-        b.ledger().add_select_scanned(1_000_000_000);
-        assert!(b.exhausted(), "spend == budget exhausts");
-        assert_eq!(b.remaining_dollars(), 0.0);
-        // The child still rolls up into the parent.
-        assert_eq!(root.snapshot().select_scanned_bytes, 2_000_000_000);
-    }
-
-    #[test]
-    fn budgeted_ledger_meters_compute_seconds() {
-        let root = CostLedger::new();
-        let pricing = Pricing::us_east();
-        // One compute-hour budget.
-        let b = BudgetedLedger::new(&root, pricing, pricing.compute_per_hour);
-        b.add_compute_seconds(1800.0);
-        assert!(!b.exhausted());
-        assert!((b.compute_seconds() - 1800.0).abs() < 1e-6);
-        b.add_compute_seconds(1800.0);
-        assert!(b.exhausted(), "3600 compute seconds spend the hour");
-        b.add_compute_seconds(-5.0); // ignored, never un-spends
-        assert!((b.compute_seconds() - 3600.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn unlimited_budgets_never_exhaust_and_clones_share() {
-        let root = CostLedger::new();
-        let b = BudgetedLedger::unlimited(&root, Pricing::us_east());
-        let b2 = b.clone();
-        b.ledger().add_select_scanned(u64::MAX / 2);
-        b2.add_compute_seconds(1e6);
-        assert!(!b.exhausted());
-        assert_eq!(b.remaining_dollars(), f64::INFINITY);
-        assert!((b.compute_seconds() - 1e6).abs() < 1.0, "clones share");
     }
 }

@@ -49,7 +49,7 @@ pub mod value;
 
 pub use columnar::{Column, ColumnData, ColumnarBatch, SelVec};
 pub use error::{Error, Result};
-pub use ledger::{BudgetedLedger, CostLedger};
+pub use ledger::CostLedger;
 pub use perf::{PerfModel, PhaseStats};
 pub use pricing::{CostBreakdown, Pricing};
 pub use retry::RetryPolicy;

@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn per_node_cache_slices_split_the_budget() {
         let s = store();
-        s.set_cache(Some(SegmentCache::new(1 << 20, pricing())));
+        s.set_cache(Some(SegmentCache::tiered(1 << 20, 0, pricing())));
         let c = Cluster::new(&s, 4, pricing());
         for id in 0..4 {
             let stats = c.node(id).cache.as_ref().expect("node cache").stats();

@@ -5,7 +5,7 @@
 //! One `QueryContext` (and the engine inside it) is safely shared by many
 //! concurrent queries. Each query runs against a **scoped** context
 //! ([`QueryContext::scoped`]): the scope's store handle bills a
-//! [`CostLedger`] *child* that rolls up
+//! [`CostLedger`](pushdown_common::CostLedger) *child* that rolls up
 //! atomically into the store-global ledger, so per-query accounting is
 //! exact under any interleaving — no resets, no snapshot deltas. Every
 //! planner entry point scopes itself, so callers get
@@ -18,8 +18,8 @@ use pushdown_bloom::BloomBuilder;
 use pushdown_cache::{CacheConfig, SegmentCache};
 use pushdown_common::perf::{PerfModel, PerfParams};
 use pushdown_common::pricing::{Pricing, Usage};
-use pushdown_common::{CostLedger, Error, Result, RetryPolicy};
-use pushdown_s3::{S3Store, VirtualClock};
+use pushdown_common::{Error, Result, RetryPolicy};
+use pushdown_s3::S3Store;
 use pushdown_select::S3SelectEngine;
 
 /// Everything an algorithm needs to execute and be accounted.
@@ -122,39 +122,7 @@ impl QueryContext {
     /// fault stream matches the single-node engine request for request).
     /// Nested scopes inside algorithms then compose plainly underneath.
     pub fn scoped_with_salt(&self, salt: u64) -> QueryContext {
-        self.scoped_on(salt, self.store.scoped_with_salt(salt))
-    }
-
-    /// [`QueryContext::scoped_with_salt`] on behalf of a **tenant**: the
-    /// query's scope bills jointly to its own fresh child ledger *and*
-    /// to `tenant_ledger` (shared ancestors counted once — see
-    /// [`CostLedger::joint_child`]), with its virtual time also rolling
-    /// up into `tenant_clock`. With the tenant ledger a child of the
-    /// store-global one, all three decompositions hold exactly:
-    /// global = Σ tenant ledgers = Σ per-query ledgers — the same
-    /// machinery `core::cluster` uses for per-node accounting, here
-    /// powering per-tenant budget enforcement in the admission layer.
-    ///
-    /// Composes with an attached [`Cluster`] exactly like
-    /// [`QueryContext::scoped_with_salt`]: the tenant-joint scope becomes
-    /// the query's base ledger and the coordinator executes as node 0.
-    pub fn scoped_with_tenant(
-        &self,
-        salt: u64,
-        tenant_ledger: &CostLedger,
-        tenant_clock: &VirtualClock,
-    ) -> QueryContext {
-        let base = self
-            .store
-            .scoped_with_peer(salt, tenant_ledger, tenant_clock);
-        self.scoped_on(salt, base)
-    }
-
-    /// A query context over `base`, the query's own store scope: `base`
-    /// itself, or — when a cluster is attached and no cluster scope is
-    /// active yet — the coordinator's execution scope, billing jointly to
-    /// `base` and node 0 with `base` kept as the cluster base.
-    fn scoped_on(&self, salt: u64, base: S3Store) -> QueryContext {
+        let base = self.store.scoped_with_salt(salt);
         let Some(cluster) = self
             .cluster
             .as_ref()
@@ -421,33 +389,6 @@ mod tests {
         assert_eq!(q3.billed().requests, 1);
         assert!(q3.billed().select_scanned_bytes > 0);
         assert_eq!(q1.billed().requests, 1, "sibling scopes stay isolated");
-        assert_eq!(ctx.billed().requests, 4);
-    }
-
-    #[test]
-    fn tenant_scopes_bill_jointly_and_decompose() {
-        let store = S3Store::new();
-        store.put_object("b", "t/x.csv", "a\n1\n");
-        let ctx = QueryContext::new(store);
-        let tenant_a = ctx.store.ledger().child();
-        let tenant_b = ctx.store.ledger().child();
-        let clock_a = VirtualClock::new();
-        let clock_b = VirtualClock::new();
-        let q1 = ctx.scoped_with_tenant(1, &tenant_a, &clock_a);
-        let q2 = ctx.scoped_with_tenant(2, &tenant_a, &clock_a);
-        let q3 = ctx.scoped_with_tenant(3, &tenant_b, &clock_b);
-        q1.store.get_object("b", "t/x.csv").unwrap();
-        q2.store.get_object("b", "t/x.csv").unwrap();
-        q2.store.get_object("b", "t/x.csv").unwrap();
-        q3.store.get_object("b", "t/x.csv").unwrap();
-        // Per-query ledgers stay exact...
-        assert_eq!(q1.billed().requests, 1);
-        assert_eq!(q2.billed().requests, 2);
-        assert_eq!(q3.billed().requests, 1);
-        // ...tenants see exactly the sum of their queries...
-        assert_eq!(tenant_a.snapshot().requests, 3);
-        assert_eq!(tenant_b.snapshot().requests, 1);
-        // ...and the shared global root counts everything exactly once.
         assert_eq!(ctx.billed().requests, 4);
     }
 

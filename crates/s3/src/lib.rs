@@ -1315,8 +1315,9 @@ mod tests {
     #[test]
     fn chunked_cold_read_learns_the_layout_and_fills_per_chunk() {
         let s = store_with("obj", "0123456789");
-        s.set_cache(Some(SegmentCache::new(
+        s.set_cache(Some(SegmentCache::tiered(
             1 << 20,
+            0,
             pushdown_common::pricing::Pricing::us_east(),
         )));
         let policy = RetryPolicy::default();
@@ -1349,7 +1350,7 @@ mod tests {
     #[test]
     fn writes_invalidate_cached_chunks_and_their_layout() {
         let s = store_with("obj", "0123456789");
-        let cache = SegmentCache::new(1 << 20, pushdown_common::pricing::Pricing::us_east());
+        let cache = SegmentCache::tiered(1 << 20, 0, pushdown_common::pricing::Pricing::us_east());
         s.set_cache(Some(cache.clone()));
         let policy = RetryPolicy::default();
         s.get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
@@ -1380,7 +1381,7 @@ mod tests {
         // resident, the two adjacent chunks (0,4) and (4,8) missing — the
         // refetch must coalesce them into ONE range GET billing exactly
         // 8 bytes.
-        let c2 = SegmentCache::new(1 << 20, pushdown_common::pricing::Pricing::us_east());
+        let c2 = SegmentCache::tiered(1 << 20, 0, pushdown_common::pricing::Pricing::us_east());
         let e = c2.begin_fill(&SegmentKey::whole("tpch", "obj"));
         assert!(c2.record_layout("tpch", "obj", e, vec![(0, 4), (4, 8), (8, 10)]));
         assert!(c2.insert(
@@ -1446,7 +1447,8 @@ mod tests {
     #[test]
     fn chunked_gap_fills_retry_under_chaos_and_bill_bytes_once() {
         let s = store_with("obj", "0123456789abcdef");
-        let warm_cache = SegmentCache::new(1 << 20, pushdown_common::pricing::Pricing::us_east());
+        let warm_cache =
+            SegmentCache::tiered(1 << 20, 0, pushdown_common::pricing::Pricing::us_east());
         let e = warm_cache.begin_fill(&SegmentKey::whole("tpch", "obj"));
         assert!(warm_cache.record_layout(
             "tpch",
@@ -1490,7 +1492,7 @@ mod tests {
     #[test]
     fn chunked_reads_fall_back_to_a_whole_reload_when_a_writer_races() {
         let s = store_with("obj", "0123456789");
-        let cache = SegmentCache::new(1 << 20, pushdown_common::pricing::Pricing::us_east());
+        let cache = SegmentCache::tiered(1 << 20, 0, pushdown_common::pricing::Pricing::us_east());
         // Recorded layout + one stale resident chunk, then the object is
         // replaced *without* the cache hearing about it — simulating the
         // epoch moving after the chunk probes. The gap fetch against the
@@ -1524,11 +1526,16 @@ mod tests {
     fn commit_cache_charges_the_receipt_once() {
         let tmp = pushdown_common::TempDir::new("s3-commit");
         let s = store_with("obj", &"x".repeat(12));
-        let cache = SegmentCache::recover(
-            tmp.path(),
-            0,
-            64,
+        let config = pushdown_cache::CacheConfig {
+            disk_bytes: 64,
+            dir: Some(tmp.path().to_path_buf()),
+            ..Default::default()
+        };
+        let cache = SegmentCache::open(
+            &config,
             pushdown_common::pricing::Pricing::us_east(),
+            None,
+            None,
         )
         .unwrap();
         s.set_cache(Some(cache.clone()));

@@ -19,6 +19,7 @@
 //! top-K, join) with at least one actually-retried request.
 
 use pushdown_bench::run_candidate;
+use pushdown_bench::workload::query_salt;
 use pushdowndb::common::{RetryPolicy, Value};
 use pushdowndb::core::{execute_sql, QueryOutput, Strategy};
 use pushdowndb::s3::FaultPlan;
@@ -193,6 +194,59 @@ fn chaos_outcomes_are_interleaving_independent() {
         );
     }
     ctx.store.set_fault_plan(None);
+}
+
+/// One pinned seed over the whole planner suite under Pushdown, with the
+/// workload driver's per-query salts: with 12 attempts every statement
+/// retries its way to its fault-free rows, bills scan, return and plain
+/// bytes once, and its virtual latency (modeled runtime, or the scope's
+/// clock when that is larger) never falls below the fault-free run's and
+/// replays bit for bit.
+#[test]
+fn pinned_seed_over_the_whole_suite_under_pushdown() {
+    const SEED: u64 = 9;
+    let (ctx, tables) = tpch_context(0.002, 1_000).unwrap();
+    let ctx = ctx.with_retry(RetryPolicy::with_attempts(12));
+    let suite = planner_suite();
+    let run = |qi: usize, plan: Option<FaultPlan>| {
+        let q = &suite[qi];
+        ctx.store.set_fault_plan(plan);
+        let qctx = ctx.scoped_with_salt(query_salt(SEED, qi));
+        let out = execute_sql(&qctx, (q.table)(&tables), q.sql, Strategy::Pushdown)
+            .unwrap_or_else(|e| panic!("{} seed {SEED}: {e}", q.name));
+        assert_eq!(out.metrics.usage(), out.billed, "{}", q.name);
+        let latency_s = out.runtime(&qctx).max(qctx.virtual_time_s());
+        (out, latency_s)
+    };
+    let mut retried = 0;
+    for (qi, q) in suite.iter().enumerate() {
+        let (clean, clean_s) = run(qi, None);
+        let (chaos, chaos_s) = run(qi, Some(FaultPlan::new(SEED, 0.35)));
+        assert_eq!(chaos.rows, clean.rows, "{}: rows moved", q.name);
+        let (a, b) = (clean.billed, chaos.billed);
+        assert_eq!(
+            (
+                a.select_scanned_bytes,
+                a.select_returned_bytes,
+                a.plain_bytes
+            ),
+            (
+                b.select_scanned_bytes,
+                b.select_returned_bytes,
+                b.plain_bytes
+            ),
+            "{}: bytes billed more than once",
+            q.name
+        );
+        assert!(b.requests >= a.requests, "{}", q.name);
+        retried += (b.requests > a.requests) as usize;
+        assert!(chaos_s >= clean_s, "{}: {chaos_s} < {clean_s}", q.name);
+        let (again, again_s) = run(qi, Some(FaultPlan::new(SEED, 0.35)));
+        assert_eq!((again.rows, again.billed), (chaos.rows, b), "{}", q.name);
+        assert_eq!(again_s.to_bits(), chaos_s.to_bits(), "{}", q.name);
+    }
+    ctx.store.set_fault_plan(None);
+    assert!(retried > 0, "the pinned seed must exercise the retry path");
 }
 
 /// Pinned regression seeds, one per algo family. Each seed demonstrably

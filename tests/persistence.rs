@@ -25,7 +25,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use pushdowndb::cache::{CacheAdmission, KillPlan, SegmentCache, SegmentKey};
+use pushdowndb::cache::{CacheAdmission, CacheConfig, KillPlan, SegmentCache, SegmentKey};
 use pushdowndb::common::pricing::Pricing;
 use pushdowndb::common::{DataType, RetryPolicy, Row, Schema, TempDir, Value};
 use pushdowndb::core::{execute_sql, upload_csv_table, QueryContext, Strategy};
@@ -145,12 +145,14 @@ fn recovery_rebuilds_reuse_distance_ghosts() {
         cache.insert(skey, Bytes::from(vec![byte; len]), epoch)
     };
     {
-        let cache = SegmentCache::recover_with(
-            tmp.path(),
-            0,
-            4096,
+        let cache = SegmentCache::open(
+            &CacheConfig {
+                disk_bytes: 4096,
+                admission,
+                dir: Some(tmp.path().to_path_buf()),
+                ..CacheConfig::default()
+            },
             Pricing::default(),
-            admission,
             None,
             None,
         )
@@ -165,12 +167,14 @@ fn recovery_rebuilds_reuse_distance_ghosts() {
         );
     }
 
-    let cache = SegmentCache::recover_with(
-        tmp.path(),
-        0,
-        4096,
+    let cache = SegmentCache::open(
+        &CacheConfig {
+            disk_bytes: 4096,
+            admission,
+            dir: Some(tmp.path().to_path_buf()),
+            ..CacheConfig::default()
+        },
         Pricing::default(),
-        admission,
         None,
         None,
     )
@@ -219,12 +223,13 @@ fn recovery_rebuilds_reuse_distance_ghosts() {
 #[test]
 fn file_entries_whose_bytes_a_crash_tore_degrade_to_misses() {
     let tmp = TempDir::new("persist-torn");
-    let cache = SegmentCache::recover_with(
-        tmp.path(),
-        0,
-        1 << 20,
+    let cache = SegmentCache::open(
+        &CacheConfig {
+            disk_bytes: 1 << 20,
+            dir: Some(tmp.path().to_path_buf()),
+            ..CacheConfig::default()
+        },
         Pricing::default(),
-        CacheAdmission::AdmitAll,
         Some(KillPlan::after(1, 0xC0FFEE)),
         None,
     )
@@ -266,7 +271,17 @@ fn file_entries_whose_bytes_a_crash_tore_degrade_to_misses() {
     }
     drop(cache);
     // Recovery sees at most what the torn prefix kept whole.
-    let recovered = SegmentCache::recover(tmp.path(), 0, 1 << 20, Pricing::default()).unwrap();
+    let recovered = SegmentCache::open(
+        &CacheConfig {
+            disk_bytes: 1 << 20,
+            dir: Some(tmp.path().to_path_buf()),
+            ..CacheConfig::default()
+        },
+        Pricing::default(),
+        None,
+        None,
+    )
+    .unwrap();
     assert!(recovered.stats().recovered_segments <= (4 - lost) as u64);
     drop(recovered);
 }
@@ -287,7 +302,17 @@ fn concurrent_committers_charge_each_byte_and_fsync_once() {
             store.put_object("b", &format!("t{t}-{i}"), vec![(t * 8 + i) as u8; 1000]);
         }
     }
-    let cache = SegmentCache::recover(tmp.path(), 0, 1 << 20, Pricing::default()).unwrap();
+    let cache = SegmentCache::open(
+        &CacheConfig {
+            disk_bytes: 1 << 20,
+            dir: Some(tmp.path().to_path_buf()),
+            ..CacheConfig::default()
+        },
+        Pricing::default(),
+        None,
+        None,
+    )
+    .unwrap();
     store.set_cache(Some(cache.clone()));
     let plan = FaultPlan::new(0, 0.0);
     store.set_fault_plan(Some(plan));
@@ -408,12 +433,14 @@ fn crash_scenario(
         store.put_object("b", &key(oi), c.clone());
         mirror.push(c);
     }
-    let cache = SegmentCache::recover_with(
-        dir,
-        obj_len as u64 / 2,
-        64 << 20,
+    let cache = SegmentCache::open(
+        &CacheConfig {
+            mem_bytes: obj_len as u64 / 2,
+            disk_bytes: 64 << 20,
+            dir: Some(dir.to_path_buf()),
+            ..CacheConfig::default()
+        },
         Pricing::default(),
-        CacheAdmission::AdmitAll,
         Some(KillPlan::seeded(kill_seed, KILL_HORIZON)),
         None,
     )
@@ -471,12 +498,14 @@ fn crash_scenario(
         let store = store.clone();
         move |b: &str, k: &str, r: (u64, u64)| store.object_range_digest(b, k, r)
     };
-    let recovered = SegmentCache::recover_with(
-        dir,
-        obj_len as u64 / 2,
-        64 << 20,
+    let recovered = SegmentCache::open(
+        &CacheConfig {
+            mem_bytes: obj_len as u64 / 2,
+            disk_bytes: 64 << 20,
+            dir: Some(dir.to_path_buf()),
+            ..CacheConfig::default()
+        },
         Pricing::default(),
-        CacheAdmission::AdmitAll,
         None,
         Some(&probe),
     )
