@@ -27,6 +27,25 @@
 //! uncontended mutex serves, and the file-backed tier was serialized by
 //! the log's mutex all along.
 //!
+//! # Reads, then effects: one mutation path
+//!
+//! A lookup comes in two halves. [`SegmentCache::read`] reports what a
+//! segment's lookup sees — its bytes and tier, or a miss — as an
+//! [`Access`], and changes nothing. [`SegmentCache::apply`] takes an
+//! ordered log of accesses — hits with their promotions, fills with their
+//! epochs and the evictions they force, learned layouts — and applies it
+//! in one critical section. That is the only way the table changes
+//! (invalidation aside): [`SegmentCache::get_tiered`],
+//! [`SegmentCache::insert`] and [`SegmentCache::record_layout`] are a
+//! read and an apply of one access under one lock, and applying a log in
+//! one call leaves exactly what applying its accesses one by one does.
+//! A reader that works on many threads at once — a scan's partition
+//! workers — only reads, keeps each partition's log, and has the logs
+//! applied in partition order once the scan is done (the store crate's
+//! `read_object_chunked_cached_with` is that read half). So admission
+//! ticks, eviction order and tier placement follow the order of the
+//! work, not the order in which threads happened to finish it.
+//!
 //! # Segments and chunk layouts
 //!
 //! A segment is one contiguous byte range of one object —
@@ -92,12 +111,15 @@
 //! which removes every segment of the object from both tiers, drops its
 //! recorded layout, *and* bumps the object's **epoch**. Fills are
 //! epoch-tagged: a read-through fill records the epoch *before* issuing
-//! its GET ([`SegmentCache::begin_fill`]) and the insert is discarded if
-//! the epoch moved in between — an in-flight query racing a writer can
+//! its GET ([`SegmentCache::begin_fill`]) and the fill is discarded if
+//! the epoch moved before it is applied — an in-flight query racing a writer can
 //! never publish stale bytes into the cache, while the bytes it already
 //! holds stay consistent for the remainder of its own scan (exactly the
-//! snapshot a cache-less scan would have seen). Tier movement needs no
-//! epoch check: it happens under the lock invalidation takes.
+//! snapshot a cache-less scan would have seen). A hit applied after the
+//! object's epoch moved counts as served but no longer touches the
+//! segment (whatever is resident now is another version's). Tier
+//! movement needs no other epoch check: it happens under the lock
+//! invalidation takes.
 //!
 //! # Workload-driven admission
 //!
@@ -216,6 +238,54 @@ pub enum CacheTier {
     Mem,
     /// Simulated instance-storage tier, read at `disk_read_bw`.
     Disk,
+}
+
+/// One entry of an access log: what a lookup saw ([`SegmentCache::read`]),
+/// a fill, or a learned layout — and so what [`SegmentCache::apply`] does
+/// to the cache.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Access {
+    /// A lookup served `data` from `tier` while the object was at
+    /// `epoch`. Applied: counted as a hit; if the segment is still the
+    /// one read, its access count rises and, on the disk tier, it is
+    /// promoted to mem (which may demote colder segments).
+    Hit {
+        key: SegmentKey,
+        tier: CacheTier,
+        data: Bytes,
+        epoch: u64,
+    },
+    /// A lookup found nothing — or found a segment whose durable copy
+    /// did not read back (`lost`), which the apply drops while its bytes
+    /// are still only in the segment log.
+    Miss { key: SegmentKey, lost: bool },
+    /// A read-through fill of `data`, fetched after
+    /// [`SegmentCache::begin_fill`] returned `epoch`. Applied: admitted
+    /// like [`SegmentCache::insert`], evicting down to budget.
+    Fill {
+        key: SegmentKey,
+        data: Bytes,
+        epoch: u64,
+    },
+    /// The chunk layout of `bucket/key` learned at `epoch`
+    /// ([`SegmentCache::record_layout`]).
+    Layout {
+        bucket: String,
+        key: String,
+        epoch: u64,
+        chunks: Vec<(u64, u64)>,
+    },
+}
+
+impl Access {
+    /// The bytes a lookup served and the tier that held them; `None` for
+    /// a miss, a fill or a layout.
+    pub fn served(&self) -> Option<(Bytes, CacheTier)> {
+        match self {
+            Access::Hit { tier, data, .. } => Some((data.clone(), *tier)),
+            _ => None,
+        }
+    }
 }
 
 struct Entry {
@@ -533,6 +603,199 @@ impl Inner {
             self.evict_to_budget(st, CacheTier::Disk);
         }
     }
+
+    /// What a lookup of `skey` sees, changing nothing.
+    fn read(&self, st: &State, skey: &SegmentKey) -> Access {
+        let Some(e) = st.entries.get(skey) else {
+            return Access::Miss {
+                key: skey.clone(),
+                lost: false,
+            };
+        };
+        // Bytes in the segment log are read back checksum-verified. A
+        // failed read means the durable copy is gone — a miss rather than
+        // corrupt bytes.
+        let stored = match &e.bytes {
+            Some(data) => Some(data.clone()),
+            None => self.disk_store.as_ref().and_then(|d| d.read(skey)),
+        };
+        match stored {
+            Some(data) => Access::Hit {
+                key: skey.clone(),
+                tier: e.tier,
+                data,
+                epoch: st.epoch(&skey.bucket, &skey.key),
+            },
+            None => Access::Miss {
+                key: skey.clone(),
+                lost: true,
+            },
+        }
+    }
+
+    /// Apply one access inside the caller's critical section: the one
+    /// place the residency table changes (invalidation aside). Returns
+    /// whether it took effect: a hit was served, a fill stored, a layout
+    /// recorded.
+    fn apply(&self, st: &mut State, access: Access) -> bool {
+        match access {
+            Access::Hit {
+                key,
+                tier,
+                data,
+                epoch,
+            } => {
+                self.hit(st, &key, tier, data, epoch);
+                true
+            }
+            Access::Miss { key, lost } => {
+                self.miss(st, &key, lost);
+                false
+            }
+            Access::Fill { key, data, epoch } => self.fill(st, key, data, epoch),
+            Access::Layout {
+                bucket,
+                key,
+                epoch,
+                chunks,
+            } => self.learn_layout(st, &bucket, &key, epoch, chunks),
+        }
+    }
+
+    fn hit(&self, st: &mut State, key: &SegmentKey, served: CacheTier, data: Bytes, epoch: u64) {
+        let len = data.len() as u64;
+        st.stats.hits += 1;
+        st.stats.hit_bytes += len;
+        if served == CacheTier::Disk {
+            st.stats.disk_hits += 1;
+            st.stats.disk_hit_bytes += len;
+        }
+        // Since the read, a writer may have replaced the object; then
+        // whatever is resident is another version's and stays untouched.
+        if st.epoch(&key.bucket, &key.key) != epoch {
+            return;
+        }
+        let Some(e) = st.entries.get_mut(key) else {
+            return;
+        };
+        e.hits += 1;
+        // Too big to ever live in mem: served in place.
+        if e.tier == CacheTier::Mem || e.len > self.config.mem_bytes {
+            return;
+        }
+        // Promote in place: the bytes move up to RAM and the durable copy
+        // is released.
+        if e.bytes.replace(data).is_none() {
+            self.forget(key);
+        }
+        e.tier = CacheTier::Mem;
+        e.seq = bump(&mut st.seq);
+        st.used[CacheTier::Disk as usize] -= e.len;
+        st.used[CacheTier::Mem as usize] += e.len;
+        st.stats.promotions += 1;
+        self.evict_to_budget(st, CacheTier::Mem);
+    }
+
+    fn miss(&self, st: &mut State, key: &SegmentKey, lost: bool) {
+        st.stats.misses += 1;
+        // A segment whose durable copy did not read back leaves the cache
+        // (unless its bytes have come back to RAM since).
+        let in_log = st.entries.get(key).is_some_and(|e| e.bytes.is_none());
+        if lost && in_log {
+            let e = st.entries.remove(key).expect("checked above");
+            st.used[e.tier as usize] -= e.len;
+            self.forget(key);
+        }
+    }
+
+    fn fill(&self, st: &mut State, skey: SegmentKey, data: Bytes, epoch: u64) -> bool {
+        let len = data.len() as u64;
+        let target = if len <= self.config.mem_bytes {
+            CacheTier::Mem
+        } else if len <= self.config.disk_bytes {
+            CacheTier::Disk
+        } else {
+            return false;
+        };
+        if st.epoch(&skey.bucket, &skey.key) != epoch {
+            st.stats.stale_fills += 1;
+            return false;
+        }
+        let old = st
+            .entries
+            .get(&skey)
+            .map(|e| (e.tier, e.len, e.bytes.is_none()));
+        if let CacheAdmission::ReuseDistance { window } = self.config.admission {
+            let tick = bump(&mut st.fill_ticks);
+            let reused = st
+                .ghosts
+                .insert(skey.clone(), tick)
+                .is_some_and(|last| tick - last <= window);
+            if st.ghosts.len() > GHOST_LIMIT {
+                st.ghosts.retain(|_, &mut last| tick - last <= window);
+            }
+            // Replacements and fills that fit spare budget always
+            // admit; only eviction-forcing first touches go around.
+            let replaced = match old {
+                Some((tier, old_len, _)) if tier == target => old_len,
+                _ => 0,
+            };
+            if st.used[target as usize] - replaced + len > self.budget(target) && !reused {
+                st.stats.read_arounds += 1;
+                return false;
+            }
+        }
+        // Straight-to-disk fills reach the segment log before the entry
+        // goes live (durable at the next commit).
+        let bytes = match (target, &self.disk_store) {
+            (CacheTier::Disk, Some(ds)) if ds.put(&skey, &data, epoch) => None,
+            _ => Some(data),
+        };
+        if let Some((tier, old_len, was_in_log)) = old {
+            // A refill replaces the segment wherever it was; the log
+            // keeps a copy only if this fill just put one there.
+            st.used[tier as usize] -= old_len;
+            if was_in_log && bytes.is_some() {
+                self.forget(&skey);
+            }
+        }
+        let entry = Entry {
+            tier: target,
+            bytes,
+            len,
+            hits: 1,
+            seq: bump(&mut st.seq),
+        };
+        st.entries.insert(skey, entry);
+        st.used[target as usize] += len;
+        st.stats.fills += 1;
+        st.stats.fill_bytes += len;
+        self.evict_to_budget(st, target);
+        true
+    }
+
+    fn learn_layout(
+        &self,
+        st: &mut State,
+        bucket: &str,
+        key: &str,
+        epoch: u64,
+        chunks: Vec<(u64, u64)>,
+    ) -> bool {
+        if st.epoch(bucket, key) != epoch {
+            return false;
+        }
+        // Persist the layout (once per distinct value) so a restart
+        // keeps partial-hit scans chunk-granular instead of reloading
+        // whole objects.
+        let h = object_hash(bucket, key);
+        let known = st.layouts.get(&h).is_some_and(|prev| **prev == *chunks);
+        if let (false, Some(ds)) = (known, &self.disk_store) {
+            ds.log_layout(bucket, key, epoch, &chunks);
+        }
+        st.layouts.insert(h, chunks.into());
+        true
+    }
 }
 
 /// Handle to one shared segment cache. Cloning shares the cache (`Arc`
@@ -706,55 +969,40 @@ impl SegmentCache {
     }
 
     /// Look up one segment, reporting which tier served it so the caller
-    /// can charge `cache_read_bw` vs `disk_read_bw`. A disk hit promotes
-    /// the segment back into the mem tier (unless it is bigger than the
-    /// whole mem budget), which may demote colder mem segments down —
-    /// all inside this one critical section.
+    /// can charge `cache_read_bw` vs `disk_read_bw`: a [`SegmentCache::read`]
+    /// and the [`SegmentCache::apply`] of what it saw, in one critical
+    /// section. A disk hit promotes the segment back into the mem tier
+    /// (unless it is bigger than the whole mem budget), which may demote
+    /// colder mem segments down.
     pub fn get_tiered(&self, skey: &SegmentKey) -> Option<(Bytes, CacheTier)> {
         let inner = &*self.inner;
-        let mut guard = inner.state.lock();
-        let st = &mut *guard;
-        let Some(e) = st.entries.get_mut(skey) else {
-            st.stats.misses += 1;
-            return None;
-        };
-        // Bytes in the segment log are read back checksum-verified. A
-        // failed read means the durable copy is gone — degrade to a miss
-        // rather than serve corrupt bytes.
-        let stored = match &e.bytes {
-            Some(data) => Some(data.clone()),
-            None => inner.disk_store.as_ref().and_then(|d| d.read(skey)),
-        };
-        let Some(data) = stored else {
-            st.used[e.tier as usize] -= e.len;
-            st.entries.remove(skey);
-            inner.forget(skey);
-            st.stats.misses += 1;
-            return None;
-        };
-        e.hits += 1;
-        let (len, tier) = (e.len, e.tier);
-        st.stats.hits += 1;
-        st.stats.hit_bytes += len;
-        if tier == CacheTier::Disk {
-            st.stats.disk_hits += 1;
-            st.stats.disk_hit_bytes += len;
-            // Too big to ever live in mem: served in place.
-            if len <= inner.config.mem_bytes {
-                // Promote in place: the bytes move up to RAM and the
-                // durable copy is released.
-                if e.bytes.replace(data.clone()).is_none() {
-                    inner.forget(skey);
-                }
-                e.tier = CacheTier::Mem;
-                e.seq = bump(&mut st.seq);
-                st.used[CacheTier::Disk as usize] -= len;
-                st.used[CacheTier::Mem as usize] += len;
-                st.stats.promotions += 1;
-                inner.evict_to_budget(st, CacheTier::Mem);
-            }
-        }
-        Some((data, tier))
+        let mut st = inner.state.lock();
+        let access = inner.read(&st, skey);
+        let served = access.served();
+        inner.apply(&mut st, access);
+        served
+    }
+
+    /// What a lookup of one segment sees — its bytes and tier, or a miss
+    /// — without counting it, touching its access count or moving it
+    /// between tiers. Apply the returned access
+    /// ([`SegmentCache::apply`]) to have the lookup count.
+    pub fn read(&self, skey: &SegmentKey) -> Access {
+        let st = self.inner.state.lock();
+        self.inner.read(&st, skey)
+    }
+
+    /// Apply an ordered access log in one critical section: hits count
+    /// and promote, fills are admitted (or discarded as stale, or read
+    /// around) and evict down to budget, layouts are recorded — each
+    /// exactly as [`SegmentCache::get_tiered`], [`SegmentCache::insert`]
+    /// and [`SegmentCache::record_layout`] do it, in log order. Returns,
+    /// per access, whether it took effect (a hit served, a fill stored, a
+    /// layout recorded).
+    pub fn apply(&self, log: impl IntoIterator<Item = Access>) -> Vec<bool> {
+        let inner = &*self.inner;
+        let mut st = inner.state.lock();
+        log.into_iter().map(|a| inner.apply(&mut st, a)).collect()
     }
 
     /// Non-mutating occupancy probe for the cost estimator: the cached
@@ -771,8 +1019,9 @@ impl SegmentCache {
     }
 
     /// The segment's object epoch — call *before* issuing the fill GET
-    /// and pass the value to [`SegmentCache::insert`], which discards
-    /// the fill if a writer invalidated the object in between. Epochs
+    /// and pass the value to [`SegmentCache::insert`] (or an
+    /// [`Access::Fill`]), which discards the fill if a writer invalidated
+    /// the object in between. Epochs
     /// are per *object*: every range of `bucket/key` shares one.
     pub fn begin_fill(&self, skey: &SegmentKey) -> u64 {
         self.inner.state.lock().epoch(&skey.bucket, &skey.key)
@@ -792,20 +1041,17 @@ impl SegmentCache {
         epoch: u64,
         chunks: Vec<(u64, u64)>,
     ) -> bool {
-        let h = object_hash(bucket, key);
-        let mut st = self.inner.state.lock();
-        if st.epoch(bucket, key) != epoch {
-            return false;
-        }
-        // Persist the layout (once per distinct value) so a restart
-        // keeps partial-hit scans chunk-granular instead of reloading
-        // whole objects.
-        let known = st.layouts.get(&h).is_some_and(|prev| **prev == *chunks);
-        if let (false, Some(ds)) = (known, &self.inner.disk_store) {
-            ds.log_layout(bucket, key, epoch, &chunks);
-        }
-        st.layouts.insert(h, chunks.into());
-        true
+        self.apply_one(Access::Layout {
+            bucket: bucket.to_string(),
+            key: key.to_string(),
+            epoch,
+            chunks,
+        })
+    }
+
+    fn apply_one(&self, access: Access) -> bool {
+        let inner = &*self.inner;
+        inner.apply(&mut inner.state.lock(), access)
     }
 
     /// The recorded chunk layout of `bucket/key`, if a cold read has
@@ -856,74 +1102,13 @@ impl SegmentCache {
     /// mem tier — or straight in the disk tier when they are bigger than
     /// the whole mem budget — and evict minimum-weight segments (mem
     /// evictions demoting downward) until the fill fits, before the
-    /// lock is released.
+    /// lock is released. The apply of one [`Access::Fill`].
     pub fn insert(&self, skey: SegmentKey, data: Bytes, epoch: u64) -> bool {
-        let inner = &*self.inner;
-        let len = data.len() as u64;
-        let target = if len <= inner.config.mem_bytes {
-            CacheTier::Mem
-        } else if len <= inner.config.disk_bytes {
-            CacheTier::Disk
-        } else {
-            return false;
-        };
-        let mut guard = inner.state.lock();
-        let st = &mut *guard;
-        if st.epoch(&skey.bucket, &skey.key) != epoch {
-            st.stats.stale_fills += 1;
-            return false;
-        }
-        let old = st
-            .entries
-            .get(&skey)
-            .map(|e| (e.tier, e.len, e.bytes.is_none()));
-        if let CacheAdmission::ReuseDistance { window } = inner.config.admission {
-            let tick = bump(&mut st.fill_ticks);
-            let reused = st
-                .ghosts
-                .insert(skey.clone(), tick)
-                .is_some_and(|last| tick - last <= window);
-            if st.ghosts.len() > GHOST_LIMIT {
-                st.ghosts.retain(|_, &mut last| tick - last <= window);
-            }
-            // Replacements and fills that fit spare budget always
-            // admit; only eviction-forcing first touches go around.
-            let replaced = match old {
-                Some((tier, old_len, _)) if tier == target => old_len,
-                _ => 0,
-            };
-            if st.used[target as usize] - replaced + len > inner.budget(target) && !reused {
-                st.stats.read_arounds += 1;
-                return false;
-            }
-        }
-        // Straight-to-disk fills reach the segment log before the entry
-        // goes live (durable at the next commit).
-        let bytes = match (target, &inner.disk_store) {
-            (CacheTier::Disk, Some(ds)) if ds.put(&skey, &data, epoch) => None,
-            _ => Some(data),
-        };
-        if let Some((tier, old_len, was_in_log)) = old {
-            // A refill replaces the segment wherever it was; the log
-            // keeps a copy only if this fill just put one there.
-            st.used[tier as usize] -= old_len;
-            if was_in_log && bytes.is_some() {
-                inner.forget(&skey);
-            }
-        }
-        let entry = Entry {
-            tier: target,
-            bytes,
-            len,
-            hits: 1,
-            seq: bump(&mut st.seq),
-        };
-        st.entries.insert(skey, entry);
-        st.used[target as usize] += len;
-        st.stats.fills += 1;
-        st.stats.fill_bytes += len;
-        inner.evict_to_budget(st, target);
-        true
+        self.apply_one(Access::Fill {
+            key: skey,
+            data,
+            epoch,
+        })
     }
 
     /// Drop every segment of `bucket/key` from both tiers, forget its
@@ -1404,6 +1589,46 @@ mod tests {
         assert_eq!(s.read_arounds, 2);
         assert!(c.peek(&SegmentKey::chunk("b", "t", (0, 100))).is_some());
         assert!(c.peek(&SegmentKey::chunk("b", "t", (100, 200))).is_none());
+    }
+
+    #[test]
+    fn a_read_changes_nothing_until_its_access_is_applied() {
+        let c = tiered(100, 1000);
+        fill(&c, "a", 100);
+        fill(&c, "b", 100); // a → disk
+        let before = (c.stats(), c.residency_digest());
+        let hit = c.read(&whole("a"));
+        let served = hit.served().map(|(data, tier)| (data.len(), tier));
+        assert_eq!(served, Some((100, CacheTier::Disk)));
+        let miss = c.read(&whole("z"));
+        assert!(miss.served().is_none());
+        assert_eq!(
+            (c.stats(), c.residency_digest()),
+            before,
+            "reads touch nothing"
+        );
+        // Applied, the hit counts and promotes, and the miss counts.
+        assert_eq!(c.apply([hit, miss]), vec![true, false]);
+        let s = c.stats();
+        assert_eq!((s.hits, s.disk_hits, s.misses, s.promotions), (1, 1, 1, 1));
+        assert_eq!(c.peek_tier(&whole("a")), Some((100, CacheTier::Mem)));
+    }
+
+    #[test]
+    fn a_hit_applied_after_a_rewrite_leaves_the_new_version_alone() {
+        let c = tiered(100, 1000);
+        fill(&c, "a", 100);
+        fill(&c, "b", 100); // a → disk
+        let stale = c.read(&whole("a"));
+        c.invalidate("b", "a");
+        fill(&c, "a", 50); // the new version: b → disk
+        fill(&c, "c", 50);
+        fill(&c, "d", 50); // equal weights, a is the oldest: a → disk
+        assert_eq!(c.peek_tier(&whole("a")), Some((50, CacheTier::Disk)));
+        assert_eq!(c.apply([stale]), vec![true], "the read did serve bytes");
+        assert_eq!(c.stats().hits, 1);
+        assert_eq!(c.stats().promotions, 0, "another version is not promoted");
+        assert_eq!(c.peek_tier(&whole("a")), Some((50, CacheTier::Disk)));
     }
 
     #[test]

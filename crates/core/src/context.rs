@@ -14,6 +14,7 @@
 
 use crate::catalog::{Catalog, Table};
 use crate::cluster::Cluster;
+use crate::scan::CacheEffects;
 use pushdown_bloom::BloomBuilder;
 use pushdown_cache::{CacheConfig, SegmentCache};
 use pushdown_common::perf::{PerfModel, PerfParams};
@@ -77,6 +78,11 @@ pub struct QueryContext {
     /// of this base and one node's ledger, so Σ node ledgers and
     /// Σ query ledgers decompose the same global total.
     pub(crate) cluster_base: Option<S3Store>,
+    /// Set while a pipelined hash join runs this context's side of it:
+    /// its cached scans hand their cache effects here instead of applying
+    /// them, and the join applies both sides' once both are in
+    /// ([`crate::scan::CacheEffects`]).
+    pub(crate) deferred: Option<CacheEffects>,
 }
 
 impl QueryContext {
@@ -99,6 +105,7 @@ impl QueryContext {
             columnar_exec: true,
             cluster: None,
             cluster_base: None,
+            deferred: None,
         }
     }
 
@@ -163,6 +170,15 @@ impl QueryContext {
     pub(crate) fn spread(&self) -> Option<&Cluster> {
         let active = self.cluster_base.is_some();
         self.cluster.as_ref().filter(|c| active && c.n() > 1)
+    }
+
+    /// A copy of this context whose cached scans hold their cache effects
+    /// in `effects` instead of applying them.
+    pub(crate) fn deferring(&self, effects: &CacheEffects) -> QueryContext {
+        QueryContext {
+            deferred: Some(effects.clone()),
+            ..self.clone()
+        }
     }
 
     fn rebound(&self, store: S3Store) -> QueryContext {

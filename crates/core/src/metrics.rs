@@ -37,7 +37,10 @@
 //!   group (`{load c ‖ load a ‖ load b + hash join + hash join}`). The
 //!   join probes nothing before its build side is in, so pricing its CPU
 //!   at the probe's pace holds while the build is the shorter load, as a
-//!   dimension table's is;
+//!   dimension table's is. Under a segment cache too (`{cached load a ‖
+//!   cached load b + hash join + …}`): both sides read the cache as it
+//!   was when the join started, and the join applies what they did to it
+//!   afterwards, build side first, so the two loads race for nothing;
 //! * after a closed phase or a group with none open (two concurrent
 //!   loads, a scan leaf's per-node phases on a cluster, per-node
 //!   group-bys) the next operator opens a new serial phase;
@@ -57,9 +60,9 @@
 //! node — `{load a ‖ load b + hash join + project + group-by}` — while a
 //! Bloom join is the paper's two (§V-A2): `{select a} {bloom probe b +
 //! hash join (bloom) + project + group-by}`. A join that does not
-//! pipeline (on a cluster, under a segment cache, over a breaker or a
-//! join on its build side) is two: `{load a ‖ load b} {hash join + …}`
-//! where both sides are one group, build then probe otherwise. The ORDER
+//! pipeline (on a cluster, over a breaker or a join on its build side)
+//! is two: `{load a ‖ load b} {hash join + …}` where both sides are one
+//! group, build then probe otherwise. The ORDER
 //! BY is no phase: a grouping operator applies it to its finished groups
 //! inside its own breaker ([`crate::plan::Order`]).
 

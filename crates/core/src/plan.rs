@@ -58,7 +58,10 @@
 //!   child on a thread of its own while the build side loads, queueing
 //!   the probe's batches until the table is whole and then joining them
 //!   as they come, so the two scans overlap and the join streams over the
-//!   probe's scan. Any other join runs its children one after the other,
+//!   probe's scan. Under a segment cache both sides read the cache as it
+//!   was when the join started and the join applies their cache effects
+//!   once both are in, build side first, each in partition order. Any
+//!   other join runs its children one after the other,
 //!   each scan filling the worker pool by itself; the model still prices
 //!   a hash join's two single-group sides as loading side by side
 //!   ([`QueryMetrics::join_sides`]), which is what the planner priced;
@@ -110,7 +113,8 @@ use crate::metrics::{Flow, QueryMetrics, Sides};
 use crate::ops;
 use crate::output::QueryOutput;
 use crate::scan::{
-    row_exchange_bytes, scan, select_scan_aggregate, ScanFragment, ScanLimit, ScanSource,
+    row_exchange_bytes, scan, select_scan_aggregate, settle, CacheEffects, ScanFragment, ScanLimit,
+    ScanSource,
 };
 use pushdown_bloom::{BloomBuilder, BloomPlan};
 use pushdown_common::perf::{PerfModel, PhaseStats};
@@ -1464,16 +1468,16 @@ pub(crate) fn hybrid_leaf(node: &PlanNode) -> Result<(&Table, &Option<Expr>, &[S
 }
 
 /// How a hash join's two children run — the executor and the pricer
-/// ([`crate::cost::predict_plan`]) ask alike. On the single-node engine
-/// with no segment cache, a join **pipelines** when its build side is one
-/// scan under streaming operators and its probe side a pipeline (the
-/// same, or a pipelined join) over other tables: two scans of one table
-/// would race for its objects' fault ordinals, which must not depend on
-/// timing. Under a cache nothing pipelines: cache scans would race for
-/// its admission and eviction order, and pipelining only their uncached
-/// rivals would tilt the planner's pick away from the cache. A join over
-/// a pipelined join runs build, then probe; the rest are priced as two
-/// concurrent loads.
+/// ([`crate::cost::predict_plan`]) ask alike. On the single-node engine a
+/// join **pipelines** when its build side is one scan under streaming
+/// operators and its probe side a pipeline (the same, or a pipelined
+/// join) over other tables: two scans of one table would race for its
+/// objects' fault ordinals, which must not depend on timing. Under a
+/// segment cache too: both sides only read the cache while they run and
+/// the join applies what they did to it once both are in, build side
+/// first ([`run_pipelined`]), so admission and eviction order do not
+/// depend on timing either. A join over a pipelined join runs build, then
+/// probe; the rest are priced as two concurrent loads.
 pub(crate) fn hash_join_sides(ctx: &QueryContext, node: &PlanNode) -> Sides {
     fn pipelines(node: &PlanNode) -> bool {
         matches!(node.op, PlanOp::HashJoin { .. }) && pipeline_tables(node, true).is_some()
@@ -1481,7 +1485,7 @@ pub(crate) fn hash_join_sides(ctx: &QueryContext, node: &PlanNode) -> Sides {
     fn holds_pipelined(node: &PlanNode) -> bool {
         pipelines(node) || node.children.iter().any(holds_pipelined)
     }
-    if ctx.cluster.is_some() || ctx.store.cache().is_some() {
+    if ctx.cluster.is_some() {
         Sides::Concurrent
     } else if pipelines(node) {
         Sides::Pipelined
@@ -1521,6 +1525,14 @@ fn pipeline_tables(node: &PlanNode, joins: bool) -> Option<Vec<&Table>> {
 /// then probed in the order the probe side produced them. An error on
 /// either side stops the other, and the build side's is the one
 /// reported, as a serial join would.
+///
+/// Under a segment cache both sides read the cache as it was when the
+/// join started: their cached scans hold what they did to it
+/// ([`crate::scan::CacheEffects`]), and once both sides are in the join
+/// applies the build side's, then the probe side's, each in partition
+/// order — or, as one side of a pipelined join itself, hands them on, so
+/// a chain of joins applies them in plan order. A failed join applies
+/// none.
 fn run_pipelined(
     ctx: &QueryContext,
     node: &PlanNode,
@@ -1528,20 +1540,22 @@ fn run_pipelined(
     sink: Sink<'_>,
 ) -> Result<(Ran, Ran)> {
     let (build_node, probe_node) = (&node.children[0], &node.children[1]);
+    let sides = [CacheEffects::default(), CacheEffects::default()];
+    let (build_ctx, probe_ctx) = (ctx.deferring(&sides[0]), ctx.deferring(&sides[1]));
     let stopped = || Error::Other("the hash join stopped reading its probe side".into());
     let abandoned = AtomicBool::new(false);
     let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::scope(|s| {
-        let abandoned = &abandoned;
+    let ran = std::thread::scope(|s| {
+        let (abandoned, probe_ctx) = (&abandoned, &probe_ctx);
         let probe = s.spawn(move || {
-            run(ctx, probe_node, &mut |batch| {
+            run(probe_ctx, probe_node, &mut |batch| {
                 if abandoned.load(Ordering::Relaxed) {
                     return Err(stopped());
                 }
                 tx.send(batch).map_err(|_| stopped())
             })
         });
-        let build = run(ctx, build_node, &mut |batch| join.build(batch)).and_then(|build| {
+        let build = run(&build_ctx, build_node, &mut |batch| join.build(batch)).and_then(|build| {
             rx.iter().try_for_each(|batch| join.probe(batch, sink))?;
             Ok(build)
         });
@@ -1553,7 +1567,9 @@ fn run_pipelined(
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
         Ok((build?, probe?))
-    })
+    })?;
+    settle(ctx, sides.iter().flat_map(CacheEffects::take).collect());
+    Ok(ran)
 }
 
 /// The state of one hash join while its children run: the build table,

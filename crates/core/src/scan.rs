@@ -82,18 +82,20 @@ use crate::cluster::Cluster;
 use crate::context::QueryContext;
 pub use crate::fragment::ScanFragment;
 use crate::ops;
+use pushdown_cache::{Access, WeakSegmentCache};
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::row::RowBatch;
 use pushdown_common::{DataType, Error, Field, Result, Row, Schema, Value};
 use pushdown_format::columnar::ColumnarReader;
 use pushdown_format::csv::CsvReader;
+use pushdown_s3::S3Store;
 use pushdown_select::InputFormat;
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::ast::{ExtendedSelect, SelectItem, SelectStmt};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Result of a fully materialized scan: rows, their schema, and the
 /// phase footprint.
@@ -444,8 +446,15 @@ pub enum ScanSource {
     /// only the gaps are fetched, adjacent gaps coalesced into single
     /// range GETs under the uniform [`pushdown_common::RetryPolicy`],
     /// billed exactly once (every attempt a request, the bytes once) like
-    /// any plain GET. A persistent disk tier is committed once, when the
-    /// last partition is done ([`pushdown_s3::S3Store::commit_cache`]).
+    /// any plain GET. The workers only read the cache
+    /// ([`pushdown_s3::S3Store::read_object_chunked_cached_with`]): what
+    /// each partition did to it — hits, promotions, fills, the evictions
+    /// they force, learned layouts — is applied once the last partition
+    /// is read, partition by partition in index order, so cache state
+    /// never depends on which worker finished first; then a persistent
+    /// disk tier is committed once ([`pushdown_s3::S3Store::commit_cache`]).
+    /// Under a pipelined hash join the join applies them instead, once
+    /// its other side is in too ([`crate::plan`]).
     Cached,
     /// Ship the fragment's Select statement ([`ScanFragment::pushed`]) to
     /// the storage engine for every partition: the bytes scanned and
@@ -584,6 +593,8 @@ pub fn scan(
     // charged, the `ORDER BY … LIMIT` above's to report.
     let op_units: Vec<AtomicU64> = place.nodes.iter().map(|_| AtomicU64::new(0)).collect();
     let reduce_units = AtomicU64::new(0);
+    // Per partition, what its cached read did to the cache, unapplied.
+    let logs: Vec<OnceLock<Vec<Access>>> = place.keys.iter().map(|_| OnceLock::new()).collect();
     let spent = stream_partitions(
         &place,
         |part, emitter| {
@@ -612,12 +623,13 @@ pub fn scan(
             // Every retried attempt billed a request; meter them all so
             // metrics agree with the ledger even under injected faults.
             let (data, mut stats) = if cached {
-                let fetched = store.get_object_chunked_cached_with(
+                let (fetched, log) = store.read_object_chunked_cached_with(
                     &table.bucket,
                     part.key,
                     &ctx.retry,
                     |data| chunk_layout(table, ctx.cache_chunk_bytes, data),
                 )?;
+                logs[part.index].set(log).expect("a partition is read once");
                 let counter = if fetched.hit { &hit_parts } else { &fill_parts };
                 counter.fetch_add(1, Ordering::Relaxed);
                 let stats = PhaseStats {
@@ -654,12 +666,25 @@ pub fn scan(
         },
         &mut sink,
     );
-    // A cached scan is the cache's commit point, failed or not: whatever
-    // its fills, demotions and promotions appended to each node's slice
-    // becomes durable (and is charged to that node's clock) in one group
-    // commit.
+    // A cached scan is the cache's commit point: every partition has been
+    // read, so each node's slice now receives its partitions' access logs
+    // in partition order, and whatever they append becomes durable (and
+    // is charged to that node's clock) in one group commit — or, under a
+    // pipelined join, the join does both once its other side is in. A
+    // failed scan's logs are dropped: how far its workers got is timing.
     if cached {
-        place.nodes.iter().for_each(|(_, c)| c.store.commit_cache());
+        let effects = match &spent {
+            Ok(_) => logs
+                .into_iter()
+                .zip(&place.slot)
+                .map(|(log, &n)| {
+                    let store = place.nodes[n].1.store.clone();
+                    (store, log.into_inner().unwrap_or_default())
+                })
+                .collect(),
+            Err(_) => Vec::new(),
+        };
+        settle(ctx, effects);
     }
     let spent = spent?;
     let op_units: Vec<u64> = op_units.into_iter().map(AtomicU64::into_inner).collect();
@@ -683,6 +708,49 @@ pub fn scan(
         fill_parts: fill_parts.into_inner(),
         nodes: place.per_node(&worked),
     })
+}
+
+/// Cache effects read but not yet applied, in the order they are to
+/// apply: per cached partition read, the store handle of the node that
+/// read it (whose cache the effects belong to) and its access log. A
+/// pipelined hash join gives each of its sides one
+/// ([`QueryContext::deferring`]) so that both sides read the cache as it
+/// was when the join started, and then applies them build side first.
+#[derive(Clone, Default)]
+pub(crate) struct CacheEffects(Arc<Mutex<Vec<Effect>>>);
+
+/// One partition's cache effects: the store handle whose cache they
+/// belong to, and the access log.
+pub(crate) type Effect = (S3Store, Vec<Access>);
+
+impl CacheEffects {
+    /// Everything held so far, in order.
+    pub(crate) fn take(&self) -> Vec<Effect> {
+        std::mem::take(&mut self.0.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+}
+
+/// Apply `effects` in order and commit every cache they touched once
+/// ([`pushdown_s3::S3Store::commit_cache`]) — unless `ctx` is one side of
+/// a pipelined join, which then holds them behind what it already holds.
+pub(crate) fn settle(ctx: &QueryContext, effects: Vec<Effect>) {
+    if let Some(held) = &ctx.deferred {
+        held.0
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .extend(effects);
+        return;
+    }
+    let mut committed: Vec<(WeakSegmentCache, S3Store)> = Vec::new();
+    for (store, log) in effects {
+        let Some(cache) = store.cache() else { continue };
+        cache.apply(log);
+        let weak = cache.downgrade();
+        if !committed.iter().any(|(w, _)| *w == weak) {
+            committed.push((weak, store));
+        }
+    }
+    committed.iter().for_each(|(_, store)| store.commit_cache());
 }
 
 /// Every row of `table` as batches, in partition order: [`scan`] with

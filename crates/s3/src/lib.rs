@@ -50,7 +50,7 @@
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use pushdown_cache::{CacheTier, SegmentCache, SegmentKey, WeakSegmentCache};
+use pushdown_cache::{Access, CacheTier, SegmentCache, SegmentKey, WeakSegmentCache};
 use pushdown_common::mix::{fnv1a, splitmix64};
 use pushdown_common::perf::PerfParams;
 use pushdown_common::{CostLedger, Error, Result, RetryPolicy};
@@ -714,27 +714,10 @@ impl S3Store {
 
     /// Chunk-granular read **through the two-tier segment cache** under
     /// the uniform retry policy — the partial-hit read path of the
-    /// tiered caching layer.
-    ///
-    /// * **Cold** (no recorded layout) — one retried whole-object GET,
-    ///   billed exactly like [`S3Store::get_object_with`]; `layout_of`
-    ///   derives the object's chunk ranges from the fetched bytes
-    ///   (ColumnarLite row-group extents, fixed CSV blocks — the store
-    ///   stays format-agnostic), each chunk is admitted as its own
-    ///   segment, and the layout is recorded for every later read.
-    /// * **Warm / partial** — each chunk in the recorded layout is
-    ///   probed: mem-tier hits advance the virtual clock at
-    ///   `cache_read_bw`, disk-tier hits at `disk_read_bw` (and promote),
-    ///   and **only the gaps** are fetched — adjacent missing chunks
-    ///   coalesce into one range GET, each coalesced gap its own retried
-    ///   request (every attempt billed as a request, its bytes once),
-    ///   filled back into the cache chunk by chunk.
-    /// * **Torn read** — if a writer moved the object's epoch while the
-    ///   read was mixing cached and fetched ranges, the partial result
-    ///   is discarded and one honest whole-object retried GET (billed,
-    ///   not cached) restores snapshot consistency: callers always see
-    ///   bytes a cache-less scan could have seen.
-    /// * **No cache installed** — plain [`S3Store::get_object_with`].
+    /// tiered caching layer: [`S3Store::read_object_chunked_cached_with`]
+    /// and the immediate [`SegmentCache::apply`] of the access log it
+    /// kept, so the read's hits, fills and learned layout take effect
+    /// before this returns.
     ///
     /// What a persistent disk tier appends along the way (fills,
     /// demotions, promotions, the learned layout) is write-behind: it
@@ -747,10 +730,53 @@ impl S3Store {
         policy: &RetryPolicy,
         layout_of: impl Fn(&Bytes) -> Vec<(u64, u64)>,
     ) -> Result<ChunkedFetch> {
-        let Some(cache) = self.cache() else {
-            let fetched = self.get_object_with(bucket, key, policy)?;
+        let (fetched, log) =
+            self.read_object_chunked_cached_with(bucket, key, policy, layout_of)?;
+        if let Some(cache) = self.cache() {
+            cache.apply(log);
+        }
+        Ok(fetched)
+    }
+
+    /// The read half of [`S3Store::get_object_chunked_cached_with`]: the
+    /// same bytes, bills and clock charges, but the cache is only read
+    /// ([`SegmentCache::read`]). What the read did to it — each chunk's
+    /// hit or miss, each fill with its epoch, the learned layout — comes
+    /// back as an ordered access log for the caller to
+    /// [`SegmentCache::apply`] when it chooses (a scan applies its
+    /// partitions' logs in partition order once every partition is read).
+    ///
+    /// * **Cold** (no recorded layout) — one retried whole-object GET,
+    ///   billed exactly like [`S3Store::get_object_with`]; `layout_of`
+    ///   derives the object's chunk ranges from the fetched bytes
+    ///   (ColumnarLite row-group extents, fixed CSV blocks — the store
+    ///   stays format-agnostic), each chunk is logged as a fill of its
+    ///   own segment, and the layout as learned.
+    /// * **Warm / partial** — each chunk in the recorded layout is
+    ///   looked up: mem-tier hits advance the virtual clock at
+    ///   `cache_read_bw`, disk-tier hits at `disk_read_bw` (and promote
+    ///   once applied), and **only the gaps** are fetched — adjacent
+    ///   missing chunks coalesce into one range GET, each coalesced gap
+    ///   its own retried request (every attempt billed as a request, its
+    ///   bytes once), logged as fills chunk by chunk.
+    /// * **Torn read** — if a writer moved the object's epoch while the
+    ///   read was mixing cached and fetched ranges, the partial result
+    ///   is discarded and one honest whole-object retried GET (billed,
+    ///   not cached) restores snapshot consistency: callers always see
+    ///   bytes a cache-less scan could have seen. The fills logged before
+    ///   carry the old epoch, so applying them stores nothing.
+    /// * **No cache installed** — plain [`S3Store::get_object_with`] and
+    ///   an empty log.
+    pub fn read_object_chunked_cached_with(
+        &self,
+        bucket: &str,
+        key: &str,
+        policy: &RetryPolicy,
+        layout_of: impl Fn(&Bytes) -> Vec<(u64, u64)>,
+    ) -> Result<(ChunkedFetch, Vec<Access>)> {
+        let whole_get = |fetched: Retried<Bytes>| {
             let len = fetched.value.len() as u64;
-            return Ok(ChunkedFetch {
+            ChunkedFetch {
                 data: fetched.value,
                 attempts: fetched.attempts,
                 mem_bytes: 0,
@@ -758,42 +784,41 @@ impl S3Store {
                 gap_bytes: len,
                 gap_gets: 1,
                 hit: false,
-            });
+            }
+        };
+        let Some(cache) = self.cache() else {
+            let fetched = self.get_object_with(bucket, key, policy)?;
+            return Ok((whole_get(fetched), Vec::new()));
         };
         let whole = SegmentKey::whole(bucket, key);
         let epoch = cache.begin_fill(&whole);
+        let mut log = Vec::new();
         let Some(layout) = cache.layout(bucket, key) else {
             // Cold read: learn the layout from one whole-object GET and
-            // admit every chunk as its own segment.
-            let fetched = self.get_object_with(bucket, key, policy)?;
-            let data = fetched.value;
-            let len = data.len() as u64;
-            let chunks = normalize_chunk_layout(layout_of(&data), len);
-            for &(first, last) in &chunks {
-                cache.insert(
-                    SegmentKey::chunk(bucket, key, (first, last)),
-                    data.slice(first as usize..last as usize),
-                    epoch,
-                );
-            }
-            cache.record_layout(bucket, key, epoch, chunks);
-            return Ok(ChunkedFetch {
-                data,
-                attempts: fetched.attempts,
-                mem_bytes: 0,
-                disk_bytes: 0,
-                gap_bytes: len,
-                gap_gets: 1,
-                hit: false,
+            // fill every chunk as its own segment.
+            let fetched = whole_get(self.get_object_with(bucket, key, policy)?);
+            let data = &fetched.data;
+            let chunks = normalize_chunk_layout(layout_of(data), data.len() as u64);
+            log.extend(chunks.iter().map(|&(first, last)| Access::Fill {
+                key: SegmentKey::chunk(bucket, key, (first, last)),
+                data: data.slice(first as usize..last as usize),
+                epoch,
+            }));
+            log.push(Access::Layout {
+                bucket: bucket.to_string(),
+                key: key.to_string(),
+                epoch,
+                chunks,
             });
+            return Ok((fetched, log));
         };
         // Partial-hit read: serve resident chunks, fetch only the gaps.
         let mut parts: Vec<Bytes> = vec![Bytes::new(); layout.len()];
         let mut missing: Vec<usize> = Vec::new();
         let (mut mem_bytes, mut disk_bytes) = (0u64, 0u64);
         for (i, &range) in layout.iter().enumerate() {
-            let skey = SegmentKey::chunk(bucket, key, range);
-            match cache.get_tiered(&skey) {
+            let access = cache.read(&SegmentKey::chunk(bucket, key, range));
+            match access.served() {
                 Some((data, CacheTier::Mem)) => {
                     mem_bytes += data.len() as u64;
                     parts[i] = data;
@@ -804,6 +829,7 @@ impl S3Store {
                 }
                 None => missing.push(i),
             }
+            log.push(access);
         }
         self.advance_local_read(mem_bytes, disk_bytes);
         // Coalesce adjacent missing chunks (the layout is contiguous, so
@@ -830,11 +856,11 @@ impl S3Store {
                         let slice = fetched
                             .value
                             .slice((cf - first) as usize..(cl - first) as usize);
-                        cache.insert(
-                            SegmentKey::chunk(bucket, key, (cf, cl)),
-                            slice.clone(),
+                        log.push(Access::Fill {
+                            key: SegmentKey::chunk(bucket, key, (cf, cl)),
+                            data: slice.clone(),
                             epoch,
-                        );
+                        });
                         parts[i] = slice;
                     }
                 }
@@ -859,7 +885,7 @@ impl S3Store {
             attempts += fetched.attempts;
             gap_gets += 1;
             gap_bytes += fetched.value.len() as u64;
-            return Ok(ChunkedFetch {
+            let fetched = ChunkedFetch {
                 data: fetched.value,
                 attempts,
                 mem_bytes,
@@ -867,7 +893,8 @@ impl S3Store {
                 gap_bytes,
                 gap_gets,
                 hit: false,
-            });
+            };
+            return Ok((fetched, log));
         }
         let data = match parts.len() {
             0 => Bytes::new(),
@@ -881,7 +908,7 @@ impl S3Store {
                 Bytes::from(out)
             }
         };
-        Ok(ChunkedFetch {
+        let fetched = ChunkedFetch {
             data,
             attempts,
             mem_bytes,
@@ -889,7 +916,8 @@ impl S3Store {
             gap_bytes,
             gap_gets,
             hit: missing.is_empty(),
-        })
+        };
+        Ok((fetched, log))
     }
 
     /// Advance the virtual clock by the local read time of a partial hit:

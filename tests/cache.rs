@@ -22,13 +22,25 @@
 //!   budgets and stay byte-equal to the serial bill on cold passes; a
 //!   proptest pins `served-locally + billed == bytes scanned` across
 //!   random tier budgets, chunk sizes, mutations and chaos seeds.
+//! * **Determinism** — a cached scan's effects on the cache apply in
+//!   partition order at its end, and a pipelined join's once both sides
+//!   are in, build side first: an Adaptive Zipf stream over a thrashing,
+//!   file-backed two-tier cache yields the same phases, bills, cache
+//!   counters and residency at 1, 2 and 8 scan threads, and a forced
+//!   `cached` join's probe side reads the cache as it was when the join
+//!   started.
 
 use proptest::prelude::*;
 use pushdown_bench::workload::{generate_zipf, run_stream, WorkloadSpec};
+use pushdowndb::cache::CacheStats;
+use pushdowndb::common::perf::PhaseStats;
 use pushdowndb::common::pricing::Usage;
-use pushdowndb::common::{DataType, Row, Schema, Value};
-use pushdowndb::core::planner::execute_sql_verbose;
-use pushdowndb::core::{execute_sql, upload_csv_table, QueryContext, QueryOutput, Strategy};
+use pushdowndb::common::{DataType, Row, Schema, TempDir, Value};
+use pushdowndb::core::planner::{execute_sql_verbose, run_candidate};
+use pushdowndb::core::scan::cached_scan_streamed;
+use pushdowndb::core::{
+    execute_sql, upload_csv_table, QueryContext, QueryMetrics, QueryOutput, Strategy,
+};
 use pushdowndb::tpch::{planner_suite, tpch_context, TpchTables};
 
 fn assert_rows_close(a: &[Row], b: &[Row], what: &str) {
@@ -187,6 +199,132 @@ fn zipf_hot_set_cuts_billed_bytes_by_half() {
     );
     // And the bill itself never got worse.
     assert!(cached.total_dollars <= disabled.total_dollars * 1.001);
+}
+
+/// Every phase of a query, by group: label and footprint.
+fn phases(metrics: &QueryMetrics) -> Vec<Vec<(String, PhaseStats)>> {
+    let phase = |p: &pushdowndb::core::metrics::Phase| (p.label.clone(), p.stats);
+    metrics
+        .groups
+        .iter()
+        .map(|g| g.phases.iter().map(phase).collect())
+        .collect()
+}
+
+/// What one run of [`zipf_run`] leaves: per query its plan, phases and
+/// bill; the forced join's phases and bill; the cache's counters and
+/// residency.
+type ZipfRun = (
+    Vec<(String, Vec<Vec<(String, PhaseStats)>>, Usage)>,
+    (Vec<Vec<(String, PhaseStats)>>, Usage),
+    CacheStats,
+    u64,
+);
+
+/// An Adaptive Zipf stream on CSV over a fresh file-backed two-tier cache
+/// of `zipf_churn`'s budgets (5 % / 25 % of the data: it fills, evicts,
+/// demotes and promotes), at `threads` scan threads, then the forced
+/// `cached` candidate of `join-q12ish`: its build side's fills land in a
+/// full cache holding probe chunks.
+fn zipf_run(threads: usize) -> ZipfRun {
+    let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
+    let bytes = dataset_bytes(&ctx, &t) as f64;
+    let dir = TempDir::new("cache-determinism");
+    let mut ctx = ctx
+        .with_cache_tiers((bytes * 0.05) as u64, (bytes * 0.25) as u64)
+        .with_cache_dir(dir.path())
+        .unwrap();
+    ctx.scan_threads = threads;
+    let mut queries = Vec::new();
+    for q in generate_zipf(42, 36, 1.0) {
+        let qctx = ctx.scoped_with_salt(q.index as u64);
+        let table = (q.query.table)(&t);
+        let (out, explain) =
+            execute_sql_verbose(&qctx, table, q.query.sql, Strategy::Adaptive).unwrap();
+        assert_eq!(out.metrics.usage(), out.billed, "query {}", q.index);
+        queries.push((explain.kind.to_string(), phases(&out.metrics), out.billed));
+    }
+    // Fill the mem tier with `lineitem`, so that the join's build side
+    // (`orders`, filling too) would push probe chunks down a tier if its
+    // fills were applied before the probe side read.
+    cached_scan_streamed(&ctx.scoped(), &t.lineitem, |_| Ok(())).unwrap();
+    let cache = ctx.cache().unwrap();
+    // Both sides of the join read the cache as it is now: the probe
+    // side's `lineitem` reads what `occupancy` reports before the join.
+    let at_start =
+        t.lineitem
+            .partitions(&ctx.store)
+            .iter()
+            .fold(PhaseStats::default(), |mut sum, key| {
+                let size = ctx.store.object_size(&t.lineitem.bucket, key).unwrap();
+                let occ = cache.occupancy(&t.lineitem.bucket, key, size);
+                sum.cache_bytes += occ.mem_bytes;
+                sum.disk_bytes += occ.disk_bytes;
+                sum.plain_bytes += occ.gap_bytes;
+                sum
+            });
+    assert!(
+        at_start.cache_bytes > 0 && at_start.disk_bytes > 0,
+        "{at_start:?}"
+    );
+    let evictions = cache.stats().evictions;
+    let join = planner_suite()
+        .into_iter()
+        .find(|q| q.name == "join-q12ish")
+        .unwrap();
+    let out = run_candidate(&ctx, (join.table)(&t), join.sql, "cached", None).unwrap();
+    assert_eq!(out.metrics.usage(), out.billed);
+    let join_phases = phases(&out.metrics);
+    assert_eq!(
+        join_phases.len(),
+        1,
+        "a cached join is one group: {join_phases:?}"
+    );
+    let probe = join_phases[0]
+        .iter()
+        .find(|(label, _)| label.starts_with("cached load lineitem"))
+        .map(|(_, stats)| *stats)
+        .unwrap();
+    let read = (probe.cache_bytes, probe.disk_bytes, probe.plain_bytes);
+    let want = (
+        at_start.cache_bytes,
+        at_start.disk_bytes,
+        at_start.plain_bytes,
+    );
+    assert_eq!(
+        read, want,
+        "the probe side read the cache as at the join's start"
+    );
+    assert!(
+        cache.stats().evictions > evictions,
+        "the join's fills evict"
+    );
+    let stats = cache.stats();
+    let digest = cache.residency_digest();
+    (queries, (join_phases, out.billed), stats, digest)
+}
+
+/// Determinism: what cached scans do to the cache — admission, eviction
+/// order, tier placement, persistence — follows the plan and the
+/// partition order, never which worker finished first.
+#[test]
+fn cache_effects_do_not_depend_on_scan_threads() {
+    let one = zipf_run(1);
+    let hits = one.2.hits;
+    assert!(
+        one.2.demotions > 0 && one.2.promotions > 0 && one.2.disk_evictions > 0 && hits > 0,
+        "the stream fills, evicts, demotes and promotes: {:?}",
+        one.2
+    );
+    for threads in [2, 8] {
+        let other = zipf_run(threads);
+        for (i, (a, b)) in one.0.iter().zip(&other.0).enumerate() {
+            assert_eq!(a, b, "query {i} at {threads} threads");
+        }
+        assert_eq!(one.1, other.1, "the forced join at {threads} threads");
+        assert_eq!(one.2, other.2, "cache stats at {threads} threads");
+        assert_eq!(one.3, other.3, "residency at {threads} threads");
+    }
 }
 
 /// Acceptance: with a warm cache, the adaptive plan's *measured* dollars

@@ -18,15 +18,23 @@
 //!   the model step for step, Σ `commit()` receipts must equal
 //!   `persist_counters()`, and after a clean drop + `recover` the disk
 //!   tier equals the model's disk tier with mem cold.
+//! * **Reads, then effects** — `read` steps change nothing and add their
+//!   access to a pending log, as do unapplied fills and layouts; an
+//!   `apply` step applies the log in one call, other steps interleaved
+//!   since (so a logged hit may find its segment moved, gone or of a
+//!   newer epoch). The model applies it one access after the other, and
+//!   a third, file-backed cache applies every log an access per call:
+//!   same outcomes, same state, same commit receipts.
 //! * **Concurrent** — 8 threads drive the public API for a fixed
-//!   operation count; the end state keeps the budgets, `used` == Σ
-//!   resident lengths, no key in two tiers, hits + misses == lookups,
-//!   and no lookup was ever served bytes older than the epoch it read
-//!   first.
+//!   operation count, scan-like read-then-apply batches included; the
+//!   end state keeps the budgets, `used` == Σ resident lengths, no key
+//!   in two tiers, hits + misses == lookups, and no lookup was ever
+//!   served bytes older than the epoch it read first.
 
 use bytes::Bytes;
 use pushdowndb::cache::{
-    CacheAdmission, CacheConfig, CacheStats, CacheTier, ObjectOccupancy, SegmentCache, SegmentKey,
+    Access, CacheAdmission, CacheConfig, CacheStats, CacheTier, ObjectOccupancy, SegmentCache,
+    SegmentKey,
 };
 use pushdowndb::common::mix::splitmix64;
 use pushdowndb::common::pricing::Pricing;
@@ -260,28 +268,69 @@ impl Model {
     }
 
     fn get_tiered(&mut self, key: &SegmentKey) -> Option<(Bytes, CacheTier)> {
-        let mem_budget = self.config.mem_bytes;
-        let Some(r) = self.resident.get_mut(key) else {
-            self.counters.misses += 1;
-            return None;
-        };
-        r.hits += 1;
-        let (data, tier) = (r.data.clone(), r.tier);
-        let len = data.len() as u64;
-        self.counters.hits += 1;
-        self.counters.hit_bytes += len;
-        if tier == CacheTier::Disk {
-            self.counters.disk_hits += 1;
-            self.counters.disk_hit_bytes += len;
-            if len <= mem_budget {
-                r.tier = CacheTier::Mem;
-                r.seq = self.seq;
-                self.seq += 1;
-                self.counters.promotions += 1;
-                self.evict(CacheTier::Mem);
-            }
+        let access = self.read(key);
+        let served = access.served();
+        self.apply(access);
+        served
+    }
+
+    /// What a lookup sees; changes nothing.
+    fn read(&self, key: &SegmentKey) -> Access {
+        match self.resident.get(key) {
+            Some(r) => Access::Hit {
+                key: key.clone(),
+                tier: r.tier,
+                data: r.data.clone(),
+                epoch: self.begin_fill(&key.key),
+            },
+            None => Access::Miss {
+                key: key.clone(),
+                lost: false,
+            },
         }
-        Some((data, tier))
+    }
+
+    /// One access of a log, as the documented policy applies it.
+    fn apply(&mut self, access: Access) -> bool {
+        match access {
+            Access::Hit {
+                key,
+                tier,
+                data,
+                epoch,
+            } => {
+                let len = data.len() as u64;
+                self.counters.hits += 1;
+                self.counters.hit_bytes += len;
+                if tier == CacheTier::Disk {
+                    self.counters.disk_hits += 1;
+                    self.counters.disk_hit_bytes += len;
+                }
+                // A hit of an older version touches nothing resident.
+                let current = self.begin_fill(&key.key) == epoch;
+                let mem_budget = self.config.mem_bytes;
+                let seq = self.seq;
+                let Some(r) = self.resident.get_mut(&key).filter(|_| current) else {
+                    return true;
+                };
+                r.hits += 1;
+                if r.tier == CacheTier::Disk && len <= mem_budget {
+                    (r.tier, r.seq) = (CacheTier::Mem, seq);
+                    self.seq += 1;
+                    self.counters.promotions += 1;
+                    self.evict(CacheTier::Mem);
+                }
+                true
+            }
+            Access::Miss { .. } => {
+                self.counters.misses += 1;
+                false
+            }
+            Access::Fill { key, data, epoch } => self.insert(&key, data, epoch),
+            Access::Layout {
+                key, epoch, chunks, ..
+            } => self.record_layout(&key, epoch, chunks),
+        }
     }
 
     fn peek_tier(&self, key: &SegmentKey) -> Option<(u64, CacheTier)> {
@@ -364,6 +413,12 @@ enum Step {
     RecordLayout(String, u64),
     Occupancy(String),
     Commit,
+    /// A side-effect-free lookup; its access joins the pending log.
+    Read(SegmentKey),
+    /// A fill or a layout joins the pending log unapplied.
+    Log(Access),
+    /// The pending log, applied in one call.
+    Apply(Vec<Access>),
 }
 
 #[derive(Debug, PartialEq)]
@@ -374,6 +429,8 @@ enum Outcome {
     Peeked(Option<(u64, CacheTier)>),
     Recorded(bool, Option<Vec<(u64, u64)>>),
     Occupancy(ObjectOccupancy),
+    Read(Access),
+    Applied(Vec<bool>),
     Done,
 }
 
@@ -396,13 +453,21 @@ fn apply_model(m: &mut Model, step: &Step) -> Outcome {
             Outcome::Recorded(recorded, m.layouts.get(o).cloned())
         }
         Step::Occupancy(o) => Outcome::Occupancy(m.occupancy(o, object_len())),
-        Step::Commit => Outcome::Done,
+        Step::Commit | Step::Log(_) => Outcome::Done,
+        Step::Read(k) => Outcome::Read(m.read(k)),
+        // One access after the other.
+        Step::Apply(log) => Outcome::Applied(log.iter().map(|a| m.apply(a.clone())).collect()),
     }
 }
 
 /// Apply one step through the public API, adding a commit's receipt to
-/// `receipts`.
-fn apply_cache(c: &SegmentCache, step: &Step, receipts: &mut (u64, u64)) -> Outcome {
+/// `receipts`; `one_by_one` applies a log one access per call.
+fn apply_cache(
+    c: &SegmentCache,
+    step: &Step,
+    receipts: &mut (u64, u64),
+    one_by_one: bool,
+) -> Outcome {
     match step {
         Step::BeginFill(k) => Outcome::Epoch(c.begin_fill(k)),
         Step::Insert(k, data, epoch) => {
@@ -425,17 +490,31 @@ fn apply_cache(c: &SegmentCache, step: &Step, receipts: &mut (u64, u64)) -> Outc
             receipts.1 += fsyncs;
             Outcome::Done
         }
+        Step::Read(k) => Outcome::Read(c.read(k)),
+        Step::Log(_) => Outcome::Done,
+        Step::Apply(log) if one_by_one => {
+            Outcome::Applied(log.iter().flat_map(|a| c.apply([a.clone()])).collect())
+        }
+        Step::Apply(log) => Outcome::Applied(c.apply(log.clone())),
     }
 }
 
 /// Draw the next step. `pending[i]` is the epoch an earlier `BeginFill`
 /// of segment `i` returned and no `Insert` has used yet — with
-/// invalidations in between, that is how stale fills arise.
-fn draw(rng: &mut Rng, keys: &[SegmentKey], pending: &[Option<u64>], m: &Model) -> Step {
+/// invalidations in between, that is how stale fills arise. `log` is the
+/// access log read and filled so far and not yet applied; with other
+/// steps in between, its hits can find their segments moved or gone.
+fn draw(
+    rng: &mut Rng,
+    keys: &[SegmentKey],
+    pending: &[Option<u64>],
+    log: &[Access],
+    m: &Model,
+) -> Step {
     let i = rng.skewed(keys.len());
     let key = keys[i].clone();
     let epoch = pending[i].unwrap_or_else(|| m.begin_fill(&key.key));
-    match rng.below(100) {
+    match rng.below(120) {
         0..=7 => Step::BeginFill(key),
         8..=39 => Step::Insert(key.clone(), body(&key, epoch), epoch),
         40..=69 => Step::Get(key),
@@ -443,7 +522,20 @@ fn draw(rng: &mut Rng, keys: &[SegmentKey], pending: &[Option<u64>], m: &Model) 
         76..=80 => Step::Invalidate(key.key),
         81..=86 => Step::RecordLayout(key.key, epoch),
         87..=93 => Step::Occupancy(key.key),
-        _ => Step::Commit,
+        94..=99 => Step::Commit,
+        100..=107 => Step::Read(key),
+        108..=111 => Step::Log(Access::Fill {
+            data: body(&key, epoch),
+            key,
+            epoch,
+        }),
+        112..=113 => Step::Log(Access::Layout {
+            bucket: BUCKET.to_string(),
+            key: key.key,
+            epoch,
+            chunks: layout(),
+        }),
+        _ => Step::Apply(log.to_vec()),
     }
 }
 
@@ -479,21 +571,42 @@ fn run_sequence(config: &CacheConfig, seed: u64) {
         dir: Some(tmp.path().to_path_buf()),
         ..config.clone()
     };
+    let tmp_single = TempDir::new("cache-model-single");
+    let single_config = CacheConfig {
+        dir: Some(tmp_single.path().to_path_buf()),
+        ..config.clone()
+    };
     let mut model = Model::new(config);
-    // The two backings are one behaviour: both follow the model.
+    // The two backings are one behaviour: both follow the model. And a
+    // log applied in one call is its accesses applied one by one: the
+    // third cache applies every log an access at a time.
     let mut subjects = [
-        ("ram", open(config), (0, 0)),
-        ("file", open(&file_config), (0, 0)),
+        ("ram", open(config), (0, 0), false),
+        ("file", open(&file_config), (0, 0), false),
+        ("file, one by one", open(&single_config), (0, 0), true),
     ];
     let mut rng = Rng(seed);
     let mut pending: Vec<Option<u64>> = vec![None; keys.len()];
+    let mut log: Vec<Access> = Vec::new();
     for n in 0..OPS_PER_SEQUENCE {
-        let step = draw(&mut rng, &keys, &pending, &model);
+        let step = draw(&mut rng, &keys, &pending, &log, &model);
         let want = apply_model(&mut model, &step);
-        for (backing, cache, receipts) in subjects.iter_mut() {
+        for (backing, cache, receipts, one_by_one) in subjects.iter_mut() {
             let context = format!("{config:?} seed {seed} op {n} {step:?} ({backing})");
-            assert_eq!(apply_cache(cache, &step, receipts), want, "{context}");
+            assert_eq!(
+                apply_cache(cache, &step, receipts, *one_by_one),
+                want,
+                "{context}"
+            );
             assert_same_state(cache, &model, &keys, &context);
+        }
+        let [_, (_, _, batched, _), (_, _, single, _)] = &subjects;
+        assert_eq!(batched, single, "{config:?} seed {seed} op {n}: receipts");
+        match (&step, &want) {
+            (Step::Log(access), _) => log.push(access.clone()),
+            (Step::Read(_), Outcome::Read(access)) => log.push(access.clone()),
+            (Step::Apply(_), _) => log.clear(),
+            _ => {}
         }
         match (&step, &want) {
             (Step::BeginFill(k), Outcome::Epoch(e)) => {
@@ -506,11 +619,14 @@ fn run_sequence(config: &CacheConfig, seed: u64) {
         }
     }
 
-    let [(_, ram, ram_receipts), (_, file, mut file_receipts)] = subjects;
+    let [(_, ram, ram_receipts, _), (_, file, mut file_receipts, _), (_, single, mut single_receipts, _)] =
+        subjects;
     assert_eq!(ram_receipts, (0, 0), "a RAM-backed cache persists nothing");
     assert_eq!(ram.persist_counters(), (0, 0));
     // Every appended byte and every barrier is on exactly one receipt.
-    apply_cache(&file, &Step::Commit, &mut file_receipts);
+    apply_cache(&file, &Step::Commit, &mut file_receipts, false);
+    apply_cache(&single, &Step::Commit, &mut single_receipts, true);
+    assert_eq!(file_receipts, single_receipts, "{config:?} seed {seed}");
     assert_eq!(
         file_receipts,
         file.persist_counters(),
@@ -588,7 +704,7 @@ fn run_concurrent(config: &CacheConfig) {
                 start.wait();
                 for _ in 0..OPS_PER_THREAD {
                     let key = &keys[rng.skewed(keys.len())];
-                    match rng.below(100) {
+                    match rng.below(110) {
                         0..=39 => {
                             let epoch = cache.begin_fill(key);
                             let stored = cache.insert(key.clone(), body(key, epoch), epoch);
@@ -615,8 +731,39 @@ fn run_concurrent(config: &CacheConfig) {
                                 object_len()
                             );
                         }
-                        _ => {
+                        98..=99 => {
                             cache.commit();
+                        }
+                        _ => {
+                            // A scan's way: read a few segments and fill
+                            // the misses, touching nothing, then apply the
+                            // log in one call.
+                            let mut log = Vec::new();
+                            for _ in 0..3 {
+                                let key = &keys[rng.skewed(keys.len())];
+                                let floor = cache.begin_fill(key);
+                                let access = cache.read(key);
+                                match access.served() {
+                                    Some((data, _)) => {
+                                        assert!(epoch_of(&data) >= floor, "stale bytes read");
+                                        served_bytes
+                                            .fetch_add(data.len() as u64, Ordering::Relaxed);
+                                        log.push(access);
+                                    }
+                                    None => {
+                                        log.push(access);
+                                        let data = body(key, floor);
+                                        let (key, epoch) = (key.clone(), floor);
+                                        log.push(Access::Fill { key, data, epoch });
+                                    }
+                                }
+                                lookups.fetch_add(1, Ordering::Relaxed);
+                            }
+                            let fills = log.iter().map(|a| matches!(a, Access::Fill { .. }));
+                            let fills: Vec<bool> = fills.collect();
+                            let applied = cache.apply(log);
+                            let stored = applied.iter().zip(&fills).filter(|(a, f)| **a && **f);
+                            admitted.fetch_add(stored.count() as u64, Ordering::Relaxed);
                         }
                     }
                 }

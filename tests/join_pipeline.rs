@@ -8,7 +8,7 @@
 //! cache state, pool width and batch size.
 
 use proptest::prelude::*;
-use pushdowndb::cache::SegmentKey;
+use pushdowndb::cache::{CacheTier, SegmentKey};
 use pushdowndb::common::perf::PhaseStats;
 use pushdowndb::common::pricing::Usage;
 use pushdowndb::common::row::RowBatch;
@@ -413,11 +413,11 @@ fn select_leaf(
     ))
 }
 
-/// How the engine runs a hash join's two sides. On one node with no
-/// cache a join pipelines when its build side is a scan under streaming
-/// operators and its probe side the same, or a pipelined join, over
-/// other tables; a join over a pipelined join runs build, then probe;
-/// every other one loads its sides concurrently.
+/// How the engine runs a hash join's two sides. On one node, cache or
+/// no cache, a join pipelines when its build side is a scan under
+/// streaming operators and its probe side the same, or a pipelined join,
+/// over other tables; a join over a pipelined join runs build, then
+/// probe; every other one loads its sides concurrently.
 fn hash_join_sides(ctx: &QueryContext, node: &PlanNode) -> Sides {
     fn scans(node: &PlanNode, joins: bool) -> Option<Vec<&str>> {
         match &node.op {
@@ -440,7 +440,7 @@ fn hash_join_sides(ctx: &QueryContext, node: &PlanNode) -> Sides {
     fn below(node: &PlanNode) -> bool {
         node.children.iter().any(|c| pipelines(c) || below(c))
     }
-    if ctx.cluster.is_some() || ctx.store.cache().is_some() {
+    if ctx.cluster.is_some() {
         Sides::Concurrent
     } else if pipelines(node) {
         Sides::Pipelined
@@ -449,6 +449,39 @@ fn hash_join_sides(ctx: &QueryContext, node: &PlanNode) -> Sides {
     } else {
         Sides::Concurrent
     }
+}
+
+/// Every table a scan under `node` reads.
+fn scanned_tables(node: &PlanNode) -> Vec<&Table> {
+    let mut out: Vec<&Table> = node.children.iter().flat_map(scanned_tables).collect();
+    if let PlanOp::Scan { table, .. } = &node.op {
+        out.push(table);
+    }
+    out
+}
+
+/// Where a cached scan of one partition finds its chunks: `None` while
+/// its layout is unknown, else each chunk's resident length and tier.
+type Residency = Option<Vec<Option<(u64, CacheTier)>>>;
+
+/// What a cached scan of `tables` would read, partition by partition.
+/// Empty without a cache.
+fn residency(ctx: &QueryContext, tables: &[&Table]) -> Vec<Residency> {
+    let Some(cache) = ctx.cache() else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    for t in tables {
+        for key in t.partitions(&ctx.store) {
+            out.push(cache.layout(&t.bucket, &key).map(|layout| {
+                layout
+                    .iter()
+                    .map(|&r| cache.peek_tier(&SegmentKey::chunk(&t.bucket, &key, r)))
+                    .collect()
+            }));
+        }
+    }
+    out
 }
 
 /// The two sides of a join, as they ran: a pipelined join's two sides
@@ -577,9 +610,24 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
             build_key,
             probe_key,
         } => {
-            let build = reference(ctx, &node.children[0])?;
-            let probe = reference(ctx, &node.children[1])?;
             let sides = hash_join_sides(ctx, node);
+            // A pipelined join's two sides both read the cache as it was
+            // when the join started, and what they did to it applies
+            // build side first. Run one after the other, they do the
+            // same exactly when the build side leaves every segment the
+            // probe side reads where it was — so that is checked.
+            let probe_tables = scanned_tables(&node.children[1]);
+            let at_start = residency(ctx, &probe_tables);
+            let build = reference(ctx, &node.children[0])?;
+            if sides == Sides::Pipelined {
+                assert_eq!(
+                    residency(ctx, &probe_tables),
+                    at_start,
+                    "the build side moved a probe segment: {}",
+                    node.label()
+                );
+            }
+            let probe = reference(ctx, &node.children[1])?;
             let metrics = join_sides(&build.metrics, &probe.metrics, sides);
             join(
                 node,
@@ -871,7 +919,7 @@ fn check_plans_match_reference(format: Format) {
         names.iter().all(|n| seen.contains(n)),
         "every candidate ran: {seen:?}"
     );
-    assert!(pipelined >= 24, "{pipelined} plans pipelined every join");
+    assert!(pipelined >= 42, "{pipelined} plans pipelined every join");
 }
 
 /// Whether `plan` holds a hash join and every join of it pipelines.
