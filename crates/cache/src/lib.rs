@@ -10,9 +10,9 @@
 //! # One table, one lock
 //!
 //! Residency is one `HashMap<SegmentKey, Entry>` beside the object
-//! epochs, the chunk layouts, the admission ghosts, the per-tier byte
-//! totals and the counters, all plain fields behind **one mutex**. The
-//! tier is an attribute of the entry, and so is where its bytes live:
+//! epochs, the chunk layouts, the per-tier byte totals and the counters,
+//! all plain fields behind **one mutex**. The tier is an attribute of
+//! the entry, and so is where its bytes live:
 //! `Entry.bytes` is `Some` for bytes held in RAM and `None` for bytes in
 //! the segment log of a file-backed cache ([`CacheConfig::dir`]). Every
 //! public operation is one critical section: a lookup is one probe, a
@@ -42,9 +42,9 @@
 //! A reader that works on many threads at once — a scan's partition
 //! workers — only reads, keeps each partition's log, and has the logs
 //! applied in partition order once the scan is done (the store crate's
-//! `read_object_chunked_cached_with` is that read half). So admission
-//! ticks, eviction order and tier placement follow the order of the
-//! work, not the order in which threads happened to finish it.
+//! `read_object_chunked_cached_with` is that read half). So eviction
+//! order and tier placement follow the order of the work, not the order
+//! in which threads happened to finish it.
 //!
 //! # Segments and chunk layouts
 //!
@@ -77,8 +77,9 @@
 //!   it fits the disk budget.
 //! * **Promote-on-hit** — a disk hit is served (billed as local disk
 //!   bytes by the perf model) and the segment moves back up to mem.
-//! * Fills land in mem; a fill larger than the whole mem budget is
-//!   admitted straight to disk when it fits there.
+//! * Every fill that fits a tier is admitted: it lands in mem, or
+//!   straight in disk when it is larger than the whole mem budget and
+//!   fits there, and evicts down to budget.
 //!
 //! Both tiers run the same dollars-saved-per-byte eviction, and the two
 //! backings of the disk tier are one behaviour: a file-backed cache
@@ -120,26 +121,6 @@
 //! segment (whatever is resident now is another version's). Tier
 //! movement needs no other epoch check: it happens under the lock
 //! invalidation takes.
-//!
-//! # Workload-driven admission
-//!
-//! Eviction protects value already in the cache; **admission** decides
-//! whether a fill deserves to displace it. Under
-//! [`CacheAdmission::ReuseDistance`] the cache tracks an approximate
-//! per-**segment** reuse distance (fill-attempt ticks between successive
-//! fill attempts of the same segment, kept in a small *ghost* table that
-//! remembers segments no longer resident): a fill that would force
-//! eviction is admitted only if the segment was last attempted within
-//! the policy's window — a one-off table scan streams through
-//! **read-around** (the caller still gets the bytes; they just are not
-//! cached) instead of churning the hot tail, while anything touched
-//! twice under open-loop traffic is admitted on its second appearance.
-//! Ghosts key on the full segment (range included), so one hot chunk of
-//! a large object never vouches for its never-reused sibling chunks.
-//! Fills that fit without eviction are always admitted (read-around only
-//! protects *occupied* budget). The default policy,
-//! [`CacheAdmission::AdmitAll`], preserves the original always-admit
-//! behavior.
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -168,31 +149,9 @@ const GB: f64 = 1_000_000_000.0;
 /// The byte range standing for "the whole object".
 pub const FULL_OBJECT: (u64, u64) = (0, u64::MAX);
 
-/// Ghost entries before stale ones (outside the reuse window) are
-/// pruned. Bounds the admission metadata regardless of how many distinct
-/// segments stream through; pruning only ever drops ghosts that could no
-/// longer prove reuse, so the threshold does not change behaviour.
-const GHOST_LIMIT: usize = 16 * 1024;
-
-/// Fill-admission policy (see the module docs' *Workload-driven
-/// admission* section).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheAdmission {
-    /// Admit every fill that fits the budget (the classic read-through
-    /// behavior, and the default).
-    #[default]
-    AdmitAll,
-    /// Admit a fill that would force eviction only when the same segment
-    /// was already fill-attempted within the last `window` fill attempts
-    /// (approximate reuse distance). First touches of a full cache go
-    /// read-around; fills that fit without eviction always admit.
-    ReuseDistance {
-        /// Maximum reuse distance, in cache-wide fill-attempt ticks.
-        window: u64,
-    },
-}
-
-/// Everything that configures a cache ([`SegmentCache::open`]).
+/// Everything that configures a cache ([`SegmentCache::open`]): two tier
+/// budgets and where the disk tier keeps its bytes. There is no admission
+/// setting — every fill that fits a tier is admitted.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CacheConfig {
     /// Mem-tier budget. Zero admits nothing into mem.
@@ -200,7 +159,6 @@ pub struct CacheConfig {
     /// Disk-tier budget. Zero means mem evictions drop instead of
     /// demoting.
     pub disk_bytes: u64,
-    pub admission: CacheAdmission,
     /// `Some`: the disk tier's bytes live in a segment log under this
     /// directory and survive restarts (see the [`store`] module docs).
     /// `None`: the disk tier is simulated in RAM and persists nothing.
@@ -316,7 +274,7 @@ impl Entry {
     }
 }
 
-/// Take the next value of a counter (`seq`, the fill tick).
+/// Take the next value of a counter.
 fn bump(counter: &mut u64) -> u64 {
     *counter += 1;
     *counter - 1
@@ -360,8 +318,8 @@ pub struct CacheStats {
     /// Fills discarded because the object changed mid-flight (epoch
     /// moved between [`SegmentCache::begin_fill`] and the insert).
     pub stale_fills: u64,
-    /// Fills the admission policy declined (read-around): the fill would
-    /// have forced eviction and the segment had no recent reuse.
+    /// Always 0: every fill that fits a tier is admitted. Kept for the
+    /// frozen benchmark, which reports it.
     pub read_arounds: u64,
     /// Mem-tier occupancy.
     pub used_bytes: u64,
@@ -419,17 +377,9 @@ struct State {
     /// ranges covering the object. Dropped on invalidation alongside the
     /// segments.
     layouts: HashMap<u64, Arc<[(u64, u64)]>>,
-    /// Segment → fill-attempt tick of its last fill attempt. The
-    /// admission policy's reuse-distance memory; survives the segment's
-    /// eviction (that is the point — a ghost is how a *non-resident*
-    /// segment proves it is hot enough to admit). Keyed per segment, so
-    /// sibling chunks of one object earn admission independently.
-    ghosts: HashMap<SegmentKey, u64>,
     /// Resident bytes per tier, indexed by `CacheTier as usize`.
     used: [u64; 2],
     seq: u64,
-    /// Fill-attempt tick — the reuse-distance policy's unit of "time".
-    fill_ticks: u64,
     /// The event counters; [`SegmentCache::stats`] fills in the rest.
     stats: CacheStats,
 }
@@ -447,7 +397,7 @@ impl State {
         &mut self,
         recovery: store::Recovery,
         ds: &DiskStore,
-        config: &CacheConfig,
+        disk_bytes: u64,
         catalog: Option<CatalogProbe<'_>>,
     ) {
         // Catalog check: byte-equality with the live object, not just
@@ -467,7 +417,7 @@ impl State {
         // Budget: keep the newest recovered segments that fit.
         let mut total: u64 = kept.iter().map(|s| s.len).sum();
         let mut start = 0;
-        while total > config.disk_bytes && start < kept.len() {
+        while total > disk_bytes && start < kept.len() {
             total -= kept[start].len;
             ds.del(&kept[start].key);
             start += 1;
@@ -486,12 +436,6 @@ impl State {
         for seg in kept.drain(start..) {
             // The store's replay already filtered stale epochs.
             debug_assert_eq!(seg.epoch, self.epoch(&seg.key.bucket, &seg.key.key));
-            if matches!(config.admission, CacheAdmission::ReuseDistance { .. }) {
-                // Recovered residents earned admission in a past life;
-                // seed their ghosts at tick 0 so an invalidate + refill
-                // is not declined as a first touch.
-                self.ghosts.insert(seg.key.clone(), 0);
-            }
             self.used[CacheTier::Disk as usize] += seg.len;
             self.stats.recovered_segments += 1;
             self.stats.recovered_bytes += seg.len;
@@ -725,26 +669,6 @@ impl Inner {
             .entries
             .get(&skey)
             .map(|e| (e.tier, e.len, e.bytes.is_none()));
-        if let CacheAdmission::ReuseDistance { window } = self.config.admission {
-            let tick = bump(&mut st.fill_ticks);
-            let reused = st
-                .ghosts
-                .insert(skey.clone(), tick)
-                .is_some_and(|last| tick - last <= window);
-            if st.ghosts.len() > GHOST_LIMIT {
-                st.ghosts.retain(|_, &mut last| tick - last <= window);
-            }
-            // Replacements and fills that fit spare budget always
-            // admit; only eviction-forcing first touches go around.
-            let replaced = match old {
-                Some((tier, old_len, _)) if tier == target => old_len,
-                _ => 0,
-            };
-            if st.used[target as usize] - replaced + len > self.budget(target) && !reused {
-                st.stats.read_arounds += 1;
-                return false;
-            }
-        }
         // Straight-to-disk fills reach the segment log before the entry
         // goes live (durable at the next commit).
         let bytes = match (target, &self.disk_store) {
@@ -843,9 +767,6 @@ impl SegmentCache {
     ///   match the current object length);
     /// * enforces `config.disk_bytes` deterministically, dropping the
     ///   oldest recovered segments first;
-    /// * rebuilds reuse-distance ghosts for every recovered-resident
-    ///   segment, so a warm disk tier is not churned by read-around
-    ///   declines after restart;
     /// * compacts the manifest when dead records outnumber live state.
     ///
     /// `kill` arms the deterministic crash hook: the store dies at the
@@ -864,7 +785,7 @@ impl SegmentCache {
         let disk_store = match &config.dir {
             Some(dir) => {
                 let (ds, recovery) = DiskStore::open(dir, kill)?;
-                state.restore(recovery, &ds, config, catalog);
+                state.restore(recovery, &ds, config.disk_bytes, catalog);
                 Some(ds)
             }
             None => None,
@@ -879,7 +800,7 @@ impl SegmentCache {
         })
     }
 
-    /// A two-tier cache with default admission and no directory.
+    /// A two-tier cache with no directory.
     pub fn tiered(mem_budget_bytes: u64, disk_budget_bytes: u64, pricing: Pricing) -> SegmentCache {
         let config = CacheConfig {
             mem_bytes: mem_budget_bytes,
@@ -993,10 +914,10 @@ impl SegmentCache {
     }
 
     /// Apply an ordered access log in one critical section: hits count
-    /// and promote, fills are admitted (or discarded as stale, or read
-    /// around) and evict down to budget, layouts are recorded — each
-    /// exactly as [`SegmentCache::get_tiered`], [`SegmentCache::insert`]
-    /// and [`SegmentCache::record_layout`] do it, in log order. Returns,
+    /// and promote, fills are admitted (or discarded as stale) and evict
+    /// down to budget, layouts are recorded — each exactly as
+    /// [`SegmentCache::get_tiered`], [`SegmentCache::insert`] and
+    /// [`SegmentCache::record_layout`] do it, in log order. Returns,
     /// per access, whether it took effect (a hit served, a fill stored, a
     /// layout recorded).
     pub fn apply(&self, log: impl IntoIterator<Item = Access>) -> Vec<bool> {
@@ -1097,10 +1018,10 @@ impl SegmentCache {
     }
 
     /// Admit a fill of one segment observed at `epoch`. Returns whether
-    /// the segment was stored (false: stale epoch, declined by
-    /// admission, or larger than both tier budgets). Fills land in the
-    /// mem tier — or straight in the disk tier when they are bigger than
-    /// the whole mem budget — and evict minimum-weight segments (mem
+    /// the segment was stored (false: stale epoch, or larger than both
+    /// tier budgets). Every other fill is admitted: it lands in the mem
+    /// tier — or straight in the disk tier when it is bigger than the
+    /// whole mem budget — and evicts minimum-weight segments (mem
     /// evictions demoting downward) until the fill fits, before the
     /// lock is released. The apply of one [`Access::Fill`].
     pub fn insert(&self, skey: SegmentKey, data: Bytes, epoch: u64) -> bool {
@@ -1337,87 +1258,6 @@ mod tests {
         assert!(s.used_bytes <= 100_000);
     }
 
-    fn reuse_cache(budget: u64, window: u64) -> SegmentCache {
-        let config = CacheConfig {
-            mem_bytes: budget,
-            admission: CacheAdmission::ReuseDistance { window },
-            ..CacheConfig::default()
-        };
-        SegmentCache::open(&config, Pricing::us_east(), None, None).unwrap()
-    }
-
-    #[test]
-    fn reuse_distance_admits_freely_while_budget_is_spare() {
-        let c = reuse_cache(1000, 8);
-        // Nothing to evict yet: first touches admit like AdmitAll.
-        assert!(fill(&c, "a", 400));
-        assert!(fill(&c, "b", 400));
-        assert_eq!(c.stats().read_arounds, 0);
-        assert_eq!(c.stats().segments, 2);
-    }
-
-    #[test]
-    fn one_off_scans_go_read_around_instead_of_churning_the_hot_tail() {
-        let c = reuse_cache(1000, 8);
-        fill(&c, "hot", 500);
-        fill(&c, "warm", 500);
-        for _ in 0..3 {
-            c.get(&whole("hot")).unwrap();
-        }
-        // A full cache + a never-seen segment: declined — under AdmitAll
-        // this fill would have evicted `warm` only to be evicted itself
-        // by the next such one-off (churn with zero hit value).
-        assert!(!fill(&c, "oneoff", 500), "first touch reads around");
-        assert!(c.peek(&whole("hot")).is_some());
-        assert!(c.peek(&whole("warm")).is_some());
-        let s = c.stats();
-        assert_eq!(s.read_arounds, 1);
-        assert_eq!(s.evictions, 0);
-        // The same segment attempted again within the window proves
-        // reuse and is admitted — displacing the coldest resident
-        // (`warm`, equal weight but older), never the hot tail.
-        assert!(fill(&c, "oneoff", 500), "second touch admits");
-        assert!(c.peek(&whole("oneoff")).is_some());
-        assert!(c.peek(&whole("hot")).is_some(), "hot tail intact");
-        assert!(c.peek(&whole("warm")).is_none());
-        assert_eq!(c.stats().read_arounds, 1);
-    }
-
-    #[test]
-    fn reuse_outside_the_window_does_not_count() {
-        let c = reuse_cache(100, 2);
-        fill(&c, "keep", 100);
-        assert!(!fill(&c, "x", 100), "x: first touch");
-        // Three other fill attempts push x's ghost out of the window.
-        for k in ["p", "q", "r"] {
-            assert!(!fill(&c, k, 100));
-        }
-        assert!(!fill(&c, "x", 100), "x's reuse distance exceeds window");
-        // Attempted again immediately (distance 1 ≤ window): admitted.
-        assert!(fill(&c, "x", 100));
-    }
-
-    #[test]
-    fn replacing_a_resident_segment_is_not_read_around() {
-        // A same-key refill displaces only itself — admission must not
-        // count the bytes it replaces as an eviction.
-        let c = reuse_cache(100, 4);
-        fill(&c, "k", 100);
-        assert!(fill(&c, "k", 100), "replacement admits");
-        assert_eq!(c.stats().read_arounds, 0);
-        assert_eq!(c.stats().used_bytes, 100);
-    }
-
-    #[test]
-    fn admit_all_remains_the_default() {
-        let c = cache(1000);
-        assert_eq!(c.config().admission, CacheAdmission::AdmitAll);
-        assert_eq!(
-            reuse_cache(10, 3).config().admission,
-            CacheAdmission::ReuseDistance { window: 3 }
-        );
-    }
-
     #[test]
     fn raising_the_scan_price_raises_every_weight() {
         let pricey = Pricing {
@@ -1564,31 +1404,6 @@ mod tests {
         assert_eq!(occ.mem_bytes + occ.disk_bytes, 300);
         assert!(occ.disk_bytes > 0, "something was demoted");
         assert_eq!((occ.gap_bytes, occ.gap_requests), (200, 2));
-    }
-
-    #[test]
-    fn reuse_ghosts_key_per_segment_not_per_object() {
-        // Satellite regression: one hot chunk of an object must not
-        // vouch admission for its never-reused sibling chunks.
-        let c = reuse_cache(200, 16);
-        // Fill the budget with two other segments, so admitting one
-        // chunk evicts exactly one of them and the cache stays full.
-        assert!(fill(&c, "r1", 100));
-        assert!(fill(&c, "r2", 100));
-        // Chunk (0,100) of `t` proves reuse: first touch reads around,
-        // second admits.
-        assert!(!chunk_fill(&c, "t", (0, 100)), "first touch reads around");
-        assert!(chunk_fill(&c, "t", (0, 100)), "second touch admits");
-        // Its sibling chunk (100,200) has never been attempted — the hot
-        // sibling must not admit it.
-        assert!(
-            !chunk_fill(&c, "t", (100, 200)),
-            "never-reused sibling chunk reads around"
-        );
-        let s = c.stats();
-        assert_eq!(s.read_arounds, 2);
-        assert!(c.peek(&SegmentKey::chunk("b", "t", (0, 100))).is_some());
-        assert!(c.peek(&SegmentKey::chunk("b", "t", (100, 200))).is_none());
     }
 
     #[test]

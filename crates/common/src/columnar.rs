@@ -12,7 +12,7 @@
 //! The validity bitmap uses the same convention as the file format: bit
 //! `i % 8` of byte `i / 8` is **set when the value is valid** (non-NULL).
 
-use crate::row::{Row, RowBatch};
+use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
 use std::sync::Arc;
@@ -295,10 +295,6 @@ impl ColumnarBatch {
         }
     }
 
-    pub fn from_row_batch(batch: &RowBatch) -> ColumnarBatch {
-        ColumnarBatch::from_rows(&batch.schema, &batch.rows)
-    }
-
     /// Materialize row `i`.
     pub fn row_at(&self, i: usize) -> Row {
         Row(self.columns.iter().map(|c| c.value_at(i)).collect())
@@ -307,10 +303,6 @@ impl ColumnarBatch {
     /// Materialize every row (output boundary).
     pub fn to_rows(&self) -> Vec<Row> {
         (0..self.len).map(|i| self.row_at(i)).collect()
-    }
-
-    pub fn to_row_batch(&self) -> RowBatch {
-        RowBatch::new(self.schema.clone(), self.to_rows())
     }
 
     /// Late materialization: gather only the selected rows.

@@ -44,11 +44,6 @@ impl Row {
         Row(v)
     }
 
-    /// Approximate in-memory footprint, for the performance model.
-    pub fn approx_size(&self) -> usize {
-        self.0.iter().map(Value::approx_size).sum::<usize>() + 8
-    }
-
     /// Render the row as one CSV line (no trailing newline). Fields that
     /// contain separators or quotes are quoted, and so is the empty
     /// rendering of a row's only field (a lone NULL): an empty line is
@@ -131,10 +126,6 @@ impl RowBatch {
 
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    pub fn approx_size(&self) -> usize {
-        self.rows.iter().map(Row::approx_size).sum()
     }
 
     /// Split `rows` into batches of at most `capacity` rows (the last
@@ -260,7 +251,6 @@ mod tests {
             vec![Row::new(vec![Value::Int(1)]), Row::new(vec![Value::Int(2)])],
         );
         assert_eq!(b.len(), 2);
-        assert!(b.approx_size() > 0);
         assert!(RowBatch::empty(schema).is_empty());
     }
 }

@@ -257,18 +257,6 @@ impl Value {
             ))),
         }
     }
-
-    /// Rough in-memory footprint in bytes, used by the performance model to
-    /// account for hash-table sizes.
-    pub fn approx_size(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Bool(_) => 1,
-            Value::Int(_) | Value::Float(_) => 8,
-            Value::Date(_) => 4,
-            Value::Str(s) => s.len(),
-        }
-    }
 }
 
 /// Equality for use in hash tables (join keys, group keys): delegates to the

@@ -15,10 +15,10 @@
 //! per-column min/max, distinct-value count, null fraction and mean CSV
 //! width ([`ColumnStats`]). Loaders gather exact statistics for free at
 //! load time (one pass over the rows being uploaded, unmetered like the
-//! load itself); for tables whose data changed since load — or that were
-//! registered without statistics — [`probe_stats`] refreshes them with a
-//! cheap `LIMIT`-bounded Select probe striped across partitions, which
-//! *is* metered like any other query traffic.
+//! load itself). A table registered without statistics falls back to
+//! schema-derived defaults. Statistics whose row count is not the
+//! table's still shape estimates, but are never read as exact (no
+//! dictionary, no tails, no "never NULL").
 //!
 //! ## Dictionaries
 //!
@@ -29,11 +29,9 @@
 //! type with at most [`DICTIONARY_MAX_VALUES`] values: a status or
 //! priority code, a flag, not a key. With it the §VI-B hybrid group-by
 //! knows before the query starts which groups are populous, which is what
-//! its sample phase would have estimated ([`crate::plan::PlanOp::HybridSplit`]). Only an exact
-//! pass keeps one: a probe sees a sample, and a value the sample missed
-//! would be missing from the list, so [`probe_stats`] never sets it. Even
-//! an exact dictionary describes the rows *at load*; what reads it must
-//! stay correct when a listed value has gone or an unlisted one appeared.
+//! its sample phase would have estimated ([`crate::plan::PlanOp::HybridSplit`]). A
+//! dictionary describes the rows *at load*; what reads it must stay
+//! correct when a listed value has gone or an unlisted one appeared.
 //!
 //! ## Tails
 //!
@@ -43,18 +41,15 @@
 //! their row counts, and [`Table::kth`] reads the K-th value of an
 //! `ORDER BY c LIMIT k` off them — the threshold §VII's sampling top-K
 //! would otherwise estimate from a sample
-//! ([`crate::plan::PlanOp::Threshold`]). As with dictionaries, only an
-//! exact pass keeps tails, and what reads them must stay correct when the
-//! rows have changed since load.
+//! ([`crate::plan::PlanOp::Threshold`]). As with dictionaries, what reads
+//! them must stay correct when the rows have changed since load.
 
-use crate::context::QueryContext;
 use pushdown_common::mix::MixBuildHasher;
 use pushdown_common::{DataType, Result, Row, Schema, Value};
 use pushdown_format::columnar::{encode_columnar, WriterOptions};
 use pushdown_format::csv::CsvWriter;
 use pushdown_s3::S3Store;
 use pushdown_select::InputFormat;
-use pushdown_sql::{Expr, SelectItem, SelectStmt};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -73,8 +68,8 @@ pub struct ColumnStats {
     /// Mean width of the CSV-rendered field, bytes.
     pub avg_width: f64,
     /// The smallest and the largest distinct non-null values with their
-    /// row counts — kept by exact load-time statistics only, and only for
-    /// a column whose values are of one type (see the module docs).
+    /// row counts — kept only for a column whose values are of one type
+    /// (see the module docs).
     pub tails: Option<Tails>,
 }
 
@@ -99,27 +94,16 @@ pub struct Tails {
 /// Table-level statistics: row count plus one [`ColumnStats`] per column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
-    /// Rows in the table (exact — tracked by the catalog).
+    /// Rows the statistics were counted over.
     pub row_count: u64,
-    /// Rows actually examined to build the column statistics. Equals
-    /// `row_count` for load-time statistics; smaller for probe refreshes.
-    pub sample_rows: u64,
     pub columns: Vec<ColumnStats>,
 }
 
 impl TableStats {
     /// Exact statistics from a full pass over `rows` (the load-time path),
-    /// dictionaries and tails included.
+    /// dictionaries and tails included. One pass over the rows; nothing is
+    /// rendered or cloned per value.
     pub fn from_rows(schema: &Schema, rows: &[Row]) -> TableStats {
-        Self::gather(schema, rows, true)
-    }
-
-    /// Statistics of `rows`, `row_count` their number; callers that know
-    /// the true row count of a sample fix it up (see [`probe_stats`]). An
-    /// `exact` pass — every row of the table — keeps the dictionaries and
-    /// the tails.
-    /// One pass over the rows; nothing is rendered or cloned per value.
-    fn gather(schema: &Schema, rows: &[Row], exact: bool) -> TableStats {
         let n = rows.len() as u64;
         let mut columns: Vec<ColumnAccumulator> = (0..schema.len())
             .map(|_| ColumnAccumulator::default())
@@ -132,11 +116,7 @@ impl TableStats {
         }
         TableStats {
             row_count: n,
-            sample_rows: n,
-            columns: columns
-                .into_iter()
-                .map(|acc| acc.finish(n, exact))
-                .collect(),
+            columns: columns.into_iter().map(|acc| acc.finish(n)).collect(),
         }
     }
 
@@ -163,7 +143,7 @@ type Counted<T> = HashMap<T, u64, MixBuildHasher>;
 /// time it is seen.
 type CountedRendered<T> = HashMap<T, (usize, u64), MixBuildHasher>;
 
-/// Running statistics of one column (see [`TableStats::gather`]).
+/// Running statistics of one column (see [`TableStats::from_rows`]).
 /// Distinct values are counted per type, so no value is rendered to text
 /// to be counted.
 #[derive(Default)]
@@ -331,13 +311,12 @@ impl<'a> ColumnAccumulator<'a> {
         })
     }
 
-    /// The column's statistics over `n` rows; an `exact` pass keeps the
-    /// tails.
-    fn finish(self, n: u64, exact: bool) -> ColumnStats {
+    /// The column's statistics over `n` rows.
+    fn finish(self, n: u64) -> ColumnStats {
         let fraction = |part: f64| if n == 0 { 0.0 } else { part / n as f64 };
         ColumnStats {
             ndv: self.ndv(),
-            tails: exact.then(|| self.tails()).flatten(),
+            tails: self.tails(),
             min: self.min.cloned().unwrap_or(Value::Null),
             max: self.max.cloned().unwrap_or(Value::Null),
             null_fraction: fraction(self.nulls as f64),
@@ -366,7 +345,7 @@ pub struct Table {
 }
 
 /// A name → [`Table`] registry shared by every scope of a
-/// [`QueryContext`].
+/// [`QueryContext`](crate::context::QueryContext).
 ///
 /// Multi-table SQL (`FROM a JOIN b ON ...`) resolves its join tables
 /// here: the planner's `execute_sql*` entry points take the *primary*
@@ -427,12 +406,12 @@ impl Table {
         store.total_size(&self.bucket, &format!("{}/", self.prefix))
     }
 
-    /// The statistics of column `col` if they are exact: counted over
-    /// every row of the table — as many rows as it has — not over a
-    /// sample.
+    /// The statistics of column `col` if they are exact: counted over as
+    /// many rows as the table has, so not over rows it has since lost or
+    /// gained.
     fn exact_column(&self, col: &str) -> Option<&ColumnStats> {
         let stats = self.stats.as_deref()?;
-        if stats.sample_rows != stats.row_count || stats.row_count != self.row_count {
+        if stats.row_count != self.row_count {
             return None;
         }
         stats.column(self.schema.resolve(col).ok()?)
@@ -506,114 +485,11 @@ impl Table {
         Some(seen)
     }
 
-    /// Replace the attached statistics (e.g. after a [`probe_stats`]
-    /// refresh).
+    /// Replace the attached statistics.
     pub fn with_stats(mut self, stats: TableStats) -> Table {
         self.stats = Some(Arc::new(stats));
         self
     }
-}
-
-/// Refresh a table's statistics with a cheap `LIMIT`-bounded Select
-/// probe: `SELECT * LIMIT probe_rows`, striped across partitions so the
-/// sample is not a storage-order prefix. Unlike load-time statistics
-/// this runs at query time and is metered (requests + scanned +
-/// returned bytes land on the ledger). Distinct counts are extrapolated:
-/// a column that looks unique in the sample is assumed unique in the
-/// table; low-cardinality columns keep their sampled count.
-pub fn probe_stats(ctx: &QueryContext, table: &Table, probe_rows: u64) -> Result<TableStats> {
-    // Explicit columns rather than `*`, so the response schema matches
-    // the table schema exactly.
-    let stmt = SelectStmt {
-        items: table
-            .schema
-            .fields()
-            .iter()
-            .map(|f| SelectItem::Expr {
-                expr: Expr::col(f.name.clone()),
-                alias: None,
-            })
-            .collect(),
-        alias: None,
-        where_clause: None,
-        limit: None,
-    };
-    let (schema, rows) = match probe_sample_from_cache(ctx, table, probe_rows)? {
-        Some(rows) => (table.schema.clone(), rows),
-        None => {
-            let limit = crate::scan::ScanLimit::Striped(probe_rows as usize);
-            let mut rows = Vec::new();
-            let scan = crate::scan::select_scan_streamed(ctx, table, &stmt, Some(limit), |b| {
-                rows.extend(b.rows);
-                Ok(())
-            })?;
-            (scan.schema, rows)
-        }
-    };
-    let mut stats = TableStats::gather(&schema, &rows, false);
-    let sampled = stats.sample_rows.max(1);
-    for col in &mut stats.columns {
-        let non_null = ((sampled as f64) * (1.0 - col.null_fraction)).max(1.0);
-        if (col.ndv as f64) >= 0.8 * non_null {
-            // Looks unique (or near): extrapolate to the full table.
-            let full_non_null = (table.row_count as f64) * (1.0 - col.null_fraction);
-            col.ndv = full_non_null.round().max(col.ndv as f64) as u64;
-        }
-    }
-    stats.row_count = table.row_count;
-    Ok(stats)
-}
-
-/// Serve a statistics probe from the segment cache when **every**
-/// partition is resident: decode the striped per-partition share of each
-/// partition locally instead of issuing remote striped-LIMIT Selects —
-/// the data is already on this node, so a warm probe bills $0. Returns
-/// `None` (fall through to the remote probe) when no cache is installed,
-/// the table has no partitions, or any partition is cold.
-fn probe_sample_from_cache(
-    ctx: &QueryContext,
-    table: &Table,
-    probe_rows: u64,
-) -> Result<Option<Vec<Row>>> {
-    let Some(cache) = ctx.store.cache() else {
-        return Ok(None);
-    };
-    let keys = table.partitions(&ctx.store);
-    if keys.is_empty() {
-        return Ok(None);
-    }
-    // Warm means zero gap bytes across every partition's chunk layout
-    // (either tier counts — a disk-resident probe still bills $0).
-    for k in &keys {
-        let size = ctx.store.object_size(&table.bucket, k)?;
-        if cache.occupancy(&table.bucket, k, size).gap_bytes > 0 {
-            return Ok(None);
-        }
-    }
-    let mut rows = Vec::new();
-    for (i, key) in keys.iter().enumerate() {
-        // Same striping as `ScanLimit::Striped`: partition i
-        // contributes its share of the LIMIT, and a Select with LIMIT s
-        // returns the partition's first s rows.
-        let share = crate::scan::striped_share(probe_rows as usize, keys.len(), i);
-        if share == 0 {
-            continue;
-        }
-        let fetched =
-            ctx.store
-                .get_object_chunked_cached_with(&table.bucket, key, &ctx.retry, |data| {
-                    crate::scan::chunk_layout(table, ctx.cache_chunk_bytes, data)
-                })?;
-        let mut part_rows = Vec::with_capacity(share);
-        let identity = crate::scan::ScanFragment::new(table, None, None);
-        crate::scan::decode_partition(fetched.data, table, ctx, &identity, |batch| {
-            let room = share - part_rows.len();
-            part_rows.extend(batch.rows.into_iter().take(room));
-            Ok(())
-        })?;
-        rows.extend(part_rows);
-    }
-    Ok(Some(rows))
 }
 
 fn partition_key(prefix: &str, i: usize, ext: &str) -> String {
@@ -768,7 +644,6 @@ mod tests {
         let t = upload_csv_table(&store, "b", "t", &schema(), &rows(100), 40).unwrap();
         let s = t.stats.as_ref().expect("loader attaches stats");
         assert_eq!(s.row_count, 100);
-        assert_eq!(s.sample_rows, 100);
         let k = s.column(0).unwrap();
         assert_eq!(k.min, Value::Int(0));
         assert_eq!(k.max, Value::Int(99));
@@ -786,7 +661,7 @@ mod tests {
 
     /// Exact statistics keep every value of a low-cardinality column with
     /// its row count — up to `DICTIONARY_MAX_VALUES` values of one type —
-    /// and a probe's never keep one.
+    /// and statistics of another row count are distrusted.
     #[test]
     fn exact_statistics_keep_small_dictionaries() {
         let schema = Schema::from_pairs(&[
@@ -827,16 +702,6 @@ mod tests {
         );
         assert_eq!(t.dictionary("wide"), None, "33 values");
         assert_eq!(t.dictionary("mixed"), None, "two types");
-        let ctx = crate::context::QueryContext::new(store).scoped();
-        let probed = t.clone().with_stats(probe_stats(&ctx, &t, 500).unwrap());
-        assert!(probed
-            .stats
-            .as_ref()
-            .unwrap()
-            .columns
-            .iter()
-            .all(|c| c.tails.is_none()));
-        assert_eq!(probed.dictionary("k"), None);
         // Statistics of another row count are not this table's.
         let other = TableStats::from_rows(&schema, &rows[..50]);
         assert_eq!(t.clone().with_stats(other).dictionary("k"), None);
@@ -845,7 +710,7 @@ mod tests {
     /// `Table::kth` reads the K-th value in `ORDER BY` order off the
     /// tails: NULLs first ascending and last descending, ties counted
     /// row by row, NaN after every number, and nothing past the tails,
-    /// beyond the table or from a probe's statistics.
+    /// beyond the table or from statistics of another row count.
     #[test]
     fn kth_reads_the_tails_in_query_order() {
         let schema = Schema::from_pairs(&[
@@ -902,9 +767,8 @@ mod tests {
         assert_eq!(t.kth("f", false, nans + 1), float(1.0));
         assert_eq!(t.kth("f", true, nans), float(-0.0));
         assert_eq!(t.kth("f", true, nans + 1), float(0.0));
-        let ctx = crate::context::QueryContext::new(store).scoped();
-        let probed = t.clone().with_stats(probe_stats(&ctx, &t, 500).unwrap());
-        assert_eq!(probed.kth("few", true, 1), None, "a probe keeps no tails");
+        let stale = t.clone().with_stats(TableStats::from_rows(&schema, &[]));
+        assert_eq!(stale.kth("few", true, 1), None, "stale statistics");
     }
 
     #[test]
@@ -924,64 +788,6 @@ mod tests {
         let empty = TableStats::from_rows(&schema(), &[]);
         assert_eq!(empty.row_count, 0);
         assert!(empty.column(0).unwrap().min.is_null());
-    }
-
-    #[test]
-    fn probe_refresh_approximates_load_time_stats_and_is_metered() {
-        let store = S3Store::new();
-        let t = upload_csv_table(&store, "b", "t", &schema(), &rows(1000), 100).unwrap();
-        let ctx = crate::context::QueryContext::new(store).scoped();
-        let probed = probe_stats(&ctx, &t, 200).unwrap();
-        // The probe is billed like any query.
-        let billed = ctx.billed();
-        assert!(billed.requests > 0 && billed.select_returned_bytes > 0);
-        // Row count comes from the catalog, not the sample.
-        assert_eq!(probed.row_count, 1000);
-        assert_eq!(probed.sample_rows, 200);
-        // The unique key column extrapolates to ~the full table.
-        let exact = t.stats.as_ref().unwrap();
-        let k = probed.column(0).unwrap();
-        assert!(k.ndv >= 900, "extrapolated ndv {}", k.ndv);
-        // Width estimates land near the exact ones.
-        let we = exact.avg_row_bytes();
-        let wp = probed.avg_row_bytes();
-        assert!((we - wp).abs() / we < 0.15, "{we} vs {wp}");
-    }
-
-    #[test]
-    fn warm_cache_probe_bills_zero_and_matches_remote_sample() {
-        let store = S3Store::new();
-        let t = upload_csv_table(&store, "b", "t", &schema(), &rows(1000), 100).unwrap();
-        let base = crate::context::QueryContext::new(store).with_cache(1 << 30);
-
-        // Remote probe first (cold cache): billed, and the reference
-        // sample statistics.
-        let cold = base.scoped();
-        let reference = probe_stats(&cold, &t, 200).unwrap();
-        assert!(cold.billed().requests > 0);
-
-        // Warm the cache with a full cached read of every partition.
-        let warm_up = base.scoped().with_cache_reads(true);
-        crate::scan::cached_scan_streamed(&warm_up, &t, |_| Ok(())).unwrap();
-
-        // Warm probe: served from the segment cache, zero billed
-        // requests and bytes.
-        let warm = base.scoped();
-        let probed = probe_stats(&warm, &t, 200).unwrap();
-        let billed = warm.billed();
-        assert_eq!(billed.requests, 0, "warm probe must not issue requests");
-        assert_eq!(billed.select_scanned_bytes, 0);
-        assert_eq!(billed.select_returned_bytes, 0);
-        assert_eq!(billed.plain_bytes, 0);
-
-        // Same striped sample, so identical statistics.
-        assert_eq!(probed.sample_rows, reference.sample_rows);
-        assert_eq!(probed.row_count, reference.row_count);
-        for (a, b) in probed.columns.iter().zip(&reference.columns) {
-            assert_eq!(a.ndv, b.ndv);
-            assert_eq!(a.min, b.min);
-            assert_eq!(a.max, b.max);
-        }
     }
 
     #[test]

@@ -297,12 +297,11 @@ mod tests {
     }
 
     #[test]
-    fn per_node_cache_slices_split_both_tiers_and_keep_admission() {
+    fn per_node_cache_slices_split_both_tiers() {
         let s = store();
         let config = CacheConfig {
             mem_bytes: 1 << 20,
             disk_bytes: 1 << 22,
-            admission: pushdown_cache::CacheAdmission::ReuseDistance { window: 8 },
             dir: None,
         };
         s.set_cache(Some(

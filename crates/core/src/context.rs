@@ -266,10 +266,9 @@ impl QueryContext {
     /// replayed, every surviving segment is checksum-verified against
     /// the live store (so a chunk persisted before a crash is never
     /// served after its object was rewritten, even if the rewrite
-    /// happened while the cache was down), recovered segments land
-    /// disk-resident (memory starts cold, disk starts warm), and ghost
-    /// reuse-distance state is rebuilt for the recovered residents. An
-    /// empty or absent directory simply starts a fresh persistent cache.
+    /// happened while the cache was down), and recovered segments land
+    /// disk-resident (memory starts cold, disk starts warm). An empty or
+    /// absent directory simply starts a fresh persistent cache.
     ///
     /// **Store-wide, not per-copy**: like
     /// [`QueryContext::with_tables`] and the shared [`Catalog`], this
@@ -293,7 +292,7 @@ impl QueryContext {
 
     /// [`QueryContext::with_cache_config`] for a mem-only cache of
     /// `budget_bytes` (the caching tier's budget knob). A budget of 0
-    /// effectively disables admission.
+    /// caches nothing.
     pub fn with_cache(self, budget_bytes: u64) -> Self {
         self.with_cache_tiers(budget_bytes, 0)
     }
@@ -312,8 +311,7 @@ impl QueryContext {
         .expect("a cache without a directory opens no file")
     }
 
-    /// Re-open the installed cache — same budgets, same admission —
-    /// with its disk tier rooted at `dir`, recovering whatever a previous
+    /// Re-open the installed cache — same budgets — with its disk tier rooted at `dir`, recovering whatever a previous
     /// process left there ([`QueryContext::with_cache_config`]).
     ///
     /// # Errors

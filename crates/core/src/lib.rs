@@ -62,7 +62,7 @@ pub mod planner;
 pub mod scan;
 
 pub use catalog::{
-    probe_stats, upload_columnar_table, upload_csv_table, Catalog, ColumnStats, Table, TableStats,
+    upload_columnar_table, upload_csv_table, Catalog, ColumnStats, Table, TableStats,
 };
 pub use cluster::{Cluster, NodeSnapshot};
 pub use context::QueryContext;

@@ -1475,8 +1475,8 @@ pub(crate) fn hybrid_leaf(node: &PlanNode) -> Result<(&Table, &Option<Expr>, &[S
 /// objects' fault ordinals, which must not depend on timing. Under a
 /// segment cache too: both sides only read the cache while they run and
 /// the join applies what they did to it once both are in, build side
-/// first ([`run_pipelined`]), so admission and eviction order do not
-/// depend on timing either. A join over a pipelined join runs build, then
+/// first ([`run_pipelined`]), so fill and eviction order do not depend
+/// on timing either. A join over a pipelined join runs build, then
 /// probe; the rest are priced as two concurrent loads.
 pub(crate) fn hash_join_sides(ctx: &QueryContext, node: &PlanNode) -> Sides {
     fn pipelines(node: &PlanNode) -> bool {

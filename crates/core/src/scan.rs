@@ -471,7 +471,7 @@ pub enum ScanSource {
 /// `ctx.batch_rows`.
 /// Returns the number of rows decoded and the CPU units the fragment's
 /// predicate and reducer charged.
-pub(crate) fn decode_partition(
+fn decode_partition(
     data: bytes::Bytes,
     table: &Table,
     ctx: &QueryContext,
@@ -481,13 +481,9 @@ pub(crate) fn decode_partition(
     let mut out = fragment.outbox(ctx.batch_rows, emit);
     let mut decoded = 0u64;
     match table.format {
-        InputFormat::Csv | InputFormat::CsvNoHeader => {
-            let reader = if table.format == InputFormat::Csv {
-                CsvReader::with_header(&data, table.schema.clone())
-            } else {
-                CsvReader::without_header(&data, table.schema.clone())
-            };
-            let mut reader = reader.project(fragment.needed());
+        InputFormat::Csv => {
+            let mut reader =
+                CsvReader::with_header(&data, table.schema.clone()).project(fragment.needed());
             if ctx.columnar_exec && fragment.projects() {
                 // The referenced fields go straight into typed column
                 // vectors, the evaluator ColumnarLite row groups get.
@@ -531,17 +527,13 @@ pub(crate) fn decode_partition(
 /// [`QueryContext::cache_chunk_bytes`]. An unreadable ColumnarLite file
 /// caches as one whole-object chunk — the coarse path, never a wrong
 /// layout.
-pub(crate) fn chunk_layout(
-    table: &Table,
-    chunk_bytes: u64,
-    data: &bytes::Bytes,
-) -> Vec<(u64, u64)> {
+fn chunk_layout(table: &Table, chunk_bytes: u64, data: &bytes::Bytes) -> Vec<(u64, u64)> {
     let len = data.len() as u64;
     match table.format {
         InputFormat::Columnar => ColumnarReader::open(data.clone())
             .map(|r| r.row_group_extents())
             .unwrap_or_else(|_| vec![(0, len)]),
-        InputFormat::Csv | InputFormat::CsvNoHeader => {
+        InputFormat::Csv => {
             let step = chunk_bytes.max(1);
             (0..len)
                 .step_by(step as usize)
@@ -826,8 +818,7 @@ pub enum ScanLimit {
     /// the share `⌊(i+1)·n/P⌋ − ⌊i·n/P⌋` (shares telescope to exactly
     /// `n`), so every partition contributes proportionally and the bias
     /// is bounded by the per-partition storage order (§VII-A's sampling
-    /// phase, statistics probes). Shares run concurrently on the worker
-    /// pool.
+    /// phase). Shares run concurrently on the worker pool.
     Striped(usize),
 }
 

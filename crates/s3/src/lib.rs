@@ -136,9 +136,9 @@ pub struct Retried<T> {
 }
 
 /// Result of a chunk-granular read through the two-tier segment cache
-/// ([`S3Store::get_object_chunked_cached_with`]): the reassembled object
+/// ([`S3Store::read_object_chunked_cached_with`]): the reassembled object
 /// plus how much of it each tier served and what the gaps billed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkedFetch {
     /// The whole object, chunks reassembled in order.
     pub data: Bytes,
@@ -306,7 +306,7 @@ struct Inner {
     /// Seeded fault/latency policy (None = no faults, zero latency).
     fault_plan: RwLock<Option<FaultPlan>>,
     /// Optional local segment cache behind the read-through path
-    /// ([`S3Store::get_object_chunked_cached_with`]).
+    /// ([`S3Store::read_object_chunked_cached_with`]).
     cache: RwLock<Option<SegmentCache>>,
     /// Every cache that has read this store's objects — the store-wide
     /// one and each per-handle override, once each — for `put_object`
@@ -417,7 +417,7 @@ impl S3Store {
     }
 
     /// Install (or remove) the local segment cache behind
-    /// [`S3Store::get_object_chunked_cached_with`]. Store-wide: every scope
+    /// [`S3Store::read_object_chunked_cached_with`]. Store-wide: every scope
     /// shares it, exactly like the objects themselves.
     pub fn set_cache(&self, cache: Option<SegmentCache>) {
         self.attach(cache.as_ref());
@@ -713,11 +713,16 @@ impl S3Store {
     }
 
     /// Chunk-granular read **through the two-tier segment cache** under
-    /// the uniform retry policy — the partial-hit read path of the
-    /// tiered caching layer: [`S3Store::read_object_chunked_cached_with`]
+    /// the uniform retry policy: [`S3Store::read_object_chunked_cached_with`]
     /// and the immediate [`SegmentCache::apply`] of the access log it
     /// kept, so the read's hits, fills and learned layout take effect
     /// before this returns.
+    ///
+    /// The engine never calls this: a scan reads through the read half and
+    /// applies its partitions' logs at its commit point. It stays as a
+    /// shim for callers outside the engine, the frozen benchmark among
+    /// them, and the store's tests hold it equal to the read half plus one
+    /// apply.
     ///
     /// What a persistent disk tier appends along the way (fills,
     /// demotions, promotions, the learned layout) is write-behind: it
@@ -738,8 +743,8 @@ impl S3Store {
         Ok(fetched)
     }
 
-    /// The read half of [`S3Store::get_object_chunked_cached_with`]: the
-    /// same bytes, bills and clock charges, but the cache is only read
+    /// The partial-hit read path of the tiered caching layer, and the one
+    /// way the engine reads cached bytes. The cache is only read
     /// ([`SegmentCache::read`]). What the read did to it — each chunk's
     /// hit or miss, each fill with its epoch, the learned layout — comes
     /// back as an ordered access log for the caller to
@@ -1340,272 +1345,301 @@ mod tests {
             .collect()
     }
 
+    fn us_east() -> pushdown_common::pricing::Pricing {
+        pushdown_common::pricing::Pricing::us_east()
+    }
+
+    /// The two entry points of a chunked cached read of `tpch/obj`: the
+    /// shim that applies the access log on the spot, and the read half
+    /// followed by one apply of its log.
+    #[derive(Debug, Clone, Copy)]
+    enum Via {
+        Shim,
+        ReadThenApply,
+    }
+
+    impl Via {
+        fn read(self, s: &S3Store, policy: &RetryPolicy) -> Result<ChunkedFetch> {
+            if let Via::Shim = self {
+                return s.get_object_chunked_cached_with("tpch", "obj", policy, blocks4);
+            }
+            let cache = s.cache();
+            let state = || cache.as_ref().map(|c| (c.stats(), c.residency_digest()));
+            let before = state();
+            let (fetched, log) =
+                s.read_object_chunked_cached_with("tpch", "obj", policy, blocks4)?;
+            assert_eq!(state(), before, "the read half changes nothing");
+            if let Some(cache) = &cache {
+                cache.apply(log);
+            }
+            Ok(fetched)
+        }
+    }
+
+    /// What a scenario leaves behind: the global bill, and the stats and
+    /// residency of the store's cache.
+    type Settled = (
+        pushdown_common::pricing::Usage,
+        Option<(pushdown_cache::CacheStats, u64)>,
+    );
+
+    fn settled(s: &S3Store) -> Settled {
+        let cache = s.cache().map(|c| (c.stats(), c.residency_digest()));
+        (s.global_ledger().snapshot(), cache)
+    }
+
+    /// Run `scenario` through both entry points: its own checks hold on
+    /// each, and the two agree on every fetch and on what they leave.
+    fn on_both_paths(scenario: impl Fn(Via) -> (Vec<ChunkedFetch>, Settled)) {
+        let shim = scenario(Via::Shim);
+        assert_eq!(scenario(Via::ReadThenApply), shim);
+    }
+
     #[test]
     fn chunked_cold_read_learns_the_layout_and_fills_per_chunk() {
-        let s = store_with("obj", "0123456789");
-        s.set_cache(Some(SegmentCache::tiered(
-            1 << 20,
-            0,
-            pushdown_common::pricing::Pricing::us_east(),
-        )));
-        let policy = RetryPolicy::default();
-        let scope = s.scoped();
-        let cold = scope
-            .get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
-            .unwrap();
-        assert!(!cold.hit);
-        assert_eq!(&cold.data[..], b"0123456789");
-        assert_eq!((cold.attempts, cold.gap_gets), (1, 1));
-        assert_eq!(cold.gap_bytes, 10, "cold read bills the whole object");
-        let u = scope.ledger().snapshot();
-        assert_eq!((u.requests, u.plain_bytes), (1, 10));
-        // The layout was learned and each block is its own segment.
-        let cache = s.cache().unwrap();
-        let layout = cache.layout("tpch", "obj").unwrap();
-        assert_eq!(&layout[..], &[(0, 4), (4, 8), (8, 10)]);
-        assert_eq!(cache.stats().segments, 3);
-        // Fully warm: bit-identical bytes, nothing billed.
-        let warm = scope
-            .get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
-            .unwrap();
-        assert!(warm.hit);
-        assert_eq!(&warm.data[..], b"0123456789");
-        assert_eq!((warm.attempts, warm.gap_bytes), (0, 0));
-        assert_eq!(warm.mem_bytes, 10);
-        assert_eq!(scope.ledger().snapshot(), u, "warm read bills nothing");
+        on_both_paths(|via| {
+            let s = store_with("obj", "0123456789");
+            s.set_cache(Some(SegmentCache::tiered(1 << 20, 0, us_east())));
+            let policy = RetryPolicy::default();
+            let scope = s.scoped();
+            let cold = via.read(&scope, &policy).unwrap();
+            assert!(!cold.hit);
+            assert_eq!(&cold.data[..], b"0123456789");
+            assert_eq!((cold.attempts, cold.gap_gets), (1, 1));
+            assert_eq!(cold.gap_bytes, 10, "cold read bills the whole object");
+            let u = scope.ledger().snapshot();
+            assert_eq!((u.requests, u.plain_bytes), (1, 10));
+            // The layout was learned and each block is its own segment.
+            let cache = s.cache().unwrap();
+            let layout = cache.layout("tpch", "obj").unwrap();
+            assert_eq!(&layout[..], &[(0, 4), (4, 8), (8, 10)]);
+            assert_eq!(cache.stats().segments, 3);
+            // Fully warm: bit-identical bytes, nothing billed.
+            let warm = via.read(&scope, &policy).unwrap();
+            assert!(warm.hit);
+            assert_eq!(&warm.data[..], b"0123456789");
+            assert_eq!((warm.attempts, warm.gap_bytes), (0, 0));
+            assert_eq!(warm.mem_bytes, 10);
+            assert_eq!(scope.ledger().snapshot(), u, "warm read bills nothing");
+            (vec![cold, warm], settled(&s))
+        });
     }
 
     #[test]
     fn writes_invalidate_cached_chunks_and_their_layout() {
-        let s = store_with("obj", "0123456789");
-        let cache = SegmentCache::tiered(1 << 20, 0, pushdown_common::pricing::Pricing::us_east());
-        s.set_cache(Some(cache.clone()));
-        let policy = RetryPolicy::default();
-        s.get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
-            .unwrap();
-        assert_eq!(cache.stats().segments, 3);
-        // Overwrite: the cache must never serve the old bytes again.
-        s.put_object("tpch", "obj", "new!");
-        assert_eq!(cache.stats().segments, 0, "every chunk dropped");
-        assert!(cache.layout("tpch", "obj").is_none());
-        let got = s
-            .get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
-            .unwrap();
-        assert!(!got.hit);
-        assert_eq!(&got.data[..], b"new!");
-        // Delete invalidates too.
-        s.delete_object("tpch", "obj");
-        assert_eq!(cache.stats().segments, 0);
-        assert!(s
-            .get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
-            .is_err());
+        on_both_paths(|via| {
+            let s = store_with("obj", "0123456789");
+            let cache = SegmentCache::tiered(1 << 20, 0, us_east());
+            s.set_cache(Some(cache.clone()));
+            let policy = RetryPolicy::default();
+            let first = via.read(&s, &policy).unwrap();
+            assert_eq!(cache.stats().segments, 3);
+            // Overwrite: the cache must never serve the old bytes again.
+            s.put_object("tpch", "obj", "new!");
+            assert_eq!(cache.stats().segments, 0, "every chunk dropped");
+            assert!(cache.layout("tpch", "obj").is_none());
+            let got = via.read(&s, &policy).unwrap();
+            assert!(!got.hit);
+            assert_eq!(&got.data[..], b"new!");
+            // Delete invalidates too.
+            s.delete_object("tpch", "obj");
+            assert_eq!(cache.stats().segments, 0);
+            assert!(via.read(&s, &policy).is_err());
+            (vec![first, got], settled(&s))
+        });
     }
 
     #[test]
     fn partial_hits_bill_exactly_the_gap_bytes_and_coalesce_adjacent_gaps() {
-        let s = store_with("obj", "0123456789");
-        let policy = RetryPolicy::default();
-        // Partial state built directly: layout on file, chunk (8,10)
-        // resident, the two adjacent chunks (0,4) and (4,8) missing — the
-        // refetch must coalesce them into ONE range GET billing exactly
-        // 8 bytes.
-        let c2 = SegmentCache::tiered(1 << 20, 0, pushdown_common::pricing::Pricing::us_east());
-        let e = c2.begin_fill(&SegmentKey::whole("tpch", "obj"));
-        assert!(c2.record_layout("tpch", "obj", e, vec![(0, 4), (4, 8), (8, 10)]));
-        assert!(c2.insert(
-            SegmentKey::chunk("tpch", "obj", (8, 10)),
-            Bytes::from_static(b"89"),
-            e
-        ));
-        s.set_cache(Some(c2.clone()));
-        let scope = s.scoped();
-        let partial = scope
-            .get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
-            .unwrap();
-        assert!(!partial.hit);
-        assert_eq!(&partial.data[..], b"0123456789", "rows bit-identical");
-        assert_eq!(partial.mem_bytes, 2, "chunk (8,10) served locally");
-        assert_eq!(partial.gap_bytes, 8, "exactly the gap bytes fetched");
-        assert_eq!(partial.gap_gets, 1, "adjacent gaps coalesce into one GET");
-        let u = scope.ledger().snapshot();
-        assert_eq!((u.requests, u.plain_bytes), (1, 8), "bills = gaps only");
-        // Both gap chunks were filled back in: next read is free.
-        let warm = scope
-            .get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
-            .unwrap();
-        assert!(warm.hit);
-        assert_eq!(scope.ledger().snapshot(), u);
+        on_both_paths(|via| {
+            let s = store_with("obj", "0123456789");
+            let policy = RetryPolicy::default();
+            // Partial state built directly: layout on file, chunk (8,10)
+            // resident, the two adjacent chunks (0,4) and (4,8) missing —
+            // the refetch must coalesce them into ONE range GET billing
+            // exactly 8 bytes.
+            let c2 = SegmentCache::tiered(1 << 20, 0, us_east());
+            let e = c2.begin_fill(&SegmentKey::whole("tpch", "obj"));
+            assert!(c2.record_layout("tpch", "obj", e, vec![(0, 4), (4, 8), (8, 10)]));
+            assert!(c2.insert(
+                SegmentKey::chunk("tpch", "obj", (8, 10)),
+                Bytes::from_static(b"89"),
+                e
+            ));
+            s.set_cache(Some(c2.clone()));
+            let scope = s.scoped();
+            let partial = via.read(&scope, &policy).unwrap();
+            assert!(!partial.hit);
+            assert_eq!(&partial.data[..], b"0123456789", "rows bit-identical");
+            assert_eq!(partial.mem_bytes, 2, "chunk (8,10) served locally");
+            assert_eq!(partial.gap_bytes, 8, "exactly the gap bytes fetched");
+            assert_eq!(partial.gap_gets, 1, "adjacent gaps coalesce into one GET");
+            let u = scope.ledger().snapshot();
+            assert_eq!((u.requests, u.plain_bytes), (1, 8), "bills = gaps only");
+            // Both gap chunks were filled back in: next read is free.
+            let warm = via.read(&scope, &policy).unwrap();
+            assert!(warm.hit);
+            assert_eq!(scope.ledger().snapshot(), u);
+            (vec![partial, warm], settled(&s))
+        });
     }
 
     #[test]
     fn chunked_partial_hits_serve_each_tier_at_its_own_clock_rate() {
-        let s = store_with("obj", &"x".repeat(12));
-        // Mem fits one 4-byte chunk; the other two demote to disk.
-        let cache = SegmentCache::tiered(4, 64, pushdown_common::pricing::Pricing::us_east());
-        s.set_cache(Some(cache.clone()));
-        let plan = FaultPlan::new(0, 0.0);
-        s.set_fault_plan(Some(plan));
-        let policy = RetryPolicy::default();
-        let cold = s.scoped();
-        cold.get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
-            .unwrap();
-        assert_eq!(cache.stats().demotions, 2);
-        let scope = s.scoped();
-        let warm = scope
-            .get_object_chunked_cached_with("tpch", "obj", &policy, blocks4)
-            .unwrap();
-        assert!(warm.hit);
-        assert_eq!(warm.mem_bytes + warm.disk_bytes, 12);
-        assert!(warm.disk_bytes > 0, "some chunks served from disk");
-        let expect = warm.mem_bytes as f64 / plan.latency.cache_read_bw
-            + warm.disk_bytes as f64 / plan.latency.disk_read_bw;
-        assert!(
-            (scope.virtual_time_s() - expect).abs() < 1e-12,
-            "clock {} vs per-tier local read {expect}",
-            scope.virtual_time_s()
-        );
-        assert_eq!(scope.ledger().snapshot().requests, 0, "hits bill nothing");
-        assert!(
-            scope.virtual_time_s() < cold.virtual_time_s(),
-            "local beats remote"
-        );
-        s.set_fault_plan(None);
+        on_both_paths(|via| {
+            let s = store_with("obj", &"x".repeat(12));
+            // Mem fits one 4-byte chunk; the other two demote to disk.
+            let cache = SegmentCache::tiered(4, 64, us_east());
+            s.set_cache(Some(cache.clone()));
+            let plan = FaultPlan::new(0, 0.0);
+            s.set_fault_plan(Some(plan));
+            let policy = RetryPolicy::default();
+            let cold = s.scoped();
+            let first = via.read(&cold, &policy).unwrap();
+            assert_eq!(cache.stats().demotions, 2);
+            let scope = s.scoped();
+            let warm = via.read(&scope, &policy).unwrap();
+            assert!(warm.hit);
+            assert_eq!(warm.mem_bytes + warm.disk_bytes, 12);
+            assert!(warm.disk_bytes > 0, "some chunks served from disk");
+            let expect = warm.mem_bytes as f64 / plan.latency.cache_read_bw
+                + warm.disk_bytes as f64 / plan.latency.disk_read_bw;
+            assert!(
+                (scope.virtual_time_s() - expect).abs() < 1e-12,
+                "clock {} vs per-tier local read {expect}",
+                scope.virtual_time_s()
+            );
+            assert_eq!(scope.ledger().snapshot().requests, 0, "hits bill nothing");
+            assert!(
+                scope.virtual_time_s() < cold.virtual_time_s(),
+                "local beats remote"
+            );
+            s.set_fault_plan(None);
+            (vec![first, warm], settled(&s))
+        });
     }
 
     #[test]
     fn chunked_gap_fills_retry_under_chaos_and_bill_bytes_once() {
-        let s = store_with("obj", "0123456789abcdef");
-        let warm_cache =
-            SegmentCache::tiered(1 << 20, 0, pushdown_common::pricing::Pricing::us_east());
-        let e = warm_cache.begin_fill(&SegmentKey::whole("tpch", "obj"));
-        assert!(warm_cache.record_layout(
-            "tpch",
-            "obj",
-            e,
-            vec![(0, 4), (4, 8), (8, 12), (12, 16)]
-        ));
-        // Chunks 0 and 2 resident: two non-adjacent gaps ⇒ two range GETs.
-        assert!(warm_cache.insert(
-            SegmentKey::chunk("tpch", "obj", (0, 4)),
-            Bytes::from_static(b"0123"),
-            e
-        ));
-        assert!(warm_cache.insert(
-            SegmentKey::chunk("tpch", "obj", (8, 12)),
-            Bytes::from_static(b"89ab"),
-            e
-        ));
-        s.set_cache(Some(warm_cache));
-        s.set_fault_plan(Some(FaultPlan::new(9, 0.4)));
-        let scope = s.scoped();
-        let got = scope
-            .get_object_chunked_cached_with("tpch", "obj", &RetryPolicy::with_attempts(16), blocks4)
-            .unwrap();
-        assert_eq!(&got.data[..], b"0123456789abcdef");
-        assert_eq!(got.gap_gets, 2, "two non-adjacent gaps");
-        assert_eq!(got.gap_bytes, 8);
-        assert!(got.attempts >= 2);
-        let u = scope.ledger().snapshot();
-        assert_eq!(u.requests, u64::from(got.attempts), "every attempt billed");
-        assert_eq!(u.plain_bytes, 8, "gap bytes billed once across retries");
-        // The hit after a chaotic fill is free: no request, no ordinal.
-        let hit = scope
-            .get_object_chunked_cached_with("tpch", "obj", &RetryPolicy::with_attempts(16), blocks4)
-            .unwrap();
-        assert!(hit.hit);
-        assert_eq!(scope.ledger().snapshot(), u);
-        s.set_fault_plan(None);
+        on_both_paths(|via| {
+            let s = store_with("obj", "0123456789abcdef");
+            let warm_cache = SegmentCache::tiered(1 << 20, 0, us_east());
+            let e = warm_cache.begin_fill(&SegmentKey::whole("tpch", "obj"));
+            let layout = vec![(0, 4), (4, 8), (8, 12), (12, 16)];
+            assert!(warm_cache.record_layout("tpch", "obj", e, layout));
+            // Chunks 0 and 2 resident: two non-adjacent gaps ⇒ two range
+            // GETs.
+            for (range, data) in [((0, 4), b"0123"), ((8, 12), b"89ab")] {
+                let chunk = SegmentKey::chunk("tpch", "obj", range);
+                assert!(warm_cache.insert(chunk, Bytes::from_static(data), e));
+            }
+            s.set_cache(Some(warm_cache));
+            s.set_fault_plan(Some(FaultPlan::new(9, 0.4)));
+            let scope = s.scoped();
+            let policy = RetryPolicy::with_attempts(16);
+            let got = via.read(&scope, &policy).unwrap();
+            assert_eq!(&got.data[..], b"0123456789abcdef");
+            assert_eq!(got.gap_gets, 2, "two non-adjacent gaps");
+            assert_eq!(got.gap_bytes, 8);
+            assert!(got.attempts >= 2);
+            let u = scope.ledger().snapshot();
+            assert_eq!(u.requests, u64::from(got.attempts), "every attempt billed");
+            assert_eq!(u.plain_bytes, 8, "gap bytes billed once across retries");
+            // The hit after a chaotic fill is free: no request, no ordinal.
+            let hit = via.read(&scope, &policy).unwrap();
+            assert!(hit.hit);
+            assert_eq!(scope.ledger().snapshot(), u);
+            s.set_fault_plan(None);
+            (vec![got, hit], settled(&s))
+        });
     }
 
     #[test]
     fn chunked_reads_fall_back_to_a_whole_reload_when_a_writer_races() {
-        let s = store_with("obj", "0123456789");
-        let cache = SegmentCache::tiered(1 << 20, 0, pushdown_common::pricing::Pricing::us_east());
-        // Recorded layout + one stale resident chunk, then the object is
-        // replaced *without* the cache hearing about it — simulating the
-        // epoch moving after the chunk probes. The gap fetch against the
-        // shrunken object errors, the epoch mismatch is detected, and the
-        // read degrades to one clean whole-object reload.
-        let e = cache.begin_fill(&SegmentKey::whole("tpch", "obj"));
-        assert!(cache.record_layout("tpch", "obj", e, vec![(0, 4), (4, 8), (8, 10)]));
-        assert!(cache.insert(
-            SegmentKey::chunk("tpch", "obj", (0, 4)),
-            Bytes::from_static(b"0123"),
-            e
-        ));
-        s.set_cache(Some(cache.clone()));
-        // Replace via the store so both the epoch moves and the bytes
-        // shrink below the recorded layout.
-        s.put_object("tpch", "obj", "XY");
-        let scope = s.scoped();
-        let got = scope
-            .get_object_chunked_cached_with("tpch", "obj", &RetryPolicy::default(), blocks4)
-            .unwrap();
-        assert_eq!(&got.data[..], b"XY", "the current version, never a mix");
-        assert!(!got.hit);
-        s.delete_object("tpch", "obj");
-        assert!(s
-            .scoped()
-            .get_object_chunked_cached_with("tpch", "obj", &RetryPolicy::default(), blocks4)
-            .is_err());
+        on_both_paths(|via| {
+            let s = store_with("obj", "0123456789");
+            let cache = SegmentCache::tiered(1 << 20, 0, us_east());
+            // Recorded layout + one stale resident chunk, then the object
+            // is replaced *without* the cache hearing about it — simulating
+            // the epoch moving after the chunk probes. The gap fetch
+            // against the shrunken object errors, the epoch mismatch is
+            // detected, and the read degrades to one clean whole-object
+            // reload.
+            let e = cache.begin_fill(&SegmentKey::whole("tpch", "obj"));
+            assert!(cache.record_layout("tpch", "obj", e, vec![(0, 4), (4, 8), (8, 10)]));
+            assert!(cache.insert(
+                SegmentKey::chunk("tpch", "obj", (0, 4)),
+                Bytes::from_static(b"0123"),
+                e
+            ));
+            s.set_cache(Some(cache.clone()));
+            // Replace via the store so both the epoch moves and the bytes
+            // shrink below the recorded layout.
+            s.put_object("tpch", "obj", "XY");
+            let policy = RetryPolicy::default();
+            let got = via.read(&s.scoped(), &policy).unwrap();
+            assert_eq!(&got.data[..], b"XY", "the current version, never a mix");
+            assert!(!got.hit);
+            s.delete_object("tpch", "obj");
+            assert!(via.read(&s.scoped(), &policy).is_err());
+            (vec![got], settled(&s))
+        });
     }
 
     #[test]
     fn commit_cache_charges_the_receipt_once() {
-        let tmp = pushdown_common::TempDir::new("s3-commit");
-        let s = store_with("obj", &"x".repeat(12));
-        let config = pushdown_cache::CacheConfig {
-            disk_bytes: 64,
-            dir: Some(tmp.path().to_path_buf()),
-            ..Default::default()
-        };
-        let cache = SegmentCache::open(
-            &config,
-            pushdown_common::pricing::Pricing::us_east(),
-            None,
-            None,
-        )
-        .unwrap();
-        s.set_cache(Some(cache.clone()));
-        let plan = FaultPlan::new(0, 0.0);
-        s.set_fault_plan(Some(plan));
-        let scope = s.scoped();
-        scope
-            .get_object_chunked_cached_with("tpch", "obj", &RetryPolicy::default(), blocks4)
-            .unwrap();
-        // Three chunk fills and a layout are appended, none synced yet,
-        // and the read itself charged only the GET.
-        let (bytes, fsyncs) = cache.persist_counters();
-        assert!(bytes > 12);
-        assert_eq!(fsyncs, 0, "write-behind: no barrier before the commit");
-        let read_s = scope.virtual_time_s();
-        assert!((read_s - plan.request_seconds(0, 12)).abs() < 1e-9);
-        scope.commit_cache();
-        assert_eq!(cache.persist_counters(), (bytes, 2), "one group commit");
-        let expect = bytes as f64 / plan.latency.disk_write_bw + 2.0 * plan.latency.fsync_latency;
-        assert!((scope.virtual_time_s() - read_s - expect).abs() < 1e-9);
-        // Nothing pending: a second commit is free, on any scope.
-        let other = s.scoped();
-        other.commit_cache();
-        scope.commit_cache();
-        assert_eq!(cache.persist_counters(), (bytes, 2));
-        assert_eq!(other.virtual_time_s(), 0.0);
-        assert!((scope.virtual_time_s() - read_s - expect).abs() < 1e-9);
-        s.set_fault_plan(None);
-        s.set_cache(None);
+        on_both_paths(|via| {
+            let tmp = pushdown_common::TempDir::new("s3-commit");
+            let s = store_with("obj", &"x".repeat(12));
+            let config = pushdown_cache::CacheConfig {
+                disk_bytes: 64,
+                dir: Some(tmp.path().to_path_buf()),
+                ..Default::default()
+            };
+            let cache = SegmentCache::open(&config, us_east(), None, None).unwrap();
+            s.set_cache(Some(cache.clone()));
+            let plan = FaultPlan::new(0, 0.0);
+            s.set_fault_plan(Some(plan));
+            let scope = s.scoped();
+            let got = via.read(&scope, &RetryPolicy::default()).unwrap();
+            // Three chunk fills and a layout are appended, none synced
+            // yet, and the read itself charged only the GET.
+            let (bytes, fsyncs) = cache.persist_counters();
+            assert!(bytes > 12);
+            assert_eq!(fsyncs, 0, "write-behind: no barrier before the commit");
+            let read_s = scope.virtual_time_s();
+            assert!((read_s - plan.request_seconds(0, 12)).abs() < 1e-9);
+            scope.commit_cache();
+            assert_eq!(cache.persist_counters(), (bytes, 2), "one group commit");
+            let expect =
+                bytes as f64 / plan.latency.disk_write_bw + 2.0 * plan.latency.fsync_latency;
+            assert!((scope.virtual_time_s() - read_s - expect).abs() < 1e-9);
+            // Nothing pending: a second commit is free, on any scope.
+            let other = s.scoped();
+            other.commit_cache();
+            scope.commit_cache();
+            assert_eq!(cache.persist_counters(), (bytes, 2));
+            assert_eq!(other.virtual_time_s(), 0.0);
+            assert!((scope.virtual_time_s() - read_s - expect).abs() < 1e-9);
+            s.set_fault_plan(None);
+            let left = settled(&s);
+            s.set_cache(None);
+            (vec![got], left)
+        });
     }
 
     #[test]
     fn chunked_reads_without_a_cache_degrade_to_plain_gets() {
-        let s = store_with("obj", "0123456789");
-        let scope = s.scoped();
-        let got = scope
-            .get_object_chunked_cached_with("tpch", "obj", &RetryPolicy::default(), blocks4)
-            .unwrap();
-        assert!(!got.hit);
-        assert_eq!(&got.data[..], b"0123456789");
-        assert_eq!(got.gap_bytes, 10);
-        assert_eq!(scope.ledger().snapshot().requests, 1);
+        on_both_paths(|via| {
+            let s = store_with("obj", "0123456789");
+            let scope = s.scoped();
+            let got = via.read(&scope, &RetryPolicy::default()).unwrap();
+            assert!(!got.hit);
+            assert_eq!(&got.data[..], b"0123456789");
+            assert_eq!(got.gap_bytes, 10);
+            assert_eq!(scope.ledger().snapshot().requests, 1);
+            (vec![got], settled(&s))
+        });
     }
 
     #[test]

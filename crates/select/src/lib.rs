@@ -56,8 +56,6 @@ use pushdown_sql::{parse_select_extended, BinOp, SelectStmt};
 pub enum InputFormat {
     /// CSV with a header row (the loader's layout).
     Csv,
-    /// CSV without a header row (e.g. S3 Select output re-queried).
-    CsvNoHeader,
     /// ColumnarLite (the Parquet substitute of §IX).
     Columnar,
 }
@@ -404,8 +402,7 @@ impl S3SelectEngine {
         let raw = self.store.raw_object(bucket, key)?;
 
         let (rows, bytes_scanned) = match format {
-            InputFormat::Csv => self.scan_csv(&raw, schema, &bound, true)?,
-            InputFormat::CsvNoHeader => self.scan_csv(&raw, schema, &bound, false)?,
+            InputFormat::Csv => self.scan_csv(&raw, schema, &bound)?,
             InputFormat::Columnar => self.scan_columnar(&raw, schema, &bound)?,
         };
 
@@ -440,14 +437,9 @@ impl S3SelectEngine {
         raw: &[u8],
         schema: &Schema,
         bound: &BoundSelect,
-        header: bool,
     ) -> Result<(Vec<Row>, u64)> {
-        let reader = if header {
-            CsvReader::with_header(raw, schema.clone())
-        } else {
-            CsvReader::without_header(raw, schema.clone())
-        };
-        let mut reader = reader.project(&referenced_columns(bound));
+        let mut reader =
+            CsvReader::with_header(raw, schema.clone()).project(&referenced_columns(bound));
         let mut exec = Executor::new(bound);
         // One sparse row for the whole scan: unreferenced slots stay
         // NULL; the executor only dereferences referenced indices.

@@ -56,8 +56,7 @@
 //! ([`core::planner`]) enumerates every applicable candidate plan,
 //! predicts each candidate's billable `Usage` and runtime analytically
 //! from catalog statistics ([`core::catalog::TableStats`], gathered for
-//! free at load time and refreshable with a striped `LIMIT` Select
-//! probe, [`core::catalog::probe_stats`]), and executes the cheapest by
+//! free at load time), and executes the cheapest by
 //! predicted dollars. Predictions reuse the *same*
 //! [`common::perf::PerfModel`] and [`common::pricing::Pricing`] that
 //! score measurements ([`core::cost`]), and
@@ -116,8 +115,8 @@
 //!
 //! Repeated queries stop re-billing S3 for the same bytes: a
 //! cost-aware **segment cache** ([`cache::SegmentCache`], described by
-//! one [`cache::CacheConfig`] — two tier budgets, an admission policy,
-//! an optional directory — and installed with
+//! one [`cache::CacheConfig`] — two tier budgets and an optional
+//! directory — and installed with
 //! [`core::QueryContext::with_cache_config`] or its shorthands
 //! `with_cache` / `with_cache_tiers` / `with_cache_dir`) sits between
 //! the engine and the store. Hits bill zero requests/bytes (they appear
@@ -205,12 +204,11 @@
 //! use pushdowndb::core::{execute_sql, QueryContext, Strategy};
 //! # fn demo(ctx: pushdowndb::core::QueryContext, table: &pushdowndb::core::Table)
 //! # -> pushdowndb::common::Result<()> {
-//! // Budgets, admission and directory are one value.
+//! // Budgets and directory are one value.
 //! let ctx = ctx.with_cache_config(CacheConfig {
 //!     mem_bytes: 256 << 20,
 //!     disk_bytes: 4u64 << 30,
 //!     dir: Some("/var/tmp/pushdowndb-cache".into()),
-//!     ..CacheConfig::default()
 //! })?;
 //! let sql = "SELECT g, SUM(v) FROM t GROUP BY g";
 //! let _ = execute_sql(&ctx, table, sql, Strategy::Adaptive)?; // warms + persists

@@ -304,7 +304,7 @@ fn zipf_run(threads: usize) -> ZipfRun {
     (queries, (join_phases, out.billed), stats, digest)
 }
 
-/// Determinism: what cached scans do to the cache — admission, eviction
+/// Determinism: what cached scans do to the cache — fills, eviction
 /// order, tier placement, persistence — follows the plan and the
 /// partition order, never which worker finished first.
 #[test]

@@ -5,12 +5,12 @@
 //!   `FaultPlan` discipline: one seed replays one sequence) of
 //!   `begin_fill` / `insert` / `get_tiered` / `peek_tier` / `invalidate`
 //!   / `record_layout` / `occupancy` / `commit` over 12 segments of 3
-//!   objects, budgets drawn from {0, tight, roomy} per tier, both
-//!   admission policies, against [`Model`] — a single-threaded
-//!   restatement of the documented policy (weighted LFU by dollars
+//!   objects, budgets drawn from {0, tight, roomy} per tier, against
+//!   [`Model`] — a single-threaded restatement of the documented policy
+//!   (every fill that fits a tier admitted, weighted LFU by dollars
 //!   saved per byte, oldest-`seq` tie-break, demote-on-evict,
-//!   promote-on-hit, straight-to-disk for fills larger than mem,
-//!   reuse-distance admission). After every operation the returned
+//!   promote-on-hit, straight-to-disk for fills larger than mem). After
+//!   every operation the returned
 //!   value, every non-persist field of `stats()` and the per-tier
 //!   resident key set agree, and `used ≤ budget` holds for both tiers.
 //! * **One behaviour, two backings** — every sequence drives a
@@ -33,8 +33,7 @@
 
 use bytes::Bytes;
 use pushdowndb::cache::{
-    Access, CacheAdmission, CacheConfig, CacheStats, CacheTier, ObjectOccupancy, SegmentCache,
-    SegmentKey,
+    Access, CacheConfig, CacheStats, CacheTier, ObjectOccupancy, SegmentCache, SegmentKey,
 };
 use pushdowndb::common::mix::splitmix64;
 use pushdowndb::common::pricing::Pricing;
@@ -139,9 +138,7 @@ struct Model {
     resident: HashMap<SegmentKey, Resident>,
     epochs: HashMap<String, u64>,
     layouts: HashMap<String, Vec<(u64, u64)>>,
-    ghosts: HashMap<SegmentKey, u64>,
     seq: u64,
-    ticks: u64,
     /// The event counters; occupancy fields are filled in by `stats`.
     counters: CacheStats,
 }
@@ -235,23 +232,6 @@ impl Model {
         if self.begin_fill(&key.key) != epoch {
             self.counters.stale_fills += 1;
             return false;
-        }
-        if let CacheAdmission::ReuseDistance { window } = self.config.admission {
-            let tick = self.ticks;
-            self.ticks += 1;
-            let reused = self
-                .ghosts
-                .insert(key.clone(), tick)
-                .is_some_and(|last| tick - last <= window);
-            // A same-tier replacement displaces only itself.
-            let replaced = match self.resident.get(key) {
-                Some(r) if r.tier == target => r.data.len() as u64,
-                _ => 0,
-            };
-            if self.used(target) - replaced + len > self.budget(target) && !reused {
-                self.counters.read_arounds += 1;
-                return false;
-            }
         }
         let seq = self.next_seq();
         let fill = Resident {
@@ -661,24 +641,17 @@ fn run_sequence(config: &CacheConfig, seed: u64) {
 
 #[test]
 fn random_sequences_match_the_reference_model_on_both_backings() {
-    let admissions = [
-        CacheAdmission::AdmitAll,
-        CacheAdmission::ReuseDistance { window: 6 },
-    ];
     let mut case = 0;
     for mem_bytes in MEM_BUDGETS {
         for disk_bytes in DISK_BUDGETS {
-            for admission in admissions {
-                let config = CacheConfig {
-                    mem_bytes,
-                    disk_bytes,
-                    admission,
-                    dir: None,
-                };
-                for _ in 0..SEEDS_PER_CONFIG {
-                    case += 1;
-                    run_sequence(&config, splitmix64(case));
-                }
+            let config = CacheConfig {
+                mem_bytes,
+                disk_bytes,
+                dir: None,
+            };
+            for _ in 0..SEEDS_PER_CONFIG {
+                case += 1;
+                run_sequence(&config, splitmix64(case));
             }
         }
     }
@@ -798,21 +771,14 @@ fn run_concurrent(config: &CacheConfig) {
 #[test]
 fn eight_threads_leave_every_invariant_standing() {
     let tmp = TempDir::new("cache-model-threads");
-    let admissions = [
-        CacheAdmission::AdmitAll,
-        CacheAdmission::ReuseDistance { window: 6 },
-    ];
-    for (i, admission) in admissions.into_iter().enumerate() {
-        let config = CacheConfig {
-            mem_bytes: MEM_BUDGETS[1],
-            disk_bytes: DISK_BUDGETS[1],
-            admission,
-            dir: None,
-        };
-        run_concurrent(&config);
-        run_concurrent(&CacheConfig {
-            dir: Some(tmp.path().join(format!("policy-{i}"))),
-            ..config
-        });
-    }
+    let config = CacheConfig {
+        mem_bytes: MEM_BUDGETS[1],
+        disk_bytes: DISK_BUDGETS[1],
+        dir: None,
+    };
+    run_concurrent(&config);
+    run_concurrent(&CacheConfig {
+        dir: Some(tmp.path().to_path_buf()),
+        ..config
+    });
 }

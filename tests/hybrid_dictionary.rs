@@ -13,7 +13,7 @@
 //! many for a dictionary) and `x` 32.
 
 use pushdowndb::common::{DataType, Row, Schema, Value};
-use pushdowndb::core::catalog::{probe_stats, TableStats};
+use pushdowndb::core::catalog::TableStats;
 use pushdowndb::core::cost::{predict_plan, Estimators};
 use pushdowndb::core::metrics::PhaseGroup;
 use pushdowndb::core::planner::{execute_sql_verbose, lower};
@@ -334,9 +334,9 @@ fn pushdown(ctx: &QueryContext, t: &Table, g: &str) -> (Vec<String>, QueryMetric
 }
 
 /// Pushdown's `hybrid` over a dictionary column is one phase group and
-/// has no sample leaf; a 33-value column, probe-refreshed statistics and
-/// a table registered without statistics keep the sample, and with it a
-/// phase group of their own.
+/// has no sample leaf; a 33-value column, statistics of another row count
+/// and a table registered without statistics keep the sample, and with it
+/// a phase group of their own.
 #[test]
 fn only_a_dictionary_column_drops_the_sample_leaf() {
     let store = S3Store::new();
@@ -355,16 +355,16 @@ fn only_a_dictionary_column_drops_the_sample_leaf() {
         assert_eq!(phases(&ran), want, "{g}");
         assert_eq!(phases(&predicted), want, "{g}");
     }
-    let probed = t
+    let stale = t
         .clone()
-        .with_stats(probe_stats(&ctx.scoped(), &t, 40).unwrap());
+        .with_stats(TableStats::from_rows(&schema(), &rows()[..40]));
     let bare = Table {
         stats: None,
         ..t.clone()
     };
     for (what, table, g) in [
         ("33 values", &t, "w"),
-        ("probe-refreshed", &probed, "c"),
+        ("stale statistics", &stale, "c"),
         ("no statistics", &bare, "c"),
     ] {
         let (ops, ran, _) = pushdown(&ctx, table, g);

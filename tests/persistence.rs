@@ -5,10 +5,6 @@
 //!   the same directory serves the repeat run with **zero** remote
 //!   requests and bytes, and `occupancy` reports the recovered chunks
 //!   disk-resident with their layouts intact.
-//! * **Ghost rebuild** (pinned regression) — `recover` reseeds the
-//!   reuse-distance ghost table for every recovered-resident segment,
-//!   so a warm disk tier is not churned by read-around declines after
-//!   restart; a brand-new first-touch key still goes read-around.
 //! * **Crash recovery** (proptest) — a random workload prefix, each
 //!   read committed like a scan, with a seeded kill at the Nth fsync
 //!   (or, when the workload issues fewer barriers, death at drop
@@ -25,7 +21,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use pushdowndb::cache::{CacheAdmission, CacheConfig, KillPlan, SegmentCache, SegmentKey};
+use pushdowndb::cache::{CacheConfig, KillPlan, SegmentCache, SegmentKey};
 use pushdowndb::common::pricing::Pricing;
 use pushdowndb::common::{DataType, RetryPolicy, Row, Schema, TempDir, Value};
 use pushdowndb::core::{execute_sql, upload_csv_table, QueryContext, Strategy};
@@ -120,91 +116,6 @@ fn recovered_disk_tier_serves_without_rebilling() {
     let path = tmp.path().to_path_buf();
     store.set_cache(None);
     drop(ctx);
-    drop(cache);
-    drop(tmp);
-    assert!(
-        !path.exists(),
-        "temp dir left stray files at {}",
-        path.display()
-    );
-}
-
-/// Pinned regression: the reuse-distance ghost table used to be lost on
-/// restart, so the first refill of a just-invalidated object — warm a
-/// moment ago — was declined as a one-off read-around while a genuinely
-/// new key was treated identically. `recover` now reseeds a ghost tick
-/// for every recovered-resident segment: the refill (which forces an
-/// eviction) is admitted, the first-touch stranger still goes around.
-#[test]
-fn recovery_rebuilds_reuse_distance_ghosts() {
-    let tmp = TempDir::new("persist-ghosts");
-    let admission = CacheAdmission::ReuseDistance { window: 1024 };
-    let fill = |cache: &SegmentCache, name: &str, len: usize, byte: u8| -> bool {
-        let skey = SegmentKey::whole("b", name);
-        let epoch = cache.begin_fill(&skey);
-        cache.insert(skey, Bytes::from(vec![byte; len]), epoch)
-    };
-    {
-        let cache = SegmentCache::open(
-            &CacheConfig {
-                disk_bytes: 4096,
-                admission,
-                dir: Some(tmp.path().to_path_buf()),
-                ..CacheConfig::default()
-            },
-            Pricing::default(),
-            None,
-            None,
-        )
-        .unwrap();
-        for (i, name) in ["a", "bb", "c", "d"].iter().enumerate() {
-            assert!(fill(&cache, name, 1024, i as u8), "{name}: fits the budget");
-        }
-        assert_eq!(
-            cache.stats().disk_used_bytes,
-            4096,
-            "tier filled to capacity"
-        );
-    }
-
-    let cache = SegmentCache::open(
-        &CacheConfig {
-            disk_bytes: 4096,
-            admission,
-            dir: Some(tmp.path().to_path_buf()),
-            ..CacheConfig::default()
-        },
-        Pricing::default(),
-        None,
-        None,
-    )
-    .unwrap();
-    assert_eq!(cache.stats().recovered_segments, 4);
-
-    // Contrast first: a brand-new key whose fill would force an
-    // eviction has no ghost and is declined (read-around) — recovery
-    // must not admit strangers.
-    assert!(
-        !fill(&cache, "stranger", 2048, 9),
-        "first-touch fill that would evict is still read-around after restart"
-    );
-    assert_eq!(cache.stats().read_arounds, 1);
-
-    // The regression: invalidate a recovered object and refill it
-    // larger, forcing an eviction. The rebuilt ghost proves recent
-    // reuse, so the refill is admitted instead of going read-around.
-    cache.invalidate("b", "a");
-    assert!(
-        fill(&cache, "a", 2048, 7),
-        "refill of a recovered-resident object must be admitted: ghosts are rebuilt"
-    );
-    assert_eq!(
-        cache.stats().read_arounds,
-        1,
-        "the refill consumed no read-around"
-    );
-
-    let path = tmp.path().to_path_buf();
     drop(cache);
     drop(tmp);
     assert!(
@@ -438,7 +349,6 @@ fn crash_scenario(
             mem_bytes: obj_len as u64 / 2,
             disk_bytes: 64 << 20,
             dir: Some(dir.to_path_buf()),
-            ..CacheConfig::default()
         },
         Pricing::default(),
         Some(KillPlan::seeded(kill_seed, KILL_HORIZON)),
@@ -503,7 +413,6 @@ fn crash_scenario(
             mem_bytes: obj_len as u64 / 2,
             disk_bytes: 64 << 20,
             dir: Some(dir.to_path_buf()),
-            ..CacheConfig::default()
         },
         Pricing::default(),
         None,
