@@ -6,7 +6,7 @@ use crate::experiments::fig02_join_customer::listing2_sql;
 use crate::{run_candidate, Measure};
 use pushdown_common::pricing::CostBreakdown;
 use pushdown_common::{DataType, Result, Row, Schema, Value};
-use pushdown_core::algos::{filter, whatif};
+use pushdown_core::algos::filter::{self, RowFetch};
 use pushdown_core::metrics::QueryMetrics;
 use pushdown_core::{build_index, upload_csv_table, QueryContext};
 use pushdown_s3::S3Store;
@@ -58,9 +58,9 @@ pub fn run_index_ablation(n_rows: usize) -> Result<Vec<IndexAblationRow>> {
             predicate: Expr::lt(Expr::col("k"), Expr::int(cutoff)),
             projection: None,
         };
-        let single = filter::indexed(&ctx, &index, &q)?;
-        let multi = whatif::indexed_multirange(&ctx, &index, &q)?;
-        let in_s3 = whatif::indexed_in_s3(&ctx, &index, &q)?;
+        let single = filter::indexed(&ctx, &index, &q, RowFetch::PerRow)?;
+        let multi = filter::indexed(&ctx, &index, &q, RowFetch::MultiRange)?;
+        let in_s3 = filter::indexed(&ctx, &index, &q, RowFetch::InS3)?;
         assert_eq!(single.rows.len(), multi.rows.len());
         assert_eq!(single.rows.len(), in_s3.rows.len());
         out.push(IndexAblationRow {

@@ -11,7 +11,7 @@
 
 use crate::{run_candidate, Measure};
 use pushdown_common::{DataType, Result, Row, Schema, Value};
-use pushdown_core::algos::filter::{self, FilterQuery};
+use pushdown_core::algos::filter::{self, FilterQuery, RowFetch};
 use pushdown_core::{build_index, upload_csv_table, QueryContext};
 use pushdown_s3::S3Store;
 use pushdown_sql::Expr;
@@ -84,7 +84,7 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig1Row>> {
         let sql = format!("SELECT * FROM filterdata WHERE k < {cutoff}");
         let server = run_candidate(&ctx, &table, &sql, "server-side", None)?;
         let s3 = run_candidate(&ctx, &table, &sql, "s3-side", None)?;
-        let indexed = filter::indexed(&ctx, &index, &q)?;
+        let indexed = filter::indexed(&ctx, &index, &q, RowFetch::PerRow)?;
         assert!(server.rows.len() == s3.rows.len() && s3.rows.len() == indexed.rows.len());
         out.push(Fig1Row {
             selectivity: s,

@@ -2,7 +2,7 @@
 //!
 //! Experiment harnesses that regenerate **every figure of the paper's
 //! evaluation** (Figs 1–11) from the Rust reproduction, plus criterion
-//! micro-benchmarks of the underlying engine.
+//! micro-benchmarks of the columnar kernels and the cache read path.
 //!
 //! Each `experiments::figNN` module exposes a `run(...)` function that
 //! executes the experiment and returns structured rows; the matching

@@ -14,6 +14,24 @@
 //!   fetch each row with a ranged GET (§IV-A). Wins when very selective;
 //!   collapses under per-row request overheads as selectivity grows
 //!   (Fig 1).
+//!
+//! Section X of the paper lists five suggestions — service changes that
+//! would make pushdown more effective. Two concern the indexed filter and
+//! are fetch modes of it ([`RowFetch`]), so the ablation harness can
+//! price what they would buy: Suggestion 1, many byte ranges per GET, and
+//! Suggestion 2, the whole lookup inside S3.
+//!
+//! The other suggestions are no algorithms of their own. Suggestion 3 —
+//! bitwise Bloom probes (`BIT_AT` over hex) instead of `SUBSTRING` over
+//! `'0'/'1'` strings: the plan IR's
+//! [`BloomJoin`](crate::plan::PlanOp::BloomJoin) ships the denser
+//! encoding whenever the context's engine carries the `bitwise`
+//! extension. Suggestion 4 — partial group-by in S3: under the
+//! `native_group_by` extension a GROUP BY statement has an `s3-native`
+//! candidate, a [`PushdownAggregate`](crate::plan::PlanOp::PushdownAggregate)
+//! leaf with a grouping list. Suggestion 5, computation-aware *pricing*,
+//! changes no algorithm either — see the `ablation_suggestions` harness
+//! in `pushdown-bench`.
 
 use crate::catalog::Table;
 use crate::context::QueryContext;
@@ -21,14 +39,16 @@ use crate::index::IndexTable;
 use crate::metrics::QueryMetrics;
 use crate::ops;
 use crate::output::QueryOutput;
+use crate::scan::accumulate_response;
 use pushdown_common::perf::PhaseStats;
-use pushdown_common::{Result, Row};
-use pushdown_format::csv::split_line;
+use pushdown_common::{Error, Result, Row};
+use pushdown_format::csv::decode_record;
+use pushdown_select::EngineExtensions;
 use pushdown_sql::{Expr, SelectItem, SelectStmt};
 
-/// The argument of [`indexed`] (and of its §X what-if variants), Fig 1's
-/// private helper: predicate plus optional projection (None = `*`). The
-/// planner's filter candidates take SQL, not this.
+/// The argument of [`indexed`], Fig 1's private helper: predicate plus
+/// optional projection (None = `*`). The planner's filter candidates take
+/// SQL, not this.
 #[derive(Debug, Clone)]
 pub struct FilterQuery {
     pub table: Table,
@@ -36,106 +56,130 @@ pub struct FilterQuery {
     pub projection: Option<Vec<String>>,
 }
 
+/// How [`indexed`] gets the records its index lookup names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowFetch {
+    /// Stock S3 (§IV-A): one ranged GET per record, since S3 permits one
+    /// range per request.
+    PerRow,
+    /// §X Suggestion 1: up to 256 ranges per GET.
+    MultiRange,
+    /// §X Suggestion 2: the lookup follows its offsets inside the storage
+    /// service — one `select_indexed` request per partition, no GET.
+    InS3,
+}
+
+/// How many ranges one [`RowFetch::MultiRange`] GET carries. HTTP has no
+/// hard limit; we batch conservatively.
+const RANGES_PER_REQUEST: usize = 256;
+
 /// Indexed filter (paper §IV-A): phase 1 pushes the predicate (rewritten
-/// onto the index table's `value` column) into S3 Select; phase 2 issues
-/// one ranged GET per qualifying row.
+/// onto the index table's `value` column) into S3 Select; phase 2 fetches
+/// the qualifying records with ranged GETs, as `fetch` says. Under
+/// [`RowFetch::InS3`] the two run as one storage-side request per
+/// partition.
 ///
-/// The predicate must reference only the indexed column.
-pub fn indexed(ctx: &QueryContext, idx: &IndexTable, q: &FilterQuery) -> Result<QueryOutput> {
+/// The predicate must reference only the indexed column, and the index
+/// must have one partition per data partition.
+pub fn indexed(
+    ctx: &QueryContext,
+    idx: &IndexTable,
+    q: &FilterQuery,
+    fetch: RowFetch,
+) -> Result<QueryOutput> {
     let ctx = &ctx.scoped();
-    // Validate the predicate touches only the indexed column, then rewrite
-    // it onto the index table's `value` column.
     let mut refs = Vec::new();
     q.predicate.referenced_columns(&mut refs);
     if !(refs.len() == 1 && refs[0].eq_ignore_ascii_case(&idx.column)) {
-        return Err(pushdown_common::Error::Bind(format!(
+        return Err(Error::Bind(format!(
             "indexed filter supports predicates on `{}` only, found columns {refs:?}",
             idx.column
         )));
     }
-    let index_pred = rename_column(&q.predicate, &idx.column, "value");
-
-    // ---- Phase 1: index lookup via S3 Select, one query per index
-    // partition (offsets must stay associated with their data partition).
-    let lookup_stmt = SelectStmt {
-        items: vec![
-            SelectItem::Expr {
-                expr: Expr::col("first_byte_offset"),
-                alias: None,
-            },
-            SelectItem::Expr {
-                expr: Expr::col("last_byte_offset"),
-                alias: None,
-            },
-        ],
-        alias: None,
-        where_clause: Some(index_pred),
-        limit: None,
-    };
-    let mut phase1 = PhaseStats::default();
+    let value_pred = rename_column(&q.predicate, &idx.column, "value");
     let index_parts = idx.index.partitions(&ctx.store);
     let data_parts = idx.data.partitions(&ctx.store);
     if index_parts.len() != data_parts.len() {
-        return Err(pushdown_common::Error::Corrupt(
+        return Err(Error::Corrupt(
             "index/data partition mismatch; rebuild the index".into(),
         ));
     }
-    let mut ranges: Vec<(usize, u64, u64)> = Vec::new();
-    for (p, ikey) in index_parts.iter().enumerate() {
-        let resp = ctx.engine.select_stmt(
-            &idx.index.bucket,
-            ikey,
-            &lookup_stmt,
-            &idx.index.schema,
-            idx.index.format,
-        )?;
-        phase1.requests += u64::from(resp.stats.attempts.max(1));
-        phase1.s3_scanned_bytes += resp.stats.bytes_scanned;
-        phase1.select_returned_bytes += resp.stats.bytes_returned;
-        phase1.expr_terms = phase1.expr_terms.max(resp.stats.expr_terms);
-        for row in resp.rows()? {
-            ranges.push((p, row[0].as_i64()? as u64, row[1].as_i64()? as u64));
+
+    let mut lookup = PhaseStats::default();
+    let mut fetched = PhaseStats::default();
+    let mut rows: Vec<Row> = Vec::new();
+    if fetch == RowFetch::InS3 {
+        let engine = ctx.engine.clone().with_extensions(EngineExtensions {
+            index_in_s3: true,
+            ..Default::default()
+        });
+        for (ikey, dkey) in index_parts.iter().zip(&data_parts) {
+            let resp = engine.select_indexed(
+                &idx.index.bucket,
+                ikey,
+                dkey,
+                &idx.index.schema,
+                &idx.data.schema,
+                &value_pred,
+            )?;
+            accumulate_response(&mut lookup, &resp);
+            rows.extend(resp.rows()?);
+        }
+    } else {
+        // ---- Phase 1: one lookup per index partition (offsets must stay
+        // associated with their data partition).
+        let column = |name: &str| SelectItem::Expr {
+            expr: Expr::col(name),
+            alias: None,
+        };
+        let stmt = SelectStmt {
+            items: vec![column("first_byte_offset"), column("last_byte_offset")],
+            alias: None,
+            where_clause: Some(value_pred),
+            limit: None,
+        };
+        let mut ranges: Vec<Vec<(u64, u64)>> = Vec::with_capacity(index_parts.len());
+        for ikey in &index_parts {
+            let resp = ctx.engine.select_stmt(
+                &idx.index.bucket,
+                ikey,
+                &stmt,
+                &idx.index.schema,
+                idx.index.format,
+            )?;
+            accumulate_response(&mut lookup, &resp);
+            let hits = resp.rows()?.into_iter();
+            ranges.push(
+                hits.map(|r| Ok((r[0].as_i64()? as u64, r[1].as_i64()? as u64)))
+                    .collect::<Result<_>>()?,
+            );
+        }
+
+        // ---- Phase 2: the ranged GETs, each range one record.
+        let per_request = match fetch {
+            RowFetch::MultiRange => RANGES_PER_REQUEST,
+            _ => 1,
+        };
+        for (ranges, dkey) in ranges.iter().zip(&data_parts) {
+            for batch in ranges.chunks(per_request) {
+                let got =
+                    ctx.store
+                        .get_object_ranges_with(&idx.data.bucket, dkey, batch, &ctx.retry)?;
+                fetched.point_requests += u64::from(got.attempts);
+                for record in got.value {
+                    fetched.plain_bytes += record.len() as u64;
+                    fetched.server_cpu_units += 1;
+                    rows.push(decode_record(&record, &idx.data.schema)?);
+                }
+            }
         }
     }
-    phase1.server_cpu_units += ranges.len() as u64;
 
-    // ---- Phase 2: one ranged GET per row (S3 permits one range per
-    // request — §X Suggestion 1). Decode each returned record.
-    let mut phase2 = PhaseStats::default();
-    let mut rows: Vec<Row> = Vec::with_capacity(ranges.len());
-    for (p, first, last) in &ranges {
-        let fetched = ctx.store.get_object_range_with(
-            &idx.data.bucket,
-            &data_parts[*p],
-            *first,
-            *last,
-            &ctx.retry,
-        )?;
-        let slice = fetched.value;
-        phase2.point_requests += u64::from(fetched.attempts);
-        phase2.plain_bytes += slice.len() as u64;
-        phase2.server_cpu_units += 1;
-        let line = std::str::from_utf8(&slice)
-            .map_err(|_| pushdown_common::Error::Corrupt("non-UTF8 record".into()))?;
-        let fields = split_line(line.trim_end_matches(['\n', '\r']))?;
-        if fields.len() != idx.data.schema.len() {
-            return Err(pushdown_common::Error::Corrupt(format!(
-                "ranged GET returned {} fields, expected {}",
-                fields.len(),
-                idx.data.schema.len()
-            )));
-        }
-        let mut vals = Vec::with_capacity(fields.len());
-        for (i, f) in fields.iter().enumerate() {
-            vals.push(pushdown_common::Value::parse_typed(
-                f,
-                idx.data.schema.dtype_of(i),
-            )?);
-        }
-        rows.push(Row::new(vals));
-    }
-
-    // Projection.
+    // Projection, charged to the last phase.
+    let last = match fetch {
+        RowFetch::InS3 => &mut lookup,
+        _ => &mut fetched,
+    };
     let (schema, rows) = match &q.projection {
         None => (idx.data.schema.clone(), rows),
         Some(cols) => {
@@ -144,14 +188,18 @@ pub fn indexed(ctx: &QueryContext, idx: &IndexTable, q: &FilterQuery) -> Result<
             let pidx = pidx?;
             (
                 idx.data.schema.project(&pidx),
-                ops::project_rows(rows, &pidx, &mut phase2),
+                ops::project_rows(rows, &pidx, last),
             )
         }
     };
 
     let mut metrics = QueryMetrics::new();
-    metrics.push_serial("index lookup", phase1);
-    metrics.push_serial("row fetch", phase2);
+    if fetch == RowFetch::InS3 {
+        metrics.push_serial("index lookup in S3", lookup);
+    } else {
+        metrics.push_serial("index lookup", lookup);
+        metrics.push_serial("row fetch", fetched);
+    }
     Ok(QueryOutput {
         schema,
         rows,
@@ -285,7 +333,7 @@ mod tests {
         let idx = build_index(&ctx, &t, "k").unwrap();
         let query = q(&t, "k >= 120 AND k < 140", None);
         let (a, b) = server_and_s3(&ctx, &query);
-        let c = indexed(&ctx, &idx, &query).unwrap();
+        let c = indexed(&ctx, &idx, &query, RowFetch::PerRow).unwrap();
         assert_eq!(a.rows.len(), 20);
         assert_eq!(a.rows, b.rows);
         assert_eq!(a.rows, c.rows);
@@ -299,7 +347,7 @@ mod tests {
         let idx = build_index(&ctx, &t, "k").unwrap();
         let query = q(&t, "k = 42", Some(vec!["s", "k"]));
         let (a, b) = server_and_s3(&ctx, &query);
-        let c = indexed(&ctx, &idx, &query).unwrap();
+        let c = indexed(&ctx, &idx, &query, RowFetch::PerRow).unwrap();
         let want = vec![Row::new(vec![Value::Str("row-42".into()), Value::Int(42)])];
         assert_eq!(a.rows, want);
         assert_eq!(b.rows, want);
@@ -313,7 +361,7 @@ mod tests {
         let idx = build_index(&ctx, &t, "k").unwrap();
         let query = q(&t, "k = 7", None);
         let (server, s3) = server_and_s3(&ctx, &query);
-        let ix = indexed(&ctx, &idx, &query).unwrap();
+        let ix = indexed(&ctx, &idx, &query, RowFetch::PerRow).unwrap();
         // Server-side: all plain bytes, nothing scanned.
         let su = server.metrics.usage();
         assert!(su.plain_bytes > 0 && su.select_scanned_bytes == 0);
@@ -334,8 +382,8 @@ mod tests {
     fn indexed_request_count_tracks_selectivity() {
         let (ctx, t) = setup(1000);
         let idx = build_index(&ctx, &t, "k").unwrap();
-        let narrow = indexed(&ctx, &idx, &q(&t, "k < 10", None)).unwrap();
-        let wide = indexed(&ctx, &idx, &q(&t, "k < 500", None)).unwrap();
+        let narrow = indexed(&ctx, &idx, &q(&t, "k < 10", None), RowFetch::PerRow).unwrap();
+        let wide = indexed(&ctx, &idx, &q(&t, "k < 500", None), RowFetch::PerRow).unwrap();
         let parts = t.partitions(&ctx.store).len() as u64;
         assert_eq!(narrow.metrics.usage().requests, parts + 10);
         assert_eq!(wide.metrics.usage().requests, parts + 500);
@@ -348,9 +396,9 @@ mod tests {
         let (ctx, t) = setup(50);
         let idx = build_index(&ctx, &t, "k").unwrap();
         let bad = q(&t, "v > 1.0", None);
-        assert!(indexed(&ctx, &idx, &bad).is_err());
+        assert!(indexed(&ctx, &idx, &bad, RowFetch::PerRow).is_err());
         let mixed = q(&t, "k > 1 AND v > 1.0", None);
-        assert!(indexed(&ctx, &idx, &mixed).is_err());
+        assert!(indexed(&ctx, &idx, &mixed, RowFetch::PerRow).is_err());
     }
 
     #[test]
@@ -361,7 +409,10 @@ mod tests {
         let (server, s3) = server_and_s3(&ctx, &query);
         assert!(server.rows.is_empty());
         assert!(s3.rows.is_empty());
-        assert!(indexed(&ctx, &idx, &query).unwrap().rows.is_empty());
+        assert!(indexed(&ctx, &idx, &query, RowFetch::PerRow)
+            .unwrap()
+            .rows
+            .is_empty());
     }
 
     #[test]
@@ -371,5 +422,124 @@ mod tests {
         let mut refs = Vec::new();
         r.referenced_columns(&mut refs);
         assert_eq!(refs, vec!["value".to_string()]);
+    }
+
+    const FETCHES: [RowFetch; 3] = [RowFetch::PerRow, RowFetch::MultiRange, RowFetch::InS3];
+
+    /// A (k, s) table of `n` rows in four partitions, indexed on `k`.
+    fn filter_setup(n: usize) -> (QueryContext, Table, IndexTable) {
+        let store = S3Store::new();
+        let schema = Schema::from_pairs(&[("k", DataType::Int), ("s", DataType::Str)]);
+        let rows: Vec<Row> = (0..n as i64)
+            .map(|i| Row::new(vec![Value::Int(i), Value::Str(format!("payload-{i}"))]))
+            .collect();
+        let t = upload_csv_table(&store, "b", "t", &schema, &rows, n / 4 + 1).unwrap();
+        let ctx = QueryContext::new(store);
+        let idx = build_index(&ctx, &t, "k").unwrap();
+        (ctx, t, idx)
+    }
+
+    #[test]
+    fn suggestion1_multirange_same_rows_fewer_requests() {
+        let (ctx, t, idx) = filter_setup(2_000);
+        let q = FilterQuery {
+            table: t,
+            predicate: parse_expr("k >= 100 AND k < 700").unwrap(),
+            projection: None,
+        };
+        let stock = indexed(&ctx, &idx, &q, RowFetch::PerRow).unwrap();
+        let multi = indexed(&ctx, &idx, &q, RowFetch::MultiRange).unwrap();
+        assert_eq!(stock.rows, multi.rows);
+        let stock_u = stock.metrics.usage();
+        let multi_u = multi.metrics.usage();
+        // 600 per-row GETs collapse into ceil-per-batch requests.
+        assert_eq!(stock_u.requests, 4 + 600);
+        assert!(
+            multi_u.requests < stock_u.requests / 50,
+            "{}",
+            multi_u.requests
+        );
+        // Same bytes either way.
+        assert_eq!(stock_u.plain_bytes, multi_u.plain_bytes);
+        // And the model rewards it.
+        assert!(multi.runtime(&ctx) < stock.runtime(&ctx));
+    }
+
+    #[test]
+    fn suggestion2_index_in_s3_same_rows_one_request_per_partition() {
+        let (ctx, t, idx) = filter_setup(2_000);
+        let q = FilterQuery {
+            table: t.clone(),
+            predicate: parse_expr("k >= 100 AND k < 700").unwrap(),
+            projection: Some(vec!["s".into()]),
+        };
+        let stock = indexed(&ctx, &idx, &q, RowFetch::PerRow).unwrap();
+        let in_s3 = indexed(&ctx, &idx, &q, RowFetch::InS3).unwrap();
+        assert_eq!(stock.rows, in_s3.rows);
+        assert_eq!(
+            in_s3.metrics.usage().requests,
+            t.partitions(&ctx.store).len() as u64
+        );
+        assert_eq!(in_s3.metrics.usage().plain_bytes, 0);
+    }
+
+    /// An index with one partition more than its data is refused under
+    /// every fetch mode: no panic, no answer.
+    #[test]
+    fn stale_index_with_an_extra_partition_is_corrupt() {
+        let (ctx, t) = setup(300);
+        let idx = build_index(&ctx, &t, "k").unwrap();
+        let parts = idx.index.partitions(&ctx.store);
+        let last = ctx
+            .store
+            .raw_object(&idx.index.bucket, &parts[parts.len() - 1]);
+        let extra = format!("{}/part-99999.csv", idx.index.prefix);
+        ctx.store
+            .put_object(&idx.index.bucket, &extra, last.unwrap());
+        let query = q(&t, "k >= 250", None);
+        for fetch in FETCHES {
+            let err = indexed(&ctx, &idx, &query, fetch).unwrap_err();
+            assert_eq!(err.code(), "Corrupt", "{fetch:?}: {err}");
+        }
+    }
+
+    /// A data partition rewritten under its index: every indexed range
+    /// still lies inside the object, but the record it holds has one
+    /// field more than the schema.
+    #[test]
+    fn data_rewritten_under_its_index_is_corrupt() {
+        let (ctx, t) = setup(300);
+        let idx = build_index(&ctx, &t, "k").unwrap();
+        let key = &t.partitions(&ctx.store)[0];
+        let bytes = ctx.store.raw_object(&t.bucket, key).unwrap();
+        let text = String::from_utf8(bytes.to_vec()).unwrap();
+        ctx.store
+            .put_object(&t.bucket, key, text.replace("row-", "ro,-").into_bytes());
+        let query = q(&t, "k < 5", None);
+        for fetch in FETCHES {
+            let err = indexed(&ctx, &idx, &query, fetch).unwrap_err();
+            assert_eq!(err.code(), "Corrupt", "{fetch:?}: {err}");
+        }
+    }
+
+    /// With no hit there is nothing to fetch, so the one-range and the
+    /// many-range fetch cost the same: the same lookup, its predicate
+    /// terms included, and an empty fetch.
+    #[test]
+    fn a_zero_hit_lookup_costs_the_same_whatever_the_fetch() {
+        let (ctx, t) = setup(300);
+        let idx = build_index(&ctx, &t, "k").unwrap();
+        let query = q(&t, "k > 100000", None);
+        let per_row = indexed(&ctx, &idx, &query, RowFetch::PerRow).unwrap();
+        let multi = indexed(&ctx, &idx, &query, RowFetch::MultiRange).unwrap();
+        assert!(multi.rows.is_empty());
+        assert_eq!(
+            format!("{:?}", per_row.metrics),
+            format!("{:?}", multi.metrics)
+        );
+        let lookup = &per_row.metrics.groups[0].phases[0];
+        assert_eq!(lookup.label, "index lookup");
+        assert_eq!(lookup.stats.expr_terms, 1);
+        assert_eq!(multi.billed, per_row.billed);
     }
 }

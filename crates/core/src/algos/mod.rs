@@ -1,8 +1,7 @@
-//! Fig 1's private helpers: the §IV-A indexed filter ([`filter`]) and
-//! its two §X what-if variants against the extended engine ([`whatif`])
-//! — the one paper algorithm the planner cannot pick, because its later
-//! phase is not a Select statement at all: it issues one byte-range GET
-//! per index hit.
+//! Fig 1's private helper: the §IV-A indexed filter ([`filter`]) and
+//! its §X fetch modes — the one paper algorithm the planner cannot pick,
+//! because its later phase is not a Select statement at all: it issues
+//! byte-range GETs for the index hits.
 //!
 //! Every other algorithm of the paper is a candidate plan of a SQL
 //! statement, a tree of plan-IR operators ([`crate::plan`]) lowered by
@@ -10,11 +9,10 @@
 //! Bloom), the §IV server-side / S3-side filter, the §VIII-Q6 scalar
 //! aggregate, the §VI group-bys (server-side / filtered / S3-side /
 //! hybrid, §X's native one) and the §VII top-K (server-side /
-//! sampling). The §VI and §VII families' unit tests run those
-//! candidates by name, below.
+//! sampling). The unit tests of the §VI and §VII families, and of §X
+//! Suggestions 3 and 4, run those candidates by name, below.
 
 pub mod filter;
-pub mod whatif;
 
 /// §VI group-by, by candidate name: `server-side` and `filtered` are one
 /// scan under a local hash aggregation, `s3-side` pushes one CASE-WHEN
@@ -526,5 +524,171 @@ mod topk {
                 assert_eq!(got, ids);
             }
         }
+    }
+}
+
+/// §X Suggestions 3 and 4, which are candidates of the plan IR under an
+/// engine extension: the `bitwise` Bloom probe and the `s3-native`
+/// group-by, each against its stock counterpart.
+#[cfg(test)]
+mod tests {
+    use crate::catalog::{upload_csv_table, Table};
+    use crate::context::QueryContext;
+    use crate::planner::run_candidate;
+    use pushdown_common::{DataType, Row, Schema, Value};
+    use pushdown_s3::S3Store;
+    use pushdown_select::EngineExtensions;
+
+    /// A two-table join and the Bloom candidate of its `SUM` statement:
+    /// the build side `l` is the FROM table, `r` is in the catalog.
+    fn join_setup() -> (QueryContext, Table) {
+        let store = S3Store::new();
+        let ls = Schema::from_pairs(&[("lk", DataType::Int), ("bal", DataType::Float)]);
+        let lrows: Vec<Row> = (0..400)
+            .map(|i| Row::new(vec![Value::Int(i), Value::Float((i % 100) as f64 - 50.0)]))
+            .collect();
+        let rs = Schema::from_pairs(&[("rk", DataType::Int), ("price", DataType::Float)]);
+        let rrows: Vec<Row> = (0..4_000)
+            .map(|i| Row::new(vec![Value::Int(i % 500), Value::Float(i as f64)]))
+            .collect();
+        let left = upload_csv_table(&store, "b", "l", &ls, &lrows, 200).unwrap();
+        let right = upload_csv_table(&store, "b", "r", &rs, &rrows, 1_000).unwrap();
+        (QueryContext::new(store).with_tables([right]), left)
+    }
+
+    /// Run the named join candidate of the fixture's statement; returns
+    /// the `SUM` and the label of the phase the probe scan runs in.
+    fn run_join(ctx: &QueryContext, left: &Table, name: &str) -> (f64, String) {
+        let sql = "SELECT SUM(price) FROM l JOIN r ON lk = rk WHERE bal < -40";
+        let spec = pushdown_sql::parse_query(sql).unwrap();
+        let candidates = crate::joinplan::lower_candidates(ctx, left, &spec).unwrap();
+        let (_, plan) = candidates.iter().find(|(n, _)| *n == name).unwrap();
+        let out = crate::plan::execute(&ctx.scoped(), plan).unwrap();
+        // The probe's phase is the last one, serial or pipelined.
+        let last = out.metrics.groups.last().and_then(|g| g.phases.last());
+        let probe = last.expect("a join reports its probe").label.clone();
+        (out.rows[0][0].as_f64().unwrap(), probe)
+    }
+
+    /// The same context, its engine carrying the `bitwise` extension.
+    fn bitwise(ctx: &QueryContext) -> QueryContext {
+        let mut extended = ctx.clone();
+        extended.engine = ctx.engine.clone().with_extensions(EngineExtensions {
+            bitwise: true,
+            ..Default::default()
+        });
+        extended
+    }
+
+    #[test]
+    fn suggestion3_binary_bloom_matches_and_shrinks_sql() {
+        let (ctx, left) = join_setup();
+        let (stock, _) = run_join(&ctx, &left, "bloom");
+        let (binary, probe) = run_join(&bitwise(&ctx), &left, "bloom");
+        assert!((stock - binary).abs() < 1e-6);
+        assert!(probe.starts_with("bloom probe r"), "{probe}");
+        // Four filter bits per SQL character instead of one.
+        let mut f = pushdown_bloom::BloomFilter::with_rate(500, 0.01, 1);
+        (0..500).for_each(|k| f.insert(k));
+        let binary_sql = f.sql_predicate_binary("rk").to_string();
+        assert!(binary_sql.len() * 3 < f.sql_predicate("rk").to_string().len());
+        // The stock engine refuses BIT_AT.
+        let right = ctx.catalog.resolve("r").unwrap();
+        let sql = format!("SELECT rk FROM S3Object WHERE {binary_sql}");
+        let err = ctx
+            .engine
+            .select("b", "r/part-00000.csv", &sql, &right.schema, right.format)
+            .unwrap_err();
+        assert_eq!(err.code(), "SelectRejected");
+    }
+
+    #[test]
+    fn suggestion3_binary_bloom_survives_where_string_bloom_degrades() {
+        let (mut ctx, left) = join_setup();
+        // A budget the string filter cannot meet at the requested rate.
+        ctx.bloom.max_sql_bytes = 1_200;
+        let (string, probe) = run_join(&ctx, &left, "bloom");
+        assert!(
+            probe.starts_with("bloom probe (fpr 0.01 degraded to ")
+                || probe.starts_with("fallback probe"),
+            "{probe}"
+        );
+        // The 4x denser binary encoding still fits and still agrees.
+        let (binary, probe) = run_join(&bitwise(&ctx), &left, "bloom");
+        assert!(probe.starts_with("bloom probe r"), "{probe}");
+        let (reference, _) = run_join(&ctx, &left, "baseline");
+        assert!((binary - reference).abs() < 1e-6);
+        assert!((string - reference).abs() < 1e-6);
+    }
+
+    #[test]
+    fn suggestion4_native_groupby_matches_case_when() {
+        let store = S3Store::new();
+        let schema = Schema::from_pairs(&[("g", DataType::Int), ("v", DataType::Float)]);
+        let rows: Vec<Row> = (0..2_000)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int((i % 37) as i64),
+                    Value::Float((i as f64 * 1.3) % 211.0),
+                ])
+            })
+            .collect();
+        let t = upload_csv_table(&store, "b", "t", &schema, &rows, 700).unwrap();
+        let mut ctx = QueryContext::new(store);
+        let sql = "SELECT g, SUM(v), COUNT(v), AVG(v), MIN(v) FROM t WHERE v > 10 GROUP BY g";
+        // The stock engine has no such candidate.
+        assert!(run_candidate(&ctx, &t, sql, "s3-native", None).is_err());
+        ctx.engine = ctx.engine.clone().with_extensions(EngineExtensions {
+            native_group_by: true,
+            ..Default::default()
+        });
+        let case_when = run_candidate(&ctx, &t, sql, "s3-side", None).unwrap();
+        let native = run_candidate(&ctx, &t, sql, "s3-native", None).unwrap();
+        assert_eq!(native.metrics.usage(), native.billed);
+        assert_eq!(native.schema, case_when.schema);
+        assert_eq!(case_when.rows.len(), native.rows.len());
+        for (a, b) in case_when.rows.iter().zip(&native.rows) {
+            for (x, y) in a.values().iter().zip(b.values()) {
+                match (x, y) {
+                    (Value::Float(fx), Value::Float(fy)) => {
+                        assert!((fx - fy).abs() < 1e-6 * (1.0 + fx.abs()))
+                    }
+                    _ => assert_eq!(x, y),
+                }
+            }
+        }
+        // The native statement is tiny: far fewer expression terms reach
+        // the scanner, so the modeled scan is faster.
+        let native_terms = native.metrics.groups[0].phases[0].stats.expr_terms;
+        let case_terms = case_when.metrics.groups[1].phases[0].stats.expr_terms;
+        assert!(
+            native_terms * 5 < case_terms,
+            "native {native_terms} vs case-when {case_terms}"
+        );
+        assert!(native.runtime(&ctx) < case_when.runtime(&ctx));
+    }
+
+    #[test]
+    fn stock_engine_refuses_native_groupby() {
+        let store = S3Store::new();
+        let schema = Schema::from_pairs(&[("g", DataType::Int)]);
+        let rows = vec![Row::new(vec![Value::Int(1)])];
+        upload_csv_table(&store, "b", "t", &schema, &rows, 10).unwrap();
+        let ctx = QueryContext::new(store);
+        let ext = pushdown_sql::parser::parse_select_extended(
+            "SELECT g, COUNT(*) FROM S3Object GROUP BY g",
+        )
+        .unwrap();
+        let err = ctx
+            .engine
+            .select_grouped(
+                "b",
+                "t/part-00000.csv",
+                &ext,
+                &schema,
+                pushdown_select::InputFormat::Csv,
+            )
+            .unwrap_err();
+        assert_eq!(err.code(), "SelectRejected");
     }
 }

@@ -17,7 +17,7 @@ use crate::cluster::Cluster;
 use crate::scan::CacheEffects;
 use pushdown_bloom::BloomBuilder;
 use pushdown_cache::{CacheConfig, SegmentCache};
-use pushdown_common::perf::{PerfModel, PerfParams};
+use pushdown_common::perf::PerfModel;
 use pushdown_common::pricing::{Pricing, Usage};
 use pushdown_common::{Error, Result, RetryPolicy};
 use pushdown_s3::S3Store;
@@ -239,16 +239,6 @@ impl QueryContext {
     /// Override the streaming batch capacity (rows per batch, ≥ 1).
     pub fn with_batch_rows(mut self, batch_rows: usize) -> Self {
         self.batch_rows = batch_rows.max(1);
-        self
-    }
-
-    pub fn with_perf(mut self, params: PerfParams) -> Self {
-        self.model = PerfModel::new(params);
-        self
-    }
-
-    pub fn with_pricing(mut self, pricing: Pricing) -> Self {
-        self.pricing = pricing;
         self
     }
 

@@ -11,9 +11,14 @@
 //! Lookups run in two phases:
 //! 1. push the predicate on `value` into S3 Select against the index
 //!    table(s), retrieving qualifying byte ranges;
-//! 2. issue one ranged GET **per selected row** against the data
-//!    partition (S3 allows only a single range per request — paper §X
-//!    Suggestion 1), then decode each returned record.
+//! 2. fetch the selected records from the data partition with ranged
+//!    GETs — **one per row** on stock S3, which allows a single range per
+//!    request — and decode each returned range as exactly one record.
+//!
+//! [`crate::algos::filter::indexed`] runs both; its
+//! [`RowFetch`](crate::algos::filter::RowFetch) argument swaps phase 2
+//! for one of paper §X's what-ifs: many ranges per GET (Suggestion 1),
+//! or both phases inside S3 (Suggestion 2).
 
 use crate::catalog::Table;
 use crate::context::QueryContext;

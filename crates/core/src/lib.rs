@@ -19,7 +19,7 @@
 //!   from a Select source, the statement storage evaluates);
 //! * [`index`] — the §IV-A byte-range index tables;
 //! * [`algos`] — Fig 1's private helpers: the §IV-A indexed filter and
-//!   its two §X what-if variants;
+//!   its §X fetch modes;
 //! * [`plan`] — the physical-plan IR: one scan leaf whose source is a
 //!   field (plain GET, the hybrid caching tier, or S3 Select — whole or
 //!   cut short to a sample), joins, group-by, sort/top-K, project/limit and the

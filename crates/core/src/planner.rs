@@ -329,17 +329,6 @@ pub fn execute_sql(
     Ok(out)
 }
 
-/// Like [`execute_sql`], also reporting which plan the optimizer chose.
-pub fn execute_sql_explained(
-    ctx: &QueryContext,
-    table: &Table,
-    sql: &str,
-    strategy: Strategy,
-) -> Result<(QueryOutput, PlanKind)> {
-    let (out, explain) = execute_sql_verbose(ctx, table, sql, strategy)?;
-    Ok((out, explain.kind))
-}
-
 /// Like [`execute_sql`], returning the full [`Explain`] surface —
 /// candidate predictions and the predicted-vs-actual breakdown under
 /// [`Strategy::Adaptive`].
@@ -587,9 +576,11 @@ mod tests {
     fn filter_queries_route_to_filter_algorithms() {
         let (ctx, t) = setup();
         let sql = "SELECT g, v FROM t WHERE v < 10 AND g = 3";
-        let (base, kind) = execute_sql_explained(&ctx, &t, sql, Strategy::Baseline).unwrap();
+        let (base, Explain { kind, .. }) =
+            execute_sql_verbose(&ctx, &t, sql, Strategy::Baseline).unwrap();
         assert_eq!(kind, PlanKind::Filter { pushdown: false });
-        let (push, kind) = execute_sql_explained(&ctx, &t, sql, Strategy::Pushdown).unwrap();
+        let (push, Explain { kind, .. }) =
+            execute_sql_verbose(&ctx, &t, sql, Strategy::Pushdown).unwrap();
         assert_eq!(kind, PlanKind::Filter { pushdown: true });
         assert_close(&base, &push, sql);
         assert!(!base.rows.is_empty());
@@ -616,9 +607,11 @@ mod tests {
     fn aggregates_route_to_aggregation() {
         let (ctx, t) = setup();
         let sql = "SELECT SUM(v), COUNT(*), AVG(v), MIN(g), MAX(g) FROM t WHERE g <> 2";
-        let (base, kind) = execute_sql_explained(&ctx, &t, sql, Strategy::Baseline).unwrap();
+        let (base, Explain { kind, .. }) =
+            execute_sql_verbose(&ctx, &t, sql, Strategy::Baseline).unwrap();
         assert_eq!(kind, PlanKind::Aggregate { pushdown: false });
-        let (push, kind) = execute_sql_explained(&ctx, &t, sql, Strategy::Pushdown).unwrap();
+        let (push, Explain { kind, .. }) =
+            execute_sql_verbose(&ctx, &t, sql, Strategy::Pushdown).unwrap();
         assert_eq!(kind, PlanKind::Aggregate { pushdown: true });
         assert_close(&base, &push, sql);
         // Pushdown ships almost nothing back.
@@ -629,14 +622,16 @@ mod tests {
     fn group_by_routes_to_groupby_algorithms() {
         let (ctx, t) = setup();
         let sql = "SELECT g, SUM(v), COUNT(*) FROM t GROUP BY g";
-        let (base, kind) = execute_sql_explained(&ctx, &t, sql, Strategy::Baseline).unwrap();
+        let (base, Explain { kind, .. }) =
+            execute_sql_verbose(&ctx, &t, sql, Strategy::Baseline).unwrap();
         assert_eq!(
             kind,
             PlanKind::GroupBy {
                 algorithm: "server-side"
             }
         );
-        let (push, kind) = execute_sql_explained(&ctx, &t, sql, Strategy::Pushdown).unwrap();
+        let (push, Explain { kind, .. }) =
+            execute_sql_verbose(&ctx, &t, sql, Strategy::Pushdown).unwrap();
         assert_eq!(
             kind,
             PlanKind::GroupBy {
@@ -651,9 +646,11 @@ mod tests {
     fn order_by_limit_routes_to_topk() {
         let (ctx, t) = setup();
         let sql = "SELECT * FROM t ORDER BY v DESC LIMIT 12";
-        let (base, kind) = execute_sql_explained(&ctx, &t, sql, Strategy::Baseline).unwrap();
+        let (base, Explain { kind, .. }) =
+            execute_sql_verbose(&ctx, &t, sql, Strategy::Baseline).unwrap();
         assert_eq!(kind, PlanKind::TopK { sampling: false });
-        let (push, kind) = execute_sql_explained(&ctx, &t, sql, Strategy::Pushdown).unwrap();
+        let (push, Explain { kind, .. }) =
+            execute_sql_verbose(&ctx, &t, sql, Strategy::Pushdown).unwrap();
         assert_eq!(kind, PlanKind::TopK { sampling: true });
         assert_eq!(base.rows.len(), 12);
         for (a, b) in base.rows.iter().zip(&push.rows) {

@@ -795,7 +795,7 @@ pub fn plain_scan(ctx: &QueryContext, table: &Table) -> Result<ScanResult> {
     })
 }
 
-fn accumulate_response(stats: &mut PhaseStats, resp: &pushdown_select::SelectResponse) {
+pub(crate) fn accumulate_response(stats: &mut PhaseStats, resp: &pushdown_select::SelectResponse) {
     // attempts ≥ 1; each billed one ledger request (retries included).
     stats.requests += u64::from(resp.stats.attempts.max(1));
     stats.s3_scanned_bytes += resp.stats.bytes_scanned;

@@ -454,6 +454,23 @@ impl<'a> Iterator for CsvReader<'a> {
     }
 }
 
+/// Decode the one headerless record `data` holds — the bytes an index
+/// entry's range points at — into a full row of `schema`, with every
+/// check a [`CsvReader`] runs. No record, or more than one, is
+/// [`Error::Corrupt`].
+pub fn decode_record(data: &[u8], schema: &Schema) -> Result<Row> {
+    let mut reader = CsvReader::without_header(data, schema.clone());
+    let record = reader
+        .next()
+        .ok_or_else(|| Error::Corrupt("byte range holds no CSV record".into()))??;
+    if reader.next().is_some() {
+        return Err(Error::Corrupt(
+            "byte range holds more than one CSV record".into(),
+        ));
+    }
+    Ok(record.row)
+}
+
 /// Serialize rows to CSV bytes.
 pub struct CsvWriter {
     buf: String,

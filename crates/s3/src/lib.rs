@@ -456,12 +456,6 @@ impl S3Store {
         self.scope.clock_ns.load(Ordering::Relaxed) as f64 / 1e9
     }
 
-    /// Advance this scope's virtual clock (used for retry backoff; public
-    /// so the Select engine's retry loop charges the same clock).
-    pub fn advance_virtual(&self, seconds: f64) {
-        self.scope.advance(seconds);
-    }
-
     /// Begin one billable request against `bucket/key`: bill the scope's
     /// ledger, charge base request latency, and evaluate the deterministic
     /// fault function. The request is billed even when it faults — AWS
@@ -641,12 +635,14 @@ impl S3Store {
         Ok(slice)
     }
 
-    /// **Extension (paper §X, Suggestion 1):** a single GET carrying
-    /// *multiple* byte ranges, as HTTP multipart range requests allow but
-    /// AWS S3 does not. One request is billed regardless of the range
-    /// count, which is exactly the cost the paper argues S3 should offer
-    /// the §IV-A index algorithm. Ranges follow the same `first..=last`
-    /// semantics as [`S3Store::get_object_range`].
+    /// A single GET carrying any number of byte ranges. One request is
+    /// billed regardless of the range count, with the ranges' bytes as
+    /// plain transfer; ranges follow the same `first..=last` semantics as
+    /// [`S3Store::get_object_range`]. With one range it is that call,
+    /// billed alike — the stock §IV-A row fetch. With more it is the
+    /// **extension of paper §X, Suggestion 1**: HTTP multipart range
+    /// requests, which AWS S3 does not allow, at exactly the cost the
+    /// paper argues S3 should offer the §IV-A index algorithm.
     pub fn get_object_ranges(
         &self,
         bucket: &str,
@@ -701,7 +697,9 @@ impl S3Store {
         self.with_retry(policy, || self.get_object_range(bucket, key, first, last))
     }
 
-    /// Multi-range GET under the uniform retry policy.
+    /// Multi-range GET under the uniform retry policy: the indexed
+    /// filter's row fetch, one range per call on stock S3 and many under
+    /// §X Suggestion 1.
     pub fn get_object_ranges_with(
         &self,
         bucket: &str,

@@ -43,7 +43,7 @@
 use bytes::Bytes;
 use pushdown_common::{Error, Result, RetryPolicy, Row, Schema, Value};
 use pushdown_format::columnar::{ColumnarReader, PruneOp};
-use pushdown_format::csv::{CsvReader, CsvWriter};
+use pushdown_format::csv::{decode_record, CsvReader, CsvWriter};
 use pushdown_s3::S3Store;
 use pushdown_sql::agg::{AggFunc, GroupTable};
 use pushdown_sql::ast::ExtendedSelect;
@@ -351,21 +351,7 @@ impl S3SelectEngine {
                 )));
             }
             bytes_scanned += (last - first + 1) as u64;
-            let line = std::str::from_utf8(&data_raw[first..=last])
-                .map_err(|_| Error::Corrupt("non-UTF8 record".into()))?;
-            let fields = pushdown_format::csv::split_line(line.trim_end_matches(['\r', '\n']))?;
-            if fields.len() != data_schema.len() {
-                return Err(Error::Corrupt(format!(
-                    "index pointed at a record with {} fields, schema has {}",
-                    fields.len(),
-                    data_schema.len()
-                )));
-            }
-            let mut vals = Vec::with_capacity(fields.len());
-            for (i, f) in fields.iter().enumerate() {
-                vals.push(Value::parse_typed(f, data_schema.dtype_of(i))?);
-            }
-            rows.push(Row::new(vals));
+            rows.push(decode_record(&data_raw[first..=last], data_schema)?);
         }
 
         let mut w = CsvWriter::headerless();

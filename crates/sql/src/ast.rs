@@ -246,10 +246,6 @@ impl Expr {
         Expr::binary(left, BinOp::GtEq, right)
     }
 
-    pub fn gt(left: Expr, right: Expr) -> Expr {
-        Expr::binary(left, BinOp::Gt, right)
-    }
-
     /// AND together a list of predicates (`true` for the empty list is
     /// represented as no predicate: returns `None`).
     pub fn conjunction(preds: Vec<Expr>) -> Option<Expr> {

@@ -10,7 +10,7 @@
 
 use pushdown_bench::run_candidate;
 use pushdowndb::common::{fmtutil, DataType, Row, Schema, Value};
-use pushdowndb::core::algos::filter::{self, FilterQuery};
+use pushdowndb::core::algos::filter::{self, FilterQuery, RowFetch};
 use pushdowndb::core::planner::execute_sql_verbose;
 use pushdowndb::core::{build_index, upload_csv_table, QueryContext, Strategy};
 use pushdowndb::s3::S3Store;
@@ -73,7 +73,10 @@ fn main() -> pushdowndb::common::Result<()> {
             "s3-side    ",
             run_candidate(&ctx, &table, sql, "s3-side", None)?,
         ),
-        ("indexed    ", filter::indexed(&ctx, &index, &q)?),
+        (
+            "indexed    ",
+            filter::indexed(&ctx, &index, &q, RowFetch::PerRow)?,
+        ),
     ] {
         println!(
             "  {name}: {} rows, modeled runtime {}, cost {}",

@@ -61,7 +61,7 @@ fn filter_strategies_agree_under_fault_injection() {
     let sql = "SELECT * FROM t WHERE k >= 100 AND k < 160";
     let server = run_candidate(&ctx, &table, sql, "server-side", None).unwrap();
     let s3 = run_candidate(&ctx, &table, sql, "s3-side", None).unwrap();
-    let indexed = filter::indexed(&ctx, &index, &q).unwrap();
+    let indexed = filter::indexed(&ctx, &index, &q, filter::RowFetch::PerRow).unwrap();
     assert_eq!(server.rows.len(), 60);
     assert_rows_close(&server.rows, &s3.rows, "filter s3");
     assert_rows_close(&server.rows, &indexed.rows, "filter indexed");
