@@ -142,14 +142,6 @@ impl BloomFilter {
         }
     }
 
-    pub fn num_hashes(&self) -> u32 {
-        self.hashes.len() as u32
-    }
-
-    pub fn bit_len(&self) -> u64 {
-        self.m
-    }
-
     pub fn keys_added(&self) -> usize {
         self.keys_added
     }

@@ -46,12 +46,13 @@ pub struct QueryContext {
     /// faults — applied identically to whole-object GETs, range GETs,
     /// multi-range GETs and Select requests.
     pub retry: RetryPolicy,
-    /// Route plain partition GETs through the store's segment cache
-    /// (when one is installed; see [`QueryContext::with_cache`]).
-    /// `false` by default so the fixed strategies keep their pure
-    /// remote-scan semantics (the planner's `cached-local` candidates
-    /// read through cache-source scan leaves whatever it says); forced-cached
-    /// runs flip it per execution.
+    /// Lower every plain-GET scan leaf as a cache read
+    /// ([`crate::scan::ScanSource::Cached`]) when the store has a segment
+    /// cache installed (see [`QueryContext::with_cache`]), so the pricer
+    /// prices what runs. `false` by default so the fixed strategies keep
+    /// their pure remote-scan semantics (the planner's `cached-local`
+    /// candidates read through cache-source scan leaves whatever it
+    /// says); forced-cached runs flip it per statement.
     pub cache_reads: bool,
     /// Segment size for caching CSV partitions: cached scans split CSV
     /// bytes into fixed blocks of this many bytes, each its own
@@ -332,8 +333,8 @@ impl QueryContext {
         self.store.cache()
     }
 
-    /// A copy of this context that routes plain partition GETs through
-    /// the segment cache — a way to *force* the cached-local strategy
+    /// A copy of this context that lowers plain-GET scan leaves as reads
+    /// through the segment cache — a way to *force* the cached-local strategy
     /// end to end, and to warm the cache with any baseline plan
     /// (e.g. `ctx.with_cache_reads(true)` + `Strategy::Baseline`).
     pub fn with_cache_reads(mut self, cache_reads: bool) -> Self {

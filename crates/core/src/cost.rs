@@ -23,12 +23,14 @@
 //! executions. A prediction and a measurement can disagree only because
 //! the *footprint* was estimated imperfectly, never because they were
 //! priced by different models — nor because they counted phases
-//! differently: a phase is a pipeline between breakers, and every
-//! interior node here joins the predicted phases through the same
-//! [`QueryMetrics::stack`] (and [`QueryMetrics::join_sides`]) the
-//! executor reports through, under the same labels. Only leaves push a
-//! phase themselves, and they report through the executor's own
-//! `plan::leaf`: its phase names, its per-node layout.
+//! differently: the walk estimates each node's own footprint (and what
+//! the executor decides at run time: the Bloom filter §V-B1 plans, whether
+//! a hybrid split finds populous groups) and hands it with its children's
+//! outcomes to the one composition layer the executor fills with
+//! measurements (`shape`), which applies the phase rule
+//! ([`QueryMetrics::stack`]), names every phase and builds the same
+//! [`OpReport`] tree execution returns. Only a threshold's rescan, which
+//! no estimate foresees, is the executor's alone.
 //!
 //! What the walks of one query share is an [`Estimators`]: one
 //! [`Estimator`] per distinct table — the partition listing, the stored
@@ -40,12 +42,13 @@
 
 use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
-use crate::metrics::{Flow, QueryMetrics, Sides};
+use crate::metrics::QueryMetrics;
 use crate::plan::{
     case_when_chunk, counted_aggs, finished_by, hybrid_leaf, populous, threshold_predicate,
     OpReport, Order, PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
 };
 use crate::scan::{striped_share, ScanLimit, ScanSource};
+use crate::shape::{compose, Outcome, Own};
 use pushdown_bloom::BloomPlan;
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Schema, Value};
@@ -374,23 +377,16 @@ impl<'a> Estimators<'a> {
 // whole-plan pricing (the physical-plan IR)
 // ---------------------------------------------------------------------
 
-/// Per-node predicted footprint, shaped exactly like the plan tree (and
-/// therefore like the executor's [`crate::plan::OpReport`], which the
-/// planner zips it against for per-operator predicted-vs-actual).
-#[derive(Debug, Clone)]
-pub struct PredNode {
-    pub stats: PhaseStats,
-    pub children: Vec<PredNode>,
-}
-
-/// Prediction for a whole physical plan: the per-node tree plus a
-/// [`QueryMetrics`] whose group structure mirrors what execution will
-/// record — priced by the *same* `PerfModel`/`Pricing` as measurements,
-/// like every other estimate in this module.
+/// Prediction for a whole physical plan: a [`QueryMetrics`] whose group
+/// structure is what execution will record — priced by the *same*
+/// `PerfModel`/`Pricing` as measurements, like every other estimate in
+/// this module — and the per-operator report tree execution will
+/// return, each node's predicted footprint its `actual`, which the
+/// planner zips against the executed one ([`crate::plan::annotate`]).
 #[derive(Debug, Clone)]
 pub struct PlanPrediction {
     pub metrics: QueryMetrics,
-    pub root: PredNode,
+    pub report: OpReport,
 }
 
 /// Estimated cardinality flowing out of a node.
@@ -412,8 +408,8 @@ struct Card {
 /// cached leaf, or a staged operator has no pushed scan under its first
 /// child.
 pub fn predict_plan(ests: &Estimators<'_>, node: &PlanNode) -> Result<PlanPrediction> {
-    let (root, metrics, _) = predict_node(ests, node, WHOLE)?;
-    Ok(PlanPrediction { metrics, root })
+    let (Outcome { metrics, report }, _) = predict_node(ests, node, WHOLE)?;
+    Ok(PlanPrediction { metrics, report })
 }
 
 /// The estimator of whichever snapshotted table carries column `name`.
@@ -627,75 +623,19 @@ const WHOLE: Injected = Injected {
     terms: 0,
 };
 
-type Predicted = (PredNode, QueryMetrics, Card);
+/// A subtree's predicted outcome, and the rows it hands on.
+type Predicted = (Outcome, Card);
 
 /// A leaf's footprint per node it runs on ([`Estimator::per_node`]).
 type Nodes = Vec<(usize, PhaseStats)>;
 
-/// A leaf reading `table` from `source`, reported as the executor
-/// reports it ([`crate::plan::leaf`]): one phase, or one per node its
-/// partitions run on, each a child of its node.
-fn leaf(
-    source: ScanSource,
-    table: &Table,
-    stats: PhaseStats,
-    card: Card,
-    nodes: &Nodes,
-) -> Predicted {
-    fn predicted(report: OpReport) -> PredNode {
-        PredNode {
-            stats: report.actual,
-            children: report.children.into_iter().map(predicted).collect(),
-        }
-    }
-    let (metrics, report) = crate::plan::leaf(String::new(), source, table, stats, nodes);
-    (predicted(report), metrics, card)
-}
-
 /// One node of the walk. `inj` is what a staged operator above estimated
-/// of its run-time predicate; it reaches every pushed scan below.
+/// of its run-time predicate; it reaches every pushed scan below. The
+/// node's estimated footprint and its children's outcomes compose as the
+/// executor's measured ones do ([`compose`]).
 fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result<Predicted> {
-    // An interior operator joins the phases by the phase rule.
-    let stacked = |stats: PhaseStats, label: &str, flow: Flow, child: Predicted, card: Card| {
-        let (cn, mut cm, _) = child;
-        cm.stack(label, stats, flow);
-        (
-            PredNode {
-                stats,
-                children: vec![cn],
-            },
-            cm,
-            card,
-        )
-    };
-    let joined = |stats: PhaseStats, label: &str, sides: Sides, b: Predicted, p: Predicted| {
-        let ((bn, bm, bc), (pn, pm, pc)) = (b, p);
-        let mut metrics = QueryMetrics::join_sides(bm, pm, sides);
-        metrics.stack(label, stats, Flow::Streaming);
-        (
-            PredNode {
-                stats,
-                children: vec![bn, pn],
-            },
-            metrics,
-            bc.row_bytes + pc.row_bytes,
-        )
-    };
-    // A staged operator: its first child to the end, if it has one, then
-    // its second.
-    let staged = |stats: PhaseStats, first: Option<Predicted>, second: Predicted| {
-        let (snode, sm, card) = second;
-        let (children, metrics) = match first {
-            Some((fnode, fm, _)) => (
-                vec![fnode, snode],
-                QueryMetrics::join_sides(fm, sm, Sides::Serial),
-            ),
-            None => (vec![snode], sm),
-        };
-        (PredNode { stats, children }, metrics, card)
-    };
     let walk = |i: usize, inj: Injected| predict_node(ests, &node.children[i], inj);
-    Ok(match &node.op {
+    let (own, children, card) = match &node.op {
         PlanOp::Scan {
             table,
             predicate,
@@ -703,7 +643,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             source,
         } => {
             let (stats, card, nodes) = ests.of(table).scan(predicate, projection, *source, inj)?;
-            leaf(*source, table, stats, card, &nodes)
+            (Own::Leaf(stats, nodes), Vec::new(), card)
         }
         PlanOp::PushdownAggregate {
             table,
@@ -715,68 +655,57 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             let (mut stats, mut card) = est.pushdown_aggregate(stmt, group_by);
             finish_groups(order, &mut stats, &mut card);
             let nodes = est.per_node(stats, None, false, |_| true);
-            leaf(ScanSource::Select(None), table, stats, card, &nodes)
+            (Own::Leaf(stats, nodes), Vec::new(), card)
         }
         PlanOp::HashJoin {
             build_key,
             probe_key,
-        } => {
-            let (build, probe) = (walk(0, inj)?, walk(1, inj)?);
-            let sides = crate::plan::hash_join_sides(ests.ctx, node);
-            let (b, p) = (build.2.rows, probe.2.rows);
-            let rows = join_out_rows(ests, b, p, build_key, probe_key);
-            let (root, metrics, row_bytes) =
-                joined(cpu_phase(b + p + rows), "hash join", sides, build, probe);
-            (root, metrics, Card { rows, row_bytes })
         }
-        PlanOp::BloomJoin {
+        | PlanOp::BloomJoin {
             build_key,
             probe_key,
-            fpr,
+            ..
         } => {
-            let build = walk(0, inj)?;
-            let bc = build.2;
-            // The probe's pushed scans gain the Bloom filter at the rate
-            // the SQL limit leaves it (§V-B1), or none on a fallback:
+            let (build, bc) = walk(0, inj)?;
+            // A Bloom join's probe scans gain the filter at the rate the
+            // SQL limit leaves it (§V-B1), or none on a fallback:
             // containment says a `keep` fraction of otherwise matching
             // rows survives the storage-side filter.
-            let build_keys = bc.rows.min(col_ndv(ests, build_key));
-            let probe_ndv = col_ndv(ests, probe_key);
-            let match_frac = (build_keys / probe_ndv.max(1.0)).min(1.0);
-            let planned = crate::plan::bloom_builder(ests.ctx).plan(
-                (build_keys as usize).max(1),
-                *fpr,
-                probe_key,
-            );
-            let bloom = match planned {
-                BloomPlan::AsRequested { fpr } | BloomPlan::Degraded { fpr, .. } => Injected {
-                    keep: (match_frac + fpr * (1.0 - match_frac)).min(1.0),
-                    terms: (1.0 / fpr).log2().ceil().max(1.0) as u32,
-                },
-                BloomPlan::Fallback => WHOLE,
+            let (probe_inj, planned) = match &node.op {
+                PlanOp::BloomJoin { fpr, .. } => {
+                    let build_keys = bc.rows.min(col_ndv(ests, build_key));
+                    let match_frac = (build_keys / col_ndv(ests, probe_key).max(1.0)).min(1.0);
+                    let keys = (build_keys as usize).max(1);
+                    let planned = crate::plan::bloom_builder(ests.ctx).plan(keys, *fpr, probe_key);
+                    let bloom = match planned {
+                        BloomPlan::AsRequested { fpr } | BloomPlan::Degraded { fpr, .. } => {
+                            Injected {
+                                keep: (match_frac + fpr * (1.0 - match_frac)).min(1.0),
+                                terms: (1.0 / fpr).log2().ceil().max(1.0) as u32,
+                            }
+                        }
+                        BloomPlan::Fallback => WHOLE,
+                    };
+                    (bloom, Some(planned))
+                }
+                _ => (inj, None),
             };
-            let mut probe = walk(1, bloom)?;
-            let phase = crate::plan::bloom_probe_phase(&planned);
-            probe.1.relabel("select", &phase);
-            let p = probe.2.rows;
-            let rows = join_out_rows(ests, bc.rows, p, build_key, probe_key);
-            let stats = cpu_phase(bc.rows + p + rows);
-            let (root, metrics, row_bytes) =
-                joined(stats, "hash join (bloom)", Sides::Serial, build, probe);
-            (root, metrics, Card { rows, row_bytes })
+            let (probe, pc) = walk(1, probe_inj)?;
+            let rows = join_out_rows(ests, bc.rows, pc.rows, build_key, probe_key);
+            let row_bytes = bc.row_bytes + pc.row_bytes;
+            let own = Own::Join(cpu_phase(bc.rows + pc.rows + rows), planned);
+            (own, vec![build, probe], Card { rows, row_bytes })
         }
         PlanOp::LocalFilter { predicate } => {
-            let child = walk(0, inj)?;
             let sel = selectivity(predicate, &node.children[0].schema, None);
+            let (child, cc) = walk(0, inj)?;
             let card = Card {
-                rows: sel * child.2.rows,
-                row_bytes: child.2.row_bytes,
+                rows: sel * cc.rows,
+                ..cc
             };
-            let stats = cpu_phase(child.2.rows);
-            stacked(stats, "residual filter", Flow::Streaming, child, card)
+            (Own::Stats(cpu_phase(cc.rows)), vec![child], card)
         }
         PlanOp::Project { exprs } => {
-            let child = walk(0, inj)?;
             let width: f64 = exprs
                 .iter()
                 .map(|e| match e {
@@ -785,19 +714,19 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
                 })
                 .sum::<f64>()
                 + exprs.len() as f64;
+            let (child, cc) = walk(0, inj)?;
             let card = Card {
-                rows: child.2.rows,
+                rows: cc.rows,
                 row_bytes: width,
             };
-            let stats = cpu_phase(child.2.rows);
-            stacked(stats, "project", Flow::Streaming, child, card)
+            (Own::Stats(cpu_phase(cc.rows)), vec![child], card)
         }
         PlanOp::GroupBy {
             group_width,
             aggs,
             order,
         } => {
-            let child = walk(0, inj)?;
+            let (child, cc) = walk(0, inj)?;
             // Group count: NDV product over the group keys — the
             // expressions of the Project the planner places below, or,
             // where the input already delivers what the group-by consumes
@@ -808,7 +737,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
                     .iter()
                     .map(|e| match e {
                         Expr::Column(name) => col_ndv(ests, name),
-                        _ => child.2.rows.sqrt().max(1.0),
+                        _ => cc.rows.sqrt().max(1.0),
                     })
                     .product::<f64>(),
                 _ => input.schema.names()[..*group_width]
@@ -816,77 +745,63 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
                     .map(|name| col_ndv(ests, name))
                     .product(),
             }
-            .min(child.2.rows)
+            .min(cc.rows)
             .max(1.0);
             let mut card = Card {
                 rows: groups,
-                row_bytes: child.2.row_bytes + aggs.len() as f64 * AGG_VALUE_WIDTH,
+                row_bytes: cc.row_bytes + aggs.len() as f64 * AGG_VALUE_WIDTH,
             };
-            let work = child.2.rows + groups;
+            let work = cc.rows + groups;
             let mut stats = cpu_phase(work);
             let Some(cluster) = ests.ctx.spread() else {
                 finish_groups(order, &mut stats, &mut card);
-                return Ok(stacked(stats, "group-by", Flow::Breaker, child, card));
+                return Ok((
+                    compose(ests.ctx, node, Own::Stats(stats), vec![child])?,
+                    card,
+                ));
             };
             // On a cluster, as the executor runs it: the rows shuffle to
             // their group's node — the expected cross-node share of their
             // serialized volume — every node aggregates its share side by
             // side, then the groups merge back into key order.
             let n = cluster.n() as f64;
-            let (cn, mut metrics, cc) = child;
             let shuffled = cc.rows * cc.row_bytes * (n - 1.0) / n;
             let share = PhaseStats {
                 exchange_bytes: (shuffled / n) as u64,
                 ..cpu_phase(work / n)
             };
-            let per_node = (0..cluster.n()).map(|k| (format!("group-by node {k}"), share));
-            metrics.push_parallel(per_node.collect());
             let mut merge = cpu_phase(groups * groups.log2().max(1.0));
             finish_groups(order, &mut merge, &mut card);
-            metrics.stack("group-by merge", merge, Flow::Breaker);
             stats.exchange_bytes = shuffled as u64;
             stats.merge(&merge);
-            (
-                PredNode {
-                    stats,
-                    children: vec![cn],
-                },
-                metrics,
-                card,
-            )
+            let own = Own::Partitioned(stats, vec![share; cluster.n()], merge);
+            (own, vec![child], card)
         }
         PlanOp::Aggregate { aggs } => {
-            let child = walk(0, inj)?;
-            let stats = cpu_phase(child.2.rows * aggs.len().max(1) as f64);
+            let (child, cc) = walk(0, inj)?;
             let card = Card {
                 rows: 1.0,
                 row_bytes: aggs.len() as f64 * AGG_VALUE_WIDTH,
             };
-            stacked(stats, "aggregate", Flow::Breaker, child, card)
+            let own = Own::Stats(cpu_phase(cc.rows * aggs.len().max(1) as f64));
+            (own, vec![child], card)
         }
         PlanOp::Sort(order) => {
-            let child = walk(0, inj)?;
-            let (work, rows) = order.priced(child.2.rows);
-            let card = Card {
-                rows,
-                row_bytes: child.2.row_bytes,
-            };
-            stacked(cpu_phase(work), "sort", Flow::Breaker, child, card)
+            let (child, cc) = walk(0, inj)?;
+            let (work, rows) = order.priced(cc.rows);
+            (
+                Own::Stats(cpu_phase(work)),
+                vec![child],
+                Card { rows, ..cc },
+            )
         }
         PlanOp::Limit { n } => {
-            let (cn, cm, cc) = walk(0, inj)?;
+            let (child, cc) = walk(0, inj)?;
             let card = Card {
                 rows: cc.rows.min(*n as f64),
-                row_bytes: cc.row_bytes,
+                ..cc
             };
-            (
-                PredNode {
-                    stats: PhaseStats::default(),
-                    children: vec![cn],
-                },
-                cm,
-                card,
-            )
+            (Own::Stats(PhaseStats::default()), vec![child], card)
         }
         PlanOp::Threshold {
             column,
@@ -897,8 +812,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             let scan_node = node.children.last().expect("a threshold has a scan");
             let (table, ..) = scan_node.pushdown_leaf()?;
             let rows = ests.of(table).rows;
-            let select = format!("select {}", table.name);
-            let (mut own, mut sample) = (PhaseStats::default(), None);
+            let (mut own, mut children) = (PhaseStats::default(), Vec::new());
             let threshold = match catalog {
                 // The catalog's tails count the rows at or before `t`.
                 Some(t) => {
@@ -914,12 +828,10 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
                     }
                 }
                 None => {
-                    let mut ran = walk(0, inj)?;
-                    let (s, k) = (ran.2.rows, *k as f64);
+                    let (sample, sc) = walk(0, inj)?;
+                    let (s, k) = (sc.rows, *k as f64);
                     own = cpu_phase(s);
-                    ran.1.relabel(&select, "sampling phase");
-                    ran.1.stack("threshold", own, Flow::Breaker);
-                    sample = Some(ran);
+                    children.push(sample);
                     // Threshold = K-th order statistic of the sample ⇒ the
                     // scan matches ≈ K/(S+1) of the table (plus the K
                     // themselves).
@@ -929,28 +841,21 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
                     }
                 }
             };
-            let mut scan = predict_node(ests, scan_node, threshold)?;
-            scan.1.relabel(&select, "scanning phase");
-            staged(own, sample, scan)
+            let (scan, card) = predict_node(ests, scan_node, threshold)?;
+            children.push(scan);
+            (Own::Threshold(own, false), children, card)
         }
         PlanOp::CaseWhen { aggs, order } => {
             let (table, _, group_cols) = node.children[0].pushdown_leaf()?;
-            let distinct = walk(0, inj)?;
-            let groups = distinct.2.rows;
+            let (distinct, dc) = walk(0, inj)?;
             let est = ests.of(table);
-            let mut stats = est.case_when_statements(group_cols, aggs.len(), groups);
+            let mut stats = est.case_when_statements(group_cols, aggs.len(), dc.rows);
             let mut card = Card {
-                rows: groups,
+                rows: dc.rows,
                 row_bytes: est.out_row_bytes(group_cols) + aggs.len() as f64 * AGG_VALUE_WIDTH,
             };
             finish_groups(order, &mut stats, &mut card);
-            stacked(
-                stats,
-                "case-when aggregation",
-                Flow::Breaker,
-                distinct,
-                card,
-            )
+            (Own::Stats(stats), vec![distinct], card)
         }
         PlanOp::HybridSplit {
             aggs,
@@ -961,19 +866,13 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             let (table, _, group_cols) = hybrid_leaf(node)?;
             let tail_node = node.children.last().expect("a hybrid split has a tail");
             let est = ests.of(table);
-            let select = format!("select {}", table.name);
             // The sample and the split, unless the catalog decides it.
-            let mut own = PhaseStats::default();
-            let sample = match dictionary {
-                Some(_) => None,
-                None => {
-                    let mut sample = walk(0, inj)?;
-                    own = cpu_phase(sample.2.rows);
-                    sample.1.relabel(&select, "hybrid: sample");
-                    sample.1.stack("split", own, Flow::Breaker);
-                    Some(sample)
-                }
-            };
+            let (mut own, mut children) = (PhaseStats::default(), Vec::new());
+            if dictionary.is_none() {
+                let (sample, sc) = walk(0, inj)?;
+                own = cpu_phase(sc.rows);
+                children.push(sample);
+            }
             let groups = group_cols.iter().map(|c| est.ndv(c)).product::<f64>();
             let groups = groups.min(est.rows).max(1.0);
             // How many groups go to S3 and what share of the rows they
@@ -999,29 +898,28 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
                 }
             };
             if n_big == 0.0 {
-                let tail = finished_by(tail_node, order);
-                return Ok(staged(own, sample, predict_node(ests, &tail, WHOLE)?));
+                let (tail, card) = predict_node(ests, &finished_by(tail_node, order), WHOLE)?;
+                children.push(tail);
+                (Own::Split(own, None), children, card)
+            } else {
+                let not_in = Injected {
+                    keep: (1.0 - share).max(0.0),
+                    terms: n_big as u32 + 1,
+                };
+                let (tail, mut card) = predict_node(ests, tail_node, not_in)?;
+                children.push(tail);
+                // Groups listed by the catalog count their rows too.
+                let pushed = dictionary
+                    .as_ref()
+                    .map_or(aggs.len(), |_| counted_aggs(aggs).0.len());
+                let mut s3 = est.case_when_statements(group_cols, pushed, n_big);
+                card.rows = groups;
+                finish_groups(order, &mut s3, &mut card);
+                (Own::Split(own, Some(s3)), children, card)
             }
-            let not_in = Injected {
-                keep: (1.0 - share).max(0.0),
-                terms: n_big as u32 + 1,
-            };
-            let mut tail = predict_node(ests, tail_node, not_in)?;
-            tail.1.relabel(&select, "hybrid: server-side aggregation");
-            // Groups listed by the catalog count their rows too.
-            let pushed = dictionary
-                .as_ref()
-                .map_or(aggs.len(), |_| counted_aggs(aggs).0.len());
-            let mut s3 = est.case_when_statements(group_cols, pushed, n_big);
-            tail.2.rows = groups;
-            finish_groups(order, &mut s3, &mut tail.2);
-            let mut s3_side = QueryMetrics::new();
-            s3_side.push_serial("hybrid: s3-side aggregation", s3);
-            tail.1 = QueryMetrics::join_sides(s3_side, tail.1, Sides::Concurrent);
-            own.merge(&s3);
-            staged(own, sample, tail)
         }
-    })
+    };
+    Ok((compose(ests.ctx, node, own, children)?, card))
 }
 
 // ---------------------------------------------------------------------

@@ -118,7 +118,12 @@ pub fn lower_candidates(
         (1, false) => ["cached-local", "server-side", "filtered"],
         _ => ["cached", "baseline", "filtered"],
     };
-    let (plain, cache) = (ScanSource::Plain, ScanSource::Cached);
+    // Under `cache_reads` a plain GET leaf reads through the cache.
+    let plain = match ctx.cache_reads && ctx.store.cache().is_some() {
+        true => ScanSource::Cached,
+        false => ScanSource::Plain,
+    };
+    let cache = ScanSource::Cached;
     let mut combos: Vec<(&'static str, Vec<ScanSource>, bool)> = Vec::new();
     // Cached combos lead the lineup: a cold fill prices exactly like the
     // remote load it replaces, and the argmin keeps the earliest

@@ -34,15 +34,18 @@
 //!   leaves (per node, on a cluster), joins, operators, staged operators by the
 //!   estimated outcome of the SQL they write — from catalog statistics,
 //!   over one snapshot per table per query, using the same models that
-//!   score measurements;
+//!   score measurements, and composes the phases and the operator report
+//!   through the layer the executor composes its measurements through;
 //! * [`planner`] — the one front-end: every query lowers to named
 //!   candidate plans, and one function prices, picks (a preference list
 //!   for the fixed strategies, the argmin-dollar plan for
 //!   [`planner::Strategy::Adaptive`]), runs and explains them;
 //! * [`metrics`] / [`output`] — phase-structured accounting that the
 //!   analytical performance model turns into seconds and dollars, and
-//!   the one statement of what a phase is (a pipeline between breakers)
-//!   that the executor and the estimator both report through;
+//!   the one statement of what a phase is (a pipeline between breakers);
+//!   one private layer (`shape`) builds a plan node's phases and report
+//!   from its children's, which the executor fills with measurements and
+//!   the estimator with estimates;
 //! * [`context`] — wiring (store, Select engine, models, the
 //!   [`catalog::Catalog`] that resolves join tables by name).
 
@@ -60,6 +63,7 @@ pub mod output;
 pub mod plan;
 pub mod planner;
 pub mod scan;
+mod shape;
 
 pub use catalog::{
     upload_columnar_table, upload_csv_table, Catalog, ColumnStats, Table, TableStats,

@@ -11,10 +11,12 @@
 //! # What a phase is
 //!
 //! A phase is a **pipeline between breakers**, and [`QueryMetrics::stack`]
-//! is the one place that says so — the plan executor
-//! ([`crate::plan::execute`]) and the pricer
-//! ([`crate::cost::predict_plan`]) both call it once per interior
-//! operator, so executed and predicted phase lists cannot drift:
+//! is the one place that says so. One crate-private layer (`shape`)
+//! applies it, names the phases and composes a join's sides and a staged
+//! operator's children, for the plan executor
+//! ([`crate::plan::execute`]), which fills it with measured footprints,
+//! and the pricer ([`crate::cost::predict_plan`]), which fills it with
+//! estimated ones — so executed and predicted phase lists cannot drift:
 //!
 //! * a scan leaf opens a serial phase ([`QueryMetrics::push_serial`]);
 //! * a **streaming** operator — residual filter, project, the probe side

@@ -9,8 +9,7 @@
 //! that decoded the rows, so a leaf delivers the columns the plan needs
 //! and no others, whichever way its bytes arrive. One function runs a
 //! leaf ([`crate::scan::scan`], which serves every source from one
-//! partition producer), and one writes what it reports (`leaf`) for
-//! the executor and the pricer alike. Interior operators
+//! partition producer). Interior operators
 //! compose them into multi-table queries: hash equi-joins (with an
 //! optional Bloom runtime filter injected into the probe scan, paper
 //! §V-A2), residual filters, projections, hash aggregation, multi-key
@@ -81,10 +80,14 @@
 //! pipelined join's probe side's, beside its build side's load — a
 //! breaker charges it and closes it, and the operator above a breaker, a
 //! join's two concurrent loads or a scan leaf's per-node phases opens the
-//! next one — the rule is [`QueryMetrics::stack`]'s, and every interior
-//! operator here reports through it, as every interior node of
-//! [`crate::cost::predict_plan`] does. `Limit` charges nothing and
-//! reports no phase.
+//! next one — the rule is [`QueryMetrics::stack`]'s. No operator here
+//! applies it, names a phase or picks how its children's phases go
+//! together: it measures what it did itself and hands that, with its
+//! children's outcomes and what only its run decided (the Bloom filter
+//! it built, whether a hybrid split found populous groups, whether a
+//! threshold rescanned), to the one composition layer (`shape`), which
+//! the pricer fills with estimates ([`crate::cost::predict_plan`]).
+//! `Limit` charges nothing and reports no phase.
 //!
 //! `Limit` passes rows until it is full and then **keeps draining** its
 //! child: a scan that stopped at the limit would fetch, and bill, less
@@ -92,9 +95,9 @@
 //! rows past the limit are dropped on arrival instead.
 //!
 //! Execution reports per-operator [`PhaseStats`] in an [`OpReport`]
-//! tree; [`crate::cost::predict_plan`] produces the same tree shape from
-//! catalog statistics, and the planner zips the two so `EXPLAIN` can
-//! show predicted-vs-actual per node. Every operator charges what
+//! tree; [`crate::cost::predict_plan`] returns the same tree, built by
+//! the same layer from catalog statistics, and the planner pairs the two
+//! ([`annotate`]) so `EXPLAIN` can show predicted-vs-actual per node. Every operator charges what
 //! [`crate::ops`] charges for the same rows however they are batched,
 //! so rows, reports, metrics and bills do not depend on `batch_rows` or
 //! `scan_threads`.
@@ -109,13 +112,14 @@
 use crate::catalog::Table;
 use crate::cluster::Cluster;
 use crate::context::QueryContext;
-use crate::metrics::{Flow, QueryMetrics, Sides};
+use crate::metrics::{QueryMetrics, Sides};
 use crate::ops;
 use crate::output::QueryOutput;
 use crate::scan::{
     row_exchange_bytes, scan, select_scan_aggregate, settle, CacheEffects, ScanFragment, ScanLimit,
     ScanSource,
 };
+use crate::shape::{compose, Outcome, Own};
 use pushdown_bloom::{BloomBuilder, BloomPlan};
 use pushdown_common::perf::{PerfModel, PhaseStats};
 use pushdown_common::row::RowBatch;
@@ -531,15 +535,6 @@ pub struct OpReport {
 }
 
 impl OpReport {
-    fn leaf(label: String, actual: PhaseStats) -> OpReport {
-        OpReport {
-            label,
-            predicted: None,
-            actual,
-            children: Vec::new(),
-        }
-    }
-
     /// Indented operator tree with predicted-vs-actual seconds per node.
     pub fn render(&self, model: &PerfModel) -> String {
         let mut out = String::new();
@@ -663,22 +658,11 @@ pub(crate) fn bloom_builder(ctx: &QueryContext) -> BloomBuilder {
     builder
 }
 
-/// Phase label of a Bloom join's probe scan: what §V-B1 made of the
-/// requested false-positive rate.
-pub(crate) fn bloom_probe_phase(planned: &BloomPlan) -> String {
-    match planned {
-        BloomPlan::AsRequested { .. } => "bloom probe".into(),
-        BloomPlan::Degraded { requested, fpr } => {
-            format!("bloom probe (fpr {requested} degraded to {fpr})")
-        }
-        BloomPlan::Fallback => "fallback probe (no bloom)".into(),
-    }
-}
-
-/// Attach the prediction tree's per-node stats to the execution report.
-/// The two trees have the same shape by construction (same plan).
-pub fn annotate(report: &mut OpReport, predicted: &crate::cost::PredNode) {
-    report.predicted = Some(predicted.stats);
+/// Attach the predicted report's per-node stats to the executed one.
+/// The two trees have the same shape by construction: one plan, one
+/// composition layer.
+pub fn annotate(report: &mut OpReport, predicted: &OpReport) {
+    report.predicted = Some(predicted.actual);
     for (r, p) in report.children.iter_mut().zip(&predicted.children) {
         annotate(r, p);
     }
@@ -699,50 +683,43 @@ pub fn execute(ctx: &QueryContext, node: &PlanNode) -> Result<Executed> {
     Ok(Executed {
         schema: ran.schema,
         rows,
-        metrics: ran.metrics,
-        report: ran.report,
+        metrics: ran.outcome.metrics,
+        report: ran.outcome.report,
     })
 }
 
 /// Where an operator pushes its output batches.
 type Sink<'a> = &'a mut dyn FnMut(RowBatch) -> Result<()>;
 
-/// What [`run`] reports once a subtree has pushed its last batch.
+/// What [`run`] reports once a subtree has pushed its last batch: the
+/// schema of its rows, and its phases and report.
 struct Ran {
     schema: Schema,
-    metrics: QueryMetrics,
-    report: OpReport,
+    outcome: Outcome,
 }
 
-impl Ran {
-    /// Make `node` the root of the report, over this (its child's) tree.
-    fn under(self, node: &PlanNode, actual: PhaseStats) -> Ran {
-        Ran {
-            report: OpReport {
-                label: node.label(),
-                predicted: None,
-                actual,
-                children: vec![self.report],
-            },
-            ..self
+/// `node`'s run over its children's: its outcome composed ([`compose`])
+/// from what it did itself and theirs, its rows of the schema they give
+/// it — a join's, build then probe columns; a filter's, sort's, limit's
+/// or staged operator's, its last child's — or else of `node.schema`.
+fn composed(ctx: &QueryContext, node: &PlanNode, own: Own, children: Vec<Ran>) -> Result<Ran> {
+    let schema = match (&node.op, children.as_slice()) {
+        (PlanOp::HashJoin { .. } | PlanOp::BloomJoin { .. }, [build, probe]) => {
+            build.schema.join(&probe.schema)
         }
-    }
-
-    /// Stack a unary operator over this (its child's) outcome: its own
-    /// footprint `local` becomes the report root and joins the phases
-    /// by the phase rule. The schema stays the child's.
-    fn stacked(mut self, node: &PlanNode, phase: &str, local: PhaseStats, flow: Flow) -> Ran {
-        self.metrics.stack(phase, local, flow);
-        self.under(node, local)
-    }
-
-    /// [`Ran::stacked`] for an operator that emits `node.schema`.
-    fn reshaped(self, node: &PlanNode, phase: &str, local: PhaseStats, flow: Flow) -> Ran {
-        Ran {
-            schema: node.schema.clone(),
-            ..self.stacked(node, phase, local, flow)
-        }
-    }
+        (
+            PlanOp::LocalFilter { .. }
+            | PlanOp::Sort(_)
+            | PlanOp::Limit { .. }
+            | PlanOp::Threshold { .. }
+            | PlanOp::HybridSplit { .. },
+            [.., last],
+        ) => last.schema.clone(),
+        _ => node.schema.clone(),
+    };
+    let children = children.into_iter().map(|c| c.outcome).collect();
+    let outcome = compose(ctx, node, own, children)?;
+    Ok(Ran { schema, outcome })
 }
 
 /// Push `rows` into `sink` in batches of at most `ctx.batch_rows`.
@@ -775,13 +752,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             }
             // The lowering-time schema carries the statement's aliases.
             emit(ctx, &node.schema, rows, sink)?;
-            let select = ScanSource::Select(None);
-            let (metrics, report) = leaf(node.label(), select, table, scan.stats, &scan.nodes);
-            Ok(Ran {
-                schema: node.schema.clone(),
-                metrics,
-                report,
-            })
+            composed(ctx, node, Own::Leaf(scan.stats, scan.nodes), Vec::new())
         }
         PlanOp::HashJoin {
             build_key,
@@ -799,7 +770,8 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 let probe = run(ctx, probe_node, &mut |batch| join.probe(batch, sink))?;
                 (build, probe)
             };
-            Ok(join.finish(node, build, probe, sides, "hash join"))
+            let own = Own::Join(join.local, None);
+            composed(ctx, node, own, vec![build, probe])
         }
         PlanOp::BloomJoin {
             build_key,
@@ -829,20 +801,22 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             // SQL size limit; either way the build side already loaded,
             // so the two scans stay serial.
             let built = bloom_builder(ctx).build(&keys, *fpr, probe_key);
-            let planned = built.as_ref().map_or(&BloomPlan::Fallback, |(_, p)| p);
-            let phase = bloom_probe_phase(planned);
-            let bloom_pred = built.map(|(filter, _)| {
+            let (bloom_pred, planned) = match built {
+                Some((filter, planned)) => (Some(filter), planned),
+                None => (None, BloomPlan::Fallback),
+            };
+            let bloom_pred = bloom_pred.map(|filter| {
                 if ctx.engine.extensions().bitwise {
                     filter.sql_predicate_binary(probe_key)
                 } else {
                     filter.sql_predicate(probe_key)
                 }
             });
-            let mut probe = run_pushed(ctx, probe_node, bloom_pred, &mut |batch| {
+            let probe = run_pushed(ctx, probe_node, bloom_pred, &mut |batch| {
                 join.probe(batch, sink)
             })?;
-            probe.metrics.relabel("select", &phase);
-            Ok(join.finish(node, build, probe, Sides::Serial, "hash join (bloom)"))
+            let own = Own::Join(join.local, Some(planned));
+            composed(ctx, node, own, vec![build, probe])
         }
         PlanOp::LocalFilter { predicate } => {
             let child = &node.children[0];
@@ -852,7 +826,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 batch.rows = ops::filter_rows(batch.rows, &bound, &mut local)?;
                 forward(batch, sink)
             })?;
-            Ok(ran.stacked(node, "residual filter", local, Flow::Streaming))
+            composed(ctx, node, Own::Stats(local), vec![ran])
         }
         PlanOp::Project { exprs } => {
             let child = &node.children[0];
@@ -866,7 +840,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 let rows = ops::map_rows(&batch.rows, &bound, &mut local)?;
                 forward(RowBatch::new(node.schema.clone(), rows), sink)
             })?;
-            Ok(ran.reshaped(node, "project", local, Flow::Streaming))
+            composed(ctx, node, Own::Stats(local), vec![ran])
         }
         PlanOp::GroupBy {
             group_width,
@@ -894,7 +868,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             let rows = acc.finish(&mut local);
             let rows = finish_groups(order, rows, &mut local);
             emit(ctx, &node.schema, rows, sink)?;
-            Ok(ran.reshaped(node, "group-by", local, Flow::Breaker))
+            composed(ctx, node, Own::Stats(local), vec![ran])
         }
         PlanOp::Aggregate { aggs } => {
             let mut accs: Vec<_> = aggs.iter().map(|(f, c)| (f.accumulator(), *c)).collect();
@@ -913,7 +887,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             })?;
             let row = Row::new(accs.iter().map(|(a, _)| a.finish()).collect());
             emit(ctx, &node.schema, vec![row], sink)?;
-            Ok(ran.reshaped(node, "aggregate", local, Flow::Breaker))
+            composed(ctx, node, Own::Stats(local), vec![ran])
         }
         PlanOp::Sort(order) => {
             let child = &node.children[0];
@@ -958,7 +932,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 }
             };
             emit(ctx, &ran.schema, rows, sink)?;
-            Ok(ran.stacked(node, "sort", local, Flow::Breaker))
+            composed(ctx, node, Own::Stats(local), vec![ran])
         }
         PlanOp::Limit { n } => {
             // The child runs to its end — a scan that stopped at the
@@ -970,7 +944,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 room -= batch.len();
                 forward(batch, sink)
             })?;
-            Ok(ran.under(node, PhaseStats::default()))
+            composed(ctx, node, Own::Stats(PhaseStats::default()), vec![ran])
         }
         PlanOp::Threshold {
             column,
@@ -980,21 +954,17 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
         } => {
             let scan_node = node.children.last().expect("a threshold has a scan");
             let (table, ..) = scan_node.pushdown_leaf()?;
-            let select = format!("select {}", table.name);
-            let (mut own, mut sample) = (PhaseStats::default(), None);
+            let (mut own, mut children) = (PhaseStats::default(), Vec::new());
             let kth = match catalog {
                 Some(t) => Some(t.clone()),
                 None => {
                     let mut sampled: Vec<Value> = Vec::new();
-                    let mut ran = run(ctx, &node.children[0], &mut |batch| {
+                    children.push(run(ctx, &node.children[0], &mut |batch| {
                         sampled.extend(batch.rows.iter().map(|r| r[0].clone()));
                         Ok(())
-                    })?;
+                    })?);
                     own.server_cpu_units = sampled.len() as u64;
                     sampled.sort_by(|a, b| if *asc { a.total_cmp(b) } else { b.total_cmp(a) });
-                    ran.metrics.relabel(&select, "sampling phase");
-                    ran.metrics.stack("threshold", own, Flow::Breaker);
-                    sample = Some(ran);
                     // A sample of fewer than K rows is the whole table: no
                     // threshold.
                     k.checked_sub(1).and_then(|i| sampled.into_iter().nth(i))
@@ -1007,23 +977,20 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             let pred = kth.and_then(|t| threshold_predicate(&written, column, *asc, &t));
             let bounded = pred.is_some();
             let mut rows = Vec::new();
-            let mut scan = run_pushed(ctx, scan_node, pred, &mut |batch| {
+            let scan = run_pushed(ctx, scan_node, pred, &mut |batch| {
                 rows.extend(batch.rows);
                 Ok(())
             })?;
-            scan.metrics.relabel(&select, "scanning phase");
-            let mut ran = staged(node, own, sample, scan);
+            children.push(scan);
             // A sample holds K rows at or before its K-th value, so the
             // table does too; the catalog's count may have gone stale.
-            if bounded && rows.len() < *k {
-                let mut rescan = run(ctx, scan_node, sink)?;
-                rescan.metrics.relabel(&select, "rescanning phase");
-                ran.metrics = QueryMetrics::join_sides(ran.metrics, rescan.metrics, Sides::Serial);
-                ran.report.children.push(rescan.report);
+            let rescanned = bounded && rows.len() < *k;
+            if rescanned {
+                children.push(run(ctx, scan_node, sink)?);
             } else {
                 emit(ctx, &node.schema, rows, sink)?;
             }
-            Ok(ran)
+            composed(ctx, node, Own::Threshold(own, rescanned), children)
         }
         PlanOp::CaseWhen { aggs, order } => {
             let child = &node.children[0];
@@ -1038,7 +1005,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 case_when_aggregate(ctx, table, predicate, group_cols, aggs, &groups)?;
             let rows = finish_groups(order, rows, &mut stats);
             emit(ctx, &node.schema, rows, sink)?;
-            Ok(ran.reshaped(node, "case-when aggregation", stats, Flow::Breaker))
+            composed(ctx, node, Own::Stats(stats), vec![ran])
         }
         PlanOp::HybridSplit {
             aggs,
@@ -1048,25 +1015,22 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
         } => {
             let tail_node = node.children.last().expect("a hybrid split has a tail");
             let (table, predicate, group_cols) = hybrid_leaf(node)?;
-            let select = format!("select {}", table.name);
             // Phase 1, unless the catalog counted the groups: their
             // frequencies in the sample. NULL keys are never "populous":
             // their rows stay in the tail.
-            let mut own = PhaseStats::default();
-            let (counts, sample) = match dictionary {
-                Some(counts) => (counts.clone(), None),
+            let (mut own, mut children) = (PhaseStats::default(), Vec::new());
+            let counts = match dictionary {
+                Some(counts) => counts.clone(),
                 None => {
                     let mut freq: HashMap<Value, u64> = HashMap::new();
-                    let mut sample = run(ctx, &node.children[0], &mut |batch| {
+                    children.push(run(ctx, &node.children[0], &mut |batch| {
                         own.server_cpu_units += batch.len() as u64;
                         for r in batch.rows.iter().filter(|r| !r[0].is_null()) {
                             *freq.entry(r[0].clone()).or_insert(0) += 1;
                         }
                         Ok(())
-                    })?;
-                    sample.metrics.relabel(&select, "hybrid: sample");
-                    sample.metrics.stack("split", own, Flow::Breaker);
-                    (freq.into_iter().collect(), Some(sample))
+                    })?);
+                    freq.into_iter().collect()
                 }
             };
             let big: Vec<Value> = populous(counts, *force)
@@ -1076,8 +1040,8 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             if big.is_empty() {
                 // No populous group: the tail is the whole query, the
                 // order its finish.
-                let tail = run(ctx, &finished_by(tail_node, order), sink)?;
-                return Ok(staged(node, own, sample, tail));
+                children.push(run(ctx, &finished_by(tail_node, order), sink)?);
+                return composed(ctx, node, Own::Split(own, None), children);
             }
             // Phase 2, two concurrent requests (paper Listing 5). Q1: the
             // pushed CASE-WHEN aggregation of the populous groups.
@@ -1105,7 +1069,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 };
                 tail_pred = Expr::or(tail_pred, is_null);
             }
-            let mut tail = run_pushed(ctx, tail_node, Some(tail_pred), &mut |batch| {
+            let tail = run_pushed(ctx, tail_node, Some(tail_pred), &mut |batch| {
                 rows.extend(batch.rows);
                 Ok(())
             })?;
@@ -1114,13 +1078,8 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             // beside the tail.
             rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
             emit(ctx, &node.schema, finish_groups(order, rows, &mut s3), sink)?;
-            tail.metrics
-                .relabel(&select, "hybrid: server-side aggregation");
-            let mut pushed = QueryMetrics::new();
-            pushed.push_serial("hybrid: s3-side aggregation", s3);
-            tail.metrics = QueryMetrics::join_sides(pushed, tail.metrics, Sides::Concurrent);
-            own.merge(&s3);
-            Ok(staged(node, own, sample, tail))
+            children.push(tail);
+            composed(ctx, node, Own::Split(own, Some(s3)), children)
         }
     }
 }
@@ -1191,61 +1150,17 @@ fn scan_leaf(
     if let Some(best) = best {
         best.work.merge(&summary.reduce_stats);
     }
+    let own = Own::Leaf(stats, summary.nodes);
+    let mut ran = composed(ctx, node, own, Vec::new())?;
+    ran.schema = summary.schema;
     // The EXPLAIN tree reports a cached leaf's hit/miss/fill split.
-    let label = match source {
-        ScanSource::Cached => {
-            let hits = summary.hit_parts;
-            let parts = hits + summary.fill_parts;
-            format!("{} ({hits}/{parts} partitions hit)", node.label())
-        }
-        _ => node.label(),
-    };
-    let (metrics, report) = leaf(label, *source, table, stats, &summary.nodes);
-    Ok(Ran {
-        schema: summary.schema,
-        metrics,
-        report,
-    })
-}
-
-/// What a leaf reading `table` from `source` reports, the executor and
-/// the pricer ([`crate::cost::predict_plan`]) alike: one phase group,
-/// named for what the source does (`load`, `cached load`, `select`) over
-/// its footprint `stats` — or, when its partitions ran on a cluster, one
-/// phase per busy node (`nodes`, by id), each also a child of the
-/// operator's report (`label`) showing what that node scanned and
-/// shipped, and the footprint their sum.
-pub(crate) fn leaf(
-    label: String,
-    source: ScanSource,
-    table: &Table,
-    stats: PhaseStats,
-    nodes: &[(usize, PhaseStats)],
-) -> (QueryMetrics, OpReport) {
-    let mut metrics = QueryMetrics::new();
-    let mut report = OpReport::leaf(label, stats);
-    if nodes.is_empty() {
-        let verb = match source {
-            ScanSource::Plain => "load",
-            ScanSource::Cached => "cached load",
-            ScanSource::Select(_) => "select",
-        };
-        metrics.push_serial(format!("{verb} {}", table.name), stats);
-        return (metrics, report);
+    if *source == ScanSource::Cached {
+        let hits = summary.hit_parts;
+        let parts = hits + summary.fill_parts;
+        let label = &mut ran.outcome.report.label;
+        *label = format!("{label} ({hits}/{parts} partitions hit)");
     }
-    let phases = nodes
-        .iter()
-        .map(|(k, s)| (format!("exchange node {k}"), *s));
-    metrics.push_parallel(phases.collect());
-    report.actual = PhaseStats::default();
-    for (k, s) in nodes {
-        report.actual.merge(s);
-        let scanned = s.plain_bytes + s.cache_bytes + s.disk_bytes + s.s3_scanned_bytes;
-        let shipped = s.exchange_bytes;
-        let label = format!("Exchange[node {k}: {scanned} B scanned, {shipped} B exchanged]");
-        report.children.push(OpReport::leaf(label, *s));
-    }
-    (metrics, report)
+    Ok(ran)
 }
 
 /// Run a staged operator's second child with the predicate it wrote (if
@@ -1259,24 +1174,6 @@ fn run_pushed(
     match predicate {
         Some(p) => run(ctx, &push_predicate(tree, &p), sink),
         None => run(ctx, tree, sink),
-    }
-}
-
-/// What a staged operator reports: its first child, if it has one, ran to
-/// the end, then its second, whose rows it handed on.
-fn staged(node: &PlanNode, own: PhaseStats, first: Option<Ran>, second: Ran) -> Ran {
-    let Some(first) = first else {
-        return second.under(node, own);
-    };
-    Ran {
-        schema: second.schema,
-        metrics: QueryMetrics::join_sides(first.metrics, second.metrics, Sides::Serial),
-        report: OpReport {
-            label: node.label(),
-            predicted: None,
-            actual: own,
-            children: vec![first.report, second.report],
-        },
     }
 }
 
@@ -1606,23 +1503,6 @@ impl Join {
             .probe_batch(&batch.rows, self.probe_key, &mut self.local);
         forward(RowBatch::new(self.schema.clone(), rows), sink)
     }
-
-    /// The two children's metrics go together as they ran (`sides`), and
-    /// the join's own work streams over the probe.
-    fn finish(self, node: &PlanNode, build: Ran, probe: Ran, sides: Sides, phase: &str) -> Ran {
-        let mut metrics = QueryMetrics::join_sides(build.metrics, probe.metrics, sides);
-        metrics.stack(phase, self.local, Flow::Streaming);
-        Ran {
-            schema: build.schema.join(&probe.schema),
-            metrics,
-            report: OpReport {
-                label: node.label(),
-                predicted: None,
-                actual: self.local,
-                children: vec![build.report, probe.report],
-            },
-        }
-    }
 }
 
 /// Deterministic hash route of a row to one of `n` repartition buckets,
@@ -1683,7 +1563,7 @@ fn run_partitioned_group_by(
             .map(|h| h.join().expect("group-by node thread panicked"))
             .collect()
     });
-    let mut phases = Vec::with_capacity(n);
+    let mut shares = Vec::with_capacity(n);
     let mut parts: Vec<Vec<Row>> = Vec::with_capacity(n);
     let mut actual = PhaseStats::default();
     for (k, r) in results.into_iter().enumerate() {
@@ -1693,33 +1573,17 @@ fn run_partitioned_group_by(
         let shipped = &cluster.node(k).exchange_bytes;
         shipped.fetch_add(received, std::sync::atomic::Ordering::Relaxed);
         actual.merge(&st);
-        phases.push((format!("group-by node {k}"), st));
+        shares.push(st);
         parts.push(rows);
     }
     let mut merge_stats = PhaseStats::default();
     let sort_keys: Vec<(usize, bool)> = (0..group_width).map(|i| (i, true)).collect();
     let rows = ops::sort_rows_by_keys(parts.concat(), &sort_keys, &mut merge_stats);
     let rows = finish_groups(order, rows, &mut merge_stats);
-    let mut metrics = child.metrics;
-    metrics.push_parallel(phases);
-    metrics.stack("group-by merge", merge_stats, Flow::Breaker);
     actual.merge(&merge_stats);
     emit(ctx, &node.schema, rows, sink)?;
-    Ok(Ran {
-        schema: node.schema.clone(),
-        metrics,
-        report: OpReport {
-            label: partitioned_label(node, n),
-            predicted: None,
-            actual,
-            children: vec![child.report],
-        },
-    })
-}
-
-/// The label of a group-by that runs partitioned across `n` nodes.
-pub(crate) fn partitioned_label(node: &PlanNode, n: usize) -> String {
-    node.label().replacen(']', &format!(", {n} nodes]"), 1)
+    let own = Own::Partitioned(actual, shares, merge_stats);
+    composed(ctx, node, own, vec![child])
 }
 
 #[cfg(test)]

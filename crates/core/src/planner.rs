@@ -509,7 +509,7 @@ pub fn run_candidates(
     let (algorithm, plan) = &candidates[pick];
     let executed = plan::execute(ctx, plan)?;
     let mut report = executed.report.clone();
-    plan::annotate(&mut report, &prediction.root);
+    plan::annotate(&mut report, &prediction.report);
     let explain = Explain {
         kind: family.kind(algorithm),
         strategy,

@@ -433,12 +433,9 @@ pub(crate) fn row_exchange_bytes(row: &Row) -> u64 {
 /// Where [`scan`] reads each partition's rows from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanSource {
-    /// One whole-object GET per partition — unless the context has
-    /// `cache_reads` set **and** the store carries a
-    /// [`pushdown_cache::SegmentCache`], in which case the scan reads
-    /// through the cache like [`ScanSource::Cached`]: how a caller warms
-    /// the cache with any baseline plan
-    /// ([`QueryContext::with_cache_reads`]).
+    /// One whole-object GET per partition. (Under
+    /// [`QueryContext::with_cache_reads`] the lowering writes
+    /// [`ScanSource::Cached`] where it would write this.)
     Plain,
     /// Read every partition **through** the store's tiered segment cache
     /// at chunk granularity. Resident chunks are served locally (nothing
@@ -570,8 +567,7 @@ pub fn scan(
         ScanSource::Plain | ScanSource::Cached => None,
     };
     let place = Placement::of(ctx, table)?;
-    let cached = source == ScanSource::Cached
-        || (source == ScanSource::Plain && ctx.cache_reads && ctx.store.cache().is_some());
+    let cached = source == ScanSource::Cached;
     // Rows from a Select source have the schema its responses declare;
     // decoded rows, the fragment's.
     let responded: OnceLock<Schema> = OnceLock::new();

@@ -13,7 +13,8 @@
 //!   cache-disabled; the cache-aware adaptive plan's measured $ stays
 //!   ≤ 1.1× min(cached-local, pushdown, remote-full) per suite query;
 //!   and predicted Usage for chosen cached plans stays within the 15%
-//!   calibration bound.
+//!   calibration bound; a forced (`with_cache_reads`) Baseline plan is
+//!   priced exactly as the cache reads it runs.
 //! * **Tiered partial hits** (ISSUE 9) — a partially resident object
 //!   bills exactly its coalesced gap bytes (never a full reload), from
 //!   either tier; tier movement (demote / promote / gap fill) keeps
@@ -36,11 +37,13 @@ use pushdowndb::cache::CacheStats;
 use pushdowndb::common::perf::PhaseStats;
 use pushdowndb::common::pricing::Usage;
 use pushdowndb::common::{DataType, Row, Schema, TempDir, Value};
-use pushdowndb::core::planner::{execute_sql_verbose, run_candidate};
+use pushdowndb::core::cost::{predict_plan, Estimators};
+use pushdowndb::core::planner::{execute_sql_verbose, lower, run_candidate};
 use pushdowndb::core::scan::cached_scan_streamed;
 use pushdowndb::core::{
     execute_sql, upload_csv_table, QueryContext, QueryMetrics, QueryOutput, Strategy,
 };
+use pushdowndb::sql::parse_query;
 use pushdowndb::tpch::{planner_suite, tpch_context, TpchTables};
 
 fn assert_rows_close(a: &[Row], b: &[Row], what: &str) {
@@ -408,6 +411,38 @@ fn cached_plan_predictions_stay_calibrated() {
         cached_plans >= 3,
         "a warm full-dataset cache should win several suite queries, got {cached_plans}"
     );
+}
+
+/// Under `with_cache_reads` the lowering writes a cache read where it
+/// would write a plain GET, so the pricer prices what runs: on a warm
+/// cache the Baseline candidate of every suite shape predicts exactly
+/// the bytes each cache tier served, the gap bytes it fetched and the
+/// requests its run reports (they used to be priced as GETs).
+#[test]
+fn forced_cache_reads_are_priced_as_they_run() {
+    let (ctx, t) = tpch_context(0.003, 1_200).unwrap();
+    let budget = dataset_bytes(&ctx, &t);
+    let forced = ctx.with_cache(budget).with_cache_reads(true);
+    let totals = |m: &QueryMetrics| {
+        let mut s = PhaseStats::default();
+        m.groups
+            .iter()
+            .flat_map(|g| &g.phases)
+            .for_each(|p| s.merge(&p.stats));
+        (s.plain_bytes, s.cache_bytes, s.disk_bytes, s.requests)
+    };
+    for q in planner_suite() {
+        let table = (q.table)(&t);
+        execute_sql(&forced, table, q.sql, Strategy::Baseline).unwrap();
+        let (_, candidates) = lower(&forced, table, &parse_query(q.sql).unwrap()).unwrap();
+        let baseline = |n: &&str| matches!(*n, "baseline" | "server-side");
+        let (name, plan) = candidates.iter().find(|(n, _)| baseline(n)).unwrap();
+        let predicted = predict_plan(&Estimators::new(&forced, [plan]), plan).unwrap();
+        let out = run_candidate(&forced, table, q.sql, name, None).unwrap();
+        let (want, got) = (totals(&out.metrics), totals(&predicted.metrics));
+        assert_eq!(got, want, "{} `{name}`: (plain, mem, disk, req)", q.name);
+        assert!(want.1 > 0, "{}: the warm cache served the run", q.name);
+    }
 }
 
 /// EXPLAIN surfaces the cache: candidates list the cached plan, and the

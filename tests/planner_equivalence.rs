@@ -29,7 +29,8 @@
 //! the same loop every
 //! run's predicted phases are held to the executed ones, group for
 //! group and label for label; a fixed strategy's pick is re-priced by
-//! name for it. `Explain::predicted` and the per-operator predictions
+//! name for it. With no cache and a cold one, so is every other named
+//! candidate of the shape, run by name (no line of its own). `Explain::predicted` and the per-operator predictions
 //! are not pinned.
 //!
 //! `PLANNER_EQUIVALENCE_BLESS=1 cargo test --test planner_equivalence`
@@ -40,7 +41,7 @@ use pushdowndb::common::mix::fnv1a;
 use pushdowndb::common::perf::PhaseStats;
 use pushdowndb::common::{Row, Schema};
 use pushdowndb::core::cost::{predict_plan, Estimators};
-use pushdowndb::core::planner::{execute_sql_verbose, lower, Explain, PlanKind};
+use pushdowndb::core::planner::{execute_sql_verbose, lower, run_candidate, Explain, PlanKind};
 use pushdowndb::core::{
     execute_sql, upload_columnar_table, upload_csv_table, OpReport, QueryContext, QueryMetrics,
     QueryOutput, Strategy, Table,
@@ -251,9 +252,40 @@ fn quarter(format: Format, nodes: Option<usize>) -> Vec<String> {
                     describe(&out, &ex)
                 ));
             }
+            if cache != Cache::Warm {
+                every_candidate_predicts_its_phases(&data, cache, nodes, table, q.sql);
+            }
         }
     }
     lines
+}
+
+/// Every named candidate of `sql`, not only the one a strategy picks,
+/// predicts the phases it runs: each is priced on the scope of a fresh
+/// context (an unscoped one does not spread over the cluster), then run
+/// by name on it.
+fn every_candidate_predicts_its_phases(
+    data: &Dataset,
+    cache: Cache,
+    nodes: Option<usize>,
+    table: &Table,
+    sql: &str,
+) {
+    let spec = parse_query(sql).unwrap();
+    let (_, candidates) = lower(&context(data, cache, nodes), table, &spec).unwrap();
+    for (name, _) in &candidates {
+        let ctx = context(data, cache, nodes);
+        let scoped = ctx.scoped();
+        let (_, lowered) = lower(&scoped, table, &spec).unwrap();
+        let (_, plan) = lowered.iter().find(|(n, _)| n == name).unwrap();
+        let predicted = predict_plan(&Estimators::new(&scoped, [plan]), plan).unwrap();
+        let out = run_candidate(&ctx, table, sql, name, None).unwrap();
+        assert_eq!(
+            phase_labels(&predicted.metrics),
+            phase_labels(&out.metrics),
+            "{cache:?} `{sql}` {name}: predicted vs executed phases"
+        );
+    }
 }
 
 fn check(file: &str, format: Format, nodes: Option<usize>) {
