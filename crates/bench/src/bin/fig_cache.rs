@@ -249,6 +249,31 @@ fn main() {
         std::process::exit(1);
     }
 
+    // Gate 6: a cache never costs money. Rent-or-buy fills a table only
+    // once what reading it remotely has cost covers the fill, so no
+    // budget bills more than the cache-off run (to a hundredth of a
+    // percent).
+    let off = res
+        .rows
+        .iter()
+        .find(|r| r.mem_budget == 0 && r.disk_budget == 0)
+        .expect("cache-off row in the grid");
+    for r in &res.rows {
+        let ratio = r.report.total_dollars / off.report.total_dollars;
+        if ratio > 1.0001 {
+            eprintln!(
+                "ERROR: (mem {}, disk {}) bills ${:.9}, {:+.3}% over the cache-off ${:.9}",
+                r.mem_budget,
+                r.disk_budget,
+                r.report.total_dollars,
+                (ratio - 1.0) * 100.0,
+                off.report.total_dollars,
+            );
+            std::process::exit(1);
+        }
+    }
+    println!("No cache budget bills more than the cache-off run.");
+
     // Gate 3 (ISSUE 10): restart economics. With a disk tier holding
     // the whole dataset, everything disk-resident at shutdown must be
     // recovered and serve the post-restart replay exactly like the

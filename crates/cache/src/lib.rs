@@ -10,8 +10,8 @@
 //! # One table, one lock
 //!
 //! Residency is one `HashMap<SegmentKey, Entry>` beside the object
-//! epochs, the chunk layouts, the per-tier byte totals and the counters,
-//! all plain fields behind **one mutex**. The tier is an attribute of
+//! epochs, the chunk layouts, the objects' rents, the per-tier byte
+//! totals and the counters, all plain fields behind **one mutex**. The tier is an attribute of
 //! the entry, and so is where its bytes live:
 //! `Entry.bytes` is `Some` for bytes held in RAM and `None` for bytes in
 //! the segment log of a file-backed cache ([`CacheConfig::dir`]). Every
@@ -104,6 +104,20 @@
 //! proportionally more precious. Ties evict the oldest insertion (a
 //! tier move counts as a fresh insertion into that tier), so eviction
 //! order is deterministic in each tier.
+//!
+//! # Rent
+//!
+//! Beside residency, under the same lock, the cache keeps a **rent** per
+//! object: the dollars that reading it remotely has left on the table so
+//! far (`State::rents`). The planner's ski rental over cache fills
+//! (rent-or-buy; Karlin et al., Algorithmica 1988) accrues it — an
+//! [`Access::Rent`] applied at a query's commit point, after the query
+//! ran a plan that read the object remotely where a plan reading it from
+//! the cache would have been cheaper — and credits a candidate that
+//! would fill the object with it ([`SegmentCache::rent`]). Applying a
+//! fill zeroes the object's rent: the fill is the purchase. Rent is
+//! never negative, and it is soft state: a recovered cache starts with
+//! none.
 //!
 //! # Invalidation & epochs
 //!
@@ -199,9 +213,9 @@ pub enum CacheTier {
 }
 
 /// One entry of an access log: what a lookup saw ([`SegmentCache::read`]),
-/// a fill, or a learned layout — and so what [`SegmentCache::apply`] does
-/// to the cache.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// a fill, a learned layout or accrued rent — and so what
+/// [`SegmentCache::apply`] does to the cache.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Access {
     /// A lookup served `data` from `tier` while the object was at
     /// `epoch`. Applied: counted as a hit; if the segment is still the
@@ -232,6 +246,13 @@ pub enum Access {
         key: String,
         epoch: u64,
         chunks: Vec<(u64, u64)>,
+    },
+    /// `dollars` of rent accrued by `bucket/key` (see the module docs);
+    /// a negative amount adds nothing.
+    Rent {
+        bucket: String,
+        key: String,
+        dollars: f64,
     },
 }
 
@@ -377,6 +398,8 @@ struct State {
     /// ranges covering the object. Dropped on invalidation alongside the
     /// segments.
     layouts: HashMap<u64, Arc<[(u64, u64)]>>,
+    /// Object-hash → rent in dollars (absent: none), reset by a fill.
+    rents: HashMap<u64, f64>,
     /// Resident bytes per tier, indexed by `CacheTier as usize`.
     used: [u64; 2],
     seq: u64,
@@ -580,7 +603,7 @@ impl Inner {
     /// Apply one access inside the caller's critical section: the one
     /// place the residency table changes (invalidation aside). Returns
     /// whether it took effect: a hit was served, a fill stored, a layout
-    /// recorded.
+    /// recorded, rent added.
     fn apply(&self, st: &mut State, access: Access) -> bool {
         match access {
             Access::Hit {
@@ -603,6 +626,17 @@ impl Inner {
                 epoch,
                 chunks,
             } => self.learn_layout(st, &bucket, &key, epoch, chunks),
+            Access::Rent {
+                bucket,
+                key,
+                dollars,
+            } => {
+                let accrued = dollars > 0.0;
+                if accrued {
+                    *st.rents.entry(object_hash(&bucket, &key)).or_default() += dollars;
+                }
+                accrued
+            }
         }
     }
 
@@ -690,6 +724,7 @@ impl Inner {
             hits: 1,
             seq: bump(&mut st.seq),
         };
+        st.rents.remove(&object_hash(&skey.bucket, &skey.key));
         st.entries.insert(skey, entry);
         st.used[target as usize] += len;
         st.stats.fills += 1;
@@ -881,6 +916,28 @@ impl SegmentCache {
         fnv1a(rows.join("\n").into_bytes())
     }
 
+    /// Order-independent digest of the rent table: every object's rent,
+    /// by its bits — the determinism tests compare this.
+    pub fn rent_digest(&self) -> u64 {
+        let st = self.inner.state.lock();
+        let mut rows: Vec<(u64, u64)> = st.rents.iter().map(|(h, r)| (*h, r.to_bits())).collect();
+        rows.sort_unstable();
+        fnv1a(
+            rows.iter()
+                .flat_map(|(h, r)| h.to_le_bytes().into_iter().chain(r.to_le_bytes())),
+        )
+    }
+
+    /// The rent `bucket/key` has accrued since it was last filled, in
+    /// dollars: zero for an object never read remotely at a loss.
+    pub fn rent(&self, bucket: &str, key: &str) -> f64 {
+        let st = self.inner.state.lock();
+        st.rents
+            .get(&object_hash(bucket, key))
+            .copied()
+            .unwrap_or(0.0)
+    }
+
     /// Look up one segment — any byte range, whole-object callers pass
     /// [`SegmentKey::whole`] — counting a hit or a miss. Hits bump the
     /// LFU counter. Equivalent to [`SegmentCache::get_tiered`] with the
@@ -914,12 +971,13 @@ impl SegmentCache {
     }
 
     /// Apply an ordered access log in one critical section: hits count
-    /// and promote, fills are admitted (or discarded as stale) and evict
-    /// down to budget, layouts are recorded — each exactly as
+    /// and promote, fills are admitted (or discarded as stale), evict
+    /// down to budget and zero their object's rent, layouts are recorded,
+    /// rent accrues — the first three exactly as
     /// [`SegmentCache::get_tiered`], [`SegmentCache::insert`] and
-    /// [`SegmentCache::record_layout`] do it, in log order. Returns,
+    /// [`SegmentCache::record_layout`] do them, in log order. Returns,
     /// per access, whether it took effect (a hit served, a fill stored, a
-    /// layout recorded).
+    /// layout recorded, rent added).
     pub fn apply(&self, log: impl IntoIterator<Item = Access>) -> Vec<bool> {
         let inner = &*self.inner;
         let mut st = inner.state.lock();
@@ -1147,6 +1205,44 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.hits, 0, "peek never counts as an access");
         assert_eq!(s.misses, 0, "peek never counts as a miss");
+    }
+
+    fn rent(c: &SegmentCache, key: &str, dollars: f64) -> bool {
+        let bucket = "b".to_string();
+        let key = key.to_string();
+        c.apply([Access::Rent {
+            bucket,
+            key,
+            dollars,
+        }])[0]
+    }
+
+    #[test]
+    fn rent_accrues_never_goes_negative_and_a_fill_zeroes_it() {
+        let c = cache(1000);
+        assert_eq!(c.rent("b", "k"), 0.0);
+        assert!(rent(&c, "k", 0.25));
+        assert!(rent(&c, "k", 0.5));
+        assert!(!rent(&c, "k", -2.0), "a negative amount adds nothing");
+        assert!(!rent(&c, "k", 0.0));
+        assert_eq!(c.rent("b", "k"), 0.75);
+        assert!(rent(&c, "other", 1.0));
+        let before = c.rent_digest();
+        // A stale fill buys nothing; an admitted one zeroes the rent of
+        // its object only.
+        let epoch = c.begin_fill(&whole("k"));
+        c.invalidate("b", "k");
+        assert!(!c.insert(whole("k"), Bytes::from(vec![0u8; 10]), epoch));
+        assert_eq!(c.rent("b", "k"), 0.75);
+        assert_eq!(c.rent_digest(), before);
+        assert!(fill(&c, "k", 10));
+        assert_eq!(c.rent("b", "k"), 0.0);
+        assert_eq!(c.rent("b", "other"), 1.0);
+        assert_ne!(c.rent_digest(), before);
+        // A hit is no purchase.
+        assert!(rent(&c, "k", 0.1));
+        c.get(&whole("k")).unwrap();
+        assert_eq!(c.rent("b", "k"), 0.1);
     }
 
     #[test]

@@ -396,6 +396,12 @@ impl Catalog {
 }
 
 impl Table {
+    /// Whether `other` names the same stored table: the same bucket and
+    /// partition prefix.
+    pub fn same(&self, other: &Table) -> bool {
+        self.bucket == other.bucket && self.prefix == other.prefix
+    }
+
     /// Keys of all partitions, in order.
     pub fn partitions(&self, store: &S3Store) -> Vec<String> {
         store.list_objects(&self.bucket, &format!("{}/", self.prefix))

@@ -38,7 +38,14 @@
 //! and, on a cluster, the owner of every partition and its size — handed
 //! to every candidate's walk. Cache occupancy is *not* part of the
 //! snapshot: a cached leaf is priced from the live segment cache (the
-//! owning node's slice, on a cluster) each time it is walked.
+//! owning node's slice, on a cluster) each time it is walked — unless
+//! the snapshot was taken [as if one table were
+//! resident](Estimators::as_if_resident), which is how the planner's
+//! rent-or-buy rule prices what a fill of that table would save later:
+//! that table's partitions then occupy the mem tier up to its budget and
+//! the disk tier for the rest, an input to the same cached-leaf pricing.
+//! The same snapshot reads the rent the segment cache keeps per
+//! partition object, and accrues more.
 
 use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
@@ -50,6 +57,7 @@ use crate::plan::{
 use crate::scan::{striped_share, ScanLimit, ScanSource};
 use crate::shape::{compose, Outcome, Own};
 use pushdown_bloom::BloomPlan;
+use pushdown_cache::{Access, ObjectOccupancy, SegmentCache};
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Schema, Value};
 use pushdown_sql::agg::AggFunc;
@@ -66,6 +74,7 @@ const AGG_VALUE_WIDTH: f64 = 11.0;
 
 /// Cost estimator over one table: its catalog snapshot, and the
 /// footprint arithmetic of everything that scans it.
+#[derive(Clone)]
 pub struct Estimator<'a> {
     ctx: &'a QueryContext,
     table: &'a Table,
@@ -85,6 +94,9 @@ pub struct Estimator<'a> {
     /// Per partition, the node owning it and its stored size — read once,
     /// when the context spreads over a cluster; empty otherwise.
     owners: Vec<(usize, u64)>,
+    /// Price a cached read of this table as if the table were resident
+    /// ([`Estimators::as_if_resident`]), not from live occupancy.
+    resident: bool,
 }
 
 impl<'a> Estimator<'a> {
@@ -113,6 +125,7 @@ impl<'a> Estimator<'a> {
             rows,
             row_bytes,
             owners,
+            resident: false,
         }
     }
 
@@ -193,7 +206,8 @@ impl<'a> Estimator<'a> {
 
     /// Cached-local load phase: read partitions through the tiered
     /// segment cache, priced **per segment per tier** from live
-    /// occupancy — mem-resident chunks cost a `cache_read_bw` local scan
+    /// occupancy (or the occupancy assumed [as if the table were
+    /// resident](Estimators::as_if_resident)) — mem-resident chunks cost a `cache_read_bw` local scan
     /// (`cache_bytes`; zero billable), disk-resident chunks a slower
     /// `disk_read_bw` scan (`disk_bytes`; zero billable), and only the
     /// gaps bill, as one coalesced range GET per gap run. A fully cold
@@ -209,9 +223,10 @@ impl<'a> Estimator<'a> {
             return Ok(self.plain_load(extra_cpu));
         };
         let mut stats = PhaseStats::default();
+        let mut mem_left = cache.config().mem_bytes;
         for key in &self.partition_keys {
             let size = self.ctx.store.object_size(&self.table.bucket, key)?;
-            let occ = cache.occupancy(&self.table.bucket, key, size);
+            let occ = self.occupancy(&cache, key, size, &mut mem_left);
             stats.requests += occ.gap_requests;
             stats.plain_bytes += occ.gap_bytes;
             stats.cache_bytes += occ.mem_bytes;
@@ -221,6 +236,72 @@ impl<'a> Estimator<'a> {
             self.cl_bytes(stats.plain_bytes + stats.cache_bytes + stats.disk_bytes);
         stats.server_cpu_units = (self.rows + extra_cpu) as u64;
         Ok(stats)
+    }
+
+    /// What a cached read of partition `key` (`size` bytes) finds in
+    /// `cache`: its live occupancy — or, priced as if the table were
+    /// resident, its bytes in the mem tier while `mem_left` of the mem
+    /// budget lasts and in the disk tier after.
+    fn occupancy(
+        &self,
+        cache: &SegmentCache,
+        key: &str,
+        size: u64,
+        mem_left: &mut u64,
+    ) -> ObjectOccupancy {
+        if !self.resident {
+            return cache.occupancy(&self.table.bucket, key, size);
+        }
+        let mem_bytes = size.min(*mem_left);
+        *mem_left -= mem_bytes;
+        ObjectOccupancy {
+            mem_bytes,
+            disk_bytes: size - mem_bytes,
+            layout_known: true,
+            ..Default::default()
+        }
+    }
+
+    /// Every partition as the segment cache sees it ([`Slot`]).
+    fn slots(&self) -> Result<Vec<Slot<'_>>> {
+        let mut slots = Vec::with_capacity(self.partition_keys.len());
+        for (i, key) in self.partition_keys.iter().enumerate() {
+            let (size, node, cache) = match self.ctx.spread() {
+                Some(cluster) => {
+                    let (node, size) = self.owners[i];
+                    (size, node, cluster.node(node).cache.clone())
+                }
+                None => {
+                    let size = self.ctx.store.object_size(&self.table.bucket, key)?;
+                    (size, 0, self.ctx.store.cache())
+                }
+            };
+            let key = key.as_str();
+            slots.push(Slot {
+                key,
+                size,
+                node,
+                cache,
+            });
+        }
+        Ok(slots)
+    }
+
+    /// The partitions a fill of this table could keep: on each node, the
+    /// partitions it owns when together they fit its cache's whole
+    /// budget, mem and disk.
+    fn keepable(&self) -> Result<Vec<Slot<'_>>> {
+        let mut slots = self.slots()?;
+        let mut owned: Vec<u64> = Vec::new();
+        for s in &slots {
+            owned.resize(owned.len().max(s.node + 1), 0);
+            owned[s.node] += s.size;
+        }
+        slots.retain(|s| {
+            let budget = |c: &SegmentCache| c.config().mem_bytes + c.config().disk_bytes;
+            s.cache.as_ref().is_some_and(|c| owned[s.node] <= budget(c))
+        });
+        Ok(slots)
     }
 
     /// Select phase scanning the whole table and returning `ret_rows`
@@ -284,10 +365,12 @@ impl<'a> Estimator<'a> {
                     stats.plain_bytes = 0;
                     stats.cache_bytes = 0;
                     stats.disk_bytes = 0;
+                    let slice = &cluster.node(k).cache;
+                    let mut mem_left = slice.as_ref().map_or(0, |c| c.config().mem_bytes);
                     for (_, key, size) in &owned {
-                        match &cluster.node(k).cache {
+                        match slice {
                             Some(c) => {
-                                let occ = c.occupancy(&self.table.bucket, key, *size);
+                                let occ = self.occupancy(c, key, *size, &mut mem_left);
                                 stats.requests += occ.gap_requests;
                                 stats.plain_bytes += occ.gap_bytes;
                                 stats.cache_bytes += occ.mem_bytes;
@@ -332,8 +415,20 @@ impl<'a> Estimator<'a> {
     }
 }
 
+/// One partition as the segment cache sees it: its key, its stored size,
+/// and the cache that would hold it with the node that cache belongs to
+/// — the owning node's slice on a cluster, the store's cache (node 0)
+/// otherwise.
+struct Slot<'e> {
+    key: &'e str,
+    size: u64,
+    node: usize,
+    cache: Option<SegmentCache>,
+}
+
 /// The estimators one query's pricing walks share: one [`Estimator`] per
 /// distinct table under its candidate plans, built once.
+#[derive(Clone)]
 pub struct Estimators<'a> {
     ctx: &'a QueryContext,
     tables: Vec<Estimator<'a>>,
@@ -342,34 +437,97 @@ pub struct Estimators<'a> {
 impl<'a> Estimators<'a> {
     /// Snapshot every table a leaf of `plans` reads.
     pub fn new(ctx: &'a QueryContext, plans: impl IntoIterator<Item = &'a PlanNode>) -> Self {
-        fn collect<'a>(ests: &mut Estimators<'a>, node: &'a PlanNode) {
-            if let Some(table) = node.scan_table().filter(|t| ests.find(t).is_none()) {
-                ests.tables.push(Estimator::new(ests.ctx, table));
-            }
-            for c in &node.children {
-                collect(ests, c);
-            }
-        }
         let mut ests = Estimators {
             ctx,
             tables: Vec::new(),
         };
-        for plan in plans {
-            collect(&mut ests, plan);
+        for (table, _) in plans.into_iter().flat_map(PlanNode::reads) {
+            if ests.find(table).is_none() {
+                ests.tables.push(Estimator::new(ctx, table));
+            }
         }
         ests
     }
 
     fn find(&self, table: &Table) -> Option<&Estimator<'a>> {
-        self.tables
-            .iter()
-            .find(|e| e.table.bucket == table.bucket && e.table.prefix == table.prefix)
+        self.tables.iter().find(|e| e.table.same(table))
     }
 
     /// The estimator of a table some leaf of the snapshotted plans reads.
     fn of(&self, table: &Table) -> &Estimator<'a> {
         self.find(table)
             .expect("every leaf's table was snapshotted with the query's plans")
+    }
+
+    /// The same snapshot, pricing a cached read of `table` as if the
+    /// table were resident: per cache, its partitions fill the mem tier
+    /// up to the mem budget and the disk tier for the rest, whatever
+    /// the cache holds now. Every other table still prices from live
+    /// occupancy.
+    pub fn as_if_resident(&self, table: &Table) -> Estimators<'a> {
+        let mut ests = self.clone();
+        if let Some(e) = ests.tables.iter_mut().find(|e| e.table.same(table)) {
+            e.resident = true;
+        }
+        ests
+    }
+
+    /// Whether a fill of `table` could stay: on some node (the one node,
+    /// serially) the partitions of it that node owns fit its cache's whole
+    /// budget, mem and disk. False without a cache.
+    ///
+    /// # Errors
+    ///
+    /// A partition in the snapshot has vanished.
+    pub(crate) fn keeps(&self, table: &Table) -> Result<bool> {
+        Ok(!self.of(table).keepable()?.is_empty())
+    }
+
+    /// The rent accrued by the partitions of `table` a cached read would
+    /// fill — those with bytes not resident in the cache that would hold
+    /// them: what a candidate filling them is credited
+    /// ([`pushdown_cache::SegmentCache::rent`]).
+    ///
+    /// # Errors
+    ///
+    /// A partition in the snapshot has vanished.
+    pub(crate) fn credit(&self, table: &Table) -> Result<f64> {
+        let bucket = &table.bucket;
+        let mut rent = 0.0;
+        for Slot {
+            key, size, cache, ..
+        } in self.of(table).slots()?
+        {
+            let Some(cache) = cache else { continue };
+            if cache.occupancy(bucket, key, size).gap_bytes > 0 {
+                rent += cache.rent(bucket, key);
+            }
+        }
+        Ok(rent)
+    }
+
+    /// Accrue `dollars` of rent on the partitions of `table` a fill could
+    /// keep ([`Estimators::keeps`]), split by their bytes, each through
+    /// its cache's ordered apply path.
+    ///
+    /// # Errors
+    ///
+    /// A partition in the snapshot has vanished.
+    pub(crate) fn accrue_rent(&self, table: &Table, dollars: f64) -> Result<()> {
+        let keep = self.of(table).keepable()?;
+        let total: u64 = keep.iter().map(|s| s.size).sum();
+        for Slot {
+            key, size, cache, ..
+        } in keep
+        {
+            let access = Access::Rent {
+                bucket: table.bucket.clone(),
+                key: key.to_string(),
+                dollars: dollars * size as f64 / total.max(1) as f64,
+            };
+            cache.expect("a kept partition has a cache").apply([access]);
+        }
+        Ok(())
     }
 }
 

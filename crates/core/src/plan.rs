@@ -487,6 +487,27 @@ impl PlanNode {
         }
     }
 
+    /// Every table a leaf of this tree reads, with whether that leaf
+    /// reads it through the segment cache, in walk order.
+    pub(crate) fn reads(&self) -> Vec<(&Table, bool)> {
+        let mut out = Vec::new();
+        let mut stack = vec![self];
+        while let Some(node) = stack.pop() {
+            if let Some(table) = node.scan_table() {
+                let cached = matches!(
+                    node.op,
+                    PlanOp::Scan {
+                        source: ScanSource::Cached,
+                        ..
+                    }
+                );
+                out.push((table, cached));
+            }
+            stack.extend(node.children.iter().rev());
+        }
+        out
+    }
+
     /// The pushed scan a staged operator writes its SQL against: the
     /// Select-source [`PlanOp::Scan`] at the bottom of this node's
     /// first-child chain — its table, predicate and projected columns.

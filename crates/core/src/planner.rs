@@ -30,8 +30,11 @@
 //!    one [`cost::Estimators`] snapshot per query;
 //! 3. **pick** — a fixed strategy takes the first name of its family's
 //!    preference list that is a candidate; Adaptive prices them all and
-//!    takes the argmin of (dollars, then runtime) — on a cluster, each
-//!    priced as it will run there, every partition on its owning node;
+//!    takes the argmin of (dollars less the fill credit, then runtime) —
+//!    on a cluster, each priced as it will run there, every partition on
+//!    its owning node. Under a segment cache the credit is rent-or-buy's
+//!    ([`run_candidates`]): the rent the partitions a plan would fill
+//!    have accrued, and a plan that reads a table remotely accrues it;
 //! 4. **run** — one executor ([`plan::execute`]), the same tree at any
 //!    node count: the partition fan-out places each partition on the node
 //!    owning it ([`crate::scan`]);
@@ -52,7 +55,6 @@ use pushdown_common::pricing::Usage;
 use pushdown_common::{Error, Result};
 use pushdown_sql::ast::QuerySpec;
 use pushdown_sql::parser::parse_query;
-use std::borrow::Cow;
 
 /// Whether the planner may push computation into S3 Select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,8 +130,12 @@ pub struct CandidateCost {
     pub usage: Usage,
     /// Predicted runtime, seconds.
     pub runtime: f64,
-    /// Predicted total dollars (the selection objective).
+    /// Predicted total dollars.
     pub dollars: f64,
+    /// Rent-or-buy credit under a segment cache: the rent accrued by the
+    /// partitions this plan's cache reads would fill. Adaptive ranks the
+    /// plan at `dollars − credit`; zero without a cache.
+    pub credit: f64,
     pub chosen: bool,
 }
 
@@ -161,7 +167,7 @@ impl Explain {
         if !self.candidates.is_empty() {
             let _ = writeln!(s, "candidates:");
             for c in &self.candidates {
-                let _ = writeln!(
+                let _ = write!(
                     s,
                     "  {} {:<12} predicted ${:.6}  {:.2}s  ({} req, {} scanned, {} returned, {} plain)",
                     if c.chosen { "*" } else { " " },
@@ -173,6 +179,10 @@ impl Explain {
                     c.usage.select_returned_bytes,
                     c.usage.plain_bytes,
                 );
+                if c.credit != 0.0 {
+                    let _ = write!(s, "  credit ${:.6}", c.credit);
+                }
+                s.push('\n');
             }
         }
         if let Some(predicted) = &self.predicted {
@@ -348,9 +358,10 @@ pub type Candidates = Vec<(&'static str, PlanNode)>;
 
 /// Lower a statement to its family and its candidate plans — the trees
 /// of [`crate::joinplan`], a single-table statement being a join of one
-/// table. Cached candidates lead wherever a segment cache is installed:
-/// a cold fill costs exactly what the remote load costs, so ties must
-/// break toward warming the cache.
+/// table. Cached candidates lead wherever a segment cache is installed,
+/// so a tie goes to the plan that warms the cache: a cold fill prices
+/// exactly what the remote load it replaces costs, and what the fill
+/// saves later is the rent-or-buy credit [`run_candidates`] ranks it by.
 pub fn lower(ctx: &QueryContext, table: &Table, spec: &QuerySpec) -> Result<(Family, Candidates)> {
     let family = if !spec.joins.is_empty() {
         Family::Join
@@ -432,17 +443,83 @@ pub fn run_candidate(
     Ok(out)
 }
 
-/// Index of the cheapest candidate: by predicted dollars, ties broken by
-/// predicted runtime, then by position (the earliest minimum stays).
+/// Index of the cheapest candidate: by predicted dollars less its fill
+/// credit, ties broken by predicted runtime, then by position (the
+/// earliest minimum stays).
 fn argmin(costs: &[CandidateCost]) -> usize {
+    let ranked = |c: &CandidateCost| c.dollars - c.credit;
     let mut best = 0;
     for (i, c) in costs.iter().enumerate().skip(1) {
-        let b = &costs[best];
-        if c.dollars < b.dollars || (c.dollars == b.dollars && c.runtime < b.runtime) {
+        let (b, r) = (ranked(&costs[best]), ranked(c));
+        if r < b || (r == b && c.runtime < costs[best].runtime) {
             best = i;
         }
     }
     best
+}
+
+/// Predicted total dollars of a plan's predicted metrics.
+fn dollars(ctx: &QueryContext, metrics: &QueryMetrics) -> f64 {
+    metrics.cost(&ctx.model, &ctx.pricing).total()
+}
+
+/// The tables `plan` reads through the segment cache, each once.
+fn cached_reads(plan: &PlanNode) -> Vec<&Table> {
+    let mut tables: Vec<&Table> = Vec::new();
+    for (table, cached) in plan.reads() {
+        if cached && !tables.iter().any(|t| t.same(table)) {
+            tables.push(table);
+        }
+    }
+    tables
+}
+
+/// A candidate's rent-or-buy credit: the rent accrued by the partitions
+/// its cached leaves would fill.
+fn credit(ests: &cost::Estimators<'_>, plan: &PlanNode) -> Result<f64> {
+    cached_reads(plan).into_iter().map(|t| ests.credit(t)).sum()
+}
+
+/// Rent-or-buy's accrual for running `candidates[pick]`, priced at
+/// `paid` dollars (ski rental over cache fills; Karlin et al.,
+/// Algorithmica 1988). Each table the pick reads through a GET or
+/// Select leaf — and does not fill — whose fill could stay in the cache
+/// ([`cost::Estimators::keeps`]) accrues what reading it remotely left
+/// on the table: `paid` less the cheapest candidate that reads it
+/// through the cache, that candidate priced as if the table were
+/// resident ([`cost::Estimators::as_if_resident`]) — never less than
+/// zero, split evenly between the tables the pick read remotely.
+fn rents<'p>(
+    ctx: &QueryContext,
+    ests: &cost::Estimators<'_>,
+    candidates: &'p Candidates,
+    pick: usize,
+    paid: f64,
+) -> Result<Vec<(&'p Table, f64)>> {
+    let reads = candidates[pick].1.reads();
+    let filled = cached_reads(&candidates[pick].1);
+    let mut remote: Vec<&Table> = Vec::new();
+    for (table, _) in reads.into_iter().filter(|(_, cached)| !cached) {
+        let seen = remote.iter().chain(&filled).any(|t| t.same(table));
+        if !seen && ests.keeps(table)? {
+            remote.push(table);
+        }
+    }
+    let share = 1.0 / remote.len() as f64;
+    let mut out = Vec::new();
+    for table in remote {
+        let resident = ests.as_if_resident(table);
+        let mut best = f64::INFINITY;
+        for (_, plan) in candidates.iter() {
+            if cached_reads(plan).iter().any(|t| t.same(table)) {
+                best = best.min(dollars(ctx, &cost::predict_plan(&resident, plan)?.metrics));
+            }
+        }
+        if best.is_finite() {
+            out.push((table, share * (paid - best).max(0.0)));
+        }
+    }
+    Ok(out)
 }
 
 /// The pipeline behind every query once it is lowered (see the module
@@ -450,6 +527,17 @@ fn argmin(costs: &[CandidateCost]) -> usize {
 /// `parse` + [`lower`] + this; a caller that composes candidates out of
 /// lowered trees (TPC-H Q14 and Q17, `pushdown_tpch::queries`) hands
 /// them to the same pipeline.
+///
+/// Under a segment cache Adaptive plays rent-or-buy with every fill, one
+/// priced rule for every family: a plan that reads a table remotely
+/// where a cached read of it would have been cheaper accrues the
+/// difference as the table's rent (`rents`), and a plan that would fill
+/// partitions is ranked at its predicted dollars less their rent
+/// ([`CandidateCost::credit`]). So a table is bought — filled — once what
+/// renting it has cost covers the fill's premium over the cheapest
+/// remote plan, and a table larger than the cache's whole budget, whose
+/// fill could not stay, is never credited. Without a cache nothing
+/// accrues and nothing is credited.
 ///
 /// # Errors
 ///
@@ -467,29 +555,21 @@ pub fn run_candidates(
     // queries share this context concurrently.
     let ctx = &ctx.scoped();
     let adaptive = strategy == Strategy::Adaptive;
-    // Under a segment cache Adaptive weighs a top-K's sampled pushed plan,
-    // not the catalog's one-phase one: a cold top-K's local plan is the
-    // fill that warms the cache for the queries after it, which no price
-    // of one query sees, and the one-phase plan would outbid that fill on
-    // every cold top-K.
-    let mut candidates = Cow::Borrowed(candidates);
-    if adaptive && family == Family::TopK && ctx.store.cache().is_some() {
-        let plans = candidates.to_mut().iter_mut();
-        plans.for_each(|(_, plan)| crate::joinplan::add_sample(plan));
-    }
     let ests = cost::Estimators::new(ctx, candidates.iter().map(|(_, plan)| plan));
     // Fixed strategies pick by name and only price the plan they run;
-    // Adaptive prices every candidate whole and takes the argmin.
+    // Adaptive prices every candidate whole, credits each with the rent
+    // of what it would fill, and takes the argmin.
     let mut costs: Vec<CandidateCost> = Vec::new();
     let (pick, prediction) = if adaptive {
         let mut predictions = Vec::with_capacity(candidates.len());
-        for (name, plan) in candidates.iter() {
+        for (name, plan) in candidates {
             let p = cost::predict_plan(&ests, plan)?;
             costs.push(CandidateCost {
                 algorithm: name,
                 usage: p.metrics.usage(),
                 runtime: p.metrics.runtime(&ctx.model),
-                dollars: p.metrics.cost(&ctx.model, &ctx.pricing).total(),
+                dollars: dollars(ctx, &p.metrics),
+                credit: credit(&ests, plan)?,
                 chosen: false,
             });
             predictions.push(p);
@@ -506,8 +586,18 @@ pub fn run_candidates(
             .ok_or_else(|| Error::Bind(format!("no {preferred:?} candidate to run")))?;
         (pick, cost::predict_plan(&ests, &candidates[pick].1)?)
     };
+    // What the pick accrues is priced before it runs, against the cache
+    // it was picked on; it applies at the query's commit point, after
+    // every scan's cache effects.
+    let rent = match adaptive && ctx.store.cache().is_some() {
+        true => rents(ctx, &ests, candidates, pick, costs[pick].dollars)?,
+        false => Vec::new(),
+    };
     let (algorithm, plan) = &candidates[pick];
     let executed = plan::execute(ctx, plan)?;
+    for (table, dollars) in rent {
+        ests.accrue_rent(table, dollars)?;
+    }
     let mut report = executed.report.clone();
     plan::annotate(&mut report, &prediction.report);
     let explain = Explain {

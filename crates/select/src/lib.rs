@@ -595,7 +595,9 @@ fn collect_columns(e: &BoundExpr, out: &mut Vec<usize>) {
                 collect_columns(e, out);
             }
         }
-        BoundExpr::Cast { expr, .. } => collect_columns(expr, out),
+        BoundExpr::Cast { expr, .. } | BoundExpr::FloatText { expr, .. } => {
+            collect_columns(expr, out)
+        }
         BoundExpr::Call { args, .. } => {
             for a in args {
                 collect_columns(a, out);

@@ -4,6 +4,7 @@
 
 use crate::agg::AggFunc;
 use crate::ast::{BinOp, Expr, Func, SelectItem, SelectStmt, UnOp};
+use pushdown_common::value::format_float;
 use pushdown_common::{DataType, Error, Field, Result, Schema, Value};
 
 /// An expression with column references resolved to row indices.
@@ -49,6 +50,21 @@ pub enum BoundExpr {
         expr: Box<BoundExpr>,
         dtype: DataType,
     },
+    /// `CAST(<FLOAT column> AS STRING) = '<text>'` — how a pushed
+    /// statement names one FLOAT value that SQL's `=` cannot single out
+    /// (NaN, `-0.0`) — decided from the float's bits, never rendering it:
+    /// the rendering ([`pushdown_common::value::write_float`]) is
+    /// injective off NaN and writes every NaN as `NaN`, so `text` names
+    /// at most one float, worked out once here. Bound from that shape
+    /// only; it evaluates exactly as the cast and the comparison do.
+    FloatText {
+        /// The FLOAT operand.
+        expr: Box<BoundExpr>,
+        text: String,
+        /// The float whose rendering `text` is (a NaN for `NaN`), or
+        /// `None`: no float renders so.
+        value: Option<f64>,
+    },
     Call {
         func: Func,
         args: Vec<BoundExpr>,
@@ -70,7 +86,8 @@ impl BoundExpr {
             BoundExpr::Column(idx, _) => *idx = f(*idx),
             BoundExpr::Unary { expr, .. }
             | BoundExpr::IsNull { expr, .. }
-            | BoundExpr::Cast { expr, .. } => expr.map_columns(f),
+            | BoundExpr::Cast { expr, .. }
+            | BoundExpr::FloatText { expr, .. } => expr.map_columns(f),
             BoundExpr::Binary { left, right, .. } => {
                 left.map_columns(f);
                 right.map_columns(f);
@@ -130,7 +147,8 @@ impl BoundExpr {
             BoundExpr::Between { .. }
             | BoundExpr::InList { .. }
             | BoundExpr::IsNull { .. }
-            | BoundExpr::Like { .. } => DataType::Bool,
+            | BoundExpr::Like { .. }
+            | BoundExpr::FloatText { .. } => DataType::Bool,
             BoundExpr::Case {
                 branches,
                 else_expr,
@@ -178,6 +196,38 @@ pub struct BoundSelect {
     pub group_by: Vec<usize>,
 }
 
+/// `bound` as a [`BoundExpr::FloatText`] when it compares a FLOAT
+/// column's text with a string literal; otherwise as it is.
+fn float_text(bound: BoundExpr) -> BoundExpr {
+    let BoundExpr::Binary {
+        left,
+        op: BinOp::Eq,
+        right,
+    } = &bound
+    else {
+        return bound;
+    };
+    let (BoundExpr::Cast { expr, dtype }, BoundExpr::Literal(Value::Str(text))) =
+        (&**left, &**right)
+    else {
+        return bound;
+    };
+    if *dtype != DataType::Str || !matches!(**expr, BoundExpr::Column(_, DataType::Float)) {
+        return bound;
+    }
+    // Rust's parser reads more than the rendering writes (`nan`, `1.50`,
+    // `1e3`): only a text that renders back unchanged names its float.
+    let value = text
+        .parse::<f64>()
+        .ok()
+        .filter(|f| format_float(*f) == *text);
+    BoundExpr::FloatText {
+        expr: expr.clone(),
+        text: text.clone(),
+        value,
+    }
+}
+
 /// Binds expressions against a schema.
 pub struct Binder<'a> {
     schema: &'a Schema,
@@ -214,11 +264,11 @@ impl<'a> Binder<'a> {
                 op: *op,
                 expr: Box::new(self.bind_expr(expr)?),
             },
-            Expr::Binary { left, op, right } => BoundExpr::Binary {
+            Expr::Binary { left, op, right } => float_text(BoundExpr::Binary {
                 left: Box::new(self.bind_expr(left)?),
                 op: *op,
                 right: Box::new(self.bind_expr(right)?),
-            },
+            }),
             Expr::Between {
                 expr,
                 low,

@@ -120,6 +120,9 @@ pub fn eval(expr: &BoundExpr, row: &Row) -> Result<Value> {
             let mut slot = Value::Null;
             eval_ref(expr, row, &mut slot)?.cast(*dtype)
         }
+        BoundExpr::FloatText { expr, text, value } => {
+            Ok(tristate(float_text(expr, text, *value, row)?))
+        }
         BoundExpr::Call {
             func,
             args,
@@ -176,6 +179,7 @@ fn eval_truth(expr: &BoundExpr, row: &Row) -> Result<Option<bool>> {
         BoundExpr::Binary { left, op, right } if !op.is_arithmetic() => {
             eval_logic(left, *op, right, row)
         }
+        BoundExpr::FloatText { expr, text, value } => float_text(expr, text, *value, row),
         other => {
             let mut slot = Value::Null;
             eval_ref(other, row, &mut slot)?.as_bool()
@@ -267,6 +271,24 @@ fn probe_literal_char(
                 None => Ordering::Less,
             },
         )),
+    })
+}
+
+/// [`BoundExpr::FloatText`]: `CAST(expr AS STRING) = text`, three-valued.
+/// A FLOAT operand is matched by its bits against the one float `text`
+/// names — any NaN for `NaN` —, with no string rendered; anything else
+/// in the column is cast and compared the general way.
+fn float_text(expr: &BoundExpr, text: &str, value: Option<f64>, row: &Row) -> Result<Option<bool>> {
+    let mut slot = Value::Null;
+    Ok(match (eval_ref(expr, row, &mut slot)?, value) {
+        (Value::Null, _) => None,
+        (Value::Float(f), Some(v)) if v.is_nan() => Some(f.is_nan()),
+        (Value::Float(f), Some(v)) => Some(f.to_bits() == v.to_bits()),
+        (Value::Float(_), None) => Some(false),
+        (other, _) => match other.cast(DataType::Str)? {
+            Value::Str(s) => Some(s == text),
+            _ => None,
+        },
     })
 }
 
@@ -549,6 +571,7 @@ mod tests {
     use super::*;
     use crate::bind::Binder;
     use crate::parser::parse_expr;
+    use pushdown_common::value::format_float;
     use pushdown_common::{DataType, Schema};
 
     fn schema() -> Schema {
@@ -575,6 +598,80 @@ mod tests {
         let s = schema();
         let e = Binder::new(&s).bind_expr(&parse_expr(src).unwrap())?;
         eval(&e, &row())
+    }
+
+    /// `CAST(<FLOAT> AS STRING) = '<text>'` binds to the kernel and is
+    /// decided by the float's bits: a NULL operand gives NULL, `NaN` means
+    /// the operand is a NaN (any), the canonical rendering of `f` means
+    /// the operand's bits are `f`'s — `-0.0` and `0.0` apart, the
+    /// rendering being injective off NaN — and any other text is FALSE.
+    #[test]
+    fn float_text_equality_is_decided_by_bits() {
+        let s = Schema::from_pairs(&[("f", DataType::Float)]);
+        let check = |operand: Value, text: &str| {
+            let sql = format!("CAST(f AS STRING) = '{text}'");
+            let e = Binder::new(&s)
+                .bind_expr(&parse_expr(&sql).unwrap())
+                .unwrap();
+            assert!(matches!(e, BoundExpr::FloatText { .. }), "{e:?}");
+            let row = Row::new(vec![operand]);
+            assert_eq!(
+                eval_predicate(&e, &row).unwrap(),
+                eval(&e, &row).unwrap() == Value::Bool(true)
+            );
+            eval(&e, &row).unwrap()
+        };
+        let (yes, no) = (Value::Bool(true), Value::Bool(false));
+        assert_eq!(check(Value::Null, "NaN"), Value::Null);
+        assert_eq!(check(Value::Null, "1.5"), Value::Null);
+        assert_eq!(check(Value::Null, "1.50"), Value::Null);
+        let payload = f64::from_bits(0x7ff0_0000_0000_0001);
+        for nan in [f64::NAN, -f64::NAN, payload] {
+            assert_eq!(check(Value::Float(nan), "NaN"), yes);
+            assert_eq!(check(Value::Float(nan), "nan"), no);
+            assert_eq!(check(Value::Float(nan), "inf"), no);
+        }
+        assert_eq!(check(Value::Float(1.0), "NaN"), no);
+        assert_eq!(check(Value::Float(-0.0), "-0.0"), yes);
+        assert_eq!(check(Value::Float(0.0), "-0.0"), no);
+        assert_eq!(check(Value::Float(0.0), "0.0"), yes);
+        assert_eq!(check(Value::Float(-0.0), "0.0"), no);
+        for text in [
+            "1.50", "1.5e0", "+1.5", "01.5", "1.5 ", "infinity", "abc", "",
+        ] {
+            assert_eq!(check(Value::Float(1.5), text), no, "{text}");
+        }
+        assert_eq!(check(Value::Float(1.0), "1"), no, "1.0 renders `1.0`");
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.5,
+            0.1,
+            1e15,
+            -1e15,
+            999_999_999_999_999.0,
+            123.456e200,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for f in specials {
+            let text = format_float(f);
+            // Parsing inverts the rendering off NaN, so the rendering is
+            // injective there: one text, one float.
+            assert_eq!(
+                text.parse::<f64>().unwrap().to_bits(),
+                f.to_bits(),
+                "{text}"
+            );
+            assert_eq!(check(Value::Float(f), &text), yes, "{text}");
+            assert_eq!(check(Value::Float(f), "NaN"), no, "{text}");
+        }
     }
 
     #[test]

@@ -7,10 +7,11 @@
 
 use crate::agg::AggFunc;
 use crate::ast::{BinOp, Expr, Func, JoinClause, OrderBy, QuerySpec, SelectItem, SelectStmt, UnOp};
-use crate::bind::Binder;
-use crate::eval::eval;
+use crate::bind::{Binder, BoundExpr};
+use crate::eval::{eval, eval_predicate};
 use crate::parser::{parse_expr, parse_query};
 use proptest::prelude::*;
+use pushdown_common::value::format_float;
 use pushdown_common::{DataType, Row, Schema, Value};
 
 /// Strategy for random literals (restricted to values whose SQL text
@@ -265,6 +266,86 @@ const SOUP: &str = "ASC DESC INT FLOAT STRING SUBSTRING CHAR_LENGTH BIT_AT LOWER
     1e999 9223372036854775808 -9223372036854775808 ( ) , * + - / % = != <> < <= > >= . ! -- ; é \0";
 
 /// The soup's tokens: the dialect's keywords, then `SOUP`'s.
+/// Floats of every kind the rendering treats apart: any bit pattern
+/// (subnormals and NaN payloads included), ordinary values, and the
+/// special ones by name.
+fn arb_float() -> impl Strategy<Value = f64> {
+    let specials = [
+        f64::NAN,
+        -f64::NAN,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        1e15,
+        -1e15,
+        f64::MAX,
+    ];
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        -1e6f64..1e6,
+        (0usize..specials.len()).prop_map(move |i| specials[i]),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The `CAST(<FLOAT> AS STRING) = '<text>'` kernel answers what
+    /// rendering the float and comparing the strings answers, NULL
+    /// included, for texts that render some float, render another one,
+    /// almost render one, or are noise.
+    #[test]
+    fn float_text_agrees_with_rendering(
+        f in arb_float(),
+        g in arb_float(),
+        noise in "[0-9.eEnaNfi+]{0,8}",
+        pick in 0usize..5,
+        negate in any::<bool>(),
+        null in any::<bool>(),
+    ) {
+        let text = match pick {
+            0 => format_float(f),
+            1 => format_float(g),
+            2 => format!("{}0", format_float(g)),
+            3 => format_float(g).to_lowercase(),
+            _ if negate => format!("-{noise}"),
+            _ => noise,
+        };
+        let schema = Schema::from_pairs(&[("f", DataType::Float)]);
+        let cast = Expr::Cast {
+            expr: Box::new(Expr::col("f")),
+            dtype: DataType::Str,
+        };
+        let fused = Binder::new(&schema)
+            .bind_expr(&Expr::eq(cast, Expr::str(text.clone())))
+            .unwrap();
+        prop_assert!(matches!(fused, BoundExpr::FloatText { .. }), "{fused:?}");
+        let rendered = BoundExpr::Binary {
+            left: Box::new(BoundExpr::Cast {
+                expr: Box::new(BoundExpr::Column(0, DataType::Float)),
+                dtype: DataType::Str,
+            }),
+            op: BinOp::Eq,
+            right: Box::new(BoundExpr::Literal(Value::Str(text.clone()))),
+        };
+        let row = Row::new(vec![if null { Value::Null } else { Value::Float(f) }]);
+        let (want, got) = (eval(&rendered, &row).unwrap(), eval(&fused, &row).unwrap());
+        prop_assert!(
+            matches!((&want, &got), (Value::Null, Value::Null))
+                || matches!((&want, &got), (Value::Bool(a), Value::Bool(b)) if a == b),
+            "{f:?} vs `{text}`: rendered {want:?}, kernel {got:?}"
+        );
+        prop_assert_eq!(
+            eval_predicate(&rendered, &row).unwrap(),
+            eval_predicate(&fused, &row).unwrap()
+        );
+    }
+}
+
 fn soup_tokens() -> Vec<&'static str> {
     let extra = SOUP.split_whitespace();
     crate::lexer::KEYWORDS

@@ -38,10 +38,10 @@ use pushdowndb::common::perf::PhaseStats;
 use pushdowndb::common::pricing::Usage;
 use pushdowndb::common::{DataType, Row, Schema, TempDir, Value};
 use pushdowndb::core::cost::{predict_plan, Estimators};
-use pushdowndb::core::planner::{execute_sql_verbose, lower, run_candidate};
+use pushdowndb::core::planner::{execute_sql_verbose, lower, run_candidate, Explain, PlanKind};
 use pushdowndb::core::scan::cached_scan_streamed;
 use pushdowndb::core::{
-    execute_sql, upload_csv_table, QueryContext, QueryMetrics, QueryOutput, Strategy,
+    execute_sql, upload_csv_table, OpReport, QueryContext, QueryMetrics, QueryOutput, Strategy,
 };
 use pushdowndb::sql::parse_query;
 use pushdowndb::tpch::{planner_suite, tpch_context, TpchTables};
@@ -215,12 +215,13 @@ fn phases(metrics: &QueryMetrics) -> Vec<Vec<(String, PhaseStats)>> {
 }
 
 /// What one run of [`zipf_run`] leaves: per query its plan, phases and
-/// bill; the forced join's phases and bill; the cache's counters and
-/// residency.
+/// bill; the forced join's phases and bill; the cache's counters,
+/// residency and rent table.
 type ZipfRun = (
     Vec<(String, Vec<Vec<(String, PhaseStats)>>, Usage)>,
     (Vec<Vec<(String, PhaseStats)>>, Usage),
     CacheStats,
+    u64,
     u64,
 );
 
@@ -304,7 +305,13 @@ fn zipf_run(threads: usize) -> ZipfRun {
     );
     let stats = cache.stats();
     let digest = cache.residency_digest();
-    (queries, (join_phases, out.billed), stats, digest)
+    (
+        queries,
+        (join_phases, out.billed),
+        stats,
+        digest,
+        cache.rent_digest(),
+    )
 }
 
 /// Determinism: what cached scans do to the cache — fills, eviction
@@ -327,6 +334,171 @@ fn cache_effects_do_not_depend_on_scan_threads() {
         assert_eq!(one.1, other.1, "the forced join at {threads} threads");
         assert_eq!(one.2, other.2, "cache stats at {threads} threads");
         assert_eq!(one.3, other.3, "residency at {threads} threads");
+        assert_eq!(one.4, other.4, "rent at {threads} threads");
+    }
+}
+
+/// Every operator label of an executed plan, depth first.
+fn labels(op: &OpReport, out: &mut Vec<String>) {
+    out.push(op.label.clone());
+    op.children.iter().for_each(|c| labels(c, out));
+}
+
+/// Whether the plan that ran read `table` through the segment cache.
+fn filled(ex: &Explain, table: &str) -> bool {
+    let mut all = Vec::new();
+    labels(ex.operators.as_ref().expect("every plan reports"), &mut all);
+    all.iter()
+        .any(|l| l.starts_with(&format!("CachedScan[{table}]")))
+}
+
+/// Rent-or-buy, a table larger than the cache: under `zipf_churn`'s
+/// budgets (5 % / 25 % of the data) a fill of `lineitem` could not stay,
+/// so it earns no rent and no plan is credited for filling it — every
+/// `topk-100` runs the pushed `sampling` plan, and no plan that runs
+/// reads `lineitem` through the cache.
+#[test]
+fn a_table_larger_than_the_cache_never_earns_credit() {
+    let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
+    let bytes = dataset_bytes(&ctx, &t) as f64;
+    let ctx = ctx.with_cache_tiers((bytes * 0.05) as u64, (bytes * 0.25) as u64);
+    assert!(t.lineitem.total_bytes(&ctx.store) as f64 > bytes * 0.30);
+    let cache = ctx.cache().unwrap();
+    let parts = t.lineitem.partitions(&ctx.store);
+    let mut topks = 0;
+    for q in generate_zipf(42, 36, 1.0) {
+        let qctx = ctx.scoped_with_salt(q.index as u64);
+        let table = (q.query.table)(&t);
+        let (_, ex) = execute_sql_verbose(&qctx, table, q.query.sql, Strategy::Adaptive).unwrap();
+        if q.query.name == "topk-100" {
+            topks += 1;
+            assert_eq!(
+                ex.kind,
+                PlanKind::TopK { sampling: true },
+                "query {}",
+                q.index
+            );
+        }
+        assert!(
+            !filled(&ex, "lineitem"),
+            "query {} filled lineitem",
+            q.index
+        );
+        for key in &parts {
+            assert_eq!(
+                cache.rent(&t.lineitem.bucket, key),
+                0.0,
+                "query {}",
+                q.index
+            );
+        }
+    }
+    assert!(topks > 0, "the stream runs topk-100");
+    assert!(cache.stats().fills > 0, "the tables that fit are filled");
+    let layouts = parts
+        .iter()
+        .filter(|k| cache.layout(&t.lineitem.bucket, k).is_some());
+    assert_eq!(
+        layouts.count(),
+        0,
+        "lineitem was never read through the cache"
+    );
+}
+
+/// Rent-or-buy, a table that fits: on the hot-set stream (the cache holds
+/// the whole dataset) `lineitem` is read remotely while it is cheaper to,
+/// accruing rent, and the first query whose credit covers the fill's
+/// premium over the cheapest plan buys it — no later than the third
+/// query that reads it.
+#[test]
+fn a_table_that_fits_is_bought_once_its_rent_covers_the_premium() {
+    let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
+    let budget = dataset_bytes(&ctx, &t);
+    let ctx = ctx.with_cache(budget);
+    let mut reads = 0;
+    for q in generate_zipf(42, 48, 1.0) {
+        let table = (q.query.table)(&t);
+        let qctx = ctx.scoped_with_salt(q.index as u64);
+        let (_, ex) = execute_sql_verbose(&qctx, table, q.query.sql, Strategy::Adaptive).unwrap();
+        if !q.query.sql.contains("lineitem") {
+            continue;
+        }
+        reads += 1;
+        if filled(&ex, "lineitem") {
+            let chosen = ex.candidates.iter().find(|c| c.chosen).unwrap();
+            let cheapest = ex
+                .candidates
+                .iter()
+                .map(|c| c.dollars)
+                .fold(f64::MAX, f64::min);
+            assert!(
+                chosen.dollars - chosen.credit <= cheapest,
+                "query {}: the credit covers the premium: {:?}",
+                q.index,
+                ex.candidates
+            );
+            assert!(reads <= 3, "lineitem bought by its read number {reads}");
+            return;
+        }
+    }
+    panic!("lineitem was never filled in {reads} reads");
+}
+
+/// Rent accrues on the partitions of a table read remotely at a loss,
+/// split by their bytes, is what a plan filling them is credited, goes
+/// to zero when they are filled, and is never negative.
+#[test]
+fn rent_resets_on_fill_and_never_goes_negative() {
+    let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
+    let budget = dataset_bytes(&ctx, &t);
+    let ctx = ctx.with_cache(budget);
+    let cache = ctx.cache().unwrap();
+    let parts = t.lineitem.partitions(&ctx.store);
+    let rents = || -> Vec<f64> {
+        let rent = |k: &String| cache.rent(&t.lineitem.bucket, k);
+        parts.iter().map(rent).collect()
+    };
+    let sql = "SELECT l_orderkey, l_extendedprice FROM lineitem \
+               WHERE l_shipdate < DATE '1993-01-01'";
+    let (_, ex) = execute_sql_verbose(&ctx, &t.lineitem, sql, Strategy::Adaptive).unwrap();
+    assert_eq!(ex.kind, PlanKind::Filter { pushdown: true });
+    let accrued = rents();
+    assert!(accrued.iter().all(|r| *r > 0.0), "{accrued:?}");
+    // Split by bytes: rent per byte is one number.
+    let size = |k: &String| ctx.store.object_size(&t.lineitem.bucket, k).unwrap() as f64;
+    let per_byte: Vec<f64> = parts
+        .iter()
+        .zip(&accrued)
+        .map(|(k, r)| r / size(k))
+        .collect();
+    assert!(per_byte
+        .iter()
+        .all(|r| (r / per_byte[0] - 1.0).abs() < 1e-9));
+    // The cold cached plan is credited with all of it, and EXPLAIN says
+    // so.
+    let (out, ex) = execute_sql_verbose(&ctx, &t.lineitem, sql, Strategy::Adaptive).unwrap();
+    let cached = ex
+        .candidates
+        .iter()
+        .find(|c| c.algorithm == "cached-local")
+        .unwrap();
+    assert_eq!(cached.credit, accrued.iter().sum::<f64>());
+    assert!(ex.report(&out, &ctx).contains("credit $"));
+    // A fill buys the table: nothing is owed, nothing is credited.
+    cached_scan_streamed(&ctx.scoped(), &t.lineitem, |_| Ok(())).unwrap();
+    assert!(rents().iter().all(|r| *r == 0.0), "{:?}", rents());
+    let (out, ex) = execute_sql_verbose(&ctx, &t.lineitem, sql, Strategy::Adaptive).unwrap();
+    assert!(ex.candidates.iter().all(|c| c.credit == 0.0));
+    assert!(!ex.report(&out, &ctx).contains("credit"));
+    for q in generate_zipf(7, 27, 1.0) {
+        let table = (q.query.table)(&t);
+        execute_sql(&ctx, table, q.query.sql, Strategy::Adaptive).unwrap();
+        for table in t.all() {
+            for key in table.partitions(&ctx.store) {
+                let rent = cache.rent(&table.bucket, &key);
+                assert!(rent >= 0.0, "{key}: {rent}");
+            }
+        }
     }
 }
 

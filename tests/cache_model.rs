@@ -9,10 +9,11 @@
 //!   [`Model`] — a single-threaded restatement of the documented policy
 //!   (every fill that fits a tier admitted, weighted LFU by dollars
 //!   saved per byte, oldest-`seq` tie-break, demote-on-evict,
-//!   promote-on-hit, straight-to-disk for fills larger than mem). After
-//!   every operation the returned
-//!   value, every non-persist field of `stats()` and the per-tier
-//!   resident key set agree, and `used ≤ budget` holds for both tiers.
+//!   promote-on-hit, straight-to-disk for fills larger than mem, rent
+//!   that `Rent` accesses add and an admitted fill zeroes). After every
+//!   operation the returned value, every non-persist field of `stats()`,
+//!   the per-tier resident key set and every object's rent agree, and
+//!   `used ≤ budget` holds for both tiers.
 //! * **One behaviour, two backings** — every sequence drives a
 //!   RAM-backed and a file-backed cache side by side; both must match
 //!   the model step for step, Σ `commit()` receipts must equal
@@ -138,6 +139,8 @@ struct Model {
     resident: HashMap<SegmentKey, Resident>,
     epochs: HashMap<String, u64>,
     layouts: HashMap<String, Vec<(u64, u64)>>,
+    /// Rent per object: what `Rent` accesses added since its last fill.
+    rents: HashMap<String, f64>,
     seq: u64,
     /// The event counters; occupancy fields are filled in by `stats`.
     counters: CacheStats,
@@ -241,6 +244,7 @@ impl Model {
             seq,
         };
         self.resident.insert(key.clone(), fill);
+        self.rents.remove(&key.key);
         self.counters.fills += 1;
         self.counters.fill_bytes += len;
         self.evict(target);
@@ -310,6 +314,12 @@ impl Model {
             Access::Layout {
                 key, epoch, chunks, ..
             } => self.record_layout(&key, epoch, chunks),
+            Access::Rent { key, dollars, .. } => {
+                if dollars > 0.0 {
+                    *self.rents.entry(key).or_default() += dollars;
+                }
+                dollars > 0.0
+            }
         }
     }
 
@@ -395,7 +405,7 @@ enum Step {
     Commit,
     /// A side-effect-free lookup; its access joins the pending log.
     Read(SegmentKey),
-    /// A fill or a layout joins the pending log unapplied.
+    /// A fill, a layout or rent joins the pending log unapplied.
     Log(Access),
     /// The pending log, applied in one call.
     Apply(Vec<Access>),
@@ -494,7 +504,7 @@ fn draw(
     let i = rng.skewed(keys.len());
     let key = keys[i].clone();
     let epoch = pending[i].unwrap_or_else(|| m.begin_fill(&key.key));
-    match rng.below(120) {
+    match rng.below(122) {
         0..=7 => Step::BeginFill(key),
         8..=39 => Step::Insert(key.clone(), body(&key, epoch), epoch),
         40..=69 => Step::Get(key),
@@ -514,6 +524,13 @@ fn draw(
             key: key.key,
             epoch,
             chunks: layout(),
+        }),
+        // Quarter-dollar steps, negative ones included: sums are exact in
+        // any order.
+        114..=115 => Step::Log(Access::Rent {
+            bucket: BUCKET.to_string(),
+            key: key.key,
+            dollars: rng.below(5) as f64 * 0.25 - 0.25,
         }),
         _ => Step::Apply(log.to_vec()),
     }
@@ -541,6 +558,9 @@ fn assert_same_state(c: &SegmentCache, m: &Model, keys: &[SegmentKey], context: 
             m.peek_tier(k),
             "{context}: residency of {k:?}"
         );
+        let rent = m.rents.get(&k.key).copied().unwrap_or(0.0);
+        assert_eq!(c.rent(BUCKET, &k.key), rent, "{context}: rent of {k:?}");
+        assert!(rent >= 0.0, "{context}: rent is never negative");
     }
 }
 
