@@ -50,8 +50,8 @@
 //!
 //! A segment is one contiguous byte range of one object —
 //! `(bucket, key, range)` ([`SegmentKey`]). The read-through path caches
-//! at **chunk granularity**: ColumnarLite row-group extents or fixed CSV
-//! block ranges, derived by the store on the first (cold) read and
+//! at **chunk granularity**: ColumnarLite column-chunk extents (the footer
+//! a segment of its own) or fixed CSV block ranges, derived by the store on the first (cold) read and
 //! recorded in the cache as the object's **layout**
 //! ([`SegmentCache::record_layout`]). With a layout on file, a later
 //! scan serves the chunks it holds locally and fetches only the gaps —
@@ -141,8 +141,9 @@ use parking_lot::Mutex;
 use pushdown_common::mix::fnv1a;
 use pushdown_common::pricing::Pricing;
 use pushdown_common::Result;
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry as Slot;
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::path::PathBuf;
 use std::sync::{Arc, Weak};
 
@@ -511,23 +512,31 @@ impl Inner {
         if overshoot == 0 {
             return;
         }
-        let mut order: Vec<(f64, u64, u64, &SegmentKey)> = st
-            .entries
-            .iter()
+        // The victims are the tier's lightest segments, the oldest first
+        // on equal weight, until the overshoot is freed. A fill usually
+        // evicts one or two of hundreds, so they are popped off a heap
+        // rather than the whole tier sorted.
+        let tiered: Vec<(&SegmentKey, &Entry)> = (st.entries.iter())
             .filter(|(_, e)| e.tier == tier)
-            .map(|(k, e)| (e.weight(&self.pricing), e.seq, e.len, k))
             .collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let rank = |e: &Entry| {
+            // `f64::total_cmp`'s order as an integer key.
+            let bits = e.weight(&self.pricing).to_bits() as i64;
+            (bits ^ (((bits >> 63) as u64) >> 1) as i64, e.seq)
+        };
+        let mut lightest: BinaryHeap<Reverse<((i64, u64), usize)>> = (tiered.iter().enumerate())
+            .map(|(i, (_, e))| Reverse((rank(e), i)))
+            .collect();
         let mut freed = 0;
-        let victims: Vec<SegmentKey> = order
-            .into_iter()
-            .take_while(|&(_, _, len, _)| {
-                let more = freed < overshoot;
-                freed += len;
-                more
-            })
-            .map(|(_, _, _, k)| k.clone())
-            .collect();
+        let mut victims: Vec<SegmentKey> = Vec::new();
+        while freed < overshoot {
+            let Some(Reverse((_, i))) = lightest.pop() else {
+                break;
+            };
+            let (key, entry) = tiered[i];
+            freed += entry.len;
+            victims.push(key.clone());
+        }
         let mut demoted = false;
         for key in victims {
             let epoch = st.epoch(&key.bucket, &key.key);
@@ -1009,7 +1018,7 @@ impl SegmentCache {
     /// Record the chunk layout of `bucket/key` as observed at `epoch`:
     /// sorted, contiguous `[first, last)` ranges covering the object.
     /// The store's read-through path derives these from the format
-    /// (ColumnarLite row-group extents, fixed CSV blocks) on a cold read
+    /// (ColumnarLite column-chunk extents, fixed CSV blocks) on a cold read
     /// and every later partial-hit read reuses them. Returns whether the
     /// layout was recorded (false: a writer invalidated the object since
     /// [`SegmentCache::begin_fill`] returned `epoch`).

@@ -44,9 +44,10 @@
 //! ([`crate::plan::PlanOp::Threshold`]). As with dictionaries, what reads
 //! them must stay correct when the rows have changed since load.
 
+use bytes::Bytes;
 use pushdown_common::mix::MixBuildHasher;
 use pushdown_common::{DataType, Result, Row, Schema, Value};
-use pushdown_format::columnar::{encode_columnar, WriterOptions};
+use pushdown_format::columnar::{encode_columnar, ColumnarReader, WriterOptions};
 use pushdown_format::csv::CsvWriter;
 use pushdown_s3::S3Store;
 use pushdown_select::InputFormat;
@@ -91,12 +92,55 @@ pub struct Tails {
     pub high: Vec<(Value, u64)>,
 }
 
-/// Table-level statistics: row count plus one [`ColumnStats`] per column.
+/// Table-level statistics: row count plus one [`ColumnStats`] per column,
+/// and for a ColumnarLite table what its objects hold by cache segment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
     /// Rows the statistics were counted over.
     pub row_count: u64,
     pub columns: Vec<ColumnStats>,
+    /// The stored bytes of a ColumnarLite table by cache segment, from
+    /// the load-time encode; `None` for CSV and for statistics gathered
+    /// from rows alone.
+    pub segments: Option<SegmentBytes>,
+}
+
+/// What a ColumnarLite table's objects hold, by cache segment
+/// ([`ColumnarReader::chunk_extents`]), summed over the objects: per
+/// column the bytes of the segments holding its chunks, and the footers'.
+/// A warm cached scan reads the footers and the chunks of the columns it
+/// decodes, which is how the estimator prices it.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct SegmentBytes {
+    /// Per column, in schema order.
+    columns: Vec<u64>,
+    footers: u64,
+}
+
+impl SegmentBytes {
+    /// Add one object's segments.
+    fn add(&mut self, reader: &ColumnarReader) {
+        let bytes = |cols: &[usize]| {
+            reader
+                .extents_of(cols)
+                .iter()
+                .map(|(f, l)| l - f)
+                .sum::<u64>()
+        };
+        let footer = bytes(&[]);
+        self.footers += footer;
+        self.columns.resize(reader.schema().len(), 0);
+        for (c, total) in self.columns.iter_mut().enumerate() {
+            *total += bytes(&[c]) - footer;
+        }
+    }
+
+    /// The bytes a scan decoding the columns `cols` reads: the footers
+    /// and those columns' chunks.
+    pub(crate) fn read_by(&self, cols: &[usize]) -> u64 {
+        let chunks: u64 = cols.iter().filter_map(|&c| self.columns.get(c)).sum();
+        self.footers + chunks
+    }
 }
 
 impl TableStats {
@@ -117,6 +161,7 @@ impl TableStats {
         TableStats {
             row_count: n,
             columns: columns.into_iter().map(|acc| acc.finish(n)).collect(),
+            segments: None,
         }
     }
 
@@ -505,11 +550,11 @@ fn partition_key(prefix: &str, i: usize, ext: &str) -> String {
 /// Run a loader's encode loop while a second thread gathers the
 /// load-time statistics of the same rows (the pass costs about as much
 /// as encoding them).
-fn encode_beside_stats(schema: &Schema, rows: &[Row], encode: impl FnOnce()) -> Arc<TableStats> {
+fn encode_beside_stats(schema: &Schema, rows: &[Row], encode: impl FnOnce()) -> TableStats {
     std::thread::scope(|s| {
         let stats = s.spawn(|| TableStats::from_rows(schema, rows));
         encode();
-        Arc::new(stats.join().expect("statistics thread panicked"))
+        stats.join().expect("statistics thread panicked")
     })
 }
 
@@ -547,7 +592,7 @@ pub fn upload_csv_table(
         schema: schema.clone(),
         format: InputFormat::Csv,
         row_count: rows.len() as u64,
-        stats: Some(stats),
+        stats: Some(Arc::new(stats)),
     })
 }
 
@@ -563,16 +608,22 @@ pub fn upload_columnar_table(
 ) -> Result<Table> {
     store.create_bucket(bucket);
     let per = rows_per_partition.max(1);
-    let stats = encode_beside_stats(schema, rows, || {
-        for (p, chunk) in rows.chunks(per).enumerate() {
-            let bytes = encode_columnar(schema, chunk, options);
+    let mut segments = SegmentBytes::default();
+    let mut stats = encode_beside_stats(schema, rows, || {
+        let mut put = |p: usize, chunk: &[Row]| {
+            let bytes = Bytes::from(encode_columnar(schema, chunk, options));
+            let reader = ColumnarReader::open(bytes.clone()).expect("a file just encoded opens");
+            segments.add(&reader);
             store.put_object(bucket, &partition_key(name, p, "clt"), bytes);
+        };
+        for (p, chunk) in rows.chunks(per).enumerate() {
+            put(p, chunk);
         }
         if rows.is_empty() {
-            let bytes = encode_columnar(schema, &[], options);
-            store.put_object(bucket, &partition_key(name, 0, "clt"), bytes);
+            put(0, &[]);
         }
     });
+    stats.segments = Some(segments);
     Ok(Table {
         name: name.to_string(),
         bucket: bucket.to_string(),
@@ -580,7 +631,7 @@ pub fn upload_columnar_table(
         schema: schema.clone(),
         format: InputFormat::Columnar,
         row_count: rows.len() as u64,
-        stats: Some(stats),
+        stats: Some(Arc::new(stats)),
     })
 }
 

@@ -57,7 +57,7 @@ pub struct QueryContext {
     /// Segment size for caching CSV partitions: cached scans split CSV
     /// bytes into fixed blocks of this many bytes, each its own
     /// [`pushdown_cache::SegmentKey`] (ColumnarLite partitions split at
-    /// row-group extents instead and ignore this knob). Smaller blocks
+    /// column-chunk extents instead and ignore this knob). Smaller blocks
     /// mean finer partial hits at more segments; 64 KiB by default.
     pub cache_chunk_bytes: u64,
     /// Evaluate local scans on typed column vectors (selection-vector

@@ -207,18 +207,21 @@ impl<'a> Estimator<'a> {
     /// Cached-local load phase: read partitions through the tiered
     /// segment cache, priced **per segment per tier** from live
     /// occupancy (or the occupancy assumed [as if the table were
-    /// resident](Estimators::as_if_resident)) — mem-resident chunks cost a `cache_read_bw` local scan
-    /// (`cache_bytes`; zero billable), disk-resident chunks a slower
-    /// `disk_read_bw` scan (`disk_bytes`; zero billable), and only the
-    /// gaps bill, as one coalesced range GET per gap run. A fully cold
-    /// partition (no recorded layout) is one whole-object fill — exactly
-    /// the [`Estimator::plain_load`] price, so Adaptive's tie-break
-    /// still warms the cache — and so is every partition when the store
-    /// has no cache installed (a cached read then *is* a plain load). A
-    /// partition in the estimator's snapshot whose object has vanished
-    /// is an error — pricing it as zero bytes would make the cached plan
-    /// look arbitrarily cheap.
-    fn cached_load(&self, extra_cpu: f64) -> Result<PhaseStats> {
+    /// resident](Estimators::as_if_resident)) — mem-resident chunks cost a
+    /// `cache_read_bw` local scan (`cache_bytes`; zero billable),
+    /// disk-resident chunks a slower `disk_read_bw` scan (`disk_bytes`;
+    /// zero billable), and only the gaps bill, as one coalesced range GET
+    /// per gap run. A partition whose layout is known reads `reads`' share
+    /// of that occupancy: a ColumnarLite leaf the footer and the chunks of
+    /// the columns it decodes, in at most one gap GET
+    /// ([`CachedReads`]). A fully cold partition (no recorded layout) is
+    /// one whole-object fill — exactly the [`Estimator::plain_load`]
+    /// price, so Adaptive's tie-break still warms the cache — and so is
+    /// every partition when the store has no cache installed (a cached
+    /// read then *is* a plain load). A partition in the estimator's
+    /// snapshot whose object has vanished is an error — pricing it as
+    /// zero bytes would make the cached plan look arbitrarily cheap.
+    fn cached_load(&self, extra_cpu: f64, mut reads: CachedReads) -> Result<PhaseStats> {
         let Some(cache) = self.ctx.store.cache() else {
             return Ok(self.plain_load(extra_cpu));
         };
@@ -226,16 +229,47 @@ impl<'a> Estimator<'a> {
         let mut mem_left = cache.config().mem_bytes;
         for key in &self.partition_keys {
             let size = self.ctx.store.object_size(&self.table.bucket, key)?;
-            let occ = self.occupancy(&cache, key, size, &mut mem_left);
-            stats.requests += occ.gap_requests;
-            stats.plain_bytes += occ.gap_bytes;
-            stats.cache_bytes += occ.mem_bytes;
-            stats.disk_bytes += occ.disk_bytes;
+            reads.add(&self.occupancy(&cache, key, size, &mut mem_left));
         }
+        reads.price_since(&CachedReads::default(), &mut stats);
         stats.cl_parse_bytes =
             self.cl_bytes(stats.plain_bytes + stats.cache_bytes + stats.disk_bytes);
         stats.server_cpu_units = (self.rows + extra_cpu) as u64;
         Ok(stats)
+    }
+
+    /// How a cached read of this table by a leaf decoding the columns
+    /// `predicate` and `projection` reference (every column for `*`)
+    /// reads a partition whose layout is known: the share of its bytes
+    /// the footers and those columns' chunks make up, from the load-time
+    /// segment statistics ([`crate::catalog::SegmentBytes`]) — or, for a
+    /// table without them, every chunk.
+    fn cached_reads(
+        &self,
+        predicate: &Option<Expr>,
+        projection: &Option<Vec<String>>,
+    ) -> CachedReads {
+        let schema = &self.table.schema;
+        let needed = || -> Option<Vec<usize>> {
+            let Some(cols) = projection else {
+                return Some((0..schema.len()).collect());
+            };
+            let mut names = cols.clone();
+            if let Some(p) = predicate {
+                p.referenced_columns(&mut names);
+            }
+            let resolved = names.iter().map(|c| schema.resolve(c).ok());
+            let mut needed = resolved.collect::<Option<Vec<usize>>>()?;
+            needed.sort_unstable();
+            needed.dedup();
+            Some(needed)
+        };
+        let segments = self.stats().and_then(|s| s.segments.as_ref());
+        let bytes = segments.zip(needed()).map(|(s, cols)| s.read_by(&cols));
+        CachedReads {
+            share: bytes.map(|b| (b as f64 / self.bytes.max(1.0)).min(1.0)),
+            ..CachedReads::default()
+        }
     }
 
     /// What a cached read of partition `key` (`size` bytes) finds in
@@ -330,7 +364,7 @@ impl<'a> Estimator<'a> {
         &self,
         full: PhaseStats,
         shipped: Option<Card>,
-        cached: bool,
+        mut cached: Option<CachedReads>,
         asked: impl Fn(usize) -> bool,
     ) -> Vec<(usize, PhaseStats)> {
         let Some(cluster) = self.ctx.spread() else {
@@ -356,32 +390,27 @@ impl<'a> Estimator<'a> {
                 };
                 let mut stats = full.scaled(frac);
                 stats.requests = owned.len() as u64;
-                if cached {
+                if let Some(reads) = &mut cached {
                     // Chunks resident in the owning node's slice are free
-                    // local reads (per tier); only the gap runs bill, as
-                    // coalesced range GETs. A fully cold partition prices
-                    // as one whole-object fill.
-                    stats.requests = 0;
-                    stats.plain_bytes = 0;
-                    stats.cache_bytes = 0;
-                    stats.disk_bytes = 0;
+                    // local reads (per tier); only the gaps bill, as range
+                    // GETs. A fully cold partition prices as one
+                    // whole-object fill.
+                    let before = *reads;
                     let slice = &cluster.node(k).cache;
                     let mut mem_left = slice.as_ref().map_or(0, |c| c.config().mem_bytes);
                     for (_, key, size) in &owned {
-                        match slice {
-                            Some(c) => {
-                                let occ = self.occupancy(c, key, *size, &mut mem_left);
-                                stats.requests += occ.gap_requests;
-                                stats.plain_bytes += occ.gap_bytes;
-                                stats.cache_bytes += occ.mem_bytes;
-                                stats.disk_bytes += occ.disk_bytes;
-                            }
-                            None => {
-                                stats.requests += 1;
-                                stats.plain_bytes += size;
-                            }
-                        }
+                        reads.add(&match slice {
+                            Some(c) => self.occupancy(c, key, *size, &mut mem_left),
+                            None => ObjectOccupancy {
+                                gap_bytes: *size,
+                                gap_requests: 1,
+                                ..Default::default()
+                            },
+                        });
                     }
+                    reads.price_since(&before, &mut stats);
+                    stats.cl_parse_bytes =
+                        self.cl_bytes(stats.plain_bytes + stats.cache_bytes + stats.disk_bytes);
                 }
                 if let Some(card) = shipped {
                     stats.exchange_bytes = (card.rows * frac * card.row_bytes) as u64;
@@ -424,6 +453,50 @@ struct Slot<'e> {
     size: u64,
     node: usize,
     cache: Option<SegmentCache>,
+}
+
+/// What cached reads of some partitions come to, summed as they are
+/// priced. A partition whose layout the cache knows is read at `share` of
+/// its occupancy per tier, its gap in one range GET — a ColumnarLite
+/// leaf's footer and chunks ([`Estimator::cached_reads`]) — or, with no
+/// share, whole, one GET per gap run; a cold partition is one
+/// whole-object fill.
+#[derive(Debug, Clone, Copy, Default)]
+struct CachedReads {
+    share: Option<f64>,
+    requests: u64,
+    mem: f64,
+    disk: f64,
+    gap: f64,
+}
+
+impl CachedReads {
+    /// Add the read of a partition that finds `occ`.
+    fn add(&mut self, occ: &ObjectOccupancy) {
+        let (share, requests) = match self.share {
+            Some(share) if occ.layout_known => (share, occ.gap_requests.min(1)),
+            _ => (1.0, occ.gap_requests),
+        };
+        self.requests += requests;
+        self.mem += occ.mem_bytes as f64 * share;
+        self.disk += occ.disk_bytes as f64 * share;
+        self.gap += occ.gap_bytes as f64 * share;
+    }
+
+    /// Write what the reads added since `before` (the same sums, fewer
+    /// partitions in them) into `stats`' requests and per-tier bytes.
+    /// Each tier's sum is rounded as a whole, so the shares of a table
+    /// split by node add up to what the table reads, and a warm table's
+    /// reads come out at exactly the bytes its footers and needed chunks
+    /// hold.
+    fn price_since(&self, before: &CachedReads, stats: &mut PhaseStats) {
+        let bytes = |r: &CachedReads| [r.mem, r.disk, r.gap].map(|b| b.round() as u64);
+        let ([mem, disk, gap], [mem0, disk0, gap0]) = (bytes(self), bytes(before));
+        stats.requests = self.requests - before.requests;
+        stats.cache_bytes = mem - mem0;
+        stats.disk_bytes = disk - disk0;
+        stats.plain_bytes = gap - gap0;
+    }
 }
 
 /// The estimators one query's pricing walks share: one [`Estimator`] per
@@ -657,11 +730,13 @@ impl Estimator<'_> {
                     rows: sel * self.rows,
                     row_bytes,
                 };
-                let (plain, cached) = (self.plain_load(extra), source == ScanSource::Cached);
-                let nodes = self.per_node(plain, Some(card), cached, |_| true);
-                let stats = match cached && nodes.is_empty() {
-                    true => self.cached_load(extra)?,
-                    false => plain,
+                let plain = self.plain_load(extra);
+                let reads = (source == ScanSource::Cached)
+                    .then(|| self.cached_reads(predicate, projection));
+                let nodes = self.per_node(plain, Some(card), reads, |_| true);
+                let stats = match reads {
+                    Some(reads) if nodes.is_empty() => self.cached_load(extra, reads)?,
+                    _ => plain,
                 };
                 return Ok((stats, card, nodes));
             }
@@ -672,7 +747,7 @@ impl Estimator<'_> {
                     rows,
                     row_bytes: width,
                 };
-                let nodes = self.per_node(stats, Some(card), false, |_| true);
+                let nodes = self.per_node(stats, Some(card), None, |_| true);
                 return Ok((stats, card, nodes));
             }
             ScanSource::Select(Some(limit)) => limit,
@@ -699,7 +774,7 @@ impl Estimator<'_> {
             ScanLimit::Striped(_) => {
                 stats.requests = self.parts.min(n as u64);
                 let parts = self.partition_keys.len();
-                self.per_node(stats, None, false, |i| striped_share(n, parts, i) > 0)
+                self.per_node(stats, None, None, |i| striped_share(n, parts, i) > 0)
             }
         };
         Ok((stats, card, nodes))
@@ -812,7 +887,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             let est = ests.of(table);
             let (mut stats, mut card) = est.pushdown_aggregate(stmt, group_by);
             finish_groups(order, &mut stats, &mut card);
-            let nodes = est.per_node(stats, None, false, |_| true);
+            let nodes = est.per_node(stats, None, None, |_| true);
             (Own::Leaf(stats, nodes), Vec::new(), card)
         }
         PlanOp::HashJoin {

@@ -443,7 +443,10 @@ pub enum ScanSource {
     /// only the gaps are fetched, adjacent gaps coalesced into single
     /// range GETs under the uniform [`pushdown_common::RetryPolicy`],
     /// billed exactly once (every attempt a request, the bytes once) like
-    /// any plain GET. The workers only read the cache
+    /// any plain GET. A ColumnarLite partition whose footer segment is
+    /// resident reads only the footer and the chunks of the columns the
+    /// fragment decodes, what it misses of them in one range GET; a cold
+    /// one is fetched whole, filling every chunk. The workers only read the cache
     /// ([`pushdown_s3::S3Store::read_object_chunked_cached_with`]): what
     /// each partition did to it — hits, promotions, fills, the evictions
     /// they force, learned layouts — is applied once the last partition
@@ -465,11 +468,14 @@ pub enum ScanSource {
 /// at a time, ColumnarLite row group by row group, only the columns
 /// `fragment` needs — and evaluate `fragment` on them in the calling
 /// thread, pushing survivors to `emit` in batches of at most
-/// `ctx.batch_rows`.
+/// `ctx.batch_rows`. The bytes come as `(offset, bytes)` runs: a CSV
+/// partition whole, one run from offset 0; a ColumnarLite one whole, or
+/// its footer and the chunks `fragment` decodes
+/// ([`ColumnarReader::open_parts`]).
 /// Returns the number of rows decoded and the CPU units the fragment's
 /// predicate and reducer charged.
 fn decode_partition(
-    data: bytes::Bytes,
+    parts: Vec<(u64, bytes::Bytes)>,
     table: &Table,
     ctx: &QueryContext,
     fragment: &ScanFragment,
@@ -479,8 +485,11 @@ fn decode_partition(
     let mut decoded = 0u64;
     match table.format {
         InputFormat::Csv => {
+            let [(0, data)] = &parts[..] else {
+                return Err(Error::Other("a CSV partition is decoded whole".into()));
+            };
             let mut reader =
-                CsvReader::with_header(&data, table.schema.clone()).project(fragment.needed());
+                CsvReader::with_header(data, table.schema.clone()).project(fragment.needed());
             if ctx.columnar_exec && fragment.projects() {
                 // The referenced fields go straight into typed column
                 // vectors, the evaluator ColumnarLite row groups get.
@@ -498,7 +507,7 @@ fn decode_partition(
             }
         }
         InputFormat::Columnar => {
-            let reader = ColumnarReader::open(data)?;
+            let reader = ColumnarReader::open_parts(parts)?;
             for g in 0..reader.num_row_groups() {
                 if ctx.columnar_exec {
                     // Straight into typed column vectors; rows are
@@ -519,16 +528,16 @@ fn decode_partition(
 }
 
 /// Chunk layout used to cache one partition's bytes: ColumnarLite files
-/// split at row-group extents (plus the footer as its own hot segment);
-/// everything else splits into fixed blocks of
-/// [`QueryContext::cache_chunk_bytes`]. An unreadable ColumnarLite file
-/// caches as one whole-object chunk — the coarse path, never a wrong
-/// layout.
+/// split at column-chunk extents, the footer a segment of its own
+/// ([`ColumnarReader::chunk_extents`]); everything else splits into fixed
+/// blocks of [`QueryContext::cache_chunk_bytes`]. An unreadable
+/// ColumnarLite file caches as one whole-object chunk — the coarse path,
+/// never a wrong layout.
 fn chunk_layout(table: &Table, chunk_bytes: u64, data: &bytes::Bytes) -> Vec<(u64, u64)> {
     let len = data.len() as u64;
     match table.format {
         InputFormat::Columnar => ColumnarReader::open(data.clone())
-            .map(|r| r.row_group_extents())
+            .map(|r| r.chunk_extents())
             .unwrap_or_else(|_| vec![(0, len)]),
         InputFormat::Csv => {
             let step = chunk_bytes.max(1);
@@ -537,6 +546,25 @@ fn chunk_layout(table: &Table, chunk_bytes: u64, data: &bytes::Bytes) -> Vec<(u6
                 .map(|first| (first, (first + step).min(len)))
                 .collect()
         }
+    }
+}
+
+/// The segments a warm cached read of a ColumnarLite partition needs, as
+/// its footer segment (at offset `at`) names them: the footer and the
+/// chunks of the columns `fragment` decodes
+/// ([`ColumnarReader::extents_of`]). `None` — every segment — for CSV,
+/// whose decoder wants every block, and for a footer that does not parse.
+fn wanted_chunks(
+    table: &Table,
+    fragment: &ScanFragment,
+    at: u64,
+    footer: &bytes::Bytes,
+) -> Option<Vec<(u64, u64)>> {
+    match table.format {
+        InputFormat::Columnar => ColumnarReader::open_parts(vec![(at, footer.clone())])
+            .ok()
+            .map(|r| r.extents_of(fragment.needed())),
+        InputFormat::Csv => None,
     }
 }
 
@@ -610,12 +638,13 @@ pub fn scan(
             let store = &part.ctx.store;
             // Every retried attempt billed a request; meter them all so
             // metrics agree with the ledger even under injected faults.
-            let (data, mut stats) = if cached {
+            let (parts, mut stats) = if cached {
                 let (fetched, log) = store.read_object_chunked_cached_with(
                     &table.bucket,
                     part.key,
                     &ctx.retry,
                     |data| chunk_layout(table, ctx.cache_chunk_bytes, data),
+                    |at, footer| wanted_chunks(table, fragment, at, footer),
                 )?;
                 logs[part.index].set(log).expect("a partition is read once");
                 let counter = if fetched.hit { &hit_parts } else { &fill_parts };
@@ -627,7 +656,11 @@ pub fn scan(
                     disk_bytes: fetched.disk_bytes,
                     ..Default::default()
                 };
-                (fetched.data, stats)
+                let parts = match fetched.segments.is_empty() {
+                    true => vec![(0, fetched.data)],
+                    false => fetched.segments,
+                };
+                (parts, stats)
             } else {
                 let fetched = store.get_object_with(&table.bucket, part.key, &ctx.retry)?;
                 let stats = PhaseStats {
@@ -635,17 +668,18 @@ pub fn scan(
                     plain_bytes: fetched.value.len() as u64,
                     ..Default::default()
                 };
-                (fetched.value, stats)
+                (vec![(0, fetched.value)], stats)
             };
             // ColumnarLite bytes ingest at their own parse rate
-            // ([`pushdown_common::perf::PerfParams::parse_cl_bw`]). Keyed
-            // on the table format, not on the execution path or on what
-            // the fragment decodes, so every mode reports identical stats.
+            // ([`pushdown_common::perf::PerfParams::parse_cl_bw`]): every
+            // byte the read handed the decoder — the whole object from a
+            // GET, the footer and the chunks the fragment decodes from a
+            // warm cache — which is also what moved.
             if table.format == InputFormat::Columnar {
-                stats.cl_parse_bytes = data.len() as u64;
+                stats.cl_parse_bytes = parts.iter().map(|(_, b)| b.len() as u64).sum();
             }
             let (rows, (charged, reduced)) =
-                decode_partition(data, table, ctx, fragment, &mut emit)?;
+                decode_partition(parts, table, ctx, fragment, &mut emit)?;
             stats.exchange_bytes = shipped;
             stats.server_cpu_units += rows;
             op_units[part.node].fetch_add(charged, Ordering::Relaxed);

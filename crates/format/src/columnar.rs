@@ -23,7 +23,14 @@
 //!
 //! The footer carries the schema and per-chunk metadata (offset, sizes,
 //! encoding, stats) in a hand-rolled little-endian binary encoding; readers
-//! parse the footer, then fetch only the chunks a query needs.
+//! parse the footer, then fetch only the chunks a query needs. That is
+//! the file's cache layout too ([`ColumnarReader::chunk_extents`]): one
+//! segment per column chunk, the leading magic in the first, and the
+//! footer (with its length and the trailing magic) as the last. A warm
+//! cached scan reads the footer segment and the chunks of the columns it
+//! decodes ([`ColumnarReader::extents_of`]) and opens a reader over just
+//! those segments, uncopied ([`ColumnarReader::open_parts`]); a chunk it
+//! was not handed is an error when read, never a panic.
 
 use crate::compress;
 use bytes::Bytes;
@@ -587,12 +594,19 @@ pub fn encode_columnar(schema: &Schema, rows: &[Row], options: WriterOptions) ->
 // reader
 // ---------------------------------------------------------------------
 
-/// Reader over an in-memory ColumnarLite file. Opening checks the footer
-/// against the file — every chunk inside the data region, every count
-/// within what the bytes could hold —, so a damaged file is an error,
-/// never a panic.
+/// Reader over the bytes of a ColumnarLite file: the whole file
+/// ([`ColumnarReader::open`]), or its footer segment and the chunk
+/// segments a scan decodes ([`ColumnarReader::open_parts`]). Opening
+/// checks the footer against the file — every chunk inside the data
+/// region, every count within what the bytes could hold, every handed
+/// run on a segment boundary —, so a damaged file is an error, never a
+/// panic; so is reading a chunk the reader was not handed.
 pub struct ColumnarReader {
-    data: Bytes,
+    /// The bytes handed to the reader, as `(offset, bytes)` runs in file
+    /// order, none overlapping.
+    parts: Vec<(u64, Bytes)>,
+    /// The file's length: where the last run, the footer segment, ends.
+    len: u64,
     schema: Schema,
     groups: Vec<RowGroupMeta>,
     /// Where the footer starts: the end of the data region.
@@ -600,22 +614,54 @@ pub struct ColumnarReader {
 }
 
 impl ColumnarReader {
+    /// Open a whole file.
     pub fn open(data: Bytes) -> Result<Self> {
-        if data.len() < 12 || &data[..4] != MAGIC || &data[data.len() - 4..] != MAGIC {
-            return Err(Error::Corrupt("not a ColumnarLite file".into()));
+        Self::open_parts(vec![(0, data)])
+    }
+
+    /// Open from some of a file's segments ([`ColumnarReader::chunk_extents`]):
+    /// `(offset, bytes)` runs in file order, each starting and ending on
+    /// a segment boundary, the last of them ending the file and holding
+    /// the footer — a footer segment plus the chunks a scan decodes, read
+    /// in place, never copied into one buffer. The whole file is the one
+    /// run `(0, file)`. Reading a chunk no run holds is a
+    /// [`Error::Corrupt`] error.
+    pub fn open_parts(parts: Vec<(u64, Bytes)>) -> Result<Self> {
+        let corrupt = |what: &str| Err(Error::Corrupt(what.into()));
+        let end = |(at, b): &(u64, Bytes)| at.checked_add(b.len() as u64).ok_or_else(too_many);
+        for w in parts.windows(2) {
+            if end(&w[0])? > w[1].0 {
+                return corrupt("columnar segments overlap or are out of order");
+            }
         }
-        let flen_pos = data.len() - 8;
-        let mut trailer = Dec {
-            data: &data[flen_pos..],
+        let Some(last) = parts.last() else {
+            return corrupt("not a ColumnarLite file");
+        };
+        let (at, trailer) = (last.0, &last.1);
+        let len = end(last)?;
+        let leading = parts.first().filter(|(at, _)| *at == 0);
+        if len < 12
+            || trailer.len() < 8
+            || &trailer[trailer.len() - 4..] != MAGIC
+            || leading.is_some_and(|(_, b)| b.len() < 4 || &b[..4] != MAGIC)
+        {
+            return corrupt("not a ColumnarLite file");
+        }
+        let flen_pos = trailer.len() - 8;
+        let mut t = Dec {
+            data: &trailer[flen_pos..],
             pos: 0,
         };
-        let footer_len = trailer.u32()? as usize;
-        if footer_len + 12 > data.len() {
-            return Err(Error::Corrupt("footer length out of range".into()));
+        let footer_len = t.u32()? as u64;
+        if footer_len + 12 > len {
+            return corrupt("footer length out of range");
         }
-        let footer_start = flen_pos - footer_len;
+        let footer_start = len - 8 - footer_len;
+        if footer_start < at {
+            return corrupt("footer outside the last segment");
+        }
         let mut d = Dec {
-            data: &data[footer_start..flen_pos],
+            data: &trailer[(footer_start - at) as usize..flen_pos],
             pos: 0,
         };
         let n_cols = d.u16()? as usize;
@@ -657,7 +703,7 @@ impl ColumnarReader {
                     None
                 };
                 let end = offset.checked_add(stored_len).ok_or_else(too_many)?;
-                if end > footer_start as u64 {
+                if end > footer_start {
                     return Err(Error::Corrupt("chunk extends past data region".into()));
                 }
                 // A block expands at most `MAX_MATCH`-fold, and every row
@@ -681,40 +727,47 @@ impl ColumnarReader {
             }
             groups.push(RowGroupMeta { row_count, chunks });
         }
-        Ok(ColumnarReader {
-            data,
+        let reader = ColumnarReader {
+            parts,
+            len,
             schema: Schema::new(fields),
             groups,
-            footer_start: footer_start as u64,
-        })
+            footer_start,
+        };
+        let bounds = reader.chunk_extents();
+        let on_boundary = |x: u64| x == len || bounds.binary_search_by_key(&x, |e| e.0).is_ok();
+        for part in &reader.parts {
+            if !on_boundary(part.0) || !on_boundary(end(part)?) {
+                return corrupt("columnar segment off a chunk boundary");
+            }
+        }
+        Ok(reader)
     }
 
     pub fn schema(&self) -> &Schema {
         &self.schema
     }
 
-    /// Byte extents for chunk-granular caching: one `[first, last)`
-    /// range per row group (group 0 absorbs the leading magic, the last
-    /// data range runs up to the footer) plus the trailing footer region
-    /// as its own final range — every open parses the footer, so keeping
-    /// it a separate hot segment means a partial-hit scan refetches only
-    /// the row groups it is missing. The ranges cover the file
-    /// contiguously, which is what the segment cache's layout contract
-    /// requires.
-    pub fn row_group_extents(&self) -> Vec<(u64, u64)> {
-        let len = self.data.len() as u64;
-        let footer_start = self.footer_start;
-        let mut cuts: Vec<u64> = self
-            .groups
-            .iter()
-            .filter_map(|g| g.chunks.iter().map(|c| c.offset).min())
+    /// The file's cache layout: one byte range per column chunk, in file
+    /// order — the leading magic merged into the first — and the footer
+    /// (with its length and the trailing magic) as the last range. The
+    /// ranges cover the file contiguously, which is what the segment
+    /// cache's layout contract requires; every open parses the footer,
+    /// so it is a segment of its own, and a scan that decodes some
+    /// columns reads the footer and their chunks
+    /// ([`ColumnarReader::extents_of`]), nothing else.
+    pub fn chunk_extents(&self) -> Vec<(u64, u64)> {
+        let mut cuts: Vec<u64> = (self.groups.iter())
+            .flat_map(|g| g.chunks.iter().map(|c| c.offset))
             .collect();
         cuts.sort_unstable();
-        // Group 0's start merges into the header range; the footer gets
-        // its own cut.
-        let mut cuts: Vec<u64> = cuts.into_iter().skip(1).collect();
-        cuts.push(footer_start);
-        cuts.retain(|&c| c > 0 && c < len);
+        // The first chunk's start merges into the header range; the
+        // footer gets its own cut.
+        if !cuts.is_empty() {
+            cuts.remove(0);
+        }
+        cuts.push(self.footer_start);
+        cuts.retain(|&c| c > 0 && c < self.len);
         cuts.dedup();
         let mut ranges = Vec::with_capacity(cuts.len() + 1);
         let mut prev = 0u64;
@@ -722,8 +775,45 @@ impl ColumnarReader {
             ranges.push((prev, c));
             prev = c;
         }
-        ranges.push((prev, len));
+        ranges.push((prev, self.len));
         ranges
+    }
+
+    /// The ranges of [`ColumnarReader::chunk_extents`] a scan decoding
+    /// the columns `cols` reads: those holding a chunk of one of them in
+    /// any row group, and the footer's — in file order.
+    pub fn extents_of(&self, cols: &[usize]) -> Vec<(u64, u64)> {
+        let extents = self.chunk_extents();
+        let mut wanted = vec![false; extents.len()];
+        if let Some(footer) = wanted.last_mut() {
+            *footer = true;
+        }
+        for g in &self.groups {
+            for c in cols.iter().filter_map(|&c| g.chunks.get(c)) {
+                let end = c.offset + c.stored_len;
+                let first = extents.partition_point(|e| e.1 <= c.offset);
+                for (i, e) in extents.iter().enumerate().skip(first) {
+                    if e.0 >= end {
+                        break;
+                    }
+                    wanted[i] = true;
+                }
+            }
+        }
+        (extents.into_iter().zip(wanted))
+            .filter_map(|(e, w)| w.then_some(e))
+            .collect()
+    }
+
+    /// The stored bytes of one chunk, from the run holding them.
+    fn chunk(&self, meta: &ChunkMeta) -> Result<&[u8]> {
+        let end = meta.offset + meta.stored_len;
+        let i = self.parts.partition_point(|(at, _)| *at <= meta.offset);
+        i.checked_sub(1)
+            .map(|i| &self.parts[i])
+            .filter(|(at, b)| end <= at + b.len() as u64)
+            .map(|(at, b)| &b[(meta.offset - at) as usize..(end - at) as usize])
+            .ok_or_else(|| Error::Corrupt(format!("chunk at byte {} was not read", meta.offset)))
     }
 
     pub fn num_row_groups(&self) -> usize {
@@ -758,7 +848,7 @@ impl ColumnarReader {
             .get(g)
             .and_then(|group| Some((group, group.chunks.get(col)?)))
             .ok_or_else(|| Error::Corrupt(format!("no column {col} in row group {g}")))?;
-        let stored = &self.data[meta.offset as usize..(meta.offset + meta.stored_len) as usize];
+        let stored = self.chunk(meta)?;
         let raw;
         let raw_slice: &[u8] = if meta.compressed {
             raw = compress::decompress(stored, meta.raw_len as usize).map_err(Error::Corrupt)?;
@@ -899,7 +989,7 @@ mod tests {
     }
 
     #[test]
-    fn row_group_extents_cover_the_file_contiguously() {
+    fn chunk_extents_cover_the_file_contiguously() {
         let rows = sample_rows(500);
         let opts = WriterOptions {
             rows_per_group: 100,
@@ -909,24 +999,78 @@ mod tests {
         let len = bytes.len() as u64;
         let r = ColumnarReader::open(Bytes::from(bytes)).unwrap();
         assert_eq!(r.num_row_groups(), 5);
-        let ext = r.row_group_extents();
-        // 5 group ranges + the footer range, contiguous over [0, len).
-        assert_eq!(ext.len(), 6);
+        let ext = r.chunk_extents();
+        // 5 groups × 5 column chunks + the footer range, contiguous over
+        // [0, len).
+        assert_eq!(ext.len(), 26);
         assert_eq!(ext.first().unwrap().0, 0);
         assert_eq!(ext.last().unwrap().1, len);
         for w in ext.windows(2) {
             assert_eq!(w[0].1, w[1].0, "extents are contiguous");
         }
-        // Each data range starts exactly at its group's first chunk
-        // (group 0 absorbs the 4-byte magic).
-        for (g, e) in ext.iter().enumerate().take(5).skip(1) {
-            let start = r.row_group(g).chunks.iter().map(|c| c.offset).min();
-            assert_eq!(Some(e.0), start);
+        // Every range but the first is exactly one chunk; the first
+        // carries the 4-byte magic too.
+        let chunks: Vec<&ChunkMeta> = (0..5).flat_map(|g| &r.row_group(g).chunks).collect();
+        for (e, c) in ext.iter().zip(&chunks).skip(1) {
+            assert_eq!(*e, (c.offset, c.offset + c.stored_len));
         }
-        // A single-group file still splits data from footer.
-        let small = encode_columnar(&schema(), &sample_rows(10), WriterOptions::default());
-        let r = ColumnarReader::open(Bytes::from(small)).unwrap();
-        assert_eq!(r.row_group_extents().len(), 2);
+        assert_eq!(ext[0], (0, 4 + chunks[0].stored_len));
+        // A column's extents: its chunk in every group, and the footer.
+        let of_name = r.extents_of(&[1]);
+        assert_eq!(of_name.len(), 6);
+        assert_eq!(of_name[5], *ext.last().unwrap());
+        assert_eq!(r.extents_of(&[]), vec![*ext.last().unwrap()]);
+        assert_eq!(r.extents_of(&[0, 1, 2, 3, 4]), ext);
+        // A file without rows still splits its magic from its footer.
+        let empty = encode_columnar(&schema(), &[], WriterOptions::default());
+        let r = ColumnarReader::open(Bytes::from(empty)).unwrap();
+        assert_eq!(r.chunk_extents().len(), 2);
+        assert_eq!(r.chunk_extents()[0], (0, 4));
+    }
+
+    /// The segments of `bytes` named by `ranges`, as a scan hands them.
+    fn parts_of(bytes: &Bytes, ranges: &[(u64, u64)]) -> Vec<(u64, Bytes)> {
+        let slice =
+            |&(first, last): &(u64, u64)| (first, bytes.slice(first as usize..last as usize));
+        ranges.iter().map(slice).collect()
+    }
+
+    #[test]
+    fn a_reader_of_the_footer_and_some_chunks_decodes_those_columns_only() {
+        let rows = sample_rows(300);
+        let opts = WriterOptions {
+            rows_per_group: 64,
+            compress: true,
+        };
+        let bytes = Bytes::from(encode_columnar(&schema(), &rows, opts));
+        let whole = ColumnarReader::open(bytes.clone()).unwrap();
+        let cols = [3usize, 1];
+        let part = ColumnarReader::open_parts(parts_of(&bytes, &whole.extents_of(&cols))).unwrap();
+        assert_eq!(part.schema(), whole.schema());
+        assert_eq!(part.chunk_extents(), whole.chunk_extents());
+        for g in 0..whole.num_row_groups() {
+            let want = whole.read_group_batch_projected(g, &cols).unwrap();
+            let got = part.read_group_batch_projected(g, &cols).unwrap();
+            assert_eq!(got.to_rows(), want.to_rows());
+            // A column it was not handed is an error, not a panic.
+            let err = part.read_column_vector(g, 0).unwrap_err();
+            assert!(matches!(err, Error::Corrupt(_)), "{err}");
+            // Nor are columns needed to count a group's rows.
+            assert_eq!(
+                part.read_group_batch_projected(g, &[]).unwrap().len(),
+                want.len()
+            );
+        }
+        // The footer alone opens; neighbouring chunks may come as one run.
+        let ext = whole.chunk_extents();
+        let footer = *ext.last().unwrap();
+        assert!(ColumnarReader::open_parts(parts_of(&bytes, &[footer])).is_ok());
+        let run = (ext[1].0, ext[3].1);
+        let r = ColumnarReader::open_parts(parts_of(&bytes, &[run, footer])).unwrap();
+        assert_eq!(
+            r.read_column(0, 2).unwrap(),
+            whole.read_column(0, 2).unwrap()
+        );
     }
 
     #[test]
@@ -1239,6 +1383,13 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    fn parts_of(bytes: &Bytes, ranges: &[(u64, u64)]) -> Vec<(u64, Bytes)> {
+        let slice =
+            |&(first, last): &(u64, u64)| (first, bytes.slice(first as usize..last as usize));
+        ranges.iter().map(slice).collect()
+    }
 
     fn arb_row() -> impl Strategy<Value = Row> {
         (
@@ -1271,6 +1422,82 @@ mod proptests {
             let bytes = encode_columnar(&schema, &rows, WriterOptions { rows_per_group, compress });
             let r = ColumnarReader::open(Bytes::from(bytes)).unwrap();
             prop_assert_eq!(r.read_all().unwrap(), rows);
+        }
+
+        /// The parts-based open never panics on what it is handed: a
+        /// truncated or bit-flipped footer segment, a chunk run a byte
+        /// short or long, a chunk left out. Each is a `Corrupt` error —
+        /// or, for a flipped bit the footer's encoding cannot tell from a
+        /// real value (a statistic, a name), a reader whose every read
+        /// still returns or fails as `Corrupt`.
+        #[test]
+        fn damaged_parts_are_corrupt_errors_never_panics(
+            rows in proptest::collection::vec(arb_row(), 1..200),
+            rows_per_group in 1usize..80,
+            compress in any::<bool>(),
+            cut in 1usize..64,
+            bit in any::<u64>(),
+            pick in any::<u64>(),
+            longer in any::<bool>(),
+        ) {
+            let schema = Schema::from_pairs(&[
+                ("a", DataType::Int),
+                ("b", DataType::Str),
+                ("c", DataType::Float),
+            ]);
+            let opts = WriterOptions { rows_per_group, compress };
+            let bytes = Bytes::from(encode_columnar(&schema, &rows, opts));
+            let whole = ColumnarReader::open(bytes.clone()).unwrap();
+            let ext = whole.chunk_extents();
+            let footer = *ext.last().unwrap();
+            let chunks = &ext[..ext.len() - 1];
+            let corrupt = |r: Result<ColumnarReader>| match r {
+                Err(Error::Corrupt(_)) => Ok(()),
+                Err(e) => Err(TestCaseError::fail(format!("not Corrupt: {e}"))),
+                Ok(_) => Err(TestCaseError::fail("opened")),
+            };
+            let read_all = |r: &ColumnarReader| -> Result<()> {
+                for g in 0..r.num_row_groups() {
+                    r.read_group_batch(g)?;
+                }
+                Ok(())
+            };
+            // A footer segment cut short at its end loses its trailer.
+            let f = bytes.slice(footer.0 as usize..footer.1 as usize);
+            let short = f.slice(..f.len().saturating_sub(cut));
+            corrupt(ColumnarReader::open_parts(vec![(footer.0, short)]))?;
+            // …and cut at its start, it no longer holds the footer.
+            let tail = f.slice(cut.min(f.len())..);
+            corrupt(ColumnarReader::open_parts(vec![(footer.0 + cut as u64, tail)]))?;
+            // A bit flipped anywhere in it.
+            let mut flipped = f.to_vec();
+            let at = (bit % (flipped.len() as u64 * 8)) as usize;
+            flipped[at / 8] ^= 1 << (at % 8);
+            let opened = ColumnarReader::open_parts(vec![(footer.0, Bytes::from(flipped))]);
+            if at / 8 >= f.len() - 4 {
+                corrupt(opened)?;
+            } else if let Ok(r) = opened {
+                if let Err(e) = read_all(&r) {
+                    prop_assert!(matches!(e, Error::Corrupt(_)), "{}", e);
+                }
+            } else if let Err(e) = opened {
+                prop_assert!(matches!(e, Error::Corrupt(_)), "{}", e);
+            }
+            // One chunk run a byte short or a byte long.
+            let i = (pick % chunks.len() as u64) as usize;
+            let (first, last) = chunks[i];
+            let last = if longer { last + 1 } else { last - 1 };
+            let mut parts = parts_of(&bytes, &[(first, last)]);
+            parts.extend(parts_of(&bytes, &[footer]));
+            corrupt(ColumnarReader::open_parts(parts))?;
+            // Every chunk but one: the open succeeds, the read of the
+            // missing one fails.
+            let mut handed = chunks.to_vec();
+            handed.remove(i);
+            handed.push(footer);
+            let r = ColumnarReader::open_parts(parts_of(&bytes, &handed)).unwrap();
+            let e = read_all(&r).unwrap_err();
+            prop_assert!(matches!(e, Error::Corrupt(_)), "{}", e);
         }
 
         #[test]

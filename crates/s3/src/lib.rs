@@ -136,12 +136,19 @@ pub struct Retried<T> {
 }
 
 /// Result of a chunk-granular read through the two-tier segment cache
-/// ([`S3Store::read_object_chunked_cached_with`]): the reassembled object
-/// plus how much of it each tier served and what the gaps billed.
+/// ([`S3Store::read_object_chunked_cached_with`]): the object's bytes the
+/// read returned — the whole object, or the segments it was asked for —
+/// plus how much of them each tier served and what the gaps billed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkedFetch {
-    /// The whole object, chunks reassembled in order.
+    /// The whole object, chunks reassembled in order — empty when the
+    /// read returned only the segments it was asked for (`segments`).
     pub data: Bytes,
+    /// On a read of named segments, what it returned: `(offset, bytes)`
+    /// runs in object order, uncopied — each resident segment served, and
+    /// the one gap GET with every segment riding along in it. Empty when
+    /// `data` holds the whole object.
+    pub segments: Vec<(u64, Bytes)>,
     /// GET attempts billed (gap fetches, retries included; 0 when fully
     /// cached).
     pub attempts: u32,
@@ -734,7 +741,7 @@ impl S3Store {
         layout_of: impl Fn(&Bytes) -> Vec<(u64, u64)>,
     ) -> Result<ChunkedFetch> {
         let (fetched, log) =
-            self.read_object_chunked_cached_with(bucket, key, policy, layout_of)?;
+            self.read_object_chunked_cached_with(bucket, key, policy, layout_of, |_, _| None)?;
         if let Some(cache) = self.cache() {
             cache.apply(log);
         }
@@ -752,22 +759,35 @@ impl S3Store {
     /// * **Cold** (no recorded layout) — one retried whole-object GET,
     ///   billed exactly like [`S3Store::get_object_with`]; `layout_of`
     ///   derives the object's chunk ranges from the fetched bytes
-    ///   (ColumnarLite row-group extents, fixed CSV blocks — the store
-    ///   stays format-agnostic), each chunk is logged as a fill of its
-    ///   own segment, and the layout as learned.
-    /// * **Warm / partial** — each chunk in the recorded layout is
+    ///   (ColumnarLite chunk extents, fixed CSV blocks — the store stays
+    ///   format-agnostic), each chunk is logged as a fill of its own
+    ///   segment, and the layout as learned. The whole object comes back
+    ///   in `data`.
+    /// * **Warm, named segments** — when the layout's last segment (a
+    ///   trailer such as ColumnarLite's footer) is resident and
+    ///   `wanted_of(its offset, its bytes)` names the layout ranges the
+    ///   caller needs, only those are looked up. Resident ones are served
+    ///   from their tier; the missing ones are fetched by **one** retried
+    ///   range GET spanning them, every segment in between riding along
+    ///   and logged as a fill, so the read never makes more requests than
+    ///   the partial-hit read below. What it returned comes back, uncopied,
+    ///   in `segments`.
+    /// * **Warm / partial** — otherwise (`wanted_of` answers `None`, the
+    ///   trailer is not resident), each chunk in the recorded layout is
     ///   looked up: mem-tier hits advance the virtual clock at
     ///   `cache_read_bw`, disk-tier hits at `disk_read_bw` (and promote
     ///   once applied), and **only the gaps** are fetched — adjacent
     ///   missing chunks coalesce into one range GET, each coalesced gap
     ///   its own retried request (every attempt billed as a request, its
-    ///   bytes once), logged as fills chunk by chunk.
+    ///   bytes once), logged as fills chunk by chunk. The chunks come back
+    ///   reassembled in `data`.
     /// * **Torn read** — if a writer moved the object's epoch while the
     ///   read was mixing cached and fetched ranges, the partial result
     ///   is discarded and one honest whole-object retried GET (billed,
     ///   not cached) restores snapshot consistency: callers always see
-    ///   bytes a cache-less scan could have seen. The fills logged before
-    ///   carry the old epoch, so applying them stores nothing.
+    ///   bytes a cache-less scan could have seen, whole, in `data`. The
+    ///   fills logged before carry the old epoch, so applying them stores
+    ///   nothing.
     /// * **No cache installed** — plain [`S3Store::get_object_with`] and
     ///   an empty log.
     pub fn read_object_chunked_cached_with(
@@ -776,11 +796,13 @@ impl S3Store {
         key: &str,
         policy: &RetryPolicy,
         layout_of: impl Fn(&Bytes) -> Vec<(u64, u64)>,
+        wanted_of: impl Fn(u64, &Bytes) -> Option<Vec<(u64, u64)>>,
     ) -> Result<(ChunkedFetch, Vec<Access>)> {
         let whole_get = |fetched: Retried<Bytes>| {
             let len = fetched.value.len() as u64;
             ChunkedFetch {
                 data: fetched.value,
+                segments: Vec::new(),
                 attempts: fetched.attempts,
                 mem_bytes: 0,
                 disk_bytes: 0,
@@ -815,35 +837,71 @@ impl S3Store {
             });
             return Ok((fetched, log));
         };
-        // Partial-hit read: serve resident chunks, fetch only the gaps.
-        let mut parts: Vec<Bytes> = vec![Bytes::new(); layout.len()];
-        let mut missing: Vec<usize> = Vec::new();
+        let chunk = |i: usize| SegmentKey::chunk(bucket, key, layout[i]);
+        // Named segments: the trailer is resident and names the chunks
+        // the caller wants (by index into the layout, the trailer's own
+        // included); its lookup is kept. Else every chunk is wanted.
+        let last = layout.len().checked_sub(1);
+        let named = last.and_then(|t| {
+            let access = cache.read(&chunk(t));
+            let (trailer, _) = access.served()?;
+            let wanted = wanted_of(layout[t].0, &trailer)?;
+            let mut picked: Vec<usize> = (wanted.iter())
+                .map(|r| layout.binary_search(r).ok())
+                .collect::<Option<_>>()?;
+            picked.push(t);
+            picked.sort_unstable();
+            picked.dedup();
+            Some((picked, access))
+        });
+        let spans = named.is_some();
+        let (picked, mut trailer) = match named {
+            Some((picked, access)) => (picked, Some(access)),
+            None => ((0..layout.len()).collect(), None),
+        };
+        let mut looked = Vec::with_capacity(picked.len());
+        for i in picked {
+            let access = match trailer.take_if(|_| Some(i) == last) {
+                Some(access) => access,
+                None => cache.read(&chunk(i)),
+            };
+            looked.push((i, access));
+        }
+        // The gap GETs: one spanning every missing chunk of a named read;
+        // else adjacent missing chunks (the layout is contiguous, so
+        // index-adjacent means byte-adjacent) coalesce into one each.
+        let missing: Vec<usize> = (looked.iter())
+            .filter(|(_, access)| access.served().is_none())
+            .map(|&(i, _)| i)
+            .collect();
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for &i in &missing {
+            match runs.last_mut() {
+                Some(run) if spans || run.1 + 1 == i => run.1 = i,
+                _ => runs.push((i, i)),
+            }
+        }
+        let in_run = |i: usize| runs.iter().any(|&(lo, hi)| lo <= i && i <= hi);
+        // Serve what is resident — a resident chunk inside a gap GET rides
+        // along in it instead.
+        let mut segments: Vec<(u64, Bytes)> = Vec::new();
         let (mut mem_bytes, mut disk_bytes) = (0u64, 0u64);
-        for (i, &range) in layout.iter().enumerate() {
-            let access = cache.read(&SegmentKey::chunk(bucket, key, range));
+        for (i, access) in looked {
             match access.served() {
+                Some(_) if spans && in_run(i) => continue,
                 Some((data, CacheTier::Mem)) => {
                     mem_bytes += data.len() as u64;
-                    parts[i] = data;
+                    segments.push((layout[i].0, data));
                 }
                 Some((data, CacheTier::Disk)) => {
                     disk_bytes += data.len() as u64;
-                    parts[i] = data;
+                    segments.push((layout[i].0, data));
                 }
-                None => missing.push(i),
+                None => {}
             }
             log.push(access);
         }
         self.advance_local_read(mem_bytes, disk_bytes);
-        // Coalesce adjacent missing chunks (the layout is contiguous, so
-        // index-adjacent means byte-adjacent) into single range GETs.
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        for &i in &missing {
-            match runs.last_mut() {
-                Some(run) if run.1 + 1 == i => run.1 = i,
-                _ => runs.push((i, i)),
-            }
-        }
         let (mut attempts, mut gap_bytes, mut gap_gets) = (0u32, 0u64, 0u32);
         let mut torn = false;
         for &(lo, hi) in &runs {
@@ -860,12 +918,12 @@ impl S3Store {
                             .value
                             .slice((cf - first) as usize..(cl - first) as usize);
                         log.push(Access::Fill {
-                            key: SegmentKey::chunk(bucket, key, (cf, cl)),
-                            data: slice.clone(),
+                            key: chunk(i),
+                            data: slice,
                             epoch,
                         });
-                        parts[i] = slice;
                     }
+                    segments.push((first, fetched.value));
                 }
                 Err(e) => {
                     // A replaced/deleted object can shrink under the
@@ -890,6 +948,7 @@ impl S3Store {
             gap_bytes += fetched.value.len() as u64;
             let fetched = ChunkedFetch {
                 data: fetched.value,
+                segments: Vec::new(),
                 attempts,
                 mem_bytes,
                 disk_bytes,
@@ -899,20 +958,22 @@ impl S3Store {
             };
             return Ok((fetched, log));
         }
-        let data = match parts.len() {
-            0 => Bytes::new(),
-            1 => parts.pop().expect("len checked"),
-            _ => {
-                let total: usize = parts.iter().map(|p| p.len()).sum();
+        segments.sort_unstable_by_key(|&(at, _)| at);
+        let data = match (spans, segments.len()) {
+            (true, _) | (false, 0) => Bytes::new(),
+            (false, 1) => segments.pop().expect("len checked").1,
+            (false, _) => {
+                let total: usize = segments.iter().map(|(_, p)| p.len()).sum();
                 let mut out = Vec::with_capacity(total);
-                for p in &parts {
-                    out.extend_from_slice(p);
+                for (_, p) in segments.drain(..) {
+                    out.extend_from_slice(&p);
                 }
                 Bytes::from(out)
             }
         };
         let fetched = ChunkedFetch {
             data,
+            segments,
             attempts,
             mem_bytes,
             disk_bytes,
@@ -1365,7 +1426,7 @@ mod tests {
             let state = || cache.as_ref().map(|c| (c.stats(), c.residency_digest()));
             let before = state();
             let (fetched, log) =
-                s.read_object_chunked_cached_with("tpch", "obj", policy, blocks4)?;
+                s.read_object_chunked_cached_with("tpch", "obj", policy, blocks4, |_, _| None)?;
             assert_eq!(state(), before, "the read half changes nothing");
             if let Some(cache) = &cache {
                 cache.apply(log);
@@ -1480,6 +1541,106 @@ mod tests {
             assert_eq!(scope.ledger().snapshot(), u);
             (vec![partial, warm], settled(&s))
         });
+    }
+
+    /// A warm read whose trailer names the chunks it wants looks up only
+    /// those, fetches the missing ones in one GET spanning them (the
+    /// chunks between riding along, filled) and hands back the segments
+    /// uncopied; with the trailer gone, or no chunks named, it reads
+    /// every chunk as before.
+    #[test]
+    fn chunked_reads_of_named_segments_fetch_their_gaps_in_one_get() {
+        let s = store_with("obj", "0123456789abcdef");
+        let cache = SegmentCache::tiered(1 << 20, 0, us_east());
+        s.set_cache(Some(cache.clone()));
+        let policy = RetryPolicy::default();
+        let wanted = |at: u64, trailer: &Bytes| {
+            assert_eq!((at, &trailer[..]), (12, &b"cdef"[..]));
+            Some(vec![(0, 4), (8, 12)])
+        };
+        let read = |scope: &S3Store| {
+            let (fetched, log) = scope
+                .read_object_chunked_cached_with("tpch", "obj", &policy, blocks4, wanted)
+                .unwrap();
+            cache.apply(log.clone());
+            (fetched, log)
+        };
+        let (cold, _) = read(&s.scoped());
+        assert_eq!(&cold.data[..], b"0123456789abcdef", "a cold read is whole");
+        assert!(cold.segments.is_empty());
+        let scope = s.scoped();
+        let (warm, log) = read(&scope);
+        assert!(warm.hit && warm.data.is_empty());
+        let got: Vec<(u64, &[u8])> = warm.segments.iter().map(|(at, b)| (*at, &b[..])).collect();
+        assert_eq!(got, [(0, &b"0123"[..]), (8, b"89ab"), (12, b"cdef")]);
+        assert_eq!((warm.mem_bytes, warm.attempts), (12, 0));
+        assert_eq!(log.len(), 3, "only the named chunks are looked up");
+        assert_eq!(scope.ledger().snapshot().requests, 0);
+
+        // The chunks at 0 and 8 gone, 4 resident: one GET spans 0..12.
+        let fresh = SegmentCache::tiered(1 << 20, 0, us_east());
+        let epoch = fresh.begin_fill(&SegmentKey::whole("tpch", "obj"));
+        fresh.record_layout(
+            "tpch",
+            "obj",
+            epoch,
+            vec![(0, 4), (4, 8), (8, 12), (12, 16)],
+        );
+        let data = s.raw_object("tpch", "obj").unwrap();
+        for range in [(4, 8), (12, 16)] {
+            let bytes = data.slice(range.0 as usize..range.1 as usize);
+            fresh.insert(SegmentKey::chunk("tpch", "obj", range), bytes, epoch);
+        }
+        s.set_cache(Some(fresh.clone()));
+        let scope = s.scoped();
+        let (fetched, log) = scope
+            .read_object_chunked_cached_with("tpch", "obj", &policy, blocks4, wanted)
+            .unwrap();
+        let got: Vec<(u64, &[u8])> = fetched
+            .segments
+            .iter()
+            .map(|(at, b)| (*at, &b[..]))
+            .collect();
+        assert_eq!(got, [(0, &b"0123456789ab"[..]), (12, b"cdef")]);
+        assert_eq!(
+            (fetched.attempts, fetched.gap_gets, fetched.gap_bytes),
+            (1, 1, 12)
+        );
+        assert_eq!((fetched.mem_bytes, fetched.hit), (4, false));
+        let u = scope.ledger().snapshot();
+        assert_eq!((u.requests, u.plain_bytes), (1, 12), "billed once");
+        let fills = log
+            .iter()
+            .filter(|a| matches!(a, Access::Fill { .. }))
+            .count();
+        assert_eq!(fills, 3, "the chunk at 4 rides along and fills");
+
+        // No trailer resident: every chunk is looked up, the object comes
+        // back whole.
+        let bare = SegmentCache::tiered(1 << 20, 0, us_east());
+        let epoch = bare.begin_fill(&SegmentKey::whole("tpch", "obj"));
+        bare.record_layout(
+            "tpch",
+            "obj",
+            epoch,
+            vec![(0, 4), (4, 8), (8, 12), (12, 16)],
+        );
+        bare.insert(
+            SegmentKey::chunk("tpch", "obj", (4, 8)),
+            data.slice(4..8),
+            epoch,
+        );
+        s.set_cache(Some(bare));
+        let (fetched, _) = s
+            .read_object_chunked_cached_with("tpch", "obj", &policy, blocks4, wanted)
+            .unwrap();
+        assert_eq!(&fetched.data[..], b"0123456789abcdef");
+        assert!(fetched.segments.is_empty());
+        assert_eq!(
+            (fetched.gap_gets, fetched.gap_bytes),
+            (2, 12),
+            "two gap runs"
+        );
     }
 
     #[test]

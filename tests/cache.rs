@@ -1176,3 +1176,287 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// ColumnarLite: column-chunk segments
+// ---------------------------------------------------------------------
+
+mod column_chunks {
+    use super::*;
+    use pushdowndb::cache::SegmentKey;
+    use pushdowndb::core::scan::{scan_rows, ScanFragment, ScanSource, ScanSummary};
+    use pushdowndb::core::{upload_columnar_table, Table};
+    use pushdowndb::format::columnar::{encode_columnar, ColumnarReader, WriterOptions};
+    use pushdowndb::s3::S3Store;
+    use pushdowndb::sql::bind::Binder;
+    use pushdowndb::sql::parse_expr;
+    use pushdowndb::tpch::TpchGen;
+
+    const OPTIONS: WriterOptions = WriterOptions {
+        rows_per_group: 25,
+        compress: true,
+    };
+
+    fn schema() -> Schema {
+        Schema::from_pairs(&[
+            ("k", DataType::Int),
+            ("v", DataType::Float),
+            ("s", DataType::Str),
+            ("d", DataType::Date),
+        ])
+    }
+
+    fn rows(version: i64) -> Vec<Row> {
+        (0..600)
+            .map(|i| {
+                Row::new(vec![
+                    Value::Int(i),
+                    Value::Float((i * 7 + version) as f64 / 4.0),
+                    Value::Str(format!("name-{}", (i + version) % 9)),
+                    Value::Date(9000 + (i % 50) as i32),
+                ])
+            })
+            .collect()
+    }
+
+    /// Six partitions of four row groups of four column chunks.
+    fn table(store: &S3Store) -> Table {
+        upload_columnar_table(store, "b", "t", &schema(), &rows(0), 100, OPTIONS).unwrap()
+    }
+
+    /// The columns the scans below decode: `k` for the predicate, `v`
+    /// and `d` for the output.
+    const NEEDED: [usize; 3] = [0, 1, 3];
+
+    fn fragment(t: &Table) -> ScanFragment {
+        let pred = parse_expr("k % 3 = 0").unwrap();
+        let pred = Binder::new(&t.schema).bind_expr(&pred).unwrap();
+        ScanFragment::columns(t, Some(pred), &[3, 1])
+    }
+
+    fn cached_scan(ctx: &QueryContext, t: &Table) -> (Vec<Row>, ScanSummary, Usage) {
+        let ctx = ctx.scoped();
+        let (rows, summary) = scan_rows(&ctx, t, ScanSource::Cached, &fragment(t)).unwrap();
+        assert_eq!(
+            summary.stats.requests,
+            ctx.billed().requests,
+            "usage == billed"
+        );
+        assert_eq!(summary.stats.plain_bytes, ctx.billed().plain_bytes);
+        (rows, summary, ctx.billed())
+    }
+
+    /// Per partition: its key, bytes, segment layout and the segments
+    /// the scans above need.
+    type Layout = (String, bytes::Bytes, Vec<(u64, u64)>, Vec<(u64, u64)>);
+
+    fn layouts(store: &S3Store, t: &Table) -> Vec<Layout> {
+        let layout = |key: String| {
+            let data = store.raw_object("b", &key).unwrap();
+            let reader = ColumnarReader::open(data.clone()).unwrap();
+            let (all, needed) = (reader.chunk_extents(), reader.extents_of(&NEEDED));
+            (key, data, all, needed)
+        };
+        t.partitions(store).into_iter().map(layout).collect()
+    }
+
+    fn len(ranges: &[(u64, u64)]) -> u64 {
+        ranges.iter().map(|(first, last)| last - first).sum()
+    }
+
+    /// Make every segment of every partition resident but those `gone`
+    /// names (by partition index).
+    fn resident_but(ctx: &QueryContext, parts: &[Layout], gone: &[(usize, (u64, u64))]) {
+        let cache = ctx.cache().unwrap();
+        for (p, (key, data, all, _)) in parts.iter().enumerate() {
+            let epoch = cache.begin_fill(&SegmentKey::whole("b", key));
+            cache.record_layout("b", key, epoch, all.clone());
+            for &range in all.iter().filter(|r| !gone.contains(&(p, **r))) {
+                let bytes = data.slice(range.0 as usize..range.1 as usize);
+                cache.insert(SegmentKey::chunk("b", key, range), bytes, epoch);
+            }
+        }
+    }
+
+    /// A warm projected scan is served the footers and the chunks of the
+    /// columns it decodes — from memory, no request — and returns what
+    /// the cache-off and cold scans return, decoding into column vectors
+    /// or into rows.
+    #[test]
+    fn a_warm_projected_scan_reads_the_footer_and_its_chunks_only() {
+        for columnar in [true, false] {
+            let off = {
+                let store = S3Store::new();
+                let t = table(&store);
+                let ctx = QueryContext::new(store).with_columnar(columnar);
+                scan_rows(&ctx, &t, ScanSource::Cached, &fragment(&t))
+                    .unwrap()
+                    .0
+            };
+            let store = S3Store::new();
+            let t = table(&store);
+            let ctx = QueryContext::new(store.clone())
+                .with_columnar(columnar)
+                .with_cache(1 << 24);
+            let (cold, filled, _) = cached_scan(&ctx, &t);
+            assert_eq!(filled.fill_parts, 6);
+            let (warm, served, billed) = cached_scan(&ctx, &t);
+            assert_eq!((cold.len(), &cold), (200, &off), "columnar_exec {columnar}");
+            assert_eq!(warm, off, "columnar_exec {columnar}");
+            let needed: u64 = layouts(&store, &t).iter().map(|l| len(&l.3)).sum();
+            let s = served.stats;
+            assert_eq!((s.cache_bytes, s.cl_parse_bytes), (needed, needed));
+            assert_eq!((s.requests, s.plain_bytes, s.disk_bytes), (0, 0, 0));
+            assert_eq!(billed, Usage::default());
+            assert_eq!(served.hit_parts, 6);
+            assert!(needed < t.total_bytes(&store), "{needed} B read");
+        }
+    }
+
+    /// With needed chunks missing, each partition missing any makes one
+    /// range GET spanning them — the chunks between riding along — billed
+    /// once; with a footer missing, that partition is read as before
+    /// segments were named: every chunk looked up, the footer the one
+    /// gap. Rows never change.
+    #[test]
+    fn missing_chunks_cost_one_range_get_and_a_missing_footer_falls_back() {
+        let store = S3Store::new();
+        let t = table(&store);
+        let parts = layouts(&store, &t);
+        let want = {
+            let ctx = QueryContext::new(store.with_cache_override(None));
+            scan_rows(&ctx, &t, ScanSource::Plain, &fragment(&t))
+                .unwrap()
+                .0
+        };
+        // Partition 0 misses its first and last needed data chunks,
+        // partition 2 one in the middle.
+        let (n0, n2) = (&parts[0].3, &parts[2].3);
+        let gone = [(0, n0[0]), (0, n0[n0.len() - 2]), (2, n2[3])];
+        let ctx = QueryContext::new(store.clone()).with_cache(1 << 24);
+        resident_but(&ctx, &parts, &gone);
+        let (rows, summary, billed) = cached_scan(&ctx, &t);
+        assert_eq!(rows, want);
+        let span = n0[n0.len() - 2].1 - n0[0].0;
+        let s = summary.stats;
+        assert_eq!(
+            (s.requests, billed.requests),
+            (2, 2),
+            "one GET per partition"
+        );
+        assert_eq!(s.plain_bytes, span + len(&[n2[3]]), "billed once");
+        assert!(span > len(&[n0[0], n0[n0.len() - 2]]), "chunks ride along");
+        assert_eq!((summary.hit_parts, summary.fill_parts), (4, 2));
+        // What rode along filled: the next read is all hits.
+        let (again, warm, _) = cached_scan(&ctx, &t);
+        assert_eq!(again, want);
+        assert_eq!((warm.stats.requests, warm.hit_parts), (0, 6));
+
+        // Partition 1's footer gone.
+        let ctx = QueryContext::new(store.clone()).with_cache(1 << 24);
+        let footer = *parts[1].2.last().unwrap();
+        resident_but(&ctx, &parts, &[(1, footer)]);
+        let (rows, summary, _) = cached_scan(&ctx, &t);
+        assert_eq!(rows, want);
+        let s = summary.stats;
+        let others: u64 = (parts.iter().enumerate())
+            .filter(|(p, _)| *p != 1)
+            .map(|(_, l)| len(&l.3))
+            .sum();
+        assert_eq!((s.requests, s.plain_bytes), (1, len(&[footer])));
+        assert_eq!(
+            s.cache_bytes + s.plain_bytes,
+            others + parts[1].1.len() as u64
+        );
+    }
+
+    /// A partition rewritten between two warm reads is read anew.
+    #[test]
+    fn a_rewrite_between_warm_reads_returns_the_new_rows() {
+        let store = S3Store::new();
+        let t = table(&store);
+        let ctx = QueryContext::new(store.clone()).with_cache(1 << 24);
+        let uncached = |store: &S3Store| {
+            let ctx = QueryContext::new(store.with_cache_override(None));
+            scan_rows(&ctx, &t, ScanSource::Plain, &fragment(&t))
+                .unwrap()
+                .0
+        };
+        cached_scan(&ctx, &t);
+        let (before, _, _) = cached_scan(&ctx, &t);
+        assert_eq!(before, uncached(&store));
+        let key = &t.partitions(&store)[2];
+        store.put_object(
+            "b",
+            key,
+            encode_columnar(&schema(), &rows(5)[..100], OPTIONS),
+        );
+        let now = uncached(&store);
+        assert_ne!(now, before);
+        let (after, summary, _) = cached_scan(&ctx, &t);
+        assert_eq!(after, now);
+        assert_eq!(summary.fill_parts, 1, "the rewritten partition is cold");
+        let (again, summary, _) = cached_scan(&ctx, &t);
+        assert_eq!((again, summary.hit_parts), (now, 6));
+    }
+
+    /// `orders`, `customer` and `lineitem` as ColumnarLite (a bucket of
+    /// their own), beside the CSV rest of a TPC-H context.
+    fn columnar_tpch() -> (QueryContext, TpchTables) {
+        let (ctx, csv) = tpch_context(0.002, 1_000).unwrap();
+        let gen = TpchGen::new(0.002);
+        let (cs, customers) = gen.customers();
+        let (os, orders) = gen.orders();
+        let (ls, lineitems) = gen.lineitems(&orders);
+        let options = WriterOptions::default();
+        let upload = |name: &str, schema: &Schema, rows: &[Row]| {
+            upload_columnar_table(&ctx.store, "tpch-cl", name, schema, rows, 1_000, options)
+                .unwrap()
+        };
+        let t = TpchTables {
+            customer: upload("customer", &cs, &customers),
+            orders: upload("orders", &os, &orders),
+            lineitem: upload("lineitem", &ls, &lineitems),
+            ..csv
+        };
+        t.register(&ctx.catalog);
+        (ctx, t)
+    }
+
+    /// An Adaptive Zipf stream over ColumnarLite and a two-tier cache of
+    /// `zipf_fit`'s budgets (25 % / 100 % of the data), at `threads` scan
+    /// threads: per query its plan, phases and bill, then the cache's
+    /// counters and residency.
+    fn columnar_zipf(threads: usize) -> (Vec<(String, String, Usage)>, CacheStats, u64) {
+        let (ctx, t) = columnar_tpch();
+        let bytes = dataset_bytes(&ctx, &t) as f64;
+        let mut ctx = ctx.with_cache_tiers((bytes * 0.25) as u64, bytes as u64);
+        ctx.scan_threads = threads;
+        let mut queries = Vec::new();
+        for q in generate_zipf(42, 36, 1.0) {
+            let qctx = ctx.scoped_with_salt(q.index as u64);
+            let table = (q.query.table)(&t);
+            let (out, explain) =
+                execute_sql_verbose(&qctx, table, q.query.sql, Strategy::Adaptive).unwrap();
+            assert_eq!(out.metrics.usage(), out.billed, "query {}", q.index);
+            let phases = format!("{:?}", phases(&out.metrics));
+            queries.push((explain.kind.to_string(), phases, out.billed));
+        }
+        let cache = ctx.cache().unwrap();
+        (queries, cache.stats(), cache.residency_digest())
+    }
+
+    /// Determinism over column-chunk segments: what a ColumnarLite Zipf
+    /// stream does to the cache does not depend on the pool width.
+    #[test]
+    fn a_columnar_zipf_stream_leaves_the_same_residency_at_any_pool_width() {
+        let one = columnar_zipf(1);
+        assert!(one.1.hits > 0 && one.1.promotions > 0, "{:?}", one.1);
+        for threads in [2, 8] {
+            let other = columnar_zipf(threads);
+            assert_eq!(one.0, other.0, "queries at {threads} threads");
+            assert_eq!(one.1, other.1, "cache stats at {threads} threads");
+            assert_eq!(one.2, other.2, "residency at {threads} threads");
+        }
+    }
+}

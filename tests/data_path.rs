@@ -476,6 +476,7 @@ fn table_stats_oracle(schema: &Schema, rows: &[Row]) -> TableStats {
     TableStats {
         row_count: n,
         columns,
+        segments: None,
     }
 }
 

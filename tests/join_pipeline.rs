@@ -2,7 +2,8 @@
 //! every candidate plan the join lowering produces, `plan::execute` must
 //! deliver the rows, the row order, the schema, every operator's
 //! `OpReport::actual`, the `QueryMetrics` and the bill of a materializing
-//! executor that scans whole tables with the identity shims and runs the
+//! executor that scans whole tables with the identity shims (a cached
+//! leaf that projects: the columns it references, unfiltered) and runs the
 //! whole-input operators (`ops::hash_join`, `map_rows`, `hash_group_by`,
 //! `sort_rows_by_keys`) one after the other — for every storage format,
 //! cache state, pool width and batch size.
@@ -19,7 +20,9 @@ use pushdowndb::core::metrics::Flow::{self, Breaker, Streaming};
 use pushdowndb::core::metrics::{Phase, Sides};
 use pushdowndb::core::plan::Order;
 use pushdowndb::core::planner::{self, execute_sql};
-use pushdowndb::core::scan::{cached_scan_streamed, plain_scan_streamed, select_scan, ScanSource};
+use pushdowndb::core::scan::{
+    cached_scan_streamed, plain_scan_streamed, scan, select_scan, ScanFragment, ScanSource,
+};
 use pushdowndb::core::{
     ops, plan, upload_columnar_table, upload_csv_table, OpReport, PlanNode, PlanOp, QueryContext,
     QueryMetrics, Table,
@@ -240,15 +243,15 @@ fn setup(format: Format, cache: Cache) -> QueryContext {
             for (key, bytes) in &data.objects {
                 let len = bytes.len() as u64;
                 // The layout the scan itself derives: fixed blocks for
-                // CSV, row-group extents for ColumnarLite.
+                // CSV, column-chunk extents for ColumnarLite.
                 let chunks: Vec<(u64, u64)> = match format {
                     Format::Csv => (0..len)
                         .step_by(CHUNK as usize)
                         .map(|f| (f, (f + CHUNK).min(len)))
                         .collect(),
-                    Format::Columnar => ColumnarReader::open(bytes.clone())
-                        .unwrap()
-                        .row_group_extents(),
+                    Format::Columnar => {
+                        ColumnarReader::open(bytes.clone()).unwrap().chunk_extents()
+                    }
                 };
                 assert!(chunks.len() >= 3, "need gaps and hits in {key}");
                 let epoch = cache.begin_fill(&SegmentKey::whole(BUCKET, key));
@@ -560,21 +563,38 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
                 rows.extend(batch.rows);
                 Ok(())
             };
-            let summary = if cached {
-                cached_scan_streamed(ctx, table, collect)?
-            } else {
-                plain_scan_streamed(ctx, table, collect)?
+            // A cached leaf reads the columns it references — what a warm
+            // ColumnarLite cache serves is their chunks and the footer —
+            // and filters and projects them here; a GET reads whole rows.
+            let mut schema = table.schema.clone();
+            let summary = match (cached, projection) {
+                (true, Some(cols)) => {
+                    let mut names = cols.clone();
+                    if let Some(p) = predicate {
+                        p.referenced_columns(&mut names);
+                    }
+                    let mut read = names
+                        .iter()
+                        .map(|c| table.schema.resolve(c))
+                        .collect::<Result<Vec<_>>>()?;
+                    read.sort_unstable();
+                    read.dedup();
+                    schema = schema.project(&read);
+                    let fragment = ScanFragment::columns(table, None, &read);
+                    scan(ctx, table, ScanSource::Cached, &fragment, collect)?
+                }
+                (true, None) => cached_scan_streamed(ctx, table, collect)?,
+                (false, _) => plain_scan_streamed(ctx, table, collect)?,
             };
             let mut stats = summary.stats;
             if let Some(p) = predicate {
-                let bound = Binder::new(&table.schema).bind_expr(p)?;
+                let bound = Binder::new(&schema).bind_expr(p)?;
                 rows = ops::filter_rows(rows, &bound, &mut stats)?;
             }
-            let mut schema = table.schema.clone();
             if let Some(cols) = projection {
                 let indices = cols
                     .iter()
-                    .map(|c| table.schema.resolve(c))
+                    .map(|c| schema.resolve(c))
                     .collect::<Result<Vec<_>>>()?;
                 schema = schema.project(&indices);
                 rows = rows.iter().map(|r| r.project(&indices)).collect();

@@ -334,3 +334,53 @@ fn columnar_serial() {
 fn columnar_four_nodes() {
     check("columnar_4n.txt", Format::Columnar, Some(4));
 }
+
+/// On a warm ColumnarLite cache the pricer predicts what a cached
+/// candidate reads: for every suite shape, each `cached*` candidate's
+/// predicted bytes served (mem + disk + remote) and ColumnarLite parse
+/// bytes equal the executed ones — the footers and the chunks of the
+/// columns its leaves decode — serially and on four nodes.
+#[test]
+fn warm_columnar_cached_candidates_predict_the_bytes_they_read() {
+    let data = dataset(Format::Columnar);
+    let read = |m: &QueryMetrics| {
+        let phases = m.groups.iter().flat_map(|g| &g.phases);
+        phases.fold((0, 0), |(served, cl), p| {
+            let s = &p.stats;
+            (
+                served + s.cache_bytes + s.disk_bytes + s.plain_bytes,
+                cl + s.cl_parse_bytes,
+            )
+        })
+    };
+    let mut checked = 0;
+    for nodes in [None, Some(4)] {
+        for q in planner_suite() {
+            let table = data
+                .tables
+                .iter()
+                .find(|t| q.sql.contains(&format!("FROM {}", t.name)))
+                .expect("suite query names its table");
+            let ctx = context(&data, Cache::Warm, nodes);
+            let warm = ctx.clone().with_cache_reads(true);
+            execute_sql(&warm, table, q.sql, Strategy::Baseline).unwrap();
+            let spec = parse_query(q.sql).unwrap();
+            let scoped = ctx.scoped();
+            let (_, candidates) = lower(&scoped, table, &spec).unwrap();
+            for (name, plan) in candidates.iter().filter(|(n, _)| n.starts_with("cached")) {
+                let predicted = predict_plan(&Estimators::new(&scoped, [plan]), plan).unwrap();
+                let out = run_candidate(&ctx, table, q.sql, name, None).unwrap();
+                let (served, cl) = read(&out.metrics);
+                assert!(served > 0, "{} {name} reads the cache", q.name);
+                assert_eq!(
+                    read(&predicted.metrics),
+                    (served, cl),
+                    "{} {name} on {nodes:?} nodes: predicted vs read",
+                    q.name
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked >= 18, "{checked} cached candidates");
+}
