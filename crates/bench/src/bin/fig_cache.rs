@@ -302,6 +302,36 @@ fn main() {
         std::process::exit(1);
     }
 
+    // Gate 7: a mem tier in front of the disk tier writes nothing more
+    // to it. A segment promoted to mem keeps its log copy, so demoting
+    // it again appends nothing and a restart recovers it: with the same
+    // full-dataset disk tier behind a constrained mem budget, the replay
+    // re-bills no remote bytes and the leg persists no more than the
+    // disk-only row.
+    let fronted = restart
+        .rows
+        .iter()
+        .find(|r| r.mem_budget > 0 && r.disk_budget >= restart.dataset_bytes)
+        .expect("mem-fronted full disk-budget restart row");
+    let persisted = |r: &fig::FigRestartRow| r.persisted(|c| c.persisted_bytes);
+    println!(
+        "Restart behind {} of mem: restart remote {}, persisted {} (disk-only row {}).",
+        fmtutil::bytes(fronted.mem_budget),
+        fmtutil::bytes(fronted.restart_remote),
+        fmtutil::bytes(persisted(fronted)),
+        fmtutil::bytes(persisted(full_disk)),
+    );
+    if fronted.restart_remote != 0 || persisted(fronted) > persisted(full_disk) {
+        eprintln!(
+            "ERROR: a mem tier in front must add no disk writes and lose nothing at a restart \
+             (restart remote {} B, persisted {} B vs the disk-only row's {} B)",
+            fronted.restart_remote,
+            persisted(fronted),
+            persisted(full_disk)
+        );
+        std::process::exit(1);
+    }
+
     // Gate 4 (ISSUE 10): the manifest stays compact under eviction
     // churn — dead Put/Del records are garbage-collected once they
     // outnumber live state, so the undersized-disk point's manifest is

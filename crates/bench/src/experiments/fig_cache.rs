@@ -233,8 +233,9 @@ pub struct FigRestartResult {
 /// Zipf stream, drop every cache handle (a clean shutdown), rebuild the
 /// context from a freshly generated (byte-identical) dataset, recover
 /// the cache from the same directory — timed — and replay the stream a
-/// third time. Segments that were disk-resident at shutdown must serve
-/// the restart pass without re-billing; the recovery-time catalog probe
+/// third time. Segments that were disk-resident at shutdown, or promoted
+/// to mem from the disk tier, must serve the restart pass without
+/// re-billing; the recovery-time catalog probe
 /// checksums every recovered segment against the regenerated objects.
 pub fn run_restart(
     scale_factor: f64,

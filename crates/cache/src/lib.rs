@@ -70,6 +70,9 @@
 //!   fill ──▶ [ mem tier ] ──evict──▶ [ disk tier ] ──evict──▶ dropped
 //!                ▲                        │
 //!                └──────── promote ───────┘  (on disk hit)
+//!
+//!   segment log: one Put when a segment first reaches the disk tier,
+//!   kept through promote and demote, one Del when it leaves the cache
 //! ```
 //!
 //! * **Demote-on-evict** — a segment evicted from mem moves to the disk
@@ -84,9 +87,14 @@
 //! Both tiers run the same dollars-saved-per-byte eviction, and the two
 //! backings of the disk tier are one behaviour: a file-backed cache
 //! makes every decision a RAM-backed one makes (`tests/cache_model.rs`
-//! drives both against one reference model), it only keeps disk-tier
-//! bytes in the log — falling back to RAM when a persist fails or after
-//! a crash, so the cache keeps working with durability degraded.
+//! drives both against one reference model). It only decides what
+//! reaches the segment log, and writes each segment there once: a
+//! promoted segment keeps its log copy, so demoting it again drops its
+//! RAM bytes and flips its tier with no I/O, and only a segment without
+//! a live copy is appended. The log thus holds the disk tier plus at
+//! most `mem_bytes` of promoted copies, and a restart recovers both
+//! (disk-tier, mem cold). When a persist fails, or after a crash, bytes
+//! stay in RAM, so the cache keeps working with durability degraded.
 //!
 //! # Cost-aware eviction
 //!
@@ -270,11 +278,13 @@ impl Access {
 
 struct Entry {
     tier: CacheTier,
-    /// The segment's bytes, or `None` when they live in the segment log
-    /// (serving a hit reads them back). Only disk-tier entries of a
+    /// The segment's bytes, or `None` when they live only in the segment
+    /// log (serving a hit reads them back). Only disk-tier entries of a
     /// file-backed cache are `None`, and only while persisting works: a
     /// failed persist, or any persist after a crash, leaves the bytes
     /// here, so the cache keeps working with durability degraded.
+    /// Whether the log holds a copy is the store's one record (its live
+    /// `Put`s): a promoted segment is `Some` and keeps its copy there.
     bytes: Option<Bytes>,
     len: u64,
     /// Accesses since insertion (the fill counts as the first). Survives
@@ -352,8 +362,8 @@ pub struct CacheStats {
     pub disk_used_bytes: u64,
     pub disk_budget_bytes: u64,
     pub disk_segments: u64,
-    /// Disk-tier segments rebuilt from the manifest when the cache was
-    /// opened (zero for caches without a directory).
+    /// Segments rebuilt from the manifest, into the disk tier, when the
+    /// cache was opened (zero for caches without a directory).
     pub recovered_segments: u64,
     /// Bytes those recovered segments serve without re-billing.
     pub recovered_bytes: u64,
@@ -413,10 +423,12 @@ impl State {
         *self.epochs.get(&object_hash(bucket, key)).unwrap_or(&0)
     }
 
-    /// Rebuild residency from what the store replayed: disk tier warm
-    /// (hits reset to 1, seqs in replay order), mem tier cold, epochs and
-    /// layouts seeded from the manifest so later fills and invalidations
-    /// stay consistent with what is durable.
+    /// Rebuild residency from what the store replayed: every live `Put`
+    /// — the disk tier at shutdown and the mem segments promoted from it
+    /// — comes back disk-tier (hits reset to 1, seqs in replay order),
+    /// trimmed to the disk budget oldest `Put` first; mem stays cold.
+    /// Epochs and layouts are seeded from the manifest so later fills
+    /// and invalidations stay consistent with what is durable.
     fn restore(
         &mut self,
         recovery: store::Recovery,
@@ -438,7 +450,7 @@ impl State {
             }
             current
         });
-        // Budget: keep the newest recovered segments that fit.
+        // Budget: drop the oldest `Put`s until the rest fit.
         let mut total: u64 = kept.iter().map(|s| s.len).sum();
         let mut start = 0;
         while total > disk_bytes && start < kept.len() {
@@ -492,8 +504,8 @@ impl Inner {
         }
     }
 
-    /// The segment log no longer holds `key`'s live bytes (no-op for a
-    /// cache without one).
+    /// `key` left the cache: the segment log releases its copy (no-op
+    /// when it holds none, or for a cache without a log).
     fn forget(&self, key: &SegmentKey) {
         if let Some(ds) = &self.disk_store {
             ds.del(key);
@@ -543,26 +555,29 @@ impl Inner {
             let Slot::Occupied(mut slot) = st.entries.entry(key) else {
                 unreachable!("victims were listed under this lock");
             };
-            let (len, in_log) = (slot.get().len, slot.get().bytes.is_none());
+            let len = slot.get().len;
             st.used[tier as usize] -= len;
-            if tier == CacheTier::Disk {
-                st.stats.disk_evictions += 1;
-                if in_log {
-                    self.forget(slot.key());
-                }
-                slot.remove();
-                continue;
+            match tier {
+                CacheTier::Disk => st.stats.disk_evictions += 1,
+                CacheTier::Mem => st.stats.evictions += 1,
             }
-            st.stats.evictions += 1;
-            if len > self.config.disk_bytes {
+            // Disk evictions drop, and so do mem evictions too big for
+            // the disk tier.
+            if tier == CacheTier::Disk || len > self.config.disk_bytes {
+                self.forget(slot.key());
                 slot.remove();
                 continue;
             }
             // Demote in place: keeps the hit count, takes a fresh seq.
-            // With a segment log the bytes move into it (durable at the
-            // next commit); a failed persist keeps them in RAM.
+            // With a segment log the RAM bytes go once the log holds
+            // them: a copy still live since the segment's promotion is
+            // kept (no I/O), else they are appended (durable at the next
+            // commit). After a crash, or when the append fails, they
+            // stay in RAM.
             let persisted = match (&self.disk_store, &slot.get().bytes) {
-                (Some(ds), Some(data)) => ds.put(slot.key(), data, epoch),
+                (Some(ds), Some(data)) => {
+                    ds.holds(slot.key(), epoch) || ds.put(slot.key(), data, epoch)
+                }
                 _ => false,
             };
             let e = slot.get_mut();
@@ -670,11 +685,9 @@ impl Inner {
         if e.tier == CacheTier::Mem || e.len > self.config.mem_bytes {
             return;
         }
-        // Promote in place: the bytes move up to RAM and the durable copy
-        // is released.
-        if e.bytes.replace(data).is_none() {
-            self.forget(key);
-        }
+        // Promote in place: the bytes move up to RAM and the segment log
+        // keeps its copy, so a later demotion writes nothing.
+        e.bytes = Some(data);
         e.tier = CacheTier::Mem;
         e.seq = bump(&mut st.seq);
         st.used[CacheTier::Disk as usize] -= e.len;
@@ -708,24 +721,17 @@ impl Inner {
             st.stats.stale_fills += 1;
             return false;
         }
-        let old = st
-            .entries
-            .get(&skey)
-            .map(|e| (e.tier, e.len, e.bytes.is_none()));
         // Straight-to-disk fills reach the segment log before the entry
-        // goes live (durable at the next commit).
+        // goes live (durable at the next commit). A refill replaces the
+        // segment wherever it was, and the log keeps a copy of it only if
+        // this fill just put one there.
         let bytes = match (target, &self.disk_store) {
             (CacheTier::Disk, Some(ds)) if ds.put(&skey, &data, epoch) => None,
-            _ => Some(data),
-        };
-        if let Some((tier, old_len, was_in_log)) = old {
-            // A refill replaces the segment wherever it was; the log
-            // keeps a copy only if this fill just put one there.
-            st.used[tier as usize] -= old_len;
-            if was_in_log && bytes.is_some() {
+            _ => {
                 self.forget(&skey);
+                Some(data)
             }
-        }
+        };
         let entry = Entry {
             tier: target,
             bytes,
@@ -734,7 +740,9 @@ impl Inner {
             seq: bump(&mut st.seq),
         };
         st.rents.remove(&object_hash(&skey.bucket, &skey.key));
-        st.entries.insert(skey, entry);
+        if let Some(old) = st.entries.insert(skey, entry) {
+            st.used[old.tier as usize] -= old.len;
+        }
         st.used[target as usize] += len;
         st.stats.fills += 1;
         st.stats.fill_bytes += len;
@@ -799,7 +807,9 @@ impl SegmentCache {
     /// tier's bytes live in a segment log guarded by an epoch manifest
     /// (see the [`store`] module docs for the layout and the
     /// group-commit protocol), and whatever a previous incarnation left
-    /// durable is recovered — mem tier cold, disk tier warm.
+    /// durable is recovered into the disk tier, mem cold: its disk tier
+    /// and the mem segments promoted from it, whose log copies outlive
+    /// the promotion.
     ///
     /// Recovery replays the manifest (tolerating a torn tail), drops
     /// records whose checksum or object epoch no longer holds, then:
@@ -810,7 +820,7 @@ impl SegmentCache {
     ///   was down can never be served (recorded layouts likewise must
     ///   match the current object length);
     /// * enforces `config.disk_bytes` deterministically, dropping the
-    ///   oldest recovered segments first;
+    ///   segments of the oldest `Put` records first;
     /// * compacts the manifest when dead records outnumber live state.
     ///
     /// `kill` arms the deterministic crash hook: the store dies at the

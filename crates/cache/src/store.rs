@@ -14,8 +14,11 @@
 //!
 //! **Durability protocol: write-behind with group commit.** Persisting
 //! a segment appends its bytes to the segment log and a `Put` record to
-//! the manifest; evictions append `Del`, learned chunk layouts `Layout`
-//! records. Appends go straight to the files (`write_all`, no user-space
+//! the manifest. A segment is persisted once, when it first reaches the
+//! disk tier: its `Put` stays live while a disk hit promotes it to mem
+//! and an eviction demotes it back, and a `Del` is appended only when it
+//! leaves the cache. Learned chunk layouts append `Layout` records.
+//! Appends go straight to the files (`write_all`, no user-space
 //! buffer), so the same handles read them back at once, but nothing is
 //! fsynced until a **commit**: one `sync_data` on the segment log, *then*
 //! one on the manifest, covering everything appended since the last
@@ -37,7 +40,9 @@
 //! files: older generations, a crashed compaction's output, and the
 //! per-shard `seg-NN-gN.dat` files of the version-1 layout (whose
 //! manifest is discarded, not migrated). The [`crate::SegmentCache`]
-//! layer on top then applies its own catalog check and budget trim.
+//! layer on top then applies its own catalog check and budget trim to
+//! every live `Put` — the disk tier at shutdown and the mem segments
+//! promoted from it.
 //!
 //! **Compaction.** Dead records (superseded puts, dels, stale epochs)
 //! accumulate; once they outnumber live state `COMPACT_FACTOR`-fold
@@ -126,7 +131,8 @@ impl KillPlan {
 pub struct ManifestStats {
     /// Records currently in the manifest file (live + dead).
     pub records: u64,
-    /// `Put` records that still name resident segments.
+    /// `Put` records that still name resident segments: the disk tier's
+    /// and those of segments promoted from it to mem.
     pub live_puts: u64,
     /// Live `Layout` records.
     pub live_layouts: u64,
@@ -245,7 +251,7 @@ struct DiskInner {
 
 /// The file-backed store one persistent [`crate::SegmentCache`] owns.
 /// All methods take `&self`; a single mutex serializes file mutation
-/// (the cache's shard locks remain the outer concurrency layer).
+/// (the cache's own lock, always taken first, is the outer layer).
 pub(crate) struct DiskStore {
     dir: PathBuf,
     inner: Mutex<DiskInner>,
@@ -805,8 +811,16 @@ impl DiskStore {
         inner.data.read_checked(&rec).map(Bytes::from)
     }
 
-    /// The segment left the disk tier (eviction or promotion): append a
-    /// `Del` record so recovery does not resurrect it.
+    /// Whether the log holds a live copy of `key` at `epoch` that later
+    /// commits can still make durable (never after a crash).
+    pub(crate) fn holds(&self, key: &SegmentKey, epoch: u64) -> bool {
+        let inner = self.inner.lock();
+        !inner.crashed && inner.live.get(key).is_some_and(|r| r.epoch == epoch)
+    }
+
+    /// The segment left the cache (an eviction, a lost copy, a refill
+    /// held in RAM): append a `Del` record so recovery does not
+    /// resurrect it. A no-op when no copy is live.
     pub(crate) fn del(&self, key: &SegmentKey) {
         let mut inner = self.inner.lock();
         if inner.live.contains_key(key) && self.append_manifest(&mut inner, &encode_del(key)) {

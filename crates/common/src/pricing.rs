@@ -96,11 +96,6 @@ impl Usage {
             plain_bytes: s(self.plain_bytes),
         }
     }
-
-    /// All bytes that crossed the wire to the compute node.
-    pub fn total_transferred(&self) -> u64 {
-        self.select_returned_bytes + self.plain_bytes
-    }
 }
 
 impl Add for Usage {
@@ -209,7 +204,7 @@ mod tests {
         let s = u.scaled(10.0);
         assert_eq!(s.requests, 1000);
         assert_eq!(s.select_scanned_bytes, 10_000);
-        assert_eq!(s.total_transferred(), 8000);
+        assert_eq!(s.select_returned_bytes + s.plain_bytes, 8000);
     }
 
     #[test]

@@ -316,15 +316,6 @@ impl<'a> CsvReader<'a> {
         self
     }
 
-    /// Parse the header line of an object into column names (types must
-    /// come from elsewhere — CSV is untyped).
-    pub fn read_header(data: &[u8]) -> Result<Vec<String>> {
-        let end = data.iter().position(|&c| c == b'\n').unwrap_or(data.len());
-        let line = std::str::from_utf8(&data[..end])
-            .map_err(|_| Error::Corrupt("non-UTF8 CSV header".into()))?;
-        split_line(line.trim_end_matches('\r'))
-    }
-
     /// Offset of the first byte not read yet: the start of the record
     /// after the last one delivered, whatever its terminator was.
     pub fn consumed(&self) -> usize {
@@ -760,14 +751,6 @@ mod tests {
             .collect::<Result<_>>()
             .unwrap();
         assert_eq!(without, with);
-    }
-
-    #[test]
-    fn read_header_names() {
-        assert_eq!(
-            CsvReader::read_header(b"id,name,bal\n1,2,3\n").unwrap(),
-            vec!["id", "name", "bal"]
-        );
     }
 
     #[test]

@@ -1052,11 +1052,6 @@ impl S3Store {
         Some((len, digest))
     }
 
-    /// Whether the object exists.
-    pub fn object_exists(&self, bucket: &str, key: &str) -> bool {
-        self.lookup(bucket, key).is_ok()
-    }
-
     /// Keys in a bucket with the given prefix, in lexicographic order.
     /// Partitioned tables are stored as `prefix/part-00000.csv`, ... and
     /// discovered through this.
@@ -1133,8 +1128,8 @@ mod tests {
         let s = store_with("x", "data");
         assert_eq!(s.get_object("tpch", "y").unwrap_err().code(), "NoSuchKey");
         assert_eq!(s.get_object("nope", "x").unwrap_err().code(), "NoSuchKey");
-        assert!(!s.object_exists("tpch", "y"));
-        assert!(s.object_exists("tpch", "x"));
+        assert!(s.object_size("tpch", "y").is_err());
+        assert_eq!(s.object_size("tpch", "x").unwrap(), 4);
     }
 
     #[test]
@@ -1221,7 +1216,7 @@ mod tests {
         let s = store_with("obj", "x");
         assert!(s.delete_object("tpch", "obj"));
         assert!(!s.delete_object("tpch", "obj"));
-        assert!(!s.object_exists("tpch", "obj"));
+        assert!(s.object_size("tpch", "obj").is_err());
     }
 
     #[test]

@@ -193,8 +193,9 @@
 //! A fresh context pointed at the same directory recovers whatever the
 //! previous process left durable: manifest replayed, every segment
 //! checksum-verified against the live store, disk tier warm, mem tier
-//! cold — so segments disk-resident at shutdown bill **zero** remote
-//! bytes again. [`cache::SegmentCache::open`] additionally
+//! cold — so segments disk-resident at shutdown, and those promoted to
+//! mem from the disk tier (a promotion keeps the log copy), bill
+//! **zero** remote bytes again. [`cache::SegmentCache::open`] additionally
 //! takes a seeded [`cache::KillPlan`] for deterministic
 //! crash-injection at the Nth fsync (or at drop, without the final
 //! commit).

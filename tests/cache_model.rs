@@ -17,8 +17,15 @@
 //! * **One behaviour, two backings** — every sequence drives a
 //!   RAM-backed and a file-backed cache side by side; both must match
 //!   the model step for step, Σ `commit()` receipts must equal
-//!   `persist_counters()`, and after a clean drop + `recover` the disk
-//!   tier equals the model's disk tier with mem cold.
+//!   `persist_counters()`, and after a clean drop + `recover` the cache
+//!   holds exactly the model's durable copies, disk-tier, with mem cold.
+//! * **Each segment written once** — the model knows which segments the
+//!   segment log holds a copy of (put by a demotion or a straight-to-disk
+//!   fill, kept through promotion, released when the segment leaves) and
+//!   so which log records (`Put`, `Del`, `Layout`) a step appends. A step
+//!   that appends none — a promotion, or a demotion of a segment whose
+//!   copy is still live — leaves the file-backed caches' persist
+//!   counters where they were, and one that appends some moves them.
 //! * **Reads, then effects** — `read` steps change nothing and add their
 //!   access to a pending log, as do unapplied fills and layouts; an
 //!   `apply` step applies the log in one call, other steps interleaved
@@ -129,6 +136,9 @@ struct Resident {
     data: Bytes,
     hits: u64,
     seq: u64,
+    /// The order of the segment log's live `Put` of this segment, when a
+    /// file-backed cache holds a copy of it.
+    copy: Option<u64>,
 }
 
 /// The documented cache policy, single-threaded and as plain as it
@@ -142,6 +152,14 @@ struct Model {
     /// Rent per object: what `Rent` accesses added since its last fill.
     rents: HashMap<String, f64>,
     seq: u64,
+    /// `Put` records appended so far, the next one's order (the store
+    /// counts them the same way).
+    puts: u64,
+    /// Log records a file-backed cache has appended so far: `Put`s,
+    /// `Del`s and `Layout`s (an invalidation's `Epoch` record aside).
+    writes: u64,
+    /// Demotions that wrote nothing, the segment's copy being live.
+    flips: u64,
     /// The event counters; occupancy fields are filled in by `stats`.
     counters: CacheStats,
 }
@@ -174,6 +192,19 @@ impl Model {
         self.seq - 1
     }
 
+    /// A `Put` of a segment's bytes: the order of the new copy.
+    fn put(&mut self) -> Option<u64> {
+        self.puts += 1;
+        self.writes += 1;
+        Some(self.puts - 1)
+    }
+
+    /// A segment left the cache: its copy, if the log holds one, goes
+    /// with a `Del`.
+    fn release(&mut self, gone: &Resident) {
+        self.writes += u64::from(gone.copy.is_some());
+    }
+
     fn begin_fill(&self, object: &str) -> u64 {
         *self.epochs.get(object).unwrap_or(&0)
     }
@@ -186,8 +217,9 @@ impl Model {
     }
 
     /// Evict minimum-weight segments (oldest first on ties) until `tier`
-    /// fits: mem victims demote when they fit the disk budget at all,
-    /// disk victims leave the cache.
+    /// fits: mem victims demote when they fit the disk budget at all —
+    /// putting their bytes in the log unless a copy is live there —
+    /// and disk victims leave the cache.
     fn evict(&mut self, tier: CacheTier) {
         let overshoot = self.used(tier).saturating_sub(self.budget(tier));
         let mut order: Vec<(f64, u64, SegmentKey)> = self
@@ -204,18 +236,27 @@ impl Model {
             freed += len;
             if tier == CacheTier::Disk {
                 self.counters.disk_evictions += 1;
-                self.resident.remove(&key);
+                let gone = self.resident.remove(&key).expect("listed above");
+                self.release(&gone);
                 continue;
             }
             self.counters.evictions += 1;
             if len <= self.config.disk_bytes {
                 let seq = self.next_seq();
+                let copy = match self.resident[&key].copy {
+                    Some(order) => {
+                        self.flips += 1;
+                        Some(order)
+                    }
+                    None => self.put(),
+                };
                 let r = self.resident.get_mut(&key).expect("listed above");
-                (r.tier, r.seq) = (CacheTier::Disk, seq);
+                (r.tier, r.seq, r.copy) = (CacheTier::Disk, seq, copy);
                 self.counters.demotions += 1;
                 demoted = true;
             } else {
-                self.resident.remove(&key);
+                let gone = self.resident.remove(&key).expect("listed above");
+                self.release(&gone);
             }
         }
         if demoted {
@@ -237,13 +278,24 @@ impl Model {
             return false;
         }
         let seq = self.next_seq();
+        // A straight-to-disk fill puts its bytes in the log; one held in
+        // RAM releases the copy of the segment it replaces.
+        let copy = match target {
+            CacheTier::Mem => None,
+            CacheTier::Disk => self.put(),
+        };
         let fill = Resident {
             tier: target,
             data,
             hits: 1,
             seq,
+            copy,
         };
-        self.resident.insert(key.clone(), fill);
+        if let Some(old) = self.resident.insert(key.clone(), fill) {
+            if target == CacheTier::Mem {
+                self.release(&old);
+            }
+        }
         self.rents.remove(&key.key);
         self.counters.fills += 1;
         self.counters.fill_bytes += len;
@@ -339,7 +391,9 @@ impl Model {
     fn record_layout(&mut self, object: &str, epoch: u64, chunks: Vec<(u64, u64)>) -> bool {
         let current = self.begin_fill(object) == epoch;
         if current {
-            self.layouts.insert(object.to_string(), chunks);
+            // A layout is logged once per distinct value.
+            let prev = self.layouts.insert(object.to_string(), chunks.clone());
+            self.writes += u64::from(prev != Some(chunks));
         }
         current
     }
@@ -564,7 +618,9 @@ fn assert_same_state(c: &SegmentCache, m: &Model, keys: &[SegmentKey], context: 
     }
 }
 
-fn run_sequence(config: &CacheConfig, seed: u64) {
+/// Drive one seeded sequence; returns how many of its steps demoted a
+/// segment by a flip of its tier and appended nothing.
+fn run_sequence(config: &CacheConfig, seed: u64) -> u64 {
     let keys = universe();
     let tmp = TempDir::new("cache-model");
     let file_config = CacheConfig {
@@ -588,17 +644,33 @@ fn run_sequence(config: &CacheConfig, seed: u64) {
     let mut rng = Rng(seed);
     let mut pending: Vec<Option<u64>> = vec![None; keys.len()];
     let mut log: Vec<Access> = Vec::new();
+    let mut flip_only_steps = 0;
     for n in 0..OPS_PER_SEQUENCE {
         let step = draw(&mut rng, &keys, &pending, &log, &model);
+        let (writes, flips) = (model.writes, model.flips);
         let want = apply_model(&mut model, &step);
+        let wrote = model.writes > writes;
+        // Commits sync what earlier steps appended; an invalidation's
+        // `Epoch` record depends on what the log has held since its last
+        // compaction, which the model does not follow.
+        let checked = !matches!(step, Step::Commit | Step::Invalidate(_));
+        flip_only_steps += u64::from(checked && !wrote && model.flips > flips);
         for (backing, cache, receipts, one_by_one) in subjects.iter_mut() {
             let context = format!("{config:?} seed {seed} op {n} {step:?} ({backing})");
+            let persisted = cache.persist_counters();
             assert_eq!(
                 apply_cache(cache, &step, receipts, *one_by_one),
                 want,
                 "{context}"
             );
             assert_same_state(cache, &model, &keys, &context);
+            if checked && *backing != "ram" {
+                assert_eq!(
+                    cache.persist_counters() != persisted,
+                    wrote,
+                    "{context}: the log is appended to exactly when the model writes a record"
+                );
+            }
         }
         let [_, (_, _, batched, _), (_, _, single, _)] = &subjects;
         assert_eq!(batched, single, "{config:?} seed {seed} op {n}: receipts");
@@ -633,35 +705,49 @@ fn run_sequence(config: &CacheConfig, seed: u64) {
         "{config:?} seed {seed}: Σ receipts"
     );
 
-    // A clean shutdown loses nothing: the disk tier comes back, mem cold.
+    // A clean shutdown loses nothing: every live copy comes back — the
+    // disk tier's and those of the mem segments promoted from it —
+    // disk-tier, trimmed to the disk budget oldest `Put` first, and mem
+    // stays cold.
     drop(file);
     let recovered = open(&file_config);
-    let mut disk_segments = 0;
-    for k in &keys {
-        match model.resident.get(k).filter(|r| r.tier == CacheTier::Disk) {
-            Some(r) => {
-                disk_segments += 1;
-                let want = Some((r.data.len() as u64, CacheTier::Disk));
-                assert_eq!(
-                    recovered.peek_tier(k),
-                    want,
-                    "{config:?} seed {seed}: {k:?}"
-                );
-                assert_eq!(recovered.get(k).as_ref(), Some(&r.data));
-            }
-            None => assert_eq!(
-                recovered.peek_tier(k),
-                None,
-                "{config:?} seed {seed}: {k:?}"
-            ),
-        }
+    let mut copies: Vec<(u64, &SegmentKey, &Bytes)> = (model.resident.iter())
+        .filter_map(|(k, r)| r.copy.map(|order| (order, k, &r.data)))
+        .collect();
+    copies.sort_by_key(|(order, ..)| *order);
+    let mut total: u64 = copies.iter().map(|(_, _, data)| data.len() as u64).sum();
+    let mut oldest_kept = 0;
+    while total > config.disk_bytes {
+        total -= copies[oldest_kept].2.len() as u64;
+        oldest_kept += 1;
     }
-    assert_eq!(recovered.stats().recovered_segments, disk_segments);
+    let kept: HashMap<&SegmentKey, &Bytes> = (copies[oldest_kept..].iter())
+        .map(|(_, k, data)| (*k, *data))
+        .collect();
+    for k in &keys {
+        let want = kept.get(k).map(|data| (data.len() as u64, CacheTier::Disk));
+        assert_eq!(
+            recovered.peek_tier(k),
+            want,
+            "{config:?} seed {seed}: {k:?}"
+        );
+    }
+    let stats = recovered.stats();
+    assert_eq!(stats.recovered_segments, kept.len() as u64);
+    assert_eq!(stats.used_bytes, 0, "{config:?} seed {seed}: mem is cold");
+    for (k, data) in kept {
+        assert_eq!(
+            recovered.get(k).as_ref(),
+            Some(data),
+            "{config:?} seed {seed}"
+        );
+    }
+    flip_only_steps
 }
 
 #[test]
 fn random_sequences_match_the_reference_model_on_both_backings() {
-    let mut case = 0;
+    let (mut case, mut flip_only_steps) = (0, 0);
     for mem_bytes in MEM_BUDGETS {
         for disk_bytes in DISK_BUDGETS {
             let config = CacheConfig {
@@ -671,10 +757,14 @@ fn random_sequences_match_the_reference_model_on_both_backings() {
             };
             for _ in 0..SEEDS_PER_CONFIG {
                 case += 1;
-                run_sequence(&config, splitmix64(case));
+                flip_only_steps += run_sequence(&config, splitmix64(case));
             }
         }
     }
+    assert!(
+        flip_only_steps > 0,
+        "no step demoted a segment whose copy was live"
+    );
 }
 
 /// 8 threads, a fixed operation count each, arbitrary interleavings:

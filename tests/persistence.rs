@@ -16,12 +16,18 @@
 //! * **Group commit** — file-resident entries a crash tore degrade to
 //!   misses, and concurrent committers charge every persisted byte and
 //!   barrier exactly once between them.
+//! * **Each segment written once** — a promoted segment keeps its log
+//!   copy: repeat passes over a warm mem + disk cache append nothing,
+//!   a segment in mem at shutdown is recovered and serves without
+//!   re-billing, a crash makes a demotion keep its bytes in RAM, and a
+//!   rewrite between a promotion and a demotion never lets the old copy
+//!   serve.
 //! * **Hygiene** — every test routes its files through a self-cleaning
 //!   [`TempDir`] and asserts nothing is left behind on drop.
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use pushdowndb::cache::{CacheConfig, KillPlan, SegmentCache, SegmentKey};
+use pushdowndb::cache::{CacheConfig, CacheTier, KillPlan, SegmentCache, SegmentKey};
 use pushdowndb::common::pricing::Pricing;
 use pushdowndb::common::{DataType, RetryPolicy, Row, Schema, TempDir, Value};
 use pushdowndb::core::{execute_sql, upload_csv_table, QueryContext, Strategy};
@@ -38,6 +44,17 @@ fn schema() -> Schema {
     Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Int)])
 }
 
+/// A persistent context over `store` with `mem_bytes` of mem in front of
+/// a disk tier that holds everything.
+fn tiered_ctx(store: &S3Store, dir: &std::path::Path, mem_bytes: u64) -> QueryContext {
+    QueryContext::new(store.clone())
+        .with_cache_tiers(mem_bytes, 1 << 30)
+        .with_cache_chunk_bytes(256)
+        .with_cache_dir(dir)
+        .unwrap()
+        .with_cache_reads(true)
+}
+
 /// Restart economics end to end: warm a disk-only persistent cache
 /// through the forced cached-local path, drop the cache handle (a
 /// clean shutdown), recover a fresh context from the same directory on
@@ -52,12 +69,7 @@ fn recovered_disk_tier_serves_without_rebilling() {
     let table = upload_csv_table(&store, "b", "t", &schema(), &rows(400), 100).unwrap();
     let sql = "SELECT k, v FROM t WHERE v < 50";
 
-    let ctx = QueryContext::new(store.clone())
-        .with_cache_tiers(0, 1 << 30)
-        .with_cache_chunk_bytes(256)
-        .with_cache_dir(tmp.path())
-        .unwrap()
-        .with_cache_reads(true);
+    let ctx = tiered_ctx(&store, tmp.path(), 0);
     let cold = execute_sql(&ctx, &table, sql, Strategy::Baseline).unwrap();
     let warm = execute_sql(&ctx, &table, sql, Strategy::Baseline).unwrap();
     assert_eq!(cold.rows, warm.rows);
@@ -75,12 +87,7 @@ fn recovered_disk_tier_serves_without_rebilling() {
     drop(ctx);
 
     // Restart: a fresh context recovers the tier from the directory.
-    let ctx = QueryContext::new(store.clone())
-        .with_cache_tiers(0, 1 << 30)
-        .with_cache_chunk_bytes(256)
-        .with_cache_dir(tmp.path())
-        .unwrap()
-        .with_cache_reads(true);
+    let ctx = tiered_ctx(&store, tmp.path(), 0);
     let cache = ctx.cache().unwrap();
     let stats = cache.stats();
     assert!(
@@ -123,6 +130,182 @@ fn recovered_disk_tier_serves_without_rebilling() {
         "temp dir left stray files at {}",
         path.display()
     );
+}
+
+/// Once every segment has reached the disk tier, a pass that only
+/// promotes and demotes writes nothing: the promoted segments' copies
+/// stay live in the segment log, so demoting them again is a flip of
+/// their tier, and a scan's commit has nothing to sync.
+#[test]
+fn repeat_passes_over_a_warm_mem_and_disk_cache_persist_nothing() {
+    let tmp = TempDir::new("persist-repeat");
+    let store = S3Store::new();
+    let table = upload_csv_table(&store, "b", "t", &schema(), &rows(400), 100).unwrap();
+    let sql = "SELECT k, v FROM t WHERE v < 50";
+    // A quarter of the table in mem: every pass promotes and demotes.
+    let ctx = tiered_ctx(&store, tmp.path(), table.total_bytes(&store) / 4);
+    let cold = execute_sql(&ctx, &table, sql, Strategy::Baseline).unwrap();
+    execute_sql(&ctx, &table, sql, Strategy::Baseline).unwrap();
+    let cache = ctx.cache().unwrap();
+    let (warm, persisted) = (cache.stats(), cache.persist_counters());
+    for pass in 0..3 {
+        let out = execute_sql(&ctx, &table, sql, Strategy::Baseline).unwrap();
+        assert_eq!(out.rows, cold.rows, "pass {pass}");
+        assert_eq!(out.billed.requests + out.billed.plain_bytes, 0);
+    }
+    let after = cache.stats();
+    assert!(
+        after.promotions > warm.promotions && after.demotions > warm.demotions,
+        "the passes moved segments between tiers: {warm:?} → {after:?}"
+    );
+    assert_eq!(
+        cache.persist_counters(),
+        persisted,
+        "tier moves of segments the log holds append and sync nothing"
+    );
+    store.set_cache(None);
+    drop((ctx, cache));
+}
+
+/// A segment a disk hit promoted to mem keeps its log copy, so a
+/// restart recovers it (into the disk tier, mem cold) and the replay
+/// serves it without re-billing: only mem segments that never reached
+/// the disk tier, and so were never written, are fetched again.
+#[test]
+fn a_promoted_segment_survives_a_clean_restart() {
+    let tmp = TempDir::new("persist-promoted");
+    let store = S3Store::new();
+    let table = upload_csv_table(&store, "b", "t", &schema(), &rows(400), 100).unwrap();
+    let mem_bytes = table.total_bytes(&store) / 4;
+    let sql = "SELECT k, v FROM t WHERE v < 50";
+    let ctx = tiered_ctx(&store, tmp.path(), mem_bytes);
+    let cold = execute_sql(&ctx, &table, sql, Strategy::Baseline).unwrap();
+    execute_sql(&ctx, &table, sql, Strategy::Baseline).unwrap();
+    let cache = ctx.cache().unwrap();
+    let part = &table.partitions(&store)[0];
+    let promoted = SegmentKey::chunk("b", part, cache.layout("b", part).unwrap()[0]);
+    let (_, tier) = cache.get_tiered(&promoted).unwrap();
+    let (len, now) = cache.peek_tier(&promoted).unwrap();
+    assert_eq!(
+        (tier, now),
+        (CacheTier::Disk, CacheTier::Mem),
+        "a disk hit promotes"
+    );
+    let shutdown = cache.stats();
+    store.set_cache(None);
+    drop((ctx, cache));
+
+    let ctx = tiered_ctx(&store, tmp.path(), mem_bytes);
+    let cache = ctx.cache().unwrap();
+    let stats = cache.stats();
+    assert_eq!(stats.used_bytes, 0, "mem tier starts cold");
+    assert!(stats.recovered_bytes >= shutdown.disk_used_bytes + len);
+    assert_eq!(cache.peek_tier(&promoted), Some((len, CacheTier::Disk)));
+    let restart = execute_sql(&ctx, &table, sql, Strategy::Baseline).unwrap();
+    assert_eq!(restart.rows, cold.rows);
+    assert!(
+        restart.billed.plain_bytes <= shutdown.used_bytes - len,
+        "re-billed {} B: more than the mem segments never written",
+        restart.billed.plain_bytes
+    );
+    store.set_cache(None);
+    drop((ctx, cache));
+}
+
+/// After a crash the log's copies cannot be trusted: a promoted segment
+/// whose copy the crash tore, demoted afterwards, keeps its bytes in RAM
+/// (as a failed persist does) instead of flipping onto the torn copy,
+/// and keeps serving the right bytes.
+#[test]
+fn after_a_crash_demoting_a_promoted_segment_keeps_its_bytes_in_ram() {
+    let tmp = TempDir::new("persist-crash-demote");
+    let cache = SegmentCache::open(
+        &CacheConfig {
+            mem_bytes: 200,
+            disk_bytes: 1 << 20,
+            dir: Some(tmp.path().to_path_buf()),
+        },
+        Pricing::default(),
+        Some(KillPlan::after(1, 4)),
+        None,
+    )
+    .unwrap();
+    let skey = |name: &str| SegmentKey::whole("b", name);
+    let body = |name: &str, len: usize| Bytes::from(vec![name.as_bytes()[0]; len]);
+    let fill = |name: &str, len: usize| {
+        let epoch = cache.begin_fill(&skey(name));
+        assert!(cache.insert(skey(name), body(name, len), epoch));
+    };
+    // x, then a, demote into the log; a disk hit promotes a, whose copy
+    // stays live behind x's in the log.
+    for name in ["x", "a", "b", "c"] {
+        fill(name, 100);
+    }
+    assert_eq!(cache.get_tiered(&skey("a")).unwrap().1, CacheTier::Disk);
+    assert_eq!(cache.peek_tier(&skey("a")), Some((100, CacheTier::Mem)));
+    cache.commit();
+    assert!(cache.crashed(), "the commit's first barrier was the kill");
+    assert_eq!(
+        cache.get(&skey("x")),
+        None,
+        "seed 4 tears x, and a behind it"
+    );
+    // Three small fills, each worth more per byte than a, demote c and
+    // then a.
+    for name in ["d", "e", "f"] {
+        fill(name, 40);
+    }
+    assert_eq!(cache.peek_tier(&skey("a")), Some((100, CacheTier::Disk)));
+    assert_eq!(
+        cache.get(&skey("a")),
+        Some(body("a", 100)),
+        "served from RAM"
+    );
+    let stats = cache.stats();
+    assert_eq!(stats.misses, 1, "only x was lost");
+    drop(cache);
+}
+
+/// A rewrite between a promotion and a demotion kills the promoted
+/// segment's log copy with its epoch: the new version's segments, filled
+/// into mem and demoted later, are appended afresh, so no pass — nor a
+/// restart — ever serves the old copy.
+#[test]
+fn a_rewrite_between_promotion_and_demotion_never_serves_the_old_copy() {
+    let tmp = TempDir::new("persist-rewrite");
+    let store = S3Store::new();
+    let old = upload_csv_table(&store, "b", "t", &schema(), &rows(400), 100).unwrap();
+    let mem_bytes = old.total_bytes(&store) / 2;
+    let sql = "SELECT k, v FROM t WHERE v < 50";
+    let ctx = tiered_ctx(&store, tmp.path(), mem_bytes);
+    let stale = execute_sql(&ctx, &old, sql, Strategy::Baseline)
+        .unwrap()
+        .rows;
+    execute_sql(&ctx, &old, sql, Strategy::Baseline).unwrap();
+    let cache = ctx.cache().unwrap();
+    assert!(cache.stats().promotions > 0 && cache.stats().used_bytes > 0);
+    // The same keys, other rows (v shifted by one).
+    let new_rows: Vec<Row> = (0..400i64)
+        .map(|i| Row::new(vec![Value::Int(i), Value::Int((i * 7 + 1) % 100)]))
+        .collect();
+    let table = upload_csv_table(&store, "b", "t", &schema(), &new_rows, 100).unwrap();
+    assert_eq!(table.partitions(&store), old.partitions(&store));
+    let plain = QueryContext::new(store.clone());
+    let want = execute_sql(&plain, &table, sql, Strategy::Baseline)
+        .unwrap()
+        .rows;
+    assert_ne!(want, stale, "the rewrite changed the answer");
+    for pass in 0..3 {
+        let out = execute_sql(&ctx, &table, sql, Strategy::Baseline).unwrap();
+        assert_eq!(out.rows, want, "pass {pass}");
+    }
+    assert!(cache.stats().demotions > 0);
+    store.set_cache(None);
+    drop((ctx, cache));
+    let ctx = tiered_ctx(&store, tmp.path(), mem_bytes);
+    let restart = execute_sql(&ctx, &table, sql, Strategy::Baseline).unwrap();
+    assert_eq!(restart.rows, want, "after a restart");
+    store.set_cache(None);
 }
 
 /// A crash loses whatever no commit covered, including the bytes of
