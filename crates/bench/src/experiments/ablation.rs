@@ -212,11 +212,11 @@ pub fn run_pricing_ablation(scale_factor: f64) -> Result<Vec<PricingAblationRow>
     let (ctx, t) = tpch_context(scale_factor, 25_000)?;
     let factor = 10.0 / scale_factor;
     let mut out = Vec::new();
-    for (name, q) in pushdown_tpch::all_queries() {
-        let opt = q(&ctx, &t, pushdown_core::Strategy::Pushdown)?;
+    for q in pushdown_tpch::SUITE {
+        let opt = q.run(&ctx, &t, pushdown_core::Strategy::Pushdown)?.0;
         let scaled = opt.metrics.scaled(factor);
         out.push(PricingAblationRow {
-            name: name.to_string(),
+            name: q.name.to_string(),
             flat: scaled.cost(&ctx.model, &ctx.pricing),
             aware: computation_aware_cost(&scaled, &ctx),
         });

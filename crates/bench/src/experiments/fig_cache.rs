@@ -102,8 +102,6 @@ pub fn run(
     let stream = generate_zipf(seed, queries, theta);
     let spec = WorkloadSpec {
         seed,
-        queries,
-        concurrency: 1,
         strategy: Strategy::Adaptive,
     };
     // The disabled baseline run.
@@ -113,7 +111,7 @@ pub fn run(
         .iter()
         .map(|t| t.total_bytes(&base_ctx.store))
         .sum::<u64>();
-    let baseline = run_stream(&base_ctx, &base_tables, &spec, &stream)?;
+    let baseline = run_stream(&base_ctx, &base_tables, &spec, &stream);
     let baseline_remote = remote_bytes(&baseline.sum_billed);
     let mut baseline = Some(baseline);
 
@@ -129,7 +127,7 @@ pub fn run(
                 None => {
                     let (ctx, tables) = tpch_context(scale_factor, 1_500)?;
                     (
-                        run_stream(&ctx, &tables, &spec, &stream)?,
+                        run_stream(&ctx, &tables, &spec, &stream),
                         CacheStats::default(),
                     )
                 }
@@ -137,7 +135,7 @@ pub fn run(
         } else {
             let (ctx, tables) = tpch_context(scale_factor, 1_500)?;
             let ctx = ctx.with_cache_tiers(mem_budget, disk_budget);
-            let report = run_stream(&ctx, &tables, &spec, &stream)?;
+            let report = run_stream(&ctx, &tables, &spec, &stream);
             let cache = ctx.cache().map(|c| c.stats()).unwrap_or_default();
             (report, cache)
         };
@@ -247,8 +245,6 @@ pub fn run_restart(
     let stream = generate_zipf(seed, queries, theta);
     let spec = WorkloadSpec {
         seed,
-        queries,
-        concurrency: 1,
         strategy: Strategy::Adaptive,
     };
     let mut rows: Vec<FigRestartRow> = Vec::new();
@@ -266,8 +262,8 @@ pub fn run_restart(
         let ctx = ctx
             .with_cache_tiers(mem_budget, disk_budget)
             .with_cache_dir(tmp.path())?;
-        run_stream(&ctx, &tables, &spec, &stream)?; // cold fills
-        let warm = run_stream(&ctx, &tables, &spec, &stream)?;
+        run_stream(&ctx, &tables, &spec, &stream); // cold fills
+        let warm = run_stream(&ctx, &tables, &spec, &stream);
         let warm_remote = remote_bytes(&warm.sum_billed);
         let warm_cache = ctx.cache().map(|c| c.stats()).unwrap_or_default();
         // Clean shutdown: every handle to the cache goes away; only the
@@ -285,7 +281,7 @@ pub fn run_restart(
         let recovery_wall_s = t0.elapsed().as_secs_f64();
         let cache = ctx.cache().expect("persistent cache just installed");
         let recovered = cache.stats();
-        let restart = run_stream(&ctx, &tables, &spec, &stream)?;
+        let restart = run_stream(&ctx, &tables, &spec, &stream);
         let restart_remote = remote_bytes(&restart.sum_billed);
         rows.push(FigRestartRow {
             mem_budget,

@@ -58,8 +58,6 @@ pub fn run(
     let stream = generate_zipf(seed, queries, theta);
     let spec = WorkloadSpec {
         seed,
-        queries,
-        concurrency: 1,
         strategy: Strategy::Pushdown,
     };
     let mut rows = Vec::new();
@@ -69,7 +67,7 @@ pub fn run(
         // traffic only, with zero fault probability.
         ctx.store.set_fault_plan(Some(FaultPlan::new(seed, 0.0)));
         let ctx = ctx.with_nodes(n.max(1));
-        let report = run_stream(&ctx, &tables, &spec, &stream)?;
+        let report = run_stream(&ctx, &tables, &spec, &stream);
         let exchange_bytes = report.node_stats.iter().map(|s| s.exchange_bytes).sum();
         let critical_path_s = report
             .node_stats

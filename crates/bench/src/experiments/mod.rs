@@ -14,7 +14,5 @@ pub mod fig08_topk_sample;
 pub mod fig09_topk_k;
 pub mod fig10_tpch;
 pub mod fig11_parquet;
-pub mod fig12_adaptive;
-pub mod fig13_concurrency;
 pub mod fig_cache;
 pub mod fig_cluster;

@@ -904,10 +904,12 @@ pub fn select_scan_streamed(
     };
     let responses = match limit {
         ScanLimit::Prefix(n) => {
+            // The first partition is always asked: its response carries
+            // the schema, even of `LIMIT 0`.
             let mut responses = Vec::new();
             let mut room = n;
             for i in 0..place.keys.len() {
-                if room == 0 {
+                if room == 0 && !responses.is_empty() {
                     break;
                 }
                 let resp = select(&place.part(i), room)?;
@@ -1327,6 +1329,25 @@ mod tests {
         // Only two partitions touched (100 + 50).
         assert_eq!(r.stats.requests, 2);
         assert!(r.stats.s3_scanned_bytes < t.total_bytes(&ctx.store) / 3);
+    }
+
+    #[test]
+    fn limit_zero_asks_one_partition_for_the_schema() {
+        let (ctx, t) = ctx_with_table(500, 100);
+        let stmt = parse_select("SELECT k FROM S3Object LIMIT 0").unwrap();
+        let r = select_scan(&ctx, &t, &stmt).unwrap();
+        assert!(r.rows.is_empty());
+        assert_eq!(r.stats.requests, 1);
+        let usage = pushdown_common::pricing::Usage {
+            requests: r.stats.requests,
+            select_scanned_bytes: r.stats.s3_scanned_bytes,
+            select_returned_bytes: r.stats.select_returned_bytes,
+            plain_bytes: r.stats.plain_bytes,
+        };
+        assert_eq!(usage, ctx.billed());
+        // The schema an empty answer of the same statement carries.
+        let none = parse_select("SELECT k FROM S3Object WHERE k < 0 LIMIT 5").unwrap();
+        assert_eq!(r.schema, select_scan(&ctx, &t, &none).unwrap().schema);
     }
 
     #[test]

@@ -623,23 +623,9 @@ impl S3Store {
         first: u64,
         last: u64,
     ) -> Result<Bytes> {
-        self.begin_request(bucket, key)?;
-        let data = self.lookup(bucket, key)?;
-        let len = data.len() as u64;
-        if first >= len {
-            return Err(Error::InvalidRange(format!(
-                "range {first}-{last} outside object of {len} bytes"
-            )));
-        }
-        if last < first {
-            return Err(Error::InvalidRange(format!(
-                "range {first}-{last} is inverted"
-            )));
-        }
-        let end = (last + 1).min(len);
-        let slice = data.slice(first as usize..end as usize);
-        self.bill_plain(slice.len() as u64);
-        Ok(slice)
+        Ok(self
+            .get_object_ranges(bucket, key, &[(first, last)])?
+            .swap_remove(0))
     }
 
     /// A single GET carrying any number of byte ranges. One request is

@@ -703,6 +703,9 @@ impl<'a> Executor<'a> {
             }
             return Ok(false); // groups always consume the full input
         }
+        if self.bound.limit == Some(0) {
+            return Ok(true); // `LIMIT 0`: stop at the first match, return none
+        }
         let out = self
             .bound
             .items
@@ -946,6 +949,7 @@ mod tests {
             resp.stats.bytes_scanned
         };
         let crlf = "k,s\r\n1,a\r\n2,bb\r\n\r\n3,c\r\n";
+        assert_eq!(scanned_by(crlf, 0), "k,s\r\n1,a\r\n".len() as u64);
         assert_eq!(scanned_by(crlf, 1), "k,s\r\n1,a\r\n".len() as u64);
         assert_eq!(scanned_by(crlf, 2), "k,s\r\n1,a\r\n2,bb\r\n".len() as u64);
         assert_eq!(scanned_by(crlf, 3), crlf.len() as u64);

@@ -638,16 +638,6 @@ impl SelectStmt {
         }
     }
 
-    pub fn with_where(mut self, pred: Expr) -> SelectStmt {
-        self.where_clause = Some(pred);
-        self
-    }
-
-    pub fn with_limit(mut self, n: u64) -> SelectStmt {
-        self.limit = Some(n);
-        self
-    }
-
     /// True if any projection item is an aggregate.
     pub fn is_aggregate(&self) -> bool {
         self.items
@@ -830,9 +820,11 @@ mod tests {
 
     #[test]
     fn display_simple() {
-        let s = SelectStmt::project(&["a", "b"])
-            .with_where(Expr::lt_eq(Expr::col("a"), Expr::int(10)))
-            .with_limit(5);
+        let s = SelectStmt {
+            where_clause: Some(Expr::lt_eq(Expr::col("a"), Expr::int(10))),
+            limit: Some(5),
+            ..SelectStmt::project(&["a", "b"])
+        };
         assert_eq!(
             s.to_string(),
             "SELECT a, b FROM S3Object WHERE a <= 10 LIMIT 5"

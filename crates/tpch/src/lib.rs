@@ -21,4 +21,4 @@ pub mod synthetic;
 
 pub use gen::TpchGen;
 pub use load::{load_tpch, tpch_context, TpchTables};
-pub use queries::{all_queries, planner_suite, PlannerQuery, TpchQuery, SUITE};
+pub use queries::{planner_suite, PlannerQuery, TpchQuery, SUITE};

@@ -234,45 +234,6 @@ pub const Q19: TpchQuery = TpchQuery {
 /// The Fig 10 suite, in the figure's order.
 pub const SUITE: [TpchQuery; 6] = [Q1, Q3, Q6, Q14, Q17, Q19];
 
-/// A TPC-H query entry point: the rows and metrics of [`TpchQuery::run`].
-pub type QueryFn = fn(&QueryContext, &TpchTables, Strategy) -> Result<QueryOutput>;
-
-pub fn q1(ctx: &QueryContext, t: &TpchTables, strategy: Strategy) -> Result<QueryOutput> {
-    Ok(Q1.run(ctx, t, strategy)?.0)
-}
-
-pub fn q3(ctx: &QueryContext, t: &TpchTables, strategy: Strategy) -> Result<QueryOutput> {
-    Ok(Q3.run(ctx, t, strategy)?.0)
-}
-
-pub fn q6(ctx: &QueryContext, t: &TpchTables, strategy: Strategy) -> Result<QueryOutput> {
-    Ok(Q6.run(ctx, t, strategy)?.0)
-}
-
-pub fn q14(ctx: &QueryContext, t: &TpchTables, strategy: Strategy) -> Result<QueryOutput> {
-    Ok(Q14.run(ctx, t, strategy)?.0)
-}
-
-pub fn q17(ctx: &QueryContext, t: &TpchTables, strategy: Strategy) -> Result<QueryOutput> {
-    Ok(Q17.run(ctx, t, strategy)?.0)
-}
-
-pub fn q19(ctx: &QueryContext, t: &TpchTables, strategy: Strategy) -> Result<QueryOutput> {
-    Ok(Q19.run(ctx, t, strategy)?.0)
-}
-
-/// All six queries by name (the Fig 10 suite).
-pub fn all_queries() -> Vec<(&'static str, QueryFn)> {
-    vec![
-        (Q1.name, q1),
-        (Q3.name, q3),
-        (Q6.name, q6),
-        (Q14.name, q14),
-        (Q17.name, q17),
-        (Q19.name, q19),
-    ]
-}
-
 /// One query of the planner-dialect suite: a single-table SQL statement
 /// plus the TPC-H table it runs against.
 #[derive(Debug, Clone, Copy)]
@@ -287,9 +248,8 @@ pub struct PlannerQuery {
 /// family the planner routes (filter, scalar aggregate, group-by,
 /// top-K, and composed multi-table joins), with shapes chosen so the
 /// winning strategy *flips* across the suite — the differential tests
-/// run all of `Strategy::{Baseline, Pushdown, Adaptive}` over these,
-/// and the `fig12_adaptive` harness turns them into the
-/// adaptive-vs-fixed figure. The joined queries resolve their JOIN
+/// run all of `Strategy::{Baseline, Pushdown, Adaptive}` over these.
+/// The joined queries resolve their JOIN
 /// tables through the context catalog ([`crate::tpch_context`]
 /// registers all eight tables).
 pub fn planner_suite() -> Vec<PlannerQuery> {
@@ -385,9 +345,10 @@ mod tests {
     #[test]
     fn baseline_and_optimized_agree_on_all_queries() {
         let (ctx, t) = tpch_context(0.002, 700).unwrap();
-        for (name, q) in all_queries() {
-            let base = q(&ctx, &t, Strategy::Baseline).unwrap();
-            let opt = q(&ctx, &t, Strategy::Pushdown).unwrap();
+        for q in SUITE {
+            let name = q.name;
+            let base = q.run(&ctx, &t, Strategy::Baseline).unwrap().0;
+            let opt = q.run(&ctx, &t, Strategy::Pushdown).unwrap().0;
             assert_outputs_match(&base, &opt, name);
         }
     }
@@ -395,7 +356,7 @@ mod tests {
     #[test]
     fn q1_has_expected_groups_and_plausible_sums() {
         let (ctx, t) = tpch_context(0.002, 700).unwrap();
-        let out = q1(&ctx, &t, Strategy::Pushdown).unwrap();
+        let out = Q1.run(&ctx, &t, Strategy::Pushdown).unwrap().0;
         // Groups: (A,F), (N,F), (N,O), (R,F) — the classic Q1 output.
         let keys: Vec<(String, String)> = out
             .rows
@@ -421,7 +382,7 @@ mod tests {
     #[test]
     fn q3_returns_at_most_ten_ordered_rows() {
         let (ctx, t) = tpch_context(0.002, 700).unwrap();
-        let out = q3(&ctx, &t, Strategy::Pushdown).unwrap();
+        let out = Q3.run(&ctx, &t, Strategy::Pushdown).unwrap().0;
         assert!(out.rows.len() <= 10);
         for w in out.rows.windows(2) {
             assert!(w[0][3].as_f64().unwrap() >= w[1][3].as_f64().unwrap());
@@ -458,7 +419,7 @@ mod tests {
     #[test]
     fn q6_single_scalar() {
         let (ctx, t) = tpch_context(0.002, 700).unwrap();
-        let out = q6(&ctx, &t, Strategy::Pushdown).unwrap();
+        let out = Q6.run(&ctx, &t, Strategy::Pushdown).unwrap().0;
         assert_eq!(out.rows.len(), 1);
         assert!(out.rows[0][0].as_f64().unwrap() > 0.0);
     }
@@ -466,7 +427,7 @@ mod tests {
     #[test]
     fn q14_is_a_percentage() {
         let (ctx, t) = tpch_context(0.002, 700).unwrap();
-        let out = q14(&ctx, &t, Strategy::Pushdown).unwrap();
+        let out = Q14.run(&ctx, &t, Strategy::Pushdown).unwrap().0;
         let v = out.rows[0][0].as_f64().unwrap();
         assert!((0.0..=100.0).contains(&v), "{v}");
     }
@@ -474,9 +435,10 @@ mod tests {
     #[test]
     fn optimized_transfers_fewer_bytes() {
         let (ctx, t) = tpch_context(0.002, 700).unwrap();
-        for (name, q) in all_queries() {
-            let base = q(&ctx, &t, Strategy::Baseline).unwrap();
-            let opt = q(&ctx, &t, Strategy::Pushdown).unwrap();
+        for q in SUITE {
+            let name = q.name;
+            let base = q.run(&ctx, &t, Strategy::Baseline).unwrap().0;
+            let opt = q.run(&ctx, &t, Strategy::Pushdown).unwrap().0;
             assert!(
                 opt.metrics.bytes_returned() < base.metrics.bytes_returned(),
                 "{name}: optimized {} vs baseline {}",
@@ -489,9 +451,10 @@ mod tests {
     #[test]
     fn optimized_is_faster_under_the_model() {
         let (ctx, t) = tpch_context(0.002, 700).unwrap();
-        for (name, q) in all_queries() {
-            let base = q(&ctx, &t, Strategy::Baseline).unwrap();
-            let opt = q(&ctx, &t, Strategy::Pushdown).unwrap();
+        for q in SUITE {
+            let name = q.name;
+            let base = q.run(&ctx, &t, Strategy::Baseline).unwrap().0;
+            let opt = q.run(&ctx, &t, Strategy::Pushdown).unwrap().0;
             // Project to SF 10 so fixed startup costs don't mask the
             // asymptotic behaviour at the tiny test scale.
             let f = 10.0 / t.scale_factor;

@@ -270,7 +270,7 @@
 //! the store-global ledger — [`core::QueryOutput::billed`] is the exact
 //! per-query AWS bill under any interleaving, and the store-global delta
 //! always equals the sum of the children (pinned by `tests/concurrency.rs`
-//! at 8-way concurrency).
+//! at 2-, 4- and 8-way concurrency).
 //!
 //! Fault injection is a seeded per-request policy
 //! ([`s3::FaultPlan`] via [`s3::S3Store::set_fault_plan`]): faults are a
@@ -284,9 +284,9 @@
 //! (`QueryContext::retry`); each attempt bills a request, bytes bill
 //! once, and backoff advances the scope's virtual clock
 //! ([`s3::S3Store::virtual_time_s`]). The seeded workload harness
-//! (`pushdown_bench::workload`, `fig13_concurrency`) drives mixed TPC-H
-//! streams at configurable concurrency and reports throughput,
-//! per-query dollars and virtual-time latency percentiles.
+//! (`pushdown_bench::workload`, run by `fig_cache` and `fig_cluster`)
+//! drives a Zipf-skewed TPC-H stream one query after another and reports
+//! per-query dollars, virtual-time latency and per-node deltas.
 //!
 //! ```no_run
 //! use pushdowndb::core::{execute_sql, Strategy};

@@ -170,21 +170,19 @@ fn ledger_conservation_at_8_threads_sharing_one_cache() {
 fn zipf_hot_set_cuts_billed_bytes_by_half() {
     let spec = WorkloadSpec {
         seed: 42,
-        queries: 48,
-        concurrency: 1,
         strategy: Strategy::Adaptive,
     };
-    let stream = generate_zipf(spec.seed, spec.queries, 1.0);
+    let stream = generate_zipf(spec.seed, 48, 1.0);
     let remote = |u: &Usage| u.select_scanned_bytes + u.plain_bytes;
 
     let (ctx_off, t_off) = tpch_context(0.002, 1_000).unwrap();
-    let disabled = run_stream(&ctx_off, &t_off, &spec, &stream).unwrap();
+    let disabled = run_stream(&ctx_off, &t_off, &spec, &stream);
     assert_eq!(disabled.failed, 0);
 
     let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
     let budget = dataset_bytes(&ctx, &t); // hot set trivially fits
     let ctx = ctx.with_cache(budget);
-    let cached = run_stream(&ctx, &t, &spec, &stream).unwrap();
+    let cached = run_stream(&ctx, &t, &spec, &stream);
     assert_eq!(cached.failed, 0);
 
     // Same answers, query for query. (Row *counts* here, not digests:

@@ -1,12 +1,14 @@
 //! Concurrency stress suite (ISSUE 3): many queries on **one shared
 //! engine** must behave exactly as they do alone.
 //!
-//! * every result set at 8-way concurrency is identical to its serial
-//!   execution (streaming scans are partition-ordered, so results are
-//!   deterministic — contention must not change them);
+//! * every result set at 8-way concurrency (2-, 4- and 8-way under the
+//!   adaptive planner) is identical to its serial execution (streaming
+//!   scans are partition-ordered, so results are deterministic —
+//!   contention must not change them);
 //! * the store-global ledger delta equals the **sum of the per-query
 //!   child ledgers** (conservation: scoped accounting loses nothing and
-//!   double-counts nothing, with no resets anywhere);
+//!   double-counts nothing, with no resets anywhere) — and on a 2-node
+//!   cluster context so do the per-node ledger deltas;
 //! * the adaptive planner's calibration bounds (tests/adaptive.rs) still
 //!   hold per query while 8 threads hammer the same store.
 
@@ -54,21 +56,32 @@ fn run_suite_concurrently(
 }
 
 /// (a) + (b): serial/concurrent result equivalence and exact global
-/// ledger = Σ child ledgers, at 8 concurrent queries, for both fixed
-/// strategies and the adaptive planner.
+/// ledger = Σ child ledgers, at 8 concurrent queries for both fixed
+/// strategies and at 2, 4 and 8 for the adaptive planner — and, on a
+/// 2-node cluster context, per-node ledger deltas = Σ child ledgers.
 #[test]
 fn concurrent_queries_match_serial_and_conserve_the_ledger() {
     let (ctx, tables) = tpch_context(0.003, 1_200).unwrap();
+    let cluster = ctx.clone().with_nodes(2);
     let suite = planner_suite();
-    for strategy in [Strategy::Baseline, Strategy::Pushdown, Strategy::Adaptive] {
+    let runs = [
+        (&ctx, Strategy::Baseline, THREADS),
+        (&ctx, Strategy::Pushdown, THREADS),
+        (&ctx, Strategy::Adaptive, 2),
+        (&ctx, Strategy::Adaptive, 4),
+        (&ctx, Strategy::Adaptive, THREADS),
+        (&cluster, Strategy::Pushdown, 2),
+    ];
+    for (ctx, strategy, threads) in runs {
         // Serial references, one per suite query.
         let serial: Vec<QueryOutput> = suite
             .iter()
-            .map(|q| execute_sql(&ctx, (q.table)(&tables), q.sql, strategy).unwrap())
+            .map(|q| execute_sql(ctx, (q.table)(&tables), q.sql, strategy).unwrap())
             .collect();
 
         let before = ctx.store.global_ledger().snapshot();
-        let outputs = run_suite_concurrently(&ctx, &tables, &suite, THREADS, strategy);
+        let nodes_before = ctx.cluster.as_ref().map(|c| c.snapshots());
+        let outputs = run_suite_concurrently(ctx, &tables, &suite, threads, strategy);
         let after = ctx.store.global_ledger().snapshot();
 
         let mut sum = Usage::default();
@@ -77,14 +90,14 @@ fn concurrent_queries_match_serial_and_conserve_the_ledger() {
             assert_eq!(
                 out.rows,
                 reference.rows,
-                "{:?} {}: concurrent result differs from serial",
+                "{:?} ×{threads} {}: concurrent result differs from serial",
                 strategy,
                 suite[i % suite.len()].name
             );
             assert_eq!(
                 out.billed,
                 reference.billed,
-                "{:?} {}: per-query bill differs under contention",
+                "{:?} ×{threads} {}: per-query bill differs under contention",
                 strategy,
                 suite[i % suite.len()].name
             );
@@ -93,7 +106,7 @@ fn concurrent_queries_match_serial_and_conserve_the_ledger() {
             assert_eq!(
                 out.metrics.usage(),
                 out.billed,
-                "{:?} {}: metrics vs child ledger",
+                "{:?} ×{threads} {}: metrics vs child ledger",
                 strategy,
                 suite[i % suite.len()].name
             );
@@ -102,8 +115,27 @@ fn concurrent_queries_match_serial_and_conserve_the_ledger() {
         assert_eq!(
             after,
             before + sum,
-            "{strategy:?}: global ledger delta must equal the sum of child ledgers"
+            "{strategy:?} ×{threads}: global ledger delta must equal the sum of child ledgers"
         );
+        // Under a cluster every request also bills to one node: the
+        // node ledgers' deltas decompose the same sum.
+        if let (Some(cluster), Some(nodes_before)) = (&ctx.cluster, nodes_before) {
+            let (mut nodes_after, mut nodes_then) = (Usage::default(), Usage::default());
+            for (a, b) in cluster.snapshots().iter().zip(&nodes_before) {
+                assert!(
+                    a.usage.requests > b.usage.requests,
+                    "{strategy:?} ×{threads}: node {} idle",
+                    a.node
+                );
+                nodes_after += a.usage;
+                nodes_then += b.usage;
+            }
+            assert_eq!(
+                nodes_after,
+                nodes_then + sum,
+                "{strategy:?} ×{threads}: Σ node deltas must equal the sum of child ledgers"
+            );
+        }
     }
 }
 
@@ -162,31 +194,4 @@ fn adaptive_calibration_bounds_hold_under_contention() {
         "calibration violated under contention:\n{}",
         failures.join("\n")
     );
-}
-
-/// The workload driver (bench) at ≥ 8-way concurrency: digests, bills
-/// and the conservation law hold end-to-end through the public harness.
-#[test]
-fn workload_driver_is_concurrency_invariant_at_8_way() {
-    use pushdown_bench::workload::{run_workload, WorkloadSpec};
-    let (ctx, tables) = tpch_context(0.002, 1_000).unwrap();
-    let mut spec = WorkloadSpec {
-        seed: 33,
-        queries: 24,
-        concurrency: 1,
-        strategy: Strategy::Adaptive,
-    };
-    let serial = run_workload(&ctx, &tables, &spec).unwrap();
-    assert_eq!(serial.failed, 0);
-    spec.concurrency = 8;
-    let before = ctx.store.global_ledger().snapshot();
-    let concurrent = run_workload(&ctx, &tables, &spec).unwrap();
-    let after = ctx.store.global_ledger().snapshot();
-    assert_eq!(concurrent.failed, 0);
-    for (a, b) in serial.per_query.iter().zip(&concurrent.per_query) {
-        assert_eq!(a.row_digest, b.row_digest, "query {}", a.index);
-        assert_eq!(a.billed, b.billed, "query {}", a.index);
-    }
-    assert_eq!(after, before + concurrent.sum_billed);
-    assert!(concurrent.total_dollars > 0.0);
 }

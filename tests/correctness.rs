@@ -9,7 +9,7 @@ use pushdowndb::core::algos::filter;
 use pushdowndb::core::{build_index, upload_csv_table, QueryContext, Strategy};
 use pushdowndb::s3::{FaultPlan, S3Store};
 use pushdowndb::sql::parse_expr;
-use pushdowndb::tpch::{all_queries, tpch_context};
+use pushdowndb::tpch::{tpch_context, SUITE};
 
 fn assert_rows_close(a: &[Row], b: &[Row], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: row counts differ");
@@ -29,9 +29,10 @@ fn assert_rows_close(a: &[Row], b: &[Row], what: &str) {
 #[test]
 fn tpch_queries_agree_and_push_less_data() {
     let (ctx, t) = tpch_context(0.003, 1_500).unwrap();
-    for (name, q) in all_queries() {
-        let base = q(&ctx, &t, Strategy::Baseline).unwrap();
-        let opt = q(&ctx, &t, Strategy::Pushdown).unwrap();
+    for q in SUITE {
+        let name = q.name;
+        let base = q.run(&ctx, &t, Strategy::Baseline).unwrap().0;
+        let opt = q.run(&ctx, &t, Strategy::Pushdown).unwrap().0;
         assert_rows_close(&base.rows, &opt.rows, name);
         assert!(
             opt.metrics.bytes_returned() < base.metrics.bytes_returned(),

@@ -9,7 +9,7 @@ use pushdowndb::core::{
 };
 use pushdowndb::format::columnar::WriterOptions;
 use pushdowndb::s3::S3Store;
-use pushdowndb::tpch::{all_queries, load_tpch, tpch_context};
+use pushdowndb::tpch::{load_tpch, tpch_context, SUITE};
 
 fn assert_rows_close(a: &[Row], b: &[Row], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: row counts differ");
@@ -32,9 +32,10 @@ fn assert_rows_close(a: &[Row], b: &[Row], what: &str) {
 #[test]
 fn tpch_baseline_vs_pushdown_differential() {
     let (ctx, t) = tpch_context(0.003, 1_500).unwrap();
-    for (name, q) in all_queries() {
-        let base = q(&ctx, &t, Strategy::Baseline).unwrap();
-        let push = q(&ctx, &t, Strategy::Pushdown).unwrap();
+    for q in SUITE {
+        let name = q.name;
+        let base = q.run(&ctx, &t, Strategy::Baseline).unwrap().0;
+        let push = q.run(&ctx, &t, Strategy::Pushdown).unwrap().0;
         assert_rows_close(&base.rows, &push.rows, name);
         assert!(
             push.metrics.bytes_returned() <= base.metrics.bytes_returned(),
@@ -50,18 +51,19 @@ fn tpch_baseline_vs_pushdown_differential() {
 #[test]
 fn tpch_differential_is_batch_size_invariant() {
     let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
-    let reference: Vec<(&str, Vec<Row>)> = all_queries()
-        .into_iter()
-        .map(|(name, q)| (name, q(&ctx, &t, Strategy::Pushdown).unwrap().rows))
+    let reference: Vec<Vec<Row>> = SUITE
+        .iter()
+        .map(|q| q.run(&ctx, &t, Strategy::Pushdown).unwrap().0.rows)
         .collect();
     for batch_rows in [1usize, 17, 100_000] {
         let ctx2 = ctx.clone().with_batch_rows(batch_rows);
-        for (i, (name, q)) in all_queries().into_iter().enumerate() {
-            let base = q(&ctx2, &t, Strategy::Baseline).unwrap();
-            let push = q(&ctx2, &t, Strategy::Pushdown).unwrap();
+        for (q, reference) in SUITE.iter().zip(&reference) {
+            let name = q.name;
+            let base = q.run(&ctx2, &t, Strategy::Baseline).unwrap().0;
+            let push = q.run(&ctx2, &t, Strategy::Pushdown).unwrap().0;
             assert_rows_close(&base.rows, &push.rows, name);
             assert_rows_close(
-                &reference[i].1,
+                reference,
                 &push.rows,
                 &format!("{name} @ batch_rows={batch_rows}"),
             );
@@ -130,9 +132,10 @@ fn planner_strategies_differential() {
 #[test]
 fn ledger_agrees_with_metrics_across_the_suite() {
     let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
-    for (name, q) in all_queries() {
+    for q in SUITE {
+        let name = q.name;
         for mode in [Strategy::Baseline, Strategy::Pushdown] {
-            let out = q(&ctx, &t, mode).unwrap();
+            let out = q.run(&ctx, &t, mode).unwrap().0;
             // The query's scoped child ledger: exact per-query usage, no
             // reset needed (and correct even under concurrent queries).
             let billed = out.billed;
@@ -167,10 +170,11 @@ fn repeated_runs_are_deterministic() {
     let store_c = pushdowndb::s3::S3Store::new();
     let tc = load_tpch(&store_c, "tpch", pushdowndb::tpch::TpchGen::new(0.002), 333).unwrap();
     let ctx_c = QueryContext::new(store_c);
-    for (name, q) in all_queries() {
-        let a = q(&ctx_a, &ta, Strategy::Pushdown).unwrap();
-        let b = q(&ctx_b, &tb, Strategy::Pushdown).unwrap();
-        let c = q(&ctx_c, &tc, Strategy::Pushdown).unwrap();
+    for q in SUITE {
+        let name = q.name;
+        let a = q.run(&ctx_a, &ta, Strategy::Pushdown).unwrap().0;
+        let b = q.run(&ctx_b, &tb, Strategy::Pushdown).unwrap().0;
+        let c = q.run(&ctx_c, &tc, Strategy::Pushdown).unwrap().0;
         assert_eq!(
             a.rows, b.rows,
             "{name}: identical setup must be bit-identical"
