@@ -15,4 +15,3 @@ pub mod fig09_topk_k;
 pub mod fig10_tpch;
 pub mod fig11_parquet;
 pub mod fig_cache;
-pub mod fig_cluster;

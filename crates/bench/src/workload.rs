@@ -1,27 +1,27 @@
 //! Seeded multi-query workloads and their driver.
 //!
-//! The paper evaluates one query at a time; the `fig_cache` and
-//! `fig_cluster` experiments run a stream of them over **one shared**
-//! [`QueryContext`], so the cache and the cluster see a history:
+//! The paper evaluates one query at a time; the `fig_cache` experiment
+//! runs a stream of them over **one shared** [`QueryContext`], so the
+//! cache sees a history:
 //!
 //! * [`generate_zipf`] — a seeded, Zipf-skewed stream of TPC-H queries
 //!   drawn from [`pushdown_tpch::planner_suite`] (every operator family:
 //!   filter, scalar aggregate, group-by, top-K);
 //! * [`run_stream`] — executes the stream in order, each query in its own
 //!   scoped child-ledger context ([`QueryContext::scoped_with_salt`]), and
-//!   reports per-query dollars (from the exact per-query child ledgers),
-//!   virtual-time latency and per-node deltas.
+//!   reports per-query dollars (from the exact per-query child ledgers)
+//!   and virtual-time latency.
 //!
-//! Everything except wall-clock throughput is deterministic: results,
-//! ledgers and virtual latencies depend only on (data, workload seed,
-//! chaos plan). Under a [`pushdown_s3::FaultPlan`], query *i* gets chaos
-//! salt `mix(seed, i)` — printed on failure so any chaos outcome can be
-//! replayed by seed.
+//! Everything is deterministic: results, ledgers and virtual latencies
+//! depend only on (data, workload seed, chaos plan). Under a
+//! [`pushdown_s3::FaultPlan`], query *i* gets chaos salt
+//! [`query_salt`]`(seed, i)`, which a fault's error text carries
+//! (`salt=`), so any chaos outcome can be replayed by seed.
 
-use pushdown_common::mix::{fnv1a, splitmix64};
+use pushdown_common::mix::splitmix64;
 use pushdown_common::pricing::Usage;
 use pushdown_core::planner::{execute_sql, Strategy};
-use pushdown_core::{NodeSnapshot, QueryContext, QueryOutput};
+use pushdown_core::QueryContext;
 use pushdown_tpch::{planner_suite, PlannerQuery, TpchTables};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -88,11 +88,6 @@ pub struct WorkloadSpec {
 pub struct QueryReport {
     pub index: usize,
     pub name: &'static str,
-    /// Chaos salt this query ran under (replay: same plan seed + salt).
-    pub salt: u64,
-    /// Order-sensitive digest of the result rows (result equivalence is
-    /// digest equality).
-    pub row_digest: u64,
     pub rows: usize,
     /// Exactly what this query billed on its child ledger.
     pub billed: Usage,
@@ -107,32 +102,10 @@ pub struct QueryReport {
     pub error: Option<String>,
 }
 
-/// Per-node accounting of one driven workload, when the shared context
-/// carries a cluster (`QueryContext::with_nodes`). All
-/// numbers are run deltas (snapshots before minus after), so reports
-/// stay independent even though node ledgers accumulate across runs.
-#[derive(Debug, Clone)]
-pub struct NodeUtilization {
-    pub node: usize,
-    /// Virtual seconds this node's clock advanced during the run
-    /// (deterministic: retry backoff + modeled transfer time).
-    pub busy_s: f64,
-    /// `busy_s` relative to the busiest node (1.0 = the critical path;
-    /// the spread across nodes is the cluster's load balance).
-    pub utilization: f64,
-    /// Interconnect bytes this node shipped.
-    pub exchange_bytes: u64,
-    /// Exactly what this node's ledger billed during the run.
-    pub billed: Usage,
-}
-
 /// Aggregate outcome of one driven workload.
 #[derive(Debug, Clone)]
 pub struct WorkloadReport {
     pub per_query: Vec<QueryReport>,
-    /// Queries per wall-clock second (the only non-deterministic number
-    /// here; everything else is virtual or exact).
-    pub throughput_qps: f64,
     /// Deterministic virtual makespan: Σ per-query virtual latency, the
     /// queries run one after another. Depends only on (data, seed, fault
     /// plan).
@@ -143,24 +116,6 @@ pub struct WorkloadReport {
     /// the conservation law the concurrency tests pin).
     pub sum_billed: Usage,
     pub failed: usize,
-    /// Per-node run deltas under a cluster context; empty without one.
-    /// Conservation: Σ `node_stats[*].billed` == `sum_billed` (every
-    /// request bills jointly to its query scope and its node).
-    pub node_stats: Vec<NodeUtilization>,
-}
-
-/// Order-sensitive FNV-1a digest over the CSV rendering of result rows.
-pub(crate) fn digest_rows(out: &QueryOutput) -> u64 {
-    fnv1a(out.rows.iter().flat_map(|row| {
-        row.values()
-            .iter()
-            .flat_map(|v| {
-                let mut field = v.to_csv_field().into_bytes();
-                field.push(b',');
-                field
-            })
-            .chain(std::iter::once(b'\n'))
-    }))
 }
 
 /// Execute one workload query in its own scope of `ctx`. Public so test
@@ -192,8 +147,6 @@ pub fn run_one(
             QueryReport {
                 index: wq.index,
                 name: wq.query.name,
-                salt,
-                row_digest: 0,
                 rows: 0,
                 billed: qctx.billed(),
                 dollars: 0.0,
@@ -206,8 +159,6 @@ pub fn run_one(
             QueryReport {
                 index: wq.index,
                 name: wq.query.name,
-                salt,
-                row_digest: digest_rows(&out),
                 rows: out.rows.len(),
                 billed: out.billed,
                 dollars: out.billed_cost(&qctx).total(),
@@ -218,8 +169,6 @@ pub fn run_one(
         Ok(Err(e)) => QueryReport {
             index: wq.index,
             name: wq.query.name,
-            salt,
-            row_digest: 0,
             rows: 0,
             billed: qctx.billed(),
             dollars: 0.0,
@@ -237,13 +186,10 @@ pub fn run_stream(
     spec: &WorkloadSpec,
     stream: &[WorkloadQuery],
 ) -> WorkloadReport {
-    let nodes_before = ctx.cluster.as_ref().map(|c| c.snapshots());
-    let started = std::time::Instant::now();
     let per_query: Vec<QueryReport> = stream
         .iter()
         .map(|wq| run_one(ctx, tables, spec, wq))
         .collect();
-    let wall_s = started.elapsed().as_secs_f64();
     let mut sum_billed = Usage::default();
     let mut total_dollars = 0.0;
     let mut virtual_makespan_s = 0.0;
@@ -258,50 +204,11 @@ pub fn run_stream(
     }
     WorkloadReport {
         failed,
-        throughput_qps: per_query.len() as f64 / wall_s.max(1e-9),
         virtual_makespan_s,
         total_dollars,
         sum_billed,
         per_query,
-        node_stats: node_deltas(ctx, nodes_before),
     }
-}
-
-/// Per-node run deltas between two cluster snapshots (empty without a
-/// cluster): what each node billed, shipped and spent during the run.
-fn node_deltas(ctx: &QueryContext, before: Option<Vec<NodeSnapshot>>) -> Vec<NodeUtilization> {
-    let (Some(cluster), Some(before)) = (ctx.cluster.as_ref(), before) else {
-        return Vec::new();
-    };
-    let after = cluster.snapshots();
-    let busy: Vec<f64> = after
-        .iter()
-        .zip(&before)
-        .map(|(a, b)| (a.seconds - b.seconds).max(0.0))
-        .collect();
-    let max_busy = busy.iter().cloned().fold(0.0f64, f64::max);
-    after
-        .iter()
-        .zip(&before)
-        .zip(busy)
-        .map(|((a, b), busy_s)| NodeUtilization {
-            node: a.node,
-            busy_s,
-            utilization: if max_busy > 0.0 {
-                busy_s / max_busy
-            } else {
-                0.0
-            },
-            exchange_bytes: a.exchange_bytes - b.exchange_bytes,
-            billed: Usage {
-                requests: a.usage.requests - b.usage.requests,
-                select_scanned_bytes: a.usage.select_scanned_bytes - b.usage.select_scanned_bytes,
-                select_returned_bytes: a.usage.select_returned_bytes
-                    - b.usage.select_returned_bytes,
-                plain_bytes: a.usage.plain_bytes - b.usage.plain_bytes,
-            },
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -340,7 +247,7 @@ mod tests {
         for (i, q) in report.per_query.iter().enumerate() {
             if i != 2 {
                 assert!(q.error.is_none(), "query {i} unaffected");
-                assert!(q.rows > 0 || q.row_digest != 0);
+                assert!(q.rows > 0);
             }
         }
     }
@@ -369,36 +276,5 @@ mod tests {
         }
         let fmax = *fc.values().max().unwrap();
         assert!(fmax < 2 * (900 / planner_suite().len()), "{fc:?}");
-    }
-
-    #[test]
-    fn cluster_workloads_report_per_node_utilization_and_exchange() {
-        let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
-        let ctx = ctx.with_nodes(2);
-        let spec = WorkloadSpec {
-            seed: 11,
-            strategy: Strategy::Pushdown,
-        };
-        let stream = generate_zipf(spec.seed, 8, 0.0);
-        let report = run_stream(&ctx, &t, &spec, &stream);
-        assert_eq!(report.failed, 0);
-        assert_eq!(report.node_stats.len(), 2);
-        // Conservation: the node deltas decompose the workload's bill.
-        let mut nodes = Usage::default();
-        for n in &report.node_stats {
-            nodes += n.billed;
-        }
-        assert_eq!(nodes, report.sum_billed, "Σ node deltas == Σ query bills");
-        // The queries spread over the nodes: both nodes billed,
-        // the interconnect carried rows, and the busiest node defines
-        // utilization 1.0.
-        assert!(report.node_stats.iter().all(|n| n.billed.requests > 0));
-        assert!(report.node_stats.iter().any(|n| n.exchange_bytes > 0));
-        let max_util = report
-            .node_stats
-            .iter()
-            .map(|n| n.utilization)
-            .fold(0.0f64, f64::max);
-        assert!((max_util - 1.0).abs() < 1e-12 || max_util == 0.0);
     }
 }

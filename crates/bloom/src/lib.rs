@@ -168,12 +168,6 @@ impl BloomFilter {
         })
     }
 
-    /// Fraction of set bits (diagnostic).
-    pub fn fill_ratio(&self) -> f64 {
-        let set: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
-        set as f64 / self.m as f64
-    }
-
     /// The bit array as the `'0'`/`'1'` string S3 Select probes with
     /// `SUBSTRING` (paper §V-A2: "we use strings of 1's and 0's to
     /// represent the bit array").
@@ -232,14 +226,6 @@ impl BloomFilter {
             })
             .collect();
         Expr::conjunction(conjuncts).expect("at least one hash function")
-    }
-
-    /// Approximate byte length of [`BloomFilter::sql_predicate`] rendered
-    /// as text, without materializing it: the bit string appears once per
-    /// conjunct.
-    pub fn sql_predicate_len(&self, attr: &str) -> usize {
-        let per_conjunct_overhead = 64 + attr.len();
-        self.hashes.len() * (self.m as usize + per_conjunct_overhead)
     }
 
     /// The bit array hex-encoded, 4 bits per character, left-to-right
@@ -461,8 +447,8 @@ mod tests {
         let s = f.to_bit_string();
         assert_eq!(s.len(), 64);
         assert_eq!(
-            s.chars().filter(|&c| c == '1').count() as u64,
-            (f.fill_ratio() * 64.0).round() as u64
+            s.chars().filter(|&c| c == '1').count() as u32,
+            f.bits.iter().map(|w| w.count_ones()).sum::<u32>()
         );
         for h in f.hashes() {
             assert_eq!(s.as_bytes()[h.eval(123) as usize], b'1');
@@ -554,22 +540,6 @@ mod tests {
         assert!(text.starts_with("SUBSTRING('"), "{text}");
         assert!(text.contains("CAST(attr AS INT)"), "{text}");
         assert!(text.contains("% 68 + 1, 1) = '1'"), "{text}");
-    }
-
-    #[test]
-    fn sql_predicate_len_estimate_is_close() {
-        let keys: Vec<i64> = (0..500).collect();
-        let mut f = BloomFilter::with_rate(keys.len(), 0.01, 11);
-        for &k in &keys {
-            f.insert(k);
-        }
-        let actual = f.sql_predicate("o_custkey").to_string().len();
-        let estimate = f.sql_predicate_len("o_custkey");
-        let ratio = estimate as f64 / actual as f64;
-        assert!(
-            (0.8..1.3).contains(&ratio),
-            "estimate {estimate} vs actual {actual}"
-        );
     }
 
     #[test]

@@ -69,18 +69,6 @@ impl Column {
         Column { data, validity }
     }
 
-    /// A column where every slot is valid.
-    pub fn all_valid(data: ColumnData) -> Self {
-        let n = data.len();
-        let mut validity = vec![0xffu8; n.div_ceil(8)];
-        if !n.is_multiple_of(8) {
-            if let Some(last) = validity.last_mut() {
-                *last = (1u8 << (n % 8)) - 1;
-            }
-        }
-        Column { data, validity }
-    }
-
     pub fn len(&self) -> usize {
         self.data.len()
     }
@@ -92,12 +80,6 @@ impl Column {
     #[inline]
     pub fn is_valid(&self, i: usize) -> bool {
         self.validity[i / 8] & (1 << (i % 8)) != 0
-    }
-
-    /// Count of valid (non-NULL) slots.
-    pub fn valid_count(&self) -> usize {
-        let n = self.len();
-        (0..n).filter(|&i| self.is_valid(i)).count()
     }
 
     /// Materialize slot `i` as a [`Value`].
@@ -441,13 +423,5 @@ mod tests {
             batch.to_rows(),
             vec![Row(vec![Value::Int(0), Value::Str(String::new())])]
         );
-    }
-
-    #[test]
-    fn all_valid_masks_tail_bits() {
-        let data = ColumnData::Int((0..11).collect());
-        let col = Column::all_valid(data);
-        assert_eq!(col.valid_count(), 11);
-        assert_eq!(col.validity, vec![0xff, 0b0000_0111]);
     }
 }

@@ -94,10 +94,6 @@ impl CostLedger {
         self.add(|c| &c.requests, 1);
     }
 
-    pub fn add_requests(&self, n: u64) {
-        self.add(|c| &c.requests, n);
-    }
-
     /// Record bytes scanned inside S3 Select.
     pub fn add_select_scanned(&self, bytes: u64) {
         self.add(|c| &c.select_scanned, bytes);
@@ -147,8 +143,9 @@ mod tests {
     #[test]
     fn accumulates_and_snapshots() {
         let l = CostLedger::new();
-        l.add_request();
-        l.add_requests(9);
+        for _ in 0..10 {
+            l.add_request();
+        }
         l.add_select_scanned(100);
         l.add_select_returned(40);
         l.add_plain_bytes(7);
@@ -170,9 +167,13 @@ mod tests {
     #[test]
     fn delta_since() {
         let l = CostLedger::new();
-        l.add_requests(3);
+        for _ in 0..3 {
+            l.add_request();
+        }
         let snap = l.snapshot();
-        l.add_requests(4);
+        for _ in 0..4 {
+            l.add_request();
+        }
         l.add_plain_bytes(11);
         let d = l.delta_since(&snap);
         assert_eq!(d.requests, 4);
@@ -185,7 +186,8 @@ mod tests {
         let a = root.child();
         let b = root.child();
         let b_inner = b.child(); // nesting rolls up through the chain
-        a.add_requests(2);
+        a.add_request();
+        a.add_request();
         a.add_select_scanned(10);
         b.add_plain_bytes(5);
         b_inner.add_select_returned(7);
@@ -210,7 +212,9 @@ mod tests {
         let node = global.child();
         let query = global.child();
         let leaf = query.joint_child(&node);
-        leaf.add_requests(3);
+        for _ in 0..3 {
+            leaf.add_request();
+        }
         leaf.add_plain_bytes(10);
         // Both parents see the traffic...
         assert_eq!(node.snapshot().requests, 3);
@@ -223,7 +227,9 @@ mod tests {
         let node2 = global.child();
         let query2 = global.child();
         let leaf2 = query2.joint_child(&node2);
-        leaf2.add_requests(5);
+        for _ in 0..5 {
+            leaf2.add_request();
+        }
         let nodes = node.snapshot().requests + node2.snapshot().requests;
         let queries = query.snapshot().requests + query2.snapshot().requests;
         assert_eq!(nodes, 8);

@@ -77,15 +77,13 @@ pub struct PerfParams {
     /// Read bandwidth of the **disk tier** of the local segment cache
     /// (the paper's r4.8xlarge instance storage), bytes/s. Like mem-tier
     /// hits, disk hits bill nothing — they cost only this slower local
-    /// read plus parse. Calibrated against the `cache_path` criterion
-    /// bench (`cargo bench --bench cache_path -p pushdown-bench`,
-    /// `tier_serve` group): in the harness both tiers reassemble a
-    /// fully-resident partition at the same ~1.1 GiB/s (the disk tier is
-    /// a simulated byte store in RAM), confirming tier choice adds **no
-    /// hidden harness cost** — the modeled bandwidth gap is exactly this
-    /// knob. The rate itself therefore comes from the modeled hardware:
-    /// SATA-SSD/EBS-class instance storage streams at ~0.25× of the
-    /// memory-scan anchor [`PerfParams::cache_read_bw`], so
+    /// read plus parse. The benchmark's `cache.serve_disk_mbps` probe
+    /// (`crates/bench/src/bin/perf`) measures this tier's serve rate on
+    /// a file-backed tier, beside `cache.serve_mem_mbps` for the mem
+    /// tier; that rate is the host's page cache and file system, not the
+    /// modeled instance storage. The rate here therefore comes from the
+    /// modeled hardware: SATA-SSD/EBS-class instance storage streams at
+    /// ~0.25× of the memory-scan anchor [`PerfParams::cache_read_bw`], so
     /// 0.25 × 2.0e9 = 500e6 — squarely between the mem tier and the
     /// 10 GigE wire. See README "Performance model calibration" for how
     /// to re-derive.

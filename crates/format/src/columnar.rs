@@ -824,11 +824,6 @@ impl ColumnarReader {
         &self.groups[g]
     }
 
-    pub fn total_rows(&self) -> u64 {
-        // Saturating: the counts come from the footer.
-        (self.groups.iter()).fold(0, |n, g| n.saturating_add(g.row_count))
-    }
-
     /// On-disk size of one column chunk — the number of bytes a
     /// column-pruned scan "reads" for accounting purposes.
     pub fn chunk_stored_len(&self, g: usize, col: usize) -> u64 {
@@ -1139,7 +1134,8 @@ mod tests {
         let bytes = encode_columnar(&schema(), &rows, opts);
         let r = ColumnarReader::open(Bytes::from(bytes)).unwrap();
         assert_eq!(r.num_row_groups(), 8); // ceil(1000/128)
-        assert_eq!(r.total_rows(), 1000);
+        let footer_rows: u64 = r.groups.iter().map(|g| g.row_count).sum();
+        assert_eq!(footer_rows, 1000);
         assert_eq!(r.read_all().unwrap(), rows);
     }
 
@@ -1363,7 +1359,6 @@ mod tests {
         let bytes = encode_columnar(&schema(), &[], WriterOptions::default());
         let r = ColumnarReader::open(Bytes::from(bytes)).unwrap();
         assert_eq!(r.num_row_groups(), 0);
-        assert_eq!(r.total_rows(), 0);
         assert!(r.read_all().unwrap().is_empty());
     }
 

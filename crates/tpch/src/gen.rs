@@ -119,10 +119,6 @@ impl TpchGen {
         }
     }
 
-    pub fn with_seed(scale_factor: f64, seed: u64) -> Self {
-        TpchGen { scale_factor, seed }
-    }
-
     fn rng(&self, table: &str) -> StdRng {
         let mut h: u64 = self.seed;
         for b in table.bytes() {
@@ -413,7 +409,12 @@ mod tests {
         let a = TpchGen::new(0.001).customers().1;
         let b = TpchGen::new(0.001).customers().1;
         assert_eq!(a, b);
-        let c = TpchGen::with_seed(0.001, 99).customers().1;
+        let c = TpchGen {
+            scale_factor: 0.001,
+            seed: 99,
+        }
+        .customers()
+        .1;
         assert_ne!(a, c);
     }
 

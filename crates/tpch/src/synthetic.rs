@@ -37,11 +37,6 @@ impl Zipf {
         let u: f64 = rng.random();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
-
-    /// Fraction of mass held by the `k` largest groups.
-    pub fn top_share(&self, k: usize) -> f64 {
-        self.cdf.get(k.saturating_sub(1)).copied().unwrap_or(1.0)
-    }
 }
 
 fn group_value_schema(group_cols: usize, value_cols: usize) -> Schema {
@@ -131,13 +126,13 @@ mod tests {
     #[test]
     fn zipf_matches_paper_statistic() {
         // Paper §VI-C2: θ = 1.3 ⇒ "59% of rows belong to the four largest
-        // groups" (of 100).
+        // groups" (of 100). The CDF at rank 4 is that share.
         let z = Zipf::new(100, 1.3);
-        let share = z.top_share(4);
+        let share = z.cdf[3];
         assert!((0.55..0.63).contains(&share), "top-4 share {share}");
         // θ = 0 is uniform.
         let u = Zipf::new(100, 0.0);
-        assert!((u.top_share(4) - 0.04).abs() < 1e-9);
+        assert!((u.cdf[3] - 0.04).abs() < 1e-9);
     }
 
     #[test]

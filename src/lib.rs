@@ -284,9 +284,9 @@
 //! (`QueryContext::retry`); each attempt bills a request, bytes bill
 //! once, and backoff advances the scope's virtual clock
 //! ([`s3::S3Store::virtual_time_s`]). The seeded workload harness
-//! (`pushdown_bench::workload`, run by `fig_cache` and `fig_cluster`)
-//! drives a Zipf-skewed TPC-H stream one query after another and reports
-//! per-query dollars, virtual-time latency and per-node deltas.
+//! (`pushdown_bench::workload`, run by `fig_cache`) drives a
+//! Zipf-skewed TPC-H stream one query after another and reports
+//! per-query dollars and virtual-time latency.
 //!
 //! ```no_run
 //! use pushdowndb::core::{execute_sql, Strategy};

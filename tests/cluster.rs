@@ -13,7 +13,9 @@
 //!   node busy and per-node `Exchange[…]` children under its leaves.
 //! * **Conservation**: over a mixed batch the store-global ledger delta
 //!   equals Σ per-query bills equals Σ per-node ledger deltas — three
-//!   decompositions of one total.
+//!   decompositions of one total. Likewise for time: Σ per-node clock
+//!   deltas equals Σ per-query virtual clocks, the same total at every
+//!   node count.
 //! * **Calibration**: the prediction of what ran on the cluster lands
 //!   within 15% of the measured ledger (same bound as the single-node
 //!   estimator).
@@ -207,6 +209,48 @@ fn global_ledger_equals_sum_of_node_ledgers_equals_sum_of_query_ledgers() {
     // something, and the interconnect carried rows.
     assert!(busy(&cluster) >= 2, "expected >= 2 busy nodes");
     assert!(cluster.total_exchange_bytes() > 0, "no exchange traffic");
+}
+
+/// Node clocks decompose query clocks: every virtual second a query's
+/// scope accrues runs on exactly one node (the coordinator is node 0),
+/// so over the suite Σ per-node clock deltas == Σ per-query
+/// `virtual_time_s`, and spreading only moves that time between nodes:
+/// the total is the same at 1, 2 and 4 nodes. A zero-rate fault plan
+/// turns the latency model on and injects nothing. The clocks count
+/// whole nanoseconds; the bound absorbs only the `f64` sums.
+#[test]
+fn node_clocks_sum_to_query_clocks_at_every_node_count() {
+    let (ctx, t) = tpch_context(0.002, 1_000).unwrap();
+    ctx.store.set_fault_plan(Some(FaultPlan::new(7, 0.0)));
+    for strategy in [Strategy::Baseline, Strategy::Pushdown] {
+        let mut totals = Vec::new();
+        for n in [1usize, 2, 4] {
+            let cctx = ctx.clone().with_nodes(n);
+            let cluster = cctx.cluster.clone().unwrap();
+            let node_seconds = || -> f64 { cluster.snapshots().iter().map(|s| s.seconds).sum() };
+            let before = node_seconds();
+            let mut queries = 0.0;
+            for (qi, q) in planner_suite().iter().enumerate() {
+                let qctx = cctx.scoped_with_salt(qi as u64);
+                execute_sql(&qctx, (q.table)(&t), q.sql, strategy).unwrap();
+                queries += qctx.virtual_time_s();
+            }
+            let nodes = node_seconds() - before;
+            assert!(queries > 0.0, "{strategy:?} @ {n} nodes: the clocks ran");
+            assert!(
+                (nodes - queries).abs() < 1e-9,
+                "{strategy:?} @ {n} nodes: Σ node clocks {nodes} != Σ query clocks {queries}"
+            );
+            totals.push(queries);
+        }
+        for (n, total) in [2, 4].iter().zip(&totals[1..]) {
+            assert!(
+                (total - totals[0]).abs() < 1e-9,
+                "{strategy:?}: {total} s at {n} nodes vs {} s at 1",
+                totals[0]
+            );
+        }
+    }
 }
 
 /// EXPLAIN renders the spread plan: per-node Exchange children under the
