@@ -210,72 +210,12 @@ pub fn indexed(
 
 /// Rewrite every reference to `from` into `to`.
 pub(crate) fn rename_column(e: &Expr, from: &str, to: &str) -> Expr {
-    match e {
-        Expr::Column(n) if n.eq_ignore_ascii_case(from) => Expr::col(to),
-        Expr::Column(_) | Expr::Literal(_) => e.clone(),
-        Expr::Unary { op, expr } => Expr::Unary {
-            op: *op,
-            expr: Box::new(rename_column(expr, from, to)),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(rename_column(left, from, to)),
-            op: *op,
-            right: Box::new(rename_column(right, from, to)),
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(rename_column(expr, from, to)),
-            low: Box::new(rename_column(low, from, to)),
-            high: Box::new(rename_column(high, from, to)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(rename_column(expr, from, to)),
-            list: list.iter().map(|e| rename_column(e, from, to)).collect(),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(rename_column(expr, from, to)),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => Expr::Like {
-            expr: Box::new(rename_column(expr, from, to)),
-            pattern: Box::new(rename_column(pattern, from, to)),
-            negated: *negated,
-        },
-        Expr::Case {
-            branches,
-            else_expr,
-        } => Expr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| (rename_column(c, from, to), rename_column(v, from, to)))
-                .collect(),
-            else_expr: else_expr
-                .as_ref()
-                .map(|e| Box::new(rename_column(e, from, to))),
-        },
-        Expr::Cast { expr, dtype } => Expr::Cast {
-            expr: Box::new(rename_column(expr, from, to)),
-            dtype: *dtype,
-        },
-        Expr::Call { func, args } => Expr::Call {
-            func: *func,
-            args: args.iter().map(|a| rename_column(a, from, to)).collect(),
-        },
-    }
+    let mut e = e.clone();
+    e.walk_mut(&mut |e| match e {
+        Expr::Column(n) if n.eq_ignore_ascii_case(from) => *n = to.to_string(),
+        _ => {}
+    });
+    e
 }
 
 #[cfg(test)]

@@ -1197,10 +1197,9 @@ fn sel_inner(pred: &Expr, schema: &Schema, stats: Option<&TableStats>) -> f64 {
             let b = sel_inner(right, schema, stats);
             a + b - a * b
         }
-        Expr::Binary { left, op, right } => match (&**left, &**right) {
-            (Expr::Column(c), Expr::Literal(v)) => cmp_sel(c, *op, v, schema, stats),
-            (Expr::Literal(v), Expr::Column(c)) => cmp_sel(c, flip(*op), v, schema, stats),
-            _ => DEFAULT_SELECTIVITY,
+        Expr::Binary { .. } => match pred.column_vs_literal() {
+            Some((c, op, v)) => cmp_sel(c, op, v, schema, stats),
+            None => DEFAULT_SELECTIVITY,
         },
         Expr::Unary {
             op: pushdown_sql::ast::UnOp::Not,
@@ -1280,14 +1279,7 @@ fn range_bound<'e>(
     schema: &Schema,
     stats: Option<&TableStats>,
 ) -> Option<(&'e str, bool, f64)> {
-    let Expr::Binary { left, op, right } = conjunct else {
-        return None;
-    };
-    let (col, op, lit) = match (&**left, &**right) {
-        (Expr::Column(c), Expr::Literal(v)) => (c, *op, v),
-        (Expr::Literal(v), Expr::Column(c)) => (c, flip(*op), v),
-        _ => return None,
-    };
+    let (col, op, lit) = conjunct.column_vs_literal()?;
     let lower = match op {
         BinOp::Gt | BinOp::GtEq => true,
         BinOp::Lt | BinOp::LtEq => false,
@@ -1304,18 +1296,9 @@ fn range_bound<'e>(
 /// `None` when the chain pairs no bounds (it is priced conjunct by
 /// conjunct, as before).
 fn range_pairs(pred: &Expr, schema: &Schema, stats: Option<&TableStats>) -> Option<f64> {
-    let (mut chain, mut open) = (vec![pred], Vec::<(&str, bool, f64)>::new());
+    let mut open = Vec::<(&str, bool, f64)>::new();
     let (mut s, mut paired) = (1.0, false);
-    while let Some(c) = chain.pop() {
-        if let Expr::Binary {
-            left,
-            op: BinOp::And,
-            right,
-        } = c
-        {
-            chain.extend([&**right, &**left]);
-            continue;
-        }
+    for c in pred.conjuncts() {
         let Some((col, lower, b)) = range_bound(c, schema, stats) else {
             s *= sel_inner(c, schema, stats);
             continue;
@@ -1331,16 +1314,6 @@ fn range_pairs(pred: &Expr, schema: &Schema, stats: Option<&TableStats>) -> Opti
         }
     }
     paired.then(|| open.iter().fold(s, |s, o| s * o.2))
-}
-
-fn flip(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::LtEq => BinOp::GtEq,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::GtEq => BinOp::LtEq,
-        other => other,
-    }
 }
 
 fn column_stats<'s>(

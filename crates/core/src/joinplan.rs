@@ -386,20 +386,6 @@ fn resolve_join_edges(tables: &[Table], spec: &QuerySpec) -> Result<Vec<JoinEdge
     Ok(edges)
 }
 
-fn flatten_conjuncts(e: &Expr, out: &mut Vec<Expr>) {
-    match e {
-        Expr::Binary {
-            left,
-            op: pushdown_sql::ast::BinOp::And,
-            right,
-        } => {
-            flatten_conjuncts(left, out);
-            flatten_conjuncts(right, out);
-        }
-        other => out.push(other.clone()),
-    }
-}
-
 /// Split the WHERE clause into per-table pushable predicates and the
 /// residual (conjuncts spanning tables, applied locally after the
 /// joins).
@@ -415,9 +401,7 @@ fn split_predicates(
     let mut per_table: Vec<Vec<Expr>> = vec![Vec::new(); tables.len()];
     let mut residual: Vec<Expr> = Vec::new();
     if let Some(w) = &spec.select.where_clause {
-        let mut conjuncts = Vec::new();
-        flatten_conjuncts(w, &mut conjuncts);
-        for c in conjuncts {
+        for c in w.conjuncts().into_iter().cloned() {
             let mut cols = Vec::new();
             c.referenced_columns(&mut cols);
             if cols.is_empty() {

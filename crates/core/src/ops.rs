@@ -561,17 +561,6 @@ pub enum ColumnarPred {
     },
 }
 
-/// Mirror a comparison across `lit <op> col` → `col <op'> lit`.
-fn flip_cmp(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::LtEq => BinOp::GtEq,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::GtEq => BinOp::LtEq,
-        other => other, // Eq / NotEq are symmetric
-    }
-}
-
 /// Try to compile a bound predicate for vectorized evaluation. Returns
 /// `None` when any sub-expression could raise at eval time (or is not a
 /// recognized shape); callers then use the row-at-a-time fallback.
@@ -595,20 +584,14 @@ pub fn compile_predicate(expr: &BoundExpr) -> Option<ColumnarPred> {
                 Box::new(compile_predicate(left)?),
                 Box::new(compile_predicate(right)?),
             )),
-            op if op.is_comparison() => match (&**left, &**right) {
-                (BoundExpr::Column(c, _), BoundExpr::Literal(v)) => Some(ColumnarPred::Cmp {
-                    col: *c,
-                    op: *op,
-                    lit: v.clone(),
-                }),
-                (BoundExpr::Literal(v), BoundExpr::Column(c, _)) => Some(ColumnarPred::Cmp {
-                    col: *c,
-                    op: flip_cmp(*op),
-                    lit: v.clone(),
-                }),
-                _ => None,
-            },
-            _ => None,
+            _ => {
+                let (col, op, lit) = expr.column_vs_literal()?;
+                Some(ColumnarPred::Cmp {
+                    col,
+                    op,
+                    lit: lit.clone(),
+                })
+            }
         },
         BoundExpr::Between {
             expr,

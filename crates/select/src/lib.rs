@@ -505,34 +505,17 @@ impl S3SelectEngine {
 /// Does the statement call the `BIT_AT` extension function anywhere?
 fn stmt_uses_bitat(stmt: &SelectStmt) -> bool {
     use pushdown_sql::ast::Func;
-    use pushdown_sql::Expr;
-    fn walk(e: &Expr) -> bool {
-        match e {
-            Expr::Literal(_) | Expr::Column(_) => false,
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => walk(expr),
-            Expr::Binary { left, right, .. } => walk(left) || walk(right),
-            Expr::Between {
-                expr, low, high, ..
-            } => walk(expr) || walk(low) || walk(high),
-            Expr::InList { expr, list, .. } => walk(expr) || list.iter().any(walk),
-            Expr::Like { expr, pattern, .. } => walk(expr) || walk(pattern),
-            Expr::Case {
-                branches,
-                else_expr,
-            } => {
-                branches.iter().any(|(c, v)| walk(c) || walk(v))
-                    || else_expr.as_deref().is_some_and(walk)
-            }
-            Expr::Cast { expr, .. } => walk(expr),
-            Expr::Call { func, args } => *func == Func::BitAt || args.iter().any(walk),
-        }
+    use pushdown_sql::{Expr, SelectItem};
+    let exprs = stmt.items.iter().filter_map(|i| match i {
+        SelectItem::Wildcard => None,
+        SelectItem::Expr { expr, .. } => Some(expr),
+        SelectItem::Agg { arg, .. } => arg.as_ref(),
+    });
+    let mut uses = false;
+    for e in exprs.chain(&stmt.where_clause) {
+        e.walk(&mut |e| uses |= matches!(e, Expr::Call { func, .. } if *func == Func::BitAt));
     }
-    let item_uses = |i: &pushdown_sql::SelectItem| match i {
-        pushdown_sql::SelectItem::Wildcard => false,
-        pushdown_sql::SelectItem::Expr { expr, .. } => walk(expr),
-        pushdown_sql::SelectItem::Agg { arg, .. } => arg.as_ref().is_some_and(walk),
-    };
-    stmt.items.iter().any(item_uses) || stmt.where_clause.as_ref().is_some_and(walk)
+    uses
 }
 
 /// The schema columns a bound statement reads — projection items,
@@ -540,116 +523,40 @@ fn stmt_uses_bitat(stmt: &SelectStmt) -> bool {
 /// ascending, each once: what a scan has to decode.
 fn referenced_columns(bound: &BoundSelect) -> Vec<usize> {
     let mut needed = bound.group_by.clone();
-    for item in &bound.items {
-        match item {
-            BoundItem::Expr { expr, .. } => collect_columns(expr, &mut needed),
-            BoundItem::Agg { arg: Some(a), .. } => collect_columns(a, &mut needed),
-            BoundItem::Agg { arg: None, .. } => {}
-        }
-    }
-    if let Some(w) = &bound.where_clause {
-        collect_columns(w, &mut needed);
+    let exprs = bound.items.iter().filter_map(|item| match item {
+        BoundItem::Expr { expr, .. } => Some(expr),
+        BoundItem::Agg { arg, .. } => arg.as_ref(),
+    });
+    for e in exprs.chain(&bound.where_clause) {
+        e.walk(&mut |e| {
+            if let BoundExpr::Column(i, _) = e {
+                needed.push(*i);
+            }
+        });
     }
     needed.sort_unstable();
     needed.dedup();
     needed
 }
 
-/// Collect column indices referenced by a bound expression.
-fn collect_columns(e: &BoundExpr, out: &mut Vec<usize>) {
-    match e {
-        BoundExpr::Literal(_) => {}
-        BoundExpr::Column(i, _) => out.push(*i),
-        BoundExpr::Unary { expr, .. } => collect_columns(expr, out),
-        BoundExpr::Binary { left, right, .. } => {
-            collect_columns(left, out);
-            collect_columns(right, out);
-        }
-        BoundExpr::Between {
-            expr, low, high, ..
-        } => {
-            collect_columns(expr, out);
-            collect_columns(low, out);
-            collect_columns(high, out);
-        }
-        BoundExpr::InList { expr, list, .. } => {
-            collect_columns(expr, out);
-            for e in list {
-                collect_columns(e, out);
-            }
-        }
-        BoundExpr::IsNull { expr, .. } => collect_columns(expr, out),
-        BoundExpr::Like { expr, pattern, .. } => {
-            collect_columns(expr, out);
-            collect_columns(pattern, out);
-        }
-        BoundExpr::Case {
-            branches,
-            else_expr,
-        } => {
-            for (c, v) in branches {
-                collect_columns(c, out);
-                collect_columns(v, out);
-            }
-            if let Some(e) = else_expr {
-                collect_columns(e, out);
-            }
-        }
-        BoundExpr::Cast { expr, .. } | BoundExpr::FloatText { expr, .. } => {
-            collect_columns(expr, out)
-        }
-        BoundExpr::Call { args, .. } => {
-            for a in args {
-                collect_columns(a, out);
-            }
-        }
-    }
-}
-
 /// Extract `column op literal` conjuncts usable for row-group pruning.
-/// Only walks AND chains (pruning on one conjunct is always sound).
+/// Only AND chains are split (pruning on one conjunct is always sound).
 fn extract_prune_conditions(e: &BoundExpr) -> Vec<(usize, PruneOp, Value)> {
-    let mut out = Vec::new();
-    fn walk(e: &BoundExpr, out: &mut Vec<(usize, PruneOp, Value)>) {
-        match e {
-            BoundExpr::Binary {
-                left,
-                op: BinOp::And,
-                right,
-            } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            BoundExpr::Binary { left, op, right } => {
-                let prune_op = |op: BinOp, flip: bool| -> Option<PruneOp> {
-                    Some(match (op, flip) {
-                        (BinOp::Eq, _) => PruneOp::Eq,
-                        (BinOp::Lt, false) | (BinOp::Gt, true) => PruneOp::Lt,
-                        (BinOp::LtEq, false) | (BinOp::GtEq, true) => PruneOp::LtEq,
-                        (BinOp::Gt, false) | (BinOp::Lt, true) => PruneOp::Gt,
-                        (BinOp::GtEq, false) | (BinOp::LtEq, true) => PruneOp::GtEq,
-                        _ => return None,
-                    })
-                };
-                match (&**left, &**right) {
-                    (BoundExpr::Column(i, _), BoundExpr::Literal(v)) if !v.is_null() => {
-                        if let Some(p) = prune_op(*op, false) {
-                            out.push((*i, p, v.clone()));
-                        }
-                    }
-                    (BoundExpr::Literal(v), BoundExpr::Column(i, _)) if !v.is_null() => {
-                        if let Some(p) = prune_op(*op, true) {
-                            out.push((*i, p, v.clone()));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            _ => {}
-        }
-    }
-    walk(e, &mut out);
-    out
+    e.conjuncts()
+        .into_iter()
+        .filter_map(|c| {
+            let (col, op, v) = c.column_vs_literal()?;
+            let op = match op {
+                BinOp::Eq => PruneOp::Eq,
+                BinOp::Lt => PruneOp::Lt,
+                BinOp::LtEq => PruneOp::LtEq,
+                BinOp::Gt => PruneOp::Gt,
+                BinOp::GtEq => PruneOp::GtEq,
+                _ => return None,
+            };
+            (!v.is_null()).then(|| (col, op, v.clone()))
+        })
+        .collect()
 }
 
 /// Shared row-at-a-time executor for both storage formats. A projection

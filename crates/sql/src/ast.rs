@@ -121,6 +121,19 @@ impl BinOp {
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
         )
     }
+
+    /// The comparison that holds with its operands swapped: `a < b` is
+    /// `b > a`. `=` and `<>` are symmetric; a non-comparison comes back
+    /// as it is.
+    pub fn flipped(self) -> BinOp {
+        match self {
+            BinOp::Lt => BinOp::Gt,
+            BinOp::LtEq => BinOp::GtEq,
+            BinOp::Gt => BinOp::Lt,
+            BinOp::GtEq => BinOp::LtEq,
+            other => other,
+        }
+    }
 }
 
 /// Unary operators.
@@ -252,30 +265,119 @@ impl Expr {
         preds.into_iter().reduce(Expr::and)
     }
 
+    /// The direct subexpressions, in written order (a CASE gives each
+    /// branch's condition, then its value, and the ELSE last).
+    pub fn children(&self) -> Vec<&Expr> {
+        match self {
+            Expr::Literal(_) | Expr::Column(_) => Vec::new(),
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+                vec![expr]
+            }
+            Expr::Binary { left, right, .. } => vec![left, right],
+            Expr::Like { expr, pattern, .. } => vec![expr, pattern],
+            Expr::Between {
+                expr, low, high, ..
+            } => vec![expr, low, high],
+            Expr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
+            Expr::Case {
+                branches,
+                else_expr,
+            } => branches
+                .iter()
+                .flat_map(|(c, v)| [c, v])
+                .chain(else_expr.as_deref())
+                .collect(),
+            Expr::Call { args, .. } => args.iter().collect(),
+        }
+    }
+
+    /// [`Expr::children`], mutably.
+    pub fn children_mut(&mut self) -> Vec<&mut Expr> {
+        match self {
+            Expr::Literal(_) | Expr::Column(_) => Vec::new(),
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+                vec![expr]
+            }
+            Expr::Binary { left, right, .. } => vec![left, right],
+            Expr::Like { expr, pattern, .. } => vec![expr, pattern],
+            Expr::Between {
+                expr, low, high, ..
+            } => vec![expr, low, high],
+            Expr::InList { expr, list, .. } => std::iter::once(&mut **expr).chain(list).collect(),
+            Expr::Case {
+                branches,
+                else_expr,
+            } => branches
+                .iter_mut()
+                .flat_map(|(c, v)| [c, v])
+                .chain(else_expr.as_deref_mut())
+                .collect(),
+            Expr::Call { args, .. } => args.iter_mut().collect(),
+        }
+    }
+
+    /// Call `f` on this expression and every subexpression, pre-order,
+    /// children in written order.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        for c in self.children() {
+            c.walk(f);
+        }
+    }
+
+    /// [`Expr::walk`], mutably: `f` sees a node before its children.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        f(self);
+        for c in self.children_mut() {
+            c.walk_mut(f);
+        }
+    }
+
+    /// The operands of this expression's AND chain, left to right; the
+    /// expression itself when it is not an AND.
+    pub fn conjuncts(&self) -> Vec<&Expr> {
+        match self {
+            Expr::Binary {
+                left,
+                op: BinOp::And,
+                right,
+            } => {
+                let mut out = left.conjuncts();
+                out.extend(right.conjuncts());
+                out
+            }
+            other => vec![other],
+        }
+    }
+
+    /// A comparison of a column with a literal as `(column, op, literal)`,
+    /// the column first: `5 < c` is `(c, >, 5)`. `None` for any other
+    /// shape.
+    pub fn column_vs_literal(&self) -> Option<(&str, BinOp, &Value)> {
+        let Expr::Binary { left, op, right } = self else {
+            return None;
+        };
+        match (&**left, &**right) {
+            _ if !op.is_comparison() => None,
+            (Expr::Column(c), Expr::Literal(v)) => Some((c, *op, v)),
+            (Expr::Literal(v), Expr::Column(c)) => Some((c, op.flipped(), v)),
+            _ => None,
+        }
+    }
+
     /// Number of "terms" — the expression-complexity metric the
     /// performance model charges the storage-side scan for (comparisons,
     /// arithmetic nodes, LIKEs, CASE arms; see `PerfParams::expr_term_coeff`).
     pub fn term_count(&self) -> u32 {
-        match self {
-            Expr::Literal(_) | Expr::Column(_) => 0,
-            Expr::Unary { expr, .. } => expr.term_count(),
-            Expr::Binary { left, op, right } => {
-                let own = match op {
-                    BinOp::And | BinOp::Or => 0,
-                    _ => 1,
-                };
-                own + left.term_count() + right.term_count()
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => 2 + expr.term_count() + low.term_count() + high.term_count(),
-            Expr::InList { expr, list, .. } => {
-                list.len() as u32
-                    + expr.term_count()
-                    + list.iter().map(Expr::term_count).sum::<u32>()
-            }
-            Expr::IsNull { expr, .. } => 1 + expr.term_count(),
-            Expr::Like { expr, pattern, .. } => 1 + expr.term_count() + pattern.term_count(),
+        let own = match self {
+            Expr::Literal(_) | Expr::Column(_) | Expr::Unary { .. } | Expr::Cast { .. } => 0,
+            Expr::Binary {
+                op: BinOp::And | BinOp::Or,
+                ..
+            } => 0,
+            Expr::Binary { .. } | Expr::IsNull { .. } | Expr::Like { .. } | Expr::Call { .. } => 1,
+            Expr::Between { .. } => 2,
+            Expr::InList { list, .. } => list.len() as u32,
             // A CASE arm costs one dispatch plus its value expression; the
             // condition is short-circuited against the (single) matching
             // group and is deliberately not charged per-term — calibrated
@@ -284,68 +386,24 @@ impl Expr {
                 branches,
                 else_expr,
             } => {
-                branches
-                    .iter()
-                    .map(|(_, v)| 1 + v.term_count())
-                    .sum::<u32>()
-                    + else_expr.as_ref().map_or(0, |e| e.term_count())
+                let values = branches.iter().map(|(_, v)| v).chain(else_expr.as_deref());
+                return branches.len() as u32 + values.map(Expr::term_count).sum::<u32>();
             }
-            Expr::Cast { expr, .. } => expr.term_count(),
-            Expr::Call { args, .. } => 1 + args.iter().map(Expr::term_count).sum::<u32>(),
-        }
+        };
+        let children: u32 = self.children().into_iter().map(Expr::term_count).sum();
+        own + children
     }
 
-    /// Collect the names of every referenced column.
+    /// Collect the names of every referenced column, each once (names
+    /// compare case-insensitively), in pre-order.
     pub fn referenced_columns(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Literal(_) => {}
-            Expr::Column(name) => {
+        self.walk(&mut |e| {
+            if let Expr::Column(name) = e {
                 if !out.iter().any(|n| n.eq_ignore_ascii_case(name)) {
                     out.push(name.clone());
                 }
             }
-            Expr::Unary { expr, .. } => expr.referenced_columns(out),
-            Expr::Binary { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                expr.referenced_columns(out);
-                low.referenced_columns(out);
-                high.referenced_columns(out);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.referenced_columns(out);
-                for e in list {
-                    e.referenced_columns(out);
-                }
-            }
-            Expr::IsNull { expr, .. } => expr.referenced_columns(out),
-            Expr::Like { expr, pattern, .. } => {
-                expr.referenced_columns(out);
-                pattern.referenced_columns(out);
-            }
-            Expr::Case {
-                branches,
-                else_expr,
-            } => {
-                for (c, v) in branches {
-                    c.referenced_columns(out);
-                    v.referenced_columns(out);
-                }
-                if let Some(e) = else_expr {
-                    e.referenced_columns(out);
-                }
-            }
-            Expr::Cast { expr, .. } => expr.referenced_columns(out),
-            Expr::Call { args, .. } => {
-                for a in args {
-                    a.referenced_columns(out);
-                }
-            }
-        }
+        });
     }
 }
 
@@ -394,10 +452,16 @@ impl Expr {
             Expr::Literal(v) => fmt_literal(v, f),
             Expr::Column(name) => fmt_ident(name, f),
             Expr::Unary { op, expr } => match op {
-                UnOp::Neg => {
-                    f.write_str("-")?;
-                    expr.fmt_prec(f, 7)
-                }
+                // `--` opens a comment and `-5` parses as the literal −5,
+                // so a negated number or negation is parenthesized.
+                UnOp::Neg => match &**expr {
+                    Expr::Literal(Value::Int(_) | Value::Float(_))
+                    | Expr::Unary { op: UnOp::Neg, .. } => write!(f, "-({expr})"),
+                    _ => {
+                        f.write_str("-")?;
+                        expr.fmt_prec(f, 7)
+                    }
+                },
                 // NOT binds looser than comparisons/predicates, so it needs
                 // parentheses inside any tighter context, and its operand
                 // needs them when it is an AND/OR chain.
@@ -910,6 +974,102 @@ mod tests {
             else_expr: None,
         };
         assert_eq!(case.term_count(), 2); // 2 arms; conditions not charged
+    }
+
+    #[test]
+    fn term_count_per_variant() {
+        let cases = [
+            ("1", 0),
+            ("a", 0),
+            ("-a", 0),
+            ("NOT a < 1", 1),
+            ("a + 1", 1),
+            ("a AND b", 0),
+            ("a OR b < 1", 1),
+            ("a BETWEEN 1 AND b + 2", 3),
+            ("a NOT IN (1, 2, b * 3)", 4),
+            ("a IS NULL", 1),
+            ("s LIKE 'x%'", 1),
+            (
+                "CASE WHEN a = 1 THEN b + 1 WHEN a = 2 THEN b ELSE b * 2 END",
+                4,
+            ),
+            ("CAST(a + 1 AS STRING)", 1),
+            ("SUBSTRING(s, a + 1, 2)", 2),
+        ];
+        for (sql, want) in cases {
+            let e = crate::parser::parse_expr(sql).unwrap();
+            assert_eq!(e.term_count(), want, "{sql}");
+        }
+    }
+
+    #[test]
+    fn walk_is_pre_order_in_written_order() {
+        let e = crate::parser::parse_expr(
+            "CASE WHEN a IN (b, 1) THEN -c ELSE SUBSTRING(d, e) END LIKE f",
+        )
+        .unwrap();
+        let mut seen = Vec::new();
+        e.walk(&mut |e| {
+            if let Expr::Column(c) = e {
+                seen.push(c.as_str());
+            }
+        });
+        assert_eq!(seen, ["a", "b", "c", "d", "e", "f"]);
+        let mut renamed = e.clone();
+        renamed.walk_mut(&mut |e| {
+            if let Expr::Column(c) = e {
+                c.make_ascii_uppercase();
+            }
+        });
+        let mut cols = Vec::new();
+        renamed.referenced_columns(&mut cols);
+        assert_eq!(cols, ["A", "B", "C", "D", "E", "F"]);
+    }
+
+    #[test]
+    fn conjuncts_and_column_vs_literal() {
+        let e = crate::parser::parse_expr("(a < 1 AND 2 <= b) AND (c = 3 OR d)").unwrap();
+        let parts: Vec<String> = e.conjuncts().iter().map(|c| c.to_string()).collect();
+        assert_eq!(parts, ["a < 1", "2 <= b", "c = 3 OR d"]);
+        let normal: Vec<_> = e
+            .conjuncts()
+            .iter()
+            .map(|c| c.column_vs_literal())
+            .collect();
+        let (one, two) = (Value::Int(1), Value::Int(2));
+        assert_eq!(
+            normal,
+            [
+                Some(("a", BinOp::Lt, &one)),
+                Some(("b", BinOp::GtEq, &two)),
+                None
+            ]
+        );
+        assert_eq!(
+            Expr::binary(Expr::col("a"), BinOp::Add, Expr::int(1)).column_vs_literal(),
+            None
+        );
+    }
+
+    #[test]
+    fn display_parenthesizes_negated_numbers_and_negations() {
+        let neg = |e: Expr| Expr::Unary {
+            op: UnOp::Neg,
+            expr: Box::new(e),
+        };
+        assert_eq!(neg(Expr::int(-5)).to_string(), "-(-5)");
+        assert_eq!(neg(Expr::int(5)).to_string(), "-(5)");
+        assert_eq!(neg(Expr::float(1.5)).to_string(), "-(1.5)");
+        assert_eq!(neg(neg(Expr::col("a"))).to_string(), "-(-a)");
+        assert_eq!(neg(Expr::col("a")).to_string(), "-a");
+        for e in [
+            neg(Expr::int(-5)),
+            neg(Expr::int(5)),
+            neg(neg(Expr::col("a"))),
+        ] {
+            assert_eq!(crate::parser::parse_expr(&e.to_string()).unwrap(), e);
+        }
     }
 
     #[test]

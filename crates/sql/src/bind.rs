@@ -77,50 +77,119 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    /// Rewrite every column index through `f`, depth first — how a scan
-    /// re-addresses an expression onto the columns it actually decodes
-    /// (an `f` that returns its argument merely visits them).
-    pub fn map_columns(&mut self, f: &mut impl FnMut(usize) -> usize) {
+    /// The direct subexpressions, in written order, as
+    /// [`Expr::children`] gives them.
+    pub fn children(&self) -> Vec<&BoundExpr> {
         match self {
-            BoundExpr::Literal(_) => {}
-            BoundExpr::Column(idx, _) => *idx = f(*idx),
+            BoundExpr::Literal(_) | BoundExpr::Column(..) => Vec::new(),
             BoundExpr::Unary { expr, .. }
             | BoundExpr::IsNull { expr, .. }
             | BoundExpr::Cast { expr, .. }
-            | BoundExpr::FloatText { expr, .. } => expr.map_columns(f),
-            BoundExpr::Binary { left, right, .. } => {
-                left.map_columns(f);
-                right.map_columns(f);
-            }
+            | BoundExpr::FloatText { expr, .. } => vec![expr],
+            BoundExpr::Binary { left, right, .. } => vec![left, right],
+            BoundExpr::Like { expr, pattern, .. } => vec![expr, pattern],
             BoundExpr::Between {
                 expr, low, high, ..
-            } => {
-                expr.map_columns(f);
-                low.map_columns(f);
-                high.map_columns(f);
-            }
+            } => vec![expr, low, high],
+            BoundExpr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
+            BoundExpr::Case {
+                branches,
+                else_expr,
+            } => branches
+                .iter()
+                .flat_map(|(c, v)| [c, v])
+                .chain(else_expr.as_deref())
+                .collect(),
+            BoundExpr::Call { args, .. } => args.iter().collect(),
+        }
+    }
+
+    /// [`BoundExpr::children`], mutably.
+    pub fn children_mut(&mut self) -> Vec<&mut BoundExpr> {
+        match self {
+            BoundExpr::Literal(_) | BoundExpr::Column(..) => Vec::new(),
+            BoundExpr::Unary { expr, .. }
+            | BoundExpr::IsNull { expr, .. }
+            | BoundExpr::Cast { expr, .. }
+            | BoundExpr::FloatText { expr, .. } => vec![expr],
+            BoundExpr::Binary { left, right, .. } => vec![left, right],
+            BoundExpr::Like { expr, pattern, .. } => vec![expr, pattern],
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => vec![expr, low, high],
             BoundExpr::InList { expr, list, .. } => {
-                expr.map_columns(f);
-                list.iter_mut().for_each(|e| e.map_columns(f));
-            }
-            BoundExpr::Like { expr, pattern, .. } => {
-                expr.map_columns(f);
-                pattern.map_columns(f);
+                std::iter::once(&mut **expr).chain(list).collect()
             }
             BoundExpr::Case {
                 branches,
                 else_expr,
-            } => {
-                for (cond, value) in branches {
-                    cond.map_columns(f);
-                    value.map_columns(f);
-                }
-                if let Some(e) = else_expr {
-                    e.map_columns(f);
-                }
-            }
-            BoundExpr::Call { args, .. } => args.iter_mut().for_each(|e| e.map_columns(f)),
+            } => branches
+                .iter_mut()
+                .flat_map(|(c, v)| [c, v])
+                .chain(else_expr.as_deref_mut())
+                .collect(),
+            BoundExpr::Call { args, .. } => args.iter_mut().collect(),
         }
+    }
+
+    /// Call `f` on this expression and every subexpression, pre-order,
+    /// children in written order.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a BoundExpr)) {
+        f(self);
+        for c in self.children() {
+            c.walk(f);
+        }
+    }
+
+    /// [`BoundExpr::walk`], mutably: `f` sees a node before its children.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut BoundExpr)) {
+        f(self);
+        for c in self.children_mut() {
+            c.walk_mut(f);
+        }
+    }
+
+    /// The operands of this expression's AND chain, left to right; the
+    /// expression itself when it is not an AND.
+    pub fn conjuncts(&self) -> Vec<&BoundExpr> {
+        match self {
+            BoundExpr::Binary {
+                left,
+                op: BinOp::And,
+                right,
+            } => {
+                let mut out = left.conjuncts();
+                out.extend(right.conjuncts());
+                out
+            }
+            other => vec![other],
+        }
+    }
+
+    /// A comparison of a column with a literal as `(column, op,
+    /// literal)`, the column first, as [`Expr::column_vs_literal`] gives
+    /// it.
+    pub fn column_vs_literal(&self) -> Option<(usize, BinOp, &Value)> {
+        let BoundExpr::Binary { left, op, right } = self else {
+            return None;
+        };
+        match (&**left, &**right) {
+            _ if !op.is_comparison() => None,
+            (BoundExpr::Column(c, _), BoundExpr::Literal(v)) => Some((*c, *op, v)),
+            (BoundExpr::Literal(v), BoundExpr::Column(c, _)) => Some((*c, op.flipped(), v)),
+            _ => None,
+        }
+    }
+
+    /// Rewrite every column index through `f`, in pre-order — how a scan
+    /// re-addresses an expression onto the columns it actually decodes
+    /// (an `f` that returns its argument merely visits them).
+    pub fn map_columns(&mut self, f: &mut impl FnMut(usize) -> usize) {
+        self.walk_mut(&mut |e| {
+            if let BoundExpr::Column(idx, _) = e {
+                *idx = f(*idx);
+            }
+        });
     }
 
     /// Best-effort output type (used to construct output schemas; the

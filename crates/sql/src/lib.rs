@@ -22,7 +22,13 @@
 //! * [`eval`](mod@eval) — a three-valued-logic interpreter for bound
 //!   expressions;
 //! * [`agg`] — the aggregate accumulators (`SUM`/`COUNT`/`MIN`/`MAX`/`AVG`)
-//!   and the one group table every hash aggregation runs on.
+//!   and the one group table every hash aggregation runs on;
+//! * the traversal of both expression trees, [`Expr`] and [`BoundExpr`]:
+//!   `children` and `walk` (pre-order, children in written order),
+//!   `conjuncts` (the AND chain, left to right) and `column_vs_literal`
+//!   (a comparison with the column first, via [`BinOp::flipped`]).
+//!   Code outside this crate walks, splits and normalises expressions
+//!   with these, never with a match of its own over every variant.
 
 pub mod agg;
 pub mod ast;

@@ -35,6 +35,18 @@ fn arb_column() -> impl Strategy<Value = Expr> {
     ]
 }
 
+/// The six comparison operators.
+fn arb_comparison() -> impl Strategy<Value = BinOp> {
+    prop_oneof![
+        Just(BinOp::Eq),
+        Just(BinOp::NotEq),
+        Just(BinOp::Lt),
+        Just(BinOp::LtEq),
+        Just(BinOp::Gt),
+        Just(BinOp::GtEq),
+    ]
+}
+
 /// Random expression trees over a fixed schema (a: Int, b: Float, s: Str).
 fn arb_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![arb_literal(), arb_column()];
@@ -47,9 +59,9 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
                     Just(BinOp::Add),
                     Just(BinOp::Sub),
                     Just(BinOp::Mul),
-                    Just(BinOp::Eq),
-                    Just(BinOp::Lt),
-                    Just(BinOp::GtEq),
+                    Just(BinOp::Div),
+                    Just(BinOp::Mod),
+                    arb_comparison(),
                     Just(BinOp::And),
                     Just(BinOp::Or),
                 ],
@@ -57,19 +69,21 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             )
                 .prop_map(|(l, op, r)| Expr::binary(l, op, r)),
             // Unary.
-            inner.clone().prop_map(|e| Expr::Unary {
-                op: UnOp::Not,
-                expr: Box::new(e)
+            (inner.clone(), prop_oneof![Just(UnOp::Not), Just(UnOp::Neg)]).prop_map(|(e, op)| {
+                Expr::Unary {
+                    op,
+                    expr: Box::new(e),
+                }
             }),
-            // BETWEEN / IN / IS NULL / LIKE.
-            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(e, lo, hi)| {
-                Expr::Between {
+            // [NOT] BETWEEN / IN / IS NULL / LIKE.
+            (inner.clone(), inner.clone(), inner.clone(), any::<bool>()).prop_map(
+                |(e, lo, hi, negated)| Expr::Between {
                     expr: Box::new(e),
                     low: Box::new(lo),
                     high: Box::new(hi),
-                    negated: false,
+                    negated,
                 }
-            }),
+            ),
             (
                 inner.clone(),
                 proptest::collection::vec(inner.clone(), 1..3),
@@ -83,6 +97,13 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             (inner.clone(), any::<bool>()).prop_map(|(e, negated)| Expr::IsNull {
                 expr: Box::new(e),
                 negated,
+            }),
+            (inner.clone(), "[a-z%_']{0,6}", any::<bool>()).prop_map(|(e, pattern, negated)| {
+                Expr::Like {
+                    expr: Box::new(e),
+                    pattern: Box::new(Expr::str(pattern)),
+                    negated,
+                }
             }),
             // CASE WHEN.
             (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, e)| Expr::Case {
@@ -108,6 +129,19 @@ fn schema() -> Schema {
         ("b", DataType::Float),
         ("s", DataType::Str),
     ])
+}
+
+/// Rows of `schema()`, any of whose values may be NULL.
+fn arb_row() -> impl Strategy<Value = Row> {
+    (
+        prop_oneof![
+            Just(Value::Null),
+            any::<i32>().prop_map(|i| Value::Int(i as i64))
+        ],
+        prop_oneof![Just(Value::Null), (-1e6f64..1e6).prop_map(Value::Float)],
+        prop_oneof![Just(Value::Null), "[a-z]{0,4}".prop_map(Value::Str)],
+    )
+        .prop_map(|(a, b, s)| Row::new(vec![a, b, s]))
 }
 
 /// Identifiers safe to round-trip bare (no keywords, no quoting needed).
@@ -242,6 +276,80 @@ proptest! {
         let text = e.to_string();
         if let Ok(reparsed) = parse_expr(&text) {
             prop_assert_eq!(reparsed.term_count(), e.term_count());
+        }
+    }
+
+    /// The columns a bound expression's walk reaches are the columns its
+    /// unbound form references, first sightings in the same order.
+    #[test]
+    fn bound_walk_reaches_the_referenced_columns(e in arb_expr()) {
+        let schema = schema();
+        let Ok(bound) = Binder::new(&schema).bind_expr(&e) else {
+            return Ok(());
+        };
+        let mut names = Vec::new();
+        e.referenced_columns(&mut names);
+        let want: Vec<usize> = names.iter().map(|n| schema.resolve(n).unwrap()).collect();
+        let mut got = Vec::new();
+        bound.walk(&mut |b| {
+            if let BoundExpr::Column(i, _) = b {
+                if !got.contains(i) {
+                    got.push(*i);
+                }
+            }
+        });
+        prop_assert_eq!(got, want);
+    }
+
+    /// `conjuncts` undoes `conjunction` for parts that are not ANDs,
+    /// bound or not.
+    #[test]
+    fn conjuncts_undo_conjunction(
+        parts in proptest::collection::vec(
+            arb_expr().prop_filter("not an AND", |e| {
+                !matches!(e, Expr::Binary { op: BinOp::And, .. })
+            }),
+            1..5,
+        )
+    ) {
+        let whole = Expr::conjunction(parts.clone()).unwrap();
+        prop_assert_eq!(whole.conjuncts(), parts.iter().collect::<Vec<_>>());
+        let schema = schema();
+        let binder = Binder::new(&schema);
+        let bound_parts: Result<Vec<BoundExpr>, _> =
+            parts.iter().map(|p| binder.bind_expr(p)).collect();
+        if let (Ok(bound), Ok(bound_parts)) = (binder.bind_expr(&whole), bound_parts) {
+            prop_assert_eq!(bound.conjuncts(), bound_parts.iter().collect::<Vec<_>>());
+        }
+    }
+
+    /// `lit op col` is `col op.flipped() lit`: both normalise to one
+    /// `column_vs_literal` and evaluate alike on every row, NULL included.
+    #[test]
+    fn flipped_comparison_evaluates_alike(
+        lit in arb_literal(),
+        col in arb_column(),
+        op in arb_comparison(),
+        row in arb_row(),
+    ) {
+        let (Expr::Column(c), Expr::Literal(v)) = (&col, &lit) else {
+            unreachable!("arb_column and arb_literal give leaves");
+        };
+        let written = Expr::binary(lit.clone(), op, col.clone());
+        let mirrored = Expr::binary(col.clone(), op.flipped(), lit.clone());
+        prop_assert_eq!(written.column_vs_literal(), Some((c.as_str(), op.flipped(), v)));
+        prop_assert_eq!(mirrored.column_vs_literal(), written.column_vs_literal());
+        let schema = schema();
+        let binder = Binder::new(&schema);
+        let (written, mirrored) = (
+            binder.bind_expr(&written).unwrap(),
+            binder.bind_expr(&mirrored).unwrap(),
+        );
+        prop_assert_eq!(written.column_vs_literal(), mirrored.column_vs_literal());
+        match (eval(&written, &row), eval(&mirrored, &row)) {
+            (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
+            (Err(x), Err(y)) => prop_assert_eq!(x.code(), y.code()),
+            (x, y) => prop_assert!(false, "diverged: {x:?} vs {y:?}"),
         }
     }
 

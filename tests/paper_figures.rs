@@ -1,5 +1,5 @@
 //! The paper's figures, pinned to the bit: one line per row of Figs 1–9
-//! and of the §X ablations of Suggestions 1–4 (at the scale
+//! and 11 and of the §X ablations of Suggestions 1–4 (at the scale
 //! `tests/figure_shapes.rs` runs them) and per row
 //! of Fig 10 plus its two geo-means, under
 //! `tests/golden/paper_figures.txt`. Every column is a modeled runtime
@@ -118,6 +118,13 @@ fn lines() -> Vec<String> {
         bits(fig10.geo_mean_speedup),
         bits(fig10.geo_mean_cost_ratio)
     ));
+    for r in ex::fig11_parquet::run(8_000).unwrap() {
+        let mut line = format!("fig11 columns={} selectivity={}", r.columns, r.selectivity);
+        column(&mut line, "csv", &r.csv);
+        column(&mut line, "columnar", &r.columnar);
+        let _ = write!(line, " | size-ratio={}", bits(r.size_ratio));
+        out.push(line);
+    }
     for r in ex::ablation::run_index_ablation(20_000).unwrap() {
         let mut line = format!("ablation-index selectivity={:e}", r.selectivity);
         column(&mut line, "single-range", &r.single_range);

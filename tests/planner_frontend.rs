@@ -203,3 +203,28 @@ fn every_executed_plan_reports_per_node_predictions() {
         }
     }
 }
+
+/// A negated number or negation is rendered so that it parses back — a
+/// bare `--` would open a comment — and every strategy returns the rows
+/// the local evaluator does.
+#[test]
+fn doubled_negations_return_the_same_rows_under_every_strategy() {
+    let store = S3Store::new();
+    let schema = Schema::from_pairs(&[("a", DataType::Int)]);
+    let rows: Vec<Row> = (0..10).map(|i| Row::new(vec![Value::Int(i)])).collect();
+    let t = upload_csv_table(&store, "b", "t", &schema, &rows, 5).unwrap();
+    let ctx = QueryContext::new(store);
+    let want: Vec<Value> = (6..10).map(Value::Int).collect();
+    for sql in [
+        "SELECT a FROM t WHERE a > -(-5)",
+        "SELECT a FROM t WHERE -(-a) > 5",
+    ] {
+        for strategy in STRATEGIES {
+            let (out, _) = execute_sql_verbose(&ctx, &t, sql, strategy)
+                .unwrap_or_else(|e| panic!("{sql} under {strategy:?}: {e}"));
+            let mut got: Vec<Value> = out.rows.iter().map(|r| r[0].clone()).collect();
+            got.sort_by(|x, y| x.sql_cmp(y).unwrap());
+            assert_eq!(got, want, "{sql} under {strategy:?}");
+        }
+    }
+}
