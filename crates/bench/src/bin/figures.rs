@@ -1,0 +1,16 @@
+//! Prints every paper figure (Figs 1–11 and the §X ablations) at the
+//! size `tests/golden/paper_figures.txt` pins, one titled block each:
+//! `cargo run --release -p pushdown-bench --bin figures`.
+
+use pushdown_bench::experiments::FIGURES;
+use pushdown_bench::figure::Form;
+
+fn main() {
+    for figure in FIGURES {
+        let figure = figure().expect("figure runs");
+        println!("\n== {} ==", figure.title);
+        for line in figure.lines(Form::Readable) {
+            println!("{line}");
+        }
+    }
+}

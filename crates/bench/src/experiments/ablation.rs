@@ -1,8 +1,10 @@
 //! **§X ablations** — what each of the paper's five suggestions to AWS
 //! would buy, measured by running the stock algorithm and its what-if
-//! variant side by side.
+//! variant side by side. Each suggestion is one figure, run at its own
+//! `*_SIZE`.
 
 use crate::experiments::fig02_join_customer::listing2_sql;
+use crate::figure::{Cell, Figure};
 use crate::{run_candidate, Measure};
 use pushdown_common::pricing::CostBreakdown;
 use pushdown_common::{DataType, Result, Row, Schema, Value};
@@ -18,6 +20,9 @@ use pushdown_tpch::tpch_context;
 // -------------------------------------------------------------------
 // Suggestions 1 & 2: the indexing request problem
 // -------------------------------------------------------------------
+
+/// The row count `index_figure` runs at.
+pub const INDEX_SIZE: usize = 20_000;
 
 #[derive(Debug, Clone, Copy)]
 pub struct IndexAblationRow {
@@ -80,6 +85,9 @@ pub fn run_index_ablation(n_rows: usize) -> Result<Vec<IndexAblationRow>> {
 // Suggestion 3: binary Bloom filters
 // -------------------------------------------------------------------
 
+/// The TPC-H scale factor `bloom_figure` runs at.
+pub const BLOOM_SIZE: f64 = 0.004;
+
 #[derive(Debug, Clone, Copy)]
 pub struct BloomAblation {
     /// Rendered SQL bytes of the `'0'/'1'`-string predicate.
@@ -139,6 +147,9 @@ pub fn run_bloom_ablation(scale_factor: f64) -> Result<BloomAblation> {
 // Suggestion 4: partial group-by in S3
 // -------------------------------------------------------------------
 
+/// The row count `groupby_figure` runs at.
+pub const GROUPBY_SIZE: usize = 10_000;
+
 #[derive(Debug, Clone, Copy)]
 pub struct GroupByAblationRow {
     pub n_groups: u32,
@@ -178,6 +189,9 @@ pub fn run_groupby_ablation(n_rows: usize) -> Result<Vec<GroupByAblationRow>> {
 // -------------------------------------------------------------------
 // Suggestion 5: computation-aware pricing
 // -------------------------------------------------------------------
+
+/// The TPC-H scale factor `pricing_figure` runs at.
+pub const PRICING_SIZE: f64 = 0.004;
 
 #[derive(Debug, Clone)]
 pub struct PricingAblationRow {
@@ -222,4 +236,88 @@ pub fn run_pricing_ablation(scale_factor: f64) -> Result<Vec<PricingAblationRow>
         });
     }
     Ok(out)
+}
+
+/// Suggestions 1 and 2 at [`INDEX_SIZE`].
+pub fn index_figure() -> Result<Figure> {
+    let mut fig = Figure::new(
+        "ablation-index",
+        "Suggestions 1 & 2 — index execution models: GET per row, multi-range GET, lookup in S3 \
+         (projected to 60M rows)",
+    );
+    for r in run_index_ablation(INDEX_SIZE)? {
+        fig.row(
+            format!("selectivity={:e}", r.selectivity),
+            vec![
+                ("single-range", Cell::Measure(r.single_range)),
+                ("multi-range", Cell::Measure(r.multi_range)),
+                ("in-s3", Cell::Measure(r.in_s3)),
+                ("requests-single", Cell::Count(r.requests_single)),
+                ("requests-multi", Cell::Count(r.requests_multi)),
+                ("requests-in-s3", Cell::Count(r.requests_in_s3)),
+            ],
+        );
+    }
+    Ok(fig)
+}
+
+/// Suggestion 3 at [`BLOOM_SIZE`]: one row, both encodings.
+pub fn bloom_figure() -> Result<Figure> {
+    let r = run_bloom_ablation(BLOOM_SIZE)?;
+    let mut fig = Figure::new(
+        "ablation-bloom",
+        "Suggestion 3 — Bloom join with '0'/'1' string vs hex + BIT_AT filters \
+         (SQL bytes of a 5k-key filter, keys that fit 256 KB at FPR 0.01; projected to SF 10)",
+    );
+    fig.row(
+        "",
+        vec![
+            ("string", Cell::Measure(r.string_join)),
+            ("binary", Cell::Measure(r.binary_join)),
+            ("string-sql-bytes", Cell::Count(r.string_sql_bytes as u64)),
+            ("binary-sql-bytes", Cell::Count(r.binary_sql_bytes as u64)),
+            ("max-keys-string", Cell::Count(r.max_keys_string as u64)),
+            ("max-keys-binary", Cell::Count(r.max_keys_binary as u64)),
+        ],
+    );
+    Ok(fig)
+}
+
+/// Suggestion 4 at [`GROUPBY_SIZE`].
+pub fn groupby_figure() -> Result<Figure> {
+    let mut fig = Figure::new(
+        "ablation-groupby",
+        "Suggestion 4 — CASE-WHEN rewrite vs native partial group-by (projected to 10 GB)",
+    );
+    for r in run_groupby_ablation(GROUPBY_SIZE)? {
+        fig.row(
+            format!("groups={}", r.n_groups),
+            vec![
+                ("case-when", Cell::Measure(r.case_when)),
+                ("native", Cell::Measure(r.native)),
+            ],
+        );
+    }
+    Ok(fig)
+}
+
+/// Suggestion 5 at [`PRICING_SIZE`].
+pub fn pricing_figure() -> Result<Figure> {
+    let mut fig = Figure::new(
+        "ablation-pricing",
+        "Suggestion 5 — flat vs computation-aware scan pricing of the optimized TPC-H queries \
+         (projected to SF 10)",
+    );
+    for r in run_pricing_ablation(PRICING_SIZE)? {
+        fig.row(
+            r.name,
+            vec![
+                ("flat-scan", Cell::Dollars(r.flat.scan)),
+                ("aware-scan", Cell::Dollars(r.aware.scan)),
+                ("flat", Cell::Dollars(r.flat.total())),
+                ("aware", Cell::Dollars(r.aware.total())),
+            ],
+        );
+    }
+    Ok(fig)
 }

@@ -9,12 +9,16 @@
 //! The first two are the planner's `server-side` / `s3-side` candidates
 //! of the statement, run by name.
 
+use crate::figure::{Cell, Figure};
 use crate::{run_candidate, Measure};
 use pushdown_common::{DataType, Result, Row, Schema, Value};
 use pushdown_core::algos::filter::{self, FilterQuery, RowFetch};
 use pushdown_core::{build_index, upload_csv_table, QueryContext};
 use pushdown_s3::S3Store;
 use pushdown_sql::Expr;
+
+/// The size `figure` runs at.
+pub const SIZE: usize = 30_000;
 
 /// The paper sweeps a 60M-row table; measurements at `n_rows` are
 /// projected to that scale.
@@ -26,11 +30,6 @@ pub struct Fig1Row {
     pub server: Measure,
     pub s3: Measure,
     pub indexed: Measure,
-}
-
-/// The paper's x-axis.
-pub fn selectivities() -> Vec<f64> {
-    vec![1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2]
 }
 
 /// A lineitem-shaped synthetic table: a uniform unique key plus padding
@@ -72,7 +71,8 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig1Row>> {
     let factor = PAPER_ROWS as f64 / n_rows as f64;
 
     let mut out = Vec::new();
-    for s in selectivities() {
+    // The paper's x-axis.
+    for s in [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2] {
         // `k < cutoff` selects the paper-equivalent fraction; at tiny
         // fractions the local row count clamps to >= 0 naturally.
         let cutoff = (s * n_rows as f64).round() as i64;
@@ -94,4 +94,23 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig1Row>> {
         });
     }
     Ok(out)
+}
+
+/// Fig 1 at [`SIZE`].
+pub fn figure() -> Result<Figure> {
+    let mut fig = Figure::new(
+        "fig01",
+        "Fig 1 — filter runtime and cost vs selectivity (projected to the paper's 60M-row table)",
+    );
+    for r in run(SIZE)? {
+        fig.row(
+            format!("selectivity={:e}", r.selectivity),
+            vec![
+                ("server", Cell::Measure(r.server)),
+                ("s3", Cell::Measure(r.s3)),
+                ("indexed", Cell::Measure(r.indexed)),
+            ],
+        );
+    }
+    Ok(fig)
 }

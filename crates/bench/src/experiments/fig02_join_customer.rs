@@ -7,9 +7,13 @@
 //! filtered (both ship the whole orders table); Bloom join much faster
 //! while the customer predicate is selective, degrading as it loosens.
 
+use crate::figure::{Cell, Figure};
 use crate::{run_candidate, Measure};
 use pushdown_common::Result;
 use pushdown_tpch::tpch_context;
+
+/// The TPC-H scale factor `figure` runs at.
+pub const SIZE: f64 = 0.004;
 
 #[derive(Debug, Clone, Copy)]
 pub struct Fig2Row {
@@ -17,10 +21,6 @@ pub struct Fig2Row {
     pub baseline: Measure,
     pub filtered: Measure,
     pub bloom: Measure,
-}
-
-pub fn upper_values() -> Vec<i64> {
-    vec![-950, -850, -750, -650, -550, -450]
 }
 
 /// The paper's Listing 2 statement; `customer` is the FROM (build) table.
@@ -39,7 +39,7 @@ pub fn run(scale_factor: f64) -> Result<Vec<Fig2Row>> {
     let (ctx, t) = tpch_context(scale_factor, 25_000)?;
     let factor = 10.0 / scale_factor;
     let mut out = Vec::new();
-    for upper in upper_values() {
+    for upper in [-950, -850, -750, -650, -550, -450] {
         let sql = listing2_sql(upper, None);
         let run = |name| run_candidate(&ctx, &t.customer, &sql, name, None);
         out.push(Fig2Row {
@@ -50,4 +50,24 @@ pub fn run(scale_factor: f64) -> Result<Vec<Fig2Row>> {
         });
     }
     Ok(out)
+}
+
+/// Fig 2 at [`SIZE`].
+pub fn figure() -> Result<Figure> {
+    let mut fig = Figure::new(
+        "fig02",
+        "Fig 2 — join runtime and cost vs customer selectivity, Bloom FPR 0.01 \
+         (projected to SF 10)",
+    );
+    for r in run(SIZE)? {
+        fig.row(
+            format!("c_acctbal<={}", r.upper_acctbal),
+            vec![
+                ("baseline", Cell::Measure(r.baseline)),
+                ("filtered", Cell::Measure(r.filtered)),
+                ("bloom", Cell::Measure(r.bloom)),
+            ],
+        );
+    }
+    Ok(fig)
 }

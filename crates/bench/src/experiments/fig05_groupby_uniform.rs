@@ -9,11 +9,15 @@
 //! groups, degrading past ~8–16 as the CASE-WHEN chain slows the scan.
 //! Each column is the planner's candidate of that name.
 
+use crate::figure::{Cell, Figure};
 use crate::{run_candidate, Measure};
 use pushdown_common::Result;
 use pushdown_core::{upload_csv_table, QueryContext, Table};
 use pushdown_s3::S3Store;
 use pushdown_tpch::synthetic::uniform_group_table;
+
+/// The row count `figure` runs at.
+pub const SIZE: usize = 20_000;
 
 /// The paper's table is 10 GB; measurements project to that size.
 pub const PAPER_BYTES: f64 = 10e9;
@@ -24,10 +28,6 @@ pub struct Fig5Row {
     pub server: Measure,
     pub filtered: Measure,
     pub s3_side: Measure,
-}
-
-pub fn group_counts() -> Vec<u32> {
-    vec![2, 4, 8, 16, 32]
 }
 
 fn upload(ctx: &QueryContext, n_rows: usize) -> Result<Table> {
@@ -47,7 +47,7 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig5Row>> {
     let table = upload(&ctx, n_rows)?;
     let factor = PAPER_BYTES / table.total_bytes(&ctx.store) as f64;
     let mut out = Vec::new();
-    for (i, n_groups) in group_counts().into_iter().enumerate() {
+    for (i, n_groups) in [2, 4, 8, 16, 32].into_iter().enumerate() {
         // Column g<i> holds 2^(i+1) uniform groups.
         let sql =
             format!("SELECT g{i}, SUM(v0), SUM(v1), SUM(v2), SUM(v3) FROM uniform GROUP BY g{i}");
@@ -63,4 +63,23 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig5Row>> {
         });
     }
     Ok(out)
+}
+
+/// Fig 5 at [`SIZE`].
+pub fn figure() -> Result<Figure> {
+    let mut fig = Figure::new(
+        "fig05",
+        "Fig 5 — group-by runtime and cost vs uniform group count (projected to 10 GB)",
+    );
+    for r in run(SIZE)? {
+        fig.row(
+            format!("groups={}", r.n_groups),
+            vec![
+                ("server", Cell::Measure(r.server)),
+                ("filtered", Cell::Measure(r.filtered)),
+                ("s3-side", Cell::Measure(r.s3_side)),
+            ],
+        );
+    }
+    Ok(fig)
 }

@@ -9,6 +9,7 @@
 //! returned shrink (fewer tail rows shipped); the paper finds the best
 //! total around 6–8 groups.
 
+use crate::figure::{Cell, Figure};
 use crate::{run_candidate, Measure, Tune};
 use pushdown_common::Result;
 use pushdown_core::{upload_csv_table, QueryContext, Table};
@@ -16,6 +17,9 @@ use pushdown_s3::S3Store;
 use pushdown_tpch::synthetic::zipf_group_table;
 
 pub const PAPER_BYTES: f64 = 10e9;
+
+/// The row count `figure` runs at.
+pub const SIZE: usize = 20_000;
 
 #[derive(Debug, Clone, Copy)]
 pub struct Fig6Row {
@@ -27,10 +31,6 @@ pub struct Fig6Row {
     /// Total runtime (phases compose per the plan).
     pub total: Measure,
     pub bytes_returned: u64,
-}
-
-pub fn split_points() -> Vec<usize> {
-    vec![1, 4, 6, 8, 10, 12]
 }
 
 fn upload(ctx: &QueryContext, n_rows: usize, theta: f64) -> Result<Table> {
@@ -46,7 +46,7 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig6Row>> {
     let table = upload(&ctx, n_rows, 1.3)?;
     let factor = PAPER_BYTES / table.total_bytes(&ctx.store) as f64;
     let mut out = Vec::new();
-    for n in split_points() {
+    for n in [1, 4, 6, 8, 10, 12] {
         let res = run_candidate(&ctx, &table, SQL, "hybrid", Some(Tune::ForcedSplit(n)))?;
         let scaled = res.metrics.scaled(factor);
         out.push(Fig6Row {
@@ -58,4 +58,24 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig6Row>> {
         });
     }
     Ok(out)
+}
+
+/// Fig 6 at [`SIZE`].
+pub fn figure() -> Result<Figure> {
+    let mut fig = Figure::new(
+        "fig06",
+        "Fig 6 — hybrid group-by: S3 vs server aggregation split (10 GB Zipf, θ = 1.3)",
+    );
+    for r in run(SIZE)? {
+        fig.row(
+            format!("s3_groups={}", r.s3_groups),
+            vec![
+                ("s3", Cell::Secs(r.s3_seconds)),
+                ("server", Cell::Secs(r.server_seconds)),
+                ("total", Cell::Measure(r.total)),
+                ("bytes-returned", Cell::Count(r.bytes_returned)),
+            ],
+        );
+    }
+    Ok(fig)
 }

@@ -7,6 +7,7 @@
 //! ~30 % at θ = 1.3. Each column is the planner's candidate of that
 //! name for Fig 6's query.
 
+use crate::figure::{Cell, Figure};
 use crate::{run_candidate, Measure};
 use pushdown_common::Result;
 use pushdown_core::{upload_csv_table, QueryContext};
@@ -14,6 +15,9 @@ use pushdown_s3::S3Store;
 use pushdown_tpch::synthetic::zipf_group_table;
 
 pub const PAPER_BYTES: f64 = 10e9;
+
+/// The row count `figure` runs at.
+pub const SIZE: usize = 20_000;
 
 #[derive(Debug, Clone, Copy)]
 pub struct Fig7Row {
@@ -23,13 +27,9 @@ pub struct Fig7Row {
     pub hybrid: Measure,
 }
 
-pub fn thetas() -> Vec<f64> {
-    vec![0.0, 0.6, 0.9, 1.1, 1.3]
-}
-
 pub fn run(n_rows: usize) -> Result<Vec<Fig7Row>> {
     let mut out = Vec::new();
-    for theta in thetas() {
+    for theta in [0.0, 0.6, 0.9, 1.1, 1.3] {
         let ctx = QueryContext::new(S3Store::new());
         let (schema, rows) = zipf_group_table(n_rows, theta, 7);
         let table = upload_csv_table(&ctx.store, "bench", "zipf", &schema, &rows, n_rows / 8 + 1)?;
@@ -46,4 +46,23 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig7Row>> {
         });
     }
     Ok(out)
+}
+
+/// Fig 7 at [`SIZE`].
+pub fn figure() -> Result<Figure> {
+    let mut fig = Figure::new(
+        "fig07",
+        "Fig 7 — group-by runtime and cost vs Zipf skew (projected to 10 GB)",
+    );
+    for r in run(SIZE)? {
+        fig.row(
+            format!("theta={}", r.theta),
+            vec![
+                ("server", Cell::Measure(r.server)),
+                ("filtered", Cell::Measure(r.filtered)),
+                ("hybrid", Cell::Measure(r.hybrid)),
+            ],
+        );
+    }
+    Ok(fig)
 }

@@ -9,10 +9,14 @@
 //!
 //! Projected to the paper's 60 M-row table with the same caveat as Fig 8.
 
+use crate::figure::{Cell, Figure};
 use crate::{run_candidate, Measure, Tune};
 use pushdown_common::Result;
 use pushdown_core::joinplan::sample_size;
 use pushdown_tpch::tpch_context;
+
+/// The TPC-H scale factor `figure` runs at.
+pub const SIZE: f64 = 0.004;
 
 #[derive(Debug, Clone, Copy)]
 pub struct Fig9Row {
@@ -47,4 +51,22 @@ pub fn run(scale_factor: f64) -> Result<Vec<Fig9Row>> {
         });
     }
     Ok(out)
+}
+
+/// Fig 9 at [`SIZE`].
+pub fn figure() -> Result<Figure> {
+    let mut fig = Figure::new(
+        "fig09",
+        "Fig 9 — top-K runtime and cost vs K: server-side vs sampling (projected to 60M rows)",
+    );
+    for r in run(SIZE)? {
+        fig.row(
+            format!("k={}", r.k),
+            vec![
+                ("server", Cell::Measure(r.server)),
+                ("sampling", Cell::Measure(r.sampling)),
+            ],
+        );
+    }
+    Ok(fig)
 }

@@ -8,6 +8,7 @@
 //! selectivity rises because the response is CSV either way and transfer
 //! dominates (the paper's §IX observation).
 
+use crate::figure::{Cell, Figure};
 use crate::Measure;
 use pushdown_common::Result;
 use pushdown_core::scan::select_scan;
@@ -16,6 +17,9 @@ use pushdown_format::columnar::WriterOptions;
 use pushdown_s3::S3Store;
 use pushdown_sql::{Expr, SelectItem, SelectStmt};
 use pushdown_tpch::synthetic::wide_float_table;
+
+/// The row count `figure` runs at.
+pub const SIZE: usize = 8_000;
 
 /// Paper: "each column contains 100 MB of randomly generated floating
 /// point numbers".
@@ -32,17 +36,9 @@ pub struct Fig11Row {
     pub size_ratio: f64,
 }
 
-pub fn selectivities() -> Vec<f64> {
-    vec![0.0, 0.01, 0.1, 0.5, 1.0]
-}
-
-pub fn column_counts() -> Vec<usize> {
-    vec![1, 10, 20]
-}
-
 pub fn run(n_rows: usize) -> Result<Vec<Fig11Row>> {
     let mut out = Vec::new();
-    for cols in column_counts() {
+    for cols in [1, 10, 20] {
         let ctx = QueryContext::new(S3Store::new());
         let (schema, rows) = wide_float_table(n_rows, cols, 11);
         let csv_table = upload_csv_table(
@@ -70,7 +66,7 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig11Row>> {
         // Project by the CSV byte ratio to the paper's 100 MB/column.
         let factor = PAPER_BYTES_PER_COLUMN * cols as f64 / csv_bytes;
 
-        for s in selectivities() {
+        for s in [0.0, 0.01, 0.1, 0.5, 1.0] {
             let stmt = SelectStmt {
                 items: vec![SelectItem::Expr {
                     expr: Expr::col("c0"),
@@ -83,30 +79,44 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig11Row>> {
             let a = select_scan(&ctx, &csv_table, &stmt)?;
             let b = select_scan(&ctx, &clt_table, &stmt)?;
             assert_eq!(a.rows.len(), b.rows.len());
-            let wrap = |stats: pushdown_common::perf::PhaseStats| {
+            // One scan phase, projected.
+            let measure = |stats| {
                 let mut m = pushdown_core::QueryMetrics::new();
                 m.push_serial("scan", stats);
-                m
+                let m = m.scaled(factor);
+                Measure {
+                    runtime: m.runtime(&ctx.model),
+                    cost: m.cost(&ctx.model, &ctx.pricing),
+                    bytes_returned: m.bytes_returned(),
+                }
             };
-            let (am, bm) = (wrap(a.stats), wrap(b.stats));
             out.push(Fig11Row {
                 columns: cols,
                 selectivity: s,
-                csv: Measure {
-                    runtime: am.scaled(factor).runtime(&ctx.model),
-                    cost: am.scaled(factor).cost(&ctx.model, &ctx.pricing),
-                    bytes_returned: am.scaled(factor).bytes_returned(),
-                    billed: am.usage(),
-                },
-                columnar: Measure {
-                    runtime: bm.scaled(factor).runtime(&ctx.model),
-                    cost: bm.scaled(factor).cost(&ctx.model, &ctx.pricing),
-                    bytes_returned: bm.scaled(factor).bytes_returned(),
-                    billed: bm.usage(),
-                },
+                csv: measure(a.stats),
+                columnar: measure(b.stats),
                 size_ratio: clt_bytes / csv_bytes,
             });
         }
     }
     Ok(out)
+}
+
+/// Fig 11 at [`SIZE`].
+pub fn figure() -> Result<Figure> {
+    let mut fig = Figure::new(
+        "fig11",
+        "Fig 11 — CSV vs ColumnarLite filter runtime and cost (projected to 100 MB/column)",
+    );
+    for r in run(SIZE)? {
+        fig.row(
+            format!("columns={} selectivity={}", r.columns, r.selectivity),
+            vec![
+                ("csv", Cell::Measure(r.csv)),
+                ("columnar", Cell::Measure(r.columnar)),
+                ("size-ratio", Cell::Ratio(r.size_ratio)),
+            ],
+        );
+    }
+    Ok(fig)
 }

@@ -4,11 +4,13 @@
 //! evaluation** (Figs 1–11) from the Rust reproduction, plus criterion
 //! micro-benchmarks of the columnar kernels and the cache read path.
 //!
-//! Each `experiments::figNN` module exposes a `run(...)` function that
-//! executes the experiment and returns structured rows; the matching
-//! `src/bin/figNN_*.rs` binary prints them as the table the paper plots,
-//! and the workspace integration tests assert the *shape* claims (who
-//! wins, where the crossovers are) on the same data.
+//! Each `experiments::figNN` module exposes a `run(size)` function that
+//! executes the experiment and returns structured rows, a `SIZE` and a
+//! `figure()` that runs it at that size and returns a [`figure::Figure`].
+//! `experiments::FIGURES` lists every figure; the `figures` binary prints
+//! them readably, `tests/paper_figures.rs` pins them to the bit, and
+//! `tests/figure_shapes.rs` asserts the *shape* claims (who wins, where
+//! the crossovers are) on the same rows at the same sizes.
 //!
 //! Conventions:
 //!
@@ -21,10 +23,11 @@
 //! * everything is deterministic (seeded generators + analytic clock).
 
 pub mod experiments;
+pub mod figure;
 pub mod table;
 pub mod workload;
 
-use pushdown_common::pricing::{CostBreakdown, Usage};
+use pushdown_common::pricing::CostBreakdown;
 pub use pushdown_core::planner::{run_candidate, Tune};
 use pushdown_core::{QueryContext, QueryOutput};
 
@@ -34,9 +37,6 @@ pub struct Measure {
     pub runtime: f64,
     pub cost: CostBreakdown,
     pub bytes_returned: u64,
-    /// The query's exact child-ledger usage at bench scale (unprojected) —
-    /// concurrency-safe provenance for every figure row.
-    pub billed: Usage,
 }
 
 impl Measure {
@@ -44,14 +44,19 @@ impl Measure {
     /// `factor` first (1.0 = no projection). Billable bytes are scaled
     /// once at the aggregate level (`QueryMetrics::scaled_usage`) so
     /// multi-phase projections do not accumulate per-phase rounding.
+    /// The metrics must account for exactly what the query billed.
     pub fn of(ctx: &QueryContext, out: &QueryOutput, factor: f64) -> Measure {
+        assert_eq!(
+            out.metrics.usage(),
+            out.billed,
+            "metrics disagree with the bill"
+        );
         let usage = out.metrics.scaled_usage(factor);
         let runtime = out.metrics.scaled(factor).runtime(&ctx.model);
         Measure {
             runtime,
             cost: ctx.pricing.cost(&usage, runtime),
             bytes_returned: usage.select_returned_bytes + usage.plain_bytes,
-            billed: out.billed,
         }
     }
 }

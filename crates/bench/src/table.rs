@@ -1,7 +1,4 @@
-//! Minimal aligned-column table printing for the figure binaries.
-
-use pushdown_common::fmtutil;
-use pushdown_common::pricing::CostBreakdown;
+//! Minimal aligned-column table printing for `fig_cache`.
 
 /// Print a titled, aligned table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -32,27 +29,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// `12.3s` style runtime cell.
-pub fn rt(t: f64) -> String {
-    fmtutil::secs(t)
-}
-
-/// Total cost cell.
-pub fn cost(c: &CostBreakdown) -> String {
-    fmtutil::dollars(c.total())
-}
-
-/// Cost breakdown cell in the paper's four components.
-pub fn cost_parts(c: &CostBreakdown) -> String {
-    format!(
-        "compute {} | req {} | scan {} | xfer {}",
-        fmtutil::dollars(c.compute),
-        fmtutil::dollars(c.request),
-        fmtutil::dollars(c.scan),
-        fmtutil::dollars(c.transfer),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,14 +40,5 @@ mod tests {
             &["a", "b"],
             &[vec!["1".into(), "x".into()], vec!["22".into(), "yy".into()]],
         );
-        assert!(rt(1.5).contains('s'));
-        let c = CostBreakdown {
-            compute: 0.01,
-            request: 0.0,
-            scan: 0.002,
-            transfer: 0.0001,
-        };
-        assert!(cost(&c).starts_with('$'));
-        assert!(cost_parts(&c).contains("scan"));
     }
 }

@@ -30,7 +30,7 @@
 //! `native_group_by` extension a GROUP BY statement has an `s3-native`
 //! candidate, a [`PushdownAggregate`](crate::plan::PlanOp::PushdownAggregate)
 //! leaf with a grouping list. Suggestion 5, computation-aware *pricing*,
-//! changes no algorithm either — see the `ablation_suggestions` harness
+//! changes no algorithm either — see `experiments::ablation::pricing_figure`
 //! in `pushdown-bench`.
 
 use crate::catalog::Table;

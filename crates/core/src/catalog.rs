@@ -597,6 +597,11 @@ pub fn upload_csv_table(
 }
 
 /// Write rows as a partitioned ColumnarLite table and register it.
+///
+/// An empty string is written as NULL, as the CSV loader's encoding
+/// stores it: a Select response is CSV whatever the object's format
+/// (§IX), so a pushed scan reads `''` back as NULL, and a local decode
+/// must read the same table.
 pub fn upload_columnar_table(
     store: &S3Store,
     bucket: &str,
@@ -606,6 +611,20 @@ pub fn upload_columnar_table(
     rows_per_partition: usize,
     options: WriterOptions,
 ) -> Result<Table> {
+    let empty = |v: &Value| matches!(v, Value::Str(s) if s.is_empty());
+    let normalized: Vec<Row>;
+    let rows = if rows.iter().any(|r| r.values().iter().any(empty)) {
+        normalized = rows
+            .iter()
+            .map(|r| {
+                let null_if_empty = |v: &Value| if empty(v) { Value::Null } else { v.clone() };
+                Row::new(r.values().iter().map(null_if_empty).collect())
+            })
+            .collect();
+        &normalized[..]
+    } else {
+        rows
+    };
     store.create_bucket(bucket);
     let per = rows_per_partition.max(1);
     let mut segments = SegmentBytes::default();

@@ -1,13 +1,15 @@
 //! Shape assertions for every paper figure: the qualitative claims of
 //! the evaluation (who wins, what grows, where crossovers sit) must hold
-//! on the reproduction's own output. These run the same experiment code
-//! as the `figNN_*` binaries, at reduced scale.
+//! on the reproduction's own output. These run each experiment at the
+//! `SIZE` its `figure()` runs at, so the shapes asserted here are those
+//! of the rows `tests/paper_figures.rs` pins and the `figures` binary
+//! prints.
 
 use pushdown_bench::experiments as ex;
 
 #[test]
 fn fig01_filter_shapes() {
-    let rows = ex::fig01_filter::run(30_000).unwrap();
+    let rows = ex::fig01_filter::run(ex::fig01_filter::SIZE).unwrap();
     for r in &rows {
         // "a dramatic 10x" server → s3 (we accept anything ≥ 5x).
         assert!(
@@ -35,7 +37,7 @@ fn fig01_filter_shapes() {
 
 #[test]
 fn fig02_join_customer_shapes() {
-    let rows = ex::fig02_join_customer::run(0.004).unwrap();
+    let rows = ex::fig02_join_customer::run(ex::fig02_join_customer::SIZE).unwrap();
     for r in &rows {
         // Bloom wins while the customer predicate is selective.
         assert!(
@@ -59,7 +61,7 @@ fn fig02_join_customer_shapes() {
 
 #[test]
 fn fig03_join_orders_shapes() {
-    let rows = ex::fig03_join_orders::run(0.004).unwrap();
+    let rows = ex::fig03_join_orders::run(ex::fig03_join_orders::SIZE).unwrap();
     // Filtered gets slower as the date bound loosens...
     assert!(rows[0].filtered.runtime < rows.last().unwrap().filtered.runtime);
     // ...and beats baseline when selective.
@@ -78,7 +80,7 @@ fn fig03_join_orders_shapes() {
 
 #[test]
 fn fig04_fpr_shapes() {
-    let res = ex::fig04_join_fpr::run(0.004).unwrap();
+    let res = ex::fig04_join_fpr::run(ex::fig04_join_fpr::SIZE).unwrap();
     let runtimes: Vec<f64> = res.sweep.iter().map(|r| r.bloom.runtime).collect();
     let min = runtimes.iter().copied().fold(f64::MAX, f64::min);
     // The low-FPR end pays for its hash count: every extra conjunct slows
@@ -103,7 +105,7 @@ fn fig04_fpr_shapes() {
 
 #[test]
 fn fig05_groupby_uniform_shapes() {
-    let rows = ex::fig05_groupby_uniform::run(20_000).unwrap();
+    let rows = ex::fig05_groupby_uniform::run(ex::fig05_groupby_uniform::SIZE).unwrap();
     // Server and filtered are flat in the group count (±10%).
     let s0 = rows[0].server.runtime;
     let f0 = rows[0].filtered.runtime;
@@ -124,7 +126,7 @@ fn fig05_groupby_uniform_shapes() {
 
 #[test]
 fn fig06_hybrid_split_shapes() {
-    let rows = ex::fig06_hybrid_split::run(20_000).unwrap();
+    let rows = ex::fig06_hybrid_split::run(ex::fig06_hybrid_split::SIZE).unwrap();
     for w in rows.windows(2) {
         // More groups at S3: the S3 bar grows, the server bar shrinks,
         // fewer bytes come back (paper Fig 6).
@@ -141,7 +143,7 @@ fn fig06_hybrid_split_shapes() {
 
 #[test]
 fn fig07_skew_shapes() {
-    let rows = ex::fig07_groupby_skew::run(20_000).unwrap();
+    let rows = ex::fig07_groupby_skew::run(ex::fig07_groupby_skew::SIZE).unwrap();
     // Server-side and filtered are insensitive to skew (±10%).
     let s0 = rows[0].server.runtime;
     for r in &rows {
@@ -164,7 +166,7 @@ fn fig07_skew_shapes() {
 
 #[test]
 fn fig08_sample_size_shapes() {
-    let res = ex::fig08_topk_sample::run(0.004, 50).unwrap();
+    let res = ex::fig08_topk_sample::run(ex::fig08_topk_sample::SIZE).unwrap();
     let s = &res.sweep;
     // Sampling phase grows with S; scanning phase shrinks.
     assert!(s.last().unwrap().sampling_seconds > s[0].sampling_seconds);
@@ -188,7 +190,7 @@ fn fig08_sample_size_shapes() {
 
 #[test]
 fn fig09_k_shapes() {
-    let rows = ex::fig09_topk_k::run(0.004).unwrap();
+    let rows = ex::fig09_topk_k::run(ex::fig09_topk_k::SIZE).unwrap();
     for r in &rows {
         // Sampling is consistently faster and cheaper (paper Fig 9).
         assert!(r.sampling.runtime < r.server.runtime, "K={}", r.k);
@@ -201,7 +203,7 @@ fn fig09_k_shapes() {
 
 #[test]
 fn fig10_suite_shapes() {
-    let res = ex::fig10_tpch::run(0.003).unwrap();
+    let res = ex::fig10_tpch::run(ex::fig10_tpch::SIZE).unwrap();
     for r in &res.rows {
         assert!(r.speedup() > 1.0, "{}: speedup {:.2}", r.name, r.speedup());
     }
@@ -222,7 +224,7 @@ fn fig10_suite_shapes() {
 fn ablation_shapes() {
     // Suggestions 1 & 2: each step removes request overhead; at high
     // selectivity the orderings are strict.
-    let idx = ex::ablation::run_index_ablation(20_000).unwrap();
+    let idx = ex::ablation::run_index_ablation(ex::ablation::INDEX_SIZE).unwrap();
     let worst = idx.last().unwrap();
     assert!(worst.multi_range.runtime * 5.0 < worst.single_range.runtime);
     assert!(worst.in_s3.runtime <= worst.multi_range.runtime);
@@ -232,13 +234,13 @@ fn ablation_shapes() {
     assert!(worst.requests_in_s3 < worst.requests_multi);
 
     // Suggestion 3: ~4x denser SQL, same answer.
-    let bloom = ex::ablation::run_bloom_ablation(0.004).unwrap();
+    let bloom = ex::ablation::run_bloom_ablation(ex::ablation::BLOOM_SIZE).unwrap();
     assert!(bloom.binary_sql_bytes * 3 < bloom.string_sql_bytes);
     assert_eq!(bloom.max_keys_binary, bloom.max_keys_string * 4);
 
     // Suggestion 4: native group-by flat in the group count and never
     // slower than the CASE-WHEN rewrite.
-    let gb = ex::ablation::run_groupby_ablation(10_000).unwrap();
+    let gb = ex::ablation::run_groupby_ablation(ex::ablation::GROUPBY_SIZE).unwrap();
     for r in &gb {
         assert!(
             r.native.runtime <= r.case_when.runtime,
@@ -255,14 +257,14 @@ fn ablation_shapes() {
 
     // Suggestion 5: simple scans get cheaper under aware pricing (Q6 is
     // the simplest pushed scan in the suite).
-    let pricing = ex::ablation::run_pricing_ablation(0.004).unwrap();
+    let pricing = ex::ablation::run_pricing_ablation(ex::ablation::PRICING_SIZE).unwrap();
     let q6 = pricing.iter().find(|r| r.name == "TPCH Q6").unwrap();
     assert!(q6.aware.scan < q6.flat.scan);
 }
 
 #[test]
 fn fig11_format_shapes() {
-    let rows = ex::fig11_parquet::run(8_000).unwrap();
+    let rows = ex::fig11_parquet::run(ex::fig11_parquet::SIZE).unwrap();
     let get = |cols: usize, sel: f64| {
         rows.iter()
             .find(|r| r.columns == cols && (r.selectivity - sel).abs() < 1e-9)

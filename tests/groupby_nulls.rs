@@ -257,14 +257,19 @@ fn group_by_without_aggregates_runs_under_every_strategy() {
 /// CSV and on ColumnarLite: rows equal to `server-side`,
 /// metrics == ledger on each. Returns the CSV rows.
 fn every_candidate_agrees(sql: &str) -> Vec<Row> {
+    every_candidate_agrees_on(&schema(), &null_rows(), sql)
+}
+
+/// [`every_candidate_agrees`] over the table `t` of `schema` and `rows`.
+fn every_candidate_agrees_on(schema: &Schema, rows: &[Row], sql: &str) -> Vec<Row> {
     let mut answers = Vec::new();
     for columnar in [false, true] {
         let store = S3Store::new();
         let t = if columnar {
             let opts = WriterOptions::default();
-            upload_columnar_table(&store, "b", "t", &schema(), &null_rows(), 16, opts).unwrap()
+            upload_columnar_table(&store, "b", "t", schema, rows, 16, opts).unwrap()
         } else {
-            upload_csv_table(&store, "b", "t", &schema(), &null_rows(), 16).unwrap()
+            upload_csv_table(&store, "b", "t", schema, rows, 16).unwrap()
         };
         let mut ctx = QueryContext::new(store).with_cache(1 << 20);
         ctx.engine = ctx
@@ -353,4 +358,40 @@ fn group_by_candidates_agree_on_nulls() {
         every_candidate_agrees("SELECT k, SUM(v * 2), MAX(k2) FROM t WHERE v > 3 GROUP BY k");
     assert_eq!(rows.len(), 4);
     assert!(rows[0][0].is_null(), "the NULL group sorts first");
+}
+
+/// An empty string is NULL on both formats. A CSV object stores `''` and
+/// NULL as the same empty field, and a Select response is CSV whatever
+/// the object's format (§IX), so the ColumnarLite loader writes `''` as
+/// NULL too: a local decode and a pushed scan then read the same table.
+#[test]
+fn empty_strings_read_as_null_under_every_candidate() {
+    let schema = Schema::from_pairs(&[("a", DataType::Int), ("s", DataType::Str)]);
+    let rows: Vec<Row> = (0..30i64)
+        .map(|i| {
+            let s = match i % 5 {
+                0 => Value::Str(String::new()),
+                1 => Value::Null,
+                2 => Value::Str("%".into()),
+                3 => Value::Str("x".into()),
+                _ => Value::Str("y".into()),
+            };
+            Row::new(vec![Value::Int(i), s])
+        })
+        .collect();
+    let agree = |sql| every_candidate_agrees_on(&schema, &rows, sql);
+    assert!(agree("SELECT a FROM t WHERE s = ''").is_empty());
+    assert_eq!(
+        agree("SELECT MIN(s), MAX(s) FROM t"),
+        [Row::new(vec![
+            Value::Str("%".into()),
+            Value::Str("y".into())
+        ])]
+    );
+    let groups = agree("SELECT s, COUNT(*) FROM t GROUP BY s");
+    assert_eq!(groups.len(), 4, "'' is the NULL group: {groups:?}");
+    assert_eq!(groups[0], Row::new(vec![Value::Null, Value::Int(12)]));
+    let first = agree("SELECT * FROM t ORDER BY s LIMIT 4");
+    assert!(first.iter().all(|r| r[1].is_null()), "{first:?}");
+    assert_eq!(agree("SELECT a FROM t WHERE s < 'y'").len(), 12);
 }
