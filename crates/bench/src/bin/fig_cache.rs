@@ -47,7 +47,7 @@ fn write_restart_json(out: &mut String, res: &fig::FigRestartResult) {
              \"restart_dollars\": {:.9}, \"warm_remote_bytes\": {}, \"restart_remote_bytes\": {}, \
              \"recovered_segments\": {}, \"recovered_bytes\": {}, \"recovery_wall_s\": {:.6}, \
              \"restart_disk_hit_ratio\": {:.6}, \"manifest_records\": {}, \
-             \"manifest_live_puts\": {}, \"manifest_live_layouts\": {}, \"manifest_bytes\": {}, \
+             \"manifest_live_puts\": {}, \"manifest_bytes\": {}, \
              \"fsyncs\": {}, \"commits\": {}, \"compactions\": {}, \"persisted_bytes\": {}}}",
             if i == 0 { "" } else { "," },
             r.mem_budget,
@@ -62,7 +62,6 @@ fn write_restart_json(out: &mut String, res: &fig::FigRestartResult) {
             r.restart_disk_hit_ratio(),
             m.records,
             m.live_puts,
-            m.live_layouts,
             m.manifest_bytes,
             r.persisted(|c| c.fsyncs),
             r.persisted(|c| c.commits),
@@ -183,7 +182,7 @@ fn main() {
                     fmtutil::bytes(r.recovered_bytes),
                     format!("{:.3}", r.recovery_wall_s),
                     format!("{:.0}%", r.restart_disk_hit_ratio() * 100.0),
-                    format!("{}/{} live", m.live_puts + m.live_layouts, m.records),
+                    format!("{}/{} live", m.live_puts, m.records),
                     format!(
                         "{}/{}",
                         r.persisted(|c| c.fsyncs),
@@ -342,7 +341,7 @@ fn main() {
         .find(|r| r.mem_budget == 0 && r.disk_budget < restart.dataset_bytes)
         .expect("undersized-disk restart row");
     let m = churn.manifest.unwrap_or_default();
-    let live = m.live_puts + m.live_layouts;
+    let live = m.live_puts;
     println!(
         "Churned manifest after the restart leg: {} records for {} live entries.",
         m.records, live

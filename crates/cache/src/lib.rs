@@ -10,8 +10,8 @@
 //! # One table, one lock
 //!
 //! Residency is one `HashMap<SegmentKey, Entry>` beside the object
-//! epochs, the chunk layouts, the objects' rents, the per-tier byte
-//! totals and the counters, all plain fields behind **one mutex**. The tier is an attribute of
+//! epochs, the objects' rents, the per-tier byte totals and the
+//! counters, all plain fields behind **one mutex**. The tier is an attribute of
 //! the entry, and so is where its bytes live:
 //! `Entry.bytes` is `Some` for bytes held in RAM and `None` for bytes in
 //! the segment log of a file-backed cache ([`CacheConfig::dir`]). Every
@@ -33,11 +33,11 @@
 //! segment's lookup sees — its bytes and tier, or a miss — as an
 //! [`Access`], and changes nothing. [`SegmentCache::apply`] takes an
 //! ordered log of accesses — hits with their promotions, fills with their
-//! epochs and the evictions they force, learned layouts — and applies it
-//! in one critical section. That is the only way the table changes
-//! (invalidation aside): [`SegmentCache::get_tiered`],
-//! [`SegmentCache::insert`] and [`SegmentCache::record_layout`] are a
-//! read and an apply of one access under one lock, and applying a log in
+//! epochs and the evictions they force, accrued rent — and applies it in
+//! one critical section. That is the only way the table changes
+//! (invalidation aside): [`SegmentCache::get_tiered`] and
+//! [`SegmentCache::insert`] are a read and an apply of one access under
+//! one lock, and applying a log in
 //! one call leaves exactly what applying its accesses one by one does.
 //! A reader that works on many threads at once — a scan's partition
 //! workers — only reads, keeps each partition's log, and has the logs
@@ -50,14 +50,17 @@
 //!
 //! A segment is one contiguous byte range of one object —
 //! `(bucket, key, range)` ([`SegmentKey`]). The read-through path caches
-//! at **chunk granularity**: ColumnarLite column-chunk extents (the footer
-//! a segment of its own) or fixed CSV block ranges, derived by the store on the first (cold) read and
-//! recorded in the cache as the object's **layout**
-//! ([`SegmentCache::record_layout`]). With a layout on file, a later
-//! scan serves the chunks it holds locally and fetches only the gaps —
+//! at **chunk granularity**, along the object's **chunk layout**: sorted
+//! ranges covering it, ColumnarLite column-chunk extents (the footer a
+//! segment of its own) or fixed CSV blocks. The cache does not keep
+//! layouts: they are fixed when the object is written, so the reader
+//! hands one in with every call — the engine takes it from its catalog
+//! — and [`normalize_chunk_layout`] collapses one that does not cover the
+//! object's current length to a single whole-object chunk. A scan serves
+//! the chunks it finds locally and fetches only the gaps;
 //! [`SegmentCache::occupancy`] reports exactly that split (including how
-//! many coalesced range GETs the gaps would cost), which is what the
-//! cost estimator prices.
+//! many coalesced range GETs the gaps would cost), which is what the cost
+//! estimator prices.
 //!
 //! # Two tiers
 //!
@@ -131,8 +134,8 @@
 //!
 //! Writers (the store crate's `put_object`/`delete_object`, which reach
 //! every cache attached to the store) call [`SegmentCache::invalidate`],
-//! which removes every segment of the object from both tiers, drops its
-//! recorded layout, *and* bumps the object's **epoch**. Fills are
+//! which removes every segment of the object from both tiers *and*
+//! bumps the object's **epoch**. Fills are
 //! epoch-tagged: a read-through fill records the epoch *before* issuing
 //! its GET ([`SegmentCache::begin_fill`]) and the fill is discarded if
 //! the epoch moved before it is applied — an in-flight query racing a writer can
@@ -222,8 +225,8 @@ pub enum CacheTier {
 }
 
 /// One entry of an access log: what a lookup saw ([`SegmentCache::read`]),
-/// a fill, a learned layout or accrued rent — and so what
-/// [`SegmentCache::apply`] does to the cache.
+/// a fill or accrued rent — and so what [`SegmentCache::apply`] does to
+/// the cache.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Access {
     /// A lookup served `data` from `tier` while the object was at
@@ -248,14 +251,6 @@ pub enum Access {
         data: Bytes,
         epoch: u64,
     },
-    /// The chunk layout of `bucket/key` learned at `epoch`
-    /// ([`SegmentCache::record_layout`]).
-    Layout {
-        bucket: String,
-        key: String,
-        epoch: u64,
-        chunks: Vec<(u64, u64)>,
-    },
     /// `dollars` of rent accrued by `bucket/key` (see the module docs);
     /// a negative amount adds nothing.
     Rent {
@@ -267,7 +262,7 @@ pub enum Access {
 
 impl Access {
     /// The bytes a lookup served and the tier that held them; `None` for
-    /// a miss, a fill or a layout.
+    /// a miss, a fill or rent.
     pub fn served(&self) -> Option<(Bytes, CacheTier)> {
         match self {
             Access::Hit { tier, data, .. } => Some((data.clone(), *tier)),
@@ -392,10 +387,31 @@ pub struct ObjectOccupancy {
     /// Range GETs those gaps cost after coalescing adjacent missing
     /// chunks into one request.
     pub gap_requests: u64,
-    /// Whether a chunk layout is recorded. Without one the whole object
-    /// is a single gap — the cold read-through that fills it also learns
-    /// the layout.
-    pub layout_known: bool,
+    /// Whether the layout's last chunk — a trailer such as ColumnarLite's
+    /// footer — is resident: what lets a read ask for only the segments
+    /// the trailer names instead of every chunk.
+    pub trailer_resident: bool,
+}
+
+/// Sanity-check a chunk layout against the object's current length:
+/// sorted, non-empty ranges covering `[0, len)` contiguously. Anything
+/// else — a buggy layout, or extents written down for another version of
+/// the object — collapses to one whole-object chunk, so a wrong layout
+/// degrades to the coarse path rather than a torn read.
+pub fn normalize_chunk_layout(mut chunks: Vec<(u64, u64)>, len: u64) -> Vec<(u64, u64)> {
+    if len == 0 {
+        return Vec::new();
+    }
+    chunks.retain(|&(first, last)| last > first);
+    chunks.sort_unstable();
+    let contiguous = chunks.first().is_some_and(|c| c.0 == 0)
+        && chunks.last().is_some_and(|c| c.1 == len)
+        && chunks.windows(2).all(|w| w[0].1 == w[1].0);
+    if contiguous {
+        chunks
+    } else {
+        vec![(0, len)]
+    }
 }
 
 /// Everything the cache knows, behind [`Inner::state`]'s one lock.
@@ -405,10 +421,6 @@ struct State {
     entries: HashMap<SegmentKey, Entry>,
     /// Object-hash → epoch; bumped by every invalidation of the object.
     epochs: HashMap<u64, u64>,
-    /// Object-hash → recorded chunk layout: sorted `[first, last)`
-    /// ranges covering the object. Dropped on invalidation alongside the
-    /// segments.
-    layouts: HashMap<u64, Arc<[(u64, u64)]>>,
     /// Object-hash → rent in dollars (absent: none), reset by a fill.
     rents: HashMap<u64, f64>,
     /// Resident bytes per tier, indexed by `CacheTier as usize`.
@@ -427,8 +439,8 @@ impl State {
     /// — the disk tier at shutdown and the mem segments promoted from it
     /// — comes back disk-tier (hits reset to 1, seqs in replay order),
     /// trimmed to the disk budget oldest `Put` first; mem stays cold.
-    /// Epochs and layouts are seeded from the manifest so later fills
-    /// and invalidations stay consistent with what is durable.
+    /// Epochs are seeded from the manifest so later fills and
+    /// invalidations stay consistent with what is durable.
     fn restore(
         &mut self,
         recovery: store::Recovery,
@@ -457,16 +469,6 @@ impl State {
             total -= kept[start].len;
             ds.del(&kept[start].key);
             start += 1;
-        }
-        for (bucket, key, _, chunks) in recovery.layouts {
-            let current = catalog.is_none_or(|probe| {
-                probe(&bucket, &key, FULL_OBJECT)
-                    .is_some_and(|(len, _)| chunks.last().map(|c| c.1) == Some(len))
-            });
-            if current {
-                self.layouts
-                    .insert(object_hash(&bucket, &key), chunks.into());
-            }
         }
         self.epochs = recovery.epochs;
         for seg in kept.drain(start..) {
@@ -626,8 +628,8 @@ impl Inner {
 
     /// Apply one access inside the caller's critical section: the one
     /// place the residency table changes (invalidation aside). Returns
-    /// whether it took effect: a hit was served, a fill stored, a layout
-    /// recorded, rent added.
+    /// whether it took effect: a hit was served, a fill stored, rent
+    /// added.
     fn apply(&self, st: &mut State, access: Access) -> bool {
         match access {
             Access::Hit {
@@ -644,12 +646,6 @@ impl Inner {
                 false
             }
             Access::Fill { key, data, epoch } => self.fill(st, key, data, epoch),
-            Access::Layout {
-                bucket,
-                key,
-                epoch,
-                chunks,
-            } => self.learn_layout(st, &bucket, &key, epoch, chunks),
             Access::Rent {
                 bucket,
                 key,
@@ -749,29 +745,6 @@ impl Inner {
         self.evict_to_budget(st, target);
         true
     }
-
-    fn learn_layout(
-        &self,
-        st: &mut State,
-        bucket: &str,
-        key: &str,
-        epoch: u64,
-        chunks: Vec<(u64, u64)>,
-    ) -> bool {
-        if st.epoch(bucket, key) != epoch {
-            return false;
-        }
-        // Persist the layout (once per distinct value) so a restart
-        // keeps partial-hit scans chunk-granular instead of reloading
-        // whole objects.
-        let h = object_hash(bucket, key);
-        let known = st.layouts.get(&h).is_some_and(|prev| **prev == *chunks);
-        if let (false, Some(ds)) = (known, &self.disk_store) {
-            ds.log_layout(bucket, key, epoch, &chunks);
-        }
-        st.layouts.insert(h, chunks.into());
-        true
-    }
 }
 
 /// Handle to one shared segment cache. Cloning shares the cache (`Arc`
@@ -817,8 +790,7 @@ impl SegmentCache {
     /// * applies `catalog` when given — a segment survives only if the
     ///   probe reports the *current* object content at its range hashing
     ///   to the recorded checksum, so bytes rewritten while the cache
-    ///   was down can never be served (recorded layouts likewise must
-    ///   match the current object length);
+    ///   was down can never be served;
     /// * enforces `config.disk_bytes` deterministically, dropping the
     ///   segments of the oldest `Put` records first;
     /// * compacts the manifest when dead records outnumber live state.
@@ -991,12 +963,11 @@ impl SegmentCache {
 
     /// Apply an ordered access log in one critical section: hits count
     /// and promote, fills are admitted (or discarded as stale), evict
-    /// down to budget and zero their object's rent, layouts are recorded,
-    /// rent accrues — the first three exactly as
-    /// [`SegmentCache::get_tiered`], [`SegmentCache::insert`] and
-    /// [`SegmentCache::record_layout`] do them, in log order. Returns,
-    /// per access, whether it took effect (a hit served, a fill stored, a
-    /// layout recorded, rent added).
+    /// down to budget and zero their object's rent, rent accrues — the
+    /// first two exactly as [`SegmentCache::get_tiered`] and
+    /// [`SegmentCache::insert`] do them, in log order. Returns, per
+    /// access, whether it took effect (a hit served, a fill stored, rent
+    /// added).
     pub fn apply(&self, log: impl IntoIterator<Item = Access>) -> Vec<bool> {
         let inner = &*self.inner;
         let mut st = inner.state.lock();
@@ -1025,26 +996,19 @@ impl SegmentCache {
         self.inner.state.lock().epoch(&skey.bucket, &skey.key)
     }
 
-    /// Record the chunk layout of `bucket/key` as observed at `epoch`:
-    /// sorted, contiguous `[first, last)` ranges covering the object.
-    /// The store's read-through path derives these from the format
-    /// (ColumnarLite column-chunk extents, fixed CSV blocks) on a cold read
-    /// and every later partial-hit read reuses them. Returns whether the
-    /// layout was recorded (false: a writer invalidated the object since
-    /// [`SegmentCache::begin_fill`] returned `epoch`).
+    /// Whether `epoch` is still the current epoch of `bucket/key` — the
+    /// check a fill begun at `epoch` would pass. The cache keeps no chunk
+    /// layouts (a reader hands one to every call that needs it, see the
+    /// module docs), so `chunks` is not kept; the name stays for callers
+    /// that recorded the layout of a read they were about to make.
     pub fn record_layout(
         &self,
         bucket: &str,
         key: &str,
         epoch: u64,
-        chunks: Vec<(u64, u64)>,
+        _chunks: Vec<(u64, u64)>,
     ) -> bool {
-        self.apply_one(Access::Layout {
-            bucket: bucket.to_string(),
-            key: key.to_string(),
-            epoch,
-            chunks,
-        })
+        self.inner.state.lock().epoch(bucket, key) == epoch
     }
 
     fn apply_one(&self, access: Access) -> bool {
@@ -1052,32 +1016,24 @@ impl SegmentCache {
         inner.apply(&mut inner.state.lock(), access)
     }
 
-    /// The recorded chunk layout of `bucket/key`, if a cold read has
-    /// learned it (and no writer has invalidated it since).
-    pub fn layout(&self, bucket: &str, key: &str) -> Option<Arc<[(u64, u64)]>> {
-        let st = self.inner.state.lock();
-        st.layouts.get(&object_hash(bucket, key)).cloned()
-    }
-
     /// What a partial-hit read of `bucket/key` (whose current size is
-    /// `object_len`) would serve from each tier right now, and what the
-    /// gaps would bill. Non-perturbing, like [`SegmentCache::peek`].
-    pub fn occupancy(&self, bucket: &str, key: &str, object_len: u64) -> ObjectOccupancy {
+    /// `object_len`) along the chunk layout `layout_of(object_len)`
+    /// ([`normalize_chunk_layout`]d) would serve from each tier right now,
+    /// and what the gaps would bill. Non-perturbing, like
+    /// [`SegmentCache::peek`].
+    pub fn occupancy(
+        &self,
+        bucket: &str,
+        key: &str,
+        object_len: u64,
+        layout_of: impl FnOnce(u64) -> Vec<(u64, u64)>,
+    ) -> ObjectOccupancy {
+        let layout = normalize_chunk_layout(layout_of(object_len), object_len);
         let st = self.inner.state.lock();
-        let Some(layout) = st.layouts.get(&object_hash(bucket, key)) else {
-            return ObjectOccupancy {
-                gap_bytes: object_len,
-                gap_requests: 1,
-                ..Default::default()
-            };
-        };
-        let mut occ = ObjectOccupancy {
-            layout_known: true,
-            ..Default::default()
-        };
+        let mut occ = ObjectOccupancy::default();
         let mut in_gap = false;
         let mut skey = SegmentKey::chunk(bucket, key, FULL_OBJECT);
-        for &range in layout.iter() {
+        for &range in &layout {
             skey.range = range;
             let len = range.1 - range.0;
             let tier = st.entries.get(&skey).map(|e| e.tier);
@@ -1091,6 +1047,7 @@ impl SegmentCache {
             }
             in_gap = tier.is_none();
         }
+        occ.trailer_resident = !in_gap && !layout.is_empty();
         occ
     }
 
@@ -1109,16 +1066,15 @@ impl SegmentCache {
         })
     }
 
-    /// Drop every segment of `bucket/key` from both tiers, forget its
-    /// chunk layout, and bump its epoch, so in-flight fills of the old
-    /// bytes are discarded on arrival.
+    /// Drop every segment of `bucket/key` from both tiers and bump its
+    /// epoch, so in-flight fills of the old bytes are discarded on
+    /// arrival.
     pub fn invalidate(&self, bucket: &str, key: &str) {
         let h = object_hash(bucket, key);
         let mut guard = self.inner.state.lock();
         let st = &mut *guard;
         let epoch = st.epochs.entry(h).or_insert(0);
         *epoch += 1;
-        st.layouts.remove(&h);
         st.entries.retain(|k, e| {
             let doomed = k.bucket == bucket && k.key == key;
             if doomed {
@@ -1464,15 +1420,12 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_clears_both_tiers_and_the_layout() {
+    fn invalidation_clears_both_tiers() {
         let c = tiered(100, 1000);
         fill(&c, "a", 100);
         fill(&c, "b", 100); // a → disk
-        let e = c.begin_fill(&whole("a"));
-        assert!(c.record_layout("b", "a", e, vec![(0, 100)]));
         c.invalidate("b", "a");
         assert!(c.peek(&whole("a")).is_none());
-        assert!(c.layout("b", "a").is_none());
         assert_eq!(c.stats().disk_used_bytes, 0);
         assert_eq!(c.peek_tier(&whole("b")), Some((100, CacheTier::Mem)));
     }
@@ -1481,9 +1434,9 @@ mod tests {
     fn stale_layouts_are_not_recorded() {
         let c = tiered(100, 0);
         let e = c.begin_fill(&whole("k"));
+        assert!(c.record_layout("b", "k", e, vec![(0, 10)]));
         c.invalidate("b", "k");
         assert!(!c.record_layout("b", "k", e, vec![(0, 10)]));
-        assert!(c.layout("b", "k").is_none());
     }
 
     fn chunk_fill(c: &SegmentCache, key: &str, range: (u64, u64)) -> bool {
@@ -1496,29 +1449,47 @@ mod tests {
     #[test]
     fn occupancy_reports_per_tier_bytes_and_coalesced_gap_requests() {
         let c = tiered(200, 200);
-        // Unknown layout: the whole object is one gap.
-        let occ = c.occupancy("b", "k", 500);
-        assert_eq!((occ.gap_bytes, occ.gap_requests), (500, 1));
-        assert!(!occ.layout_known);
-        // Five 100-byte chunks; cache chunks 0 and 3.
-        let e = c.begin_fill(&whole("k"));
+        // Five 100-byte chunks, none resident: the whole object is one gap.
         let layout: Vec<(u64, u64)> = (0..5).map(|i| (i * 100, (i + 1) * 100)).collect();
-        assert!(c.record_layout("b", "k", e, layout));
+        let occ = |c: &SegmentCache| c.occupancy("b", "k", 500, |_| layout.clone());
+        assert_eq!((occ(&c).gap_bytes, occ(&c).gap_requests), (500, 1));
+        assert!(!occ(&c).trailer_resident);
+        // Cache chunks 0 and 3.
         assert!(chunk_fill(&c, "k", (0, 100)));
         assert!(chunk_fill(&c, "k", (300, 400)));
-        let occ = c.occupancy("b", "k", 500);
-        assert!(occ.layout_known);
-        assert_eq!(occ.mem_bytes, 200);
-        assert_eq!(occ.gap_bytes, 300);
+        assert_eq!(occ(&c).mem_bytes, 200);
+        assert_eq!(occ(&c).gap_bytes, 300);
         // Chunks 1+2 coalesce into one GET; chunk 4 is its own.
-        assert_eq!(occ.gap_requests, 2);
+        assert_eq!(occ(&c).gap_requests, 2);
+        assert!(!occ(&c).trailer_resident);
         // Demote chunk (0,100) by filling past the mem budget: the
         // occupancy moves between tiers but the gaps are unchanged.
         assert!(chunk_fill(&c, "k", (100, 200)));
-        let occ = c.occupancy("b", "k", 500);
-        assert_eq!(occ.mem_bytes + occ.disk_bytes, 300);
-        assert!(occ.disk_bytes > 0, "something was demoted");
-        assert_eq!((occ.gap_bytes, occ.gap_requests), (200, 2));
+        assert_eq!(occ(&c).mem_bytes + occ(&c).disk_bytes, 300);
+        assert!(occ(&c).disk_bytes > 0, "something was demoted");
+        assert_eq!((occ(&c).gap_bytes, occ(&c).gap_requests), (200, 2));
+        assert!(chunk_fill(&c, "k", (400, 500)));
+        assert!(occ(&c).trailer_resident, "the last chunk is resident");
+        // A layout that does not cover the object is one whole chunk.
+        let stale = c.occupancy("b", "k", 600, |_| layout.clone());
+        assert_eq!((stale.gap_bytes, stale.gap_requests), (600, 1));
+    }
+
+    #[test]
+    fn degenerate_layouts_collapse_to_one_whole_chunk() {
+        assert_eq!(normalize_chunk_layout(vec![], 10), vec![(0, 10)]);
+        assert_eq!(normalize_chunk_layout(vec![(0, 4)], 10), vec![(0, 10)]);
+        assert_eq!(
+            normalize_chunk_layout(vec![(0, 4), (6, 10)], 10),
+            vec![(0, 10)],
+            "a hole in the layout is not trusted"
+        );
+        assert_eq!(
+            normalize_chunk_layout(vec![(4, 10), (0, 4), (4, 4)], 10),
+            vec![(0, 4), (4, 10)],
+            "unsorted input is sorted, empty ranges dropped"
+        );
+        assert!(normalize_chunk_layout(vec![], 0).is_empty());
     }
 
     #[test]

@@ -17,13 +17,12 @@
 //! the manifest. A segment is persisted once, when it first reaches the
 //! disk tier: its `Put` stays live while a disk hit promotes it to mem
 //! and an eviction demotes it back, and a `Del` is appended only when it
-//! leaves the cache. Learned chunk layouts append `Layout` records.
-//! Appends go straight to the files (`write_all`, no user-space
+//! leaves the cache. Appends go straight to the files (`write_all`, no user-space
 //! buffer), so the same handles read them back at once, but nothing is
 //! fsynced until a **commit**: one `sync_data` on the segment log, *then*
 //! one on the manifest, covering everything appended since the last
-//! commit — at most two barriers however many segments, dels and
-//! layouts are pending. Commit points are fixed by the code: the end of
+//! commit — at most two barriers however many segments and dels are
+//! pending. Commit points are fixed by the code: the end of
 //! each cached scan ([`crate::SegmentCache::commit`]), an invalidation
 //! (its `Epoch` record is durable before the call returns), compaction,
 //! and the drop of the store (a clean shutdown loses nothing). The
@@ -35,8 +34,10 @@
 //!
 //! **Recovery** (`DiskStore::open`) replays the manifest, tolerating a
 //! torn tail (parsing stops at the first bad frame and the file is
-//! truncated there), folds records newest-wins, verifies every
-//! surviving `Put` against the segment log bytes, and deletes stray
+//! truncated there), counts a well-framed record it does not know — the
+//! `Layout` records (tag 4) of manifests written while the cache kept
+//! chunk layouts among them — as dropped, folds records newest-wins,
+//! verifies every surviving `Put` against the segment log bytes, and deletes stray
 //! files: older generations, a crashed compaction's output, and the
 //! per-shard `seg-NN-gN.dat` files of the version-1 layout (whose
 //! manifest is discarded, not migrated). The [`crate::SegmentCache`]
@@ -44,8 +45,8 @@
 //! every live `Put` — the disk tier at shutdown and the mem segments
 //! promoted from it.
 //!
-//! **Compaction.** Dead records (superseded puts, dels, stale epochs)
-//! accumulate; once they outnumber live state `COMPACT_FACTOR`-fold
+//! **Compaction.** Dead records (superseded puts, dels, stale epochs,
+//! unknown records) accumulate; once they outnumber live state `COMPACT_FACTOR`-fold
 //! (past a fixed floor), the store rewrites live bytes into the
 //! next-generation segment log and replaces the manifest via
 //! write-to-temp + atomic rename — two barriers, and itself a commit. A
@@ -84,7 +85,6 @@ const HEADER_LEN: usize = 8;
 const TAG_PUT: u8 = 1;
 const TAG_DEL: u8 = 2;
 const TAG_EPOCH: u8 = 3;
-const TAG_LAYOUT: u8 = 4;
 
 /// Compaction floor: manifests shorter than this never compact.
 const COMPACT_MIN_RECORDS: u64 = 64;
@@ -134,14 +134,9 @@ pub struct ManifestStats {
     /// `Put` records that still name resident segments: the disk tier's
     /// and those of segments promoted from it to mem.
     pub live_puts: u64,
-    /// Live `Layout` records.
-    pub live_layouts: u64,
     /// Manifest file length in bytes.
     pub manifest_bytes: u64,
 }
-
-/// A durable chunk layout: `(bucket, key, epoch, chunks)`.
-type LayoutRec = (String, String, u64, Vec<(u64, u64)>);
 
 /// One live `Put` record, as folded from the manifest.
 #[derive(Debug, Clone, Copy)]
@@ -172,10 +167,7 @@ pub(crate) struct Recovery {
     pub segments: Vec<RecoveredSegment>,
     /// Object-hash → durable epoch.
     pub epochs: HashMap<u64, u64>,
-    /// `(bucket, key, epoch, chunks)` for every layout whose epoch still
-    /// matches the durable epoch table.
-    pub layouts: Vec<LayoutRec>,
-    /// Records discarded as torn, superseded, or stale-epoch.
+    /// Records discarded as unknown, superseded, or stale-epoch.
     pub dropped: u64,
 }
 
@@ -229,8 +221,6 @@ struct DiskInner {
     live: HashMap<SegmentKey, PutRec>,
     /// Object-hash → newest durable epoch.
     epochs: HashMap<u64, u64>,
-    /// Object-hash → (bucket, key, epoch, chunks) for durable layouts.
-    layouts: HashMap<u64, LayoutRec>,
     /// Objects with any durable record since the last compaction — an
     /// invalidation only needs an `Epoch` record if the manifest could
     /// otherwise resurrect the object.
@@ -334,12 +324,6 @@ enum Record {
         key: String,
         epoch: u64,
     },
-    Layout {
-        bucket: String,
-        key: String,
-        epoch: u64,
-        chunks: Vec<(u64, u64)>,
-    },
 }
 
 fn encode_put(key: &SegmentKey, rec: &PutRec) -> Vec<u8> {
@@ -371,20 +355,6 @@ fn encode_epoch(bucket: &str, key: &str, epoch: u64) -> Vec<u8> {
     let mut p = Vec::with_capacity(16 + bucket.len() + key.len());
     p.push(TAG_EPOCH);
     put_u64(&mut p, epoch);
-    put_str(&mut p, bucket);
-    put_str(&mut p, key);
-    p
-}
-
-fn encode_layout(bucket: &str, key: &str, epoch: u64, chunks: &[(u64, u64)]) -> Vec<u8> {
-    let mut p = Vec::with_capacity(20 + 16 * chunks.len() + bucket.len() + key.len());
-    p.push(TAG_LAYOUT);
-    put_u64(&mut p, epoch);
-    put_u32(&mut p, chunks.len() as u32);
-    for &(a, b) in chunks {
-        put_u64(&mut p, a);
-        put_u64(&mut p, b);
-    }
     put_str(&mut p, bucket);
     put_str(&mut p, key);
     p
@@ -431,22 +401,6 @@ fn decode_record(payload: &[u8], order: u64) -> Option<Record> {
             let key = c.str()?;
             Some(Record::Epoch { bucket, key, epoch })
         }
-        TAG_LAYOUT => {
-            let epoch = c.u64()?;
-            let n = c.u32()? as usize;
-            let mut chunks = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                chunks.push((c.u64()?, c.u64()?));
-            }
-            let bucket = c.str()?;
-            let key = c.str()?;
-            Some(Record::Layout {
-                bucket,
-                key,
-                epoch,
-                chunks,
-            })
-        }
         _ => None,
     }
 }
@@ -480,7 +434,6 @@ impl DiskStore {
         let mut recovery = Recovery::default();
         let mut live: HashMap<SegmentKey, PutRec> = HashMap::new();
         let mut epochs: HashMap<u64, u64> = HashMap::new();
-        let mut layouts: HashMap<u64, LayoutRec> = HashMap::new();
         let mut gen = 0u32;
         let mut records = 0u64;
         let mut next_order = 0u64;
@@ -517,18 +470,10 @@ impl DiskStore {
                         let h = crate::object_hash(&bucket, &key);
                         epochs.insert(h, epoch);
                     }
-                    Some(Record::Layout {
-                        bucket,
-                        key,
-                        epoch,
-                        chunks,
-                    }) => {
-                        let h = crate::object_hash(&bucket, &key);
-                        layouts.insert(h, (bucket, key, epoch, chunks));
-                    }
                     None => {
-                        // Structurally valid frame, unknown contents:
-                        // count it dropped but keep replaying.
+                        // Structurally valid frame, unknown contents (a
+                        // `Layout` record among them): count it dropped
+                        // but keep replaying.
                         recovery.dropped += 1;
                     }
                 }
@@ -585,7 +530,6 @@ impl DiskStore {
                 && data.read_checked(rec).is_some()
         });
         recovery.dropped += before - ordered.len() as u64;
-        layouts.retain(|h, (_, _, e, _)| *e == *epochs.get(h).unwrap_or(&0));
 
         recovery.epochs = epochs.clone();
         recovery.segments = ordered
@@ -597,8 +541,6 @@ impl DiskStore {
                 crc: rec.crc,
             })
             .collect();
-        recovery.layouts = layouts.values().cloned().collect();
-        recovery.layouts.sort();
 
         // Only epochs that still guard something durable need keeping in
         // the in-memory view (the others occupy manifest records until
@@ -606,7 +548,6 @@ impl DiskStore {
         let logged: HashSet<u64> = ordered
             .iter()
             .map(|(k, _)| crate::object_hash(&k.bucket, &k.key))
-            .chain(layouts.keys().copied())
             .collect();
         epochs.retain(|h, _| logged.contains(h));
 
@@ -618,7 +559,6 @@ impl DiskStore {
                 gen,
                 live: ordered.into_iter().collect(),
                 epochs,
-                layouts,
                 logged,
                 records,
                 next_order,
@@ -662,7 +602,6 @@ impl DiskStore {
         ManifestStats {
             records: inner.records,
             live_puts: inner.live.len() as u64,
-            live_layouts: inner.layouts.len() as u64,
             manifest_bytes: inner.manifest.len,
         }
     }
@@ -755,7 +694,7 @@ impl DiskStore {
     /// manifest's whenever an invalidation found nothing durable to kill
     /// (no `Epoch` record is logged then) or a compaction collected an
     /// epoch that guarded nothing; without this record recovery would
-    /// take the newer `Put` or `Layout` for a stale one and drop it.
+    /// take the newer `Put` for a stale one and drop it.
     fn catch_up_epoch(&self, inner: &mut DiskInner, bucket: &str, key: &str, epoch: u64) -> bool {
         let h = crate::object_hash(bucket, key);
         if inner.epochs.get(&h).copied().unwrap_or(0) >= epoch {
@@ -829,8 +768,8 @@ impl DiskStore {
         }
     }
 
-    /// The object was invalidated: drop its durable segments and
-    /// layouts, and log the new epoch (only when the manifest holds
+    /// The object was invalidated: drop its durable segments and log the
+    /// new epoch (only when the manifest holds
     /// records the bump must kill — otherwise there is nothing a
     /// recovery could resurrect). Synchronous: the `Epoch` record, and
     /// with it everything pending, is committed before this returns.
@@ -844,32 +783,13 @@ impl DiskStore {
             inner
                 .live
                 .retain(|k, _| !(k.bucket == bucket && k.key == key));
-            inner.layouts.remove(&h);
             self.commit_locked(&mut inner);
             self.maybe_compact(&mut inner);
         }
     }
 
-    /// Persist a learned chunk layout so a restart keeps partial-hit
-    /// scans chunk-granular instead of falling back to whole-object
-    /// reloads.
-    pub(crate) fn log_layout(&self, bucket: &str, key: &str, epoch: u64, chunks: &[(u64, u64)]) {
-        let h = crate::object_hash(bucket, key);
-        let mut inner = self.inner.lock();
-        if self.catch_up_epoch(&mut inner, bucket, key, epoch)
-            && self.append_manifest(&mut inner, &encode_layout(bucket, key, epoch, chunks))
-        {
-            inner.logged.insert(h);
-            inner.layouts.insert(
-                h,
-                (bucket.to_string(), key.to_string(), epoch, chunks.to_vec()),
-            );
-            self.maybe_compact(&mut inner);
-        }
-    }
-
     fn maybe_compact(&self, inner: &mut DiskInner) {
-        let live = inner.live.len() as u64 + inner.layouts.len() as u64 + inner.epochs.len() as u64;
+        let live = inner.live.len() as u64 + inner.epochs.len() as u64;
         if inner.records > COMPACT_MIN_RECORDS
             && inner.records > COMPACT_FACTOR * live.max(1)
             && !inner.crashed
@@ -903,17 +823,14 @@ impl DiskStore {
             }
         });
         // Rebuild the manifest: epoch records first (so replay filters
-        // puts and layouts against them regardless of order), then live
-        // layouts, then live puts in replay order. The bucket/key for an
-        // epoch record comes from whichever live record still names the
-        // object; epochs guarding nothing durable are garbage-collected.
-        let mut names: HashMap<u64, (&str, &str)> = live
+        // puts against them regardless of order), then live puts in
+        // replay order. The bucket/key for an epoch record comes from
+        // whichever live put still names the object; epochs guarding
+        // nothing durable are garbage-collected.
+        let names: HashMap<u64, (&str, &str)> = live
             .iter()
             .map(|(k, _)| (crate::object_hash(&k.bucket, &k.key), (&*k.bucket, &*k.key)))
             .collect();
-        for (h, (b, k, _, _)) in inner.layouts.iter() {
-            names.entry(*h).or_insert((b, k));
-        }
         let mut epochs: Vec<(u64, u64)> = inner
             .epochs
             .iter()
@@ -921,8 +838,6 @@ impl DiskStore {
             .map(|(h, e)| (*h, *e))
             .collect();
         epochs.sort_unstable();
-        let mut layouts: Vec<(&u64, &LayoutRec)> = inner.layouts.iter().collect();
-        layouts.sort_by_key(|(h, _)| **h);
         let mut buf: Vec<u8> = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&VERSION.to_le_bytes());
@@ -930,13 +845,10 @@ impl DiskStore {
             let (b, k) = names[h];
             buf.extend_from_slice(&frame(&encode_epoch(b, k, *e)));
         }
-        for (_, (b, k, epoch, chunks)) in &layouts {
-            buf.extend_from_slice(&frame(&encode_layout(b, k, *epoch, chunks)));
-        }
         for (key, rec) in live.iter() {
             buf.extend_from_slice(&frame(&encode_put(key, rec)));
         }
-        let records = (epochs.len() + layouts.len() + live.len()) as u64;
+        let records = (epochs.len() + live.len()) as u64;
         let logged: HashSet<u64> = names.into_keys().collect();
         let (tmp, mpath) = (self.dir.join("MANIFEST.tmp"), self.dir.join("MANIFEST"));
         let mut manifest = Log::open(&tmp, true)?;
@@ -1051,16 +963,11 @@ mod tests {
             let (store, _) = DiskStore::open(tmp.path(), None).unwrap();
             store.bump_epoch("b", "a", 1); // nothing logged: a no-op
             assert!(store.put(&k("a"), &bytes(10, 9), 1));
-            store.log_layout("b", "c", 2, &[(0, 10)]);
         }
         let (store, rec) = DiskStore::open(tmp.path(), None).unwrap();
         assert_eq!(rec.segments.len(), 1);
         assert_eq!(rec.segments[0].epoch, 1);
         assert_eq!(store.read(&k("a")).unwrap(), bytes(10, 9));
-        assert_eq!(
-            rec.layouts,
-            vec![("b".into(), "c".into(), 2, vec![(0, 10)])]
-        );
     }
 
     #[test]
@@ -1108,22 +1015,39 @@ mod tests {
         assert!(store.read(&k("a")).is_none());
     }
 
+    /// A manifest written while the cache kept chunk layouts holds
+    /// `Layout` records (tag 4): `[tag][epoch][count][(first, last)…]
+    /// [bucket][key]`. Replay counts one dropped and recovers the puts
+    /// around it; the next compaction leaves it out.
     #[test]
-    fn layouts_and_epochs_survive_restart() {
+    fn layout_records_of_an_older_manifest_are_dropped_then_compacted_away() {
         let tmp = TempDir::new("store-layout");
         {
             let (store, _) = DiskStore::open(tmp.path(), None).unwrap();
-            store.log_layout("b", "a", 0, &[(0, 100), (100, 200)]);
             assert!(store.put(&k("a"), &bytes(10, 1), 0));
-            store.log_layout("b", "x", 2, &[(0, 50)]);
-            store.bump_epoch("b", "x", 3); // layout now stale
+            let mut layout = vec![4u8];
+            put_u64(&mut layout, 0);
+            put_u32(&mut layout, 2);
+            for bound in [0, 4, 4, 10] {
+                put_u64(&mut layout, bound);
+            }
+            put_str(&mut layout, "b");
+            put_str(&mut layout, "a");
+            assert!(store.append_manifest(&mut store.inner.lock(), &layout));
+            assert!(store.put(&k("c"), &bytes(20, 2), 0));
         }
-        let (_, rec) = DiskStore::open(tmp.path(), None).unwrap();
-        assert_eq!(rec.layouts.len(), 1);
-        assert_eq!(rec.layouts[0].0, "b");
-        assert_eq!(rec.layouts[0].1, "a");
-        assert_eq!(rec.layouts[0].3, vec![(0, 100), (100, 200)]);
-        assert_eq!(*rec.epochs.get(&crate::object_hash("b", "x")).unwrap(), 3);
+        let (store, rec) = DiskStore::open(tmp.path(), None).unwrap();
+        assert_eq!(names(&rec).len(), 2, "both puts recover");
+        assert_eq!(rec.dropped, 1, "the layout record");
+        assert_eq!(store.manifest_stats().records, 3);
+        store.compact_locked(&mut store.inner.lock()).unwrap();
+        let stats = store.manifest_stats();
+        assert_eq!((stats.records, stats.live_puts), (2, 2));
+        drop(store);
+        let (store, rec) = DiskStore::open(tmp.path(), None).unwrap();
+        assert_eq!((names(&rec).len(), rec.dropped), (2, 0));
+        assert_eq!(store.read(&k("a")).unwrap(), bytes(10, 1));
+        assert_eq!(store.read(&k("c")).unwrap(), bytes(20, 2));
     }
 
     fn names(rec: &Recovery) -> Vec<String> {
@@ -1145,7 +1069,6 @@ mod tests {
         }
         store.del(&k("o1"));
         store.del(&k("o4"));
-        store.log_layout("b", "o0", 0, &[(0, 25), (25, 50)]);
         let (appended, fsyncs) = store.persist_counters();
         assert!(appended > 6 * 50);
         assert_eq!(fsyncs, 0, "write-behind: appends issue no barrier");

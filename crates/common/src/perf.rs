@@ -97,9 +97,8 @@ pub struct PerfParams {
     pub disk_write_bw: f64,
     /// Seconds one fsync barrier costs. The durability protocol issues
     /// at most two per commit (the segment log, then the manifest whose
-    /// records reference it), however many segments, evictions and
-    /// layouts the commit covers; a cached scan commits once, at its
-    /// end. 500 µs is a mid-range SSD flush; NVMe with a
+    /// records reference it), however many segments and evictions the
+    /// commit covers; a cached scan commits once, at its end. 500 µs is a mid-range SSD flush; NVMe with a
     /// capacitor-backed cache would be ~10×, disks ~20× the other way.
     pub fsync_latency: f64,
     /// Node-to-node bandwidth inside the cluster, bytes/s (each node's

@@ -106,20 +106,23 @@ pub struct TableStats {
 }
 
 /// What a ColumnarLite table's objects hold, by cache segment
-/// ([`ColumnarReader::chunk_extents`]), summed over the objects: per
-/// column the bytes of the segments holding its chunks, and the footers'.
-/// A warm cached scan reads the footers and the chunks of the columns it
+/// ([`ColumnarReader::chunk_extents`]): each object's extents, as the
+/// load-time encode wrote them, and summed over the objects, per column
+/// the bytes of the segments holding its chunks, and the footers'. A warm
+/// cached scan reads the footers and the chunks of the columns it
 /// decodes, which is how the estimator prices it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SegmentBytes {
     /// Per column, in schema order.
     columns: Vec<u64>,
     footers: u64,
+    /// Per partition key, its chunk extents ([`Table::cache_layout`]).
+    extents: HashMap<String, Vec<(u64, u64)>>,
 }
 
 impl SegmentBytes {
-    /// Add one object's segments.
-    fn add(&mut self, reader: &ColumnarReader) {
+    /// Add the segments of the object at `key`.
+    fn add(&mut self, key: &str, reader: &ColumnarReader) {
         let bytes = |cols: &[usize]| {
             reader
                 .extents_of(cols)
@@ -133,6 +136,7 @@ impl SegmentBytes {
         for (c, total) in self.columns.iter_mut().enumerate() {
             *total += bytes(&[c]) - footer;
         }
+        self.extents.insert(key.to_string(), reader.chunk_extents());
     }
 
     /// The bytes a scan decoding the columns `cols` reads: the footers
@@ -536,6 +540,32 @@ impl Table {
         Some(seen)
     }
 
+    /// The chunk layout a cached read of partition `key`, `object_len`
+    /// bytes long, caches along: a ColumnarLite partition's column-chunk
+    /// extents as the loader wrote them (the footer a segment of its own,
+    /// [`SegmentBytes`]), a CSV partition's fixed blocks of `chunk_bytes`
+    /// ([`crate::context::QueryContext::cache_chunk_bytes`]). A
+    /// ColumnarLite partition the statistics have no extents for is one
+    /// whole-object chunk. Extents of an object rewritten since load are
+    /// the reader's to distrust: the store's read and the cache's
+    /// occupancy hold every layout to the object's current length
+    /// ([`pushdown_cache::normalize_chunk_layout`]), and a read of named
+    /// segments to the footer it finds.
+    pub fn cache_layout(&self, key: &str, object_len: u64, chunk_bytes: u64) -> Vec<(u64, u64)> {
+        match self.format {
+            InputFormat::Columnar => (self.stats.as_deref())
+                .and_then(|s| s.segments.as_ref()?.extents.get(key).cloned())
+                .unwrap_or_else(|| vec![(0, object_len)]),
+            InputFormat::Csv => {
+                let step = chunk_bytes.max(1);
+                (0..object_len)
+                    .step_by(step as usize)
+                    .map(|first| (first, (first + step).min(object_len)))
+                    .collect()
+            }
+        }
+    }
+
     /// Replace the attached statistics.
     pub fn with_stats(mut self, stats: TableStats) -> Table {
         self.stats = Some(Arc::new(stats));
@@ -632,8 +662,9 @@ pub fn upload_columnar_table(
         let mut put = |p: usize, chunk: &[Row]| {
             let bytes = Bytes::from(encode_columnar(schema, chunk, options));
             let reader = ColumnarReader::open(bytes.clone()).expect("a file just encoded opens");
-            segments.add(&reader);
-            store.put_object(bucket, &partition_key(name, p, "clt"), bytes);
+            let key = partition_key(name, p, "clt");
+            segments.add(&key, &reader);
+            store.put_object(bucket, &key, bytes);
         };
         for (p, chunk) in rows.chunks(per).enumerate() {
             put(p, chunk);

@@ -54,20 +54,13 @@ pub struct QueryContext {
     /// candidates read through cache-source scan leaves whatever it
     /// says); forced-cached runs flip it per statement.
     pub cache_reads: bool,
-    /// Segment size for caching CSV partitions: cached scans split CSV
-    /// bytes into fixed blocks of this many bytes, each its own
-    /// [`pushdown_cache::SegmentKey`] (ColumnarLite partitions split at
-    /// column-chunk extents instead and ignore this knob). Smaller blocks
-    /// mean finer partial hits at more segments; 64 KiB by default.
+    /// Segment size for caching CSV partitions: a CSV partition's chunk
+    /// layout ([`crate::catalog::Table::cache_layout`]) is fixed blocks
+    /// of this many bytes, each its own [`pushdown_cache::SegmentKey`]
+    /// (ColumnarLite partitions split at the column-chunk extents the
+    /// loader wrote instead and ignore this knob). Smaller blocks mean
+    /// finer partial hits at more segments; 64 KiB by default.
     pub cache_chunk_bytes: u64,
-    /// Evaluate local scans on typed column vectors (selection-vector
-    /// kernels, rows materialized late): ColumnarLite chunks are read into
-    /// them and the referenced fields of a CSV partition are typed into
-    /// them. On by default; results, metrics and billing are
-    /// bit-identical to the row path — the flag exists for differential
-    /// testing and as an escape hatch ([`QueryContext::with_columnar`]).
-    /// A CSV scan that wants whole rows decodes rows whatever the flag.
-    pub columnar_exec: bool,
     /// The cluster this context executes on, if any
     /// ([`QueryContext::with_nodes`]). `None` — the default — is the
     /// plain single-node engine; a 1-node cluster behaves identically
@@ -103,7 +96,6 @@ impl QueryContext {
             retry: RetryPolicy::default(),
             cache_reads: false,
             cache_chunk_bytes: 64 * 1024,
-            columnar_exec: true,
             cluster: None,
             cluster_base: None,
             deferred: None,
@@ -342,12 +334,11 @@ impl QueryContext {
         self
     }
 
-    /// Enable or disable the vectorized columnar execution path of local
-    /// scans (see [`QueryContext::columnar_exec`]). Useful
-    /// for differential testing: the two paths must produce identical
-    /// rows, metrics and bills.
-    pub fn with_columnar(mut self, columnar_exec: bool) -> Self {
-        self.columnar_exec = columnar_exec;
+    /// A no-op, whatever it is passed: local scans always evaluate on
+    /// typed column vectors (a ColumnarLite partition is read into them,
+    /// a projecting CSV fragment types its fields into them). Kept so
+    /// that callers which set it, the benchmark among them, still build.
+    pub fn with_columnar(self, _columnar: bool) -> Self {
         self
     }
 }

@@ -211,14 +211,15 @@ impl<'a> Estimator<'a> {
     /// `cache_read_bw` local scan (`cache_bytes`; zero billable),
     /// disk-resident chunks a slower `disk_read_bw` scan (`disk_bytes`;
     /// zero billable), and only the gaps bill, as one coalesced range GET
-    /// per gap run. A partition whose layout is known reads `reads`' share
-    /// of that occupancy: a ColumnarLite leaf the footer and the chunks of
-    /// the columns it decodes, in at most one gap GET
-    /// ([`CachedReads`]). A fully cold partition (no recorded layout) is
-    /// one whole-object fill — exactly the [`Estimator::plain_load`]
-    /// price, so Adaptive's tie-break still warms the cache — and so is
-    /// every partition when the store has no cache installed (a cached
-    /// read then *is* a plain load). A partition in the estimator's
+    /// per gap run, along the layout the catalog gives each partition
+    /// ([`Table::cache_layout`]). A partition whose footer is resident
+    /// reads `reads`' share of that occupancy: a ColumnarLite leaf the
+    /// footer and the chunks of the columns it decodes, in at most one gap
+    /// GET ([`CachedReads`]). A fully cold partition is one gap the size
+    /// of the object — exactly the [`Estimator::plain_load`] price, so
+    /// Adaptive's tie-break still warms the cache — and so is every
+    /// partition when the store has no cache installed (a cached read then
+    /// *is* a plain load). A partition in the estimator's
     /// snapshot whose object has vanished is an error — pricing it as
     /// zero bytes would make the cached plan look arbitrarily cheap.
     fn cached_load(&self, extra_cpu: f64, mut reads: CachedReads) -> Result<PhaseStats> {
@@ -240,7 +241,7 @@ impl<'a> Estimator<'a> {
 
     /// How a cached read of this table by a leaf decoding the columns
     /// `predicate` and `projection` reference (every column for `*`)
-    /// reads a partition whose layout is known: the share of its bytes
+    /// reads a partition whose footer is resident: the share of its bytes
     /// the footers and those columns' chunks make up, from the load-time
     /// segment statistics ([`crate::catalog::SegmentBytes`]) — or, for a
     /// table without them, every chunk.
@@ -284,16 +285,25 @@ impl<'a> Estimator<'a> {
         mem_left: &mut u64,
     ) -> ObjectOccupancy {
         if !self.resident {
-            return cache.occupancy(&self.table.bucket, key, size);
+            return self.live_occupancy(cache, key, size);
         }
         let mem_bytes = size.min(*mem_left);
         *mem_left -= mem_bytes;
         ObjectOccupancy {
             mem_bytes,
             disk_bytes: size - mem_bytes,
-            layout_known: true,
+            trailer_resident: true,
             ..Default::default()
         }
+    }
+
+    /// What `cache` holds of partition `key` (`size` bytes) right now,
+    /// along the layout the scan reads it by.
+    fn live_occupancy(&self, cache: &SegmentCache, key: &str, size: u64) -> ObjectOccupancy {
+        let chunk_bytes = self.ctx.cache_chunk_bytes;
+        cache.occupancy(&self.table.bucket, key, size, |len| {
+            self.table.cache_layout(key, len, chunk_bytes)
+        })
     }
 
     /// Every partition as the segment cache sees it ([`Slot`]).
@@ -393,8 +403,8 @@ impl<'a> Estimator<'a> {
                 if let Some(reads) = &mut cached {
                     // Chunks resident in the owning node's slice are free
                     // local reads (per tier); only the gaps bill, as range
-                    // GETs. A fully cold partition prices as one
-                    // whole-object fill.
+                    // GETs. A fully cold partition prices as one GET of
+                    // all of it.
                     let before = *reads;
                     let slice = &cluster.node(k).cache;
                     let mut mem_left = slice.as_ref().map_or(0, |c| c.config().mem_bytes);
@@ -456,11 +466,11 @@ struct Slot<'e> {
 }
 
 /// What cached reads of some partitions come to, summed as they are
-/// priced. A partition whose layout the cache knows is read at `share` of
+/// priced. A partition whose footer is resident is read at `share` of
 /// its occupancy per tier, its gap in one range GET — a ColumnarLite
-/// leaf's footer and chunks ([`Estimator::cached_reads`]) — or, with no
-/// share, whole, one GET per gap run; a cold partition is one
-/// whole-object fill.
+/// leaf's footer and chunks ([`Estimator::cached_reads`]); any other, or
+/// any with no share, is read whole, one GET per gap run (a cold
+/// partition: one GET of all of it).
 #[derive(Debug, Clone, Copy, Default)]
 struct CachedReads {
     share: Option<f64>,
@@ -474,7 +484,7 @@ impl CachedReads {
     /// Add the read of a partition that finds `occ`.
     fn add(&mut self, occ: &ObjectOccupancy) {
         let (share, requests) = match self.share {
-            Some(share) if occ.layout_known => (share, occ.gap_requests.min(1)),
+            Some(share) if occ.trailer_resident => (share, occ.gap_requests.min(1)),
             _ => (1.0, occ.gap_requests),
         };
         self.requests += requests;
@@ -565,15 +575,15 @@ impl<'a> Estimators<'a> {
     ///
     /// A partition in the snapshot has vanished.
     pub(crate) fn credit(&self, table: &Table) -> Result<f64> {
-        let bucket = &table.bucket;
+        let est = self.of(table);
         let mut rent = 0.0;
         for Slot {
             key, size, cache, ..
-        } in self.of(table).slots()?
+        } in est.slots()?
         {
             let Some(cache) = cache else { continue };
-            if cache.occupancy(bucket, key, size).gap_bytes > 0 {
-                rent += cache.rent(bucket, key);
+            if est.live_occupancy(&cache, key, size).gap_bytes > 0 {
+                rent += cache.rent(&table.bucket, key);
             }
         }
         Ok(rent)

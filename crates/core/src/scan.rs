@@ -438,19 +438,21 @@ pub enum ScanSource {
     /// [`ScanSource::Cached`] where it would write this.)
     Plain,
     /// Read every partition **through** the store's tiered segment cache
-    /// at chunk granularity. Resident chunks are served locally (nothing
-    /// billed, the virtual clock advances at each tier's read bandwidth);
-    /// only the gaps are fetched, adjacent gaps coalesced into single
-    /// range GETs under the uniform [`pushdown_common::RetryPolicy`],
+    /// at chunk granularity, along the layout the catalog gives it
+    /// ([`Table::cache_layout`]). Resident chunks are served locally
+    /// (nothing billed, the virtual clock advances at each tier's read
+    /// bandwidth); only the gaps are fetched, adjacent gaps coalesced into
+    /// single range GETs under the uniform [`pushdown_common::RetryPolicy`],
     /// billed exactly once (every attempt a request, the bytes once) like
-    /// any plain GET. A ColumnarLite partition whose footer segment is
-    /// resident reads only the footer and the chunks of the columns the
-    /// fragment decodes, what it misses of them in one range GET; a cold
-    /// one is fetched whole, filling every chunk. The workers only read the cache
+    /// any plain GET — a cold partition is one range GET of all of it,
+    /// filling every chunk. A ColumnarLite partition whose footer segment
+    /// is resident reads only the footer and the chunks of the columns
+    /// the fragment decodes, what it misses of them in one range GET. The
+    /// workers only read the cache
     /// ([`pushdown_s3::S3Store::read_object_chunked_cached_with`]): what
-    /// each partition did to it — hits, promotions, fills, the evictions
-    /// they force, learned layouts — is applied once the last partition
-    /// is read, partition by partition in index order, so cache state
+    /// each partition did to it — hits, misses, promotions, fills, the
+    /// evictions they force — is applied once the last partition is read,
+    /// partition by partition in index order, so cache state
     /// never depends on which worker finished first; then a persistent
     /// disk tier is committed once ([`pushdown_s3::S3Store::commit_cache`]).
     /// Under a pipelined hash join the join applies them instead, once
@@ -464,16 +466,16 @@ pub enum ScanSource {
     Select(Option<ScanLimit>),
 }
 
-/// Decode one partition's bytes incrementally — CSV a batch of records
-/// at a time, ColumnarLite row group by row group, only the columns
-/// `fragment` needs — and evaluate `fragment` on them in the calling
-/// thread, pushing survivors to `emit` in batches of at most
-/// `ctx.batch_rows`. The bytes come as `(offset, bytes)` runs: a CSV
-/// partition whole, one run from offset 0; a ColumnarLite one whole, or
-/// its footer and the chunks `fragment` decodes
-/// ([`ColumnarReader::open_parts`]).
-/// Returns the number of rows decoded and the CPU units the fragment's
-/// predicate and reducer charged.
+/// Decode one partition's bytes incrementally into typed column vectors
+/// — CSV a batch of records at a time, ColumnarLite row group by row
+/// group, only the columns `fragment` needs — and evaluate `fragment` on
+/// them in the calling thread, pushing survivors to `emit` in batches of
+/// at most `ctx.batch_rows`. (A CSV fragment that wants whole rows is
+/// handed the decoded rows instead.) The bytes come as `(offset, bytes)`
+/// runs: a CSV partition whole, one run from offset 0; a ColumnarLite one
+/// whole, or its footer and the chunks `fragment` decodes
+/// ([`ColumnarReader::open_parts`]). Returns the number of rows decoded
+/// and the CPU units the fragment's predicate and reducer charged.
 fn decode_partition(
     parts: Vec<(u64, bytes::Bytes)>,
     table: &Table,
@@ -490,7 +492,7 @@ fn decode_partition(
             };
             let mut reader =
                 CsvReader::with_header(data, table.schema.clone()).project(fragment.needed());
-            if ctx.columnar_exec && fragment.projects() {
+            if fragment.projects() {
                 // The referenced fields go straight into typed column
                 // vectors, the evaluator ColumnarLite row groups get.
                 while let Some(batch) = reader.read_columns(ctx.batch_rows) {
@@ -509,51 +511,23 @@ fn decode_partition(
         InputFormat::Columnar => {
             let reader = ColumnarReader::open_parts(parts)?;
             for g in 0..reader.num_row_groups() {
-                if ctx.columnar_exec {
-                    // Straight into typed column vectors; rows are
-                    // materialized for survivors only.
-                    let group = reader.read_group_batch_projected(g, fragment.needed())?;
-                    decoded += group.len() as u64;
-                    out.offer_columnar(&group)?;
-                } else {
-                    for row in reader.read_rows_projected(g, fragment.needed())? {
-                        decoded += 1;
-                        out.offer(row)?;
-                    }
-                }
+                // Rows are materialized for survivors only.
+                let group = reader.read_group_batch_projected(g, fragment.needed())?;
+                decoded += group.len() as u64;
+                out.offer_columnar(&group)?;
             }
         }
     }
     Ok((decoded, out.finish()?))
 }
 
-/// Chunk layout used to cache one partition's bytes: ColumnarLite files
-/// split at column-chunk extents, the footer a segment of its own
-/// ([`ColumnarReader::chunk_extents`]); everything else splits into fixed
-/// blocks of [`QueryContext::cache_chunk_bytes`]. An unreadable
-/// ColumnarLite file caches as one whole-object chunk — the coarse path,
-/// never a wrong layout.
-fn chunk_layout(table: &Table, chunk_bytes: u64, data: &bytes::Bytes) -> Vec<(u64, u64)> {
-    let len = data.len() as u64;
-    match table.format {
-        InputFormat::Columnar => ColumnarReader::open(data.clone())
-            .map(|r| r.chunk_extents())
-            .unwrap_or_else(|_| vec![(0, len)]),
-        InputFormat::Csv => {
-            let step = chunk_bytes.max(1);
-            (0..len)
-                .step_by(step as usize)
-                .map(|first| (first, (first + step).min(len)))
-                .collect()
-        }
-    }
-}
-
 /// The segments a warm cached read of a ColumnarLite partition needs, as
 /// its footer segment (at offset `at`) names them: the footer and the
 /// chunks of the columns `fragment` decodes
-/// ([`ColumnarReader::extents_of`]). `None` — every segment — for CSV,
-/// whose decoder wants every block, and for a footer that does not parse.
+/// ([`ColumnarReader::extents_of`]) — which the store then checks against
+/// the layout it read along. `None` — every segment — for CSV, whose
+/// decoder wants every block, and for a footer that does not parse (the
+/// layout's last chunk is not this object's footer).
 fn wanted_chunks(
     table: &Table,
     fragment: &ScanFragment,
@@ -643,7 +617,7 @@ pub fn scan(
                     &table.bucket,
                     part.key,
                     &ctx.retry,
-                    |data| chunk_layout(table, ctx.cache_chunk_bytes, data),
+                    |len| table.cache_layout(part.key, len, ctx.cache_chunk_bytes),
                     |at, footer| wanted_chunks(table, fragment, at, footer),
                 )?;
                 logs[part.index].set(log).expect("a partition is read once");
@@ -673,8 +647,8 @@ pub fn scan(
             // ColumnarLite bytes ingest at their own parse rate
             // ([`pushdown_common::perf::PerfParams::parse_cl_bw`]): every
             // byte the read handed the decoder — the whole object from a
-            // GET, the footer and the chunks the fragment decodes from a
-            // warm cache — which is also what moved.
+            // GET or a cold cache, the footer and the chunks the fragment
+            // decodes from a warm one — which is also what moved.
             if table.format == InputFormat::Columnar {
                 stats.cl_parse_bytes = parts.iter().map(|(_, b)| b.len() as u64).sum();
             }

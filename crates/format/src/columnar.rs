@@ -877,18 +877,11 @@ impl ColumnarReader {
         Ok(ColumnarBatch::new(self.schema.project(cols), columns, n))
     }
 
-    /// Decode selected columns of one row group into rows (projected
-    /// schema order = `cols` order).
-    pub fn read_rows_projected(&self, g: usize, cols: &[usize]) -> Result<Vec<Row>> {
-        Ok(self.read_group_batch_projected(g, cols)?.to_rows())
-    }
-
-    /// Decode all columns of all groups (testing convenience).
+    /// Decode all columns of all groups into rows (testing convenience).
     pub fn read_all(&self) -> Result<Vec<Row>> {
-        let all: Vec<usize> = (0..self.schema.len()).collect();
         let mut rows = Vec::new();
         for g in 0..self.groups.len() {
-            rows.extend(self.read_rows_projected(g, &all)?);
+            rows.extend(self.read_group_batch(g)?.to_rows());
         }
         Ok(rows)
     }
@@ -1117,10 +1110,13 @@ mod tests {
         };
         let bytes = encode_columnar(&schema(), &rows, opts);
         let r = ColumnarReader::open(Bytes::from(bytes)).unwrap();
-        for g in 0..r.num_row_groups() {
-            let cols = [3usize, 1];
+        let cols = [3usize, 1];
+        for (g, group) in rows.chunks(50).enumerate() {
             let batch = r.read_group_batch_projected(g, &cols).unwrap();
-            assert_eq!(batch.to_rows(), r.read_rows_projected(g, &cols).unwrap());
+            let projected: Vec<Row> = (group.iter())
+                .map(|row| Row::new(cols.iter().map(|&c| row[c].clone()).collect()))
+                .collect();
+            assert_eq!(batch.to_rows(), projected);
         }
     }
 
@@ -1159,7 +1155,7 @@ mod tests {
         let col = r.read_column(0, 2).unwrap();
         assert_eq!(col.len(), 50);
         assert_eq!(col[4], Value::Float(-8.0));
-        let proj = r.read_rows_projected(0, &[2, 0]).unwrap();
+        let proj = r.read_group_batch_projected(0, &[2, 0]).unwrap().to_rows();
         assert_eq!(proj[4], Row::new(vec![Value::Float(-8.0), Value::Int(4)]));
     }
 

@@ -50,7 +50,9 @@
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use pushdown_cache::{Access, CacheTier, SegmentCache, SegmentKey, WeakSegmentCache};
+use pushdown_cache::{
+    normalize_chunk_layout, Access, CacheTier, SegmentCache, SegmentKey, WeakSegmentCache,
+};
 use pushdown_common::mix::{fnv1a, splitmix64};
 use pushdown_common::perf::PerfParams;
 use pushdown_common::{CostLedger, Error, Result, RetryPolicy};
@@ -164,26 +166,6 @@ pub struct ChunkedFetch {
     pub gap_gets: u32,
     /// Whether the object was served entirely from the cache.
     pub hit: bool,
-}
-
-/// Sanity-check a caller-derived chunk layout: sorted, non-empty ranges
-/// covering `[0, len)` contiguously. Anything else collapses to one
-/// whole-object chunk, so a buggy layout degrades to the coarse path
-/// rather than a torn read.
-fn normalize_chunk_layout(mut chunks: Vec<(u64, u64)>, len: u64) -> Vec<(u64, u64)> {
-    if len == 0 {
-        return Vec::new();
-    }
-    chunks.retain(|&(first, last)| last > first);
-    chunks.sort_unstable();
-    let contiguous = chunks.first().is_some_and(|c| c.0 == 0)
-        && chunks.last().is_some_and(|c| c.1 == len)
-        && chunks.windows(2).all(|w| w[0].1 == w[1].0);
-    if contiguous {
-        chunks
-    } else {
-        vec![(0, len)]
-    }
 }
 
 /// A shareable virtual-clock handle: simulated seconds accumulated by
@@ -706,19 +688,20 @@ impl S3Store {
     /// Chunk-granular read **through the two-tier segment cache** under
     /// the uniform retry policy: [`S3Store::read_object_chunked_cached_with`]
     /// and the immediate [`SegmentCache::apply`] of the access log it
-    /// kept, so the read's hits, fills and learned layout take effect
-    /// before this returns.
+    /// kept, so the read's hits and fills take effect before this
+    /// returns.
     ///
     /// The engine never calls this: a scan reads through the read half and
     /// applies its partitions' logs at its commit point. It stays as a
     /// shim for callers outside the engine, the frozen benchmark among
     /// them, and the store's tests hold it equal to the read half plus one
-    /// apply.
+    /// apply. Its `layout_of` derives the layout from the object's bytes,
+    /// so it is handed the current bytes through the store's unmetered
+    /// lookup — the only reason that lookup is here.
     ///
     /// What a persistent disk tier appends along the way (fills,
-    /// demotions, promotions, the learned layout) is write-behind: it
-    /// becomes durable, and is charged to a virtual clock, at
-    /// [`S3Store::commit_cache`].
+    /// demotions, promotions) is write-behind: it becomes durable, and is
+    /// charged to a virtual clock, at [`S3Store::commit_cache`].
     pub fn get_object_chunked_cached_with(
         &self,
         bucket: &str,
@@ -726,53 +709,60 @@ impl S3Store {
         policy: &RetryPolicy,
         layout_of: impl Fn(&Bytes) -> Vec<(u64, u64)>,
     ) -> Result<ChunkedFetch> {
-        let (fetched, log) =
-            self.read_object_chunked_cached_with(bucket, key, policy, layout_of, |_, _| None)?;
+        let current = self.lookup(bucket, key).ok();
+        let (fetched, log) = self.read_object_chunked_cached_with(
+            bucket,
+            key,
+            policy,
+            |_| current.as_ref().map(&layout_of).unwrap_or_default(),
+            |_, _| None,
+        )?;
         if let Some(cache) = self.cache() {
             cache.apply(log);
         }
         Ok(fetched)
     }
 
-    /// The partial-hit read path of the tiered caching layer, and the one
-    /// way the engine reads cached bytes. The cache is only read
+    /// The read path of the tiered caching layer, and the one way the
+    /// engine reads cached bytes. `layout_of(object length)` gives the
+    /// object's chunk layout (ColumnarLite chunk extents, fixed CSV
+    /// blocks: the store stays format-agnostic), held to the current
+    /// length by [`normalize_chunk_layout`]. The cache is only read
     /// ([`SegmentCache::read`]). What the read did to it — each chunk's
-    /// hit or miss, each fill with its epoch, the learned layout — comes
-    /// back as an ordered access log for the caller to
-    /// [`SegmentCache::apply`] when it chooses (a scan applies its
-    /// partitions' logs in partition order once every partition is read).
+    /// hit or miss, each fill with its epoch — comes back as an ordered
+    /// access log for the caller to [`SegmentCache::apply`] when it
+    /// chooses (a scan applies its partitions' logs in partition order
+    /// once every partition is read).
     ///
-    /// * **Cold** (no recorded layout) — one retried whole-object GET,
-    ///   billed exactly like [`S3Store::get_object_with`]; `layout_of`
-    ///   derives the object's chunk ranges from the fetched bytes
-    ///   (ColumnarLite chunk extents, fixed CSV blocks — the store stays
-    ///   format-agnostic), each chunk is logged as a fill of its own
-    ///   segment, and the layout as learned. The whole object comes back
-    ///   in `data`.
-    /// * **Warm, named segments** — when the layout's last segment (a
-    ///   trailer such as ColumnarLite's footer) is resident and
-    ///   `wanted_of(its offset, its bytes)` names the layout ranges the
-    ///   caller needs, only those are looked up. Resident ones are served
-    ///   from their tier; the missing ones are fetched by **one** retried
-    ///   range GET spanning them, every segment in between riding along
-    ///   and logged as a fill, so the read never makes more requests than
-    ///   the partial-hit read below. What it returned comes back, uncopied,
-    ///   in `segments`.
-    /// * **Warm / partial** — otherwise (`wanted_of` answers `None`, the
-    ///   trailer is not resident), each chunk in the recorded layout is
-    ///   looked up: mem-tier hits advance the virtual clock at
-    ///   `cache_read_bw`, disk-tier hits at `disk_read_bw` (and promote
-    ///   once applied), and **only the gaps** are fetched — adjacent
-    ///   missing chunks coalesce into one range GET, each coalesced gap
-    ///   its own retried request (every attempt billed as a request, its
-    ///   bytes once), logged as fills chunk by chunk. The chunks come back
+    /// * **Named segments** — when the layout's last segment (a trailer
+    ///   such as ColumnarLite's footer) is resident and
+    ///   `wanted_of(its offset, its bytes)` names the segments the caller
+    ///   needs, each of them a range of the layout — the check that the
+    ///   trailer and the layout describe the same object; one that is not
+    ///   makes this an every-chunk read — only those are looked up.
+    ///   Resident ones are served from their tier; the missing ones are
+    ///   fetched by **one** retried range GET spanning them, every
+    ///   segment in between riding along and logged as a fill, so the
+    ///   read never makes more requests than the every-chunk read below.
+    ///   What it returned comes back, uncopied, in `segments`.
+    /// * **Every chunk** — otherwise (`wanted_of` answers `None`, the
+    ///   trailer is not resident), each chunk of the layout is looked up:
+    ///   mem-tier hits advance the virtual clock at `cache_read_bw`,
+    ///   disk-tier hits at `disk_read_bw` (and promote once applied), and
+    ///   **only the gaps** are fetched — adjacent missing chunks coalesce
+    ///   into one range GET, each coalesced gap its own retried request
+    ///   (every attempt billed as a request, its bytes once), logged as
+    ///   fills chunk by chunk. A cold read is this read with every chunk
+    ///   missing: one range GET of the whole object, billed and clocked
+    ///   as a whole GET, filling every chunk. The chunks come back
     ///   reassembled in `data`.
     /// * **Torn read** — if a writer moved the object's epoch while the
-    ///   read was mixing cached and fetched ranges, the partial result
-    ///   is discarded and one honest whole-object retried GET (billed,
-    ///   not cached) restores snapshot consistency: callers always see
-    ///   bytes a cache-less scan could have seen, whole, in `data`. The
-    ///   fills logged before carry the old epoch, so applying them stores
+    ///   read was mixing cached and fetched ranges (or the object was
+    ///   gone when the read began), the partial result is discarded and
+    ///   one honest whole-object retried GET (billed, not cached) restores
+    ///   snapshot consistency: callers always see bytes a cache-less scan
+    ///   could have seen, whole, in `data` — or its error. The fills
+    ///   logged before carry the old epoch, so applying them stores
     ///   nothing.
     /// * **No cache installed** — plain [`S3Store::get_object_with`] and
     ///   an empty log.
@@ -781,48 +771,31 @@ impl S3Store {
         bucket: &str,
         key: &str,
         policy: &RetryPolicy,
-        layout_of: impl Fn(&Bytes) -> Vec<(u64, u64)>,
+        layout_of: impl FnOnce(u64) -> Vec<(u64, u64)>,
         wanted_of: impl Fn(u64, &Bytes) -> Option<Vec<(u64, u64)>>,
     ) -> Result<(ChunkedFetch, Vec<Access>)> {
-        let whole_get = |fetched: Retried<Bytes>| {
-            let len = fetched.value.len() as u64;
-            ChunkedFetch {
+        let Some(cache) = self.cache() else {
+            let fetched = self.get_object_with(bucket, key, policy)?;
+            let fetched = ChunkedFetch {
+                gap_bytes: fetched.value.len() as u64,
                 data: fetched.value,
                 segments: Vec::new(),
                 attempts: fetched.attempts,
                 mem_bytes: 0,
                 disk_bytes: 0,
-                gap_bytes: len,
                 gap_gets: 1,
                 hit: false,
-            }
-        };
-        let Some(cache) = self.cache() else {
-            let fetched = self.get_object_with(bucket, key, policy)?;
-            return Ok((whole_get(fetched), Vec::new()));
+            };
+            return Ok((fetched, Vec::new()));
         };
         let whole = SegmentKey::whole(bucket, key);
         let epoch = cache.begin_fill(&whole);
-        let mut log = Vec::new();
-        let Some(layout) = cache.layout(bucket, key) else {
-            // Cold read: learn the layout from one whole-object GET and
-            // fill every chunk as its own segment.
-            let fetched = whole_get(self.get_object_with(bucket, key, policy)?);
-            let data = &fetched.data;
-            let chunks = normalize_chunk_layout(layout_of(data), data.len() as u64);
-            log.extend(chunks.iter().map(|&(first, last)| Access::Fill {
-                key: SegmentKey::chunk(bucket, key, (first, last)),
-                data: data.slice(first as usize..last as usize),
-                epoch,
-            }));
-            log.push(Access::Layout {
-                bucket: bucket.to_string(),
-                key: key.to_string(),
-                epoch,
-                chunks,
-            });
-            return Ok((fetched, log));
+        let len = self.object_size(bucket, key);
+        let layout = match len {
+            Ok(len) => normalize_chunk_layout(layout_of(len), len),
+            Err(_) => Vec::new(),
         };
+        let mut log = Vec::new();
         let chunk = |i: usize| SegmentKey::chunk(bucket, key, layout[i]);
         // Named segments: the trailer is resident and names the chunks
         // the caller wants (by index into the layout, the trailer's own
@@ -889,34 +862,38 @@ impl S3Store {
         }
         self.advance_local_read(mem_bytes, disk_bytes);
         let (mut attempts, mut gap_bytes, mut gap_gets) = (0u32, 0u64, 0u32);
-        let mut torn = false;
+        let mut torn = len.is_err();
         for &(lo, hi) in &runs {
             let first = layout[lo].0;
             let last = layout[hi].1 - 1;
-            match self.get_object_range_with(bucket, key, first, last, policy) {
-                Ok(fetched) => {
-                    attempts += fetched.attempts;
+            let fetched = self.get_object_range_with(bucket, key, first, last, policy);
+            if let Ok(got) = &fetched {
+                attempts += got.attempts;
+                gap_bytes += got.value.len() as u64;
+            }
+            match fetched {
+                Ok(fetched) if fetched.value.len() as u64 == last + 1 - first => {
                     gap_gets += 1;
-                    gap_bytes += fetched.value.len() as u64;
-                    for i in lo..=hi {
-                        let (cf, cl) = layout[i];
+                    for &(cf, cl) in &layout[lo..=hi] {
                         let slice = fetched
                             .value
                             .slice((cf - first) as usize..(cl - first) as usize);
                         log.push(Access::Fill {
-                            key: chunk(i),
+                            key: SegmentKey::chunk(bucket, key, (cf, cl)),
                             data: slice,
                             epoch,
                         });
                     }
                     segments.push((first, fetched.value));
                 }
-                Err(e) => {
+                outcome => {
                     // A replaced/deleted object can shrink under the
-                    // recorded layout; only an epoch move excuses the
-                    // error (handled below as a torn read).
+                    // layout; only an epoch move excuses that (handled
+                    // below as a torn read).
                     if cache.begin_fill(&whole) == epoch {
-                        return Err(e);
+                        return Err(outcome.err().unwrap_or_else(|| {
+                            Error::InvalidRange(format!("s3://{bucket}/{key} shrank mid-read"))
+                        }));
                     }
                     torn = true;
                     break;
@@ -924,10 +901,10 @@ impl S3Store {
             }
         }
         if torn || cache.begin_fill(&whole) != epoch {
-            // A writer raced this read: the assembled mix of cached and
-            // fetched ranges may span two object versions. Discard it
-            // and reload the current version whole — billed, uncached
-            // (the next reader of the new epoch re-learns the layout).
+            // A writer raced this read (or the object was gone when it
+            // began): the assembled mix of cached and fetched ranges may
+            // span two object versions. Discard it and reload the current
+            // version whole — billed, uncached.
             let fetched = self.get_object_with(bucket, key, policy)?;
             attempts += fetched.attempts;
             gap_gets += 1;
@@ -1377,8 +1354,7 @@ mod tests {
     }
 
     /// Fixed 4-byte blocks — the chunk layout the chunked-path tests use.
-    fn blocks4(data: &Bytes) -> Vec<(u64, u64)> {
-        let len = data.len() as u64;
+    fn blocks4(len: u64) -> Vec<(u64, u64)> {
         (0..len)
             .step_by(4)
             .map(|first| (first, (first + 4).min(len)))
@@ -1400,15 +1376,30 @@ mod tests {
 
     impl Via {
         fn read(self, s: &S3Store, policy: &RetryPolicy) -> Result<ChunkedFetch> {
+            self.read_along(s, policy, blocks4, false)
+        }
+
+        /// A read along the layout `layout_of(object length)`; `writes`
+        /// says that `layout_of` writes the object, so the read half is
+        /// not alone with the cache.
+        fn read_along(
+            self,
+            s: &S3Store,
+            policy: &RetryPolicy,
+            layout_of: impl Fn(u64) -> Vec<(u64, u64)>,
+            writes: bool,
+        ) -> Result<ChunkedFetch> {
             if let Via::Shim = self {
-                return s.get_object_chunked_cached_with("tpch", "obj", policy, blocks4);
+                return s.get_object_chunked_cached_with("tpch", "obj", policy, |d| {
+                    layout_of(d.len() as u64)
+                });
             }
             let cache = s.cache();
             let state = || cache.as_ref().map(|c| (c.stats(), c.residency_digest()));
             let before = state();
             let (fetched, log) =
-                s.read_object_chunked_cached_with("tpch", "obj", policy, blocks4, |_, _| None)?;
-            assert_eq!(state(), before, "the read half changes nothing");
+                s.read_object_chunked_cached_with("tpch", "obj", policy, layout_of, |_, _| None)?;
+            assert!(writes || state() == before, "the read half changes nothing");
             if let Some(cache) = &cache {
                 cache.apply(log);
             }
@@ -1436,7 +1427,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_cold_read_learns_the_layout_and_fills_per_chunk() {
+    fn chunked_cold_read_is_one_range_get_filling_every_chunk() {
         on_both_paths(|via| {
             let s = store_with("obj", "0123456789");
             s.set_cache(Some(SegmentCache::tiered(1 << 20, 0, us_east())));
@@ -1449,11 +1440,9 @@ mod tests {
             assert_eq!(cold.gap_bytes, 10, "cold read bills the whole object");
             let u = scope.ledger().snapshot();
             assert_eq!((u.requests, u.plain_bytes), (1, 10));
-            // The layout was learned and each block is its own segment.
-            let cache = s.cache().unwrap();
-            let layout = cache.layout("tpch", "obj").unwrap();
-            assert_eq!(&layout[..], &[(0, 4), (4, 8), (8, 10)]);
-            assert_eq!(cache.stats().segments, 3);
+            // Every block missed, and each is now its own segment.
+            let stats = s.cache().unwrap().stats();
+            assert_eq!((stats.misses, stats.fills, stats.segments), (3, 3, 3));
             // Fully warm: bit-identical bytes, nothing billed.
             let warm = via.read(&scope, &policy).unwrap();
             assert!(warm.hit);
@@ -1477,10 +1466,10 @@ mod tests {
             // Overwrite: the cache must never serve the old bytes again.
             s.put_object("tpch", "obj", "new!");
             assert_eq!(cache.stats().segments, 0, "every chunk dropped");
-            assert!(cache.layout("tpch", "obj").is_none());
             let got = via.read(&s, &policy).unwrap();
             assert!(!got.hit);
             assert_eq!(&got.data[..], b"new!");
+            assert_eq!(cache.stats().segments, 1, "laid out by its own length");
             // Delete invalidates too.
             s.delete_object("tpch", "obj");
             assert_eq!(cache.stats().segments, 0);
@@ -1494,13 +1483,11 @@ mod tests {
         on_both_paths(|via| {
             let s = store_with("obj", "0123456789");
             let policy = RetryPolicy::default();
-            // Partial state built directly: layout on file, chunk (8,10)
-            // resident, the two adjacent chunks (0,4) and (4,8) missing —
+            // Partial state built directly: chunk (8,10) resident, the two adjacent chunks (0,4) and (4,8) missing —
             // the refetch must coalesce them into ONE range GET billing
             // exactly 8 bytes.
             let c2 = SegmentCache::tiered(1 << 20, 0, us_east());
             let e = c2.begin_fill(&SegmentKey::whole("tpch", "obj"));
-            assert!(c2.record_layout("tpch", "obj", e, vec![(0, 4), (4, 8), (8, 10)]));
             assert!(c2.insert(
                 SegmentKey::chunk("tpch", "obj", (8, 10)),
                 Bytes::from_static(b"89"),
@@ -1561,12 +1548,6 @@ mod tests {
         // The chunks at 0 and 8 gone, 4 resident: one GET spans 0..12.
         let fresh = SegmentCache::tiered(1 << 20, 0, us_east());
         let epoch = fresh.begin_fill(&SegmentKey::whole("tpch", "obj"));
-        fresh.record_layout(
-            "tpch",
-            "obj",
-            epoch,
-            vec![(0, 4), (4, 8), (8, 12), (12, 16)],
-        );
         let data = s.raw_object("tpch", "obj").unwrap();
         for range in [(4, 8), (12, 16)] {
             let bytes = data.slice(range.0 as usize..range.1 as usize);
@@ -1600,12 +1581,6 @@ mod tests {
         // back whole.
         let bare = SegmentCache::tiered(1 << 20, 0, us_east());
         let epoch = bare.begin_fill(&SegmentKey::whole("tpch", "obj"));
-        bare.record_layout(
-            "tpch",
-            "obj",
-            epoch,
-            vec![(0, 4), (4, 8), (8, 12), (12, 16)],
-        );
         bare.insert(
             SegmentKey::chunk("tpch", "obj", (4, 8)),
             data.slice(4..8),
@@ -1665,8 +1640,6 @@ mod tests {
             let s = store_with("obj", "0123456789abcdef");
             let warm_cache = SegmentCache::tiered(1 << 20, 0, us_east());
             let e = warm_cache.begin_fill(&SegmentKey::whole("tpch", "obj"));
-            let layout = vec![(0, 4), (4, 8), (8, 12), (12, 16)];
-            assert!(warm_cache.record_layout("tpch", "obj", e, layout));
             // Chunks 0 and 2 resident: two non-adjacent gaps ⇒ two range
             // GETs.
             for (range, data) in [((0, 4), b"0123"), ((8, 12), b"89ab")] {
@@ -1699,27 +1672,37 @@ mod tests {
         on_both_paths(|via| {
             let s = store_with("obj", "0123456789");
             let cache = SegmentCache::tiered(1 << 20, 0, us_east());
-            // Recorded layout + one stale resident chunk, then the object
-            // is replaced *without* the cache hearing about it — simulating
-            // the epoch moving after the chunk probes. The gap fetch
-            // against the shrunken object errors, the epoch mismatch is
-            // detected, and the read degrades to one clean whole-object
-            // reload.
             let e = cache.begin_fill(&SegmentKey::whole("tpch", "obj"));
-            assert!(cache.record_layout("tpch", "obj", e, vec![(0, 4), (4, 8), (8, 10)]));
             assert!(cache.insert(
                 SegmentKey::chunk("tpch", "obj", (0, 4)),
                 Bytes::from_static(b"0123"),
                 e
             ));
             s.set_cache(Some(cache.clone()));
-            // Replace via the store so both the epoch moves and the bytes
-            // shrink below the recorded layout.
-            s.put_object("tpch", "obj", "XY");
+            // A writer replaces the object once the read has its epoch
+            // and has laid out the old length: the gap GET against the
+            // shrunken object comes back short, the epoch mismatch is
+            // detected, and the read degrades to one clean whole-object
+            // reload.
+            let raced = std::cell::Cell::new(false);
+            let racing = |len: u64| {
+                if !raced.replace(true) {
+                    s.put_object("tpch", "obj", "XY");
+                }
+                blocks4(len)
+            };
             let policy = RetryPolicy::default();
-            let got = via.read(&s.scoped(), &policy).unwrap();
+            let scope = s.scoped();
+            let got = via.read_along(&scope, &policy, racing, true).unwrap();
             assert_eq!(&got.data[..], b"XY", "the current version, never a mix");
             assert!(!got.hit);
+            let u = scope.ledger().snapshot();
+            assert_eq!(
+                (u.requests, u.plain_bytes),
+                (u64::from(got.attempts), got.gap_bytes),
+                "the short GET and the reload, both billed and both counted"
+            );
+            assert_eq!(cache.stats().segments, 0, "nothing of either version kept");
             s.delete_object("tpch", "obj");
             assert!(via.read(&s.scoped(), &policy).is_err());
             (vec![got], settled(&s))
@@ -1742,8 +1725,8 @@ mod tests {
             s.set_fault_plan(Some(plan));
             let scope = s.scoped();
             let got = via.read(&scope, &RetryPolicy::default()).unwrap();
-            // Three chunk fills and a layout are appended, none synced
-            // yet, and the read itself charged only the GET.
+            // Three chunk fills are appended, none synced yet, and the
+            // read itself charged only the GET.
             let (bytes, fsyncs) = cache.persist_counters();
             assert!(bytes > 12);
             assert_eq!(fsyncs, 0, "write-behind: no barrier before the commit");
@@ -1751,16 +1734,19 @@ mod tests {
             assert!((read_s - plan.request_seconds(0, 12)).abs() < 1e-9);
             scope.commit_cache();
             assert_eq!(cache.persist_counters(), (bytes, 2), "one group commit");
+            // The commit is one advance of the clock, which counts whole
+            // nanoseconds: compare in those.
             let expect =
                 bytes as f64 / plan.latency.disk_write_bw + 2.0 * plan.latency.fsync_latency;
-            assert!((scope.virtual_time_s() - read_s - expect).abs() < 1e-9);
+            let charged_ns = |scope: &S3Store| ((scope.virtual_time_s() - read_s) * 1e9).round();
+            assert_eq!(charged_ns(&scope), (expect * 1e9).trunc());
             // Nothing pending: a second commit is free, on any scope.
             let other = s.scoped();
             other.commit_cache();
             scope.commit_cache();
             assert_eq!(cache.persist_counters(), (bytes, 2));
             assert_eq!(other.virtual_time_s(), 0.0);
-            assert!((scope.virtual_time_s() - read_s - expect).abs() < 1e-9);
+            assert_eq!(charged_ns(&scope), (expect * 1e9).trunc());
             s.set_fault_plan(None);
             let left = settled(&s);
             s.set_cache(None);
@@ -1780,23 +1766,6 @@ mod tests {
             assert_eq!(scope.ledger().snapshot().requests, 1);
             (vec![got], settled(&s))
         });
-    }
-
-    #[test]
-    fn degenerate_layouts_collapse_to_one_whole_chunk() {
-        assert_eq!(normalize_chunk_layout(vec![], 10), vec![(0, 10)]);
-        assert_eq!(normalize_chunk_layout(vec![(0, 4)], 10), vec![(0, 10)]);
-        assert_eq!(
-            normalize_chunk_layout(vec![(0, 4), (6, 10)], 10),
-            vec![(0, 10)],
-            "a hole in the layout is not trusted"
-        );
-        assert_eq!(
-            normalize_chunk_layout(vec![(4, 10), (0, 4), (4, 4)], 10),
-            vec![(0, 4), (4, 10)],
-            "unsorted input is sorted, empty ranges dropped"
-        );
-        assert!(normalize_chunk_layout(vec![], 0).is_empty());
     }
 
     #[test]

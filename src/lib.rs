@@ -156,12 +156,14 @@
 //!
 //! The cache is two-tiered: a RAM tier in front of a larger on-disk
 //! tier (own budget, read at [`common::perf::PerfParams::disk_read_bw`]
-//! vs the mem tier's `cache_read_bw`). Segments are **chunks** — one
-//! per ColumnarLite row group, fixed byte blocks for CSV
+//! vs the mem tier's `cache_read_bw`). Segments are **chunks** of the
+//! layout the catalog gives each partition ([`core::Table::cache_layout`])
+//! — one per ColumnarLite column chunk plus the footer, as the loader
+//! wrote them, fixed byte blocks for CSV
 //! ([`core::QueryContext::with_cache_chunk_bytes`]) — so a partially
 //! resident object serves its cached chunks from their tier and range-
-//! GETs only the **coalesced gaps**: gap bytes bill exactly once, hits
-//! bill nothing. Mem evictions *demote* to disk instead of dropping;
+//! GETs only the **coalesced gaps** (a cold object: one range GET of all
+//! of it): gap bytes bill exactly once, hits bill nothing. Mem evictions *demote* to disk instead of dropping;
 //! disk hits *promote* back when they fit; both tiers run the same
 //! dollars-saved-per-byte eviction, and the planner prices cached scans
 //! per segment per tier from live [`cache::SegmentCache::occupancy`].

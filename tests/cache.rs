@@ -259,7 +259,8 @@ fn zipf_run(threads: usize) -> ZipfRun {
             .iter()
             .fold(PhaseStats::default(), |mut sum, key| {
                 let size = ctx.store.object_size(&t.lineitem.bucket, key).unwrap();
-                let occ = cache.occupancy(&t.lineitem.bucket, key, size);
+                let layout = |len| t.lineitem.cache_layout(key, len, ctx.cache_chunk_bytes);
+                let occ = cache.occupancy(&t.lineitem.bucket, key, size, layout);
                 sum.cache_bytes += occ.mem_bytes;
                 sum.disk_bytes += occ.disk_bytes;
                 sum.plain_bytes += occ.gap_bytes;
@@ -393,11 +394,16 @@ fn a_table_larger_than_the_cache_never_earns_credit() {
     }
     assert!(topks > 0, "the stream runs topk-100");
     assert!(cache.stats().fills > 0, "the tables that fit are filled");
-    let layouts = parts
-        .iter()
-        .filter(|k| cache.layout(&t.lineitem.bucket, k).is_some());
+    let resident = parts.iter().filter(|k| {
+        let size = ctx.store.object_size(&t.lineitem.bucket, k).unwrap();
+        let layout = |len| t.lineitem.cache_layout(k, len, ctx.cache_chunk_bytes);
+        cache
+            .occupancy(&t.lineitem.bucket, k, size, layout)
+            .gap_bytes
+            < size
+    });
     assert_eq!(
-        layouts.count(),
+        resident.count(),
         0,
         "lineitem was never read through the cache"
     );
@@ -837,7 +843,6 @@ fn partial_hit_scans_bill_exactly_the_gap_bytes() {
             .step_by(CHUNK as usize)
             .map(|f| (f, (f + CHUNK).min(len)))
             .collect();
-        cache.record_layout("b", &key, epoch, chunks.clone());
         let (mut local, mut gaps, mut gap_runs) = (0u64, 0u64, 0u64);
         for (i, &(first, last)) in chunks.iter().enumerate() {
             if i % 2 == 0 {
@@ -852,7 +857,7 @@ fn partial_hit_scans_bill_exactly_the_gap_bytes() {
                 gap_runs += 1;
             }
         }
-        let occ = cache.occupancy("b", &key, len);
+        let occ = cache.occupancy("b", &key, len, |len| table.cache_layout(&key, len, CHUNK));
         assert_eq!(occ.gap_bytes, gaps, "occupancy agrees with the inserts");
         assert_eq!(occ.gap_requests, gap_runs);
         assert_eq!(occ.mem_bytes + occ.disk_bytes, local);
@@ -933,7 +938,6 @@ fn chaos_retried_gap_fills_bill_gap_bytes_once() {
         .step_by(CHUNK as usize)
         .map(|f| (f, (f + CHUNK).min(len)))
         .collect();
-    cache.record_layout("b", &key, epoch, chunks.clone());
     let (mut gaps, mut gap_runs) = (0u64, 0u64);
     for (i, &(first, last)) in chunks.iter().enumerate() {
         if i % 2 == 0 {
@@ -1268,7 +1272,6 @@ mod column_chunks {
         let cache = ctx.cache().unwrap();
         for (p, (key, data, all, _)) in parts.iter().enumerate() {
             let epoch = cache.begin_fill(&SegmentKey::whole("b", key));
-            cache.record_layout("b", key, epoch, all.clone());
             for &range in all.iter().filter(|r| !gone.contains(&(p, **r))) {
                 let bytes = data.slice(range.0 as usize..range.1 as usize);
                 cache.insert(SegmentKey::chunk("b", key, range), bytes, epoch);
@@ -1278,37 +1281,32 @@ mod column_chunks {
 
     /// A warm projected scan is served the footers and the chunks of the
     /// columns it decodes — from memory, no request — and returns what
-    /// the cache-off and cold scans return, decoding into column vectors
-    /// or into rows.
+    /// the cache-off and cold scans return.
     #[test]
     fn a_warm_projected_scan_reads_the_footer_and_its_chunks_only() {
-        for columnar in [true, false] {
-            let off = {
-                let store = S3Store::new();
-                let t = table(&store);
-                let ctx = QueryContext::new(store).with_columnar(columnar);
-                scan_rows(&ctx, &t, ScanSource::Cached, &fragment(&t))
-                    .unwrap()
-                    .0
-            };
+        let off = {
             let store = S3Store::new();
             let t = table(&store);
-            let ctx = QueryContext::new(store.clone())
-                .with_columnar(columnar)
-                .with_cache(1 << 24);
-            let (cold, filled, _) = cached_scan(&ctx, &t);
-            assert_eq!(filled.fill_parts, 6);
-            let (warm, served, billed) = cached_scan(&ctx, &t);
-            assert_eq!((cold.len(), &cold), (200, &off), "columnar_exec {columnar}");
-            assert_eq!(warm, off, "columnar_exec {columnar}");
-            let needed: u64 = layouts(&store, &t).iter().map(|l| len(&l.3)).sum();
-            let s = served.stats;
-            assert_eq!((s.cache_bytes, s.cl_parse_bytes), (needed, needed));
-            assert_eq!((s.requests, s.plain_bytes, s.disk_bytes), (0, 0, 0));
-            assert_eq!(billed, Usage::default());
-            assert_eq!(served.hit_parts, 6);
-            assert!(needed < t.total_bytes(&store), "{needed} B read");
-        }
+            let ctx = QueryContext::new(store);
+            scan_rows(&ctx, &t, ScanSource::Cached, &fragment(&t))
+                .unwrap()
+                .0
+        };
+        let store = S3Store::new();
+        let t = table(&store);
+        let ctx = QueryContext::new(store.clone()).with_cache(1 << 24);
+        let (cold, filled, _) = cached_scan(&ctx, &t);
+        assert_eq!(filled.fill_parts, 6);
+        let (warm, served, billed) = cached_scan(&ctx, &t);
+        assert_eq!((cold.len(), &cold), (200, &off));
+        assert_eq!(warm, off);
+        let needed: u64 = layouts(&store, &t).iter().map(|l| len(&l.3)).sum();
+        let s = served.stats;
+        assert_eq!((s.cache_bytes, s.cl_parse_bytes), (needed, needed));
+        assert_eq!((s.requests, s.plain_bytes, s.disk_bytes), (0, 0, 0));
+        assert_eq!(billed, Usage::default());
+        assert_eq!(served.hit_parts, 6);
+        assert!(needed < t.total_bytes(&store), "{needed} B read");
     }
 
     /// With needed chunks missing, each partition missing any makes one
@@ -1396,6 +1394,89 @@ mod column_chunks {
         assert_eq!(summary.fill_parts, 1, "the rewritten partition is cold");
         let (again, summary, _) = cached_scan(&ctx, &t);
         assert_eq!((again, summary.hit_parts), (now, 6));
+    }
+
+    /// Partition 2 rewritten behind the catalog, which keeps the extents
+    /// the loader wrote for it: re-encoded rows at another row-group size
+    /// (another length, other extents); rows the same length long with
+    /// the footer moved; and the same length and footer start with the
+    /// column chunks moved. Each with what it checks.
+    fn rewrites(old: &bytes::Bytes) -> Vec<(&'static str, Vec<u8>)> {
+        let other_groups = WriterOptions {
+            rows_per_group: 40,
+            ..OPTIONS
+        };
+        let regrouped = encode_columnar(&schema(), &rows(5)[200..300], other_groups);
+        // A longer maximum string grows the footer by three bytes; five
+        // repeated floats shrink the data by as many.
+        let mut shifted = rows(0)[200..300].to_vec();
+        for (i, row) in shifted.iter_mut().enumerate().take(6) {
+            let mut values = row.values().to_vec();
+            match i {
+                0 => values[2] = Value::Str("name-8~~~".into()),
+                _ => values[1] = Value::Float(0.5),
+            }
+            *row = Row::new(values);
+        }
+        let footer_moved = encode_columnar(&schema(), &shifted, OPTIONS);
+        let chunks_moved = encode_columnar(&schema(), &rows(9)[200..300], OPTIONS);
+        let extents = |b: &[u8]| {
+            let reader = ColumnarReader::open(bytes::Bytes::copy_from_slice(b)).unwrap();
+            reader.chunk_extents()
+        };
+        let (was, footer) = (extents(old), |e: &[(u64, u64)]| e.last().unwrap().0);
+        assert_ne!(regrouped.len(), old.len());
+        assert_eq!(footer_moved.len(), old.len());
+        assert_ne!(footer(&extents(&footer_moved)), footer(&was));
+        assert_eq!(chunks_moved.len(), old.len());
+        assert_eq!(footer(&extents(&chunks_moved)), footer(&was));
+        assert_ne!(extents(&chunks_moved), was);
+        vec![
+            ("regrouped", regrouped),
+            ("footer moved", footer_moved),
+            ("chunks moved", chunks_moved),
+        ]
+    }
+
+    /// Extents the catalog wrote down for an object since rewritten never
+    /// decode stale bytes: the store holds a layout to the object's
+    /// current length, and a read of named segments to the footer it
+    /// finds. A cached scan, cold then warm, returns the new rows under
+    /// Baseline and Adaptive, billing what its metrics say.
+    #[test]
+    fn stale_catalog_extents_never_decode_stale_bytes() {
+        let sql = "SELECT d, v FROM t WHERE k % 3 = 0";
+        let original = {
+            let store = S3Store::new();
+            let t = table(&store);
+            store.raw_object("b", &t.partitions(&store)[2]).unwrap()
+        };
+        for (what, rewritten) in rewrites(&original) {
+            for strategy in [Strategy::Baseline, Strategy::Adaptive] {
+                let store = S3Store::new();
+                let t = table(&store);
+                let ctx = QueryContext::new(store.clone())
+                    .with_cache(1 << 24)
+                    .with_cache_reads(true);
+                execute_sql_verbose(&ctx, &t, sql, Strategy::Baseline).unwrap();
+                let key = &t.partitions(&store)[2];
+                store.put_object("b", key, rewritten.clone());
+                let plain = ctx.clone().with_cache_reads(false);
+                let want = execute_sql_verbose(&plain, &t, sql, Strategy::Baseline)
+                    .unwrap()
+                    .0
+                    .rows;
+                for pass in ["cold", "warm"] {
+                    let context = format!("{what}, {strategy:?}, {pass}");
+                    let (out, _) = execute_sql_verbose(&ctx, &t, sql, strategy).unwrap();
+                    assert_eq!(out.rows, want, "{context}");
+                    assert_eq!(out.metrics.usage(), out.billed, "{context}");
+                    if (strategy, pass) == (Strategy::Baseline, "warm") {
+                        assert_eq!(out.billed, Usage::default(), "{context}: served locally");
+                    }
+                }
+            }
+        }
     }
 
     /// `orders`, `customer` and `lineitem` as ColumnarLite (a bucket of

@@ -4,7 +4,7 @@
 //! * **Sequential** — seeded random sequences (splitmix64, the
 //!   `FaultPlan` discipline: one seed replays one sequence) of
 //!   `begin_fill` / `insert` / `get_tiered` / `peek_tier` / `invalidate`
-//!   / `record_layout` / `occupancy` / `commit` over 12 segments of 3
+//!   / `occupancy` / `commit` over 12 segments of 3
 //!   objects, budgets drawn from {0, tight, roomy} per tier, against
 //!   [`Model`] — a single-threaded restatement of the documented policy
 //!   (every fill that fits a tier admitted, weighted LFU by dollars
@@ -22,12 +22,12 @@
 //! * **Each segment written once** — the model knows which segments the
 //!   segment log holds a copy of (put by a demotion or a straight-to-disk
 //!   fill, kept through promotion, released when the segment leaves) and
-//!   so which log records (`Put`, `Del`, `Layout`) a step appends. A step
+//!   so which log records (`Put`, `Del`) a step appends. A step
 //!   that appends none — a promotion, or a demotion of a segment whose
 //!   copy is still live — leaves the file-backed caches' persist
 //!   counters where they were, and one that appends some moves them.
 //! * **Reads, then effects** — `read` steps change nothing and add their
-//!   access to a pending log, as do unapplied fills and layouts; an
+//!   access to a pending log, as do unapplied fills and rent; an
 //!   `apply` step applies the log in one call, other steps interleaved
 //!   since (so a logged hit may find its segment moved, gone or of a
 //!   newer epoch). The model applies it one access after the other, and
@@ -148,15 +148,14 @@ struct Model {
     config: CacheConfig,
     resident: HashMap<SegmentKey, Resident>,
     epochs: HashMap<String, u64>,
-    layouts: HashMap<String, Vec<(u64, u64)>>,
     /// Rent per object: what `Rent` accesses added since its last fill.
     rents: HashMap<String, f64>,
     seq: u64,
     /// `Put` records appended so far, the next one's order (the store
     /// counts them the same way).
     puts: u64,
-    /// Log records a file-backed cache has appended so far: `Put`s,
-    /// `Del`s and `Layout`s (an invalidation's `Epoch` record aside).
+    /// Log records a file-backed cache has appended so far: `Put`s and
+    /// `Del`s (an invalidation's `Epoch` record aside).
     writes: u64,
     /// Demotions that wrote nothing, the segment's copy being live.
     flips: u64,
@@ -363,9 +362,6 @@ impl Model {
                 false
             }
             Access::Fill { key, data, epoch } => self.insert(&key, data, epoch),
-            Access::Layout {
-                key, epoch, chunks, ..
-            } => self.record_layout(&key, epoch, chunks),
             Access::Rent { key, dollars, .. } => {
                 if dollars > 0.0 {
                     *self.rents.entry(key).or_default() += dollars;
@@ -383,35 +379,14 @@ impl Model {
 
     fn invalidate(&mut self, object: &str) {
         *self.epochs.entry(object.to_string()).or_insert(0) += 1;
-        self.layouts.remove(object);
         self.resident.retain(|k, _| k.key != object);
         self.counters.invalidations += 1;
     }
 
-    fn record_layout(&mut self, object: &str, epoch: u64, chunks: Vec<(u64, u64)>) -> bool {
-        let current = self.begin_fill(object) == epoch;
-        if current {
-            // A layout is logged once per distinct value.
-            let prev = self.layouts.insert(object.to_string(), chunks.clone());
-            self.writes += u64::from(prev != Some(chunks));
-        }
-        current
-    }
-
-    fn occupancy(&self, object: &str, object_len: u64) -> ObjectOccupancy {
-        let Some(chunks) = self.layouts.get(object) else {
-            return ObjectOccupancy {
-                gap_bytes: object_len,
-                gap_requests: 1,
-                ..Default::default()
-            };
-        };
-        let mut occ = ObjectOccupancy {
-            layout_known: true,
-            ..Default::default()
-        };
+    fn occupancy(&self, object: &str) -> ObjectOccupancy {
+        let mut occ = ObjectOccupancy::default();
         let mut in_gap = false;
-        for &range in chunks {
+        for range in layout() {
             let len = range.1 - range.0;
             let tier = self
                 .peek_tier(&SegmentKey::chunk(BUCKET, object, range))
@@ -427,6 +402,7 @@ impl Model {
             }
             in_gap = tier.is_none();
         }
+        occ.trailer_resident = !in_gap;
         occ
     }
 
@@ -454,12 +430,11 @@ enum Step {
     Get(SegmentKey),
     Peek(SegmentKey),
     Invalidate(String),
-    RecordLayout(String, u64),
     Occupancy(String),
     Commit,
     /// A side-effect-free lookup; its access joins the pending log.
     Read(SegmentKey),
-    /// A fill, a layout or rent joins the pending log unapplied.
+    /// A fill or rent joins the pending log unapplied.
     Log(Access),
     /// The pending log, applied in one call.
     Apply(Vec<Access>),
@@ -471,7 +446,6 @@ enum Outcome {
     Admitted(bool),
     Served(Option<(Bytes, CacheTier)>),
     Peeked(Option<(u64, CacheTier)>),
-    Recorded(bool, Option<Vec<(u64, u64)>>),
     Occupancy(ObjectOccupancy),
     Read(Access),
     Applied(Vec<bool>),
@@ -492,11 +466,7 @@ fn apply_model(m: &mut Model, step: &Step) -> Outcome {
             m.invalidate(o);
             Outcome::Done
         }
-        Step::RecordLayout(o, epoch) => {
-            let recorded = m.record_layout(o, *epoch, layout());
-            Outcome::Recorded(recorded, m.layouts.get(o).cloned())
-        }
-        Step::Occupancy(o) => Outcome::Occupancy(m.occupancy(o, object_len())),
+        Step::Occupancy(o) => Outcome::Occupancy(m.occupancy(o)),
         Step::Commit | Step::Log(_) => Outcome::Done,
         Step::Read(k) => Outcome::Read(m.read(k)),
         // One access after the other.
@@ -523,11 +493,9 @@ fn apply_cache(
             c.invalidate(BUCKET, o);
             Outcome::Done
         }
-        Step::RecordLayout(o, epoch) => {
-            let recorded = c.record_layout(BUCKET, o, *epoch, layout());
-            Outcome::Recorded(recorded, c.layout(BUCKET, o).map(|l| l.to_vec()))
+        Step::Occupancy(o) => {
+            Outcome::Occupancy(c.occupancy(BUCKET, o, object_len(), |_| layout()))
         }
-        Step::Occupancy(o) => Outcome::Occupancy(c.occupancy(BUCKET, o, object_len())),
         Step::Commit => {
             let (bytes, fsyncs) = c.commit();
             receipts.0 += bytes;
@@ -558,30 +526,23 @@ fn draw(
     let i = rng.skewed(keys.len());
     let key = keys[i].clone();
     let epoch = pending[i].unwrap_or_else(|| m.begin_fill(&key.key));
-    match rng.below(122) {
+    match rng.below(114) {
         0..=7 => Step::BeginFill(key),
         8..=39 => Step::Insert(key.clone(), body(&key, epoch), epoch),
         40..=69 => Step::Get(key),
         70..=75 => Step::Peek(key),
         76..=80 => Step::Invalidate(key.key),
-        81..=86 => Step::RecordLayout(key.key, epoch),
-        87..=93 => Step::Occupancy(key.key),
-        94..=99 => Step::Commit,
-        100..=107 => Step::Read(key),
-        108..=111 => Step::Log(Access::Fill {
+        81..=87 => Step::Occupancy(key.key),
+        88..=93 => Step::Commit,
+        94..=101 => Step::Read(key),
+        102..=105 => Step::Log(Access::Fill {
             data: body(&key, epoch),
             key,
             epoch,
         }),
-        112..=113 => Step::Log(Access::Layout {
-            bucket: BUCKET.to_string(),
-            key: key.key,
-            epoch,
-            chunks: layout(),
-        }),
         // Quarter-dollar steps, negative ones included: sums are exact in
         // any order.
-        114..=115 => Step::Log(Access::Rent {
+        106..=107 => Step::Log(Access::Rent {
             bucket: BUCKET.to_string(),
             key: key.key,
             dollars: rng.below(5) as f64 * 0.25 - 0.25,
@@ -787,7 +748,7 @@ fn run_concurrent(config: &CacheConfig) {
                 start.wait();
                 for _ in 0..OPS_PER_THREAD {
                     let key = &keys[rng.skewed(keys.len())];
-                    match rng.below(110) {
+                    match rng.below(105) {
                         0..=39 => {
                             let epoch = cache.begin_fill(key);
                             let stored = cache.insert(key.clone(), body(key, epoch), epoch);
@@ -803,18 +764,14 @@ fn run_concurrent(config: &CacheConfig) {
                             }
                         }
                         85..=89 => cache.invalidate(BUCKET, &key.key),
-                        90..=94 => {
-                            let epoch = cache.begin_fill(key);
-                            cache.record_layout(BUCKET, &key.key, epoch, layout());
-                        }
-                        95..=97 => {
-                            let occ = cache.occupancy(BUCKET, &key.key, object_len());
+                        90..=92 => {
+                            let occ = cache.occupancy(BUCKET, &key.key, object_len(), |_| layout());
                             assert_eq!(
                                 occ.mem_bytes + occ.disk_bytes + occ.gap_bytes,
                                 object_len()
                             );
                         }
-                        98..=99 => {
+                        93..=94 => {
                             cache.commit();
                         }
                         _ => {

@@ -460,7 +460,8 @@ fn a_warm_cluster_serves_from_its_owners_slices() {
         let size = store.object_size(bucket, &key).unwrap();
         let owner = cluster.node(cluster.assign(bucket, &key));
         let slice = owner.cache.as_ref().expect("every node has a slice");
-        let occupancy = slice.occupancy(bucket, &key, size);
+        let layout = |len| t.orders.cache_layout(&key, len, cctx.cache_chunk_bytes);
+        let occupancy = slice.occupancy(bucket, &key, size, layout);
         assert_eq!(
             occupancy.gap_bytes, 0,
             "{key} resident on node {}",
@@ -512,7 +513,8 @@ fn exchange_labels_count_disk_tier_hits() {
             let size = store.object_size(bucket, key).unwrap();
             let owner = cluster.node(cluster.assign(bucket, key));
             let slice = owner.cache.as_ref().expect("every node has a slice");
-            let occupancy = slice.occupancy(bucket, key, size);
+            let layout = |len| t.orders.cache_layout(key, len, cctx.cache_chunk_bytes);
+            let occupancy = slice.occupancy(bucket, key, size, layout);
             (occupancy.gap_bytes, occupancy.disk_bytes) == (0, size)
         })
     };

@@ -1,19 +1,19 @@
-//! Differential tests for vectorized columnar execution: with
-//! `QueryContext::with_columnar` toggled, the columnar path must be
-//! *indistinguishable* from the row path — identical rows, identical
-//! per-phase metrics (including CPU charges), identical bills, and
-//! identical EXPLAIN trees — over dictionary-encoded, NULL-heavy and
-//! mixed-chunk ColumnarLite tables and over the same rows stored as CSV
-//! (whose referenced fields decode straight into column vectors), at any
-//! batch size.
+//! Differential tests for local execution on typed column vectors: over
+//! dictionary-encoded, NULL-heavy and mixed-chunk ColumnarLite tables and
+//! over the same rows stored as CSV (whose referenced fields decode
+//! straight into column vectors), the local scan returns the rows the S3
+//! Select engine returns for the same statement — a reference that
+//! shares no decode or evaluation code with it — every run's metrics
+//! equal its bill, and rows, per-phase metrics (including CPU charges)
+//! and bills do not depend on the batch size.
 
 use proptest::prelude::*;
 use pushdown_bench::run_candidate;
 use pushdowndb::common::perf::PhaseStats;
 use pushdowndb::common::{DataType, Row, Schema, Value};
 use pushdowndb::core::{
-    execute_sql_verbose, upload_columnar_table, upload_csv_table, OpReport, QueryContext,
-    QueryMetrics, Strategy, Table,
+    execute_sql_verbose, upload_columnar_table, upload_csv_table, QueryContext, QueryMetrics,
+    Strategy, Table,
 };
 use pushdowndb::format::columnar::WriterOptions;
 use pushdowndb::s3::S3Store;
@@ -119,43 +119,59 @@ fn assert_metrics_equal(a: &QueryMetrics, b: &QueryMetrics, what: &str) {
     }
 }
 
-fn assert_reports_equal(a: &OpReport, b: &OpReport, what: &str) {
-    assert_eq!(a.label, b.label, "{what}: operator label");
-    assert_eq!(a.actual, b.actual, "{what}: actual of `{}`", a.label);
-    assert_eq!(
-        a.predicted, b.predicted,
-        "{what}: predicted of `{}`",
-        a.label
-    );
-    assert_eq!(a.children.len(), b.children.len(), "{what}: child count");
-    for (ca, cb) in a.children.iter().zip(&b.children) {
-        assert_reports_equal(ca, cb, what);
+/// `rows` in a canonical order, for statements whose row order is not
+/// fixed (a `GROUP BY` without `ORDER BY` emits groups first-seen
+/// locally and sorted by key from Select).
+fn canonical(rows: &[Row], sql: &str) -> Vec<Row> {
+    let mut rows = rows.to_vec();
+    if !sql.contains("ORDER BY") {
+        rows.sort_by(|a, b| {
+            let pairs = a.values().iter().zip(b.values());
+            let ord = pairs.map(|(x, y)| x.total_cmp(y)).find(|o| o.is_ne());
+            ord.unwrap_or(std::cmp::Ordering::Equal)
+        });
+    }
+    rows
+}
+
+/// The same rows, floats within a summation order's rounding: a pushed
+/// aggregate adds partition by partition, the local one row by row.
+fn assert_rows_agree(local: &[Row], select: &[Row], what: &str) {
+    assert_eq!(local.len(), select.len(), "{what}: row count");
+    for (x, y) in local.iter().zip(select) {
+        assert_eq!(x.len(), y.len(), "{what}: width");
+        for (vx, vy) in x.values().iter().zip(y.values()) {
+            match (vx, vy) {
+                (Value::Float(fx), Value::Float(fy)) => assert!(
+                    (fx - fy).abs() <= 1e-9 * (1.0 + fx.abs().max(fy.abs())),
+                    "{what}: {fx} vs {fy}"
+                ),
+                _ => assert_eq!(vx, vy, "{what}"),
+            }
+        }
     }
 }
 
-/// Run one statement with the columnar path off and on; everything
-/// observable must agree exactly, and each mode's bill must equal its
-/// own metrics.
-fn assert_modes_agree(ctx: &QueryContext, t: &Table, sql: &str, strategy: Strategy) {
-    let row_ctx = ctx.clone().with_columnar(false);
-    let col_ctx = ctx.clone().with_columnar(true);
-    let (a, ea) = execute_sql_verbose(&row_ctx, t, sql, strategy).unwrap();
-    let (b, eb) = execute_sql_verbose(&col_ctx, t, sql, strategy).unwrap();
-    assert_eq!(a.rows, b.rows, "{sql}: rows");
-    assert_metrics_equal(&a.metrics, &b.metrics, sql);
-    assert_eq!(a.billed, b.billed, "{sql}: bill");
-    // The ledger and the attached metrics agree, field for field, in
-    // both modes.
-    for (out, mode) in [(&a, "row"), (&b, "columnar")] {
-        let u = out.metrics.usage();
-        assert_eq!(u, out.billed, "{sql} [{mode}]: metrics vs ledger");
-    }
-    // EXPLAIN trees — actuals and predictions — are identical too.
-    match (&ea.operators, &eb.operators) {
-        (Some(ra), Some(rb)) => assert_reports_equal(ra, rb, sql),
-        (None, None) => {}
-        _ => panic!("{sql}: one mode produced an operator report, the other did not"),
-    }
+/// The rows S3 Select returns for `sql` on `t`, its bill equal to its
+/// metrics.
+fn select_rows(ctx: &QueryContext, t: &Table, sql: &str) -> Vec<Row> {
+    let (out, _) = execute_sql_verbose(ctx, t, sql, Strategy::Pushdown).unwrap();
+    assert_eq!(
+        out.metrics.usage(),
+        out.billed,
+        "{sql} [Select]: metrics vs ledger"
+    );
+    canonical(&out.rows, sql)
+}
+
+/// Run one statement under `strategy` and check it against S3 Select:
+/// the same rows, and the run's bill equal to its own metrics.
+fn assert_agrees_with_select(ctx: &QueryContext, t: &Table, sql: &str, strategy: Strategy) {
+    let (out, _) = execute_sql_verbose(ctx, t, sql, strategy).unwrap();
+    let what = format!("{sql} [{strategy:?}]");
+    assert_eq!(out.metrics.usage(), out.billed, "{what}: metrics vs ledger");
+    let select = select_rows(ctx, t, sql);
+    assert_rows_agree(&canonical(&out.rows, sql), &select, &what);
 }
 
 const QUERIES: &[&str] = &[
@@ -177,7 +193,7 @@ const QUERIES: &[&str] = &[
     "SELECT * FROM t ORDER BY name DESC LIMIT 10",
 ];
 
-/// Columnar ≡ row across every supported query shape and strategy, on a
+/// Local ≡ Select across every supported query shape and strategy, on a
 /// dict-encoded, NULL-heavy, multi-chunk table.
 #[test]
 fn columnar_execution_is_indistinguishable_from_row_execution() {
@@ -185,74 +201,54 @@ fn columnar_execution_is_indistinguishable_from_row_execution() {
         let (ctx, t) = table_ctx(format, 900, 170, 47);
         for sql in QUERIES {
             for strategy in [Strategy::Baseline, Strategy::Adaptive] {
-                assert_modes_agree(&ctx, &t, sql, strategy);
+                assert_agrees_with_select(&ctx, &t, sql, strategy);
             }
         }
     }
 }
 
 /// The agreement holds through the segment-cache read path, cold and
-/// warm. Each mode gets its own store and cache (uploads are
-/// deterministic), so both observe the same cold-fill then warm-hit
-/// progression rather than the row pass pre-warming the columnar one.
+/// warm, and the warm pass bills nothing.
 #[test]
 fn columnar_cached_execution_matches_row_execution() {
-    let run = |format: Format, columnar: bool, sql: &str| {
-        let (ctx, t) = table_ctx(format, 600, 140, 31);
-        let ctx = ctx
-            .with_cache(1 << 30)
-            .with_cache_reads(true)
-            .with_columnar(columnar);
-        let cold = execute_sql_verbose(&ctx, &t, sql, Strategy::Baseline)
-            .unwrap()
-            .0;
-        let warm = execute_sql_verbose(&ctx, &t, sql, Strategy::Baseline)
-            .unwrap()
-            .0;
-        (cold, warm)
-    };
     for sql in [
         "SELECT * FROM t WHERE k < 100",
         "SELECT name, COUNT(*) FROM t GROUP BY name",
     ] {
         for format in FORMATS {
-            let (cold_row, warm_row) = run(format, false, sql);
-            let (cold_col, warm_col) = run(format, true, sql);
-            for ((a, b), phase) in [
-                ((&cold_row, &cold_col), "cold"),
-                ((&warm_row, &warm_col), "warm"),
-            ] {
+            let (ctx, t) = table_ctx(format, 600, 140, 31);
+            let select = select_rows(&ctx, &t, sql);
+            let ctx = ctx.with_cache(1 << 30).with_cache_reads(true);
+            for phase in ["cold", "warm"] {
+                let (out, _) = execute_sql_verbose(&ctx, &t, sql, Strategy::Baseline).unwrap();
                 let what = format!("{sql} on {format:?} [{phase}]");
-                assert_eq!(a.rows, b.rows, "{what}: rows");
-                assert_metrics_equal(&a.metrics, &b.metrics, &what);
-                assert_eq!(a.billed, b.billed, "{what}: bill");
+                assert_rows_agree(&canonical(&out.rows, sql), &select, &what);
+                assert_eq!(out.metrics.usage(), out.billed, "{what}: metrics vs ledger");
+                if phase == "warm" {
+                    // Warm passes actually hit the cache: no billable
+                    // re-reads.
+                    assert_eq!(out.billed.requests, 0, "{what}: requests");
+                    assert_eq!(out.billed.plain_bytes, 0, "{what}: plain bytes");
+                }
             }
-            // Warm passes actually hit the cache: no billable re-reads.
-            assert_eq!(warm_col.billed.requests, 0, "{sql}: warm requests");
-            assert_eq!(warm_col.billed.plain_bytes, 0, "{sql}: warm plain bytes");
         }
     }
 }
 
 /// Batch capacity is an execution detail: results AND stats of the
-/// columnar path are invariant to it (and stay equal to the row path).
+/// local path are invariant to it (and agree with S3 Select).
 #[test]
 fn columnar_path_is_batch_size_invariant() {
     for format in FORMATS {
         let (ctx, t) = table_ctx(format, 700, 160, 53);
         let sql = "SELECT name, SUM(bal), COUNT(*) FROM t WHERE k < 500 GROUP BY name";
-        let reference = execute_sql_verbose(
-            &ctx.clone().with_columnar(true),
-            &t,
-            sql,
-            Strategy::Baseline,
-        )
-        .unwrap()
-        .0;
+        let reference = execute_sql_verbose(&ctx, &t, sql, Strategy::Baseline)
+            .unwrap()
+            .0;
         for batch_rows in [1usize, 17, 64, 100_000] {
             let ctx2 = ctx.clone().with_batch_rows(batch_rows);
-            assert_modes_agree(&ctx2, &t, sql, Strategy::Baseline);
-            let got = execute_sql_verbose(&ctx2.with_columnar(true), &t, sql, Strategy::Baseline)
+            assert_agrees_with_select(&ctx2, &t, sql, Strategy::Baseline);
+            let got = execute_sql_verbose(&ctx2, &t, sql, Strategy::Baseline)
                 .unwrap()
                 .0;
             assert_eq!(got.rows, reference.rows, "batch_rows={batch_rows}");
@@ -261,13 +257,14 @@ fn columnar_path_is_batch_size_invariant() {
                 &reference.metrics,
                 &format!("{format:?}, batch_rows={batch_rows}"),
             );
+            assert_eq!(got.billed, reference.billed, "batch_rows={batch_rows}");
         }
     }
 }
 
-/// The three algorithm families' server-side paths: exact stats parity
-/// between the row and columnar kernels — the filter and group-by as the
-/// planner's `server-side` candidates by name, top-K driven directly.
+/// The three algorithm families' server-side paths — the filter,
+/// group-by and top-K as the planner's `server-side` candidates by name —
+/// return S3 Select's rows, each billing what its metrics say.
 #[test]
 fn algo_server_side_paths_agree_exactly() {
     for format in FORMATS {
@@ -277,50 +274,41 @@ fn algo_server_side_paths_agree_exactly() {
 
 fn algo_server_side_paths_agree_on(format: Format) {
     let (ctx, t) = table_ctx(format, 800, 190, 37);
-    let row_ctx = ctx.clone().with_columnar(false);
-    let col_ctx = ctx.clone().with_columnar(true);
-
-    let server = |ctx, sql| run_candidate(ctx, &t, sql, "server-side", None).unwrap();
+    let server = |sql: &str| {
+        let out = run_candidate(&ctx, &t, sql, "server-side", None).unwrap();
+        assert_eq!(out.metrics.usage(), out.billed, "{sql}: metrics vs ledger");
+        canonical(&out.rows, sql)
+    };
     let sql = "SELECT k, name FROM t WHERE bal > 10 AND name <> 'name-4'";
-    let (a, b) = (server(&row_ctx, sql), server(&col_ctx, sql));
-    assert_eq!(a.rows, b.rows, "filter rows");
-    assert_metrics_equal(&a.metrics, &b.metrics, "filter");
-    assert_eq!(a.billed, b.billed, "filter bill");
+    assert_rows_agree(&server(sql), &select_rows(&ctx, &t, sql), "filter");
 
     let sql = "SELECT name, SUM(bal), COUNT(k), MIN(d), MAX(name) FROM t \
                WHERE k < 600 GROUP BY name";
-    let (a, b) = (server(&row_ctx, sql), server(&col_ctx, sql));
-    assert_eq!(a.rows, b.rows, "groupby rows");
-    assert_metrics_equal(&a.metrics, &b.metrics, "groupby");
-    assert_eq!(a.billed, b.billed, "groupby bill");
+    assert_rows_agree(&server(sql), &select_rows(&ctx, &t, sql), "groupby");
 
     for (col, asc, k) in [("bal", true, 20), ("name", false, 7), ("maybe", true, 15)] {
         let order = if asc { "ASC" } else { "DESC" };
         let sql = format!("SELECT * FROM t ORDER BY {col} {order} LIMIT {k}");
-        let top = |ctx| run_candidate(ctx, &t, &sql, "server-side", None).unwrap();
-        let (a, b) = (top(&row_ctx), top(&col_ctx));
-        assert_eq!(a.rows, b.rows, "topk({col}) rows");
-        assert_metrics_equal(&a.metrics, &b.metrics, &format!("topk({col})"));
-        assert_eq!(a.billed, b.billed, "topk({col}) bill");
+        let what = format!("topk({col})");
+        assert_rows_agree(&server(&sql), &select_rows(&ctx, &t, &sql), &what);
     }
 }
 
-/// Scan-level parity: the reported footprint never depends on the
-/// execution representation, and ColumnarLite parse bytes are reported
-/// by BOTH paths (they are a property of the stored format).
+/// Scan-level: ColumnarLite parse bytes are reported by both ways of
+/// getting the bytes — a GET and a cold cache read — for they are a
+/// property of the stored format, and match the bytes read.
 #[test]
 fn scan_stats_report_columnar_parse_bytes_in_both_modes() {
     let (ctx, t) = table_ctx(Format::Columnar, 500, 120, 29);
     let sql = "SELECT * FROM t WHERE k < 50";
-    for columnar in [false, true] {
-        let out = execute_sql_verbose(
-            &ctx.clone().with_columnar(columnar),
-            &t,
-            sql,
-            Strategy::Baseline,
-        )
-        .unwrap()
-        .0;
+    for cached in [false, true] {
+        let ctx = match cached {
+            true => ctx.clone().with_cache(1 << 30).with_cache_reads(true),
+            false => ctx.clone(),
+        };
+        let out = execute_sql_verbose(&ctx, &t, sql, Strategy::Baseline)
+            .unwrap()
+            .0;
         let total: PhaseStats = {
             let mut s = PhaseStats::default();
             for g in &out.metrics.groups {
@@ -330,11 +318,8 @@ fn scan_stats_report_columnar_parse_bytes_in_both_modes() {
             }
             s
         };
-        assert!(total.cl_parse_bytes > 0, "columnar={columnar}");
-        assert_eq!(
-            total.cl_parse_bytes, total.plain_bytes,
-            "columnar={columnar}"
-        );
+        assert!(total.cl_parse_bytes > 0, "cached={cached}");
+        assert_eq!(total.cl_parse_bytes, total.plain_bytes, "cached={cached}");
     }
 }
 
@@ -342,7 +327,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Arbitrary dict/NULL-heavy tables and layouts, as ColumnarLite and
-    /// as CSV: columnar ≡ row for a predicate sweep covering vectorized
+    /// as CSV: local ≡ Select for a predicate sweep covering vectorized
     /// and fallback shapes.
     #[test]
     fn columnar_differential_holds_on_arbitrary_tables(
@@ -390,13 +375,9 @@ proptest! {
                 "SELECT g, COUNT(*), SUM(v), MAX(s) FROM t GROUP BY g",
                 "SELECT * FROM t ORDER BY v LIMIT 9",
             ] {
-                let (a, _) = execute_sql_verbose(
-                    &ctx.clone().with_columnar(false), &t, sql, Strategy::Baseline).unwrap();
-                let (b, _) = execute_sql_verbose(
-                    &ctx.clone().with_columnar(true), &t, sql, Strategy::Baseline).unwrap();
-                prop_assert_eq!(&a.rows, &b.rows, "{}", sql);
-                assert_metrics_equal(&a.metrics, &b.metrics, sql);
-                prop_assert_eq!(a.billed, b.billed, "{}", sql);
+                let (a, _) = execute_sql_verbose(&ctx, &t, sql, Strategy::Baseline).unwrap();
+                prop_assert_eq!(a.metrics.usage(), a.billed, "{}", sql);
+                prop_assert_eq!(canonical(&a.rows, sql), select_rows(&ctx, &t, sql), "{}", sql);
             }
         }
     }

@@ -176,25 +176,21 @@ fn table_with(record: Option<&[u8]>) -> (QueryContext, Table) {
 
 type Outcome = std::result::Result<Vec<Row>, Error>;
 
-/// Every way the engine reads the table for `sql`: the local scan with
-/// column vectors and with rows out of the decoder, each plainly and
-/// through the segment cache, and S3 Select.
+/// Every way the engine reads the table for `sql`: the local scan,
+/// plainly and through the segment cache, and S3 Select.
 fn every_path(record: Option<&[u8]>, sql: &str) -> Vec<(String, Outcome)> {
     let mut outcomes = Vec::new();
-    for columnar in [true, false] {
-        for cached in [false, true] {
-            let (ctx, table) = table_with(record);
-            let ctx = ctx.with_columnar(columnar);
-            let ctx = if cached {
-                ctx.with_cache(1 << 24).with_cache_reads(true)
-            } else {
-                ctx
-            };
-            outcomes.push((
-                format!("the local scan, columnar_exec {columnar}, cached {cached}"),
-                execute_sql(&ctx, &table, sql, Strategy::Baseline).map(|out| out.rows),
-            ));
-        }
+    for cached in [false, true] {
+        let (ctx, table) = table_with(record);
+        let ctx = if cached {
+            ctx.with_cache(1 << 24).with_cache_reads(true)
+        } else {
+            ctx
+        };
+        outcomes.push((
+            format!("the local scan, cached {cached}"),
+            execute_sql(&ctx, &table, sql, Strategy::Baseline).map(|out| out.rows),
+        ));
     }
     let (ctx, table) = table_with(record);
     outcomes.push((

@@ -242,7 +242,7 @@ fn setup(format: Format, cache: Cache) -> QueryContext {
             let cache = ctx.cache().unwrap();
             for (key, bytes) in &data.objects {
                 let len = bytes.len() as u64;
-                // The layout the scan itself derives: fixed blocks for
+                // The layout the catalog gives the scan: fixed blocks for
                 // CSV, column-chunk extents for ColumnarLite.
                 let chunks: Vec<(u64, u64)> = match format {
                     Format::Csv => (0..len)
@@ -255,7 +255,6 @@ fn setup(format: Format, cache: Cache) -> QueryContext {
                 };
                 assert!(chunks.len() >= 3, "need gaps and hits in {key}");
                 let epoch = cache.begin_fill(&SegmentKey::whole(BUCKET, key));
-                cache.record_layout(BUCKET, key, epoch, chunks.clone());
                 for &(first, last) in chunks.iter().step_by(2) {
                     cache.insert(
                         SegmentKey::chunk(BUCKET, key, (first, last)),
@@ -463,9 +462,9 @@ fn scanned_tables(node: &PlanNode) -> Vec<&Table> {
     out
 }
 
-/// Where a cached scan of one partition finds its chunks: `None` while
-/// its layout is unknown, else each chunk's resident length and tier.
-type Residency = Option<Vec<Option<(u64, CacheTier)>>>;
+/// Where a cached scan of one partition finds its chunks: each chunk's
+/// resident length and tier, along the layout the catalog gives it.
+type Residency = Vec<Option<(u64, CacheTier)>>;
 
 /// What a cached scan of `tables` would read, partition by partition.
 /// Empty without a cache.
@@ -476,12 +475,13 @@ fn residency(ctx: &QueryContext, tables: &[&Table]) -> Vec<Residency> {
     let mut out = Vec::new();
     for t in tables {
         for key in t.partitions(&ctx.store) {
-            out.push(cache.layout(&t.bucket, &key).map(|layout| {
-                layout
-                    .iter()
+            let len = ctx.store.object_size(&t.bucket, &key).unwrap();
+            let layout = t.cache_layout(&key, len, ctx.cache_chunk_bytes);
+            out.push(
+                (layout.iter())
                     .map(|&r| cache.peek_tier(&SegmentKey::chunk(&t.bucket, &key, r)))
-                    .collect()
-            }));
+                    .collect(),
+            );
         }
     }
     out
@@ -860,10 +860,6 @@ fn first_run_cache(name: &str) -> Cache {
 }
 
 fn check_plans_match_reference(format: Format) {
-    let modes: &[bool] = match format {
-        Format::Csv => &[true],
-        Format::Columnar => &[true, false],
-    };
     let mut seen = std::collections::BTreeSet::new();
     let mut pipelined = 0;
     for stmt in statements() {
@@ -915,21 +911,19 @@ fn check_plans_match_reference(format: Format) {
                 assert!(probe.contains(" + hash join"), "{}: {probe}", stmt.name);
                 pipelined += 1;
             }
-            for &columnar_exec in modes {
-                for threads in [1, 2, 8] {
-                    for batch_rows in [1, 7, 1024] {
-                        let mut ctx = setup(format, cache).scoped().with_columnar(columnar_exec);
-                        ctx.scan_threads = threads;
-                        ctx.batch_rows = batch_rows;
-                        let e = plan::execute(&ctx, plan).unwrap();
-                        let got = outcome(&ctx, e.schema, e.rows, &e.metrics, &e.report);
-                        assert_eq!(
-                            got, want,
-                            "{} as `{name}` on {format:?}, cache {cache:?}, {threads} threads, \
-                             batches of {batch_rows}, columnar_exec {columnar_exec}",
-                            stmt.name
-                        );
-                    }
+            for threads in [1, 2, 8] {
+                for batch_rows in [1, 7, 1024] {
+                    let mut ctx = setup(format, cache).scoped();
+                    ctx.scan_threads = threads;
+                    ctx.batch_rows = batch_rows;
+                    let e = plan::execute(&ctx, plan).unwrap();
+                    let got = outcome(&ctx, e.schema, e.rows, &e.metrics, &e.report);
+                    assert_eq!(
+                        got, want,
+                        "{} as `{name}` on {format:?}, cache {cache:?}, {threads} threads, \
+                         batches of {batch_rows}",
+                        stmt.name
+                    );
                 }
             }
         }

@@ -4,7 +4,7 @@
 //!   disk tier survives a cache drop: a fresh context recovering from
 //!   the same directory serves the repeat run with **zero** remote
 //!   requests and bytes, and `occupancy` reports the recovered chunks
-//!   disk-resident with their layouts intact.
+//!   disk-resident along the layouts the catalog gives them.
 //! * **Crash recovery** (proptest) — a random workload prefix, each
 //!   read committed like a scan, with a seeded kill at the Nth fsync
 //!   (or, when the workload issues fewer barriers, death at drop
@@ -59,9 +59,9 @@ fn tiered_ctx(store: &S3Store, dir: &std::path::Path, mem_bytes: u64) -> QueryCo
 /// through the forced cached-local path, drop the cache handle (a
 /// clean shutdown), recover a fresh context from the same directory on
 /// the same store, and the repeat run bills zero remote requests and
-/// bytes — the segments, their epochs *and* their chunk layouts all
-/// came back from the manifest. Occupancy confirms the recovered
-/// residency is disk-tier.
+/// bytes — the segments and their epochs came back from the manifest,
+/// and the catalog still lays the objects out as they were cached.
+/// Occupancy confirms the recovered residency is disk-tier.
 #[test]
 fn recovered_disk_tier_serves_without_rebilling() {
     let tmp = TempDir::new("persist-restart");
@@ -100,11 +100,13 @@ fn recovered_disk_tier_serves_without_rebilling() {
     );
     assert_eq!(stats.used_bytes, 0, "mem tier starts cold");
 
-    // Occupancy: every partition is fully disk-resident, layout known.
+    // Occupancy: every partition is fully disk-resident, chunk by chunk.
     for part in table.partitions(&store) {
         let len = store.object_size("b", &part).unwrap();
-        let occ = cache.occupancy("b", &part, len);
-        assert!(occ.layout_known, "{part}: recovered layout");
+        let occ = cache.occupancy("b", &part, len, |len| {
+            table.cache_layout(&part, len, ctx.cache_chunk_bytes)
+        });
+        assert!(occ.trailer_resident, "{part}: its last chunk recovered");
         assert_eq!(occ.disk_bytes, len, "{part}: fully disk-resident");
         assert_eq!(occ.gap_bytes, 0, "{part}: no remote gap after recovery");
     }
@@ -183,7 +185,9 @@ fn a_promoted_segment_survives_a_clean_restart() {
     execute_sql(&ctx, &table, sql, Strategy::Baseline).unwrap();
     let cache = ctx.cache().unwrap();
     let part = &table.partitions(&store)[0];
-    let promoted = SegmentKey::chunk("b", part, cache.layout("b", part).unwrap()[0]);
+    let len = store.object_size("b", part).unwrap();
+    let first = table.cache_layout(part, len, ctx.cache_chunk_bytes)[0];
+    let promoted = SegmentKey::chunk("b", part, first);
     let (_, tier) = cache.get_tiered(&promoted).unwrap();
     let (len, now) = cache.peek_tier(&promoted).unwrap();
     assert_eq!(
@@ -444,10 +448,7 @@ fn concurrent_committers_charge_each_byte_and_fsync_once() {
         workers.into_iter().map(|w| w.join().unwrap()).sum()
     });
     let (bytes, fsyncs) = cache.persist_counters();
-    assert!(
-        bytes > 16_000,
-        "32 chunk fills and 16 layouts were appended"
-    );
+    assert!(bytes > 16_000, "32 chunk fills were appended");
     assert_eq!(fsyncs, 2, "the two commits share one pair of barriers");
     let expect = bytes as f64 / plan.latency.disk_write_bw + 2.0 * plan.latency.fsync_latency;
     assert!(

@@ -150,7 +150,7 @@ fn setup(format: Format, source: Source) -> (QueryContext, Table) {
             for key in table.partitions(&store) {
                 let data = store.raw_object("b", &key).unwrap();
                 let len = data.len() as u64;
-                // The layout the scan itself derives: fixed blocks for
+                // The layout the catalog gives the scan: fixed blocks for
                 // CSV, column-chunk extents for ColumnarLite.
                 let chunks: Vec<(u64, u64)> = match format {
                     Format::Csv => (0..len)
@@ -161,7 +161,6 @@ fn setup(format: Format, source: Source) -> (QueryContext, Table) {
                 };
                 assert!(chunks.len() >= 3, "need gaps and hits in {key}");
                 let epoch = cache.begin_fill(&SegmentKey::whole("b", &key));
-                cache.record_layout("b", &key, epoch, chunks.clone());
                 for &(first, last) in chunks.iter().step_by(2) {
                     cache.insert(
                         SegmentKey::chunk("b", &key, (first, last)),
@@ -374,10 +373,9 @@ fn fused(
     source: Source,
     threads: usize,
     batch_rows: usize,
-    columnar_exec: bool,
 ) -> Outcome {
     let (ctx, table) = setup(format, source);
-    let mut ctx = ctx.scoped().with_columnar(columnar_exec);
+    let mut ctx = ctx.scoped();
     ctx.scan_threads = threads;
     ctx.batch_rows = batch_rows;
     let fragment = case.fragment(&table);
@@ -410,8 +408,7 @@ fn fused(
     }
 }
 
-/// Every case × source × pool width × batch size × execution mode
-/// (column vectors or rows out of the decoder) for one storage format.
+/// Every case × source × pool width × batch size for one storage format.
 fn check_fragments_match_oracle(format: Format) {
     for source in SOURCES {
         for case in cases() {
@@ -421,17 +418,15 @@ fn check_fragments_match_oracle(format: Format) {
             if case.name == "identity" {
                 assert_eq!(want.rows, rows());
             }
-            for columnar_exec in [true, false] {
-                for threads in [1, 2, 8] {
-                    for batch_rows in [1, 7, 1024] {
-                        let got = fused(&case, format, source, threads, batch_rows, columnar_exec);
-                        assert_eq!(
-                            got, want,
-                            "{} on {format:?} from {source:?}, {threads} threads, \
-                             batches of {batch_rows}, columnar_exec {columnar_exec}",
-                            case.name
-                        );
-                    }
+            for threads in [1, 2, 8] {
+                for batch_rows in [1, 7, 1024] {
+                    let got = fused(&case, format, source, threads, batch_rows);
+                    assert_eq!(
+                        got, want,
+                        "{} on {format:?} from {source:?}, {threads} threads, \
+                         batches of {batch_rows}",
+                        case.name
+                    );
                 }
             }
         }
@@ -590,9 +585,9 @@ fn consumer_and_worker_errors_cancel_the_scan_cleanly() {
 
 /// The accumulator edge cases the columnar aggregate kernels pin
 /// (`ops.rs` unit tests), through the engine's own aggregate and
-/// group-by plans: a ColumnarLite table, vectorized or not, and a CSV
-/// table decoded into column vectors answer — or fail — exactly like the
-/// row fold over the same rows.
+/// group-by plans: a ColumnarLite table and a CSV table decoded into
+/// column vectors answer — or fail — exactly like the row fold over the
+/// same rows (`ops::GroupByAccumulator`), and charge the same CPU.
 #[test]
 fn aggregates_over_columnar_lite_match_the_row_fold_on_edge_values() {
     let schema = Schema::from_pairs(&[
@@ -617,15 +612,75 @@ fn aggregates_over_columnar_lite_match_the_row_fold_on_edge_values() {
             ])
         })
         .collect();
+    use pushdowndb::sql::agg::AggFunc::{Avg, Count, Max, Min, Sum};
+    // Each statement, with its predicate, grouping columns and
+    // aggregates for the row fold.
     let shapes = [
-        "SELECT SUM(i), COUNT(i), AVG(i) FROM t WHERE i < 1000",
-        "SELECT SUM(i) FROM t",
-        "SELECT MIN(f), MAX(f), SUM(f), COUNT(f), AVG(f), COUNT(*) FROM t",
-        "SELECT SUM(d), AVG(d), MIN(d), MAX(d), MIN(g), MAX(g) FROM t WHERE f > 0.0",
-        "SELECT g, SUM(d), MIN(f), MAX(f), AVG(i) FROM t WHERE i < 1000 GROUP BY g",
-        "SELECT g, SUM(i) FROM t GROUP BY g",
+        (
+            "SELECT SUM(i), COUNT(i), AVG(i) FROM t WHERE i < 1000",
+            Some("i < 1000"),
+            vec![],
+            vec![(Sum, Some(1)), (Count, Some(1)), (Avg, Some(1))],
+        ),
+        ("SELECT SUM(i) FROM t", None, vec![], vec![(Sum, Some(1))]),
+        (
+            "SELECT MIN(f), MAX(f), SUM(f), COUNT(f), AVG(f), COUNT(*) FROM t",
+            None,
+            vec![],
+            vec![
+                (Min, Some(2)),
+                (Max, Some(2)),
+                (Sum, Some(2)),
+                (Count, Some(2)),
+                (Avg, Some(2)),
+                (Count, None),
+            ],
+        ),
+        (
+            "SELECT SUM(d), AVG(d), MIN(d), MAX(d), MIN(g), MAX(g) FROM t WHERE f > 0.0",
+            Some("f > 0.0"),
+            vec![],
+            vec![
+                (Sum, Some(3)),
+                (Avg, Some(3)),
+                (Min, Some(3)),
+                (Max, Some(3)),
+                (Min, Some(0)),
+                (Max, Some(0)),
+            ],
+        ),
+        (
+            "SELECT g, SUM(d), MIN(f), MAX(f), AVG(i) FROM t WHERE i < 1000 GROUP BY g",
+            Some("i < 1000"),
+            vec![0],
+            vec![
+                (Sum, Some(3)),
+                (Min, Some(2)),
+                (Max, Some(2)),
+                (Avg, Some(1)),
+            ],
+        ),
+        (
+            "SELECT g, SUM(i) FROM t GROUP BY g",
+            None,
+            vec![0],
+            vec![(Sum, Some(1))],
+        ),
     ];
-    let run = |columnar: bool, exec: bool, sql: &str| {
+    let fold = |pred: Option<&str>, group: &[usize], aggs: &[_]| {
+        let stats = &mut PhaseStats::default();
+        let kept = match pred {
+            Some(p) => {
+                let p = Binder::new(&schema).bind_expr(&parse_expr(p).unwrap());
+                ops::filter_rows(rows.clone(), &p.unwrap(), stats).map_err(|e| e.to_string())?
+            }
+            None => rows.clone(),
+        };
+        let mut acc = ops::GroupByAccumulator::new(group.to_vec(), aggs.to_vec());
+        acc.update_batch(&kept, stats).map_err(|e| e.to_string())?;
+        Ok::<_, String>(format!("{:?}", acc.finish(stats)))
+    };
+    let run = |columnar: bool, sql: &str| {
         let store = S3Store::new();
         let table = if columnar {
             let opts = WriterOptions {
@@ -637,37 +692,29 @@ fn aggregates_over_columnar_lite_match_the_row_fold_on_edge_values() {
             upload_csv_table(&store, "b", "t", &schema, &rows, 48)
         }
         .unwrap();
-        let mut ctx = QueryContext::new(store).with_columnar(exec);
+        let mut ctx = QueryContext::new(store);
         ctx.scan_threads = 4;
         ctx.batch_rows = 10;
-        // NaN != NaN, so outcomes compare as text.
-        match execute_sql(&ctx, &table, sql, Strategy::Baseline) {
-            Ok(out) => {
+        // NaN != NaN, so rows compare as text.
+        execute_sql(&ctx, &table, sql, Strategy::Baseline)
+            .map(|out| {
                 let phases = out.metrics.groups.iter().flat_map(|g| &g.phases);
                 let cpu: u64 = phases.map(|p| p.stats.server_cpu_units).sum();
-                format!("{:?} / {cpu} cpu units", out.rows)
-            }
-            Err(e) => format!("error: {e}"),
-        }
+                (format!("{:?}", out.rows), cpu)
+            })
+            .map_err(|e| e.to_string())
     };
-    for sql in shapes {
-        let expect = run(false, false, sql);
-        assert_eq!(
-            expect.starts_with("error: "),
-            sql.ends_with("SUM(i) FROM t") || sql.ends_with("SUM(i) FROM t GROUP BY g"),
-            "{sql}: {expect}"
-        );
-        if expect.starts_with("error: ") {
-            assert!(expect.contains("integer overflow in SUM"), "{expect}");
+    for (sql, pred, group, aggs) in shapes {
+        let folded = fold(pred, &group, &aggs);
+        let overflows = sql.ends_with("SUM(i) FROM t") || sql.ends_with("SUM(i) FROM t GROUP BY g");
+        assert_eq!(folded.is_err(), overflows, "{sql}: {folded:?}");
+        if let Err(e) = &folded {
+            assert!(e.contains("integer overflow in SUM"), "{e}");
         }
-        assert_eq!(
-            run(false, true, sql),
-            expect,
-            "{sql}, CSV into column vectors"
-        );
-        for exec in [true, false] {
-            assert_eq!(run(true, exec, sql), expect, "{sql}, columnar_exec {exec}");
-        }
+        let csv = run(false, sql);
+        let answer = csv.clone().map(|(rows, _)| rows);
+        assert_eq!(answer, folded, "{sql}, CSV into column vectors");
+        assert_eq!(run(true, sql), csv, "{sql}, ColumnarLite");
     }
 }
 
