@@ -1,5 +1,7 @@
-//! Prints every paper figure (Figs 1–11 and the §X ablations) at the
-//! size `tests/golden/paper_figures.txt` pins, one titled block each:
+//! Prints every figure (Figs 1–11, the §X ablations and the cache
+//! tier's figure) at the size `tests/golden/paper_figures.txt` pins, one
+//! titled block each, and exits non-zero when a figure fails, the cache
+//! figure's gates included:
 //! `cargo run --release -p pushdown-bench --bin figures`.
 
 use pushdown_bench::experiments::FIGURES;

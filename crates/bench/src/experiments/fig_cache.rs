@@ -6,25 +6,64 @@
 //! serves hot segments locally for $0 — from memory at `cache_read_bw`,
 //! from simulated instance storage at the slower `disk_read_bw` — and
 //! pushes down only the cold tail, priced by the same cost model as
-//! everything else. This experiment drives the same seeded Zipf
-//! (θ configurable, 1.0 by default) stream of planner-suite queries
-//! against a sweep of **(mem, disk) budget pairs** — from (0, 0)
-//! (disabled) up to the full dataset in either tier — and reports, per
-//! point, the exact ledger bill, the per-tier hit counters, and the
-//! reduction in remotely scanned bytes vs the cache-disabled run: the
-//! three-way mem/disk/remote frontier. A disk tier larger than RAM
-//! keeps demoted segments servable locally, so remote bytes keep
-//! falling past the RAM budget — FlexPushdownDB's separable-benefit
-//! result.
+//! everything else. This experiment drives the same seeded Zipf stream
+//! of planner-suite queries against a sweep of **(mem, disk) budget
+//! pairs** — from (0, 0) (disabled) up to the full dataset in either
+//! tier — and reports, per point, the exact ledger bill, the per-tier
+//! hit counters, and the reduction in remotely scanned bytes vs the
+//! cache-disabled run: the three-way mem/disk/remote frontier. A disk
+//! tier larger than RAM keeps demoted segments servable locally, so
+//! remote bytes keep falling past the RAM budget — FlexPushdownDB's
+//! separable-benefit result. A restart leg then warms a persistent
+//! tier, drops it and recovers it from its directory.
 //!
-//! Everything except wall time is deterministic in (scale factor, seed).
+//! Everything is deterministic in the [`Size`]; [`figure`] runs both
+//! legs at [`SIZE`] and holds their rows to seven gates.
 
+use crate::figure::{Cell, Figure};
 use crate::workload::{generate_zipf, run_stream, WorkloadReport, WorkloadSpec};
 use pushdown_cache::{CacheStats, ManifestStats};
 use pushdown_common::pricing::Usage;
-use pushdown_common::{Result, TempDir};
+use pushdown_common::{Error, Result, TempDir};
 use pushdown_core::planner::Strategy;
 use pushdown_tpch::tpch_context;
+
+/// The workload both legs drive: TPC-H at `scale_factor`, and a stream
+/// of `queries` Zipf(`theta`) draws from the planner suite, seeded.
+#[derive(Debug, Clone, Copy)]
+pub struct Size {
+    pub scale_factor: f64,
+    pub queries: usize,
+    pub seed: u64,
+    pub theta: f64,
+}
+
+/// The size `figure` runs at.
+pub const SIZE: Size = Size {
+    scale_factor: 0.002,
+    queries: 48,
+    seed: 42,
+    theta: 1.0,
+};
+
+/// The swept (mem_fraction, disk_fraction) grid: the cache-off point, a
+/// mem-only sweep, then disk tiers stacked behind a RAM-constrained mem
+/// budget.
+const GRID: &[(f64, f64)] = &[
+    (0.0, 0.0),
+    (0.1, 0.0),
+    (0.5, 0.0),
+    (1.0, 0.0),
+    (0.1, 0.5),
+    (0.1, 1.0),
+    (0.5, 1.0),
+];
+
+/// The restart leg's (mem, disk) points: a disk-only tier holding the
+/// whole dataset (the zero-rebill gate), the same disk tier behind
+/// constrained RAM, and an *undersized* disk tier whose constant
+/// eviction churn exercises the manifest-compaction bound.
+const RESTART_GRID: &[(f64, f64)] = &[(0.0, 1.0), (0.1, 1.0), (0.0, 0.25)];
 
 /// Outcome of one (mem, disk) budget point of the sweep.
 #[derive(Debug, Clone)]
@@ -73,9 +112,6 @@ impl FigCacheRow {
 #[derive(Debug, Clone)]
 pub struct FigCacheResult {
     pub rows: Vec<FigCacheRow>,
-    pub queries: usize,
-    pub seed: u64,
-    pub theta: f64,
     /// Total stored bytes of the dataset (the budget sweep's yardstick).
     pub dataset_bytes: u64,
 }
@@ -84,28 +120,20 @@ fn remote_bytes(u: &Usage) -> u64 {
     u.select_scanned_bytes + u.plain_bytes
 }
 
-/// Sweep `(mem_fraction, disk_fraction)` budget pairs (fractions of the
-/// dataset's stored bytes) over the same seeded Zipf workload. Each
-/// point runs on a freshly generated (identical) dataset so occupancy
-/// starts cold and runs stay independent. The cache-**disabled**
-/// reference always runs (regardless of what `points` contains), so
-/// every row's `saved_fraction` compares against the true disabled
-/// bill; a `(0.0, 0.0)` entry in the sweep reuses that reference
-/// instead of running twice.
-pub fn run(
-    scale_factor: f64,
-    seed: u64,
-    queries: usize,
-    theta: f64,
-    points: &[(f64, f64)],
-) -> Result<FigCacheResult> {
-    let stream = generate_zipf(seed, queries, theta);
+/// Sweep the `GRID`'s budget pairs (fractions of the dataset's stored
+/// bytes) over the same seeded Zipf workload. Each point runs on a
+/// freshly generated (identical) dataset so occupancy starts cold and
+/// runs stay independent. The cache-**disabled** run comes first: every
+/// row's `saved_fraction` compares against its bill, and it is the
+/// `(0, 0)` row.
+pub fn run(size: Size) -> Result<FigCacheResult> {
+    let stream = generate_zipf(size.seed, size.queries, size.theta);
     let spec = WorkloadSpec {
-        seed,
+        seed: size.seed,
         strategy: Strategy::Adaptive,
     };
     // The disabled baseline run.
-    let (base_ctx, base_tables) = tpch_context(scale_factor, 1_500)?;
+    let (base_ctx, base_tables) = tpch_context(size.scale_factor, 1_500)?;
     let dataset_bytes = base_tables
         .all()
         .iter()
@@ -113,27 +141,17 @@ pub fn run(
         .sum::<u64>();
     let baseline = run_stream(&base_ctx, &base_tables, &spec, &stream);
     let baseline_remote = remote_bytes(&baseline.sum_billed);
-    let mut baseline = Some(baseline);
 
     let mut rows: Vec<FigCacheRow> = Vec::new();
-    for &(mem_fraction, disk_fraction) in points {
+    for &(mem_fraction, disk_fraction) in GRID {
         let mem_budget = (dataset_bytes as f64 * mem_fraction) as u64;
         let disk_budget = (dataset_bytes as f64 * disk_fraction) as u64;
         // Zero budgets admit nothing, so the point *is* the disabled
-        // run — serve it from the reference instead of re-running.
+        // run.
         let (report, cache) = if mem_budget == 0 && disk_budget == 0 {
-            match baseline.take() {
-                Some(r) => (r, CacheStats::default()),
-                None => {
-                    let (ctx, tables) = tpch_context(scale_factor, 1_500)?;
-                    (
-                        run_stream(&ctx, &tables, &spec, &stream),
-                        CacheStats::default(),
-                    )
-                }
-            }
+            (baseline.clone(), CacheStats::default())
         } else {
-            let (ctx, tables) = tpch_context(scale_factor, 1_500)?;
+            let (ctx, tables) = tpch_context(size.scale_factor, 1_500)?;
             let ctx = ctx.with_cache_tiers(mem_budget, disk_budget);
             let report = run_stream(&ctx, &tables, &spec, &stream);
             let cache = ctx.cache().map(|c| c.stats()).unwrap_or_default();
@@ -156,9 +174,6 @@ pub fn run(
     }
     Ok(FigCacheResult {
         rows,
-        queries,
-        seed,
-        theta,
         dataset_bytes,
     })
 }
@@ -181,9 +196,6 @@ pub struct FigRestartRow {
     /// Segments / bytes the manifest replay brought back disk-resident.
     pub recovered_segments: u64,
     pub recovered_bytes: u64,
-    /// Wall-clock seconds spent recovering (replay + checksum verify) —
-    /// the only non-deterministic number in the row.
-    pub recovery_wall_s: f64,
     /// Manifest shape after the whole leg (compaction bound evidence).
     pub manifest: Option<ManifestStats>,
     /// Cache counters of the first incarnation at shutdown (its final
@@ -220,38 +232,29 @@ impl FigRestartRow {
 #[derive(Debug, Clone)]
 pub struct FigRestartResult {
     pub rows: Vec<FigRestartRow>,
-    pub queries: usize,
-    pub seed: u64,
-    pub theta: f64,
     pub dataset_bytes: u64,
 }
 
-/// The restart leg: for each `(mem_fraction, disk_fraction)` point,
-/// warm a **persistent** tiered cache with two passes of the seeded
-/// Zipf stream, drop every cache handle (a clean shutdown), rebuild the
+/// The restart leg: for each `RESTART_GRID` point, warm a
+/// **persistent** tiered cache with two passes of the seeded Zipf
+/// stream, drop every cache handle (a clean shutdown), rebuild the
 /// context from a freshly generated (byte-identical) dataset, recover
-/// the cache from the same directory — timed — and replay the stream a
-/// third time. Segments that were disk-resident at shutdown, or promoted
-/// to mem from the disk tier, must serve the restart pass without
-/// re-billing; the recovery-time catalog probe
-/// checksums every recovered segment against the regenerated objects.
-pub fn run_restart(
-    scale_factor: f64,
-    seed: u64,
-    queries: usize,
-    theta: f64,
-    points: &[(f64, f64)],
-) -> Result<FigRestartResult> {
-    let stream = generate_zipf(seed, queries, theta);
+/// the cache from the same directory and replay the stream a third
+/// time. Segments that were disk-resident at shutdown, or promoted to
+/// mem from the disk tier, must serve the restart pass without
+/// re-billing; the recovery-time catalog probe checksums every
+/// recovered segment against the regenerated objects.
+pub fn run_restart(size: Size) -> Result<FigRestartResult> {
+    let stream = generate_zipf(size.seed, size.queries, size.theta);
     let spec = WorkloadSpec {
-        seed,
+        seed: size.seed,
         strategy: Strategy::Adaptive,
     };
     let mut rows: Vec<FigRestartRow> = Vec::new();
     let mut dataset_bytes = 0;
-    for &(mem_fraction, disk_fraction) in points {
+    for &(mem_fraction, disk_fraction) in RESTART_GRID {
         let tmp = TempDir::new("fig-cache-restart");
-        let (ctx, tables) = tpch_context(scale_factor, 1_500)?;
+        let (ctx, tables) = tpch_context(size.scale_factor, 1_500)?;
         dataset_bytes = tables
             .all()
             .iter()
@@ -273,12 +276,10 @@ pub fn run_restart(
 
         // "Process restart": a fresh context over a freshly generated —
         // deterministically identical — dataset recovers the tier.
-        let (ctx, tables) = tpch_context(scale_factor, 1_500)?;
-        let t0 = std::time::Instant::now();
+        let (ctx, tables) = tpch_context(size.scale_factor, 1_500)?;
         let ctx = ctx
             .with_cache_tiers(mem_budget, disk_budget)
             .with_cache_dir(tmp.path())?;
-        let recovery_wall_s = t0.elapsed().as_secs_f64();
         let cache = ctx.cache().expect("persistent cache just installed");
         let recovered = cache.stats();
         let restart = run_stream(&ctx, &tables, &spec, &stream);
@@ -292,7 +293,6 @@ pub fn run_restart(
             restart_remote,
             recovered_segments: recovered.recovered_segments,
             recovered_bytes: recovered.recovered_bytes,
-            recovery_wall_s,
             manifest: cache.manifest_stats(),
             warm_cache,
             restart_cache: cache.stats(),
@@ -300,9 +300,244 @@ pub fn run_restart(
     }
     Ok(FigRestartResult {
         rows,
-        queries,
-        seed,
-        theta,
         dataset_bytes,
     })
+}
+
+/// The figure's seven gates, on the rows of one run of both legs: the
+/// first that fails is the `Err`, named.
+fn check_gates(sweep: &FigCacheResult, restart: &FigRestartResult) -> Result<()> {
+    let gate = |n: u32, what: String| Err(Error::Other(format!("fig_cache Gate {n}: {what}")));
+    let row = |what: &str| Error::Other(format!("fig_cache: no {what} row in the grid"));
+
+    // Gate 1: a full-dataset mem budget serves the whole repeated
+    // stream locally after the cold fills.
+    let full_mem = sweep
+        .rows
+        .iter()
+        .find(|r| r.mem_budget >= sweep.dataset_bytes && r.disk_budget == 0)
+        .ok_or_else(|| row("full mem-budget"))?;
+    if full_mem.saved_fraction < 0.5 {
+        return gate(
+            1,
+            format!(
+                "a full-dataset mem budget saves {:.3} of remote bytes, under 0.5",
+                full_mem.saved_fraction
+            ),
+        );
+    }
+
+    // Gate 2: stacking a disk tier larger than RAM behind the same
+    // constrained mem budget keeps cutting remote bytes — demoted
+    // segments stay servable locally instead of re-billing.
+    let mem_only = sweep
+        .rows
+        .iter()
+        .find(|r| r.mem_budget > 0 && r.mem_budget < sweep.dataset_bytes && r.disk_budget == 0)
+        .ok_or_else(|| row("constrained mem-only"))?;
+    let with_disk = sweep
+        .rows
+        .iter()
+        .filter(|r| r.mem_budget == mem_only.mem_budget && r.disk_budget > r.mem_budget)
+        .max_by_key(|r| r.disk_budget)
+        .ok_or_else(|| row("disk > mem at the same mem budget"))?;
+    let drop = 1.0 - with_disk.remote_bytes as f64 / mem_only.remote_bytes.max(1) as f64;
+    if drop < 0.2 {
+        return gate(
+            2,
+            format!(
+                "a disk tier larger than RAM cuts remote bytes {drop:.3} vs mem-only at the \
+                 same mem budget, under 0.2"
+            ),
+        );
+    }
+
+    // Gate 6: a cache never costs money. Rent-or-buy fills a table only
+    // once what reading it remotely has cost covers the fill, so no
+    // budget bills more than the cache-off run (to a hundredth of a
+    // percent).
+    let off = sweep
+        .rows
+        .iter()
+        .find(|r| r.mem_budget == 0 && r.disk_budget == 0)
+        .ok_or_else(|| row("cache-off"))?;
+    for r in &sweep.rows {
+        let ratio = r.report.total_dollars / off.report.total_dollars;
+        if ratio > 1.0001 {
+            return gate(
+                6,
+                format!(
+                    "(mem {}, disk {}) bills ${:.9}, {:+.3}% over the cache-off ${:.9}",
+                    r.mem_budget,
+                    r.disk_budget,
+                    r.report.total_dollars,
+                    (ratio - 1.0) * 100.0,
+                    off.report.total_dollars,
+                ),
+            );
+        }
+    }
+
+    // Gate 3: restart economics. With a disk tier holding the whole
+    // dataset, everything disk-resident at shutdown is recovered and
+    // serves the post-restart replay like the pre-restart warm pass —
+    // no remote re-billing of persisted bytes.
+    let full_disk = restart
+        .rows
+        .iter()
+        .find(|r| r.mem_budget == 0 && r.disk_budget >= restart.dataset_bytes)
+        .ok_or_else(|| row("full disk-budget restart"))?;
+    if full_disk.recovered_segments == 0 {
+        return gate(3, "the restart recovered no persisted segment".into());
+    }
+    if full_disk.restart_remote != full_disk.warm_remote || full_disk.restart_remote != 0 {
+        return gate(
+            3,
+            format!(
+                "segments disk-resident at shutdown must bill 0 remote bytes after recovery \
+                 (warm {} B, restart {} B)",
+                full_disk.warm_remote, full_disk.restart_remote
+            ),
+        );
+    }
+
+    // Gate 7: a mem tier in front of the full-dataset disk tier writes
+    // nothing more to it and, at `SIZE`, loses nothing at a restart. A
+    // segment promoted to mem keeps its log copy, so demoting it again
+    // appends nothing. A restart recovers every segment with a log
+    // copy; a mem fill never demoted has none and is lost (mem is not
+    // persisted). The replay re-bills nothing here only because at
+    // `SIZE` every segment in mem at shutdown had been demoted before:
+    // after a 16-query stream one had not, and the replay re-bills its
+    // 57 265 B.
+    let fronted = restart
+        .rows
+        .iter()
+        .find(|r| r.mem_budget > 0 && r.disk_budget >= restart.dataset_bytes)
+        .ok_or_else(|| row("mem-fronted full disk-budget restart"))?;
+    let persisted = |r: &FigRestartRow| r.persisted(|c| c.persisted_bytes);
+    if fronted.restart_remote != 0 || persisted(fronted) > persisted(full_disk) {
+        return gate(
+            7,
+            format!(
+                "a mem tier in front must add no disk writes and, since at this size every \
+                 segment in mem at shutdown has been demoted before and so has a log copy, \
+                 lose nothing at a restart (restart remote {} B, persisted {} B vs the \
+                 disk-only row's {} B)",
+                fronted.restart_remote,
+                persisted(fronted),
+                persisted(full_disk)
+            ),
+        );
+    }
+
+    // Gate 4: the manifest stays compact under eviction churn — dead
+    // Put/Del records are garbage-collected once they outnumber live
+    // state, so the undersized-disk point's manifest is bounded by its
+    // live residency, not by workload length.
+    let churn = restart
+        .rows
+        .iter()
+        .find(|r| r.mem_budget == 0 && r.disk_budget < restart.dataset_bytes)
+        .ok_or_else(|| row("undersized-disk restart"))?;
+    let m = churn.manifest.unwrap_or_default();
+    if m.records > 128.max(8 * m.live_puts) {
+        return gate(
+            4,
+            format!(
+                "manifest compaction bound violated: {} records for {} live entries",
+                m.records, m.live_puts
+            ),
+        );
+    }
+
+    // Gate 5: group commit. Every fsync of either incarnation belongs
+    // to a commit, a compaction or an invalidation, each at most two
+    // barriers — however many segments the stream persisted.
+    for r in &restart.rows {
+        if !r.fsyncs_within_commit_bound() {
+            return gate(
+                5,
+                format!(
+                    "(mem {}, disk {}): {} fsyncs for {} commits + {} compactions",
+                    r.mem_budget,
+                    r.disk_budget,
+                    r.persisted(|c| c.fsyncs),
+                    r.persisted(|c| c.commits),
+                    r.persisted(|c| c.compactions),
+                ),
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The cache figure at [`SIZE`]: the dataset, one row per `GRID` point
+/// and one per `RESTART_GRID` point — or the first of the seven
+/// gates those rows fail.
+pub fn figure() -> Result<Figure> {
+    let sweep = run(SIZE)?;
+    let restart = run_restart(SIZE)?;
+    check_gates(&sweep, &restart)?;
+    let mut fig = Figure::new(
+        "fig-cache",
+        "Fig cache — billed $ and bytes vs (mem, disk) tier budgets under a Zipf stream, \
+         and the persistent tier across a restart",
+    );
+    fig.row(
+        "dataset",
+        vec![
+            ("bytes", Cell::Count(sweep.dataset_bytes)),
+            ("queries", Cell::Count(SIZE.queries as u64)),
+            ("seed", Cell::Count(SIZE.seed)),
+            ("theta", Cell::Ratio(SIZE.theta)),
+        ],
+    );
+    for (&(mem, disk), r) in GRID.iter().zip(&sweep.rows) {
+        fig.row(
+            format!("sweep mem={mem} disk={disk}"),
+            vec![
+                ("mem-budget", Cell::Count(r.mem_budget)),
+                ("disk-budget", Cell::Count(r.disk_budget)),
+                ("billed", Cell::Dollars(r.report.total_dollars)),
+                ("remote-bytes", Cell::Count(r.remote_bytes)),
+                ("saved", Cell::Ratio(r.saved_fraction)),
+                ("mem-hit-bytes", Cell::Count(r.mem_hit_bytes())),
+                ("disk-hit-bytes", Cell::Count(r.cache.disk_hit_bytes)),
+                ("fill-bytes", Cell::Count(r.cache.fill_bytes)),
+                ("mem-hit", Cell::Ratio(r.mem_hit_ratio())),
+                ("disk-hit", Cell::Ratio(r.disk_hit_ratio())),
+                ("makespan", Cell::Secs(r.report.virtual_makespan_s)),
+                ("failed", Cell::Count(r.report.failed as u64)),
+            ],
+        );
+    }
+    for (&(mem, disk), r) in RESTART_GRID.iter().zip(&restart.rows) {
+        let m = r.manifest.unwrap_or_default();
+        fig.row(
+            format!("restart mem={mem} disk={disk}"),
+            vec![
+                ("mem-budget", Cell::Count(r.mem_budget)),
+                ("disk-budget", Cell::Count(r.disk_budget)),
+                ("warm", Cell::Dollars(r.warm.total_dollars)),
+                ("restart", Cell::Dollars(r.restart.total_dollars)),
+                ("warm-remote-bytes", Cell::Count(r.warm_remote)),
+                ("restart-remote-bytes", Cell::Count(r.restart_remote)),
+                ("recovered-segments", Cell::Count(r.recovered_segments)),
+                ("recovered-bytes", Cell::Count(r.recovered_bytes)),
+                ("restart-disk-hit", Cell::Ratio(r.restart_disk_hit_ratio())),
+                ("manifest-records", Cell::Count(m.records)),
+                ("manifest-live-puts", Cell::Count(m.live_puts)),
+                ("manifest-bytes", Cell::Count(m.manifest_bytes)),
+                ("fsyncs", Cell::Count(r.persisted(|c| c.fsyncs))),
+                ("commits", Cell::Count(r.persisted(|c| c.commits))),
+                ("compactions", Cell::Count(r.persisted(|c| c.compactions))),
+                (
+                    "persisted-bytes",
+                    Cell::Count(r.persisted(|c| c.persisted_bytes)),
+                ),
+            ],
+        );
+    }
+    Ok(fig)
 }

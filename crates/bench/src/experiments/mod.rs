@@ -2,8 +2,9 @@
 //! and returns structured rows, which `tests/figure_shapes.rs` asserts
 //! shapes on; every `figure()` runs its module's `run` at the module's
 //! `SIZE` and returns the rows as a [`Figure`], which the `figures`
-//! binary prints and `tests/paper_figures.rs` pins. `fig_cache` is the
-//! exception: a budget grid with its own JSON artifact and gates.
+//! binary prints and `tests/paper_figures.rs` pins. `fig_cache`, the
+//! cache tier's budget grid beyond the paper, is one more such figure;
+//! its `figure()` also checks the grid's seven gates.
 
 use crate::figure::Figure;
 use pushdown_common::Result;
@@ -22,7 +23,7 @@ pub mod fig10_tpch;
 pub mod fig11_parquet;
 pub mod fig_cache;
 
-/// Every paper figure, in the order of `tests/golden/paper_figures.txt`.
+/// Every figure, in the order of `tests/golden/paper_figures.txt`.
 pub const FIGURES: &[fn() -> Result<Figure>] = &[
     fig01_filter::figure,
     fig02_join_customer::figure,
@@ -39,4 +40,5 @@ pub const FIGURES: &[fn() -> Result<Figure>] = &[
     ablation::bloom_figure,
     ablation::groupby_figure,
     ablation::pricing_figure,
+    fig_cache::figure,
 ];

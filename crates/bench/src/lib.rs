@@ -1,8 +1,9 @@
 //! # pushdown-bench
 //!
 //! Experiment harnesses that regenerate **every figure of the paper's
-//! evaluation** (Figs 1–11) from the Rust reproduction, plus criterion
-//! micro-benchmarks of the columnar kernels and the cache read path.
+//! evaluation** (Figs 1–11 and the §X ablations) from the Rust
+//! reproduction, the cache tier's figure beyond the paper, and criterion
+//! micro-benchmarks of the columnar kernels.
 //!
 //! Each `experiments::figNN` module exposes a `run(size)` function that
 //! executes the experiment and returns structured rows, a `SIZE` and a
@@ -24,7 +25,6 @@
 
 pub mod experiments;
 pub mod figure;
-pub mod table;
 pub mod workload;
 
 use pushdown_common::pricing::CostBreakdown;

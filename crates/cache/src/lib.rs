@@ -316,8 +316,8 @@ fn object_hash(bucket: &str, key: &str) -> u64 {
     )
 }
 
-/// Point-in-time cache observability (EXPLAIN's cache line, the
-/// `fig_cache` experiment).
+/// Point-in-time cache observability (EXPLAIN's cache line, the cache
+/// figure's per-tier cells).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Segment lookups served from either tier.

@@ -708,16 +708,12 @@ fn aggregate_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
                 )))
             }
         };
-        let mut dtype = match func {
-            AggFunc::Count => Some(DataType::Int),
-            AggFunc::Avg => Some(DataType::Float),
-            _ => None,
-        };
+        let mut arg_type = None;
         let slot = match arg {
             None => None,
             Some(e) => {
                 let bound = binder.bind_expr(e)?.infer_type();
-                dtype = dtype.or(Some(bound));
+                arg_type = Some(bound);
                 // One input column per distinct argument.
                 Some(exprs.iter().position(|x| x == e).unwrap_or_else(|| {
                     let name = match e {
@@ -734,7 +730,7 @@ fn aggregate_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
             0 => format!("_{}", i + 1),
             _ => agg_name(func, arg, &spec.group_by, aggs.len()),
         });
-        out_fields.push(Field::new(name, dtype.unwrap_or(DataType::Float)));
+        out_fields.push(Field::new(name, func.result_type(arg_type)));
         aggs.push((*func, slot));
     }
     let schema = Schema::new(out_fields);

@@ -7,7 +7,7 @@
 //! group-by operator and the merge of pushed partials — is one
 //! [`GroupTable`]: group key → one accumulator per aggregate.
 
-use pushdown_common::{Error, Result, Row, Value};
+use pushdown_common::{DataType, Error, Result, Row, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -40,6 +40,20 @@ impl AggFunc {
             "MAX" => Some(AggFunc::Max),
             "AVG" => Some(AggFunc::Avg),
             _ => None,
+        }
+    }
+
+    /// The type of this function's result over an argument of type
+    /// `arg` (`None`: `COUNT(*)`), as [`Accumulator::finish`] returns
+    /// it: `COUNT` is INT, `AVG` FLOAT, `SUM` INT over INT and FLOAT
+    /// over anything else (a DATE sums to a FLOAT count of days), `MIN`
+    /// and `MAX` the argument's type.
+    pub fn result_type(&self, arg: Option<DataType>) -> DataType {
+        match (self, arg) {
+            (AggFunc::Count, _) => DataType::Int,
+            (AggFunc::Sum, Some(DataType::Int)) => DataType::Int,
+            (AggFunc::Min | AggFunc::Max, Some(t)) => t,
+            _ => DataType::Float,
         }
     }
 

@@ -495,14 +495,7 @@ impl<'a> Binder<'a> {
                         None => None,
                     };
                     let name = alias.clone().unwrap_or_else(|| format!("_{}", i + 1));
-                    let dtype = match func {
-                        AggFunc::Count => DataType::Int,
-                        AggFunc::Avg => DataType::Float,
-                        AggFunc::Sum | AggFunc::Min | AggFunc::Max => bound_arg
-                            .as_ref()
-                            .map(|e| e.infer_type())
-                            .unwrap_or(DataType::Float),
-                    };
+                    let dtype = func.result_type(bound_arg.as_ref().map(|e| e.infer_type()));
                     fields.push(Field::new(name.clone(), dtype));
                     items.push(BoundItem::Agg {
                         func: *func,

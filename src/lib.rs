@@ -286,7 +286,8 @@
 //! (`QueryContext::retry`); each attempt bills a request, bytes bill
 //! once, and backoff advances the scope's virtual clock
 //! ([`s3::S3Store::virtual_time_s`]). The seeded workload harness
-//! (`pushdown_bench::workload`, run by `fig_cache`) drives a
+//! (`pushdown_bench::workload`, run by the cache figure,
+//! `pushdown_bench::experiments::fig_cache`) drives a
 //! Zipf-skewed TPC-H stream one query after another and reports
 //! per-query dollars and virtual-time latency.
 //!

@@ -9,18 +9,19 @@ use pushdowndb::common::mix::fnv1a;
 use pushdowndb::common::perf::PhaseStats;
 use pushdowndb::common::{DataType, Error, RetryPolicy, Row, Schema, Value};
 use pushdowndb::core::ops;
-use pushdowndb::core::planner::{execute_sql, Strategy};
+use pushdowndb::core::planner::{execute_sql, lower, Strategy};
 use pushdowndb::core::scan::{
     cached_scan_streamed, plain_scan_streamed, scan, scan_rows, ScanFragment, ScanSource,
 };
-use pushdowndb::core::{upload_columnar_table, upload_csv_table, QueryContext, Table};
+use pushdowndb::core::{plan, upload_columnar_table, upload_csv_table, QueryContext, Table};
 use pushdowndb::format::columnar::{encode_columnar, ColumnarReader, WriterOptions};
 use pushdowndb::format::compress::compress;
 use pushdowndb::format::csv::encode_csv;
 use pushdowndb::s3::{FaultPlan, S3Store};
+use pushdowndb::select::EngineExtensions;
 use pushdowndb::sql::bind::{Binder, BoundExpr};
 use pushdowndb::sql::eval::eval;
-use pushdowndb::sql::parse_expr;
+use pushdowndb::sql::{parse_expr, parse_query};
 use pushdowndb::tpch::TpchGen;
 use std::sync::OnceLock;
 
@@ -587,7 +588,8 @@ fn consumer_and_worker_errors_cancel_the_scan_cleanly() {
 /// (`ops.rs` unit tests), through the engine's own aggregate and
 /// group-by plans: a ColumnarLite table and a CSV table decoded into
 /// column vectors answer — or fail — exactly like the row fold over the
-/// same rows (`ops::GroupByAccumulator`), and charge the same CPU.
+/// same rows (`ops::GroupByAccumulator`), and charge the same CPU; S3
+/// Select, over either format, answers with the same rows.
 #[test]
 fn aggregates_over_columnar_lite_match_the_row_fold_on_edge_values() {
     let schema = Schema::from_pairs(&[
@@ -680,7 +682,7 @@ fn aggregates_over_columnar_lite_match_the_row_fold_on_edge_values() {
         acc.update_batch(&kept, stats).map_err(|e| e.to_string())?;
         Ok::<_, String>(format!("{:?}", acc.finish(stats)))
     };
-    let run = |columnar: bool, sql: &str| {
+    let run = |columnar: bool, strategy: Strategy, sql: &str| {
         let store = S3Store::new();
         let table = if columnar {
             let opts = WriterOptions {
@@ -696,7 +698,7 @@ fn aggregates_over_columnar_lite_match_the_row_fold_on_edge_values() {
         ctx.scan_threads = 4;
         ctx.batch_rows = 10;
         // NaN != NaN, so rows compare as text.
-        execute_sql(&ctx, &table, sql, Strategy::Baseline)
+        execute_sql(&ctx, &table, sql, strategy)
             .map(|out| {
                 let phases = out.metrics.groups.iter().flat_map(|g| &g.phases);
                 let cpu: u64 = phases.map(|p| p.stats.server_cpu_units).sum();
@@ -711,10 +713,117 @@ fn aggregates_over_columnar_lite_match_the_row_fold_on_edge_values() {
         if let Err(e) = &folded {
             assert!(e.contains("integer overflow in SUM"), "{e}");
         }
-        let csv = run(false, sql);
+        let csv = run(false, Strategy::Baseline, sql);
         let answer = csv.clone().map(|(rows, _)| rows);
         assert_eq!(answer, folded, "{sql}, CSV into column vectors");
-        assert_eq!(run(true, sql), csv, "{sql}, ColumnarLite");
+        assert_eq!(
+            run(true, Strategy::Baseline, sql),
+            csv,
+            "{sql}, ColumnarLite"
+        );
+        // S3 Select charges CPU of its own; its rows are the answer.
+        for columnar in [false, true] {
+            let select = run(columnar, Strategy::Pushdown, sql).map(|(rows, _)| rows);
+            match &folded {
+                Ok(_) => assert_eq!(select, folded, "{sql}, S3 Select, columnar {columnar}"),
+                Err(_) => {
+                    let e = select.expect_err(sql);
+                    assert!(
+                        e.contains("integer overflow in SUM"),
+                        "{sql}, S3 Select: {e}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `SUM` over a DATE column is a FLOAT count of days, `AVG` its mean,
+/// under every candidate a statement lowers to — the pushed ones read
+/// the Select response by the statement's result types, so a `SUM`
+/// typed as a DATE fails there — on CSV and on ColumnarLite.
+#[test]
+fn sum_and_avg_of_a_date_column_agree_under_every_candidate() {
+    let schema = Schema::from_pairs(&[
+        ("g", DataType::Str),
+        ("f", DataType::Float),
+        ("d", DataType::Date),
+    ]);
+    let rows: Vec<Row> = (0..150i64)
+        .map(|n| {
+            Row::new(vec![
+                Value::Str(format!("g{}", n % 3)),
+                Value::Float((n % 11) as f64 - 4.5),
+                if n % 13 == 5 {
+                    Value::Null
+                } else {
+                    Value::Date(9000 + (n % 40) as i32)
+                },
+            ])
+        })
+        .collect();
+    // The answer by hand: day numbers are small integers, so their f64
+    // sum is exact in any order.
+    let fold = |keep: &dyn Fn(&Row) -> bool| {
+        let days: Vec<f64> = rows
+            .iter()
+            .filter(|r| keep(r))
+            .filter_map(|r| match r.0[2] {
+                Value::Date(d) => Some(d as f64),
+                _ => None,
+            })
+            .collect();
+        let sum: f64 = days.iter().sum();
+        vec![Value::Float(sum), Value::Float(sum / days.len() as f64)]
+    };
+    let positive = |r: &Row| matches!(r.0[1], Value::Float(f) if f > 0.0);
+    let group = |g: &str| {
+        let mut row = vec![Value::Str(g.to_string())];
+        row.extend(fold(&|r: &Row| r.0[0] == Value::Str(g.to_string())));
+        Row::new(row)
+    };
+    let shapes = [
+        (
+            "SELECT SUM(d), AVG(d) FROM t",
+            vec![Row::new(fold(&|_| true))],
+        ),
+        (
+            "SELECT SUM(d), AVG(d) FROM t WHERE f > 0.0",
+            vec![Row::new(fold(&positive))],
+        ),
+        (
+            "SELECT g, SUM(d), AVG(d) FROM t GROUP BY g",
+            vec![group("g0"), group("g1"), group("g2")],
+        ),
+    ];
+    for columnar in [false, true] {
+        let store = S3Store::new();
+        let table = if columnar {
+            let opts = WriterOptions {
+                rows_per_group: 16,
+                compress: true,
+            };
+            upload_columnar_table(&store, "b", "t", &schema, &rows, 48, opts)
+        } else {
+            upload_csv_table(&store, "b", "t", &schema, &rows, 48)
+        }
+        .unwrap();
+        let mut ctx = QueryContext::new(store).with_cache(1 << 20);
+        ctx.engine = ctx.engine.clone().with_extensions(EngineExtensions {
+            native_group_by: true,
+            ..Default::default()
+        });
+        for (sql, want) in &shapes {
+            let (_, candidates) = lower(&ctx, &table, &parse_query(sql).unwrap()).unwrap();
+            assert!(candidates.len() > 1, "{sql}");
+            for (name, plan) in candidates {
+                let out = plan::execute(&ctx.scoped(), &plan)
+                    .unwrap_or_else(|e| panic!("{sql}: {name} on columnar={columnar}: {e}"));
+                let mut got = out.rows;
+                got.sort_by(|a, b| a.0[0].total_cmp(&b.0[0]));
+                assert_eq!(&got, want, "{sql}: {name} on columnar={columnar}");
+            }
+        }
     }
 }
 
