@@ -877,6 +877,32 @@ impl SegmentCache {
             .map_or((0, 0), |d| d.commit())
     }
 
+    /// A clean shutdown's last writes: append to the segment log every
+    /// mem segment it holds no live copy of — a fill never demoted — in
+    /// insertion order, and commit once, so a restart recovers the mem
+    /// tier too (into the disk tier, like a promoted segment). The
+    /// segments stay resident, each now with its log copy. Appends
+    /// nothing and commits nothing when every mem segment has a copy,
+    /// after a crash, and without a directory.
+    pub fn persist_mem(&self) {
+        let Some(ds) = self.inner.disk_store.as_ref().filter(|d| !d.crashed()) else {
+            return;
+        };
+        let st = self.inner.state.lock();
+        let mut unlogged: Vec<(&SegmentKey, &Entry)> = (st.entries.iter())
+            .filter(|(k, e)| e.tier == CacheTier::Mem && !ds.holds(k, st.epoch(&k.bucket, &k.key)))
+            .collect();
+        unlogged.sort_unstable_by_key(|(_, e)| e.seq);
+        let mut appended = false;
+        for (key, e) in unlogged {
+            let data = e.bytes.as_ref().expect("a mem segment holds its bytes");
+            appended |= ds.put(key, data, st.epoch(&key.bucket, &key.key));
+        }
+        if appended {
+            ds.commit();
+        }
+    }
+
     /// Manifest size accounting for persistent caches — the CI gate
     /// asserts `records` stays bounded by live state under churn.
     pub fn manifest_stats(&self) -> Option<ManifestStats> {

@@ -110,12 +110,18 @@ pub struct TableStats {
 /// load-time encode wrote them, and summed over the objects, per column
 /// the bytes of the segments holding its chunks, and the footers'. A warm
 /// cached scan reads the footers and the chunks of the columns it
-/// decodes, which is how the estimator prices it.
+/// decodes, which is how the estimator prices it. Beside them, per column,
+/// the stored bytes of its chunks alone ([`ColumnarReader::scanned_by`]):
+/// what a Select decoding it scans and bills (§IX), which is how the
+/// estimator prices a Select — the segments would charge it the header
+/// the first segment holds.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SegmentBytes {
     /// Per column, in schema order.
     columns: Vec<u64>,
     footers: u64,
+    /// Per column, in schema order: its chunks' stored bytes.
+    chunks: Vec<u64>,
     /// Per partition key, its chunk extents ([`Table::cache_layout`]).
     extents: HashMap<String, Vec<(u64, u64)>>,
 }
@@ -132,18 +138,29 @@ impl SegmentBytes {
         };
         let footer = bytes(&[]);
         self.footers += footer;
-        self.columns.resize(reader.schema().len(), 0);
-        for (c, total) in self.columns.iter_mut().enumerate() {
+        let width = reader.schema().len();
+        self.columns.resize(width, 0);
+        self.chunks.resize(width, 0);
+        for (c, (total, chunks)) in self.columns.iter_mut().zip(&mut self.chunks).enumerate() {
             *total += bytes(&[c]) - footer;
+            *chunks += (0..reader.num_row_groups())
+                .map(|g| reader.scanned_by(g, &[c]))
+                .sum::<u64>();
         }
         self.extents.insert(key.to_string(), reader.chunk_extents());
     }
 
-    /// The bytes a scan decoding the columns `cols` reads: the footers
-    /// and those columns' chunks.
+    /// The bytes a cached scan decoding the columns `cols` reads: the
+    /// footers and the segments of those columns' chunks.
     pub(crate) fn read_by(&self, cols: &[usize]) -> u64 {
         let chunks: u64 = cols.iter().filter_map(|&c| self.columns.get(c)).sum();
         self.footers + chunks
+    }
+
+    /// The bytes a Select decoding the columns `cols` scans of every
+    /// object, pruning no row group: those columns' chunks.
+    pub(crate) fn scanned_by(&self, cols: &[usize]) -> u64 {
+        cols.iter().filter_map(|&c| self.chunks.get(c)).sum()
     }
 }
 

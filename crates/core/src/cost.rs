@@ -51,8 +51,8 @@ use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
 use crate::metrics::QueryMetrics;
 use crate::plan::{
-    case_when_chunk, counted_aggs, finished_by, hybrid_leaf, populous, threshold_predicate,
-    OpReport, Order, PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
+    case_when_chunk, case_when_stmt, counted_aggs, finished_by, hybrid_leaf, populous, scan_stmt,
+    threshold_predicate, OpReport, Order, PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
 };
 use crate::scan::{striped_share, ScanLimit, ScanSource};
 use crate::shape::{compose, Outcome, Own};
@@ -62,6 +62,7 @@ use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Schema, Value};
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::ast::BinOp;
+use pushdown_sql::bind::Binder;
 use pushdown_sql::{Expr, SelectItem, SelectStmt};
 
 /// Selectivity assumed for predicate shapes the estimator cannot reason
@@ -73,7 +74,14 @@ const DEFAULT_SELECTIVITY: f64 = 0.33;
 const AGG_VALUE_WIDTH: f64 = 11.0;
 
 /// Cost estimator over one table: its catalog snapshot, and the
-/// footprint arithmetic of everything that scans it.
+/// footprint arithmetic of everything that scans it. A Select is charged
+/// what the engine bills it: the whole object on CSV; on ColumnarLite,
+/// whose Select reads only the columns a statement references (§IX), the
+/// stored chunks of those columns — projection, `WHERE`, `GROUP BY` and
+/// aggregate arguments of the statement it ships — from the catalog's
+/// load-time sums ([`crate::catalog::SegmentBytes`]), exact when no row
+/// group is pruned. A ColumnarLite table without segment statistics is
+/// charged whole.
 #[derive(Clone)]
 pub struct Estimator<'a> {
     ctx: &'a QueryContext,
@@ -250,23 +258,9 @@ impl<'a> Estimator<'a> {
         predicate: &Option<Expr>,
         projection: &Option<Vec<String>>,
     ) -> CachedReads {
-        let schema = &self.table.schema;
-        let needed = || -> Option<Vec<usize>> {
-            let Some(cols) = projection else {
-                return Some((0..schema.len()).collect());
-            };
-            let mut names = cols.clone();
-            if let Some(p) = predicate {
-                p.referenced_columns(&mut names);
-            }
-            let resolved = names.iter().map(|c| schema.resolve(c).ok());
-            let mut needed = resolved.collect::<Option<Vec<usize>>>()?;
-            needed.sort_unstable();
-            needed.dedup();
-            Some(needed)
-        };
         let segments = self.stats().and_then(|s| s.segments.as_ref());
-        let bytes = segments.zip(needed()).map(|(s, cols)| s.read_by(&cols));
+        let needed = || self.referenced(&scan_stmt(projection, predicate), &[]);
+        let bytes = segments.and_then(|s| Some(s.read_by(&needed()?)));
         CachedReads {
             share: bytes.map(|b| (b as f64 / self.bytes.max(1.0)).min(1.0)),
             ..CachedReads::default()
@@ -348,13 +342,49 @@ impl<'a> Estimator<'a> {
         Ok(slots)
     }
 
-    /// Select phase scanning the whole table and returning `ret_rows`
-    /// records of `ret_row_bytes` each.
-    fn select_full_scan(&self, ret_rows: f64, ret_row_bytes: f64, terms: u32) -> PhaseStats {
+    /// The columns a statement decodes: `stmt`, grouped by `group_by`,
+    /// bound against the table — the walk the engine scans by
+    /// ([`pushdown_sql::bind::BoundSelect::referenced_columns`]). `None`
+    /// when it does not bind.
+    fn referenced(&self, stmt: &SelectStmt, group_by: &[String]) -> Option<Vec<usize>> {
+        let bound = Binder::new(&self.table.schema).bind_grouped(stmt, group_by);
+        Some(bound.ok()?.referenced_columns())
+    }
+
+    /// What a Select shipping `stmt` (grouped by `group_by`) to every
+    /// partition scans, where the catalog knows it column by column: on a
+    /// ColumnarLite table with segment statistics, the stored chunks of
+    /// the columns the statement references, which is all a columnar
+    /// Select reads and bills (§IX; [`crate::catalog::SegmentBytes::scanned_by`])
+    /// — exactly the engine's bill when no row group is pruned. `None` for
+    /// CSV, which a Select scans whole, and for a table without segment
+    /// statistics.
+    fn chunk_bytes(&self, stmt: &SelectStmt, group_by: &[String]) -> Option<f64> {
+        let segments = self.stats()?.segments.as_ref()?;
+        Some(segments.scanned_by(&self.referenced(stmt, group_by)?) as f64)
+    }
+
+    /// What a Select shipping `stmt` (grouped by `group_by`) to every
+    /// partition scans: its columns' chunks ([`Estimator::chunk_bytes`]),
+    /// else the whole table.
+    fn select_scanned(&self, stmt: &SelectStmt, group_by: &[String]) -> f64 {
+        self.chunk_bytes(stmt, group_by).unwrap_or(self.bytes)
+    }
+
+    /// Select phase scanning `scanned` bytes of every partition
+    /// ([`Estimator::select_scanned`]) and returning `ret_rows` records of
+    /// `ret_row_bytes` each.
+    fn select_full_scan(
+        &self,
+        scanned: f64,
+        ret_rows: f64,
+        ret_row_bytes: f64,
+        terms: u32,
+    ) -> PhaseStats {
         let ret_rows = ret_rows.min(self.rows).max(0.0);
         PhaseStats {
             requests: self.parts,
-            s3_scanned_bytes: self.bytes as u64,
+            s3_scanned_bytes: scanned as u64,
             select_returned_bytes: (ret_rows * ret_row_bytes) as u64,
             server_cpu_units: ret_rows as u64,
             expr_terms: terms,
@@ -430,25 +460,36 @@ impl<'a> Estimator<'a> {
             .collect()
     }
 
-    /// The pushed CASE-WHEN aggregation of `groups` groups: `aggs`
-    /// aggregates per group, in statements chunked under the SQL size
-    /// limit exactly as the executor chunks them ([`case_when_chunk`]).
-    fn case_when_statements(&self, group_cols: &[String], aggs: usize, groups: f64) -> PhaseStats {
+    /// The pushed CASE-WHEN aggregation of `groups` groups: the `aggs`
+    /// per group, filtered by `predicate`, in statements chunked under the
+    /// SQL size limit exactly as the executor chunks them
+    /// ([`case_when_chunk`]), each scanning what the executor's
+    /// statements scan ([`case_when_stmt`]).
+    fn case_when_statements(
+        &self,
+        predicate: &Option<Expr>,
+        group_cols: &[String],
+        aggs: &[(AggFunc, Option<String>)],
+        groups: f64,
+    ) -> PhaseStats {
         let key_bytes: f64 = group_cols.iter().map(|c| self.col_width(c) + 24.0).sum();
-        let chunk = case_when_chunk(self.ctx, aggs, key_bytes) as f64;
+        let chunk = case_when_chunk(self.ctx, aggs.len(), key_bytes) as f64;
         let statements = (groups / chunk).ceil().max(1.0);
         let per_stmt_groups = (groups / statements).ceil();
+        let one_group = [vec![Value::Null; group_cols.len()]];
+        let stmt = case_when_stmt(self.table, predicate, group_cols, aggs, &one_group);
         PhaseStats {
             requests: (statements * self.parts as f64) as u64,
-            s3_scanned_bytes: (statements * self.bytes) as u64,
+            s3_scanned_bytes: (statements * self.select_scanned(&stmt, &[])) as u64,
             select_returned_bytes: (statements
                 * self.parts as f64
-                * (per_stmt_groups * aggs as f64 * AGG_VALUE_WIDTH + 1.0))
+                * (per_stmt_groups * aggs.len() as f64 * AGG_VALUE_WIDTH + 1.0))
                 as u64,
             server_cpu_units: (statements * self.parts as f64) as u64,
             // Each (group, aggregate) item contributes a CASE arm plus the
             // group-equality comparison(s).
-            expr_terms: (per_stmt_groups * aggs as f64 * (2.0 + group_cols.len() as f64)) as u32,
+            expr_terms: (per_stmt_groups * aggs.len() as f64 * (2.0 + group_cols.len() as f64))
+                as u32,
             ..Default::default()
         }
     }
@@ -712,14 +753,18 @@ impl Estimator<'_> {
     ///   tail bills as read-through fills, and with no cache installed it
     ///   is exactly a GET. A snapshot gone stale mid-prediction is an
     ///   error, never a partition priced at zero.
-    /// * A whole Select scan reads the table storage-side and returns
-    ///   `inj.keep × selectivity` of its rows at the projection's width,
-    ///   `inj.terms` added to the shipped predicate's term count (the
-    ///   Bloom probe's hash terms).
+    /// * A whole Select scan reads the table storage-side — a CSV
+    ///   table whole, a ColumnarLite one at the chunks of the columns its
+    ///   statement references (§IX; [`Estimator::chunk_bytes`]) — and
+    ///   returns `inj.keep × selectivity` of its rows at the projection's
+    ///   width, `inj.terms` added to the shipped predicate's term count
+    ///   (the Bloom probe's hash terms).
     /// * A sample of `n` rows reads until it has them — `n / selectivity`
-    ///   rows — and stops. A prefix touches partitions one after the
-    ///   other until the sample fills, one phase; a striped sample asks
-    ///   every partition with a share for it.
+    ///   rows, of a CSV table at its mean row width, of a ColumnarLite one
+    ///   that share of its columns' chunks — and stops. A prefix touches
+    ///   partitions one after the other until the sample fills, one
+    ///   phase; a striped sample asks every partition with a share for
+    ///   it.
     fn scan(
         &self,
         predicate: &Option<Expr>,
@@ -752,7 +797,8 @@ impl Estimator<'_> {
             }
             ScanSource::Select(None) => {
                 let rows = sel * inj.keep * self.rows;
-                let stats = self.select_full_scan(rows, width, terms + inj.terms);
+                let scanned = self.select_scanned(&scan_stmt(projection, predicate), &[]);
+                let stats = self.select_full_scan(scanned, rows, width, terms + inj.terms);
                 let card = Card {
                     rows,
                     row_bytes: width,
@@ -768,8 +814,14 @@ impl Estimator<'_> {
             rows: n as f64,
             row_bytes: width,
         };
+        // A sample scans its share of the rows: of a columnar table, that
+        // share of its columns' chunks.
+        let scanned = match self.chunk_bytes(&scan_stmt(projection, predicate), &[]) {
+            Some(chunks) => scanned_rows / self.rows * chunks,
+            None => (scanned_rows * self.row_bytes).min(self.bytes),
+        };
         let mut stats = PhaseStats {
-            s3_scanned_bytes: (scanned_rows * self.row_bytes).min(self.bytes) as u64,
+            s3_scanned_bytes: scanned as u64,
             select_returned_bytes: (card.rows * card.row_bytes) as u64,
             server_cpu_units: n as u64,
             expr_terms: terms,
@@ -799,24 +851,21 @@ impl Estimator<'_> {
         if !group_by.is_empty() {
             let groups = group_by.iter().map(|c| self.ndv(c)).product::<f64>();
             let groups = groups.min(self.rows).max(1.0);
-            // Columns the statement touches: groups ∪ aggregate inputs.
-            let mut refs = group_by.to_vec();
-            for item in &stmt.items {
-                if let SelectItem::Agg { arg: Some(a), .. } = item {
-                    a.referenced_columns(&mut refs);
-                }
-            }
-            let mut needed: Vec<String> = Vec::new();
-            for c in refs {
-                if !needed.iter().any(|x| x.eq_ignore_ascii_case(&c)) {
-                    needed.push(c);
-                }
-            }
+            // A partial row is as wide as the columns the statement
+            // touches outside its WHERE: groups ∪ aggregate inputs.
+            let unfiltered = SelectStmt {
+                where_clause: None,
+                ..stmt.clone()
+            };
+            let names = self.table.schema.names();
+            let touched = self.referenced(&unfiltered, group_by).unwrap_or_default();
+            let touched: Vec<&str> = touched.iter().map(|&c| names[c]).collect();
             let partials = self.parts as f64 * groups;
             let terms = stmt.where_clause.as_ref().map_or(0, Expr::term_count);
             let mut phase = self.select_full_scan(
+                self.select_scanned(stmt, group_by),
                 partials.min(self.rows),
-                self.out_row_bytes(&needed),
+                self.out_row_bytes(&touched),
                 terms + group_by.len() as u32,
             );
             phase.server_cpu_units += partials as u64;
@@ -837,7 +886,8 @@ impl Estimator<'_> {
                 _ => 1.0,
             })
             .sum();
-        let mut phase = self.select_full_scan(0.0, 0.0, stmt.term_count());
+        let mut phase =
+            self.select_full_scan(self.select_scanned(stmt, &[]), 0.0, 0.0, stmt.term_count());
         // One partial row per partition: `pushed_vals` values wide.
         phase.select_returned_bytes =
             (self.parts as f64 * (pushed_vals * AGG_VALUE_WIDTH + 1.0)) as u64;
@@ -1089,10 +1139,10 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             (Own::Threshold(own, false), children, card)
         }
         PlanOp::CaseWhen { aggs, order } => {
-            let (table, _, group_cols) = node.children[0].pushdown_leaf()?;
+            let (table, predicate, group_cols) = node.children[0].pushdown_leaf()?;
             let (distinct, dc) = walk(0, inj)?;
             let est = ests.of(table);
-            let mut stats = est.case_when_statements(group_cols, aggs.len(), dc.rows);
+            let mut stats = est.case_when_statements(predicate, group_cols, aggs, dc.rows);
             let mut card = Card {
                 rows: dc.rows,
                 row_bytes: est.out_row_bytes(group_cols) + aggs.len() as f64 * AGG_VALUE_WIDTH,
@@ -1106,7 +1156,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             force,
             order,
         } => {
-            let (table, _, group_cols) = hybrid_leaf(node)?;
+            let (table, predicate, group_cols) = hybrid_leaf(node)?;
             let tail_node = node.children.last().expect("a hybrid split has a tail");
             let est = ests.of(table);
             // The sample and the split, unless the catalog decides it.
@@ -1152,10 +1202,11 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
                 let (tail, mut card) = predict_node(ests, tail_node, not_in)?;
                 children.push(tail);
                 // Groups listed by the catalog count their rows too.
-                let pushed = dictionary
-                    .as_ref()
-                    .map_or(aggs.len(), |_| counted_aggs(aggs).0.len());
-                let mut s3 = est.case_when_statements(group_cols, pushed, n_big);
+                let pushed = match dictionary {
+                    Some(_) => counted_aggs(aggs).0,
+                    None => aggs.clone(),
+                };
+                let mut s3 = est.case_when_statements(predicate, group_cols, &pushed, n_big);
                 card.rows = groups;
                 finish_groups(order, &mut s3, &mut card);
                 (Own::Split(own, Some(s3)), children, card)
@@ -1390,7 +1441,8 @@ fn cmp_sel(col: &str, op: BinOp, lit: &Value, schema: &Schema, stats: Option<&Ta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::upload_csv_table;
+    use crate::catalog::{upload_columnar_table, upload_csv_table};
+    use crate::planner::Tune;
     use pushdown_common::{DataType, Row};
     use pushdown_s3::S3Store;
     use pushdown_sql::parse_expr;
@@ -1399,6 +1451,21 @@ mod tests {
     /// s = one of 4 strings, plus a NULL-heavy column.
     fn setup(n: i64) -> (QueryContext, Table) {
         let store = S3Store::new();
+        let (schema, rows) = uniform(n);
+        let t = upload_csv_table(&store, "b", "t", &schema, &rows, 250).unwrap();
+        (QueryContext::new(store), t)
+    }
+
+    /// [`setup`]'s table as ColumnarLite, one row group per partition.
+    fn setup_columnar(n: i64) -> (QueryContext, Table) {
+        let store = S3Store::new();
+        let (schema, rows) = uniform(n);
+        let opts = pushdown_format::columnar::WriterOptions::default();
+        let t = upload_columnar_table(&store, "b", "t", &schema, &rows, 250, opts).unwrap();
+        (QueryContext::new(store), t)
+    }
+
+    fn uniform(n: i64) -> (Schema, Vec<Row>) {
         let schema = Schema::from_pairs(&[
             ("k", DataType::Int),
             ("v", DataType::Float),
@@ -1419,8 +1486,7 @@ mod tests {
                 ])
             })
             .collect();
-        let t = upload_csv_table(&store, "b", "t", &schema, &rows, 250).unwrap();
-        (QueryContext::new(store), t)
+        (schema, rows)
     }
 
     fn sel(t: &Table, pred: &str) -> f64 {
@@ -1715,5 +1781,75 @@ mod tests {
         assert_eq!(sampled.metrics.groups.len(), 2, "sample + scan phases");
         // The scanning phase scans the table but returns only ~K/S of it.
         assert!(sampled.metrics.usage().select_returned_bytes < bytes / 4);
+    }
+    /// The Select-scanned bytes `sql`'s candidate `name` (tuned by
+    /// `tune`) is priced at, and those it bills when it runs.
+    fn scanned(
+        ctx: &QueryContext,
+        t: &Table,
+        sql: &str,
+        name: &str,
+        tune: Option<Tune>,
+    ) -> (u64, u64) {
+        let ctx = ctx.scoped();
+        let spec = pushdown_sql::parse_query(sql).unwrap();
+        let (_, candidates) = crate::planner::lower(&ctx, t, &spec).unwrap();
+        let (_, mut plan) = candidates.into_iter().find(|(n, _)| *n == name).unwrap();
+        if let Some(tune) = tune {
+            tune.apply(&mut plan);
+        }
+        let ests = Estimators::new(&ctx, [&plan]);
+        let predicted = predict_plan(&ests, &plan).unwrap().metrics.usage();
+        crate::plan::execute(&ctx, &plan).unwrap();
+        (
+            predicted.select_scanned_bytes,
+            ctx.billed().select_scanned_bytes,
+        )
+    }
+
+    /// A Select over a ColumnarLite object scans, and bills, only the
+    /// chunks of the columns its statement references (§IX), and every
+    /// Select-bearing candidate is priced at exactly that when no row
+    /// group is pruned — every partition holds every value of `v`, `s`
+    /// and `maybe`, so no predicate here rules one out. CSV, and a
+    /// ColumnarLite table without segment statistics, are priced at the
+    /// whole object.
+    #[test]
+    fn columnar_selects_are_priced_at_the_chunks_they_bill() {
+        let (ctx, t) = setup_columnar(2000);
+        let bytes = t.total_bytes(&ctx.store);
+        let group_by = "SELECT s, SUM(v) FROM t WHERE v < 50 GROUP BY s";
+        let topk = "SELECT * FROM t ORDER BY v LIMIT 10";
+        let cases = [
+            ("SELECT k, s FROM t WHERE v < 10", "s3-side", None),
+            ("SELECT SUM(v) FROM t WHERE maybe = 3", "s3-side", None),
+            (group_by, "filtered", None),
+            (group_by, "s3-side", None),
+            (group_by, "hybrid", None),
+            (topk, "sampling", None),
+            // A striped sample of every row scans every partition's chunk.
+            (topk, "sampling", Some(Tune::SampleSize(2000))),
+        ];
+        for (sql, name, tune) in cases {
+            let (predicted, billed) = scanned(&ctx, &t, sql, name, tune);
+            assert_eq!(predicted, billed, "{sql} [{name}, {tune:?}]");
+        }
+        // The two narrowest columns are a fraction of the object.
+        let narrow = "SELECT s FROM t WHERE maybe = 3";
+        let (narrow, _) = scanned(&ctx, &t, narrow, "s3-side", None);
+        assert!(narrow * 4 < bytes, "{narrow} of {bytes}");
+
+        // Without segment statistics: the whole object.
+        let mut stats = (**t.stats.as_ref().unwrap()).clone();
+        stats.segments = None;
+        let bare = t.clone().with_stats(stats);
+        let sql = "SELECT k FROM t WHERE v < 10";
+        assert_eq!(scanned(&ctx, &bare, sql, "s3-side", None).0, bytes);
+        // CSV: the whole object, whatever the statement references.
+        let (ctx, t) = setup(2000);
+        let bytes = t.total_bytes(&ctx.store);
+        assert_eq!(scanned(&ctx, &t, sql, "s3-side", None), (bytes, bytes));
+        let sql = "SELECT SUM(v) FROM t WHERE maybe = 3";
+        assert_eq!(scanned(&ctx, &t, sql, "s3-side", None), (bytes, bytes));
     }
 }

@@ -625,7 +625,7 @@ impl Executed {
 
 /// Build the Select statement a scan leaf ships: projection columns (or
 /// `*`) plus the pushed predicate.
-fn scan_stmt(projection: &Option<Vec<String>>, predicate: &Option<Expr>) -> SelectStmt {
+pub(crate) fn scan_stmt(projection: &Option<Vec<String>>, predicate: &Option<Expr>) -> SelectStmt {
     let items = match projection {
         None => vec![SelectItem::Wildcard],
         Some(cols) => cols
@@ -1300,31 +1300,7 @@ fn case_when_aggregate(
     };
     let key_bytes: usize = first.iter().map(|v| v.to_csv_field().len() + 24).sum();
     for batch in groups.chunks(case_when_chunk(ctx, aggs.len(), key_bytes as f64)) {
-        let mut items = Vec::with_capacity(batch.len() * aggs.len());
-        for key in batch {
-            let eq = group_eq(table, group_cols, key);
-            for (f, c) in aggs {
-                // CASE WHEN g = v THEN x END — the ELSE-less NULL arm is
-                // skipped by every aggregate, and so is a NULL `x`:
-                // COUNT(x) counts what it counts server-side. Only
-                // COUNT(*) counts the group's rows, as `THEN 1`.
-                let arg = Expr::Case {
-                    branches: vec![(eq.clone(), c.clone().map_or(Expr::int(1), Expr::col))],
-                    else_expr: None,
-                };
-                items.push(SelectItem::Agg {
-                    func: *f,
-                    arg: Some(arg),
-                    alias: None,
-                });
-            }
-        }
-        let stmt = SelectStmt {
-            items,
-            alias: None,
-            where_clause: predicate.clone(),
-            limit: None,
-        };
+        let stmt = case_when_stmt(table, predicate, group_cols, aggs, batch);
         let scan = select_scan_aggregate(ctx, table, &stmt, &[])?;
         stats.merge(&scan.stats);
         let values = scan.rows[0].values();
@@ -1333,6 +1309,43 @@ fn case_when_aggregate(
         }
     }
     Ok((out, stats))
+}
+
+/// One pushed CASE-WHEN statement of [`case_when_aggregate`]: an
+/// `agg(CASE WHEN g = v THEN x END)` item per (group of `batch`,
+/// aggregate), filtered by `predicate`.
+pub(crate) fn case_when_stmt(
+    table: &Table,
+    predicate: &Option<Expr>,
+    group_cols: &[String],
+    aggs: &[(AggFunc, Option<String>)],
+    batch: &[Vec<Value>],
+) -> SelectStmt {
+    let mut items = Vec::with_capacity(batch.len() * aggs.len());
+    for key in batch {
+        let eq = group_eq(table, group_cols, key);
+        for (f, c) in aggs {
+            // CASE WHEN g = v THEN x END — the ELSE-less NULL arm is
+            // skipped by every aggregate, and so is a NULL `x`:
+            // COUNT(x) counts what it counts server-side. Only
+            // COUNT(*) counts the group's rows, as `THEN 1`.
+            let arg = Expr::Case {
+                branches: vec![(eq.clone(), c.clone().map_or(Expr::int(1), Expr::col))],
+                else_expr: None,
+            };
+            items.push(SelectItem::Agg {
+                func: *f,
+                arg: Some(arg),
+                alias: None,
+            });
+        }
+    }
+    SelectStmt {
+        items,
+        alias: None,
+        where_clause: predicate.clone(),
+        limit: None,
+    }
 }
 
 /// `aggs` with a row count among them, and where it is: the statement's

@@ -824,10 +824,14 @@ impl ColumnarReader {
         &self.groups[g]
     }
 
-    /// On-disk size of one column chunk — the number of bytes a
-    /// column-pruned scan "reads" for accounting purposes.
-    pub fn chunk_stored_len(&self, g: usize, col: usize) -> u64 {
-        self.groups[g].chunks[col].stored_len
+    /// What a Select decoding the columns `cols` of row group `g` scans,
+    /// and bills (§IX): the stored size of each of their chunks — no
+    /// header, no footer, no other column. The engine sums it over the
+    /// groups it does not prune; the catalog sums it per column at load
+    /// time, which is what the pricer charges a Select with.
+    pub fn scanned_by(&self, g: usize, cols: &[usize]) -> u64 {
+        let chunks = &self.groups[g].chunks;
+        cols.iter().map(|&c| chunks[c].stored_len).sum()
     }
 
     /// Decode one column of one row group into [`Value`]s.
@@ -1184,9 +1188,7 @@ mod tests {
         let bytes = encode_columnar(&schema, &rows, opts);
         let total = bytes.len() as u64;
         let r = ColumnarReader::open(Bytes::from(bytes)).unwrap();
-        let one_col: u64 = (0..r.num_row_groups())
-            .map(|g| r.chunk_stored_len(g, 3))
-            .sum();
+        let one_col: u64 = (0..r.num_row_groups()).map(|g| r.scanned_by(g, &[3])).sum();
         assert!(
             one_col * 15 < total,
             "one column = {one_col} bytes of {total} total"

@@ -425,7 +425,7 @@ impl S3SelectEngine {
         bound: &BoundSelect,
     ) -> Result<(Vec<Row>, u64)> {
         let mut reader =
-            CsvReader::with_header(raw, schema.clone()).project(&referenced_columns(bound));
+            CsvReader::with_header(raw, schema.clone()).project(&bound.referenced_columns());
         let mut exec = Executor::new(bound);
         // One sparse row for the whole scan: unreferenced slots stay
         // NULL; the executor only dereferences referenced indices.
@@ -443,8 +443,9 @@ impl S3SelectEngine {
         Ok((exec.finish(), reader.consumed() as u64))
     }
 
-    /// Columnar scan: only referenced column chunks are read, and row
-    /// groups are pruned through chunk min/max statistics.
+    /// Columnar scan: only referenced column chunks are read, and billed
+    /// ([`ColumnarReader::scanned_by`]), and row groups are pruned
+    /// through chunk min/max statistics.
     fn scan_columnar(
         &self,
         raw: &Bytes,
@@ -458,7 +459,7 @@ impl S3SelectEngine {
                 reader.schema()
             )));
         }
-        let needed = referenced_columns(bound);
+        let needed = bound.referenced_columns();
 
         let prunable = bound
             .where_clause
@@ -477,10 +478,7 @@ impl S3SelectEngine {
             {
                 continue;
             }
-            // Scanned bytes: the stored size of each needed chunk.
-            for &c in &needed {
-                scanned += reader.chunk_stored_len(g, c);
-            }
+            scanned += reader.scanned_by(g, &needed);
             let mut columns: Vec<Vec<Value>> = needed
                 .iter()
                 .map(|&c| reader.read_column(g, c))
@@ -516,27 +514,6 @@ fn stmt_uses_bitat(stmt: &SelectStmt) -> bool {
         e.walk(&mut |e| uses |= matches!(e, Expr::Call { func, .. } if *func == Func::BitAt));
     }
     uses
-}
-
-/// The schema columns a bound statement reads — projection items,
-/// aggregate arguments, grouping columns and the `WHERE` clause —
-/// ascending, each once: what a scan has to decode.
-fn referenced_columns(bound: &BoundSelect) -> Vec<usize> {
-    let mut needed = bound.group_by.clone();
-    let exprs = bound.items.iter().filter_map(|item| match item {
-        BoundItem::Expr { expr, .. } => Some(expr),
-        BoundItem::Agg { arg, .. } => arg.as_ref(),
-    });
-    for e in exprs.chain(&bound.where_clause) {
-        e.walk(&mut |e| {
-            if let BoundExpr::Column(i, _) = e {
-                needed.push(*i);
-            }
-        });
-    }
-    needed.sort_unstable();
-    needed.dedup();
-    needed
 }
 
 /// Extract `column op literal` conjuncts usable for row-group pruning.

@@ -265,6 +265,30 @@ pub struct BoundSelect {
     pub group_by: Vec<usize>,
 }
 
+impl BoundSelect {
+    /// The schema columns the statement reads — projection items,
+    /// aggregate arguments, grouping columns and the `WHERE` clause —
+    /// ascending, each once: what a scan decodes, and on a columnar
+    /// object what a Select scans and bills (§IX).
+    pub fn referenced_columns(&self) -> Vec<usize> {
+        let mut needed = self.group_by.clone();
+        let exprs = self.items.iter().filter_map(|item| match item {
+            BoundItem::Expr { expr, .. } => Some(expr),
+            BoundItem::Agg { arg, .. } => arg.as_ref(),
+        });
+        for e in exprs.chain(&self.where_clause) {
+            e.walk(&mut |e| {
+                if let BoundExpr::Column(i, _) = e {
+                    needed.push(*i);
+                }
+            });
+        }
+        needed.sort_unstable();
+        needed.dedup();
+        needed
+    }
+}
+
 /// `bound` as a [`BoundExpr::FloatText`] when it compares a FLOAT
 /// column's text with a string literal; otherwise as it is.
 fn float_text(bound: BoundExpr) -> BoundExpr {

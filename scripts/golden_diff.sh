@@ -4,8 +4,11 @@
 # compares the file at <rev> with the worktree, pairing lines by their
 # first `|`-field (the run's key), and prints per file how many lines
 # moved in each `|`-field — by its name where it has one (`cands`, `ops`,
-# `phases`, `rows`, `billed`, a figure's columns), else by its position —
-# and how many lines were added or removed. Informational: always exits 0.
+# `phases`, `rows`, `billed`, a figure's columns; a planner_equivalence
+# line's second field, the plan it ran, is its `pick`), else by its
+# position — and how many lines were added or removed. Then, per file,
+# each key whose pick moved, as `key: old → new` (the first 10).
+# Informational: always exits 0.
 #
 # Usage: scripts/golden_diff.sh <rev>
 set -u
@@ -28,6 +31,8 @@ for f in $files; do
     fi
     awk -v file="$f" '
         function name(field, i) {
+            if (i == 2 && file ~ /planner_equivalence/)
+                return "pick"
             if (match(field, /^[A-Za-z][A-Za-z0-9_ -]*:/))
                 return substr(field, 1, RLENGTH - 1)
             return "field " i
@@ -52,6 +57,8 @@ for f in $files; do
                 label = name(i <= n ? f[i] : g[i], i)
                 count(label, f[i] != g[i])
                 if (f[i] != g[i]) changed = 1
+                if (label == "pick" && f[i] != g[i] && ++picks <= 10)
+                    pick[picks] = f[1] ": " g[i] " → " f[i]
             }
             total += changed
         }
@@ -61,6 +68,10 @@ for f in $files; do
             for (i = 1; i <= nnames; i++)
                 printf "%s%s %d", (i > 1 ? ", " : ""), names[i], moved[names[i]]
             printf "), %d added, %d removed\n", added, removed
+            for (i = 1; i <= picks && i <= 10; i++)
+                printf "  %s\n", pick[i]
+            if (picks > 10)
+                printf "  ... %d more picks moved\n", picks - 10
         }
     ' "$old" "$f"
 done

@@ -10,14 +10,16 @@
 //! * the cost estimator is calibrated: for the plan actually chosen, the
 //!   predicted `Usage` (requests, scanned, returned, plain bytes) lands
 //!   within 15% of the measured ledger (with a small absolute floor for
-//!   near-zero quantities such as aggregate response payloads);
+//!   near-zero quantities such as aggregate response payloads), on CSV
+//!   and on ColumnarLite;
 //! * ledger/metrics agreement holds on multi-phase adaptive plans, and
 //!   scaled projections round once at the aggregate level.
 
-use pushdowndb::common::{Row, Value};
+use pushdowndb::common::{Row, Schema, Value};
 use pushdowndb::core::planner::{execute_sql_verbose, Explain};
-use pushdowndb::core::{QueryContext, QueryOutput, Strategy};
-use pushdowndb::tpch::{planner_suite, tpch_context, TpchTables, SUITE};
+use pushdowndb::core::{upload_columnar_table, QueryContext, QueryOutput, Strategy};
+use pushdowndb::format::columnar::WriterOptions;
+use pushdowndb::tpch::{planner_suite, tpch_context, TpchGen, TpchTables, SUITE};
 
 /// One input of the bar: a query, as "run me under this strategy".
 type Run<'a> = Box<dyn Fn(Strategy) -> (QueryOutput, Explain) + 'a>;
@@ -92,20 +94,60 @@ fn adaptive_matches_the_cheaper_fixed_strategy_within_10_percent() {
     }
 }
 
+/// The TPC-H context of [`tpch_context`] with the three tables the nine
+/// shapes read — customer, orders, lineitem — uploaded as ColumnarLite
+/// (in a bucket of their own) and registered in place of the CSV ones.
+fn columnar_tpch_context(
+    scale_factor: f64,
+    rows_per_partition: usize,
+) -> (QueryContext, TpchTables) {
+    let (ctx, mut t) = tpch_context(scale_factor, rows_per_partition).unwrap();
+    let gen = TpchGen::new(scale_factor);
+    let upload = |name: &str, schema: &Schema, rows: &[Row]| {
+        let opts = WriterOptions::default();
+        upload_columnar_table(
+            &ctx.store,
+            "tpch-cl",
+            name,
+            schema,
+            rows,
+            rows_per_partition,
+            opts,
+        )
+        .unwrap()
+    };
+    let (cs, customers) = gen.customers();
+    let (os, orders) = gen.orders();
+    let (ls, lineitems) = gen.lineitems(&orders);
+    t.customer = upload("customer", &cs, &customers);
+    t.orders = upload("orders", &os, &orders);
+    t.lineitem = upload("lineitem", &ls, &lineitems);
+    t.register(&ctx.catalog);
+    (ctx, t)
+}
+
 /// Calibration: predicted `Usage` of the chosen plan within 15% of the
-/// measured ledger, field by field. Near-zero quantities (aggregate
-/// payloads of a few hundred bytes) get a 512-byte absolute floor so the
-/// relative bound stays meaningful. (The nine shapes only. The paper's
-/// six are held to the dollar calibration above: a window on one column,
-/// `l_shipdate >= lo AND l_shipdate < hi`, is priced as two independent
-/// conjuncts, so Q14's month over-predicts its returned bytes ~20× —
-/// ROADMAP item C.)
+/// measured ledger, field by field, on CSV and on ColumnarLite, where a
+/// Select scans only the chunks of the columns it references (§IX).
+/// Near-zero quantities (aggregate payloads of a few hundred bytes) get a
+/// 512-byte absolute floor so the relative bound stays meaningful. (The
+/// nine shapes only. The paper's six are held to the dollar calibration
+/// above: a window on one column, `l_shipdate >= lo AND l_shipdate < hi`,
+/// is priced as two independent conjuncts, so Q14's month over-predicts
+/// its returned bytes ~20× — ROADMAP item C.)
 #[test]
 fn cost_estimator_predictions_are_calibrated_against_the_ledger() {
-    let (ctx, t) = tpch_context(0.005, 1_500).unwrap();
+    let csv = tpch_context(0.005, 1_500).unwrap();
+    let columnar = columnar_tpch_context(0.005, 1_500);
+    for (format, (ctx, t)) in [("csv", csv), ("columnar", columnar)] {
+        calibrated_against_the_ledger(format, &ctx, &t);
+    }
+}
+
+fn calibrated_against_the_ledger(format: &str, ctx: &QueryContext, t: &TpchTables) {
     for q in planner_suite() {
-        let table = (q.table)(&t);
-        let (out, explain) = execute_sql_verbose(&ctx, table, q.sql, Strategy::Adaptive).unwrap();
+        let table = (q.table)(t);
+        let (out, explain) = execute_sql_verbose(ctx, table, q.sql, Strategy::Adaptive).unwrap();
         let measured = out.billed;
         let predicted = explain
             .predicted
@@ -116,7 +158,7 @@ fn cost_estimator_predictions_are_calibrated_against_the_ledger() {
             let slack = (0.15 * meas as f64).max(512.0);
             assert!(
                 (pred as f64 - meas as f64).abs() <= slack,
-                "{} [{}]: predicted {pred} vs measured {meas} (slack {slack:.0})",
+                "{format} {} [{}]: predicted {pred} vs measured {meas} (slack {slack:.0})",
                 q.name,
                 what
             );
