@@ -29,9 +29,15 @@
 //! type with at most [`DICTIONARY_MAX_VALUES`] values: a status or
 //! priority code, a flag, not a key. With it the §VI-B hybrid group-by
 //! knows before the query starts which groups are populous, which is what
-//! its sample phase would have estimated ([`crate::plan::PlanOp::HybridSplit`]). A
-//! dictionary describes the rows *at load*; what reads it must stay
-//! correct when a listed value has gone or an unlisted one appeared.
+//! its sample phase would have estimated ([`crate::plan::PlanOp::HybridSplit`]).
+//! When the split pushes every listed group and the statistics saw no
+//! NULL, the dictionary *covers* the column: the pushed pass should hold
+//! every row, so the split runs that pass alone, with a `COUNT(*)` of
+//! the rows its WHERE keeps beside the groups' counts. A dictionary
+//! describes the rows *at load*; what reads it must stay correct when a
+//! listed value has gone or an unlisted one appeared — a covering pass
+//! whose counts fall short of the row count runs the tail after it,
+//! asking for NULL rows by name.
 //!
 //! ## Tails
 //!
@@ -110,20 +116,21 @@ pub struct TableStats {
 /// load-time encode wrote them, and summed over the objects, per column
 /// the bytes of the segments holding its chunks, and the footers'. A warm
 /// cached scan reads the footers and the chunks of the columns it
-/// decodes, which is how the estimator prices it. Beside them, per column,
-/// the stored bytes of its chunks alone ([`ColumnarReader::scanned_by`]):
-/// what a Select decoding it scans and bills (§IX), which is how the
-/// estimator prices a Select — the segments would charge it the header
-/// the first segment holds.
+/// decodes, which is how the estimator prices it. Beside them, per object
+/// and row group, the stored bytes of each column's chunk alone
+/// ([`ColumnarReader::scanned_by`]): what a Select decoding it scans and
+/// bills (§IX), which is how the estimator prices a Select — the segments
+/// would charge it the header the first segment holds.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SegmentBytes {
     /// Per column, in schema order.
     columns: Vec<u64>,
     footers: u64,
-    /// Per column, in schema order: its chunks' stored bytes.
-    chunks: Vec<u64>,
     /// Per partition key, its chunk extents ([`Table::cache_layout`]).
     extents: HashMap<String, Vec<(u64, u64)>>,
+    /// Per partition key, its row groups in file order: each one's rows
+    /// and, per column in schema order, its chunk's stored bytes.
+    groups: HashMap<String, Vec<(u64, Vec<u64>)>>,
 }
 
 impl SegmentBytes {
@@ -140,14 +147,15 @@ impl SegmentBytes {
         self.footers += footer;
         let width = reader.schema().len();
         self.columns.resize(width, 0);
-        self.chunks.resize(width, 0);
-        for (c, (total, chunks)) in self.columns.iter_mut().zip(&mut self.chunks).enumerate() {
+        for (c, total) in self.columns.iter_mut().enumerate() {
             *total += bytes(&[c]) - footer;
-            *chunks += (0..reader.num_row_groups())
-                .map(|g| reader.scanned_by(g, &[c]))
-                .sum::<u64>();
         }
         self.extents.insert(key.to_string(), reader.chunk_extents());
+        let groups = (0..reader.num_row_groups()).map(|g| {
+            let chunks = (0..width).map(|c| reader.scanned_by(g, &[c])).collect();
+            (reader.row_group(g).row_count, chunks)
+        });
+        self.groups.insert(key.to_string(), groups.collect());
     }
 
     /// The bytes a cached scan decoding the columns `cols` reads: the
@@ -160,8 +168,37 @@ impl SegmentBytes {
     /// The bytes a Select decoding the columns `cols` scans of every
     /// object, pruning no row group: those columns' chunks.
     pub(crate) fn scanned_by(&self, cols: &[usize]) -> u64 {
-        cols.iter().filter_map(|&c| self.chunks.get(c)).sum()
+        let groups = self.groups.values().flatten();
+        groups.map(|(_, chunks)| chunk_bytes(chunks, cols)).sum()
     }
+
+    /// The bytes a Select decoding the columns `cols` of the object at
+    /// `key` scans when it stops at its `rows`-th row, pruning no row
+    /// group: the chunks of every group up to the one holding that row,
+    /// whole — the engine bills a group's chunks before it reads its rows
+    /// —, and all of them when the object holds no more rows. `None` for
+    /// an object the load did not write.
+    pub(crate) fn scanned_through(&self, key: &str, cols: &[usize], rows: f64) -> Option<u64> {
+        let (mut bytes, mut seen) = (0, 0);
+        for (n, chunks) in self.groups.get(key)? {
+            bytes += chunk_bytes(chunks, cols);
+            seen += n;
+            if seen as f64 >= rows {
+                break;
+            }
+        }
+        Some(bytes)
+    }
+
+    /// The rows of the object at `key`, as loaded.
+    pub(crate) fn rows_in(&self, key: &str) -> Option<u64> {
+        Some(self.groups.get(key)?.iter().map(|(n, _)| n).sum())
+    }
+}
+
+/// The stored bytes of the columns `cols` among one row group's chunks.
+fn chunk_bytes(chunks: &[u64], cols: &[usize]) -> u64 {
+    cols.iter().filter_map(|&c| chunks.get(c)).sum()
 }
 
 impl TableStats {

@@ -51,8 +51,9 @@ use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
 use crate::metrics::QueryMetrics;
 use crate::plan::{
-    case_when_chunk, case_when_stmt, counted_aggs, finished_by, hybrid_leaf, populous, scan_stmt,
-    threshold_predicate, OpReport, Order, PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
+    case_when_chunk, case_when_stmt, counted_aggs, covers, finished_by, hybrid_leaf, populous,
+    scan_stmt, threshold_predicate, OpReport, Order, PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS,
+    HYBRID_MIN_SHARE,
 };
 use crate::scan::{striped_share, ScanLimit, ScanSource};
 use crate::shape::{compose, Outcome, Own};
@@ -72,6 +73,13 @@ const DEFAULT_SELECTIVITY: f64 = 0.33;
 /// Mean CSV width assumed for one aggregate output value (`SUM(...)`
 /// renders as a float of roughly this many characters plus separator).
 const AGG_VALUE_WIDTH: f64 = 11.0;
+
+/// Mean CSV width of a sum of FLOATs with fractions: it seldom lands on
+/// a short decimal, so it prints the 16 or 17 significant digits that
+/// tell an inexact double from its neighbours, and a point — 16 to 17
+/// characters over sums of 30 to 1 000 two-decimal values, a few of
+/// which still land short.
+const INEXACT_SUM_WIDTH: f64 = 16.5;
 
 /// Cost estimator over one table: its catalog snapshot, and the
 /// footprint arithmetic of everything that scans it. A Select is charged
@@ -364,6 +372,45 @@ impl<'a> Estimator<'a> {
         Some(segments.scanned_by(&self.referenced(stmt, group_by)?) as f64)
     }
 
+    /// What a sample shipping `stmt` under `limit` scans of a table whose
+    /// catalog knows it row group by row group ([`Estimator::chunk_bytes`]):
+    /// in each partition it asks, the row groups up to the one where the
+    /// partition's part of the sample is met — that part over `sel` rows
+    /// —, each group's referenced chunks whole, as a LIMIT-cut columnar
+    /// Select bills them ([`crate::catalog::SegmentBytes::scanned_through`]).
+    /// A striped sample asks every partition with a share; a prefix asks
+    /// one partition after the other until the rows it needs are read.
+    /// `None` where [`Estimator::chunk_bytes`] is, and for a partition the
+    /// load did not write.
+    fn sampled_chunk_bytes(&self, stmt: &SelectStmt, limit: ScanLimit, sel: f64) -> Option<f64> {
+        let segments = self.stats()?.segments.as_ref()?;
+        let cols = self.referenced(stmt, &[])?;
+        let sel = sel.max(1e-6);
+        let mut bytes = 0;
+        match limit {
+            ScanLimit::Striped(n) => {
+                let parts = self.partition_keys.len();
+                for (i, key) in self.partition_keys.iter().enumerate() {
+                    let share = striped_share(n, parts, i);
+                    if share > 0 {
+                        bytes += segments.scanned_through(key, &cols, share as f64 / sel)?;
+                    }
+                }
+            }
+            ScanLimit::Prefix(n) => {
+                let mut left = n as f64 / sel;
+                for key in &self.partition_keys {
+                    bytes += segments.scanned_through(key, &cols, left)?;
+                    left -= segments.rows_in(key)? as f64;
+                    if left <= 0.0 {
+                        break;
+                    }
+                }
+            }
+        }
+        Some(bytes as f64)
+    }
+
     /// What a Select shipping `stmt` (grouped by `group_by`) to every
     /// partition scans: its columns' chunks ([`Estimator::chunk_bytes`]),
     /// else the whole table.
@@ -464,34 +511,97 @@ impl<'a> Estimator<'a> {
     /// per group, filtered by `predicate`, in statements chunked under the
     /// SQL size limit exactly as the executor chunks them
     /// ([`case_when_chunk`]), each scanning what the executor's
-    /// statements scan ([`case_when_stmt`]).
+    /// statements scan ([`case_when_stmt`]) — with `kept`, the first one
+    /// also counting the rows its WHERE keeps. Each partition answers a
+    /// statement with one CSV row of its values (an `AVG` ships a `SUM`
+    /// and a `COUNT`), priced at the width each renders to over the rows
+    /// a group holds there ([`Estimator::agg_width`]); the fullest
+    /// statement sets the terms, which are its items' and its WHERE's
+    /// as the engine counts them.
     fn case_when_statements(
         &self,
         predicate: &Option<Expr>,
         group_cols: &[String],
         aggs: &[(AggFunc, Option<String>)],
         groups: f64,
+        kept: bool,
     ) -> PhaseStats {
         let key_bytes: f64 = group_cols.iter().map(|c| self.col_width(c) + 24.0).sum();
         let chunk = case_when_chunk(self.ctx, aggs.len(), key_bytes) as f64;
         let statements = (groups / chunk).ceil().max(1.0);
-        let per_stmt_groups = (groups / statements).ceil();
         let one_group = [vec![Value::Null; group_cols.len()]];
         let stmt = case_when_stmt(self.table, predicate, group_cols, aggs, &one_group);
+        // Per partition, the rows the WHERE keeps, and a group's share.
+        let rows = self.rows / self.parts as f64 * self.selectivity(predicate.as_ref());
+        let all_groups = group_cols.iter().map(|c| self.ndv(c)).product::<f64>();
+        let per_group = rows / all_groups.min(self.rows).max(1.0);
+        let (mut group_terms, mut group_values, mut group_bytes) = (0, 0.0, 0.0);
+        for (item, (f, c)) in stmt.items.iter().zip(aggs) {
+            let SelectItem::Agg { arg, .. } = item else {
+                continue;
+            };
+            let shipped: &[AggFunc] = match f {
+                AggFunc::Avg => &[AggFunc::Sum, AggFunc::Count],
+                f => std::slice::from_ref(f),
+            };
+            for f in shipped {
+                group_terms += 1 + arg.as_ref().map_or(0, Expr::term_count);
+                group_values += 1.0;
+                group_bytes += self.agg_width(*f, c, per_group);
+            }
+        }
+        // One more value, and term, for the count of the kept rows.
+        let count = match kept {
+            true => 1.0 + self.agg_width(AggFunc::Count, &None, rows),
+            false => 0.0,
+        };
+        // Every value is followed by a comma or the row's newline.
+        let row_bytes = groups * (group_bytes + group_values) + count;
+        let first = groups.min(chunk).ceil() as u32;
+        let where_terms = predicate.as_ref().map_or(0, Expr::term_count);
         PhaseStats {
             requests: (statements * self.parts as f64) as u64,
             s3_scanned_bytes: (statements * self.select_scanned(&stmt, &[])) as u64,
-            select_returned_bytes: (statements
-                * self.parts as f64
-                * (per_stmt_groups * aggs.len() as f64 * AGG_VALUE_WIDTH + 1.0))
-                as u64,
-            server_cpu_units: (statements * self.parts as f64) as u64,
-            // Each (group, aggregate) item contributes a CASE arm plus the
-            // group-equality comparison(s).
-            expr_terms: (per_stmt_groups * aggs.len() as f64 * (2.0 + group_cols.len() as f64))
-                as u32,
+            select_returned_bytes: (self.parts as f64 * row_bytes) as u64,
+            // A partial row is one record returned and one to merge.
+            server_cpu_units: (2.0 * statements * self.parts as f64) as u64,
+            expr_terms: first * group_terms + where_terms + u32::from(kept),
             ..Default::default()
         }
+    }
+
+    /// Mean CSV width of one partial aggregate value `f(column)` over `n`
+    /// rows (`None` = `COUNT(*)`): a count's digits; a sum of an INT
+    /// column, or of a FLOAT one whose catalog tails hold only whole
+    /// numbers, the column's width and the digits `n` adds; a sum of
+    /// other FLOATs [`INEXACT_SUM_WIDTH`]; a MIN or MAX the column's
+    /// width. A group with no row in the partition sums to NULL, an empty
+    /// field.
+    fn agg_width(&self, f: AggFunc, column: &Option<String>, n: f64) -> f64 {
+        let digits = |n: f64| n.max(1.0).log10().floor() + 1.0;
+        let Some(c) = column.as_deref().filter(|_| f != AggFunc::Count) else {
+            return digits(n);
+        };
+        let present = n.min(1.0);
+        match f {
+            AggFunc::Sum if self.inexact_sums(c) => present * INEXACT_SUM_WIDTH,
+            AggFunc::Sum => present * (self.col_width(c) + n.max(1.0).log10()),
+            _ => present * self.col_width(c),
+        }
+    }
+
+    /// Whether sums of column `c` round: a FLOAT column, unless its
+    /// catalog tails list only whole numbers.
+    fn inexact_sums(&self, c: &str) -> bool {
+        let Ok(idx) = self.table.schema.resolve(c) else {
+            return false;
+        };
+        if self.table.schema.dtype_of(idx) != pushdown_common::DataType::Float {
+            return false;
+        }
+        let tails = self.stats().and_then(|s| s.column(idx)?.tails.as_ref());
+        let whole = |(v, _): &(Value, u64)| matches!(v, Value::Float(x) if x.fract() == 0.0);
+        !tails.is_some_and(|t| t.low.iter().chain(&t.high).all(whole))
     }
 }
 
@@ -761,10 +871,11 @@ impl Estimator<'_> {
     ///   (the Bloom probe's hash terms).
     /// * A sample of `n` rows reads until it has them — `n / selectivity`
     ///   rows, of a CSV table at its mean row width, of a ColumnarLite one
-    ///   that share of its columns' chunks — and stops. A prefix touches
-    ///   partitions one after the other until the sample fills, one
-    ///   phase; a striped sample asks every partition with a share for
-    ///   it.
+    ///   the row groups holding them, whole
+    ///   ([`Estimator::sampled_chunk_bytes`]) — and stops. A prefix
+    ///   touches partitions one after the other until the sample fills,
+    ///   one phase; a striped sample asks every partition with a share
+    ///   for it.
     fn scan(
         &self,
         predicate: &Option<Expr>,
@@ -814,10 +925,11 @@ impl Estimator<'_> {
             rows: n as f64,
             row_bytes: width,
         };
-        // A sample scans its share of the rows: of a columnar table, that
-        // share of its columns' chunks.
-        let scanned = match self.chunk_bytes(&scan_stmt(projection, predicate), &[]) {
-            Some(chunks) => scanned_rows / self.rows * chunks,
+        // A sample scans its share of the rows: of a columnar table, the
+        // row groups holding them, whole.
+        let stmt = scan_stmt(projection, predicate);
+        let scanned = match self.sampled_chunk_bytes(&stmt, limit, sel) {
+            Some(chunks) => chunks,
             None => (scanned_rows * self.row_bytes).min(self.bytes),
         };
         let mut stats = PhaseStats {
@@ -1142,7 +1254,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             let (table, predicate, group_cols) = node.children[0].pushdown_leaf()?;
             let (distinct, dc) = walk(0, inj)?;
             let est = ests.of(table);
-            let mut stats = est.case_when_statements(predicate, group_cols, aggs, dc.rows);
+            let mut stats = est.case_when_statements(predicate, group_cols, aggs, dc.rows, false);
             let mut card = Card {
                 rows: dc.rows,
                 row_bytes: est.out_row_bytes(group_cols) + aggs.len() as f64 * AGG_VALUE_WIDTH,
@@ -1190,10 +1302,27 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
                     (n_big, n_big / groups)
                 }
             };
+            // Groups listed by the catalog count their rows too.
+            let pushed = match dictionary {
+                Some(_) => counted_aggs(aggs).0,
+                None => aggs.clone(),
+            };
             if n_big == 0.0 {
                 let (tail, card) = predict_node(ests, &finished_by(tail_node, order), WHOLE)?;
                 children.push(tail);
                 (Own::Split(own, None), children, card)
+            } else if covers(table, &group_cols[0], dictionary, n_big as usize) {
+                // One pass, which also counts the rows the WHERE keeps;
+                // a dictionary that covers its column is priced as fresh.
+                let pass = est.case_when_statements(predicate, group_cols, &pushed, n_big, true);
+                let nodes = est.per_node(pass, None, None, |_| true);
+                let mut card = Card {
+                    rows: groups,
+                    row_bytes: est.out_row_bytes(group_cols) + aggs.len() as f64 * AGG_VALUE_WIDTH,
+                };
+                let mut finish = PhaseStats::default();
+                finish_groups(order, &mut finish, &mut card);
+                (Own::Covered(pass, nodes, finish, false), children, card)
             } else {
                 let not_in = Injected {
                     keep: (1.0 - share).max(0.0),
@@ -1201,13 +1330,8 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
                 };
                 let (tail, mut card) = predict_node(ests, tail_node, not_in)?;
                 children.push(tail);
-                // Groups listed by the catalog count their rows too.
-                let pushed = match dictionary {
-                    Some(_) => counted_aggs(aggs).0,
-                    None => aggs.clone(),
-                };
-                let mut s3 = est.case_when_statements(predicate, group_cols, &pushed, n_big);
                 card.rows = groups;
+                let mut s3 = est.case_when_statements(predicate, group_cols, &pushed, n_big, false);
                 finish_groups(order, &mut s3, &mut card);
                 (Own::Split(own, Some(s3)), children, card)
             }
@@ -1851,5 +1975,61 @@ mod tests {
         assert_eq!(scanned(&ctx, &t, sql, "s3-side", None), (bytes, bytes));
         let sql = "SELECT SUM(v) FROM t WHERE maybe = 3";
         assert_eq!(scanned(&ctx, &t, sql, "s3-side", None), (bytes, bytes));
+    }
+
+    /// A LIMIT-cut columnar Select bills every row group it touches
+    /// whole, and a striped sample is priced so: over eight one-group
+    /// partitions even a 10-row sample scans each partition's `v` chunk.
+    #[test]
+    fn columnar_samples_are_priced_at_the_row_groups_they_touch() {
+        let (ctx, t) = setup_columnar(2000);
+        let topk = "SELECT * FROM t ORDER BY v LIMIT 10";
+        for n in [10, 100, 1000] {
+            let tune = Some(Tune::SampleSize(n));
+            let (predicted, billed) = scanned(&ctx, &t, topk, "sampling", tune);
+            assert_eq!(predicted, billed, "sample of {n}");
+        }
+    }
+
+    /// A hybrid split whose dictionary covers its column (`s`: four
+    /// values, no NULL) is one pushed pass, priced at its bill: requests
+    /// and scanned bytes exactly, returned bytes within the calibration
+    /// slack (15 %, 512 B floor) — on CSV and on ColumnarLite.
+    #[test]
+    fn a_covered_hybrid_split_is_priced_at_its_one_pass() {
+        let sql = "SELECT s, COUNT(*), SUM(v) FROM t WHERE v < 50 GROUP BY s";
+        for (ctx, t) in [setup(2000), setup_columnar(2000)] {
+            let ctx = ctx.scoped();
+            let spec = pushdown_sql::parse_query(sql).unwrap();
+            let (_, candidates) = crate::planner::lower(&ctx, &t, &spec).unwrap();
+            let (_, plan) = candidates
+                .into_iter()
+                .find(|(n, _)| *n == "hybrid")
+                .unwrap();
+            let predicted = predict_plan(&Estimators::new(&ctx, [&plan]), &plan).unwrap();
+            let ran = crate::plan::execute(&ctx, &plan).unwrap();
+            let format = t.format;
+            assert_eq!(ran.metrics.groups.len(), 1, "{format:?}: one pass");
+            assert_eq!(
+                predicted.metrics.groups.len(),
+                1,
+                "{format:?}: priced as one"
+            );
+            let (predicted, billed) = (predicted.metrics.usage(), ctx.billed());
+            assert_eq!(predicted.requests, billed.requests, "{format:?}");
+            assert_eq!(
+                predicted.select_scanned_bytes, billed.select_scanned_bytes,
+                "{format:?}"
+            );
+            let (p, b) = (
+                predicted.select_returned_bytes,
+                billed.select_returned_bytes,
+            );
+            let slack = (0.15 * b as f64).max(512.0);
+            assert!(
+                (p as f64 - b as f64).abs() <= slack,
+                "{format:?}: {p} vs {b}"
+            );
+        }
     }
 }

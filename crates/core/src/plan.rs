@@ -32,7 +32,9 @@
 //! hybrid split whose grouping column has a catalog dictionary knows its
 //! populous groups before it runs, and a threshold over a column whose
 //! catalog tails hold the K-th value knows `t`: neither has a sample
-//! child, and each writes the same predicate into its one child.)
+//! child, and each writes the same predicate into its one child — a split
+//! whose dictionary covers its column only when a row count says the
+//! pushed groups missed rows.)
 //! [`PlanOp::CaseWhen`] (and the hybrid split, for its populous groups)
 //! writes whole statements instead: the chunked
 //! `SUM(CASE WHEN g = v THEN x END)` aggregates of paper Listing 4, each
@@ -84,8 +86,9 @@
 //! applies it, names a phase or picks how its children's phases go
 //! together: it measures what it did itself and hands that, with its
 //! children's outcomes and what only its run decided (the Bloom filter
-//! it built, whether a hybrid split found populous groups, whether a
-//! threshold rescanned), to the one composition layer (`shape`), which
+//! it built, whether a hybrid split found populous groups and whether a
+//! covering one's row count sent it to its tail, whether a threshold
+//! rescanned), to the one composition layer (`shape`), which
 //! the pricer fills with estimates ([`crate::cost::predict_plan`]).
 //! `Limit` charges nothing and reports no phase.
 //!
@@ -265,10 +268,17 @@ pub enum PlanOp {
     /// — with no sample phase at all. A listed group need not have a row
     /// in this query (its WHERE emptied it, or it has gone since load), so
     /// that way every pushed group also counts its rows and an empty one
-    /// yields no row; a group the list misses is in the tail. With no
-    /// populous group the tail runs unchanged, `order` as its finish.
-    /// `force` pushes exactly that many groups, the largest, whatever
-    /// their share (Fig 6's sweep).
+    /// yields no row; a group the list misses is in the tail. A
+    /// dictionary that *covers* the column — every listed group pushed,
+    /// and exact statistics saw no NULL in it ([`covers`]) — leaves the
+    /// tail nothing to do: the split runs the pushed pass alone, its first
+    /// statement also counting the rows the WHERE keeps (`COUNT(*)`). If
+    /// the groups' counts add up to that, the answer is whole; if not, the
+    /// rows have changed since load and the tail runs after the pass, its
+    /// predicate asking for the NULL rows whatever the statistics say.
+    /// With no populous group the tail runs unchanged, `order` as its
+    /// finish. `force` pushes exactly that many groups, the largest,
+    /// whatever their share (Fig 6's sweep).
     HybridSplit {
         aggs: Vec<(AggFunc, Option<String>)>,
         dictionary: Option<Vec<(Value, u64)>>,
@@ -1022,9 +1032,10 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 groups.extend(batch.rows.iter().map(|r| r.values().to_vec()));
                 Ok(())
             })?;
-            let (rows, mut stats) =
-                case_when_aggregate(ctx, table, predicate, group_cols, aggs, &groups)?;
-            let rows = finish_groups(order, rows, &mut stats);
+            let pass =
+                case_when_aggregate(ctx, table, predicate, group_cols, aggs, &groups, false)?;
+            let mut stats = pass.stats;
+            let rows = finish_groups(order, pass.rows, &mut stats);
             emit(ctx, &node.schema, rows, sink)?;
             composed(ctx, node, Own::Stats(stats), vec![ran])
         }
@@ -1064,32 +1075,53 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 children.push(run(ctx, &finished_by(tail_node, order), sink)?);
                 return composed(ctx, node, Own::Split(own, None), children);
             }
+            let keys: Vec<Vec<Value>> = big.iter().map(|v| vec![v.clone()]).collect();
+            let column = &group_cols[0];
+            if covers(table, column, dictionary, big.len()) {
+                // One pass: the listed groups' aggregation, which also
+                // counts the rows the WHERE keeps. If the groups' counts
+                // add up to it every row has a listed group and the tail
+                // is empty; if not, the rows have changed since load and
+                // the tail runs after the pass, its predicate written for
+                // the table without its statistics (a NULL written since
+                // load is asked for by name).
+                let pass = listed_case_when_aggregate(
+                    ctx, table, predicate, group_cols, aggs, &keys, true,
+                )?;
+                let mut rows = pass.rows;
+                let short = pass.kept != Some(pass.counted);
+                if short {
+                    let mut blind = table.clone();
+                    blind.stats = None;
+                    let pred = tail_predicate(&blind, column, &big);
+                    children.push(run_pushed(ctx, tail_node, Some(pred), &mut |batch| {
+                        rows.extend(batch.rows);
+                        Ok(())
+                    })?);
+                }
+                rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
+                let mut finish = PhaseStats::default();
+                emit(
+                    ctx,
+                    &node.schema,
+                    finish_groups(order, rows, &mut finish),
+                    sink,
+                )?;
+                let own = Own::Covered(pass.stats, pass.nodes, finish, short);
+                return composed(ctx, node, own, children);
+            }
             // Phase 2, two concurrent requests (paper Listing 5). Q1: the
             // pushed CASE-WHEN aggregation of the populous groups.
-            let keys: Vec<Vec<Value>> = big.iter().map(|v| vec![v.clone()]).collect();
-            let (mut rows, mut s3) = match dictionary {
-                None => case_when_aggregate(ctx, table, predicate, group_cols, aggs, &keys)?,
-                Some(_) => {
-                    listed_case_when_aggregate(ctx, table, predicate, group_cols, aggs, &keys)?
-                }
+            let pass = match dictionary {
+                None => case_when_aggregate(ctx, table, predicate, group_cols, aggs, &keys, false)?,
+                Some(_) => listed_case_when_aggregate(
+                    ctx, table, predicate, group_cols, aggs, &keys, false,
+                )?,
             };
+            let (mut rows, mut s3) = (pass.rows, pass.stats);
             // Q2: the long tail (group NOT IN populous), aggregated
-            // locally. `g NOT IN (…)` is never true for a NULL `g`, so the
-            // NULL-key rows — a tail group like any other — are asked for
-            // by name wherever the column can hold one.
-            let (operand, literal) = group_key(table, &group_cols[0]);
-            let mut tail_pred = Expr::InList {
-                expr: Box::new(operand),
-                list: big.iter().map(literal).collect(),
-                negated: true,
-            };
-            if table.may_be_null(&group_cols[0]) {
-                let is_null = Expr::IsNull {
-                    expr: Box::new(Expr::col(group_cols[0].clone())),
-                    negated: false,
-                };
-                tail_pred = Expr::or(tail_pred, is_null);
-            }
+            // locally.
+            let tail_pred = tail_predicate(table, column, &big);
             let tail = run_pushed(ctx, tail_node, Some(tail_pred), &mut |batch| {
                 rows.extend(batch.rows);
                 Ok(())
@@ -1280,11 +1312,27 @@ fn group_eq(table: &Table, group_cols: &[String], key: &[Value]) -> Expr {
     Expr::conjunction(conj).expect("non-empty group columns")
 }
 
+/// What the pushed CASE-WHEN statements of a staged group-by returned.
+struct CaseWhenPass {
+    /// One `group key ++ aggregate values` row per group.
+    rows: Vec<Row>,
+    /// The statements' summed footprint, and on a cluster each busy
+    /// node's share of it, by id.
+    stats: PhaseStats,
+    nodes: Vec<(usize, PhaseStats)>,
+    /// The rows the groups counted, where the statements counted them
+    /// ([`listed_case_when_aggregate`]), and the rows the WHERE keeps,
+    /// where the first statement counted those too.
+    counted: u64,
+    kept: Option<u64>,
+}
+
 /// The pushed CASE-WHEN aggregation of `groups` (paper Listing 4): one
 /// `agg(CASE WHEN g = v THEN x END)` item per (group, aggregate), in
 /// pushed scalar-aggregate statements chunked under the SQL size limit,
 /// each statement's one merged row reshaped into `group key ++ aggregate
-/// values` rows. Returns them with the statements' summed footprint.
+/// values` rows. With `kept`, the first statement ends in a `COUNT(*)`
+/// of the rows its WHERE keeps.
 fn case_when_aggregate(
     ctx: &QueryContext,
     table: &Table,
@@ -1292,23 +1340,50 @@ fn case_when_aggregate(
     group_cols: &[String],
     aggs: &[(AggFunc, Option<String>)],
     groups: &[Vec<Value>],
-) -> Result<(Vec<Row>, PhaseStats)> {
-    let mut stats = PhaseStats::default();
-    let mut out = Vec::new();
+    kept: bool,
+) -> Result<CaseWhenPass> {
+    let mut pass = CaseWhenPass {
+        rows: Vec::new(),
+        stats: PhaseStats::default(),
+        nodes: Vec::new(),
+        counted: 0,
+        kept: None,
+    };
     let Some(first) = groups.first() else {
-        return Ok((out, stats));
+        return Ok(pass);
     };
     let key_bytes: usize = first.iter().map(|v| v.to_csv_field().len() + 24).sum();
-    for batch in groups.chunks(case_when_chunk(ctx, aggs.len(), key_bytes as f64)) {
-        let stmt = case_when_stmt(table, predicate, group_cols, aggs, batch);
+    let chunk = case_when_chunk(ctx, aggs.len(), key_bytes as f64);
+    for (i, batch) in groups.chunks(chunk).enumerate() {
+        let mut stmt = case_when_stmt(table, predicate, group_cols, aggs, batch);
+        let count_kept = kept && i == 0;
+        if count_kept {
+            stmt.items.push(SelectItem::Agg {
+                func: AggFunc::Count,
+                arg: None,
+                alias: None,
+            });
+        }
         let scan = select_scan_aggregate(ctx, table, &stmt, &[])?;
-        stats.merge(&scan.stats);
-        let values = scan.rows[0].values();
+        pass.stats.merge(&scan.stats);
+        for (k, share) in scan.nodes {
+            match pass.nodes.iter_mut().find(|(id, _)| *id == k) {
+                Some((_, total)) => total.merge(&share),
+                None => pass.nodes.push((k, share)),
+            }
+        }
+        let mut values = scan.rows[0].values();
+        if count_kept {
+            let (last, rest) = values.split_last().expect("the COUNT(*) item");
+            pass.kept = Some(last.as_i64()? as u64);
+            values = rest;
+        }
         for (key, aggregates) in batch.iter().zip(values.chunks(aggs.len())) {
-            out.push(Row::new(key.iter().chain(aggregates).cloned().collect()));
+            let row = key.iter().chain(aggregates).cloned().collect();
+            pass.rows.push(Row::new(row));
         }
     }
-    Ok((out, stats))
+    Ok(pass)
 }
 
 /// One pushed CASE-WHEN statement of [`case_when_aggregate`]: an
@@ -1363,8 +1438,9 @@ pub(crate) fn counted_aggs(
 
 /// [`case_when_aggregate`] of groups listed before the query ran — the
 /// hybrid split's catalog dictionary —, which need not have a row in it:
-/// each statement also counts its groups' rows ([`counted_aggs`]), and a
-/// group that counts none yields no row.
+/// each statement also counts its groups' rows ([`counted_aggs`]), a
+/// group that counts none yields no row, and the pass says how many rows
+/// they counted.
 fn listed_case_when_aggregate(
     ctx: &QueryContext,
     table: &Table,
@@ -1372,19 +1448,57 @@ fn listed_case_when_aggregate(
     group_cols: &[String],
     aggs: &[(AggFunc, Option<String>)],
     groups: &[Vec<Value>],
-) -> Result<(Vec<Row>, PhaseStats)> {
+    kept: bool,
+) -> Result<CaseWhenPass> {
     let (counted, at) = counted_aggs(aggs);
-    let (rows, stats) = case_when_aggregate(ctx, table, predicate, group_cols, &counted, groups)?;
+    let mut pass = case_when_aggregate(ctx, table, predicate, group_cols, &counted, groups, kept)?;
     let (count, width) = (group_cols.len() + at, group_cols.len() + aggs.len());
-    let rows = rows
-        .into_iter()
-        .filter(|r| r[count] != Value::Int(0))
-        .map(|mut r| {
-            r.0.truncate(width);
-            r
-        })
-        .collect();
-    Ok((rows, stats))
+    let mut rows = Vec::with_capacity(pass.rows.len());
+    for mut r in pass.rows {
+        match r[count].as_i64()? {
+            0 => continue,
+            n => pass.counted += n as u64,
+        }
+        r.0.truncate(width);
+        rows.push(r);
+    }
+    pass.rows = rows;
+    Ok(pass)
+}
+
+/// Whether a hybrid split pushing `pushed` groups off `dictionary`
+/// covers its grouping column `column` of `table`: it pushes every group
+/// the dictionary lists, and exact statistics saw no NULL in the column.
+/// Then the pushed pass should hold every row, and the tail is run only
+/// when a row count says the rows have changed since load.
+pub(crate) fn covers(
+    table: &Table,
+    column: &str,
+    dictionary: &Option<Vec<(Value, u64)>>,
+    pushed: usize,
+) -> bool {
+    dictionary.as_ref().is_some_and(|d| d.len() == pushed) && !table.may_be_null(column)
+}
+
+/// The predicate a hybrid split writes into its tail: the rows of
+/// `column` whose group it did not push. `g NOT IN (…)` is never true
+/// for a NULL `g`, so the NULL-key rows — a tail group like any other —
+/// are asked for by name wherever `table` says the column can hold one.
+fn tail_predicate(table: &Table, column: &str, pushed: &[Value]) -> Expr {
+    let (operand, literal) = group_key(table, column);
+    let not_in = Expr::InList {
+        expr: Box::new(operand),
+        list: pushed.iter().map(literal).collect(),
+        negated: true,
+    };
+    if !table.may_be_null(column) {
+        return not_in;
+    }
+    let is_null = Expr::IsNull {
+        expr: Box::new(Expr::col(column.to_string())),
+        negated: false,
+    };
+    Expr::or(not_in, is_null)
 }
 
 /// The table, predicate and grouping column a hybrid split writes its SQL

@@ -45,6 +45,11 @@ pub(crate) enum Own {
     /// A hybrid split's work over its sample, and the S3-side aggregation
     /// of the populous groups, if it found any.
     Split(PhaseStats, Option<PhaseStats>),
+    /// A hybrid split whose dictionary covers its column: its one pushed
+    /// pass and, on a cluster, each busy node's share of it, by id; the
+    /// finish over its groups; and whether the pass's row count came up
+    /// short and the tail ran after it (the last child).
+    Covered(PhaseStats, Vec<(usize, PhaseStats)>, PhaseStats, bool),
 }
 
 /// `node`'s outcome from what it did itself (`own`) and its children's
@@ -135,6 +140,29 @@ pub(crate) fn compose(
                 own.merge(&s3);
             }
             staged(node, own, sample, tail)
+        }
+        // One pass, the groups' finish stacked on it — on a cluster it
+        // joins the first node's phase, as a pushed aggregate's does —;
+        // a stale dictionary's tail runs after it.
+        (PlanOp::HybridSplit { .. }, Own::Covered(pass, mut nodes, finish, short)) => {
+            let ((table, ..), from) = (node.pushdown_leaf()?, select_phase(node)?);
+            if let Some((_, first)) = nodes.first_mut() {
+                first.merge(&finish);
+            }
+            let mut out = leaf(node.label(), ScanSource::Select(None), table, pass, &nodes);
+            out.metrics.relabel(&from, "hybrid: s3-side aggregation");
+            if nodes.is_empty() {
+                out.metrics.stack("group-by", finish, Flow::Breaker);
+                out.report.actual.merge(&finish);
+            }
+            if short {
+                let mut tail = next()?;
+                tail.metrics
+                    .relabel(&from, "hybrid: server-side aggregation");
+                out.metrics = QueryMetrics::join_sides(out.metrics, tail.metrics, Sides::Serial);
+                out.report.children.push(tail.report);
+            }
+            out
         }
         (op, Own::Stats(stats)) => {
             let (label, flow) = match op {

@@ -274,7 +274,7 @@ fn pinned_regression_seeds_per_algo_family() {
     // even when a retry lands mid-join.
     let pinned = [
         ("filter", by_name("filter-selective"), 3u64, 0u64),
-        ("group-by", by_name("groupby-uniform"), 5, 1),
+        ("group-by", by_name("groupby-uniform"), 6, 1),
         ("top-k", by_name("topk-100"), 7, 2),
         ("join-plan-q3", by_name("join-q3ish"), 21, 4),
         ("join-plan-q12", by_name("join-q12ish"), 22, 5),

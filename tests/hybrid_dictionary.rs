@@ -158,8 +158,13 @@ fn cases(g: &str) -> Vec<Case> {
 /// among the rows the WHERE keeps, in group-key order (NULL first), then
 /// stably ordered and cut as the statement says.
 fn oracle(col: usize, case: &Case) -> Vec<Row> {
+    oracle_of(&rows(), col, case)
+}
+
+/// [`oracle`] over `rows`.
+fn oracle_of(rows: &[Row], col: usize, case: &Case) -> Vec<Row> {
     let mut groups: Vec<(Value, i64, i64)> = Vec::new();
-    for r in rows().iter().filter(|r| (case.keeps)(r)) {
+    for r in rows.iter().filter(|r| (case.keeps)(r)) {
         let at = match groups.iter().position(|g| g.0 == r[col]) {
             Some(at) => at,
             None => {
@@ -259,7 +264,10 @@ fn the_fixture_has_the_groups_the_cases_need() {
 /// The dictionary-planned split, the sampled one and a stale dictionary's
 /// answer every case as the oracle does, pushing the groups their rule
 /// picks or exactly 0, 1 or all of them; one phase group fewer than the
-/// sampled split, whose sample is the phase it saves.
+/// sampled split, whose sample is the phase it saves — unless the
+/// dictionary covers the column (`f`, every group pushed) and is stale,
+/// so that a kept row has a group it does not list: the tail then runs
+/// after the pass, a group of its own.
 #[test]
 fn dictionary_split_answers_as_the_sample_and_the_oracle_do() {
     for columnar in [false, true] {
@@ -296,9 +304,90 @@ fn dictionary_split_answers_as_the_sample_and_the_oracle_do() {
                             assert_eq!(got, want, "{what}");
                             if nodes == 1 {
                                 let sample = usize::from(kind == "sampled");
-                                assert_eq!(groups, 1 + sample, "{what}: phase groups");
+                                let covering = g == "f"
+                                    && kind != "sampled"
+                                    && !matches!(force, Some(0) | Some(1));
+                                let tail = usize::from(covering && misses(table, col, &case));
+                                assert_eq!(groups, 1 + sample + tail, "{what}: phase groups");
                             }
                         }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Whether a row the case's WHERE keeps has a key in column `col` that
+/// `t`'s dictionary does not list.
+fn misses(t: &Table, col: usize, case: &Case) -> bool {
+    let listed = t.dictionary(schema().names()[col]).unwrap_or_default();
+    let unlisted = |r: &Row| !listed.iter().any(|(v, _)| *v == r[col]);
+    rows().iter().filter(|r| (case.keeps)(r)).any(unlisted)
+}
+
+/// `rows()` rewritten after load: `f` is `value` in every 5th row.
+fn rewritten(value: Value) -> Vec<Row> {
+    let mut rows = rows();
+    rows.iter_mut()
+        .step_by(5)
+        .for_each(|r| r.0[2] = value.clone());
+    rows
+}
+
+/// A covering dictionary (`f`: every value pushed, no NULL) made stale by
+/// rewriting the objects after load — an unlisted value, and separately a
+/// NULL, in every 5th row — still answers every case as the oracle does
+/// over the rewritten rows, on CSV and ColumnarLite, serial and on four
+/// nodes, metrics == ledger: the pass's row count comes up short, so the
+/// tail runs after it, a second, serial phase group.
+#[test]
+fn a_stale_covering_dictionary_runs_its_tail_after_the_pass() {
+    let col = schema().index_of("f").unwrap();
+    for columnar in [false, true] {
+        for nodes in [1, 4] {
+            for written in [Value::Float(1.5), Value::Null] {
+                let store = S3Store::new();
+                let t = upload(&store, columnar);
+                let now = rewritten(written.clone());
+                if columnar {
+                    let options = WriterOptions {
+                        rows_per_group: 5,
+                        compress: true,
+                    };
+                    upload_columnar_table(&store, "b", "t", &schema(), &now, 16, options)
+                } else {
+                    upload_csv_table(&store, "b", "t", &schema(), &now, 16)
+                }
+                .unwrap();
+                let mut ctx = QueryContext::new(store);
+                if nodes > 1 {
+                    ctx = ctx.with_nodes(nodes);
+                }
+                for case in cases("f") {
+                    let what = format!(
+                        "{written:?} written, `{}`, columnar {columnar}, {nodes} node(s)",
+                        case.sql
+                    );
+                    let plan = hybrid(&ctx, &t, &case.sql, None);
+                    assert!(from_dictionary(&plan), "{what}");
+                    let ctx = ctx.scoped();
+                    let out = plan::execute(&ctx, &plan).unwrap();
+                    assert_eq!(out.metrics.usage(), ctx.billed(), "{what}: usage == bill");
+                    assert_eq!(out.rows, oracle_of(&now, col, &case), "{what}");
+                    let mut kept = now.iter().filter(|r| (case.keeps)(r));
+                    let short = kept.any(|r| r[col] == written);
+                    if nodes == 1 {
+                        let want: &[&[&str]] = match short {
+                            true => &[
+                                &["hybrid: s3-side aggregation + group-by"],
+                                &["hybrid: server-side aggregation + group-by"],
+                            ],
+                            false => &[&["hybrid: s3-side aggregation + group-by"]],
+                        };
+                        assert_eq!(phases(&out.metrics), want, "{what}");
+                    } else {
+                        assert_eq!(out.metrics.groups.len() > 1, short, "{what}");
                     }
                 }
             }
@@ -334,9 +423,12 @@ fn pushdown(ctx: &QueryContext, t: &Table, g: &str) -> (Vec<String>, QueryMetric
 }
 
 /// Pushdown's `hybrid` over a dictionary column is one phase group and
-/// has no sample leaf; a 33-value column, statistics of another row count
-/// and a table registered without statistics keep the sample, and with it
-/// a phase group of their own.
+/// has no sample leaf: over a column its dictionary covers (`f`) one
+/// phase, the pushed pass; over one with NULLs (`c`) or with more listed
+/// values than the split pushes (`x`: 32, 8 pushed) the pass beside the
+/// tail. A 33-value column, statistics of another row count and a table
+/// registered without statistics keep the sample, and with it a phase
+/// group of their own.
 #[test]
 fn only_a_dictionary_column_drops_the_sample_leaf() {
     let store = S3Store::new();
@@ -348,10 +440,13 @@ fn only_a_dictionary_column_drops_the_sample_leaf() {
         assert!(ops[0].contains("dictionary of"), "{g}: {ops:?}");
         assert!(!ops.iter().any(is_sample), "{g}: {ops:?}");
         // One group, and the pricer prices the tree that runs.
-        let want = [[
-            "hybrid: s3-side aggregation",
-            "hybrid: server-side aggregation + group-by",
-        ]];
+        let want: &[&[&str]] = match g {
+            "f" => &[&["hybrid: s3-side aggregation + group-by"]],
+            _ => &[&[
+                "hybrid: s3-side aggregation",
+                "hybrid: server-side aggregation + group-by",
+            ]],
+        };
         assert_eq!(phases(&ran), want, "{g}");
         assert_eq!(phases(&predicted), want, "{g}");
     }
