@@ -6,12 +6,13 @@
 //! new constant off these numbers.
 //!
 //!
-//! The run ends with four gates, each on time *ratios* measured within
+//! The run ends with five gates, each on time *ratios* measured within
 //! this one run, never on a raw time: the projected CSV decode (see
 //! [`csv_projected_gate`]), the Bloom probe (see [`bloom_probe_gate`]),
-//! the local scan's hand-off cost (see [`filter_discard_gate`]) and the
+//! the local scan's hand-off cost (see [`filter_discard_gate`]), the
 //! planned join against its materializing replay (see
-//! [`join_q12_gate`]).
+//! [`join_q12_gate`]) and a join's matches folded into its group-by
+//! against the materializing operators (see [`join_fold_gate`]).
 //!
 //! Run with `cargo bench --bench kernels -p pushdown-bench`.
 
@@ -586,6 +587,110 @@ fn join_q12_gate() -> Result<(), String> {
     Ok(())
 }
 
+/// `join-q12ish`'s join and group-by (TPC-H SF 0.01) over in-memory rows
+/// as its planned leaves deliver them — `o_orderkey` of every order, and
+/// `l_orderkey, l_shipmode` of the line items its WHERE keeps — two ways:
+/// the materializing operators one after the other (`hash_join`, which
+/// builds every joined row, `map_rows` copying `l_shipmode` out of it,
+/// `hash_group_by`), and the fold the executor runs for a grouping
+/// operator over a join (`HashJoinBuild::probe_each` handing each match
+/// to `GroupByAccumulator::update` in place).
+struct JoinFold {
+    orders: Vec<Row>,
+    kept: Vec<Row>,
+    /// `l_shipmode` in the joined `build ++ probe` row.
+    shipmode: BoundExpr,
+}
+
+impl JoinFold {
+    fn new() -> Self {
+        let gen = TpchGen::new(0.01);
+        let (o_schema, orders) = gen.orders();
+        let (l_schema, lineitems) = gen.lineitems(&orders);
+        let at = |schema: &Schema, c: &str| schema.resolve(c).unwrap();
+        let o_key = at(&o_schema, "o_orderkey");
+        let (l_key, l_mode) = (at(&l_schema, "l_orderkey"), at(&l_schema, "l_shipmode"));
+        let pred = Binder::new(&l_schema)
+            .bind_expr(&parse_expr("l_shipdate < DATE '1994-06-01'").unwrap())
+            .unwrap();
+        let mut stats = Default::default();
+        let kept = ops::filter_rows(lineitems, &pred, &mut stats).unwrap();
+        let joined = Schema::from_pairs(&[
+            ("o_orderkey", DataType::Int),
+            ("l_orderkey", DataType::Int),
+            ("l_shipmode", DataType::Str),
+        ]);
+        let probe = JoinFold {
+            orders: orders.iter().map(|r| r.project(&[o_key])).collect(),
+            kept: kept.iter().map(|r| r.project(&[l_key, l_mode])).collect(),
+            shipmode: Binder::new(&joined)
+                .bind_expr(&parse_expr("l_shipmode").unwrap())
+                .unwrap(),
+        };
+        assert_eq!(probe.materialized(), probe.folded());
+        probe
+    }
+
+    fn materialized(&self) -> Vec<Row> {
+        let mut stats = Default::default();
+        let (orders, kept) = (self.orders.clone(), self.kept.clone());
+        let joined = ops::hash_join(orders, 0, kept, 0, &mut stats);
+        let modes = ops::map_rows(&joined, std::slice::from_ref(&self.shipmode), &mut stats);
+        let count = [(AggFunc::Count, None)];
+        ops::hash_group_by(&modes.unwrap(), &[0], &count, &mut stats).unwrap()
+    }
+
+    fn folded(&self) -> Vec<Row> {
+        let mut stats = Default::default();
+        let (orders, kept) = (self.orders.clone(), self.kept.clone());
+        let mut table = ops::HashJoinBuild::new(0);
+        table.add_batch(orders, &mut stats);
+        // `l_shipmode` is column 2 of the `o_orderkey ++ l_orderkey,
+        // l_shipmode` match.
+        let mut groups = ops::GroupByAccumulator::new(vec![2], vec![(AggFunc::Count, None)]);
+        let fold = |l: &Row, r: &Row| groups.update(ops::Input::pair(l, r));
+        table.probe_each(&kept, 0, &mut stats, fold).unwrap();
+        groups.finish(&mut stats)
+    }
+}
+
+fn bench_join_fold(c: &mut Criterion) {
+    let probe = JoinFold::new();
+    let mut g = c.benchmark_group("join/q12_fold");
+    g.throughput(Throughput::Elements(probe.kept.len() as u64));
+    g.bench_function("materialized", |b| b.iter(|| probe.materialized()));
+    g.bench_function("folded", |b| b.iter(|| probe.folded()));
+    g.finish();
+}
+
+/// Fails the run unless folding the matches takes at most 0.8× the
+/// materializing operators' time over the same rows: the joined row and
+/// the projection pass it drops must stay dropped (measured
+/// 0.39–0.47×). Interleaved rounds, fastest round of each, as in
+/// [`bloom_probe_gate`].
+fn join_fold_gate() -> Result<(), String> {
+    let probe = JoinFold::new();
+    let [materialized, folded] = fastest_rounds(
+        7,
+        [
+            &discarding(|| probe.materialized()),
+            &discarding(|| probe.folded()),
+        ],
+    );
+    let ratio = folded / materialized;
+    println!(
+        "join/q12_fold gate: the folded join -> group-by takes {ratio:.2}x the \
+         materializing operators (must be <= 0.8)"
+    );
+    if ratio > 0.8 {
+        return Err(format!(
+            "folding join-q12ish's matches into its group-by takes {ratio:.2}x hash_join + \
+             map_rows + hash_group_by over the same rows: the fold builds rows again"
+        ));
+    }
+    Ok(())
+}
+
 /// Predicate filter over 20k rows: vectorized selection-vector kernel vs
 /// the row evaluator. Both charge identical CPU units; only wall-clock
 /// differs.
@@ -699,6 +804,7 @@ criterion_group!(
     bench_bloom_probe,
     bench_filter_discard,
     bench_join_q12,
+    bench_join_fold,
     bench_filter,
     bench_aggregate,
     bench_groupby,
@@ -712,6 +818,7 @@ fn main() {
         bloom_probe_gate,
         filter_discard_gate,
         join_q12_gate,
+        join_fold_gate,
     ] {
         if let Err(why) = gate() {
             eprintln!("kernels: {why}");

@@ -113,6 +113,11 @@ pub struct PerfParams {
     pub max_inflight: usize,
     /// Seconds of server CPU per operator "work unit" (roughly: one row
     /// visited by one non-trivial operator — hash probe, heap push, ...).
+    /// A row that is never built costs none: a grouping operator over a
+    /// join folds each match in place, so the join charges one unit per
+    /// build and per probe row and the group table one per match (plus
+    /// one where a projection computes an argument), not a unit for the
+    /// joined row and another for projecting it.
     pub cpu_per_unit: f64,
     /// Fixed per-phase overhead (process/queue spin-up), seconds.
     pub phase_startup: f64,

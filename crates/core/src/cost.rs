@@ -51,9 +51,9 @@ use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
 use crate::metrics::QueryMetrics;
 use crate::plan::{
-    case_when_chunk, case_when_stmt, counted_aggs, covers, finished_by, hybrid_leaf, populous,
-    scan_stmt, threshold_predicate, OpReport, Order, PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS,
-    HYBRID_MIN_SHARE,
+    case_when_chunk, case_when_stmt, counted_aggs, covers, finished_by, folded_join, hybrid_leaf,
+    join_matches, narrow_row, populous, scan_stmt, threshold_predicate, Matches, OpReport, Order,
+    PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
 };
 use crate::scan::{striped_share, ScanLimit, ScanSource};
 use crate::shape::{compose, Outcome, Own};
@@ -1003,7 +1003,8 @@ impl Estimator<'_> {
         // One partial row per partition: `pushed_vals` values wide.
         phase.select_returned_bytes =
             (self.parts as f64 * (pushed_vals * AGG_VALUE_WIDTH + 1.0)) as u64;
-        phase.server_cpu_units = self.parts;
+        // Two units per partition: the partial row returned, its merge.
+        phase.server_cpu_units = 2 * self.parts;
         let card = Card {
             rows: 1.0,
             row_bytes: stmt.items.len() as f64 * AGG_VALUE_WIDTH,
@@ -1039,7 +1040,25 @@ type Nodes = Vec<(usize, PhaseStats)>;
 /// node's estimated footprint and its children's outcomes compose as the
 /// executor's measured ones do ([`compose`]).
 fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result<Predicted> {
+    predict_handing(ests, node, inj, Matches::Rows)
+}
+
+/// [`predict_node`] of a node that hands its rows on as `hand` says: a
+/// join charges a unit per match only when it builds a row of it
+/// ([`Matches`]), and a Project between a grouping operator and the join
+/// it folds passes that on.
+fn predict_handing(
+    ests: &Estimators<'_>,
+    node: &PlanNode,
+    inj: Injected,
+    hand: Matches,
+) -> Result<Predicted> {
     let walk = |i: usize, inj: Injected| predict_node(ests, &node.children[i], inj);
+    // A grouping operator's input, handed to it as it folds a join.
+    let input = |inj: Injected| match join_matches(ests.ctx, node) {
+        Some(hand) => predict_handing(ests, &node.children[0], inj, hand),
+        None => walk(0, inj),
+    };
     let (own, children, card) = match &node.op {
         PlanOp::Scan {
             table,
@@ -1098,7 +1117,11 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             let (probe, pc) = walk(1, probe_inj)?;
             let rows = join_out_rows(ests, bc.rows, pc.rows, build_key, probe_key);
             let row_bytes = bc.row_bytes + pc.row_bytes;
-            let own = Own::Join(cpu_phase(bc.rows + pc.rows + rows), planned);
+            let built = match hand {
+                Matches::Folded => 0.0,
+                Matches::Rows | Matches::Narrow => rows,
+            };
+            let own = Own::Join(cpu_phase(bc.rows + pc.rows + built), planned);
             (own, vec![build, probe], Card { rows, row_bytes })
         }
         PlanOp::LocalFilter { predicate } => {
@@ -1119,39 +1142,42 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
                 })
                 .sum::<f64>()
                 + exprs.len() as f64;
-            let (child, cc) = walk(0, inj)?;
+            let (child, cc) = predict_handing(ests, &node.children[0], inj, hand)?;
             let card = Card {
                 rows: cc.rows,
                 row_bytes: width,
             };
             (Own::Stats(cpu_phase(cc.rows)), vec![child], card)
         }
-        PlanOp::GroupBy {
-            group_width,
-            aggs,
-            order,
-        } => {
-            let (child, cc) = walk(0, inj)?;
+        PlanOp::GroupBy { keys, aggs, order } => {
+            let (child, cc) = input(inj)?;
             // Group count: NDV product over the group keys — the
             // expressions of the Project the planner places below, or,
-            // where the input already delivers what the group-by consumes
-            // and there is none, its leading columns.
-            let input = &node.children[0];
-            let groups = match &input.op {
-                PlanOp::Project { exprs } => exprs[..*group_width]
-                    .iter()
-                    .map(|e| match e {
+            // where there is none, the input columns they name.
+            let below = &node.children[0];
+            let names = below.schema.names();
+            let groups = keys
+                .iter()
+                .map(|&k| match &below.op {
+                    PlanOp::Project { exprs } => match &exprs[k] {
                         Expr::Column(name) => col_ndv(ests, name),
                         _ => cc.rows.sqrt().max(1.0),
-                    })
-                    .product::<f64>(),
-                _ => input.schema.names()[..*group_width]
-                    .iter()
-                    .map(|name| col_ndv(ests, name))
-                    .product(),
-            }
-            .min(cc.rows)
-            .max(1.0);
+                    },
+                    _ => col_ndv(ests, names[k]),
+                })
+                .product::<f64>()
+                .min(cc.rows)
+                .max(1.0);
+            // A join's match is read as its keys and arguments only.
+            let row_bytes = match folded_join(node) {
+                Some((_, None)) => {
+                    let (cols, _) = narrow_row(keys, aggs);
+                    let widths = cols.iter().map(|&c| col_width_in(ests, names[c]));
+                    widths.sum::<f64>() + cols.len() as f64
+                }
+                _ => cc.row_bytes,
+            };
+            let cc = Card { row_bytes, ..cc };
             let mut card = Card {
                 rows: groups,
                 row_bytes: cc.row_bytes + aggs.len() as f64 * AGG_VALUE_WIDTH,
@@ -1183,7 +1209,7 @@ fn predict_node(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result
             (own, vec![child], card)
         }
         PlanOp::Aggregate { aggs } => {
-            let (child, cc) = walk(0, inj)?;
+            let (child, cc) = input(inj)?;
             let card = Card {
                 rows: 1.0,
                 row_bytes: aggs.len() as f64 * AGG_VALUE_WIDTH,
@@ -1929,6 +1955,41 @@ mod tests {
             predicted.select_scanned_bytes,
             ctx.billed().select_scanned_bytes,
         )
+    }
+
+    /// A pushed scalar aggregate charges two CPU units per partition —
+    /// the partial row each returns, and its merge — and is priced at
+    /// them: its one phase predicted as it runs, on CSV and ColumnarLite.
+    #[test]
+    fn a_pushed_scalar_aggregate_is_priced_at_the_units_it_charges() {
+        let sql = "SELECT SUM(v), COUNT(*) FROM t";
+        for (ctx, t) in [setup(2000), setup_columnar(2000)] {
+            assert_eq!(t.partitions(&ctx.store).len(), 8);
+            let ctx = ctx.scoped();
+            let spec = pushdown_sql::parse_query(sql).unwrap();
+            let (_, candidates) = crate::planner::lower(&ctx, &t, &spec).unwrap();
+            let (_, plan) = candidates.iter().find(|(n, _)| *n == "s3-side").unwrap();
+            let predicted = predict_plan(&Estimators::new(&ctx, [plan]), plan).unwrap();
+            let executed = crate::plan::execute(&ctx, plan).unwrap();
+            let phases = |m: &QueryMetrics| -> Vec<(String, u64, u64, u64)> {
+                let phases = m.groups.iter().flat_map(|g| &g.phases);
+                phases
+                    .map(|p| {
+                        let s = &p.stats;
+                        (
+                            p.label.clone(),
+                            s.server_cpu_units,
+                            s.requests,
+                            s.s3_scanned_bytes,
+                        )
+                    })
+                    .collect()
+            };
+            let want = phases(&executed.metrics);
+            assert_eq!(want.len(), 1, "one pushed phase");
+            assert_eq!(want[0].1, 16, "two units per partition");
+            assert_eq!(phases(&predicted.metrics), want, "{}", t.name);
+        }
     }
 
     /// A Select over a ColumnarLite object scans, and bills, only the

@@ -257,7 +257,7 @@ fn staged_group_bys(
     if !aggs.is_empty() {
         let distinct = pushed(&Some(spec.group_by.clone()));
         let op = PlanOp::GroupBy {
-            group_width: spec.group_by.len(),
+            keys: (0..spec.group_by.len()).collect(),
             aggs: Vec::new(),
             order: None,
         };
@@ -665,7 +665,10 @@ fn order_limit_stack(mut node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
 /// GROUP BY and scalar aggregation: a `Project` of the group keys, then
 /// each distinct aggregate argument (arbitrary expressions over the
 /// input schema, e.g. the Q3 revenue term `l_extendedprice * (1 -
-/// l_discount)`), under `GroupBy` / `Aggregate`. Scalar aggregates over
+/// l_discount)`), under `GroupBy` / `Aggregate` — none where the input
+/// already delivers them in that order, or where it is a join and each
+/// of them is a bare column: the grouping operator then reads them by
+/// position off the join's matches, in place. Scalar aggregates over
 /// a bare pushed scan — one table, its WHERE clause already in the leaf —
 /// ship inside the leaf's own Select statement instead
 /// ([`PlanOp::PushdownAggregate`]).
@@ -734,6 +737,23 @@ fn aggregate_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
         aggs.push((*func, slot));
     }
     let schema = Schema::new(out_fields);
+    let joined = matches!(node.op, PlanOp::HashJoin { .. } | PlanOp::BloomJoin { .. });
+    let bare = |e: &Expr| match e {
+        Expr::Column(c) => node.schema.resolve(c).ok(),
+        _ => None,
+    };
+    let read = match joined {
+        true => exprs.iter().map(bare).collect::<Option<Vec<_>>>(),
+        false => None,
+    };
+    let keys = match &read {
+        Some(cols) => {
+            let at = |c: Option<usize>| c.map(|c| cols[c]);
+            aggs = aggs.into_iter().map(|(f, c)| (f, at(c))).collect();
+            cols[..group_width].to_vec()
+        }
+        None => (0..group_width).collect(),
+    };
     let op = match (group_width, &node.op) {
         (
             0,
@@ -753,11 +773,14 @@ fn aggregate_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
         }
         (0, _) => PlanOp::Aggregate { aggs },
         _ => PlanOp::GroupBy {
-            group_width,
+            keys,
             aggs,
             order: None,
         },
     };
-    let input = project_stack(node, exprs, Schema::new(fields));
+    let input = match read {
+        Some(_) => node,
+        None => project_stack(node, exprs, Schema::new(fields)),
+    };
     Ok(PlanNode::new(op, vec![input], schema))
 }

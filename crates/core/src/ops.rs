@@ -195,12 +195,19 @@ impl HashJoinBuild {
         }
     }
 
-    /// Probe one batch of rows against the finished build table; output
-    /// rows are `build ++ probe`, a probe row's matches in the order the
-    /// build rows were inserted.
-    pub fn probe_batch(&self, rows: &[Row], probe_key: usize, stats: &mut PhaseStats) -> Vec<Row> {
+    /// Probe one batch of rows against the finished build table, handing
+    /// every match to `visit` as its (build row, probe row) pair — a probe
+    /// row's matches in the order the build rows were inserted — and
+    /// building no row. Charges one unit per probe row: what a match
+    /// costs is the consumer's to charge.
+    pub fn probe_each(
+        &self,
+        rows: &[Row],
+        probe_key: usize,
+        stats: &mut PhaseStats,
+        mut visit: impl FnMut(&Row, &Row) -> Result<()>,
+    ) -> Result<()> {
         stats.server_cpu_units += rows.len() as u64;
-        let mut out = Vec::with_capacity(rows.len());
         for r in rows {
             let k = &r[probe_key];
             let Some(image) = key_image(k) else {
@@ -210,13 +217,81 @@ impl HashJoinBuild {
             while at != NONE {
                 let l = &self.rows[at as usize];
                 if l[self.key].sql_eq(k) == Some(true) {
-                    stats.server_cpu_units += 1;
-                    out.push(l.concat(r));
+                    visit(l, r)?;
                 }
                 at = self.next[at as usize];
             }
         }
+        Ok(())
+    }
+
+    /// Probe one batch of rows against the finished build table; output
+    /// rows are `build ++ probe`, a probe row's matches in the order the
+    /// build rows were inserted ([`HashJoinBuild::probe_each`]), one unit
+    /// charged per row built.
+    pub fn probe_batch(&self, rows: &[Row], probe_key: usize, stats: &mut PhaseStats) -> Vec<Row> {
+        let mut out = Vec::with_capacity(rows.len());
+        let concat = |l: &Row, r: &Row| {
+            out.push(l.concat(r));
+            Ok(())
+        };
+        self.probe_each(rows, probe_key, stats, concat)
+            .expect("concatenating cannot fail");
+        stats.server_cpu_units += out.len() as u64;
         out
+    }
+}
+
+/// One input row of a grouping operator: a row, or a join's match read
+/// as its `build ++ probe` row without building it. Column `i` is the
+/// joined row's `i`.
+#[derive(Clone, Copy)]
+pub struct Input<'a> {
+    build: &'a [Value],
+    probe: &'a [Value],
+}
+
+impl<'a> Input<'a> {
+    pub fn row(row: &'a Row) -> Self {
+        Input {
+            build: &[],
+            probe: row.values(),
+        }
+    }
+
+    pub fn pair(build: &'a Row, probe: &'a Row) -> Self {
+        Input {
+            build: build.values(),
+            probe: probe.values(),
+        }
+    }
+
+    pub fn get(&self, i: usize) -> &'a Value {
+        match i.checked_sub(self.build.len()) {
+            None => &self.build[i],
+            Some(p) => &self.probe[p],
+        }
+    }
+
+    /// Columns `cols` as one slice: borrowed when they are adjacent, in
+    /// order and on one side, else cloned into `scratch`.
+    pub fn columns<'s>(&self, cols: &[usize], scratch: &'s mut Vec<Value>) -> &'s [Value]
+    where
+        'a: 's,
+    {
+        if let (Some(&first), Some(&last)) = (cols.first(), cols.last()) {
+            let adjacent = cols.windows(2).all(|w| w[1] == w[0] + 1);
+            let one_side = (first < self.build.len()) == (last < self.build.len());
+            if adjacent && one_side {
+                return match first.checked_sub(self.build.len()) {
+                    None => &self.build[first..=last],
+                    Some(p) => &self.probe[p..=p + (last - first)],
+                };
+            }
+        }
+        scratch.clear();
+        scratch.extend(cols.iter().map(|&c| self.get(c).clone()));
+        scratch
     }
 }
 
@@ -241,6 +316,8 @@ pub struct GroupByAccumulator {
     group_cols: Vec<usize>,
     args: Vec<Option<usize>>,
     table: GroupTable,
+    /// A key whose columns are not adjacent, gathered for its lookup.
+    key: Vec<Value>,
 }
 
 impl GroupByAccumulator {
@@ -250,19 +327,24 @@ impl GroupByAccumulator {
             group_cols,
             args,
             table: GroupTable::new(funcs),
+            key: Vec::new(),
         }
     }
 
     /// Fold one batch of input rows into the group table.
     pub fn update_batch(&mut self, rows: &[Row], stats: &mut PhaseStats) -> Result<()> {
         stats.server_cpu_units += rows.len() as u64;
-        for r in rows {
-            let key = self.group_cols.iter().map(|&c| r[c].clone()).collect();
-            for (acc, col) in self.table.group(key).iter_mut().zip(&self.args) {
-                match col {
-                    Some(c) => acc.update(&r[*c])?,
-                    None => acc.update(&Value::Bool(true))?,
-                }
+        rows.iter().try_for_each(|r| self.update(Input::row(r)))
+    }
+
+    /// Fold one input row into the group table, charging nothing: the
+    /// caller charges the unit its row costs.
+    pub fn update(&mut self, input: Input<'_>) -> Result<()> {
+        let key = input.columns(&self.group_cols, &mut self.key);
+        for (acc, col) in self.table.group(key).iter_mut().zip(&self.args) {
+            match col {
+                Some(c) => acc.update(input.get(*c))?,
+                None => acc.update(&Value::Bool(true))?,
             }
         }
         Ok(())
@@ -311,7 +393,7 @@ pub fn merge_group_rows(
         stats.server_cpu_units += part.len() as u64;
         for row in part {
             let (key, partials) = row.values().split_at(group_width);
-            for (acc, v) in table.group(key.to_vec()).iter_mut().zip(partials) {
+            for (acc, v) in table.group(key).iter_mut().zip(partials) {
                 acc.update(v)?;
             }
         }

@@ -68,7 +68,11 @@
 //!   ([`QueryMetrics::join_sides`]), which is what the planner priced;
 //! * group-by and scalar aggregation — accumulators only; a grouping
 //!   operator's ORDER BY runs over its finished groups, inside it
-//!   ([`Order`]);
+//!   ([`Order`]). Over a join it is not handed joined rows at all: the
+//!   probe hands it each match as its (build row, probe row) pair and it
+//!   reads its keys and arguments off whichever side holds them, through
+//!   at most a Project that computes one, per match, into a reused row
+//!   (`Matches`);
 //! * sort — every input row, or with a `LIMIT k` a bounded heap of `k`
 //!   (ORDER BY has to see them all, it need not keep them all);
 //! * the staged group-bys — their results, which they hand on in
@@ -129,6 +133,7 @@ use pushdown_common::row::RowBatch;
 use pushdown_common::{DataType, Error, Result, Row, Schema, Value};
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::bind::Binder;
+use pushdown_sql::eval::eval;
 use pushdown_sql::{Expr, SelectItem, SelectStmt};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -177,7 +182,12 @@ pub enum PlanOp {
     },
     /// Hash inner equi-join: children `[build, probe]`, output rows are
     /// `build ++ probe`. The build child is drained into the join table,
-    /// then the probe child streams through it.
+    /// then the probe child streams through it: one CPU unit per build
+    /// row and per probe row, and one per joined row it builds. Under a
+    /// [`PlanOp::GroupBy`] or [`PlanOp::Aggregate`] (with at most a
+    /// [`PlanOp::Project`] between them) it builds none: each match goes
+    /// to the grouping operator in place, as its (build row, probe row)
+    /// pair (`Matches`).
     HashJoin {
         build_key: String,
         probe_key: String,
@@ -190,7 +200,9 @@ pub enum PlanOp {
     /// unfiltered one, when no filter fits the SQL limit (§V-B1) — the
     /// probe phase's label says which. Under the engine's §X `bitwise`
     /// extension the filter ships in its hex / `BIT_AT` encoding, four
-    /// filter bits per SQL character instead of one.
+    /// filter bits per SQL character instead of one. It hands on its
+    /// matches as [`PlanOp::HashJoin`] does, in place to a grouping
+    /// operator above it.
     BloomJoin {
         build_key: String,
         probe_key: String,
@@ -199,11 +211,22 @@ pub enum PlanOp {
     /// Residual predicate spanning tables, evaluated locally.
     LocalFilter { predicate: Expr },
     /// Compute one expression per output column (names carried by the
-    /// node schema).
+    /// node schema), one CPU unit per row. The lowering places one only
+    /// where it computes something or reorders a scan's columns: a
+    /// grouping operator over a join reads bare columns off the join's
+    /// matches itself. A Project between a grouping operator and a join
+    /// evaluates its expressions per match into one reused row — the
+    /// same unit, no joined row under it.
     Project { exprs: Vec<Expr> },
-    /// Hash aggregation: input columns `0..group_width` are the group
-    /// key; aggregate *i* consumes input column `aggs[i].1` (`None` =
-    /// `COUNT(*)`). Output sorted by group key (deterministic) — which is
+    /// Hash aggregation: input columns `keys` are the group key;
+    /// aggregate *i* consumes input column `aggs[i].1` (`None` =
+    /// `COUNT(*)`) — over a join, positions in its `build ++ probe` row,
+    /// read off each match in place. One CPU unit per input row (per
+    /// match, over a join) and one per group. On a cluster its input
+    /// rows shuffle to one partial group-by per node; over a join each
+    /// match then becomes the keys-and-arguments row the shuffle moves,
+    /// one unit to build it (`Matches::Narrow`). Output sorted by group
+    /// key (deterministic) — which is
     /// what makes an ORDER BY on an ascending prefix of the group key
     /// free: the lowering stacks no sort for it, a LIMIT at most. Any
     /// other ORDER BY is the `order` the operator applies to its finished
@@ -212,11 +235,14 @@ pub enum PlanOp {
     /// and a grouped [`PlanOp::PushdownAggregate`] —, which emit group-key
     /// order too.
     GroupBy {
-        group_width: usize,
+        keys: Vec<usize>,
         aggs: Vec<(AggFunc, Option<usize>)>,
         order: Option<Order>,
     },
-    /// Scalar aggregation: one output row, even over empty input.
+    /// Scalar aggregation: one output row, even over empty input;
+    /// `aggs.len()` CPU units (at least one) per input row. Over a join
+    /// it reads its arguments off each match in place, as
+    /// [`PlanOp::GroupBy`] does.
     Aggregate { aggs: Vec<(AggFunc, Option<usize>)> },
     /// `ORDER BY … [LIMIT k]` over anything but a grouping operator
     /// ([`Order`]). With a limit it is a bounded heap fed as rows arrive,
@@ -270,7 +296,7 @@ pub enum PlanOp {
     /// that way every pushed group also counts its rows and an empty one
     /// yields no row; a group the list misses is in the tail. A
     /// dictionary that *covers* the column — every listed group pushed,
-    /// and exact statistics saw no NULL in it ([`covers`]) — leaves the
+    /// and exact statistics saw no NULL in it (`covers`) — leaves the
     /// tail nothing to do: the split runs the pushed pass alone, its first
     /// statement also counting the rows the WHERE keeps (`COUNT(*)`). If
     /// the groups' counts add up to that, the answer is whole; if not, the
@@ -460,9 +486,9 @@ impl PlanNode {
             } => format!("BloomJoin[{build_key} = {probe_key}, fpr {fpr}]"),
             PlanOp::LocalFilter { predicate } => format!("Filter[{predicate}]"),
             PlanOp::Project { exprs } => format!("Project[{} exprs]", exprs.len()),
-            PlanOp::GroupBy {
-                group_width, aggs, ..
-            } => format!("GroupBy[{group_width} keys, {} aggs]", aggs.len()),
+            PlanOp::GroupBy { keys, aggs, .. } => {
+                format!("GroupBy[{} keys, {} aggs]", keys.len(), aggs.len())
+            }
             PlanOp::Aggregate { aggs } => format!("Aggregate[{} aggs]", aggs.len()),
             PlanOp::Sort(order) => order.label(),
             PlanOp::Limit { n } => format!("Limit[{n}]"),
@@ -785,70 +811,7 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             emit(ctx, &node.schema, rows, sink)?;
             composed(ctx, node, Own::Leaf(scan.stats, scan.nodes), Vec::new())
         }
-        PlanOp::HashJoin {
-            build_key,
-            probe_key,
-        } => {
-            let (build_node, probe_node) = (&node.children[0], &node.children[1]);
-            let mut join = Join::new(node, build_key, probe_key)?;
-            let sides = hash_join_sides(ctx, node);
-            let (build, probe) = if sides == Sides::Pipelined {
-                run_pipelined(ctx, node, &mut join, sink)?
-            } else {
-                // Build, then probe: each scan fills the worker pool by
-                // itself.
-                let build = run(ctx, build_node, &mut |batch| join.build(batch))?;
-                let probe = run(ctx, probe_node, &mut |batch| join.probe(batch, sink))?;
-                (build, probe)
-            };
-            let own = Own::Join(join.local, None);
-            composed(ctx, node, own, vec![build, probe])
-        }
-        PlanOp::BloomJoin {
-            build_key,
-            probe_key,
-            fpr,
-        } => {
-            let (build_node, probe_node) = (&node.children[0], &node.children[1]);
-            let mut join = Join::new(node, build_key, probe_key)?;
-            let bk = join.build_key;
-            if build_node.schema.dtype_of(bk) != DataType::Int {
-                return Err(Error::Bind(format!(
-                    "Bloom join requires an integer join key, `{build_key}` is {}",
-                    build_node.schema.dtype_of(bk)
-                )));
-            }
-            let mut keys = Vec::new();
-            let build = run(ctx, build_node, &mut |batch| {
-                for r in &batch.rows {
-                    match &r[bk] {
-                        Value::Null => {}
-                        v => keys.push(v.as_i64()?),
-                    }
-                }
-                join.build(batch)
-            })?;
-            // §V-B1: degrade or fall back when the filter cannot fit the
-            // SQL size limit; either way the build side already loaded,
-            // so the two scans stay serial.
-            let built = bloom_builder(ctx).build(&keys, *fpr, probe_key);
-            let (bloom_pred, planned) = match built {
-                Some((filter, planned)) => (Some(filter), planned),
-                None => (None, BloomPlan::Fallback),
-            };
-            let bloom_pred = bloom_pred.map(|filter| {
-                if ctx.engine.extensions().bitwise {
-                    filter.sql_predicate_binary(probe_key)
-                } else {
-                    filter.sql_predicate(probe_key)
-                }
-            });
-            let probe = run_pushed(ctx, probe_node, bloom_pred, &mut |batch| {
-                join.probe(batch, sink)
-            })?;
-            let own = Own::Join(join.local, Some(planned));
-            composed(ctx, node, own, vec![build, probe])
-        }
+        PlanOp::HashJoin { .. } | PlanOp::BloomJoin { .. } => run_join(ctx, node, Emit::Rows(sink)),
         PlanOp::LocalFilter { predicate } => {
             let child = &node.children[0];
             let bound = Binder::new(&child.schema).bind_expr(predicate)?;
@@ -873,29 +836,15 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             })?;
             composed(ctx, node, Own::Stats(local), vec![ran])
         }
-        PlanOp::GroupBy {
-            group_width,
-            aggs,
-            order,
-        } => {
+        PlanOp::GroupBy { keys, aggs, order } => {
             // On a cluster: per-node partial group-bys over key-hashed
             // buckets.
             if let Some(cluster) = ctx.spread() {
-                return run_partitioned_group_by(
-                    ctx,
-                    node,
-                    *group_width,
-                    aggs,
-                    order,
-                    cluster,
-                    sink,
-                );
+                return run_partitioned_group_by(ctx, node, keys, aggs, order, cluster, sink);
             }
-            let mut acc = ops::GroupByAccumulator::new((0..*group_width).collect(), aggs.clone());
+            let mut acc = ops::GroupByAccumulator::new(keys.clone(), aggs.clone());
             let mut local = PhaseStats::default();
-            let ran = run(ctx, &node.children[0], &mut |batch| {
-                acc.update_batch(&batch.rows, &mut local)
-            })?;
+            let ran = fold(ctx, node, 1, &mut local, &mut |input| acc.update(input))?;
             let rows = acc.finish(&mut local);
             let rows = finish_groups(order, rows, &mut local);
             emit(ctx, &node.schema, rows, sink)?;
@@ -904,14 +853,12 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
         PlanOp::Aggregate { aggs } => {
             let mut accs: Vec<_> = aggs.iter().map(|(f, c)| (f.accumulator(), *c)).collect();
             let mut local = PhaseStats::default();
-            let ran = run(ctx, &node.children[0], &mut |batch| {
-                local.server_cpu_units += batch.len() as u64 * aggs.len().max(1) as u64;
-                for r in &batch.rows {
-                    for (acc, col) in accs.iter_mut() {
-                        match col {
-                            Some(c) => acc.update(&r[*c])?,
-                            None => acc.update(&Value::Bool(true))?,
-                        }
+            let per_row = aggs.len().max(1) as u64;
+            let ran = fold(ctx, node, per_row, &mut local, &mut |input| {
+                for (acc, col) in accs.iter_mut() {
+                    match col {
+                        Some(c) => acc.update(input.get(*c))?,
+                        None => acc.update(&Value::Bool(true))?,
                     }
                 }
                 Ok(())
@@ -1144,6 +1091,194 @@ fn forward(batch: RowBatch, sink: Sink<'_>) -> Result<()> {
     } else {
         sink(batch)
     }
+}
+
+/// How a join hands its matches to the operator above it — the executor
+/// and the pricer ([`crate::cost::predict_plan`]) charge alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Matches {
+    /// As `build ++ probe` rows, one CPU unit per row built.
+    Rows,
+    /// In place, to a grouping operator that folds them: no row, no unit.
+    Folded,
+    /// As the keys-and-arguments row a partitioned group-by shuffles,
+    /// one unit per row built.
+    Narrow,
+}
+
+/// The join grouping operator `node` folds ([`PlanOp::GroupBy`] or
+/// [`PlanOp::Aggregate`] directly over a hash or Bloom join, or over a
+/// [`PlanOp::Project`] over one), and that Project, if there is one.
+pub(crate) fn folded_join(node: &PlanNode) -> Option<(&PlanNode, Option<&PlanNode>)> {
+    if !matches!(node.op, PlanOp::GroupBy { .. } | PlanOp::Aggregate { .. }) {
+        return None;
+    }
+    let child = &node.children[0];
+    let (join, project) = match child.op {
+        PlanOp::Project { .. } => (&child.children[0], Some(child)),
+        _ => (child, None),
+    };
+    matches!(join.op, PlanOp::HashJoin { .. } | PlanOp::BloomJoin { .. }).then_some((join, project))
+}
+
+/// How the join under grouping operator `node` hands it its matches, if
+/// the operator folds them ([`folded_join`]): in place, except to a
+/// group-by partitioned over a cluster, whose shuffle moves a row per
+/// match — the keys-and-arguments row, which the join builds, or the
+/// Project between them where there is one.
+pub(crate) fn join_matches(ctx: &QueryContext, node: &PlanNode) -> Option<Matches> {
+    let (_, project) = folded_join(node)?;
+    let shuffled = matches!(node.op, PlanOp::GroupBy { .. }) && ctx.spread().is_some();
+    Some(match project {
+        None if shuffled => Matches::Narrow,
+        _ => Matches::Folded,
+    })
+}
+
+/// Where a join hands its matches ([`Matches`]).
+enum Emit<'s> {
+    /// Joined rows, into the parent's sink.
+    Rows(Sink<'s>),
+    /// Each match in place, to a grouping operator's visitor; `true` when
+    /// the visitor builds a row of it, which the join is charged
+    /// ([`Matches::Narrow`]).
+    Matches(&'s mut dyn FnMut(&Row, &Row) -> Result<()>, bool),
+}
+
+/// A hash or Bloom join: its two children run into the join table and
+/// through it, its matches handed on as `emit` says.
+fn run_join(ctx: &QueryContext, node: &PlanNode, mut emit: Emit<'_>) -> Result<Ran> {
+    let emit = &mut emit;
+    match &node.op {
+        PlanOp::HashJoin {
+            build_key,
+            probe_key,
+        } => {
+            let (build_node, probe_node) = (&node.children[0], &node.children[1]);
+            let mut join = Join::new(node, build_key, probe_key)?;
+            let sides = hash_join_sides(ctx, node);
+            let (build, probe) = if sides == Sides::Pipelined {
+                run_pipelined(ctx, node, &mut join, emit)?
+            } else {
+                // Build, then probe: each scan fills the worker pool by
+                // itself.
+                let build = run(ctx, build_node, &mut |batch| join.build(batch))?;
+                let probe = run(ctx, probe_node, &mut |batch| join.probe(batch, emit))?;
+                (build, probe)
+            };
+            let own = Own::Join(join.local, None);
+            composed(ctx, node, own, vec![build, probe])
+        }
+        PlanOp::BloomJoin {
+            build_key,
+            probe_key,
+            fpr,
+        } => {
+            let (build_node, probe_node) = (&node.children[0], &node.children[1]);
+            let mut join = Join::new(node, build_key, probe_key)?;
+            let bk = join.build_key;
+            if build_node.schema.dtype_of(bk) != DataType::Int {
+                return Err(Error::Bind(format!(
+                    "Bloom join requires an integer join key, `{build_key}` is {}",
+                    build_node.schema.dtype_of(bk)
+                )));
+            }
+            let mut keys = Vec::new();
+            let build = run(ctx, build_node, &mut |batch| {
+                for r in &batch.rows {
+                    match &r[bk] {
+                        Value::Null => {}
+                        v => keys.push(v.as_i64()?),
+                    }
+                }
+                join.build(batch)
+            })?;
+            // §V-B1: degrade or fall back when the filter cannot fit the
+            // SQL size limit; either way the build side already loaded,
+            // so the two scans stay serial.
+            let built = bloom_builder(ctx).build(&keys, *fpr, probe_key);
+            let (bloom_pred, planned) = match built {
+                Some((filter, planned)) => (Some(filter), planned),
+                None => (None, BloomPlan::Fallback),
+            };
+            let bloom_pred = bloom_pred.map(|filter| {
+                if ctx.engine.extensions().bitwise {
+                    filter.sql_predicate_binary(probe_key)
+                } else {
+                    filter.sql_predicate(probe_key)
+                }
+            });
+            let probe = run_pushed(ctx, probe_node, bloom_pred, &mut |batch| {
+                join.probe(batch, emit)
+            })?;
+            let own = Own::Join(join.local, Some(planned));
+            composed(ctx, node, own, vec![build, probe])
+        }
+        _ => Err(Error::Other(format!("{} is no join", node.label()))),
+    }
+}
+
+/// Run grouping operator `node`'s input, handing `each` every input row
+/// and charging `local` `per_row` units for it: its child's rows — or,
+/// where it folds a join ([`folded_join`]), each match in place, read as
+/// its `build ++ probe` row without building it; through a Project
+/// between them, evaluated into one reused row, charged as the Project.
+fn fold(
+    ctx: &QueryContext,
+    node: &PlanNode,
+    per_row: u64,
+    local: &mut PhaseStats,
+    each: &mut dyn FnMut(ops::Input<'_>) -> Result<()>,
+) -> Result<Ran> {
+    let Some((join, project)) = folded_join(node) else {
+        return run(ctx, &node.children[0], &mut |batch| {
+            local.server_cpu_units += per_row * batch.len() as u64;
+            let mut rows = batch.rows.iter();
+            rows.try_for_each(|r| each(ops::Input::row(r)))
+        });
+    };
+    let narrow = join_matches(ctx, node) == Some(Matches::Narrow);
+    let Some(project) = project else {
+        let mut visit = |l: &Row, r: &Row| {
+            local.server_cpu_units += per_row;
+            each(ops::Input::pair(l, r))
+        };
+        return run_join(ctx, join, Emit::Matches(&mut visit, narrow));
+    };
+    let PlanOp::Project { exprs } = &project.op else {
+        unreachable!("folded_join returns a Project")
+    };
+    // The expressions read the columns they name off a row as wide as
+    // the joined one, which holds those columns only.
+    let binder = Binder::new(&join.schema);
+    let bound: Vec<_> = exprs
+        .iter()
+        .map(|e| binder.bind_expr(e))
+        .collect::<Result<_>>()?;
+    let mut names = Vec::new();
+    exprs.iter().for_each(|e| e.referenced_columns(&mut names));
+    let read = names
+        .iter()
+        .map(|c| join.schema.resolve(c))
+        .collect::<Result<Vec<_>>>()?;
+    let mut input = Row::new(vec![Value::Null; join.schema.len()]);
+    let mut output = Row::new(Vec::with_capacity(exprs.len()));
+    let mut projected = PhaseStats::default();
+    let mut visit = |l: &Row, r: &Row| {
+        let pair = ops::Input::pair(l, r);
+        for &c in &read {
+            input.0[c] = pair.get(c).clone();
+        }
+        output.0.clear();
+        for e in &bound {
+            output.0.push(eval(e, &input)?);
+        }
+        projected.server_cpu_units += 1;
+        local.server_cpu_units += per_row;
+        each(ops::Input::row(&output))
+    };
+    let joined = run_join(ctx, join, Emit::Matches(&mut visit, narrow))?;
+    composed(ctx, project, Own::Stats(projected), vec![joined])
 }
 
 /// The `ORDER BY keys LIMIT k` a [`PlanOp::Sort`] hands down to the GET
@@ -1582,7 +1717,7 @@ fn run_pipelined(
     ctx: &QueryContext,
     node: &PlanNode,
     join: &mut Join,
-    sink: Sink<'_>,
+    emit: &mut Emit<'_>,
 ) -> Result<(Ran, Ran)> {
     let (build_node, probe_node) = (&node.children[0], &node.children[1]);
     let sides = [CacheEffects::default(), CacheEffects::default()];
@@ -1601,7 +1736,7 @@ fn run_pipelined(
             })
         });
         let build = run(&build_ctx, build_node, &mut |batch| join.build(batch)).and_then(|build| {
-            rx.iter().try_for_each(|batch| join.probe(batch, sink))?;
+            rx.iter().try_for_each(|batch| join.probe(batch, emit))?;
             Ok(build)
         });
         if build.is_err() {
@@ -1645,11 +1780,25 @@ impl Join {
         Ok(())
     }
 
-    fn probe(&mut self, batch: RowBatch, sink: Sink<'_>) -> Result<()> {
-        let rows = self
-            .table
-            .probe_batch(&batch.rows, self.probe_key, &mut self.local);
-        forward(RowBatch::new(self.schema.clone(), rows), sink)
+    fn probe(&mut self, batch: RowBatch, emit: &mut Emit<'_>) -> Result<()> {
+        let (table, key, local) = (&self.table, self.probe_key, &mut self.local);
+        match emit {
+            Emit::Rows(sink) => {
+                let rows = table.probe_batch(&batch.rows, key, local);
+                forward(RowBatch::new(self.schema.clone(), rows), &mut **sink)
+            }
+            Emit::Matches(visit, narrow) => {
+                let mut matched = 0;
+                table.probe_each(&batch.rows, key, local, |l, r| {
+                    matched += 1;
+                    visit(l, r)
+                })?;
+                if *narrow {
+                    local.server_cpu_units += matched;
+                }
+                Ok(())
+            }
+        }
     }
 }
 
@@ -1665,6 +1814,30 @@ fn route_row(row: &Row, keys: &[usize], n: usize) -> usize {
         as usize
 }
 
+/// The row a partitioned group-by shuffles per input row: its key
+/// columns, then each other column its aggregates read, in the order they
+/// first read it — the columns of that row, and the aggregates re-pointed
+/// at it.
+pub(crate) fn narrow_row(
+    keys: &[usize],
+    aggs: &[(AggFunc, Option<usize>)],
+) -> (Vec<usize>, Vec<(AggFunc, Option<usize>)>) {
+    let mut cols = keys.to_vec();
+    let aggs = aggs
+        .iter()
+        .map(|&(f, c)| {
+            let at = c.map(|c| {
+                cols.iter().position(|&x| x == c).unwrap_or_else(|| {
+                    cols.push(c);
+                    cols.len() - 1
+                })
+            });
+            (f, at)
+        })
+        .collect();
+    (cols, aggs)
+}
+
 /// A group-by on a cluster of `n` nodes: hash the child's rows on the
 /// group key into one bucket per node, aggregate each bucket in parallel,
 /// and merge by re-sorting on the group key — each group lives wholly in
@@ -1673,27 +1846,43 @@ fn route_row(row: &Row, keys: &[usize], n: usize) -> usize {
 /// node meters what it receives of the all-to-all shuffle (the expected
 /// cross-node share under uniformly spread producers) as exchange. The
 /// merge is the operator's finish: its order, if it has one, runs there.
+/// Over a join ([`folded_join`]) each match shuffles as the row of its
+/// keys and arguments ([`narrow_row`]), never the joined one.
 fn run_partitioned_group_by(
     ctx: &QueryContext,
     node: &PlanNode,
-    group_width: usize,
+    keys: &[usize],
     aggs: &[(AggFunc, Option<usize>)],
     order: &Option<Order>,
     cluster: &Cluster,
     sink: Sink<'_>,
 ) -> Result<Ran> {
     let n = cluster.n();
-    let group_cols: Vec<usize> = (0..group_width).collect();
     let mut buckets: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
     let mut bucket_bytes = vec![0u64; n];
-    let child = run(ctx, &node.children[0], &mut |batch| {
-        for row in batch.rows {
-            let t = route_row(&row, &group_cols, n);
-            bucket_bytes[t] += row_exchange_bytes(&row);
-            buckets[t].push(row);
-        }
-        Ok(())
-    })?;
+    let (narrow, narrow_aggs) = narrow_row(keys, aggs);
+    let folds = folded_join(node).is_some();
+    let (group_cols, aggs) = match folds {
+        true => ((0..keys.len()).collect(), narrow_aggs.as_slice()),
+        false => (keys.to_vec(), aggs),
+    };
+    let mut take = |row: Row| {
+        let t = route_row(&row, &group_cols, n);
+        bucket_bytes[t] += row_exchange_bytes(&row);
+        buckets[t].push(row);
+    };
+    let child = match folds {
+        true => fold(ctx, node, 0, &mut PhaseStats::default(), &mut |input| {
+            take(Row::new(
+                narrow.iter().map(|&c| input.get(c).clone()).collect(),
+            ));
+            Ok(())
+        })?,
+        false => run(ctx, &node.children[0], &mut |batch| {
+            batch.rows.into_iter().for_each(&mut take);
+            Ok(())
+        })?,
+    };
     let results: Vec<Result<(Vec<Row>, PhaseStats)>> = std::thread::scope(|s| {
         let handles: Vec<_> = buckets
             .iter()
@@ -1725,7 +1914,7 @@ fn run_partitioned_group_by(
         parts.push(rows);
     }
     let mut merge_stats = PhaseStats::default();
-    let sort_keys: Vec<(usize, bool)> = (0..group_width).map(|i| (i, true)).collect();
+    let sort_keys: Vec<(usize, bool)> = (0..keys.len()).map(|i| (i, true)).collect();
     let rows = ops::sort_rows_by_keys(parts.concat(), &sort_keys, &mut merge_stats);
     let rows = finish_groups(order, rows, &mut merge_stats);
     actual.merge(&merge_stats);

@@ -544,6 +544,8 @@ fn extract_prune_conditions(e: &BoundExpr) -> Vec<(usize, PruneOp, Value)> {
 struct Executor<'a> {
     bound: &'a BoundSelect,
     groups: Option<GroupTable>,
+    /// The group key of the row being fed, reused from row to row.
+    key: Vec<Value>,
     rows: Vec<Row>,
 }
 
@@ -554,13 +556,14 @@ impl<'a> Executor<'a> {
             let mut table = GroupTable::new(aggregates(bound).map(|(func, _)| func).collect());
             if bound.group_by.is_empty() {
                 // Seeded, so that empty input still answers one row.
-                table.group(Vec::new());
+                table.group(&[]);
             }
             table
         });
         Executor {
             bound,
             groups,
+            key: Vec::new(),
             rows: Vec::new(),
         }
     }
@@ -573,12 +576,9 @@ impl<'a> Executor<'a> {
             }
         }
         if let Some(table) = &mut self.groups {
-            let key = self
-                .bound
-                .group_by
-                .iter()
-                .map(|&c| row[c].clone())
-                .collect();
+            let key = &mut self.key;
+            key.clear();
+            key.extend(self.bound.group_by.iter().map(|&c| row[c].clone()));
             for (acc, (_, arg)) in table.group(key).iter_mut().zip(aggregates(self.bound)) {
                 match arg {
                     Some(e) => acc.update(&eval(e, row)?)?,

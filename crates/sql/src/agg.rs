@@ -185,30 +185,43 @@ impl Accumulator {
 #[derive(Debug)]
 pub struct GroupTable {
     funcs: Vec<AggFunc>,
-    groups: HashMap<Vec<Value>, Vec<Accumulator>>,
+    /// Group key → where its accumulators start in `accs`.
+    index: HashMap<Vec<Value>, usize>,
+    /// Every group's accumulators, `funcs.len()` per group, in the order
+    /// the groups opened.
+    accs: Vec<Accumulator>,
 }
 
 impl GroupTable {
     pub fn new(funcs: Vec<AggFunc>) -> Self {
         GroupTable {
             funcs,
-            groups: HashMap::new(),
+            index: HashMap::new(),
+            accs: Vec::new(),
         }
     }
 
     /// The accumulators of group `key`, in `funcs` order, opened on first
-    /// sight.
-    pub fn group(&mut self, key: Vec<Value>) -> &mut [Accumulator] {
-        let funcs = &self.funcs;
-        self.groups
-            .entry(key)
-            .or_insert_with(|| funcs.iter().map(AggFunc::accumulator).collect())
+    /// sight. The key is looked up as borrowed; only a group that opens
+    /// keeps a copy of it.
+    pub fn group(&mut self, key: &[Value]) -> &mut [Accumulator] {
+        let at = match self.index.get(key) {
+            Some(&at) => at,
+            None => {
+                let at = self.accs.len();
+                self.accs
+                    .extend(self.funcs.iter().map(AggFunc::accumulator));
+                self.index.insert(key.to_vec(), at);
+                at
+            }
+        };
+        &mut self.accs[at..at + self.funcs.len()]
     }
 
     /// One row per group, `key ++ finished values`, sorted by key in
     /// [`Value::total_cmp`] order.
     pub fn finish(self) -> Vec<Row> {
-        let mut groups: Vec<_> = self.groups.into_iter().collect();
+        let mut groups: Vec<_> = self.index.into_iter().collect();
         groups.sort_unstable_by(|(a, _), (b, _)| {
             a.iter()
                 .zip(b)
@@ -216,10 +229,11 @@ impl GroupTable {
                 .find(|o| *o != Ordering::Equal)
                 .unwrap_or(Ordering::Equal)
         });
+        let width = self.funcs.len();
         groups
             .into_iter()
-            .map(|(mut key, accs)| {
-                key.extend(accs.iter().map(Accumulator::finish));
+            .map(|(mut key, at)| {
+                key.extend(self.accs[at..at + width].iter().map(Accumulator::finish));
                 Row::new(key)
             })
             .collect()

@@ -138,7 +138,55 @@ fn statements() -> Vec<Statement> {
         "SELECT COUNT(*), SUM(o_totalprice), MIN(o_orderdate) FROM customer \
          JOIN orders ON c_custkey = o_custkey WHERE c_acctbal < -99999",
     );
+    // Grouping operators that fold the join's matches in place: bare
+    // keys from both sides (not adjacent in the joined row) and an
+    // argument from the build side, …
+    add(
+        "bare group-by",
+        "orders",
+        "SELECT o_orderpriority, l_shipmode, COUNT(*), MAX(o_totalprice) FROM orders \
+         JOIN lineitem ON o_orderkey = l_orderkey GROUP BY o_orderpriority, l_shipmode",
+    );
+    // … a computed argument, evaluated per match through the Project, …
+    add(
+        "computed argument",
+        "orders",
+        "SELECT o_orderpriority, SUM(l_extendedprice * (1 - l_discount)) AS revenue \
+         FROM orders JOIN lineitem ON o_orderkey = l_orderkey GROUP BY o_orderpriority",
+    );
+    // … a scalar aggregate …
+    add(
+        "scalar aggregate",
+        "orders",
+        "SELECT COUNT(*), SUM(l_quantity), MIN(o_orderdate) FROM orders \
+         JOIN lineitem ON o_orderkey = l_orderkey",
+    );
+    // … and a join whose parent is no grouping operator: joined rows.
+    add(
+        "projection + top-k",
+        "orders",
+        "SELECT o_orderkey, l_linenumber, l_extendedprice FROM orders \
+         JOIN lineitem ON o_orderkey = l_orderkey \
+         ORDER BY l_extendedprice DESC, o_orderkey LIMIT 15",
+    );
     out
+}
+
+/// Whether the pricer's estimates of `stmt` are the run's counts, so its
+/// predicted CPU units per phase must be the executed ones: with no
+/// WHERE clause the catalog knows every leaf's row count, and every line
+/// item of this slice has its order, so containment prices
+/// `orders ⋈ lineitem` at exactly the matches it makes.
+fn priced_exactly(stmt: &Statement) -> bool {
+    !stmt.sql.contains(" WHERE ")
+}
+
+/// Each phase's label and CPU units, of the phases `keep` names.
+fn cpu_units(metrics: &QueryMetrics, keep: impl Fn(&str) -> bool) -> Vec<(String, u64)> {
+    let phases = metrics.groups.iter().flat_map(|g| &g.phases);
+    let kept = phases.filter(|p| keep(&p.label));
+    kept.map(|p| (p.label.clone(), p.stats.server_cpu_units))
+        .collect()
 }
 
 /// A slice of TPC-H small enough to execute two thousand times: 60
@@ -527,11 +575,15 @@ fn join(
     mut metrics: QueryMetrics,
     (build_key, probe_key): (&str, &str),
     phase: &str,
+    folded: bool,
 ) -> Result<Reference> {
     let bk = build.schema.resolve(build_key)?;
     let pk = probe.schema.resolve(probe_key)?;
     let mut local = PhaseStats::default();
     let rows = ops::hash_join(build.rows, bk, probe.rows, pk, &mut local);
+    if folded {
+        local.server_cpu_units -= rows.len() as u64;
+    }
     // The join's own work streams over the probe side.
     metrics.stack(phase, local, Streaming);
     Ok(Reference {
@@ -547,9 +599,23 @@ fn join(
     })
 }
 
+/// Whether grouping operator `node` folds the join under it (directly,
+/// or through a Project): the join then builds no row the grouping
+/// operator keeps, and charges none.
+fn folds(node: &PlanNode) -> bool {
+    let child = &node.children[0];
+    let join = match child.op {
+        PlanOp::Project { .. } => &child.children[0],
+        _ => child,
+    };
+    matches!(join.op, PlanOp::HashJoin { .. } | PlanOp::BloomJoin { .. })
+}
+
 /// The materializing executor: every operator takes its child's whole
-/// output and returns its own.
-fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
+/// output and returns its own. A join whose rows a grouping operator
+/// folds (`folded`) still builds them here, but is charged as the engine
+/// charges it: one unit per build and per probe row, none per match.
+fn reference(ctx: &QueryContext, node: &PlanNode, folded: bool) -> Result<Reference> {
     match &node.op {
         PlanOp::Scan {
             table,
@@ -638,7 +704,7 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
             // probe side reads where it was — so that is checked.
             let probe_tables = scanned_tables(&node.children[1]);
             let at_start = residency(ctx, &probe_tables);
-            let build = reference(ctx, &node.children[0])?;
+            let build = reference(ctx, &node.children[0], false)?;
             if sides == Sides::Pipelined {
                 assert_eq!(
                     residency(ctx, &probe_tables),
@@ -647,7 +713,7 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
                     node.label()
                 );
             }
-            let probe = reference(ctx, &node.children[1])?;
+            let probe = reference(ctx, &node.children[1], false)?;
             let metrics = join_sides(&build.metrics, &probe.metrics, sides);
             join(
                 node,
@@ -656,6 +722,7 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
                 metrics,
                 (build_key, probe_key),
                 "hash join",
+                folded,
             )
         }
         PlanOp::BloomJoin {
@@ -663,7 +730,7 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
             probe_key,
             fpr,
         } => {
-            let build = reference(ctx, &node.children[0])?;
+            let build = reference(ctx, &node.children[0], false)?;
             let bk = build.schema.resolve(build_key)?;
             let keys: Vec<i64> = build
                 .rows
@@ -707,10 +774,11 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
                 metrics,
                 (build_key, probe_key),
                 "hash join (bloom)",
+                folded,
             )
         }
         PlanOp::LocalFilter { predicate } => {
-            let mut child = reference(ctx, &node.children[0])?;
+            let mut child = reference(ctx, &node.children[0], false)?;
             let bound = Binder::new(&child.schema).bind_expr(predicate)?;
             let mut local = PhaseStats::default();
             let rows = ops::filter_rows(std::mem::take(&mut child.rows), &bound, &mut local)?;
@@ -724,7 +792,7 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
             ))
         }
         PlanOp::Project { exprs } => {
-            let child = reference(ctx, &node.children[0])?;
+            let child = reference(ctx, &node.children[0], folded)?;
             let binder = Binder::new(&child.schema);
             let bound = exprs
                 .iter()
@@ -740,15 +808,10 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
                 local,
             ))
         }
-        PlanOp::GroupBy {
-            group_width,
-            aggs,
-            order,
-        } => {
-            let child = reference(ctx, &node.children[0])?;
-            let group_cols: Vec<usize> = (0..*group_width).collect();
+        PlanOp::GroupBy { keys, aggs, order } => {
+            let child = reference(ctx, &node.children[0], folds(node))?;
             let mut local = PhaseStats::default();
-            let mut rows = ops::hash_group_by(&child.rows, &group_cols, aggs, &mut local)?;
+            let mut rows = ops::hash_group_by(&child.rows, keys, aggs, &mut local)?;
             // Its ORDER BY runs in the group-by's phase.
             if let Some(Order { keys, limit }) = order {
                 rows = reference_order(rows, keys, *limit, &mut local);
@@ -762,7 +825,7 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
             ))
         }
         PlanOp::Aggregate { aggs } => {
-            let child = reference(ctx, &node.children[0])?;
+            let child = reference(ctx, &node.children[0], folds(node))?;
             let mut local = PhaseStats::default();
             local.server_cpu_units += child.rows.len() as u64 * aggs.len().max(1) as u64;
             let mut accs: Vec<_> = aggs.iter().map(|(f, c)| (f.accumulator(), *c)).collect();
@@ -784,14 +847,14 @@ fn reference(ctx: &QueryContext, node: &PlanNode) -> Result<Reference> {
             ))
         }
         PlanOp::Sort(Order { keys, limit }) => {
-            let mut child = reference(ctx, &node.children[0])?;
+            let mut child = reference(ctx, &node.children[0], false)?;
             let mut local = PhaseStats::default();
             let rows = reference_order(std::mem::take(&mut child.rows), keys, *limit, &mut local);
             let schema = child.schema.clone();
             Ok(child.stacked(node, schema, rows, Some(("sort", Breaker)), local))
         }
         PlanOp::Limit { n } => {
-            let mut child = reference(ctx, &node.children[0])?;
+            let mut child = reference(ctx, &node.children[0], false)?;
             let mut rows = std::mem::take(&mut child.rows);
             rows.truncate(*n);
             let schema = child.schema.clone();
@@ -872,7 +935,7 @@ fn check_plans_match_reference(format: Format) {
             // The reference is invariant to pool width and batch size.
             let want = {
                 let ctx = setup(format, cache).scoped();
-                let r = reference(&ctx, plan).unwrap();
+                let r = reference(&ctx, plan, false).unwrap();
                 outcome(&ctx, r.schema, r.rows, &r.metrics, &r.report)
             };
             if name == "baseline" && stmt.name != "empty build side" {
@@ -917,6 +980,14 @@ fn check_plans_match_reference(format: Format) {
                     ctx.scan_threads = threads;
                     ctx.batch_rows = batch_rows;
                     let e = plan::execute(&ctx, plan).unwrap();
+                    if priced_exactly(&stmt) {
+                        assert_eq!(
+                            cpu_units(&predicted.metrics, |_| true),
+                            cpu_units(&e.metrics, |_| true),
+                            "{} as `{name}` on {format:?}: predicted CPU units",
+                            stmt.name
+                        );
+                    }
                     let got = outcome(&ctx, e.schema, e.rows, &e.metrics, &e.report);
                     assert_eq!(
                         got, want,
@@ -960,6 +1031,86 @@ fn csv_join_plans_match_the_materializing_reference() {
 #[test]
 fn columnar_join_plans_match_the_materializing_reference() {
     check_plans_match_reference(Format::Columnar);
+}
+
+/// The first join operator of a report tree, pre-order.
+fn join_report(op: &OpReport) -> Option<&OpReport> {
+    let joins = ["HashJoin[", "FilteredJoin[", "BloomJoin["];
+    if joins.iter().any(|j| op.label.starts_with(j)) {
+        return Some(op);
+    }
+    op.children.iter().find_map(join_report)
+}
+
+/// On four nodes every candidate, with no cache and with a warm one,
+/// answers what the materializing reference answers on one node, bills
+/// what it meters and runs the phases it is priced at. A join under a
+/// grouping operator builds no row of a match — except under a group-by
+/// over bare columns, whose shuffle moves each match as the row of its
+/// keys and arguments, built by the join at the unit a joined row costs;
+/// a Project between them builds that row itself.
+#[test]
+fn join_plans_on_four_nodes_match_the_serial_reference() {
+    for format in [Format::Csv, Format::Columnar] {
+        for stmt in statements() {
+            let plans = candidates(format, &stmt);
+            let runs = RUNS
+                .iter()
+                .filter(|(_, c)| matches!(c, Cache::Absent | Cache::Warm));
+            for &(name, cache) in runs {
+                let Some((_, plan)) = plans.iter().find(|(n, _)| *n == name) else {
+                    continue;
+                };
+                let what = format!("{} as `{name}` on {format:?}, cache {cache:?}", stmt.name);
+                let serial = setup(format, cache).scoped();
+                let want = reference(&serial, plan, false).unwrap();
+                let ctx = setup(format, cache).with_nodes(4).scoped();
+                let e = plan::execute(&ctx, plan).unwrap();
+                assert_eq!(e.rows, want.rows, "{what}");
+                assert_eq!(e.metrics.usage(), ctx.billed(), "{what}: usage == billed");
+                let predicted = predict_plan(&Estimators::new(&ctx, [plan]), plan).unwrap();
+                let labels = |m: &QueryMetrics| -> Vec<Vec<String>> {
+                    let group = |g: &pushdowndb::core::metrics::PhaseGroup| {
+                        g.phases.iter().map(|p| p.label.clone()).collect()
+                    };
+                    m.groups.iter().map(group).collect()
+                };
+                assert_eq!(labels(&predicted.metrics), labels(&e.metrics), "{what}");
+                // The pricer spreads a cluster's per-node work evenly over
+                // the nodes, the run by where the rows live: only the phase
+                // the join runs in is priced at exactly its units.
+                if priced_exactly(&stmt) {
+                    let join = |label: &str| label.contains("hash join");
+                    let units = cpu_units(&predicted.metrics, join);
+                    assert_eq!(
+                        units,
+                        cpu_units(&e.metrics, join),
+                        "{what}: the join's phase"
+                    );
+                }
+                // The join's own units: one per build and per probe row,
+                // and, where it builds rows, one per row.
+                let cpu = |r: &OpReport| join_report(r).unwrap().actual.server_cpu_units;
+                let mut units = cpu(&want.report);
+                if let Some(join) = shuffled_join(plan) {
+                    let fresh = setup(format, cache).scoped();
+                    units += reference(&fresh, join, false).unwrap().rows.len() as u64;
+                }
+                assert_eq!(cpu(&e.report), units, "{what}: the join's units");
+            }
+        }
+    }
+}
+
+/// The join a group-by reads bare columns off, if `plan` holds one: on a
+/// cluster its matches shuffle as keys-and-arguments rows.
+fn shuffled_join(plan: &PlanNode) -> Option<&PlanNode> {
+    let joins = |n: &PlanNode| matches!(n.op, PlanOp::HashJoin { .. } | PlanOp::BloomJoin { .. });
+    match plan.op {
+        PlanOp::GroupBy { .. } if joins(&plan.children[0]) => Some(&plan.children[0]),
+        PlanOp::Sort(_) | PlanOp::Limit { .. } => shuffled_join(&plan.children[0]),
+        _ => None,
+    }
 }
 
 /// Pruned leaves deliver exactly the needed columns — and a wildcard
