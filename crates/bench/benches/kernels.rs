@@ -6,13 +6,15 @@
 //! new constant off these numbers.
 //!
 //!
-//! The run ends with five gates, each on time *ratios* measured within
+//! The run ends with six gates, each on time *ratios* measured within
 //! this one run, never on a raw time: the projected CSV decode (see
 //! [`csv_projected_gate`]), the Bloom probe (see [`bloom_probe_gate`]),
 //! the local scan's hand-off cost (see [`filter_discard_gate`]), the
 //! planned join against its materializing replay (see
-//! [`join_q12_gate`]) and a join's matches folded into its group-by
-//! against the materializing operators (see [`join_fold_gate`]).
+//! [`join_q12_gate`]), a join's matches folded into its group-by
+//! against the materializing operators (see [`join_fold_gate`]) and a
+//! ColumnarLite Select against decoding its chunks into values (see
+//! [`threshold_select_gate`]).
 //!
 //! Run with `cargo bench --bench kernels -p pushdown-bench`.
 
@@ -691,6 +693,116 @@ fn join_fold_gate() -> Result<(), String> {
     Ok(())
 }
 
+/// `topk-100`'s pushed scan on ColumnarLite: `lineitem` (TPC-H SF 0.01,
+/// 4 096 rows per row group, as the benchmark loads it) under the
+/// catalog threshold the one-phase `sampling` plan ships — `SELECT *
+/// WHERE l_extendedprice >= <100th largest> OR CAST(l_extendedprice AS
+/// STRING) = 'NaN'` (`plan::threshold_predicate`'s NaN arm) — as one
+/// Select request, against decoding every chunk of every row group into
+/// `Value`s, which a Select that ran on `Value` rows paid before it
+/// evaluated anything.
+struct ThresholdSelect {
+    engine: S3SelectEngine,
+    schema: Schema,
+    sql: String,
+    object: bytes::Bytes,
+}
+
+impl ThresholdSelect {
+    fn new() -> Self {
+        let gen = TpchGen::new(0.01);
+        let orders = gen.orders();
+        let (schema, rows) = gen.lineitems(&orders.1);
+        let price = schema.resolve("l_extendedprice").unwrap();
+        let mut prices: Vec<f64> = rows.iter().map(|r| r[price].as_f64().unwrap()).collect();
+        prices.sort_by(|a, b| b.total_cmp(a));
+        let opts = WriterOptions {
+            rows_per_group: 4096,
+            compress: true,
+        };
+        let object = bytes::Bytes::from(encode_columnar(&schema, &rows, opts));
+        let store = S3Store::new();
+        store.put_object("b", "lineitem.clt", object.to_vec());
+        let probe = ThresholdSelect {
+            engine: S3SelectEngine::new(store),
+            sql: format!(
+                "SELECT * FROM S3Object WHERE l_extendedprice >= {} \
+                 OR CAST(l_extendedprice AS STRING) = 'NaN'",
+                prices[99]
+            ),
+            schema,
+            object,
+        };
+        assert!((100..200).contains(&probe.select()));
+        assert_eq!(probe.values(), rows.len() * probe.schema.len());
+        probe
+    }
+
+    fn select(&self) -> u64 {
+        let resp = (self.engine)
+            .select(
+                "b",
+                "lineitem.clt",
+                &self.sql,
+                &self.schema,
+                InputFormat::Columnar,
+            )
+            .unwrap();
+        resp.stats.records_returned
+    }
+
+    fn values(&self) -> usize {
+        let reader = ColumnarReader::open(self.object.clone()).unwrap();
+        let mut values = 0;
+        for g in 0..reader.num_row_groups() {
+            for c in 0..self.schema.len() {
+                let column = reader.read_column_vector(g, c).unwrap();
+                values += black_box(column.into_values()).len();
+            }
+        }
+        values
+    }
+}
+
+fn bench_threshold_select(c: &mut Criterion) {
+    let probe = ThresholdSelect::new();
+    let mut g = c.benchmark_group("select/threshold_columnar");
+    g.throughput(Throughput::Bytes(probe.object.len() as u64));
+    g.bench_function("select", |b| b.iter(|| probe.select()));
+    g.bench_function("decode_to_values", |b| b.iter(|| probe.values()));
+    g.finish();
+}
+
+/// Fails the run unless the threshold Select takes at most 0.85× decoding
+/// the same chunks into `Value`s (sized at 0.56–0.63× on three runs; an
+/// executor that decodes into `Value` rows cannot go below 1×, and the
+/// one before typed batches measured 1.30×): a Select must decode into
+/// typed vectors, filter them, and build rows only for the ~100 it
+/// returns. Interleaved rounds, fastest round of each, as in
+/// [`bloom_probe_gate`].
+fn threshold_select_gate() -> Result<(), String> {
+    let probe = ThresholdSelect::new();
+    let [select, values] = fastest_rounds(
+        7,
+        [
+            &discarding(|| probe.select()),
+            &discarding(|| probe.values()),
+        ],
+    );
+    let ratio = select / values;
+    println!(
+        "select/threshold_columnar gate: topk-100's threshold Select takes {ratio:.2}x \
+         decoding its chunks into values (must be <= 0.85)"
+    );
+    if ratio > 0.85 {
+        return Err(format!(
+            "a ColumnarLite Select of topk-100's threshold statement takes {ratio:.2}x \
+             decoding the same chunks into Values: the Select is building Value rows"
+        ));
+    }
+    Ok(())
+}
+
 /// Predicate filter over 20k rows: vectorized selection-vector kernel vs
 /// the row evaluator. Both charge identical CPU units; only wall-clock
 /// differs.
@@ -805,6 +917,7 @@ criterion_group!(
     bench_filter_discard,
     bench_join_q12,
     bench_join_fold,
+    bench_threshold_select,
     bench_filter,
     bench_aggregate,
     bench_groupby,
@@ -819,6 +932,7 @@ fn main() {
         filter_discard_gate,
         join_q12_gate,
         join_fold_gate,
+        threshold_select_gate,
     ] {
         if let Err(why) = gate() {
             eprintln!("kernels: {why}");

@@ -12,9 +12,10 @@
 //! The validity bitmap uses the same convention as the file format: bit
 //! `i % 8` of byte `i / 8` is **set when the value is valid** (non-NULL).
 
+use crate::error::Result;
 use crate::row::Row;
 use crate::schema::Schema;
-use crate::value::{DataType, Value};
+use crate::value::{self, DataType, Value};
 use std::sync::Arc;
 
 /// A selection vector: indices of surviving rows, ascending.
@@ -151,7 +152,10 @@ impl Column {
 /// Date→0, Bool→false, Str→"").
 pub struct ColumnBuilder {
     data: ColumnData,
+    /// The finished column's validity bitmap, written by `finish`.
     validity: Vec<u8>,
+    /// The NULL slots so far, ascending.
+    nulls: Vec<usize>,
     n: usize,
 }
 
@@ -167,19 +171,72 @@ impl ColumnBuilder {
         ColumnBuilder {
             data,
             validity: Vec::with_capacity(capacity.div_ceil(8)),
+            nulls: Vec::new(),
             n: 0,
         }
     }
 
-    /// Append one slot; a string moves in without a copy.
-    pub fn push(&mut self, v: Value) {
-        if self.n.is_multiple_of(8) {
-            self.validity.push(0);
+    /// A builder that refills a spent column's vectors: their capacity
+    /// is kept, and a STRING column's values are overwritten in place,
+    /// their allocations reused ([`ColumnBuilder::push_text`]).
+    pub fn recycle(column: Column) -> Self {
+        let Column { mut data, validity } = column;
+        match &mut data {
+            ColumnData::Int(v) => v.clear(),
+            ColumnData::Float(v) => v.clear(),
+            ColumnData::Bool(v) => v.clear(),
+            ColumnData::Date(v) => v.clear(),
+            // Kept whole; `finish` cuts what was not overwritten.
+            ColumnData::Str(_) => {}
+            ColumnData::DictStr { .. } => data = ColumnData::Str(Vec::new()),
         }
-        if !v.is_null() {
-            self.validity[self.n / 8] |= 1 << (self.n % 8);
+        ColumnBuilder {
+            data,
+            validity,
+            nulls: Vec::new(),
+            n: 0,
+        }
+    }
+
+    /// Open the next slot, valid or NULL.
+    fn open_slot(&mut self, valid: bool) {
+        if !valid {
+            self.nulls.push(self.n);
         }
         self.n += 1;
+    }
+
+    /// Append the slot a CSV field's `text` fills, parsed straight into
+    /// the vector as [`Value::parse_typed`] parses it (empty text is
+    /// NULL); a STRING is copied into the allocation a recycled column
+    /// has there, if any.
+    pub fn push_text(&mut self, text: &str) -> Result<()> {
+        if text.is_empty() {
+            self.push(Value::Null);
+            return Ok(());
+        }
+        match &mut self.data {
+            ColumnData::Int(out) => out.push(value::parse_int(text)?),
+            ColumnData::Float(out) => out.push(value::parse_float(text)?),
+            ColumnData::Bool(out) => out.push(value::parse_bool(text)?),
+            ColumnData::Date(out) => out.push(value::parse_date(text)?),
+            ColumnData::Str(out) => match out.get_mut(self.n) {
+                Some(slot) => {
+                    slot.clear();
+                    slot.push_str(text);
+                }
+                None => out.push(text.to_owned()),
+            },
+            ColumnData::DictStr { .. } => unreachable!("builder never produces dict"),
+        }
+        self.open_slot(true);
+        Ok(())
+    }
+
+    /// Append one slot; a string moves in without a copy.
+    pub fn push(&mut self, v: Value) {
+        self.open_slot(!v.is_null());
+        let at = self.n - 1;
         match &mut self.data {
             ColumnData::Int(out) => out.push(match v {
                 Value::Int(i) => i,
@@ -197,15 +254,30 @@ impl ColumnBuilder {
                 Value::Date(d) => d,
                 _ => 0,
             }),
-            ColumnData::Str(out) => out.push(match v {
-                Value::Str(s) => s,
-                _ => String::new(),
-            }),
+            ColumnData::Str(out) => match (v, out.get_mut(at)) {
+                (Value::Str(s), Some(slot)) => *slot = s,
+                (Value::Str(s), None) => out.push(s),
+                (_, Some(slot)) => slot.clear(),
+                (_, None) => out.push(String::new()),
+            },
             ColumnData::DictStr { .. } => unreachable!("builder never produces dict"),
         }
     }
 
-    pub fn finish(self) -> Column {
+    pub fn finish(mut self) -> Column {
+        if let ColumnData::Str(out) = &mut self.data {
+            out.truncate(self.n);
+        }
+        // Every slot valid, then the NULLs cleared; no bit past the end.
+        let validity = &mut self.validity;
+        validity.clear();
+        validity.resize(self.n.div_ceil(8), u8::MAX);
+        if let (Some(last), tail @ 1..) = (validity.last_mut(), self.n % 8) {
+            *last = (1 << tail) - 1;
+        }
+        for &i in &self.nulls {
+            validity[i / 8] &= !(1 << (i % 8));
+        }
         Column {
             data: self.data,
             validity: self.validity,

@@ -211,25 +211,13 @@ impl Value {
         if text.is_empty() {
             return Ok(Value::Null);
         }
-        match dt {
-            DataType::Bool => match text {
-                "true" | "TRUE" | "True" => Ok(Value::Bool(true)),
-                "false" | "FALSE" | "False" => Ok(Value::Bool(false)),
-                _ => Err(Error::Corrupt(format!("bad bool literal {text:?}"))),
-            },
-            DataType::Int => text
-                .parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| Error::Corrupt(format!("bad int literal {text:?}"))),
-            DataType::Float => text
-                .parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| Error::Corrupt(format!("bad float literal {text:?}"))),
-            DataType::Str => Ok(Value::Str(text.to_string())),
-            DataType::Date => date::parse_date(text)
-                .map(Value::Date)
-                .ok_or_else(|| Error::Corrupt(format!("bad date literal {text:?}"))),
-        }
+        Ok(match dt {
+            DataType::Bool => Value::Bool(parse_bool(text)?),
+            DataType::Int => Value::Int(parse_int(text)?),
+            DataType::Float => Value::Float(parse_float(text)?),
+            DataType::Str => Value::Str(text.to_string()),
+            DataType::Date => Value::Date(parse_date(text)?),
+        })
     }
 
     /// Cast to the requested type, following the lenient rules S3 Select's
@@ -257,6 +245,31 @@ impl Value {
             ))),
         }
     }
+}
+
+// A non-empty CSV field of each type, as [`Value::parse_typed`] reads it
+// (a column builder parses straight into its vector with these).
+
+pub(crate) fn parse_bool(text: &str) -> Result<bool> {
+    match text {
+        "true" | "TRUE" | "True" => Ok(true),
+        "false" | "FALSE" | "False" => Ok(false),
+        _ => Err(Error::Corrupt(format!("bad bool literal {text:?}"))),
+    }
+}
+
+pub(crate) fn parse_int(text: &str) -> Result<i64> {
+    text.parse()
+        .map_err(|_| Error::Corrupt(format!("bad int literal {text:?}")))
+}
+
+pub(crate) fn parse_float(text: &str) -> Result<f64> {
+    text.parse()
+        .map_err(|_| Error::Corrupt(format!("bad float literal {text:?}")))
+}
+
+pub(crate) fn parse_date(text: &str) -> Result<i32> {
+    date::parse_date(text).ok_or_else(|| Error::Corrupt(format!("bad date literal {text:?}")))
 }
 
 /// Equality for use in hash tables (join keys, group keys): delegates to the

@@ -50,6 +50,7 @@
 use crate::catalog::{ColumnStats, Table, TableStats};
 use crate::context::QueryContext;
 use crate::metrics::QueryMetrics;
+use crate::ops;
 use crate::plan::{
     case_when_chunk, case_when_stmt, counted_aggs, covers, finished_by, folded_join, hybrid_leaf,
     join_matches, narrow_row, populous, scan_stmt, threshold_predicate, Matches, OpReport, Order,
@@ -1201,7 +1202,7 @@ fn predict_handing(
                 exchange_bytes: (shuffled / n) as u64,
                 ..cpu_phase(work / n)
             };
-            let mut merge = cpu_phase(groups * groups.log2().max(1.0));
+            let mut merge = cpu_phase(ops::sort_units(groups.round() as u64) as f64);
             finish_groups(order, &mut merge, &mut card);
             stats.exchange_bytes = shuffled as u64;
             stats.merge(&merge);

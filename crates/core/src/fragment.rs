@@ -8,9 +8,11 @@
 //! pushed fragment ([`ScanFragment::pushed`]) carries the Select
 //! statement the storage engine evaluates instead.
 //!
-//! A fragment charges exactly what the consumer-side operators it
-//! replaces charge — the predicate like [`ops::filter_rows`] /
-//! [`ops::filter_columnar`], the reducer like
+//! On column vectors the predicate runs as the Select engine runs a
+//! `WHERE` ([`pushdown_sql::vector::Filter`]): compiled when it cannot
+//! raise, else row by row. A fragment charges exactly what the
+//! consumer-side operators it replaces charge — the predicate like
+//! [`ops::filter_rows`] / [`ops::filter_columnar`], the reducer like
 //! [`ops::TopKAccumulator::push_batch`] — and charges nothing for its
 //! output expressions (a projecting operator accounts for those itself).
 
@@ -22,6 +24,7 @@ use pushdown_common::row::{BatchBuilder, RowBatch};
 use pushdown_common::{Error, Field, Result, Row, Schema};
 use pushdown_sql::bind::BoundExpr;
 use pushdown_sql::eval::{eval, eval_predicate};
+use pushdown_sql::vector::{Filter, RowExpr};
 use pushdown_sql::SelectStmt;
 
 /// One leaf operator's per-batch work: an optional bound predicate,
@@ -30,8 +33,8 @@ use pushdown_sql::SelectStmt;
 #[derive(Debug, Clone)]
 pub struct ScanFragment {
     predicate: Option<BoundExpr>,
-    /// Vectorized form of `predicate`, when it compiles.
-    compiled: Option<ops::ColumnarPred>,
+    /// `predicate` as column vectors run it.
+    filter: Option<Filter>,
     outputs: Option<Vec<BoundExpr>>,
     /// `((output column, ascending) sort keys, k)`.
     top_k: Option<(Vec<(usize, bool)>, usize)>,
@@ -84,7 +87,7 @@ impl ScanFragment {
             }
         }
         ScanFragment {
-            compiled: predicate.as_ref().and_then(ops::compile_predicate),
+            filter: predicate.clone().map(Filter::new),
             predicate,
             outputs,
             top_k: None,
@@ -165,6 +168,7 @@ impl ScanFragment {
             capacity,
             charged: PhaseStats::default(),
             reduced: PhaseStats::default(),
+            scratch: Row::new(Vec::new()),
             emit,
         }
     }
@@ -186,6 +190,8 @@ pub(crate) struct Outbox<'a, E> {
     /// What the predicate charged, and what the reducer did.
     charged: PhaseStats,
     reduced: PhaseStats,
+    /// The sparse row a row-wise predicate evaluates on.
+    scratch: Row,
     emit: E,
 }
 
@@ -210,10 +216,17 @@ impl<E: FnMut(RowBatch) -> Result<()>> Outbox<'_, E> {
     /// column vectors and charges like [`ops::filter_columnar`].
     pub(crate) fn offer_columnar(&mut self, group: &ColumnarBatch) -> Result<()> {
         let fragment = self.fragment;
-        let sel = match (&fragment.predicate, &fragment.compiled) {
-            (None, _) => ops::full_selection(group.len()),
-            (Some(_), Some(p)) => ops::filter_columnar(group, p, &mut self.charged),
-            (Some(p), None) => ops::filter_columnar_fallback(group, p, &mut self.charged)?,
+        let sel = match &fragment.filter {
+            None => ops::full_selection(group.len()),
+            Some(filter) => {
+                self.charged.server_cpu_units += group.len() as u64;
+                if self.scratch.len() != group.columns.len() {
+                    self.scratch = RowExpr::scratch(group);
+                }
+                let (sel, raised) = filter.select(group, &mut self.scratch);
+                raised?;
+                sel
+            }
         };
         if let (Pending::Best(heap), None) = (&mut self.pending, &fragment.outputs) {
             // Whole-row top-K: only rows entering the heap materialize.

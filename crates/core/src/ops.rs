@@ -31,14 +31,14 @@
 //! Join keys follow the evaluator's `=` (`Value::sql_eq`), not `Value`'s
 //! hash-table equality: see [`HashJoinBuild`].
 
-use pushdown_common::columnar::{Column, ColumnData, ColumnarBatch, SelVec};
+use pushdown_common::columnar::{ColumnarBatch, SelVec};
 use pushdown_common::mix::{fnv1a, splitmix64};
 use pushdown_common::perf::PhaseStats;
-use pushdown_common::{date, DataType, Result, Row, Value};
+use pushdown_common::{Result, Row, Value};
 use pushdown_sql::agg::{AggFunc, GroupTable};
-use pushdown_sql::ast::{BinOp, UnOp};
 use pushdown_sql::bind::BoundExpr;
 use pushdown_sql::eval::{eval, eval_predicate};
+use pushdown_sql::vector::{Filter, RowExpr};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -582,10 +582,16 @@ pub fn sort_rows_by_keys(
     keys: &[(usize, bool)],
     stats: &mut PhaseStats,
 ) -> Vec<Row> {
-    let n = rows.len() as u64;
-    stats.server_cpu_units += n * (64 - n.leading_zeros() as u64).max(1);
+    stats.server_cpu_units += sort_units(rows.len() as u64);
     rows.sort_by(|a, b| cmp_keys(a, b, keys));
     rows
+}
+
+/// The CPU units of a full sort of `n` rows: `n` times the bit length of
+/// `n`, at least one — what [`sort_rows_by_keys`] charges, and what the
+/// pricer prices every full sort at.
+pub(crate) fn sort_units(n: u64) -> u64 {
+    n * (64 - n.leading_zeros() as u64).max(1)
 }
 
 // ---------------------------------------------------------------------
@@ -595,378 +601,15 @@ pub fn sort_rows_by_keys(
 // The kernels below are the column-at-a-time twins of the row operators
 // above. They consume `ColumnarBatch`es (typed vectors + validity bitmaps,
 // dictionary-coded strings kept coded) and produce selection vectors, so
-// rows materialize for survivors only — late materialization. The scan
-// workers run them on the column vectors they decode (`crate::scan`).
+// rows materialize for survivors only — late materialization. The
+// predicate compiler and its kernels live in `pushdown_sql::vector`, the
+// one copy the S3 Select engine runs too; what these add is the charge.
 //
 // Every kernel charges *exactly* what its row twin charges, so ledger and
 // performance-model accounting are identical whichever path executes, and
 // the differential suite can assert exact stats equality.
 
-/// A predicate compiled for vectorized evaluation.
-///
-/// Only *error-free* expression shapes compile: comparisons and
-/// three-valued logic never raise (`sql_cmp` is fallible only into NULL),
-/// so evaluating both branches of an `AND`/`OR` eagerly is
-/// indistinguishable from the row evaluator's short-circuit. Expressions
-/// that can raise — arithmetic, `LIKE`, `CASE`, `CAST`, function calls —
-/// must go through the row fallback so errors surface identically.
-#[derive(Debug, Clone)]
-pub enum ColumnarPred {
-    /// Constant tri-state (TRUE / FALSE / NULL literal).
-    Const(Option<bool>),
-    /// A BOOL column used directly as a predicate.
-    BoolCol(usize),
-    /// `column <op> literal` (literal-column comparisons are flipped at
-    /// compile time).
-    Cmp {
-        col: usize,
-        op: BinOp,
-        lit: Value,
-    },
-    Not(Box<ColumnarPred>),
-    And(Box<ColumnarPred>, Box<ColumnarPred>),
-    Or(Box<ColumnarPred>, Box<ColumnarPred>),
-    Between {
-        col: usize,
-        low: Value,
-        high: Value,
-        negated: bool,
-    },
-    InList {
-        col: usize,
-        list: Vec<Value>,
-        negated: bool,
-    },
-    IsNull {
-        col: usize,
-        negated: bool,
-    },
-}
-
-/// Try to compile a bound predicate for vectorized evaluation. Returns
-/// `None` when any sub-expression could raise at eval time (or is not a
-/// recognized shape); callers then use the row-at-a-time fallback.
-pub fn compile_predicate(expr: &BoundExpr) -> Option<ColumnarPred> {
-    match expr {
-        BoundExpr::Literal(Value::Bool(b)) => Some(ColumnarPred::Const(Some(*b))),
-        BoundExpr::Literal(Value::Null) => Some(ColumnarPred::Const(None)),
-        // Non-bool literals error in `as_bool`; let the fallback raise.
-        BoundExpr::Literal(_) => None,
-        BoundExpr::Column(idx, DataType::Bool) => Some(ColumnarPred::BoolCol(*idx)),
-        BoundExpr::Unary {
-            op: UnOp::Not,
-            expr,
-        } => Some(ColumnarPred::Not(Box::new(compile_predicate(expr)?))),
-        BoundExpr::Binary { left, op, right } => match op {
-            BinOp::And => Some(ColumnarPred::And(
-                Box::new(compile_predicate(left)?),
-                Box::new(compile_predicate(right)?),
-            )),
-            BinOp::Or => Some(ColumnarPred::Or(
-                Box::new(compile_predicate(left)?),
-                Box::new(compile_predicate(right)?),
-            )),
-            _ => {
-                let (col, op, lit) = expr.column_vs_literal()?;
-                Some(ColumnarPred::Cmp {
-                    col,
-                    op,
-                    lit: lit.clone(),
-                })
-            }
-        },
-        BoundExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => match (&**expr, &**low, &**high) {
-            (BoundExpr::Column(c, _), BoundExpr::Literal(lo), BoundExpr::Literal(hi)) => {
-                Some(ColumnarPred::Between {
-                    col: *c,
-                    low: lo.clone(),
-                    high: hi.clone(),
-                    negated: *negated,
-                })
-            }
-            _ => None,
-        },
-        BoundExpr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let BoundExpr::Column(c, _) = &**expr else {
-                return None;
-            };
-            let lits: Option<Vec<Value>> = list
-                .iter()
-                .map(|e| match e {
-                    BoundExpr::Literal(v) => Some(v.clone()),
-                    _ => None,
-                })
-                .collect();
-            Some(ColumnarPred::InList {
-                col: *c,
-                list: lits?,
-                negated: *negated,
-            })
-        }
-        BoundExpr::IsNull { expr, negated } => match &**expr {
-            BoundExpr::Column(c, _) => Some(ColumnarPred::IsNull {
-                col: *c,
-                negated: *negated,
-            }),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// Tri-state vector: `1` = TRUE, `0` = FALSE, `-1` = NULL.
-type TriVec = Vec<i8>;
-
-fn tri(b: Option<bool>) -> i8 {
-    match b {
-        Some(true) => 1,
-        Some(false) => 0,
-        None => -1,
-    }
-}
-
-/// `column <cmp> literal` orderings, one per row (`None` = NULL /
-/// incomparable), replicating `Value::sql_cmp` per type pair. Dictionary
-/// columns compare the literal against each dictionary entry once and
-/// look orderings up per row.
-fn cmp_column_lit(col: &Column, lit: &Value) -> Vec<Option<Ordering>> {
-    let n = col.len();
-    let mut out = vec![None; n];
-    if lit.is_null() {
-        return out;
-    }
-    match (&col.data, lit) {
-        (ColumnData::Int(v), Value::Int(b)) => {
-            for i in 0..n {
-                if col.is_valid(i) {
-                    out[i] = Some(v[i].cmp(b));
-                }
-            }
-        }
-        (ColumnData::Int(v), Value::Float(_) | Value::Date(_)) => {
-            let b = lit.as_f64().unwrap();
-            for i in 0..n {
-                if col.is_valid(i) {
-                    out[i] = (v[i] as f64).partial_cmp(&b);
-                }
-            }
-        }
-        (ColumnData::Float(v), Value::Int(_) | Value::Float(_) | Value::Date(_)) => {
-            let b = lit.as_f64().unwrap();
-            for i in 0..n {
-                if col.is_valid(i) {
-                    out[i] = v[i].partial_cmp(&b);
-                }
-            }
-        }
-        (ColumnData::Date(v), Value::Date(b)) => {
-            for i in 0..n {
-                if col.is_valid(i) {
-                    out[i] = Some(v[i].cmp(b));
-                }
-            }
-        }
-        (ColumnData::Date(v), Value::Int(_) | Value::Float(_)) => {
-            let b = lit.as_f64().unwrap();
-            for i in 0..n {
-                if col.is_valid(i) {
-                    out[i] = (v[i] as f64).partial_cmp(&b);
-                }
-            }
-        }
-        (ColumnData::Date(v), Value::Str(s)) => {
-            // sql_cmp compares dates to strings textually via the ISO form.
-            for i in 0..n {
-                if col.is_valid(i) {
-                    out[i] = Some(date::format_date(v[i]).as_str().cmp(s.as_str()));
-                }
-            }
-        }
-        (ColumnData::Bool(v), Value::Bool(b)) => {
-            for i in 0..n {
-                if col.is_valid(i) {
-                    out[i] = Some(v[i].cmp(b));
-                }
-            }
-        }
-        (ColumnData::Str(v), Value::Str(s)) => {
-            for i in 0..n {
-                if col.is_valid(i) {
-                    out[i] = Some(v[i].as_str().cmp(s.as_str()));
-                }
-            }
-        }
-        (ColumnData::Str(v), Value::Date(d)) => {
-            let ds = date::format_date(*d);
-            for i in 0..n {
-                if col.is_valid(i) {
-                    out[i] = Some(v[i].as_str().cmp(ds.as_str()));
-                }
-            }
-        }
-        (ColumnData::DictStr { codes, dict }, _) => {
-            // One comparison per distinct value, then a per-row lookup.
-            let lut: Vec<Option<Ordering>> = dict
-                .iter()
-                .map(|s| Value::Str(s.clone()).sql_cmp(lit))
-                .collect();
-            for i in 0..n {
-                if col.is_valid(i) {
-                    out[i] = lut[codes[i] as usize];
-                }
-            }
-        }
-        // Remaining pairs (Bool vs numeric/Str, Str vs numeric, …) are
-        // incomparable under sql_cmp: every row stays None (NULL).
-        _ => {}
-    }
-    out
-}
-
-fn ord_to_tri(ord: Option<Ordering>, op: BinOp) -> i8 {
-    let Some(o) = ord else { return -1 };
-    let b = match op {
-        BinOp::Eq => o == Ordering::Equal,
-        BinOp::NotEq => o != Ordering::Equal,
-        BinOp::Lt => o == Ordering::Less,
-        BinOp::LtEq => o != Ordering::Greater,
-        BinOp::Gt => o == Ordering::Greater,
-        BinOp::GtEq => o != Ordering::Less,
-        _ => unreachable!("non-comparison op in compiled predicate"),
-    };
-    i8::from(b)
-}
-
-fn kleene_and_tri(l: i8, r: i8) -> i8 {
-    if l == 0 || r == 0 {
-        0
-    } else if l == 1 && r == 1 {
-        1
-    } else {
-        -1
-    }
-}
-
-fn kleene_or_tri(l: i8, r: i8) -> i8 {
-    if l == 1 || r == 1 {
-        1
-    } else if l == 0 && r == 0 {
-        0
-    } else {
-        -1
-    }
-}
-
-fn negate_tri(t: i8, negated: bool) -> i8 {
-    if t < 0 || !negated {
-        t
-    } else {
-        1 - t
-    }
-}
-
-fn eval_pred_tri(pred: &ColumnarPred, batch: &ColumnarBatch) -> TriVec {
-    let n = batch.len();
-    match pred {
-        ColumnarPred::Const(b) => vec![tri(*b); n],
-        ColumnarPred::BoolCol(c) => {
-            let col = batch.column(*c);
-            let ColumnData::Bool(v) = &col.data else {
-                // Schema says BOOL but the vector is another type only if
-                // the batch was built inconsistently; treat as NULL.
-                return vec![-1; n];
-            };
-            (0..n)
-                .map(|i| if col.is_valid(i) { i8::from(v[i]) } else { -1 })
-                .collect()
-        }
-        ColumnarPred::Cmp { col, op, lit } => cmp_column_lit(batch.column(*col), lit)
-            .into_iter()
-            .map(|o| ord_to_tri(o, *op))
-            .collect(),
-        ColumnarPred::Not(inner) => eval_pred_tri(inner, batch)
-            .into_iter()
-            .map(|t| if t < 0 { -1 } else { 1 - t })
-            .collect(),
-        ColumnarPred::And(l, r) => {
-            let lv = eval_pred_tri(l, batch);
-            let rv = eval_pred_tri(r, batch);
-            lv.into_iter()
-                .zip(rv)
-                .map(|(a, b)| kleene_and_tri(a, b))
-                .collect()
-        }
-        ColumnarPred::Or(l, r) => {
-            let lv = eval_pred_tri(l, batch);
-            let rv = eval_pred_tri(r, batch);
-            lv.into_iter()
-                .zip(rv)
-                .map(|(a, b)| kleene_or_tri(a, b))
-                .collect()
-        }
-        ColumnarPred::Between {
-            col,
-            low,
-            high,
-            negated,
-        } => {
-            let c = batch.column(*col);
-            let lo = cmp_column_lit(c, low);
-            let hi = cmp_column_lit(c, high);
-            (0..n)
-                .map(|i| {
-                    let ge_low = lo[i].map(|o| o != Ordering::Less).map_or(-1, i8::from);
-                    let le_high = hi[i].map(|o| o != Ordering::Greater).map_or(-1, i8::from);
-                    negate_tri(kleene_and_tri(ge_low, le_high), *negated)
-                })
-                .collect()
-        }
-        ColumnarPred::InList { col, list, negated } => {
-            let c = batch.column(*col);
-            let per_item: Vec<Vec<Option<Ordering>>> =
-                list.iter().map(|lit| cmp_column_lit(c, lit)).collect();
-            (0..n)
-                .map(|i| {
-                    let mut found = false;
-                    let mut saw_null = false;
-                    for item in &per_item {
-                        match item[i] {
-                            Some(Ordering::Equal) => {
-                                found = true;
-                                break;
-                            }
-                            Some(_) => {}
-                            None => saw_null = true,
-                        }
-                    }
-                    let t = if found {
-                        1
-                    } else if saw_null {
-                        -1
-                    } else {
-                        0
-                    };
-                    negate_tri(t, *negated)
-                })
-                .collect()
-        }
-        ColumnarPred::IsNull { col, negated } => {
-            let c = batch.column(*col);
-            (0..n)
-                .map(|i| i8::from(c.is_valid(i) == *negated))
-                .collect()
-        }
-    }
-}
+pub use pushdown_sql::vector::{compile_predicate, ColumnarPred};
 
 /// Vectorized filter: evaluate a compiled predicate over a columnar batch
 /// and return the selection vector of passing rows (tri-state TRUE only,
@@ -978,29 +621,21 @@ pub fn filter_columnar(
     stats: &mut PhaseStats,
 ) -> SelVec {
     stats.server_cpu_units += batch.len() as u64;
-    eval_pred_tri(pred, batch)
-        .into_iter()
-        .enumerate()
-        .filter_map(|(i, t)| (t == 1).then_some(i as u32))
-        .collect()
+    pred.select(batch)
 }
 
-/// Row-at-a-time fallback for predicates that do not compile (arithmetic,
-/// `LIKE`, `CASE`, …): materializes each row and runs the row evaluator so
-/// errors surface identically. Charges `batch.len()` like [`filter_rows`].
+/// Filter for predicates that do not compile (arithmetic, `LIKE`,
+/// `CASE`, …): what does not compile runs through the row evaluator, row
+/// by row ([`Filter`]), so errors surface identically. Charges
+/// `batch.len()` like [`filter_rows`].
 pub fn filter_columnar_fallback(
     batch: &ColumnarBatch,
     pred: &BoundExpr,
     stats: &mut PhaseStats,
 ) -> Result<SelVec> {
     stats.server_cpu_units += batch.len() as u64;
-    let mut out = Vec::new();
-    for i in 0..batch.len() {
-        if eval_predicate(pred, &batch.row_at(i))? {
-            out.push(i as u32);
-        }
-    }
-    Ok(out)
+    let (sel, raised) = Filter::new(pred.clone()).select(batch, &mut RowExpr::scratch(batch));
+    raised.map(|()| sel)
 }
 
 impl TopKAccumulator {

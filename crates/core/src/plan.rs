@@ -364,7 +364,7 @@ impl Order {
     pub(crate) fn priced(&self, rows: f64) -> (f64, f64) {
         let n = rows.max(1.0);
         match self.limit {
-            None => (n * n.log2().max(1.0), n),
+            None => (ops::sort_units(rows.round() as u64) as f64, n),
             // A K-heap: every row is a candidate, K leave sorted.
             Some(k) => {
                 let log_k = (k.max(2) as f64).log2().ceil();

@@ -83,6 +83,7 @@ use crate::context::QueryContext;
 pub use crate::fragment::ScanFragment;
 use crate::ops;
 use pushdown_cache::{Access, WeakSegmentCache};
+use pushdown_common::columnar::ColumnarBatch;
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::row::RowBatch;
 use pushdown_common::{DataType, Error, Field, Result, Row, Schema, Value};
@@ -494,9 +495,12 @@ fn decode_partition(
                 CsvReader::with_header(data, table.schema.clone()).project(fragment.needed());
             if fragment.projects() {
                 // The referenced fields go straight into typed column
-                // vectors, the evaluator ColumnarLite row groups get.
-                while let Some(batch) = reader.read_columns(ctx.batch_rows) {
-                    let batch = batch?;
+                // vectors, the evaluator ColumnarLite row groups get,
+                // refilled batch after batch.
+                let projected = table.schema.project(fragment.needed());
+                let mut batch = ColumnarBatch::empty(projected);
+                while let Some(read) = reader.read_columns_into(&mut batch, ctx.batch_rows) {
+                    read?;
                     decoded += batch.len() as u64;
                     out.offer_columnar(&batch)?;
                 }

@@ -834,11 +834,6 @@ impl ColumnarReader {
         cols.iter().map(|&c| chunks[c].stored_len).sum()
     }
 
-    /// Decode one column of one row group into [`Value`]s.
-    pub fn read_column(&self, g: usize, col: usize) -> Result<Vec<Value>> {
-        Ok(self.read_column_vector(g, col)?.into_values())
-    }
-
     /// Decode one column of one row group straight into a typed
     /// [`Column`] — the vectorized path. Dictionary chunks stay coded.
     pub fn read_column_vector(&self, g: usize, col: usize) -> Result<Column> {
@@ -968,7 +963,7 @@ mod tests {
         let bytes = encode_columnar(&s, &rows, WriterOptions::default());
         let r = ColumnarReader::open(Bytes::from(bytes)).unwrap();
         assert_eq!(
-            r.read_column(0, 0).unwrap(),
+            r.read_column_vector(0, 0).unwrap().into_values(),
             vec![Value::Int(5), Value::Int(0), Value::Int(9)]
         );
         let (lo, hi) = r.row_group(0).chunks[0].stats.clone().unwrap();
@@ -1060,8 +1055,8 @@ mod tests {
         let run = (ext[1].0, ext[3].1);
         let r = ColumnarReader::open_parts(parts_of(&bytes, &[run, footer])).unwrap();
         assert_eq!(
-            r.read_column(0, 2).unwrap(),
-            whole.read_column(0, 2).unwrap()
+            r.read_column_vector(0, 2).unwrap().into_values(),
+            whole.read_column_vector(0, 2).unwrap().into_values()
         );
     }
 
@@ -1156,7 +1151,7 @@ mod tests {
         let rows = sample_rows(50);
         let bytes = encode_columnar(&schema(), &rows, WriterOptions::default());
         let r = ColumnarReader::open(Bytes::from(bytes)).unwrap();
-        let col = r.read_column(0, 2).unwrap();
+        let col = r.read_column_vector(0, 2).unwrap().into_values();
         assert_eq!(col.len(), 50);
         assert_eq!(col[4], Value::Float(-8.0));
         let proj = r.read_group_batch_projected(0, &[2, 0]).unwrap().to_rows();
@@ -1322,10 +1317,10 @@ mod tests {
         assert_eq!(names.encoding, Encoding::Dict);
         let dict_len_at = names.offset as usize + 100usize.div_ceil(8);
         let huge_dict = ColumnarReader::open(patched(dict_len_at, &u32::MAX.to_le_bytes()));
-        assert!(huge_dict.unwrap().read_column(0, 1).is_err());
+        assert!(huge_dict.unwrap().read_column_vector(0, 1).is_err());
         // Columns and groups the file does not have.
-        assert!(r.read_column(0, 99).is_err());
-        assert!(r.read_column(7, 0).is_err());
+        assert!(r.read_column_vector(0, 99).is_err());
+        assert!(r.read_column_vector(7, 0).is_err());
         // A decompressed length no block could expand to — in a footer
         // (re-encoded: the stats before it are variable-length), and
         // handed to the codec itself.
@@ -1503,7 +1498,7 @@ mod proptests {
             let r = ColumnarReader::open(Bytes::from(bytes)).unwrap();
             for g in 0..r.num_row_groups() {
                 let (lo, hi) = r.row_group(g).chunks[0].stats.clone().unwrap();
-                for v in r.read_column(g, 0).unwrap() {
+                for v in r.read_column_vector(g, 0).unwrap().into_values() {
                     prop_assert!(lo.sql_cmp(&v) != Some(std::cmp::Ordering::Greater));
                     prop_assert!(hi.sql_cmp(&v) != Some(std::cmp::Ordering::Less));
                 }

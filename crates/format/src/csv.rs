@@ -259,7 +259,8 @@ pub struct CsvRecord {
 
 /// Streaming CSV reader over an in-memory object (see the module docs for
 /// what every record is checked for and what only the projected columns
-/// are).
+/// are). A clone reads on from where the original stood.
+#[derive(Clone)]
 pub struct CsvReader<'a> {
     data: &'a [u8],
     schema: Schema,
@@ -356,7 +357,7 @@ impl<'a> CsvReader<'a> {
         &self,
         start: usize,
         rec: &Scanned,
-        mut put: impl FnMut(usize, usize, Value),
+        mut put: impl FnMut(usize, usize, DataType, Cow<'_, str>) -> Result<()>,
     ) -> Result<()> {
         let line = std::str::from_utf8(&self.data[start..start + rec.len])
             .map_err(|_| Error::Corrupt("non-UTF8 CSV record".into()))?;
@@ -372,13 +373,7 @@ impl<'a> CsvReader<'a> {
             )));
         }
         for (k, &(c, dtype)) in self.needed.iter().enumerate() {
-            let value = match self.spans[c].text(line) {
-                Cow::Borrowed(text) => Value::parse_typed(text, dtype)?,
-                // An unescaped string is already owned: keep it.
-                Cow::Owned(text) if dtype == DataType::Str => Value::Str(text),
-                Cow::Owned(text) => Value::parse_typed(&text, dtype)?,
-            };
-            put(k, c, value);
+            put(k, c, dtype, self.spans[c].text(line))?;
         }
         Ok(())
     }
@@ -391,40 +386,77 @@ impl<'a> CsvReader<'a> {
     pub fn read_into(&mut self, row: &mut Row) -> Option<Result<()>> {
         assert_eq!(row.len(), self.schema.len(), "one slot per schema column");
         let (start, rec) = self.next_data_record()?;
-        Some(self.decode(start, &rec, |_, c, value| row.0[c] = value))
+        Some(self.decode(start, &rec, |_, c, dtype, text| {
+            row.0[c] = typed(dtype, text)?;
+            Ok(())
+        }))
     }
 
     /// Decode up to `max_rows` (at least one) records straight into typed
     /// column vectors, one per projected column. `None` at the end of the
     /// input; an error in any of the records fails the batch.
     pub fn read_columns(&mut self, max_rows: usize) -> Option<Result<ColumnarBatch>> {
+        let mut batch = ColumnarBatch::empty(self.projected.clone());
+        Some(
+            self.read_columns_into(&mut batch, max_rows)?
+                .map(|()| batch),
+        )
+    }
+
+    /// [`CsvReader::read_columns`] into `batch`, which the reader's last
+    /// batch (or an empty one) refills: its vectors, and the allocations
+    /// of its strings, are reused ([`ColumnBuilder::recycle`]). After
+    /// `None` or an error, `batch` holds no rows.
+    pub fn read_columns_into(
+        &mut self,
+        batch: &mut ColumnarBatch,
+        max_rows: usize,
+    ) -> Option<Result<()>> {
         let max_rows = max_rows.max(1);
-        // A record holds at least a separator or a terminator per field.
-        let left = (self.data.len() - self.consumed()) / self.schema.len().max(1) + 1;
-        let capacity = max_rows.min(left);
-        let mut columns: Vec<ColumnBuilder> = self
-            .needed
-            .iter()
-            .map(|&(_, dtype)| ColumnBuilder::new(dtype, capacity))
-            .collect();
+        let spent = std::mem::take(&mut batch.columns);
+        let mut columns: Vec<ColumnBuilder> =
+            if batch.schema == self.projected && spent.len() == self.needed.len() {
+                spent.into_iter().map(ColumnBuilder::recycle).collect()
+            } else {
+                (self.needed.iter())
+                    .map(|&(_, dtype)| ColumnBuilder::new(dtype, 0))
+                    .collect()
+            };
         let mut len = 0;
-        while len < max_rows {
+        let mut read = Ok(());
+        while len < max_rows && read.is_ok() {
             let Some((start, rec)) = self.next_data_record() else {
                 break;
             };
-            if let Err(e) = self.decode(start, &rec, |k, _, value| columns[k].push(value)) {
-                return Some(Err(e));
-            }
+            read = self.decode(start, &rec, |k, _, dtype, text| {
+                match text {
+                    Cow::Borrowed(text) => columns[k].push_text(text)?,
+                    text => columns[k].push(typed(dtype, text)?),
+                }
+                Ok(())
+            });
             len += 1;
         }
-        if len == 0 {
-            return None;
+        if len == 0 || read.is_err() {
+            *batch = ColumnarBatch::empty(self.projected.clone());
+            return read.err().map(Err);
         }
-        Some(Ok(ColumnarBatch::new(
+        *batch = ColumnarBatch::new(
             self.projected.clone(),
             columns.into_iter().map(ColumnBuilder::finish).collect(),
             len,
-        )))
+        );
+        Some(Ok(()))
+    }
+}
+
+/// A field's text typed as a row holds it ([`Value::parse_typed`]); an
+/// unescaped STRING is already owned, and kept.
+fn typed(dtype: DataType, text: Cow<'_, str>) -> Result<Value> {
+    match text {
+        Cow::Borrowed(text) => Value::parse_typed(text, dtype),
+        Cow::Owned(text) if dtype == DataType::Str => Ok(Value::Str(text)),
+        Cow::Owned(text) => Value::parse_typed(&text, dtype),
     }
 }
 
@@ -435,12 +467,15 @@ impl<'a> Iterator for CsvReader<'a> {
         let (start, rec) = self.next_data_record()?;
         let mut values = Vec::with_capacity(self.needed.len());
         Some(
-            self.decode(start, &rec, |_, _, value| values.push(value))
-                .map(|()| CsvRecord {
-                    row: Row::new(values),
-                    first_byte: start as u64,
-                    last_byte: (start + rec.len - 1) as u64,
-                }),
+            self.decode(start, &rec, |_, _, dtype, text| {
+                values.push(typed(dtype, text)?);
+                Ok(())
+            })
+            .map(|()| CsvRecord {
+                row: Row::new(values),
+                first_byte: start as u64,
+                last_byte: (start + rec.len - 1) as u64,
+            }),
         )
     }
 }

@@ -205,7 +205,15 @@ impl GroupTable {
     /// sight. The key is looked up as borrowed; only a group that opens
     /// keeps a copy of it.
     pub fn group(&mut self, key: &[Value]) -> &mut [Accumulator] {
-        let at = match self.index.get(key) {
+        let at = self.open(key);
+        self.accumulators(at)
+    }
+
+    /// Where group `key`'s accumulators start, the group opened on first
+    /// sight as by [`GroupTable::group`]: a handle for
+    /// [`GroupTable::accumulators`] that stays valid as groups open.
+    pub fn open(&mut self, key: &[Value]) -> usize {
+        match self.index.get(key) {
             Some(&at) => at,
             None => {
                 let at = self.accs.len();
@@ -214,7 +222,12 @@ impl GroupTable {
                 self.index.insert(key.to_vec(), at);
                 at
             }
-        };
+        }
+    }
+
+    /// The accumulators of the group [`GroupTable::open`] returned `at`
+    /// for, in `funcs` order.
+    pub fn accumulators(&mut self, at: usize) -> &mut [Accumulator] {
         &mut self.accs[at..at + self.funcs.len()]
     }
 

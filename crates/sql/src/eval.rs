@@ -174,7 +174,7 @@ fn eval_binary(left: &BoundExpr, op: BinOp, right: &BoundExpr, row: &Row) -> Res
 /// Evaluate `expr` as a truth value (`None` = NULL). A connective or a
 /// comparison answers without a `Value` in between, so a chain of `AND`s
 /// costs a call a level.
-fn eval_truth(expr: &BoundExpr, row: &Row) -> Result<Option<bool>> {
+pub(crate) fn eval_truth(expr: &BoundExpr, row: &Row) -> Result<Option<bool>> {
     match expr {
         BoundExpr::Binary { left, op, right } if !op.is_arithmetic() => {
             eval_logic(left, *op, right, row)
@@ -260,18 +260,21 @@ fn probe_literal_char(
     Ok(match eval_int(position, row)? {
         IntOperand::Other => None,
         IntOperand::Null => Some(None),
-        // A position off either end selects the empty string, which
-        // sorts before any character.
-        IntOperand::Int(at) => Some(Some(
-            match usize::try_from(at)
-                .ok()
-                .and_then(|at| text.as_bytes().get(at.checked_sub(1)?))
-            {
-                Some(got) => got.cmp(&want),
-                None => Ordering::Less,
-            },
-        )),
+        IntOperand::Int(at) => Some(Some(char_at_cmp(text.as_bytes(), at, want))),
     })
+}
+
+/// How the character at 1-based position `at` of the ASCII `text`
+/// orders against the one-byte `want`: a position off either end
+/// selects the empty string, which sorts before any character.
+pub(crate) fn char_at_cmp(text: &[u8], at: i64, want: u8) -> Ordering {
+    match usize::try_from(at)
+        .ok()
+        .and_then(|at| text.get(at.checked_sub(1)?))
+    {
+        Some(got) => got.cmp(&want),
+        None => Ordering::Less,
+    }
 }
 
 /// [`BoundExpr::FloatText`]: `CAST(expr AS STRING) = text`, three-valued.
@@ -348,7 +351,7 @@ fn eval_int_binary(
 }
 
 /// Integer × integer stays integral (SQL semantics: `/` truncates).
-fn int_arith(a: i64, op: BinOp, b: i64) -> Result<i64> {
+pub(crate) fn int_arith(a: i64, op: BinOp, b: i64) -> Result<i64> {
     let out = match op {
         BinOp::Add => a.checked_add(b),
         BinOp::Sub => a.checked_sub(b),

@@ -21,6 +21,10 @@
 //!   and expression-complexity metering for the performance model;
 //! * [`eval`](mod@eval) — a three-valued-logic interpreter for bound
 //!   expressions;
+//! * [`vector`] — the same predicates over typed column batches:
+//!   the one predicate compiler (error-free shapes, evaluated a column
+//!   at a time into a selection vector) and the row-at-a-time fallback
+//!   for the rest, which the Select engine and the local scan both run;
 //! * [`agg`] — the aggregate accumulators (`SUM`/`COUNT`/`MIN`/`MAX`/`AVG`)
 //!   and the one group table every hash aggregation runs on;
 //! * the traversal of both expression trees, [`Expr`] and [`BoundExpr`]:
@@ -38,6 +42,7 @@ pub mod lexer;
 pub mod parser;
 #[cfg(test)]
 mod proptests;
+pub mod vector;
 
 pub use agg::{Accumulator, AggFunc, GroupTable};
 pub use ast::{BinOp, Expr, SelectItem, SelectStmt, UnOp};

@@ -10,7 +10,9 @@ use crate::ast::{BinOp, Expr, Func, JoinClause, OrderBy, QuerySpec, SelectItem, 
 use crate::bind::{Binder, BoundExpr};
 use crate::eval::{eval, eval_predicate};
 use crate::parser::{parse_expr, parse_query};
+use crate::vector::compile_predicate;
 use proptest::prelude::*;
+use pushdown_common::columnar::ColumnarBatch;
 use pushdown_common::value::format_float;
 use pushdown_common::{DataType, Row, Schema, Value};
 
@@ -451,6 +453,45 @@ proptest! {
             eval_predicate(&rendered, &row).unwrap(),
             eval_predicate(&fused, &row).unwrap()
         );
+        // The compiled kernel, over a column batch, answers the same.
+        let compiled = compile_predicate(&fused).expect("the float-text test compiles");
+        let batch = ColumnarBatch::from_rows(&schema, &[row]);
+        let truth = match got {
+            Value::Bool(b) => i8::from(b),
+            _ => -1,
+        };
+        prop_assert_eq!(compiled.eval_tri(&batch), vec![truth]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A predicate that compiles answers, over a column batch, what the
+    /// row evaluator answers on every row — TRUE, FALSE or NULL — and
+    /// the evaluator never raises on it: what compiles cannot raise.
+    #[test]
+    fn compiled_predicates_answer_as_the_evaluator(
+        e in arb_expr(),
+        rows in proptest::collection::vec(arb_row(), 1..8),
+    ) {
+        let schema = schema();
+        let Ok(bound) = Binder::new(&schema).bind_expr(&e) else {
+            return Ok(());
+        };
+        let Some(compiled) = compile_predicate(&bound) else {
+            return Ok(());
+        };
+        let batch = ColumnarBatch::from_rows(&schema, &rows);
+        let want: Vec<i8> = rows
+            .iter()
+            .map(|r| match eval(&bound, r).unwrap() {
+                Value::Bool(b) => i8::from(b),
+                Value::Null => -1,
+                other => panic!("{e}: a compiled predicate evaluated to {other:?}"),
+            })
+            .collect();
+        prop_assert_eq!(compiled.eval_tri(&batch), want, "{}", e);
     }
 }
 

@@ -1102,6 +1102,44 @@ fn join_plans_on_four_nodes_match_the_serial_reference() {
     }
 }
 
+/// A full sort is priced at the units it charges — `n` times the bit
+/// length of `n` — where the slice's cardinalities are exact: a group-by
+/// ordered by an aggregate on one node, and a partitioned group-by's
+/// merge on four.
+#[test]
+fn full_sorts_are_priced_at_the_units_they_charge() {
+    let ordered = Statement {
+        name: "ordered revenue",
+        primary: "orders",
+        sql: "SELECT o_orderpriority, SUM(l_extendedprice * (1 - l_discount)) AS revenue \
+              FROM orders JOIN lineitem ON o_orderkey = l_orderkey \
+              GROUP BY o_orderpriority ORDER BY revenue DESC"
+            .to_string(),
+    };
+    let bare = statements().into_iter().find(|s| s.name == "bare group-by");
+    let serial = setup(Format::Csv, Cache::Absent);
+    let four = setup(Format::Csv, Cache::Absent).with_nodes(4);
+    let cases = [
+        (
+            ordered,
+            serial,
+            "load lineitem + hash join + project + group-by",
+            2744,
+        ),
+        (bare.unwrap(), four, "group-by merge", 210),
+    ];
+    for (stmt, ctx, phase, units) in cases {
+        let plans = candidates(Format::Csv, &stmt);
+        let (_, plan) = plans.iter().find(|(n, _)| *n == "baseline").unwrap();
+        let ctx = ctx.scoped();
+        let executed = plan::execute(&ctx, plan).unwrap();
+        let predicted = predict_plan(&Estimators::new(&ctx, [plan]), plan).unwrap();
+        let want = vec![(phase.to_string(), units)];
+        assert_eq!(cpu_units(&executed.metrics, |l| l == phase), want);
+        assert_eq!(cpu_units(&predicted.metrics, |l| l == phase), want);
+    }
+}
+
 /// The join a group-by reads bare columns off, if `plan` holds one: on a
 /// cluster its matches shuffle as keys-and-arguments rows.
 fn shuffled_join(plan: &PlanNode) -> Option<&PlanNode> {
