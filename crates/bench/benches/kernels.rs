@@ -6,15 +6,16 @@
 //! new constant off these numbers.
 //!
 //!
-//! The run ends with six gates, each on time *ratios* measured within
+//! The run ends with seven gates, each on time *ratios* measured within
 //! this one run, never on a raw time: the projected CSV decode (see
 //! [`csv_projected_gate`]), the Bloom probe (see [`bloom_probe_gate`]),
 //! the local scan's hand-off cost (see [`filter_discard_gate`]), the
 //! planned join against its materializing replay (see
 //! [`join_q12_gate`]), a join's matches folded into its group-by
-//! against the materializing operators (see [`join_fold_gate`]) and a
+//! against the materializing operators (see [`join_fold_gate`]), a
 //! ColumnarLite Select against decoding its chunks into values (see
-//! [`threshold_select_gate`]).
+//! [`threshold_select_gate`]) and a top-K scan leaf against the row path
+//! it replaced (see [`topk_leaf_gate`]).
 //!
 //! Run with `cargo bench --bench kernels -p pushdown-bench`.
 
@@ -22,7 +23,7 @@ use criterion::{criterion_group, BatchSize, Criterion, Throughput};
 use pushdown_bloom::BloomFilter;
 use pushdown_common::columnar::ColumnarBatch;
 use pushdown_common::{DataType, Row, Schema, Value};
-use pushdown_core::scan::{plain_scan, scan, ScanFragment, ScanSource};
+use pushdown_core::scan::{plain_scan, scan, ScanSource};
 use pushdown_core::{
     execute_sql, ops, upload_columnar_table, upload_csv_table, QueryContext, Strategy, Table,
 };
@@ -32,7 +33,8 @@ use pushdown_s3::S3Store;
 use pushdown_select::{InputFormat, S3SelectEngine};
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::bind::{Binder, BoundExpr};
-use pushdown_sql::parse_expr;
+use pushdown_sql::vector::{Filter, RowExpr};
+use pushdown_sql::{parse_expr, parse_select, SelectStmt};
 use pushdown_tpch::TpchGen;
 use std::hint::black_box;
 use std::time::Instant;
@@ -358,12 +360,14 @@ fn bloom_probe_gate() -> Result<(), String> {
 /// SF 0.01, 1 500 rows per partition), `l_shipdate < 1993-01-01` keeping
 /// about one row in nine — two ways: a single-threaded *replay* (GET,
 /// `decode_csv`, `filter_rows`, one partition after the other; no pool,
-/// no queues) and the fused [`scan`], whose workers run the same filter
-/// on the rows they decode and ship only survivors.
+/// no queues) and the fused [`scan`], whose workers run the statement
+/// `SELECT * WHERE …` through the Select engine's executor on the
+/// partitions they decode and ship only survivors.
 struct FilterDiscard {
     ctx: QueryContext,
     table: Table,
     pred: BoundExpr,
+    stmt: SelectStmt,
     rows: u64,
 }
 
@@ -381,6 +385,8 @@ impl FilterDiscard {
             ctx: QueryContext::new(store),
             table,
             pred,
+            stmt: parse_select("SELECT * FROM lineitem WHERE l_shipdate < DATE '1993-01-01'")
+                .unwrap(),
             rows: rows.len() as u64,
         }
     }
@@ -402,12 +408,18 @@ impl FilterDiscard {
     fn fused(&self, scan_threads: usize) -> usize {
         let mut ctx = self.ctx.scoped();
         ctx.scan_threads = scan_threads;
-        let fragment = ScanFragment::new(&self.table, Some(self.pred.clone()), None);
         let mut kept = 0;
-        scan(&ctx, &self.table, ScanSource::Plain, &fragment, |batch| {
-            kept += batch.len();
-            Ok(())
-        })
+        scan(
+            &ctx,
+            &self.table,
+            ScanSource::Plain,
+            &self.stmt,
+            None,
+            |batch| {
+                kept += batch.len();
+                Ok(())
+            },
+        )
         .unwrap();
         kept
     }
@@ -803,6 +815,113 @@ fn threshold_select_gate() -> Result<(), String> {
     Ok(())
 }
 
+/// `topk-100`'s Baseline leaf: `lineitem` as CSV (TPC-H SF 0.01, 1 500
+/// rows per partition), `SELECT *` with the `ORDER BY l_extendedprice
+/// DESC LIMIT 100` reducer handed down, on one worker thread — the
+/// Select engine's executor decoding column vectors and building rows
+/// only for the candidates entering a partition's heap — against a
+/// replay of the row path it replaced: the same partitions decoded by
+/// `CsvReader`'s record iterator into `TopKAccumulator::push_row`, one
+/// heap per partition whose candidates the query's heap absorbs.
+struct TopKLeaf {
+    ctx: QueryContext,
+    table: Table,
+    stmt: SelectStmt,
+    keys: [(usize, bool); 1],
+    rows: u64,
+}
+
+impl TopKLeaf {
+    const K: usize = 100;
+
+    fn new() -> Self {
+        let gen = TpchGen::new(0.01);
+        let orders = gen.orders();
+        let (schema, rows) = gen.lineitems(&orders.1);
+        let store = S3Store::new();
+        let table = upload_csv_table(&store, "b", "lineitem", &schema, &rows, 1500).unwrap();
+        let probe = TopKLeaf {
+            ctx: QueryContext::new(store),
+            keys: [(schema.resolve("l_extendedprice").unwrap(), false)],
+            table,
+            stmt: parse_select("SELECT * FROM lineitem").unwrap(),
+            rows: rows.len() as u64,
+        };
+        assert_eq!(probe.replay(), probe.leaf());
+        probe
+    }
+
+    fn replay(&self) -> Vec<Row> {
+        let store = self.ctx.store.scoped();
+        let mut stats = Default::default();
+        let mut best = ops::TopKAccumulator::new(&self.keys, Self::K);
+        for key in self.table.partitions(&store) {
+            let data = store.get_object(&self.table.bucket, &key).unwrap();
+            let mut heap = ops::TopKAccumulator::new(&self.keys, Self::K);
+            for record in CsvReader::with_header(&data, self.table.schema.clone()) {
+                heap.push_row(record.unwrap().row, &mut stats);
+            }
+            best.absorb(heap.into_rows());
+        }
+        best.finish(&mut stats)
+    }
+
+    fn leaf(&self) -> Vec<Row> {
+        let mut ctx = self.ctx.scoped();
+        ctx.scan_threads = 1;
+        let mut best = ops::TopKAccumulator::new(&self.keys, Self::K);
+        let reducer = Some((&self.keys[..], Self::K));
+        scan(
+            &ctx,
+            &self.table,
+            ScanSource::Plain,
+            &self.stmt,
+            reducer,
+            |batch| {
+                best.absorb(batch.rows);
+                Ok(())
+            },
+        )
+        .unwrap();
+        best.finish(&mut Default::default())
+    }
+}
+
+fn bench_topk_leaf(c: &mut Criterion) {
+    let probe = TopKLeaf::new();
+    let mut g = c.benchmark_group("scan/topk_leaf");
+    g.throughput(Throughput::Elements(probe.rows));
+    g.bench_function("row_replay", |b| b.iter(|| probe.replay()));
+    g.bench_function("leaf_1_thread", |b| b.iter(|| probe.leaf()));
+    g.finish();
+}
+
+/// Fails the run unless the top-K leaf on one worker thread takes at
+/// most the row path's time over the same partitions: decoding into
+/// column vectors and building rows only for heap candidates must pay
+/// for the executor beside decoding every record into a row.
+/// Interleaved rounds, fastest round of each, as in [`bloom_probe_gate`]
+/// — fifteen of them, as the two run within a few percent of each other.
+fn topk_leaf_gate() -> Result<(), String> {
+    let probe = TopKLeaf::new();
+    let [replay, leaf] = fastest_rounds(
+        15,
+        [&discarding(|| probe.replay()), &discarding(|| probe.leaf())],
+    );
+    let ratio = leaf / replay;
+    println!(
+        "scan/topk_leaf gate: topk-100's leaf on one thread takes {ratio:.2}x the row-path \
+         replay (must be <= 1.0)"
+    );
+    if ratio > 1.0 {
+        return Err(format!(
+            "topk-100's Baseline leaf on one thread takes {ratio:.2}x decoding its partitions \
+             into rows and heaping them: the executor is building rows it does not keep"
+        ));
+    }
+    Ok(())
+}
+
 /// Predicate filter over 20k rows: vectorized selection-vector kernel vs
 /// the row evaluator. Both charge identical CPU units; only wall-clock
 /// differs.
@@ -833,10 +952,15 @@ fn bench_filter(c: &mut Criterion) {
             black_box(ops::filter_columnar(&b20k, &compiled, &mut stats))
         })
     });
+    // The row-wise fallback of what does not compile, run as the
+    // executor runs a `WHERE`.
+    let filter = Filter::new(bound.clone());
+    let mut scratch = RowExpr::scratch(&b20k);
     g.bench_function("columnar_fallback_20k", |b| {
         b.iter(|| {
-            let mut stats = Default::default();
-            black_box(ops::filter_columnar_fallback(&b20k, &bound, &mut stats).unwrap())
+            let (sel, raised) = filter.select(&b20k, &mut scratch);
+            raised.unwrap();
+            black_box(sel)
         })
     });
     g.finish();
@@ -886,7 +1010,8 @@ fn bench_groupby(c: &mut Criterion) {
 fn bench_topk(c: &mut Criterion) {
     let rows = sample_rows(N);
     let b20k = batch();
-    let sel = ops::full_selection(N);
+    let sel: Vec<u32> = (0..N as u32).collect();
+    let columns: Vec<usize> = (0..sample_schema().len()).collect();
 
     let mut g = c.benchmark_group("topk");
     g.throughput(Throughput::Elements(N as u64));
@@ -902,7 +1027,7 @@ fn bench_topk(c: &mut Criterion) {
         b.iter(|| {
             let mut stats = Default::default();
             let mut heap = ops::TopKAccumulator::new(&[(2, true)], 100);
-            heap.push_columnar(&b20k, &sel, &mut stats);
+            heap.push_columnar(&b20k, &columns, &sel, &mut stats);
             black_box(heap.finish(&mut stats))
         })
     });
@@ -918,6 +1043,7 @@ criterion_group!(
     bench_join_q12,
     bench_join_fold,
     bench_threshold_select,
+    bench_topk_leaf,
     bench_filter,
     bench_aggregate,
     bench_groupby,
@@ -933,6 +1059,7 @@ fn main() {
         join_q12_gate,
         join_fold_gate,
         threshold_select_gate,
+        topk_leaf_gate,
     ] {
         if let Err(why) = gate() {
             eprintln!("kernels: {why}");

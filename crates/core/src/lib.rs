@@ -14,9 +14,6 @@
 //!   cache-aware scans reading through the store's segment cache;
 //! * [`ops`] — compute-node operators (filter/project/hash join/hash
 //!   aggregation/heap top-K) with CPU metering;
-//! * [`fragment`] — the predicate / projection / top-K reducer a leaf
-//!   operator hands to the scan, evaluated inside the scan workers (or,
-//!   from a Select source, the statement storage evaluates);
 //! * [`index`] — the §IV-A byte-range index tables;
 //! * [`algos`] — Fig 1's private helpers: the §IV-A indexed filter and
 //!   its §X fetch modes;
@@ -54,7 +51,6 @@ pub mod catalog;
 pub mod cluster;
 pub mod context;
 pub mod cost;
-pub mod fragment;
 pub mod index;
 pub mod joinplan;
 pub mod metrics;

@@ -35,12 +35,10 @@ use pushdown_common::columnar::{ColumnarBatch, SelVec};
 use pushdown_common::mix::{fnv1a, splitmix64};
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Result, Row, Value};
-use pushdown_sql::agg::{AggFunc, GroupTable};
+pub use pushdown_sql::agg::TopKAccumulator;
+use pushdown_sql::agg::{cmp_keys, AggFunc, GroupTable};
 use pushdown_sql::bind::BoundExpr;
 use pushdown_sql::eval::{eval, eval_predicate};
-use pushdown_sql::vector::{Filter, RowExpr};
-use std::cmp::Ordering;
-use std::sync::Arc;
 
 /// Keep rows passing the predicate. Call once per batch on the streaming
 /// path; per-call CPU charges sum to the whole-input charge.
@@ -401,159 +399,6 @@ pub fn merge_group_rows(
     Ok(table.finish())
 }
 
-/// `ORDER BY` order of two rows: `(column, ascending)` keys, major first,
-/// each compared by [`Value::total_cmp`] — so NULL keys are rows like any
-/// other: first ascending, last descending.
-fn cmp_keys(a: &Row, b: &Row, keys: &[(usize, bool)]) -> Ordering {
-    for &(col, asc) in keys {
-        let o = a[col].total_cmp(&b[col]);
-        if o != Ordering::Equal {
-            return if asc { o } else { o.reverse() };
-        }
-    }
-    Ordering::Equal
-}
-
-/// Max-heap entry: by the sort keys, ties by arrival — of two rows equal
-/// on every key the one offered first is the better one.
-struct HeapEntry {
-    row: Row,
-    seq: u64,
-    keys: Arc<[(usize, bool)]>,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        cmp_keys(&self.row, &other.row, &self.keys).then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// `ORDER BY keys LIMIT k` as a bounded heap, fed batch-at-a-time: the
-/// first `k` rows of a **stable** sort of everything offered, whatever
-/// the batching — NULL keys are rows ([`Value::total_cmp`] order) and
-/// ties keep the order they were offered in. Holds at most `k` rows no
-/// matter how many flow through.
-pub struct TopKAccumulator {
-    heap: std::collections::BinaryHeap<HeapEntry>,
-    keys: Arc<[(usize, bool)]>,
-    k: usize,
-    log_k: u64,
-    seq: u64,
-}
-
-impl TopKAccumulator {
-    pub fn new(keys: &[(usize, bool)], k: usize) -> Self {
-        TopKAccumulator {
-            heap: std::collections::BinaryHeap::new(),
-            keys: keys.into(),
-            k,
-            log_k: (k.max(2) as f64).log2().ceil() as u64,
-            seq: 0,
-        }
-    }
-
-    /// Whether `row` belongs to the K best seen so far: a later row that
-    /// ties with the worst one kept does not.
-    fn admits(&self, row: &Row) -> bool {
-        self.heap.len() < self.k
-            || self
-                .heap
-                .peek()
-                .is_some_and(|top| cmp_keys(row, &top.row, &self.keys) == Ordering::Less)
-    }
-
-    fn admit(&mut self, row: Row) {
-        if self.heap.len() >= self.k {
-            self.heap.pop();
-        }
-        self.seq += 1;
-        self.heap.push(HeapEntry {
-            row,
-            seq: self.seq,
-            keys: self.keys.clone(),
-        });
-    }
-
-    /// Charge `row` as a candidate and say whether it enters the heap.
-    fn wants(&self, row: &Row, stats: &mut PhaseStats) -> bool {
-        if self.k == 0 {
-            return false;
-        }
-        stats.server_cpu_units += self.log_k;
-        self.admits(row)
-    }
-
-    /// Offer one batch of rows to the heap; only rows that enter it are
-    /// cloned.
-    pub fn push_batch(&mut self, rows: &[Row], stats: &mut PhaseStats) {
-        for row in rows {
-            if self.wants(row, stats) {
-                self.admit(row.clone());
-            }
-        }
-    }
-
-    /// [`TopKAccumulator::push_batch`] for one owned row: it moves into
-    /// the heap or drops here. Same charge.
-    pub fn push_row(&mut self, row: Row, stats: &mut PhaseStats) {
-        if self.wants(&row, stats) {
-            self.admit(row);
-        }
-    }
-
-    /// [`TopKAccumulator::push_row`] over a batch of owned rows.
-    pub fn push_rows(&mut self, rows: Vec<Row>, stats: &mut PhaseStats) {
-        for row in rows {
-            self.push_row(row, stats);
-        }
-    }
-
-    /// The retained rows in the order they were offered, uncharged — the
-    /// per-partition candidates a scan fragment hands to the query's own
-    /// accumulator ([`TopKAccumulator::absorb`]), which therefore sees a
-    /// subsequence of the scan and breaks its ties the way one heap over
-    /// the whole scan would.
-    pub fn into_rows(self) -> Vec<Row> {
-        let mut kept = self.heap.into_vec();
-        kept.sort_unstable_by_key(|e| e.seq);
-        kept.into_iter().map(|e| e.row).collect()
-    }
-
-    /// Merge candidates another accumulator already charged for (a
-    /// `top_k` scan fragment's per-partition best): same admission as
-    /// [`TopKAccumulator::push_rows`], no charge.
-    pub fn absorb(&mut self, rows: Vec<Row>) {
-        for row in rows {
-            if self.k > 0 && self.admits(&row) {
-                self.admit(row);
-            }
-        }
-    }
-
-    /// The top K rows in order.
-    pub fn finish(self, stats: &mut PhaseStats) -> Vec<Row> {
-        let out: Vec<Row> = self
-            .heap
-            .into_sorted_vec()
-            .into_iter()
-            .map(|e| e.row)
-            .collect();
-        stats.server_cpu_units += out.len() as u64;
-        out
-    }
-}
-
 /// Top-K over materialized input. Wrapper over [`TopKAccumulator`].
 pub fn top_k(
     rows: &[Row],
@@ -622,59 +467,6 @@ pub fn filter_columnar(
 ) -> SelVec {
     stats.server_cpu_units += batch.len() as u64;
     pred.select(batch)
-}
-
-/// Filter for predicates that do not compile (arithmetic, `LIKE`,
-/// `CASE`, …): what does not compile runs through the row evaluator, row
-/// by row ([`Filter`]), so errors surface identically. Charges
-/// `batch.len()` like [`filter_rows`].
-pub fn filter_columnar_fallback(
-    batch: &ColumnarBatch,
-    pred: &BoundExpr,
-    stats: &mut PhaseStats,
-) -> Result<SelVec> {
-    stats.server_cpu_units += batch.len() as u64;
-    let (sel, raised) = Filter::new(pred.clone()).select(batch, &mut RowExpr::scratch(batch));
-    raised.map(|()| sel)
-}
-
-impl TopKAccumulator {
-    /// Columnar twin of [`TopKAccumulator::push_batch`]: the sort keys are
-    /// compared column-side and a full row materializes only when it
-    /// enters the heap. Every candidate charges `log2(K)`, like the row
-    /// path.
-    pub fn push_columnar(&mut self, batch: &ColumnarBatch, sel: &[u32], stats: &mut PhaseStats) {
-        if self.k == 0 {
-            return;
-        }
-        for &i in sel {
-            let i = i as usize;
-            stats.server_cpu_units += self.log_k;
-            let enters = match self.heap.peek().filter(|_| self.heap.len() >= self.k) {
-                None => true,
-                Some(top) => {
-                    let by_key = |&(col, asc): &(usize, bool)| {
-                        let o = batch.column(col).value_at(i).total_cmp(&top.row[col]);
-                        if asc {
-                            o
-                        } else {
-                            o.reverse()
-                        }
-                    };
-                    let differing = self.keys.iter().map(by_key).find(|o| o.is_ne());
-                    differing == Some(Ordering::Less)
-                }
-            };
-            if enters {
-                self.admit(batch.row_at(i));
-            }
-        }
-    }
-}
-
-/// Identity selection vector `[0, n)` — "all rows".
-pub fn full_selection(n: usize) -> SelVec {
-    (0..n as u32).collect()
 }
 
 #[cfg(test)]
@@ -1110,12 +902,13 @@ mod tests {
                 "{src} must not vectorize (it can raise)"
             );
             let batch = ColumnarBatch::from_rows(&schema, &rows);
-            let mut cs = PhaseStats::default();
-            let sel = filter_columnar_fallback(&batch, &pred, &mut cs).unwrap();
+            let filter = pushdown_sql::vector::Filter::new(pred.clone());
+            let scratch = &mut pushdown_sql::vector::RowExpr::scratch(&batch);
+            let (sel, raised) = filter.select(&batch, scratch);
+            raised.unwrap();
             let mut rs = PhaseStats::default();
             let expect = filter_rows(rows.clone(), &pred, &mut rs).unwrap();
             assert_eq!(batch.gather(&sel), expect, "{src}");
-            assert_eq!(cs, rs, "{src}");
         }
     }
 
@@ -1131,6 +924,7 @@ mod tests {
             .collect();
         // Tie-heavy major key, minor key breaking some of the ties.
         cases.push((vec![(4, false), (2, true)], 40));
+        let columns: Vec<usize> = (0..schema.len()).collect();
         for (keys, k) in cases {
             let mut rs = PhaseStats::default();
             let mut row_tk = TopKAccumulator::new(&keys, k);
@@ -1141,8 +935,8 @@ mod tests {
             let mut cs = PhaseStats::default();
             let mut col_tk = TopKAccumulator::new(&keys, k);
             for b in batch.clone().chunks(53) {
-                let sel = full_selection(b.len());
-                col_tk.push_columnar(&b, &sel, &mut cs);
+                let sel: Vec<u32> = (0..b.len() as u32).collect();
+                col_tk.push_columnar(&b, &columns, &sel, &mut cs);
             }
             let got = col_tk.finish(&mut cs);
             assert_eq!(got, expect, "top-{k} by {keys:?}");

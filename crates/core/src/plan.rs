@@ -123,8 +123,7 @@ use crate::metrics::{QueryMetrics, Sides};
 use crate::ops;
 use crate::output::QueryOutput;
 use crate::scan::{
-    row_exchange_bytes, scan, select_scan_aggregate, settle, CacheEffects, ScanFragment, ScanLimit,
-    ScanSource,
+    row_exchange_bytes, scan, select_scan_aggregate, settle, CacheEffects, ScanLimit, ScanSource,
 };
 use crate::shape::{compose, Outcome, Own};
 use pushdown_bloom::{BloomBuilder, BloomPlan};
@@ -1290,12 +1289,12 @@ struct Best<'a> {
     work: &'a mut PhaseStats,
 }
 
-/// A scan leaf, from whichever source: `predicate` + `projection` ship
-/// in the Select statement of a Select source, or run inside the
-/// partition workers that decode a GET or cache read — and so does the
-/// sort above, if it handed one down (`best`): each worker hands on its
-/// partition's `k` best rows only, and what that cost is the sort's to
-/// report.
+/// A scan leaf, from whichever source: `predicate` + `projection` are
+/// one statement ([`scan_stmt`]), which a Select source ships and a GET
+/// or cache read runs through the Select engine's executor inside the
+/// partition workers that decode — with the sort above's reducer, if it
+/// handed one down (`best`): each worker hands on its partition's `k`
+/// best rows only, and what that cost is the sort's to report.
 fn scan_leaf(
     ctx: &QueryContext,
     node: &PlanNode,
@@ -1311,28 +1310,9 @@ fn scan_leaf(
     else {
         return Err(Error::Other(format!("{} is no scan leaf", node.label())));
     };
-    let fragment = match source {
-        ScanSource::Select(_) => ScanFragment::pushed(table, scan_stmt(projection, predicate)),
-        ScanSource::Plain | ScanSource::Cached => {
-            let bound = match predicate {
-                Some(p) => Some(Binder::new(&table.schema).bind_expr(p)?),
-                None => None,
-            };
-            let fragment = match projection {
-                None => ScanFragment::new(table, bound, None),
-                Some(cols) => {
-                    let resolve = |c: &String| table.schema.resolve(c);
-                    let indices = cols.iter().map(resolve).collect::<Result<Vec<_>>>()?;
-                    ScanFragment::columns(table, bound, &indices)
-                }
-            };
-            match &best {
-                Some(best) => fragment.top_k(best.keys, best.k),
-                None => fragment,
-            }
-        }
-    };
-    let summary = scan(ctx, table, *source, &fragment, sink)?;
+    let best_keys = best.as_ref().map(|best| (best.keys, best.k));
+    let stmt = scan_stmt(projection, predicate);
+    let summary = scan(ctx, table, *source, &stmt, best_keys, sink)?;
     let mut stats = summary.stats;
     stats.merge(&summary.op_stats);
     if let Some(best) = best {

@@ -12,9 +12,9 @@
 //!   billed; the response parses slower per byte, but there are fewer of
 //!   them), whole or cut short to a sample ([`ScanLimit`]).
 //!
-//! [`select_scan_streamed`] and [`select_scan`] take a statement rather
-//! than a fragment and run its samples; [`select_scan_aggregate`] merges
-//! the partitions' aggregates instead of streaming rows.
+//! [`select_scan_streamed`] and [`select_scan`] run a statement's
+//! samples; [`select_scan_aggregate`] merges the partitions' aggregates
+//! instead of streaming rows.
 //!
 //! # Streaming execution
 //!
@@ -22,10 +22,12 @@
 //! its source, and the scan delivers rows downstream as fixed-capacity
 //! [`RowBatch`]es **in partition order**, so results stay deterministic.
 //! Each in-flight partition feeds a small bounded queue; workers block
-//! once their queue fills. GET and cache reads decode incrementally (CSV
-//! `batch_rows` records at a time, columnar row-group-by-row-group),
-//! capping their peak resident rows at `O(scan_threads × queue depth ×
-//! batch_rows)` regardless of table size. A Select source decodes each
+//! once their queue fills; a pool of one worker is the calling thread,
+//! which hands each batch straight on. GET and cache reads decode
+//! incrementally (CSV a constant batch of records at a time, columnar
+//! row-group-by-row-group) and emit batches of at most `batch_rows`
+//! rows, capping their peak resident rows at `O(scan_threads × queue
+//! depth × batch_rows)` regardless of table size. A Select source decodes each
 //! partition's *response* before batching, so its bound is
 //! `O(scan_threads × response rows)` — the billed returned subset, not
 //! the table.
@@ -51,49 +53,54 @@
 //!
 //! # Worker-side fragments
 //!
-//! The scan takes a [`ScanFragment`] — the leaf operator's bound
-//! predicate, its output expressions, optionally a K-bounded reducer;
-//! from a Select source, the statement that asks storage for the same
-//! rows ([`ScanFragment::pushed`]) — and a GET or cache read evaluates
-//! it **inside the worker that decoded the rows**: a
-//! rejected row is dropped by the thread that allocated it, a projecting
-//! fragment decodes only the columns it references (CSV fields are typed
-//! straight into column vectors, ColumnarLite chunks are read into them,
-//! and both run the same compiled predicate), and only survivors,
-//! already projected, cross the partition queue. What the
-//! fragment charges is summed per worker ([`ScanSummary::op_stats`]);
-//! all counts are `u64`, so the total is the one a consumer-side
-//! operator would have charged. **Ordering guarantee:** the consumer
-//! drains partitions in index order and a worker emits a partition's
-//! survivors in storage order, so the sink sees exactly the subsequence
-//! of the table a consumer-side filter would have kept, whatever
-//! `scan_threads` and `batch_rows` are — float sums, group first-seen
-//! order and ties stay put. (The top-K reducer emits each partition's
-//! best K in storage order too, so `ORDER BY … LIMIT k` breaks its ties
-//! the way a stable sort of the whole table would.)
+//! The scan takes the leaf's statement — a projection (or `*`) and a
+//! `WHERE`, as [`crate::plan`] builds it — and, for a GET or cache read,
+//! optionally the `ORDER BY … LIMIT k` of the sort above it. A Select
+//! source ships the statement; a GET or cache read runs the **same
+//! statement through the same executor**, the Select engine's
+//! ([`pushdown_select::Executor`]), **inside the worker that decoded the
+//! partition**: only the columns the statement references are decoded
+//! (CSV fields typed straight into column vectors, ColumnarLite chunks
+//! read into them), the `WHERE` runs as a selection vector, rows are
+//! built for the survivors only — or, under a top-K reducer, for the
+//! candidates entering a partition's heap — and only those cross the
+//! partition queue. Rows, float bits and the first error are therefore
+//! the ones the Select leaf returns. The local read prunes no row group:
+//! the pricer prices it whole. What the statement's `WHERE` charges
+//! (one unit per row it sees) is summed per worker
+//! ([`ScanSummary::op_stats`]), and the reducer's (`log2 K` per
+//! candidate) is reported apart ([`ScanSummary::reduce_stats`]); all
+//! counts are `u64`, so the totals are the ones consumer-side operators
+//! would have charged. **Ordering guarantee:** the consumer drains
+//! partitions in index order and a worker emits a partition's survivors
+//! in storage order, so the sink sees exactly the subsequence of the
+//! table a consumer-side filter would have kept, whatever `scan_threads`
+//! and `batch_rows` are — float sums, group first-seen order and ties
+//! stay put. (The top-K reducer emits each partition's best K in storage
+//! order too, so `ORDER BY … LIMIT k` breaks its ties the way a stable
+//! sort of the whole table would.)
 //!
 //! The older closure-taking entry points ([`plain_scan_streamed`],
 //! [`cached_scan_streamed`], [`plain_scan`]) are forwarding shims over
-//! [`scan`] with an identity fragment, kept for callers that want every
-//! row and as the oracle the fragment tests compare against.
+//! [`scan`] of `SELECT *`, kept for callers that want every row and as
+//! the oracle the fragment tests compare against.
 
 use crate::catalog::Table;
 use crate::cluster::Cluster;
 use crate::context::QueryContext;
-pub use crate::fragment::ScanFragment;
 use crate::ops;
 use pushdown_cache::{Access, WeakSegmentCache};
-use pushdown_common::columnar::ColumnarBatch;
 use pushdown_common::perf::PhaseStats;
-use pushdown_common::row::RowBatch;
+use pushdown_common::row::{BatchBuilder, RowBatch};
 use pushdown_common::{DataType, Error, Field, Result, Row, Schema, Value};
 use pushdown_format::columnar::ColumnarReader;
-use pushdown_format::csv::CsvReader;
 use pushdown_s3::S3Store;
-use pushdown_select::InputFormat;
-use pushdown_sql::agg::AggFunc;
+use pushdown_select::{Executor, InputFormat, Object, Work};
+use pushdown_sql::agg::{AggFunc, TopKAccumulator};
 use pushdown_sql::ast::{ExtendedSelect, SelectItem, SelectStmt};
+use pushdown_sql::bind::{Binder, BoundSelect};
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -121,8 +128,8 @@ pub struct ScanSummary {
     pub schema: Schema,
     /// Fetch and decode footprint.
     pub stats: PhaseStats,
-    /// CPU units the [`ScanFragment`]'s predicate charged inside the
-    /// workers; zero for Select scans.
+    /// CPU units the statement's `WHERE` charged inside the workers;
+    /// zero for Select scans.
     pub op_stats: PhaseStats,
     /// CPU units its top-K reducer charged there — the work of the
     /// `ORDER BY … LIMIT` above the scan, done below it.
@@ -151,24 +158,25 @@ enum PartMsg<T> {
     Done(Result<PhaseStats>),
 }
 
-/// Handed to partition producers to push items downstream. Sending
-/// blocks while the partition's queue is full; a consumer that aborts
-/// the scan drops every receiver, which wakes all blocked senders with
-/// a disconnection error.
+/// Handed to partition producers to push items downstream: straight to
+/// the consumer on a pool of one, else into the partition's queue.
+/// Sending blocks while that queue is full; a consumer that aborts the
+/// scan drops every receiver, which wakes all blocked senders with a
+/// disconnection error.
 pub struct Emitter<'a, T> {
-    tx: &'a SyncSender<PartMsg<T>>,
+    send: &'a dyn Fn(T) -> Result<()>,
 }
 
 impl<T> Emitter<'_, T> {
-    fn send(&self, msg: PartMsg<T>) -> Result<()> {
-        self.tx
-            .send(msg)
-            .map_err(|_| Error::Other("scan cancelled by consumer".into()))
-    }
-
     pub fn emit(&self, item: T) -> Result<()> {
-        self.send(PartMsg::Item(item))
+        (self.send)(item)
     }
+}
+
+/// Send `msg` down a partition's queue.
+fn enqueue<T>(tx: &SyncSender<PartMsg<T>>, msg: PartMsg<T>) -> Result<()> {
+    tx.send(msg)
+        .map_err(|_| Error::Other("scan cancelled by consumer".into()))
 }
 
 /// Where the partitions of one scan run: each on the context of the node
@@ -295,7 +303,9 @@ fn total(spent: &[PhaseStats]) -> PhaseStats {
 /// producers; so does a producer error, which the consumer reports when
 /// it reaches that partition: indices are claimed in order and a claimed
 /// index is never abandoned, so every earlier partition runs to its
-/// `Done`.
+/// `Done`. One worker is the calling thread itself, running the
+/// partitions one after the other and handing each item to `consume` as
+/// it is emitted.
 fn stream_partitions<T, P, C>(
     place: &Placement<'_>,
     produce: P,
@@ -308,6 +318,18 @@ where
 {
     let parts = place.keys.len();
     let threads = place.threads.clamp(1, parts.max(1));
+    if threads == 1 {
+        // A pool of one is the calling thread: each partition's items go
+        // straight to the consumer, with no queue and no hand-off.
+        let consume = RefCell::new(consume);
+        let send = |item| (consume.borrow_mut())(item);
+        let mut spent = vec![PhaseStats::default(); place.nodes.len()];
+        for i in 0..parts {
+            let part_stats = produce(place.part(i), &Emitter { send: &send })?;
+            spent[place.slot[i]].merge(&part_stats);
+        }
+        return Ok(spent);
+    }
     let (senders, mut receivers): (Vec<_>, Vec<_>) = (0..parts)
         .map(|_| {
             let (tx, rx) = sync_channel(PARTITION_QUEUE_DEPTH);
@@ -337,12 +359,12 @@ where
                 // `take`, so a poisoned one still holds a valid slot.)
                 let slot = senders[i].lock().unwrap_or_else(|e| e.into_inner()).take();
                 let Some(tx) = slot else { break };
-                let emitter = Emitter { tx: &tx };
-                let result = produce(place.part(i), &emitter);
+                let send = |item| enqueue(&tx, PartMsg::Item(item));
+                let result = produce(place.part(i), &Emitter { send: &send });
                 let failed = result.is_err();
                 // Best-effort: if the consumer aborted, this queue's
                 // receiver is gone and the send simply errors.
-                let _ = emitter.send(PartMsg::Done(result));
+                let _ = enqueue(&tx, PartMsg::Done(result));
                 if failed {
                     cancelled.store(true, Ordering::Relaxed);
                     break;
@@ -448,7 +470,7 @@ pub enum ScanSource {
     /// any plain GET — a cold partition is one range GET of all of it,
     /// filling every chunk. A ColumnarLite partition whose footer segment
     /// is resident reads only the footer and the chunks of the columns
-    /// the fragment decodes, what it misses of them in one range GET. The
+    /// the statement references, what it misses of them in one range GET. The
     /// workers only read the cache
     /// ([`pushdown_s3::S3Store::read_object_chunked_cached_with`]): what
     /// each partition did to it — hits, misses, promotions, fills, the
@@ -459,101 +481,87 @@ pub enum ScanSource {
     /// Under a pipelined hash join the join applies them instead, once
     /// its other side is in too ([`crate::plan`]).
     Cached,
-    /// Ship the fragment's Select statement ([`ScanFragment::pushed`]) to
-    /// the storage engine for every partition: the bytes scanned and
-    /// returned are billed, and the response rows are the partition's
-    /// survivors, already projected — whole, or cut short to a sample
-    /// ([`ScanLimit`]).
+    /// Ship the scan's statement to the storage engine for every
+    /// partition: the bytes scanned and returned are billed, and the
+    /// response rows are the partition's survivors, already projected —
+    /// whole, or cut short to a sample ([`ScanLimit`]).
     Select(Option<ScanLimit>),
 }
 
-/// Decode one partition's bytes incrementally into typed column vectors
-/// — CSV a batch of records at a time, ColumnarLite row group by row
-/// group, only the columns `fragment` needs — and evaluate `fragment` on
-/// them in the calling thread, pushing survivors to `emit` in batches of
-/// at most `ctx.batch_rows`. (A CSV fragment that wants whole rows is
-/// handed the decoded rows instead.) The bytes come as `(offset, bytes)`
-/// runs: a CSV partition whole, one run from offset 0; a ColumnarLite one
-/// whole, or its footer and the chunks `fragment` decodes
-/// ([`ColumnarReader::open_parts`]). Returns the number of rows decoded
-/// and the CPU units the fragment's predicate and reducer charged.
+/// Run one partition's bytes through the Select engine's executor
+/// ([`Executor::scan`]) in the calling thread: `bound` (the leaf's
+/// statement, bound against `table.schema`) reduced through `best` if
+/// given, its rows pushed to `emit` in batches of at most
+/// `ctx.batch_rows`. The bytes come as `(offset, bytes)` runs: a CSV
+/// partition whole, one run from offset 0; a ColumnarLite one whole, or
+/// its footer and the chunks the statement references
+/// ([`ColumnarReader::open_parts`]). Nothing is pruned: the pricer prices
+/// a local read whole. Returns the rows decoded and what the executor's
+/// operators did.
 fn decode_partition(
     parts: Vec<(u64, bytes::Bytes)>,
     table: &Table,
     ctx: &QueryContext,
-    fragment: &ScanFragment,
-    emit: impl FnMut(RowBatch) -> Result<()>,
-) -> Result<(u64, (u64, u64))> {
-    let mut out = fragment.outbox(ctx.batch_rows, emit);
-    let mut decoded = 0u64;
-    match table.format {
+    bound: &BoundSelect,
+    best: Option<(&[(usize, bool)], usize)>,
+    mut emit: impl FnMut(RowBatch) -> Result<()>,
+) -> Result<(u64, Work)> {
+    let mut batch = BatchBuilder::new(bound.output_schema.clone(), ctx.batch_rows.max(1));
+    let best = best.map(|(keys, k)| TopKAccumulator::new(keys, k));
+    let mut push = |row| match batch.push(row) {
+        Some(full) => emit(full),
+        None => Ok(()),
+    };
+    let mut exec = Executor::new(bound, best, &mut push);
+    let scanned = match table.format {
         InputFormat::Csv => {
             let [(0, data)] = &parts[..] else {
                 return Err(Error::Other("a CSV partition is decoded whole".into()));
             };
-            let mut reader =
-                CsvReader::with_header(data, table.schema.clone()).project(fragment.needed());
-            if fragment.projects() {
-                // The referenced fields go straight into typed column
-                // vectors, the evaluator ColumnarLite row groups get,
-                // refilled batch after batch.
-                let projected = table.schema.project(fragment.needed());
-                let mut batch = ColumnarBatch::empty(projected);
-                while let Some(read) = reader.read_columns_into(&mut batch, ctx.batch_rows) {
-                    read?;
-                    decoded += batch.len() as u64;
-                    out.offer_columnar(&batch)?;
-                }
-            } else {
-                // A whole-row fragment ships the decoded row itself.
-                for record in reader {
-                    decoded += 1;
-                    out.offer(record?.row)?;
-                }
-            }
+            exec.scan(Object::Csv(data, &table.schema), &[])?
         }
         InputFormat::Columnar => {
             let reader = ColumnarReader::open_parts(parts)?;
-            for g in 0..reader.num_row_groups() {
-                // Rows are materialized for survivors only.
-                let group = reader.read_group_batch_projected(g, fragment.needed())?;
-                decoded += group.len() as u64;
-                out.offer_columnar(&group)?;
-            }
+            exec.scan(Object::Columnar(&reader), &[])?
         }
-    }
-    Ok((decoded, out.finish()?))
+    };
+    let work = exec.finish()?;
+    batch.finish().map_or(Ok(()), emit)?;
+    Ok((scanned.rows, work))
 }
 
 /// The segments a warm cached read of a ColumnarLite partition needs, as
 /// its footer segment (at offset `at`) names them: the footer and the
-/// chunks of the columns `fragment` decodes
-/// ([`ColumnarReader::extents_of`]) — which the store then checks against
-/// the layout it read along. `None` — every segment — for CSV, whose
-/// decoder wants every block, and for a footer that does not parse (the
-/// layout's last chunk is not this object's footer).
+/// chunks of the columns `needed` ([`ColumnarReader::extents_of`]) —
+/// which the store then checks against the layout it read along. `None`
+/// — every segment — for CSV, whose decoder wants every block, and for a
+/// footer that does not parse (the layout's last chunk is not this
+/// object's footer).
 fn wanted_chunks(
     table: &Table,
-    fragment: &ScanFragment,
+    needed: &[usize],
     at: u64,
     footer: &bytes::Bytes,
 ) -> Option<Vec<(u64, u64)>> {
     match table.format {
         InputFormat::Columnar => ColumnarReader::open_parts(vec![(at, footer.clone())])
             .ok()
-            .map(|r| r.extents_of(fragment.needed())),
+            .map(|r| r.extents_of(needed)),
         InputFormat::Csv => None,
     }
 }
 
 /// The scan: read every partition of `table` from `source` and hand
-/// `sink` the surviving, already projected rows in table order (see the
-/// module docs for the ordering guarantee). One producer serves every
-/// source: a GET or cache read decodes the partition incrementally and
-/// runs `fragment` on the rows **inside the worker that decoded them**; a
-/// Select source asks the storage engine for the partition's survivors
-/// instead, and a sampled one ([`ScanSource::Select`] with a limit) runs
-/// as [`select_scan_streamed`]. Either way the rows leave the worker in
+/// `sink` the rows `stmt` — a projection (or `*`) and a `WHERE`, as
+/// [`crate::plan`]'s scan leaves build it — returns, in table order (see
+/// the module docs for the ordering guarantee). One producer serves every
+/// source: a Select source ships `stmt` to the storage engine for every
+/// partition, and a sampled one ([`ScanSource::Select`] with a limit)
+/// runs as [`select_scan_streamed`]; a GET or cache read runs the same
+/// statement through the Select engine's executor **inside the worker
+/// that decoded the partition**, each partition's rows reduced to their
+/// `k` best by `best`'s `(output column, ascending)` keys if given (a
+/// Select source takes none). Either way the rows leave the worker in
 /// batches, metered as the exchange volume of the node they ran on. Peak
 /// resident rows are bounded by the worker pool, not the table. Results
 /// are byte-for-byte the same with the cache hot, partially warm, cold,
@@ -562,20 +570,28 @@ pub fn scan(
     ctx: &QueryContext,
     table: &Table,
     source: ScanSource,
-    fragment: &ScanFragment,
+    stmt: &SelectStmt,
+    best: Option<(&[(usize, bool)], usize)>,
     mut sink: impl FnMut(RowBatch) -> Result<()>,
 ) -> Result<ScanSummary> {
-    let stmt = match source {
+    if best.is_some() && matches!(source, ScanSource::Select(_)) {
+        return Err(Error::Other("a Select scan takes no top-K reducer".into()));
+    }
+    // A GET or cache read runs the statement here, bound once.
+    let bound = match source {
         ScanSource::Select(Some(limit)) => {
-            return select_scan_streamed(ctx, table, fragment.statement()?, Some(limit), sink)
+            return select_scan_streamed(ctx, table, stmt, Some(limit), sink)
         }
-        ScanSource::Select(None) => Some(fragment.statement()?),
-        ScanSource::Plain | ScanSource::Cached => None,
+        ScanSource::Select(None) => None,
+        ScanSource::Plain | ScanSource::Cached => {
+            Some(Binder::new(&table.schema).bind_select(stmt)?)
+        }
     };
+    let needed = bound.as_ref().map(BoundSelect::referenced_columns);
     let place = Placement::of(ctx, table)?;
     let cached = source == ScanSource::Cached;
     // Rows from a Select source have the schema its responses declare;
-    // decoded rows, the fragment's.
+    // decoded rows, the statement's.
     let responded: OnceLock<Schema> = OnceLock::new();
     let hit_parts = AtomicU64::new(0);
     let fill_parts = AtomicU64::new(0);
@@ -583,7 +599,7 @@ pub fn scan(
         server_cpu_units: units,
         ..Default::default()
     };
-    // What the fragment's predicate charged, per node; what its reducer
+    // What the statement's `WHERE` charged, per node; what the reducer
     // charged, the `ORDER BY … LIMIT` above's to report.
     let op_units: Vec<AtomicU64> = place.nodes.iter().map(|_| AtomicU64::new(0)).collect();
     let reduce_units = AtomicU64::new(0);
@@ -601,7 +617,7 @@ pub fn scan(
                 }
                 emitter.emit(batch)
             };
-            if let Some(stmt) = stmt {
+            let Some(bound) = &bound else {
                 let (bucket, schema) = (&table.bucket, &table.schema);
                 let engine = &part.ctx.engine;
                 let resp = engine.select_stmt(bucket, part.key, stmt, schema, table.format)?;
@@ -612,7 +628,7 @@ pub fn scan(
                 accumulate_response(&mut stats, &resp);
                 stats.exchange_bytes = shipped;
                 return Ok(stats);
-            }
+            };
             let store = &part.ctx.store;
             // Every retried attempt billed a request; meter them all so
             // metrics agree with the ledger even under injected faults.
@@ -622,7 +638,7 @@ pub fn scan(
                     part.key,
                     &ctx.retry,
                     |len| table.cache_layout(part.key, len, ctx.cache_chunk_bytes),
-                    |at, footer| wanted_chunks(table, fragment, at, footer),
+                    |at, footer| wanted_chunks(table, needed.as_deref()?, at, footer),
                 )?;
                 logs[part.index].set(log).expect("a partition is read once");
                 let counter = if fetched.hit { &hit_parts } else { &fill_parts };
@@ -651,17 +667,16 @@ pub fn scan(
             // ColumnarLite bytes ingest at their own parse rate
             // ([`pushdown_common::perf::PerfParams::parse_cl_bw`]): every
             // byte the read handed the decoder — the whole object from a
-            // GET or a cold cache, the footer and the chunks the fragment
-            // decodes from a warm one — which is also what moved.
+            // GET or a cold cache, the footer and the chunks the statement
+            // references from a warm one — which is also what moved.
             if table.format == InputFormat::Columnar {
                 stats.cl_parse_bytes = parts.iter().map(|(_, b)| b.len() as u64).sum();
             }
-            let (rows, (charged, reduced)) =
-                decode_partition(parts, table, ctx, fragment, &mut emit)?;
+            let (rows, work) = decode_partition(parts, table, ctx, bound, best, &mut emit)?;
             stats.exchange_bytes = shipped;
             stats.server_cpu_units += rows;
-            op_units[part.node].fetch_add(charged, Ordering::Relaxed);
-            reduce_units.fetch_add(reduced, Ordering::Relaxed);
+            op_units[part.node].fetch_add(work.filtered, Ordering::Relaxed);
+            reduce_units.fetch_add(work.reduced, Ordering::Relaxed);
             Ok(stats)
         },
         &mut sink,
@@ -698,9 +713,10 @@ pub fn scan(
         })
         .collect();
     Ok(ScanSummary {
-        schema: responded
-            .into_inner()
-            .unwrap_or_else(|| fragment.schema().clone()),
+        schema: match bound {
+            Some(bound) => bound.output_schema,
+            None => responded.into_inner().unwrap_or_default(),
+        },
         stats: total(&spent),
         op_stats: cpu(op_units.iter().sum()),
         reduce_stats: cpu(reduce_units.into_inner()),
@@ -753,15 +769,14 @@ pub(crate) fn settle(ctx: &QueryContext, effects: Vec<Effect>) {
     committed.iter().for_each(|(_, store)| store.commit_cache());
 }
 
-/// Every row of `table` as batches, in partition order: [`scan`] with
-/// the identity fragment.
+/// Every row of `table` as batches, in partition order: [`scan`] of
+/// `SELECT *`.
 pub fn plain_scan_streamed(
     ctx: &QueryContext,
     table: &Table,
     on_batch: impl FnMut(RowBatch) -> Result<()>,
 ) -> Result<ScanSummary> {
-    let identity = ScanFragment::new(table, None, None);
-    scan(ctx, table, ScanSource::Plain, &identity, on_batch)
+    scan(ctx, table, ScanSource::Plain, &star(), None, on_batch)
 }
 
 /// [`plain_scan_streamed`] through the segment cache
@@ -771,19 +786,23 @@ pub fn cached_scan_streamed(
     table: &Table,
     on_batch: impl FnMut(RowBatch) -> Result<()>,
 ) -> Result<ScanSummary> {
-    let identity = ScanFragment::new(table, None, None);
-    scan(ctx, table, ScanSource::Cached, &identity, on_batch)
+    scan(ctx, table, ScanSource::Cached, &star(), None, on_batch)
 }
 
-/// [`scan`] collecting the survivors.
+/// `SELECT *`: every row, every column.
+fn star() -> SelectStmt {
+    crate::plan::scan_stmt(&None, &None)
+}
+
+/// [`scan`] collecting the rows `stmt` returns.
 pub fn scan_rows(
     ctx: &QueryContext,
     table: &Table,
     source: ScanSource,
-    fragment: &ScanFragment,
+    stmt: &SelectStmt,
 ) -> Result<(Vec<Row>, ScanSummary)> {
     let mut rows = Vec::new();
-    let summary = scan(ctx, table, source, fragment, |batch| {
+    let summary = scan(ctx, table, source, stmt, None, |batch| {
         rows.extend(batch.rows);
         Ok(())
     })?;
@@ -791,10 +810,9 @@ pub fn scan_rows(
 }
 
 /// Baseline path: load whole partitions over the wire and parse locally.
-/// Every row, collected: [`scan_rows`] with the identity fragment.
+/// Every row, collected: [`scan_rows`] of `SELECT *`.
 pub fn plain_scan(ctx: &QueryContext, table: &Table) -> Result<ScanResult> {
-    let identity = ScanFragment::new(table, None, None);
-    let (rows, summary) = scan_rows(ctx, table, ScanSource::Plain, &identity)?;
+    let (rows, summary) = scan_rows(ctx, table, ScanSource::Plain, &star())?;
     Ok(ScanResult {
         schema: summary.schema,
         rows,
@@ -858,8 +876,7 @@ pub fn select_scan_streamed(
     mut on_batch: impl FnMut(RowBatch) -> Result<()>,
 ) -> Result<ScanSummary> {
     let Some(limit) = limit else {
-        let pushed = ScanFragment::pushed(table, stmt.clone());
-        return scan(ctx, table, ScanSource::Select(None), &pushed, on_batch);
+        return scan(ctx, table, ScanSource::Select(None), stmt, None, on_batch);
     };
     let mut keys = partition_keys(ctx, table)?;
     // A striped sample asks only the partitions with a share.

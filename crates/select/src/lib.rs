@@ -26,13 +26,18 @@
 //!   with it — the property the hybrid group-by (1 % sample, §VI-B) and
 //!   sampling top-K (§VII-A) phases rely on.
 //!
-//! Execution (one executor for both formats): the referenced columns
-//! decode into typed column vectors — CSV a batch of records at a time,
-//! ColumnarLite a row group at a time — the `WHERE` clause becomes a
-//! selection vector through the predicate compiler the local scan runs
-//! too ([`pushdown_sql::vector`]), and `Value` rows are built only for
-//! the rows a statement returns. Rows, float bits, the first error and
-//! the bill are what evaluating the statement a row at a time gives.
+//! Execution (one executor for both formats, and for both sides of the
+//! wire): [`Executor`] decodes the referenced columns into typed column
+//! vectors — CSV a batch of records at a time, ColumnarLite a row group
+//! at a time ([`Executor::scan`]) —, turns the `WHERE` clause into a
+//! selection vector ([`pushdown_sql::vector`]) and builds `Value` rows
+//! only for the rows a statement returns, handing each to a sink: a
+//! request's CSV response here, the outgoing batches of a compute node's
+//! GET or cache scan there (`pushdown_core::scan`), which runs the same
+//! statement through the same executor, with an optional top-K reducer
+//! and without row-group pruning. Rows, float bits, the first error and
+//! the bill are what evaluating the statement a row at a time gives —
+//! a `WHERE` that can raise prunes no row group, so no error is skipped.
 //!
 //! Billing: each request meters one HTTP request, the bytes scanned, and
 //! the bytes returned on the shared [`CostLedger`](pushdown_common::CostLedger)
@@ -50,11 +55,12 @@
 
 use bytes::Bytes;
 use pushdown_common::columnar::ColumnarBatch;
+use pushdown_common::perf::PhaseStats;
 use pushdown_common::{Error, Result, RetryPolicy, Row, Schema, Value};
 use pushdown_format::columnar::{ColumnarReader, PruneOp};
 use pushdown_format::csv::{decode_record, CsvReader, CsvWriter};
 use pushdown_s3::S3Store;
-use pushdown_sql::agg::{AggFunc, GroupTable};
+use pushdown_sql::agg::{AggFunc, GroupTable, TopKAccumulator};
 use pushdown_sql::ast::ExtendedSelect;
 use pushdown_sql::bind::{Binder, BoundExpr, BoundItem, BoundSelect};
 use pushdown_sql::eval::eval_predicate;
@@ -397,20 +403,35 @@ impl S3SelectEngine {
         let expr_terms = ext.select.term_count() + ext.group_by.len() as u32;
         let raw = self.store.raw_object(bucket, key)?;
 
-        let (rows, bytes_scanned) = match format {
-            InputFormat::Csv => self.scan_csv(&raw, schema, &bound)?,
-            InputFormat::Columnar => self.scan_columnar(&raw, schema, &bound)?,
-        };
-
-        // Serialize the response as headerless CSV (always CSV, §IX).
+        // The response is headerless CSV (always CSV, §IX), written as the
+        // executor hands on each row.
         let mut w = CsvWriter::headerless();
-        let records = rows.len() as u64;
-        for r in &rows {
-            w.write_row(r);
-        }
+        let mut records = 0u64;
+        let mut write = |row: Row| {
+            w.write_row(&row);
+            records += 1;
+            Ok(())
+        };
+        let mut exec = Executor::new(&bound, None, &mut write);
+        let scanned = match format {
+            InputFormat::Csv => exec.scan(Object::Csv(&raw, schema), &[])?,
+            InputFormat::Columnar => {
+                let reader = ColumnarReader::open(raw.clone())?;
+                if reader.schema() != schema {
+                    return Err(Error::SelectRejected(format!(
+                        "registered schema {schema} does not match object schema {}",
+                        reader.schema()
+                    )));
+                }
+                // Row-group pruning: skip groups the statistics rule out.
+                let prune = bound.where_clause.as_ref().map(extract_prune_conditions);
+                exec.scan(Object::Columnar(&reader), &prune.unwrap_or_default())?
+            }
+        };
+        exec.finish()?;
         let payload = w.finish();
         let stats = SelectStats {
-            bytes_scanned,
+            bytes_scanned: scanned.bytes,
             bytes_returned: payload.len() as u64,
             records_returned: records,
             expr_terms,
@@ -423,94 +444,6 @@ impl S3SelectEngine {
             output_schema: bound.output_schema.clone(),
             stats,
         })
-    }
-
-    /// Row-oriented scan: CSV must be read in full (every byte is scanned,
-    /// every record split and checked) unless LIMIT stops it early; only
-    /// the columns the statement references are typed, a batch of
-    /// records at a time, straight into column vectors.
-    fn scan_csv(
-        &self,
-        raw: &[u8],
-        schema: &Schema,
-        bound: &BoundSelect,
-    ) -> Result<(Vec<Row>, u64)> {
-        let needed = bound.referenced_columns();
-        let mut reader = CsvReader::with_header(raw, schema.clone()).project(&needed);
-        let mut exec = Executor::new(bound, &needed);
-        let mut batch = ColumnarBatch::empty(schema.project(&needed));
-        let mut max_rows = CSV_BATCH_ROWS;
-        loop {
-            let start = reader.clone();
-            match reader.read_columns_into(&mut batch, max_rows) {
-                None => break,
-                Some(Ok(())) => {}
-                // Every record before the bad one has run, one at a time.
-                Some(Err(e)) if max_rows == 1 => return Err(e),
-                // A record of the batch is bad: run the ones before it
-                // first, one at a time, so that what they raise, or a
-                // LIMIT they satisfy, comes first.
-                Some(Err(_)) => {
-                    reader = start;
-                    max_rows = 1;
-                    continue;
-                }
-            }
-            if let Some(last) = exec.run(&batch)? {
-                // LIMIT satisfied at record `last` of the batch: the
-                // engine stops scanning there, and bills the bytes up to
-                // where the next record starts — the last record read
-                // and its terminator, `\n` or `\r\n`, included.
-                reader = start;
-                reader.read_columns(last + 1).transpose()?;
-                return Ok((exec.finish(), reader.consumed() as u64));
-            }
-        }
-        Ok((exec.finish(), reader.consumed() as u64))
-    }
-
-    /// Columnar scan: only referenced column chunks are read, and billed
-    /// ([`ColumnarReader::scanned_by`]), and row groups are pruned
-    /// through chunk min/max statistics. Every referenced chunk of a row
-    /// group is decoded, into typed vectors, before any of its rows runs.
-    fn scan_columnar(
-        &self,
-        raw: &Bytes,
-        schema: &Schema,
-        bound: &BoundSelect,
-    ) -> Result<(Vec<Row>, u64)> {
-        let reader = ColumnarReader::open(raw.clone())?;
-        if reader.schema() != schema {
-            return Err(Error::SelectRejected(format!(
-                "registered schema {schema} does not match object schema {}",
-                reader.schema()
-            )));
-        }
-        let needed = bound.referenced_columns();
-
-        let prunable = bound
-            .where_clause
-            .as_ref()
-            .map(extract_prune_conditions)
-            .unwrap_or_default();
-
-        let mut exec = Executor::new(bound, &needed);
-        let mut scanned: u64 = 0;
-        for g in 0..reader.num_row_groups() {
-            // Row-group pruning: skip groups the statistics rule out.
-            if prunable
-                .iter()
-                .any(|(col, op, v)| reader.can_prune(g, *col, *op, v))
-            {
-                continue;
-            }
-            scanned += reader.scanned_by(g, &needed);
-            let group = reader.read_group_batch_projected(g, &needed)?;
-            if exec.run(&group)?.is_some() {
-                break; // LIMIT satisfied: the engine stops scanning here
-            }
-        }
-        Ok((exec.finish(), scanned))
     }
 }
 
@@ -535,9 +468,21 @@ fn stmt_uses_bitat(stmt: &SelectStmt) -> bool {
     uses
 }
 
+/// A `column op literal` conjunct a row group's chunk statistics can
+/// rule out ([`ColumnarReader::can_prune`]).
+pub type Prune = (usize, PruneOp, Value);
+
 /// Extract `column op literal` conjuncts usable for row-group pruning.
-/// Only AND chains are split (pruning on one conjunct is always sound).
-fn extract_prune_conditions(e: &BoundExpr) -> Vec<(usize, PruneOp, Value)> {
+/// Only AND chains are split: pruning on one conjunct never drops a row
+/// the chain keeps. It does skip evaluating the other conjuncts on the
+/// group's rows — before it on every row, after it on the rows whose
+/// column is NULL, which chunk statistics do not count — so a `WHERE`
+/// that can raise ([`compile_predicate`] does not take it) prunes
+/// nothing: its first error is the one a row-at-a-time scan raises.
+fn extract_prune_conditions(e: &BoundExpr) -> Vec<Prune> {
+    if compile_predicate(e).is_none() {
+        return Vec::new();
+    }
     e.conjuncts()
         .into_iter()
         .filter_map(|c| {
@@ -555,30 +500,79 @@ fn extract_prune_conditions(e: &BoundExpr) -> Vec<(usize, PruneOp, Value)> {
         .collect()
 }
 
-/// The engine's one executor, for both storage formats. It runs a bound
-/// statement over typed column batches — the columns the statement
-/// references, in schema order — in row order: the `WHERE` clause
-/// becomes a selection vector ([`Filter`]: compiled when it cannot
-/// raise, else evaluated row by row); a projection builds a row for each
-/// selected index only and stops the scan at `LIMIT`; an aggregate or
-/// grouped statement folds the selected rows into one [`GroupTable`] — a
-/// scalar aggregate is the one group of no columns — and `LIMIT` cuts
-/// its finished groups. Rows, float bits and the first error, in (row,
-/// item) order, are what evaluating the statement a row at a time gives.
-struct Executor<'a> {
+/// One object's bytes as [`Executor::scan`] decodes them.
+pub enum Object<'a> {
+    /// A CSV object with a header row, whole, and its schema.
+    Csv(&'a [u8], &'a Schema),
+    /// A ColumnarLite object, opened whole or from the segments a scan
+    /// reads ([`ColumnarReader::open_parts`]).
+    Columnar(&'a ColumnarReader),
+}
+
+/// What [`Executor::scan`] read of an object.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Scanned {
+    /// Rows decoded (and run).
+    pub rows: u64,
+    /// The bytes a Select request bills as scanned: for CSV every byte
+    /// up to where the scan stopped, for ColumnarLite the chunks of the
+    /// referenced columns in the row groups not pruned
+    /// ([`ColumnarReader::scanned_by`]).
+    pub bytes: u64,
+}
+
+/// What an [`Executor`]'s operators did, in the engine's CPU units.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Rows the `WHERE` clause saw: one unit each.
+    pub filtered: u64,
+    /// What the top-K reducer charged: `log2 K` per candidate.
+    pub reduced: u64,
+}
+
+/// The one fragment executor, on both sides of the wire: the Select
+/// engine runs it on a request's object and writes what it hands on as
+/// the CSV response, a compute node's GET or cache scan runs it on each
+/// partition it decodes and batches what it hands on
+/// (`pushdown_core::scan`). It runs a bound statement over typed column
+/// batches — the columns the statement references
+/// ([`BoundSelect::referenced_columns`]), in schema order — in row order: the `WHERE` clause becomes a
+/// selection vector ([`Filter`]: compiled when it cannot raise, else
+/// evaluated row by row); a projection builds a row for each selected
+/// index only and stops the scan at `LIMIT`; an aggregate or grouped
+/// statement folds the selected rows into one [`GroupTable`] — a scalar
+/// aggregate is the one group of no columns — and `LIMIT` cuts its
+/// finished groups. An optional top-K reducer keeps only the K best of
+/// the rows the statement returns and hands them on, in the order they
+/// came, at [`Executor::finish`]; over plain columns it compares the sort
+/// keys column-side and builds rows only for those entering its heap.
+/// Rows, float bits and the first error, in (row, item) order, are what
+/// evaluating the statement a row at a time gives; `sink` receives each
+/// row as it is produced, so rows before an error have left.
+pub struct Executor<'a> {
     bound: &'a BoundSelect,
+    /// The schema columns a batch holds, ascending.
+    needed: Vec<usize>,
     filter: Option<Filter>,
-    work: Work,
+    rows: Rows,
+    best: Option<TopKAccumulator>,
+    sink: &'a mut dyn FnMut(Row) -> Result<()>,
+    /// Rows handed on (or to the reducer) so far, which `LIMIT` counts.
+    emitted: u64,
+    /// Rows the `WHERE` clause saw, and what the reducer charged.
+    filtered: u64,
+    reduced: PhaseStats,
     /// The sparse row what does not compile evaluates on.
     scratch: Row,
 }
 
-/// What an [`Executor`] does with the rows its filter selects.
-enum Work {
-    /// Build one row of `outputs` per selected row.
+/// How an [`Executor`] makes rows of the rows its filter selects.
+enum Rows {
+    /// One row of `outputs` per selected row; `columns` when every output
+    /// is a batch column, which ones.
     Project {
         outputs: Vec<Operand>,
-        rows: Vec<Row>,
+        columns: Option<Vec<usize>>,
     },
     /// Fold them into `table`: grouped by the batch columns `keys`, one
     /// argument per aggregate. `key` is the group key of a row, reused.
@@ -667,22 +661,27 @@ impl Arg {
 }
 
 impl<'a> Executor<'a> {
-    /// The executor of `bound` over batches of the schema columns
-    /// `needed` (ascending: [`BoundSelect::referenced_columns`]).
-    fn new(bound: &'a BoundSelect, needed: &[usize]) -> Self {
+    /// The executor of `bound`, reducing its rows through `best` if
+    /// given, handing them on to `sink`.
+    pub fn new(
+        bound: &'a BoundSelect,
+        best: Option<TopKAccumulator>,
+        sink: &'a mut dyn FnMut(Row) -> Result<()>,
+    ) -> Self {
+        let needed = bound.referenced_columns();
         let at = |c: usize| needed.binary_search(&c).expect("a referenced column");
         let onto_batch = |e: &BoundExpr| {
             let mut e = e.clone();
             e.map_columns(&mut |c| at(c));
             e
         };
-        let work = if bound.is_aggregate || !bound.group_by.is_empty() {
+        let rows = if bound.is_aggregate || !bound.group_by.is_empty() {
             let mut table = GroupTable::new(aggregates(bound).map(|(func, _)| func).collect());
             if bound.group_by.is_empty() {
                 // Seeded, so that empty input still answers one row.
                 table.group(&[]);
             }
-            Work::Fold {
+            Rows::Fold {
                 table,
                 keys: bound.group_by.iter().map(|&c| at(c)).collect(),
                 args: aggregates(bound)
@@ -691,34 +690,113 @@ impl<'a> Executor<'a> {
                 key: Vec::new(),
             }
         } else {
-            let outputs = bound.items.iter().map(|item| match item {
-                BoundItem::Expr { expr, .. } => Operand::new(onto_batch(expr)),
-                BoundItem::Agg { .. } => unreachable!("binder rejects mixed selects"),
+            let outputs: Vec<Operand> = (bound.items.iter())
+                .map(|item| match item {
+                    BoundItem::Expr { expr, .. } => Operand::new(onto_batch(expr)),
+                    BoundItem::Agg { .. } => unreachable!("binder rejects mixed selects"),
+                })
+                .collect();
+            let columns = outputs.iter().map(|o| match o {
+                Operand::Column(c) => Some(*c),
+                _ => None,
             });
-            Work::Project {
-                outputs: outputs.collect(),
-                rows: Vec::new(),
+            Rows::Project {
+                columns: columns.collect(),
+                outputs,
             }
         };
         Executor {
+            filter: (bound.where_clause.as_ref()).map(|w| Filter::new(onto_batch(w))),
             bound,
-            filter: bound
-                .where_clause
-                .as_ref()
-                .map(|w| Filter::new(onto_batch(w))),
-            work,
+            needed,
+            rows,
+            best,
+            sink,
+            emitted: 0,
+            filtered: 0,
+            reduced: PhaseStats::default(),
             scratch: Row::new(Vec::new()),
         }
     }
 
-    /// Run the statement over the next batch. `Some(i)`: `LIMIT` is
-    /// satisfied at row `i` of it, and the scan stops there.
+    /// Decode `object` and run the statement over it, batch by batch, in
+    /// row order, until `LIMIT` is satisfied or the object ends. CSV
+    /// decodes 128 records at a time through
+    /// [`CsvReader::read_columns_into`]; a batch holding a bad record is
+    /// read again one record at a time, so that what the records before
+    /// it raise, or a `LIMIT` they satisfy, comes first. ColumnarLite
+    /// decodes a row group at a time, skipping the groups `prune` rules
+    /// out (a CSV object ignores it). Returns the rows decoded and the
+    /// bytes a Select bills as scanned.
+    pub fn scan(&mut self, object: Object<'_>, prune: &[Prune]) -> Result<Scanned> {
+        let mut scanned = Scanned::default();
+        match object {
+            Object::Csv(raw, schema) => {
+                let mut reader = CsvReader::with_header(raw, schema.clone()).project(&self.needed);
+                let mut batch = ColumnarBatch::empty(schema.project(&self.needed));
+                let mut max_rows = CSV_BATCH_ROWS;
+                loop {
+                    let start = reader.clone();
+                    match reader.read_columns_into(&mut batch, max_rows) {
+                        None => break,
+                        Some(Ok(())) => {}
+                        // Every record before the bad one has run.
+                        Some(Err(e)) if max_rows == 1 => return Err(e),
+                        Some(Err(_)) => {
+                            reader = start;
+                            max_rows = 1;
+                            continue;
+                        }
+                    }
+                    scanned.rows += batch.len() as u64;
+                    if let Some(last) = self.run(&batch)? {
+                        // LIMIT satisfied at record `last` of the batch:
+                        // the scan stops there, and bills the bytes up to
+                        // where the next record starts — the last record
+                        // read and its terminator, `\n` or `\r\n`,
+                        // included.
+                        reader = start;
+                        reader.read_columns(last + 1).transpose()?;
+                        break;
+                    }
+                }
+                scanned.bytes = reader.consumed() as u64;
+            }
+            Object::Columnar(reader) => {
+                for g in 0..reader.num_row_groups() {
+                    if prune
+                        .iter()
+                        .any(|(col, op, v)| reader.can_prune(g, *col, *op, v))
+                    {
+                        continue;
+                    }
+                    scanned.bytes += reader.scanned_by(g, &self.needed);
+                    let group = reader.read_group_batch_projected(g, &self.needed)?;
+                    scanned.rows += group.len() as u64;
+                    if self.run(&group)?.is_some() {
+                        break; // LIMIT satisfied: the scan stops here
+                    }
+                }
+            }
+        }
+        Ok(scanned)
+    }
+
+    /// Run the statement over the next batch, of the columns the
+    /// statement references. `Some(i)`: `LIMIT` is satisfied at row `i`
+    /// of it, and the scan stops there.
     fn run(&mut self, batch: &ColumnarBatch) -> Result<Option<usize>> {
         let Executor {
             bound,
             filter,
-            work,
+            rows,
+            best,
+            sink,
+            emitted,
+            filtered,
+            reduced,
             scratch,
+            ..
         } = self;
         if scratch.len() != batch.columns.len() {
             *scratch = RowExpr::scratch(batch);
@@ -727,64 +805,112 @@ impl<'a> Executor<'a> {
         // selected.
         let (sel, raised) = match filter {
             None => ((0..batch.len() as u32).collect(), Ok(())),
-            Some(filter) => filter.select(batch, scratch),
+            Some(filter) => {
+                *filtered += batch.len() as u64;
+                filter.select(batch, scratch)
+            }
         };
-        match work {
-            Work::Project { outputs, rows } => {
+        match (rows, best.as_mut()) {
+            // Plain columns into a reducer: the keys compare column-side,
+            // and rows are built for the heap only.
+            (
+                Rows::Project {
+                    columns: Some(columns),
+                    ..
+                },
+                Some(heap),
+            ) if bound.limit.is_none() => heap.push_columnar(batch, columns, &sel, reduced),
+            (Rows::Project { outputs, .. }, _) => {
                 for &i in &sel {
                     let i = i as usize;
                     if bound.limit == Some(0) {
                         return Ok(Some(i)); // `LIMIT 0`: stop at the first match, return none
                     }
-                    let row = outputs.iter().map(|o| o.value(batch, i, scratch));
-                    rows.push(Row::new(row.collect::<Result<_>>()?));
-                    if matches!(bound.limit, Some(l) if rows.len() as u64 >= l) {
+                    // Sized exactly: a collected `Result` cannot know
+                    // its length, and a row outlives its batch.
+                    let mut row = Vec::with_capacity(outputs.len());
+                    for o in outputs.iter() {
+                        row.push(o.value(batch, i, scratch)?);
+                    }
+                    let row = Row::new(row);
+                    match best {
+                        Some(heap) => heap.push_row(row, reduced),
+                        None => sink(row)?,
+                    }
+                    *emitted += 1;
+                    if matches!(bound.limit, Some(l) if *emitted >= l) {
                         return Ok(Some(i));
                     }
                 }
             }
-            Work::Fold {
-                table,
-                keys,
-                args,
-                key,
-            } => fold(table, keys, args, key, batch, &sel, scratch)?,
+            (
+                Rows::Fold {
+                    table,
+                    keys,
+                    args,
+                    key,
+                },
+                _,
+            ) => fold(table, keys, args, key, batch, &sel, scratch)?,
         }
         raised.map(|()| None)
     }
 
-    fn finish(self) -> Vec<Row> {
-        let table = match self.work {
-            Work::Project { rows, .. } => return rows,
-            Work::Fold { table, .. } => table,
-        };
-        // Where each output item sits in a finished `key ++ values` row:
-        // a scalar item is a grouping column, the binder checked.
-        let group_by = &self.bound.group_by;
-        let mut next_agg = group_by.len();
-        let take: Vec<usize> = self
-            .bound
-            .items
-            .iter()
-            .map(|item| match item {
-                BoundItem::Expr { expr, .. } => group_by
-                    .iter()
-                    .position(|&g| matches!(expr, BoundExpr::Column(c, _) if *c == g))
-                    .expect("a grouped scalar item is a grouping column"),
-                BoundItem::Agg { .. } => {
-                    next_agg += 1;
-                    next_agg - 1
+    /// Hand on what is left — an aggregate's finished groups, the
+    /// reducer's K best — and say what the operators did.
+    pub fn finish(self) -> Result<Work> {
+        let Executor {
+            bound,
+            rows,
+            mut best,
+            sink,
+            filtered,
+            mut reduced,
+            ..
+        } = self;
+        if let Rows::Fold { table, .. } = rows {
+            for row in finished_groups(bound, table) {
+                match &mut best {
+                    Some(heap) => heap.push_row(row, &mut reduced),
+                    None => sink(row)?,
                 }
-            })
-            .collect();
-        let limit = self.bound.limit.map_or(usize::MAX, |l| l as usize);
-        table
-            .finish()
-            .iter()
-            .take(limit)
-            .map(|r| r.project(&take))
-            .collect()
+            }
+        }
+        if let Some(heap) = best {
+            heap.into_rows().into_iter().try_for_each(sink)?;
+        }
+        Ok(Work {
+            filtered,
+            reduced: reduced.server_cpu_units,
+        })
     }
+}
+
+/// An aggregate statement's answer off its group table: per group, the
+/// statement's items in order, the groups sorted by key and cut at
+/// `LIMIT`.
+fn finished_groups(bound: &BoundSelect, table: GroupTable) -> Vec<Row> {
+    // Where each output item sits in a finished `key ++ values` row: a
+    // scalar item is a grouping column, the binder checked.
+    let group_by = &bound.group_by;
+    let mut next_agg = group_by.len();
+    let take: Vec<usize> = (bound.items.iter())
+        .map(|item| match item {
+            BoundItem::Expr { expr, .. } => group_by
+                .iter()
+                .position(|&g| matches!(expr, BoundExpr::Column(c, _) if *c == g))
+                .expect("a grouped scalar item is a grouping column"),
+            BoundItem::Agg { .. } => {
+                next_agg += 1;
+                next_agg - 1
+            }
+        })
+        .collect();
+    let limit = bound.limit.map_or(usize::MAX, |l| l as usize);
+    (table.finish().iter())
+        .take(limit)
+        .map(|r| r.project(&take))
+        .collect()
 }
 
 /// Fold the rows `sel` of `batch` into `table`: each selected row's group
@@ -1196,6 +1322,29 @@ mod tests {
             selective.stats.bytes_scanned,
             full.stats.bytes_scanned
         );
+    }
+
+    /// Pruning a row group skips evaluating the `WHERE` on its rows, so a
+    /// `WHERE` that can raise prunes none: the division by zero in a
+    /// group `c_custkey < 3` rules out is raised, as a row-at-a-time scan
+    /// raises it, while the compiled `WHERE` alone still prunes.
+    #[test]
+    fn a_where_that_can_raise_prunes_no_row_group() {
+        let rows = customer_rows(300);
+        let e = engine_with_columnar(&rows);
+        let run = |sql: &str| {
+            let format = InputFormat::Columnar;
+            e.select("tpch", "customer.clt", sql, &customer_schema(), format)
+        };
+        let safe = run("SELECT c_custkey FROM S3Object WHERE c_custkey < 3").unwrap();
+        let err = run(
+            "SELECT c_custkey FROM S3Object WHERE 10 / (c_custkey - 150) > 0 AND c_custkey < 3",
+        )
+        .unwrap_err();
+        assert_eq!(err.code(), "EvalError", "{err}");
+        assert!(err.to_string().contains("division by zero"), "{err}");
+        let whole = run("SELECT c_custkey FROM S3Object WHERE c_custkey % 1000 < 3").unwrap();
+        assert!(safe.stats.bytes_scanned < whole.stats.bytes_scanned);
     }
 
     #[test]
@@ -2016,7 +2165,11 @@ mod proptests {
             }
             InputFormat::Columnar => {
                 let reader = ColumnarReader::open(object.clone())?;
-                let conjuncts = bound.where_clause.as_ref().map(|w| w.conjuncts());
+                // A `WHERE` that can raise prunes nothing: the rows of a
+                // pruned group would raise nothing.
+                let conjuncts = (bound.where_clause.as_ref())
+                    .filter(|w| compile_predicate(w).is_some())
+                    .map(|w| w.conjuncts());
                 let prunes = |g: usize| {
                     let mut rules = conjuncts.iter().flatten();
                     rules.any(|c| {

@@ -1,15 +1,21 @@
-//! Aggregate functions, their accumulators, and the one group table.
+//! Aggregate functions, their accumulators, the one group table and the
+//! one top-K heap.
 //!
 //! S3 Select supports aggregation *without* group-by (paper §II-A): a
 //! query is either all-scalar or all-aggregate. Every hash aggregation in
 //! the system — the Select engine's aggregate statements (a scalar one is
 //! the group of no columns), §X's native `GROUP BY`, the compute node's
 //! group-by operator and the merge of pushed partials — is one
-//! [`GroupTable`]: group key → one accumulator per aggregate.
+//! [`GroupTable`]: group key → one accumulator per aggregate. Every
+//! `ORDER BY … LIMIT k` — the compute node's sort operator and the
+//! reducer a scan fragment runs below it — is one [`TopKAccumulator`].
 
+use pushdown_common::columnar::ColumnarBatch;
+use pushdown_common::perf::PhaseStats;
 use pushdown_common::{DataType, Error, Result, Row, Value};
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 /// The aggregate functions of the dialect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -250,6 +256,201 @@ impl GroupTable {
                 Row::new(key)
             })
             .collect()
+    }
+}
+
+/// `ORDER BY` order of two rows: `(column, ascending)` keys, major first,
+/// each compared by [`Value::total_cmp`] — so NULL keys are rows like any
+/// other: first ascending, last descending.
+pub fn cmp_keys(a: &Row, b: &Row, keys: &[(usize, bool)]) -> Ordering {
+    for &(col, asc) in keys {
+        let o = a[col].total_cmp(&b[col]);
+        if o != Ordering::Equal {
+            return if asc { o } else { o.reverse() };
+        }
+    }
+    Ordering::Equal
+}
+
+/// Max-heap entry: by the sort keys, ties by arrival — of two rows equal
+/// on every key the one offered first is the better one.
+struct HeapEntry {
+    row: Row,
+    seq: u64,
+    keys: Arc<[(usize, bool)]>,
+}
+
+impl PartialEq for HeapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for HeapEntry {}
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        cmp_keys(&self.row, &other.row, &self.keys).then(self.seq.cmp(&other.seq))
+    }
+}
+
+/// `ORDER BY keys LIMIT k` as a bounded heap, fed batch-at-a-time: the
+/// first `k` rows of a **stable** sort of everything offered, whatever
+/// the batching — NULL keys are rows ([`Value::total_cmp`] order) and
+/// ties keep the order they were offered in. Holds at most `k` rows no
+/// matter how many flow through. Charges `log2(K)` CPU units for every
+/// row offered, whether it enters the heap or not, and one per row
+/// [`TopKAccumulator::finish`] hands on.
+pub struct TopKAccumulator {
+    heap: BinaryHeap<HeapEntry>,
+    keys: Arc<[(usize, bool)]>,
+    k: usize,
+    log_k: u64,
+    seq: u64,
+}
+
+impl TopKAccumulator {
+    pub fn new(keys: &[(usize, bool)], k: usize) -> Self {
+        TopKAccumulator {
+            heap: BinaryHeap::new(),
+            keys: keys.into(),
+            k,
+            log_k: (k.max(2) as f64).log2().ceil() as u64,
+            seq: 0,
+        }
+    }
+
+    /// Whether `row` belongs to the K best seen so far: a later row that
+    /// ties with the worst one kept does not.
+    fn admits(&self, row: &Row) -> bool {
+        self.heap.len() < self.k
+            || self
+                .heap
+                .peek()
+                .is_some_and(|top| cmp_keys(row, &top.row, &self.keys) == Ordering::Less)
+    }
+
+    fn admit(&mut self, row: Row) {
+        if self.heap.len() >= self.k {
+            self.heap.pop();
+        }
+        self.seq += 1;
+        self.heap.push(HeapEntry {
+            row,
+            seq: self.seq,
+            keys: self.keys.clone(),
+        });
+    }
+
+    /// Charge `row` as a candidate and say whether it enters the heap.
+    fn wants(&self, row: &Row, stats: &mut PhaseStats) -> bool {
+        if self.k == 0 {
+            return false;
+        }
+        stats.server_cpu_units += self.log_k;
+        self.admits(row)
+    }
+
+    /// Offer one batch of rows to the heap; only rows that enter it are
+    /// cloned.
+    pub fn push_batch(&mut self, rows: &[Row], stats: &mut PhaseStats) {
+        for row in rows {
+            if self.wants(row, stats) {
+                self.admit(row.clone());
+            }
+        }
+    }
+
+    /// [`TopKAccumulator::push_batch`] for one owned row: it moves into
+    /// the heap or drops here. Same charge.
+    pub fn push_row(&mut self, row: Row, stats: &mut PhaseStats) {
+        if self.wants(&row, stats) {
+            self.admit(row);
+        }
+    }
+
+    /// [`TopKAccumulator::push_row`] over a batch of owned rows.
+    pub fn push_rows(&mut self, rows: Vec<Row>, stats: &mut PhaseStats) {
+        for row in rows {
+            self.push_row(row, stats);
+        }
+    }
+
+    /// Columnar twin of [`TopKAccumulator::push_batch`]: offer the rows
+    /// `sel` of `batch` whose column `c` is batch column `columns[c]`.
+    /// The sort keys are compared column-side and a row materializes
+    /// only when it enters the heap. Same admission, same charge.
+    pub fn push_columnar(
+        &mut self,
+        batch: &ColumnarBatch,
+        columns: &[usize],
+        sel: &[u32],
+        stats: &mut PhaseStats,
+    ) {
+        if self.k == 0 {
+            return;
+        }
+        for &i in sel {
+            let i = i as usize;
+            stats.server_cpu_units += self.log_k;
+            let enters = match self.heap.peek().filter(|_| self.heap.len() >= self.k) {
+                None => true,
+                Some(top) => {
+                    let by_key = |&(col, asc): &(usize, bool)| {
+                        let o = batch.column(columns[col]).value_at(i);
+                        let o = o.total_cmp(&top.row[col]);
+                        if asc {
+                            o
+                        } else {
+                            o.reverse()
+                        }
+                    };
+                    let differing = self.keys.iter().map(by_key).find(|o| o.is_ne());
+                    differing == Some(Ordering::Less)
+                }
+            };
+            if enters {
+                let row = columns.iter().map(|&c| batch.column(c).value_at(i));
+                self.admit(Row::new(row.collect()));
+            }
+        }
+    }
+
+    /// The retained rows in the order they were offered, uncharged — the
+    /// per-partition candidates a scan fragment hands to the query's own
+    /// accumulator ([`TopKAccumulator::absorb`]), which therefore sees a
+    /// subsequence of the scan and breaks its ties the way one heap over
+    /// the whole scan would.
+    pub fn into_rows(self) -> Vec<Row> {
+        let mut kept = self.heap.into_vec();
+        kept.sort_unstable_by_key(|e| e.seq);
+        kept.into_iter().map(|e| e.row).collect()
+    }
+
+    /// Merge candidates another accumulator already charged for (a
+    /// scan fragment's per-partition best): same admission as
+    /// [`TopKAccumulator::push_rows`], no charge.
+    pub fn absorb(&mut self, rows: Vec<Row>) {
+        for row in rows {
+            if self.k > 0 && self.admits(&row) {
+                self.admit(row);
+            }
+        }
+    }
+
+    /// The top K rows in order.
+    pub fn finish(self, stats: &mut PhaseStats) -> Vec<Row> {
+        let out: Vec<Row> = self
+            .heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|e| e.row)
+            .collect();
+        stats.server_cpu_units += out.len() as u64;
+        out
     }
 }
 

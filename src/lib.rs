@@ -35,10 +35,11 @@
 //!
 //! Scans decode partitions on a bounded worker pool and hand rows to the
 //! operators as fixed-capacity [`common::row::RowBatch`]es, **in
-//! partition order** (deterministic results). A local scan evaluates the
-//! leaf operator's predicate, projection and top-K reducer
-//! ([`core::fragment::ScanFragment`]) inside the worker that decoded the
-//! rows, so only survivors cross to the consumer. Filters, aggregations,
+//! partition order** (deterministic results). A local scan runs the
+//! leaf's statement — predicate and projection — and the top-K reducer
+//! of the sort above it through the S3 Select engine's executor
+//! ([`select::Executor`]) inside the worker that decoded the rows, so
+//! only survivors cross to the consumer. Filters, aggregations,
 //! joins and top-K consume batches incrementally through the state
 //! machines in [`core::ops`], so a query pipeline holds its *state* (a
 //! K-heap, group accumulators, a join build table, the matches) plus

@@ -1186,12 +1186,11 @@ proptest! {
 mod column_chunks {
     use super::*;
     use pushdowndb::cache::SegmentKey;
-    use pushdowndb::core::scan::{scan_rows, ScanFragment, ScanSource, ScanSummary};
+    use pushdowndb::core::scan::{scan_rows, ScanSource, ScanSummary};
     use pushdowndb::core::{upload_columnar_table, Table};
     use pushdowndb::format::columnar::{encode_columnar, ColumnarReader, WriterOptions};
     use pushdowndb::s3::S3Store;
-    use pushdowndb::sql::bind::Binder;
-    use pushdowndb::sql::parse_expr;
+    use pushdowndb::sql::{parse_select, SelectStmt};
     use pushdowndb::tpch::TpchGen;
 
     const OPTIONS: WriterOptions = WriterOptions {
@@ -1230,15 +1229,13 @@ mod column_chunks {
     /// and `d` for the output.
     const NEEDED: [usize; 3] = [0, 1, 3];
 
-    fn fragment(t: &Table) -> ScanFragment {
-        let pred = parse_expr("k % 3 = 0").unwrap();
-        let pred = Binder::new(&t.schema).bind_expr(&pred).unwrap();
-        ScanFragment::columns(t, Some(pred), &[3, 1])
+    fn fragment() -> SelectStmt {
+        parse_select("SELECT d, v FROM t WHERE k % 3 = 0").unwrap()
     }
 
     fn cached_scan(ctx: &QueryContext, t: &Table) -> (Vec<Row>, ScanSummary, Usage) {
         let ctx = ctx.scoped();
-        let (rows, summary) = scan_rows(&ctx, t, ScanSource::Cached, &fragment(t)).unwrap();
+        let (rows, summary) = scan_rows(&ctx, t, ScanSource::Cached, &fragment()).unwrap();
         assert_eq!(
             summary.stats.requests,
             ctx.billed().requests,
@@ -1288,7 +1285,7 @@ mod column_chunks {
             let store = S3Store::new();
             let t = table(&store);
             let ctx = QueryContext::new(store);
-            scan_rows(&ctx, &t, ScanSource::Cached, &fragment(&t))
+            scan_rows(&ctx, &t, ScanSource::Cached, &fragment())
                 .unwrap()
                 .0
         };
@@ -1321,7 +1318,7 @@ mod column_chunks {
         let parts = layouts(&store, &t);
         let want = {
             let ctx = QueryContext::new(store.with_cache_override(None));
-            scan_rows(&ctx, &t, ScanSource::Plain, &fragment(&t))
+            scan_rows(&ctx, &t, ScanSource::Plain, &fragment())
                 .unwrap()
                 .0
         };
@@ -1374,7 +1371,7 @@ mod column_chunks {
         let ctx = QueryContext::new(store.clone()).with_cache(1 << 24);
         let uncached = |store: &S3Store| {
             let ctx = QueryContext::new(store.with_cache_override(None));
-            scan_rows(&ctx, &t, ScanSource::Plain, &fragment(&t))
+            scan_rows(&ctx, &t, ScanSource::Plain, &fragment())
                 .unwrap()
                 .0
         };

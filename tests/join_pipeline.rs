@@ -21,7 +21,7 @@ use pushdowndb::core::metrics::{Phase, Sides};
 use pushdowndb::core::plan::Order;
 use pushdowndb::core::planner::{self, execute_sql};
 use pushdowndb::core::scan::{
-    cached_scan_streamed, plain_scan_streamed, scan, select_scan, ScanFragment, ScanSource,
+    cached_scan_streamed, plain_scan_streamed, scan, select_scan, ScanSource,
 };
 use pushdowndb::core::{
     ops, plan, upload_columnar_table, upload_csv_table, OpReport, PlanNode, PlanOp, QueryContext,
@@ -646,8 +646,9 @@ fn reference(ctx: &QueryContext, node: &PlanNode, folded: bool) -> Result<Refere
                     read.sort_unstable();
                     read.dedup();
                     schema = schema.project(&read);
-                    let fragment = ScanFragment::columns(table, None, &read);
-                    scan(ctx, table, ScanSource::Cached, &fragment, collect)?
+                    let names = read.iter().map(|&c| table.schema.field(c).name.clone());
+                    let columns = select_stmt(&Some(names.collect()), None);
+                    scan(ctx, table, ScanSource::Cached, &columns, None, collect)?
                 }
                 (true, None) => cached_scan_streamed(ctx, table, collect)?,
                 (false, _) => plain_scan_streamed(ctx, table, collect)?,

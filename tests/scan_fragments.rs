@@ -1,8 +1,12 @@
-//! The fused local scan against its oracle: a [`ScanFragment`] evaluated
-//! inside the partition workers must deliver the rows, the row order and
-//! the merged `PhaseStats` of the legacy closure-taking scan followed by
-//! consumer-side `filter_rows` / `project_rows` / `TopKAccumulator`,
-//! for every storage format, byte source, pool width and batch size.
+//! The fused local scan against its oracles. A scan leaf's statement
+//! (projection + `WHERE`), run by the Select engine's executor inside the
+//! partition workers that decode a GET or cache read, must deliver the
+//! rows, the row order and the merged `PhaseStats` of the legacy
+//! closure-taking scan followed by consumer-side `filter_rows` /
+//! `project_rows` / `TopKAccumulator`, for every storage format, byte
+//! source, pool width and batch size; and it must answer as the Select
+//! leaf running the same statement storage-side does — the same rows,
+//! bit for bit, or the same first error.
 
 use pushdowndb::cache::SegmentKey;
 use pushdowndb::common::mix::fnv1a;
@@ -11,7 +15,7 @@ use pushdowndb::common::{DataType, Error, RetryPolicy, Row, Schema, Value};
 use pushdowndb::core::ops;
 use pushdowndb::core::planner::{execute_sql, lower, Strategy};
 use pushdowndb::core::scan::{
-    cached_scan_streamed, plain_scan_streamed, scan, scan_rows, ScanFragment, ScanSource,
+    cached_scan_streamed, plain_scan_streamed, scan, scan_rows, ScanSource,
 };
 use pushdowndb::core::{plan, upload_columnar_table, upload_csv_table, QueryContext, Table};
 use pushdowndb::format::columnar::{encode_columnar, ColumnarReader, WriterOptions};
@@ -21,7 +25,7 @@ use pushdowndb::s3::{FaultPlan, S3Store};
 use pushdowndb::select::EngineExtensions;
 use pushdowndb::sql::bind::{Binder, BoundExpr};
 use pushdowndb::sql::eval::eval;
-use pushdowndb::sql::{parse_expr, parse_query};
+use pushdowndb::sql::{parse_expr, parse_query, Expr, SelectItem, SelectStmt};
 use pushdowndb::tpch::TpchGen;
 use std::sync::OnceLock;
 
@@ -184,12 +188,6 @@ fn scan_source(source: Source) -> ScanSource {
     }
 }
 
-fn bind(src: &str) -> BoundExpr {
-    Binder::new(&schema())
-        .bind_expr(&parse_expr(src).unwrap())
-        .unwrap()
-}
-
 /// One fragment shape under test, with the consumer-side pipeline it
 /// must be indistinguishable from.
 struct Case {
@@ -259,17 +257,29 @@ fn cases() -> Vec<Case> {
     ]
 }
 
+/// `SELECT outputs (or *) [WHERE predicate]`: the statement a scan
+/// leaf runs.
+fn statement(predicate: Option<&str>, outputs: Option<&[&str]>) -> SelectStmt {
+    let items = match outputs {
+        None => vec![SelectItem::Wildcard],
+        Some(exprs) => (exprs.iter())
+            .map(|e| SelectItem::Expr {
+                expr: parse_expr(e).unwrap(),
+                alias: None,
+            })
+            .collect(),
+    };
+    SelectStmt {
+        items,
+        alias: None,
+        where_clause: predicate.map(|p| parse_expr(p).unwrap()),
+        limit: None,
+    }
+}
+
 impl Case {
-    fn fragment(&self, table: &Table) -> ScanFragment {
-        let outputs = self
-            .outputs
-            .as_ref()
-            .map(|exprs| exprs.iter().map(|e| bind(e)).collect());
-        let fragment = ScanFragment::new(table, self.predicate.map(bind), outputs);
-        match self.top_k {
-            Some((col, k, asc)) => fragment.top_k(&[(col, asc)], k),
-            None => fragment,
-        }
+    fn statement(&self) -> SelectStmt {
+        statement(self.predicate, self.outputs.as_deref())
     }
 }
 
@@ -349,8 +359,12 @@ fn oracle(case: &Case, format: Format, source: Source) -> Outcome {
     };
     let summary = match (source, &case.outputs) {
         (_, Some(_)) => {
-            let fragment = ScanFragment::columns(&table, None, &columns);
-            scan(&ctx, &table, scan_source(source), &fragment, consume)
+            let schema = schema();
+            let names: Vec<&str> = (columns.iter())
+                .map(|&c| schema.field(c).name.as_str())
+                .collect();
+            let columns = statement(None, Some(&names));
+            scan(&ctx, &table, scan_source(source), &columns, None, consume)
         }
         (Source::Plain, None) => plain_scan_streamed(&ctx, &table, consume),
         (_, None) => cached_scan_streamed(&ctx, &table, consume),
@@ -379,15 +393,21 @@ fn fused(
     let mut ctx = ctx.scoped();
     ctx.scan_threads = threads;
     ctx.batch_rows = batch_rows;
-    let fragment = case.fragment(&table);
+    let stmt = case.statement();
+    let schema = Binder::new(&table.schema)
+        .bind_select(&stmt)
+        .unwrap()
+        .output_schema;
     let mut rows = Vec::new();
     let mut heap = case
         .top_k
         .map(|(col, k, asc)| ops::TopKAccumulator::new(&[(col, asc)], k));
-    let summary = scan(&ctx, &table, scan_source(source), &fragment, |batch| {
+    let keys = case.top_k.map(|(col, k, asc)| ([(col, asc)], k));
+    let best = keys.as_ref().map(|(keys, k)| (&keys[..], *k));
+    let summary = scan(&ctx, &table, scan_source(source), &stmt, best, |batch| {
         assert!(!batch.is_empty(), "empty batches never cross the queue");
         assert!(batch.len() <= batch_rows);
-        assert_eq!(&batch.schema, fragment.schema());
+        assert_eq!(batch.schema, schema);
         match &mut heap {
             // Candidates were charged by the workers.
             Some(heap) => heap.absorb(batch.rows),
@@ -470,13 +490,9 @@ fn pruned_columnar_scan_meters_and_bills_like_the_unpruned_one() {
         let run = |pruned: bool| {
             let (ctx, table) = setup(Format::Columnar, source);
             let ctx = ctx.scoped();
-            let pred = Some(bind("d >= 9030"));
-            let fragment = if pruned {
-                ScanFragment::columns(&table, pred, &[2, 0])
-            } else {
-                ScanFragment::new(&table, pred, None)
-            };
-            let (rows, summary) = scan_rows(&ctx, &table, scan_source(source), &fragment).unwrap();
+            let outputs: &[&str] = &["s", "k"];
+            let stmt = statement(Some("d >= 9030"), pruned.then_some(outputs));
+            let (rows, summary) = scan_rows(&ctx, &table, scan_source(source), &stmt).unwrap();
             (rows, summary, ctx.billed())
         };
         let (narrow, pruned, pruned_bill) = run(true);
@@ -539,8 +555,8 @@ fn consumer_and_worker_errors_cancel_the_scan_cleanly() {
 
                 // The consumer gives up on its third batch.
                 let mut batches = 0;
-                let identity = ScanFragment::new(&table, None, None);
-                let err = scan(&ctx, &table, scan_source(source), &identity, |_| {
+                let identity = statement(None, None);
+                let err = scan(&ctx, &table, scan_source(source), &identity, None, |_| {
                     batches += 1;
                     if batches == 3 {
                         Err(Error::Other("stop".into()))
@@ -555,18 +571,12 @@ fn consumer_and_worker_errors_cancel_the_scan_cleanly() {
                 // The predicate divides by zero at k = 333, in the sixth
                 // partition: the scan returns that error — no panic, no
                 // hang — and delivers nothing past the failing row.
-                for (what, fragment) in [
-                    (
-                        "predicate",
-                        ScanFragment::new(&table, Some(bind("1000 / (k - 333) > 0")), None),
-                    ),
-                    (
-                        "output",
-                        ScanFragment::new(&table, None, Some(vec![bind("1000 / (k - 333)")])),
-                    ),
+                for (what, stmt) in [
+                    ("predicate", statement(Some("1000 / (k - 333) > 0"), None)),
+                    ("output", statement(None, Some(&["1000 / (k - 333)"]))),
                 ] {
                     let mut delivered = 0usize;
-                    let err = scan(&ctx, &table, scan_source(source), &fragment, |batch| {
+                    let err = scan(&ctx, &table, scan_source(source), &stmt, None, |batch| {
                         delivered += batch.len();
                         Ok(())
                     })
@@ -898,4 +908,203 @@ fn compressed_tpch_partition_bytes_are_pinned() {
     let z = compress(&csv);
     assert_eq!(z.len(), 80_012);
     assert_eq!(digest(&z), 0x4461_0325_d0ac_f1d3);
+}
+
+/// What a leaf answered: its rows, every value as text and every float
+/// as its bits, or its error's text.
+type Answer = Result<Vec<Vec<String>>, String>;
+
+fn answer(rows: pushdowndb::common::Result<Vec<Row>>) -> Answer {
+    let value = |v: &Value| match v {
+        Value::Float(f) => format!("f{:016x}", f.to_bits()),
+        v => format!("{v:?}"),
+    };
+    rows.map(|rows| {
+        (rows.iter())
+            .map(|r| r.values().iter().map(value).collect())
+            .collect()
+    })
+    .map_err(|e| e.to_string())
+}
+
+/// A `WHERE` that divides by zero at `k = 333`, in a CSV partition whose
+/// next record does not parse (`xx` is no INT): every leaf — the local
+/// one from a GET or from the cache, cold or warm, decoding every column
+/// or only what it projects and filters on, and the Select leaf —
+/// returns the division by zero, the error of the first record it
+/// reaches, and delivers no row.
+#[test]
+fn a_raising_where_fails_alike_before_a_bad_record_on_every_leaf() {
+    let schema = Schema::from_pairs(&[("k", DataType::Int), ("v", DataType::Float)]);
+    let store = S3Store::new();
+    let one = [Row::new(vec![Value::Int(1), Value::Float(1.0)])];
+    let table = upload_csv_table(&store, "b", "t", &schema, &one, 1).unwrap();
+    let [key] = &table.partitions(&store)[..] else {
+        panic!("one partition")
+    };
+    store.put_object("b", key, b"k,v\n1,1.0\n333,2.0\nxx,3.0\n".to_vec());
+    let statements = [
+        statement(Some("1000 / (k - 333) > 0"), None),
+        statement(Some("1000 / (k - 333) > 0"), Some(&["v"])),
+    ];
+    let plain = QueryContext::new(store.clone());
+    let cached = QueryContext::new(store.clone()).with_cache(1 << 20);
+    let warm = QueryContext::new(store).with_cache(1 << 20);
+    // `v` alone decodes: the bad INT is never typed.
+    let only_v = statement(None, Some(&["v"]));
+    scan_rows(&warm, &table, ScanSource::Cached, &only_v).unwrap();
+    let leaves = [
+        ("Select", &plain, ScanSource::Select(None)),
+        ("Plain", &plain, ScanSource::Plain),
+        ("Cached cold", &cached, ScanSource::Cached),
+        ("Cached warm", &warm, ScanSource::Cached),
+    ];
+    for stmt in &statements {
+        for (name, ctx, source) in leaves {
+            let mut delivered = 0;
+            let err = scan(&ctx.scoped(), &table, source, stmt, None, |batch| {
+                delivered += batch.len();
+                Ok(())
+            })
+            .unwrap_err();
+            assert_eq!(err.code(), "EvalError", "{name}, `{stmt}`: {err}");
+            assert!(
+                err.to_string().contains("division by zero"),
+                "{name}: {err}"
+            );
+            assert_eq!(delivered, 0, "{name}, `{stmt}`");
+        }
+    }
+}
+
+/// The cross-side property: on random tables — INT, FLOAT, STR and DATE
+/// columns holding NULL, NaN, ±0.0, `''` and duplicates, in partitions
+/// of one to five rows, as CSV and as ColumnarLite of one to three rows
+/// per group — a projection (plain columns or `*`) under a `WHERE` of
+/// compiled atoms and a row-wise atom that raises, joined by AND or OR,
+/// answers the same from the local leaf (GET; cache cold and warm; one
+/// and three scan threads) as from the Select leaf: the same rows, bit
+/// for bit, or the same first error.
+#[test]
+fn local_and_select_leaves_answer_alike() {
+    use proptest::test_runner::TestRng;
+    fn pick<T: Clone>(rng: &mut TestRng, xs: &[T]) -> T {
+        xs[rng.below(xs.len() as u64) as usize].clone()
+    }
+    let schema = Schema::from_pairs(&[
+        ("i", DataType::Int),
+        ("f", DataType::Float),
+        ("s", DataType::Str),
+        ("d", DataType::Date),
+    ]);
+    let ints = [-2, -1, 0, 0, 1, 2, 7].map(Value::Int);
+    let floats = [f64::NAN, 0.0, -0.0, 1.5, -2.25, 1.5, 1e300].map(Value::Float);
+    let strs = ["", "a", "b", "a", "a b"].map(|s| Value::Str(s.into()));
+    let dates = [9000, 9001, 9001, 9030].map(Value::Date);
+    let compiled = [
+        "i < 1",
+        "i >= 0",
+        "f > 0.0",
+        "f <= 1.5",
+        "s = 'a'",
+        "s <> 'b'",
+        "d >= 9001",
+        "d < 9030",
+        "i IS NULL",
+        "f IS NOT NULL",
+        "s IS NULL",
+    ];
+    let raising = [
+        "10 / i > 1",
+        "CAST(s AS INT) = 1",
+        "i + 9223372036854775806 > 0",
+    ];
+    let names = ["i", "f", "s", "d"];
+    let mut rng = TestRng::deterministic("local_and_select_leaves_answer_alike");
+    let mut errors = 0;
+    for case in 0..200 {
+        let rows: Vec<Row> = (0..1 + rng.below(12))
+            .map(|_| {
+                let mut value = |xs: &[Value]| match rng.below(6) {
+                    0 => Value::Null,
+                    _ => pick(&mut rng, xs),
+                };
+                Row::new(vec![
+                    value(&ints),
+                    value(&floats),
+                    value(&strs),
+                    value(&dates),
+                ])
+            })
+            .collect();
+        let per_part = 1 + rng.below(5) as usize;
+        let mut atoms: Vec<&str> = (0..1 + rng.below(2))
+            .map(|_| pick(&mut rng, &compiled))
+            .collect();
+        let at = rng.below(atoms.len() as u64 + 1) as usize;
+        atoms.insert(at, pick(&mut rng, &raising));
+        let mut atoms = atoms.into_iter().map(|a| parse_expr(a).unwrap());
+        let first = atoms.next().unwrap();
+        let predicate = atoms.fold(first, |acc, atom| match rng.below(2) {
+            0 => Expr::and(acc, atom),
+            _ => Expr::or(acc, atom),
+        });
+        let items = match rng.below(3) {
+            0 => vec![SelectItem::Wildcard],
+            _ => {
+                let mut cols = names.to_vec();
+                let keep = 1 + rng.below(4) as usize;
+                for j in 0..keep {
+                    let other = j + rng.below((cols.len() - j) as u64) as usize;
+                    cols.swap(j, other);
+                }
+                (cols[..keep].iter())
+                    .map(|c| SelectItem::Expr {
+                        expr: Expr::col(c.to_string()),
+                        alias: None,
+                    })
+                    .collect()
+            }
+        };
+        let stmt = SelectStmt {
+            items,
+            alias: None,
+            where_clause: Some(predicate),
+            limit: None,
+        };
+        for columnar in [false, true] {
+            let store = S3Store::new();
+            let table = if columnar {
+                let opts = WriterOptions {
+                    rows_per_group: 1 + rng.below(3) as usize,
+                    compress: rng.below(2) == 0,
+                };
+                upload_columnar_table(&store, "b", "t", &schema, &rows, per_part, opts)
+            } else {
+                upload_csv_table(&store, "b", "t", &schema, &rows, per_part)
+            }
+            .unwrap();
+            let run = |ctx: &QueryContext, source| {
+                answer(scan_rows(ctx, &table, source, &stmt).map(|(rows, _)| rows))
+            };
+            let plain = QueryContext::new(store.clone());
+            let want = run(&plain, ScanSource::Select(None));
+            errors += usize::from(want.is_err());
+            let what = |leaf: &str| format!("case {case}, {leaf}, columnar {columnar}: `{stmt}`");
+            for threads in [1, 3] {
+                let mut ctx = plain.clone();
+                ctx.scan_threads = threads;
+                assert_eq!(run(&ctx, ScanSource::Plain), want, "{}", what("Plain"));
+                let mut ctx = QueryContext::new(store.clone()).with_cache(1 << 20);
+                ctx.scan_threads = threads;
+                assert_eq!(run(&ctx, ScanSource::Cached), want, "{}", what("cold"));
+                cached_scan_streamed(&ctx, &table, |_| Ok(())).unwrap();
+                assert_eq!(run(&ctx, ScanSource::Cached), want, "{}", what("warm"));
+            }
+        }
+    }
+    assert!(
+        (40..360).contains(&errors),
+        "{errors} of 400 answers are errors"
+    );
 }
