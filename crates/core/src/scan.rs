@@ -22,9 +22,8 @@
 //! its source, and the scan delivers rows downstream as fixed-capacity
 //! [`RowBatch`]es **in partition order**, so results stay deterministic.
 //! Each in-flight partition feeds a small bounded queue; workers block
-//! once their queue fills; a pool of one worker is the calling thread,
-//! which hands each batch straight on. GET and cache reads decode
-//! incrementally (CSV a constant batch of records at a time, columnar
+//! once their queue fills. GET and cache reads decode incrementally
+//! (CSV a constant batch of records at a time, columnar
 //! row-group-by-row-group) and emit batches of at most `batch_rows`
 //! rows, capping their peak resident rows at `O(scan_threads × queue
 //! depth × batch_rows)` regardless of table size. A Select source decodes each
@@ -100,7 +99,6 @@ use pushdown_sql::agg::{AggFunc, TopKAccumulator};
 use pushdown_sql::ast::{ExtendedSelect, SelectItem, SelectStmt};
 use pushdown_sql::bind::{Binder, BoundSelect};
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -158,25 +156,24 @@ enum PartMsg<T> {
     Done(Result<PhaseStats>),
 }
 
-/// Handed to partition producers to push items downstream: straight to
-/// the consumer on a pool of one, else into the partition's queue.
-/// Sending blocks while that queue is full; a consumer that aborts the
-/// scan drops every receiver, which wakes all blocked senders with a
-/// disconnection error.
+/// Handed to partition producers to push items downstream. Sending
+/// blocks while the partition's queue is full; a consumer that aborts
+/// the scan drops every receiver, which wakes all blocked senders with
+/// a disconnection error.
 pub struct Emitter<'a, T> {
-    send: &'a dyn Fn(T) -> Result<()>,
+    tx: &'a SyncSender<PartMsg<T>>,
 }
 
 impl<T> Emitter<'_, T> {
-    pub fn emit(&self, item: T) -> Result<()> {
-        (self.send)(item)
+    fn send(&self, msg: PartMsg<T>) -> Result<()> {
+        self.tx
+            .send(msg)
+            .map_err(|_| Error::Other("scan cancelled by consumer".into()))
     }
-}
 
-/// Send `msg` down a partition's queue.
-fn enqueue<T>(tx: &SyncSender<PartMsg<T>>, msg: PartMsg<T>) -> Result<()> {
-    tx.send(msg)
-        .map_err(|_| Error::Other("scan cancelled by consumer".into()))
+    pub fn emit(&self, item: T) -> Result<()> {
+        self.send(PartMsg::Item(item))
+    }
 }
 
 /// Where the partitions of one scan run: each on the context of the node
@@ -303,9 +300,7 @@ fn total(spent: &[PhaseStats]) -> PhaseStats {
 /// producers; so does a producer error, which the consumer reports when
 /// it reaches that partition: indices are claimed in order and a claimed
 /// index is never abandoned, so every earlier partition runs to its
-/// `Done`. One worker is the calling thread itself, running the
-/// partitions one after the other and handing each item to `consume` as
-/// it is emitted.
+/// `Done`.
 fn stream_partitions<T, P, C>(
     place: &Placement<'_>,
     produce: P,
@@ -318,18 +313,6 @@ where
 {
     let parts = place.keys.len();
     let threads = place.threads.clamp(1, parts.max(1));
-    if threads == 1 {
-        // A pool of one is the calling thread: each partition's items go
-        // straight to the consumer, with no queue and no hand-off.
-        let consume = RefCell::new(consume);
-        let send = |item| (consume.borrow_mut())(item);
-        let mut spent = vec![PhaseStats::default(); place.nodes.len()];
-        for i in 0..parts {
-            let part_stats = produce(place.part(i), &Emitter { send: &send })?;
-            spent[place.slot[i]].merge(&part_stats);
-        }
-        return Ok(spent);
-    }
     let (senders, mut receivers): (Vec<_>, Vec<_>) = (0..parts)
         .map(|_| {
             let (tx, rx) = sync_channel(PARTITION_QUEUE_DEPTH);
@@ -359,12 +342,12 @@ where
                 // `take`, so a poisoned one still holds a valid slot.)
                 let slot = senders[i].lock().unwrap_or_else(|e| e.into_inner()).take();
                 let Some(tx) = slot else { break };
-                let send = |item| enqueue(&tx, PartMsg::Item(item));
-                let result = produce(place.part(i), &Emitter { send: &send });
+                let emitter = Emitter { tx: &tx };
+                let result = produce(place.part(i), &emitter);
                 let failed = result.is_err();
                 // Best-effort: if the consumer aborted, this queue's
                 // receiver is gone and the send simply errors.
-                let _ = enqueue(&tx, PartMsg::Done(result));
+                let _ = emitter.send(PartMsg::Done(result));
                 if failed {
                     cancelled.store(true, Ordering::Relaxed);
                     break;

@@ -1327,7 +1327,10 @@ mod tests {
     /// Pruning a row group skips evaluating the `WHERE` on its rows, so a
     /// `WHERE` that can raise prunes none: the division by zero in a
     /// group `c_custkey < 3` rules out is raised, as a row-at-a-time scan
-    /// raises it, while the compiled `WHERE` alone still prunes.
+    /// raises it, while the compiled `WHERE` alone still prunes. On this
+    /// data, clustered on `c_custkey`, that bills a Bloom join's probe
+    /// `WHERE` (a range conjunct `AND SUBSTRING(bits, hash + 1, 1) =
+    /// '1'`, whose arithmetic can raise) every row group.
     #[test]
     fn a_where_that_can_raise_prunes_no_row_group() {
         let rows = customer_rows(300);
@@ -1345,6 +1348,13 @@ mod tests {
         assert!(err.to_string().contains("division by zero"), "{err}");
         let whole = run("SELECT c_custkey FROM S3Object WHERE c_custkey % 1000 < 3").unwrap();
         assert!(safe.stats.bytes_scanned < whole.stats.bytes_scanned);
+        let probe = "SUBSTRING('1011001', ((3 * CAST(c_custkey AS INT) + 1) % 11) % 7 + 1, 1)";
+        let bloom = run(&format!(
+            "SELECT c_custkey FROM S3Object WHERE c_custkey < 3 AND {probe} = '1'"
+        ))
+        .unwrap();
+        assert_eq!(bloom.stats.bytes_scanned, whole.stats.bytes_scanned);
+        assert_eq!(bloom.stats.records_returned, 1);
     }
 
     #[test]
