@@ -23,6 +23,7 @@ use criterion::{criterion_group, BatchSize, Criterion, Throughput};
 use pushdown_bloom::BloomFilter;
 use pushdown_common::columnar::ColumnarBatch;
 use pushdown_common::{DataType, Row, Schema, Value};
+use pushdown_core::planner::run_candidate;
 use pushdown_core::scan::{plain_scan, scan, ScanSource};
 use pushdown_core::{
     execute_sql, ops, upload_columnar_table, upload_csv_table, QueryContext, Strategy, Table,
@@ -30,9 +31,9 @@ use pushdown_core::{
 use pushdown_format::columnar::{encode_columnar, ColumnarReader, WriterOptions};
 use pushdown_format::csv::{decode_csv, encode_csv, CsvReader};
 use pushdown_s3::S3Store;
-use pushdown_select::{InputFormat, S3SelectEngine};
+use pushdown_select::{Executor, InputFormat, Object, S3SelectEngine};
 use pushdown_sql::agg::AggFunc;
-use pushdown_sql::bind::{Binder, BoundExpr};
+use pushdown_sql::bind::{Binder, BoundExpr, BoundSelect};
 use pushdown_sql::vector::{Filter, RowExpr};
 use pushdown_sql::{parse_expr, parse_select, SelectStmt};
 use pushdown_tpch::TpchGen;
@@ -903,6 +904,107 @@ fn bench_topk_leaf(c: &mut Criterion) {
     g.finish();
 }
 
+/// `groupby-uniform`'s Baseline leaf: `orders` as CSV (TPC-H SF 0.01,
+/// 1 500 rows per partition), `SELECT o_orderpriority, COUNT(*),
+/// SUM(o_totalprice) … GROUP BY o_orderpriority` as the planner's
+/// `server-side` plan runs it on one worker thread — the Select engine's
+/// executor folding each partition's column vectors into its five
+/// partial rows in the worker, the plan merging them — against a replay
+/// of the path it replaced: the same executor shipping the two columns
+/// as rows through the partition queues, and `GroupByAccumulator`
+/// folding them on the consumer.
+struct GroupLeaf {
+    ctx: QueryContext,
+    table: Table,
+    stmt: SelectStmt,
+    rows: u64,
+}
+
+impl GroupLeaf {
+    const SQL: &str = "SELECT o_orderpriority, COUNT(*), SUM(o_totalprice) FROM orders \
+                       GROUP BY o_orderpriority";
+
+    fn new() -> Self {
+        let gen = TpchGen::new(0.01);
+        let (schema, rows) = gen.orders();
+        let store = S3Store::new();
+        let table = upload_csv_table(&store, "b", "orders", &schema, &rows, 1500).unwrap();
+        let mut ctx = QueryContext::new(store);
+        ctx.scan_threads = 1;
+        let probe = GroupLeaf {
+            ctx,
+            table,
+            stmt: parse_select("SELECT o_orderpriority, o_totalprice FROM orders").unwrap(),
+            rows: rows.len() as u64,
+        };
+        let counts = |rows: Vec<Row>| -> Vec<(Value, Value)> {
+            rows.into_iter()
+                .map(|r| (r[0].clone(), r[1].clone()))
+                .collect()
+        };
+        assert_eq!(counts(probe.replay()), counts(probe.leaf()));
+        probe
+    }
+
+    fn replay(&self) -> Vec<Row> {
+        let ctx = self.ctx.scoped();
+        let aggs = vec![(AggFunc::Count, None), (AggFunc::Sum, Some(1))];
+        let mut acc = ops::GroupByAccumulator::new(vec![0], aggs);
+        let mut stats = Default::default();
+        scan(
+            &ctx,
+            &self.table,
+            ScanSource::Plain,
+            &self.stmt,
+            None,
+            |batch| acc.update_batch(&batch.rows, &mut stats),
+        )
+        .unwrap();
+        acc.finish(&mut stats)
+    }
+
+    fn leaf(&self) -> Vec<Row> {
+        run_candidate(&self.ctx, &self.table, Self::SQL, "server-side", None)
+            .unwrap()
+            .rows
+    }
+}
+
+/// The group leaf against its replay (see [`GroupLeaf`]).
+fn bench_group_leaf(c: &mut Criterion) {
+    let probe = GroupLeaf::new();
+    let mut g = c.benchmark_group("scan/group_leaf");
+    g.throughput(Throughput::Elements(probe.rows));
+    g.bench_function("row_replay", |b| b.iter(|| probe.replay()));
+    g.bench_function("leaf_1_thread", |b| b.iter(|| probe.leaf()));
+    g.finish();
+}
+
+/// Fails the run unless `groupby-uniform`'s leaf, folding in its one
+/// worker, takes at most the time of the replay that ships rows to a
+/// consumer-side fold: a grouping operator over a scan must build no row
+/// per input row. Interleaved rounds, fastest round of each, as in
+/// [`bloom_probe_gate`].
+fn group_leaf_gate() -> Result<(), String> {
+    let probe = GroupLeaf::new();
+    let [replay, leaf] = fastest_rounds(
+        15,
+        [&discarding(|| probe.replay()), &discarding(|| probe.leaf())],
+    );
+    let ratio = leaf / replay;
+    println!(
+        "scan/group_leaf gate: groupby-uniform's leaf folding in its worker takes {ratio:.2}x \
+         the row replay (must be <= 1.0)"
+    );
+    if ratio > 1.0 {
+        return Err(format!(
+            "groupby-uniform's leaf takes {ratio:.2}x shipping its rows to a consumer-side \
+             fold: folding in the worker is costing more than the rows it saves"
+        ));
+    }
+    Ok(())
+}
+
 /// Predicate filter over 20k rows: vectorized selection-vector kernel vs
 /// the row evaluator. Both charge identical CPU units; only wall-clock
 /// differs.
@@ -947,11 +1049,14 @@ fn bench_filter(c: &mut Criterion) {
     g.finish();
 }
 
-/// SUM over a float column (NULLs skipped), per-row
-/// `Accumulator::update` — the engine's sinks fold rows; a change that
-/// folds column vectors there adds its twin here.
+/// `SUM(bal)` over 20k rows (NULLs skipped): per-row
+/// `Accumulator::update`, and its column-vector twin — the fold the
+/// Select engine's executor runs for an aggregate statement, over the
+/// rows as one ColumnarLite object (4 096-row groups, the `bal` chunks
+/// decoded into a vector each), what a grouped scan leaf's worker runs.
 fn bench_aggregate(c: &mut Criterion) {
     let rows = sample_rows(N);
+    let fold = ExecutorFold::new("SELECT SUM(bal) FROM t", &[]);
 
     let mut g = c.benchmark_group("aggregate");
     g.throughput(Throughput::Elements(N as u64));
@@ -964,14 +1069,17 @@ fn bench_aggregate(c: &mut Criterion) {
             black_box(acc.finish())
         })
     });
+    g.bench_function("columnar_sum_20k", |b| b.iter(|| black_box(fold.run())));
     g.finish();
 }
 
-/// Hash group-by (200 groups, SUM + COUNT), batch update of rows (see
+/// Hash group-by (200 groups, SUM + COUNT): a batch update of rows, and
+/// its column-vector twin through the executor's fold (see
 /// [`bench_aggregate`]).
 fn bench_groupby(c: &mut Criterion) {
     let rows = sample_rows(N);
     let aggs = vec![(AggFunc::Sum, Some(2)), (AggFunc::Count, None)];
+    let fold = ExecutorFold::new("SELECT name, SUM(bal), COUNT(*) FROM t", &["name"]);
 
     let mut g = c.benchmark_group("groupby");
     g.throughput(Throughput::Elements(N as u64));
@@ -983,7 +1091,42 @@ fn bench_groupby(c: &mut Criterion) {
             black_box(acc.finish(&mut stats))
         })
     });
+    g.bench_function("columnar_20k", |b| b.iter(|| black_box(fold.run())));
     g.finish();
+}
+
+/// An aggregate statement over the 20k sample rows as one ColumnarLite
+/// object, run by the Select engine's executor: the column-vector twin
+/// of the row folds above.
+struct ExecutorFold {
+    reader: ColumnarReader,
+    bound: BoundSelect,
+}
+
+impl ExecutorFold {
+    fn new(sql: &str, group_by: &[&str]) -> Self {
+        let group_by: Vec<String> = group_by.iter().map(|c| c.to_string()).collect();
+        let stmt = parse_select(sql).unwrap();
+        let bound = Binder::new(&sample_schema())
+            .bind_grouped(&stmt, &group_by)
+            .unwrap();
+        ExecutorFold {
+            reader: ColumnarReader::open(encoded().into()).unwrap(),
+            bound,
+        }
+    }
+
+    fn run(&self) -> Vec<Row> {
+        let mut rows = Vec::new();
+        let mut sink = |row| {
+            rows.push(row);
+            Ok(())
+        };
+        let mut exec = Executor::new(&self.bound, None, &mut sink);
+        exec.scan(Object::Columnar(&self.reader), &[]).unwrap();
+        exec.finish().unwrap();
+        rows
+    }
 }
 
 /// Top-100 by float key: row heap push vs columnar push (a row
@@ -1025,6 +1168,7 @@ criterion_group!(
     bench_join_fold,
     bench_threshold_select,
     bench_topk_leaf,
+    bench_group_leaf,
     bench_filter,
     bench_aggregate,
     bench_groupby,
@@ -1040,6 +1184,7 @@ fn main() {
         join_q12_gate,
         join_fold_gate,
         threshold_select_gate,
+        group_leaf_gate,
     ] {
         if let Err(why) = gate() {
             eprintln!("kernels: {why}");

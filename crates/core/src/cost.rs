@@ -52,16 +52,16 @@ use crate::context::QueryContext;
 use crate::metrics::QueryMetrics;
 use crate::ops;
 use crate::plan::{
-    case_when_chunk, case_when_stmt, counted_aggs, covers, finished_by, folded_join, hybrid_leaf,
-    join_matches, narrow_row, populous, scan_stmt, threshold_predicate, Matches, OpReport, Order,
-    PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
+    case_when_chunk, case_when_stmt, counted_aggs, covers, finished_by, folded_join, grouped_leaf,
+    hybrid_leaf, join_matches, narrow_row, populous, scan_stmt, threshold_predicate, GroupedLeaf,
+    Matches, OpReport, Order, PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
 };
 use crate::scan::{striped_share, ScanLimit, ScanSource};
 use crate::shape::{compose, Outcome, Own};
 use pushdown_bloom::BloomPlan;
 use pushdown_cache::{Access, ObjectOccupancy, SegmentCache};
 use pushdown_common::perf::PhaseStats;
-use pushdown_common::{Result, Schema, Value};
+use pushdown_common::{Error, Result, Schema, Value};
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::ast::BinOp;
 use pushdown_sql::bind::Binder;
@@ -877,13 +877,18 @@ impl Estimator<'_> {
     ///   touches partitions one after the other until the sample fills,
     ///   one phase; a striped sample asks every partition with a share
     ///   for it.
+    ///
+    /// A grouped leaf's workers ship their partials, not their rows:
+    /// `folds` says what those are for the rows the leaf keeps.
     fn scan(
         &self,
         predicate: &Option<Expr>,
         projection: &Option<Vec<String>>,
         source: ScanSource,
         inj: Injected,
+        folds: Option<&dyn Fn(f64) -> Card>,
     ) -> Result<(PhaseStats, Card, Nodes)> {
+        let shipped = |card: Card| Some(folds.map_or(card, |f| f(card.rows)));
         let sel = self.selectivity(predicate.as_ref());
         let terms = predicate.as_ref().map_or(0, Expr::term_count);
         let width = self.projected_row_bytes(projection);
@@ -900,7 +905,7 @@ impl Estimator<'_> {
                 let plain = self.plain_load(extra);
                 let reads = (source == ScanSource::Cached)
                     .then(|| self.cached_reads(predicate, projection));
-                let nodes = self.per_node(plain, Some(card), reads, |_| true);
+                let nodes = self.per_node(plain, shipped(card), reads, |_| true);
                 let stats = match reads {
                     Some(reads) if nodes.is_empty() => self.cached_load(extra, reads)?,
                     _ => plain,
@@ -915,7 +920,7 @@ impl Estimator<'_> {
                     rows,
                     row_bytes: width,
                 };
-                let nodes = self.per_node(stats, Some(card), None, |_| true);
+                let nodes = self.per_node(stats, shipped(card), None, |_| true);
                 return Ok((stats, card, nodes));
             }
             ScanSource::Select(Some(limit)) => limit,
@@ -1055,11 +1060,6 @@ fn predict_handing(
     hand: Matches,
 ) -> Result<Predicted> {
     let walk = |i: usize, inj: Injected| predict_node(ests, &node.children[i], inj);
-    // A grouping operator's input, handed to it as it folds a join.
-    let input = |inj: Injected| match join_matches(ests.ctx, node) {
-        Some(hand) => predict_handing(ests, &node.children[0], inj, hand),
-        None => walk(0, inj),
-    };
     let (own, children, card) = match &node.op {
         PlanOp::Scan {
             table,
@@ -1067,19 +1067,8 @@ fn predict_handing(
             projection,
             source,
         } => {
-            let (stats, card, nodes) = ests.of(table).scan(predicate, projection, *source, inj)?;
-            (Own::Leaf(stats, nodes), Vec::new(), card)
-        }
-        PlanOp::PushdownAggregate {
-            table,
-            stmt,
-            group_by,
-            order,
-        } => {
             let est = ests.of(table);
-            let (mut stats, mut card) = est.pushdown_aggregate(stmt, group_by);
-            finish_groups(order, &mut stats, &mut card);
-            let nodes = est.per_node(stats, None, None, |_| true);
+            let (stats, card, nodes) = est.scan(predicate, projection, *source, inj, None)?;
             (Own::Leaf(stats, nodes), Vec::new(), card)
         }
         PlanOp::HashJoin {
@@ -1134,89 +1123,16 @@ fn predict_handing(
             };
             (Own::Stats(cpu_phase(cc.rows)), vec![child], card)
         }
-        PlanOp::Project { exprs } => {
-            let width: f64 = exprs
-                .iter()
-                .map(|e| match e {
-                    Expr::Column(name) => col_width_in(ests, name),
-                    _ => AGG_VALUE_WIDTH,
-                })
-                .sum::<f64>()
-                + exprs.len() as f64;
+        PlanOp::Project { .. } => {
             let (child, cc) = predict_handing(ests, &node.children[0], inj, hand)?;
             let card = Card {
                 rows: cc.rows,
-                row_bytes: width,
+                row_bytes: project_width(ests, node),
             };
             (Own::Stats(cpu_phase(cc.rows)), vec![child], card)
         }
-        PlanOp::GroupBy { keys, aggs, order } => {
-            let (child, cc) = input(inj)?;
-            // Group count: NDV product over the group keys — the
-            // expressions of the Project the planner places below, or,
-            // where there is none, the input columns they name.
-            let below = &node.children[0];
-            let names = below.schema.names();
-            let groups = keys
-                .iter()
-                .map(|&k| match &below.op {
-                    PlanOp::Project { exprs } => match &exprs[k] {
-                        Expr::Column(name) => col_ndv(ests, name),
-                        _ => cc.rows.sqrt().max(1.0),
-                    },
-                    _ => col_ndv(ests, names[k]),
-                })
-                .product::<f64>()
-                .min(cc.rows)
-                .max(1.0);
-            // A join's match is read as its keys and arguments only.
-            let row_bytes = match folded_join(node) {
-                Some((_, None)) => {
-                    let (cols, _) = narrow_row(keys, aggs);
-                    let widths = cols.iter().map(|&c| col_width_in(ests, names[c]));
-                    widths.sum::<f64>() + cols.len() as f64
-                }
-                _ => cc.row_bytes,
-            };
-            let cc = Card { row_bytes, ..cc };
-            let mut card = Card {
-                rows: groups,
-                row_bytes: cc.row_bytes + aggs.len() as f64 * AGG_VALUE_WIDTH,
-            };
-            let work = cc.rows + groups;
-            let mut stats = cpu_phase(work);
-            let Some(cluster) = ests.ctx.spread() else {
-                finish_groups(order, &mut stats, &mut card);
-                return Ok((
-                    compose(ests.ctx, node, Own::Stats(stats), vec![child])?,
-                    card,
-                ));
-            };
-            // On a cluster, as the executor runs it: the rows shuffle to
-            // their group's node — the expected cross-node share of their
-            // serialized volume — every node aggregates its share side by
-            // side, then the groups merge back into key order.
-            let n = cluster.n() as f64;
-            let shuffled = cc.rows * cc.row_bytes * (n - 1.0) / n;
-            let share = PhaseStats {
-                exchange_bytes: (shuffled / n) as u64,
-                ..cpu_phase(work / n)
-            };
-            let mut merge = cpu_phase(ops::sort_units(groups.round() as u64) as f64);
-            finish_groups(order, &mut merge, &mut card);
-            stats.exchange_bytes = shuffled as u64;
-            stats.merge(&merge);
-            let own = Own::Partitioned(stats, vec![share; cluster.n()], merge);
-            (own, vec![child], card)
-        }
-        PlanOp::Aggregate { aggs } => {
-            let (child, cc) = input(inj)?;
-            let card = Card {
-                rows: 1.0,
-                row_bytes: aggs.len() as f64 * AGG_VALUE_WIDTH,
-            };
-            let own = Own::Stats(cpu_phase(cc.rows * aggs.len().max(1) as f64));
-            (own, vec![child], card)
+        PlanOp::GroupBy { .. } | PlanOp::Aggregate { .. } | PlanOp::PushdownAggregate { .. } => {
+            return predict_grouping(ests, node, inj);
         }
         PlanOp::Sort(order) => {
             let (child, cc) = walk(0, inj)?;
@@ -1365,6 +1281,171 @@ fn predict_handing(
         }
     };
     Ok((compose(ests.ctx, node, own, children)?, card))
+}
+
+/// A grouping operator — [`PlanOp::GroupBy`], [`PlanOp::Aggregate`] or
+/// a pushed aggregate — priced as the executor runs it. A pushed
+/// aggregate is its one storage-side pass
+/// ([`Estimator::pushdown_aggregate`]). Over a scan leaf
+/// ([`grouped_leaf`]) the workers fold the rows the scan keeps — through
+/// the Project between them, if there is one, at a unit per row — and
+/// ship their partials, one per group a partition holds (a scalar
+/// aggregate's one per partition), which the operator merges at a unit
+/// each; over anything else it folds its input as it arrives, a join's
+/// matches in place. Either way it charges its units per input row (a
+/// scalar aggregate one per aggregate) and a group-by one per group. On a
+/// cluster a group-by's partials, or its input rows, shuffle to their
+/// group's node — the expected cross-node share of their volume — every
+/// node aggregates its share side by side, then the groups merge back
+/// into key order.
+fn predict_grouping(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result<Predicted> {
+    let ctx = ests.ctx;
+    let below = &node.children.first().unwrap_or(node);
+    let names = below.schema.names();
+    // Group count: NDV product over the group keys — the expressions of
+    // the Project the planner places below, or, where there is none, the
+    // input columns they name — at most the input rows.
+    let keys = match &node.op {
+        PlanOp::GroupBy { keys, .. } => &keys[..],
+        _ => &[],
+    };
+    let ndv = |rows: f64| {
+        let key = |&k: &usize| match &below.op {
+            PlanOp::Project { exprs } => match &exprs[k] {
+                Expr::Column(name) => col_ndv(ests, name),
+                _ => rows.sqrt().max(1.0),
+            },
+            _ => col_ndv(ests, names[k]),
+        };
+        keys.iter().map(key).product::<f64>().min(rows).max(1.0)
+    };
+    // What reaches the operator: a scan's partials, or its input.
+    let (input, mut cc, partials) = match grouped_leaf(node)? {
+        Some(GroupedLeaf {
+            table, scan: None, ..
+        }) => {
+            let PlanOp::PushdownAggregate {
+                stmt,
+                group_by,
+                order,
+                ..
+            } = &node.op
+            else {
+                return Err(Error::Other(format!(
+                    "{} is no pushed aggregate",
+                    node.label()
+                )));
+            };
+            let est = ests.of(table);
+            let (mut stats, mut card) = est.pushdown_aggregate(stmt, group_by);
+            finish_groups(order, &mut stats, &mut card);
+            let nodes = est.per_node(stats, None, None, |_| true);
+            return Ok((
+                compose(ctx, node, Own::Leaf(stats, nodes), Vec::new())?,
+                card,
+            ));
+        }
+        Some(leaf) => {
+            let (est, scan) = (ests.of(leaf.table), leaf.scan.expect("a scan leaf"));
+            let PlanOp::Scan {
+                predicate,
+                projection,
+                source,
+                ..
+            } = &scan.op
+            else {
+                return Err(Error::Other(format!("{} is no scan leaf", scan.label())));
+            };
+            // A partition's partial rows: one per group it holds, or one.
+            let parts = est.parts as f64;
+            let group_by = leaf.partials.group_by();
+            let folds = |rows: f64| Card {
+                rows: match group_by.is_empty() {
+                    true => parts,
+                    false => parts * ndv(rows).min(rows / parts),
+                },
+                row_bytes: est.out_row_bytes(group_by)
+                    + leaf.partials.values() as f64 * AGG_VALUE_WIDTH,
+            };
+            let (stats, mut cc, nodes) =
+                est.scan(predicate, projection, *source, inj, Some(&folds))?;
+            let mut input = compose(ctx, scan, Own::Leaf(stats, nodes), Vec::new())?;
+            if let Some(project) = leaf.project {
+                input = compose(ctx, project, Own::Stats(cpu_phase(cc.rows)), vec![input])?;
+                cc.row_bytes = project_width(ests, project);
+            }
+            (input, cc, Some(folds(cc.rows)))
+        }
+        None => {
+            let (child, cc) = match join_matches(ctx, node) {
+                Some(hand) => predict_handing(ests, below, inj, hand)?,
+                None => predict_node(ests, below, inj)?,
+            };
+            (child, cc, None)
+        }
+    };
+    let merged = partials.map_or(0.0, |p| p.rows);
+    let (aggs, per_row) = match &node.op {
+        PlanOp::Aggregate { aggs } => (aggs, aggs.len().max(1) as f64),
+        PlanOp::GroupBy { aggs, .. } => (aggs, 1.0),
+        _ => {
+            return Err(Error::Other(format!(
+                "{} is no grouping operator",
+                node.label()
+            )))
+        }
+    };
+    let PlanOp::GroupBy { order, .. } = &node.op else {
+        let card = Card {
+            rows: 1.0,
+            row_bytes: aggs.len() as f64 * AGG_VALUE_WIDTH,
+        };
+        let own = Own::Stats(cpu_phase(cc.rows * per_row + merged));
+        return Ok((compose(ctx, node, own, vec![input])?, card));
+    };
+    let groups = ndv(cc.rows);
+    // A join's match is read as its keys and arguments only.
+    if let Some((_, None)) = folded_join(node) {
+        let (cols, _) = narrow_row(keys, aggs);
+        let widths = cols.iter().map(|&c| col_width_in(ests, names[c]));
+        cc.row_bytes = widths.sum::<f64>() + cols.len() as f64;
+    }
+    let mut card = Card {
+        rows: groups,
+        row_bytes: cc.row_bytes + aggs.len() as f64 * AGG_VALUE_WIDTH,
+    };
+    let work = cc.rows + merged + groups;
+    let mut stats = cpu_phase(work);
+    let Some(cluster) = ctx.spread() else {
+        finish_groups(order, &mut stats, &mut card);
+        return Ok((compose(ctx, node, Own::Stats(stats), vec![input])?, card));
+    };
+    let n = cluster.n() as f64;
+    let moved = partials.unwrap_or(cc);
+    let shuffled = moved.rows * moved.row_bytes * (n - 1.0) / n;
+    let share = PhaseStats {
+        exchange_bytes: (shuffled / n) as u64,
+        ..cpu_phase(work / n)
+    };
+    let mut merge = cpu_phase(ops::sort_units(groups.round() as u64) as f64);
+    finish_groups(order, &mut merge, &mut card);
+    stats.exchange_bytes = shuffled as u64;
+    stats.merge(&merge);
+    let own = Own::Partitioned(stats, vec![share; cluster.n()], merge);
+    Ok((compose(ctx, node, own, vec![input])?, card))
+}
+
+/// Mean CSV width of the rows a Project computes: a column's own, a
+/// computed value's [`AGG_VALUE_WIDTH`], and the separators.
+fn project_width(ests: &Estimators<'_>, project: &PlanNode) -> f64 {
+    let PlanOp::Project { exprs } = &project.op else {
+        return AGG_VALUE_WIDTH;
+    };
+    let width = exprs.iter().map(|e| match e {
+        Expr::Column(name) => col_width_in(ests, name),
+        _ => AGG_VALUE_WIDTH,
+    });
+    width.sum::<f64>() + exprs.len() as f64
 }
 
 // ---------------------------------------------------------------------

@@ -12,10 +12,13 @@
 //!   [`hash_join`]) over those state machines for callers that already
 //!   hold materialized rows.
 //!
-//! Both hash aggregations here — [`GroupByAccumulator`] and the merge of
-//! pushed partials, [`merge_group_rows`] — run on the one group table the
-//! Select engine runs too, [`pushdown_sql::agg::GroupTable`]; what they
-//! add is the CPU charge.
+//! Both hash aggregations here — [`GroupByAccumulator`], a grouping
+//! operator's fold over a join's matches or other rows, and
+//! [`merge_group_rows`], the one merge of the partials a grouping
+//! operator's scan makes per partition (`crate::scan::Partials`, whether
+//! the Select engine, a GET or cache worker or a `filtered` leaf's worker
+//! folded them) — run on the one group table the Select engine runs too,
+//! [`pushdown_sql::agg::GroupTable`]; what they add is the CPU charge.
 //!
 //! Each operator reports its work into a [`PhaseStats`] as
 //! `server_cpu_units` so the performance model can charge compute time
@@ -370,12 +373,13 @@ pub fn hash_group_by(
     Ok(acc.finish(stats))
 }
 
-/// Merge pre-aggregated partials (e.g. one per group per source) whose
+/// Merge pre-aggregated partials (one per group per partition) whose
 /// rows are `group values ++ accumulator outputs` from `SUM`-mergeable
-/// functions, on one [`GroupTable`]: partial COUNTs merge by summing,
-/// partial SUM/MIN/MAX by the same function. (AVG must be decomposed by
-/// the caller before partials are formed.) Used when pushed partial
-/// aggregates meet on the compute node.
+/// functions, on one [`GroupTable`], in the order given: partial COUNTs
+/// merge by summing, partial SUM/MIN/MAX by the same function, one unit
+/// per partial row. (AVG must be decomposed by the caller before
+/// partials are formed.) The one merge every grouping operator over a
+/// scan runs, whichever source made its partials.
 pub fn merge_group_rows(
     parts: Vec<Vec<Row>>,
     group_width: usize,

@@ -17,7 +17,12 @@
 //! bare scan leaf under the same stack — so the paper's §IV filter,
 //! §VIII-Q6 scalar aggregate ([`PlanOp::PushdownAggregate`] is its pushed
 //! leaf) and §VI server-side / filtered group-by are trees of these
-//! operators and nothing else.
+//! operators and nothing else. A grouping operator directly over a scan
+//! leaf is a **grouped leaf** (`grouped_leaf`): it hands the leaf one
+//! grouped statement, every partition folds its rows into partials where
+//! they are read — in the engine for a pushed aggregate, in the worker
+//! for every other source — and one merge meets them in partition order,
+//! so every candidate of a statement returns the same bits.
 //!
 //! **Staged operators.** The paper's §V-A2 Bloom join, §VII sampling
 //! top-K and §VI S3-side / hybrid group-by are one shape: *phase 2's
@@ -68,7 +73,9 @@
 //!   ([`QueryMetrics::join_sides`]), which is what the planner priced;
 //! * group-by and scalar aggregation — accumulators only; a grouping
 //!   operator's ORDER BY runs over its finished groups, inside it
-//!   ([`Order`]). Over a join it is not handed joined rows at all: the
+//!   ([`Order`]). Over a scan it is handed no rows, only each
+//!   partition's partials, which it merges. Over a join it is not handed
+//!   joined rows at all: the
 //!   probe hands it each match as its (build row, probe row) pair and it
 //!   reads its keys and arguments off whichever side holds them, through
 //!   at most a Project that computes one, per match, into a reused row
@@ -113,8 +120,9 @@
 //! partition on the node owning it ([`crate::scan`]), a scan leaf reports
 //! one phase per busy node in one parallel group, each node an
 //! `Exchange[…]` child of its report, and a [`PlanOp::GroupBy`] runs
-//! partitioned — its rows shuffled by group key to one partial group-by
-//! per node.
+//! partitioned — its input shuffled by group key to one partial group-by
+//! per node: over a scan the partitions' partial rows, which the owning
+//! node merges in partition order, so the answer is the serial one.
 
 use crate::catalog::Table;
 use crate::cluster::Cluster;
@@ -123,7 +131,8 @@ use crate::metrics::{QueryMetrics, Sides};
 use crate::ops;
 use crate::output::QueryOutput;
 use crate::scan::{
-    row_exchange_bytes, scan, select_scan_aggregate, settle, CacheEffects, ScanLimit, ScanSource,
+    row_exchange_bytes, scan, scan_partials, settle, CacheEffects, Partials, ScanLimit, ScanSource,
+    ScanSummary,
 };
 use crate::shape::{compose, Outcome, Own};
 use pushdown_bloom::{BloomBuilder, BloomPlan};
@@ -170,7 +179,8 @@ pub enum PlanOp {
     /// Leaf: an aggregate statement pushed into S3 Select whole (§VIII
     /// Q6): every partition answers `stmt`'s aggregates — per group of
     /// `group_by` under the engine's §X native `GROUP BY` extension — and
-    /// the scan merges the partials.
+    /// the partials merge as every grouped leaf's do: the grouped leaf
+    /// with a Select source whose engine folds (`grouped_leaf`).
     PushdownAggregate {
         table: Table,
         stmt: SelectStmt,
@@ -221,11 +231,14 @@ pub enum PlanOp {
     /// aggregate *i* consumes input column `aggs[i].1` (`None` =
     /// `COUNT(*)`) — over a join, positions in its `build ++ probe` row,
     /// read off each match in place. One CPU unit per input row (per
-    /// match, over a join) and one per group. On a cluster its input
-    /// rows shuffle to one partial group-by per node; over a join each
-    /// match then becomes the keys-and-arguments row the shuffle moves,
-    /// one unit to build it (`Matches::Narrow`). Output sorted by group
-    /// key (deterministic) — which is
+    /// match, over a join) and one per group. Directly over a scan leaf
+    /// (or a Project over one) the partition workers fold its input rows
+    /// into partials, one per group per partition, and it merges them at
+    /// a unit each (`grouped_leaf`). On a cluster its input shuffles to
+    /// one partial group-by per node: a scan's partials, or a join's
+    /// matches as the keys-and-arguments row the shuffle moves, one unit
+    /// to build it (`Matches::Narrow`). Output sorted by group key
+    /// (deterministic) — which is
     /// what makes an ORDER BY on an ascending prefix of the group key
     /// free: the lowering stacks no sort for it, a LIMIT at most. Any
     /// other ORDER BY is the `order` the operator applies to its finished
@@ -241,7 +254,8 @@ pub enum PlanOp {
     /// Scalar aggregation: one output row, even over empty input;
     /// `aggs.len()` CPU units (at least one) per input row. Over a join
     /// it reads its arguments off each match in place, as
-    /// [`PlanOp::GroupBy`] does.
+    /// [`PlanOp::GroupBy`] does; over a scan leaf it merges a partial row
+    /// per partition, at a unit each, as a group-by does.
     Aggregate { aggs: Vec<(AggFunc, Option<usize>)> },
     /// `ORDER BY … [LIMIT k]` over anything but a grouping operator
     /// ([`Order`]). With a limit it is a bounded heap fed as rows arrive,
@@ -792,24 +806,6 @@ fn emit(ctx: &QueryContext, schema: &Schema, rows: Vec<Row>, sink: Sink<'_>) -> 
 fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
     match &node.op {
         PlanOp::Scan { .. } => scan_leaf(ctx, node, None, sink),
-        PlanOp::PushdownAggregate {
-            table,
-            stmt,
-            group_by,
-            order,
-        } => {
-            let mut scan = select_scan_aggregate(ctx, table, stmt, group_by)?;
-            let mut finish = PhaseStats::default();
-            let rows = finish_groups(order, scan.rows, &mut finish);
-            scan.stats.merge(&finish);
-            // The coordinator's finish joins the first node's phase.
-            if let Some((_, first)) = scan.nodes.first_mut() {
-                first.merge(&finish);
-            }
-            // The lowering-time schema carries the statement's aliases.
-            emit(ctx, &node.schema, rows, sink)?;
-            composed(ctx, node, Own::Leaf(scan.stats, scan.nodes), Vec::new())
-        }
         PlanOp::HashJoin { .. } | PlanOp::BloomJoin { .. } => run_join(ctx, node, Emit::Rows(sink)),
         PlanOp::LocalFilter { predicate } => {
             let child = &node.children[0];
@@ -835,36 +831,11 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             })?;
             composed(ctx, node, Own::Stats(local), vec![ran])
         }
-        PlanOp::GroupBy { keys, aggs, order } => {
-            // On a cluster: per-node partial group-bys over key-hashed
-            // buckets.
-            if let Some(cluster) = ctx.spread() {
-                return run_partitioned_group_by(ctx, node, keys, aggs, order, cluster, sink);
+        PlanOp::GroupBy { .. } | PlanOp::Aggregate { .. } | PlanOp::PushdownAggregate { .. } => {
+            match grouped_leaf(node)? {
+                Some(leaf) => run_grouped_leaf(ctx, node, leaf, sink),
+                None => run_grouping(ctx, node, sink),
             }
-            let mut acc = ops::GroupByAccumulator::new(keys.clone(), aggs.clone());
-            let mut local = PhaseStats::default();
-            let ran = fold(ctx, node, 1, &mut local, &mut |input| acc.update(input))?;
-            let rows = acc.finish(&mut local);
-            let rows = finish_groups(order, rows, &mut local);
-            emit(ctx, &node.schema, rows, sink)?;
-            composed(ctx, node, Own::Stats(local), vec![ran])
-        }
-        PlanOp::Aggregate { aggs } => {
-            let mut accs: Vec<_> = aggs.iter().map(|(f, c)| (f.accumulator(), *c)).collect();
-            let mut local = PhaseStats::default();
-            let per_row = aggs.len().max(1) as u64;
-            let ran = fold(ctx, node, per_row, &mut local, &mut |input| {
-                for (acc, col) in accs.iter_mut() {
-                    match col {
-                        Some(c) => acc.update(input.get(*c))?,
-                        None => acc.update(&Value::Bool(true))?,
-                    }
-                }
-                Ok(())
-            })?;
-            let row = Row::new(accs.iter().map(|(a, _)| a.finish()).collect());
-            emit(ctx, &node.schema, vec![row], sink)?;
-            composed(ctx, node, Own::Stats(local), vec![ran])
         }
         PlanOp::Sort(order) => {
             let child = &node.children[0];
@@ -1083,6 +1054,204 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
     }
 }
 
+/// A [`PlanOp::GroupBy`] or [`PlanOp::Aggregate`] over anything but a
+/// scan leaf ([`grouped_leaf`]): it folds its input as it arrives — a
+/// join's matches in place ([`fold`]) — on the consumer, or on a cluster
+/// a group-by shuffles it by group key to one partial group-by per node.
+fn run_grouping(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
+    match &node.op {
+        PlanOp::GroupBy { keys, aggs, order } => {
+            if let Some(cluster) = ctx.spread() {
+                return run_partitioned_group_by(ctx, node, keys, aggs, order, cluster, sink);
+            }
+            let mut acc = ops::GroupByAccumulator::new(keys.clone(), aggs.clone());
+            let mut local = PhaseStats::default();
+            let ran = fold(ctx, node, 1, &mut local, &mut |input| acc.update(input))?;
+            let rows = acc.finish(&mut local);
+            let rows = finish_groups(order, rows, &mut local);
+            emit(ctx, &node.schema, rows, sink)?;
+            composed(ctx, node, Own::Stats(local), vec![ran])
+        }
+        PlanOp::Aggregate { aggs } => {
+            let mut accs: Vec<_> = aggs.iter().map(|(f, c)| (f.accumulator(), *c)).collect();
+            let mut local = PhaseStats::default();
+            let per_row = aggs.len().max(1) as u64;
+            let ran = fold(ctx, node, per_row, &mut local, &mut |input| {
+                for (acc, col) in accs.iter_mut() {
+                    match col {
+                        Some(c) => acc.update(input.get(*c))?,
+                        None => acc.update(&Value::Bool(true))?,
+                    }
+                }
+                Ok(())
+            })?;
+            let row = Row::new(accs.iter().map(|(a, _)| a.finish()).collect());
+            emit(ctx, &node.schema, vec![row], sink)?;
+            composed(ctx, node, Own::Stats(local), vec![ran])
+        }
+        _ => Err(Error::Other(format!(
+            "{} is no grouping operator",
+            node.label()
+        ))),
+    }
+}
+
+/// A grouping operator that folds in the partition workers of the scan
+/// under it — a [`PlanOp::GroupBy`] or [`PlanOp::Aggregate`] directly
+/// over a scan leaf (or over the [`PlanOp::Project`] between them), or a
+/// [`PlanOp::PushdownAggregate`], which is that leaf with a Select source
+/// whose engine folds — as the scan runs it ([`scan_partials`]): the
+/// leaf's table, source and statement (its projection and `WHERE`), the
+/// partials every partition answers with, and the scan and Project nodes
+/// it reports over (none for a pushed aggregate, its own leaf).
+pub(crate) struct GroupedLeaf<'a> {
+    pub table: &'a Table,
+    pub source: ScanSource,
+    pub stmt: SelectStmt,
+    pub partials: Partials,
+    pub scan: Option<&'a PlanNode>,
+    pub project: Option<&'a PlanNode>,
+}
+
+/// `node` as a [`GroupedLeaf`], if it is one: a grouping operator over a
+/// whole scan whose group keys are plain columns, or a pushed aggregate.
+pub(crate) fn grouped_leaf(node: &PlanNode) -> Result<Option<GroupedLeaf<'_>>> {
+    let (keys, aggs) = match &node.op {
+        PlanOp::PushdownAggregate {
+            table,
+            stmt,
+            group_by,
+            ..
+        } => {
+            let partials = Partials::of(stmt, group_by)?;
+            let (source, stmt) = (ScanSource::Select(None), stmt.clone());
+            return Ok(Some(GroupedLeaf {
+                table,
+                source,
+                stmt,
+                partials,
+                scan: None,
+                project: None,
+            }));
+        }
+        PlanOp::GroupBy { keys, aggs, .. } => (&keys[..], aggs),
+        PlanOp::Aggregate { aggs } => (&[][..], aggs),
+        _ => return Ok(None),
+    };
+    let child = &node.children[0];
+    let (project, scan) = match &child.op {
+        PlanOp::Project { exprs } => (Some((child, exprs)), &child.children[0]),
+        _ => (None, child),
+    };
+    let PlanOp::Scan {
+        table,
+        predicate,
+        projection,
+        source: source @ (ScanSource::Plain | ScanSource::Cached | ScanSource::Select(None)),
+    } = &scan.op
+    else {
+        return Ok(None);
+    };
+    // The operator's input column `c`.
+    let input = |c: usize| match project {
+        Some((_, exprs)) => exprs[c].clone(),
+        None => Expr::col(scan.schema.field(c).name.clone()),
+    };
+    let keys = keys.iter().map(|&k| match input(k) {
+        Expr::Column(c) => Some(c),
+        _ => None,
+    });
+    let Some(group_by) = keys.collect::<Option<Vec<_>>>() else {
+        return Ok(None);
+    };
+    let aggs = aggs.iter().map(|&(f, c)| (f, c.map(input)));
+    Ok(Some(GroupedLeaf {
+        table,
+        source: *source,
+        stmt: scan_stmt(projection, predicate),
+        partials: Partials::new(&group_by, aggs),
+        scan: Some(scan),
+        project: project.map(|(p, _)| p),
+    }))
+}
+
+/// A grouped leaf ([`GroupedLeaf`]): every partition's partial rows, in
+/// partition order, met in one merge ([`Partials::merge`], a unit per
+/// partial) — on a cluster, a group-by's shuffled by group key to the
+/// node owning the group, which merges them in the same order, so the
+/// answer is the serial one bit for bit. The operator charges its units
+/// per row the workers folded (a group-by one, a scalar aggregate one per
+/// aggregate), on the nodes that folded them, beside the merge; a
+/// group-by one more per group. A Project between the operator and the
+/// scan is evaluated in the workers and charges its unit per row there.
+/// A pushed aggregate is its own leaf: the engine folded, and its
+/// partitions charged the merge.
+fn run_grouped_leaf(
+    ctx: &QueryContext,
+    node: &PlanNode,
+    leaf: GroupedLeaf<'_>,
+    sink: Sink<'_>,
+) -> Result<Ran> {
+    let pushed = leaf.scan.is_none();
+    let (table, source, partials) = (leaf.table, leaf.source, &leaf.partials);
+    let (rows, mut summary) = scan_partials(ctx, table, source, &leaf.stmt, partials, pushed)?;
+    let order = node.op.order().cloned();
+    let (mut local, per_row) = (
+        PhaseStats::default(),
+        match &node.op {
+            PlanOp::Aggregate { aggs } => aggs.len().max(1) as u64,
+            _ => 1,
+        },
+    );
+    let by_node = std::mem::take(&mut summary.folded);
+    let folded: u64 = by_node.iter().map(|(_, n)| n).sum();
+    local.server_cpu_units = per_row * folded;
+    let Some(scan_node) = leaf.scan else {
+        let rows = partials.merge(rows, &mut PhaseStats::default())?;
+        let rows = finish_groups(&order, rows, &mut local);
+        let (mut stats, mut nodes) = (summary.stats, summary.nodes);
+        stats.merge(&local);
+        // The coordinator's finish joins the first node's phase.
+        if let Some((_, first)) = nodes.first_mut() {
+            first.merge(&local);
+        }
+        // The lowering-time schema carries the statement's aliases.
+        emit(ctx, &node.schema, rows, sink)?;
+        return composed(ctx, node, Own::Leaf(stats, nodes), Vec::new());
+    };
+    let mut ran = leaf_ran(ctx, scan_node, summary)?;
+    if let Some(project) = leaf.project {
+        let units = PhaseStats {
+            server_cpu_units: folded,
+            ..Default::default()
+        };
+        ran = composed(ctx, project, Own::Stats(units), vec![ran])?;
+    }
+    let grouped = matches!(node.op, PlanOp::GroupBy { .. });
+    let (rows, own) = match ctx.spread().filter(|_| grouped) {
+        Some(cluster) => {
+            let mut shares = vec![PhaseStats::default(); cluster.n()];
+            for (k, n) in by_node {
+                shares[k].server_cpu_units += per_row * n;
+            }
+            let merge = |bucket, st: &mut PhaseStats| {
+                let groups = partials.merge(bucket, st)?;
+                st.server_cpu_units += groups.len() as u64;
+                Ok(groups)
+            };
+            let keys: Vec<usize> = (0..partials.group_by().len()).collect();
+            shuffled(cluster, rows, &keys, keys.len(), merge, shares, &order)?
+        }
+        None => {
+            let rows = partials.merge(rows, &mut local)?;
+            local.server_cpu_units += if grouped { rows.len() as u64 } else { 0 };
+            (finish_groups(&order, rows, &mut local), Own::Stats(local))
+        }
+    };
+    emit(ctx, &node.schema, rows, sink)?;
+    composed(ctx, node, own, vec![ran])
+}
+
 /// Pass a transformed batch on, unless the operator emptied it.
 fn forward(batch: RowBatch, sink: Sink<'_>) -> Result<()> {
     if batch.is_empty() {
@@ -1282,7 +1451,9 @@ fn fold(
 
 /// The `ORDER BY keys LIMIT k` a [`PlanOp::Sort`] hands down to the GET
 /// or cache scan leaf directly below it, and where the sort reports its
-/// work.
+/// work — the reducer's counterpart of a grouping operator's
+/// [`Partials`], which a grouped leaf hands down to every source
+/// (`grouped_leaf`).
 struct Best<'a> {
     keys: &'a [(usize, bool)],
     k: usize,
@@ -1313,16 +1484,27 @@ fn scan_leaf(
     let best_keys = best.as_ref().map(|best| (best.keys, best.k));
     let stmt = scan_stmt(projection, predicate);
     let summary = scan(ctx, table, *source, &stmt, best_keys, sink)?;
-    let mut stats = summary.stats;
-    stats.merge(&summary.op_stats);
     if let Some(best) = best {
         best.work.merge(&summary.reduce_stats);
     }
+    leaf_ran(ctx, node, summary)
+}
+
+/// What scan leaf `node` reports of the scan it ran: its footprint (the
+/// statement's `WHERE` included) over one phase, or one per node it ran
+/// on, and the rows' schema. The EXPLAIN tree reports a cached leaf's
+/// hit/miss/fill split.
+fn leaf_ran(ctx: &QueryContext, node: &PlanNode, summary: ScanSummary) -> Result<Ran> {
+    let mut stats = summary.stats;
+    stats.merge(&summary.op_stats);
     let own = Own::Leaf(stats, summary.nodes);
     let mut ran = composed(ctx, node, own, Vec::new())?;
     ran.schema = summary.schema;
-    // The EXPLAIN tree reports a cached leaf's hit/miss/fill split.
-    if *source == ScanSource::Cached {
+    if let PlanOp::Scan {
+        source: ScanSource::Cached,
+        ..
+    } = node.op
+    {
         let hits = summary.hit_parts;
         let parts = hits + summary.fill_parts;
         let label = &mut ran.outcome.report.label;
@@ -1479,7 +1661,11 @@ fn case_when_aggregate(
                 alias: None,
             });
         }
-        let scan = select_scan_aggregate(ctx, table, &stmt, &[])?;
+        // One pushed scalar aggregate: a partial row per partition.
+        let partials = Partials::of(&stmt, &[])?;
+        let source = ScanSource::Select(None);
+        let (rows, scan) = scan_partials(ctx, table, source, &stmt, &partials, true)?;
+        let rows = partials.merge(rows, &mut PhaseStats::default())?;
         pass.stats.merge(&scan.stats);
         for (k, share) in scan.nodes {
             match pass.nodes.iter_mut().find(|(id, _)| *id == k) {
@@ -1487,7 +1673,7 @@ fn case_when_aggregate(
                 None => pass.nodes.push((k, share)),
             }
         }
-        let mut values = scan.rows[0].values();
+        let mut values = rows[0].values();
         if count_kept {
             let (last, rest) = values.split_last().expect("the COUNT(*) item");
             pass.kept = Some(last.as_i64()? as u64);
@@ -1818,16 +2004,14 @@ pub(crate) fn narrow_row(
     (cols, aggs)
 }
 
-/// A group-by on a cluster of `n` nodes: hash the child's rows on the
-/// group key into one bucket per node, aggregate each bucket in parallel,
-/// and merge by re-sorting on the group key — each group lives wholly in
-/// one bucket with its rows in original order, so aggregate values and
-/// the final sorted output are bit-identical to the serial operator. Each
-/// node meters what it receives of the all-to-all shuffle (the expected
-/// cross-node share under uniformly spread producers) as exchange. The
-/// merge is the operator's finish: its order, if it has one, runs there.
-/// Over a join ([`folded_join`]) each match shuffles as the row of its
-/// keys and arguments ([`narrow_row`]), never the joined one.
+/// A group-by on a cluster of `n` nodes over anything but a scan leaf
+/// ([`run_grouped_leaf`] shuffles a scan's partials instead): the
+/// child's rows, shuffled by group key ([`shuffled`]), aggregated per node
+/// — each group lives wholly in one bucket with its rows in their order,
+/// so aggregate values and the sorted output are bit-identical to the
+/// serial operator's. Over a join ([`folded_join`]) each match shuffles as
+/// the row of its keys and arguments ([`narrow_row`]), never the joined
+/// one.
 fn run_partitioned_group_by(
     ctx: &QueryContext,
     node: &PlanNode,
@@ -1837,40 +2021,67 @@ fn run_partitioned_group_by(
     cluster: &Cluster,
     sink: Sink<'_>,
 ) -> Result<Ran> {
-    let n = cluster.n();
-    let mut buckets: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
-    let mut bucket_bytes = vec![0u64; n];
     let (narrow, narrow_aggs) = narrow_row(keys, aggs);
     let folds = folded_join(node).is_some();
     let (group_cols, aggs) = match folds {
         true => ((0..keys.len()).collect(), narrow_aggs.as_slice()),
         false => (keys.to_vec(), aggs),
     };
-    let mut take = |row: Row| {
-        let t = route_row(&row, &group_cols, n);
-        bucket_bytes[t] += row_exchange_bytes(&row);
-        buckets[t].push(row);
-    };
+    let mut rows = Vec::new();
     let child = match folds {
         true => fold(ctx, node, 0, &mut PhaseStats::default(), &mut |input| {
-            take(Row::new(
+            rows.push(Row::new(
                 narrow.iter().map(|&c| input.get(c).clone()).collect(),
             ));
             Ok(())
         })?,
         false => run(ctx, &node.children[0], &mut |batch| {
-            batch.rows.into_iter().for_each(&mut take);
+            rows.extend(batch.rows);
             Ok(())
         })?,
     };
+    let group =
+        |bucket: Vec<Row>, st: &mut PhaseStats| ops::hash_group_by(&bucket, &group_cols, aggs, st);
+    let shares = vec![PhaseStats::default(); cluster.n()];
+    let (rows, own) = shuffled(cluster, rows, &group_cols, keys.len(), group, shares, order)?;
+    emit(ctx, &node.schema, rows, sink)?;
+    composed(ctx, node, own, vec![child])
+}
+
+/// A partitioned group-by's shuffle: `rows` hashed on their columns
+/// `route` into one bucket per node of `cluster`, in their order, each
+/// bucket aggregated by `group` on its node in parallel into rows that
+/// lead with `width` group columns, and the groups merged back by
+/// re-sorting on them — the merge is the operator's finish, so its
+/// `order`, if it has one, runs there. Each node meters what it receives
+/// of the all-to-all shuffle (the expected cross-node share under
+/// uniformly spread producers) as exchange, beside what `shares` says it
+/// did before the shuffle.
+fn shuffled(
+    cluster: &Cluster,
+    rows: Vec<Row>,
+    route: &[usize],
+    width: usize,
+    group: impl Fn(Vec<Row>, &mut PhaseStats) -> Result<Vec<Row>> + Sync,
+    mut shares: Vec<PhaseStats>,
+    order: &Option<Order>,
+) -> Result<(Vec<Row>, Own)> {
+    let n = cluster.n();
+    let mut buckets: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
+    let mut bucket_bytes = vec![0u64; n];
+    for row in rows {
+        let t = route_row(&row, route, n);
+        bucket_bytes[t] += row_exchange_bytes(&row);
+        buckets[t].push(row);
+    }
     let results: Vec<Result<(Vec<Row>, PhaseStats)>> = std::thread::scope(|s| {
         let handles: Vec<_> = buckets
-            .iter()
+            .into_iter()
             .map(|bucket| {
-                let group_cols = &group_cols;
+                let group = &group;
                 s.spawn(move || {
                     let mut st = PhaseStats::default();
-                    let rows = ops::hash_group_by(bucket, group_cols, aggs, &mut st)?;
+                    let rows = group(bucket, &mut st)?;
                     Ok((rows, st))
                 })
             })
@@ -1880,27 +2091,25 @@ fn run_partitioned_group_by(
             .map(|h| h.join().expect("group-by node thread panicked"))
             .collect()
     });
-    let mut shares = Vec::with_capacity(n);
     let mut parts: Vec<Vec<Row>> = Vec::with_capacity(n);
     let mut actual = PhaseStats::default();
     for (k, r) in results.into_iter().enumerate() {
-        let (rows, mut st) = r?;
+        let (rows, st) = r?;
         let received = bucket_bytes[k] - bucket_bytes[k] / n as u64;
-        st.exchange_bytes += received;
+        let share = &mut shares[k];
+        share.merge(&st);
+        share.exchange_bytes += received;
         let shipped = &cluster.node(k).exchange_bytes;
         shipped.fetch_add(received, std::sync::atomic::Ordering::Relaxed);
-        actual.merge(&st);
-        shares.push(st);
+        actual.merge(share);
         parts.push(rows);
     }
     let mut merge_stats = PhaseStats::default();
-    let sort_keys: Vec<(usize, bool)> = (0..keys.len()).map(|i| (i, true)).collect();
+    let sort_keys: Vec<(usize, bool)> = (0..width).map(|i| (i, true)).collect();
     let rows = ops::sort_rows_by_keys(parts.concat(), &sort_keys, &mut merge_stats);
     let rows = finish_groups(order, rows, &mut merge_stats);
     actual.merge(&merge_stats);
-    emit(ctx, &node.schema, rows, sink)?;
-    let own = Own::Partitioned(actual, shares, merge_stats);
-    composed(ctx, node, own, vec![child])
+    Ok((rows, Own::Partitioned(actual, shares, merge_stats)))
 }
 
 #[cfg(test)]

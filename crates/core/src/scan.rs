@@ -13,8 +13,9 @@
 //!   them), whole or cut short to a sample ([`ScanLimit`]).
 //!
 //! [`select_scan_streamed`] and [`select_scan`] run a statement's
-//! samples; [`select_scan_aggregate`] merges the partitions' aggregates
-//! instead of streaming rows.
+//! samples; `scan_partials` runs a grouping operator's statement,
+//! every partition answering with its partials, which [`Partials`]
+//! merges.
 //!
 //! # Streaming execution
 //!
@@ -54,7 +55,12 @@
 //!
 //! The scan takes the leaf's statement — a projection (or `*`) and a
 //! `WHERE`, as [`crate::plan`] builds it — and, for a GET or cache read,
-//! optionally the `ORDER BY … LIMIT k` of the sort above it. A Select
+//! optionally the `ORDER BY … LIMIT k` of the sort above it; or, for a
+//! grouping operator above it, that operator's grouped statement
+//! (`scan_partials`), which every source folds into one partial row
+//! per group per partition: the engine for a pushed aggregate, the
+//! worker for a GET or cache read and for a Select leaf that returned
+//! rows. A Select
 //! source ships the statement; a GET or cache read runs the **same
 //! statement through the same executor**, the Select engine's
 //! ([`pushdown_select::Executor`]), **inside the worker that decoded the
@@ -67,17 +73,21 @@
 //! the ones the Select leaf returns. The local read prunes no row group:
 //! the pricer prices it whole. What the statement's `WHERE` charges
 //! (one unit per row it sees) is summed per worker
-//! ([`ScanSummary::op_stats`]), and the reducer's (`log2 K` per
-//! candidate) is reported apart ([`ScanSummary::reduce_stats`]); all
-//! counts are `u64`, so the totals are the ones consumer-side operators
-//! would have charged. **Ordering guarantee:** the consumer drains
-//! partitions in index order and a worker emits a partition's survivors
-//! in storage order, so the sink sees exactly the subsequence of the
-//! table a consumer-side filter would have kept, whatever `scan_threads`
-//! and `batch_rows` are — float sums, group first-seen order and ties
-//! stay put. (The top-K reducer emits each partition's best K in storage
-//! order too, so `ORDER BY … LIMIT k` breaks its ties the way a stable
-//! sort of the whole table would.)
+//! ([`ScanSummary::op_stats`]), the reducer's (`log2 K` per candidate)
+//! is reported apart ([`ScanSummary::reduce_stats`]) and so are the rows
+//! folded into partials, per node ([`ScanSummary::folded`]); all counts
+//! are `u64`, so the totals are the ones consumer-side operators would
+//! have charged. **Ordering guarantee:** the consumer drains partitions
+//! in index order and a worker emits a partition's survivors in storage
+//! order, so the sink sees exactly the subsequence of the table a
+//! consumer-side filter would have kept, whatever `scan_threads` and
+//! `batch_rows` are, and ties stay put. (The top-K reducer emits each
+//! partition's best K in storage order too, so `ORDER BY … LIMIT k`
+//! breaks its ties the way a stable sort of the whole table would.)
+//! Aggregates follow the **partial-per-partition rule**: a partition's
+//! rows fold in row order into its partials, and the partials merge in
+//! partition order, so a float sum is the sum of the partitions' sums
+//! whichever source folded them.
 //!
 //! The older closure-taking entry points ([`plain_scan_streamed`],
 //! [`cached_scan_streamed`], [`plain_scan`]) are forwarding shims over
@@ -91,13 +101,14 @@ use crate::ops;
 use pushdown_cache::{Access, WeakSegmentCache};
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::row::{BatchBuilder, RowBatch};
-use pushdown_common::{DataType, Error, Field, Result, Row, Schema, Value};
+use pushdown_common::{Error, Result, Row, Schema, Value};
 use pushdown_format::columnar::ColumnarReader;
 use pushdown_s3::S3Store;
 use pushdown_select::{Executor, InputFormat, Object, Work};
 use pushdown_sql::agg::{AggFunc, TopKAccumulator};
 use pushdown_sql::ast::{ExtendedSelect, SelectItem, SelectStmt};
 use pushdown_sql::bind::{Binder, BoundSelect};
+use pushdown_sql::Expr;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -132,6 +143,10 @@ pub struct ScanSummary {
     /// CPU units its top-K reducer charged there — the work of the
     /// `ORDER BY … LIMIT` above the scan, done below it.
     pub reduce_stats: PhaseStats,
+    /// Per node the partitions ran on, by id, the rows its workers folded
+    /// into partials (`scan_partials`) — the input rows of the grouping
+    /// operator above the scan; zero for a scan of rows.
+    pub folded: Vec<(usize, u64)>,
     /// Partitions served entirely from the local segment cache (either
     /// tier, no remote bytes).
     pub hit_parts: u64,
@@ -487,6 +502,30 @@ fn decode_partition(
     ctx: &QueryContext,
     bound: &BoundSelect,
     best: Option<(&[(usize, bool)], usize)>,
+    emit: impl FnMut(RowBatch) -> Result<()>,
+) -> Result<(u64, Work)> {
+    match table.format {
+        InputFormat::Csv => {
+            let [(0, data)] = &parts[..] else {
+                return Err(Error::Other("a CSV partition is decoded whole".into()));
+            };
+            run_fragment(Object::Csv(data, &table.schema), bound, ctx, best, emit)
+        }
+        InputFormat::Columnar => {
+            let reader = ColumnarReader::open_parts(parts)?;
+            run_fragment(Object::Columnar(&reader), bound, ctx, best, emit)
+        }
+    }
+}
+
+/// [`Executor::scan`] of `object` under `bound`, reduced through `best`
+/// if given, its rows pushed to `emit` in batches of at most
+/// `ctx.batch_rows`: the rows decoded, and what the operators did.
+fn run_fragment(
+    object: Object<'_>,
+    bound: &BoundSelect,
+    ctx: &QueryContext,
+    best: Option<(&[(usize, bool)], usize)>,
     mut emit: impl FnMut(RowBatch) -> Result<()>,
 ) -> Result<(u64, Work)> {
     let mut batch = BatchBuilder::new(bound.output_schema.clone(), ctx.batch_rows.max(1));
@@ -496,18 +535,7 @@ fn decode_partition(
         None => Ok(()),
     };
     let mut exec = Executor::new(bound, best, &mut push);
-    let scanned = match table.format {
-        InputFormat::Csv => {
-            let [(0, data)] = &parts[..] else {
-                return Err(Error::Other("a CSV partition is decoded whole".into()));
-            };
-            exec.scan(Object::Csv(data, &table.schema), &[])?
-        }
-        InputFormat::Columnar => {
-            let reader = ColumnarReader::open_parts(parts)?;
-            exec.scan(Object::Columnar(&reader), &[])?
-        }
-    };
+    let scanned = exec.scan(object, &[])?;
     let work = exec.finish()?;
     batch.finish().map_or(Ok(()), emit)?;
     Ok((scanned.rows, work))
@@ -555,26 +583,91 @@ pub fn scan(
     source: ScanSource,
     stmt: &SelectStmt,
     best: Option<(&[(usize, bool)], usize)>,
-    mut sink: impl FnMut(RowBatch) -> Result<()>,
+    sink: impl FnMut(RowBatch) -> Result<()>,
 ) -> Result<ScanSummary> {
     if best.is_some() && matches!(source, ScanSource::Select(_)) {
         return Err(Error::Other("a Select scan takes no top-K reducer".into()));
     }
-    // A GET or cache read runs the statement here, bound once.
-    let bound = match source {
-        ScanSource::Select(Some(limit)) => {
-            return select_scan_streamed(ctx, table, stmt, Some(limit), sink)
+    if let ScanSource::Select(Some(limit)) = source {
+        return select_scan_streamed(ctx, table, stmt, Some(limit), sink);
+    }
+    scan_fragment(ctx, table, source, stmt, Fragment::Rows(best), sink)
+}
+
+/// The scan of a grouping operator's input, folded where it is read
+/// ([`Partials`]): every partition's partial rows, in partition order —
+/// one per group its rows of `leaf` (the leaf's statement: its
+/// projection and `WHERE`) hold, a scalar aggregate's one even over no
+/// row. A GET or cache read runs the grouped statement through the
+/// Select engine's executor in the worker that decodes the partition; a
+/// Select source ships it, `pushed`, where the engine runs it — a scalar
+/// aggregate, or a `GROUP BY` under §X's native extension — or else ships
+/// `leaf` and folds the response in the worker that received it. Rows
+/// the workers fold are counted per node ([`ScanSummary::folded`]); what
+/// the engine folds is its own.
+pub(crate) fn scan_partials(
+    ctx: &QueryContext,
+    table: &Table,
+    source: ScanSource,
+    leaf: &SelectStmt,
+    partials: &Partials,
+    pushed: bool,
+) -> Result<(Vec<Row>, ScanSummary)> {
+    let mut rows = Vec::new();
+    let fragment = Fragment::Partials(partials, pushed);
+    let summary = scan_fragment(ctx, table, source, leaf, fragment, |batch| {
+        rows.extend(batch.rows);
+        Ok(())
+    })?;
+    Ok((rows, summary))
+}
+
+/// What a scan's workers make of the rows its statement returns.
+#[derive(Clone, Copy)]
+enum Fragment<'a> {
+    /// Hand them on, reduced to a partition's `k` best by the keys if
+    /// given.
+    Rows(Option<(&'a [(usize, bool)], usize)>),
+    /// Fold them into partials — the engine, where `true`.
+    Partials(&'a Partials, bool),
+}
+
+/// [`scan`] and `scan_partials`: every partition of `table`, from a GET,
+/// a cache read or a whole Select, run as `fragment` says.
+fn scan_fragment(
+    ctx: &QueryContext,
+    table: &Table,
+    source: ScanSource,
+    stmt: &SelectStmt,
+    fragment: Fragment<'_>,
+    mut sink: impl FnMut(RowBatch) -> Result<()>,
+) -> Result<ScanSummary> {
+    let local = matches!(source, ScanSource::Plain | ScanSource::Cached);
+    let best = match fragment {
+        Fragment::Rows(best) => best,
+        Fragment::Partials(..) => None,
+    };
+    // What the workers run, bound once: a GET or cache read's statement,
+    // grouped when it folds; the fold of a Select response, bound against
+    // the rows the response carries.
+    let bind = |schema: &Schema, stmt: &ExtendedSelect| {
+        Binder::new(schema).bind_grouped(&stmt.select, &stmt.group_by)
+    };
+    let rows = Binder::new(&table.schema);
+    let (bound, fold) = match fragment {
+        Fragment::Rows(_) if local => (Some(rows.bind_select(stmt)?), None),
+        Fragment::Partials(p, _) if local => (Some(bind(&table.schema, &p.grouped(stmt))?), None),
+        Fragment::Partials(p, false) => {
+            let response = rows.bind_select(stmt)?.output_schema;
+            (None, Some(bind(&response, &p.stmt)?))
         }
-        ScanSource::Select(None) => None,
-        ScanSource::Plain | ScanSource::Cached => {
-            Some(Binder::new(&table.schema).bind_select(stmt)?)
-        }
+        _ => (None, None),
     };
     let needed = bound.as_ref().map(BoundSelect::referenced_columns);
     let place = Placement::of(ctx, table)?;
     let cached = source == ScanSource::Cached;
     // Rows from a Select source have the schema its responses declare;
-    // decoded rows, the statement's.
+    // decoded or folded rows, the statement's.
     let responded: OnceLock<Schema> = OnceLock::new();
     let hit_parts = AtomicU64::new(0);
     let fill_parts = AtomicU64::new(0);
@@ -582,9 +675,11 @@ pub fn scan(
         server_cpu_units: units,
         ..Default::default()
     };
-    // What the statement's `WHERE` charged, per node; what the reducer
-    // charged, the `ORDER BY … LIMIT` above's to report.
+    // Per node, what the statement's `WHERE` charged and the rows folded
+    // into partials; what the reducer charged, the `ORDER BY … LIMIT`
+    // above's to report.
     let op_units: Vec<AtomicU64> = place.nodes.iter().map(|_| AtomicU64::new(0)).collect();
+    let folded: Vec<AtomicU64> = place.nodes.iter().map(|_| AtomicU64::new(0)).collect();
     let reduce_units = AtomicU64::new(0);
     // Per partition, what its cached read did to the cache, unapplied.
     let logs: Vec<OnceLock<Vec<Access>>> = place.keys.iter().map(|_| OnceLock::new()).collect();
@@ -601,14 +696,42 @@ pub fn scan(
                 emitter.emit(batch)
             };
             let Some(bound) = &bound else {
-                let (bucket, schema) = (&table.bucket, &table.schema);
+                let (bucket, key, schema) = (&table.bucket, part.key, &table.schema);
                 let engine = &part.ctx.engine;
-                let resp = engine.select_stmt(bucket, part.key, stmt, schema, table.format)?;
-                let _ = responded.set(resp.output_schema.clone());
-                let batches = RowBatch::chunks(&resp.output_schema, resp.rows()?, ctx.batch_rows);
-                batches.into_iter().try_for_each(&mut emit)?;
+                let resp = match fragment {
+                    Fragment::Partials(p, true) => engine.select_grouped(
+                        bucket,
+                        key,
+                        &p.grouped(stmt),
+                        schema,
+                        table.format,
+                    )?,
+                    _ => engine.select_stmt(bucket, key, stmt, schema, table.format)?,
+                };
                 let mut stats = PhaseStats::default();
                 accumulate_response(&mut stats, &resp);
+                match &fold {
+                    // The response's rows, folded into the partition's
+                    // partials.
+                    Some(fold) => {
+                        let response = Object::Response(&resp.data, &resp.output_schema);
+                        let (_, work) = run_fragment(response, fold, ctx, None, &mut emit)?;
+                        folded[part.node].fetch_add(work.folded, Ordering::Relaxed);
+                    }
+                    None => {
+                        let _ = responded.set(resp.output_schema.clone());
+                        let rows = resp.rows()?;
+                        let batches = RowBatch::chunks(&resp.output_schema, rows, ctx.batch_rows);
+                        batches.into_iter().try_for_each(&mut emit)?;
+                    }
+                }
+                if let Fragment::Partials(_, true) = fragment {
+                    // The engine's partials: merging one is a unit, on the
+                    // node that returned it, and their bytes were billed
+                    // as returned, not metered as exchange.
+                    stats.server_cpu_units += resp.stats.records_returned;
+                    shipped = 0;
+                }
                 stats.exchange_bytes = shipped;
                 return Ok(stats);
             };
@@ -659,6 +782,7 @@ pub fn scan(
             stats.exchange_bytes = shipped;
             stats.server_cpu_units += rows;
             op_units[part.node].fetch_add(work.filtered, Ordering::Relaxed);
+            folded[part.node].fetch_add(work.folded, Ordering::Relaxed);
             reduce_units.fetch_add(work.reduced, Ordering::Relaxed);
             Ok(stats)
         },
@@ -695,6 +819,8 @@ pub fn scan(
             s
         })
         .collect();
+    let ids = place.nodes.iter().map(|(k, _)| *k);
+    let folded = ids.zip(folded.into_iter().map(AtomicU64::into_inner));
     Ok(ScanSummary {
         schema: match bound {
             Some(bound) => bound.output_schema,
@@ -703,6 +829,7 @@ pub fn scan(
         stats: total(&spent),
         op_stats: cpu(op_units.iter().sum()),
         reduce_stats: cpu(reduce_units.into_inner()),
+        folded: folded.collect(),
         hit_parts: hit_parts.into_inner(),
         fill_parts: fill_parts.into_inner(),
         nodes: place.per_node(&worked),
@@ -850,7 +977,7 @@ pub(crate) fn striped_share(n: usize, parts: usize, i: usize) -> usize {
 /// * A [`ScanLimit`] bounds the output, so the sample's responses are
 ///   collected and then batched.
 ///
-/// Aggregate statements merge instead: [`select_scan_aggregate`].
+/// Aggregate statements fold into partials instead (`scan_partials`).
 pub fn select_scan_streamed(
     ctx: &QueryContext,
     table: &Table,
@@ -926,12 +1053,20 @@ pub fn select_scan_streamed(
 }
 
 /// Pushdown path: run `stmt` against every partition via S3 Select and
-/// collect the answer — an aggregate statement's merged row
-/// ([`select_scan_aggregate`]), else the streamed rows, a statement's own
-/// `LIMIT` as a [`ScanLimit::Prefix`].
+/// collect the answer — an aggregate statement's one row, its partials
+/// merged ([`Partials::merge`]), else the streamed rows, a statement's
+/// own `LIMIT` as a [`ScanLimit::Prefix`].
 pub fn select_scan(ctx: &QueryContext, table: &Table, stmt: &SelectStmt) -> Result<ScanResult> {
     if stmt.is_aggregate() {
-        return select_scan_aggregate(ctx, table, stmt, &[]);
+        let partials = Partials::of(stmt, &[])?;
+        let source = ScanSource::Select(None);
+        let (rows, summary) = scan_partials(ctx, table, source, stmt, &partials, true)?;
+        return Ok(ScanResult {
+            schema: Binder::new(&table.schema).bind_select(stmt)?.output_schema,
+            rows: partials.merge(rows, &mut PhaseStats::default())?,
+            stats: summary.stats,
+            nodes: summary.nodes,
+        });
     }
     let limit = stmt.limit.map(|n| ScanLimit::Prefix(n as usize));
     let mut rows = Vec::new();
@@ -947,121 +1082,125 @@ pub fn select_scan(ctx: &QueryContext, table: &Table, stmt: &SelectStmt) -> Resu
     })
 }
 
-/// Pushed aggregation: every partition answers `stmt`'s aggregates — per
-/// group of `group_by`, under the engine's §X native `GROUP BY` extension,
-/// when there are grouping columns — and the per-partition partials merge
-/// on the compute node through [`ops::merge_group_rows`] (a scalar
-/// statement is the one group of zero columns). `AVG` ships as `SUM` +
-/// `COUNT`, because per-partition averages do not merge. Rows are
-/// `group values ++ one value per aggregate of stmt`, sorted by group.
-pub fn select_scan_aggregate(
-    ctx: &QueryContext,
-    table: &Table,
-    stmt: &SelectStmt,
-    group_by: &[String],
-) -> Result<ScanResult> {
-    let width = group_by.len();
-    let mut items: Vec<SelectItem> = group_by
-        .iter()
-        .map(|c| SelectItem::Expr {
-            expr: pushdown_sql::Expr::col(c.clone()),
+/// A grouping operator as the partitions of the scan under it run it
+/// (`scan_partials`): one grouped statement — the group keys, then each
+/// aggregate's partial values, `AVG` as a `SUM` and a `COUNT` because
+/// averages do not merge — that every partition answers with one partial
+/// row per group, and how those rows meet: in partition order, in one
+/// group table ([`ops::merge_group_rows`]), finished into `group keys ++
+/// one value per aggregate` rows in key order. Every source folds a
+/// partition the same way, in row order, so the answer's bits do not
+/// depend on where the rows were folded.
+#[derive(Debug, Clone)]
+pub struct Partials {
+    /// The grouping columns, then the partial aggregates, over no `WHERE`
+    /// (the leaf's is added).
+    stmt: ExtendedSelect,
+    /// Per partial aggregate, its function.
+    funcs: Vec<AggFunc>,
+    /// Per aggregate asked for, where its first partial value sits in a
+    /// partial row, and whether it is an `AVG`.
+    outputs: Vec<(usize, bool)>,
+}
+
+impl Partials {
+    /// `aggs` — each a function and its argument (`None`: `COUNT(*)`) —
+    /// per group of the columns `group_by`.
+    pub(crate) fn new(
+        group_by: &[String],
+        aggs: impl IntoIterator<Item = (AggFunc, Option<Expr>)>,
+    ) -> Partials {
+        let column = |c: &String| SelectItem::Expr {
+            expr: Expr::col(c.clone()),
             alias: None,
-        })
-        .collect();
-    // Per aggregate of `stmt`: its function, its name and the first of
-    // its partial columns; per partial column: the function it merges by.
-    let mut outputs: Vec<(AggFunc, String, usize)> = Vec::new();
-    let mut partials: Vec<AggFunc> = Vec::new();
-    for (i, item) in stmt.items.iter().enumerate() {
-        match item {
-            SelectItem::Agg { func, arg, alias } => {
-                let name = alias.clone().unwrap_or_else(|| format!("_{}", i + 1));
-                outputs.push((*func, name, width + partials.len()));
-                let shipped: &[AggFunc] = match func {
-                    AggFunc::Avg => &[AggFunc::Sum, AggFunc::Count],
-                    other => std::slice::from_ref(other),
-                };
-                for (j, f) in shipped.iter().enumerate() {
-                    items.push(SelectItem::Agg {
-                        func: *f,
-                        arg: arg.clone(),
-                        alias: alias.clone().filter(|_| j == 0),
-                    });
-                    partials.push(*f);
-                }
-            }
-            // A grouped statement's scalar items are its grouping
-            // columns, shipped above.
-            SelectItem::Expr { .. } if width > 0 => {}
-            other => {
-                return Err(Error::Bind(format!(
-                    "aggregate scan cannot contain scalar item `{other}`"
-                )))
-            }
-        }
-    }
-    let grouped = ExtendedSelect {
-        select: SelectStmt {
-            items,
-            alias: stmt.alias.clone(),
-            where_clause: stmt.where_clause.clone(),
-            limit: None,
-        },
-        group_by: group_by.to_vec(),
-    };
-    let place = Placement::of(ctx, table)?;
-    let responses = for_each_partition(&place, |part| {
-        part.ctx.engine.select_grouped(
-            &table.bucket,
-            part.key,
-            &grouped,
-            &table.schema,
-            table.format,
-        )
-    })?;
-    let mut spent = vec![PhaseStats::default(); place.nodes.len()];
-    let mut rows: Vec<Row> = Vec::new();
-    let mut part_schema = None;
-    for (i, resp) in responses.into_iter().enumerate() {
-        let node = &mut spent[place.slot[i]];
-        accumulate_response(node, &resp);
-        part_schema.get_or_insert_with(|| resp.output_schema.clone());
-        let partials = resp.rows()?;
-        // Merging a partial row is one unit — what `ops::merge_group_rows`
-        // charges — on the node that returned it.
-        node.server_cpu_units += partials.len() as u64;
-        rows.extend(partials);
-    }
-    let part_schema = part_schema.expect("at least one partition");
-    let merged = ops::merge_group_rows(vec![rows], width, &partials, &mut PhaseStats::default())?;
-    let mut fields: Vec<Field> = (0..width).map(|g| part_schema.field(g).clone()).collect();
-    for (func, name, col) in &outputs {
-        let dtype = match func {
-            AggFunc::Avg => DataType::Float,
-            _ => part_schema.dtype_of(*col),
         };
-        fields.push(Field::new(name.clone(), dtype));
-    }
-    let finished = |row: &Row| {
-        let mut values = row.values()[..width].to_vec();
-        for (func, _, col) in &outputs {
-            values.push(match (func, &row[*col]) {
-                (AggFunc::Avg, Value::Null) => Value::Null,
-                (AggFunc::Avg, sum) => match row[col + 1].as_i64()? {
-                    0 => Value::Null,
-                    n => Value::Float(sum.as_f64()? / n as f64),
-                },
-                (_, merged) => merged.clone(),
-            });
+        let mut items: Vec<SelectItem> = group_by.iter().map(column).collect();
+        let (mut funcs, mut outputs) = (Vec::new(), Vec::new());
+        for (func, arg) in aggs {
+            outputs.push((items.len(), func == AggFunc::Avg));
+            let shipped = match func {
+                AggFunc::Avg => vec![AggFunc::Sum, AggFunc::Count],
+                f => vec![f],
+            };
+            for func in shipped {
+                let arg = arg.clone();
+                items.push(SelectItem::Agg {
+                    func,
+                    arg,
+                    alias: None,
+                });
+                funcs.push(func);
+            }
         }
-        Ok(Row::new(values))
-    };
-    Ok(ScanResult {
-        schema: Schema::new(fields),
-        rows: merged.iter().map(finished).collect::<Result<_>>()?,
-        stats: total(&spent),
-        nodes: place.per_node(&spent),
-    })
+        let select = SelectStmt {
+            items,
+            alias: None,
+            where_clause: None,
+            limit: None,
+        };
+        let group_by = group_by.to_vec();
+        let stmt = ExtendedSelect { select, group_by };
+        Partials {
+            stmt,
+            funcs,
+            outputs,
+        }
+    }
+
+    /// The aggregates of a statement pushed whole, per group of
+    /// `group_by`: its other items must be grouping columns.
+    pub(crate) fn of(stmt: &SelectStmt, group_by: &[String]) -> Result<Partials> {
+        let aggs = stmt.items.iter().filter_map(|item| match item {
+            SelectItem::Agg { func, arg, .. } => Some(Ok((*func, arg.clone()))),
+            SelectItem::Expr { .. } if !group_by.is_empty() => None,
+            other => Some(Err(Error::Bind(format!(
+                "aggregate scan cannot contain scalar item `{other}`"
+            )))),
+        });
+        Ok(Partials::new(group_by, aggs.collect::<Result<Vec<_>>>()?))
+    }
+
+    /// The grouped statement over the rows `leaf`'s `WHERE` keeps.
+    fn grouped(&self, leaf: &SelectStmt) -> ExtendedSelect {
+        let mut stmt = self.stmt.clone();
+        stmt.select.where_clause = leaf.where_clause.clone();
+        stmt.select.alias = leaf.alias.clone();
+        stmt
+    }
+
+    /// The grouping columns a partial row leads with.
+    pub(crate) fn group_by(&self) -> &[String] {
+        &self.stmt.group_by
+    }
+
+    /// The partial values a partial row carries after its group key.
+    pub(crate) fn values(&self) -> usize {
+        self.funcs.len()
+    }
+
+    /// `rows`, partial rows in partition order, merged — a partial COUNT
+    /// by summing, every other partial by its own function — at a unit
+    /// per partial row charged into `stats`, and finished: one row per
+    /// group, in key order.
+    pub(crate) fn merge(&self, rows: Vec<Row>, stats: &mut PhaseStats) -> Result<Vec<Row>> {
+        let width = self.stmt.group_by.len();
+        let merged = ops::merge_group_rows(vec![rows], width, &self.funcs, stats)?;
+        let finish = |row: Row| {
+            let mut values = row.values()[..width].to_vec();
+            for &(at, avg) in &self.outputs {
+                values.push(match avg {
+                    // A partition's `AVG` ships as `SUM`, `COUNT`.
+                    true => match row[at + 1].as_i64()? {
+                        0 => Value::Null,
+                        n => Value::Float(row[at].as_f64()? / n as f64),
+                    },
+                    false => row[at].clone(),
+                });
+            }
+            Ok(Row::new(values))
+        };
+        merged.into_iter().map(finish).collect()
+    }
 }
 
 #[cfg(test)]

@@ -504,6 +504,9 @@ fn extract_prune_conditions(e: &BoundExpr) -> Vec<Prune> {
 pub enum Object<'a> {
     /// A CSV object with a header row, whole, and its schema.
     Csv(&'a [u8], &'a Schema),
+    /// A Select response — headerless CSV — and its output schema: what a
+    /// compute node folds when the engine returned rows, not partials.
+    Response(&'a [u8], &'a Schema),
     /// A ColumnarLite object, opened whole or from the segments a scan
     /// reads ([`ColumnarReader::open_parts`]).
     Columnar(&'a ColumnarReader),
@@ -528,6 +531,8 @@ pub struct Work {
     pub filtered: u64,
     /// What the top-K reducer charged: `log2 K` per candidate.
     pub reduced: u64,
+    /// Rows an aggregate statement folded into its group table.
+    pub folded: u64,
 }
 
 /// The one fragment executor, on both sides of the wire: the Select
@@ -559,9 +564,11 @@ pub struct Executor<'a> {
     sink: &'a mut dyn FnMut(Row) -> Result<()>,
     /// Rows handed on (or to the reducer) so far, which `LIMIT` counts.
     emitted: u64,
-    /// Rows the `WHERE` clause saw, and what the reducer charged.
+    /// Rows the `WHERE` clause saw, what the reducer charged, and the rows
+    /// folded into the group table.
     filtered: u64,
     reduced: PhaseStats,
+    folded: u64,
     /// The sparse row what does not compile evaluates on.
     scratch: Row,
 }
@@ -715,6 +722,7 @@ impl<'a> Executor<'a> {
             emitted: 0,
             filtered: 0,
             reduced: PhaseStats::default(),
+            folded: 0,
             scratch: Row::new(Vec::new()),
         }
     }
@@ -731,8 +739,12 @@ impl<'a> Executor<'a> {
     pub fn scan(&mut self, object: Object<'_>, prune: &[Prune]) -> Result<Scanned> {
         let mut scanned = Scanned::default();
         match object {
-            Object::Csv(raw, schema) => {
-                let mut reader = CsvReader::with_header(raw, schema.clone()).project(&self.needed);
+            Object::Csv(raw, schema) | Object::Response(raw, schema) => {
+                let reader = match object {
+                    Object::Csv(..) => CsvReader::with_header(raw, schema.clone()),
+                    _ => CsvReader::without_header(raw, schema.clone()),
+                };
+                let mut reader = reader.project(&self.needed);
                 let mut batch = ColumnarBatch::empty(schema.project(&self.needed));
                 let mut max_rows = CSV_BATCH_ROWS;
                 loop {
@@ -795,6 +807,7 @@ impl<'a> Executor<'a> {
             emitted,
             filtered,
             reduced,
+            folded,
             scratch,
             ..
         } = self;
@@ -851,7 +864,10 @@ impl<'a> Executor<'a> {
                     key,
                 },
                 _,
-            ) => fold(table, keys, args, key, batch, &sel, scratch)?,
+            ) => {
+                *folded += sel.len() as u64;
+                fold(table, keys, args, key, batch, &sel, scratch)?
+            }
         }
         raised.map(|()| None)
     }
@@ -866,6 +882,7 @@ impl<'a> Executor<'a> {
             sink,
             filtered,
             mut reduced,
+            folded,
             ..
         } = self;
         if let Rows::Fold { table, .. } = rows {
@@ -882,6 +899,7 @@ impl<'a> Executor<'a> {
         Ok(Work {
             filtered,
             reduced: reduced.server_cpu_units,
+            folded,
         })
     }
 }

@@ -80,12 +80,12 @@ fn row(rng: &mut Rng) -> Row {
     } else {
         Value::Int(rng.below(9) as i64 - 3)
     };
-    let f = match rng.below(9) {
+    let f = match rng.below(14) {
         0 => Value::Null,
         1 => Value::Float(f64::NAN),
         2 => Value::Float(-0.0),
         3 => Value::Float(0.0),
-        _ => Value::Float(*rng.pick(&[0.1, 0.25, -1.5, 2.7, 1e-3, 3.0])),
+        _ => Value::Float(*rng.pick(&[0.1, 0.2, 0.3, 0.7, -1.5, 2.7, 1e-3, 3.0])),
     };
     let d = if null(rng) {
         Value::Null
@@ -112,7 +112,10 @@ fn literal(rng: &mut Rng, c: usize) -> (String, Value) {
         }
         _ => {
             let day = rng.below(6) as i32;
-            (format!("DATE '2000-01-0{}'", day + 1), Value::Date(DAY0 + day))
+            (
+                format!("DATE '2000-01-0{}'", day + 1),
+                Value::Date(DAY0 + day),
+            )
         }
     }
 }
@@ -167,7 +170,10 @@ impl Pred {
                 let c = *rng.pick(&[S, N]);
                 Pred::In(c, (0..1 + rng.below(3)).map(|_| literal(rng, c)).collect())
             }
-            3 => Pred::Like(S, *rng.pick(&["a%", "%b", "_a", "b%"])),
+            3 => {
+                let pattern = *rng.pick(&["a%", "%b", "_a", "b%"]);
+                Pred::Like(S, pattern)
+            }
             4 => Pred::IsNull(c, rng.below(2) == 0),
             5 => Pred::Not(Box::new(Pred::random(rng, depth - 1))),
             6 => Pred::And(
@@ -217,8 +223,11 @@ impl Pred {
                 and(low, high)
             }
             Pred::In(c, list) => {
-                let hits = list.iter().map(|(_, v)| compare(&r[*c], v));
-                hits.fold(Some(false), |acc, o| or(acc, o.map(|o| o == Ordering::Equal)))
+                let mut any = Some(false);
+                for (_, v) in list {
+                    any = or(any, compare(&r[*c], v).map(|o| o == Ordering::Equal));
+                }
+                any
             }
             Pred::Like(c, pattern) => match &r[*c] {
                 Value::Str(s) => Some(like(s, pattern)),
@@ -293,7 +302,11 @@ fn aggregate((func, arg): &Agg, rows: &[&Row]) -> Value {
     let Some(c) = arg else {
         return Value::Int(rows.len() as i64);
     };
-    let values: Vec<&Value> = rows.iter().map(|r| &r[*c]).filter(|v| !v.is_null()).collect();
+    let values: Vec<&Value> = rows
+        .iter()
+        .map(|r| &r[*c])
+        .filter(|v| !v.is_null())
+        .collect();
     let as_f64 = |v: &Value| match v {
         Value::Date(d) => *d as f64,
         v => number(v).expect("a number"),
@@ -307,7 +320,9 @@ fn aggregate((func, arg): &Agg, rows: &[&Row]) -> Value {
     match func {
         Func::Sum if *c == N => Value::Int(values.iter().map(|v| number(v).unwrap() as i64).sum()),
         Func::Sum => Value::Float(values.iter().map(|v| as_f64(v)).sum()),
-        Func::Avg => Value::Float(values.iter().map(|v| as_f64(v)).sum::<f64>() / values.len() as f64),
+        Func::Avg => {
+            Value::Float(values.iter().map(|v| as_f64(v)).sum::<f64>() / values.len() as f64)
+        }
         _ => {
             let best = values.iter().copied().reduce(|best, v| {
                 let o = compare(v, best).expect("no NaN argument");
@@ -425,7 +440,11 @@ impl Statement {
     /// ORDER BY can name them.
     fn sql(&self) -> String {
         let width = self.group_by.len();
-        let mut items: Vec<String> = self.group_by.iter().map(|&c| NAMES[c].to_string()).collect();
+        let mut items: Vec<String> = self
+            .group_by
+            .iter()
+            .map(|&c| NAMES[c].to_string())
+            .collect();
         for (i, a) in self.aggs.iter().enumerate() {
             items.push(format!("{} AS c{}", agg_sql(a), width + i));
         }
@@ -458,7 +477,11 @@ impl Statement {
     fn answer(&self, rows: &[Row]) -> Vec<Row> {
         let kept: Vec<&Row> = rows
             .iter()
-            .filter(|r| self.predicate.as_ref().is_none_or(|p| p.eval(r) == Some(true)))
+            .filter(|r| {
+                self.predicate
+                    .as_ref()
+                    .is_none_or(|p| p.eval(r) == Some(true))
+            })
             .collect();
         let mut groups: Vec<(Vec<Value>, Vec<&Row>)> = Vec::new();
         if self.group_by.is_empty() {
@@ -528,14 +551,19 @@ fn every_candidate_answers_as_the_oracle() {
     for columnar in [false, true] {
         for seed in 0..TABLES {
             let mut rng = Rng(seed * 7919 + u64::from(columnar));
-            let rows: Vec<Row> = (0..8 + rng.below(17)).map(|_| row(&mut rng)).collect();
+            let rows: Vec<Row> = (0..12 + rng.below(25)).map(|_| row(&mut rng)).collect();
             let per_part = 1 + rng.below(5) as usize;
             // Both formats read `''` back as NULL.
             let stored: Vec<Row> = rows
                 .iter()
                 .map(|r| {
                     let empty = |v: &Value| matches!(v, Value::Str(s) if s.is_empty());
-                    Row::new(r.values().iter().map(|v| if empty(v) { Value::Null } else { v.clone() }).collect())
+                    Row::new(
+                        r.values()
+                            .iter()
+                            .map(|v| if empty(v) { Value::Null } else { v.clone() })
+                            .collect(),
+                    )
                 })
                 .collect();
             let store = S3Store::new();
@@ -545,6 +573,9 @@ fn every_candidate_answers_as_the_oracle() {
                 let sql = stmt.sql();
                 let want = stmt.answer(&stored);
                 let spec = parse_query(&sql).unwrap();
+                // The first run's rows, as text (NaN is not equal to
+                // itself), and what ran them.
+                let mut first: Option<(String, String)> = None;
                 for nodes in [None, Some(4)] {
                     for warm in [false, true] {
                         store.set_cache(None);
@@ -573,6 +604,11 @@ fn every_candidate_answers_as_the_oracle() {
                                 out.rows
                             );
                             assert_eq!(out.metrics.usage(), out.billed, "{what}: usage == bill");
+                            let bits = format!("{:?}", out.rows);
+                            match &first {
+                                Some((want, by)) => assert_eq!(&bits, want, "{what} vs {by}"),
+                                None => first = Some((bits, what)),
+                            }
                             runs += 1;
                         }
                     }

@@ -384,3 +384,39 @@ fn warm_columnar_cached_candidates_predict_the_bytes_they_read() {
     }
     assert!(checked >= 18, "{checked} cached candidates");
 }
+
+/// One answer per statement: every line of a shape — whichever strategy
+/// picked whichever candidate, on either format, with or without a
+/// cache or a cluster — reads one `rows` digest, within each golden file
+/// and across the four.
+#[test]
+fn every_shape_reads_one_answer_in_every_golden_file() {
+    let mut answers: Vec<(String, String, String)> = Vec::new();
+    for file in [
+        "csv_serial.txt",
+        "csv_4n.txt",
+        "columnar_serial.txt",
+        "columnar_4n.txt",
+    ] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join(GOLDEN)
+            .join(file);
+        let golden = std::fs::read_to_string(&path).expect("golden file present");
+        for line in golden.lines() {
+            let key = line.split(" | ").next().unwrap_or_default();
+            let shape = key.split(' ').nth(1).expect("a line names its shape");
+            let rows = line
+                .split(" | ")
+                .find(|f| f.starts_with("rows: "))
+                .expect("a line reads its rows");
+            let at = format!("{file}: {key}");
+            match answers.iter().find(|(s, ..)| s == shape) {
+                Some((_, want, first)) => {
+                    assert_eq!(rows, want, "{at} disagrees with {first}")
+                }
+                None => answers.push((shape.to_string(), rows.to_string(), at)),
+            }
+        }
+    }
+    assert!(answers.len() >= 9, "{} shapes", answers.len());
+}
