@@ -6,15 +6,17 @@
 //! new constant off these numbers.
 //!
 //!
-//! The run ends with six gates, each on time *ratios* measured within
+//! The run ends with seven gates, each on time *ratios* measured within
 //! this one run, never on a raw time: the projected CSV decode (see
 //! [`csv_projected_gate`]), the Bloom probe (see [`bloom_probe_gate`]),
 //! the local scan's hand-off cost (see [`filter_discard_gate`]), the
 //! planned join against its materializing replay (see
 //! [`join_q12_gate`]), a join's matches folded into its group-by
-//! against the materializing operators (see [`join_fold_gate`]) and a
+//! against the materializing operators (see [`join_fold_gate`]), a
 //! ColumnarLite Select against decoding its chunks into values (see
-//! [`threshold_select_gate`]). A top-K scan leaf against the row path it
+//! [`threshold_select_gate`]) and a group-by's scan leaf folding in its
+//! worker against shipping rows to a consumer-side fold (see
+//! [`group_leaf_gate`]). A top-K scan leaf against the row path it
 //! replaced is measured, not gated (see [`bench_topk_leaf`]).
 //!
 //! Run with `cargo bench --bench kernels -p pushdown-bench`.

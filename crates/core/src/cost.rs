@@ -1321,24 +1321,11 @@ fn predict_grouping(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Re
     };
     // What reaches the operator: a scan's partials, or its input.
     let (input, mut cc, partials) = match grouped_leaf(node)? {
-        Some(GroupedLeaf {
-            table, scan: None, ..
-        }) => {
-            let PlanOp::PushdownAggregate {
-                stmt,
-                group_by,
-                order,
-                ..
-            } = &node.op
-            else {
-                return Err(Error::Other(format!(
-                    "{} is no pushed aggregate",
-                    node.label()
-                )));
-            };
-            let est = ests.of(table);
-            let (mut stats, mut card) = est.pushdown_aggregate(stmt, group_by);
-            finish_groups(order, &mut stats, &mut card);
+        Some(leaf @ GroupedLeaf { scan: None, .. }) => {
+            let est = ests.of(leaf.table);
+            let (mut stats, mut card) =
+                est.pushdown_aggregate(&leaf.stmt, leaf.partials.group_by());
+            finish_groups(&node.op.order().cloned(), &mut stats, &mut card);
             let nodes = est.per_node(stats, None, None, |_| true);
             return Ok((
                 compose(ctx, node, Own::Leaf(stats, nodes), Vec::new())?,

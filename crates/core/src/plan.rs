@@ -417,7 +417,7 @@ impl PlanOp {
     }
 
     /// The ORDER BY a grouping operator finishes its groups with.
-    fn order(&self) -> Option<&Order> {
+    pub(crate) fn order(&self) -> Option<&Order> {
         match self {
             PlanOp::GroupBy { order, .. }
             | PlanOp::CaseWhen { order, .. }
@@ -2050,19 +2050,19 @@ fn run_partitioned_group_by(
 
 /// A partitioned group-by's shuffle: `rows` hashed on their columns
 /// `route` into one bucket per node of `cluster`, in their order, each
-/// bucket aggregated by `group` on its node in parallel into rows that
+/// bucket aggregated by `group` — node `k`'s work, charged to its share
+/// beside what `shares` says it did before the shuffle — into rows that
 /// lead with `width` group columns, and the groups merged back by
-/// re-sorting on them — the merge is the operator's finish, so its
+/// re-sorting on them: the merge is the operator's finish, so its
 /// `order`, if it has one, runs there. Each node meters what it receives
 /// of the all-to-all shuffle (the expected cross-node share under
-/// uniformly spread producers) as exchange, beside what `shares` says it
-/// did before the shuffle.
+/// uniformly spread producers) as exchange.
 fn shuffled(
     cluster: &Cluster,
     rows: Vec<Row>,
     route: &[usize],
     width: usize,
-    group: impl Fn(Vec<Row>, &mut PhaseStats) -> Result<Vec<Row>> + Sync,
+    group: impl Fn(Vec<Row>, &mut PhaseStats) -> Result<Vec<Row>>,
     mut shares: Vec<PhaseStats>,
     order: &Option<Order>,
 ) -> Result<(Vec<Row>, Own)> {
@@ -2074,39 +2074,19 @@ fn shuffled(
         bucket_bytes[t] += row_exchange_bytes(&row);
         buckets[t].push(row);
     }
-    let results: Vec<Result<(Vec<Row>, PhaseStats)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
-                let group = &group;
-                s.spawn(move || {
-                    let mut st = PhaseStats::default();
-                    let rows = group(bucket, &mut st)?;
-                    Ok((rows, st))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("group-by node thread panicked"))
-            .collect()
-    });
-    let mut parts: Vec<Vec<Row>> = Vec::with_capacity(n);
-    let mut actual = PhaseStats::default();
-    for (k, r) in results.into_iter().enumerate() {
-        let (rows, st) = r?;
-        let received = bucket_bytes[k] - bucket_bytes[k] / n as u64;
+    let (mut groups, mut actual) = (Vec::new(), PhaseStats::default());
+    for (k, bucket) in buckets.into_iter().enumerate() {
         let share = &mut shares[k];
-        share.merge(&st);
+        groups.extend(group(bucket, share)?);
+        let received = bucket_bytes[k] - bucket_bytes[k] / n as u64;
         share.exchange_bytes += received;
         let shipped = &cluster.node(k).exchange_bytes;
         shipped.fetch_add(received, std::sync::atomic::Ordering::Relaxed);
         actual.merge(share);
-        parts.push(rows);
     }
     let mut merge_stats = PhaseStats::default();
     let sort_keys: Vec<(usize, bool)> = (0..width).map(|i| (i, true)).collect();
-    let rows = ops::sort_rows_by_keys(parts.concat(), &sort_keys, &mut merge_stats);
+    let rows = ops::sort_rows_by_keys(groups, &sort_keys, &mut merge_stats);
     let rows = finish_groups(order, rows, &mut merge_stats);
     actual.merge(&merge_stats);
     Ok((rows, Own::Partitioned(actual, shares, merge_stats)))

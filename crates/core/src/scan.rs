@@ -1054,7 +1054,7 @@ pub fn select_scan_streamed(
 
 /// Pushdown path: run `stmt` against every partition via S3 Select and
 /// collect the answer — an aggregate statement's one row, its partials
-/// merged ([`Partials::merge`]), else the streamed rows, a statement's
+/// merged (`Partials::merge`), else the streamed rows, a statement's
 /// own `LIMIT` as a [`ScanLimit::Prefix`].
 pub fn select_scan(ctx: &QueryContext, table: &Table, stmt: &SelectStmt) -> Result<ScanResult> {
     if stmt.is_aggregate() {

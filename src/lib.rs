@@ -39,7 +39,10 @@
 //! leaf's statement — predicate and projection — and the top-K reducer
 //! of the sort above it through the S3 Select engine's executor
 //! ([`select::Executor`]) inside the worker that decoded the rows, so
-//! only survivors cross to the consumer. Filters, aggregations,
+//! only survivors cross to the consumer; a grouping operator over a scan
+//! has every partition folded into one partial row per group, from
+//! whichever source, and merges the partials in partition order, so its
+//! answer's bits do not depend on the plan. Filters, aggregations,
 //! joins and top-K consume batches incrementally through the state
 //! machines in [`core::ops`], so a query pipeline holds its *state* (a
 //! K-heap, group accumulators, a join build table, the matches) plus
