@@ -1300,7 +1300,7 @@ fn predict_handing(
 /// into key order.
 fn predict_grouping(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result<Predicted> {
     let ctx = ests.ctx;
-    let below = &node.children.first().unwrap_or(node);
+    let below = node.children.first().unwrap_or(node);
     let names = below.schema.names();
     // Group count: NDV product over the group keys — the expressions of
     // the Project the planner places below, or, where there is none, the

@@ -804,8 +804,12 @@ fn emit(ctx: &QueryContext, schema: &Schema, rows: Vec<Row>, sink: Sink<'_>) -> 
 /// children's lowering-time schemas, so a pipeline is wired before its
 /// first row arrives.
 fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
+    if let Some(leaf) = grouped_leaf(node)? {
+        return run_grouped_leaf(ctx, node, leaf, sink);
+    }
     match &node.op {
-        PlanOp::Scan { .. } => scan_leaf(ctx, node, None, sink),
+        // A pushed aggregate is always a grouped leaf.
+        PlanOp::Scan { .. } | PlanOp::PushdownAggregate { .. } => scan_leaf(ctx, node, None, sink),
         PlanOp::HashJoin { .. } | PlanOp::BloomJoin { .. } => run_join(ctx, node, Emit::Rows(sink)),
         PlanOp::LocalFilter { predicate } => {
             let child = &node.children[0];
@@ -831,11 +835,36 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             })?;
             composed(ctx, node, Own::Stats(local), vec![ran])
         }
-        PlanOp::GroupBy { .. } | PlanOp::Aggregate { .. } | PlanOp::PushdownAggregate { .. } => {
-            match grouped_leaf(node)? {
-                Some(leaf) => run_grouped_leaf(ctx, node, leaf, sink),
-                None => run_grouping(ctx, node, sink),
+        PlanOp::GroupBy { keys, aggs, order } => {
+            // On a cluster: per-node partial group-bys over key-hashed
+            // buckets.
+            if let Some(cluster) = ctx.spread() {
+                return run_partitioned_group_by(ctx, node, keys, aggs, order, cluster, sink);
             }
+            let mut acc = ops::GroupByAccumulator::new(keys.clone(), aggs.clone());
+            let mut local = PhaseStats::default();
+            let ran = fold(ctx, node, 1, &mut local, &mut |input| acc.update(input))?;
+            let rows = acc.finish(&mut local);
+            let rows = finish_groups(order, rows, &mut local);
+            emit(ctx, &node.schema, rows, sink)?;
+            composed(ctx, node, Own::Stats(local), vec![ran])
+        }
+        PlanOp::Aggregate { aggs } => {
+            let mut accs: Vec<_> = aggs.iter().map(|(f, c)| (f.accumulator(), *c)).collect();
+            let mut local = PhaseStats::default();
+            let per_row = aggs.len().max(1) as u64;
+            let ran = fold(ctx, node, per_row, &mut local, &mut |input| {
+                for (acc, col) in accs.iter_mut() {
+                    match col {
+                        Some(c) => acc.update(input.get(*c))?,
+                        None => acc.update(&Value::Bool(true))?,
+                    }
+                }
+                Ok(())
+            })?;
+            let row = Row::new(accs.iter().map(|(a, _)| a.finish()).collect());
+            emit(ctx, &node.schema, vec![row], sink)?;
+            composed(ctx, node, Own::Stats(local), vec![ran])
         }
         PlanOp::Sort(order) => {
             let child = &node.children[0];
@@ -1051,48 +1080,6 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
             children.push(tail);
             composed(ctx, node, Own::Split(own, Some(s3)), children)
         }
-    }
-}
-
-/// A [`PlanOp::GroupBy`] or [`PlanOp::Aggregate`] over anything but a
-/// scan leaf ([`grouped_leaf`]): it folds its input as it arrives — a
-/// join's matches in place ([`fold`]) — on the consumer, or on a cluster
-/// a group-by shuffles it by group key to one partial group-by per node.
-fn run_grouping(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
-    match &node.op {
-        PlanOp::GroupBy { keys, aggs, order } => {
-            if let Some(cluster) = ctx.spread() {
-                return run_partitioned_group_by(ctx, node, keys, aggs, order, cluster, sink);
-            }
-            let mut acc = ops::GroupByAccumulator::new(keys.clone(), aggs.clone());
-            let mut local = PhaseStats::default();
-            let ran = fold(ctx, node, 1, &mut local, &mut |input| acc.update(input))?;
-            let rows = acc.finish(&mut local);
-            let rows = finish_groups(order, rows, &mut local);
-            emit(ctx, &node.schema, rows, sink)?;
-            composed(ctx, node, Own::Stats(local), vec![ran])
-        }
-        PlanOp::Aggregate { aggs } => {
-            let mut accs: Vec<_> = aggs.iter().map(|(f, c)| (f.accumulator(), *c)).collect();
-            let mut local = PhaseStats::default();
-            let per_row = aggs.len().max(1) as u64;
-            let ran = fold(ctx, node, per_row, &mut local, &mut |input| {
-                for (acc, col) in accs.iter_mut() {
-                    match col {
-                        Some(c) => acc.update(input.get(*c))?,
-                        None => acc.update(&Value::Bool(true))?,
-                    }
-                }
-                Ok(())
-            })?;
-            let row = Row::new(accs.iter().map(|(a, _)| a.finish()).collect());
-            emit(ctx, &node.schema, vec![row], sink)?;
-            composed(ctx, node, Own::Stats(local), vec![ran])
-        }
-        _ => Err(Error::Other(format!(
-            "{} is no grouping operator",
-            node.label()
-        ))),
     }
 }
 

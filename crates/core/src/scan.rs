@@ -60,16 +60,15 @@
 //! (`scan_partials`), which every source folds into one partial row
 //! per group per partition: the engine for a pushed aggregate, the
 //! worker for a GET or cache read and for a Select leaf that returned
-//! rows. A Select
-//! source ships the statement; a GET or cache read runs the **same
-//! statement through the same executor**, the Select engine's
-//! ([`pushdown_select::Executor`]), **inside the worker that decoded the
-//! partition**: only the columns the statement references are decoded
-//! (CSV fields typed straight into column vectors, ColumnarLite chunks
-//! read into them), the `WHERE` runs as a selection vector, rows are
-//! built for the survivors only — or, under a top-K reducer, for the
-//! candidates entering a partition's heap — and only those cross the
-//! partition queue. Rows, float bits and the first error are therefore
+//! rows. A Select source ships the statement; a GET or cache read runs
+//! the **same statement through the same executor**, the Select
+//! engine's ([`pushdown_select::Executor`]), **inside the worker that
+//! decoded the partition**: only the columns the statement references
+//! are decoded (CSV fields typed straight into column vectors,
+//! ColumnarLite chunks read into them), the `WHERE` runs as a selection
+//! vector, rows are built for the survivors only — or, under a top-K
+//! reducer, for the candidates entering a partition's heap — and only
+//! those cross the partition queue. Rows, float bits and the first error are therefore
 //! the ones the Select leaf returns. The local read prunes no row group:
 //! the pricer prices it whole. What the statement's `WHERE` charges
 //! (one unit per row it sees) is summed per worker
@@ -653,12 +652,12 @@ fn scan_fragment(
     let bind = |schema: &Schema, stmt: &ExtendedSelect| {
         Binder::new(schema).bind_grouped(&stmt.select, &stmt.group_by)
     };
-    let rows = Binder::new(&table.schema);
+    let binder = Binder::new(&table.schema);
     let (bound, fold) = match fragment {
-        Fragment::Rows(_) if local => (Some(rows.bind_select(stmt)?), None),
+        Fragment::Rows(_) if local => (Some(binder.bind_select(stmt)?), None),
         Fragment::Partials(p, _) if local => (Some(bind(&table.schema, &p.grouped(stmt))?), None),
         Fragment::Partials(p, false) => {
-            let response = rows.bind_select(stmt)?.output_schema;
+            let response = binder.bind_select(stmt)?.output_schema;
             (None, Some(bind(&response, &p.stmt)?))
         }
         _ => (None, None),

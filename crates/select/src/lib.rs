@@ -35,7 +35,10 @@
 //! request's CSV response here, the outgoing batches of a compute node's
 //! GET or cache scan there (`pushdown_core::scan`), which runs the same
 //! statement through the same executor, with an optional top-K reducer
-//! and without row-group pruning. Rows, float bits, the first error and
+//! and without row-group pruning — or a grouping operator's statement,
+//! folding a partition into its partials, over the decoded object or
+//! over the rows a Select response returned ([`Object::Response`]).
+//! Rows, float bits, the first error and
 //! the bill are what evaluating the statement a row at a time gives —
 //! a `WHERE` that can raise prunes no row group, so no error is skipped.
 //!
