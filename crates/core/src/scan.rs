@@ -14,7 +14,7 @@
 //!
 //! [`select_scan_streamed`] and [`select_scan`] run a statement's
 //! samples; `scan_partials` runs a grouping operator's statement,
-//! every partition answering with its partials, which [`Partials`]
+//! every partition answering with its partials, which `Partials`
 //! merges.
 //!
 //! # Streaming execution
@@ -1090,8 +1090,7 @@ pub fn select_scan(ctx: &QueryContext, table: &Table, stmt: &SelectStmt) -> Resu
 /// one value per aggregate` rows in key order. Every source folds a
 /// partition the same way, in row order, so the answer's bits do not
 /// depend on where the rows were folded.
-#[derive(Debug, Clone)]
-pub struct Partials {
+pub(crate) struct Partials {
     /// The grouping columns, then the partial aggregates, over no `WHERE`
     /// (the leaf's is added).
     stmt: ExtendedSelect,
