@@ -129,24 +129,8 @@ impl Accumulator {
                 *count += 1;
             }
             Accumulator::Count(n) => *n += 1,
-            Accumulator::Min(cur) => {
-                let replace = match cur {
-                    None => true,
-                    Some(c) => v.sql_cmp(c) == Some(std::cmp::Ordering::Less),
-                };
-                if replace {
-                    *cur = Some(v.clone());
-                }
-            }
-            Accumulator::Max(cur) => {
-                let replace = match cur {
-                    None => true,
-                    Some(c) => v.sql_cmp(c) == Some(std::cmp::Ordering::Greater),
-                };
-                if replace {
-                    *cur = Some(v.clone());
-                }
-            }
+            Accumulator::Min(cur) => keep_extreme(cur, v, Ordering::Less),
+            Accumulator::Max(cur) => keep_extreme(cur, v, Ordering::Greater),
             Accumulator::Avg { sum, count } => {
                 *sum += v.as_f64()?;
                 *count += 1;
@@ -182,6 +166,19 @@ impl Accumulator {
                 }
             }
         }
+    }
+}
+
+/// `MIN`'s (`wanted` Less) or `MAX`'s (Greater) step: `v` replaces `cur`
+/// only when it is strictly further in SQL order, so ties keep the first.
+/// NaN ranks above every number, as an ascending sort puts it last: the
+/// extreme of a sequence is then the extreme of its pieces' extremes,
+/// wherever partitions split it.
+fn keep_extreme(cur: &mut Option<Value>, v: &Value, wanted: Ordering) {
+    let nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
+    let further = |c: &Value| v.sql_cmp(c).unwrap_or_else(|| nan(v).cmp(&nan(c))) == wanted;
+    if cur.as_ref().map_or(true, further) {
+        *cur = Some(v.clone());
     }
 }
 
@@ -523,6 +520,21 @@ mod tests {
             ),
             Value::Str("a".into())
         );
+    }
+
+    #[test]
+    fn min_max_rank_nan_above_every_number_wherever_the_input_splits() {
+        let v = [1.0, 2.0, f64::NAN, 0.5].map(Value::Float);
+        let bits = |v: Value| v.as_f64().unwrap().to_bits();
+        for func in [AggFunc::Min, AggFunc::Max] {
+            let whole = run(func, &v);
+            for cut in 1..v.len() {
+                let parts = [run(func, &v[..cut]), run(func, &v[cut..])];
+                assert_eq!(bits(run(func, &parts)), bits(whole.clone()), "{func:?} cut {cut}");
+            }
+        }
+        assert_eq!(run(AggFunc::Min, &v), Value::Float(0.5));
+        assert!(run(AggFunc::Max, &v).as_f64().unwrap().is_nan());
     }
 
     #[test]

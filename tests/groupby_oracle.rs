@@ -297,7 +297,8 @@ fn agg_sql((func, arg): &Agg) -> String {
 /// `func` over the values of its argument in the rows of one group, in
 /// table order, as SQL defines it: NULLs skipped, `COUNT` of none 0, the
 /// rest NULL; a `SUM` of INTs an INT, of anything else (a DATE's day
-/// numbers too) a FLOAT; `MIN` / `MAX` of the argument's own type.
+/// numbers too) a FLOAT; `MIN` / `MAX` of the argument's own type, NaN
+/// above every number and the first of equal values kept.
 fn aggregate((func, arg): &Agg, rows: &[&Row]) -> Value {
     let Some(c) = arg else {
         return Value::Int(rows.len() as i64);
@@ -325,7 +326,9 @@ fn aggregate((func, arg): &Agg, rows: &[&Row]) -> Value {
         }
         _ => {
             let best = values.iter().copied().reduce(|best, v| {
-                let o = compare(v, best).expect("no NaN argument");
+                // NaN ranks above every number; ties keep the first.
+                let nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
+                let o = compare(v, best).unwrap_or_else(|| nan(v).cmp(&nan(best)));
                 let better = match func {
                     Func::Min => o == Ordering::Less,
                     _ => o == Ordering::Greater,
@@ -384,8 +387,7 @@ impl Statement {
         };
         let mut group_by = group_by;
         group_by.dedup();
-        // MIN and MAX read no FLOAT: NaN has no place in their order.
-        let choices: [Agg; 12] = [
+        let choices: [Agg; 14] = [
             (Func::Count, None),
             (Func::Sum, Some(N)),
             (Func::Sum, Some(F)),
@@ -398,6 +400,8 @@ impl Statement {
             (Func::Max, Some(N)),
             (Func::Min, Some(D)),
             (Func::Max, Some(S)),
+            (Func::Min, Some(F)),
+            (Func::Max, Some(F)),
         ];
         let mut aggs: Vec<Agg> = Vec::new();
         for _ in 0..1 + rng.below(3) {
