@@ -804,12 +804,11 @@ fn emit(ctx: &QueryContext, schema: &Schema, rows: Vec<Row>, sink: Sink<'_>) -> 
 /// children's lowering-time schemas, so a pipeline is wired before its
 /// first row arrives.
 fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
-    if let Some(leaf) = grouped_leaf(node)? {
-        return run_grouped_leaf(ctx, node, leaf, sink);
-    }
     match &node.op {
-        // A pushed aggregate is always a grouped leaf.
-        PlanOp::Scan { .. } | PlanOp::PushdownAggregate { .. } => scan_leaf(ctx, node, None, sink),
+        PlanOp::Scan { .. } => scan_leaf(ctx, node, None, sink),
+        PlanOp::GroupBy { .. } | PlanOp::Aggregate { .. } | PlanOp::PushdownAggregate { .. } => {
+            run_grouping(ctx, node, sink)
+        }
         PlanOp::HashJoin { .. } | PlanOp::BloomJoin { .. } => run_join(ctx, node, Emit::Rows(sink)),
         PlanOp::LocalFilter { predicate } => {
             let child = &node.children[0];
@@ -833,37 +832,6 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
                 let rows = ops::map_rows(&batch.rows, &bound, &mut local)?;
                 forward(RowBatch::new(node.schema.clone(), rows), sink)
             })?;
-            composed(ctx, node, Own::Stats(local), vec![ran])
-        }
-        PlanOp::GroupBy { keys, aggs, order } => {
-            // On a cluster: per-node partial group-bys over key-hashed
-            // buckets.
-            if let Some(cluster) = ctx.spread() {
-                return run_partitioned_group_by(ctx, node, keys, aggs, order, cluster, sink);
-            }
-            let mut acc = ops::GroupByAccumulator::new(keys.clone(), aggs.clone());
-            let mut local = PhaseStats::default();
-            let ran = fold(ctx, node, 1, &mut local, &mut |input| acc.update(input))?;
-            let rows = acc.finish(&mut local);
-            let rows = finish_groups(order, rows, &mut local);
-            emit(ctx, &node.schema, rows, sink)?;
-            composed(ctx, node, Own::Stats(local), vec![ran])
-        }
-        PlanOp::Aggregate { aggs } => {
-            let mut accs: Vec<_> = aggs.iter().map(|(f, c)| (f.accumulator(), *c)).collect();
-            let mut local = PhaseStats::default();
-            let per_row = aggs.len().max(1) as u64;
-            let ran = fold(ctx, node, per_row, &mut local, &mut |input| {
-                for (acc, col) in accs.iter_mut() {
-                    match col {
-                        Some(c) => acc.update(input.get(*c))?,
-                        None => acc.update(&Value::Bool(true))?,
-                    }
-                }
-                Ok(())
-            })?;
-            let row = Row::new(accs.iter().map(|(a, _)| a.finish()).collect());
-            emit(ctx, &node.schema, vec![row], sink)?;
             composed(ctx, node, Own::Stats(local), vec![ran])
         }
         PlanOp::Sort(order) => {
@@ -1110,13 +1078,11 @@ pub(crate) fn grouped_leaf(node: &PlanNode) -> Result<Option<GroupedLeaf<'_>>> {
             group_by,
             ..
         } => {
-            let partials = Partials::of(stmt, group_by)?;
-            let (source, stmt) = (ScanSource::Select(None), stmt.clone());
             return Ok(Some(GroupedLeaf {
                 table,
-                source,
-                stmt,
-                partials,
+                source: ScanSource::Select(None),
+                stmt: stmt.clone(),
+                partials: Partials::of(stmt, group_by)?,
                 scan: None,
                 project: None,
             }));
@@ -1162,59 +1128,86 @@ pub(crate) fn grouped_leaf(node: &PlanNode) -> Result<Option<GroupedLeaf<'_>>> {
     }))
 }
 
+/// A grouping operator ([`PlanOp::GroupBy`], [`PlanOp::Aggregate`] or a
+/// pushed aggregate): a grouped leaf's partials merged
+/// ([`run_grouped_leaf`]), or else its input folded as it arrives — a
+/// join's matches in place ([`fold`]) — into one group table, a scalar
+/// aggregate's one row there even over no input; on a cluster a
+/// group-by's input partitioned by key ([`run_partitioned_group_by`]).
+fn run_grouping(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
+    if let Some(leaf) = grouped_leaf(node)? {
+        return run_grouped_leaf(ctx, node, leaf, sink);
+    }
+    let (keys, aggs, per_row) = match &node.op {
+        PlanOp::GroupBy { keys, aggs, .. } => (&keys[..], aggs, 1),
+        PlanOp::Aggregate { aggs } => (&[][..], aggs, aggs.len().max(1) as u64),
+        _ => return Err(Error::Other(format!("{} groups nothing", node.label()))),
+    };
+    let (grouped, order) = (matches!(node.op, PlanOp::GroupBy { .. }), node.op.order().cloned());
+    if let Some(cluster) = ctx.spread().filter(|_| grouped) {
+        return run_partitioned_group_by(ctx, node, keys, aggs, &order, cluster, sink);
+    }
+    let mut acc = ops::GroupByAccumulator::new(keys.to_vec(), aggs.clone());
+    let (mut local, mut ungrouped) = (PhaseStats::default(), PhaseStats::default());
+    let ran = fold(ctx, node, per_row, &mut local, &mut |input| acc.update(input))?;
+    // A group-by charges a unit per group; a scalar aggregate, none.
+    let rows = acc.finish(if grouped { &mut local } else { &mut ungrouped });
+    let rows = match rows.is_empty() && !grouped {
+        true => vec![Row::new(aggs.iter().map(|(f, _)| f.accumulator().finish()).collect())],
+        false => finish_groups(&order, rows, &mut local),
+    };
+    emit(ctx, &node.schema, rows, sink)?;
+    composed(ctx, node, Own::Stats(local), vec![ran])
+}
+
 /// A grouped leaf ([`GroupedLeaf`]): every partition's partial rows, in
 /// partition order, met in one merge ([`Partials::merge`], a unit per
 /// partial) — on a cluster, a group-by's shuffled by group key to the
 /// node owning the group, which merges them in the same order, so the
-/// answer is the serial one bit for bit. The operator charges its units
-/// per row the workers folded (a group-by one, a scalar aggregate one per
-/// aggregate), on the nodes that folded them, beside the merge; a
-/// group-by one more per group. A Project between the operator and the
-/// scan is evaluated in the workers and charges its unit per row there.
-/// A pushed aggregate is its own leaf: the engine folded, and its
-/// partitions charged the merge.
+/// answer is the serial one bit for bit — and finished by the operator's
+/// order. What each source charges is its own: where the workers folded,
+/// the operator charges its units per row they folded (a group-by one, a
+/// scalar aggregate one per aggregate) on the nodes that folded them, the
+/// merge, and a group-by one more per group, while a Project between the
+/// operator and the scan is evaluated in the workers and charges its
+/// unit per row there; where the engine folded (a pushed aggregate, its
+/// own leaf), its partitions charged the merge, and the finish joins the
+/// first node's phase.
 fn run_grouped_leaf(
     ctx: &QueryContext,
     node: &PlanNode,
     leaf: GroupedLeaf<'_>,
     sink: Sink<'_>,
 ) -> Result<Ran> {
-    let pushed = leaf.scan.is_none();
-    let (table, source, partials) = (leaf.table, leaf.source, &leaf.partials);
-    let (rows, mut summary) = scan_partials(ctx, table, source, &leaf.stmt, partials, pushed)?;
-    let order = node.op.order().cloned();
-    let (mut local, per_row) = (
-        PhaseStats::default(),
-        match &node.op {
-            PlanOp::Aggregate { aggs } => aggs.len().max(1) as u64,
-            _ => 1,
-        },
-    );
+    let GroupedLeaf {
+        table,
+        source,
+        stmt,
+        partials,
+        scan,
+        project,
+    } = leaf;
+    let pushed = scan.is_none();
+    let (rows, mut summary) = scan_partials(ctx, table, source, &stmt, &partials, pushed)?;
+    let per_row = match &node.op {
+        PlanOp::Aggregate { aggs } => aggs.len().max(1) as u64,
+        _ => 1,
+    };
     let by_node = std::mem::take(&mut summary.folded);
     let folded: u64 = by_node.iter().map(|(_, n)| n).sum();
-    local.server_cpu_units = per_row * folded;
-    let Some(scan_node) = leaf.scan else {
-        let rows = partials.merge(rows, &mut PhaseStats::default())?;
-        let rows = finish_groups(&order, rows, &mut local);
-        let (mut stats, mut nodes) = (summary.stats, summary.nodes);
-        stats.merge(&local);
-        // The coordinator's finish joins the first node's phase.
-        if let Some((_, first)) = nodes.first_mut() {
-            first.merge(&local);
-        }
-        // The lowering-time schema carries the statement's aliases.
-        emit(ctx, &node.schema, rows, sink)?;
-        return composed(ctx, node, Own::Leaf(stats, nodes), Vec::new());
+    let cpu = |units| PhaseStats {
+        server_cpu_units: units,
+        ..Default::default()
     };
-    let mut ran = leaf_ran(ctx, scan_node, summary)?;
-    if let Some(project) = leaf.project {
-        let units = PhaseStats {
-            server_cpu_units: folded,
-            ..Default::default()
-        };
-        ran = composed(ctx, project, Own::Stats(units), vec![ran])?;
+    let mut local = cpu(per_row * folded);
+    let (order, grouped) = (node.op.order().cloned(), matches!(node.op, PlanOp::GroupBy { .. }));
+    let mut children = Vec::new();
+    if let Some(scan) = scan {
+        children.push(leaf_ran(ctx, scan, summary.clone())?);
+        if let Some(project) = project {
+            children = vec![composed(ctx, project, Own::Stats(cpu(folded)), children)?];
+        }
     }
-    let grouped = matches!(node.op, PlanOp::GroupBy { .. });
     let (rows, own) = match ctx.spread().filter(|_| grouped) {
         Some(cluster) => {
             let mut shares = vec![PhaseStats::default(); cluster.n()];
@@ -1227,16 +1220,28 @@ fn run_grouped_leaf(
                 Ok(groups)
             };
             let keys: Vec<usize> = (0..partials.group_by().len()).collect();
-            shuffled(cluster, rows, &keys, keys.len(), merge, shares, &order)?
+            shuffled(cluster, rows, &keys, merge, shares, &order)?
         }
         None => {
-            let rows = partials.merge(rows, &mut local)?;
+            // A pushed aggregate's partitions charged its merge.
+            let mut charged = PhaseStats::default();
+            let rows = partials.merge(rows, if pushed { &mut charged } else { &mut local })?;
             local.server_cpu_units += if grouped { rows.len() as u64 } else { 0 };
-            (finish_groups(&order, rows, &mut local), Own::Stats(local))
+            let rows = finish_groups(&order, rows, &mut local);
+            if !pushed {
+                (rows, Own::Stats(local))
+            } else {
+                let (mut stats, mut nodes) = (summary.stats, summary.nodes);
+                stats.merge(&local);
+                if let Some((_, first)) = nodes.first_mut() {
+                    first.merge(&local);
+                }
+                (rows, Own::Leaf(stats, nodes))
+            }
         }
     };
     emit(ctx, &node.schema, rows, sink)?;
-    composed(ctx, node, own, vec![ran])
+    composed(ctx, node, own, children)
 }
 
 /// Pass a transformed batch on, unless the operator emptied it.
@@ -2030,26 +2035,25 @@ fn run_partitioned_group_by(
     let group =
         |bucket: Vec<Row>, st: &mut PhaseStats| ops::hash_group_by(&bucket, &group_cols, aggs, st);
     let shares = vec![PhaseStats::default(); cluster.n()];
-    let (rows, own) = shuffled(cluster, rows, &group_cols, keys.len(), group, shares, order)?;
+    let (rows, own) = shuffled(cluster, rows, &group_cols, group, shares, order)?;
     emit(ctx, &node.schema, rows, sink)?;
     composed(ctx, node, own, vec![child])
 }
 
-/// A partitioned group-by's shuffle: `rows` hashed on their columns
-/// `route` into one bucket per node of `cluster`, in their order, each
-/// bucket aggregated by `group` — node `k`'s work, charged to its share
-/// beside what `shares` says it did before the shuffle — into rows that
-/// lead with `width` group columns, and the groups merged back by
-/// re-sorting on them: the merge is the operator's finish, so its
-/// `order`, if it has one, runs there. Each node meters what it receives
-/// of the all-to-all shuffle (the expected cross-node share under
-/// uniformly spread producers) as exchange.
+/// A partitioned group-by's shuffle: `rows` hashed on their group
+/// columns `route` into one bucket per node of `cluster`, in their
+/// order, each bucket aggregated by `group` on a thread of its own —
+/// node `k`'s work, charged to its share beside what `shares` says it
+/// did before the shuffle — into rows that lead with the group columns,
+/// and the groups merged back by re-sorting on them: the merge is the
+/// operator's finish, so its `order`, if it has one, runs there. Each
+/// node meters what it receives of the all-to-all shuffle (the expected
+/// cross-node share under uniformly spread producers) as exchange.
 fn shuffled(
     cluster: &Cluster,
     rows: Vec<Row>,
     route: &[usize],
-    width: usize,
-    group: impl Fn(Vec<Row>, &mut PhaseStats) -> Result<Vec<Row>>,
+    group: impl Fn(Vec<Row>, &mut PhaseStats) -> Result<Vec<Row>> + Sync,
     mut shares: Vec<PhaseStats>,
     order: &Option<Order>,
 ) -> Result<(Vec<Row>, Own)> {
@@ -2061,18 +2065,27 @@ fn shuffled(
         bucket_bytes[t] += row_exchange_bytes(&row);
         buckets[t].push(row);
     }
+    let group = &group;
+    let results: Vec<Result<Vec<Row>>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (buckets.into_iter().zip(shares.iter_mut()))
+            .map(|(bucket, share)| s.spawn(move || group(bucket, share)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("group-by node thread panicked"))
+            .collect()
+    });
     let (mut groups, mut actual) = (Vec::new(), PhaseStats::default());
-    for (k, bucket) in buckets.into_iter().enumerate() {
-        let share = &mut shares[k];
-        groups.extend(group(bucket, share)?);
+    for (k, result) in results.into_iter().enumerate() {
+        groups.extend(result?);
         let received = bucket_bytes[k] - bucket_bytes[k] / n as u64;
-        share.exchange_bytes += received;
+        shares[k].exchange_bytes += received;
         let shipped = &cluster.node(k).exchange_bytes;
         shipped.fetch_add(received, std::sync::atomic::Ordering::Relaxed);
-        actual.merge(share);
+        actual.merge(&shares[k]);
     }
     let mut merge_stats = PhaseStats::default();
-    let sort_keys: Vec<(usize, bool)> = (0..width).map(|i| (i, true)).collect();
+    let sort_keys: Vec<(usize, bool)> = (0..route.len()).map(|i| (i, true)).collect();
     let rows = ops::sort_rows_by_keys(groups, &sort_keys, &mut merge_stats);
     let rows = finish_groups(order, rows, &mut merge_stats);
     actual.merge(&merge_stats);

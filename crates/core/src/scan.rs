@@ -662,6 +662,13 @@ fn scan_fragment(
         }
         _ => (None, None),
     };
+    // What a Select source ships: the statement, or a pushed aggregate's
+    // grouped one.
+    let pushed = matches!(fragment, Fragment::Partials(_, true));
+    let sql = match fragment {
+        Fragment::Partials(p, true) => p.grouped(stmt).to_string(),
+        _ => stmt.to_string(),
+    };
     let needed = bound.as_ref().map(BoundSelect::referenced_columns);
     let place = Placement::of(ctx, table)?;
     let cached = source == ScanSource::Cached;
@@ -695,18 +702,8 @@ fn scan_fragment(
                 emitter.emit(batch)
             };
             let Some(bound) = &bound else {
-                let (bucket, key, schema) = (&table.bucket, part.key, &table.schema);
-                let engine = &part.ctx.engine;
-                let resp = match fragment {
-                    Fragment::Partials(p, true) => engine.select_grouped(
-                        bucket,
-                        key,
-                        &p.grouped(stmt),
-                        schema,
-                        table.format,
-                    )?,
-                    _ => engine.select_stmt(bucket, key, stmt, schema, table.format)?,
-                };
+                let (bucket, schema) = (&table.bucket, &table.schema);
+                let resp = (part.ctx.engine).select(bucket, part.key, &sql, schema, table.format)?;
                 let mut stats = PhaseStats::default();
                 accumulate_response(&mut stats, &resp);
                 match &fold {
@@ -724,7 +721,7 @@ fn scan_fragment(
                         batches.into_iter().try_for_each(&mut emit)?;
                     }
                 }
-                if let Fragment::Partials(_, true) = fragment {
+                if pushed {
                     // The engine's partials: merging one is a unit, on the
                     // node that returned it, and their bytes were billed
                     // as returned, not metered as exchange.
