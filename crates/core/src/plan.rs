@@ -1138,24 +1138,29 @@ fn run_grouping(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<R
     if let Some(leaf) = grouped_leaf(node)? {
         return run_grouped_leaf(ctx, node, leaf, sink);
     }
-    let (keys, aggs, per_row) = match &node.op {
-        PlanOp::GroupBy { keys, aggs, .. } => (&keys[..], aggs, 1),
-        PlanOp::Aggregate { aggs } => (&[][..], aggs, aggs.len().max(1) as u64),
+    let (keys, aggs, per_row, grouped) = match &node.op {
+        PlanOp::GroupBy { keys, aggs, .. } => (&keys[..], aggs, 1, true),
+        PlanOp::Aggregate { aggs } => (&[][..], aggs, aggs.len().max(1) as u64, false),
         _ => return Err(Error::Other(format!("{} groups nothing", node.label()))),
     };
-    let (grouped, order) = (matches!(node.op, PlanOp::GroupBy { .. }), node.op.order().cloned());
+    let order = node.op.order().cloned();
     if let Some(cluster) = ctx.spread().filter(|_| grouped) {
         return run_partitioned_group_by(ctx, node, keys, aggs, &order, cluster, sink);
     }
     let mut acc = ops::GroupByAccumulator::new(keys.to_vec(), aggs.clone());
     let (mut local, mut ungrouped) = (PhaseStats::default(), PhaseStats::default());
-    let ran = fold(ctx, node, per_row, &mut local, &mut |input| acc.update(input))?;
-    // A group-by charges a unit per group; a scalar aggregate, none.
-    let rows = acc.finish(if grouped { &mut local } else { &mut ungrouped });
-    let rows = match rows.is_empty() && !grouped {
-        true => vec![Row::new(aggs.iter().map(|(f, _)| f.accumulator().finish()).collect())],
-        false => finish_groups(&order, rows, &mut local),
-    };
+    let ran = fold(ctx, node, per_row, &mut local, &mut |input| {
+        acc.update(input)
+    })?;
+    // A group-by charges a unit per group; a scalar aggregate, none, and
+    // has its one row even over no input.
+    let mut rows = acc.finish(if grouped { &mut local } else { &mut ungrouped });
+    if rows.is_empty() && !grouped {
+        rows.push(Row::new(
+            aggs.iter().map(|(f, _)| f.accumulator().finish()).collect(),
+        ));
+    }
+    let rows = finish_groups(&order, rows, &mut local);
     emit(ctx, &node.schema, rows, sink)?;
     composed(ctx, node, Own::Stats(local), vec![ran])
 }
@@ -1200,7 +1205,10 @@ fn run_grouped_leaf(
         ..Default::default()
     };
     let mut local = cpu(per_row * folded);
-    let (order, grouped) = (node.op.order().cloned(), matches!(node.op, PlanOp::GroupBy { .. }));
+    let (order, grouped) = (
+        node.op.order().cloned(),
+        matches!(node.op, PlanOp::GroupBy { .. }),
+    );
     let mut children = Vec::new();
     if let Some(scan) = scan {
         children.push(leaf_ran(ctx, scan, summary.clone())?);

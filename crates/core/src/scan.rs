@@ -703,7 +703,8 @@ fn scan_fragment(
             };
             let Some(bound) = &bound else {
                 let (bucket, schema) = (&table.bucket, &table.schema);
-                let resp = (part.ctx.engine).select(bucket, part.key, &sql, schema, table.format)?;
+                let resp =
+                    (part.ctx.engine).select(bucket, part.key, &sql, schema, table.format)?;
                 let mut stats = PhaseStats::default();
                 accumulate_response(&mut stats, &resp);
                 match &fold {

@@ -177,7 +177,7 @@ impl Accumulator {
 fn keep_extreme(cur: &mut Option<Value>, v: &Value, wanted: Ordering) {
     let nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
     let further = |c: &Value| v.sql_cmp(c).unwrap_or_else(|| nan(v).cmp(&nan(c))) == wanted;
-    if cur.as_ref().map_or(true, further) {
+    if cur.as_ref().is_none_or(further) {
         *cur = Some(v.clone());
     }
 }
@@ -530,7 +530,11 @@ mod tests {
             let whole = run(func, &v);
             for cut in 1..v.len() {
                 let parts = [run(func, &v[..cut]), run(func, &v[cut..])];
-                assert_eq!(bits(run(func, &parts)), bits(whole.clone()), "{func:?} cut {cut}");
+                assert_eq!(
+                    bits(run(func, &parts)),
+                    bits(whole.clone()),
+                    "{func:?} cut {cut}"
+                );
             }
         }
         assert_eq!(run(AggFunc::Min, &v), Value::Float(0.5));
