@@ -35,12 +35,15 @@ pub struct QueryContext {
     /// multi-table SQL (the primary table is always passed explicitly).
     /// Shared across scopes; empty by default.
     pub catalog: Catalog,
-    /// Worker threads for parallel partition scans.
+    /// The most workers of the process's partition worker pool one scan
+    /// uses at once: a scan submits `min(scan_threads, partitions)` jobs,
+    /// and the pool, shared by every query, grows to the most jobs any
+    /// scan has submitted (see `core::scan`, "Streaming execution").
     pub scan_threads: usize,
     /// Rows per [`pushdown_common::row::RowBatch`] on the streaming scan
-    /// path. Together with `scan_threads` this bounds peak resident rows:
-    /// scans hold `O(scan_threads × batch_rows)` rows in flight instead
-    /// of materializing whole tables.
+    /// path. Together with the pool's size this bounds peak resident rows:
+    /// each running job holds `O(batch_rows)` rows in flight instead of
+    /// materializing whole tables.
     pub batch_rows: usize,
     /// The uniform bounded-backoff retry policy for transient store
     /// faults — applied identically to whole-object GETs, range GETs,

@@ -560,7 +560,7 @@ impl<'a> Estimator<'a> {
         let row_bytes = groups * (group_bytes + group_values) + count;
         let first = groups.min(chunk).ceil() as u32;
         let where_terms = predicate.as_ref().map_or(0, Expr::term_count);
-        PhaseStats {
+        self.shipping_partials(PhaseStats {
             requests: (statements * self.parts as f64) as u64,
             s3_scanned_bytes: (statements * self.select_scanned(&stmt, &[])) as u64,
             select_returned_bytes: (self.parts as f64 * row_bytes) as u64,
@@ -568,7 +568,17 @@ impl<'a> Estimator<'a> {
             server_cpu_units: (2.0 * statements * self.parts as f64) as u64,
             expr_terms: first * group_terms + where_terms + u32::from(kept),
             ..Default::default()
+        })
+    }
+
+    /// `pushed`, the footprint of statements that return partial rows, with
+    /// those rows shipped: on a cluster they leave the node that asked for
+    /// them as exchange, byte for byte what the engine returned.
+    fn shipping_partials(&self, mut pushed: PhaseStats) -> PhaseStats {
+        if self.ctx.spread().is_some() {
+            pushed.exchange_bytes = pushed.select_returned_bytes;
         }
+        pushed
     }
 
     /// Mean CSV width of one partial aggregate value `f(column)` over `n`
@@ -991,7 +1001,7 @@ impl Estimator<'_> {
                 rows: groups,
                 row_bytes: self.out_row_bytes(group_by) + aggs * AGG_VALUE_WIDTH,
             };
-            return (phase, card);
+            return (self.shipping_partials(phase), card);
         }
         // AVG decomposes into SUM+COUNT per partition on the pushed path.
         let pushed_vals: f64 = stmt
@@ -1015,7 +1025,7 @@ impl Estimator<'_> {
             rows: 1.0,
             row_bytes: stmt.items.len() as f64 * AGG_VALUE_WIDTH,
         };
-        (phase, card)
+        (self.shipping_partials(phase), card)
     }
 }
 

@@ -58,6 +58,7 @@ pub mod ops;
 pub mod output;
 pub mod plan;
 pub mod planner;
+mod pool;
 pub mod scan;
 mod shape;
 

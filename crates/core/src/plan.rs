@@ -67,8 +67,8 @@
 //!   probe's scan. Under a segment cache both sides read the cache as it
 //!   was when the join started and the join applies their cache effects
 //!   once both are in, build side first, each in partition order. Any
-//!   other join runs its children one after the other,
-//!   each scan filling the worker pool by itself; the model still prices
+//!   other join runs its children one after the other, each scan on at
+//!   most `scan_threads` jobs of the shared worker pool; the model still prices
 //!   a hash join's two single-group sides as loading side by side
 //!   ([`QueryMetrics::join_sides`]), which is what the planner priced;
 //! * group-by and scalar aggregation — accumulators only; a grouping
@@ -1328,8 +1328,8 @@ fn run_join(ctx: &QueryContext, node: &PlanNode, mut emit: Emit<'_>) -> Result<R
             let (build, probe) = if sides == Sides::Pipelined {
                 run_pipelined(ctx, node, &mut join, emit)?
             } else {
-                // Build, then probe: each scan fills the worker pool by
-                // itself.
+                // Build, then probe: each scan on its own jobs of the
+                // worker pool.
                 let build = run(ctx, build_node, &mut |batch| join.build(batch))?;
                 let probe = run(ctx, probe_node, &mut |batch| join.probe(batch, emit))?;
                 (build, probe)

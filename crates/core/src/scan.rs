@@ -19,18 +19,24 @@
 //!
 //! # Streaming execution
 //!
-//! One producer runs each partition on a bounded worker pool, whatever
-//! its source, and the scan delivers rows downstream as fixed-capacity
+//! One producer runs each partition, whatever its source, on the
+//! process's one pool of partition workers (`core::pool`: at most
+//! `scan_threads` jobs per scan, on long-lived threads every query
+//! shares), and the scan delivers rows downstream as fixed-capacity
 //! [`RowBatch`]es **in partition order**, so results stay deterministic.
-//! Each in-flight partition feeds a small bounded queue; workers block
-//! once their queue fills. GET and cache reads decode incrementally
-//! (CSV a constant batch of records at a time, columnar
+//! Each in-flight partition feeds a small bounded queue; a job blocks
+//! once its queue fills. While a scan's jobs are stalled behind other
+//! scans' — none has a thread and no thread is free — its consumer
+//! produces the next unclaimed partition itself, straight into its
+//! sink. GET and cache reads decode
+//! incrementally (CSV a constant batch of records at a time, columnar
 //! row-group-by-row-group) and emit batches of at most `batch_rows`
-//! rows, capping their peak resident rows at `O(scan_threads × queue
-//! depth × batch_rows)` regardless of table size. A Select source decodes each
-//! partition's *response* before batching, so its bound is
-//! `O(scan_threads × response rows)` — the billed returned subset, not
-//! the table.
+//! rows, capping the peak resident rows of each running job at
+//! `O((queue depth + 1) × batch_rows)` regardless of table size —
+//! process-wide, pool size × (queue depth + 1) × `batch_rows`, however
+//! many queries run. A Select source decodes each partition's
+//! *response* before batching, so its bound is one response per running
+//! job — the billed returned subset, not the table.
 //!
 //! # Placement
 //!
@@ -97,6 +103,7 @@ use crate::catalog::Table;
 use crate::cluster::Cluster;
 use crate::context::QueryContext;
 use crate::ops;
+use crate::pool;
 use pushdown_cache::{Access, WeakSegmentCache};
 use pushdown_common::perf::PhaseStats;
 use pushdown_common::row::{BatchBuilder, RowBatch};
@@ -109,8 +116,9 @@ use pushdown_sql::ast::{ExtendedSelect, SelectItem, SelectStmt};
 use pushdown_sql::bind::{Binder, BoundSelect};
 use pushdown_sql::Expr;
 use std::borrow::Cow;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Result of a fully materialized scan: rows, their schema, and the
@@ -159,9 +167,9 @@ pub struct ScanSummary {
     pub nodes: Vec<(usize, PhaseStats)>,
 }
 
-/// Full batches buffered per in-flight partition before its worker
-/// blocks. Small on purpose: memory is bounded by
-/// `scan_threads × (PARTITION_QUEUE_DEPTH + 1) × batch_rows` rows.
+/// Full batches buffered per in-flight partition before its job blocks.
+/// Small on purpose: memory is bounded by `(PARTITION_QUEUE_DEPTH + 1) ×
+/// batch_rows` rows per running job, pool size times that per process.
 const PARTITION_QUEUE_DEPTH: usize = 2;
 
 enum PartMsg<T> {
@@ -170,23 +178,32 @@ enum PartMsg<T> {
     Done(Result<PhaseStats>),
 }
 
-/// Handed to partition producers to push items downstream. Sending
-/// blocks while the partition's queue is full; a consumer that aborts
-/// the scan drops every receiver, which wakes all blocked senders with
-/// a disconnection error.
+/// Handed to partition producers to push items downstream: into the
+/// partition's queue, or, when the consumer produces the partition
+/// itself, straight to the consumer. Sending blocks while the queue is
+/// full; a consumer that aborts the scan drops every receiver, which
+/// wakes all blocked senders with a disconnection error.
 pub struct Emitter<'a, T> {
-    tx: &'a SyncSender<PartMsg<T>>,
+    to: Downstream<'a, T>,
+}
+
+enum Downstream<'a, T> {
+    Queue(&'a SyncSender<PartMsg<T>>),
+    Consumer(RefCell<&'a mut dyn FnMut(T) -> Result<()>>),
+}
+
+/// `msg` into a partition's queue.
+fn send<T>(tx: &SyncSender<PartMsg<T>>, msg: PartMsg<T>) -> Result<()> {
+    tx.send(msg)
+        .map_err(|_| Error::Other("scan cancelled by consumer".into()))
 }
 
 impl<T> Emitter<'_, T> {
-    fn send(&self, msg: PartMsg<T>) -> Result<()> {
-        self.tx
-            .send(msg)
-            .map_err(|_| Error::Other("scan cancelled by consumer".into()))
-    }
-
     pub fn emit(&self, item: T) -> Result<()> {
-        self.send(PartMsg::Item(item))
+        match &self.to {
+            Downstream::Queue(tx) => send(tx, PartMsg::Item(item)),
+            Downstream::Consumer(consume) => (consume.borrow_mut())(item),
+        }
     }
 }
 
@@ -302,19 +319,27 @@ fn total(spent: &[PhaseStats]) -> PhaseStats {
     stats
 }
 
-/// Run `produce` over every partition of `place` on `scan_threads`
-/// workers, each on its node's context, and feed everything it emits to
-/// `consume` **in partition order**, merging the per-partition
-/// [`PhaseStats`] the producers return per node (in placement order).
+/// Run `produce` over every partition of `place` on at most
+/// `scan_threads` jobs of the process's partition worker pool
+/// ([`crate::pool`]), each partition on its node's context, and feed
+/// everything it emits to `consume` — on the calling thread — **in
+/// partition order**, merging the per-partition [`PhaseStats`] the
+/// producers return per node (in placement order).
 ///
-/// Workers claim partitions in index order and push into one bounded
+/// Jobs claim partitions in index order and push into one bounded
 /// queue per partition; the consumer drains queues in index order, so
 /// output order is deterministic — at any node count — while decode work
-/// overlaps across partitions. A consumer error cancels outstanding
-/// producers; so does a producer error, which the consumer reports when
-/// it reaches that partition: indices are claimed in order and a claimed
-/// index is never abandoned, so every earlier partition runs to its
-/// `Done`.
+/// overlaps across partitions. A consumer that reaches a partition no job
+/// has claimed while its jobs are stalled — queued behind other scans'
+/// with every pool thread busy ([`pool::Jobs::stalled`]) — claims it and
+/// produces it itself, straight into `consume`, rather than wait. (When
+/// a thread is free it leaves production to the jobs: a third producer
+/// beside them costs a single query more than it gains.) A consumer
+/// error cancels outstanding producers; so does a producer error, which
+/// the consumer reports when it reaches that partition: indices are
+/// claimed in order and a claimed index is never abandoned, so every
+/// earlier partition runs to its `Done`. The scan returns once every job
+/// has ended, re-raising a producer's panic.
 fn stream_partitions<T, P, C>(
     place: &Placement<'_>,
     produce: P,
@@ -326,8 +351,7 @@ where
     C: FnMut(T) -> Result<()>,
 {
     let parts = place.keys.len();
-    let threads = place.threads.clamp(1, parts.max(1));
-    let (senders, mut receivers): (Vec<_>, Vec<_>) = (0..parts)
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..parts)
         .map(|_| {
             let (tx, rx) = sync_channel(PARTITION_QUEUE_DEPTH);
             (Mutex::new(Some(tx)), rx)
@@ -335,76 +359,83 @@ where
         .unzip();
     let next = AtomicUsize::new(0);
     let cancelled = AtomicBool::new(false);
-    let mut outcome: Result<Vec<PhaseStats>> = Ok(Vec::new());
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                // Cancellation is checked *before* claiming: a claimed
-                // index always runs and ends its queue with `Done`, so the
-                // consumer never waits on a partition nobody produces.
-                if cancelled.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= parts {
-                    break;
-                }
-                // The worker owns its partition's sender, so a worker that
-                // dies disconnects the queue instead of leaving the
-                // consumer waiting on it. (The lock only guards this
-                // `take`, so a poisoned one still holds a valid slot.)
-                let slot = senders[i].lock().unwrap_or_else(|e| e.into_inner()).take();
-                let Some(tx) = slot else { break };
-                let emitter = Emitter { tx: &tx };
-                let result = produce(place.part(i), &emitter);
-                let failed = result.is_err();
-                // Best-effort: if the consumer aborted, this queue's
-                // receiver is gone and the send simply errors.
-                let _ = emitter.send(PartMsg::Done(result));
-                if failed {
-                    cancelled.store(true, Ordering::Relaxed);
-                    break;
-                }
-            });
+    let job = || loop {
+        // Cancellation is checked *before* claiming: a claimed index
+        // always runs and ends its queue with `Done`, so the consumer
+        // never waits on a partition nobody produces.
+        if cancelled.load(Ordering::Relaxed) {
+            break;
         }
-
-        let mut spent = vec![PhaseStats::default(); place.nodes.len()];
-        'partitions: for (i, rx) in receivers.iter().enumerate() {
-            loop {
-                match rx.recv() {
-                    Ok(PartMsg::Item(item)) => {
-                        if let Err(e) = consume(item) {
-                            outcome = Err(e);
-                            break 'partitions;
-                        }
-                    }
-                    Ok(PartMsg::Done(Ok(part_stats))) => {
-                        spent[place.slot[i]].merge(&part_stats);
-                        break;
-                    }
-                    Ok(PartMsg::Done(Err(e))) => {
-                        outcome = Err(e);
-                        break 'partitions;
-                    }
-                    Err(_) => {
-                        outcome = Err(Error::Other("partition worker exited unexpectedly".into()));
-                        break 'partitions;
-                    }
-                }
-            }
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= parts {
+            break;
         }
-        if outcome.is_ok() {
-            outcome = Ok(spent);
-        } else {
-            // Abort: stop workers claiming new partitions, and drop every
-            // receiver so producers blocked on full queues wake with a
-            // disconnection error and the scope can join.
+        // The job owns its partition's sender, so a producer that panics
+        // disconnects the queue instead of leaving the consumer waiting
+        // on it. (The lock only guards this `take`, so a poisoned one
+        // still holds a valid slot.)
+        let slot = senders[i].lock().unwrap_or_else(|e| e.into_inner()).take();
+        let Some(tx) = slot else { break };
+        let emitter = Emitter {
+            to: Downstream::Queue(&tx),
+        };
+        let result = produce(place.part(i), &emitter);
+        let failed = result.is_err();
+        // Best-effort: if the consumer aborted, this queue's receiver is
+        // gone and the send simply errors.
+        let _ = send(&tx, PartMsg::Done(result));
+        if failed {
             cancelled.store(true, Ordering::Relaxed);
-            receivers.clear();
+            break;
         }
-    });
-    outcome
+    };
+    let jobs = place.threads.clamp(1, parts.max(1));
+    let (next, cancelled, produce) = (&next, &cancelled, &produce);
+    pool::scope(jobs, &job, move |jobs| {
+        // However the consumer leaves — done, failed or unwinding — jobs
+        // stop claiming partitions, and every receiver is dropped, so
+        // producers blocked on full queues wake with a disconnection
+        // error and the jobs end.
+        let _stop = Cancel(cancelled);
+        let mut spent = vec![PhaseStats::default(); place.nodes.len()];
+        for (i, rx) in receivers.into_iter().enumerate() {
+            let ours = jobs.stalled()
+                && next
+                    .compare_exchange(i, i + 1, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok();
+            let stats = if ours {
+                let to = Downstream::Consumer(RefCell::new(&mut consume));
+                produce(place.part(i), &Emitter { to })?
+            } else {
+                drain(rx, &mut consume)?
+            };
+            spent[place.slot[i]].merge(&stats);
+        }
+        Ok(spent)
+    })
+}
+
+/// Sets its flag when dropped.
+struct Cancel<'a>(&'a AtomicBool);
+
+impl Drop for Cancel<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+/// One partition's queue, its items to `consume`: its footprint.
+fn drain<T>(
+    rx: Receiver<PartMsg<T>>,
+    consume: &mut impl FnMut(T) -> Result<()>,
+) -> Result<PhaseStats> {
+    loop {
+        match rx.recv() {
+            Ok(PartMsg::Item(item)) => consume(item)?,
+            Ok(PartMsg::Done(done)) => return done,
+            Err(_) => return Err(Error::Other("partition worker exited unexpectedly".into())),
+        }
+    }
 }
 
 /// Run `f` once per partition of `place` on the worker pool, each on its
@@ -724,10 +755,9 @@ fn scan_fragment(
                 }
                 if pushed {
                     // The engine's partials: merging one is a unit, on the
-                    // node that returned it, and their bytes were billed
-                    // as returned, not metered as exchange.
+                    // node that returned it. Like a worker's partials,
+                    // they ship from that node as exchange.
                     stats.server_cpu_units += resp.stats.records_returned;
-                    shipped = 0;
                 }
                 stats.exchange_bytes = shipped;
                 return Ok(stats);

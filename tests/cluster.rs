@@ -33,12 +33,13 @@
 
 use pushdowndb::common::pricing::Usage;
 use pushdowndb::common::{DataType, RetryPolicy, Row, Schema, Value};
+use pushdowndb::core::cost::{predict_plan, Estimators};
 use pushdowndb::core::joinplan::sample_size;
 use pushdowndb::core::planner::{execute_sql_verbose, lower, run_candidate, Tune};
 use pushdowndb::core::scan::ScanSource;
 use pushdowndb::core::{
     execute_sql, plan, upload_columnar_table, upload_csv_table, Cluster, OpReport, PlanNode,
-    PlanOp, QueryContext, Strategy, Table,
+    PlanOp, QueryContext, QueryMetrics, Strategy, Table,
 };
 use pushdowndb::format::columnar::WriterOptions;
 use pushdowndb::s3::{FaultPlan, S3Store};
@@ -741,4 +742,45 @@ fn node_failure_chaos_never_double_bills_scattered_queries() {
         (x, y) => panic!("seed 2 salt 9: outcome flipped: {x:?} vs {y:?}"),
     }
     ctx.store.set_fault_plan(None);
+}
+
+/// Partial rows cross the interconnect whichever source folded them: on
+/// four nodes a pushed aggregate's partials — the engine's, returned to
+/// the node owning the partition — are exchanged like those a GET leaf's
+/// workers fold, byte for byte, and the pricer predicts both. Eight
+/// partitions of equal size whose `SUM` renders in 11 digits: the
+/// exchange is exactly priced (12 bytes per partial row).
+#[test]
+fn pushed_partials_are_exchanged_like_folded_ones() {
+    let schema = Schema::from_pairs(&[("x", DataType::Int)]);
+    let rows: Vec<Row> = (0..16)
+        .map(|_| Row::new(vec![Value::Int(5_000_000_000)]))
+        .collect();
+    let store = S3Store::new();
+    let table = upload_csv_table(&store, "b", "t", &schema, &rows, 2).unwrap();
+    let ctx = QueryContext::new(store).with_nodes(4);
+    let sql = "SELECT SUM(x) FROM t";
+    let (_, candidates) = lower(&ctx, &table, &parse_query(sql).unwrap()).unwrap();
+    let exchanged = |metrics: &QueryMetrics| -> u64 {
+        let phases = metrics.groups.iter().flat_map(|g| &g.phases);
+        phases.map(|p| p.stats.exchange_bytes).sum()
+    };
+    let mut seen = Vec::new();
+    for name in ["server-side", "s3-side"] {
+        let (_, plan) = candidates.iter().find(|(n, _)| *n == name).unwrap();
+        let qctx = ctx.scoped();
+        let executed = plan::execute(&qctx, plan).unwrap();
+        let predicted = predict_plan(&Estimators::new(&qctx, [plan]), plan).unwrap();
+        assert_eq!(
+            executed.rows,
+            vec![Row::new(vec![Value::Int(80_000_000_000)])]
+        );
+        let (actual, priced) = (exchanged(&executed.metrics), exchanged(&predicted.metrics));
+        assert_eq!(
+            actual, priced,
+            "{name}: exchanged {actual} B, predicted {priced} B"
+        );
+        seen.push(actual);
+    }
+    assert_eq!(seen, [8 * 12, 8 * 12], "server-side, s3-side");
 }

@@ -10,7 +10,11 @@
 //!   double-counts nothing, with no resets anywhere) — and on a 2-node
 //!   cluster context so do the per-node ledger deltas;
 //! * the adaptive planner's calibration bounds (tests/adaptive.rs) still
-//!   hold per query while 8 threads hammer the same store.
+//!   hold per query while 8 threads hammer the same store;
+//! * scans progress when more of their jobs are queued than the
+//!   process's partition worker pool has threads: 8 clients of
+//!   pipelined joins and grouped leaves at 1, 2 and 8 scan threads
+//!   finish, under a watchdog, with their serial rows.
 
 use pushdowndb::common::pricing::Usage;
 use pushdowndb::core::planner::execute_sql_verbose;
@@ -18,6 +22,7 @@ use pushdowndb::core::{execute_sql, QueryOutput, Strategy};
 use pushdowndb::tpch::{planner_suite, tpch_context, PlannerQuery, TpchTables};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 const THREADS: usize = 8;
 
@@ -194,4 +199,66 @@ fn adaptive_calibration_bounds_hold_under_contention() {
         "calibration violated under contention:\n{}",
         failures.join("\n")
     );
+}
+
+/// (d): every scan shares one pool of partition workers, which grows to
+/// the most jobs one scan asks for. 8 clients running Baseline's
+/// pipelined joins (a probe thread per join, consuming its own scan
+/// while the build side's runs) and grouped leaves (partials folded in
+/// the workers) queue more jobs than the pool has threads, at every
+/// `scan_threads`; each query must still finish — a watchdog fails the
+/// test on a hang — with its serial rows and bill, and the global
+/// ledger's delta must equal the sum of the queries' ledgers. A consumer
+/// moved onto the pool (the probe side of a pipelined join, say) would
+/// start its scan from a pool thread, which the pool refuses.
+#[test]
+fn scans_progress_when_their_jobs_outnumber_the_pool() {
+    let (ctx, tables) = tpch_context(0.003, 1_200).unwrap();
+    let suite: Vec<PlannerQuery> = planner_suite()
+        .into_iter()
+        .filter(|q| {
+            ["join-", "groupby-", "aggregate"]
+                .iter()
+                .any(|p| q.name.starts_with(p))
+        })
+        .collect();
+    for scan_threads in [1, 2, 8] {
+        let mut ctx = ctx.clone();
+        ctx.scan_threads = scan_threads;
+        let strategy = Strategy::Baseline;
+        let serial: Vec<QueryOutput> = suite
+            .iter()
+            .map(|q| execute_sql(&ctx, (q.table)(&tables), q.sql, strategy).unwrap())
+            .collect();
+        let before = ctx.store.global_ledger().snapshot();
+        let (done, finished) = std::sync::mpsc::channel();
+        let (run_ctx, run_tables, run_suite) = (ctx.clone(), tables.clone(), suite.clone());
+        std::thread::spawn(move || {
+            let outputs =
+                run_suite_concurrently(&run_ctx, &run_tables, &run_suite, THREADS, strategy);
+            let _ = done.send(outputs);
+        });
+        let outputs = finished
+            .recv_timeout(Duration::from_secs(600))
+            .unwrap_or_else(|_| panic!("scan_threads {scan_threads}: the clients hung"));
+        let mut sum = Usage::default();
+        for (i, out) in outputs.iter().enumerate() {
+            let (reference, name) = (&serial[i % suite.len()], suite[i % suite.len()].name);
+            assert_eq!(
+                out.rows, reference.rows,
+                "scan_threads {scan_threads} {name}: rows"
+            );
+            assert_eq!(
+                out.billed, reference.billed,
+                "scan_threads {scan_threads} {name}: bill"
+            );
+            sum += out.billed;
+        }
+        let after = ctx.store.global_ledger().snapshot();
+        assert_eq!(
+            after,
+            before + sum,
+            "scan_threads {scan_threads}: global = Σ child"
+        );
+    }
 }
