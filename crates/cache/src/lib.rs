@@ -498,7 +498,38 @@ struct Inner {
     disk_store: Option<DiskStore>,
 }
 
+impl Drop for Inner {
+    /// The last handle dropped is a clean shutdown as well
+    /// ([`SegmentCache::persist_mem`]) — unless a kill plan is armed:
+    /// then the drop is the crash, as the segment log's own drop takes it.
+    fn drop(&mut self) {
+        if self.disk_store.as_ref().is_some_and(|d| !d.armed()) {
+            self.persist_mem();
+        }
+    }
+}
+
 impl Inner {
+    /// [`SegmentCache::persist_mem`].
+    fn persist_mem(&self) {
+        let Some(ds) = self.disk_store.as_ref().filter(|d| !d.crashed()) else {
+            return;
+        };
+        let st = self.state.lock();
+        let mut unlogged: Vec<(&SegmentKey, &Entry)> = (st.entries.iter())
+            .filter(|(k, e)| e.tier == CacheTier::Mem && !ds.holds(k, st.epoch(&k.bucket, &k.key)))
+            .collect();
+        unlogged.sort_unstable_by_key(|(_, e)| e.seq);
+        let mut appended = false;
+        for (key, e) in unlogged {
+            let data = e.bytes.as_ref().expect("a mem segment holds its bytes");
+            appended |= ds.put(key, data, st.epoch(&key.bucket, &key.key));
+        }
+        if appended {
+            ds.commit();
+        }
+    }
+
     fn budget(&self, tier: CacheTier) -> u64 {
         match tier {
             CacheTier::Mem => self.config.mem_bytes,
@@ -883,24 +914,10 @@ impl SegmentCache {
     /// tier too (into the disk tier, like a promoted segment). The
     /// segments stay resident, each now with its log copy. Appends
     /// nothing and commits nothing when every mem segment has a copy,
-    /// after a crash, and without a directory.
+    /// after a crash, and without a directory. Dropping the last handle
+    /// does the same, unless a kill plan is armed.
     pub fn persist_mem(&self) {
-        let Some(ds) = self.inner.disk_store.as_ref().filter(|d| !d.crashed()) else {
-            return;
-        };
-        let st = self.inner.state.lock();
-        let mut unlogged: Vec<(&SegmentKey, &Entry)> = (st.entries.iter())
-            .filter(|(k, e)| e.tier == CacheTier::Mem && !ds.holds(k, st.epoch(&k.bucket, &k.key)))
-            .collect();
-        unlogged.sort_unstable_by_key(|(_, e)| e.seq);
-        let mut appended = false;
-        for (key, e) in unlogged {
-            let data = e.bytes.as_ref().expect("a mem segment holds its bytes");
-            appended |= ds.put(key, data, st.epoch(&key.bucket, &key.key));
-        }
-        if appended {
-            ds.commit();
-        }
+        self.inner.persist_mem();
     }
 
     /// Manifest size accounting for persistent caches — the CI gate

@@ -597,6 +597,13 @@ impl DiskStore {
         self.inner.lock().crashed
     }
 
+    /// Whether a kill plan has yet to fire: then dropping the store is
+    /// the crash.
+    pub(crate) fn armed(&self) -> bool {
+        let inner = self.inner.lock();
+        inner.kill.is_some() && !inner.crashed
+    }
+
     pub(crate) fn manifest_stats(&self) -> ManifestStats {
         let inner = self.inner.lock();
         ManifestStats {

@@ -560,7 +560,7 @@ impl<'a> Estimator<'a> {
         let row_bytes = groups * (group_bytes + group_values) + count;
         let first = groups.min(chunk).ceil() as u32;
         let where_terms = predicate.as_ref().map_or(0, Expr::term_count);
-        self.shipping_partials(PhaseStats {
+        self.shipping_returned(PhaseStats {
             requests: (statements * self.parts as f64) as u64,
             s3_scanned_bytes: (statements * self.select_scanned(&stmt, &[])) as u64,
             select_returned_bytes: (self.parts as f64 * row_bytes) as u64,
@@ -571,10 +571,11 @@ impl<'a> Estimator<'a> {
         })
     }
 
-    /// `pushed`, the footprint of statements that return partial rows, with
-    /// those rows shipped: on a cluster they leave the node that asked for
-    /// them as exchange, byte for byte what the engine returned.
-    fn shipping_partials(&self, mut pushed: PhaseStats) -> PhaseStats {
+    /// `pushed`, the footprint of statements whose rows — partial rows, or
+    /// a prefix sample's — cross to the operator above, with those rows
+    /// shipped: on a cluster they leave the node that asked for them as
+    /// exchange, byte for byte what the engine returned.
+    fn shipping_returned(&self, mut pushed: PhaseStats) -> PhaseStats {
         if self.ctx.spread().is_some() {
             pushed.exchange_bytes = pushed.select_returned_bytes;
         }
@@ -955,16 +956,20 @@ impl Estimator<'_> {
             expr_terms: terms,
             ..Default::default()
         };
+        // Its rows ship like any leaf's: a prefix's within its one phase.
         let nodes = match limit {
             ScanLimit::Prefix(_) => {
                 let rows_per_part = (self.rows / self.parts as f64).max(1.0);
                 stats.requests = (scanned_rows / rows_per_part).ceil().max(1.0) as u64;
+                stats = self.shipping_returned(stats);
                 Vec::new()
             }
             ScanLimit::Striped(_) => {
                 stats.requests = self.parts.min(n as u64);
                 let parts = self.partition_keys.len();
-                self.per_node(stats, None, None, |i| striped_share(n, parts, i) > 0)
+                self.per_node(stats, shipped(card), None, |i| {
+                    striped_share(n, parts, i) > 0
+                })
             }
         };
         Ok((stats, card, nodes))
@@ -1001,7 +1006,7 @@ impl Estimator<'_> {
                 rows: groups,
                 row_bytes: self.out_row_bytes(group_by) + aggs * AGG_VALUE_WIDTH,
             };
-            return (self.shipping_partials(phase), card);
+            return (self.shipping_returned(phase), card);
         }
         // AVG decomposes into SUM+COUNT per partition on the pushed path.
         let pushed_vals: f64 = stmt
@@ -1025,7 +1030,7 @@ impl Estimator<'_> {
             rows: 1.0,
             row_bytes: stmt.items.len() as f64 * AGG_VALUE_WIDTH,
         };
-        (self.shipping_partials(phase), card)
+        (self.shipping_returned(phase), card)
     }
 }
 

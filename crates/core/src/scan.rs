@@ -12,10 +12,10 @@
 //!   billed; the response parses slower per byte, but there are fewer of
 //!   them), whole or cut short to a sample ([`ScanLimit`]).
 //!
-//! [`select_scan_streamed`] and [`select_scan`] run a statement's
-//! samples; `scan_partials` runs a grouping operator's statement,
-//! every partition answering with its partials, which `Partials`
-//! merges.
+//! A sample is a Select scan cut short ([`ScanLimit`]), every partition
+//! it asks given a `LIMIT` of its own; `scan_partials` runs a grouping
+//! operator's statement, every partition answering with its partials,
+//! which `Partials` merges.
 //!
 //! # Streaming execution
 //!
@@ -53,9 +53,11 @@
 //! serial scan at any node count; what a node's partitions emit is
 //! metered as its exchange volume, and the summary reports each node's
 //! footprint ([`ScanSummary::nodes`]). A [`ScanLimit::Prefix`] sample
-//! sends its requests one after the other, each to its partition's
-//! owner. Off a cluster, every partition runs on the scan's context and
-//! nothing is metered per node.
+//! takes no pool job: its consumer produces the partitions itself, one
+//! after the other, each on its owner's context, and the scan reports
+//! as one phase; its rows are metered as exchange all the same. Off a
+//! cluster, every partition runs on the scan's context and nothing is
+//! metered per node.
 //!
 //! # Worker-side fragments
 //!
@@ -220,6 +222,8 @@ pub(crate) struct Placement<'a> {
     slot: Vec<usize>,
     /// The cluster the partitions spread over, if they do.
     cluster: Option<&'a Cluster>,
+    /// The most pool jobs the scan runs (`scan_threads`); none for a
+    /// sequence, whose consumer produces every partition itself.
     threads: usize,
 }
 
@@ -236,7 +240,7 @@ pub(crate) struct Part<'p> {
 impl<'a> Placement<'a> {
     /// Place `keys`, partitions of `table`, on their nodes.
     pub(crate) fn new(ctx: &'a QueryContext, table: &Table, keys: Vec<String>) -> Self {
-        let threads = ctx.scan_threads;
+        let threads = ctx.scan_threads.max(1);
         let Some(cluster) = ctx.spread() else {
             let slot = vec![0; keys.len()];
             let nodes = vec![(0, Cow::Borrowed(ctx))];
@@ -270,11 +274,6 @@ impl<'a> Placement<'a> {
             cluster: Some(cluster),
             threads,
         }
-    }
-
-    /// Every partition of `table`, placed.
-    pub(crate) fn of(ctx: &'a QueryContext, table: &Table) -> Result<Self> {
-        Ok(Placement::new(ctx, table, partition_keys(ctx, table)?))
     }
 
     fn part(&self, index: usize) -> Part<'_> {
@@ -334,12 +333,13 @@ fn total(spent: &[PhaseStats]) -> PhaseStats {
 /// with every pool thread busy ([`pool::Jobs::stalled`]) — claims it and
 /// produces it itself, straight into `consume`, rather than wait. (When
 /// a thread is free it leaves production to the jobs: a third producer
-/// beside them costs a single query more than it gains.) A consumer
-/// error cancels outstanding producers; so does a producer error, which
-/// the consumer reports when it reaches that partition: indices are
-/// claimed in order and a claimed index is never abandoned, so every
-/// earlier partition runs to its `Done`. The scan returns once every job
-/// has ended, re-raising a producer's panic.
+/// beside them costs a single query more than it gains.) A placement of
+/// no thread is a sequence: the consumer produces every partition, and
+/// no job runs. A consumer error cancels outstanding producers; so does
+/// a producer error, which the consumer reports when it reaches that
+/// partition: indices are claimed in order and a claimed index is never
+/// abandoned, so every earlier partition runs to its `Done`. The scan
+/// returns once every job has ended, re-raising a producer's panic.
 fn stream_partitions<T, P, C>(
     place: &Placement<'_>,
     produce: P,
@@ -389,9 +389,9 @@ where
             break;
         }
     };
-    let jobs = place.threads.clamp(1, parts.max(1));
+    let workers = place.threads.min(parts);
     let (next, cancelled, produce) = (&next, &cancelled, &produce);
-    pool::scope(jobs, &job, move |jobs| {
+    pool::scope(workers, &job, move |jobs| {
         // However the consumer leaves — done, failed or unwinding — jobs
         // stop claiming partitions, and every receiver is dropped, so
         // producers blocked on full queues wake with a disconnection
@@ -399,7 +399,7 @@ where
         let _stop = Cancel(cancelled);
         let mut spent = vec![PhaseStats::default(); place.nodes.len()];
         for (i, rx) in receivers.into_iter().enumerate() {
-            let ours = jobs.stalled()
+            let ours = (workers == 0 || jobs.stalled())
                 && next
                     .compare_exchange(i, i + 1, Ordering::Relaxed, Ordering::Relaxed)
                     .is_ok();
@@ -436,29 +436,6 @@ fn drain<T>(
             Err(_) => return Err(Error::Other("partition worker exited unexpectedly".into())),
         }
     }
-}
-
-/// Run `f` once per partition of `place` on the worker pool, each on its
-/// node's context, returning results in partition order (the
-/// non-streaming fan-out used by aggregate scans and striped samples).
-fn for_each_partition<T, F>(place: &Placement<'_>, f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(Part<'_>) -> Result<T> + Sync,
-{
-    let mut out = Vec::with_capacity(place.keys.len());
-    stream_partitions(
-        place,
-        |part, emitter| {
-            emitter.emit(f(part)?)?;
-            Ok(PhaseStats::default())
-        },
-        |item| {
-            out.push(item);
-            Ok(())
-        },
-    )?;
-    Ok(out)
 }
 
 fn partition_keys(ctx: &QueryContext, table: &Table) -> Result<Vec<String>> {
@@ -597,13 +574,14 @@ fn wanted_chunks(
 /// [`crate::plan`]'s scan leaves build it — returns, in table order (see
 /// the module docs for the ordering guarantee). One producer serves every
 /// source: a Select source ships `stmt` to the storage engine for every
-/// partition, and a sampled one ([`ScanSource::Select`] with a limit)
-/// runs as [`select_scan_streamed`]; a GET or cache read runs the same
-/// statement through the Select engine's executor **inside the worker
-/// that decoded the partition**, each partition's rows reduced to their
-/// `k` best by `best`'s `(output column, ascending)` keys if given (a
-/// Select source takes none). Either way the rows leave the worker in
-/// batches, metered as the exchange volume of the node they ran on. Peak
+/// partition — a sample ([`ScanSource::Select`] with a limit) for the
+/// partitions it asks, each with a `LIMIT` of its own in place of
+/// `stmt`'s; a GET or cache read runs the same statement through the
+/// Select engine's executor **inside the worker that decoded the
+/// partition**, each partition's rows reduced to their `k` best by
+/// `best`'s `(output column, ascending)` keys if given (a Select source
+/// takes none). Either way the rows leave the worker in batches,
+/// metered as the exchange volume of the node they ran on. Peak
 /// resident rows are bounded by the worker pool, not the table. Results
 /// are byte-for-byte the same with the cache hot, partially warm, cold,
 /// or absent.
@@ -617,9 +595,6 @@ pub fn scan(
 ) -> Result<ScanSummary> {
     if best.is_some() && matches!(source, ScanSource::Select(_)) {
         return Err(Error::Other("a Select scan takes no top-K reducer".into()));
-    }
-    if let ScanSource::Select(Some(limit)) = source {
-        return select_scan_streamed(ctx, table, stmt, Some(limit), sink);
     }
     scan_fragment(ctx, table, source, stmt, Fragment::Rows(best), sink)
 }
@@ -663,7 +638,8 @@ enum Fragment<'a> {
 }
 
 /// [`scan`] and `scan_partials`: every partition of `table`, from a GET,
-/// a cache read or a whole Select, run as `fragment` says.
+/// a cache read or a Select — whole, or cut short to a sample —, run as
+/// `fragment` says.
 fn scan_fragment(
     ctx: &QueryContext,
     table: &Table,
@@ -694,14 +670,45 @@ fn scan_fragment(
         _ => (None, None),
     };
     // What a Select source ships: the statement, or a pushed aggregate's
-    // grouped one.
+    // grouped one. A sample's is rendered without a `LIMIT`, and each
+    // partition it asks gets its own (`SelectStmt` renders `LIMIT` last).
     let pushed = matches!(fragment, Fragment::Partials(_, true));
+    let limit = match source {
+        ScanSource::Select(limit) => limit,
+        _ => None,
+    };
     let sql = match fragment {
         Fragment::Partials(p, true) => p.grouped(stmt).to_string(),
+        _ if limit.is_some() => SelectStmt {
+            limit: None,
+            ..stmt.clone()
+        }
+        .to_string(),
         _ => stmt.to_string(),
     };
     let needed = bound.as_ref().map(BoundSelect::referenced_columns);
-    let place = Placement::of(ctx, table)?;
+    let mut keys = partition_keys(ctx, table)?;
+    // A striped sample asks only the partitions with a share, each for
+    // it; a prefix asks one partition after the other for the rows still
+    // missing, the first even for none, as its response carries the
+    // schema, and no partition once the sample is full.
+    let mut shares = Vec::new();
+    if let Some(ScanLimit::Striped(n)) = limit {
+        let parts = keys.len();
+        (keys, shares) = (keys.into_iter().enumerate())
+            .map(|(i, key)| (key, striped_share(n, parts, i)))
+            .filter(|&(_, share)| share > 0)
+            .unzip();
+    }
+    let missing = AtomicUsize::new(match limit {
+        Some(ScanLimit::Prefix(n)) => n,
+        _ => 0,
+    });
+    let sequence = matches!(limit, Some(ScanLimit::Prefix(_)));
+    let mut place = Placement::new(ctx, table, keys);
+    if sequence {
+        place.threads = 0;
+    }
     let cached = source == ScanSource::Cached;
     // Rows from a Select source have the schema its responses declare;
     // decoded or folded rows, the statement's.
@@ -733,9 +740,26 @@ fn scan_fragment(
                 emitter.emit(batch)
             };
             let Some(bound) = &bound else {
+                let asked = match limit {
+                    None => None,
+                    Some(ScanLimit::Striped(_)) => Some(shares[part.index]),
+                    Some(ScanLimit::Prefix(_)) => match missing.load(Ordering::Relaxed) {
+                        0 if part.index > 0 => return Ok(PhaseStats::default()),
+                        n => Some(n),
+                    },
+                };
+                let sql = match asked {
+                    Some(n) => Cow::Owned(format!("{sql} LIMIT {n}")),
+                    None => Cow::Borrowed(sql.as_str()),
+                };
                 let (bucket, schema) = (&table.bucket, &table.schema);
                 let resp =
                     (part.ctx.engine).select(bucket, part.key, &sql, schema, table.format)?;
+                // What a prefix still misses (only a prefix reads it).
+                let returned = resp.stats.records_returned as usize;
+                let _ = missing.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                    Some(n.saturating_sub(returned))
+                });
                 let mut stats = PhaseStats::default();
                 accumulate_response(&mut stats, &resp);
                 match &fold {
@@ -859,7 +883,11 @@ fn scan_fragment(
         folded: folded.collect(),
         hit_parts: hit_parts.into_inner(),
         fill_parts: fill_parts.into_inner(),
-        nodes: place.per_node(&worked),
+        // A sequence reports as one phase, wherever its partitions ran.
+        nodes: match place.per_node(&worked) {
+            _ if sequence => Vec::new(),
+            nodes => nodes,
+        },
     })
 }
 
@@ -972,10 +1000,11 @@ pub(crate) fn accumulate_response(stats: &mut PhaseStats, resp: &pushdown_select
 /// its bill, stop with the sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanLimit {
-    /// The table's first `n` matching rows *in storage order*: partitions
-    /// are queried one after the other until the limit is met (§VI-B's
-    /// "first 1 % of data"). A prefix, not a sample — the most biased
-    /// subset possible on sorted input.
+    /// The table's first `n` matching rows *in storage order*: the scan's
+    /// consumer queries partitions one after the other, each for the rows
+    /// still missing, until the limit is met (§VI-B's "first 1 % of
+    /// data"). A prefix, not a sample — the most biased subset possible
+    /// on sorted input.
     Prefix(usize),
     /// `n` rows **striped across partitions**: partition `i` of `P` gets
     /// the share `⌊(i+1)·n/P⌋ − ⌊i·n/P⌋` (shares telescope to exactly
@@ -990,93 +1019,6 @@ pub enum ScanLimit {
 pub(crate) fn striped_share(n: usize, parts: usize, i: usize) -> usize {
     let n = n.max(1);
     (i + 1) * n / parts - i * n / parts
-}
-
-/// Pushdown path, streaming: run the scalar statement `stmt` against
-/// every partition via S3 Select and deliver response rows as batches in
-/// partition order.
-///
-/// * Without a `limit` this is [`scan`] from [`ScanSource::Select`]: the
-///   partitions stream with full parallelism, each worker materializing
-///   its partition's *response* rows before batching, so peak residency
-///   follows the billed returned subset (small under pushdown), not the
-///   table.
-/// * A [`ScanLimit`] bounds the output, so the sample's responses are
-///   collected and then batched.
-///
-/// Aggregate statements fold into partials instead (`scan_partials`).
-pub fn select_scan_streamed(
-    ctx: &QueryContext,
-    table: &Table,
-    stmt: &SelectStmt,
-    limit: Option<ScanLimit>,
-    mut on_batch: impl FnMut(RowBatch) -> Result<()>,
-) -> Result<ScanSummary> {
-    let Some(limit) = limit else {
-        return scan(ctx, table, ScanSource::Select(None), stmt, None, on_batch);
-    };
-    let mut keys = partition_keys(ctx, table)?;
-    // A striped sample asks only the partitions with a share.
-    let mut shares = Vec::new();
-    if let ScanLimit::Striped(n) = limit {
-        let parts = keys.len();
-        (keys, shares) = (keys.into_iter().enumerate())
-            .map(|(i, key)| (key, striped_share(n, parts, i)))
-            .filter(|&(_, share)| share > 0)
-            .unzip();
-    }
-    let place = Placement::new(ctx, table, keys);
-    let select = |part: &Part<'_>, n: usize| {
-        let limited = SelectStmt {
-            limit: Some(n as u64),
-            ..stmt.clone()
-        };
-        let (bucket, schema) = (&table.bucket, &table.schema);
-        (part.ctx.engine).select_stmt(bucket, part.key, &limited, schema, table.format)
-    };
-    let responses = match limit {
-        ScanLimit::Prefix(n) => {
-            // The first partition is always asked: its response carries
-            // the schema, even of `LIMIT 0`.
-            let mut responses = Vec::new();
-            let mut room = n;
-            for i in 0..place.keys.len() {
-                if room == 0 && !responses.is_empty() {
-                    break;
-                }
-                let resp = select(&place.part(i), room)?;
-                room = room.saturating_sub(resp.stats.records_returned as usize);
-                responses.push(resp);
-            }
-            responses
-        }
-        ScanLimit::Striped(_) => {
-            for_each_partition(&place, |part| select(&part, shares[part.index]))?
-        }
-    };
-    let mut spent = vec![PhaseStats::default(); place.nodes.len()];
-    let mut schema = None;
-    for (i, resp) in responses.into_iter().enumerate() {
-        accumulate_response(&mut spent[place.slot[i]], &resp);
-        let schema = schema.get_or_insert_with(|| resp.output_schema.clone());
-        for batch in RowBatch::chunks(schema, resp.rows()?, ctx.batch_rows) {
-            on_batch(batch)?;
-        }
-    }
-    let schema =
-        schema.ok_or_else(|| Error::Other(format!("an empty sample of `{}`", table.name)))?;
-    // A prefix asks one partition after the other, each on its node: a
-    // sequence, which reports as one phase wherever it ran.
-    let nodes = match limit {
-        ScanLimit::Prefix(_) => Vec::new(),
-        ScanLimit::Striped(_) => place.per_node(&spent),
-    };
-    Ok(ScanSummary {
-        schema,
-        stats: total(&spent),
-        nodes,
-        ..Default::default()
-    })
 }
 
 /// Pushdown path: run `stmt` against every partition via S3 Select and
@@ -1096,11 +1038,7 @@ pub fn select_scan(ctx: &QueryContext, table: &Table, stmt: &SelectStmt) -> Resu
         });
     }
     let limit = stmt.limit.map(|n| ScanLimit::Prefix(n as usize));
-    let mut rows = Vec::new();
-    let summary = select_scan_streamed(ctx, table, stmt, limit, |batch| {
-        rows.extend(batch.rows);
-        Ok(())
-    })?;
+    let (rows, summary) = scan_rows(ctx, table, ScanSource::Select(limit), stmt)?;
     Ok(ScanResult {
         schema: summary.schema,
         rows,
@@ -1306,7 +1244,7 @@ mod tests {
         ctx.batch_rows = 50;
         let stmt = parse_select("SELECT k FROM S3Object WHERE k % 3 = 0").unwrap();
         let mut streamed = Vec::new();
-        let summary = select_scan_streamed(&ctx, &t, &stmt, None, |batch| {
+        let summary = scan(&ctx, &t, ScanSource::Select(None), &stmt, None, |batch| {
             assert!(batch.len() <= 50);
             streamed.extend(batch.rows);
             Ok(())
@@ -1338,7 +1276,7 @@ mod tests {
     fn a_panicking_worker_disconnects_its_queue_instead_of_hanging_the_consumer() {
         let (mut ctx, t) = ctx_with_table(500, 100);
         ctx.scan_threads = 2;
-        let place = Placement::of(&ctx, &t).unwrap();
+        let place = Placement::new(&ctx, &t, partition_keys(&ctx, &t).unwrap());
         // The consumer sees partition 2's queue disconnect and bails out;
         // the scope then re-raises the worker's panic. Before workers
         // owned their senders the consumer waited on that queue forever.
@@ -1367,7 +1305,7 @@ mod tests {
         assert_eq!(partition_keys(&ctx, &t).unwrap().len(), 64);
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let place = Placement::of(&ctx, &t).unwrap();
+            let place = Placement::new(&ctx, &t, partition_keys(&ctx, &t).unwrap());
             for _ in 0..20_000 {
                 let err = stream_partitions::<(), _, _>(
                     &place,
@@ -1460,37 +1398,87 @@ mod tests {
         assert_eq!(r.rows[0][1], Value::Int(0));
     }
 
+    /// `ctx` as a sample may run it: on one pool job, on eight, and
+    /// spread over four nodes; each scoped, so it bills one query.
+    fn sample_contexts(ctx: &QueryContext) -> Vec<(&'static str, QueryContext)> {
+        let threads = |n| {
+            let mut ctx = ctx.clone();
+            ctx.scan_threads = n;
+            ctx.scoped()
+        };
+        let nodes = ctx.clone().with_nodes(4).scoped();
+        vec![
+            ("1 thread", threads(1)),
+            ("8 threads", threads(8)),
+            ("4 nodes", nodes),
+        ]
+    }
+
+    /// What `stats` metered, as a bill.
+    fn usage(stats: &PhaseStats) -> pushdown_common::pricing::Usage {
+        pushdown_common::pricing::Usage {
+            requests: stats.requests,
+            select_scanned_bytes: stats.s3_scanned_bytes,
+            select_returned_bytes: stats.select_returned_bytes,
+            plain_bytes: stats.plain_bytes,
+        }
+    }
+
+    /// A prefix is a sequence at any pool size and node count: the first
+    /// rows in order, from the partitions holding them and no other.
     #[test]
     fn limited_scan_stops_early_and_bills_less() {
         let (ctx, t) = ctx_with_table(1000, 100);
         let stmt = parse_select("SELECT k FROM S3Object LIMIT 150").unwrap();
-        let r = select_scan(&ctx, &t, &stmt).unwrap();
-        assert_eq!(r.rows.len(), 150);
-        // First 150 rows in order.
-        assert_eq!(r.rows[0][0], Value::Int(0));
-        assert_eq!(r.rows[149][0], Value::Int(149));
-        // Only two partitions touched (100 + 50).
-        assert_eq!(r.stats.requests, 2);
-        assert!(r.stats.s3_scanned_bytes < t.total_bytes(&ctx.store) / 3);
+        for (name, ctx) in sample_contexts(&ctx) {
+            let r = select_scan(&ctx, &t, &stmt).unwrap();
+            let want: Vec<Row> = (0..150).map(|k| Row::new(vec![Value::Int(k)])).collect();
+            assert_eq!(r.rows, want, "{name}: the first 150 rows in order");
+            // Only two partitions touched (100 + 50).
+            assert_eq!(r.stats.requests, 2, "{name}");
+            assert!(r.stats.s3_scanned_bytes < t.total_bytes(&ctx.store) / 3);
+            assert_eq!(usage(&r.stats), ctx.billed(), "{name}: usage == billed");
+            assert!(r.nodes.is_empty(), "{name}: a prefix is one phase");
+        }
     }
 
     #[test]
     fn limit_zero_asks_one_partition_for_the_schema() {
         let (ctx, t) = ctx_with_table(500, 100);
         let stmt = parse_select("SELECT k FROM S3Object LIMIT 0").unwrap();
-        let r = select_scan(&ctx, &t, &stmt).unwrap();
-        assert!(r.rows.is_empty());
-        assert_eq!(r.stats.requests, 1);
-        let usage = pushdown_common::pricing::Usage {
-            requests: r.stats.requests,
-            select_scanned_bytes: r.stats.s3_scanned_bytes,
-            select_returned_bytes: r.stats.select_returned_bytes,
-            plain_bytes: r.stats.plain_bytes,
-        };
-        assert_eq!(usage, ctx.billed());
         // The schema an empty answer of the same statement carries.
         let none = parse_select("SELECT k FROM S3Object WHERE k < 0 LIMIT 5").unwrap();
-        assert_eq!(r.schema, select_scan(&ctx, &t, &none).unwrap().schema);
+        let schema = select_scan(&ctx, &t, &none).unwrap().schema;
+        for (name, ctx) in sample_contexts(&ctx) {
+            let r = select_scan(&ctx, &t, &stmt).unwrap();
+            assert!(r.rows.is_empty(), "{name}");
+            assert_eq!(r.stats.requests, 1, "{name}");
+            assert_eq!(usage(&r.stats), ctx.billed(), "{name}: usage == billed");
+            assert_eq!(r.schema, schema, "{name}");
+        }
+    }
+
+    /// A striped sample of fewer rows than there are partitions asks only
+    /// the partitions with a share — the 4th, 7th and 10th of ten for
+    /// three rows — each for its first row.
+    #[test]
+    fn a_small_striped_sample_asks_only_the_partitions_with_a_share() {
+        let (ctx, t) = ctx_with_table(1000, 100);
+        let stmt = parse_select("SELECT k FROM S3Object").unwrap();
+        let source = ScanSource::Select(Some(ScanLimit::Striped(3)));
+        for (name, ctx) in sample_contexts(&ctx) {
+            let (rows, summary) = scan_rows(&ctx, &t, source, &stmt).unwrap();
+            let want: Vec<Row> = [300, 600, 900]
+                .map(|k| Row::new(vec![Value::Int(k)]))
+                .into();
+            assert_eq!(rows, want, "{name}");
+            assert_eq!(summary.stats.requests, 3, "{name}");
+            assert_eq!(
+                usage(&summary.stats),
+                ctx.billed(),
+                "{name}: usage == billed"
+            );
+        }
     }
 
     #[test]

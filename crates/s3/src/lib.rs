@@ -408,9 +408,9 @@ impl S3Store {
     /// Install (or remove) the local segment cache behind
     /// [`S3Store::read_object_chunked_cached_with`]. Store-wide: every scope
     /// shares it, exactly like the objects themselves. The cache it
-    /// replaces shuts down cleanly: a persistent one logs the mem
-    /// segments it has no copy of ([`SegmentCache::persist_mem`]), so a
-    /// restart loses none.
+    /// replaces shuts down cleanly, even while other handles keep it: a
+    /// persistent one logs the mem segments it has no copy of
+    /// ([`SegmentCache::persist_mem`]), so a restart loses none.
     pub fn set_cache(&self, cache: Option<SegmentCache>) {
         self.attach(cache.as_ref());
         let old = std::mem::replace(&mut *self.inner.cache.write(), cache);

@@ -666,11 +666,21 @@ fn run_sequence(config: &CacheConfig, seed: u64) -> u64 {
         "{config:?} seed {seed}: Σ receipts"
     );
 
-    // A clean shutdown loses nothing: every live copy comes back — the
-    // disk tier's and those of the mem segments promoted from it —
-    // disk-tier, trimmed to the disk budget oldest `Put` first, and mem
-    // stays cold.
+    // A clean shutdown loses nothing: dropping the last handle logs every
+    // mem segment without a copy, in insertion order, and every live copy
+    // comes back — the disk tier's, those of the mem segments promoted
+    // from it, those just logged — disk-tier, trimmed to the disk budget
+    // oldest `Put` first, and mem stays cold.
     drop(file);
+    let mut unlogged: Vec<(u64, SegmentKey)> = (model.in_tier(CacheTier::Mem))
+        .filter(|(_, r)| r.copy.is_none())
+        .map(|(k, r)| (r.seq, k.clone()))
+        .collect();
+    unlogged.sort_unstable_by_key(|(seq, _)| *seq);
+    for (_, k) in unlogged {
+        let order = model.put();
+        model.resident.get_mut(&k).expect("resident").copy = order;
+    }
     let recovered = open(&file_config);
     let mut copies: Vec<(u64, &SegmentKey, &Bytes)> = (model.resident.iter())
         .filter_map(|(k, r)| r.copy.map(|order| (order, k, &r.data)))

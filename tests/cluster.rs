@@ -784,3 +784,80 @@ fn pushed_partials_are_exchanged_like_folded_ones() {
     }
     assert_eq!(seen, [8 * 12, 8 * 12], "server-side, s3-side");
 }
+
+/// A sample's rows cross the interconnect like every leaf's. On a table
+/// whose catalog holds no statistics — no order tails, no dictionary —
+/// the `sampling` top-K takes a striped sample and the `hybrid` group-by
+/// a prefix one. On four nodes each candidate answers and bills as the
+/// serial run does, and its sample leaf meters exchange: on every node
+/// whose partitions returned rows for a striped sample, within its one
+/// phase for a prefix. The serial run meters none, and the pricer
+/// predicts some for the same phases.
+#[test]
+fn samples_ship_their_rows_as_exchange() {
+    let schema = Schema::from_pairs(&[("g", DataType::Int), ("v", DataType::Int)]);
+    let rows: Vec<Row> = (0..2_000)
+        .map(|i| Row::new(vec![Value::Int(i % 7), Value::Int((i * 37) % 1_000)]))
+        .collect();
+    let store = S3Store::new();
+    let mut table = upload_csv_table(&store, "b", "t", &schema, &rows, 100).unwrap();
+    table.stats = None;
+    let ctx = QueryContext::new(store);
+    let cctx = ctx.clone().with_nodes(4);
+    let exchanged = |metrics: &QueryMetrics| -> Vec<(u64, u64)> {
+        let phases = metrics.groups.iter().flat_map(|g| &g.phases);
+        phases
+            .map(|p| (p.stats.select_returned_bytes, p.stats.exchange_bytes))
+            .collect()
+    };
+    for (sql, name, sequence) in [
+        (
+            "SELECT * FROM t ORDER BY v DESC LIMIT 10",
+            "sampling",
+            false,
+        ),
+        ("SELECT g, SUM(v) FROM t GROUP BY g", "hybrid", true),
+    ] {
+        let (_, candidates) = lower(&ctx, &table, &parse_query(sql).unwrap()).unwrap();
+        let (_, plan) = candidates.iter().find(|(n, _)| *n == name).unwrap();
+        let is_sample = |op: &PlanOp| {
+            matches!(
+                op,
+                PlanOp::Scan {
+                    source: ScanSource::Select(Some(_)),
+                    ..
+                }
+            )
+        };
+        let sample = find(plan, &is_sample).expect("the candidate samples");
+        for tree in [plan, sample] {
+            let (sctx, qctx) = (ctx.scoped(), cctx.scoped());
+            let serial = plan::execute(&sctx, tree).unwrap();
+            let spread = plan::execute(&qctx, tree).unwrap();
+            assert_eq!(spread.rows, serial.rows, "{name}: rows");
+            assert_eq!(qctx.billed(), sctx.billed(), "{name}: bill");
+            let usage = spread.metrics.usage();
+            assert_eq!(usage, qctx.billed(), "{name}: usage == billed");
+        }
+
+        let serial = plan::execute(&ctx.scoped(), sample).unwrap();
+        let serial = exchanged(&serial.metrics);
+        assert!(
+            serial.iter().all(|&(_, x)| x == 0),
+            "{name}: serial {serial:?}"
+        );
+        let qctx = cctx.scoped();
+        let spread = exchanged(&plan::execute(&qctx, sample).unwrap().metrics);
+        let predicted = predict_plan(&Estimators::new(&qctx, [sample]), sample).unwrap();
+        let predicted = exchanged(&predicted.metrics);
+        assert_eq!(spread.len(), predicted.len(), "{name}: phases");
+        match sequence {
+            true => assert_eq!(spread.len(), 1, "{name}: a prefix is one phase"),
+            false => assert!(spread.len() > 1, "{name}: one phase per node"),
+        }
+        for ((returned, shipped), (_, priced)) in spread.iter().zip(&predicted) {
+            assert_eq!(*shipped > 0, *returned > 0, "{name}: {spread:?}");
+            assert!(*priced > 0, "{name}: predicted {predicted:?}");
+        }
+    }
+}

@@ -18,10 +18,10 @@
 //!   barrier exactly once between them.
 //! * **Each segment written once** — a promoted segment keeps its log
 //!   copy: repeat passes over a warm mem + disk cache append nothing,
-//!   a segment in mem at shutdown is recovered and serves without
-//!   re-billing, a crash makes a demotion keep its bytes in RAM, and a
-//!   rewrite between a promotion and a demotion never lets the old copy
-//!   serve.
+//!   a segment in mem at shutdown — the cache removed, or its last
+//!   handle dropped — is recovered and serves without re-billing, a
+//!   crash makes a demotion keep its bytes in RAM, and a rewrite between
+//!   a promotion and a demotion never lets the old copy serve.
 //! * **Hygiene** — every test routes its files through a self-cleaning
 //!   [`TempDir`] and asserts nothing is left behind on drop.
 
@@ -214,6 +214,49 @@ fn a_promoted_segment_survives_a_clean_restart() {
     );
     store.set_cache(None);
     drop((ctx, cache));
+}
+
+/// Dropping the last handle to a cache is a clean shutdown too: the mem
+/// segments that never reached the disk tier get their log copies, so a
+/// restart recovers every one and re-bills nothing. Without `set_cache`
+/// the cache goes with the last handle to its store, so the restart
+/// reads the same objects, uploaded again, from a fresh store.
+#[test]
+fn a_mem_segment_survives_dropping_the_last_cache_handle() {
+    let tmp = TempDir::new("persist-dropped");
+    let sql = "SELECT k, v FROM t WHERE v < 50";
+    let upload =
+        |store: &S3Store| upload_csv_table(store, "b", "t", &schema(), &rows(400), 100).unwrap();
+    let store = S3Store::new();
+    let table = upload(&store);
+    let ctx = tiered_ctx(&store, tmp.path(), 1 << 30);
+    let cold = execute_sql(&ctx, &table, sql, Strategy::Baseline).unwrap();
+    let shutdown = ctx.cache().unwrap().stats();
+    assert!(shutdown.used_bytes > 0, "the cold run filled the mem tier");
+    assert_eq!(
+        shutdown.disk_used_bytes, 0,
+        "and nothing reached the disk tier"
+    );
+    drop((ctx, store));
+
+    let store = S3Store::new();
+    let table = upload(&store);
+    let ctx = tiered_ctx(&store, tmp.path(), 1 << 30);
+    let stats = ctx.cache().unwrap().stats();
+    assert_eq!(
+        (stats.recovered_bytes, stats.used_bytes),
+        (shutdown.used_bytes, 0),
+        "every mem segment recovered, into the disk tier"
+    );
+    let restart = execute_sql(&ctx, &table, sql, Strategy::Baseline).unwrap();
+    assert_eq!(restart.rows, cold.rows);
+    assert_eq!(
+        restart.billed.requests + restart.billed.plain_bytes,
+        0,
+        "the restart re-bills nothing"
+    );
+    store.set_cache(None);
+    drop(ctx);
 }
 
 /// After a crash the log's copies cannot be trusted: a promoted segment
