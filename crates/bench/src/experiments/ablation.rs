@@ -2,12 +2,31 @@
 //! would buy, measured by running the stock algorithm and its what-if
 //! variant side by side. Each suggestion is one figure, run at its own
 //! `*_SIZE`.
+//!
+//! Expected shape, as the gates each figure checks. [`index_figure`]
+//! (Suggestions 1 and 2), at selectivity 1e-2: multi-range GETs run over
+//! 5× faster than a GET per row (`multi-range-faster`) and the lookup in
+//! S3 no slower (`in-s3-no-slower`); multi-range sends under a twentieth
+//! of the single-range requests (`multi-range-fewer-requests`; one
+//! partial batch per partition projects as a full one at bench scale,
+//! hence 20× and not more) and the lookup in S3 fewer still
+//! (`in-s3-fewer-requests`). [`bloom_figure`] (Suggestion 3): the hex /
+//! `BIT_AT` predicate is under a third of the string one's bytes
+//! (`binary-sql-denser`) and fits exactly 4× the keys
+//! (`binary-fits-4x-keys`). [`groupby_figure`] (Suggestion 4): native
+//! group-by is never slower than the CASE-WHEN rewrite
+//! (`native-never-slower`), flat in the group count, its 32-group
+//! runtime under 1.2× its 2-group one (`native-flat`), while CASE-WHEN
+//! grows over 1.5× (`case-when-grows`). [`pricing_figure`]
+//! (Suggestion 5): TPC-H Q6, the simplest pushed scan of the suite,
+//! pays a lower scan fee under computation-aware pricing
+//! (`q6-scan-cheaper`).
 
 use crate::experiments::fig02_join_customer::listing2_sql;
 use crate::figure::{Cell, Figure};
 use crate::{run_candidate, Measure};
 use pushdown_common::pricing::CostBreakdown;
-use pushdown_common::{DataType, Result, Row, Schema, Value};
+use pushdown_common::{DataType, Error, Result, Row, Schema, Value};
 use pushdown_core::algos::filter::{self, RowFetch};
 use pushdown_core::metrics::QueryMetrics;
 use pushdown_core::{build_index, upload_csv_table, QueryContext};
@@ -238,14 +257,34 @@ pub fn run_pricing_ablation(scale_factor: f64) -> Result<Vec<PricingAblationRow>
     Ok(out)
 }
 
-/// Suggestions 1 and 2 at [`INDEX_SIZE`].
+/// Suggestions 1 and 2 at [`INDEX_SIZE`], or the first of their gates
+/// that fails.
 pub fn index_figure() -> Result<Figure> {
     let mut fig = Figure::new(
         "ablation-index",
         "Suggestions 1 & 2 — index execution models: GET per row, multi-range GET, lookup in S3 \
          (projected to 60M rows)",
     );
-    for r in run_index_ablation(INDEX_SIZE)? {
+    let rows = run_index_ablation(INDEX_SIZE)?;
+    let worst = &rows[rows.len() - 1];
+    let at = format!("selectivity {:e}", worst.selectivity);
+    let single = worst.single_range.runtime;
+    let (multi, in_s3) = (worst.multi_range.runtime, worst.in_s3.runtime);
+    fig.gate("multi-range-faster", multi * 5.0 < single, || {
+        format!("{at}: multi-range {multi} s vs single-range {single} s")
+    })?;
+    fig.gate("in-s3-no-slower", in_s3 <= multi, || {
+        format!("{at}: in-s3 {in_s3} s vs multi-range {multi} s")
+    })?;
+    let single = worst.requests_single;
+    let (multi, in_s3) = (worst.requests_multi, worst.requests_in_s3);
+    fig.gate("multi-range-fewer-requests", multi < single / 20, || {
+        format!("{at}: {multi} multi-range requests vs {single} single-range")
+    })?;
+    fig.gate("in-s3-fewer-requests", in_s3 < multi, || {
+        format!("{at}: {in_s3} in-s3 requests vs {multi} multi-range")
+    })?;
+    for r in rows {
         fig.row(
             format!("selectivity={:e}", r.selectivity),
             vec![
@@ -261,7 +300,8 @@ pub fn index_figure() -> Result<Figure> {
     Ok(fig)
 }
 
-/// Suggestion 3 at [`BLOOM_SIZE`]: one row, both encodings.
+/// Suggestion 3 at [`BLOOM_SIZE`]: one row, both encodings — or the
+/// first of its gates that fails.
 pub fn bloom_figure() -> Result<Figure> {
     let r = run_bloom_ablation(BLOOM_SIZE)?;
     let mut fig = Figure::new(
@@ -269,6 +309,14 @@ pub fn bloom_figure() -> Result<Figure> {
         "Suggestion 3 — Bloom join with '0'/'1' string vs hex + BIT_AT filters \
          (SQL bytes of a 5k-key filter, keys that fit 256 KB at FPR 0.01; projected to SF 10)",
     );
+    let (string, binary) = (r.string_sql_bytes, r.binary_sql_bytes);
+    fig.gate("binary-sql-denser", binary * 3 < string, || {
+        format!("binary predicate {binary} bytes vs string {string}")
+    })?;
+    let (string, binary) = (r.max_keys_string, r.max_keys_binary);
+    fig.gate("binary-fits-4x-keys", binary == string * 4, || {
+        format!("binary fits {binary} keys vs string {string}")
+    })?;
     fig.row(
         "",
         vec![
@@ -283,13 +331,31 @@ pub fn bloom_figure() -> Result<Figure> {
     Ok(fig)
 }
 
-/// Suggestion 4 at [`GROUPBY_SIZE`].
+/// Suggestion 4 at [`GROUPBY_SIZE`], or the first of its gates that
+/// fails.
 pub fn groupby_figure() -> Result<Figure> {
     let mut fig = Figure::new(
         "ablation-groupby",
         "Suggestion 4 — CASE-WHEN rewrite vs native partial group-by (projected to 10 GB)",
     );
-    for r in run_groupby_ablation(GROUPBY_SIZE)? {
+    let rows = run_groupby_ablation(GROUPBY_SIZE)?;
+    for r in &rows {
+        let (n, native, case_when) = (r.n_groups, r.native.runtime, r.case_when.runtime);
+        fig.gate("native-never-slower", native <= case_when, || {
+            format!("{n} groups: native {native} s vs case-when {case_when} s")
+        })?;
+    }
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    let n = last.n_groups;
+    let (a, b) = (first.native.runtime, last.native.runtime);
+    fig.gate("native-flat", b / a < 1.2, || {
+        format!("native {b} s at {n} groups vs {a} s at the fewest")
+    })?;
+    let (a, b) = (first.case_when.runtime, last.case_when.runtime);
+    fig.gate("case-when-grows", b > 1.5 * a, || {
+        format!("case-when {b} s at {n} groups vs {a} s at the fewest")
+    })?;
+    for r in rows {
         fig.row(
             format!("groups={}", r.n_groups),
             vec![
@@ -301,14 +367,23 @@ pub fn groupby_figure() -> Result<Figure> {
     Ok(fig)
 }
 
-/// Suggestion 5 at [`PRICING_SIZE`].
+/// Suggestion 5 at [`PRICING_SIZE`], or its gate's failure.
 pub fn pricing_figure() -> Result<Figure> {
     let mut fig = Figure::new(
         "ablation-pricing",
         "Suggestion 5 — flat vs computation-aware scan pricing of the optimized TPC-H queries \
          (projected to SF 10)",
     );
-    for r in run_pricing_ablation(PRICING_SIZE)? {
+    let rows = run_pricing_ablation(PRICING_SIZE)?;
+    let q6 = rows
+        .iter()
+        .find(|r| r.name == "TPCH Q6")
+        .ok_or_else(|| Error::Other("ablation-pricing: no TPCH Q6 row".into()))?;
+    let (aware, flat) = (q6.aware.scan, q6.flat.scan);
+    fig.gate("q6-scan-cheaper", aware < flat, || {
+        format!("TPCH Q6: aware scan ${aware} vs flat ${flat}")
+    })?;
+    for r in rows {
         fig.row(
             r.name,
             vec![

@@ -2,12 +2,19 @@
 //!
 //! Three strategies over a lineitem-shaped table as the predicate
 //! selectivity sweeps 1e-7 … 1e-2: server-side filter (full load),
-//! S3-side filter (pushdown), and the §IV-A index table. Expected shape:
-//! S3-side ≈ 10× faster than server-side at every selectivity; indexing
-//! competitive only while selective, collapsing under per-row GETs past
-//! ~1e-4; indexing cheapest at high selectivity, cost exploding at 1e-2.
-//! The first two are the planner's `server-side` / `s3-side` candidates
-//! of the statement, run by name.
+//! S3-side filter (pushdown), and the §IV-A index table. The first two
+//! are the planner's `server-side` / `s3-side` candidates of the
+//! statement, run by name.
+//!
+//! Expected shape, as the gates [`figure`] checks: at every selectivity
+//! server-side is over 5× slower than S3-side (`s3-faster`; the paper's
+//! "dramatic 10x"), its cost compute-dominated (`server-compute-bound`)
+//! and S3-side's scan-dominated (`s3-scan-bound`). At 1e-7 indexing runs
+//! within 1.5× of S3-side (`indexed-competitive`) and costs under half
+//! of server-side (`indexed-cheapest`; paper: 2.7× cheaper); at 1e-2 its
+//! per-row GETs make it over 5× slower than S3-side
+//! (`indexed-collapses`) and over 10× its own cost at 1e-7
+//! (`indexed-cost-explodes`).
 
 use crate::figure::{Cell, Figure};
 use crate::{run_candidate, Measure};
@@ -96,13 +103,46 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig1Row>> {
     Ok(out)
 }
 
-/// Fig 1 at [`SIZE`].
+/// Fig 1 at [`SIZE`], or the first of its gates that fails.
 pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
     let mut fig = Figure::new(
         "fig01",
         "Fig 1 — filter runtime and cost vs selectivity (projected to the paper's 60M-row table)",
     );
-    for r in run(SIZE)? {
+    for r in &rows {
+        let (sel, server, s3) = (r.selectivity, &r.server, &r.s3);
+        let (slow, fast) = (server.runtime, s3.runtime);
+        fig.gate("s3-faster", slow > 5.0 * fast, || {
+            format!("selectivity {sel:e}: server-side {slow} s vs s3-side {fast} s")
+        })?;
+        let (compute, scan) = (server.cost.compute, server.cost.scan);
+        fig.gate("server-compute-bound", compute > scan, || {
+            format!("selectivity {sel:e}: server-side compute ${compute} vs scan ${scan}")
+        })?;
+        let (compute, scan) = (s3.cost.compute, s3.cost.scan);
+        fig.gate("s3-scan-bound", scan > compute, || {
+            format!("selectivity {sel:e}: s3-side scan ${scan} vs compute ${compute}")
+        })?;
+    }
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    let (sel, indexed, s3) = (first.selectivity, first.indexed.runtime, first.s3.runtime);
+    fig.gate("indexed-competitive", indexed <= 1.5 * s3, || {
+        format!("selectivity {sel:e}: indexed {indexed} s vs s3-side {s3} s")
+    })?;
+    let (sel, indexed, s3) = (last.selectivity, last.indexed.runtime, last.s3.runtime);
+    fig.gate("indexed-collapses", indexed > 5.0 * s3, || {
+        format!("selectivity {sel:e}: indexed {indexed} s vs s3-side {s3} s")
+    })?;
+    let (cheap, dear) = (first.indexed.cost.total(), last.indexed.cost.total());
+    fig.gate("indexed-cost-explodes", dear > 10.0 * cheap, || {
+        format!("indexed ${dear} at selectivity {sel:e} vs ${cheap} at the first")
+    })?;
+    let (sel, server) = (first.selectivity, first.server.cost.total());
+    fig.gate("indexed-cheapest", cheap * 2.0 < server, || {
+        format!("selectivity {sel:e}: indexed ${cheap} vs server-side ${server}")
+    })?;
+    for r in rows {
         fig.row(
             format!("selectivity={:e}", r.selectivity),
             vec![

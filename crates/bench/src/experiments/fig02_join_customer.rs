@@ -3,9 +3,15 @@
 //!
 //! The paper's Listing 2 query (`SUM(o_totalprice)` over customer ⋈
 //! orders) with `c_acctbal <= upper` swept from −950 (selective) to −450,
-//! orders unfiltered, Bloom FPR 0.01. Expected shape: baseline ≈
-//! filtered (both ship the whole orders table); Bloom join much faster
-//! while the customer predicate is selective, degrading as it loosens.
+//! orders unfiltered, Bloom FPR 0.01.
+//!
+//! Expected shape, as the gates [`figure`] checks: at every bound the
+//! Bloom join is faster than filtered (`bloom-beats-filtered`) and than
+//! baseline (`bloom-beats-baseline`), and baseline stays under 2.5×
+//! filtered (`baseline-near-filtered`; the paper: they "perform
+//! similarly", both shipping the whole orders table). The Bloom join
+//! degrades as the predicate loosens: its runtime at −450 is at least
+//! 0.95× its runtime at −950 (`bloom-degrades`).
 
 use crate::figure::{Cell, Figure};
 use crate::{run_candidate, Measure};
@@ -52,14 +58,32 @@ pub fn run(scale_factor: f64) -> Result<Vec<Fig2Row>> {
     Ok(out)
 }
 
-/// Fig 2 at [`SIZE`].
+/// Fig 2 at [`SIZE`], or the first of its gates that fails.
 pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
     let mut fig = Figure::new(
         "fig02",
         "Fig 2 — join runtime and cost vs customer selectivity, Bloom FPR 0.01 \
          (projected to SF 10)",
     );
-    for r in run(SIZE)? {
+    for r in &rows {
+        let (baseline, filtered, bloom) = (r.baseline.runtime, r.filtered.runtime, r.bloom.runtime);
+        let at = r.upper_acctbal;
+        fig.gate("bloom-beats-filtered", bloom < filtered, || {
+            format!("c_acctbal<={at}: bloom {bloom} s vs filtered {filtered} s")
+        })?;
+        fig.gate("bloom-beats-baseline", bloom < baseline, || {
+            format!("c_acctbal<={at}: bloom {bloom} s vs baseline {baseline} s")
+        })?;
+        fig.gate("baseline-near-filtered", baseline < 2.5 * filtered, || {
+            format!("c_acctbal<={at}: baseline {baseline} s vs filtered {filtered} s")
+        })?;
+    }
+    let (first, last) = (rows[0].bloom.runtime, rows[rows.len() - 1].bloom.runtime);
+    fig.gate("bloom-degrades", last >= first * 0.95, || {
+        format!("bloom {last} s at the loosest bound vs {first} s at the tightest")
+    })?;
+    for r in rows {
         fig.row(
             format!("c_acctbal<={}", r.upper_acctbal),
             vec![

@@ -2,9 +2,14 @@
 //! (paper §V-B2).
 //!
 //! Customer selectivity fixed at −950, Bloom FPR 0.01; the orders date
-//! bound sweeps from very selective (1992-03-01) to `None`. Expected
-//! shape: filtered ≫ baseline while the date filter is selective,
-//! converging as it loosens; Bloom flat and best (or tied) throughout.
+//! bound sweeps from very selective (1992-03-01) to `None`.
+//!
+//! Expected shape, as the gates [`figure`] checks: filtered is slower
+//! with no date bound than at 1992-03-01 (`filtered-slows`), and at
+//! 1992-03-01 it is over 2× faster than baseline
+//! (`filtered-beats-baseline`); the Bloom join's slowest point is under
+//! 1.5× its fastest (`bloom-flat`; the paper: it "remains fairly
+//! constant").
 
 use crate::experiments::fig02_join_customer::listing2_sql;
 use crate::figure::{Cell, Figure};
@@ -47,14 +52,32 @@ pub fn run(scale_factor: f64) -> Result<Vec<Fig3Row>> {
     Ok(out)
 }
 
-/// Fig 3 at [`SIZE`].
+/// Fig 3 at [`SIZE`], or the first of its gates that fails.
 pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
     let mut fig = Figure::new(
         "fig03",
         "Fig 3 — join runtime and cost vs orders selectivity, Bloom FPR 0.01 \
          (projected to SF 10)",
     );
-    for r in run(SIZE)? {
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    let (tight, loose) = (first.filtered.runtime, last.filtered.runtime);
+    fig.gate("filtered-slows", tight < loose, || {
+        format!("filtered {tight} s at the tightest bound vs {loose} s at the loosest")
+    })?;
+    let baseline = first.baseline.runtime;
+    fig.gate("filtered-beats-baseline", tight * 2.0 < baseline, || {
+        format!("tightest bound: filtered {tight} s vs baseline {baseline} s")
+    })?;
+    let bloom = rows.iter().map(|r| r.bloom.runtime);
+    let (min, max) = (
+        bloom.clone().fold(f64::MAX, f64::min),
+        bloom.fold(0.0, f64::max),
+    );
+    fig.gate("bloom-flat", max < 1.5 * min, || {
+        format!("bloom spans {min} s .. {max} s")
+    })?;
+    for r in rows {
         fig.row(
             format!("o_orderdate<{}", r.upper_orderdate.unwrap_or("none")),
             vec![

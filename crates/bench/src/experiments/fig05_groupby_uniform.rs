@@ -4,10 +4,16 @@
 //! A 20-column synthetic table (10 group columns with 2^(i+1) groups
 //! each, 10 float value columns); each query aggregates four value
 //! columns grouped by one column, sweeping the group count 2 … 32.
-//! Expected shape: server-side and filtered flat in the group count,
-//! filtered ≈ 1.6× faster (projection pushdown); S3-side best at few
-//! groups, degrading past ~8–16 as the CASE-WHEN chain slows the scan.
 //! Each column is the planner's candidate of that name.
+//!
+//! Expected shape, as the gates [`figure`] checks: server-side and
+//! filtered stay within ±10 % of their 2-group runtimes at every group
+//! count (`server-flat`, `filtered-flat`), filtered faster than
+//! server-side throughout (`filtered-beats-server`; the paper: 64 %,
+//! projection pushdown); S3-side slows strictly with every step in the
+//! group count as its CASE-WHEN chain grows (`s3-side-degrades`),
+//! faster than filtered at 2 groups (`crossover-at-2`) and slower at 32
+//! (`crossover-at-32`).
 
 use crate::figure::{Cell, Figure};
 use crate::{run_candidate, Measure};
@@ -65,13 +71,43 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig5Row>> {
     Ok(out)
 }
 
-/// Fig 5 at [`SIZE`].
+/// Fig 5 at [`SIZE`], or the first of its gates that fails.
 pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
     let mut fig = Figure::new(
         "fig05",
         "Fig 5 — group-by runtime and cost vs uniform group count (projected to 10 GB)",
     );
-    for r in run(SIZE)? {
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    let (s0, f0) = (first.server.runtime, first.filtered.runtime);
+    for r in &rows {
+        let (server, filtered, n) = (r.server.runtime, r.filtered.runtime, r.n_groups);
+        fig.gate("server-flat", (server / s0 - 1.0).abs() < 0.1, || {
+            format!("{n} groups: server-side {server} s vs {s0} s at the fewest")
+        })?;
+        fig.gate("filtered-flat", (filtered / f0 - 1.0).abs() < 0.1, || {
+            format!("{n} groups: filtered {filtered} s vs {f0} s at the fewest")
+        })?;
+        fig.gate("filtered-beats-server", filtered < server, || {
+            format!("{n} groups: filtered {filtered} s vs server-side {server} s")
+        })?;
+    }
+    for w in rows.windows(2) {
+        let (a, b) = (w[0].s3_side.runtime, w[1].s3_side.runtime);
+        let (na, nb) = (w[0].n_groups, w[1].n_groups);
+        fig.gate("s3-side-degrades", b > a, || {
+            format!("s3-side {b} s at {nb} groups vs {a} s at {na}")
+        })?;
+    }
+    let crossover = |r: &Fig5Row| {
+        let (n, s3, filtered) = (r.n_groups, r.s3_side.runtime, r.filtered.runtime);
+        move || format!("{n} groups: s3-side {s3} s vs filtered {filtered} s")
+    };
+    let (s3, filtered) = (first.s3_side.runtime, first.filtered.runtime);
+    fig.gate("crossover-at-2", s3 < filtered, crossover(first))?;
+    let (s3, filtered) = (last.s3_side.runtime, last.filtered.runtime);
+    fig.gate("crossover-at-32", s3 > filtered, crossover(last))?;
+    for r in rows {
         fig.row(
             format!("groups={}", r.n_groups),
             vec![

@@ -4,10 +4,15 @@
 //! Zipf-skewed table (100 groups, θ = 1.3); the statement's `hybrid`
 //! candidate is forced to aggregate exactly `n` groups at S3
 //! (`Tune::ForcedSplit`) while the server handles the tail, `n` sweeping
-//! 1 … 12. Expected shape: the S3-side bar grows
-//! with `n` (longer CASE chains), the server-side bar and the bytes
-//! returned shrink (fewer tail rows shipped); the paper finds the best
-//! total around 6–8 groups.
+//! 1 … 12.
+//!
+//! Expected shape, as the gates [`figure`] checks: with every step in
+//! `n` the S3-side bar grows strictly (`s3-bar-grows`, longer CASE
+//! chains), the server-side bar (`server-bar-shrinks`) and the bytes
+//! returned (`bytes-shrink`) shrink strictly, fewer tail rows shipped;
+//! the best total is interior, strictly under the totals at `n = 1`
+//! (`best-not-at-1`) and at `n = 12` (`best-not-at-12`); the paper
+//! finds it around 6–8 groups.
 
 use crate::figure::{Cell, Figure};
 use crate::{run_candidate, Measure, Tune};
@@ -60,13 +65,35 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig6Row>> {
     Ok(out)
 }
 
-/// Fig 6 at [`SIZE`].
+/// Fig 6 at [`SIZE`], or the first of its gates that fails.
 pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
     let mut fig = Figure::new(
         "fig06",
         "Fig 6 — hybrid group-by: S3 vs server aggregation split (10 GB Zipf, θ = 1.3)",
     );
-    for r in run(SIZE)? {
+    for w in rows.windows(2) {
+        let (a, b) = (&w[0], &w[1]);
+        let at = format!("{} S3 groups vs {}", b.s3_groups, a.s3_groups);
+        let (x, y) = (a.s3_seconds, b.s3_seconds);
+        fig.gate("s3-bar-grows", y > x, || format!("{at}: s3 {y} s vs {x} s"))?;
+        let (x, y) = (a.server_seconds, b.server_seconds);
+        fig.gate("server-bar-shrinks", y < x, || {
+            format!("{at}: server {y} s vs {x} s")
+        })?;
+        let (x, y) = (a.bytes_returned, b.bytes_returned);
+        fig.gate("bytes-shrink", y < x, || format!("{at}: {y} bytes vs {x}"))?;
+    }
+    let totals: Vec<f64> = rows.iter().map(|r| r.total.runtime).collect();
+    let min = totals.iter().copied().fold(f64::MAX, f64::min);
+    let (first, last) = (totals[0], totals[totals.len() - 1]);
+    fig.gate("best-not-at-1", first > min, || {
+        format!("total {first} s at the fewest S3 groups is the best")
+    })?;
+    fig.gate("best-not-at-12", last > min, || {
+        format!("total {last} s at the most S3 groups is the best")
+    })?;
+    for r in rows {
         fig.row(
             format!("s3_groups={}", r.s3_groups),
             vec![

@@ -1,11 +1,16 @@
 //! **Figure 7** — group-by algorithms vs data skew (paper §VI-C2).
 //!
 //! The Zipf table's θ sweeps 0 (uniform) … 1.3 (59 % of rows in the top
-//! four of 100 groups). Expected shape: server-side and filtered flat in
-//! θ (they ship everything regardless); hybrid ≈ filtered at low skew
-//! (no populous groups worth pushing, it degenerates) and pulling ahead
-//! ~30 % at θ = 1.3. Each column is the planner's candidate of that
+//! four of 100 groups). Each column is the planner's candidate of that
 //! name for Fig 6's query.
+//!
+//! Expected shape, as the gates [`figure`] checks: server-side stays
+//! within ±10 % of its θ = 0 runtime at every θ (`server-flat`; it
+//! ships everything regardless); hybrid never slows by more than 5 %
+//! from one θ to the next (`hybrid-improves`), runs under 0.75×
+//! filtered at θ = 1.3 (`hybrid-wins-at-1.3`; the paper: 31 % faster)
+//! and under 1.25× filtered at θ = 0 (`hybrid-near-filtered-at-0`: no
+//! populous groups worth pushing, it degenerates to filtered).
 
 use crate::figure::{Cell, Figure};
 use crate::{run_candidate, Measure};
@@ -48,13 +53,45 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig7Row>> {
     Ok(out)
 }
 
-/// Fig 7 at [`SIZE`].
+/// Fig 7 at [`SIZE`], or the first of its gates that fails.
 pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
     let mut fig = Figure::new(
         "fig07",
         "Fig 7 — group-by runtime and cost vs Zipf skew (projected to 10 GB)",
     );
-    for r in run(SIZE)? {
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    let s0 = first.server.runtime;
+    for r in &rows {
+        let (theta, server) = (r.theta, r.server.runtime);
+        fig.gate("server-flat", (server / s0 - 1.0).abs() < 0.1, || {
+            format!("theta {theta}: server-side {server} s vs {s0} s at theta 0")
+        })?;
+    }
+    for w in rows.windows(2) {
+        let (a, b) = (w[0].hybrid.runtime, w[1].hybrid.runtime);
+        let theta = w[1].theta;
+        fig.gate("hybrid-improves", b <= a * 1.05, || {
+            format!("theta {theta}: hybrid {b} s vs {a} s at the theta before")
+        })?;
+    }
+    let against_filtered = |r: &Fig7Row| {
+        let (theta, hybrid, filtered) = (r.theta, r.hybrid.runtime, r.filtered.runtime);
+        move || format!("theta {theta}: hybrid {hybrid} s vs filtered {filtered} s")
+    };
+    let (hybrid, filtered) = (last.hybrid.runtime, last.filtered.runtime);
+    fig.gate(
+        "hybrid-wins-at-1.3",
+        hybrid < 0.75 * filtered,
+        against_filtered(last),
+    )?;
+    let (hybrid, filtered) = (first.hybrid.runtime, first.filtered.runtime);
+    fig.gate(
+        "hybrid-near-filtered-at-0",
+        hybrid < 1.25 * filtered,
+        against_filtered(first),
+    )?;
+    for r in rows {
         fig.row(
             format!("theta={}", r.theta),
             vec![

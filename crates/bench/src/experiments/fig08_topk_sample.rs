@@ -3,10 +3,17 @@
 //!
 //! Top-[`K`] over the lineitem table (the paper runs K = 100), the
 //! `sampling` candidate's sample size S (`Tune::SampleSize`) swept across
-//! four orders of magnitude. Expected shapes: sampling-phase time grows with
-//! S, scanning-phase time shrinks (tighter threshold ⇒ fewer qualifying
-//! rows), total bytes returned is U-shaped, and the measured optimum
-//! sits near the paper's analytic `S* = sqrt(K·N/α)`.
+//! four orders of magnitude.
+//!
+//! Expected shape, as the gates [`figure`] checks: from the smallest S
+//! to the largest the sampling phase grows (`sampling-grows`) and the
+//! scanning phase shrinks (`scanning-shrinks`: a tighter threshold, fewer
+//! qualifying rows); the bytes returned are U-shaped, their minimum
+//! strictly under both ends (`bytes-min-not-at-smallest`,
+//! `bytes-min-not-at-largest`); and the total at the swept S nearest the
+//! paper's analytic `S* = sqrt(K·N/α)` is within 4× of the best total
+//! (`near-analytic-optimum`; the paper: "stable in a relatively wide
+//! range around S*").
 //!
 //! Projection note: extensive quantities are projected to the paper's
 //! 60 M-row lineitem. Because the sample size is an absolute parameter,
@@ -96,7 +103,8 @@ pub fn run(scale_factor: f64) -> Result<Fig8Result> {
     })
 }
 
-/// Fig 8 at [`SIZE`]: the analytic optimum, then the sweep.
+/// Fig 8 at [`SIZE`]: the analytic optimum, then the sweep — or the
+/// first of its gates that fails.
 pub fn figure() -> Result<Figure> {
     let res = run(SIZE)?;
     let mut fig = Figure::new(
@@ -104,6 +112,36 @@ pub fn figure() -> Result<Figure> {
         "Fig 8 — sampling top-K phases vs sample size S, the analytic S* first \
          (projected to 60M rows)",
     );
+    let s = &res.sweep;
+    let (first, last) = (&s[0], &s[s.len() - 1]);
+    let (small, large) = (first.sample_size, last.sample_size);
+    let (a, b) = (first.sampling_seconds, last.sampling_seconds);
+    fig.gate("sampling-grows", b > a, || {
+        format!("sampling {b} s at S {large} vs {a} s at S {small}")
+    })?;
+    let (a, b) = (first.scanning_seconds, last.scanning_seconds);
+    fig.gate("scanning-shrinks", b < a, || {
+        format!("scanning {b} s at S {large} vs {a} s at S {small}")
+    })?;
+    let bytes: Vec<u64> = s.iter().map(|r| r.bytes_returned).collect();
+    let min = *bytes.iter().min().expect("the sweep is not empty");
+    let by_size = || format!("bytes returned by S: {bytes:?}");
+    fig.gate("bytes-min-not-at-smallest", bytes[0] > min, by_size)?;
+    fig.gate(
+        "bytes-min-not-at-largest",
+        bytes[bytes.len() - 1] > min,
+        by_size,
+    )?;
+    let best = s.iter().map(|r| r.total.runtime).fold(f64::MAX, f64::min);
+    let optimum = res.analytic_optimum;
+    let nearest = s
+        .iter()
+        .min_by_key(|r| r.sample_size.abs_diff(optimum))
+        .expect("the sweep is not empty");
+    let (at, total) = (nearest.sample_size, nearest.total.runtime);
+    fig.gate("near-analytic-optimum", total <= best * 4.0, || {
+        format!("S {at} (S* {optimum}): total {total} s vs the best {best} s")
+    })?;
     fig.row(
         "analytic",
         vec![

@@ -4,8 +4,11 @@
 //! statement's `server-side` and `sampling` candidates; the sample size
 //! comes from the §VII-B model, and `sampling` runs it even where the
 //! catalog's tails would hand it the threshold.
-//! Expected shape: both runtimes grow with K (bigger heap), sampling
-//! consistently faster *and* cheaper than server-side.
+//!
+//! Expected shape, as the gates [`figure`] checks: at every K sampling
+//! is faster (`sampling-faster`) *and* cheaper (`sampling-cheaper`) than
+//! server-side, and both runtimes are higher at the largest K than at
+//! K = 1 (`server-grows`, `sampling-grows`: a bigger heap).
 //!
 //! Projected to the paper's 60 M-row table with the same caveat as Fig 8.
 
@@ -53,13 +56,34 @@ pub fn run(scale_factor: f64) -> Result<Vec<Fig9Row>> {
     Ok(out)
 }
 
-/// Fig 9 at [`SIZE`].
+/// Fig 9 at [`SIZE`], or the first of its gates that fails.
 pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
     let mut fig = Figure::new(
         "fig09",
         "Fig 9 — top-K runtime and cost vs K: server-side vs sampling (projected to 60M rows)",
     );
-    for r in run(SIZE)? {
+    for r in &rows {
+        let (k, sampling, server) = (r.k, r.sampling.runtime, r.server.runtime);
+        fig.gate("sampling-faster", sampling < server, || {
+            format!("K={k}: sampling {sampling} s vs server-side {server} s")
+        })?;
+        let (sampling, server) = (r.sampling.cost.total(), r.server.cost.total());
+        fig.gate("sampling-cheaper", sampling < server, || {
+            format!("K={k}: sampling ${sampling} vs server-side ${server}")
+        })?;
+    }
+    let (first, last) = (&rows[0], &rows[rows.len() - 1]);
+    let k = last.k;
+    let (a, b) = (first.server.runtime, last.server.runtime);
+    fig.gate("server-grows", b > a, || {
+        format!("server-side {b} s at K={k} vs {a} s at K=1")
+    })?;
+    let (a, b) = (first.sampling.runtime, last.sampling.runtime);
+    fig.gate("sampling-grows", b > a, || {
+        format!("sampling {b} s at K={k} vs {a} s at K=1")
+    })?;
+    for r in rows {
         fig.row(
             format!("k={}", r.k),
             vec![

@@ -6,6 +6,11 @@
 //! (we reproduce the direction and rough magnitude; exact factors depend
 //! on the substituted substrate: a simulated store and an analytic clock
 //! calibrated to the paper's testbed, not the testbed itself).
+//!
+//! Expected shape, as the gates [`figure`] checks: every query's
+//! optimized run is faster than its baseline (`every-query-faster`), the
+//! geo-mean speedup is over 3 (`geo-mean-speedup`) and the geo-mean cost
+//! ratio under 1 (`geo-mean-cheaper`).
 
 use crate::experiments::fig02_join_customer::listing2_sql;
 use crate::figure::{Cell, Figure};
@@ -114,7 +119,8 @@ pub fn run(scale_factor: f64) -> Result<Fig10Result> {
     })
 }
 
-/// Fig 10 at [`SIZE`]: one row per query, then the geo-means.
+/// Fig 10 at [`SIZE`]: one row per query, then the geo-means — or the
+/// first of its gates that fails.
 pub fn figure() -> Result<Figure> {
     let res = run(SIZE)?;
     let mut fig = Figure::new(
@@ -122,6 +128,19 @@ pub fn figure() -> Result<Figure> {
         "Fig 10 — baseline vs optimized per query and geo-means (paper: 6.7x / 0.70), \
          projected to SF 10; Adaptive's pick is information, priced at bench scale",
     );
+    for r in &res.rows {
+        let speedup = r.speedup();
+        fig.gate("every-query-faster", speedup > 1.0, || {
+            format!("{}: speedup {speedup:.2}", r.name)
+        })?;
+    }
+    let (speedup, cost_ratio) = (res.geo_mean_speedup, res.geo_mean_cost_ratio);
+    fig.gate("geo-mean-speedup", speedup > 3.0, || {
+        format!("geo-mean speedup {speedup:.2} (paper: 6.7)")
+    })?;
+    fig.gate("geo-mean-cheaper", cost_ratio < 1.0, || {
+        format!("geo-mean cost ratio {cost_ratio:.2} (paper: 0.70)")
+    })?;
     for r in res.rows {
         fig.row(
             r.name,

@@ -3,14 +3,21 @@
 //!
 //! Tables of 1 / 10 / 20 float columns (100 MB per column at paper
 //! scale); the query returns one filtered column with selectivity swept
-//! 0 … 1. Expected shape: columnar ≈ flat in the column count (it scans
-//! one chunk) while CSV grows with table width; the gap narrows as
-//! selectivity rises because the response is CSV either way and transfer
-//! dominates (the paper's §IX observation).
+//! 0 … 1.
+//!
+//! Expected shape, as the gates [`figure`] checks: columnar is never
+//! over 1.02× CSV (`columnar-never-loses`); at selectivity 0 CSV over
+//! 20 columns is over 1.5× CSV over one (`csv-pays-for-width`) while
+//! columnar stays under 1.2× (`columnar-flat-in-width`: it scans one
+//! chunk); at selectivity 1 over 20 columns CSV is under 1.2× columnar
+//! (`formats-converge`: the response is CSV either way and transfer
+//! dominates, the paper's §IX observation); and the compressed columnar
+//! table is 0.5–0.95 of the CSV bytes (`size-ratio`; the paper's
+//! Parquet: ~0.7).
 
 use crate::figure::{Cell, Figure};
 use crate::Measure;
-use pushdown_common::Result;
+use pushdown_common::{Error, Result};
 use pushdown_core::scan::select_scan;
 use pushdown_core::{upload_columnar_table, upload_csv_table, QueryContext};
 use pushdown_format::columnar::WriterOptions;
@@ -102,13 +109,43 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig11Row>> {
     Ok(out)
 }
 
-/// Fig 11 at [`SIZE`].
+/// Fig 11 at [`SIZE`], or the first of its gates that fails.
 pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
     let mut fig = Figure::new(
         "fig11",
         "Fig 11 — CSV vs ColumnarLite filter runtime and cost (projected to 100 MB/column)",
     );
-    for r in run(SIZE)? {
+    for r in &rows {
+        let (cols, sel) = (r.columns, r.selectivity);
+        let (columnar, csv) = (r.columnar.runtime, r.csv.runtime);
+        fig.gate("columnar-never-loses", columnar <= csv * 1.02, || {
+            format!("{cols} columns, selectivity {sel}: columnar {columnar} s vs csv {csv} s")
+        })?;
+    }
+    let get = |cols: usize, sel: f64| {
+        rows.iter()
+            .find(|r| r.columns == cols && (r.selectivity - sel).abs() < 1e-9)
+            .ok_or_else(|| Error::Other(format!("fig11: no {cols}-column row at {sel}")))
+    };
+    let (narrow, wide) = (get(1, 0.0)?, get(20, 0.0)?);
+    let (a, b) = (narrow.csv.runtime, wide.csv.runtime);
+    fig.gate("csv-pays-for-width", b > 1.5 * a, || {
+        format!("selectivity 0: csv {b} s over 20 columns vs {a} s over 1")
+    })?;
+    let (a, b) = (narrow.columnar.runtime, wide.columnar.runtime);
+    fig.gate("columnar-flat-in-width", b < 1.2 * a, || {
+        format!("selectivity 0: columnar {b} s over 20 columns vs {a} s over 1")
+    })?;
+    let r = get(20, 1.0)?;
+    let (csv, columnar, ratio) = (r.csv.runtime, r.columnar.runtime, r.size_ratio);
+    fig.gate("formats-converge", csv < 1.2 * columnar, || {
+        format!("20 columns, selectivity 1: csv {csv} s vs columnar {columnar} s")
+    })?;
+    fig.gate("size-ratio", (0.5..0.95).contains(&ratio), || {
+        format!("columnar / csv bytes {ratio}")
+    })?;
+    for r in rows {
         fig.row(
             format!("columns={} selectivity={}", r.columns, r.selectivity),
             vec![

@@ -18,7 +18,16 @@
 //! tier, drops it and recovers it from its directory.
 //!
 //! Everything is deterministic in the [`Size`]; [`figure`] runs both
-//! legs at [`SIZE`] and holds their rows to seven gates.
+//! legs at [`SIZE`] and holds their rows to seven gates, named by
+//! number: a full-dataset mem budget saves at least half the remote
+//! bytes (1); a disk tier larger than RAM behind the same constrained
+//! mem budget cuts them by at least a fifth more (2); no budget bills
+//! over 1.0001× the cache-off run (6); a full-dataset disk tier recovers
+//! segments at a restart and its replay bills 0 remote bytes (3); a mem
+//! tier in front of it adds no disk writes and loses nothing at the
+//! restart (7); the undersized disk tier's manifest holds at most
+//! `max(128, 8 × live entries)` records (4); and every fsync belongs to
+//! a commit, a compaction or an invalidation (5).
 
 use crate::figure::{Cell, Figure};
 use crate::workload::{generate_zipf, run_stream, WorkloadReport, WorkloadSpec};
@@ -304,23 +313,28 @@ pub fn run_restart(size: Size) -> Result<FigRestartResult> {
     })
 }
 
-fn gate(n: u32, what: String) -> Result<()> {
-    Err(Error::Other(format!("fig_cache Gate {n}: {what}")))
+fn row(what: &str) -> Error {
+    Error::Other(format!("fig-cache: no {what} row in the grid"))
 }
 
-fn row(what: &str) -> Error {
-    Error::Other(format!("fig_cache: no {what} row in the grid"))
+/// The figure the gates name, before it takes its rows.
+fn new_figure() -> Figure {
+    Figure::new(
+        "fig-cache",
+        "Fig cache — billed $ and bytes vs (mem, disk) tier budgets under a Zipf stream, \
+         and the persistent tier across a restart",
+    )
 }
 
 /// The figure's seven gates, on the rows of one run of both legs: the
 /// first that fails is the `Err`, named.
-fn check_gates(sweep: &FigCacheResult, restart: &FigRestartResult) -> Result<()> {
-    check_sweep_gates(sweep)?;
-    check_restart_gates(restart)
+fn check_gates(fig: &Figure, sweep: &FigCacheResult, restart: &FigRestartResult) -> Result<()> {
+    check_sweep_gates(fig, sweep)?;
+    check_restart_gates(fig, restart)
 }
 
 /// Gates 1, 2 and 6, on the budget sweep.
-fn check_sweep_gates(sweep: &FigCacheResult) -> Result<()> {
+fn check_sweep_gates(fig: &Figure, sweep: &FigCacheResult) -> Result<()> {
     // Gate 1: a full-dataset mem budget serves the whole repeated
     // stream locally after the cold fills.
     let full_mem = sweep
@@ -328,15 +342,12 @@ fn check_sweep_gates(sweep: &FigCacheResult) -> Result<()> {
         .iter()
         .find(|r| r.mem_budget >= sweep.dataset_bytes && r.disk_budget == 0)
         .ok_or_else(|| row("full mem-budget"))?;
-    if full_mem.saved_fraction < 0.5 {
-        return gate(
-            1,
-            format!(
-                "a full-dataset mem budget saves {:.3} of remote bytes, under 0.5",
-                full_mem.saved_fraction
-            ),
-        );
-    }
+    fig.gate("1", full_mem.saved_fraction >= 0.5, || {
+        format!(
+            "a full-dataset mem budget saves {:.3} of remote bytes, under 0.5",
+            full_mem.saved_fraction
+        )
+    })?;
 
     // Gate 2: stacking a disk tier larger than RAM behind the same
     // constrained mem budget keeps cutting remote bytes — demoted
@@ -353,15 +364,12 @@ fn check_sweep_gates(sweep: &FigCacheResult) -> Result<()> {
         .max_by_key(|r| r.disk_budget)
         .ok_or_else(|| row("disk > mem at the same mem budget"))?;
     let drop = 1.0 - with_disk.remote_bytes as f64 / mem_only.remote_bytes.max(1) as f64;
-    if drop < 0.2 {
-        return gate(
-            2,
-            format!(
-                "a disk tier larger than RAM cuts remote bytes {drop:.3} vs mem-only at the \
-                 same mem budget, under 0.2"
-            ),
-        );
-    }
+    fig.gate("2", drop >= 0.2, || {
+        format!(
+            "a disk tier larger than RAM cuts remote bytes {drop:.3} vs mem-only at the \
+             same mem budget, under 0.2"
+        )
+    })?;
 
     // Gate 6: a cache never costs money. Rent-or-buy fills a table only
     // once what reading it remotely has cost covers the fill, so no
@@ -374,25 +382,22 @@ fn check_sweep_gates(sweep: &FigCacheResult) -> Result<()> {
         .ok_or_else(|| row("cache-off"))?;
     for r in &sweep.rows {
         let ratio = r.report.total_dollars / off.report.total_dollars;
-        if ratio > 1.0001 {
-            return gate(
-                6,
-                format!(
-                    "(mem {}, disk {}) bills ${:.9}, {:+.3}% over the cache-off ${:.9}",
-                    r.mem_budget,
-                    r.disk_budget,
-                    r.report.total_dollars,
-                    (ratio - 1.0) * 100.0,
-                    off.report.total_dollars,
-                ),
-            );
-        }
+        fig.gate("6", ratio <= 1.0001, || {
+            format!(
+                "(mem {}, disk {}) bills ${:.9}, {:+.3}% over the cache-off ${:.9}",
+                r.mem_budget,
+                r.disk_budget,
+                r.report.total_dollars,
+                (ratio - 1.0) * 100.0,
+                off.report.total_dollars,
+            )
+        })?;
     }
     Ok(())
 }
 
 /// Gates 3, 7, 4 and 5, on the restart leg.
-fn check_restart_gates(restart: &FigRestartResult) -> Result<()> {
+fn check_restart_gates(fig: &Figure, restart: &FigRestartResult) -> Result<()> {
     // Gate 3: restart economics. With a disk tier holding the whole
     // dataset, everything disk-resident at shutdown is recovered and
     // serves the post-restart replay like the pre-restart warm pass —
@@ -402,19 +407,20 @@ fn check_restart_gates(restart: &FigRestartResult) -> Result<()> {
         .iter()
         .find(|r| r.mem_budget == 0 && r.disk_budget >= restart.dataset_bytes)
         .ok_or_else(|| row("full disk-budget restart"))?;
-    if full_disk.recovered_segments == 0 {
-        return gate(3, "the restart recovered no persisted segment".into());
-    }
-    if full_disk.restart_remote != full_disk.warm_remote || full_disk.restart_remote != 0 {
-        return gate(
-            3,
+    fig.gate("3", full_disk.recovered_segments != 0, || {
+        "the restart recovered no persisted segment".into()
+    })?;
+    fig.gate(
+        "3",
+        full_disk.restart_remote == full_disk.warm_remote && full_disk.restart_remote == 0,
+        || {
             format!(
                 "segments disk-resident at shutdown must bill 0 remote bytes after recovery \
                  (warm {} B, restart {} B)",
                 full_disk.warm_remote, full_disk.restart_remote
-            ),
-        );
-    }
+            )
+        },
+    )?;
 
     // Gate 7: a mem tier in front of the full-dataset disk tier writes
     // nothing more to it while the stream runs and loses nothing at a
@@ -431,9 +437,10 @@ fn check_restart_gates(restart: &FigRestartResult) -> Result<()> {
         .find(|r| r.mem_budget > 0 && r.disk_budget >= restart.dataset_bytes)
         .ok_or_else(|| row("mem-fronted full disk-budget restart"))?;
     let persisted = |r: &FigRestartRow| r.persisted(|c| c.persisted_bytes);
-    if fronted.restart_remote != 0 || persisted(fronted) > persisted(full_disk) {
-        return gate(
-            7,
+    fig.gate(
+        "7",
+        fronted.restart_remote == 0 && persisted(fronted) <= persisted(full_disk),
+        || {
             format!(
                 "a mem tier in front must add no disk writes and, since a clean shutdown \
                  logs every segment in mem, lose nothing at a restart (restart remote {} B, \
@@ -441,9 +448,9 @@ fn check_restart_gates(restart: &FigRestartResult) -> Result<()> {
                 fronted.restart_remote,
                 persisted(fronted),
                 persisted(full_disk)
-            ),
-        );
-    }
+            )
+        },
+    )?;
 
     // Gate 4: the manifest stays compact under eviction churn — dead
     // Put/Del records are garbage-collected once they outnumber live
@@ -455,33 +462,27 @@ fn check_restart_gates(restart: &FigRestartResult) -> Result<()> {
         .find(|r| r.mem_budget == 0 && r.disk_budget < restart.dataset_bytes)
         .ok_or_else(|| row("undersized-disk restart"))?;
     let m = churn.manifest.unwrap_or_default();
-    if m.records > 128.max(8 * m.live_puts) {
-        return gate(
-            4,
-            format!(
-                "manifest compaction bound violated: {} records for {} live entries",
-                m.records, m.live_puts
-            ),
-        );
-    }
+    fig.gate("4", m.records <= 128.max(8 * m.live_puts), || {
+        format!(
+            "manifest compaction bound violated: {} records for {} live entries",
+            m.records, m.live_puts
+        )
+    })?;
 
     // Gate 5: group commit. Every fsync of either incarnation belongs
     // to a commit, a compaction or an invalidation, each at most two
     // barriers — however many segments the stream persisted.
     for r in &restart.rows {
-        if !r.fsyncs_within_commit_bound() {
-            return gate(
-                5,
-                format!(
-                    "(mem {}, disk {}): {} fsyncs for {} commits + {} compactions",
-                    r.mem_budget,
-                    r.disk_budget,
-                    r.persisted(|c| c.fsyncs),
-                    r.persisted(|c| c.commits),
-                    r.persisted(|c| c.compactions),
-                ),
-            );
-        }
+        fig.gate("5", r.fsyncs_within_commit_bound(), || {
+            format!(
+                "(mem {}, disk {}): {} fsyncs for {} commits + {} compactions",
+                r.mem_budget,
+                r.disk_budget,
+                r.persisted(|c| c.fsyncs),
+                r.persisted(|c| c.commits),
+                r.persisted(|c| c.compactions),
+            )
+        })?;
     }
     Ok(())
 }
@@ -492,12 +493,8 @@ fn check_restart_gates(restart: &FigRestartResult) -> Result<()> {
 pub fn figure() -> Result<Figure> {
     let sweep = run(SIZE)?;
     let restart = run_restart(SIZE)?;
-    check_gates(&sweep, &restart)?;
-    let mut fig = Figure::new(
-        "fig-cache",
-        "Fig cache — billed $ and bytes vs (mem, disk) tier budgets under a Zipf stream, \
-         and the persistent tier across a restart",
-    );
+    let mut fig = new_figure();
+    check_gates(&fig, &sweep, &restart)?;
     fig.row(
         "dataset",
         vec![
@@ -570,6 +567,6 @@ mod tests {
             ..SIZE
         })
         .unwrap();
-        check_restart_gates(&restart).unwrap();
+        check_restart_gates(&new_figure(), &restart).unwrap();
     }
 }

@@ -2,9 +2,11 @@
 //! and one line writer renders it — exactly for the golden file
 //! (`tests/paper_figures.rs`), readably for the `figures` binary. A line
 //! is the figure's name, the row's label, then ` | `-separated cells.
+//! Before a figure takes its rows it holds them to its paper claims
+//! (`Figure::gate`), so both callers fail when a claim does.
 
 use crate::Measure;
-use pushdown_common::fmtutil;
+use pushdown_common::{fmtutil, Error, Result};
 
 /// One value of a figure row.
 #[derive(Debug, Clone)]
@@ -55,6 +57,27 @@ impl Figure {
             title,
             rows: Vec::new(),
         }
+    }
+
+    /// One paper claim the rows of this figure must hold: `Ok` when it
+    /// `holds`, else the `Err` that names the figure, the gate and, by
+    /// `what`, the row that breaks it. A `figure()` checks its gates on
+    /// the rows it just computed, before it adds them, and returns the
+    /// first that fails.
+    pub(crate) fn gate(
+        &self,
+        gate: &str,
+        holds: bool,
+        what: impl FnOnce() -> String,
+    ) -> Result<()> {
+        if holds {
+            return Ok(());
+        }
+        Err(Error::Other(format!(
+            "{}: gate {gate}: {}",
+            self.name,
+            what()
+        )))
     }
 
     /// Append a row.
@@ -121,6 +144,19 @@ mod tests {
             },
             bytes_returned: 0,
         }
+    }
+
+    #[test]
+    fn a_failing_gate_names_its_figure_and_itself() {
+        let figure = Figure::new("demo", "Demo");
+        assert_eq!(figure.gate("holds", true, || unreachable!()), Ok(()));
+        let err = figure
+            .gate("s3-faster", false, || "selectivity 1e-2: 2 s vs 1 s".into())
+            .unwrap_err();
+        assert_eq!(
+            err.message(),
+            "demo: gate s3-faster: selectivity 1e-2: 2 s vs 1 s"
+        );
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //!
 //! Each `experiments::figNN` module exposes a `run(size)` function that
 //! executes the experiment and returns structured rows, a `SIZE` and a
-//! `figure()` that runs it at that size and returns a [`figure::Figure`].
-//! `experiments::FIGURES` lists every figure; the `figures` binary prints
-//! them readably, `tests/paper_figures.rs` pins them to the bit, and
-//! `tests/figure_shapes.rs` asserts the *shape* claims (who wins, where
-//! the crossovers are) on the same rows at the same sizes.
+//! `figure()` that runs it at that size, checks the paper's *shape*
+//! claims (who wins, where the crossovers are) on those rows as named
+//! gates, and returns a [`figure::Figure`]. `experiments::FIGURES` lists
+//! every figure; the `figures` binary prints them readably and
+//! `tests/paper_figures.rs` pins them to the bit, and both fail when a
+//! gate does.
 //!
 //! Conventions:
 //!

@@ -162,9 +162,12 @@ pub fn indexed(
         };
         for (ranges, dkey) in ranges.iter().zip(&data_parts) {
             for batch in ranges.chunks(per_request) {
-                let got =
-                    ctx.store
-                        .get_object_ranges_with(&idx.data.bucket, dkey, batch, &ctx.retry)?;
+                let got = ctx.store.get_object_ranges_with(
+                    &idx.data.bucket,
+                    dkey,
+                    batch,
+                    ctx.engine.retry(),
+                )?;
                 fetched.point_requests += u64::from(got.attempts);
                 for record in got.value {
                     fetched.plain_bytes += record.len() as u64;

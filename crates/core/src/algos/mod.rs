@@ -605,8 +605,13 @@ mod tests {
     #[test]
     fn suggestion3_binary_bloom_survives_where_string_bloom_degrades() {
         let (mut ctx, left) = join_setup();
-        // A budget the string filter cannot meet at the requested rate.
-        ctx.bloom.max_sql_bytes = 1_200;
+        // A SQL limit the string filter cannot meet at the requested rate.
+        ctx.engine = pushdown_select::S3SelectEngine::with_limits(
+            ctx.store.clone(),
+            pushdown_select::SelectLimits {
+                max_sql_bytes: 2_000,
+            },
+        );
         let (string, probe) = run_join(&ctx, &left, "bloom");
         assert!(
             probe.starts_with("bloom probe (fpr 0.01 degraded to ")

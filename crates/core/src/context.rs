@@ -15,7 +15,6 @@
 use crate::catalog::{Catalog, Table};
 use crate::cluster::Cluster;
 use crate::scan::CacheEffects;
-use pushdown_bloom::BloomBuilder;
 use pushdown_cache::{CacheConfig, SegmentCache};
 use pushdown_common::perf::PerfModel;
 use pushdown_common::pricing::{Pricing, Usage};
@@ -30,7 +29,6 @@ pub struct QueryContext {
     pub engine: S3SelectEngine,
     pub model: PerfModel,
     pub pricing: Pricing,
-    pub bloom: BloomBuilder,
     /// Name → table registry used to resolve the *join* tables of
     /// multi-table SQL (the primary table is always passed explicitly).
     /// Shared across scopes; empty by default.
@@ -45,10 +43,6 @@ pub struct QueryContext {
     /// each running job holds `O(batch_rows)` rows in flight instead of
     /// materializing whole tables.
     pub batch_rows: usize,
-    /// The uniform bounded-backoff retry policy for transient store
-    /// faults — applied identically to whole-object GETs, range GETs,
-    /// multi-range GETs and Select requests.
-    pub retry: RetryPolicy,
     /// Lower every plain-GET scan leaf as a cache read
     /// ([`crate::scan::ScanSource::Cached`]) when the store has a segment
     /// cache installed (see [`QueryContext::with_cache`]), so the pricer
@@ -90,13 +84,11 @@ impl QueryContext {
             engine,
             model: PerfModel::default(),
             pricing: Pricing::us_east(),
-            bloom: BloomBuilder::default(),
             catalog: Catalog::default(),
             scan_threads: std::thread::available_parallelism()
                 .map(|n| n.get().min(16))
                 .unwrap_or(4),
             batch_rows: 1024,
-            retry: RetryPolicy::default(),
             cache_reads: false,
             cache_chunk_bytes: 64 * 1024,
             cluster: None,
@@ -178,9 +170,10 @@ impl QueryContext {
     }
 
     fn rebound(&self, store: S3Store) -> QueryContext {
-        // Re-sync the engine onto the scoped store (so Select billing hits
-        // the child ledger) and onto the context's current retry policy.
-        let engine = self.engine.rebound(store.clone()).with_retry(self.retry);
+        // Re-bind the engine to the scoped store, so Select billing hits
+        // the child ledger; its configuration, retry policy included,
+        // carries over.
+        let engine = self.engine.rebound(store.clone());
         QueryContext {
             store,
             engine,
@@ -238,9 +231,12 @@ impl QueryContext {
         self
     }
 
-    /// Override the retry policy (engine and GET paths alike).
+    /// Override the uniform bounded-backoff retry policy for transient
+    /// store faults. It is the engine's policy
+    /// ([`S3SelectEngine::retry`]), which Select requests and every GET
+    /// path (whole-object, range, multi-range, cached) read alike, so
+    /// one context has one policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self.engine = self.engine.clone().with_retry(retry);
         self
     }
@@ -354,7 +350,7 @@ mod tests {
     fn construction_defaults() {
         let ctx = QueryContext::new(S3Store::new());
         assert!(ctx.scan_threads >= 1);
-        assert_eq!(ctx.retry, RetryPolicy::default());
+        assert_eq!(*ctx.engine.retry(), RetryPolicy::default());
         assert_eq!(ctx.batch_rows, 1024);
         assert_eq!(ctx.pricing, Pricing::us_east());
         assert_eq!(ctx.with_batch_rows(0).batch_rows, 1);
@@ -393,11 +389,8 @@ mod tests {
 
     #[test]
     fn retry_policy_propagates_to_scoped_engines() {
-        let ctx = QueryContext::new(S3Store::new());
-        let mut custom = ctx.clone();
-        custom.retry = RetryPolicy::with_attempts(9);
+        let custom = QueryContext::new(S3Store::new()).with_retry(RetryPolicy::with_attempts(9));
         let scoped = custom.scoped();
         assert_eq!(scoped.engine.retry().max_attempts, 9);
-        assert_eq!(scoped.retry.max_attempts, 9);
     }
 }

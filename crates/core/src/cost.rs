@@ -1105,7 +1105,8 @@ fn predict_handing(
                     let build_keys = bc.rows.min(col_ndv(ests, build_key));
                     let match_frac = (build_keys / col_ndv(ests, probe_key).max(1.0)).min(1.0);
                     let keys = (build_keys as usize).max(1);
-                    let planned = crate::plan::bloom_builder(ests.ctx).plan(keys, *fpr, probe_key);
+                    let builder = crate::plan::bloom_builder(ests.ctx, &node.children[1]);
+                    let planned = builder.plan(keys, *fpr, probe_key);
                     let bloom = match planned {
                         BloomPlan::AsRequested { fpr } | BloomPlan::Degraded { fpr, .. } => {
                             Injected {
@@ -1903,6 +1904,14 @@ mod tests {
         );
     }
 
+    /// The context's engine, enforcing a SQL limit of `max_sql_bytes`.
+    fn limited(ctx: &QueryContext, max_sql_bytes: usize) -> pushdown_select::S3SelectEngine {
+        pushdown_select::S3SelectEngine::with_limits(
+            ctx.store.clone(),
+            pushdown_select::SelectLimits { max_sql_bytes },
+        )
+    }
+
     /// A Bloom probe is priced at the rate §V-B1 leaves it under the SQL
     /// limit — degraded, or no filter at all — and named for it, as the
     /// executor names it: 50 build keys against 500 probe rows, a tenth of
@@ -1949,7 +1958,7 @@ mod tests {
         let ratio = keep(&requested) / keep(&unfiltered);
         assert!((ratio - (0.1 + 0.01 * 0.9)).abs() < 0.01, "{ratio}");
         // 0.01 does not fit, 0.04 does: five terms, 4 % of the rest.
-        ctx.bloom.max_sql_bytes = 2_500;
+        ctx.engine = limited(&ctx, 2_500);
         let degraded = probe(&ctx, "bloom");
         assert!(
             degraded.label.contains("degraded to 0.04"),
@@ -1961,7 +1970,7 @@ mod tests {
         let ratio = keep(&degraded) / keep(&unfiltered);
         assert!((ratio - (0.1 + 0.04 * 0.9)).abs() < 0.01, "{ratio}");
         // Nothing fits: the probe is the filtered join's scan.
-        ctx.bloom.max_sql_bytes = 100;
+        ctx.engine = limited(&ctx, 100);
         let fallback = probe(&ctx, "bloom");
         assert!(
             fallback.label.starts_with("fallback probe"),

@@ -716,16 +716,39 @@ pub fn push_predicate(tree: &PlanNode, expr: &Expr) -> PlanNode {
     tree
 }
 
-/// The builder a Bloom join plans its filter with. §X Suggestion 3: the
-/// hex / `BIT_AT` encoding of the engine's `bitwise` extension packs four
+/// The builder a Bloom join plans its filter with over `probe`, its
+/// probe side: sized to the SQL limit the engine enforces on a whole
+/// statement, less the longest statement a Select leaf of `probe` sends
+/// without the filter, so a filter that would not fit degrades or falls
+/// back (§V-B1) instead of being rejected. §X Suggestion 3: the hex /
+/// `BIT_AT` encoding of the engine's `bitwise` extension packs four
 /// filter bits per SQL character, so the same statement budget plans a
 /// filter four times the size.
-pub(crate) fn bloom_builder(ctx: &QueryContext) -> BloomBuilder {
-    let mut builder = ctx.bloom;
-    if ctx.engine.extensions().bitwise {
-        builder.max_sql_bytes = builder.max_sql_bytes.saturating_mul(4);
+pub(crate) fn bloom_builder(ctx: &QueryContext, probe: &PlanNode) -> BloomBuilder {
+    /// The longest statement a Select leaf under `node` sends, with room
+    /// for the ` WHERE ` or the ` AND ` and parentheses that join a
+    /// filter onto it.
+    fn longest_stmt(node: &PlanNode) -> usize {
+        let own = match &node.op {
+            PlanOp::Scan {
+                predicate,
+                projection,
+                source: ScanSource::Select(_),
+                ..
+            } => scan_stmt(projection, predicate).to_string().len() + " AND ()()".len(),
+            _ => 0,
+        };
+        node.children.iter().map(longest_stmt).fold(own, usize::max)
     }
-    builder
+    let limit = ctx.engine.limits().max_sql_bytes;
+    let mut max_sql_bytes = limit.saturating_sub(longest_stmt(probe));
+    if ctx.engine.extensions().bitwise {
+        max_sql_bytes = max_sql_bytes.saturating_mul(4);
+    }
+    BloomBuilder {
+        max_sql_bytes,
+        ..BloomBuilder::default()
+    }
 }
 
 /// Attach the predicted report's per-node stats to the executed one.
@@ -1364,7 +1387,7 @@ fn run_join(ctx: &QueryContext, node: &PlanNode, mut emit: Emit<'_>) -> Result<R
             // §V-B1: degrade or fall back when the filter cannot fit the
             // SQL size limit; either way the build side already loaded,
             // so the two scans stay serial.
-            let built = bloom_builder(ctx).build(&keys, *fpr, probe_key);
+            let built = bloom_builder(ctx, probe_node).build(&keys, *fpr, probe_key);
             let (bloom_pred, planned) = match built {
                 Some((filter, planned)) => (Some(filter), planned),
                 None => (None, BloomPlan::Fallback),

@@ -793,7 +793,7 @@ fn scan_fragment(
                 let (fetched, log) = store.read_object_chunked_cached_with(
                     &table.bucket,
                     part.key,
-                    &ctx.retry,
+                    ctx.engine.retry(),
                     |len| table.cache_layout(part.key, len, ctx.cache_chunk_bytes),
                     |at, footer| wanted_chunks(table, needed.as_deref()?, at, footer),
                 )?;
@@ -813,7 +813,7 @@ fn scan_fragment(
                 };
                 (parts, stats)
             } else {
-                let fetched = store.get_object_with(&table.bucket, part.key, &ctx.retry)?;
+                let fetched = store.get_object_with(&table.bucket, part.key, ctx.engine.retry())?;
                 let stats = PhaseStats {
                     requests: u64::from(fetched.attempts),
                     plain_bytes: fetched.value.len() as u64,
@@ -1483,15 +1483,38 @@ mod tests {
 
     #[test]
     fn scan_survives_transient_faults() {
-        let (mut ctx, t) = ctx_with_table(100, 50);
+        let (ctx, t) = ctx_with_table(100, 50);
         ctx.store
             .set_fault_plan(Some(pushdown_s3::FaultPlan::new(5, 0.4)));
-        ctx.retry = pushdown_common::RetryPolicy::with_attempts(16);
+        let ctx = ctx.with_retry(pushdown_common::RetryPolicy::with_attempts(16));
         let r = plain_scan(&ctx, &t).unwrap();
         assert_eq!(r.rows.len(), 100);
         // Retried attempts are metered as extra requests (2 partitions).
         assert!(r.stats.requests >= 2);
         assert_eq!(r.stats.requests, ctx.billed().requests);
+    }
+
+    /// One context has one retry policy: with every attempt faulting, a
+    /// GET leaf, a cached leaf and a Select leaf on the same unscoped
+    /// context each bill exactly the policy's attempts.
+    #[test]
+    fn every_leaf_retries_under_the_one_policy() {
+        let (ctx, t) = ctx_with_table(10, 100);
+        let ctx = ctx
+            .with_cache(1 << 20)
+            .with_retry(pushdown_common::RetryPolicy::with_attempts(3));
+        ctx.store
+            .set_fault_plan(Some(pushdown_s3::FaultPlan::new(1, 1.0)));
+        for source in [
+            ScanSource::Plain,
+            ScanSource::Cached,
+            ScanSource::Select(None),
+        ] {
+            let before = ctx.billed().requests;
+            let err = scan(&ctx, &t, source, &star(), None, |_| Ok(())).unwrap_err();
+            assert!(err.is_retryable(), "{source:?}: {err}");
+            assert_eq!(ctx.billed().requests - before, 3, "{source:?}");
+        }
     }
 
     #[test]

@@ -286,8 +286,9 @@
 //! installing the same plan and scoping with the same salt
 //! ([`core::QueryContext::scoped_with_salt`]). All request paths —
 //! whole-object, range, multi-range and Select — retry transient faults
-//! under one uniform bounded-backoff [`common::RetryPolicy`]
-//! (`QueryContext::retry`); each attempt bills a request, bytes bill
+//! under one uniform bounded-backoff [`common::RetryPolicy`], the
+//! engine's ([`select::S3SelectEngine::retry`], set by
+//! [`core::QueryContext::with_retry`]); each attempt bills a request, bytes bill
 //! once, and backoff advances the scope's virtual clock
 //! ([`s3::S3Store::virtual_time_s`]). The seeded workload harness
 //! (`pushdown_bench::workload`, run by the cache figure,

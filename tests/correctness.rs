@@ -8,6 +8,7 @@ use pushdowndb::common::{DataType, Row, Schema, Value};
 use pushdowndb::core::algos::filter;
 use pushdowndb::core::{build_index, upload_csv_table, QueryContext, Strategy};
 use pushdowndb::s3::{FaultPlan, S3Store};
+use pushdowndb::select::{S3SelectEngine, SelectLimits};
 use pushdowndb::sql::parse_expr;
 use pushdowndb::tpch::{tpch_context, SUITE};
 
@@ -78,9 +79,11 @@ fn join_agrees_across_fpr_extremes_and_fallback() {
         let out = run_candidate(&ctx, &t.customer, sql, "bloom", Some(Tune::Fpr(fpr))).unwrap();
         assert_rows_close(&reference.rows, &out.rows, &format!("bloom fpr {fpr}"));
     }
-    // Forced fallback (tiny SQL limit) must still agree.
+    // Forced fallback (a SQL limit that admits the unfiltered probe but
+    // no filter) must still agree.
     let mut tight = ctx.clone();
-    tight.bloom.max_sql_bytes = 32;
+    tight.engine =
+        S3SelectEngine::with_limits(ctx.store.clone(), SelectLimits { max_sql_bytes: 128 });
     let out = run_candidate(&tight, &t.customer, sql, "bloom", None).unwrap();
     let probe = &out.metrics.groups[1].phases[0].label;
     assert!(probe.starts_with("fallback probe (no bloom)"), "{probe}");
@@ -172,12 +175,11 @@ fn streamed_scans_survive_faults_mid_scan_for_both_formats() {
         pushdowndb::format::WriterOptions::default(),
     )
     .unwrap();
-    let mut ctx = QueryContext::new(store);
-    ctx.batch_rows = 64; // many batches per partition
-    ctx.scan_threads = 4;
     // The seeded plan faults ~30% of attempts; a generous retry budget
     // keeps the success cases deterministic under any scheduling.
-    ctx.retry = RetryPolicy::with_attempts(16);
+    let mut ctx = QueryContext::new(store).with_retry(RetryPolicy::with_attempts(16));
+    ctx.batch_rows = 64; // many batches per partition
+    ctx.scan_threads = 4;
 
     let sql = "SELECT * FROM t WHERE k % 7 = 0";
     for table in [&csv, &clt] {
@@ -214,9 +216,8 @@ fn streamed_operators_survive_faults_mid_scan() {
         .map(|i| Row::new(vec![Value::Int(i % 11), Value::Int((i * 37) % 1000)]))
         .collect();
     let table = upload_csv_table(&store, "b", "t", &schema, &rows, 200).unwrap();
-    let mut ctx = QueryContext::new(store);
+    let mut ctx = QueryContext::new(store).with_retry(RetryPolicy::with_attempts(16));
     ctx.batch_rows = 50;
-    ctx.retry = RetryPolicy::with_attempts(16);
 
     let sql = "SELECT g, SUM(v), COUNT(v) FROM t GROUP BY g";
     let want_groups = run_candidate(&ctx, &table, sql, "server-side", None).unwrap();

@@ -9,6 +9,7 @@
 //! cache state, pool width and batch size.
 
 use proptest::prelude::*;
+use pushdowndb::bloom::BloomBuilder;
 use pushdowndb::cache::{CacheTier, SegmentKey};
 use pushdowndb::common::perf::PhaseStats;
 use pushdowndb::common::pricing::Usage;
@@ -749,7 +750,14 @@ fn reference(ctx: &QueryContext, node: &PlanNode, folded: bool) -> Result<Refere
             else {
                 panic!("BloomJoin probes a PushdownScan");
             };
-            let (pred, label) = match ctx.bloom.build(&keys, *fpr, probe_key) {
+            // The filter gets what the engine's SQL limit leaves beside
+            // the probe's own statement and the text joining them.
+            let unfiltered = select_stmt(projection, predicate.clone()).to_string().len();
+            let builder = BloomBuilder {
+                max_sql_bytes: ctx.engine.limits().max_sql_bytes - unfiltered - " AND ()()".len(),
+                ..BloomBuilder::default()
+            };
+            let (pred, label) = match builder.build(&keys, *fpr, probe_key) {
                 Some((filter, _)) => {
                     let bloom = filter.sql_predicate(probe_key);
                     let pred = match predicate {
@@ -1254,9 +1262,8 @@ fn joined_plans_bill_what_they_meter_under_faults() {
                 let calm = plan::execute(&setup(format, cache).scoped(), &plan).unwrap();
                 let mut retried = 0;
                 for seed in 0..4 {
-                    let mut ctx = setup(format, cache);
+                    let mut ctx = setup(format, cache).with_retry(RetryPolicy::with_attempts(24));
                     ctx.store.set_fault_plan(Some(FaultPlan::new(seed, 0.3)));
-                    ctx.retry = RetryPolicy::with_attempts(24);
                     ctx.scan_threads = 2;
                     let ctx = ctx.scoped();
                     let e = plan::execute(&ctx, &plan).unwrap();

@@ -17,6 +17,7 @@ use pushdowndb::core::{
 };
 use pushdowndb::format::columnar::WriterOptions;
 use pushdowndb::s3::S3Store;
+use pushdowndb::select::{S3SelectEngine, SelectLimits};
 use pushdowndb::sql::parse_query;
 use pushdowndb::tpch::{planner_suite, tpch_context};
 
@@ -153,10 +154,33 @@ fn bloom_probe_label_reports_an_applied_filter() {
     assert!(probe.stats.expr_terms >= 7, "{:?}", probe.stats);
 }
 
+/// A Bloom join sizes its filter to the SQL limit the engine enforces:
+/// under a 4 KiB limit the filter over every customer of
+/// `c_acctbal <= 5000` degrades or falls back (§V-B1), and the join
+/// answers as the baseline join does instead of sending a statement the
+/// engine rejects.
+#[test]
+fn bloom_plans_its_filter_under_the_engines_sql_limit() {
+    let (mut ctx, t) = tpch_context(0.002, 25_000).unwrap();
+    ctx.engine = S3SelectEngine::with_limits(
+        ctx.store.clone(),
+        SelectLimits {
+            max_sql_bytes: 4 * 1024,
+        },
+    );
+    let sql = sum_sql("c_acctbal <= 5000");
+    let bloom = run_candidate(&ctx, &t.customer, &sql, "bloom", None).unwrap();
+    let baseline = run_candidate(&ctx, &t.customer, &sql, "baseline", None).unwrap();
+    let (got, want) = (total(&bloom), total(&baseline));
+    assert!((got - want).abs() <= 1e-9 * want.abs(), "{got} vs {want}");
+}
+
 #[test]
 fn bloom_falls_back_when_sql_cannot_fit() {
     let (mut ctx, customer) = listing2_setup();
-    ctx.bloom.max_sql_bytes = 64; // nothing fits
+    // A SQL limit that admits the unfiltered probe but no filter.
+    ctx.engine =
+        S3SelectEngine::with_limits(ctx.store.clone(), SelectLimits { max_sql_bytes: 128 });
     let sql = sum_sql("c_acctbal <= -800");
     let out = run_candidate(&ctx, &customer, &sql, "bloom", None).unwrap();
     let probe = probe_phase(&out);

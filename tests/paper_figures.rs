@@ -7,16 +7,18 @@
 //! same rows readably. The figures are deterministic — seeded
 //! generators, analytic clock — so a change to the phase model, to
 //! `PerfParams` or to an operator's CPU charge shows up here as a diff
-//! *in the paper's figures*, not only as `figure_shapes` still passing.
-//! A change that means to move them re-blesses the file once and says
-//! which columns moved and why.
+//! *in the paper's figures*, not only as the paper's claims still
+//! holding. A change that means to move them re-blesses the file once
+//! and says which columns moved and why.
 //!
 //! One test per figure compares that figure's lines — those whose first
-//! word is its name — so the figures run side by side and a failure
-//! names its figure; the cache figure's test also fails when one of its
-//! gates does. `PAPER_FIGURES_BLESS=1 cargo test --test paper_figures`
-//! rewrites the whole file from one run of `FIGURES`, in their order;
-//! without it a mismatch prints the differing lines.
+//! word is its name — so the figures run side by side, once each, and a
+//! failure names its figure. Each `figure()` first holds its rows to
+//! the paper's claims (its gates), so a test also fails, naming the
+//! figure and the gate, when a claim breaks, blessing or not.
+//! `PAPER_FIGURES_BLESS=1 cargo test --test paper_figures` rewrites the
+//! whole file from one run of `FIGURES`, in their order; without it a
+//! mismatch prints the differing lines.
 
 use pushdown_bench::experiments::*;
 use pushdown_bench::figure::{Figure, Form};
@@ -38,7 +40,9 @@ fn pinned(name: &str, figure: fn() -> Result<Figure>) {
     if blessing() {
         return;
     }
-    let lines = figure().unwrap().lines(Form::Exact);
+    let lines = figure()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .lines(Form::Exact);
     let named = |line: &str| line.split(' ').next() == Some(name);
     assert!(
         lines.iter().all(|l| named(l)),

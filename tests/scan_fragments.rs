@@ -859,11 +859,12 @@ fn usage_equals_billed_under_injected_faults() {
                 )
                 .unwrap();
 
-                let (mut ctx, table) = setup(format, source);
+                let (ctx, table) = setup(format, source);
                 ctx.store
                     .set_fault_plan(Some(FaultPlan::new(17 + i as u64, 0.35)));
-                ctx.retry = RetryPolicy::with_attempts(24);
-                let ctx = ctx.with_cache_reads(source != Source::Plain);
+                let ctx = ctx
+                    .with_retry(RetryPolicy::with_attempts(24))
+                    .with_cache_reads(source != Source::Plain);
                 let out = execute_sql(&ctx, &table, sql, Strategy::Baseline).unwrap();
                 assert_eq!(out.rows, clean.rows, "{sql} on {format:?} from {source:?}");
                 assert_eq!(out.metrics.usage(), out.billed, "{sql}");

@@ -11,7 +11,7 @@
 //!   ended: by the time the panic is caught, no job is left to issue a
 //!   request.
 
-use pushdowndb::common::{DataType, Error, Row, Schema, Value};
+use pushdowndb::common::{DataType, Error, RetryPolicy, Row, Schema, Value};
 use pushdowndb::core::scan::plain_scan_streamed;
 use pushdowndb::core::{upload_csv_table, QueryContext, Table};
 use pushdowndb::s3::{FaultPlan, S3Store};
@@ -70,8 +70,7 @@ fn scans_share_one_pool_of_threads() {
 
     // Producers that fail: every GET faults, and no retry is left.
     ctx.store.set_fault_plan(Some(FaultPlan::new(7, 1.0)));
-    let mut failing = ctx.clone();
-    failing.retry.max_attempts = 1;
+    let failing = ctx.clone().with_retry(RetryPolicy::with_attempts(1));
     for _ in 0..20 {
         let err = plain_scan_streamed(&failing, &table, |_| Ok(())).unwrap_err();
         assert!(!matches!(err, Error::Other(_)), "{err}");
