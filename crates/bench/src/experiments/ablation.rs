@@ -257,15 +257,20 @@ pub fn run_pricing_ablation(scale_factor: f64) -> Result<Vec<PricingAblationRow>
     Ok(out)
 }
 
-/// Suggestions 1 and 2 at [`INDEX_SIZE`], or the first of their gates
-/// that fails.
-pub fn index_figure() -> Result<Figure> {
-    let mut fig = Figure::new(
+/// The index figure the gates name, before it takes its rows.
+fn new_index_figure() -> Figure {
+    Figure::new(
         "ablation-index",
         "Suggestions 1 & 2 — index execution models: GET per row, multi-range GET, lookup in S3 \
          (projected to 60M rows)",
-    );
-    let rows = run_index_ablation(INDEX_SIZE)?;
+    )
+}
+
+/// Suggestions 1 and 2's gates on `rows` (one per selectivity,
+/// ascending; the gates read the last): the first that fails is the
+/// `Err`, named.
+pub fn check_index(rows: &[IndexAblationRow]) -> Result<()> {
+    let fig = new_index_figure();
     let worst = &rows[rows.len() - 1];
     let at = format!("selectivity {:e}", worst.selectivity);
     let single = worst.single_range.runtime;
@@ -284,6 +289,15 @@ pub fn index_figure() -> Result<Figure> {
     fig.gate("in-s3-fewer-requests", in_s3 < multi, || {
         format!("{at}: {in_s3} in-s3 requests vs {multi} multi-range")
     })?;
+    Ok(())
+}
+
+/// Suggestions 1 and 2 at [`INDEX_SIZE`], or the first of their gates
+/// that fails.
+pub fn index_figure() -> Result<Figure> {
+    let rows = run_index_ablation(INDEX_SIZE)?;
+    check_index(&rows)?;
+    let mut fig = new_index_figure();
     for r in rows {
         fig.row(
             format!("selectivity={:e}", r.selectivity),
@@ -300,15 +314,19 @@ pub fn index_figure() -> Result<Figure> {
     Ok(fig)
 }
 
-/// Suggestion 3 at [`BLOOM_SIZE`]: one row, both encodings — or the
-/// first of its gates that fails.
-pub fn bloom_figure() -> Result<Figure> {
-    let r = run_bloom_ablation(BLOOM_SIZE)?;
-    let mut fig = Figure::new(
+/// The Bloom figure the gates name, before it takes its row.
+fn new_bloom_figure() -> Figure {
+    Figure::new(
         "ablation-bloom",
         "Suggestion 3 — Bloom join with '0'/'1' string vs hex + BIT_AT filters \
          (SQL bytes of a 5k-key filter, keys that fit 256 KB at FPR 0.01; projected to SF 10)",
-    );
+    )
+}
+
+/// Suggestion 3's gates on `r`: the first that fails is the `Err`,
+/// named.
+pub fn check_bloom(r: &BloomAblation) -> Result<()> {
+    let fig = new_bloom_figure();
     let (string, binary) = (r.string_sql_bytes, r.binary_sql_bytes);
     fig.gate("binary-sql-denser", binary * 3 < string, || {
         format!("binary predicate {binary} bytes vs string {string}")
@@ -317,6 +335,15 @@ pub fn bloom_figure() -> Result<Figure> {
     fig.gate("binary-fits-4x-keys", binary == string * 4, || {
         format!("binary fits {binary} keys vs string {string}")
     })?;
+    Ok(())
+}
+
+/// Suggestion 3 at [`BLOOM_SIZE`]: one row, both encodings — or the
+/// first of its gates that fails.
+pub fn bloom_figure() -> Result<Figure> {
+    let r = run_bloom_ablation(BLOOM_SIZE)?;
+    check_bloom(&r)?;
+    let mut fig = new_bloom_figure();
     fig.row(
         "",
         vec![
@@ -331,15 +358,19 @@ pub fn bloom_figure() -> Result<Figure> {
     Ok(fig)
 }
 
-/// Suggestion 4 at [`GROUPBY_SIZE`], or the first of its gates that
-/// fails.
-pub fn groupby_figure() -> Result<Figure> {
-    let mut fig = Figure::new(
+/// The group-by figure the gates name, before it takes its rows.
+fn new_groupby_figure() -> Figure {
+    Figure::new(
         "ablation-groupby",
         "Suggestion 4 — CASE-WHEN rewrite vs native partial group-by (projected to 10 GB)",
-    );
-    let rows = run_groupby_ablation(GROUPBY_SIZE)?;
-    for r in &rows {
+    )
+}
+
+/// Suggestion 4's gates on `rows` (one per group count, ascending): the
+/// first that fails is the `Err`, named.
+pub fn check_groupby(rows: &[GroupByAblationRow]) -> Result<()> {
+    let fig = new_groupby_figure();
+    for r in rows {
         let (n, native, case_when) = (r.n_groups, r.native.runtime, r.case_when.runtime);
         fig.gate("native-never-slower", native <= case_when, || {
             format!("{n} groups: native {native} s vs case-when {case_when} s")
@@ -355,6 +386,15 @@ pub fn groupby_figure() -> Result<Figure> {
     fig.gate("case-when-grows", b > 1.5 * a, || {
         format!("case-when {b} s at {n} groups vs {a} s at the fewest")
     })?;
+    Ok(())
+}
+
+/// Suggestion 4 at [`GROUPBY_SIZE`], or the first of its gates that
+/// fails.
+pub fn groupby_figure() -> Result<Figure> {
+    let rows = run_groupby_ablation(GROUPBY_SIZE)?;
+    check_groupby(&rows)?;
+    let mut fig = new_groupby_figure();
     for r in rows {
         fig.row(
             format!("groups={}", r.n_groups),
@@ -367,14 +407,19 @@ pub fn groupby_figure() -> Result<Figure> {
     Ok(fig)
 }
 
-/// Suggestion 5 at [`PRICING_SIZE`], or its gate's failure.
-pub fn pricing_figure() -> Result<Figure> {
-    let mut fig = Figure::new(
+/// The pricing figure the gate names, before it takes its rows.
+fn new_pricing_figure() -> Figure {
+    Figure::new(
         "ablation-pricing",
         "Suggestion 5 — flat vs computation-aware scan pricing of the optimized TPC-H queries \
          (projected to SF 10)",
-    );
-    let rows = run_pricing_ablation(PRICING_SIZE)?;
+    )
+}
+
+/// Suggestion 5's gate on `rows` (it reads the `TPCH Q6` row), or its
+/// failure.
+pub fn check_pricing(rows: &[PricingAblationRow]) -> Result<()> {
+    let fig = new_pricing_figure();
     let q6 = rows
         .iter()
         .find(|r| r.name == "TPCH Q6")
@@ -382,7 +427,14 @@ pub fn pricing_figure() -> Result<Figure> {
     let (aware, flat) = (q6.aware.scan, q6.flat.scan);
     fig.gate("q6-scan-cheaper", aware < flat, || {
         format!("TPCH Q6: aware scan ${aware} vs flat ${flat}")
-    })?;
+    })
+}
+
+/// Suggestion 5 at [`PRICING_SIZE`], or its gate's failure.
+pub fn pricing_figure() -> Result<Figure> {
+    let rows = run_pricing_ablation(PRICING_SIZE)?;
+    check_pricing(&rows)?;
+    let mut fig = new_pricing_figure();
     for r in rows {
         fig.row(
             r.name,

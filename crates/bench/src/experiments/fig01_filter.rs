@@ -103,14 +103,19 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig1Row>> {
     Ok(out)
 }
 
-/// Fig 1 at [`SIZE`], or the first of its gates that fails.
-pub fn figure() -> Result<Figure> {
-    let rows = run(SIZE)?;
-    let mut fig = Figure::new(
+/// The figure the gates name, before it takes its rows.
+fn new_figure() -> Figure {
+    Figure::new(
         "fig01",
         "Fig 1 — filter runtime and cost vs selectivity (projected to the paper's 60M-row table)",
-    );
-    for r in &rows {
+    )
+}
+
+/// Fig 1's gates on `rows` (one per selectivity, ascending): the first
+/// that fails is the `Err`, named.
+pub fn check(rows: &[Fig1Row]) -> Result<()> {
+    let fig = new_figure();
+    for r in rows {
         let (sel, server, s3) = (r.selectivity, &r.server, &r.s3);
         let (slow, fast) = (server.runtime, s3.runtime);
         fig.gate("s3-faster", slow > 5.0 * fast, || {
@@ -142,6 +147,14 @@ pub fn figure() -> Result<Figure> {
     fig.gate("indexed-cheapest", cheap * 2.0 < server, || {
         format!("selectivity {sel:e}: indexed ${cheap} vs server-side ${server}")
     })?;
+    Ok(())
+}
+
+/// Fig 1 at [`SIZE`], or the first of its gates that fails.
+pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
+    check(&rows)?;
+    let mut fig = new_figure();
     for r in rows {
         fig.row(
             format!("selectivity={:e}", r.selectivity),

@@ -58,15 +58,20 @@ pub fn run(scale_factor: f64) -> Result<Vec<Fig2Row>> {
     Ok(out)
 }
 
-/// Fig 2 at [`SIZE`], or the first of its gates that fails.
-pub fn figure() -> Result<Figure> {
-    let rows = run(SIZE)?;
-    let mut fig = Figure::new(
+/// The figure the gates name, before it takes its rows.
+fn new_figure() -> Figure {
+    Figure::new(
         "fig02",
         "Fig 2 — join runtime and cost vs customer selectivity, Bloom FPR 0.01 \
-         (projected to SF 10)",
-    );
-    for r in &rows {
+     (projected to SF 10)",
+    )
+}
+
+/// Fig 2's gates on `rows` (one per `c_acctbal` bound, tightest first):
+/// the first that fails is the `Err`, named.
+pub fn check(rows: &[Fig2Row]) -> Result<()> {
+    let fig = new_figure();
+    for r in rows {
         let (baseline, filtered, bloom) = (r.baseline.runtime, r.filtered.runtime, r.bloom.runtime);
         let at = r.upper_acctbal;
         fig.gate("bloom-beats-filtered", bloom < filtered, || {
@@ -83,6 +88,14 @@ pub fn figure() -> Result<Figure> {
     fig.gate("bloom-degrades", last >= first * 0.95, || {
         format!("bloom {last} s at the loosest bound vs {first} s at the tightest")
     })?;
+    Ok(())
+}
+
+/// Fig 2 at [`SIZE`], or the first of its gates that fails.
+pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
+    check(&rows)?;
+    let mut fig = new_figure();
     for r in rows {
         fig.row(
             format!("c_acctbal<={}", r.upper_acctbal),

@@ -52,14 +52,19 @@ pub fn run(scale_factor: f64) -> Result<Vec<Fig3Row>> {
     Ok(out)
 }
 
-/// Fig 3 at [`SIZE`], or the first of its gates that fails.
-pub fn figure() -> Result<Figure> {
-    let rows = run(SIZE)?;
-    let mut fig = Figure::new(
+/// The figure the gates name, before it takes its rows.
+fn new_figure() -> Figure {
+    Figure::new(
         "fig03",
         "Fig 3 — join runtime and cost vs orders selectivity, Bloom FPR 0.01 \
-         (projected to SF 10)",
-    );
+     (projected to SF 10)",
+    )
+}
+
+/// Fig 3's gates on `rows` (one per `o_orderdate` bound, tightest
+/// first): the first that fails is the `Err`, named.
+pub fn check(rows: &[Fig3Row]) -> Result<()> {
+    let fig = new_figure();
     let (first, last) = (&rows[0], &rows[rows.len() - 1]);
     let (tight, loose) = (first.filtered.runtime, last.filtered.runtime);
     fig.gate("filtered-slows", tight < loose, || {
@@ -77,6 +82,14 @@ pub fn figure() -> Result<Figure> {
     fig.gate("bloom-flat", max < 1.5 * min, || {
         format!("bloom spans {min} s .. {max} s")
     })?;
+    Ok(())
+}
+
+/// Fig 3 at [`SIZE`], or the first of its gates that fails.
+pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
+    check(&rows)?;
+    let mut fig = new_figure();
     for r in rows {
         fig.row(
             format!("o_orderdate<{}", r.upper_orderdate.unwrap_or("none")),

@@ -59,14 +59,18 @@ pub fn run(scale_factor: f64) -> Result<Fig4Result> {
     })
 }
 
-/// Fig 4 at [`SIZE`]: the two FPR-free joins, then the Bloom sweep —
-/// or the first of its gates that fails.
-pub fn figure() -> Result<Figure> {
-    let res = run(SIZE)?;
-    let mut fig = Figure::new(
+/// The figure the gates name, before it takes its rows.
+fn new_figure() -> Figure {
+    Figure::new(
         "fig04",
         "Fig 4 — Bloom join runtime and cost vs false-positive rate (projected to SF 10)",
-    );
+    )
+}
+
+/// Fig 4's gates on `res` (its sweep by ascending false-positive rate):
+/// the first that fails is the `Err`, named.
+pub fn check(res: &Fig4Result) -> Result<()> {
+    let fig = new_figure();
     let runtimes: Vec<f64> = res.sweep.iter().map(|r| r.bloom.runtime).collect();
     let min = runtimes.iter().copied().fold(f64::MAX, f64::min);
     let (fpr, low) = (res.sweep[0].fpr, runtimes[0]);
@@ -86,6 +90,15 @@ pub fn figure() -> Result<Figure> {
     fig.gate("bloom-beats-baseline", min < baseline, || {
         format!("best bloom {min} s vs baseline {baseline} s")
     })?;
+    Ok(())
+}
+
+/// Fig 4 at [`SIZE`]: the two FPR-free joins, then the Bloom sweep —
+/// or the first of its gates that fails.
+pub fn figure() -> Result<Figure> {
+    let res = run(SIZE)?;
+    check(&res)?;
+    let mut fig = new_figure();
     fig.row(
         "fixed",
         vec![

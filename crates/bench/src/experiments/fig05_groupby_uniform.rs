@@ -71,16 +71,21 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig5Row>> {
     Ok(out)
 }
 
-/// Fig 5 at [`SIZE`], or the first of its gates that fails.
-pub fn figure() -> Result<Figure> {
-    let rows = run(SIZE)?;
-    let mut fig = Figure::new(
+/// The figure the gates name, before it takes its rows.
+fn new_figure() -> Figure {
+    Figure::new(
         "fig05",
         "Fig 5 — group-by runtime and cost vs uniform group count (projected to 10 GB)",
-    );
+    )
+}
+
+/// Fig 5's gates on `rows` (one per group count, ascending): the first
+/// that fails is the `Err`, named.
+pub fn check(rows: &[Fig5Row]) -> Result<()> {
+    let fig = new_figure();
     let (first, last) = (&rows[0], &rows[rows.len() - 1]);
     let (s0, f0) = (first.server.runtime, first.filtered.runtime);
-    for r in &rows {
+    for r in rows {
         let (server, filtered, n) = (r.server.runtime, r.filtered.runtime, r.n_groups);
         fig.gate("server-flat", (server / s0 - 1.0).abs() < 0.1, || {
             format!("{n} groups: server-side {server} s vs {s0} s at the fewest")
@@ -107,6 +112,14 @@ pub fn figure() -> Result<Figure> {
     fig.gate("crossover-at-2", s3 < filtered, crossover(first))?;
     let (s3, filtered) = (last.s3_side.runtime, last.filtered.runtime);
     fig.gate("crossover-at-32", s3 > filtered, crossover(last))?;
+    Ok(())
+}
+
+/// Fig 5 at [`SIZE`], or the first of its gates that fails.
+pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
+    check(&rows)?;
+    let mut fig = new_figure();
     for r in rows {
         fig.row(
             format!("groups={}", r.n_groups),

@@ -65,13 +65,18 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig6Row>> {
     Ok(out)
 }
 
-/// Fig 6 at [`SIZE`], or the first of its gates that fails.
-pub fn figure() -> Result<Figure> {
-    let rows = run(SIZE)?;
-    let mut fig = Figure::new(
+/// The figure the gates name, before it takes its rows.
+fn new_figure() -> Figure {
+    Figure::new(
         "fig06",
         "Fig 6 — hybrid group-by: S3 vs server aggregation split (10 GB Zipf, θ = 1.3)",
-    );
+    )
+}
+
+/// Fig 6's gates on `rows` (one per count of S3 groups, ascending): the
+/// first that fails is the `Err`, named.
+pub fn check(rows: &[Fig6Row]) -> Result<()> {
+    let fig = new_figure();
     for w in rows.windows(2) {
         let (a, b) = (&w[0], &w[1]);
         let at = format!("{} S3 groups vs {}", b.s3_groups, a.s3_groups);
@@ -93,6 +98,14 @@ pub fn figure() -> Result<Figure> {
     fig.gate("best-not-at-12", last > min, || {
         format!("total {last} s at the most S3 groups is the best")
     })?;
+    Ok(())
+}
+
+/// Fig 6 at [`SIZE`], or the first of its gates that fails.
+pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
+    check(&rows)?;
+    let mut fig = new_figure();
     for r in rows {
         fig.row(
             format!("s3_groups={}", r.s3_groups),

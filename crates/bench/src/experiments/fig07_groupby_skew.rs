@@ -53,16 +53,21 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig7Row>> {
     Ok(out)
 }
 
-/// Fig 7 at [`SIZE`], or the first of its gates that fails.
-pub fn figure() -> Result<Figure> {
-    let rows = run(SIZE)?;
-    let mut fig = Figure::new(
+/// The figure the gates name, before it takes its rows.
+fn new_figure() -> Figure {
+    Figure::new(
         "fig07",
         "Fig 7 — group-by runtime and cost vs Zipf skew (projected to 10 GB)",
-    );
+    )
+}
+
+/// Fig 7's gates on `rows` (one per Zipf theta, ascending): the first
+/// that fails is the `Err`, named.
+pub fn check(rows: &[Fig7Row]) -> Result<()> {
+    let fig = new_figure();
     let (first, last) = (&rows[0], &rows[rows.len() - 1]);
     let s0 = first.server.runtime;
-    for r in &rows {
+    for r in rows {
         let (theta, server) = (r.theta, r.server.runtime);
         fig.gate("server-flat", (server / s0 - 1.0).abs() < 0.1, || {
             format!("theta {theta}: server-side {server} s vs {s0} s at theta 0")
@@ -91,6 +96,14 @@ pub fn figure() -> Result<Figure> {
         hybrid < 1.25 * filtered,
         against_filtered(first),
     )?;
+    Ok(())
+}
+
+/// Fig 7 at [`SIZE`], or the first of its gates that fails.
+pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
+    check(&rows)?;
+    let mut fig = new_figure();
     for r in rows {
         fig.row(
             format!("theta={}", r.theta),

@@ -103,15 +103,19 @@ pub fn run(scale_factor: f64) -> Result<Fig8Result> {
     })
 }
 
-/// Fig 8 at [`SIZE`]: the analytic optimum, then the sweep — or the
-/// first of its gates that fails.
-pub fn figure() -> Result<Figure> {
-    let res = run(SIZE)?;
-    let mut fig = Figure::new(
+/// The figure the gates name, before it takes its rows.
+fn new_figure() -> Figure {
+    Figure::new(
         "fig08",
         "Fig 8 — sampling top-K phases vs sample size S, the analytic S* first \
-         (projected to 60M rows)",
-    );
+     (projected to 60M rows)",
+    )
+}
+
+/// Fig 8's gates on `res` (its sweep by ascending sample size): the
+/// first that fails is the `Err`, named.
+pub fn check(res: &Fig8Result) -> Result<()> {
+    let fig = new_figure();
     let s = &res.sweep;
     let (first, last) = (&s[0], &s[s.len() - 1]);
     let (small, large) = (first.sample_size, last.sample_size);
@@ -142,6 +146,15 @@ pub fn figure() -> Result<Figure> {
     fig.gate("near-analytic-optimum", total <= best * 4.0, || {
         format!("S {at} (S* {optimum}): total {total} s vs the best {best} s")
     })?;
+    Ok(())
+}
+
+/// Fig 8 at [`SIZE`]: the analytic optimum, then the sweep — or the
+/// first of its gates that fails.
+pub fn figure() -> Result<Figure> {
+    let res = run(SIZE)?;
+    check(&res)?;
+    let mut fig = new_figure();
     fig.row(
         "analytic",
         vec![

@@ -56,14 +56,19 @@ pub fn run(scale_factor: f64) -> Result<Vec<Fig9Row>> {
     Ok(out)
 }
 
-/// Fig 9 at [`SIZE`], or the first of its gates that fails.
-pub fn figure() -> Result<Figure> {
-    let rows = run(SIZE)?;
-    let mut fig = Figure::new(
+/// The figure the gates name, before it takes its rows.
+fn new_figure() -> Figure {
+    Figure::new(
         "fig09",
         "Fig 9 — top-K runtime and cost vs K: server-side vs sampling (projected to 60M rows)",
-    );
-    for r in &rows {
+    )
+}
+
+/// Fig 9's gates on `rows` (one per K, ascending): the first that fails
+/// is the `Err`, named.
+pub fn check(rows: &[Fig9Row]) -> Result<()> {
+    let fig = new_figure();
+    for r in rows {
         let (k, sampling, server) = (r.k, r.sampling.runtime, r.server.runtime);
         fig.gate("sampling-faster", sampling < server, || {
             format!("K={k}: sampling {sampling} s vs server-side {server} s")
@@ -83,6 +88,14 @@ pub fn figure() -> Result<Figure> {
     fig.gate("sampling-grows", b > a, || {
         format!("sampling {b} s at K={k} vs {a} s at K=1")
     })?;
+    Ok(())
+}
+
+/// Fig 9 at [`SIZE`], or the first of its gates that fails.
+pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
+    check(&rows)?;
+    let mut fig = new_figure();
     for r in rows {
         fig.row(
             format!("k={}", r.k),

@@ -119,15 +119,18 @@ pub fn run(scale_factor: f64) -> Result<Fig10Result> {
     })
 }
 
-/// Fig 10 at [`SIZE`]: one row per query, then the geo-means — or the
-/// first of its gates that fails.
-pub fn figure() -> Result<Figure> {
-    let res = run(SIZE)?;
-    let mut fig = Figure::new(
+/// The figure the gates name, before it takes its rows.
+fn new_figure() -> Figure {
+    Figure::new(
         "fig10",
         "Fig 10 — baseline vs optimized per query and geo-means (paper: 6.7x / 0.70), \
-         projected to SF 10; Adaptive's pick is information, priced at bench scale",
-    );
+     projected to SF 10; Adaptive's pick is information, priced at bench scale",
+    )
+}
+
+/// Fig 10's gates on `res`: the first that fails is the `Err`, named.
+pub fn check(res: &Fig10Result) -> Result<()> {
+    let fig = new_figure();
     for r in &res.rows {
         let speedup = r.speedup();
         fig.gate("every-query-faster", speedup > 1.0, || {
@@ -141,6 +144,15 @@ pub fn figure() -> Result<Figure> {
     fig.gate("geo-mean-cheaper", cost_ratio < 1.0, || {
         format!("geo-mean cost ratio {cost_ratio:.2} (paper: 0.70)")
     })?;
+    Ok(())
+}
+
+/// Fig 10 at [`SIZE`]: one row per query, then the geo-means — or the
+/// first of its gates that fails.
+pub fn figure() -> Result<Figure> {
+    let res = run(SIZE)?;
+    check(&res)?;
+    let mut fig = new_figure();
     for r in res.rows {
         fig.row(
             r.name,

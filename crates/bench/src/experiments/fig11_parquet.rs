@@ -109,14 +109,18 @@ pub fn run(n_rows: usize) -> Result<Vec<Fig11Row>> {
     Ok(out)
 }
 
-/// Fig 11 at [`SIZE`], or the first of its gates that fails.
-pub fn figure() -> Result<Figure> {
-    let rows = run(SIZE)?;
-    let mut fig = Figure::new(
+/// The figure the gates name, before it takes its rows.
+fn new_figure() -> Figure {
+    Figure::new(
         "fig11",
         "Fig 11 — CSV vs ColumnarLite filter runtime and cost (projected to 100 MB/column)",
-    );
-    for r in &rows {
+    )
+}
+
+/// Fig 11's gates on `rows`: the first that fails is the `Err`, named.
+pub fn check(rows: &[Fig11Row]) -> Result<()> {
+    let fig = new_figure();
+    for r in rows {
         let (cols, sel) = (r.columns, r.selectivity);
         let (columnar, csv) = (r.columnar.runtime, r.csv.runtime);
         fig.gate("columnar-never-loses", columnar <= csv * 1.02, || {
@@ -145,6 +149,14 @@ pub fn figure() -> Result<Figure> {
     fig.gate("size-ratio", (0.5..0.95).contains(&ratio), || {
         format!("columnar / csv bytes {ratio}")
     })?;
+    Ok(())
+}
+
+/// Fig 11 at [`SIZE`], or the first of its gates that fails.
+pub fn figure() -> Result<Figure> {
+    let rows = run(SIZE)?;
+    check(&rows)?;
+    let mut fig = new_figure();
     for r in rows {
         fig.row(
             format!("columns={} selectivity={}", r.columns, r.selectivity),

@@ -1,11 +1,12 @@
 //! One module per paper figure. Every `run` function is deterministic,
 //! takes any size and returns structured rows, gate-free; every
 //! `figure()` runs its module's `run` at the module's `SIZE`, holds the
-//! rows to the paper's claims about them (its gates,
-//! `Figure::gate`), and returns them as a [`Figure`] — or the first
-//! failing gate's `Err`, naming the figure, the gate and the row. The
-//! `figures` binary prints them and `tests/paper_figures.rs` pins them,
-//! so both fail when a claim does. `fig_cache`, the cache tier's budget
+//! rows to the paper's claims about them (its gates, `Figure::gate`,
+//! in the module's `check`), and returns them as a [`Figure`] — or the
+//! first failing gate's `Err`, naming the figure, the gate and the row.
+//! The `figures` binary prints them and `tests/paper_figures.rs` pins
+//! them, so both fail when a claim does; `tests/figure_shapes.rs` runs
+//! every `check` on hand-built rows. `fig_cache`, the cache tier's budget
 //! grid beyond the paper, is one more such figure.
 
 use crate::figure::Figure;

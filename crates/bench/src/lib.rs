@@ -9,7 +9,7 @@
 //! executes the experiment and returns structured rows, a `SIZE` and a
 //! `figure()` that runs it at that size, checks the paper's *shape*
 //! claims (who wins, where the crossovers are) on those rows as named
-//! gates, and returns a [`figure::Figure`]. `experiments::FIGURES` lists
+//! gates (the module's `check`), and returns a [`figure::Figure`]. `experiments::FIGURES` lists
 //! every figure; the `figures` binary prints them readably and
 //! `tests/paper_figures.rs` pins them to the bit, and both fail when a
 //! gate does.
