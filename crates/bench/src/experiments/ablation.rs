@@ -183,8 +183,9 @@ pub fn run_groupby_ablation(n_rows: usize) -> Result<Vec<GroupByAblationRow>> {
     let (schema, rows) = uniform_group_table(n_rows, 42);
     let table = upload_csv_table(&ctx.store, "b", "uni", &schema, &rows, n_rows / 8 + 1)?;
     let factor = 10e9 / table.total_bytes(&ctx.store) as f64;
-    // The statement's `s3-native` candidate exists on an engine with
-    // the `native_group_by` extension only.
+    // On an engine with the `native_group_by` extension the `filtered`
+    // group-by ships the statement whole: the engine folds each
+    // partition's groups.
     let mut extended = ctx.clone();
     extended.engine = ctx.engine.clone().with_extensions(EngineExtensions {
         native_group_by: true,
@@ -194,7 +195,7 @@ pub fn run_groupby_ablation(n_rows: usize) -> Result<Vec<GroupByAblationRow>> {
     for (i, n_groups) in [(0usize, 2u32), (2, 8), (4, 32)] {
         let sql = format!("SELECT g{i}, SUM(v0), SUM(v1), SUM(v2), SUM(v3) FROM uni GROUP BY g{i}");
         let case_when = run_candidate(&ctx, &table, &sql, "s3-side", None)?;
-        let native = run_candidate(&extended, &table, &sql, "s3-native", None)?;
+        let native = run_candidate(&extended, &table, &sql, "filtered", None)?;
         assert_eq!(case_when.rows.len(), native.rows.len());
         out.push(GroupByAblationRow {
             n_groups,

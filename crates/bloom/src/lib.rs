@@ -26,6 +26,7 @@
 //! (→ the caller reverts to a filtered join) when even `p ≈ 1` doesn't.
 
 use pushdown_common::Value;
+use pushdown_sql::ast::Func;
 use pushdown_sql::{BinOp, Expr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -120,24 +121,10 @@ impl BloomFilter {
     /// while keeping `a·x + b` small enough for the S3 Select engine's
     /// checked 64-bit integer arithmetic.
     pub fn with_geometry(m: u64, k: u32, seed: u64) -> BloomFilter {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut n = next_prime(m.max(1 << 20) + 1);
-        let hashes = (0..k)
-            .map(|_| {
-                let h = UniversalHash {
-                    a: rng.random_range(1..n),
-                    b: rng.random_range(0..n),
-                    n,
-                    m,
-                };
-                n = next_prime(n + 1);
-                h
-            })
-            .collect();
         BloomFilter {
             bits: vec![0u64; (m as usize).div_ceil(64)],
             m,
-            hashes,
+            hashes: universal_hashes(m, k, seed),
             keys_added: 0,
         }
     }
@@ -187,45 +174,7 @@ impl BloomFilter {
     ///   AND …  -- one conjunct per hash function
     /// ```
     pub fn sql_predicate(&self, attr: &str) -> Expr {
-        let bits = self.to_bit_string();
-        let conjuncts: Vec<Expr> = self
-            .hashes
-            .iter()
-            .map(|h| {
-                let hash_expr = Expr::binary(
-                    Expr::binary(
-                        Expr::binary(
-                            Expr::binary(
-                                Expr::int(h.a as i64),
-                                BinOp::Mul,
-                                Expr::Cast {
-                                    expr: Box::new(Expr::col(attr)),
-                                    dtype: pushdown_common::DataType::Int,
-                                },
-                            ),
-                            BinOp::Add,
-                            Expr::int(h.b as i64),
-                        ),
-                        BinOp::Mod,
-                        Expr::int(h.n as i64),
-                    ),
-                    BinOp::Mod,
-                    Expr::int(h.m as i64),
-                );
-                Expr::eq(
-                    Expr::Call {
-                        func: pushdown_sql::ast::Func::Substring,
-                        args: vec![
-                            Expr::Literal(Value::Str(bits.clone())),
-                            Expr::binary(hash_expr, BinOp::Add, Expr::int(1)),
-                            Expr::int(1),
-                        ],
-                    },
-                    Expr::str("1"),
-                )
-            })
-            .collect();
-        Expr::conjunction(conjuncts).expect("at least one hash function")
+        self.predicate(attr, Encoding::Bits)
     }
 
     /// The bit array hex-encoded, 4 bits per character, left-to-right
@@ -258,45 +207,114 @@ impl BloomFilter {
     /// BIT_AT('a3f…', ((a * CAST(attr AS INT) + b) % n) % m + 1) = 1
     /// ```
     pub fn sql_predicate_binary(&self, attr: &str) -> Expr {
-        let hex = self.to_hex_string();
-        let conjuncts: Vec<Expr> = self
-            .hashes
-            .iter()
-            .map(|h| {
-                let hash_expr = Expr::binary(
-                    Expr::binary(
-                        Expr::binary(
-                            Expr::binary(
-                                Expr::int(h.a as i64),
-                                BinOp::Mul,
-                                Expr::Cast {
-                                    expr: Box::new(Expr::col(attr)),
-                                    dtype: pushdown_common::DataType::Int,
-                                },
-                            ),
-                            BinOp::Add,
-                            Expr::int(h.b as i64),
-                        ),
-                        BinOp::Mod,
-                        Expr::int(h.n as i64),
-                    ),
-                    BinOp::Mod,
-                    Expr::int(h.m as i64),
-                );
-                Expr::eq(
-                    Expr::Call {
-                        func: pushdown_sql::ast::Func::BitAt,
-                        args: vec![
-                            Expr::Literal(Value::Str(hex.clone())),
-                            Expr::binary(hash_expr, BinOp::Add, Expr::int(1)),
-                        ],
-                    },
-                    Expr::int(1),
-                )
-            })
-            .collect();
-        Expr::conjunction(conjuncts).expect("at least one hash function")
+        self.predicate(attr, Encoding::Hex)
     }
+
+    /// The probe predicate with the bit array in `encoding`: one term per
+    /// hash function, ANDed.
+    pub fn predicate(&self, attr: &str, encoding: Encoding) -> Expr {
+        let array = Expr::Literal(Value::Str(match encoding {
+            Encoding::Bits => self.to_bit_string(),
+            Encoding::Hex => self.to_hex_string(),
+        }));
+        let term = |h: &UniversalHash| {
+            let int = |x: u64| Expr::int(x as i64);
+            let key = Expr::Cast {
+                expr: Box::new(Expr::col(attr)),
+                dtype: pushdown_common::DataType::Int,
+            };
+            let hash = Expr::binary(int(h.a), BinOp::Mul, key);
+            let hash = Expr::binary(hash, BinOp::Add, int(h.b));
+            let hash = Expr::binary(hash, BinOp::Mod, int(h.n));
+            let hash = Expr::binary(hash, BinOp::Mod, int(h.m));
+            let pos = Expr::binary(hash, BinOp::Add, int(1));
+            let (func, args, set) = match encoding {
+                Encoding::Bits => (
+                    Func::Substring,
+                    vec![array.clone(), pos, int(1)],
+                    Expr::str("1"),
+                ),
+                Encoding::Hex => (Func::BitAt, vec![array.clone(), pos], int(1)),
+            };
+            Expr::eq(Expr::Call { func, args }, set)
+        };
+        let terms = self.hashes.iter().map(term).collect();
+        Expr::conjunction(terms).expect("at least one hash function")
+    }
+
+    /// The length of [`BloomFilter::predicate`]'s text for a filter of `m`
+    /// bits and these `hashes` on `attr`, from the geometry alone: per
+    /// hash its template, the bit array (`m` characters, or `⌈m/4⌉` hex
+    /// digits) and the digits of `a`, `b`, `n` and `m`, and an ` AND `
+    /// between terms.
+    fn predicate_len(hashes: &[UniversalHash], m: u64, attr: &str, encoding: Encoding) -> usize {
+        let digits = |x: u64| x.to_string().len();
+        // The text around the array, `a`, the key, `b`, `n` and `m`.
+        let (template, array) = match encoding {
+            Encoding::Bits => (
+                [
+                    "SUBSTRING('",
+                    "', (",
+                    " * CAST(",
+                    " AS INT) + ",
+                    ") % ",
+                    " % ",
+                    " + 1, 1) = '1'",
+                ],
+                m as usize,
+            ),
+            Encoding::Hex => (
+                [
+                    "BIT_AT('",
+                    "', (",
+                    " * CAST(",
+                    " AS INT) + ",
+                    ") % ",
+                    " % ",
+                    " + 1) = 1",
+                ],
+                m.div_ceil(4) as usize,
+            ),
+        };
+        let fixed = template.iter().map(|t| t.len()).sum::<usize>() + array;
+        let attr = Expr::col(attr).to_string().len();
+        let term = |h: &UniversalHash| {
+            fixed + attr + digits(h.a) + digits(h.b) + digits(h.n) + digits(h.m)
+        };
+        let terms: usize = hashes.iter().map(term).sum();
+        terms + " AND ".len() * hashes.len().saturating_sub(1)
+    }
+}
+
+/// How a filter's bit array is written into its probe predicate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Encoding {
+    /// A `'0'`/`'1'` character per bit, probed with `SUBSTRING` (paper
+    /// §V-A2, Listing 1).
+    Bits,
+    /// Four bits per hex digit, probed with the extended dialect's
+    /// `BIT_AT` (§X Suggestion 3).
+    Hex,
+}
+
+/// `k` universal hash functions into `m` bits, drawn deterministically
+/// from `seed`, each with its own prime modulus (see
+/// [`BloomFilter::with_geometry`]).
+fn universal_hashes(m: u64, k: u32, seed: u64) -> Vec<UniversalHash> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut n = next_prime(m.max(1 << 20) + 1);
+    (0..k)
+        .map(|_| {
+            let h = UniversalHash {
+                a: rng.random_range(1..n),
+                b: rng.random_range(0..n),
+                n,
+                m,
+            };
+            n = next_prime(n + 1);
+            h
+        })
+        .collect()
 }
 
 /// Outcome of planning a Bloom filter under the S3 Select SQL size limit.
@@ -333,16 +351,17 @@ impl Default for BloomBuilder {
 }
 
 impl BloomBuilder {
-    /// Decide what is achievable for `s` keys at requested rate `p`.
-    pub fn plan(&self, s: usize, p: f64, attr: &str) -> BloomPlan {
-        if self.fits(s, p, attr) {
+    /// Decide what is achievable for `s` keys at requested rate `p`, the
+    /// filter written in `encoding`.
+    pub fn plan(&self, s: usize, p: f64, attr: &str, encoding: Encoding) -> BloomPlan {
+        if self.fits(s, p, attr, encoding) {
             return BloomPlan::AsRequested { fpr: p };
         }
         // Degrade geometrically until it fits or becomes useless.
         let mut q = p;
         while q < 0.5 {
             q = (q * 4.0).min(0.5);
-            if self.fits(s, q, attr) {
+            if self.fits(s, q, attr, encoding) {
                 return BloomPlan::Degraded {
                     requested: p,
                     fpr: q,
@@ -352,17 +371,32 @@ impl BloomBuilder {
         BloomPlan::Fallback
     }
 
-    fn fits(&self, s: usize, p: f64, attr: &str) -> bool {
+    /// Whether the predicate of the filter [`BloomBuilder::build`] makes
+    /// for `s` keys at rate `p` renders within the limit: its exact
+    /// length, from its geometry ([`BloomFilter::predicate_len`]).
+    fn fits(&self, s: usize, p: f64, attr: &str, encoding: Encoding) -> bool {
         let m = optimal_m(s, p);
-        let k = optimal_k(p) as usize;
-        let estimated = k * (m as usize + 64 + attr.len());
-        estimated <= self.max_sql_bytes
+        let hashes = universal_hashes(m, optimal_k(p), self.seed);
+        BloomFilter::predicate_len(&hashes, m, attr, encoding) <= self.max_sql_bytes
     }
 
-    /// Build a filter for the given keys at (possibly degraded) rate.
-    /// Returns `None` when the plan is [`BloomPlan::Fallback`].
+    /// Build a filter for the given keys at (possibly degraded) rate,
+    /// planned in the paper's `'0'`/`'1'` encoding
+    /// ([`BloomFilter::sql_predicate`]). Returns `None` when the plan is
+    /// [`BloomPlan::Fallback`].
     pub fn build(&self, keys: &[i64], p: f64, attr: &str) -> Option<(BloomFilter, BloomPlan)> {
-        let plan = self.plan(keys.len().max(1), p, attr);
+        self.build_encoded(keys, p, attr, Encoding::Bits)
+    }
+
+    /// [`BloomBuilder::build`], the filter planned for `encoding`.
+    pub fn build_encoded(
+        &self,
+        keys: &[i64],
+        p: f64,
+        attr: &str,
+        encoding: Encoding,
+    ) -> Option<(BloomFilter, BloomPlan)> {
+        let plan = self.plan(keys.len().max(1), p, attr, encoding);
         let rate = match &plan {
             BloomPlan::AsRequested { fpr } => *fpr,
             BloomPlan::Degraded { fpr, .. } => *fpr,
@@ -546,11 +580,31 @@ mod tests {
     fn builder_fits_small_sets() {
         let b = BloomBuilder::default();
         assert_eq!(
-            b.plan(1000, 0.01, "k"),
+            b.plan(1000, 0.01, "k", Encoding::Bits),
             BloomPlan::AsRequested { fpr: 0.01 }
         );
         let (f, _) = b.build(&(0..1000).collect::<Vec<_>>(), 0.01, "k").unwrap();
         assert!(f.sql_predicate("k").to_string().len() <= b.max_sql_bytes);
+    }
+
+    /// A limit exactly the rendered length fits; a byte less does not.
+    #[test]
+    fn builder_plans_against_the_rendered_length() {
+        let keys: Vec<i64> = (0..40).map(|i| i * 7).collect();
+        for encoding in [Encoding::Bits, Encoding::Hex] {
+            let (f, _) = BloomBuilder::default()
+                .build_encoded(&keys, 0.01, "o_custkey", encoding)
+                .unwrap();
+            let len = f.predicate("o_custkey", encoding).to_string().len();
+            let at = |max_sql_bytes| BloomBuilder {
+                max_sql_bytes,
+                ..Default::default()
+            };
+            let planned = at(len).plan(keys.len(), 0.01, "o_custkey", encoding);
+            assert_eq!(planned, BloomPlan::AsRequested { fpr: 0.01 });
+            let planned = at(len - 1).plan(keys.len(), 0.01, "o_custkey", encoding);
+            assert_ne!(planned, BloomPlan::AsRequested { fpr: 0.01 });
+        }
     }
 
     #[test]
@@ -560,7 +614,7 @@ mod tests {
             max_sql_bytes: 40_000,
             ..Default::default()
         };
-        match tight.plan(10_000, 0.0001, "k") {
+        match tight.plan(10_000, 0.0001, "k", Encoding::Bits) {
             BloomPlan::Degraded { requested, fpr } => {
                 assert_eq!(requested, 0.0001);
                 assert!(fpr > 0.0001);
@@ -572,7 +626,10 @@ mod tests {
             max_sql_bytes: 512,
             ..Default::default()
         };
-        assert_eq!(impossible.plan(1_000_000, 0.01, "k"), BloomPlan::Fallback);
+        assert_eq!(
+            impossible.plan(1_000_000, 0.01, "k", Encoding::Bits),
+            BloomPlan::Fallback
+        );
         assert!(impossible
             .build(&(0..1_000_000).collect::<Vec<_>>(), 0.01, "k")
             .is_none());
@@ -624,6 +681,27 @@ mod proptests {
             }
             for &k in &keys {
                 prop_assert!(f.contains(k));
+            }
+        }
+
+        /// The length the builder plans against is the rendered
+        /// predicate's, in both encodings, whatever the keys, rate, hash
+        /// seed and column name.
+        #[test]
+        fn predicate_len_is_the_rendered_length(
+            keys in proptest::collection::vec(any::<i64>(), 1..300),
+            p in 0.0001f64..0.6,
+            seed in any::<u64>(),
+            attr in "[a-z_]{1,12}",
+        ) {
+            let mut f = BloomFilter::with_rate(keys.len(), p, seed);
+            for &k in &keys {
+                f.insert(k);
+            }
+            for encoding in [Encoding::Bits, Encoding::Hex] {
+                let rendered = f.predicate(&attr, encoding).to_string().len();
+                let computed = BloomFilter::predicate_len(f.hashes(), f.m, &attr, encoding);
+                prop_assert_eq!(computed, rendered);
             }
         }
 

@@ -27,9 +27,10 @@
 //! [`BloomJoin`](crate::plan::PlanOp::BloomJoin) ships the denser
 //! encoding whenever the context's engine carries the `bitwise`
 //! extension. Suggestion 4 — partial group-by in S3: under the
-//! `native_group_by` extension a GROUP BY statement has an `s3-native`
-//! candidate, a [`PushdownAggregate`](crate::plan::PlanOp::PushdownAggregate)
-//! leaf with a grouping list. Suggestion 5, computation-aware *pricing*,
+//! `native_group_by` extension the `filtered` group-by's engine folds
+//! each partition's groups, the statement shipped whole — where a
+//! grouping operator folds is `plan::grouped_leaf`'s one rule.
+//! Suggestion 5, computation-aware *pricing*,
 //! changes no algorithm either — see `experiments::ablation::pricing_figure`
 //! in `pushdown-bench`.
 

@@ -8,7 +8,8 @@
 //! name in [`crate::joinplan`]: the §V joins (baseline / filtered /
 //! Bloom), the §IV server-side / S3-side filter, the §VIII-Q6 scalar
 //! aggregate, the §VI group-bys (server-side / filtered / S3-side /
-//! hybrid, §X's native one) and the §VII top-K (server-side /
+//! hybrid; `filtered` ships the statement whole on an engine with §X's
+//! native `GROUP BY`) and the §VII top-K (server-side /
 //! sampling). The unit tests of the §VI and §VII families, and of §X
 //! Suggestions 3 and 4, run those candidates by name, below.
 
@@ -190,6 +191,59 @@ mod groupby {
                 .map(|p| p.stats.requests)
                 .sum();
             assert!(phase2_requests > parts, "{phase2_requests} vs {parts}");
+        }
+
+        /// Wide keys and long column names: every CASE-WHEN item repeats
+        /// its group's 120-character equality and names its own column, so
+        /// a chunking that charges a fixed 96 bytes per item ships a
+        /// 328 819-byte statement for these 400 groups of three `SUM`s and
+        /// a `COUNT(*)`. Chunked by their rendered size, the statements
+        /// each fit the 256 KiB limit, the answer is `server-side`'s, and
+        /// the pricer predicts the requests they bill.
+        #[test]
+        fn s3_side_chunks_by_the_rendered_statement() {
+            let store = S3Store::new();
+            let names = [
+                "customer_segment_key_long_name",
+                "first_measured_value_in_dollars",
+                "second_measured_value_in_euros",
+                "third_measured_value_in_pounds",
+            ];
+            let schema = Schema::from_pairs(&[
+                (names[0], DataType::Str),
+                (names[1], DataType::Float),
+                (names[2], DataType::Float),
+                (names[3], DataType::Float),
+            ]);
+            let rows: Vec<Row> = (0..4_000)
+                .map(|i| {
+                    let x = i as f64;
+                    Row::new(vec![
+                        Value::Str(format!("{:0>120}", i % 400)),
+                        Value::Float(x * 0.5),
+                        Value::Float(x.sqrt()),
+                        Value::Float(x % 7.0),
+                    ])
+                })
+                .collect();
+            let t = upload_csv_table(&store, "b", "t", &schema, &rows, 1_000).unwrap();
+            let ctx = QueryContext::new(store);
+            let [g, a, b, c] = names;
+            let sql =
+                format!("SELECT {g}, SUM({a}), SUM({b}), SUM({c}), COUNT(*) FROM t GROUP BY {g}");
+            let want = run(&ctx, &t, &sql, "server-side").unwrap();
+            let scope = ctx.scoped();
+            let got = run(&scope, &t, &sql, "s3-side").unwrap();
+            assert_rows_close(&want.rows, &got.rows);
+            // Phase 2 took more than one statement per partition.
+            let parts = t.partitions(&ctx.store).len() as u64;
+            assert!(got.metrics.groups[1].phases[0].stats.requests > parts);
+            let spec = pushdown_sql::parse_query(&sql).unwrap();
+            let (_, candidates) = crate::planner::lower(&ctx, &t, &spec).unwrap();
+            let (_, plan) = candidates.iter().find(|(n, _)| *n == "s3-side").unwrap();
+            let ests = crate::cost::Estimators::new(&ctx, [plan]);
+            let predicted = crate::cost::predict_plan(&ests, plan).unwrap();
+            assert_eq!(predicted.metrics.usage().requests, got.billed.requests);
         }
 
         #[test]
@@ -527,14 +581,18 @@ mod topk {
     }
 }
 
-/// §X Suggestions 3 and 4, which are candidates of the plan IR under an
-/// engine extension: the `bitwise` Bloom probe and the `s3-native`
-/// group-by, each against its stock counterpart.
+/// §X Suggestions 3 and 4, which the plan IR runs under an engine
+/// extension: the `bitwise` Bloom probe, and the `filtered` group-by
+/// whose engine folds under the native `GROUP BY`, each against its
+/// stock counterpart.
 #[cfg(test)]
 mod tests {
     use crate::catalog::{upload_csv_table, Table};
     use crate::context::QueryContext;
+    use crate::cost::{predict_plan, Estimators};
+    use crate::metrics::{Phase, QueryMetrics};
     use crate::planner::run_candidate;
+    use pushdown_common::pricing::Usage;
     use pushdown_common::{DataType, Row, Schema, Value};
     use pushdown_s3::S3Store;
     use pushdown_select::EngineExtensions;
@@ -626,8 +684,35 @@ mod tests {
         assert!((string - reference).abs() < 1e-6);
     }
 
+    /// Under an engine limit of 1 200 bytes the 40-key build side's filter
+    /// at the requested rate renders past what the probe's statement
+    /// leaves it in either encoding (the hex one to 1 247 bytes): the
+    /// builder plans against the exact rendered length, so the join
+    /// degrades or falls back and answers as `baseline` does, instead of
+    /// shipping a statement the engine rejects.
     #[test]
-    fn suggestion4_native_groupby_matches_case_when() {
+    fn suggestion3_bloom_plans_against_the_rendered_length() {
+        let (mut ctx, left) = join_setup();
+        ctx.engine = pushdown_select::S3SelectEngine::with_limits(
+            ctx.store.clone(),
+            pushdown_select::SelectLimits {
+                max_sql_bytes: 1_200,
+            },
+        );
+        let (reference, _) = run_join(&ctx, &left, "baseline");
+        for ctx in [ctx.clone(), bitwise(&ctx)] {
+            let (sum, probe) = run_join(&ctx, &left, "bloom");
+            assert!(
+                probe.starts_with("bloom probe") || probe.starts_with("fallback probe"),
+                "{probe}"
+            );
+            assert!((sum - reference).abs() < 1e-6);
+        }
+    }
+
+    /// A 37-group table in three partitions on the stock engine, and the
+    /// statement §X Suggestion 4's tests group it by.
+    fn native_setup() -> (QueryContext, Table, &'static str) {
         let store = S3Store::new();
         let schema = Schema::from_pairs(&[("g", DataType::Int), ("v", DataType::Float)]);
         let rows: Vec<Row> = (0..2_000)
@@ -639,16 +724,31 @@ mod tests {
             })
             .collect();
         let t = upload_csv_table(&store, "b", "t", &schema, &rows, 700).unwrap();
-        let mut ctx = QueryContext::new(store);
         let sql = "SELECT g, SUM(v), COUNT(v), AVG(v), MIN(v) FROM t WHERE v > 10 GROUP BY g";
-        // The stock engine has no such candidate.
-        assert!(run_candidate(&ctx, &t, sql, "s3-native", None).is_err());
-        ctx.engine = ctx.engine.clone().with_extensions(EngineExtensions {
+        (QueryContext::new(store), t, sql)
+    }
+
+    /// The same context, its engine carrying the native `GROUP BY`.
+    fn native(ctx: &QueryContext) -> QueryContext {
+        let mut extended = ctx.clone();
+        extended.engine = ctx.engine.clone().with_extensions(EngineExtensions {
             native_group_by: true,
             ..Default::default()
         });
+        extended
+    }
+
+    #[test]
+    fn suggestion4_native_groupby_matches_case_when() {
+        let (mut ctx, t, sql) = native_setup();
+        // `filtered` ships rows on the stock engine and partials on the
+        // extended one.
+        let stock = run_candidate(&ctx, &t, sql, "filtered", None).unwrap();
+        ctx = native(&ctx);
         let case_when = run_candidate(&ctx, &t, sql, "s3-side", None).unwrap();
-        let native = run_candidate(&ctx, &t, sql, "s3-native", None).unwrap();
+        let native = run_candidate(&ctx, &t, sql, "filtered", None).unwrap();
+        assert_eq!(native.rows, stock.rows);
+        assert!(native.billed.select_returned_bytes * 4 < stock.billed.select_returned_bytes);
         assert_eq!(native.metrics.usage(), native.billed);
         assert_eq!(native.schema, case_when.schema);
         assert_eq!(case_when.rows.len(), native.rows.len());
@@ -671,6 +771,50 @@ mod tests {
             "native {native_terms} vs case-when {case_terms}"
         );
         assert!(native.runtime(&ctx) < case_when.runtime(&ctx));
+    }
+
+    /// Under the native `GROUP BY` the `filtered` group-by folds in the
+    /// engine, at the bill the statement pushed whole has always had —
+    /// one phase, a unit per partial row returned and one per partial
+    /// merged, the grouped statement's expression terms — and is priced
+    /// as it runs.
+    #[test]
+    fn suggestion4_filtered_folds_in_the_engine_at_the_pushed_bill() {
+        let (ctx, t, sql) = native_setup();
+        let ctx = native(&ctx);
+        let out = run_candidate(&ctx, &t, sql, "filtered", None).unwrap();
+        let want = Usage {
+            requests: 3,
+            select_scanned_bytes: 35_868,
+            select_returned_bytes: 6_569,
+            plain_bytes: 0,
+        };
+        assert_eq!(out.billed, want);
+        assert_eq!(out.metrics.usage(), want);
+        let phases = |m: &QueryMetrics| -> Vec<(String, u64, u32)> {
+            let phases = m.groups.iter().flat_map(|g| &g.phases);
+            let stats = |p: &Phase| {
+                (
+                    p.label.clone(),
+                    p.stats.server_cpu_units,
+                    p.stats.expr_terms,
+                )
+            };
+            phases.map(stats).collect()
+        };
+        assert_eq!(phases(&out.metrics), [("select t".to_string(), 222, 7)]);
+        let spec = pushdown_sql::parse_query(sql).unwrap();
+        let (_, candidates) = crate::planner::lower(&ctx, &t, &spec).unwrap();
+        let (_, plan) = candidates.iter().find(|(n, _)| *n == "filtered").unwrap();
+        let predicted = predict_plan(&Estimators::new(&ctx, [plan]), plan).unwrap();
+        assert_eq!(phases(&predicted.metrics), phases(&out.metrics));
+        // The returned bytes are the one estimate: the partial rows'
+        // widths, which only the run knows.
+        let predicted = Usage {
+            select_returned_bytes: want.select_returned_bytes,
+            ..predicted.metrics.usage()
+        };
+        assert_eq!(predicted, want);
     }
 
     #[test]

@@ -52,16 +52,17 @@ use crate::context::QueryContext;
 use crate::metrics::QueryMetrics;
 use crate::ops;
 use crate::plan::{
-    case_when_chunk, case_when_stmt, counted_aggs, covers, finished_by, folded_join, grouped_leaf,
-    hybrid_leaf, join_matches, narrow_row, populous, scan_stmt, threshold_predicate, GroupedLeaf,
-    Matches, OpReport, Order, PlanNode, PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
+    bloom_builder, case_when_chunk, case_when_fixed, case_when_group, case_when_stmt, counted_aggs,
+    covers, finished_by, folded_join, grouped_leaf, hybrid_leaf, join_matches, narrow_row,
+    populous, scan_stmt, threshold_predicate, GroupedLeaf, Matches, OpReport, Order, PlanNode,
+    PlanOp, HYBRID_MAX_S3_GROUPS, HYBRID_MIN_SHARE,
 };
 use crate::scan::{striped_share, ScanLimit, ScanSource};
 use crate::shape::{compose, Outcome, Own};
 use pushdown_bloom::BloomPlan;
 use pushdown_cache::{Access, ObjectOccupancy, SegmentCache};
 use pushdown_common::perf::PhaseStats;
-use pushdown_common::{Error, Result, Schema, Value};
+use pushdown_common::{DataType, Error, Result, Schema, Value};
 use pushdown_sql::agg::AggFunc;
 use pushdown_sql::ast::BinOp;
 use pushdown_sql::bind::Binder;
@@ -526,12 +527,12 @@ impl<'a> Estimator<'a> {
         aggs: &[(AggFunc, Option<String>)],
         groups: f64,
         kept: bool,
-    ) -> PhaseStats {
-        let key_bytes: f64 = group_cols.iter().map(|c| self.col_width(c) + 24.0).sum();
-        let chunk = case_when_chunk(self.ctx, aggs.len(), key_bytes) as f64;
+    ) -> Result<PhaseStats> {
+        let key = self.mean_key(group_cols);
+        let group = case_when_group(self.table, group_cols, aggs, &key)?;
+        let chunk = case_when_chunk(self.ctx, case_when_fixed(predicate, kept), group) as f64;
         let statements = (groups / chunk).ceil().max(1.0);
-        let one_group = [vec![Value::Null; group_cols.len()]];
-        let stmt = case_when_stmt(self.table, predicate, group_cols, aggs, &one_group);
+        let stmt = case_when_stmt(self.table, predicate, group_cols, aggs, &[key]);
         // Per partition, the rows the WHERE keeps, and a group's share.
         let rows = self.rows / self.parts as f64 * self.selectivity(predicate.as_ref());
         let all_groups = group_cols.iter().map(|c| self.ndv(c)).product::<f64>();
@@ -560,7 +561,7 @@ impl<'a> Estimator<'a> {
         let row_bytes = groups * (group_bytes + group_values) + count;
         let first = groups.min(chunk).ceil() as u32;
         let where_terms = predicate.as_ref().map_or(0, Expr::term_count);
-        self.shipping_returned(PhaseStats {
+        Ok(self.shipping_returned(PhaseStats {
             requests: (statements * self.parts as f64) as u64,
             s3_scanned_bytes: (statements * self.select_scanned(&stmt, &[])) as u64,
             select_returned_bytes: (self.parts as f64 * row_bytes) as u64,
@@ -568,7 +569,24 @@ impl<'a> Estimator<'a> {
             server_cpu_units: (2.0 * statements * self.parts as f64) as u64,
             expr_terms: first * group_terms + where_terms + u32::from(kept),
             ..Default::default()
-        })
+        }))
+    }
+
+    /// A key of the columns `group_cols` as wide as the catalog's mean
+    /// key, as a CASE-WHEN statement writes it: an INT of that many
+    /// digits, any DATE, else a string of that many characters (a FLOAT
+    /// key is compared by its CSV text).
+    fn mean_key(&self, group_cols: &[String]) -> Vec<Value> {
+        let schema = &self.table.schema;
+        let value = |c: &String| {
+            let width = self.col_width(c).round().max(1.0);
+            match schema.resolve(c).map(|i| schema.dtype_of(i)) {
+                Ok(DataType::Int) => Value::Int(10_i64.pow(width.min(18.0) as u32 - 1)),
+                Ok(DataType::Date) => Value::Date(0),
+                _ => Value::Str("x".repeat(width as usize)),
+            }
+        };
+        group_cols.iter().map(value).collect()
     }
 
     /// `pushed`, the footprint of statements whose rows — partial rows, or
@@ -975,13 +993,40 @@ impl Estimator<'_> {
         Ok((stats, card, nodes))
     }
 
-    /// Predicted footprint of a pushed aggregate leaf: a full
-    /// storage-side scan that returns one partial row per partition —
-    /// per group, under §X's native `GROUP BY`.
-    fn pushdown_aggregate(&self, stmt: &SelectStmt, group_by: &[String]) -> (PhaseStats, Card) {
-        let is_agg = |i: &&SelectItem| matches!(i, SelectItem::Agg { .. });
-        let aggs = stmt.items.iter().filter(is_agg).count() as f64;
-        if !group_by.is_empty() {
+    /// Predicted footprint of a scan leaf whose engine folds the grouping
+    /// operator over it (`GroupedLeaf::engine`), the rows the operator's
+    /// `aggs` aggregates hand on, and the leaf's footprint per node: a
+    /// full storage-side scan that returns one partial row per partition
+    /// — per group, under §X's native `GROUP BY` — and charges a unit per
+    /// partial returned and one per partial merged, at the expression
+    /// terms of the grouped statement it ships (`inj.terms` added).
+    fn engine_fold(
+        &self,
+        leaf: &GroupedLeaf<'_>,
+        aggs: usize,
+        inj: Injected,
+    ) -> (PhaseStats, Card, Nodes) {
+        let grouped = leaf.partials.grouped(&leaf.stmt);
+        let (stmt, group_by) = (&grouped.select, &grouped.group_by[..]);
+        let terms = stmt.term_count() + group_by.len() as u32 + inj.terms;
+        let scanned = self.select_scanned(stmt, group_by);
+        let (phase, card) = if group_by.is_empty() {
+            let mut phase = self.select_full_scan(scanned, 0.0, 0.0, terms);
+            // One partial row per partition, its partial values wide
+            // (`AVG` ships as `SUM` and `COUNT`).
+            let values = leaf.partials.values() as f64;
+            phase.select_returned_bytes =
+                (self.parts as f64 * (values * AGG_VALUE_WIDTH + 1.0)) as u64;
+            // Two units per partition: the partial row returned, its merge.
+            phase.server_cpu_units = 2 * self.parts;
+            (
+                phase,
+                Card {
+                    rows: 1.0,
+                    row_bytes: aggs as f64 * AGG_VALUE_WIDTH,
+                },
+            )
+        } else {
             let groups = group_by.iter().map(|c| self.ndv(c)).product::<f64>();
             let groups = groups.min(self.rows).max(1.0);
             // A partial row is as wide as the columns the statement
@@ -994,43 +1039,25 @@ impl Estimator<'_> {
             let touched = self.referenced(&unfiltered, group_by).unwrap_or_default();
             let touched: Vec<&str> = touched.iter().map(|&c| names[c]).collect();
             let partials = self.parts as f64 * groups;
-            let terms = stmt.where_clause.as_ref().map_or(0, Expr::term_count);
-            let mut phase = self.select_full_scan(
-                self.select_scanned(stmt, group_by),
-                partials.min(self.rows),
-                self.out_row_bytes(&touched),
-                terms + group_by.len() as u32,
-            );
+            let width = self.out_row_bytes(&touched);
+            let mut phase = self.select_full_scan(scanned, partials.min(self.rows), width, terms);
             phase.server_cpu_units += partials as u64;
-            let card = Card {
-                rows: groups,
-                row_bytes: self.out_row_bytes(group_by) + aggs * AGG_VALUE_WIDTH,
-            };
-            return (self.shipping_returned(phase), card);
-        }
-        // AVG decomposes into SUM+COUNT per partition on the pushed path.
-        let pushed_vals: f64 = stmt
-            .items
-            .iter()
-            .map(|i| match i {
-                SelectItem::Agg {
-                    func: AggFunc::Avg, ..
-                } => 2.0,
-                _ => 1.0,
-            })
-            .sum();
-        let mut phase =
-            self.select_full_scan(self.select_scanned(stmt, &[]), 0.0, 0.0, stmt.term_count());
-        // One partial row per partition: `pushed_vals` values wide.
-        phase.select_returned_bytes =
-            (self.parts as f64 * (pushed_vals * AGG_VALUE_WIDTH + 1.0)) as u64;
-        // Two units per partition: the partial row returned, its merge.
-        phase.server_cpu_units = 2 * self.parts;
-        let card = Card {
-            rows: 1.0,
-            row_bytes: stmt.items.len() as f64 * AGG_VALUE_WIDTH,
+            let row_bytes = self.out_row_bytes(group_by) + aggs as f64 * AGG_VALUE_WIDTH;
+            (
+                phase,
+                Card {
+                    rows: groups,
+                    row_bytes,
+                },
+            )
         };
-        (self.shipping_returned(phase), card)
+        let phase = self.shipping_returned(phase);
+        // The engine charges its units per partition, not per byte.
+        let mut nodes = self.per_node(phase, None, None, |_| true);
+        for (_, share) in &mut nodes {
+            share.server_cpu_units = phase.server_cpu_units / self.parts.max(1) * share.requests;
+        }
+        (phase, card, nodes)
     }
 }
 
@@ -1105,8 +1132,8 @@ fn predict_handing(
                     let build_keys = bc.rows.min(col_ndv(ests, build_key));
                     let match_frac = (build_keys / col_ndv(ests, probe_key).max(1.0)).min(1.0);
                     let keys = (build_keys as usize).max(1);
-                    let builder = crate::plan::bloom_builder(ests.ctx, &node.children[1]);
-                    let planned = builder.plan(keys, *fpr, probe_key);
+                    let (builder, encoding) = bloom_builder(ests.ctx, &node.children[1]);
+                    let planned = builder.plan(keys, *fpr, probe_key, encoding);
                     let bloom = match planned {
                         BloomPlan::AsRequested { fpr } | BloomPlan::Degraded { fpr, .. } => {
                             Injected {
@@ -1147,7 +1174,7 @@ fn predict_handing(
             };
             (Own::Stats(cpu_phase(cc.rows)), vec![child], card)
         }
-        PlanOp::GroupBy { .. } | PlanOp::Aggregate { .. } | PlanOp::PushdownAggregate { .. } => {
+        PlanOp::GroupBy { .. } | PlanOp::Aggregate { .. } => {
             return predict_grouping(ests, node, inj);
         }
         PlanOp::Sort(order) => {
@@ -1213,7 +1240,8 @@ fn predict_handing(
             let (table, predicate, group_cols) = node.children[0].pushdown_leaf()?;
             let (distinct, dc) = walk(0, inj)?;
             let est = ests.of(table);
-            let mut stats = est.case_when_statements(predicate, group_cols, aggs, dc.rows, false);
+            let mut stats =
+                est.case_when_statements(predicate, group_cols, aggs, dc.rows, false)?;
             let mut card = Card {
                 rows: dc.rows,
                 row_bytes: est.out_row_bytes(group_cols) + aggs.len() as f64 * AGG_VALUE_WIDTH,
@@ -1273,7 +1301,7 @@ fn predict_handing(
             } else if covers(table, &group_cols[0], dictionary, n_big as usize) {
                 // One pass, which also counts the rows the WHERE keeps;
                 // a dictionary that covers its column is priced as fresh.
-                let pass = est.case_when_statements(predicate, group_cols, &pushed, n_big, true);
+                let pass = est.case_when_statements(predicate, group_cols, &pushed, n_big, true)?;
                 let nodes = est.per_node(pass, None, None, |_| true);
                 let mut card = Card {
                     rows: groups,
@@ -1290,7 +1318,8 @@ fn predict_handing(
                 let (tail, mut card) = predict_node(ests, tail_node, not_in)?;
                 children.push(tail);
                 card.rows = groups;
-                let mut s3 = est.case_when_statements(predicate, group_cols, &pushed, n_big, false);
+                let mut s3 =
+                    est.case_when_statements(predicate, group_cols, &pushed, n_big, false)?;
                 finish_groups(order, &mut s3, &mut card);
                 (Own::Split(own, Some(s3)), children, card)
             }
@@ -1299,11 +1328,11 @@ fn predict_handing(
     Ok((compose(ests.ctx, node, own, children)?, card))
 }
 
-/// A grouping operator — [`PlanOp::GroupBy`], [`PlanOp::Aggregate`] or
-/// a pushed aggregate — priced as the executor runs it. A pushed
-/// aggregate is its one storage-side pass
-/// ([`Estimator::pushdown_aggregate`]). Over a scan leaf
-/// ([`grouped_leaf`]) the workers fold the rows the scan keeps — through
+/// A grouping operator — [`PlanOp::GroupBy`] or [`PlanOp::Aggregate`] —
+/// priced as the executor runs it. Over a scan leaf ([`grouped_leaf`])
+/// whose engine folds, it is the leaf's one storage-side pass
+/// ([`Estimator::engine_fold`]) and its finish. Over any other scan leaf
+/// the workers fold the rows the scan keeps — through
 /// the Project between them, if there is one, at a unit per row — and
 /// ship their partials, one per group a partition holds (a scalar
 /// aggregate's one per partition), which the operator merges at a unit
@@ -1316,15 +1345,21 @@ fn predict_handing(
 /// into key order.
 fn predict_grouping(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Result<Predicted> {
     let ctx = ests.ctx;
-    let below = node.children.first().unwrap_or(node);
+    let below = &node.children[0];
     let names = below.schema.names();
+    let (keys, aggs, per_row) = match &node.op {
+        PlanOp::GroupBy { keys, aggs, .. } => (&keys[..], aggs, 1.0),
+        PlanOp::Aggregate { aggs } => (&[][..], aggs, aggs.len().max(1) as f64),
+        _ => {
+            return Err(Error::Other(format!(
+                "{} is no grouping operator",
+                node.label()
+            )))
+        }
+    };
     // Group count: NDV product over the group keys — the expressions of
     // the Project the planner places below, or, where there is none, the
     // input columns they name — at most the input rows.
-    let keys = match &node.op {
-        PlanOp::GroupBy { keys, .. } => &keys[..],
-        _ => &[],
-    };
     let ndv = |rows: f64| {
         let key = |&k: &usize| match &below.op {
             PlanOp::Project { exprs } => match &exprs[k] {
@@ -1336,20 +1371,21 @@ fn predict_grouping(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Re
         keys.iter().map(key).product::<f64>().min(rows).max(1.0)
     };
     // What reaches the operator: a scan's partials, or its input.
-    let (input, mut cc, partials) = match grouped_leaf(node)? {
-        Some(leaf @ GroupedLeaf { scan: None, .. }) => {
+    let (input, mut cc, partials) = match grouped_leaf(ctx, node)? {
+        Some(leaf) if leaf.engine => {
             let est = ests.of(leaf.table);
-            let (mut stats, mut card) =
-                est.pushdown_aggregate(&leaf.stmt, leaf.partials.group_by());
-            finish_groups(&node.op.order().cloned(), &mut stats, &mut card);
-            let nodes = est.per_node(stats, None, None, |_| true);
-            return Ok((
-                compose(ctx, node, Own::Leaf(stats, nodes), Vec::new())?,
-                card,
-            ));
+            let (stats, mut card, nodes) = est.engine_fold(&leaf, aggs.len(), inj);
+            let mut input = compose(ctx, leaf.scan, Own::Leaf(stats, nodes), Vec::new())?;
+            if let Some(project) = leaf.project {
+                let own = Own::Folded(PhaseStats::default());
+                input = compose(ctx, project, own, vec![input])?;
+            }
+            let mut finish = PhaseStats::default();
+            finish_groups(&node.op.order().cloned(), &mut finish, &mut card);
+            return Ok((compose(ctx, node, Own::Folded(finish), vec![input])?, card));
         }
         Some(leaf) => {
-            let (est, scan) = (ests.of(leaf.table), leaf.scan.expect("a scan leaf"));
+            let (est, scan) = (ests.of(leaf.table), leaf.scan);
             let PlanOp::Scan {
                 predicate,
                 projection,
@@ -1388,16 +1424,6 @@ fn predict_grouping(ests: &Estimators<'_>, node: &PlanNode, inj: Injected) -> Re
         }
     };
     let merged = partials.map_or(0.0, |p| p.rows);
-    let (aggs, per_row) = match &node.op {
-        PlanOp::Aggregate { aggs } => (aggs, aggs.len().max(1) as f64),
-        PlanOp::GroupBy { aggs, .. } => (aggs, 1.0),
-        _ => {
-            return Err(Error::Other(format!(
-                "{} is no grouping operator",
-                node.label()
-            )))
-        }
-    };
     let PlanOp::GroupBy { order, .. } = &node.op else {
         let card = Card {
             rows: 1.0,
@@ -1863,7 +1889,8 @@ mod tests {
             names(&priced(&ctx, &t, "SELECT s FROM t GROUP BY s")),
             vec!["server-side", "filtered"]
         );
-        // The §X native variant joins only under the extended engine.
+        // The §X native `GROUP BY` adds no candidate: `filtered` folds in
+        // the engine instead.
         let mut ext = ctx.clone();
         ext.engine = ext
             .engine
@@ -1872,7 +1899,7 @@ mod tests {
                 native_group_by: true,
                 ..Default::default()
             });
-        assert!(names(&priced(&ext, &t, one)).contains(&"s3-native"));
+        assert_eq!(names(&priced(&ext, &t, one)), names(&priced(&ctx, &t, one)));
     }
 
     #[test]

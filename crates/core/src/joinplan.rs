@@ -158,7 +158,7 @@ pub fn lower_candidates(
         });
     }
     if n == 1 && !spec.group_by.is_empty() {
-        staged_group_bys(ctx, &tables[0], &needed[0], spec, &mut out)?;
+        staged_group_bys(&tables[0], &needed[0], spec, &mut out)?;
     }
     Ok(out)
 }
@@ -220,11 +220,13 @@ pub(crate) fn add_sample(node: &mut PlanNode) {
 ///   the distinct groups, [`PlanOp::HybridSplit`] over the `filtered`
 ///   group-by as its tail — and, unless the catalog's dictionary of the
 ///   grouping column decides the split, a prefix sample of the column
-///   before it;
-/// * `"s3-native"` exists under the engine's §X extension only: the
-///   statement shipped whole, `GROUP BY` included.
+///   before it.
+///
+/// (Under the engine's §X native `GROUP BY` extension the `filtered`
+/// group-by ships the statement whole, `GROUP BY` included: where a
+/// grouping operator folds is `plan::grouped_leaf`'s rule, not a
+/// candidate of its own.)
 fn staged_group_bys(
-    ctx: &QueryContext,
     table: &Table,
     needed: &Option<Vec<String>>,
     spec: &QuerySpec,
@@ -245,8 +247,7 @@ fn staged_group_bys(
             _ => {}
         }
     }
-    let native = ctx.engine.extensions().native_group_by;
-    if aggs.is_empty() && !native {
+    if aggs.is_empty() {
         return Ok(());
     }
     let predicate = &spec.select.where_clause;
@@ -254,50 +255,39 @@ fn staged_group_bys(
     let tail = aggregate_stack(pushed(needed), spec)?;
     let schema = tail.schema.clone();
     let mut staged: Vec<(&'static str, PlanOp, Vec<PlanNode>)> = Vec::new();
-    if !aggs.is_empty() {
-        let distinct = pushed(&Some(spec.group_by.clone()));
-        let op = PlanOp::GroupBy {
-            keys: (0..spec.group_by.len()).collect(),
-            aggs: Vec::new(),
+    let distinct = pushed(&Some(spec.group_by.clone()));
+    let op = PlanOp::GroupBy {
+        keys: (0..spec.group_by.len()).collect(),
+        aggs: Vec::new(),
+        order: None,
+    };
+    let groups = PlanNode::new(op, vec![distinct.clone()], distinct.schema);
+    let op = PlanOp::CaseWhen {
+        aggs: aggs.clone(),
+        order: None,
+    };
+    staged.push(("s3-side", op, vec![groups]));
+    if let [group] = spec.group_by.as_slice() {
+        // The catalog's dictionary holds every group with its row
+        // count: the split needs no sample.
+        let dictionary = table.dictionary(group).map(<[_]>::to_vec);
+        let children = match dictionary {
+            Some(_) => vec![tail],
+            None => {
+                let rows = (table.row_count as f64 * HYBRID_SAMPLE_FRACTION).ceil();
+                let limit = ScanLimit::Prefix(rows.max(HYBRID_MIN_SAMPLE_ROWS) as usize);
+                let column = Some(vec![group.clone()]);
+                let prefix = ScanSource::Select(Some(limit));
+                vec![scan_node(table, predicate.clone(), &column, prefix), tail]
+            }
+        };
+        let op = PlanOp::HybridSplit {
+            aggs,
+            dictionary,
+            force: None,
             order: None,
         };
-        let groups = PlanNode::new(op, vec![distinct.clone()], distinct.schema);
-        let op = PlanOp::CaseWhen {
-            aggs: aggs.clone(),
-            order: None,
-        };
-        staged.push(("s3-side", op, vec![groups]));
-        if let [group] = spec.group_by.as_slice() {
-            // The catalog's dictionary holds every group with its row
-            // count: the split needs no sample.
-            let dictionary = table.dictionary(group).map(<[_]>::to_vec);
-            let children = match dictionary {
-                Some(_) => vec![tail],
-                None => {
-                    let rows = (table.row_count as f64 * HYBRID_SAMPLE_FRACTION).ceil();
-                    let limit = ScanLimit::Prefix(rows.max(HYBRID_MIN_SAMPLE_ROWS) as usize);
-                    let column = Some(vec![group.clone()]);
-                    let prefix = ScanSource::Select(Some(limit));
-                    vec![scan_node(table, predicate.clone(), &column, prefix), tail]
-                }
-            };
-            let op = PlanOp::HybridSplit {
-                aggs,
-                dictionary,
-                force: None,
-                order: None,
-            };
-            staged.push(("hybrid", op, children));
-        }
-    }
-    if native {
-        let op = PlanOp::PushdownAggregate {
-            table: table.clone(),
-            stmt: spec.select.clone(),
-            group_by: spec.group_by.clone(),
-            order: None,
-        };
-        staged.push(("s3-native", op, Vec::new()));
+        staged.push(("hybrid", op, children));
     }
     for (name, op, children) in staged {
         let node = PlanNode::new(op, children, schema.clone());
@@ -668,10 +658,10 @@ fn order_limit_stack(mut node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
 /// l_discount)`), under `GroupBy` / `Aggregate` — none where the input
 /// already delivers them in that order, or where it is a join and each
 /// of them is a bare column: the grouping operator then reads them by
-/// position off the join's matches, in place. Scalar aggregates over
-/// a bare pushed scan — one table, its WHERE clause already in the leaf —
-/// ship inside the leaf's own Select statement instead
-/// ([`PlanOp::PushdownAggregate`]).
+/// position off the join's matches, in place. Over a scan the operator
+/// is a grouped leaf, and `plan::grouped_leaf` decides where it folds — a
+/// scalar aggregate over a pushed scan in the engine, shipped inside the
+/// leaf's own Select statement.
 fn aggregate_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
     let binder = Binder::new(&node.schema);
     let group_width = spec.group_by.len();
@@ -754,24 +744,8 @@ fn aggregate_stack(node: PlanNode, spec: &QuerySpec) -> Result<PlanNode> {
         }
         None => (0..group_width).collect(),
     };
-    let op = match (group_width, &node.op) {
-        (
-            0,
-            PlanOp::Scan {
-                table,
-                source: ScanSource::Select(_),
-                ..
-            },
-        ) => {
-            let op = PlanOp::PushdownAggregate {
-                table: table.clone(),
-                stmt: spec.select.clone(),
-                group_by: Vec::new(),
-                order: None,
-            };
-            return Ok(PlanNode::new(op, Vec::new(), schema));
-        }
-        (0, _) => PlanOp::Aggregate { aggs },
+    let op = match group_width {
+        0 => PlanOp::Aggregate { aggs },
         _ => PlanOp::GroupBy {
             keys,
             aggs,

@@ -15,14 +15,15 @@
 //! §V-A2), residual filters, projections, hash aggregation, multi-key
 //! sort and limit. A single-table statement is a join of one table — a
 //! bare scan leaf under the same stack — so the paper's §IV filter,
-//! §VIII-Q6 scalar aggregate ([`PlanOp::PushdownAggregate`] is its pushed
-//! leaf) and §VI server-side / filtered group-by are trees of these
-//! operators and nothing else. A grouping operator directly over a scan
-//! leaf is a **grouped leaf** (`grouped_leaf`): it hands the leaf one
-//! grouped statement, every partition folds its rows into partials where
-//! they are read — in the engine for a pushed aggregate, in the worker
-//! for every other source — and one merge meets them in partition order,
-//! so every candidate of a statement returns the same bits.
+//! §VIII-Q6 scalar aggregate and §VI server-side / filtered group-by are
+//! trees of these operators and nothing else. A grouping operator
+//! directly over a scan leaf is a **grouped leaf** (`grouped_leaf`): it
+//! hands the leaf one grouped statement, every partition folds its rows
+//! into partials where they are read — in the engine when the engine
+//! runs the grouped statement (a scalar aggregate over a whole Select
+//! leaf, or a `GROUP BY` under §X's native extension), in the worker
+//! otherwise — and one merge meets them in partition order, so every
+//! candidate of a statement returns the same bits.
 //!
 //! **Staged operators.** The paper's §V-A2 Bloom join, §VII sampling
 //! top-K and §VI S3-side / hybrid group-by are one shape: *phase 2's
@@ -135,7 +136,7 @@ use crate::scan::{
     ScanSummary,
 };
 use crate::shape::{compose, Outcome, Own};
-use pushdown_bloom::{BloomBuilder, BloomPlan};
+use pushdown_bloom::{BloomBuilder, BloomPlan, Encoding};
 use pushdown_common::perf::{PerfModel, PhaseStats};
 use pushdown_common::row::RowBatch;
 use pushdown_common::{DataType, Error, Result, Row, Schema, Value};
@@ -175,19 +176,6 @@ pub enum PlanOp {
         predicate: Option<Expr>,
         projection: Option<Vec<String>>,
         source: ScanSource,
-    },
-    /// Leaf: an aggregate statement pushed into S3 Select whole (§VIII
-    /// Q6): every partition answers `stmt`'s aggregates — per group of
-    /// `group_by` under the engine's §X native `GROUP BY` extension — and
-    /// the partials merge as every grouped leaf's do: the grouped leaf
-    /// with a Select source whose engine folds (`grouped_leaf`).
-    PushdownAggregate {
-        table: Table,
-        stmt: SelectStmt,
-        group_by: Vec<String>,
-        /// A grouped leaf's finish: the ORDER BY it applies to the
-        /// merged groups.
-        order: Option<Order>,
     },
     /// Hash inner equi-join: children `[build, probe]`, output rows are
     /// `build ++ probe`. The build child is drained into the join table,
@@ -237,15 +225,16 @@ pub enum PlanOp {
     /// a unit each (`grouped_leaf`). On a cluster its input shuffles to
     /// one partial group-by per node: a scan's partials, or a join's
     /// matches as the keys-and-arguments row the shuffle moves, one unit
-    /// to build it (`Matches::Narrow`). Output sorted by group key
-    /// (deterministic) — which is
+    /// to build it (`Matches::Narrow`). Over a whole Select leaf on an
+    /// engine with §X's native `GROUP BY` the engine folds instead, and
+    /// the operator charges only the merge, which it does not shuffle.
+    /// Output sorted by group key (deterministic) — which is
     /// what makes an ORDER BY on an ascending prefix of the group key
     /// free: the lowering stacks no sort for it, a LIMIT at most. Any
     /// other ORDER BY is the `order` the operator applies to its finished
     /// groups, inside its own breaker ([`Order`]). So are the other
-    /// grouping operators' — [`PlanOp::CaseWhen`], [`PlanOp::HybridSplit`]
-    /// and a grouped [`PlanOp::PushdownAggregate`] —, which emit group-key
-    /// order too.
+    /// grouping operators' — [`PlanOp::CaseWhen`] and
+    /// [`PlanOp::HybridSplit`] —, which emit group-key order too.
     GroupBy {
         keys: Vec<usize>,
         aggs: Vec<(AggFunc, Option<usize>)>,
@@ -255,7 +244,9 @@ pub enum PlanOp {
     /// `aggs.len()` CPU units (at least one) per input row. Over a join
     /// it reads its arguments off each match in place, as
     /// [`PlanOp::GroupBy`] does; over a scan leaf it merges a partial row
-    /// per partition, at a unit each, as a group-by does.
+    /// per partition, at a unit each, as a group-by does — over a whole
+    /// Select leaf the engine's partial rows: the statement is pushed
+    /// whole (§VIII Q6).
     Aggregate { aggs: Vec<(AggFunc, Option<usize>)> },
     /// `ORDER BY … [LIMIT k]` over anything but a grouping operator
     /// ([`Order`]). With a limit it is a bounded heap fed as rows arrive,
@@ -301,7 +292,8 @@ pub enum PlanOp {
     /// rows, at most 8 — are aggregated by S3 like [`PlanOp::CaseWhen`]'s
     /// while the tail — the query's `filtered` group-by, with `g NOT IN
     /// (populous)` pushed into its scan — aggregates the long tail
-    /// locally, in parallel (paper Listing 5). The groups are counted in a
+    /// locally (in the engine, on one with §X's native `GROUP BY`:
+    /// `grouped_leaf`), in parallel (paper Listing 5). The groups are counted in a
     /// prefix sample of the grouping column, or read off `dictionary` —
     /// its load-time row counts ([`crate::catalog::Table::dictionary`])
     /// — with no sample phase at all. A listed group need not have a row
@@ -404,14 +396,13 @@ fn finish_groups(order: &Option<Order>, rows: Vec<Row>, work: &mut PhaseStats) -
 }
 
 impl PlanOp {
-    /// The ORDER BY slot of a grouping operator (a pushed aggregate leaf is
-    /// one when it groups), `None` for any other operator.
+    /// The ORDER BY slot of a grouping operator, `None` for any other
+    /// operator.
     pub(crate) fn order_mut(&mut self) -> Option<&mut Option<Order>> {
         match self {
             PlanOp::GroupBy { order, .. }
             | PlanOp::CaseWhen { order, .. }
-            | PlanOp::HybridSplit { order, .. }
-            | PlanOp::PushdownAggregate { order, .. } => Some(order),
+            | PlanOp::HybridSplit { order, .. } => Some(order),
             _ => None,
         }
     }
@@ -421,8 +412,7 @@ impl PlanOp {
         match self {
             PlanOp::GroupBy { order, .. }
             | PlanOp::CaseWhen { order, .. }
-            | PlanOp::HybridSplit { order, .. }
-            | PlanOp::PushdownAggregate { order, .. } => order.as_ref(),
+            | PlanOp::HybridSplit { order, .. } => order.as_ref(),
             _ => None,
         }
     }
@@ -463,22 +453,6 @@ impl PlanNode {
                     ScanSource::Select(Some(ScanLimit::Striped(n))) => {
                         format!("PushdownScan[{t}, striped {n}]")
                     }
-                }
-            }
-            PlanOp::PushdownAggregate {
-                table,
-                stmt,
-                group_by,
-                ..
-            } => {
-                let is_agg = |i: &&SelectItem| matches!(i, SelectItem::Agg { .. });
-                let aggs = stmt.items.iter().filter(is_agg).count();
-                match group_by.len() {
-                    0 => format!("PushdownAggregate[{}, {aggs} aggs]", table.name),
-                    keys => format!(
-                        "PushdownAggregate[{}, {keys} keys, {aggs} aggs]",
-                        table.name
-                    ),
                 }
             }
             PlanOp::HashJoin {
@@ -531,7 +505,7 @@ impl PlanNode {
     /// The table this node scans, if it is a scan leaf.
     pub(crate) fn scan_table(&self) -> Option<&Table> {
         match &self.op {
-            PlanOp::Scan { table, .. } | PlanOp::PushdownAggregate { table, .. } => Some(table),
+            PlanOp::Scan { table, .. } => Some(table),
             _ => None,
         }
     }
@@ -584,7 +558,6 @@ impl PlanNode {
     fn scans_pushed(&self) -> bool {
         match &self.op {
             PlanOp::Scan { source, .. } => matches!(source, ScanSource::Select(_)),
-            PlanOp::PushdownAggregate { .. } => true,
             _ => self.children.iter().all(PlanNode::scans_pushed),
         }
     }
@@ -717,14 +690,15 @@ pub fn push_predicate(tree: &PlanNode, expr: &Expr) -> PlanNode {
 }
 
 /// The builder a Bloom join plans its filter with over `probe`, its
-/// probe side: sized to the SQL limit the engine enforces on a whole
-/// statement, less the longest statement a Select leaf of `probe` sends
-/// without the filter, so a filter that would not fit degrades or falls
-/// back (§V-B1) instead of being rejected. §X Suggestion 3: the hex /
-/// `BIT_AT` encoding of the engine's `bitwise` extension packs four
-/// filter bits per SQL character, so the same statement budget plans a
-/// filter four times the size.
-pub(crate) fn bloom_builder(ctx: &QueryContext, probe: &PlanNode) -> BloomBuilder {
+/// probe side, and the encoding the engine takes the filter in: sized to
+/// the SQL limit the engine enforces on a whole statement, less the
+/// longest statement a Select leaf of `probe` sends without the filter,
+/// so a filter that would not fit degrades or falls back (§V-B1) instead
+/// of being rejected. The builder plans against the filter's exact
+/// rendered length in that encoding — §X Suggestion 3's hex / `BIT_AT`
+/// one under the engine's `bitwise` extension, four filter bits per SQL
+/// character, else the paper's `'0'` / `'1'` string.
+pub(crate) fn bloom_builder(ctx: &QueryContext, probe: &PlanNode) -> (BloomBuilder, Encoding) {
     /// The longest statement a Select leaf under `node` sends, with room
     /// for the ` WHERE ` or the ` AND ` and parentheses that join a
     /// filter onto it.
@@ -741,14 +715,15 @@ pub(crate) fn bloom_builder(ctx: &QueryContext, probe: &PlanNode) -> BloomBuilde
         node.children.iter().map(longest_stmt).fold(own, usize::max)
     }
     let limit = ctx.engine.limits().max_sql_bytes;
-    let mut max_sql_bytes = limit.saturating_sub(longest_stmt(probe));
-    if ctx.engine.extensions().bitwise {
-        max_sql_bytes = max_sql_bytes.saturating_mul(4);
-    }
-    BloomBuilder {
-        max_sql_bytes,
+    let builder = BloomBuilder {
+        max_sql_bytes: limit.saturating_sub(longest_stmt(probe)),
         ..BloomBuilder::default()
-    }
+    };
+    let encoding = match ctx.engine.extensions().bitwise {
+        true => Encoding::Hex,
+        false => Encoding::Bits,
+    };
+    (builder, encoding)
 }
 
 /// Attach the predicted report's per-node stats to the executed one.
@@ -829,9 +804,7 @@ fn emit(ctx: &QueryContext, schema: &Schema, rows: Vec<Row>, sink: Sink<'_>) -> 
 fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
     match &node.op {
         PlanOp::Scan { .. } => scan_leaf(ctx, node, None, sink),
-        PlanOp::GroupBy { .. } | PlanOp::Aggregate { .. } | PlanOp::PushdownAggregate { .. } => {
-            run_grouping(ctx, node, sink)
-        }
+        PlanOp::GroupBy { .. } | PlanOp::Aggregate { .. } => run_grouping(ctx, node, sink),
         PlanOp::HashJoin { .. } | PlanOp::BloomJoin { .. } => run_join(ctx, node, Emit::Rows(sink)),
         PlanOp::LocalFilter { predicate } => {
             let child = &node.children[0];
@@ -1074,42 +1047,36 @@ fn run(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
     }
 }
 
-/// A grouping operator that folds in the partition workers of the scan
-/// under it — a [`PlanOp::GroupBy`] or [`PlanOp::Aggregate`] directly
-/// over a scan leaf (or over the [`PlanOp::Project`] between them), or a
-/// [`PlanOp::PushdownAggregate`], which is that leaf with a Select source
-/// whose engine folds — as the scan runs it ([`scan_partials`]): the
-/// leaf's table, source and statement (its projection and `WHERE`), the
-/// partials every partition answers with, and the scan and Project nodes
-/// it reports over (none for a pushed aggregate, its own leaf).
+/// A grouping operator that folds where the partitions of the scan
+/// under it are read — a [`PlanOp::GroupBy`] or [`PlanOp::Aggregate`]
+/// directly over a scan leaf (or over the [`PlanOp::Project`] between
+/// them) — as the scan runs it ([`scan_partials`]): the leaf's table,
+/// source and statement (its projection and `WHERE`), the partials every
+/// partition answers with, the scan and Project nodes it reports over,
+/// and whether the engine folds them (`engine`) rather than the workers.
 pub(crate) struct GroupedLeaf<'a> {
     pub table: &'a Table,
     pub source: ScanSource,
     pub stmt: SelectStmt,
     pub partials: Partials,
-    pub scan: Option<&'a PlanNode>,
+    pub scan: &'a PlanNode,
     pub project: Option<&'a PlanNode>,
+    pub engine: bool,
 }
 
 /// `node` as a [`GroupedLeaf`], if it is one: a grouping operator over a
-/// whole scan whose group keys are plain columns, or a pushed aggregate.
-pub(crate) fn grouped_leaf(node: &PlanNode) -> Result<Option<GroupedLeaf<'_>>> {
+/// whole scan whose group keys are plain columns. **Where it folds** is
+/// decided here and nowhere else: in the engine whenever the engine runs
+/// the grouped statement — over a whole Select leaf, always for a scalar
+/// aggregate (§VIII Q6), and for a `GROUP BY` when the engine has §X's
+/// native extension (Suggestion 4) — and in the partition workers
+/// otherwise. The executor ([`run_grouped_leaf`]) and the pricer
+/// ([`crate::cost::predict_plan`]) both ask it.
+pub(crate) fn grouped_leaf<'a>(
+    ctx: &QueryContext,
+    node: &'a PlanNode,
+) -> Result<Option<GroupedLeaf<'a>>> {
     let (keys, aggs) = match &node.op {
-        PlanOp::PushdownAggregate {
-            table,
-            stmt,
-            group_by,
-            ..
-        } => {
-            return Ok(Some(GroupedLeaf {
-                table,
-                source: ScanSource::Select(None),
-                stmt: stmt.clone(),
-                partials: Partials::of(stmt, group_by)?,
-                scan: None,
-                project: None,
-            }));
-        }
         PlanOp::GroupBy { keys, aggs, .. } => (&keys[..], aggs),
         PlanOp::Aggregate { aggs } => (&[][..], aggs),
         _ => return Ok(None),
@@ -1141,24 +1108,27 @@ pub(crate) fn grouped_leaf(node: &PlanNode) -> Result<Option<GroupedLeaf<'_>>> {
         return Ok(None);
     };
     let aggs = aggs.iter().map(|&(f, c)| (f, c.map(input)));
+    let engine = *source == ScanSource::Select(None)
+        && (group_by.is_empty() || ctx.engine.extensions().native_group_by);
     Ok(Some(GroupedLeaf {
         table,
         source: *source,
         stmt: scan_stmt(projection, predicate),
         partials: Partials::new(&group_by, aggs),
-        scan: Some(scan),
+        scan,
         project: project.map(|(p, _)| p),
+        engine,
     }))
 }
 
-/// A grouping operator ([`PlanOp::GroupBy`], [`PlanOp::Aggregate`] or a
-/// pushed aggregate): a grouped leaf's partials merged
-/// ([`run_grouped_leaf`]), or else its input folded as it arrives — a
-/// join's matches in place ([`fold`]) — into one group table, a scalar
-/// aggregate's one row there even over no input; on a cluster a
-/// group-by's input partitioned by key ([`run_partitioned_group_by`]).
+/// A grouping operator ([`PlanOp::GroupBy`] or [`PlanOp::Aggregate`]): a
+/// grouped leaf's partials merged ([`run_grouped_leaf`]), or else its
+/// input folded as it arrives — a join's matches in place ([`fold`]) —
+/// into one group table, a scalar aggregate's one row there even over no
+/// input; on a cluster a group-by's input partitioned by key
+/// ([`run_partitioned_group_by`]).
 fn run_grouping(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<Ran> {
-    if let Some(leaf) = grouped_leaf(node)? {
+    if let Some(leaf) = grouped_leaf(ctx, node)? {
         return run_grouped_leaf(ctx, node, leaf, sink);
     }
     let (keys, aggs, per_row, grouped) = match &node.op {
@@ -1190,17 +1160,18 @@ fn run_grouping(ctx: &QueryContext, node: &PlanNode, sink: Sink<'_>) -> Result<R
 
 /// A grouped leaf ([`GroupedLeaf`]): every partition's partial rows, in
 /// partition order, met in one merge ([`Partials::merge`], a unit per
-/// partial) — on a cluster, a group-by's shuffled by group key to the
-/// node owning the group, which merges them in the same order, so the
-/// answer is the serial one bit for bit — and finished by the operator's
-/// order. What each source charges is its own: where the workers folded,
-/// the operator charges its units per row they folded (a group-by one, a
-/// scalar aggregate one per aggregate) on the nodes that folded them, the
-/// merge, and a group-by one more per group, while a Project between the
-/// operator and the scan is evaluated in the workers and charges its
-/// unit per row there; where the engine folded (a pushed aggregate, its
-/// own leaf), its partitions charged the merge, and the finish joins the
-/// first node's phase.
+/// partial) — on a cluster, a worker-folded group-by's shuffled by group
+/// key to the node owning the group, which merges them in the same order,
+/// so the answer is the serial one bit for bit — and finished by the
+/// operator's order. What each fold charges is its own: where the
+/// workers folded, the operator charges its units per row they folded (a
+/// group-by one, a scalar aggregate one per aggregate) on the nodes that
+/// folded them, the merge, and a group-by one more per group, while a
+/// Project between the operator and the scan is evaluated in the workers
+/// and charges its unit per row there; where the engine folded, its
+/// partitions charged a unit per partial returned and per partial merged,
+/// the Project was the engine's, and the finish joins the leaf's phase —
+/// on a cluster, the first node's (`Own::Folded`).
 fn run_grouped_leaf(
     ctx: &QueryContext,
     node: &PlanNode,
@@ -1214,9 +1185,9 @@ fn run_grouped_leaf(
         partials,
         scan,
         project,
+        engine,
     } = leaf;
-    let pushed = scan.is_none();
-    let (rows, mut summary) = scan_partials(ctx, table, source, &stmt, &partials, pushed)?;
+    let (rows, mut summary) = scan_partials(ctx, table, source, &stmt, &partials, engine)?;
     let per_row = match &node.op {
         PlanOp::Aggregate { aggs } => aggs.len().max(1) as u64,
         _ => 1,
@@ -1227,17 +1198,18 @@ fn run_grouped_leaf(
         server_cpu_units: units,
         ..Default::default()
     };
+    let owned = |stats| match engine {
+        true => Own::Folded(stats),
+        false => Own::Stats(stats),
+    };
     let mut local = cpu(per_row * folded);
     let (order, grouped) = (
         node.op.order().cloned(),
-        matches!(node.op, PlanOp::GroupBy { .. }),
+        matches!(node.op, PlanOp::GroupBy { .. }) && !engine,
     );
-    let mut children = Vec::new();
-    if let Some(scan) = scan {
-        children.push(leaf_ran(ctx, scan, summary.clone())?);
-        if let Some(project) = project {
-            children = vec![composed(ctx, project, Own::Stats(cpu(folded)), children)?];
-        }
+    let mut children = vec![leaf_ran(ctx, scan, summary)?];
+    if let Some(project) = project {
+        children = vec![composed(ctx, project, owned(cpu(folded)), children)?];
     }
     let (rows, own) = match ctx.spread().filter(|_| grouped) {
         Some(cluster) => {
@@ -1254,21 +1226,12 @@ fn run_grouped_leaf(
             shuffled(cluster, rows, &keys, merge, shares, &order)?
         }
         None => {
-            // A pushed aggregate's partitions charged its merge.
+            // The engine's partitions charged its merge.
             let mut charged = PhaseStats::default();
-            let rows = partials.merge(rows, if pushed { &mut charged } else { &mut local })?;
+            let rows = partials.merge(rows, if engine { &mut charged } else { &mut local })?;
             local.server_cpu_units += if grouped { rows.len() as u64 } else { 0 };
             let rows = finish_groups(&order, rows, &mut local);
-            if !pushed {
-                (rows, Own::Stats(local))
-            } else {
-                let (mut stats, mut nodes) = (summary.stats, summary.nodes);
-                stats.merge(&local);
-                if let Some((_, first)) = nodes.first_mut() {
-                    first.merge(&local);
-                }
-                (rows, Own::Leaf(stats, nodes))
-            }
+            (rows, owned(local))
         }
     };
     emit(ctx, &node.schema, rows, sink)?;
@@ -1387,18 +1350,13 @@ fn run_join(ctx: &QueryContext, node: &PlanNode, mut emit: Emit<'_>) -> Result<R
             // §V-B1: degrade or fall back when the filter cannot fit the
             // SQL size limit; either way the build side already loaded,
             // so the two scans stay serial.
-            let built = bloom_builder(ctx, probe_node).build(&keys, *fpr, probe_key);
-            let (bloom_pred, planned) = match built {
-                Some((filter, planned)) => (Some(filter), planned),
+            let (builder, encoding) = bloom_builder(ctx, probe_node);
+            let (bloom_pred, planned) = match builder
+                .build_encoded(&keys, *fpr, probe_key, encoding)
+            {
+                Some((filter, planned)) => (Some(filter.predicate(probe_key, encoding)), planned),
                 None => (None, BloomPlan::Fallback),
             };
-            let bloom_pred = bloom_pred.map(|filter| {
-                if ctx.engine.extensions().bitwise {
-                    filter.sql_predicate_binary(probe_key)
-                } else {
-                    filter.sql_predicate(probe_key)
-                }
-            });
             let probe = run_pushed(ctx, probe_node, bloom_pred, &mut |batch| {
                 join.probe(batch, emit)
             })?;
@@ -1584,14 +1542,42 @@ pub(crate) fn threshold_predicate(table: &Table, col: &str, asc: bool, t: &Value
     }
 }
 
-/// How many groups one CASE-WHEN statement of `aggs` aggregates per group
-/// may hold under the engine's SQL size limit, a group's key rendering to
-/// `key_bytes` — the chunking of [`case_when_aggregate`], which the pricer
-/// reads too.
-pub(crate) fn case_when_chunk(ctx: &QueryContext, aggs: usize, key_bytes: f64) -> usize {
-    let per_group = aggs as f64 * 96.0 + key_bytes;
-    let budget = ctx.engine.limits().max_sql_bytes.saturating_sub(256);
-    ((budget as f64 / per_group.max(1.0)) as usize).max(1)
+/// How many groups one CASE-WHEN statement may hold under the engine's
+/// SQL size limit, its own text `fixed` bytes ([`case_when_fixed`]) and
+/// every group adding at most `group` ([`case_when_group`]) — the
+/// chunking of [`case_when_aggregate`], which the pricer reads too.
+pub(crate) fn case_when_chunk(ctx: &QueryContext, fixed: usize, group: usize) -> usize {
+    let budget = ctx.engine.limits().max_sql_bytes.saturating_sub(fixed);
+    (budget / group.max(1)).max(1)
+}
+
+/// The text a CASE-WHEN statement ships whatever its groups: `SELECT`,
+/// `FROM`, the `WHERE` and, with `kept`, the `COUNT(*)` of the rows it
+/// keeps — less one joint, which [`case_when_group`] counts per group.
+pub(crate) fn case_when_fixed(predicate: &Option<Expr>, kept: bool) -> usize {
+    let filter = predicate
+        .as_ref()
+        .map_or(0, |w| " WHERE ".len() + w.to_string().len());
+    let count = if kept { "COUNT(*), ".len() } else { 0 };
+    "SELECT ".len() + " FROM S3Object".len() - ", ".len() + filter + count
+}
+
+/// The text the group `key` adds to a CASE-WHEN statement of `aggs`
+/// ([`case_when_stmt`]): its items as the engine receives them — an
+/// `AVG` as a `SUM` and a `COUNT` ([`Partials`]), each repeating the
+/// group's equality and naming its own column — each with a joint.
+pub(crate) fn case_when_group(
+    table: &Table,
+    group_cols: &[String],
+    aggs: &[(AggFunc, Option<String>)],
+    key: &[Value],
+) -> Result<usize> {
+    let stmt = case_when_stmt(table, &None, group_cols, aggs, &[key.to_vec()]);
+    let shipped = Partials::of(&stmt)?.grouped(&stmt).select.items;
+    Ok(shipped
+        .iter()
+        .map(|i| i.to_string().len() + ", ".len())
+        .sum())
 }
 
 /// A group-key column of `table` as a pushed statement compares it, and
@@ -1669,11 +1655,15 @@ fn case_when_aggregate(
         counted: 0,
         kept: None,
     };
-    let Some(first) = groups.first() else {
+    if groups.is_empty() {
         return Ok(pass);
-    };
-    let key_bytes: usize = first.iter().map(|v| v.to_csv_field().len() + 24).sum();
-    let chunk = case_when_chunk(ctx, aggs.len(), key_bytes as f64);
+    }
+    // Chunked at the widest group, so no statement passes the limit.
+    let widths = groups
+        .iter()
+        .map(|key| case_when_group(table, group_cols, aggs, key));
+    let widest = widths.collect::<Result<Vec<_>>>()?.into_iter().max();
+    let chunk = case_when_chunk(ctx, case_when_fixed(predicate, kept), widest.unwrap_or(0));
     for (i, batch) in groups.chunks(chunk).enumerate() {
         let mut stmt = case_when_stmt(table, predicate, group_cols, aggs, batch);
         let count_kept = kept && i == 0;
@@ -1685,7 +1675,7 @@ fn case_when_aggregate(
             });
         }
         // One pushed scalar aggregate: a partial row per partition.
-        let partials = Partials::of(&stmt, &[])?;
+        let partials = Partials::of(&stmt)?;
         let source = ScanSource::Select(None);
         let (rows, scan) = scan_partials(ctx, table, source, &stmt, &partials, true)?;
         let rows = partials.merge(rows, &mut PhaseStats::default())?;

@@ -66,9 +66,9 @@
 //! optionally the `ORDER BY … LIMIT k` of the sort above it; or, for a
 //! grouping operator above it, that operator's grouped statement
 //! (`scan_partials`), which every source folds into one partial row
-//! per group per partition: the engine for a pushed aggregate, the
-//! worker for a GET or cache read and for a Select leaf that returned
-//! rows. A Select source ships the statement; a GET or cache read runs
+//! per group per partition: the engine wherever it runs the grouped
+//! statement (`plan::grouped_leaf` decides), else the worker — for a GET
+//! or cache read, and for a Select leaf that returned rows. A Select source ships the statement; a GET or cache read runs
 //! the **same statement through the same executor**, the Select
 //! engine's ([`pushdown_select::Executor`]), **inside the worker that
 //! decoded the partition**: only the columns the statement references
@@ -606,8 +606,9 @@ pub fn scan(
 /// row. A GET or cache read runs the grouped statement through the
 /// Select engine's executor in the worker that decodes the partition; a
 /// Select source ships it, `pushed`, where the engine runs it — a scalar
-/// aggregate, or a `GROUP BY` under §X's native extension — or else ships
-/// `leaf` and folds the response in the worker that received it. Rows
+/// aggregate, or a `GROUP BY` under §X's native extension
+/// (`plan::grouped_leaf`'s rule) — or else ships `leaf` and folds the
+/// response in the worker that received it. Rows
 /// the workers fold are counted per node ([`ScanSummary::folded`]); what
 /// the engine folds is its own.
 pub(crate) fn scan_partials(
@@ -669,8 +670,8 @@ fn scan_fragment(
         }
         _ => (None, None),
     };
-    // What a Select source ships: the statement, or a pushed aggregate's
-    // grouped one. A sample's is rendered without a `LIMIT`, and each
+    // What a Select source ships: the statement, or the grouped one the
+    // engine folds. A sample's is rendered without a `LIMIT`, and each
     // partition it asks gets its own (`SelectStmt` renders `LIMIT` last).
     let pushed = matches!(fragment, Fragment::Partials(_, true));
     let limit = match source {
@@ -1027,7 +1028,7 @@ pub(crate) fn striped_share(n: usize, parts: usize, i: usize) -> usize {
 /// own `LIMIT` as a [`ScanLimit::Prefix`].
 pub fn select_scan(ctx: &QueryContext, table: &Table, stmt: &SelectStmt) -> Result<ScanResult> {
     if stmt.is_aggregate() {
-        let partials = Partials::of(stmt, &[])?;
+        let partials = Partials::of(stmt)?;
         let source = ScanSource::Select(None);
         let (rows, summary) = scan_partials(ctx, table, source, stmt, &partials, true)?;
         return Ok(ScanResult {
@@ -1111,21 +1112,20 @@ impl Partials {
         }
     }
 
-    /// The aggregates of a statement pushed whole, per group of
-    /// `group_by`: its other items must be grouping columns.
-    pub(crate) fn of(stmt: &SelectStmt, group_by: &[String]) -> Result<Partials> {
-        let aggs = stmt.items.iter().filter_map(|item| match item {
-            SelectItem::Agg { func, arg, .. } => Some(Ok((*func, arg.clone()))),
-            SelectItem::Expr { .. } if !group_by.is_empty() => None,
-            other => Some(Err(Error::Bind(format!(
+    /// The aggregates of a scalar statement pushed whole: its every item
+    /// must be one.
+    pub(crate) fn of(stmt: &SelectStmt) -> Result<Partials> {
+        let aggs = stmt.items.iter().map(|item| match item {
+            SelectItem::Agg { func, arg, .. } => Ok((*func, arg.clone())),
+            other => Err(Error::Bind(format!(
                 "aggregate scan cannot contain scalar item `{other}`"
-            )))),
+            ))),
         });
-        Ok(Partials::new(group_by, aggs.collect::<Result<Vec<_>>>()?))
+        Ok(Partials::new(&[], aggs.collect::<Result<Vec<_>>>()?))
     }
 
     /// The grouped statement over the rows `leaf`'s `WHERE` keeps.
-    fn grouped(&self, leaf: &SelectStmt) -> ExtendedSelect {
+    pub(crate) fn grouped(&self, leaf: &SelectStmt) -> ExtendedSelect {
         let mut stmt = self.stmt.clone();
         stmt.select.where_clause = leaf.where_clause.clone();
         stmt.select.alias = leaf.alias.clone();

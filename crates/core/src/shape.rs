@@ -33,9 +33,14 @@ pub(crate) enum Own {
     /// A join's CPU and, for a Bloom join, the filter §V-B1 planned for
     /// its probe.
     Join(PhaseStats, Option<BloomPlan>),
-    /// A scan or pushed-aggregate leaf: its footprint and, when its
-    /// partitions ran on a cluster, its share on each busy node, by id.
+    /// A scan leaf: its footprint and, when its partitions ran on a
+    /// cluster, its share on each busy node, by id.
     Leaf(PhaseStats, Vec<(usize, PhaseStats)>),
+    /// A grouping operator whose scan leaf's engine folded its input, or
+    /// the Project between them, which the engine evaluated: its own
+    /// footprint, which joins the leaf's phase — on a cluster, the first
+    /// busy node's — under the leaf's label, and closes it.
+    Folded(PhaseStats),
     /// A group-by partitioned over a cluster: its footprint, each node's
     /// share of the aggregation, by id, and the merge.
     Partitioned(PhaseStats, Vec<PhaseStats>, PhaseStats),
@@ -75,9 +80,6 @@ pub(crate) fn compose(
         (PlanOp::Scan { table, source, .. }, Own::Leaf(stats, nodes)) => {
             leaf(node.label(), *source, table, stats, &nodes)
         }
-        (PlanOp::PushdownAggregate { table, .. }, Own::Leaf(stats, nodes)) => {
-            leaf(node.label(), ScanSource::Select(None), table, stats, &nodes)
-        }
         // The two sides go together as they ran, and the join's own work
         // streams over the probe.
         (PlanOp::HashJoin { .. } | PlanOp::BloomJoin { .. }, Own::Join(stats, bloom)) => {
@@ -95,6 +97,19 @@ pub(crate) fn compose(
             Outcome { metrics, report }
         }
         (PlanOp::Limit { .. }, Own::Stats(stats)) => over(node.label(), stats, next()?),
+        (
+            PlanOp::GroupBy { .. } | PlanOp::Aggregate { .. } | PlanOp::Project { .. },
+            Own::Folded(stats),
+        ) => {
+            let mut child = next()?;
+            let group = child.metrics.groups.last_mut();
+            if let Some(first) = group.and_then(|g| g.phases.first_mut()) {
+                first.stats.merge(&stats);
+            }
+            // The fold breaks the pipeline, as every grouping does.
+            child.metrics.close();
+            over(node.label(), stats, child)
+        }
         (PlanOp::GroupBy { .. }, Own::Partitioned(stats, shares, merge)) => {
             let mut child = next()?;
             let n = shares.len();
@@ -142,8 +157,8 @@ pub(crate) fn compose(
             staged(node, own, sample, tail)
         }
         // One pass, the groups' finish stacked on it — on a cluster it
-        // joins the first node's phase, as a pushed aggregate's does —;
-        // a stale dictionary's tail runs after it.
+        // joins the first node's phase, as an engine fold's does —; a
+        // stale dictionary's tail runs after it.
         (PlanOp::HybridSplit { .. }, Own::Covered(pass, mut nodes, finish, short)) => {
             let ((table, ..), from) = (node.pushdown_leaf()?, select_phase(node)?);
             if let Some((_, first)) = nodes.first_mut() {

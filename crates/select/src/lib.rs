@@ -139,7 +139,10 @@ pub struct EngineExtensions {
     /// Suggestion 4: accept `GROUP BY` ([`S3SelectEngine::select`] on the
     /// text, or [`S3SelectEngine::select_grouped`] on the AST) and run it
     /// storage-side through the engine's one executor: projected decode,
-    /// row-group pruning, `LIMIT` and billing as for any statement.
+    /// row-group pruning, `LIMIT` and billing as for any statement. The
+    /// planner then folds every group-by over a whole Select scan here
+    /// — the `filtered` group-by ships its statement whole — instead of
+    /// in the worker that receives the rows.
     pub native_group_by: bool,
     /// Suggestion 2: evaluate index-table lookups storage-side
     /// ([`S3SelectEngine::select_indexed`]).

@@ -1,7 +1,8 @@
 //! An ORDER BY over a GROUP BY is the group-by's own finish (ISSUE 25):
-//! every grouping candidate — `server-side`, `cached-local`, `filtered`,
-//! `s3-side`, `hybrid`, §X's `s3-native`, and a joined statement's every
-//! join candidate — returns the groups a stable [`Value::total_cmp`] sort
+//! every grouping candidate — `server-side`, `cached-local`, `filtered`
+//! (its engine folding under §X's native `GROUP BY`, which these tests
+//! turn on), `s3-side`, `hybrid`, and a joined statement's every join
+//! candidate — returns the groups a stable [`Value::total_cmp`] sort
 //! truncated to the LIMIT would, ties in group-key order, and reports
 //! exactly as many phase groups as the same statement without ORDER BY /
 //! LIMIT: the order runs inside the grouping operator's breaker, never
@@ -131,7 +132,6 @@ const ONE_KEY: &[&str] = &[
     "filtered",
     "s3-side",
     "hybrid",
-    "s3-native",
 ];
 
 fn families() -> Vec<Family> {
@@ -167,13 +167,7 @@ fn families() -> Vec<Family> {
         },
         Family {
             sql: "SELECT c, f, COUNT(*) AS n, SUM(i) AS total FROM t GROUP BY c, f",
-            names: &[
-                "cached-local",
-                "server-side",
-                "filtered",
-                "s3-side",
-                "s3-native",
-            ],
+            names: &["cached-local", "server-side", "filtered", "s3-side"],
             groups: grouped(&table, |r| vec![r[1].clone(), r[3].clone()]),
             orders: vec![
                 ("c", vec![(0, true)]),

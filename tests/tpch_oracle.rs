@@ -13,6 +13,7 @@
 //! the two queries mean something before it hands the answers out.
 
 use pushdowndb::common::date::parse_date;
+use pushdowndb::common::pricing::Usage;
 use pushdowndb::common::{Row, Value};
 use pushdowndb::core::{upload_columnar_table, QueryContext, QueryMetrics, Strategy};
 use pushdowndb::format::WriterOptions;
@@ -360,4 +361,51 @@ fn every_strategy_matches_the_oracle_on_csv() {
 fn every_strategy_matches_the_oracle_on_columnar() {
     let (ctx, t) = columnar_context(TpchGen::new(SF));
     hold_to_oracle(&ctx, &t, "ColumnarLite");
+}
+
+/// Q6's one `SUM(l_extendedprice * l_discount)` is a scalar aggregate
+/// over a Project over a whole Select leaf: the engine folds it, the
+/// Project is the engine's, and the pricer predicts what the run bills
+/// and the CPU units it charges, phase by phase — on both formats,
+/// serial and on four nodes.
+#[test]
+fn q6s_pushed_sum_is_priced_as_it_runs() {
+    let q6 = SUITE[2];
+    assert_eq!(q6.name, "TPCH Q6");
+    let gen = || TpchGen::new(0.005);
+    let csv = tpch_context(0.005, 5_000).unwrap();
+    for (format, (ctx, t)) in [("CSV", csv), ("ColumnarLite", columnar_context(gen()))] {
+        // A serial run carries its prediction under Adaptive, which picks
+        // the pushed aggregate here; a cluster's under every strategy.
+        for (nodes, strategy) in [(1, Strategy::Adaptive), (4, Strategy::Pushdown)] {
+            let ctx = ctx.clone().with_nodes(nodes);
+            let what = format!("Q6 {strategy:?} on {format}, {nodes} node(s)");
+            let (out, explain) = q6.run(&ctx, &t, strategy).unwrap();
+            let ops = explain.operators.as_ref().expect("a plan tree");
+            assert!(ops.label.starts_with("Aggregate["), "{what}: {}", ops.label);
+            let scan = &ops.children[0].children[0];
+            assert!(
+                scan.label.starts_with("PushdownScan["),
+                "{what}: {}",
+                scan.label
+            );
+            let predicted = explain.predicted.expect("the run carries its prediction");
+            let units = |m: &QueryMetrics| -> Vec<(String, u64)> {
+                let phases = m.groups.iter().flat_map(|g| &g.phases);
+                phases
+                    .map(|p| (p.label.clone(), p.stats.server_cpu_units))
+                    .collect()
+            };
+            assert_eq!(units(&predicted), units(&out.metrics), "{what}: CPU units");
+            // The returned bytes are the one estimate: the partial rows'
+            // widths, which only the run knows.
+            let executed = out.metrics.usage();
+            let predicted = Usage {
+                select_returned_bytes: executed.select_returned_bytes,
+                ..predicted.usage()
+            };
+            assert_eq!(predicted, executed, "{what}: usage");
+            assert_eq!(out.metrics.usage(), out.billed, "{what}: billed");
+        }
+    }
 }
